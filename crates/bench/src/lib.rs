@@ -1,62 +1,29 @@
-//! Shared helpers for the `harness = false` bench report generators in
-//! `benches/`.
+//! Deterministic report library behind the committed `BENCH_*.json`.
+//!
+//! Each scenario in [`scenarios`] is a `fn run(Size) -> Report` whose
+//! record is a pure function of the code (byte counts, frame counts,
+//! virtual time), so regenerating the reports and `git diff --exit-code`
+//! is the staleness gate. Two callers drive them: `benches/reports.rs`
+//! runs every scenario at [`Size::Full`], writes the files and exits 1
+//! on a failed gate; `tests/smoke.rs` runs them at [`Size::Smoke`],
+//! asserts the gates and writes nothing. Wall-clock is measured in one
+//! place only, `drvbench` (`benchmark/`); see `EXPERIMENTS.md` for which
+//! of its metrics owns each report's timing.
 
-/// Chunk-size distribution summary of one cut-point sequence, recorded
-/// by the cdc and pipeline benches so normalization's tightening shows
-/// up in the benchmark trajectory.
-#[derive(Debug)]
-pub struct SizeStats {
-    /// Number of chunks.
-    pub count: usize,
-    /// Smallest chunk (the tail chunk may undercut the CDC `min`).
-    pub min: usize,
-    /// Median chunk size.
-    pub p50: usize,
-    /// 99th-percentile chunk size.
-    pub p99: usize,
-    /// Largest chunk.
-    pub max: usize,
-    /// Mean chunk size.
-    pub mean: f64,
-    /// Population standard deviation — the headline tightness metric.
-    pub stddev: f64,
-}
+mod kit;
+pub mod scenarios;
 
-impl SizeStats {
-    /// Computes the distribution from exclusive chunk end offsets (as
-    /// produced by `drivolution_core::chunk::cut_points`). Panics on an
-    /// empty sequence: every bench image is non-empty.
-    pub fn of_cuts(cuts: &[usize]) -> SizeStats {
-        let mut sizes = Vec::with_capacity(cuts.len());
-        let mut start = 0;
-        for &end in cuts {
-            sizes.push(end - start);
-            start = end;
-        }
-        sizes.sort_unstable();
-        let count = sizes.len();
-        let mean = sizes.iter().sum::<usize>() as f64 / count as f64;
-        let var = sizes
-            .iter()
-            .map(|&s| (s as f64 - mean) * (s as f64 - mean))
-            .sum::<f64>()
-            / count as f64;
-        SizeStats {
-            count,
-            min: sizes[0],
-            p50: sizes[count / 2],
-            p99: sizes[(count * 99) / 100],
-            max: sizes[count - 1],
-            mean,
-            stddev: var.sqrt(),
-        }
-    }
+pub use kit::{Gates, Object, Report, Size, SizeStats, Value};
 
-    /// One-line JSON object for the `BENCH_*.json` reports.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"chunks\": {}, \"min\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}, \"mean\": {:.0}, \"stddev\": {:.1}}}",
-            self.count, self.min, self.p50, self.p99, self.max, self.mean, self.stddev
-        )
-    }
-}
+/// Every scenario, in the order the callers run them.
+pub const SCENARIOS: [fn(Size) -> Report; 9] = [
+    scenarios::cdc::run,
+    scenarios::chaos::run,
+    scenarios::depot::run,
+    scenarios::hotswap::run,
+    scenarios::mirror::run,
+    scenarios::pipeline::run,
+    scenarios::rollout::run,
+    scenarios::sched::run,
+    scenarios::shard::run,
+];

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -113,12 +112,6 @@ struct NetworkInner {
     clock: Clock,
     sched: Scheduler,
     rng: Mutex<StdRng>,
-    /// Opt-in: pump due scheduler tasks after each outermost request.
-    auto_pump: AtomicBool,
-    /// Reentrancy guard: set while a pump (or an explicit `run_until`)
-    /// is dispatching, so requests issued mid-dispatch defer to the
-    /// outermost pump instead of recursing into the scheduler.
-    pump_active: AtomicBool,
 }
 
 /// Handle to the in-process simulated network.
@@ -160,8 +153,6 @@ impl Network {
                 sched: Scheduler::new(clock.clone()),
                 clock,
                 rng: Mutex::new(StdRng::seed_from_u64(0x5eed)),
-                auto_pump: AtomicBool::new(false),
-                pump_active: AtomicBool::new(false),
             }),
         }
     }
@@ -185,42 +176,7 @@ impl Network {
     /// if the final task overshot it). Returns the number of task
     /// executions. See [`Scheduler::run_until`].
     pub fn run_until(&self, target_ms: u64) -> u64 {
-        let outermost = self.begin_pump();
-        let fired = self.inner.sched.run_until(target_ms);
-        if outermost {
-            self.end_pump();
-        }
-        fired
-    }
-
-    /// Opts this network in or out of auto-pumping: when enabled, every
-    /// *outermost* [`Network::request`] finishes by firing the scheduler
-    /// tasks that became due while the exchange charged latency to the
-    /// clock, so lifecycle work keeps up with traffic without an explicit
-    /// [`Network::run_until`] driver. Requests issued from inside a task
-    /// dispatch (or from a service handling a request) defer to the
-    /// outermost pump rather than recursing into the scheduler, so task
-    /// ordering stays deterministic.
-    pub fn set_auto_pump(&self, enabled: bool) {
-        self.inner.auto_pump.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Whether auto-pump is enabled.
-    pub fn auto_pump(&self) -> bool {
-        self.inner.auto_pump.load(Ordering::SeqCst)
-    }
-
-    /// Claims the pump guard. Returns true when this caller is the
-    /// outermost pump and therefore responsible for releasing it.
-    fn begin_pump(&self) -> bool {
-        self.inner
-            .pump_active
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
-    fn end_pump(&self) {
-        self.inner.pump_active.store(false, Ordering::SeqCst);
+        self.inner.sched.run_until(target_ms)
     }
 
     /// Traffic statistics for this network.
@@ -373,22 +329,6 @@ impl Network {
     /// * [`NetError::Timeout`] — the message was lost (fault injection).
     /// * Any error returned by the service itself.
     pub fn request(&self, from: &Addr, to: &Addr, request: Bytes) -> Result<Bytes, NetError> {
-        if !self.inner.auto_pump.load(Ordering::SeqCst) {
-            return self.request_inner(from, to, request);
-        }
-        let outermost = self.begin_pump();
-        let result = self.request_inner(from, to, request);
-        if outermost {
-            // Fire the tasks this exchange's latency made due. The guard
-            // stays held across the pump: requests those tasks issue are
-            // mid-dispatch and must not pump recursively.
-            self.inner.sched.run_due();
-            self.end_pump();
-        }
-        result
-    }
-
-    fn request_inner(&self, from: &Addr, to: &Addr, request: Bytes) -> Result<Bytes, NetError> {
         if let Err(e) = self.check_path(from, to) {
             self.inner.stats.record_failure(to, failure_kind(&e));
             return Err(e);
@@ -687,113 +627,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(net.clock().now_ms(), t1);
-    }
-
-    #[test]
-    fn auto_pump_fires_tasks_made_due_by_request_latency() {
-        use crate::sched::TaskControl;
-        use std::sync::atomic::AtomicU64;
-        use std::time::Duration;
-
-        let net = Network::new();
-        net.bind(Addr::new("srv", 1), echo()).unwrap();
-        net.with_topology(|t| {
-            t.set_default_latency(1, 25);
-            t.place("client", "east");
-            t.place("srv", "west");
-        });
-        let fired = Arc::new(AtomicU64::new(0));
-        let f = fired.clone();
-        // The task itself talks on the network mid-dispatch: its request
-        // must defer to the outermost pump, not recurse into run_due.
-        let task_net = net.clone();
-        net.scheduler().every(
-            Duration::from_millis(30),
-            Duration::ZERO,
-            "self-talker",
-            move || {
-                f.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                let _ = task_net.request(&Addr::new("task", 2), &Addr::new("srv", 1), Bytes::new());
-                Ok(TaskControl::Continue)
-            },
-        );
-
-        // Without auto-pump, traffic advances the clock but nothing fires.
-        for _ in 0..2 {
-            net.request(&client(), &Addr::new("srv", 1), Bytes::new())
-                .unwrap();
-        }
-        assert_eq!(net.clock().now_ms(), 100);
-        assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 0);
-
-        // With auto-pump, each outermost request catches the task up:
-        // one firing per pump (beats jumped over by the latency charge
-        // are skipped, not replayed, per the fixed-rate cadence).
-        net.set_auto_pump(true);
-        for _ in 0..2 {
-            net.request(&client(), &Addr::new("srv", 1), Bytes::new())
-                .unwrap();
-        }
-        assert_eq!(net.clock().now_ms(), 200);
-        assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn auto_pump_defers_mid_dispatch_reschedules_instead_of_recursing() {
-        use crate::sched::TaskControl;
-        use std::sync::atomic::AtomicU64;
-        use std::time::Duration;
-
-        // A service that, while handling a request, registers an
-        // immediately-due task which calls the service again — the
-        // self-rescheduling shape. Depth must never exceed one dispatch:
-        // the nested request happens after the outer call returns.
-        struct Resched {
-            net: Mutex<Option<Network>>,
-            depth: AtomicU64,
-            max_depth: AtomicU64,
-            calls: AtomicU64,
-        }
-        impl Service for Resched {
-            fn call(&self, _from: &Addr, _req: Bytes) -> Result<Bytes, NetError> {
-                use std::sync::atomic::Ordering::SeqCst;
-                let d = self.depth.fetch_add(1, SeqCst) + 1;
-                self.max_depth.fetch_max(d, SeqCst);
-                let calls = self.calls.fetch_add(1, SeqCst) + 1;
-                if calls < 4 {
-                    let net = self.net.lock().clone().expect("network attached");
-                    let again = net.clone();
-                    net.scheduler()
-                        .once(Duration::ZERO, format!("resched-{calls}"), move || {
-                            let _ = again.request(
-                                &Addr::new("task", 2),
-                                &Addr::new("svc", 1),
-                                Bytes::new(),
-                            );
-                            Ok(TaskControl::Done)
-                        });
-                }
-                self.depth.fetch_sub(1, SeqCst);
-                Ok(Bytes::new())
-            }
-        }
-
-        let net = Network::new();
-        let svc = Arc::new(Resched {
-            net: Mutex::new(Some(net.clone())),
-            depth: AtomicU64::new(0),
-            max_depth: AtomicU64::new(0),
-            calls: AtomicU64::new(0),
-        });
-        net.bind_arc(Addr::new("svc", 1), svc.clone()).unwrap();
-        net.set_auto_pump(true);
-        net.request(&client(), &Addr::new("svc", 1), Bytes::new())
-            .unwrap();
-        use std::sync::atomic::Ordering::SeqCst;
-        assert_eq!(svc.calls.load(SeqCst), 4, "rescheduled calls all ran");
-        assert_eq!(svc.max_depth.load(SeqCst), 1, "dispatch never recursed");
-        // Drop the service's network handle to break the Arc cycle.
-        svc.net.lock().take();
     }
 
     #[test]

@@ -8,11 +8,11 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use parking_lot::Mutex;
 
 use crate::error::NetError;
 use crate::Addr;
@@ -24,7 +24,9 @@ use crate::Addr;
 pub struct Pipe {
     peer: Addr,
     tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    /// `mpsc::Receiver` is not `Sync`; the mutex makes the pipe end
+    /// shareable like the sending half.
+    rx: Mutex<Receiver<Bytes>>,
     open: Arc<AtomicBool>,
 }
 
@@ -41,19 +43,19 @@ impl Pipe {
     /// Creates a connected pair of pipe ends. `client_addr` and
     /// `server_addr` are informational, exposed via [`Pipe::peer`].
     pub fn pair(client_addr: Addr, server_addr: Addr) -> (Pipe, Pipe) {
-        let (tx_a, rx_b) = unbounded();
-        let (tx_b, rx_a) = unbounded();
+        let (tx_a, rx_b) = channel();
+        let (tx_b, rx_a) = channel();
         let open = Arc::new(AtomicBool::new(true));
         let client = Pipe {
             peer: server_addr,
             tx: tx_a,
-            rx: rx_a,
+            rx: Mutex::new(rx_a),
             open: open.clone(),
         };
         let server = Pipe {
             peer: client_addr,
             tx: tx_b,
-            rx: rx_b,
+            rx: Mutex::new(rx_b),
             open,
         };
         (client, server)
@@ -91,7 +93,7 @@ impl Pipe {
     ///
     /// Returns [`NetError::Closed`] once the pipe is closed *and* drained.
     pub fn try_recv(&self) -> Result<Option<Bytes>, NetError> {
-        match self.rx.try_recv() {
+        match self.rx.lock().try_recv() {
             Ok(m) => Ok(Some(m)),
             Err(TryRecvError::Empty) => {
                 if self.is_open() {
@@ -101,28 +103,6 @@ impl Pipe {
                 }
             }
             Err(TryRecvError::Disconnected) => {
-                Err(NetError::Closed(format!("pipe to {}", self.peer)))
-            }
-        }
-    }
-
-    /// Receives the next message, blocking up to `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] when nothing arrived in time,
-    /// [`NetError::Closed`] when the pipe is closed and drained.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.is_open() {
-                    Err(NetError::Timeout(format!("pipe to {}", self.peer)))
-                } else {
-                    Err(NetError::Closed(format!("pipe to {}", self.peer)))
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
                 Err(NetError::Closed(format!("pipe to {}", self.peer)))
             }
         }
@@ -179,7 +159,10 @@ mod tests {
         c.send(Bytes::from_static(b"last words")).unwrap();
         c.close();
         // The already-queued message is still deliverable.
-        assert_eq!(s.rx.try_recv().unwrap(), Bytes::from_static(b"last words"));
+        assert_eq!(
+            s.rx.lock().try_recv().unwrap(),
+            Bytes::from_static(b"last words")
+        );
     }
 
     #[test]
@@ -187,12 +170,5 @@ mod tests {
         let (c, s) = Pipe::pair(addrs().0, addrs().1);
         drop(c);
         assert!(!s.is_open());
-    }
-
-    #[test]
-    fn recv_timeout_times_out() {
-        let (c, _s) = Pipe::pair(addrs().0, addrs().1);
-        let err = c.recv_timeout(Duration::from_millis(5)).unwrap_err();
-        assert!(matches!(err, NetError::Timeout(_)));
     }
 }

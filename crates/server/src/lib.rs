@@ -37,6 +37,6 @@ pub use rollout::{
     partition, RolloutConfig, RolloutOrchestrator, RolloutPhase, RolloutPlan, RolloutStatus,
     WaveStatus,
 };
-pub use server::{AdminEvent, DrivolutionServer, MatchPath, ServerConfig, ServerStats};
+pub use server::{AdminEvent, DrivolutionServer, ServerConfig, ServerStats};
 pub use store::{DriverStore, EmbeddedExec, RemoteExec, SqlExec};
 pub use variants::{attach_in_database, launch_external, launch_standalone};

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use netsim::{Addr, Clock, NetError, Network, Pipe, Service, TaskControl};
 
 use drivolution_core::chunk::ChunkSet;
-use drivolution_core::matching::{self, MatchMode};
+use drivolution_core::matching::MatchMode;
 use drivolution_core::pack::{pack_driver, unpack_driver};
 use drivolution_core::proto::{ChunkPlan, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::transfer;
@@ -30,16 +30,6 @@ use crate::notify::NotifyHub;
 use crate::rollout::RolloutOrchestrator;
 use crate::store::DriverStore;
 
-/// Which matchmaking implementation the server uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MatchPath {
-    /// Run the paper's SQL (Sample code 1–2) against the store.
-    #[default]
-    Sql,
-    /// Use the in-memory engine (`drivolution_core::matching`).
-    Memory,
-}
-
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -55,8 +45,6 @@ pub struct ServerConfig {
     pub default_transfer: TransferMethod,
     /// Tie-breaking among matching drivers.
     pub match_mode: MatchMode,
-    /// SQL or in-memory matchmaking.
-    pub match_path: MatchPath,
     /// Databases this server distributes drivers for; `None` = any.
     pub serves: Option<Vec<String>>,
     /// When set, offers carry signatures over the driver bytes.
@@ -97,7 +85,6 @@ impl Default for ServerConfig {
             default_expiration: ExpirationPolicy::AfterCommit,
             default_transfer: TransferMethod::Sealed,
             match_mode: MatchMode::FirstMatch,
-            match_path: MatchPath::Sql,
             serves: None,
             signing: None,
             customize: false,
@@ -224,7 +211,6 @@ impl std::fmt::Debug for DrivolutionServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DrivolutionServer")
             .field("name", &self.name)
-            .field("config", &self.config.match_path)
             .finish()
     }
 }
@@ -532,56 +518,45 @@ impl DrivolutionServer {
     }
 
     fn find_match(&self, q: &DriverQuery) -> DrvResult<(DriverRecord, Option<PermissionRule>)> {
-        let now = self.clock.now_ms() as i64;
-        match self.config.match_path {
-            MatchPath::Memory => {
-                let records = self.store.records()?;
-                let rules = self.store.rules()?;
-                let m = matching::find_driver(&records, &rules, q, now, self.config.match_mode)?;
-                Ok((m.record.clone(), m.rule.cloned()))
-            }
-            MatchPath::Sql => {
-                let matching_records = self.store.matching_drivers(q)?;
-                if !self.store.has_rules()? {
-                    let rec = matching_records.into_iter().next().ok_or_else(|| {
-                        DrvError::NoMatchingDriver(format!(
-                            "no driver for API {} on {}",
-                            q.api_name, q.client_platform
-                        ))
-                    })?;
-                    return Ok((rec, None));
-                }
-                let permitted = self.store.permitted_driver_ids(&q.identity)?;
-                let mut granted: Vec<(DriverRecord, PermissionRule)> = matching_records
-                    .into_iter()
-                    .filter_map(|rec| {
-                        permitted
-                            .iter()
-                            .find(|(id, _)| *id == rec.id)
-                            .map(|(_, rule)| (rec, rule.clone()))
-                    })
-                    .collect();
-                if self.config.match_mode == MatchMode::Ranked {
-                    granted.sort_by(|a, b| {
-                        let fmt_rank = |r: &DriverRecord| match q.preferred_format {
-                            Some(f) if r.format == f => 0,
-                            _ => 1,
-                        };
-                        fmt_rank(&a.0)
-                            .cmp(&fmt_rank(&b.0))
-                            .then_with(|| b.0.version.cmp(&a.0.version))
-                            .then_with(|| a.0.id.cmp(&b.0.id))
-                    });
-                }
-                let (rec, rule) = granted.into_iter().next().ok_or_else(|| {
-                    DrvError::NoMatchingDriver(format!(
-                        "no permitted driver for user {} from {}",
-                        q.identity.user, q.identity.client_ip
-                    ))
-                })?;
-                Ok((rec, Some(rule)))
-            }
+        let matching_records = self.store.matching_drivers(q)?;
+        if !self.store.has_rules()? {
+            let rec = matching_records.into_iter().next().ok_or_else(|| {
+                DrvError::NoMatchingDriver(format!(
+                    "no driver for API {} on {}",
+                    q.api_name, q.client_platform
+                ))
+            })?;
+            return Ok((rec, None));
         }
+        let permitted = self.store.permitted_driver_ids(&q.identity)?;
+        let mut granted: Vec<(DriverRecord, PermissionRule)> = matching_records
+            .into_iter()
+            .filter_map(|rec| {
+                permitted
+                    .iter()
+                    .find(|(id, _)| *id == rec.id)
+                    .map(|(_, rule)| (rec, rule.clone()))
+            })
+            .collect();
+        if self.config.match_mode == MatchMode::Ranked {
+            granted.sort_by(|a, b| {
+                let fmt_rank = |r: &DriverRecord| match q.preferred_format {
+                    Some(f) if r.format == f => 0,
+                    _ => 1,
+                };
+                fmt_rank(&a.0)
+                    .cmp(&fmt_rank(&b.0))
+                    .then_with(|| b.0.version.cmp(&a.0.version))
+                    .then_with(|| a.0.id.cmp(&b.0.id))
+            });
+        }
+        let (rec, rule) = granted.into_iter().next().ok_or_else(|| {
+            DrvError::NoMatchingDriver(format!(
+                "no permitted driver for user {} from {}",
+                q.identity.user, q.identity.client_ip
+            ))
+        })?;
+        Ok((rec, Some(rule)))
     }
 
     /// Whether the client's *current* driver still matches its query and
@@ -1877,19 +1852,28 @@ mod tests {
 
     #[test]
     fn memory_and_sql_match_paths_agree_through_server() {
-        for path in [MatchPath::Sql, MatchPath::Memory] {
-            let (srv, _c) = server_with(ServerConfig {
-                match_path: path,
-                ..ServerConfig::default()
-            });
-            srv.install_driver(&record(1, 1, DriverVersion::new(1, 0, 0)))
-                .unwrap();
-            srv.install_driver(&record(2, 2, DriverVersion::new(2, 0, 0)))
-                .unwrap();
-            srv.add_rule(&PermissionRule::any(DriverId(2)).for_user("app"))
-                .unwrap();
-            let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(bootstrap_req())));
-            assert_eq!(offer.driver_id, DriverId(2), "path {path:?}");
-        }
+        let (srv, clock) = server_with(ServerConfig::default());
+        srv.install_driver(&record(1, 1, DriverVersion::new(1, 0, 0)))
+            .unwrap();
+        srv.install_driver(&record(2, 2, DriverVersion::new(2, 0, 0)))
+            .unwrap();
+        srv.add_rule(&PermissionRule::any(DriverId(2)).for_user("app"))
+            .unwrap();
+        let req = bootstrap_req();
+        let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req.clone())));
+        assert_eq!(offer.driver_id, DriverId(2));
+        // The in-memory reference engine picks the same driver from the
+        // same records and rules.
+        let reference = drivolution_core::matching::find_driver(
+            &srv.store().records().unwrap(),
+            &srv.store().rules().unwrap(),
+            &srv.query_of(&client(), &req),
+            clock.now_ms() as i64,
+            MatchMode::FirstMatch,
+        )
+        .unwrap()
+        .record
+        .id;
+        assert_eq!(reference, offer.driver_id);
     }
 }

@@ -100,17 +100,14 @@ fn same_seed_chaos_schedule_reproduces_every_counter() {
     assert!(corrupted > 0, "byzantine mirror never corrupted a serve");
 }
 
-/// The same replay guarantee with the opt-in auto-pump enabled and the
-/// batched fleet shape (renewal aggregators, sharded license table,
-/// zone-shared image cache): tasks now also fire from inside request
-/// dispatch, so this pins that the reentrancy guard defers them to the
-/// outermost pump in a reproducible order — and that adopting a peer's
-/// assembled image never changes what crosses the wire.
+/// The same replay guarantee for the batched fleet shape (renewal
+/// aggregators, sharded license table, zone-shared image cache): pins
+/// that coalesced renewals fire in a reproducible order — and that
+/// adopting a peer's assembled image never changes what crosses the wire.
 #[test]
-fn same_seed_replays_identical_batched_traffic_under_auto_pump() {
+fn same_seed_replays_identical_batched_traffic() {
     let run = |seed: u64| -> Vec<(Addr, AddrStats)> {
         let sim = FleetSim::build_rollout_batched(12, 10 * MINUTE, 32 * 1024);
-        sim.net().set_auto_pump(true);
         sim.net().scheduler().reseed(seed);
         sim.bootstrap_all();
         sim.publish_upgrade(false);
@@ -119,10 +116,7 @@ fn same_seed_replays_identical_batched_traffic_under_auto_pump() {
     };
     let a = run(17);
     let b = run(17);
-    assert_eq!(
-        a, b,
-        "same seed must replay identical traffic with auto-pump on"
-    );
+    assert_eq!(a, b, "same seed must replay identical batched traffic");
     assert!(
         a.iter().any(|(_, s)| s.requests > 0),
         "scenario produced no traffic; the replay assertion is vacuous"
