@@ -1,9 +1,10 @@
 //! Regenerates every table and figure of the paper's evaluation as
-//! printed series (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for the recorded outcomes).
+//! printed series (see EXPERIMENTS.md for the experiment index and the
+//! recorded outcomes).
 //!
 //! This target uses `harness = false`: it is a report generator, not a
-//! timing benchmark (the Criterion targets cover latency).
+//! timing benchmark (`drvbench` in `benchmark/` is the one place
+//! wall-clock is measured).
 //!
 //! Run with: `cargo bench -p drivolution-bench --bench paper_tables`
 

@@ -94,8 +94,8 @@ pub fn run(size: Size) -> Report {
             .into()
     });
     r.set("waves", Value::Array(waves.collect()));
-    let (plan_hits, plan_misses) = sim.net().stats().plan_counters();
     let srv = sim.server().stats();
+    let (plan_hits, plan_misses) = (srv.plan_hits, srv.plan_misses);
     let reuses: u64 = sim
         .clients()
         .iter()

@@ -299,12 +299,6 @@ impl Bootloader {
         }
     }
 
-    /// Handle to the scheduler-registered upgrade-poll task, if the
-    /// lifecycle policy enables one.
-    pub fn poll_task(&self) -> Option<TaskHandle> {
-        self.lifecycle.lock().poll.clone()
-    }
-
     /// Handle to the lease auto-renewal timer, if auto-renewal is
     /// enabled. Dormant until the first lease is granted.
     pub fn lease_task(&self) -> Option<TaskHandle> {
@@ -654,7 +648,6 @@ impl Bootloader {
                     )))
                 })?;
                 depot.note_revalidation(&self.context_database(), digest);
-                self.net.stats().record_saved(server, bytes.len());
                 {
                     let mut st = self.stats.lock();
                     st.revalidations += 1;
@@ -804,9 +797,6 @@ impl Bootloader {
                         &plan.manifest,
                         &chunk_map,
                     );
-                    self.net
-                        .stats()
-                        .record_saved(server, plan.manifest.total_size as usize);
                     {
                         let mut st = self.stats.lock();
                         st.shared_image_reuses += 1;
@@ -930,7 +920,6 @@ impl Bootloader {
             cache.put(plan.manifest.content_digest, bytes, Arc::new(chunk_map));
         }
         let saved = plan.manifest.total_size.saturating_sub(fetched_bytes);
-        self.net.stats().record_saved(server, saved as usize);
         {
             let mut st = self.stats.lock();
             st.delta_downloads += 1;

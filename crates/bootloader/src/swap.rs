@@ -12,15 +12,12 @@
 //!    migrates transparently onto the new driver at its next
 //!    transaction boundary (idle sessions at their next statement,
 //!    in-transaction sessions right after COMMIT/ROLLBACK);
-//! 3. adopted [`ConnectionPool`]s are generation-invalidated so idle
-//!    pool connections drain eagerly and new checkouts open on the new
-//!    driver;
-//! 4. a deterministic `netsim::sched` task ticks the window; when the
+//! 3. a deterministic `netsim::sched` task ticks the window; when the
 //!    drain grace expires, remaining sessions are escalated through the
 //!    offer's [`ExpirationPolicy`] — `AFTER_COMMIT` waits for the
 //!    transaction boundary (never severing a live transaction),
 //!    `IMMEDIATE` is the last resort, `AFTER_CLOSE` never forces;
-//! 5. the old namespace is unloaded only when
+//! 4. the old namespace is unloaded only when
 //!    [`crate::tracker::ConnectionTracker::drained`] reports true.
 //!
 //! Downgrade is the same machinery run in the other direction: a
@@ -33,7 +30,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use driverkit::{ConnectionPool, NamespaceId, SessionCensus};
+use driverkit::NamespaceId;
 use drivolution_core::{DriverVersion, ExpirationPolicy};
 use netsim::{TaskControl, TaskHandle};
 
@@ -112,13 +109,12 @@ struct DrainWindow {
     escalated: bool,
 }
 
-/// Bootloader-internal swap state: open windows, the (dormant until a
-/// swap begins) coordinator task, and adopted application pools.
+/// Bootloader-internal swap state: open windows and the (dormant until
+/// a swap begins) coordinator task.
 #[derive(Default)]
 pub(crate) struct SwapCoordinator {
     windows: Mutex<Vec<DrainWindow>>,
     task: Mutex<Option<TaskHandle>>,
-    pools: Mutex<Vec<Weak<ConnectionPool>>>,
 }
 
 impl SwapCoordinator {
@@ -133,30 +129,6 @@ impl Bootloader {
     /// Whether hot-swap coexistence windows are configured.
     pub fn swap_enabled(&self) -> bool {
         self.config.swap.is_some()
-    }
-
-    /// Namespaces currently inside a coexistence window, oldest first.
-    pub fn draining_namespaces(&self) -> Vec<NamespaceId> {
-        self.swap.windows.lock().iter().map(|w| w.ns).collect()
-    }
-
-    /// Census of one draining namespace's sessions (diagnostics). The
-    /// long-running threshold is the configured drain grace.
-    pub fn drain_census(&self, ns: NamespaceId) -> SessionCensus {
-        let grace = self
-            .config
-            .swap
-            .map(|s| s.drain_grace.as_millis() as u64)
-            .unwrap_or(u64::MAX);
-        self.tracker.census(ns, self.clock.now_ms(), grace)
-    }
-
-    /// Adopts an application-side connection pool: every swap
-    /// generation-invalidates it (idle connections drain eagerly, new
-    /// checkouts open on the new driver). Weakly held — dropping the
-    /// pool un-adopts it.
-    pub fn adopt_pool(&self, pool: &Arc<ConnectionPool>) {
-        self.swap.pools.lock().push(Arc::downgrade(pool));
     }
 
     /// Registers the (dormant) swap-coordinator task; called from the
@@ -195,21 +167,6 @@ impl Bootloader {
         };
         let now = self.clock.now_ms();
         let marked = self.tracker.mark_draining(old_ns);
-
-        // Eagerly drain adopted pools onto the newly active driver.
-        let new_driver = self.registry.active().map(|ns| ns.driver.clone());
-        {
-            let mut pools = self.swap.pools.lock();
-            pools.retain(|w| w.strong_count() > 0);
-            for weak in pools.iter() {
-                if let Some(pool) = weak.upgrade() {
-                    match &new_driver {
-                        Some(driver) => pool.swap_driver(driver.clone()),
-                        None => pool.invalidate(),
-                    }
-                }
-            }
-        }
 
         {
             let mut st = self.stats.lock();

@@ -21,17 +21,14 @@
 //!   size-shifting edit and the delta stays proportional to the edit,
 //!   not to the image.
 //!
-//! CDC comes in two dialects selected by the `norm` level of
+//! CDC comes in two algorithms selected by the `norm` level of
 //! [`ChunkingParams::Cdc`]:
 //!
-//! * **Level 0 — plain Gear** (the legacy wire dialect): one mask
-//!   derived from `avg`, hashing every byte from the chunk start and
-//!   checking from `min` on. Its *boundaries* are kept bit-for-bit
-//!   identical to the seed implementation so level-0 params keep
-//!   meaning the same cuts everywhere. (Digest *values* are a separate
-//!   contract owned by [`crate::digest`]: every party in a fleet hashes
-//!   with that one definition, and changing it — as the word-folded
-//!   fold did — invalidates content-addressed caches across builds;
+//! * **Level 0 — plain Gear**: one mask derived from `avg`, hashing
+//!   every byte from the chunk start and checking from `min` on.
+//!   (Digest *values* are a separate contract owned by [`fnv1a64`]:
+//!   every party in a fleet hashes with that one definition, and
+//!   changing it invalidates content-addressed caches across builds;
 //!   stale persisted entries are then discarded and re-fetched cold.)
 //! * **Level ≥ 1 — normalized (FastCDC-style)**: the first `min` bytes
 //!   of every chunk are *skipped entirely* (no hashing — the min-skip
@@ -59,7 +56,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_bytes, get_u32, get_u64};
+use netsim::codec::{get_bytes, get_u32, get_u64, get_u8};
 
 use crate::digest::fnv1a64;
 use crate::error::{DrvError, DrvResult};
@@ -87,11 +84,10 @@ pub const DEFAULT_CDC_NORM: u8 = 2;
 /// nothing but confusion.
 pub const MAX_CDC_NORM: u8 = 8;
 
-/// Wire marker introducing a normalized-CDC params frame. Plain-Gear
-/// CDC frames keep the legacy `0` marker, so a level-0 encoder emits
-/// byte-identical frames to the previous generation and legacy decoders
-/// and depots interoperate unchanged.
-const NCDC_PARAMS_MARKER: u32 = u32::MAX;
+/// Wire kind byte of [`ChunkingParams::Fixed`].
+const PARAMS_FIXED: u8 = 1;
+/// Wire kind byte of [`ChunkingParams::Cdc`].
+const PARAMS_CDC: u8 = 2;
 
 /// How an image is split into chunks. Carried by [`ChunkManifest`] and
 /// `HAVE` summaries so both ends of a delta derive identical boundaries.
@@ -115,8 +111,8 @@ pub enum ChunkingParams {
         /// A boundary is forced at `max` bytes when the hash never
         /// matches.
         max: u32,
-        /// Normalization level: `0` is plain Gear (the legacy dialect,
-        /// one mask, no min-skip); level `n ≥ 1` hardens the mask by
+        /// Normalization level: `0` is plain Gear (one mask, no
+        /// min-skip); level `n ≥ 1` hardens the mask by
         /// `n` bits below `avg` and relaxes it by `n` bits between
         /// `avg` and `max`, concentrating chunk sizes around the
         /// target.
@@ -161,8 +157,8 @@ impl ChunkingParams {
         ChunkingParams::Fixed { size }
     }
 
-    /// Plain-Gear content-defined chunking (normalization level 0, the
-    /// legacy dialect) with explicit bounds.
+    /// Plain-Gear content-defined chunking (normalization level 0) with
+    /// explicit bounds.
     pub fn cdc(min: u32, avg: u32, max: u32) -> Self {
         ChunkingParams::Cdc {
             min,
@@ -191,9 +187,8 @@ impl ChunkingParams {
         }
     }
 
-    /// Structural validity: all sizes positive, `min <= avg <= max` and
-    /// `norm <= MAX_CDC_NORM` for CDC, and the fixed size must not
-    /// collide with the normalized-params wire marker.
+    /// Structural validity: all sizes positive, and `min <= avg <= max`
+    /// and `norm <= MAX_CDC_NORM` for CDC.
     ///
     /// # Errors
     ///
@@ -203,11 +198,6 @@ impl ChunkingParams {
             ChunkingParams::Fixed { size } => {
                 if size == 0 {
                     return Err(DrvError::Codec("fixed chunk size zero".into()));
-                }
-                if size == NCDC_PARAMS_MARKER {
-                    return Err(DrvError::Codec(
-                        "fixed chunk size collides with the normalized-cdc marker".into(),
-                    ));
                 }
             }
             ChunkingParams::Cdc {
@@ -250,25 +240,14 @@ impl ChunkingParams {
         }
     }
 
-    /// Serializes the params. Fixed params encode as the bare nonzero
-    /// chunk size and level-0 CDC as the `0` marker plus three bounds —
-    /// both exactly the legacy wire formats, so a plain-Gear fleet
-    /// member emits frames indistinguishable from the previous
-    /// generation. Normalized CDC (level ≥ 1) writes the reserved
-    /// [`NCDC_PARAMS_MARKER`] followed by the bounds and the level.
+    /// Serializes the params: a kind byte, then `size` for fixed
+    /// chunking or `min`, `avg`, `max` and the one-byte `norm` level for
+    /// CDC (layout in `DESIGN.md` §2).
     pub fn encode_into(&self, b: &mut BytesMut) {
         match *self {
-            ChunkingParams::Fixed { size } => b.put_u32_le(size),
-            ChunkingParams::Cdc {
-                min,
-                avg,
-                max,
-                norm: 0,
-            } => {
-                b.put_u32_le(0);
-                b.put_u32_le(min);
-                b.put_u32_le(avg);
-                b.put_u32_le(max);
+            ChunkingParams::Fixed { size } => {
+                b.put_u8(PARAMS_FIXED);
+                b.put_u32_le(size);
             }
             ChunkingParams::Cdc {
                 min,
@@ -276,49 +255,33 @@ impl ChunkingParams {
                 max,
                 norm,
             } => {
-                b.put_u32_le(NCDC_PARAMS_MARKER);
+                b.put_u8(PARAMS_CDC);
                 b.put_u32_le(min);
                 b.put_u32_le(avg);
                 b.put_u32_le(max);
-                b.put_u32_le(u32::from(norm));
+                b.put_u8(norm);
             }
         }
     }
 
     /// Deserializes params written by [`encode_into`](Self::encode_into).
-    /// Legacy frames (bare fixed size, or the `0` marker with three
-    /// bounds) decode to level-0 plain Gear.
     ///
     /// # Errors
     ///
-    /// [`DrvError::Codec`] on truncation or structurally invalid bounds.
+    /// [`DrvError::Codec`] on truncation, an unknown kind byte, or
+    /// structurally invalid bounds.
     pub fn decode(buf: &mut Bytes) -> DrvResult<Self> {
-        let head = get_u32(buf, "chunking params")?;
-        let params = match head {
-            0 => ChunkingParams::Cdc {
+        let params = match get_u8(buf, "chunking kind")? {
+            PARAMS_FIXED => ChunkingParams::Fixed {
+                size: get_u32(buf, "fixed chunk size")?,
+            },
+            PARAMS_CDC => ChunkingParams::Cdc {
                 min: get_u32(buf, "cdc min")?,
                 avg: get_u32(buf, "cdc avg")?,
                 max: get_u32(buf, "cdc max")?,
-                norm: 0,
+                norm: get_u8(buf, "cdc norm level")?,
             },
-            NCDC_PARAMS_MARKER => {
-                let (min, avg, max) = (
-                    get_u32(buf, "cdc min")?,
-                    get_u32(buf, "cdc avg")?,
-                    get_u32(buf, "cdc max")?,
-                );
-                let norm = get_u32(buf, "cdc norm level")?;
-                let norm = u8::try_from(norm).map_err(|_| {
-                    DrvError::Codec(format!("cdc normalization level {norm} implausible"))
-                })?;
-                ChunkingParams::Cdc {
-                    min,
-                    avg,
-                    max,
-                    norm,
-                }
-            }
-            size => ChunkingParams::Fixed { size },
+            k => return Err(DrvError::Codec(format!("unknown chunking kind {k}"))),
         };
         params.validate()?;
         Ok(params)
@@ -373,7 +336,7 @@ fn expected_chunk(min: u32, avg: u32) -> usize {
 /// The single-pass chunking driver: walks `bytes` once under `params`,
 /// invoking `emit(start, end)` for every chunk boundary pair in image
 /// order. Every public cut/split/manifest entry point routes through
-/// here so boundary semantics have exactly one definition per dialect.
+/// here so boundary semantics have exactly one definition per level.
 ///
 /// # Panics
 ///
@@ -391,10 +354,9 @@ fn for_each_chunk(bytes: &[u8], params: &ChunkingParams, mut emit: impl FnMut(us
                 start = end;
             }
         }
-        // Level 0: the legacy plain-Gear loop, byte-identical to the
-        // seed implementation (hashing starts at the chunk start, one
-        // mask, checks from `min` on). Its boundaries are a wire
-        // contract for fleets and persisted depots chunked under it.
+        // Level 0: plain Gear (hashing starts at the chunk start, one
+        // mask, checks from `min` on). Boundaries are a contract for
+        // fleets and persisted depots chunked under these params.
         ChunkingParams::Cdc {
             min,
             avg,
@@ -472,29 +434,6 @@ fn for_each_chunk(bytes: &[u8], params: &ChunkingParams, mut emit: impl FnMut(us
     }
 }
 
-/// Content-defined cut points (exclusive chunk end offsets) of `bytes`
-/// under plain-Gear CDC (normalization level 0) with the given bounds.
-/// The final offset is always `bytes.len()`; an empty input yields no
-/// cuts.
-///
-/// # Panics
-///
-/// Panics when the bounds are structurally invalid
-/// (see [`ChunkingParams::validate`]).
-pub fn cut_points_cdc(bytes: &[u8], min: u32, avg: u32, max: u32) -> Vec<usize> {
-    cut_points(bytes, &ChunkingParams::cdc(min, avg, max))
-}
-
-/// Content-defined cut points of `bytes` under normalized CDC at the
-/// given level (level 0 is plain Gear).
-///
-/// # Panics
-///
-/// Panics when the bounds are structurally invalid.
-pub fn cut_points_cdc_norm(bytes: &[u8], min: u32, avg: u32, max: u32, norm: u8) -> Vec<usize> {
-    cut_points(bytes, &ChunkingParams::cdc_normalized(min, avg, max, norm))
-}
-
 /// Cut points (exclusive chunk end offsets) of `bytes` under `params`.
 ///
 /// # Panics
@@ -509,11 +448,6 @@ pub fn cut_points(bytes: &[u8], params: &ChunkingParams) -> Vec<usize> {
     cuts
 }
 
-/// Splits `bytes` into plain-Gear CDC chunks (zero-copy slices).
-pub fn split_cdc(bytes: &Bytes, min: u32, avg: u32, max: u32) -> Vec<Bytes> {
-    split_with(bytes, &ChunkingParams::cdc(min, avg, max))
-}
-
 /// Splits `bytes` into manifest-order chunks under `params` (zero-copy
 /// slices).
 pub fn split_with(bytes: &Bytes, params: &ChunkingParams) -> Vec<Bytes> {
@@ -522,12 +456,6 @@ pub fn split_with(bytes: &Bytes, params: &ChunkingParams) -> Vec<Bytes> {
         out.push(bytes.slice(start..end))
     });
     out
-}
-
-/// Splits `bytes` into fixed-size manifest-order chunks (zero-copy
-/// slices).
-pub fn split_chunks(bytes: &Bytes, chunk_size: u32) -> Vec<Bytes> {
-    split_with(bytes, &ChunkingParams::fixed(chunk_size))
 }
 
 /// Ordered chunk-digest description of one driver image.
@@ -880,30 +808,10 @@ mod tests {
     }
 
     #[test]
-    fn params_codec_is_backward_compatible_with_bare_chunk_size() {
-        // A legacy frame carried the fixed chunk size as a bare u32.
-        let mut b = BytesMut::new();
-        b.put_u32_le(4096);
-        let p = ChunkingParams::decode(&mut b.freeze()).unwrap();
-        assert_eq!(p, ChunkingParams::fixed(4096));
-
-        // CDC params round-trip through the 0-marker encoding.
-        let p = ChunkingParams::cdc(512, 2048, 8192);
-        let mut b = BytesMut::new();
-        p.encode_into(&mut b);
-        assert_eq!(ChunkingParams::decode(&mut b.freeze()).unwrap(), p);
-
-        // Unordered CDC bounds are rejected.
-        let mut b = BytesMut::new();
-        ChunkingParams::cdc(4096, 1024, 512).encode_into(&mut b);
-        assert!(ChunkingParams::decode(&mut b.freeze()).is_err());
-    }
-
-    #[test]
     fn cdc_cut_points_respect_bounds_and_cover_input() {
         let img = image(200_000, 2);
         let (min, avg, max) = (1024u32, 4096u32, 16384u32);
-        let cuts = cut_points_cdc(&img, min, avg, max);
+        let cuts = cut_points(&img, &ChunkingParams::cdc(min, avg, max));
         assert_eq!(*cuts.last().unwrap(), img.len());
         let mut start = 0usize;
         for (i, &end) in cuts.iter().enumerate() {
@@ -999,7 +907,7 @@ mod tests {
     fn chunk_set_roundtrip_rejects_corruption() {
         let img = image(3000, 5);
         let m = ChunkManifest::of(&img, 1000);
-        let parts = split_chunks(&img, 1000);
+        let parts = split_with(&img, &ChunkingParams::fixed(1000));
         let set = ChunkSet {
             chunks: m.chunks.iter().copied().zip(parts).collect(),
         };
@@ -1039,7 +947,7 @@ mod tests {
         let mut b = BytesMut::new();
         b.put_u64_le(1);
         b.put_u64_le(1);
-        b.put_u32_le(16);
+        ChunkingParams::fixed(16).encode_into(&mut b);
         b.put_u32_le(u32::MAX);
         assert!(ChunkManifest::decode(&mut b.freeze()).is_err());
 
@@ -1049,7 +957,7 @@ mod tests {
             let mut b = BytesMut::new();
             b.put_u64_le(1);
             b.put_u64_le(1);
-            b.put_u32_le(16);
+            ChunkingParams::fixed(16).encode_into(&mut b);
             b.put_u32_le(count);
             b.put_u64_le(0xdead);
             assert!(
@@ -1084,8 +992,11 @@ mod tests {
     fn normalized_cuts_respect_bounds_and_tighten_the_distribution() {
         let img = image(512 * 1024, 9);
         let (min, avg, max) = (1024u32, 4096u32, 16384u32);
-        let plain = cut_points_cdc_norm(&img, min, avg, max, 0);
-        let normd = cut_points_cdc_norm(&img, min, avg, max, DEFAULT_CDC_NORM);
+        let plain = cut_points(&img, &ChunkingParams::cdc(min, avg, max));
+        let normd = cut_points(
+            &img,
+            &ChunkingParams::cdc_normalized(min, avg, max, DEFAULT_CDC_NORM),
+        );
         for (label, cuts) in [("plain", &plain), ("normalized", &normd)] {
             assert_eq!(*cuts.last().unwrap(), img.len(), "{label} must cover");
             let mut start = 0usize;
@@ -1106,9 +1017,11 @@ mod tests {
             size_stddev(&normd),
             size_stddev(&plain)
         );
-        // And level 0 through the normalized entry point is exactly the
-        // legacy plain-Gear dialect.
-        assert_eq!(plain, cut_points_cdc(&img, min, avg, max));
+        // And level 0 through the normalized constructor is plain Gear.
+        assert_eq!(
+            plain,
+            cut_points(&img, &ChunkingParams::cdc_normalized(min, avg, max, 0))
+        );
     }
 
     #[test]
@@ -1134,41 +1047,49 @@ mod tests {
     }
 
     #[test]
-    fn normalized_params_codec_roundtrips_and_legacy_frames_decode_level0() {
-        // Normalized params round-trip through the marker encoding.
-        for norm in [1u8, 2, MAX_CDC_NORM] {
-            let p = ChunkingParams::cdc_normalized(512, 2048, 8192, norm);
+    fn params_codec_roundtrips_and_rejects_malformed_frames() {
+        for p in [
+            ChunkingParams::fixed(4096),
+            ChunkingParams::fixed(u32::MAX),
+            ChunkingParams::cdc(512, 2048, 8192),
+            ChunkingParams::cdc_normalized(512, 2048, 8192, 1),
+            ChunkingParams::default(),
+            ChunkingParams::cdc_normalized(512, 2048, 8192, MAX_CDC_NORM),
+        ] {
             let mut b = BytesMut::new();
             p.encode_into(&mut b);
             assert_eq!(ChunkingParams::decode(&mut b.freeze()).unwrap(), p);
         }
-        // A level-0 encoder emits the byte-exact legacy frame.
-        let mut legacy = BytesMut::new();
-        legacy.put_u32_le(0);
-        legacy.put_u32_le(512);
-        legacy.put_u32_le(2048);
-        legacy.put_u32_le(8192);
-        let legacy = legacy.freeze();
-        let mut ours = BytesMut::new();
-        ChunkingParams::cdc(512, 2048, 8192).encode_into(&mut ours);
-        assert_eq!(ours.freeze(), legacy);
-        // And a legacy frame decodes as level 0.
-        let mut buf = legacy;
-        assert_eq!(
-            ChunkingParams::decode(&mut buf).unwrap(),
-            ChunkingParams::cdc_normalized(512, 2048, 8192, 0)
-        );
-        // Hostile levels and the reserved fixed size are rejected.
-        let mut b = BytesMut::new();
-        ChunkingParams::Cdc {
-            min: 512,
-            avg: 2048,
-            max: 8192,
-            norm: MAX_CDC_NORM + 1,
+        // Unordered bounds and hostile levels are rejected.
+        for bad in [
+            ChunkingParams::cdc(4096, 1024, 512),
+            ChunkingParams::cdc_normalized(512, 2048, 8192, MAX_CDC_NORM + 1),
+            ChunkingParams::fixed(0),
+        ] {
+            let mut b = BytesMut::new();
+            bad.encode_into(&mut b);
+            assert!(ChunkingParams::decode(&mut b.freeze()).is_err());
         }
-        .encode_into(&mut b);
-        assert!(ChunkingParams::decode(&mut b.freeze()).is_err());
-        assert!(ChunkingParams::fixed(u32::MAX).validate().is_err());
+        // The kind byte is mandatory: a bare chunk size, and bounds
+        // behind a `0` or `u32::MAX` word, are codec errors.
+        for words in [
+            &[4096u32][..],
+            &[258],
+            &[0, 512, 2048, 8192],
+            &[u32::MAX, 512, 2048, 8192, 2],
+        ] {
+            let mut b = BytesMut::new();
+            for w in words {
+                b.put_u32_le(*w);
+            }
+            assert!(
+                matches!(
+                    ChunkingParams::decode(&mut b.freeze()),
+                    Err(DrvError::Codec(_))
+                ),
+                "{words:?} accepted"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,12 @@
 //! * [`DrvMsg::Release`] — lease give-back, used by the license-server
 //!   case study (§5.4.2).
 //!
-//! Push notifications over dedicated channels (§3.2) use [`DrvNotice`].
+//! plus the depot, mirror-directory, activation-report and batch frames
+//! documented on [`DrvMsg`]. Push notifications over dedicated channels
+//! (§3.2) use [`DrvNotice`].
+//!
+//! Every frame has exactly one encoding and every field is mandatory;
+//! the byte layout of all 18 tags is the table in `DESIGN.md` §2.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -122,27 +127,11 @@ pub struct MirrorCandidate {
     pub healthy: bool,
 }
 
-impl MirrorCandidate {
-    /// A healthy candidate with no zone (the shape legacy single-mirror
-    /// plans decode into).
-    pub fn pinned(location: impl Into<String>) -> Self {
-        MirrorCandidate {
-            location: location.into(),
-            zone: None,
-            healthy: true,
-        }
-    }
-}
-
-/// Mirror-list wire version written by current encoders. Values `0`/`1`
-/// are reserved: they are exactly the presence byte of the legacy
-/// `Option<String>` single-mirror encoding, so old frames keep decoding.
-const PLAN_MIRRORS_V2: u8 = 2;
-
 /// Cap on chunk digests one `MIRROR_HEARTBEAT` advertises. Coverage is a
 /// ranking hint, not an inventory: a replica past the cap reports its
 /// first `MAX_HEARTBEAT_COVERAGE` sorted digests and the directory
 /// simply sees partial coverage, which only costs ranking precision.
+/// Decoders reject a heartbeat claiming more.
 pub const MAX_HEARTBEAT_COVERAGE: usize = 4096;
 
 /// Chunked-delta delivery plan carried by a `DRIVOLUTION_OFFER`: the
@@ -169,7 +158,6 @@ impl ChunkPlan {
         for d in &self.missing {
             b.put_u64_le(*d);
         }
-        b.put_u8(PLAN_MIRRORS_V2);
         b.put_u16_le(self.mirrors.len() as u16);
         for m in &self.mirrors {
             put_str(b, &m.location);
@@ -190,34 +178,25 @@ impl ChunkPlan {
         for _ in 0..n_missing {
             missing.push(get_u64(buf, "plan missing digest")?);
         }
-        let mirrors = match get_u8(buf, "plan mirror version")? {
-            // Legacy `Option<String>` frames: absent / single mirror.
-            0 => Vec::new(),
-            1 => vec![MirrorCandidate::pinned(get_str(buf, "plan mirror")?)],
-            PLAN_MIRRORS_V2 => {
-                let n = get_u16(buf, "plan mirror count")?;
-                // Each candidate needs at least a string length, a
-                // presence byte, and a health byte.
-                if u64::from(n) * 6 > buf.len() as u64 {
-                    return Err(DrvError::Codec(format!(
-                        "plan mirror count {n} exceeds frame"
-                    )));
-                }
-                let mut mirrors = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let location = get_str(buf, "mirror location")?;
-                    let zone = get_opt_str(buf, "mirror zone")?;
-                    let healthy = get_u8(buf, "mirror health")? != 0;
-                    mirrors.push(MirrorCandidate {
-                        location,
-                        zone,
-                        healthy,
-                    });
-                }
-                mirrors
-            }
-            v => return Err(DrvError::Codec(format!("unknown plan mirror version {v}"))),
-        };
+        let n = get_u16(buf, "plan mirror count")?;
+        // Each candidate needs at least a string length, a presence
+        // byte, and a health byte.
+        if u64::from(n) * 6 > buf.len() as u64 {
+            return Err(DrvError::Codec(format!(
+                "plan mirror count {n} exceeds frame"
+            )));
+        }
+        let mut mirrors = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let location = get_str(buf, "mirror location")?;
+            let zone = get_opt_str(buf, "mirror zone")?;
+            let healthy = get_u8(buf, "mirror health")? != 0;
+            mirrors.push(MirrorCandidate {
+                location,
+                zone,
+                healthy,
+            });
+        }
         Ok(ChunkPlan {
             manifest,
             missing,
@@ -471,10 +450,9 @@ pub enum DrvMsg {
         /// candidate ranking).
         load: u32,
         /// Chunk digests the replica holds, sorted, capped at
-        /// [`MAX_HEARTBEAT_COVERAGE`] by senders. The directory ranks
-        /// candidates that already hold a plan's missing chunks ahead of
-        /// ones that would read through to the primary. Legacy frames
-        /// without the list decode to an empty coverage.
+        /// [`MAX_HEARTBEAT_COVERAGE`]. The directory ranks candidates
+        /// that already hold a plan's missing chunks ahead of ones that
+        /// would read through to the primary.
         coverage: Vec<u64>,
     },
     /// `MIRROR_ACK` — the directory's answer to an announce or
@@ -507,9 +485,8 @@ pub enum DrvMsg {
     /// originating client host (licensing, lease logging, and rollout
     /// wave membership key on the client, never the aggregator) plus
     /// that client's renewal request. The server answers with one
-    /// [`DrvMsg::OfferBatch`] whose entries pair up by position. The
-    /// single-frame `Request`/`Offer` dialect remains fully supported
-    /// for unbatched clients.
+    /// [`DrvMsg::OfferBatch`] whose entries pair up by position.
+    /// Unbatched clients keep sending single `Request` frames.
     RenewBatch {
         /// Per-client entries: `(client_host, request)`.
         entries: Vec<(String, DrvRequest)>,
@@ -613,13 +590,7 @@ fn get_req(buf: &mut Bytes) -> DrvResult<DrvRequest> {
         1 => Some(HaveSummary::decode(buf)?),
         t => return Err(DrvError::Codec(format!("bad have presence {t}"))),
     };
-    // The zone field was appended to the request encoding; frames from
-    // pre-directory clients simply end here, and decode as zoneless.
-    let zone = if buf.is_empty() {
-        None
-    } else {
-        get_opt_str(buf, "client zone")?
-    };
+    let zone = get_opt_str(buf, "client zone")?;
     Ok(DrvRequest {
         kind,
         database,
@@ -775,16 +746,6 @@ const TAG_OFFER_BATCH: u8 = 16;
 /// `MIRROR_COMPLAINT` frame tag.
 const TAG_MIRROR_COMPLAINT: u8 = 17;
 
-/// Batch frame format version, written right after the tag byte of both
-/// batch frames so their layout can evolve without burning new tags.
-/// Decoders reject unknown formats instead of guessing.
-const BATCH_FORMAT: u8 = 1;
-
-/// Mirror-complaint frame format version, written right after the tag
-/// byte so the strike ledger's evidence can grow fields without burning
-/// a new tag. Decoders reject unknown formats instead of guessing.
-const COMPLAINT_FORMAT: u8 = 1;
-
 impl DrvMsg {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
@@ -889,7 +850,6 @@ impl DrvMsg {
             DrvMsg::ActivationAck => b.put_u8(TAG_ACTIVATION_ACK),
             DrvMsg::RenewBatch { entries } => {
                 b.put_u8(TAG_RENEW_BATCH);
-                b.put_u8(BATCH_FORMAT);
                 b.put_u32_le(entries.len() as u32);
                 for (host, req) in entries {
                     put_str(&mut b, host);
@@ -898,7 +858,6 @@ impl DrvMsg {
             }
             DrvMsg::OfferBatch { replies } => {
                 b.put_u8(TAG_OFFER_BATCH);
-                b.put_u8(BATCH_FORMAT);
                 b.put_u32_le(replies.len() as u32);
                 for reply in replies {
                     match reply {
@@ -920,7 +879,6 @@ impl DrvMsg {
                 detail,
             } => {
                 b.put_u8(TAG_MIRROR_COMPLAINT);
-                b.put_u8(COMPLAINT_FORMAT);
                 put_str(&mut b, location);
                 b.put_u64_le(*digest);
                 put_str(&mut b, detail);
@@ -989,23 +947,16 @@ impl DrvMsg {
                 let chunk_count = get_u64(&mut buf, "mirror chunk count")?;
                 let served_bytes = get_u64(&mut buf, "mirror served bytes")?;
                 let load = get_u32(&mut buf, "mirror load")?;
-                // Legacy heartbeats end here; current ones append a
-                // count-prefixed coverage digest list.
-                let coverage = if buf.is_empty() {
-                    Vec::new()
-                } else {
-                    let n = get_u32(&mut buf, "mirror coverage count")?;
-                    if u64::from(n) * 8 > buf.len() as u64 {
-                        return Err(DrvError::Codec(format!(
-                            "mirror coverage count {n} exceeds frame"
-                        )));
-                    }
-                    let mut coverage = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        coverage.push(get_u64(&mut buf, "mirror coverage digest")?);
-                    }
-                    coverage
-                };
+                let n = get_u32(&mut buf, "mirror coverage count")?;
+                if n as usize > MAX_HEARTBEAT_COVERAGE || u64::from(n) * 8 > buf.len() as u64 {
+                    return Err(DrvError::Codec(format!(
+                        "mirror coverage count {n} exceeds the cap or the frame"
+                    )));
+                }
+                let mut coverage = Vec::with_capacity(n as usize);
+                for _ in 0..n {
+                    coverage.push(get_u64(&mut buf, "mirror coverage digest")?);
+                }
                 Ok(DrvMsg::MirrorHeartbeat {
                     location,
                     chunk_count,
@@ -1028,10 +979,6 @@ impl DrvMsg {
             }),
             TAG_ACTIVATION_ACK => Ok(DrvMsg::ActivationAck),
             TAG_RENEW_BATCH => {
-                let v = get_u8(&mut buf, "renew batch format")?;
-                if v != BATCH_FORMAT {
-                    return Err(DrvError::Codec(format!("unknown renew batch format {v}")));
-                }
                 let n = get_u32(&mut buf, "renew batch count")?;
                 // Every entry costs at least a host length prefix; a
                 // hostile count cannot reserve more than the frame holds.
@@ -1048,10 +995,6 @@ impl DrvMsg {
                 Ok(DrvMsg::RenewBatch { entries })
             }
             TAG_OFFER_BATCH => {
-                let v = get_u8(&mut buf, "offer batch format")?;
-                if v != BATCH_FORMAT {
-                    return Err(DrvError::Codec(format!("unknown offer batch format {v}")));
-                }
                 let n = get_u32(&mut buf, "offer batch count")?;
                 if u64::from(n) * 3 > buf.len() as u64 {
                     return Err(DrvError::Codec(format!(
@@ -1073,19 +1016,11 @@ impl DrvMsg {
                 }
                 Ok(DrvMsg::OfferBatch { replies })
             }
-            TAG_MIRROR_COMPLAINT => {
-                let v = get_u8(&mut buf, "mirror complaint format")?;
-                if v != COMPLAINT_FORMAT {
-                    return Err(DrvError::Codec(format!(
-                        "unknown mirror complaint format {v}"
-                    )));
-                }
-                Ok(DrvMsg::MirrorComplaint {
-                    location: get_str(&mut buf, "complaint location")?,
-                    digest: get_u64(&mut buf, "complaint digest")?,
-                    detail: get_str(&mut buf, "complaint detail")?,
-                })
-            }
+            TAG_MIRROR_COMPLAINT => Ok(DrvMsg::MirrorComplaint {
+                location: get_str(&mut buf, "complaint location")?,
+                digest: get_u64(&mut buf, "complaint digest")?,
+                detail: get_str(&mut buf, "complaint detail")?,
+            }),
             t => Err(DrvError::Codec(format!("unknown drv msg tag {t}"))),
         }
     }
@@ -1375,60 +1310,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_complaint_format_is_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u8(17);
-        b.put_u8(9); // format from the future
-        put_str(&mut b, "mirror-b:1071");
-        b.put_u64_le(0);
-        put_str(&mut b, "");
-        assert!(DrvMsg::decode(b.freeze()).is_err());
-    }
-
-    #[test]
     fn hostile_batch_counts_are_rejected() {
         // A hostile count cannot reserve more entries than the frame
         // could possibly hold, for either batch frame.
         for tag in [15u8, 16u8] {
             let mut b = BytesMut::new();
             b.put_u8(tag);
-            b.put_u8(1); // format
             b.put_u32_le(u32::MAX);
             assert!(DrvMsg::decode(b.freeze()).is_err(), "tag {tag}");
         }
-    }
-
-    #[test]
-    fn unknown_batch_format_is_rejected() {
-        for tag in [15u8, 16u8] {
-            let mut b = BytesMut::new();
-            b.put_u8(tag);
-            b.put_u8(9); // format from the future
-            b.put_u32_le(0);
-            assert!(DrvMsg::decode(b.freeze()).is_err(), "tag {tag}");
-        }
-    }
-
-    #[test]
-    fn legacy_heartbeat_frames_without_coverage_still_decode() {
-        // A pre-coverage encoder ends the frame right after `load`.
-        let mut b = BytesMut::new();
-        b.put_u8(11);
-        put_str(&mut b, "mirror1:1071");
-        b.put_u64_le(42);
-        b.put_u64_le(1000);
-        b.put_u32_le(3);
-        let msg = DrvMsg::decode(b.freeze()).unwrap();
-        assert_eq!(
-            msg,
-            DrvMsg::MirrorHeartbeat {
-                location: "mirror1:1071".into(),
-                chunk_count: 42,
-                served_bytes: 1000,
-                load: 3,
-                coverage: Vec::new(),
-            }
-        );
     }
 
     #[test]
@@ -1439,8 +1329,22 @@ mod tests {
         b.put_u64_le(1);
         b.put_u64_le(1);
         b.put_u32_le(0);
+        let head = b.clone();
         b.put_u32_le(u32::MAX); // claims 4 billion digests follow
         assert!(DrvMsg::decode(b.freeze()).is_err());
+
+        // One digest past the cap, all of them really in the frame: the
+        // sender-side cap is enforced at decode too, so the directory
+        // never stores an oversized coverage list.
+        let mut b = head;
+        b.put_u32_le(MAX_HEARTBEAT_COVERAGE as u32 + 1);
+        for d in 0..=MAX_HEARTBEAT_COVERAGE as u64 {
+            b.put_u64_le(d);
+        }
+        assert!(matches!(
+            DrvMsg::decode(b.freeze()),
+            Err(DrvError::Codec(_))
+        ));
     }
 
     #[test]
@@ -1528,63 +1432,47 @@ mod tests {
     }
 
     #[test]
-    fn legacy_requests_without_zone_field_still_decode() {
-        // Hand-build the pre-directory request frame: the current
-        // encoding minus the trailing zone option byte.
-        let mut b = BytesMut::new();
-        put_req(&mut b, &request());
-        let mut raw = b.to_vec();
-        assert_eq!(raw.pop(), Some(0), "request() must encode zone: None");
-        let mut full = BytesMut::new();
-        full.put_u8(0);
-        full.put_slice(&raw);
-        let DrvMsg::Request(r) = DrvMsg::decode(full.freeze()).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.zone, None);
-        assert_eq!(r, request());
-    }
-
-    #[test]
-    fn legacy_single_mirror_plans_still_decode() {
-        let manifest = ChunkManifest::of(&[7u8; 10_000], 4096);
-        let missing = manifest.chunks[1..].to_vec();
-        // Hand-encode the pre-directory wire format: the mirror list was
-        // an `Option<String>` whose presence byte doubles as version 0/1.
-        let mut b = BytesMut::new();
-        manifest.encode_into(&mut b);
-        b.put_u32_le(missing.len() as u32);
-        for d in &missing {
-            b.put_u64_le(*d);
-        }
-        put_opt_str(&mut b, Some("mirror1:1071"));
-        let plan = ChunkPlan::decode(&mut b.freeze()).unwrap();
-        assert_eq!(plan.mirrors, vec![MirrorCandidate::pinned("mirror1:1071")]);
-        assert_eq!(plan.missing, missing);
-
-        // The absent-mirror form decodes to an empty candidate list.
-        let mut b = BytesMut::new();
-        manifest.encode_into(&mut b);
-        b.put_u32_le(0);
-        put_opt_str(&mut b, None);
-        let plan = ChunkPlan::decode(&mut b.freeze()).unwrap();
-        assert!(plan.mirrors.is_empty());
-
-        // Unknown mirror-list versions are rejected.
-        let mut b = BytesMut::new();
-        manifest.encode_into(&mut b);
-        b.put_u32_le(0);
-        b.put_u8(9);
-        assert!(ChunkPlan::decode(&mut b.freeze()).is_err());
-    }
-
-    #[test]
     fn truncated_messages_rejected() {
         let enc = DrvMsg::Offer(offer()).encode();
         for cut in [1usize, 8, 20, enc.len() - 1] {
             assert!(DrvMsg::decode(enc.slice(0..cut)).is_err());
         }
         assert!(DrvMsg::decode(Bytes::from_static(&[42])).is_err());
+
+        // Every field is mandatory: a request that stops before its zone
+        // field and a heartbeat that stops before its coverage list are
+        // truncated frames like any other.
+        let zoneless = DrvMsg::Request(request()).encode();
+        let coverageless = DrvMsg::MirrorHeartbeat {
+            location: "mirror1:1071".into(),
+            chunk_count: 42,
+            served_bytes: 1000,
+            load: 3,
+            coverage: Vec::new(),
+        }
+        .encode();
+        for (frame, tail) in [(zoneless, 1), (coverageless, 4)] {
+            assert!(matches!(
+                DrvMsg::decode(frame.slice(0..frame.len() - tail)),
+                Err(DrvError::Codec(_))
+            ));
+        }
+        // A plan's mirror list is count-prefixed; an `Option<String>`
+        // (absent, or one location) in its place does not decode.
+        for mirror in [None, Some("mirror1:1071")] {
+            let plan = chunk_plan();
+            let mut b = BytesMut::new();
+            plan.manifest.encode_into(&mut b);
+            b.put_u32_le(plan.missing.len() as u32);
+            for d in &plan.missing {
+                b.put_u64_le(*d);
+            }
+            put_opt_str(&mut b, mirror);
+            assert!(matches!(
+                ChunkPlan::decode(&mut b.freeze()),
+                Err(DrvError::Codec(_))
+            ));
+        }
     }
 
     #[test]

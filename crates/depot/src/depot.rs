@@ -88,20 +88,11 @@ fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     r
 }
 
+/// The depot's `meta` file: one `chunking` line, one shape per variant
+/// (`DESIGN.md` §2).
 fn encode_meta(params: &ChunkingParams) -> String {
     match *params {
         ChunkingParams::Fixed { size } => format!("chunking fixed {size}\n"),
-        // Level 0 writes the exact legacy 3-field line: the meta codec
-        // itself is two-way compatible with the plain-Gear generation.
-        // (Image/index files are keyed by digest values, whose
-        // definition lives in core::digest — a digest change across
-        // builds costs a cold re-fetch, not a misread.)
-        ChunkingParams::Cdc {
-            min,
-            avg,
-            max,
-            norm: 0,
-        } => format!("chunking cdc {min} {avg} {max}\n"),
         ChunkingParams::Cdc {
             min,
             avg,
@@ -119,13 +110,11 @@ fn decode_meta(text: &str) -> Option<ChunkingParams> {
         }
         let params = match it.next()? {
             "fixed" => ChunkingParams::fixed(it.next()?.parse().ok()?),
-            // A legacy 3-field cdc line decodes as plain Gear (level 0):
-            // the persisted index was chunked under those boundaries.
             "cdc" => ChunkingParams::cdc_normalized(
                 it.next()?.parse().ok()?,
                 it.next()?.parse().ok()?,
                 it.next()?.parse().ok()?,
-                it.next().map_or(Some(0), |n| n.parse().ok())?,
+                it.next()?.parse().ok()?,
             ),
             _ => return None,
         };
@@ -598,10 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn meta_codec_carries_norm_levels_and_reads_legacy_lines() {
-        // Normalized params survive the meta file; a legacy 3-field cdc
-        // line (written by a plain-Gear generation) decodes as level 0,
-        // matching the boundaries its persisted index was built under.
+    fn meta_codec_roundtrips_every_variant_and_rejects_malformed_lines() {
         for params in [
             ChunkingParams::fixed(2048),
             ChunkingParams::cdc(512, 2048, 8192),
@@ -610,16 +596,18 @@ mod tests {
         ] {
             assert_eq!(decode_meta(&encode_meta(&params)), Some(params));
         }
-        assert_eq!(
-            decode_meta("chunking cdc 512 2048 8192\n"),
-            Some(ChunkingParams::cdc(512, 2048, 8192))
-        );
-        // And a level-0 writer emits exactly that legacy line.
-        assert_eq!(
-            encode_meta(&ChunkingParams::cdc(512, 2048, 8192)),
-            "chunking cdc 512 2048 8192\n"
-        );
-        assert_eq!(decode_meta("chunking cdc 512 2048 8192 99\n"), None);
+        // A cdc line carries all four fields; a level out of range, an
+        // unknown strategy or no `chunking` line at all read as "no
+        // recorded params" (the depot then opens with the default).
+        for bad in [
+            "chunking cdc 512 2048 8192\n",
+            "chunking cdc 512 2048 8192 99\n",
+            "chunking fixed\n",
+            "chunking rabin 4096\n",
+            "",
+        ] {
+            assert_eq!(decode_meta(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

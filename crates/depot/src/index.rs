@@ -39,9 +39,9 @@ pub struct ContentIndex {
 }
 
 /// Cap on distinct chunking params an index derives manifests for. Real
-/// fleets use one or two (the server's own plus perhaps one legacy
-/// client generation); beyond the cap, foreign params fall back to a
-/// full-file transfer instead of growing server state.
+/// fleets use one or two (the server's own plus perhaps one client
+/// generation configured differently); beyond the cap, foreign params
+/// fall back to a full-file transfer instead of growing server state.
 const MAX_DERIVED_PARAMS: usize = 8;
 
 /// Cap on memoized delta plans. Like [`MAX_DERIVED_PARAMS`], the key is
@@ -178,7 +178,7 @@ impl ContentIndex {
     /// its own: the boundaries are recomputed under the client's params,
     /// and the resulting chunks become servable via `CHUNK_REQUEST`.
     /// Returns `None` for unknown digests, and for params beyond the
-    /// [`MAX_DERIVED_PARAMS`] distinct-params budget (the caller then
+    /// `MAX_DERIVED_PARAMS` distinct-params budget (the caller then
     /// falls back to a full transfer).
     pub fn manifest_for(&self, digest: u64, params: &ChunkingParams) -> Option<ChunkManifest> {
         if let Some(m) = self.manifests.lock().get(&(digest, *params)) {

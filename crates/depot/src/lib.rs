@@ -51,7 +51,7 @@ pub use mirror::{MirrorDepot, MirrorStats, MirrorTiming};
 pub use shared::SharedImageCache;
 
 /// Parses a `host:port` mirror location (as carried in
-/// [`drivolution_core::ChunkPlan::mirror`]) into a network address.
+/// [`drivolution_core::ChunkPlan::mirrors`]) into a network address.
 ///
 /// # Errors
 ///

@@ -445,7 +445,7 @@ impl Service for MirrorDepot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drivolution_core::chunk::{split_chunks, ChunkManifest};
+    use drivolution_core::chunk::{split_with, ChunkManifest, ChunkingParams};
     use netsim::FnService;
 
     fn image(len: usize, seed: u8) -> Bytes {
@@ -489,7 +489,7 @@ mod tests {
 
         let mirror = MirrorDepot::launch(&net, Addr::new("mirror1", 1071), primary).unwrap();
         // Preload half the chunks; the rest come read-through.
-        let parts = split_chunks(&img, 1024);
+        let parts = split_with(&img, &ChunkingParams::fixed(1024));
         for (d, b) in manifest.chunks.iter().zip(&parts).take(4) {
             assert!(mirror.index.put_chunk(*d, b.clone()));
         }

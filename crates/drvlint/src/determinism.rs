@@ -11,7 +11,7 @@
 //! Rules:
 //!
 //! * `wallclock` — `Instant::now` / `SystemTime` (virtual time comes
-//!   from [`netsim::Clock`], never the OS);
+//!   from `netsim::Clock`, never the OS);
 //! * `thread-spawn` — `std::thread::spawn` (concurrency is modeled by
 //!   the scheduler, not preemption);
 //! * `ambient-rng` — `thread_rng` (randomness must be seeded);

@@ -8,8 +8,7 @@
 //!    hash-map iteration order escape into wire frames, candidate
 //!    ranking, or stats.
 //! 2. **Protocol conformance** ([`proto`]) — every frame tag in
-//!    `core::proto` is unique and symmetric between encode and decode,
-//!    and every codec-versioned field keeps a legacy-decode branch.
+//!    `core::proto` is unique and symmetric between encode and decode.
 //! 3. **Panic-path hygiene** ([`ratchet`]) — per-crate counts of
 //!    `unwrap`/`expect`/panic-macro/slice-index sites only ever go
 //!    down, against `drvlint-baseline.toml`.

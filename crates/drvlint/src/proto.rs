@@ -1,20 +1,14 @@
 //! Protocol-conformance lint over `crates/core/src/proto.rs`.
 //!
-//! The wire protocol grew by accretion: 15 frame tags, codec-versioned
-//! fields, and legacy dialects that every codec must keep decoding. The
-//! compiler cannot see that discipline — a new `TAG_*` constant with an
-//! encode arm but no decode arm builds cleanly and strands every peer.
-//! This pass extracts the frame-tag constants and codec-version markers
+//! The wire protocol has 18 frame tags, each with exactly one encoding
+//! (`DESIGN.md` §2). The compiler cannot see the pairing — a new
+//! `TAG_*` constant with an encode arm but no decode arm builds cleanly
+//! and strands every peer. This pass extracts the frame-tag constants
 //! and verifies, purely statically:
 //!
 //! * `tag-duplicate` — every `const TAG_*: u8` value is unique;
 //! * `tag-unencoded` / `tag-undecoded` — every tag is referenced from
-//!   both an encode body and a decode body;
-//! * `version-asymmetric` — every versioned-field marker
-//!   (`const *_V<n>: u8`, n ≥ 2) is referenced from both sides;
-//! * `version-no-legacy` — the decode `match` that handles a versioned
-//!   marker also carries at least one literal arm for the legacy
-//!   dialect(s), so old frames keep decoding.
+//!   both an encode body and a decode body.
 
 use crate::scan::{Finding, ScannedFile};
 
@@ -23,8 +17,6 @@ pub const RULES: &[&str] = &[
     "tag-duplicate",
     "tag-unencoded",
     "tag-undecoded",
-    "version-asymmetric",
-    "version-no-legacy",
     "proto-structure",
 ];
 
@@ -80,58 +72,9 @@ fn appears_in(file: &ScannedFile, regions: &[Region], word: &str, skip_line: usi
     })
 }
 
-/// Whether the decode `match` containing `marker`'s arm also has a
-/// literal (legacy-dialect) arm. Walks up from the arm line to the
-/// nearest `match`, then scans that brace-matched block.
-fn has_legacy_arm(file: &ScannedFile, regions: &[Region], marker: &str) -> bool {
-    for r in regions {
-        for i in r.start..=r.end.min(file.masked_lines.len() - 1) {
-            let line = &file.masked_lines[i];
-            let is_arm = ScannedFile::word_positions(line, marker)
-                .iter()
-                .any(|&at| line[at + marker.len()..].trim_start().starts_with("=>"));
-            if !is_arm {
-                continue;
-            }
-            // Nearest enclosing `match` header above the arm.
-            let Some(m) = (r.start..=i)
-                .rev()
-                .find(|&j| file.masked_lines[j].contains("match "))
-            else {
-                continue;
-            };
-            // Scan the match block for a literal arm.
-            let mut depth: i64 = 0;
-            let mut opened = false;
-            for j in m..=r.end.min(file.masked_lines.len() - 1) {
-                let l = &file.masked_lines[j];
-                let t = l.trim_start();
-                let lit_len = t.chars().take_while(|c| c.is_ascii_digit()).count();
-                if lit_len > 0 && t[lit_len..].trim_start().starts_with("=>") && opened {
-                    return true;
-                }
-                for ch in l.chars() {
-                    match ch {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if opened && depth <= 0 {
-                    break;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Parses `const NAME: u8 = N;` declarations (optionally `pub`) whose
-/// name matches `filter`, returning `(name, value, 0-based line)`.
-fn u8_consts(file: &ScannedFile, filter: impl Fn(&str) -> bool) -> Vec<(String, u8, usize)> {
+/// Parses `const TAG_*: u8 = N;` declarations (optionally `pub`),
+/// returning `(name, value, 0-based line)`.
+fn tag_consts(file: &ScannedFile) -> Vec<(String, u8, usize)> {
     let mut out = Vec::new();
     for (idx, line) in file.masked_lines.iter().enumerate() {
         if file.in_test[idx] {
@@ -145,7 +88,7 @@ fn u8_consts(file: &ScannedFile, filter: impl Fn(&str) -> bool) -> Vec<(String, 
             .chars()
             .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
             .collect();
-        if name.is_empty() || !filter(&name) {
+        if !name.starts_with("TAG_") {
             continue;
         }
         let Some(tail) = rest[name.len()..]
@@ -172,16 +115,6 @@ fn u8_consts(file: &ScannedFile, filter: impl Fn(&str) -> bool) -> Vec<(String, 
     out
 }
 
-/// Trailing `_V<n>` version of a constant name, if it has one.
-fn version_suffix(name: &str) -> Option<u32> {
-    let at = name.rfind("_V")?;
-    let digits = &name[at + 2..];
-    if digits.is_empty() || !digits.chars().all(|c| c.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 /// Runs the conformance rules over the protocol source file.
 pub fn check(file: &ScannedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -194,7 +127,7 @@ pub fn check(file: &ScannedFile) -> Vec<Finding> {
         });
     };
 
-    let tags = u8_consts(file, |n| n.starts_with("TAG_"));
+    let tags = tag_consts(file);
     if tags.is_empty() {
         push(
             0,
@@ -249,40 +182,6 @@ pub fn check(file: &ScannedFile) -> Vec<Finding> {
             );
         }
     }
-
-    // Codec-version markers: symmetric use plus a legacy-decode branch.
-    let markers = u8_consts(file, |n| version_suffix(n).is_some_and(|v| v >= 2));
-    for (name, _, line) in &markers {
-        let enc = appears_in(file, &encode_regions, name, *line);
-        let dec = appears_in(file, &decode_regions, name, *line);
-        if !enc || !dec {
-            push(
-                *line,
-                "version-asymmetric",
-                format!(
-                    "versioned-field marker {name} is referenced by {} only",
-                    if enc {
-                        "the encode path"
-                    } else {
-                        "the decode path"
-                    }
-                ),
-                &mut findings,
-            );
-            continue;
-        }
-        if !has_legacy_arm(file, &decode_regions, name) {
-            push(
-                *line,
-                "version-no-legacy",
-                format!(
-                    "versioned-field marker {name} decodes without a literal legacy-dialect \
-                     arm; old frames would stop decoding"
-                ),
-                &mut findings,
-            );
-        }
-    }
     findings
 }
 
@@ -297,12 +196,10 @@ mod tests {
     const GOOD: &str = "\
 const TAG_REQUEST: u8 = 0;
 const TAG_OFFER: u8 = 1;
-const PLAN_MIRRORS_V2: u8 = 2;
 impl Msg {
     pub fn encode(&self) -> Bytes {
         b.put_u8(TAG_REQUEST);
         b.put_u8(TAG_OFFER);
-        b.put_u8(PLAN_MIRRORS_V2);
     }
     pub fn decode(buf: Bytes) -> Result<Self> {
         match get_u8(&mut buf)? {
@@ -311,17 +208,6 @@ impl Msg {
             t => err(t),
         }
     }
-}
-fn decode_plan(buf: &mut Bytes) -> Result<Plan> {
-    fn decode(buf: &mut Bytes) -> Result<Plan> {
-        match get_u8(buf)? {
-            0 => legacy_none(),
-            1 => legacy_one(),
-            PLAN_MIRRORS_V2 => current(),
-            v => err(v),
-        }
-    }
-    decode(buf)
 }
 ";
 
@@ -354,24 +240,6 @@ fn decode_plan(buf: &mut Bytes) -> Result<Plan> {
         let f = check(&scan(&src));
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "tag-unencoded");
-    }
-
-    #[test]
-    fn versioned_marker_needs_both_sides() {
-        let src = GOOD.replace("PLAN_MIRRORS_V2 => current(),", "");
-        let f = check(&scan(&src));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "version-asymmetric");
-    }
-
-    #[test]
-    fn versioned_marker_needs_a_legacy_arm() {
-        let src = GOOD
-            .replace("0 => legacy_none(),", "")
-            .replace("1 => legacy_one(),", "");
-        let f = check(&scan(&src));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "version-no-legacy");
     }
 
     #[test]

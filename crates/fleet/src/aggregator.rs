@@ -96,11 +96,6 @@ impl RenewalAggregator {
         agg
     }
 
-    /// Adds a client to this aggregator's pool.
-    pub fn add_client(&self, client: &Arc<Bootloader>) {
-        self.clients.lock().push(Arc::downgrade(client));
-    }
-
     /// Snapshot of the aggregator's counters.
     pub fn stats(&self) -> AggregatorStats {
         *self.stats.lock()

@@ -186,6 +186,21 @@ impl FleetSim {
         }
     }
 
+    /// The client config every rollout-style builder starts from: a
+    /// depot, activation reports, and a post-activation self-check that
+    /// fails for the [`FleetSim::inject_activation_fault`] version.
+    fn checked_config(&self, lifecycle: LifecyclePolicy) -> BootloaderConfig {
+        let faulty = self.faulty_version.clone();
+        BootloaderConfig::same_host()
+            .with_lifecycle(lifecycle)
+            .with_depot(DriverDepot::in_memory())
+            .with_activation_reports()
+            .with_activation_check(move |image| match *faulty.lock() {
+                Some(v) if image.version == v => Err("injected activation regression".to_string()),
+                _ => Ok(()),
+            })
+    }
+
     /// Builds a fleet wired for staged rollouts: every client carries a
     /// depot (so rollbacks revalidate with zero transfer), sends
     /// activation reports after upgrades (so health gates have signal),
@@ -195,17 +210,7 @@ impl FleetSim {
     pub fn build_rollout(n_clients: usize, lease_ms: u64, driver_padding: usize) -> Self {
         let mut sim = Self::build_with_driver_size(0, lease_ms, false, driver_padding);
         for i in 0..n_clients {
-            let faulty = sim.faulty_version.clone();
-            let config = BootloaderConfig::same_host()
-                .with_lifecycle(LifecyclePolicy::driven(DEFAULT_POLL_EVERY))
-                .with_depot(DriverDepot::in_memory())
-                .with_activation_reports()
-                .with_activation_check(move |image| match *faulty.lock() {
-                    Some(v) if image.version == v => {
-                        Err("injected activation regression".to_string())
-                    }
-                    _ => Ok(()),
-                });
+            let config = sim.checked_config(LifecyclePolicy::driven(DEFAULT_POLL_EVERY));
             sim.clients.push(Bootloader::new(
                 &sim.net,
                 Addr::new(format!("app{i:04}"), 1),
@@ -228,17 +233,7 @@ impl FleetSim {
     pub fn build_hotswap(n_clients: usize, lease_ms: u64, hot_swap: Option<SwapConfig>) -> Self {
         let mut sim = Self::build_with_driver_size(0, lease_ms, false, 0);
         for i in 0..n_clients {
-            let faulty = sim.faulty_version.clone();
-            let mut config = BootloaderConfig::same_host()
-                .with_lifecycle(LifecyclePolicy::driven(DEFAULT_POLL_EVERY))
-                .with_depot(DriverDepot::in_memory())
-                .with_activation_reports()
-                .with_activation_check(move |image| match *faulty.lock() {
-                    Some(v) if image.version == v => {
-                        Err("injected activation regression".to_string())
-                    }
-                    _ => Ok(()),
-                });
+            let mut config = sim.checked_config(LifecyclePolicy::driven(DEFAULT_POLL_EVERY));
             if let Some(swap) = hot_swap {
                 config = config.with_hot_swap(swap);
             }
@@ -283,18 +278,9 @@ impl FleetSim {
         // other client adopts the refcounted bytes after re-verifying.
         let image_cache = drivolution_depot::SharedImageCache::new();
         for i in 0..n_clients {
-            let faulty = sim.faulty_version.clone();
-            let config = BootloaderConfig::same_host()
-                .with_lifecycle(LifecyclePolicy::manual())
-                .with_depot(DriverDepot::in_memory())
-                .with_image_cache(image_cache.clone())
-                .with_activation_reports()
-                .with_activation_check(move |image| match *faulty.lock() {
-                    Some(v) if image.version == v => {
-                        Err("injected activation regression".to_string())
-                    }
-                    _ => Ok(()),
-                });
+            let config = sim
+                .checked_config(LifecyclePolicy::manual())
+                .with_image_cache(image_cache.clone());
             sim.clients.push(Bootloader::new(
                 &sim.net,
                 Addr::new(format!("app{i:04}"), 1),
@@ -465,14 +451,6 @@ impl FleetSim {
     /// events installed.
     pub fn install_chaos(&self, schedule: &ChaosSchedule) -> usize {
         schedule.install(&self.net)
-    }
-
-    /// Total `MIRROR_COMPLAINT`s the fleet's clients have filed.
-    pub fn total_mirror_complaints(&self) -> u64 {
-        self.clients
-            .iter()
-            .map(|c| c.stats().mirror_complaints)
-            .sum()
     }
 
     /// Distinct active-image digests across clients currently running

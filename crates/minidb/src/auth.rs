@@ -124,11 +124,6 @@ impl AuthStore {
         &self.realm_secret
     }
 
-    /// Sets the realm secret.
-    pub fn set_realm_secret(&mut self, secret: impl Into<String>) {
-        self.realm_secret = secret.into();
-    }
-
     /// Adds a regular user.
     ///
     /// # Errors

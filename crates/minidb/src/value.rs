@@ -107,14 +107,6 @@ impl Value {
         }
     }
 
-    /// Blob view over BLOB.
-    pub fn as_blob(&self) -> Option<&[u8]> {
-        match self {
-            Value::Blob(b) => Some(b.as_ref()),
-            _ => None,
-        }
-    }
-
     /// Shared handle over BLOB — clones the refcount, not the payload.
     pub fn as_blob_shared(&self) -> Option<Bytes> {
         match self {

@@ -9,7 +9,6 @@
 //! kinds, not totals.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -57,19 +56,12 @@ pub struct AddrStats {
     /// (byzantine fault injection). Not counted in `failures` — the
     /// exchange completed; the bytes were wrong.
     pub corrupted: u64,
-    /// Logical payload bytes that did *not* travel to this address because
-    /// the requester reused content-addressed local data (depot
-    /// revalidations and chunk deltas). Reported by upper layers via
-    /// [`NetStats::record_saved`].
-    pub bytes_saved: u64,
 }
 
 /// Shared traffic statistics for a [`crate::Network`].
 #[derive(Debug, Default)]
 pub struct NetStats {
     inner: Mutex<BTreeMap<Addr, AddrStats>>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
 }
 
 impl NetStats {
@@ -114,36 +106,6 @@ impl NetStats {
         }
     }
 
-    /// Records `saved` logical payload bytes that a depot-equipped client
-    /// avoided transferring from `to` (cache revalidation or chunk-delta
-    /// reuse). This is the distribution subsystem's bytes-saved ledger;
-    /// the network core never calls it itself.
-    pub fn record_saved(&self, to: &Addr, saved: usize) {
-        let mut m = self.inner.lock();
-        m.entry(to.clone()).or_default().bytes_saved += saved as u64;
-    }
-
-    /// Records a delta-plan cache hit on a server's memoized plan table.
-    /// Like [`record_saved`](Self::record_saved), this is reported by the
-    /// distribution subsystem, not the network core.
-    pub fn record_plan_hit(&self) {
-        self.plan_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a delta-plan cache miss (a plan computed from scratch).
-    pub fn record_plan_miss(&self) {
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// (hits, misses) of server delta-plan memoization since creation
-    /// (or the last [`reset`](Self::reset)).
-    pub fn plan_counters(&self) -> (u64, u64) {
-        (
-            self.plan_hits.load(Ordering::Relaxed),
-            self.plan_misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Counters for one destination address (zeroes if never contacted).
     pub fn for_addr(&self, addr: &Addr) -> AddrStats {
         self.inner.lock().get(addr).cloned().unwrap_or_default()
@@ -163,7 +125,6 @@ impl NetStats {
             t.partitioned += s.partitioned;
             t.refused += s.refused;
             t.corrupted += s.corrupted;
-            t.bytes_saved += s.bytes_saved;
         }
         t
     }
@@ -171,8 +132,6 @@ impl NetStats {
     /// Resets all counters to zero.
     pub fn reset(&self) {
         self.inner.lock().clear();
-        self.plan_hits.store(0, Ordering::Relaxed);
-        self.plan_misses.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot of every per-address counter, sorted by address.
@@ -194,14 +153,12 @@ mod tests {
         s.record_request(&a, 20);
         s.record_response(&a, 5);
         s.record_failure(&a, FailureKind::Refused);
-        s.record_saved(&a, 7);
         let st = s.for_addr(&a);
         assert_eq!(st.requests, 2);
         assert_eq!(st.bytes_in, 30);
         assert_eq!(st.bytes_out, 5);
         assert_eq!(st.failures, 1);
         assert_eq!(st.refused, 1);
-        assert_eq!(st.bytes_saved, 7);
     }
 
     #[test]
@@ -246,12 +203,8 @@ mod tests {
     fn reset_clears() {
         let s = NetStats::new();
         s.record_request(&Addr::new("a", 1), 1);
-        s.record_plan_hit();
-        s.record_plan_miss();
-        assert_eq!(s.plan_counters(), (1, 1));
         s.reset();
         assert_eq!(s.totals(), AddrStats::default());
-        assert_eq!(s.plan_counters(), (0, 0));
     }
 
     #[test]

@@ -286,10 +286,11 @@ impl MirrorDirectory {
     /// and demoted mirrors are excluded. At most `max_candidates` are
     /// returned.
     ///
-    /// Mirrors that never reported coverage (pinned entries, legacy
-    /// heartbeats) count as missing everything in `wanted`, which ranks
-    /// them after a replica with known coverage but ahead of nothing —
-    /// exactly the read-through behavior they would exhibit.
+    /// Mirrors that never reported coverage (pinned entries, replicas
+    /// that have not heartbeated yet) count as missing everything in
+    /// `wanted`, which ranks them after a replica with known coverage
+    /// but ahead of nothing — exactly the read-through behavior they
+    /// would exhibit.
     pub fn candidates(&self, client_zone: Option<&str>, wanted: &[u64]) -> Vec<MirrorCandidate> {
         self.sweep();
         let entries = self.entries.lock();

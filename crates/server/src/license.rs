@@ -126,11 +126,6 @@ impl LicenseManager {
         }
     }
 
-    /// Number of seat shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a client host's seats live in: stable FNV-1a of the
     /// host, so placement is identical across runs and processes.
     fn shard_for(&self, client_host: &str) -> Option<(usize, &Mutex<Shard>)> {

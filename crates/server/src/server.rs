@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -12,7 +13,6 @@ use parking_lot::Mutex;
 use netsim::{Addr, Clock, NetError, Network, Pipe, Service, TaskControl};
 
 use drivolution_core::chunk::ChunkSet;
-use drivolution_core::matching::MatchMode;
 use drivolution_core::pack::{pack_driver, unpack_driver};
 use drivolution_core::proto::{ChunkPlan, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::transfer;
@@ -30,70 +30,43 @@ use crate::notify::NotifyHub;
 use crate::rollout::RolloutOrchestrator;
 use crate::store::DriverStore;
 
+/// Lease granted when no permission rule overrides it (paper §3.2:
+/// "settings ranging from an hour to a day are suitable").
+const DEFAULT_LEASE_MS: u64 = 3_600_000;
+
+/// Cadence of the background maintenance task registered by
+/// [`DrivolutionServer::register_maintenance`].
+const MAINTENANCE_EVERY: Duration = Duration::from_secs(30);
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Lease granted when no permission rule overrides it (paper §3.2:
-    /// "settings ranging from an hour to a day are suitable" — default one
-    /// hour).
-    pub default_lease_ms: u64,
     /// Renew policy when no rule overrides it.
     pub default_renew: RenewPolicy,
-    /// Expiration policy when no rule overrides it.
-    pub default_expiration: ExpirationPolicy,
     /// Transfer method when the rule says `Any` (paper default: sealed).
     pub default_transfer: TransferMethod,
-    /// Tie-breaking among matching drivers.
-    pub match_mode: MatchMode,
     /// Databases this server distributes drivers for; `None` = any.
     pub serves: Option<Vec<String>>,
     /// When set, offers carry signatures over the driver bytes.
     pub signing: Option<SigningKey>,
     /// Customize driver feature sets to request options (§5.4.1).
     pub customize: bool,
-    /// Free license seats when a dedicated channel breaks (§5.4.2).
-    pub release_licenses_on_disconnect: bool,
-    /// Chunking params for the server's content-addressed depot index
-    /// (content-defined by default). Delta plans themselves are derived
-    /// under each client's advertised params, so this only governs how
-    /// the server pre-indexes installed drivers.
-    pub depot_chunking: ChunkingParams,
-    /// Answer depot-equipped clients (requests carrying a `HAVE`
-    /// summary) with zero-transfer revalidations and chunked delta
-    /// offers. Clients without a depot are unaffected.
-    pub delta_offers: bool,
-    /// Mirror-directory timing and ranking knobs (heartbeat cadence,
-    /// quarantine/eviction thresholds, candidates per plan).
-    pub directory: DirectoryConfig,
     /// License-table shard count. Requests hash to a shard by
     /// `client_host` (stable FNV), so replay stays seed-reproducible;
     /// more shards means less lock contention under fleet-scale renewal
     /// storms. Clamped to at least 1.
     pub license_shards: usize,
-    /// Cadence of the background maintenance task registered by
-    /// [`DrivolutionServer::register_maintenance`]: expired-seat pruning
-    /// and broken-channel reaping run at this interval instead of on the
-    /// request path.
-    pub maintenance_every_ms: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            default_lease_ms: 3_600_000,
             default_renew: RenewPolicy::Renew,
-            default_expiration: ExpirationPolicy::AfterCommit,
             default_transfer: TransferMethod::Sealed,
-            match_mode: MatchMode::FirstMatch,
             serves: None,
             signing: None,
             customize: false,
-            release_licenses_on_disconnect: true,
-            depot_chunking: ChunkingParams::default(),
-            delta_offers: true,
-            directory: DirectoryConfig::default(),
             license_shards: DEFAULT_LICENSE_SHARDS,
-            maintenance_every_ms: 30_000,
         }
     }
 }
@@ -198,9 +171,6 @@ pub struct DrivolutionServer {
     /// cached [`Bytes`] to match the record's, checked by pointer first
     /// and by content on reallocation.
     offer_meta: Mutex<HashMap<DriverId, OfferMeta>>,
-    /// Network handle for forwarding plan-cache counters into
-    /// [`netsim::NetStats`]; attached by the deployment variants.
-    net: Mutex<Option<Network>>,
     hooks: Mutex<Vec<EventHook>>,
     /// When true, admin operations skip event hooks (used while applying
     /// replicated events to avoid loops).
@@ -222,16 +192,11 @@ impl DrivolutionServer {
         name: impl Into<String>,
         store: DriverStore,
         clock: Clock,
-        mut config: ServerConfig,
+        config: ServerConfig,
     ) -> Self {
-        // Structurally invalid params would panic manifest construction
-        // on the first install; fall back to the default chunking.
-        if config.depot_chunking.validate().is_err() {
-            config.depot_chunking = ChunkingParams::default();
-        }
         let name = name.into();
         let cert = Certificate::issue(name.clone(), 1);
-        let directory = MirrorDirectory::new(clock.clone(), config.directory);
+        let directory = MirrorDirectory::new(clock.clone(), DirectoryConfig::default());
         let license_shards = config.license_shards.max(1);
         DrivolutionServer {
             name,
@@ -249,7 +214,6 @@ impl DrivolutionServer {
             stats: Mutex::new(ServerStats::default()),
             rollout: Mutex::new(None),
             offer_meta: Mutex::new(HashMap::new()),
-            net: Mutex::new(None),
             hooks: Mutex::new(Vec::new()),
             applying_replica: std::sync::atomic::AtomicBool::new(false),
         }
@@ -297,9 +261,12 @@ impl DrivolutionServer {
         &self.depot
     }
 
-    /// The chunking params the server's depot index uses.
+    /// The chunking params the server's depot index pre-indexes
+    /// installed drivers under (content-defined, the workspace default).
+    /// Delta plans themselves are derived under each client's advertised
+    /// params.
     pub fn depot_chunking(&self) -> ChunkingParams {
-        self.config.depot_chunking
+        ChunkingParams::default()
     }
 
     /// The mirror directory: every registered mirror with its zone,
@@ -345,13 +312,6 @@ impl DrivolutionServer {
         self.rollout.lock().clone()
     }
 
-    /// Attaches the network whose [`netsim::NetStats`] should mirror the
-    /// server's delta-plan cache counters. The deployment variants call
-    /// this automatically.
-    pub fn attach_network(&self, net: Network) {
-        *self.net.lock() = Some(net);
-    }
-
     /// Subscribes to admin events (replication hook).
     pub fn subscribe(&self, hook: EventHook) {
         self.hooks.lock().push(hook);
@@ -377,7 +337,7 @@ impl DrivolutionServer {
     pub fn install_driver(&self, record: &DriverRecord) -> DrvResult<()> {
         self.store.add_driver(record)?;
         self.depot
-            .insert(record.binary.clone(), &self.config.depot_chunking);
+            .insert(record.binary.clone(), &self.depot_chunking());
         self.emit(AdminEvent::DriverAdded(record.clone()));
         Ok(())
     }
@@ -417,7 +377,7 @@ impl DrivolutionServer {
         let r = match event {
             AdminEvent::DriverAdded(rec) => {
                 self.depot
-                    .insert(rec.binary.clone(), &self.config.depot_chunking);
+                    .insert(rec.binary.clone(), &self.depot_chunking());
                 self.store.add_driver(rec)
             }
             AdminEvent::RuleAdded(rule) => self.store.add_permission(rule),
@@ -431,67 +391,49 @@ impl DrivolutionServer {
     }
 
     /// Pushes a "new driver available" notice down every dedicated
-    /// channel, triggering immediate renewals (§3.2).
+    /// channel, triggering immediate renewals (§3.2). Hosts whose channel
+    /// turns out broken give their license seats back (§5.4.2).
     pub fn notify_upgrade(&self, database: &str) {
         let dead = self.hub.broadcast(&DrvNotice::DriverAvailable {
             database: database.to_string(),
         });
-        self.handle_dead_hosts(dead);
-    }
-
-    /// Pushes a revocation notice.
-    pub fn notify_revoke(&self, database: &str) {
-        let dead = self.hub.broadcast(&DrvNotice::DriverRevoked {
-            database: database.to_string(),
-        });
-        self.handle_dead_hosts(dead);
-    }
-
-    fn handle_dead_hosts(&self, dead: Vec<String>) {
-        if self.config.release_licenses_on_disconnect {
-            for host in dead {
-                self.licenses.release_host(&host);
-            }
+        for host in dead {
+            self.licenses.release_host(&host);
         }
     }
 
-    /// Reaps broken dedicated channels and frees their license seats.
-    /// Returns the number of freed seats.
+    /// Reaps broken dedicated channels and frees their license seats
+    /// (§5.4.2). Returns the number of freed seats.
     ///
     /// Runs on the maintenance cadence registered by
     /// [`register_maintenance`](Self::register_maintenance), never on the
     /// request path: `handle()` does zero ambient channel scans.
     pub fn detect_failures(&self) -> usize {
-        let dead = self.hub.reap_closed();
-        let mut freed = 0;
-        if self.config.release_licenses_on_disconnect {
-            for host in dead {
-                freed += self.licenses.release_host(&host);
-            }
-        }
-        freed
+        self.hub
+            .reap_closed()
+            .iter()
+            .map(|host| self.licenses.release_host(host))
+            .sum()
     }
 
     /// Registers the server's background maintenance on the network's
     /// scheduler: expired license seats are pruned and broken dedicated
-    /// channels reaped every [`ServerConfig::maintenance_every_ms`],
-    /// instead of on every request. The deployment variants call this
-    /// automatically. The task holds only a weak reference and retires
-    /// itself once the server is dropped.
+    /// channels reaped every 30 virtual seconds, instead of on every
+    /// request. The deployment variants call this automatically. The
+    /// task holds only a weak reference and retires itself once the
+    /// server is dropped.
     pub fn register_maintenance(self: &Arc<Self>, net: &Network) {
         let me = Arc::downgrade(self);
         net.scheduler().every(
-            std::time::Duration::from_millis(self.config.maintenance_every_ms.max(1)),
-            std::time::Duration::ZERO,
+            MAINTENANCE_EVERY,
+            Duration::ZERO,
             format!("server-maintenance:{}", self.name),
             move || {
                 let Some(srv) = me.upgrade() else {
                     return Ok(TaskControl::Done);
                 };
                 srv.licenses.prune_expired(srv.clock.now_ms());
-                if srv.config.release_licenses_on_disconnect {
-                    srv.detect_failures();
-                }
+                srv.detect_failures();
                 Ok(TaskControl::Continue)
             },
         );
@@ -529,33 +471,21 @@ impl DrivolutionServer {
             return Ok((rec, None));
         }
         let permitted = self.store.permitted_driver_ids(&q.identity)?;
-        let mut granted: Vec<(DriverRecord, PermissionRule)> = matching_records
+        // First match wins (Sample code 1's `LIMIT 1`).
+        let (rec, rule) = matching_records
             .into_iter()
-            .filter_map(|rec| {
+            .find_map(|rec| {
                 permitted
                     .iter()
                     .find(|(id, _)| *id == rec.id)
                     .map(|(_, rule)| (rec, rule.clone()))
             })
-            .collect();
-        if self.config.match_mode == MatchMode::Ranked {
-            granted.sort_by(|a, b| {
-                let fmt_rank = |r: &DriverRecord| match q.preferred_format {
-                    Some(f) if r.format == f => 0,
-                    _ => 1,
-                };
-                fmt_rank(&a.0)
-                    .cmp(&fmt_rank(&b.0))
-                    .then_with(|| b.0.version.cmp(&a.0.version))
-                    .then_with(|| a.0.id.cmp(&b.0.id))
-            });
-        }
-        let (rec, rule) = granted.into_iter().next().ok_or_else(|| {
-            DrvError::NoMatchingDriver(format!(
-                "no permitted driver for user {} from {}",
-                q.identity.user, q.identity.client_ip
-            ))
-        })?;
+            .ok_or_else(|| {
+                DrvError::NoMatchingDriver(format!(
+                    "no permitted driver for user {} from {}",
+                    q.identity.user, q.identity.client_ip
+                ))
+            })?;
         Ok((rec, Some(rule)))
     }
 
@@ -629,13 +559,13 @@ impl DrivolutionServer {
         let lease_ms = rule
             .and_then(|r| r.lease_time_ms)
             .map(|ms| ms.max(1) as u64)
-            .unwrap_or(self.config.default_lease_ms);
+            .unwrap_or(DEFAULT_LEASE_MS);
         let renew = rule
             .map(|r| r.renew_policy)
             .unwrap_or(self.config.default_renew);
         let expiration = rule
             .map(|r| r.expiration_policy)
-            .unwrap_or(self.config.default_expiration);
+            .unwrap_or(ExpirationPolicy::AfterCommit);
         let method = rule
             .map(|r| r.transfer_method)
             .unwrap_or(TransferMethod::Any)
@@ -683,10 +613,7 @@ impl DrivolutionServer {
                 if have.images.contains(&content_digest) {
                     self.stats.lock().revalidations += 1;
                     delivery_resolved = true;
-                } else if self.config.delta_offers
-                    && have.params.delta_safe()
-                    && !have.chunks.is_empty()
-                {
+                } else if have.params.delta_safe() && !have.chunks.is_empty() {
                     // The plan (manifest derivation + missing-chunk set) is
                     // memoized in the content index, so a fleet-wide wave
                     // of clients on the same prior version computes it
@@ -701,13 +628,6 @@ impl DrivolutionServer {
                                 st.plan_hits += 1;
                             } else {
                                 st.plan_misses += 1;
-                            }
-                        }
-                        if let Some(net) = self.net.lock().as_ref() {
-                            if hit {
-                                net.stats().record_plan_hit();
-                            } else {
-                                net.stats().record_plan_miss();
                             }
                         }
                         let DeltaPlan { manifest, missing } = plan;
@@ -890,7 +810,7 @@ impl DrivolutionServer {
                 .as_ref()
                 .and_then(|r| r.lease_time_ms)
                 .map(|ms| ms.max(1) as u64)
-                .unwrap_or(self.config.default_lease_ms);
+                .unwrap_or(DEFAULT_LEASE_MS);
             self.licenses
                 .acquire(record.id, &req.user, from.host(), lease_ms, now)?;
             self.store
@@ -1479,7 +1399,7 @@ mod tests {
         let mut req = bootstrap_req();
         req.have = Some(drivolution_core::HaveSummary {
             images: vec![digest],
-            params: srv.config.depot_chunking,
+            params: srv.depot_chunking(),
             chunks: Vec::new(),
         });
         let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req)));
@@ -1513,11 +1433,11 @@ mod tests {
 
         // The client depot holds v1: its HAVE lists v1's chunks.
         let v1_manifest =
-            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.config.depot_chunking);
+            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.depot_chunking());
         let mut req = bootstrap_req();
         req.have = Some(drivolution_core::HaveSummary {
             images: vec![v1_manifest.content_digest],
-            params: srv.config.depot_chunking,
+            params: srv.depot_chunking(),
             chunks: v1_manifest.chunks.clone(),
         });
         let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req)));
@@ -1576,10 +1496,10 @@ mod tests {
 
         let v1 = padded_record(1, DriverVersion::new(1, 0, 0));
         let v1_manifest =
-            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.config.depot_chunking);
+            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.depot_chunking());
         let have = drivolution_core::HaveSummary {
             images: vec![v1_manifest.content_digest],
-            params: srv.config.depot_chunking,
+            params: srv.depot_chunking(),
             chunks: v1_manifest.chunks.clone(),
         };
         let mut seen = Vec::new();
@@ -1684,13 +1604,13 @@ mod tests {
         }
         let v1 = padded_record(1, DriverVersion::new(1, 0, 0));
         let v1_manifest =
-            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.config.depot_chunking);
+            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.depot_chunking());
         for (zone, want_first) in [("east", "m-east:1071"), ("west", "m-west:1071")] {
             let mut req = bootstrap_req();
             req.zone = Some(zone.into());
             req.have = Some(drivolution_core::HaveSummary {
                 images: vec![v1_manifest.content_digest],
-                params: srv.config.depot_chunking,
+                params: srv.depot_chunking(),
                 chunks: v1_manifest.chunks.clone(),
             });
             let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req)));
@@ -1869,7 +1789,7 @@ mod tests {
             &srv.store().rules().unwrap(),
             &srv.query_of(&client(), &req),
             clock.now_ms() as i64,
-            MatchMode::FirstMatch,
+            drivolution_core::MatchMode::FirstMatch,
         )
         .unwrap()
         .record

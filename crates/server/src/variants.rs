@@ -40,7 +40,6 @@ pub fn attach_in_database(
         net.clock().clone(),
         config,
     ));
-    srv.attach_network(net.clone());
     srv.register_maintenance(net);
     net.bind_arc(drv_addr, srv.clone())
         .map_err(DrvError::from)?;
@@ -78,7 +77,6 @@ pub fn launch_external(
         net.clock().clone(),
         config,
     ));
-    srv.attach_network(net.clone());
     srv.register_maintenance(net);
     net.bind_arc(drv_addr, srv.clone())
         .map_err(DrvError::from)?;
@@ -109,7 +107,6 @@ pub fn launch_standalone(
         net.clock().clone(),
         config,
     ));
-    srv.attach_network(net.clone());
     srv.register_maintenance(net);
     net.bind_arc(drv_addr, srv.clone())
         .map_err(DrvError::from)?;

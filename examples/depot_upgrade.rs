@@ -98,10 +98,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         boot1.stats().bytes_saved
     );
     println!(
-        "  server ledger: {} revalidations, {} delta offers; network bytes_saved = {}",
+        "  server ledger: {} revalidations, {} delta offers",
         srv.stats().revalidations,
-        srv.stats().delta_offers,
-        net.stats().for_addr(&server_addr).bytes_saved
+        srv.stats().delta_offers
     );
     boot1.connect(&url, &props)?.execute("SELECT 1")?;
     println!(

@@ -18,8 +18,10 @@
 //! | Sequoia-like replication middleware | [`cluster`] |
 //! | operational fleet simulation | [`fleet`] |
 //!
-//! See `DESIGN.md` for the per-experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured results. Runnable scenarios live in `examples/`.
+//! See `DESIGN.md` for the substitutions (FNV for SHA-256, simulated
+//! signatures and sealed transfer, the driver VM) and the wire format,
+//! and `EXPERIMENTS.md` for the experiment index and paper-vs-measured
+//! results. Runnable scenarios live in `examples/`.
 //!
 //! # Examples
 //!

@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 
-use drivolution::core::chunk::{
-    cut_points, cut_points_cdc_norm, delta_cost, ChunkManifest, ChunkingParams,
-};
+use drivolution::core::chunk::{cut_points, delta_cost, ChunkManifest, ChunkingParams};
 use drivolution::core::entropy_blob as image;
 
 /// Bytes a client holding `v1` must fetch for `v2` under `params`.
@@ -90,7 +88,10 @@ proptest! {
         // exceed max, and only the final chunk may undercut min.
         let (avg, max) = (min * avg_factor, min * avg_factor * max_factor);
         let img = image(96 * 1024, seed);
-        let cuts = cut_points_cdc_norm(&img, min, avg, max, norm as u8);
+        let cuts = cut_points(
+            &img,
+            &ChunkingParams::cdc_normalized(min, avg, max, norm as u8),
+        );
         prop_assert_eq!(*cuts.last().unwrap(), img.len());
         let mut start = 0usize;
         for (i, &end) in cuts.iter().enumerate() {
@@ -163,23 +164,20 @@ proptest! {
             p.encode_into(&mut b);
             prop_assert_eq!(ChunkingParams::decode(&mut b.freeze()).unwrap(), p);
         }
-        // A legacy plain-Gear frame (0-marker, three bounds) decodes as
-        // level 0, and a legacy bare fixed size decodes as Fixed.
-        let mut b = BytesMut::new();
-        b.put_u32_le(0);
-        b.put_u32_le(min);
-        b.put_u32_le(avg);
-        b.put_u32_le(max);
-        prop_assert_eq!(
-            ChunkingParams::decode(&mut b.freeze()).unwrap(),
-            ChunkingParams::cdc(min, avg, max)
-        );
-        let mut b = BytesMut::new();
-        b.put_u32_le(fixed_size);
-        prop_assert_eq!(
-            ChunkingParams::decode(&mut b.freeze()).unwrap(),
-            ChunkingParams::fixed(fixed_size)
-        );
+        // The kind byte is mandatory: bounds behind a `0` word and a
+        // bare chunk size are typed codec errors, never a guess.
+        let mut marker = BytesMut::new();
+        for w in [0, min, avg, max] {
+            marker.put_u32_le(w);
+        }
+        let mut bare = BytesMut::new();
+        bare.put_u32_le(fixed_size);
+        for frame in [marker, bare] {
+            prop_assert!(matches!(
+                ChunkingParams::decode(&mut frame.freeze()),
+                Err(drivolution::core::DrvError::Codec(_))
+            ));
+        }
     }
 
     #[test]

@@ -112,8 +112,6 @@ fn delta_upgrade_transfers_measurably_fewer_bytes_than_cold_fetch() {
     assert_eq!(bs.delta_downloads, 1);
     assert!(bs.bytes_saved > (DRIVER_PADDING as u64) / 2);
     assert_eq!(rig.srv.stats().delta_offers, 1);
-    let saved = rig.net.stats().for_addr(&rig.server_addr).bytes_saved;
-    assert!(saved > 0, "bytes-saved accounting must be recorded");
     let ds = depot.stats();
     assert_eq!(ds.delta_assemblies, 1);
     assert!(ds.bytes_reused > ds.bytes_fetched);

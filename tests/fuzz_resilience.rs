@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use drivolution::core::chunk::{split_chunks, ChunkManifest, ChunkSet};
+use drivolution::core::chunk::{split_with, ChunkManifest, ChunkSet, ChunkingParams};
 use drivolution::core::pack::{pack_driver_padded, unpack_driver, Archive};
 use drivolution::core::proto::{DrvMsg, DrvNotice};
 use drivolution::core::{BinaryFormat, DriverImage, DriverVersion, Signature};
@@ -115,7 +115,7 @@ proptest! {
                 .chunks
                 .iter()
                 .copied()
-                .zip(split_chunks(&bytes, 256))
+                .zip(split_with(&bytes, &ChunkingParams::fixed(256)))
                 .collect(),
         };
         let enc = set.encode();
@@ -131,16 +131,19 @@ proptest! {
     }
 }
 
-/// Every frame tag's decode path must fail *typed* on truncation: each
-/// strict prefix of a valid frame either errors with `DrvError::Codec`
-/// or — only where the protocol keeps a legacy dialect that is a true
-/// prefix (heartbeats without coverage, offers without newer fields) —
-/// decodes to some message. Nothing panics, and the typed error carries
-/// through for the empty and unknown-tag frames.
+/// Every frame tag's decode path must fail *typed* on truncation: every
+/// field of every frame is mandatory, so each strict prefix of a valid
+/// frame errors with `DrvError::Codec`. Nothing panics and nothing
+/// decodes; the typed error carries through for the empty and
+/// unknown-tag frames.
 #[test]
 fn every_frame_tag_truncation_errors_are_typed() {
-    use drivolution::core::proto::{DrvErrCode, DrvOffer, DrvRequest, RequestKind};
+    use drivolution::core::proto::{
+        ChunkPlan, DrvErrCode, DrvOffer, DrvRequest, HaveSummary, MirrorCandidate, RequestKind,
+    };
     use drivolution::core::{DriverId, DrvError, ExpirationPolicy, RenewPolicy, TransferMethod};
+
+    let manifest = ChunkManifest::of_with(&[7u8; 40_000], &ChunkingParams::default());
 
     let msgs = vec![
         DrvMsg::Request(DrvRequest::bootstrap(
@@ -153,6 +156,12 @@ fn every_frame_tag_truncation_errors_are_typed() {
             kind: RequestKind::Renewal {
                 current: DriverId(7),
             },
+            have: Some(HaveSummary {
+                images: vec![manifest.content_digest],
+                params: manifest.params,
+                chunks: manifest.chunks.clone(),
+            }),
+            zone: Some("east".into()),
             ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
         }),
         DrvMsg::Offer(DrvOffer {
@@ -169,7 +178,22 @@ fn every_frame_tag_truncation_errors_are_typed() {
             options: vec![("fetch_size".into(), "100".into())],
             signature: None,
             content_digest: Some(0xdead_beef),
-            chunked: None,
+            chunked: Some(ChunkPlan {
+                missing: manifest.chunks[1..].to_vec(),
+                manifest,
+                mirrors: vec![
+                    MirrorCandidate {
+                        location: "m1:1071".into(),
+                        zone: Some("east".into()),
+                        healthy: true,
+                    },
+                    MirrorCandidate {
+                        location: "m2:1071".into(),
+                        zone: None,
+                        healthy: false,
+                    },
+                ],
+            }),
         }),
         DrvMsg::Error {
             code: DrvErrCode::PermissionDenied,
@@ -263,9 +287,10 @@ fn every_frame_tag_truncation_errors_are_typed() {
         let frame = msg.encode();
         for cut in 0..frame.len() {
             match DrvMsg::decode(frame.slice(0..cut)) {
-                Ok(_) => {} // legacy-prefix dialects decode shorter frames
                 Err(DrvError::Codec(_)) => {}
-                Err(other) => panic!("truncated {msg:?} at {cut}: untyped error {other:?}"),
+                other => {
+                    panic!("truncated {msg:?} at {cut}: expected a codec error, got {other:?}")
+                }
             }
         }
     }
