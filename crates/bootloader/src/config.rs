@@ -91,13 +91,6 @@ pub struct LifecyclePolicy {
     pub poll_jitter: Duration,
     /// Arm a one-shot renewal timer at each lease's expiry.
     pub auto_renew: bool,
-    /// Retry backoff after a failed renewal ("the bootloader keeps its
-    /// current implementation", §4.1.3 — but keeps trying).
-    pub renew_retry: Duration,
-    /// Cadence of the session-maintenance sweep (tracker prune + zombie
-    /// reap), registered for self-driving and swap-enabled bootloaders —
-    /// the client-side analog of the server's failure-detection cadence.
-    pub maintain_every: Duration,
 }
 
 impl Default for LifecyclePolicy {
@@ -109,8 +102,6 @@ impl Default for LifecyclePolicy {
             poll_every: None,
             poll_jitter: Duration::ZERO,
             auto_renew: true,
-            renew_retry: Duration::from_secs(30),
-            maintain_every: Duration::from_secs(30),
         }
     }
 }
@@ -123,8 +114,6 @@ impl LifecyclePolicy {
             poll_every: None,
             poll_jitter: Duration::ZERO,
             auto_renew: false,
-            renew_retry: Duration::from_secs(30),
-            maintain_every: Duration::from_secs(30),
         }
     }
 

@@ -24,12 +24,15 @@
 
 mod bootloader;
 mod config;
+mod fetch;
 mod managed;
+mod renew;
 mod swap;
 mod tracker;
 
-pub use bootloader::{BootStats, Bootloader, MirrorFetchStats, PollOutcome};
+pub use bootloader::{BootStats, Bootloader, PollOutcome};
 pub use config::{ActivationCheck, BootloaderConfig, LifecyclePolicy, ServerLocator};
+pub use fetch::MirrorFetchStats;
 pub use managed::ManagedConnection;
 pub use swap::{SwapConfig, SwapStats};
 pub use tracker::{ConnectionTracker, EscalationOutcome};

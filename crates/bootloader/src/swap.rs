@@ -2,7 +2,8 @@
 //! connection draining.
 //!
 //! Without this module an upgrade is "swap the image between polls":
-//! [`crate::tracker::ConnectionTracker::apply_policy`] expires old
+//! the expiration-policy ladder
+//! ([`crate::tracker::ConnectionTracker::escalate`]) runs over the old
 //! sessions the instant the new driver activates, so a steady workload
 //! sees its next query fail. With a [`SwapConfig`] installed, the
 //! upgrade instead opens a **coexistence window**:
@@ -13,10 +14,11 @@
 //!    transaction boundary (idle sessions at their next statement,
 //!    in-transaction sessions right after COMMIT/ROLLBACK);
 //! 3. a deterministic `netsim::sched` task ticks the window; when the
-//!    drain grace expires, remaining sessions are escalated through the
-//!    offer's [`ExpirationPolicy`] — `AFTER_COMMIT` waits for the
-//!    transaction boundary (never severing a live transaction),
-//!    `IMMEDIATE` is the last resort, `AFTER_CLOSE` never forces;
+//!    drain grace expires, the same ladder runs over the remaining
+//!    sessions under the offer's [`ExpirationPolicy`] — `AFTER_COMMIT`
+//!    waits for the transaction boundary (never severing a live
+//!    transaction), `IMMEDIATE` is the last resort, `AFTER_CLOSE` never
+//!    forces;
 //! 4. the old namespace is unloaded only when
 //!    [`crate::tracker::ConnectionTracker::drained`] reports true.
 //!
@@ -25,7 +27,7 @@
 //! zero-transfer revalidation) and the failed version drains
 //! symmetrically — only [`SwapStats::downgrades`] tells them apart.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -134,20 +136,12 @@ impl Bootloader {
     /// Registers the (dormant) swap-coordinator task; called from the
     /// lifecycle registration when a [`SwapConfig`] is present.
     pub(crate) fn register_swap_task(self: &Arc<Self>) {
-        let me = Arc::downgrade(self);
-        let handle = self
-            .net
-            .scheduler()
-            .dormant(
-                format!("hot-swap {}", self.local),
-                move || match Weak::upgrade(&me) {
-                    Some(b) => {
-                        b.swap_tick();
-                        Ok(TaskControl::Continue)
-                    }
-                    None => Ok(TaskControl::Done),
-                },
-            );
+        let tick = self.task(|b| {
+            b.swap_tick();
+            Ok(TaskControl::Continue)
+        });
+        let name = format!("hot-swap {}", self.local);
+        let handle = self.net.scheduler().dormant(name, tick);
         *self.swap.task.lock() = Some(handle);
     }
 

@@ -99,43 +99,6 @@ impl ConnectionTracker {
         state
     }
 
-    /// Applies an expiration policy to every live connection of `ns`.
-    /// Returns how many connections were closed right away.
-    pub fn apply_policy(&self, ns: NamespaceId, policy: ExpirationPolicy, reason: &str) -> usize {
-        let conns = self.conns.lock().clone();
-        let mut closed = 0;
-        for state in conns {
-            let mut st = state.lock();
-            if st.ns != ns || st.inner.is_none() {
-                continue;
-            }
-            match policy {
-                ExpirationPolicy::AfterClose => {
-                    // Nothing: the application closes at its own pace.
-                }
-                ExpirationPolicy::AfterCommit => {
-                    let in_txn = st
-                        .inner
-                        .as_ref()
-                        .map(|c| c.in_transaction())
-                        .unwrap_or(false);
-                    if in_txn {
-                        st.close_after_commit = true;
-                    } else {
-                        st.force_close(reason);
-                        closed += 1;
-                    }
-                }
-                ExpirationPolicy::Immediate => {
-                    st.force_close(reason);
-                    closed += 1;
-                }
-            }
-        }
-        self.prune();
-        closed
-    }
-
     /// Flags every live session of `ns` as draining: the managed wrapper
     /// migrates each one to the active namespace at its next transaction
     /// boundary. Returns how many sessions were flagged — the coexistence
@@ -155,12 +118,14 @@ impl ConnectionTracker {
         marked
     }
 
-    /// Enforces `policy` on the sessions of `ns` that outlived their
-    /// drain window. Unlike [`apply_policy`](Self::apply_policy) this is
-    /// drain-aware and reports *what* it did, and it leaves dead entries
-    /// in the table for the scheduled maintenance sweep to collect.
+    /// The expiration-policy ladder (§3.4.2), the one place it is
+    /// decided: enforces `policy` on every live session of `ns` and
+    /// reports what it did. Upgrades, revocations and releases call it
+    /// the moment the namespace retires; the hot-swap coordinator calls
+    /// it on the stragglers of an expired drain window. Dead entries stay
+    /// in the table for the caller's prune (or the maintenance sweep).
     ///
-    /// * `AFTER_CLOSE` — never forces anything; the window stays open.
+    /// * `AFTER_CLOSE` — never forces anything.
     /// * `AFTER_COMMIT` — idle sessions close now; in-transaction
     ///   sessions are marked close-after-commit. No transaction is ever
     ///   severed.
@@ -354,43 +319,6 @@ mod tests {
     const NS2: NamespaceId = NamespaceId(2);
 
     #[test]
-    fn immediate_closes_everything_on_the_namespace() {
-        let t = ConnectionTracker::new();
-        t.register(conn(false), NS1, 0);
-        t.register(conn(true), NS1, 0);
-        t.register(conn(false), NS2, 0);
-        let closed = t.apply_policy(NS1, ExpirationPolicy::Immediate, "upgrade");
-        assert_eq!(closed, 2);
-        assert!(t.drained(NS1));
-        assert_eq!(t.live_count(NS2), 1);
-    }
-
-    #[test]
-    fn after_commit_spares_open_transactions() {
-        let t = ConnectionTracker::new();
-        let idle = t.register(conn(false), NS1, 0);
-        let busy = t.register(conn(true), NS1, 0);
-        let closed = t.apply_policy(NS1, ExpirationPolicy::AfterCommit, "upgrade");
-        assert_eq!(closed, 1);
-        assert!(idle.lock().inner.is_none());
-        let busy_guard = busy.lock();
-        assert!(busy_guard.inner.is_some());
-        assert!(busy_guard.close_after_commit);
-        drop(busy_guard);
-        assert!(!t.drained(NS1));
-    }
-
-    #[test]
-    fn after_close_touches_nothing() {
-        let t = ConnectionTracker::new();
-        t.register(conn(false), NS1, 0);
-        t.register(conn(true), NS1, 0);
-        let closed = t.apply_policy(NS1, ExpirationPolicy::AfterClose, "upgrade");
-        assert_eq!(closed, 0);
-        assert_eq!(t.live_count(NS1), 2);
-    }
-
-    #[test]
     fn prune_drops_closed_entries() {
         let t = ConnectionTracker::new();
         let a = t.register(conn(false), NS1, 0);
@@ -438,45 +366,68 @@ mod tests {
         assert_eq!(t.census(NS1, 0, 0).draining, 1);
     }
 
+    /// The whole ladder in one table: every policy against an idle
+    /// session, a session inside a transaction, and a session an earlier
+    /// rung already marked close-after-commit.
     #[test]
-    fn escalate_after_commit_never_severs() {
-        let t = ConnectionTracker::new();
-        let idle = t.register(conn(false), NS1, 0);
-        let busy = t.register(conn(true), NS1, 0);
-        let out = t.escalate(NS1, ExpirationPolicy::AfterCommit, "deadline");
-        assert_eq!(
-            out,
-            EscalationOutcome {
-                closed_now: 1,
-                close_at_commit: 1,
-                severed: 0
+    fn ladder_outcome_for_every_policy_and_session_state() {
+        use ExpirationPolicy::{AfterClose, AfterCommit, Immediate};
+        #[derive(Clone, Copy, Debug)]
+        enum Session {
+            Idle,
+            InTxn,
+            MarkedInTxn,
+        }
+        let out = |closed_now, close_at_commit, severed| EscalationOutcome {
+            closed_now,
+            close_at_commit,
+            severed,
+        };
+        // (policy, session, outcome, still live afterwards)
+        let rows = [
+            (AfterClose, Session::Idle, out(0, 0, 0), true),
+            (AfterClose, Session::InTxn, out(0, 0, 0), true),
+            (AfterClose, Session::MarkedInTxn, out(0, 0, 0), true),
+            (AfterCommit, Session::Idle, out(1, 0, 0), false),
+            (AfterCommit, Session::InTxn, out(0, 1, 0), true),
+            // Idempotent: a session already marked is not recounted.
+            (AfterCommit, Session::MarkedInTxn, out(0, 0, 0), true),
+            (Immediate, Session::Idle, out(1, 0, 0), false),
+            (Immediate, Session::InTxn, out(1, 0, 1), false),
+            (Immediate, Session::MarkedInTxn, out(1, 0, 1), false),
+        ];
+        for (policy, session, want, live) in rows {
+            let t = ConnectionTracker::new();
+            let s = t.register(conn(!matches!(session, Session::Idle)), NS1, 0);
+            s.lock().close_after_commit = matches!(session, Session::MarkedInTxn);
+            let bystander = t.register(conn(true), NS2, 0);
+            let got = t.escalate(NS1, policy, "ladder");
+            assert_eq!(got, want, "{policy:?} on {session:?}");
+            assert_eq!(s.lock().inner.is_some(), live, "{policy:?} on {session:?}");
+            assert_eq!(t.drained(NS1), !live, "{policy:?} on {session:?}");
+            if matches!(policy, AfterCommit) {
+                assert_eq!(got.severed, 0, "AFTER_COMMIT severed a transaction");
+                let marked = !matches!(session, Session::Idle);
+                assert_eq!(s.lock().close_after_commit, marked);
             }
-        );
-        assert!(idle.lock().inner.is_none());
-        assert!(busy.lock().inner.is_some());
-        // Re-escalating is idempotent: the marked session isn't recounted.
-        let again = t.escalate(NS1, ExpirationPolicy::AfterCommit, "deadline");
-        assert_eq!(again, EscalationOutcome::default());
-    }
-
-    #[test]
-    fn escalate_immediate_counts_severed_transactions() {
-        let t = ConnectionTracker::new();
-        t.register(conn(false), NS1, 0);
-        t.register(conn(true), NS1, 0);
-        let out = t.escalate(NS1, ExpirationPolicy::Immediate, "deadline");
-        assert_eq!(out.closed_now, 2);
-        assert_eq!(out.severed, 1);
-        assert!(t.drained(NS1));
-    }
-
-    #[test]
-    fn escalate_after_close_is_a_no_op() {
-        let t = ConnectionTracker::new();
-        t.register(conn(true), NS1, 0);
-        let out = t.escalate(NS1, ExpirationPolicy::AfterClose, "deadline");
-        assert_eq!(out, EscalationOutcome::default());
-        assert_eq!(t.live_count(NS1), 1);
+            // Other namespaces are never touched.
+            assert!(bystander.lock().inner.is_some());
+            assert!(!bystander.lock().close_after_commit);
+        }
+        // A mixed population gets the sum of its rows.
+        for policy in [AfterClose, AfterCommit, Immediate] {
+            let t = ConnectionTracker::new();
+            t.register(conn(false), NS1, 0);
+            t.register(conn(true), NS1, 0);
+            t.register(conn(true), NS1, 0).lock().close_after_commit = true;
+            let mut want = EscalationOutcome::default();
+            for (_, _, row, _) in rows.iter().filter(|r| r.0 == policy) {
+                want.closed_now += row.closed_now;
+                want.close_at_commit += row.close_at_commit;
+                want.severed += row.severed;
+            }
+            assert_eq!(t.escalate(NS1, policy, "ladder"), want, "{policy:?}");
+        }
     }
 
     #[test]

@@ -179,14 +179,6 @@ impl ChunkingParams {
         }
     }
 
-    /// The normalization level (0 for plain Gear and fixed chunking).
-    pub fn norm_level(&self) -> u8 {
-        match *self {
-            ChunkingParams::Cdc { norm, .. } => norm,
-            ChunkingParams::Fixed { .. } => 0,
-        }
-    }
-
     /// Structural validity: all sizes positive, and `min <= avg <= max`
     /// and `norm <= MAX_CDC_NORM` for CDC.
     ///
@@ -1028,7 +1020,7 @@ mod tests {
     fn normalized_default_manifest_verifies_and_survives_insertion() {
         let v1 = image(256 * 1024, 11);
         let params = ChunkingParams::default();
-        assert_eq!(params.norm_level(), DEFAULT_CDC_NORM);
+        assert!(matches!(params, ChunkingParams::Cdc { norm, .. } if norm == DEFAULT_CDC_NORM));
         let m1 = ChunkManifest::of_with(&v1, &params);
         m1.verify(&v1).unwrap();
 

@@ -50,11 +50,6 @@ impl Archive {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, d)| d)
     }
 
-    /// Entry names in insertion order.
-    pub fn entry_names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// All entries in insertion order.
     pub fn entries(&self) -> &[(String, Bytes)] {
         &self.entries
@@ -80,11 +75,6 @@ impl Archive {
         };
         Ok(Archive { format, entries })
     }
-
-    /// Total payload size in bytes (excluding framing).
-    pub fn payload_len(&self) -> usize {
-        self.entries.iter().map(|(_, d)| d.len()).sum()
-    }
 }
 
 pub(super) fn corrupt(reason: impl Into<String>) -> DrvError {
@@ -102,10 +92,11 @@ mod tests {
         a.add_entry("b", Bytes::from_static(b"2"));
         a.add_entry("a", Bytes::from_static(b"3"));
         assert_eq!(a.entry("a").unwrap(), &Bytes::from_static(b"3"));
-        assert_eq!(a.entry_names(), vec!["a", "b"]);
+        let names: Vec<&str> = a.entries().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["a", "b"]);
         assert!(a.remove_entry("a"));
         assert!(!a.remove_entry("a"));
-        assert_eq!(a.payload_len(), 1);
+        assert_eq!(a.entries(), [("b".to_string(), Bytes::from_static(b"2"))]);
     }
 
     #[test]

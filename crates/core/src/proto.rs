@@ -1032,6 +1032,17 @@ impl DrvMsg {
             message: e.to_string(),
         }
     }
+
+    /// The client-side inverse of [`error_from`](Self::error_from), for
+    /// a reply that is not the frame the request expected: the typed
+    /// error a `DRIVOLUTION_ERROR` carries, a codec error naming `what`
+    /// for any other frame.
+    pub fn unexpected(self, what: &str) -> DrvError {
+        match self {
+            DrvMsg::Error { code, message } => code.into_error(message),
+            other => DrvError::Codec(format!("unexpected {what} reply {other:?}")),
+        }
+    }
 }
 
 /// Push notifications on the dedicated bootloader↔server channel (§3.2:

@@ -34,8 +34,6 @@ pub struct ContentIndex {
     /// upgrading from the same prior version advertises byte-identical
     /// `HAVE` chunk lists, so the whole wave shares one plan computation.
     plans: Mutex<HashMap<(u64, u64, ChunkingParams), DeltaPlan>>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
 }
 
 /// Cap on distinct chunking params an index derives manifests for. Real
@@ -61,8 +59,6 @@ pub struct DeltaPlan {
     /// Digests the client must fetch.
     pub missing: Vec<u64>,
 }
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 fn digest_of_set(digests: &[u64]) -> u64 {
     let mut bytes = Vec::with_capacity(digests.len() * 8);
@@ -220,10 +216,8 @@ impl ContentIndex {
     ) -> Option<(DeltaPlan, bool)> {
         let key = (digest, digest_of_set(have_chunks), *params);
         if let Some(plan) = self.plans.lock().get(&key) {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Some((plan.clone(), true));
         }
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let manifest = self.manifest_for(digest, params)?;
         let missing = manifest.missing_given(have_chunks);
         let plan = DeltaPlan { manifest, missing };
@@ -232,14 +226,6 @@ impl ContentIndex {
             plans.insert(key, plan.clone());
         }
         Some((plan, false))
-    }
-
-    /// (hits, misses) of the delta-plan memo since creation.
-    pub fn plan_counters(&self) -> (u64, u64) {
-        (
-            self.plan_hits.load(Ordering::Relaxed),
-            self.plan_misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Chunk bytes by chunk digest.
@@ -383,7 +369,6 @@ mod tests {
             assert!(hit);
             assert_eq!(again.missing, plan.missing);
         }
-        assert_eq!(idx.plan_counters(), (9, 1));
 
         // A different base is a distinct plan (fresh miss).
         let (cold, hit) = idx.delta_plan(d2, &params, &base[..2]).unwrap();

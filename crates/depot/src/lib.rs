@@ -41,13 +41,15 @@
 #![warn(missing_docs)]
 
 mod depot;
+mod exchange;
 mod index;
 mod mirror;
 mod shared;
 
 pub use depot::{DepotStats, DriverDepot};
+pub use exchange::{fetch_chunks, serve_chunks};
 pub use index::{ContentIndex, DeltaPlan};
-pub use mirror::{MirrorDepot, MirrorStats, MirrorTiming};
+pub use mirror::{MirrorDepot, MirrorStats, HEARTBEAT_EVERY};
 pub use shared::SharedImageCache;
 
 /// Parses a `host:port` mirror location (as carried in

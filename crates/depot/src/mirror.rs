@@ -9,40 +9,22 @@ use parking_lot::Mutex;
 
 use netsim::{Addr, NetError, Network, Service, TaskControl, TaskHandle};
 
-use drivolution_core::chunk::{ChunkSet, ChunkingParams};
+use drivolution_core::chunk::ChunkingParams;
 use drivolution_core::proto::{DrvMsg, MAX_HEARTBEAT_COVERAGE};
-use drivolution_core::{transfer, Certificate, DrvError, DrvResult, TransferMethod};
+use drivolution_core::{Certificate, ChannelTrust, DrvError, DrvResult, TransferMethod};
 
+use crate::exchange::{fetch_chunks, serve_chunks};
 use crate::index::ContentIndex;
 
-/// Lifecycle-task cadence for a mirror. These are the client half of the
-/// timing contract whose server half is the directory's
-/// `DirectoryConfig`: the directory defaults its expected heartbeat
-/// interval to [`MirrorTiming::default`]'s `heartbeat_every`, so a
-/// mirror launched with defaults never goes overdue on a healthy
-/// network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MirrorTiming {
-    /// Heartbeat cadence. The directory marks an entry overdue after two
-    /// missed beats at its configured interval.
-    pub heartbeat_every: Duration,
-    /// Uniform jitter added to each heartbeat (spreads a large mirror
-    /// tier's beats off one tick; keep well under `heartbeat_every`).
-    pub heartbeat_jitter: Duration,
-    /// Retry cadence for the launch announce when the primary is not up
-    /// yet; the retry task retires itself on the first success.
-    pub announce_retry: Duration,
-}
+/// Heartbeat cadence of every mirror, and the beat the primary's
+/// directory expects: it marks an entry overdue after two missed beats,
+/// so a mirror on a healthy network never goes overdue. One constant for
+/// both halves of that contract.
+pub const HEARTBEAT_EVERY: Duration = Duration::from_secs(5);
 
-impl Default for MirrorTiming {
-    fn default() -> Self {
-        MirrorTiming {
-            heartbeat_every: Duration::from_secs(5),
-            heartbeat_jitter: Duration::ZERO,
-            announce_retry: Duration::from_secs(2),
-        }
-    }
-}
+/// Retry cadence for the launch announce when the primary is not up
+/// yet; the retry task retires itself on the first success.
+const ANNOUNCE_RETRY: Duration = Duration::from_secs(2);
 
 /// Counters exposed by [`MirrorDepot`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -115,38 +97,17 @@ impl Drop for MirrorDepot {
     /// entries in the scheduler's table (a paused task never fires, so
     /// it would never notice its weak reference died).
     fn drop(&mut self) {
-        let tasks = self.lifecycle.lock();
-        if let Some(t) = &tasks.heartbeat {
-            t.cancel();
-        }
-        if let Some(t) = &tasks.announce_retry {
-            t.cancel();
-        }
+        self.each_task(TaskHandle::cancel);
     }
 }
 
 impl MirrorDepot {
-    /// Creates a mirror bound at `addr`, replicating from `primary`,
-    /// with default [`MirrorTiming`].
+    /// Creates a mirror bound at `addr`, replicating from `primary`.
     ///
     /// # Errors
     ///
     /// [`NetError::AddrInUse`] when `addr` is taken.
     pub fn launch(net: &Network, addr: Addr, primary: Addr) -> Result<Arc<Self>, NetError> {
-        Self::launch_with(net, addr, primary, MirrorTiming::default())
-    }
-
-    /// As [`launch`](Self::launch) with explicit lifecycle-task timing.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::AddrInUse`] when `addr` is taken.
-    pub fn launch_with(
-        net: &Network,
-        addr: Addr,
-        primary: Addr,
-        timing: MirrorTiming,
-    ) -> Result<Arc<Self>, NetError> {
         let mirror = Arc::new(MirrorDepot {
             net: net.clone(),
             addr: addr.clone(),
@@ -164,20 +125,20 @@ impl MirrorDepot {
         // announce-retry task keeps trying until it gets through, and a
         // later heartbeat answered `known: false` re-announces too.
         let announced = mirror.announce().is_ok();
-        mirror.register_lifecycle(timing, announced);
+        mirror.register_lifecycle(announced);
         Ok(mirror)
     }
 
     /// Registers the heartbeat task (and, unless the launch announce
     /// already succeeded, the announce-retry task) on the network's
     /// scheduler.
-    fn register_lifecycle(self: &Arc<Self>, timing: MirrorTiming, announced: bool) {
+    fn register_lifecycle(self: &Arc<Self>, announced: bool) {
         let sched = self.net.scheduler();
         let location = self.location();
         let me = Arc::downgrade(self);
         let heartbeat = sched.every(
-            timing.heartbeat_every,
-            timing.heartbeat_jitter,
+            HEARTBEAT_EVERY,
+            Duration::ZERO,
             format!("mirror-heartbeat {location}"),
             move || match Weak::upgrade(&me) {
                 Some(m) => m
@@ -192,7 +153,7 @@ impl MirrorDepot {
         if !announced {
             let me = Arc::downgrade(self);
             tasks.announce_retry = Some(sched.every(
-                timing.announce_retry,
+                ANNOUNCE_RETRY,
                 Duration::ZERO,
                 format!("mirror-announce {}", self.location()),
                 move || match Weak::upgrade(&me) {
@@ -218,24 +179,18 @@ impl MirrorDepot {
     /// controlled shutdown, e.g. a controller restart). The directory
     /// will see silence and walk the entry overdue→quarantined.
     pub fn pause_lifecycle(&self) {
-        let tasks = self.lifecycle.lock();
-        if let Some(t) = &tasks.heartbeat {
-            t.pause();
-        }
-        if let Some(t) = &tasks.announce_retry {
-            t.pause();
-        }
+        self.each_task(TaskHandle::pause);
     }
 
     /// Resumes paused lifecycle tasks after a restart.
     pub fn resume_lifecycle(&self) {
+        self.each_task(TaskHandle::resume);
+    }
+
+    fn each_task(&self, apply: fn(&TaskHandle)) {
         let tasks = self.lifecycle.lock();
-        if let Some(t) = &tasks.heartbeat {
-            t.resume();
-        }
-        if let Some(t) = &tasks.announce_retry {
-            t.resume();
-        }
+        let all = tasks.heartbeat.iter().chain(&tasks.announce_retry);
+        all.for_each(apply);
     }
 
     /// The zone this mirror is placed in under the network's current
@@ -251,10 +206,7 @@ impl MirrorDepot {
             .map_err(|e| DrvError::Net(format!("mirror directory exchange: {e}")))?;
         match DrvMsg::decode(reply)? {
             DrvMsg::MirrorAck { known } => Ok(known),
-            DrvMsg::Error { code, message } => Err(code.into_error(message)),
-            other => Err(DrvError::Codec(format!(
-                "unexpected directory reply {other:?}"
-            ))),
+            other => Err(other.unexpected("directory")),
         }
     }
 
@@ -353,73 +305,42 @@ impl MirrorDepot {
         self.index.insert(bytes, params)
     }
 
-    fn fetch_missing_from_primary(&self, missing: &[u64]) -> DrvResult<()> {
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let reply = self
-            .net
-            .request(
-                &self.addr,
-                &self.primary,
-                DrvMsg::ChunkRequest {
-                    digests: missing.to_vec(),
-                    transfer_method: TransferMethod::Checksum,
-                }
-                .encode(),
-            )
-            .map_err(|e| DrvError::Net(format!("mirror read-through: {e}")))?;
-        match DrvMsg::decode(reply)? {
-            DrvMsg::ChunkData { payload } => {
-                let raw = transfer::unwrap(
-                    TransferMethod::Checksum,
-                    payload,
-                    &drivolution_core::ChannelTrust::new(),
-                )?;
-                let set = ChunkSet::decode(raw)?;
-                let mut pulled = 0;
-                for (digest, bytes) in set.chunks {
-                    if self.index.put_chunk(digest, bytes) {
-                        pulled += 1;
-                    }
-                }
-                self.stats.lock().read_through_chunks += pulled;
-                Ok(())
-            }
-            DrvMsg::Error { code, message } => Err(code.into_error(message)),
-            other => Err(DrvError::Codec(format!(
-                "unexpected read-through reply {other:?}"
-            ))),
-        }
-    }
-
-    fn handle_chunk_request(&self, digests: &[u64], method: TransferMethod) -> DrvResult<DrvMsg> {
-        let method = method.resolve(TransferMethod::Checksum);
+    /// Read-through: pulls the chunks of `digests` the replica lacks
+    /// from the primary.
+    fn fetch_missing_from_primary(&self, digests: &[u64]) -> DrvResult<()> {
         let missing: Vec<u64> = digests
             .iter()
             .copied()
             .filter(|d| self.index.chunk(*d).is_none())
             .collect();
-        self.fetch_missing_from_primary(&missing)?;
-        let mut chunks = Vec::with_capacity(digests.len());
-        for d in digests {
-            let bytes = self.index.chunk(*d).ok_or_else(|| {
-                DrvError::TransferFailed(format!(
-                    "chunk {d:016x} not available on mirror or primary"
-                ))
-            })?;
-            chunks.push((*d, bytes));
+        if missing.is_empty() {
+            return Ok(());
         }
-        let set = ChunkSet { chunks };
-        let raw = set.encode();
-        let payload = transfer::wrap(method, &raw, Some(&self.cert))?;
-        {
-            let mut st = self.stats.lock();
-            st.chunk_requests += 1;
-            st.chunks_served += set.chunks.len() as u64;
-            st.chunk_bytes_served += set.payload_bytes();
+        let method = TransferMethod::Checksum;
+        let chunks = fetch_chunks(&missing, method, &ChannelTrust::new(), |frame| {
+            self.net
+                .request(&self.addr, &self.primary, frame)
+                .map_err(|e| DrvError::Net(format!("mirror read-through: {e}")))
+        })?;
+        let mut pulled = 0;
+        for (digest, bytes) in chunks {
+            if self.index.put_chunk(digest, bytes) {
+                pulled += 1;
+            }
         }
-        Ok(DrvMsg::ChunkData { payload })
+        self.stats.lock().read_through_chunks += pulled;
+        Ok(())
+    }
+
+    fn handle_chunk_request(&self, digests: &[u64], method: TransferMethod) -> DrvResult<DrvMsg> {
+        self.fetch_missing_from_primary(digests)?;
+        let method = method.resolve(TransferMethod::Checksum);
+        let (reply, set) = serve_chunks(&self.index, digests, method, &self.cert)?;
+        let mut st = self.stats.lock();
+        st.chunk_requests += 1;
+        st.chunks_served += set.chunks.len() as u64;
+        st.chunk_bytes_served += set.payload_bytes();
+        Ok(reply)
     }
 }
 
@@ -445,7 +366,8 @@ impl Service for MirrorDepot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drivolution_core::chunk::{split_with, ChunkManifest, ChunkingParams};
+    use drivolution_core::chunk::{split_with, ChunkManifest, ChunkSet, ChunkingParams};
+    use drivolution_core::transfer;
     use netsim::FnService;
 
     fn image(len: usize, seed: u8) -> Bytes {

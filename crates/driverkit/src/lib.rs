@@ -14,9 +14,8 @@
 //!   per-flavor factories (the cluster middleware registers its own);
 //! * [`registry`] — classloader-style namespaces: multiple driver
 //!   versions loaded side by side, one active for new connects;
-//! * [`pool`] — a generation-stamped connection pool, needed to
-//!   reproduce the paper's `AFTER_CLOSE`-starvation caveat and to drain
-//!   idle connections eagerly during hot swaps;
+//! * [`pool`] — a connection pool, needed to reproduce the paper's
+//!   `AFTER_CLOSE`-starvation caveat;
 //! * [`session`] — per-session accounting (phases, transaction
 //!   boundaries, drain flags) behind the bootloader's coexistence
 //!   windows;

@@ -6,17 +6,11 @@
 //! connection pool settings and application load" (§3.4.2). The
 //! `policy_matrix` integration test demonstrates exactly that stall.
 //!
-//! The pool is *generation-stamped*: every physical connection remembers
-//! the pool generation it was created under, and a checkout never hands
-//! out a connection from a stale generation. [`ConnectionPool::invalidate`]
-//! bumps the generation and eagerly drains the idle list;
-//! [`ConnectionPool::swap_driver`] additionally replaces the driver so new
-//! physical connections open on the upgraded version. Without the stamp,
-//! a connection checked out *during* an upgrade and returned afterwards
-//! would be recycled on the retired driver forever — the stall §3.4.2
-//! warns about.
+//! The pool captures its driver at construction and knows nothing about
+//! driver upgrades: connections it recycles stay on the driver that
+//! opened them (the bootloader's managed connections bypass the pool).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,30 +26,18 @@ pub struct PoolStats {
     pub created: usize,
     /// Checkouts served from the idle list.
     pub reused: usize,
-    /// Connections discarded because their generation stamp was stale
-    /// (created under a driver that has since been swapped out).
-    pub stale_discards: usize,
 }
 
-/// A generation-stamped connection pool.
-///
-/// The driver is captured at construction; driver upgrades either go
-/// through [`ConnectionPool::swap_driver`] (what the bootloader's swap
-/// coordinator calls for adopted pools) or bypass the pool entirely via
-/// the bootloader's managed connections.
+/// A connection pool over one driver, captured at construction.
 pub struct ConnectionPool {
-    driver: Mutex<Arc<dyn Driver>>,
+    driver: Arc<dyn Driver>,
     url: DbUrl,
     props: ConnectProps,
     max_size: usize,
-    /// Idle connections, each stamped with the generation it was
-    /// created under.
-    idle: Mutex<Vec<(u64, Box<dyn Connection>)>>,
-    generation: AtomicU64,
+    idle: Mutex<Vec<Box<dyn Connection>>>,
     live: AtomicUsize,
     created: AtomicUsize,
     reused: AtomicUsize,
-    stale_discards: AtomicUsize,
 }
 
 impl std::fmt::Debug for ConnectionPool {
@@ -63,7 +45,6 @@ impl std::fmt::Debug for ConnectionPool {
         f.debug_struct("ConnectionPool")
             .field("url", &self.url.to_string())
             .field("max_size", &self.max_size)
-            .field("generation", &self.generation.load(Ordering::SeqCst))
             .field("idle", &self.idle.lock().len())
             .field("live", &self.live.load(Ordering::SeqCst))
             .finish()
@@ -79,46 +60,31 @@ impl ConnectionPool {
         max_size: usize,
     ) -> Arc<Self> {
         Arc::new(ConnectionPool {
-            driver: Mutex::new(driver),
+            driver,
             url,
             props,
             max_size: max_size.max(1),
             idle: Mutex::new(Vec::new()),
-            generation: AtomicU64::new(0),
             live: AtomicUsize::new(0),
             created: AtomicUsize::new(0),
             reused: AtomicUsize::new(0),
-            stale_discards: AtomicUsize::new(0),
         })
     }
 
     /// Checks out a connection, reusing an idle one when possible.
-    ///
-    /// Idle connections stamped with a stale generation are closed and
-    /// skipped, never handed out.
     ///
     /// # Errors
     ///
     /// [`DkError::Closed`] when the pool is exhausted; connect errors when
     /// a new physical connection is needed and fails.
     pub fn checkout(self: &Arc<Self>) -> DkResult<PooledConnection> {
-        let generation = self.generation.load(Ordering::SeqCst);
         loop {
             let candidate = self.idle.lock().pop();
             match candidate {
-                Some((stamp, mut conn)) if stamp != generation => {
-                    // Created under a driver that has been swapped out:
-                    // close it rather than recycling the retired driver.
-                    let _ = conn.close();
-                    self.live.fetch_sub(1, Ordering::SeqCst);
-                    self.stale_discards.fetch_add(1, Ordering::SeqCst);
-                    continue;
-                }
-                Some((_stamp, conn)) if conn.is_open() => {
+                Some(conn) if conn.is_open() => {
                     self.reused.fetch_add(1, Ordering::SeqCst);
                     return Ok(PooledConnection {
                         conn: Some(conn),
-                        generation,
                         pool: Arc::clone(self),
                     });
                 }
@@ -137,15 +103,11 @@ impl ConnectionPool {
                 self.max_size
             )));
         }
-        let conn = {
-            let driver = self.driver.lock().clone();
-            driver.connect(&self.url, &self.props)?
-        };
+        let conn = self.driver.connect(&self.url, &self.props)?;
         self.live.fetch_add(1, Ordering::SeqCst);
         self.created.fetch_add(1, Ordering::SeqCst);
         Ok(PooledConnection {
             conn: Some(conn),
-            generation,
             pool: Arc::clone(self),
         })
     }
@@ -160,18 +122,11 @@ impl ConnectionPool {
         self.live.load(Ordering::SeqCst)
     }
 
-    /// Current pool generation; bumped by [`invalidate`](Self::invalidate)
-    /// and [`swap_driver`](Self::swap_driver).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
     /// Pool statistics.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             created: self.created.load(Ordering::SeqCst),
             reused: self.reused.load(Ordering::SeqCst),
-            stale_discards: self.stale_discards.load(Ordering::SeqCst),
         }
     }
 
@@ -180,40 +135,15 @@ impl ConnectionPool {
     pub fn close_idle(&self) {
         let mut idle = self.idle.lock();
         let n = idle.len();
-        for (_stamp, mut c) in idle.drain(..) {
+        for mut c in idle.drain(..) {
             let _ = c.close();
         }
         self.live.fetch_sub(n, Ordering::SeqCst);
     }
 
-    /// Starts a new pool generation: eagerly drains the idle list and
-    /// marks every outstanding (checked-out) connection stale, so it is
-    /// closed instead of recycled when it comes back. The driver is kept;
-    /// use [`swap_driver`](Self::swap_driver) to replace it too.
-    pub fn invalidate(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        self.close_idle();
-    }
-
-    /// Swaps the pool onto a new driver: bumps the generation, drains the
-    /// idle list, and opens all future physical connections with `driver`.
-    /// This is what the bootloader's swap coordinator calls on adopted
-    /// pools when a driver upgrade activates.
-    pub fn swap_driver(&self, driver: Arc<dyn Driver>) {
-        *self.driver.lock() = driver;
-        self.invalidate();
-    }
-
-    fn check_in(&self, conn: Box<dyn Connection>, stamp: u64) {
-        if stamp != self.generation.load(Ordering::SeqCst) {
-            // Came back from a checkout that began before an upgrade:
-            // retire it rather than pooling the stale driver's connection.
-            let mut conn = conn;
-            let _ = conn.close();
-            self.live.fetch_sub(1, Ordering::SeqCst);
-            self.stale_discards.fetch_add(1, Ordering::SeqCst);
-        } else if conn.is_open() {
-            self.idle.lock().push((stamp, conn));
+    fn check_in(&self, conn: Box<dyn Connection>) {
+        if conn.is_open() {
+            self.idle.lock().push(conn);
         } else {
             self.live.fetch_sub(1, Ordering::SeqCst);
         }
@@ -223,7 +153,6 @@ impl ConnectionPool {
 /// A checked-out connection; returns to the pool on drop.
 pub struct PooledConnection {
     conn: Option<Box<dyn Connection>>,
-    generation: u64,
     pool: Arc<ConnectionPool>,
 }
 
@@ -231,7 +160,6 @@ impl std::fmt::Debug for PooledConnection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PooledConnection")
             .field("open", &self.is_open())
-            .field("generation", &self.generation)
             .finish()
     }
 }
@@ -285,7 +213,7 @@ impl Connection for PooledConnection {
     /// `AFTER_CLOSE` upgrades.
     fn close(&mut self) -> DkResult<()> {
         if let Some(conn) = self.conn.take() {
-            self.pool.check_in(conn, self.generation);
+            self.pool.check_in(conn);
         }
         Ok(())
     }
@@ -305,7 +233,7 @@ impl Connection for PooledConnection {
 impl Drop for PooledConnection {
     fn drop(&mut self) {
         if let Some(conn) = self.conn.take() {
-            self.pool.check_in(conn, self.generation);
+            self.pool.check_in(conn);
         }
     }
 }
@@ -347,8 +275,7 @@ mod tests {
             p.stats(),
             PoolStats {
                 created: 1,
-                reused: 1,
-                stale_discards: 0
+                reused: 1
             }
         );
         assert_eq!(p.live_len(), 1);
@@ -412,58 +339,5 @@ mod tests {
         c.close().unwrap();
         assert!(!c.is_open());
         assert!(c.execute("SELECT 1").is_err());
-    }
-
-    /// Regression: before generation stamping, an idle connection created
-    /// under the pre-upgrade driver was handed out again after the driver
-    /// was swapped — the application kept talking to the retired version.
-    #[test]
-    fn stale_generation_idle_connections_are_never_handed_out() {
-        let net = Network::new();
-        let p = pool_on(&net, 4);
-        let mut a = p.checkout().unwrap();
-        a.execute("SELECT 1").unwrap();
-        a.close().unwrap();
-        assert_eq!(p.idle_len(), 1);
-
-        // A driver upgrade swaps the pool onto a new driver instance.
-        let v2 = legacy_driver(&net, &Addr::new("app", 1), 3).unwrap();
-        p.swap_driver(v2);
-        assert_eq!(p.generation(), 1);
-        // The idle list was drained eagerly…
-        assert_eq!(p.idle_len(), 0);
-
-        // …and a fresh checkout opens a brand-new physical connection on
-        // the new driver instead of recycling the stale one.
-        let mut b = p.checkout().unwrap();
-        b.execute("SELECT 1").unwrap();
-        assert_eq!(p.stats().created, 2);
-        assert_eq!(p.stats().reused, 0);
-    }
-
-    /// A connection checked out *during* the old generation and returned
-    /// *after* the swap is retired at check-in, not pooled.
-    #[test]
-    fn outstanding_checkouts_returning_after_invalidate_are_retired() {
-        let p = pool(4);
-        let a = p.checkout().unwrap();
-        p.invalidate();
-        drop(a); // returns to the pool with a stale stamp
-        assert_eq!(p.idle_len(), 0);
-        assert_eq!(p.live_len(), 0);
-        assert_eq!(p.stats().stale_discards, 1);
-    }
-
-    #[test]
-    fn invalidate_without_swap_keeps_driver_but_discards_idles() {
-        let p = pool(4);
-        let c = p.checkout().unwrap();
-        drop(c);
-        assert_eq!(p.idle_len(), 1);
-        p.invalidate();
-        assert_eq!(p.idle_len(), 0);
-        let mut again = p.checkout().unwrap();
-        again.execute("SELECT 1").unwrap();
-        assert_eq!(p.stats().created, 2);
     }
 }

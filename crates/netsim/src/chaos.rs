@@ -288,7 +288,8 @@ impl ChaosSchedule {
     /// insertion order — so replay is stable regardless of how the
     /// schedule was assembled. Returns the number of events installed.
     pub fn install(&self, net: &Network) -> usize {
-        let mut ordered: Vec<(usize, &(u64, ChaosAction))> = self.events.iter().enumerate().collect();
+        let mut ordered: Vec<(usize, &(u64, ChaosAction))> =
+            self.events.iter().enumerate().collect();
         ordered.sort_by_key(|(idx, (at, _))| (*at, *idx));
         for (_, (at_ms, action)) in &ordered {
             let action = (*action).clone();

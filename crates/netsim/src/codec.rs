@@ -55,17 +55,6 @@ pub fn put_opt_str(buf: &mut BytesMut, s: Option<&str>) {
     }
 }
 
-/// Writes an `Option<i64>`: presence byte then the value.
-pub fn put_opt_i64(buf: &mut BytesMut, v: Option<i64>) {
-    match v {
-        Some(v) => {
-            buf.put_u8(1);
-            buf.put_i64_le(v);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
 /// Reads one byte.
 ///
 /// # Errors
@@ -165,19 +154,6 @@ pub fn get_opt_str(buf: &mut Bytes, what: &str) -> Result<Option<String>, CodecE
     }
 }
 
-/// Reads an `Option<i64>` written by [`put_opt_i64`].
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow or an invalid presence byte.
-pub fn get_opt_i64(buf: &mut Bytes, what: &str) -> Result<Option<i64>, CodecError> {
-    match get_u8(buf, what)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_i64(buf, what)?)),
-        n => Err(CodecError::new(format!("{what}: bad presence byte {n}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,8 +170,6 @@ mod tests {
         put_bytes(&mut b, &[1, 2, 3]);
         put_opt_str(&mut b, None);
         put_opt_str(&mut b, Some("x"));
-        put_opt_i64(&mut b, Some(-1));
-        put_opt_i64(&mut b, None);
 
         let mut r = b.freeze();
         assert_eq!(get_u8(&mut r, "a").unwrap(), 7);
@@ -210,8 +184,6 @@ mod tests {
         );
         assert_eq!(get_opt_str(&mut r, "h").unwrap(), None);
         assert_eq!(get_opt_str(&mut r, "i").unwrap(), Some("x".to_string()));
-        assert_eq!(get_opt_i64(&mut r, "j").unwrap(), Some(-1));
-        assert_eq!(get_opt_i64(&mut r, "k").unwrap(), None);
         assert_eq!(r.remaining(), 0);
     }
 

@@ -315,6 +315,18 @@ impl Scheduler {
         self.inner.state.lock().tasks.len()
     }
 
+    /// Names of the live tasks in registration order. Each task's jitter
+    /// generator is seeded from its position in this order, so the list
+    /// is part of the replay contract: a refactor that registers one
+    /// task more, fewer, or earlier moves every later task's schedule.
+    pub fn task_names(&self) -> Vec<String> {
+        let st = self.inner.state.lock();
+        // drvlint: allow(map-iter) — sorted by task id on the next line.
+        let mut by_id: Vec<(&u64, &Task)> = st.tasks.iter().collect();
+        by_id.sort_unstable_by_key(|(id, _)| **id);
+        by_id.into_iter().map(|(_, t)| t.name.clone()).collect()
+    }
+
     /// Fires every task due at or before the current clock (catching up
     /// tasks whose due time was jumped over by a manual
     /// [`Clock::advance_ms`]). Returns the number of executions.
@@ -537,29 +549,6 @@ impl TaskHandle {
         let mut st = self.inner.state.lock();
         st.dequeue(self.id);
         st.tasks.remove(&self.id);
-    }
-
-    /// Changes a periodic task's interval (and jitter), re-arming it one
-    /// new interval from now. No-op for one-shot or cancelled tasks.
-    pub fn reschedule(&self, interval: Duration, jitter: Duration) {
-        let now = self.inner.clock.now_ms();
-        let mut st = self.inner.state.lock();
-        let Some(t) = st.tasks.get_mut(&self.id) else {
-            return;
-        };
-        if let Cadence::Periodic { .. } = t.cadence {
-            t.cadence = Cadence::Periodic {
-                interval_ms: ms(interval).max(1),
-                jitter_ms: ms(jitter),
-            };
-            t.rearmed = true;
-            if t.paused {
-                return;
-            }
-            let j = t.jitter();
-            let interval_ms = ms(interval).max(1);
-            st.enqueue(self.id, now + interval_ms + j);
-        }
     }
 
     /// (Re-)arms the task to fire at absolute virtual time `due_ms`
@@ -910,23 +899,6 @@ mod tests {
         let h = sched.dormant("exact", || Ok(TaskControl::Continue));
         h.reschedule_at_jittered(2_000, 0);
         assert_eq!(h.next_due_ms(), Some(2_000));
-    }
-
-    #[test]
-    fn reschedule_changes_a_periodic_interval() {
-        let (sched, _clock) = rig();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = sched.every(
-            Duration::from_millis(100),
-            Duration::ZERO,
-            "t",
-            counter_task(&hits),
-        );
-        sched.run_until(200);
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-        h.reschedule(Duration::from_millis(10), Duration::ZERO);
-        sched.run_until(250);
-        assert_eq!(hits.load(Ordering::SeqCst), 2 + 5);
     }
 
     #[test]

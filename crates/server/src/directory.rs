@@ -14,7 +14,7 @@
 //! promptly with wrong bytes. Clients detect that locally (digest and
 //! checksum verification) and file `MIRROR_COMPLAINT` frames; the
 //! directory keeps a sticky per-mirror strike ledger and demotes a
-//! mirror once corroborated complaints cross the configured thresholds.
+//! mirror once corroborated complaints cross the demotion thresholds.
 //! Demotion is permanent — unlike quarantine it survives re-announce,
 //! heartbeats, and sweeps.
 //!
@@ -30,14 +30,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use netsim::Clock;
 
 use drivolution_core::MirrorCandidate;
-use drivolution_depot::MirrorTiming;
+use drivolution_depot::HEARTBEAT_EVERY;
 
 /// Health lifecycle of a directory entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,42 +86,21 @@ pub struct MirrorEntry {
     pub demoted: bool,
 }
 
-/// Directory timing and ranking knobs. The timing side is the server
-/// half of the contract whose client half is
-/// [`drivolution_depot::MirrorTiming`]: `heartbeat_interval` defaults to
-/// the same `Duration` mirrors schedule their heartbeat task with.
-#[derive(Clone, Copy, Debug)]
-pub struct DirectoryConfig {
-    /// Expected heartbeat cadence. An entry is `Overdue` after missing
-    /// two beats.
-    pub heartbeat_interval: Duration,
-    /// Silence after which an entry is quarantined (excluded from
-    /// plans).
-    pub quarantine_after: Duration,
-    /// Silence after which a quarantined entry is evicted entirely.
-    pub evict_after: Duration,
-    /// Maximum candidates ranked into one chunk plan.
-    pub max_candidates: usize,
-    /// Corruption strikes required before a mirror is demoted.
-    pub demote_strikes: u32,
-    /// Distinct complaining client hosts required before a mirror is
-    /// demoted (corroboration — a single client's complaints never
-    /// demote on their own).
-    pub demote_reporters: u32,
-}
-
-impl Default for DirectoryConfig {
-    fn default() -> Self {
-        DirectoryConfig {
-            heartbeat_interval: MirrorTiming::default().heartbeat_every,
-            quarantine_after: Duration::from_secs(15),
-            evict_after: Duration::from_secs(120),
-            max_candidates: 3,
-            demote_strikes: 2,
-            demote_reporters: 2,
-        }
-    }
-}
+/// Silence after which an entry is `Overdue`: two missed beats at the
+/// cadence every mirror heartbeats with.
+const OVERDUE_AFTER_MS: u64 = 2 * HEARTBEAT_EVERY.as_millis() as u64;
+/// Silence after which an entry is quarantined (excluded from plans).
+const QUARANTINE_AFTER_MS: u64 = 15_000;
+/// Silence after which a quarantined entry is evicted entirely.
+const EVICT_AFTER_MS: u64 = 120_000;
+/// Maximum candidates ranked into one chunk plan.
+const MAX_CANDIDATES: usize = 3;
+/// Corruption strikes required before a mirror is demoted.
+const DEMOTE_STRIKES: u32 = 2;
+/// Distinct complaining client hosts required before a mirror is demoted
+/// (corroboration — a single client's complaints never demote on their
+/// own).
+const DEMOTE_REPORTERS: usize = 2;
 
 /// What [`MirrorDirectory::complaint`] did with one complaint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,25 +114,19 @@ pub enum ComplaintOutcome {
     Demoted,
 }
 
-fn ms(d: Duration) -> u64 {
-    d.as_millis() as u64
-}
-
 /// Health-aware, locality- and coverage-aware registry of depot mirrors.
 #[derive(Debug)]
 pub struct MirrorDirectory {
     clock: Clock,
-    config: DirectoryConfig,
     entries: Mutex<BTreeMap<String, MirrorEntry>>,
     rotation: AtomicU64,
 }
 
 impl MirrorDirectory {
     /// An empty directory on the given clock.
-    pub fn new(clock: Clock, config: DirectoryConfig) -> Self {
+    pub fn new(clock: Clock) -> Self {
         MirrorDirectory {
             clock,
-            config,
             entries: Mutex::new(BTreeMap::new()),
             rotation: AtomicU64::new(0),
         }
@@ -205,8 +177,8 @@ impl MirrorDirectory {
     /// Records a `MIRROR_COMPLAINT` from `reporter` (the complaining
     /// client's host) against `location`. The mirror is demoted — struck
     /// from every future plan, immune to re-announce — once it has
-    /// accumulated at least `demote_strikes` strikes from at least
-    /// `demote_reporters` *distinct* reporters. Complaints against
+    /// accumulated at least two strikes (`DEMOTE_STRIKES`) from at least
+    /// two *distinct* reporters (`DEMOTE_REPORTERS`). Complaints against
     /// locations the directory has never seen are ignored (a client
     /// cannot pre-poison a mirror that has not announced).
     pub fn complaint(&self, location: &str, reporter: &str) -> ComplaintOutcome {
@@ -216,10 +188,7 @@ impl MirrorDirectory {
         };
         e.strikes = e.strikes.saturating_add(1);
         e.complainants.insert(reporter.to_string());
-        if !e.demoted
-            && e.strikes >= self.config.demote_strikes
-            && e.complainants.len() >= self.config.demote_reporters as usize
-        {
+        if !e.demoted && e.strikes >= DEMOTE_STRIKES && e.complainants.len() >= DEMOTE_REPORTERS {
             e.demoted = true;
             ComplaintOutcome::Demoted
         } else {
@@ -264,16 +233,16 @@ impl MirrorDirectory {
                 return true;
             }
             let silence = now.saturating_sub(e.last_seen_ms);
-            e.health = if silence > ms(self.config.quarantine_after) {
+            e.health = if silence > QUARANTINE_AFTER_MS {
                 MirrorHealth::Quarantined
-            } else if silence > 2 * ms(self.config.heartbeat_interval) {
+            } else if silence > OVERDUE_AFTER_MS {
                 MirrorHealth::Overdue
             } else {
                 MirrorHealth::Healthy
             };
             // Demoted entries are retained forever: evicting one would
             // let the offender re-announce with a clean strike ledger.
-            e.demoted || silence <= ms(self.config.evict_after)
+            e.demoted || silence <= EVICT_AFTER_MS
         });
     }
 
@@ -283,7 +252,7 @@ impl MirrorDirectory {
     /// mirror already holding the release's chunks serves them without a
     /// read-through storm on the primary), lightly loaded before busy;
     /// ties rotate per call so equal mirrors share traffic. Quarantined
-    /// and demoted mirrors are excluded. At most `max_candidates` are
+    /// and demoted mirrors are excluded. At most three (`MAX_CANDIDATES`) are
     /// returned.
     ///
     /// Mirrors that never reported coverage (pinned entries, replicas
@@ -320,7 +289,7 @@ impl MirrorDirectory {
             (e.health != MirrorHealth::Healthy, zone_miss, misses, e.load)
         });
         live.into_iter()
-            .take(self.config.max_candidates)
+            .take(MAX_CANDIDATES)
             .map(|e| MirrorCandidate {
                 location: e.location.clone(),
                 zone: e.zone.clone(),
@@ -360,7 +329,7 @@ mod tests {
 
     fn directory() -> (MirrorDirectory, Clock) {
         let clock = Clock::simulated();
-        let dir = MirrorDirectory::new(clock.clone(), DirectoryConfig::default());
+        let dir = MirrorDirectory::new(clock.clone());
         (dir, clock)
     }
 
@@ -431,7 +400,7 @@ mod tests {
         dir.heartbeat("idle-west:1071", 10, 10, 0, &[]);
         // ...except stale-east, which stays overdue (not yet quarantined).
         let c = dir.candidates(Some("east"), &[]);
-        assert_eq!(c.len(), 3, "max_candidates caps the plan");
+        assert_eq!(c.len(), 3, "MAX_CANDIDATES caps the plan");
         assert_eq!(c[0].location, "idle-east:1071");
         assert_eq!(c[1].location, "busy-east:1071");
         assert_eq!(c[2].location, "idle-west:1071");
@@ -494,12 +463,21 @@ mod tests {
         dir.announce("evil:1071", None, false);
         dir.announce("honest:1071", None, false);
         // One reporter, even striking twice, is not corroboration.
-        assert_eq!(dir.complaint("evil:1071", "app1"), ComplaintOutcome::Recorded);
-        assert_eq!(dir.complaint("evil:1071", "app1"), ComplaintOutcome::Recorded);
+        assert_eq!(
+            dir.complaint("evil:1071", "app1"),
+            ComplaintOutcome::Recorded
+        );
+        assert_eq!(
+            dir.complaint("evil:1071", "app1"),
+            ComplaintOutcome::Recorded
+        );
         assert!(!dir.entry("evil:1071").unwrap().demoted);
         assert_eq!(dir.candidates(None, &[]).len(), 2);
         // A second distinct reporter crosses both thresholds.
-        assert_eq!(dir.complaint("evil:1071", "app2"), ComplaintOutcome::Demoted);
+        assert_eq!(
+            dir.complaint("evil:1071", "app2"),
+            ComplaintOutcome::Demoted
+        );
         let e = dir.entry("evil:1071").unwrap();
         assert!(e.demoted);
         assert_eq!(e.strikes, 3);
@@ -507,9 +485,15 @@ mod tests {
         assert_eq!(c.len(), 1, "demoted mirror leaves the plan");
         assert_eq!(c[0].location, "honest:1071");
         // Further strikes just accumulate.
-        assert_eq!(dir.complaint("evil:1071", "app3"), ComplaintOutcome::Recorded);
+        assert_eq!(
+            dir.complaint("evil:1071", "app3"),
+            ComplaintOutcome::Recorded
+        );
         // Unseen locations cannot be pre-poisoned.
-        assert_eq!(dir.complaint("ghost:1071", "app1"), ComplaintOutcome::Unknown);
+        assert_eq!(
+            dir.complaint("ghost:1071", "app1"),
+            ComplaintOutcome::Unknown
+        );
     }
 
     #[test]
@@ -521,7 +505,11 @@ mod tests {
         dir.announce("evil:1071", Some("east".into()), false);
         dir.complaint("evil:1071", "app1");
         assert!(!dir.announce("evil:1071", Some("east".into()), false));
-        assert_eq!(dir.entry("evil:1071").unwrap().strikes, 1, "strike survived");
+        assert_eq!(
+            dir.entry("evil:1071").unwrap().strikes,
+            1,
+            "strike survived"
+        );
         dir.complaint("evil:1071", "app2");
         assert!(dir.entry("evil:1071").unwrap().demoted);
         assert!(!dir.announce("evil:1071", Some("west".into()), false));
@@ -550,14 +538,5 @@ mod tests {
         // And re-announcing still lands on the demoted entry.
         assert!(!dir.announce("evil:1071", None, false));
         assert!(dir.entry("evil:1071").unwrap().demoted);
-    }
-
-    #[test]
-    fn directory_and_mirror_default_timing_agree() {
-        assert_eq!(
-            DirectoryConfig::default().heartbeat_interval,
-            MirrorTiming::default().heartbeat_every,
-            "a default-launched mirror must never go overdue on a healthy network"
-        );
     }
 }

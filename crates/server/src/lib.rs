@@ -20,17 +20,17 @@
 
 pub mod assemble;
 pub mod directory;
+mod grant;
 pub mod license;
 pub mod notify;
+mod offer;
 pub mod rollout;
 pub mod server;
 pub mod store;
 pub mod variants;
 
 pub use assemble::Assembler;
-pub use directory::{
-    ComplaintOutcome, DirectoryConfig, MirrorDirectory, MirrorEntry, MirrorHealth,
-};
+pub use directory::{ComplaintOutcome, MirrorDirectory, MirrorEntry, MirrorHealth};
 pub use license::LicenseManager;
 pub use notify::NotifyHub;
 pub use rollout::{

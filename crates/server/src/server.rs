@@ -3,7 +3,7 @@
 //! and pushes upgrade notices (paper §3–§4).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,27 +12,20 @@ use parking_lot::Mutex;
 
 use netsim::{Addr, Clock, NetError, Network, Pipe, Service, TaskControl};
 
-use drivolution_core::chunk::ChunkSet;
-use drivolution_core::pack::{pack_driver, unpack_driver};
-use drivolution_core::proto::{ChunkPlan, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
-use drivolution_core::transfer;
+use drivolution_core::proto::{DrvErrCode, DrvMsg, DrvOffer, DrvRequest};
 use drivolution_core::{
-    fnv1a64, Certificate, ChunkingParams, ClientIdentity, DriverId, DriverQuery, DriverRecord,
-    DrvError, DrvNotice, DrvResult, ExpirationPolicy, PermissionRule, RenewPolicy, Signature,
-    SigningKey, TransferMethod,
+    Certificate, ChunkingParams, DriverId, DriverRecord, DrvError, DrvNotice, DrvResult,
+    PermissionRule, RenewPolicy, SigningKey, TransferMethod,
 };
-use drivolution_depot::{ContentIndex, DeltaPlan};
+use drivolution_depot::ContentIndex;
 
 use crate::assemble::Assembler;
-use crate::directory::{ComplaintOutcome, DirectoryConfig, MirrorDirectory};
+use crate::directory::{ComplaintOutcome, MirrorDirectory};
 use crate::license::{LicenseManager, DEFAULT_LICENSE_SHARDS};
 use crate::notify::NotifyHub;
+use crate::offer::{OfferMeta, Staged};
 use crate::rollout::RolloutOrchestrator;
 use crate::store::DriverStore;
-
-/// Lease granted when no permission rule overrides it (paper §3.2:
-/// "settings ranging from an hour to a day are suitable").
-const DEFAULT_LEASE_MS: u64 = 3_600_000;
 
 /// Cadence of the background maintenance task registered by
 /// [`DrivolutionServer::register_maintenance`].
@@ -117,20 +110,6 @@ pub struct ServerStats {
     pub batched_renewals: u64,
 }
 
-#[derive(Debug)]
-struct Staged {
-    bytes: Bytes,
-    method: TransferMethod,
-}
-
-// Memoized offer metadata for one driver row; usable only while `bytes`
-// still equals the served binary.
-struct OfferMeta {
-    bytes: Bytes,
-    digest: u64,
-    signature: Option<Signature>,
-}
-
 /// Events emitted by administrative operations — the replication hook the
 /// cluster middleware subscribes to (§5.3.2: "When a new driver is added
 /// to a Drivolution server, it is instantly replicated to other
@@ -152,29 +131,26 @@ type EventHook = Arc<dyn Fn(&AdminEvent) + Send + Sync>;
 /// variants differ only in the [`DriverStore`] executor behind it.
 pub struct DrivolutionServer {
     name: String,
-    store: DriverStore,
-    config: ServerConfig,
-    clock: Clock,
-    cert: Certificate,
-    licenses: LicenseManager,
-    assembler: Assembler,
+    pub(crate) store: DriverStore,
+    pub(crate) config: ServerConfig,
+    pub(crate) clock: Clock,
+    pub(crate) cert: Certificate,
+    pub(crate) licenses: LicenseManager,
+    pub(crate) assembler: Assembler,
     hub: NotifyHub,
-    staged: Mutex<HashMap<String, Staged>>,
-    stage_counter: AtomicU64,
-    depot: ContentIndex,
-    directory: MirrorDirectory,
-    stats: Mutex<ServerStats>,
+    pub(crate) staged: Mutex<HashMap<String, Staged>>,
+    pub(crate) stage_counter: AtomicU64,
+    pub(crate) depot: ContentIndex,
+    pub(crate) directory: MirrorDirectory,
+    pub(crate) stats: Mutex<ServerStats>,
     rollout: Mutex<Option<Arc<RolloutOrchestrator>>>,
     /// Memoized per-driver offer metadata (content digest + signature),
     /// keyed by the served bytes themselves so direct SQL writes to the
     /// drivers table can never serve a stale digest: a hit requires the
     /// cached [`Bytes`] to match the record's, checked by pointer first
     /// and by content on reallocation.
-    offer_meta: Mutex<HashMap<DriverId, OfferMeta>>,
+    pub(crate) offer_meta: Mutex<HashMap<DriverId, OfferMeta>>,
     hooks: Mutex<Vec<EventHook>>,
-    /// When true, admin operations skip event hooks (used while applying
-    /// replicated events to avoid loops).
-    applying_replica: std::sync::atomic::AtomicBool,
 }
 
 impl std::fmt::Debug for DrivolutionServer {
@@ -196,26 +172,23 @@ impl DrivolutionServer {
     ) -> Self {
         let name = name.into();
         let cert = Certificate::issue(name.clone(), 1);
-        let directory = MirrorDirectory::new(clock.clone(), DirectoryConfig::default());
-        let license_shards = config.license_shards.max(1);
         DrivolutionServer {
             name,
             store,
+            licenses: LicenseManager::with_shards(config.license_shards),
             config,
+            directory: MirrorDirectory::new(clock.clone()),
             clock,
             cert,
-            licenses: LicenseManager::with_shards(license_shards),
             assembler: Assembler::new(),
             hub: NotifyHub::new(),
             staged: Mutex::new(HashMap::new()),
             stage_counter: AtomicU64::new(0),
             depot: ContentIndex::new(),
-            directory,
             stats: Mutex::new(ServerStats::default()),
             rollout: Mutex::new(None),
             offer_meta: Mutex::new(HashMap::new()),
             hooks: Mutex::new(Vec::new()),
-            applying_replica: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -302,14 +275,10 @@ impl DrivolutionServer {
         *self.rollout.lock() = Some(rollout);
     }
 
-    /// Detaches the current rollout orchestrator, if any.
-    pub fn detach_rollout(&self) -> Option<Arc<RolloutOrchestrator>> {
-        self.rollout.lock().take()
-    }
-
-    /// The attached rollout orchestrator, if any.
-    pub fn rollout(&self) -> Option<Arc<RolloutOrchestrator>> {
-        self.rollout.lock().clone()
+    /// The attached rollout orchestrator, when it governs `database`.
+    pub(crate) fn rollout_for(&self, database: &str) -> Option<Arc<RolloutOrchestrator>> {
+        let attached = self.rollout.lock().clone();
+        attached.filter(|ro| ro.database() == database)
     }
 
     /// Subscribes to admin events (replication hook).
@@ -318,9 +287,6 @@ impl DrivolutionServer {
     }
 
     fn emit(&self, event: AdminEvent) {
-        if self.applying_replica.load(Ordering::SeqCst) {
-            return;
-        }
         for h in self.hooks.lock().iter() {
             h(&event);
         }
@@ -373,8 +339,7 @@ impl DrivolutionServer {
     ///
     /// Store failures.
     pub fn apply_replicated(&self, event: &AdminEvent) -> DrvResult<()> {
-        self.applying_replica.store(true, Ordering::SeqCst);
-        let r = match event {
+        match event {
             AdminEvent::DriverAdded(rec) => {
                 self.depot
                     .insert(rec.binary.clone(), &self.depot_chunking());
@@ -385,9 +350,7 @@ impl DrivolutionServer {
                 .store
                 .expire_driver(*id, self.clock.now_ms() as i64 - 1)
                 .map(|_| ()),
-        };
-        self.applying_replica.store(false, Ordering::SeqCst);
-        r
+        }
     }
 
     /// Pushes a "new driver available" notice down every dedicated
@@ -441,477 +404,47 @@ impl DrivolutionServer {
 
     // --- request handling ----------------------------------------------
 
-    fn serves(&self, database: &str) -> bool {
+    pub(crate) fn serves(&self, database: &str) -> bool {
         match &self.config.serves {
             None => true,
             Some(list) => list.iter().any(|d| d == database),
         }
     }
 
-    fn query_of(&self, from: &Addr, req: &DrvRequest) -> DriverQuery {
-        DriverQuery {
-            identity: ClientIdentity::new(&req.user, from.host(), &req.database),
-            api_name: req.api_name.clone(),
-            api_version: req.api_version,
-            client_platform: req.client_platform.clone(),
-            preferred_format: req.preferred_format,
-            preferred_version: req.preferred_version,
+    /// One request, counted: the offer `handle_request` makes, with the
+    /// request/offer/renewal accounting every caller shares.
+    fn grant(&self, from: &Addr, req: &DrvRequest, advertise_only: bool) -> DrvResult<DrvOffer> {
+        self.stats.lock().requests += 1;
+        let offer = self.handle_request(from, req, advertise_only)?;
+        let mut st = self.stats.lock();
+        st.offers += 1;
+        if offer.same_driver {
+            st.renewals += 1;
         }
-    }
-
-    fn find_match(&self, q: &DriverQuery) -> DrvResult<(DriverRecord, Option<PermissionRule>)> {
-        let matching_records = self.store.matching_drivers(q)?;
-        if !self.store.has_rules()? {
-            let rec = matching_records.into_iter().next().ok_or_else(|| {
-                DrvError::NoMatchingDriver(format!(
-                    "no driver for API {} on {}",
-                    q.api_name, q.client_platform
-                ))
-            })?;
-            return Ok((rec, None));
-        }
-        let permitted = self.store.permitted_driver_ids(&q.identity)?;
-        // First match wins (Sample code 1's `LIMIT 1`).
-        let (rec, rule) = matching_records
-            .into_iter()
-            .find_map(|rec| {
-                permitted
-                    .iter()
-                    .find(|(id, _)| *id == rec.id)
-                    .map(|(_, rule)| (rec, rule.clone()))
-            })
-            .ok_or_else(|| {
-                DrvError::NoMatchingDriver(format!(
-                    "no permitted driver for user {} from {}",
-                    q.identity.user, q.identity.client_ip
-                ))
-            })?;
-        Ok((rec, Some(rule)))
-    }
-
-    /// Whether the client's *current* driver still matches its query and
-    /// permissions; returns the record and rule when it does.
-    fn current_still_granted(
-        &self,
-        q: &DriverQuery,
-        current: DriverId,
-    ) -> DrvResult<Option<(DriverRecord, Option<PermissionRule>)>> {
-        let matching = self.store.matching_drivers(q)?;
-        let Some(rec) = matching.into_iter().find(|r| r.id == current) else {
-            return Ok(None);
-        };
-        if !self.store.has_rules()? {
-            return Ok(Some((rec, None)));
-        }
-        let permitted = self.store.permitted_driver_ids(&q.identity)?;
-        Ok(permitted
-            .into_iter()
-            .find(|(id, _)| *id == current)
-            .map(|(_, rule)| (rec, Some(rule))))
-    }
-
-    fn stage(&self, bytes: Bytes, method: TransferMethod) -> String {
-        let n = self.stage_counter.fetch_add(1, Ordering::SeqCst);
-        let location = format!("stage/{n}");
-        self.staged
-            .lock()
-            .insert(location.clone(), Staged { bytes, method });
-        location
-    }
-
-    /// Content digest and signature for the bytes served in an offer,
-    /// memoized per driver. Correctness never depends on invalidation: a
-    /// cached entry is used only when its bytes equal the record's —
-    /// same allocation in the common read-through case (blobs are shared
-    /// [`Bytes`] all the way from storage), equal content after the
-    /// drivers row was rewritten in place.
-    fn offer_meta_for(&self, id: DriverId, bytes: &Bytes) -> (u64, Option<Signature>) {
-        {
-            let cache = self.offer_meta.lock();
-            if let Some(m) = cache.get(&id) {
-                let same_alloc = m.bytes.as_ptr() == bytes.as_ptr() && m.bytes.len() == bytes.len();
-                if same_alloc || m.bytes == *bytes {
-                    return (m.digest, m.signature);
-                }
-            }
-        }
-        let digest = fnv1a64(bytes);
-        let signature = self.config.signing.as_ref().map(|k| k.sign(bytes));
-        self.offer_meta.lock().insert(
-            id,
-            OfferMeta {
-                bytes: bytes.clone(),
-                digest,
-                signature,
-            },
-        );
-        (digest, signature)
-    }
-
-    fn offer_for(
-        &self,
-        record: &DriverRecord,
-        rule: Option<&PermissionRule>,
-        req: &DrvRequest,
-        same_driver: bool,
-        advertise_only: bool,
-    ) -> DrvResult<DrvOffer> {
-        let lease_ms = rule
-            .and_then(|r| r.lease_time_ms)
-            .map(|ms| ms.max(1) as u64)
-            .unwrap_or(DEFAULT_LEASE_MS);
-        let renew = rule
-            .map(|r| r.renew_policy)
-            .unwrap_or(self.config.default_renew);
-        let expiration = rule
-            .map(|r| r.expiration_policy)
-            .unwrap_or(ExpirationPolicy::AfterCommit);
-        let method = rule
-            .map(|r| r.transfer_method)
-            .unwrap_or(TransferMethod::Any)
-            .resolve(req.transfer_method.resolve(self.config.default_transfer));
-
-        // Assemble the bytes to serve: possibly a customized image.
-        let mut bytes = record.binary.clone();
-        let mut customized = false;
-        if self.config.customize && !req.options.is_empty() && !same_driver {
-            let image = unpack_driver(record.format, bytes.clone())?;
-            let custom = self.assembler.customize(&image, &req.options)?;
-            bytes = pack_driver(record.format, &custom);
-            customized = true;
-        }
-
-        // Digest + signature are O(bytes): memoize them per driver so a
-        // fleet of same-tick renewals hashes the binary once, not once
-        // per client. Per-client customized images bypass the cache.
-        let (content_digest, signature) = if customized {
-            (
-                fnv1a64(&bytes),
-                self.config.signing.as_ref().map(|k| k.sign(&bytes)),
-            )
-        } else {
-            self.offer_meta_for(record.id, &bytes)
-        };
-        let size = bytes.len() as u64;
-
-        // Depot-aware delivery (clients advertising a HAVE summary):
-        // exact cached content revalidates with zero transfer; content
-        // indexed in the server depot upgrades via a chunk delta when the
-        // client already holds some of its chunks. The delta manifest is
-        // derived under the *client's* chunking params — boundaries are a
-        // pure function of (bytes, params), so both sides agree without
-        // negotiation and a client chunking differently from the server
-        // no longer silently degrades to a full transfer. Everything
-        // else (and every depot-less client) takes the staged full-file
-        // path. Advertise-only discovers skip all of it: they grant
-        // nothing, so they must not move the depot counters or consume
-        // mirror round-robin slots.
-        let mut chunked: Option<ChunkPlan> = None;
-        let mut delivery_resolved = same_driver;
-        if !same_driver && !advertise_only {
-            if let Some(have) = &req.have {
-                if have.images.contains(&content_digest) {
-                    self.stats.lock().revalidations += 1;
-                    delivery_resolved = true;
-                } else if have.params.delta_safe() && !have.chunks.is_empty() {
-                    // The plan (manifest derivation + missing-chunk set) is
-                    // memoized in the content index, so a fleet-wide wave
-                    // of clients on the same prior version computes it
-                    // once instead of per client.
-                    if let Some((plan, hit)) =
-                        self.depot
-                            .delta_plan(content_digest, &have.params, &have.chunks)
-                    {
-                        {
-                            let mut st = self.stats.lock();
-                            if hit {
-                                st.plan_hits += 1;
-                            } else {
-                                st.plan_misses += 1;
-                            }
-                        }
-                        let DeltaPlan { manifest, missing } = plan;
-                        if missing.len() < manifest.chunk_count() {
-                            // Candidates are ranked for *this* delta:
-                            // mirrors already holding the missing chunks
-                            // come first, so a fresh release does not
-                            // trigger a read-through storm on the
-                            // primary.
-                            let mirrors = self.directory.candidates(req.zone.as_deref(), &missing);
-                            chunked = Some(ChunkPlan {
-                                manifest,
-                                missing,
-                                mirrors,
-                            });
-                            self.stats.lock().delta_offers += 1;
-                            delivery_resolved = true;
-                        }
-                    }
-                }
-            }
-        }
-        let location = if delivery_resolved {
-            String::new()
-        } else {
-            self.stage(bytes, method)
-        };
-        let mut options: Vec<(String, String)> = Vec::new();
-        if let Some(r) = rule {
-            if let Some(opts) = &r.driver_options {
-                for kv in opts.split(',').filter(|s| !s.is_empty()) {
-                    if let Some((k, v)) = kv.split_once('=') {
-                        options.push((k.trim().to_string(), v.trim().to_string()));
-                    }
-                }
-            }
-        }
-        Ok(DrvOffer {
-            driver_id: record.id,
-            driver_version: record.version,
-            same_driver,
-            lease_ms,
-            renew_policy: renew,
-            expiration_policy: expiration,
-            format: record.format,
-            location,
-            size,
-            transfer_method: method,
-            options,
-            signature,
-            content_digest: Some(content_digest),
-            chunked,
-        })
-    }
-
-    fn handle_request(
-        &self,
-        from: &Addr,
-        req: &DrvRequest,
-        advertise_only: bool,
-    ) -> DrvResult<DrvMsg> {
-        if !self.serves(&req.database) {
-            return Err(DrvError::InvalidDatabase(req.database.clone()));
-        }
-        let q = self.query_of(from, req);
-        let now = self.clock.now_ms();
-
-        // Extension fetch: graft the package onto the base driver's image
-        // and serve the enriched driver (§5.4.1).
-        if let RequestKind::Extension { base, name } = &req.kind {
-            let record = self.store.record(*base)?;
-            let mut image = unpack_driver(record.format, record.binary.clone())?;
-            // Keep the client's customized feature set, then graft the
-            // requested package on top.
-            if self.config.customize && !req.options.is_empty() {
-                image = self.assembler.customize(&image, &req.options)?;
-            }
-            let enriched = self.assembler.with_extension(&image, name)?;
-            let bytes = pack_driver(record.format, &enriched);
-            let enriched_record = DriverRecord {
-                binary: bytes,
-                ..record
-            };
-            let rule = self
-                .store
-                .permitted_driver_ids(&q.identity)?
-                .into_iter()
-                .find(|(id, _)| id == base)
-                .map(|(_, r)| r);
-            // Serve the enriched package as-is: re-applying option
-            // customization would strip the package just grafted on.
-            let plain_req = DrvRequest {
-                options: Vec::new(),
-                ..req.clone()
-            };
-            let offer = self.offer_for(
-                &enriched_record,
-                rule.as_ref(),
-                &plain_req,
-                false,
-                advertise_only,
-            )?;
-            return Ok(DrvMsg::Offer(offer));
-        }
-
-        let (mut record, mut rule) = self.find_match(&q)?;
-
-        // Staged rollout: when an orchestrator governs this database and
-        // the matched driver is one of its two managed versions, the
-        // orchestrator decides which version this host should run right
-        // now. Swapping the matched record *before* the renewal logic
-        // means wave-gated upgrades and post-halt rollbacks both fall out
-        // of the ordinary Table-4 path below.
-        let mut rollout_managed = false;
-        if let Some(ro) = self.rollout.lock().clone() {
-            if ro.database() == req.database && ro.manages(record.id) {
-                rollout_managed = true;
-                let target = ro.resolve(from.host());
-                if target != record.id {
-                    if let Ok(target_rec) = self.store.record(target) {
-                        let target_rule = self
-                            .store
-                            .permitted_driver_ids(&q.identity)?
-                            .into_iter()
-                            .find(|(id, _)| *id == target)
-                            .map(|(_, r)| r);
-                        record = target_rec;
-                        rule = target_rule.or(rule);
-                    }
-                }
-            }
-        }
-
-        // Renewal logic (Table 4).
-        let same_driver = match &req.kind {
-            RequestKind::Renewal { current } => {
-                let renew = rule
-                    .as_ref()
-                    .map(|r| r.renew_policy)
-                    .unwrap_or(self.config.default_renew);
-                match renew {
-                    RenewPolicy::Revoke => {
-                        return Err(DrvError::LeaseExpired(format!(
-                            "driver {} revoked, no replacement offered",
-                            current
-                        )))
-                    }
-                    RenewPolicy::Upgrade => record.id == *current,
-                    RenewPolicy::Renew => {
-                        if record.id == *current {
-                            true
-                        } else if rollout_managed {
-                            // The rollout control plane is authoritative
-                            // for its managed drivers: a keep-current
-                            // RENEW rule must not pin a client to a
-                            // version the orchestrator rolled forward or
-                            // back.
-                            false
-                        } else if let Some((cur_rec, cur_rule)) =
-                            self.current_still_granted(&q, *current)?
-                        {
-                            // RENEW: "continue to use the same driver" —
-                            // the current driver is still granted, so keep
-                            // it even though a different driver matches
-                            // first.
-                            record = cur_rec;
-                            rule = cur_rule;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                }
-            }
-            _ => false,
-        };
-
-        if !advertise_only {
-            let lease_ms = rule
-                .as_ref()
-                .and_then(|r| r.lease_time_ms)
-                .map(|ms| ms.max(1) as u64)
-                .unwrap_or(DEFAULT_LEASE_MS);
-            self.licenses
-                .acquire(record.id, &req.user, from.host(), lease_ms, now)?;
-            self.store
-                .log_lease(&q.identity, record.id, now as i64, lease_ms as i64)?;
-        }
-        let offer = self.offer_for(&record, rule.as_ref(), req, same_driver, advertise_only)?;
-        Ok(DrvMsg::Offer(offer))
-    }
-
-    fn handle_file_request(&self, location: &str, method: TransferMethod) -> DrvResult<DrvMsg> {
-        let staged =
-            self.staged.lock().remove(location).ok_or_else(|| {
-                DrvError::TransferFailed(format!("unknown location {location:?}"))
-            })?;
-        if method != staged.method {
-            // Re-stage: the client asked with the wrong method; keep the
-            // file available for a corrected request.
-            let size = staged.bytes.len();
-            self.staged.lock().insert(location.to_string(), staged);
-            let _ = size;
-            return Err(DrvError::TransferFailed(format!(
-                "transfer method mismatch for {location:?}"
-            )));
-        }
-        let raw_len = staged.bytes.len() as u64;
-        let payload = transfer::wrap(staged.method, &staged.bytes, Some(&self.cert))?;
-        {
-            let mut st = self.stats.lock();
-            st.files += 1;
-            st.file_bytes += raw_len;
-        }
-        Ok(DrvMsg::FileData { payload })
-    }
-
-    fn handle_chunk_request(&self, digests: &[u64], method: TransferMethod) -> DrvResult<DrvMsg> {
-        let method = method.resolve(self.config.default_transfer);
-        let mut chunks = Vec::with_capacity(digests.len());
-        for d in digests {
-            let bytes = self
-                .depot
-                .chunk(*d)
-                .ok_or_else(|| DrvError::TransferFailed(format!("unknown chunk {d:016x}")))?;
-            chunks.push((*d, bytes));
-        }
-        let set = ChunkSet { chunks };
-        let raw_len = set.payload_bytes();
-        let payload = transfer::wrap(method, &set.encode(), Some(&self.cert))?;
-        {
-            let mut st = self.stats.lock();
-            st.chunk_requests += 1;
-            st.chunk_bytes += raw_len;
-        }
-        Ok(DrvMsg::ChunkData { payload })
+        Ok(offer)
     }
 
     /// Handles one decoded protocol message (exposed for in-process
     /// embedding; the network path goes through [`Service::call`]).
     pub fn handle(&self, from: &Addr, msg: DrvMsg) -> DrvMsg {
         let result = match &msg {
-            DrvMsg::Request(req) => {
-                self.stats.lock().requests += 1;
-                self.handle_request(from, req, false)
-            }
-            DrvMsg::Discover(req) => {
-                self.stats.lock().requests += 1;
-                self.handle_request(from, req, true)
-            }
+            DrvMsg::Request(req) => self.grant(from, req, false).map(DrvMsg::Offer),
+            DrvMsg::Discover(req) => self.grant(from, req, true).map(DrvMsg::Offer),
             DrvMsg::RenewBatch { entries } => {
                 {
                     let mut st = self.stats.lock();
                     st.batch_frames += 1;
                     st.batched_renewals += entries.len() as u64;
-                    st.requests += entries.len() as u64;
                 }
                 let mut replies = Vec::with_capacity(entries.len());
                 for (host, req) in entries {
                     // License seats belong to the originating client, not
                     // the aggregator that forwarded the frame.
                     let origin = Addr::new(host.clone(), from.port());
-                    match self.handle_request(&origin, req, false) {
-                        Ok(DrvMsg::Offer(offer)) => {
-                            let mut st = self.stats.lock();
-                            st.offers += 1;
-                            if offer.same_driver {
-                                st.renewals += 1;
-                            }
-                            drop(st);
-                            replies.push(Ok(offer));
-                        }
-                        Ok(other) => {
-                            self.stats.lock().errors += 1;
-                            let e = DrvError::Internal(format!(
-                                "non-offer reply to batched renewal: {other:?}"
-                            ));
-                            replies.push(Err((DrvErrCode::classify(&e), e.to_string())));
-                        }
-                        Err(e) => {
-                            self.stats.lock().errors += 1;
-                            replies.push(Err((DrvErrCode::classify(&e), e.to_string())));
-                        }
-                    }
+                    replies.push(self.grant(&origin, req, false).map_err(|e| {
+                        self.stats.lock().errors += 1;
+                        (DrvErrCode::classify(&e), e.to_string())
+                    }));
                 }
                 Ok(DrvMsg::OfferBatch { replies })
             }
@@ -923,11 +456,7 @@ impl DrivolutionServer {
                 digests,
                 transfer_method,
             } => self.handle_chunk_request(digests, *transfer_method),
-            DrvMsg::Release {
-                database: _,
-                user,
-                driver,
-            } => {
+            DrvMsg::Release { user, driver, .. } => {
                 self.licenses.release(*driver, user, from.host());
                 Ok(DrvMsg::ReleaseOk)
             }
@@ -953,11 +482,7 @@ impl DrivolutionServer {
                 );
                 Ok(DrvMsg::MirrorAck { known })
             }
-            DrvMsg::MirrorComplaint {
-                location,
-                digest: _,
-                detail: _,
-            } => {
+            DrvMsg::MirrorComplaint { location, .. } => {
                 let outcome = self.directory.complaint(location, from.host());
                 {
                     let mut st = self.stats.lock();
@@ -973,9 +498,8 @@ impl DrivolutionServer {
             DrvMsg::ActivationReport {
                 database,
                 driver,
-                version: _,
                 ok,
-                detail: _,
+                ..
             } => {
                 {
                     let mut st = self.stats.lock();
@@ -984,10 +508,8 @@ impl DrivolutionServer {
                         st.activation_failures += 1;
                     }
                 }
-                if let Some(ro) = self.rollout.lock().clone() {
-                    if ro.database() == *database {
-                        ro.report_activation(from.host(), *driver, *ok);
-                    }
+                if let Some(ro) = self.rollout_for(database) {
+                    ro.report_activation(from.host(), *driver, *ok);
                 }
                 Ok(DrvMsg::ActivationAck)
             }
@@ -995,22 +517,10 @@ impl DrivolutionServer {
                 "unexpected client message {other:?}"
             ))),
         };
-        match result {
-            Ok(m) => {
-                let mut st = self.stats.lock();
-                if let DrvMsg::Offer(o) = &m {
-                    st.offers += 1;
-                    if o.same_driver {
-                        st.renewals += 1;
-                    }
-                }
-                m
-            }
-            Err(e) => {
-                self.stats.lock().errors += 1;
-                DrvMsg::error_from(&e)
-            }
-        }
+        result.unwrap_or_else(|e| {
+            self.stats.lock().errors += 1;
+            DrvMsg::error_from(&e)
+        })
     }
 }
 
@@ -1030,7 +540,13 @@ impl Service for DrivolutionServer {
 mod tests {
     use super::*;
     use crate::store::EmbeddedExec;
-    use drivolution_core::{ApiName, BinaryFormat, ChannelTrust, DriverImage, DriverVersion};
+    use drivolution_core::chunk::ChunkSet;
+    use drivolution_core::pack::{pack_driver, unpack_driver};
+    use drivolution_core::proto::RequestKind;
+    use drivolution_core::{
+        fnv1a64, transfer, ApiName, BinaryFormat, ChannelTrust, DriverImage, DriverVersion,
+        ExpirationPolicy,
+    };
     use minidb::MiniDb;
 
     fn record(id: i64, proto: u16, version: DriverVersion) -> DriverRecord {
@@ -1257,11 +773,14 @@ mod tests {
         srv.install_driver(&record(1, 1, DriverVersion::new(1, 0, 0)))
             .unwrap();
         srv.licenses().set_limit(DriverId(1), 1);
-        // Two discovers do not consume licenses or stage files.
-        for _ in 0..2 {
+        // Discovers do not consume licenses or stage files, however many
+        // arrive: nobody ever sends a FILE_REQUEST for an advertisement.
+        for _ in 0..50 {
             let offer = expect_offer(srv.handle(&client(), DrvMsg::Discover(bootstrap_req())));
-            assert!(offer.location.is_empty() || !offer.location.is_empty());
+            assert!(offer.location.is_empty());
+            assert_eq!(offer.driver_id, DriverId(1));
         }
+        assert!(srv.staged.lock().is_empty());
         assert_eq!(srv.licenses().available(DriverId(1), 0), Some(1));
         assert_eq!(srv.store().lease_count().unwrap(), 0);
     }
@@ -1681,7 +1200,6 @@ mod tests {
         let st = srv.stats();
         assert_eq!(st.activation_reports, 1);
         assert_eq!(st.activation_failures, 0);
-        srv.detach_rollout();
     }
 
     #[test]

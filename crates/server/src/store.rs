@@ -393,11 +393,7 @@ impl DriverStore {
     ///
     /// Store failures as [`DrvError::Internal`].
     pub fn has_rules(&self) -> DrvResult<bool> {
-        let rows = self.select(
-            "SELECT count(*) FROM information_schema.driver_permission",
-            &Params::new(),
-        )?;
-        Ok(rows.rows[0][0].as_i64().unwrap_or(0) > 0)
+        Ok(self.count("SELECT count(*) FROM information_schema.driver_permission")? > 0)
     }
 
     /// The permitted driver ids for a client — the paper's **Sample
@@ -523,11 +519,17 @@ impl DriverStore {
     ///
     /// Store failures as [`DrvError::Internal`].
     pub fn lease_count(&self) -> DrvResult<i64> {
-        let rows = self.select(
-            "SELECT count(*) FROM information_schema.leases",
-            &Params::new(),
-        )?;
-        Ok(rows.rows[0][0].as_i64().unwrap_or(0))
+        self.count("SELECT count(*) FROM information_schema.leases")
+    }
+
+    /// Runs a `SELECT count(*)`. The executor may be a remote connection,
+    /// so the result's shape is checked, not assumed.
+    fn count(&self, sql: &str) -> DrvResult<i64> {
+        let rows = self.select(sql, &Params::new())?;
+        let n = rows
+            .scalar()
+            .map_err(|e| DrvError::Internal(format!("store: {sql}: {e}")))?;
+        Ok(n.as_i64().unwrap_or(0))
     }
 
     fn select(&self, sql: &str, params: &Params) -> DrvResult<RowSet> {
@@ -571,6 +573,26 @@ mod tests {
             "RDBC",
             "linux-x86_64",
         )
+    }
+
+    /// An executor that answers every statement with an empty result
+    /// set — what a broken or hostile remote end could send.
+    struct EmptyExec;
+
+    impl SqlExec for EmptyExec {
+        fn exec(&self, _sql: &str, _params: &Params) -> DrvResult<QueryResult> {
+            Ok(QueryResult::Rows(RowSet {
+                columns: Vec::new(),
+                rows: Vec::new(),
+            }))
+        }
+    }
+
+    #[test]
+    fn counts_reject_an_empty_result_instead_of_indexing_it() {
+        let s = DriverStore::new(Box::new(EmptyExec));
+        assert!(matches!(s.has_rules(), Err(DrvError::Internal(_))));
+        assert!(matches!(s.lease_count(), Err(DrvError::Internal(_))));
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub mod prelude {
         ApiName, ApiVersion, BinaryFormat, DriverId, DriverImage, DriverRecord, DriverVersion,
         DrvError, ExpirationPolicy, PermissionRule, RenewPolicy, TransferMethod, DRIVOLUTION_PORT,
     };
-    pub use drivolution_depot::{DriverDepot, MirrorDepot, MirrorTiming};
+    pub use drivolution_depot::{DriverDepot, MirrorDepot};
     pub use drivolution_server::{
         attach_in_database, launch_external, launch_standalone, DrivolutionServer, RolloutConfig,
         RolloutOrchestrator, RolloutPhase, RolloutPlan, ServerConfig,

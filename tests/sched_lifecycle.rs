@@ -52,7 +52,7 @@ fn rig() -> Rig {
 /// Cancelling a mirror's heartbeat task (its lifecycle driving dies
 /// while the replica still serves) must walk the directory entry
 /// healthy → overdue → quarantined → evicted at the exact virtual-clock
-/// thresholds of the directory config: overdue after two missed 5s
+/// thresholds the directory fixes: overdue after two missed 5s
 /// beats, quarantined past 15s of silence, evicted past 120s.
 #[test]
 fn cancelled_heartbeat_task_walks_the_full_health_lifecycle() {
@@ -220,7 +220,7 @@ fn lease_timer_renews_and_upgrades_without_manual_polls() {
 }
 
 /// Renewal failures surface on the task's error counters and retry at
-/// the configured backoff instead of spinning or going silent.
+/// the 30 s backoff instead of spinning or going silent.
 #[test]
 fn failed_renewals_count_on_the_lease_task_and_retry() {
     let rig = rig();
@@ -230,7 +230,6 @@ fn failed_renewals_count_on_the_lease_task_and_retry() {
         BootloaderConfig::same_host()
             .with_lifecycle(LifecyclePolicy {
                 poll_every: None,
-                renew_retry: Duration::from_secs(30),
                 ..LifecyclePolicy::default()
             })
             .trusting(rig.srv.certificate()),
@@ -304,4 +303,51 @@ mod parking_lot_times {
             self.0.lock().unwrap().clone()
         }
     }
+}
+
+/// The replay contract behind every determinism gate: the scheduler
+/// seeds each task's jitter from its registration index, so the number,
+/// order and names of the tasks each component registers must not move.
+/// A refactor that adds, drops, merges or reorders one shifts every
+/// later task's schedule (and with it `converge_virtual_ms`).
+#[test]
+fn components_register_their_tasks_in_a_pinned_order() {
+    let rig = rig();
+    // A second mirror whose primary is not up: its launch announce
+    // fails, so it also registers the announce-retry task.
+    let orphan = MirrorDepot::launch(
+        &rig.net,
+        Addr::new("mirror2", 1072),
+        Addr::new("not-up-yet", DRIVOLUTION_PORT),
+    )
+    .unwrap();
+    let boot = Bootloader::new(
+        &rig.net,
+        Addr::new("app", 1),
+        BootloaderConfig::same_host()
+            .self_driving(Duration::from_secs(60))
+            .with_hot_swap(SwapConfig::default())
+            .trusting(rig.srv.certificate()),
+    );
+    assert_eq!(
+        rig.net.scheduler().task_names(),
+        [
+            "server-maintenance:db1",
+            "mirror-heartbeat mirror1:1071",
+            "mirror-heartbeat mirror2:1072",
+            "mirror-announce mirror2:1072",
+            "upgrade-poll app:1",
+            "lease-renewal app:1",
+            "session-maintenance app:1",
+            "hot-swap app:1",
+        ]
+    );
+    // Dropping a component retires exactly its own tasks.
+    drop(boot);
+    drop(orphan);
+    rig.net.unbind(&Addr::new("mirror2", 1072));
+    assert_eq!(
+        rig.net.scheduler().task_names(),
+        ["server-maintenance:db1", "mirror-heartbeat mirror1:1071"]
+    );
 }
