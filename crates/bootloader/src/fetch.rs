@@ -12,7 +12,7 @@ use driverkit::{DkError, DkResult, Driver, NamespaceId};
 use netsim::Addr;
 
 use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer};
-use drivolution_core::{transfer, DriverImage, DrvError, Lease};
+use drivolution_core::{transfer, Digested, DriverImage, DrvError, Lease};
 use drivolution_depot::{fetch_chunks, parse_mirror_addr, DriverDepot};
 
 use crate::bootloader::Bootloader;
@@ -132,12 +132,21 @@ impl Bootloader {
             other => return Err(other.unexpected("file").into()),
         };
         let bytes = transfer::unwrap(offer.transfer_method, payload, &self.config.channel_trust)?;
+        // What arrived must be what was offered: `Plain` has no integrity
+        // of its own, and any server can stage the wrong file.
+        let image = Digested::of(bytes);
+        if image.bytes().len() as u64 != offer.size
+            || offer.content_digest.is_some_and(|d| d != image.digest())
+        {
+            let e = "downloaded file does not match the offer's size and digest";
+            return Err(DrvError::BadPackage(e.into()).into());
+        }
         // Verify before caching: an image that fails the signature check
         // must never enter the depot (it would be advertised in future
         // HAVE summaries and reused in delta assemblies).
-        let loaded = self.verify_and_load(offer, bytes.clone())?;
+        let loaded = self.verify_and_load(offer, image.bytes().clone())?;
         if let Some(depot) = &self.config.depot {
-            depot.insert(&self.context_database(), bytes);
+            depot.insert_digested(&self.context_database(), image);
             depot.note_full_insert();
         }
         self.stats.lock().downloads += 1;
@@ -207,13 +216,14 @@ impl Bootloader {
         // fails like a corrupt download instead of being trusted.
         if let Some(cache) = &self.config.image_cache {
             if let Some((bytes, chunk_map)) = cache.get(plan.manifest.content_digest) {
-                if bytes.len() as u64 == plan.manifest.total_size
-                    && drivolution_core::fnv1a64(&bytes) == plan.manifest.content_digest
+                let image = Digested::of(bytes);
+                if image.bytes().len() as u64 == plan.manifest.total_size
+                    && image.digest() == plan.manifest.content_digest
                 {
-                    let loaded = self.verify_and_load(offer, bytes.clone())?;
-                    depot.insert_assembled(
+                    let loaded = self.verify_and_load(offer, image.bytes().clone())?;
+                    depot.insert_assembled_digested(
                         &self.context_database(),
-                        bytes,
+                        image,
                         &plan.manifest,
                         &chunk_map,
                     );
@@ -317,16 +327,12 @@ impl Bootloader {
         }
         // Assemble (content-verified), then check the signature before the
         // image may enter the depot.
-        let bytes = depot
-            .assemble(&plan.manifest, &fetched)
+        let image = depot
+            .assemble_digested(&plan.manifest, &fetched)
             .map_err(DkError::Drv)?;
+        let bytes = image.bytes().clone();
         let loaded = self.verify_and_load(offer, bytes.clone())?;
-        depot.insert_assembled(
-            &self.context_database(),
-            bytes.clone(),
-            &plan.manifest,
-            &fetched,
-        );
+        depot.insert_assembled_digested(&self.context_database(), image, &plan.manifest, &fetched);
         if let Some(cache) = &self.config.image_cache {
             // Publish for zone peers: the verified image plus the chunk
             // bytes it was assembled from (fetched entries and local

@@ -58,7 +58,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{get_bytes, get_u32, get_u64, get_u8};
 
-use crate::digest::fnv1a64;
+use crate::digest::{fnv1a64, Digested};
 use crate::error::{DrvError, DrvResult};
 
 /// Default chunk size (bytes) for fixed-size chunking. Small enough that
@@ -718,12 +718,21 @@ pub fn manifest_and_chunks(
     bytes: &Bytes,
     params: &ChunkingParams,
 ) -> (ChunkManifest, Vec<(u64, Bytes)>) {
+    manifest_and_chunks_of(&Digested::of(bytes.clone()), params)
+}
+
+/// [`manifest_and_chunks`] of an image that is already hashed.
+pub fn manifest_and_chunks_of(
+    image: &Digested,
+    params: &ChunkingParams,
+) -> (ChunkManifest, Vec<(u64, Bytes)>) {
+    let bytes = image.bytes();
     let mut pairs: Vec<(u64, Bytes)> = Vec::new();
     for_each_chunk(bytes, params, |start, end| {
         pairs.push((fnv1a64(&bytes[start..end]), bytes.slice(start..end)));
     });
     let manifest = ChunkManifest {
-        content_digest: fnv1a64(bytes),
+        content_digest: image.digest(),
         total_size: bytes.len() as u64,
         params: *params,
         chunks: pairs.iter().map(|(d, _)| *d).collect(),

@@ -21,8 +21,18 @@
 //! build fail revalidation and are discarded and re-fetched cold,
 //! which is the content-addressing design's safe failure mode.
 
+use bytes::Bytes;
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One lane step of the fold, defined here only: the sealed channel's
+/// counter-mode keystream (`transfer.rs`) steps a hoisted prefix with it.
+#[inline]
+pub(crate) fn fold_lane(h: u64, lane: u64) -> u64 {
+    let h = (h ^ lane).wrapping_mul(FNV_PRIME);
+    h ^ (h >> 31)
+}
 
 /// Folds `data` into `h`, eight bytes per iteration with a byte-wise
 /// tail. Shared by [`fnv1a64`] and [`fnv1a64_parts`] so both digest
@@ -31,9 +41,7 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 fn fold_words(mut h: u64, data: &[u8]) -> u64 {
     let mut lanes = data.chunks_exact(8);
     for lane in &mut lanes {
-        h ^= u64::from_le_bytes(lane.try_into().expect("8-byte lane"));
-        h = h.wrapping_mul(FNV_PRIME);
-        h ^= h >> 31;
+        h = fold_lane(h, u64::from_le_bytes(lane.try_into().expect("8-byte lane")));
     }
     for b in lanes.remainder() {
         h ^= u64::from(*b);
@@ -45,6 +53,34 @@ fn fold_words(mut h: u64, data: &[u8]) -> u64 {
 /// Word-folded FNV-1a 64-bit digest of `data`.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     fold_words(FNV_OFFSET, data)
+}
+
+/// Bytes together with the [`fnv1a64`] digest this process computed
+/// from them, so one pass serves every layer an image travels through.
+/// Hashing is the only constructor: a digest that arrived over the wire
+/// can be compared with one of these, never put into one.
+#[derive(Clone, Debug)]
+pub struct Digested {
+    bytes: Bytes,
+    digest: u64,
+}
+
+impl Digested {
+    /// Hashes `bytes`.
+    pub fn of(bytes: Bytes) -> Self {
+        let digest = fnv1a64(&bytes);
+        Digested { bytes, digest }
+    }
+
+    /// The bytes.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// Their digest.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
 }
 
 /// Digest of several byte strings, order-sensitive and

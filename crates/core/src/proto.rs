@@ -749,7 +749,11 @@ const TAG_MIRROR_COMPLAINT: u8 = 17;
 impl DrvMsg {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        // Bulk frames reserve their exact length; the rest are small.
+        let mut b = BytesMut::with_capacity(match self {
+            DrvMsg::FileData { payload } | DrvMsg::ChunkData { payload } => 5 + payload.len(),
+            _ => 0,
+        });
         match self {
             DrvMsg::Request(r) => {
                 b.put_u8(TAG_REQUEST);

@@ -25,7 +25,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{get_bytes, get_str, get_u64};
 
-use crate::digest::fnv1a64_parts;
+use crate::digest::{fnv1a64_parts, fold_lane};
 use crate::error::{DrvError, DrvResult};
 use crate::policy::TransferMethod;
 
@@ -53,6 +53,10 @@ impl Certificate {
     /// Stable fingerprint a bootloader pins.
     pub fn fingerprint(&self) -> u64 {
         fnv1a64_parts(&[b"cert", self.host.as_bytes(), &self.serial.to_le_bytes()])
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.host.len() + 8
     }
 
     fn encode_into(&self, b: &mut BytesMut) {
@@ -94,19 +98,20 @@ impl ChannelTrust {
 
 static NONCE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
-fn keystream_block(key: u64, i: u64) -> [u8; 8] {
-    fnv1a64_parts(&[&key.to_le_bytes(), &i.to_le_bytes()]).to_le_bytes()
-}
-
-fn xor_stream(key: u64, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    for (i, chunk) in data.chunks(8).enumerate() {
-        let block = keystream_block(key, i as u64);
-        for (j, b) in chunk.iter().enumerate() {
-            out.push(b ^ block[j]);
-        }
+/// XORs the sealed channel's keystream into `data` in place. Counter
+/// mode: block `i` is `fnv1a64_parts(&[key_le, i_le])`, whose two
+/// length lanes and key lane are the same for every block — they fold
+/// once into `prefix`, and each block is one lane step on the counter.
+fn apply_keystream(key: u64, data: &mut [u8]) {
+    let prefix = fold_lane(fnv1a64_parts(&[&key.to_le_bytes()]), 8);
+    let (words, tail) = data.as_chunks_mut::<8>();
+    for (i, word) in words.iter_mut().enumerate() {
+        *word = (u64::from_le_bytes(*word) ^ fold_lane(prefix, i as u64)).to_le_bytes();
     }
-    out
+    let block = fold_lane(prefix, words.len() as u64).to_le_bytes();
+    for (b, k) in tail.iter_mut().zip(block) {
+        *b ^= k;
+    }
 }
 
 fn session_key(cert: &Certificate, nonce: u64) -> u64 {
@@ -131,37 +136,53 @@ pub fn wrap(
     payload: &[u8],
     cert: Option<&Certificate>,
 ) -> DrvResult<Bytes> {
-    let mut b = BytesMut::new();
-    match method {
+    // Sized exactly up front: a buffer grown to fit the payload doubles
+    // on the trailing digest.
+    let sized = |extra| BytesMut::with_capacity(1 + 4 + payload.len() + extra);
+    let b = match method {
         TransferMethod::Any => {
             return Err(DrvError::TransferFailed(
                 "transfer method ANY must be resolved before wrapping".into(),
             ))
         }
         TransferMethod::Plain => {
+            let mut b = sized(0);
             b.put_u8(0);
             netsim::codec::put_bytes(&mut b, payload);
+            b
         }
         TransferMethod::Checksum => {
+            let mut b = sized(8);
             b.put_u8(1);
             netsim::codec::put_bytes(&mut b, payload);
             b.put_u64_le(fnv1a64_parts(&[payload]));
+            b
         }
         TransferMethod::Sealed => {
             let cert = cert.ok_or_else(|| {
                 DrvError::TransferFailed("sealed transfer requires a server certificate".into())
             })?;
             let nonce = NONCE_COUNTER.fetch_add(1, Ordering::Relaxed);
-            let key = session_key(cert, nonce);
-            let ct = xor_stream(key, payload);
-            b.put_u8(2);
-            cert.encode_into(&mut b);
-            b.put_u64_le(nonce);
-            netsim::codec::put_bytes(&mut b, &ct);
-            b.put_u64_le(fnv1a64_parts(&[&key.to_le_bytes(), &ct]));
+            let mut b = sized(cert.encoded_len() + 8 + 8);
+            wrap_with_nonce(&mut b, cert, nonce, payload);
+            b
         }
-    }
+    };
     Ok(b.freeze())
+}
+
+/// Appends the sealed envelope; the nonce is explicit so tests can pin it.
+fn wrap_with_nonce(b: &mut BytesMut, cert: &Certificate, nonce: u64, payload: &[u8]) {
+    let key = session_key(cert, nonce);
+    b.put_u8(2);
+    cert.encode_into(b);
+    b.put_u64_le(nonce);
+    netsim::codec::put_bytes(b, payload);
+    let head = b.len() - payload.len();
+    let ct = b.split_at_mut(head).1;
+    apply_keystream(key, ct);
+    let mac = fnv1a64_parts(&[&key.to_le_bytes(), ct]);
+    b.put_u64_le(mac);
 }
 
 /// Unwraps a transfer envelope, enforcing the expected `method` and (for
@@ -216,7 +237,14 @@ pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> Drv
                     "mac mismatch: sealed transfer tampered".into(),
                 ));
             }
-            Ok(Bytes::from(xor_stream(key, &ct)))
+            // In place when the frame has no other reader (a bootloader
+            // that just decoded it), into one exact copy otherwise.
+            drop(buf);
+            let mut plain = ct
+                .try_into_mut()
+                .unwrap_or_else(|shared| BytesMut::from(&shared[..]));
+            apply_keystream(key, &mut plain);
+            Ok(plain.freeze())
         }
         t => Err(DrvError::TransferFailed(format!(
             "unknown transfer tag {t}"
@@ -232,6 +260,91 @@ mod tests {
         let mut t = ChannelTrust::new();
         t.pin(cert);
         t
+    }
+
+    /// The byte-wise keystream every build up to PR 15 shipped: the
+    /// reference [`apply_keystream`] must match bit for bit.
+    fn keystream_block(key: u64, i: u64) -> [u8; 8] {
+        fnv1a64_parts(&[&key.to_le_bytes(), &i.to_le_bytes()]).to_le_bytes()
+    }
+
+    fn xor_stream(key: u64, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len());
+        for (i, chunk) in data.chunks(8).enumerate() {
+            let block = keystream_block(key, i as u64);
+            for (j, b) in chunk.iter().enumerate() {
+                out.push(b ^ block[j]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn keystream_matches_the_bytewise_reference() {
+        for key in [0x0123_4567_89ab_cdef, u64::MAX] {
+            for len in [0, 1, 7, 8, 9, 63, 64, 65, 4099] {
+                let data = crate::digest::entropy_blob(len, len as u64);
+                let mut fast = data.clone();
+                apply_keystream(key, &mut fast);
+                assert_eq!(fast, xor_stream(key, &data), "key {key:x} len {len}");
+            }
+        }
+    }
+
+    /// Recorded from the parent commit (`NONCE_COUNTER` forced to the
+    /// nonce below): the envelope is a wire format, not an
+    /// implementation detail.
+    #[test]
+    fn sealed_envelope_bytes_are_pinned() {
+        const GOLDEN: &str = "02030000006462310100000000000000887766554433221113000000\
+                              d4a21bec745caf7e12a401ed6313ed63a1a1043606a6aa724162dc";
+        let cert = Certificate::issue("db1", 1);
+        let mut w = BytesMut::new();
+        wrap_with_nonce(&mut w, &cert, 0x1122_3344_5566_7788, b"golden driver bytes");
+        let hex: String = w.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        let p = unwrap(TransferMethod::Sealed, w.freeze(), &trust_for(&cert)).unwrap();
+        assert_eq!(p, Bytes::from_static(b"golden driver bytes"));
+    }
+
+    #[test]
+    fn any_flipped_byte_fails_in_place_and_shared() {
+        let cert = Certificate::issue("db1", 1);
+        let trust = trust_for(&cert);
+        let payload = crate::digest::entropy_blob(4099, 7);
+        let good = wrap(TransferMethod::Sealed, &payload, Some(&cert)).unwrap();
+        let ct_start = 1 + cert.encoded_len() + 8 + 4;
+        let ct_end = good.len() - 8;
+        let positions = (0..ct_start)
+            .chain((ct_start..ct_end).step_by(97))
+            .chain(ct_end..good.len());
+        for pos in positions {
+            let mut bad = good.to_vec();
+            bad[pos] ^= 0x01;
+            // Sole handle: the decipher would run in place.
+            let e = unwrap(TransferMethod::Sealed, Bytes::from(bad.clone()), &trust);
+            assert!(e.is_err(), "in place, byte {pos}");
+            // A second handle forces the copying decipher, and must read
+            // the frame it was handed afterwards.
+            let frame = Bytes::from(bad.clone());
+            let e = unwrap(TransferMethod::Sealed, frame.clone(), &trust);
+            assert!(e.is_err(), "shared, byte {pos}");
+            assert_eq!(frame, Bytes::from(bad), "byte {pos}");
+        }
+    }
+
+    #[test]
+    fn decipher_leaves_other_handles_untouched() {
+        let cert = Certificate::issue("db1", 1);
+        let payload = crate::digest::entropy_blob(4099, 8);
+        let frame = wrap(TransferMethod::Sealed, &payload, Some(&cert)).unwrap();
+        let before = frame.to_vec();
+        let p = unwrap(TransferMethod::Sealed, frame.clone(), &trust_for(&cert)).unwrap();
+        assert_eq!(p, Bytes::from(payload.clone()));
+        assert_eq!(frame, Bytes::from(before));
+        // The sole-handle path yields the same plaintext.
+        let p = unwrap(TransferMethod::Sealed, frame, &trust_for(&cert)).unwrap();
+        assert_eq!(p, Bytes::from(payload));
     }
 
     #[test]

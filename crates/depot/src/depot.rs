@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use drivolution_core::chunk::{ChunkManifest, ChunkingParams};
 use drivolution_core::proto::HaveSummary;
-use drivolution_core::{fnv1a64, DrvError, DrvResult};
+use drivolution_core::{fnv1a64, Digested, DrvError, DrvResult};
 
 use crate::index::ContentIndex;
 
@@ -245,11 +245,12 @@ impl DriverDepot {
             let Ok(bytes) = fs::read(entry.path()) else {
                 continue;
             };
-            if fnv1a64(&bytes) != expected {
+            let image = Digested::of(Bytes::from(bytes));
+            if image.digest() != expected {
                 let _ = fs::remove_file(entry.path());
                 continue;
             }
-            depot.index.insert(Bytes::from(bytes), &depot.params);
+            depot.index.insert_digested(image, &depot.params);
         }
         // Load the database → digest map, keeping only entries whose
         // image actually loaded and whose key unescapes cleanly.
@@ -285,9 +286,14 @@ impl DriverDepot {
 
     /// Inserts a full image for `database`, returning its content digest.
     pub fn insert(&self, database: &str, bytes: Bytes) -> u64 {
-        let digest = self.index.insert(bytes.clone(), &self.params);
+        self.insert_digested(database, Digested::of(bytes))
+    }
+
+    /// [`insert`](Self::insert) of an image that is already hashed.
+    pub fn insert_digested(&self, database: &str, image: Digested) -> u64 {
+        let digest = self.index.insert_digested(image.clone(), &self.params);
         self.latest.lock().insert(database.to_string(), digest);
-        self.persist(digest, &bytes);
+        self.persist(digest, image.bytes());
         digest
     }
 
@@ -372,6 +378,16 @@ impl DriverDepot {
         manifest: &ChunkManifest,
         fetched: &HashMap<u64, Bytes>,
     ) -> DrvResult<Bytes> {
+        Ok(self.assemble_digested(manifest, fetched)?.bytes().clone())
+    }
+
+    /// [`assemble`](Self::assemble), keeping the whole-image digest it
+    /// verified with the bytes. Same errors.
+    pub fn assemble_digested(
+        &self,
+        manifest: &ChunkManifest,
+        fetched: &HashMap<u64, Bytes>,
+    ) -> DrvResult<Digested> {
         let mut out = Vec::with_capacity(manifest.total_size as usize);
         let mut reused: u64 = 0;
         let mut seen = std::collections::HashSet::new();
@@ -394,15 +410,15 @@ impl DriverDepot {
                 )));
             }
         }
-        let bytes = Bytes::from(out);
-        if bytes.len() as u64 != manifest.total_size {
+        if out.len() as u64 != manifest.total_size {
             return Err(DrvError::BadPackage(format!(
                 "image size {} does not match manifest size {}",
-                bytes.len(),
+                out.len(),
                 manifest.total_size
             )));
         }
-        if fnv1a64(&bytes) != manifest.content_digest {
+        let image = Digested::of(Bytes::from(out));
+        if image.digest() != manifest.content_digest {
             return Err(DrvError::BadPackage(
                 "assembled image digest does not match manifest".into(),
             ));
@@ -416,7 +432,7 @@ impl DriverDepot {
             st.bytes_reused += reused;
             st.bytes_fetched += fetched_bytes;
         }
-        Ok(bytes)
+        Ok(image)
     }
 
     /// Inserts an image just produced by [`assemble`](Self::assemble),
@@ -432,14 +448,26 @@ impl DriverDepot {
         manifest: &ChunkManifest,
         fetched: &HashMap<u64, Bytes>,
     ) -> u64 {
+        self.insert_assembled_digested(database, Digested::of(bytes), manifest, fetched)
+    }
+
+    /// [`insert_assembled`](Self::insert_assembled) of an image that is
+    /// already hashed.
+    pub fn insert_assembled_digested(
+        &self,
+        database: &str,
+        image: Digested,
+        manifest: &ChunkManifest,
+        fetched: &HashMap<u64, Bytes>,
+    ) -> u64 {
         let digest = if manifest.params == self.params {
             self.index
-                .insert_prechunked(bytes.clone(), manifest, fetched)
+                .insert_prechunked(image.clone(), manifest, fetched)
         } else {
-            self.index.insert(bytes.clone(), &self.params)
+            self.index.insert_digested(image.clone(), &self.params)
         };
         self.latest.lock().insert(database.to_string(), digest);
-        self.persist(digest, &bytes);
+        self.persist(digest, image.bytes());
         digest
     }
 

@@ -6,8 +6,10 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use drivolution_core::chunk::{manifest_and_chunks, ChunkManifest, ChunkingParams};
-use drivolution_core::fnv1a64;
+use drivolution_core::chunk::{
+    manifest_and_chunks, manifest_and_chunks_of, ChunkManifest, ChunkingParams,
+};
+use drivolution_core::{fnv1a64, Digested};
 
 /// A content-addressed store of driver images and their chunks.
 ///
@@ -78,7 +80,12 @@ impl ContentIndex {
     /// Re-inserting identical content is a no-op (the first insert's
     /// params stick; other chunkings are derived on demand).
     pub fn insert(&self, bytes: Bytes, params: &ChunkingParams) -> u64 {
-        let digest = fnv1a64(&bytes);
+        self.insert_digested(Digested::of(bytes), params)
+    }
+
+    /// [`insert`](Self::insert) of an image that is already hashed.
+    pub fn insert_digested(&self, image: Digested, params: &ChunkingParams) -> u64 {
+        let digest = image.digest();
         {
             let images = self.images.lock();
             if images.contains_key(&digest) {
@@ -87,34 +94,35 @@ impl ContentIndex {
         }
         // One boundary scan yields both the manifest and the chunk
         // slices to index.
-        let (manifest, pairs) = manifest_and_chunks(&bytes, params);
+        let (manifest, pairs) = manifest_and_chunks_of(&image, params);
         self.index_chunks(pairs);
         self.derived_params.lock().insert(*params);
         self.manifests.lock().insert((digest, *params), manifest);
+        let bytes = image.bytes().clone();
         self.images.lock().insert(digest, (bytes, *params));
         digest
     }
 
-    /// Indexes `bytes` whose chunking is already known: `manifest` names
+    /// Indexes `image` whose chunking is already known: `manifest` names
     /// the chunk sequence and `provided` holds any chunk bytes not yet in
     /// the index (typically the fetched half of a delta). Skips the
     /// boundary re-scan a plain [`insert`](Self::insert) would pay — for
     /// a rollout wave of identical upgrades that scan is pure overhead.
     ///
     /// The content-addressed invariant is preserved, not assumed: the
-    /// image digest is recomputed against the manifest, provided chunks
+    /// image's own digest is held against the manifest, provided chunks
     /// are digest-verified before entering the chunk map, and any gap
     /// (foreign digest, missing chunk) falls back to the scanning
     /// `insert`, which derives everything from the verified bytes.
     pub fn insert_prechunked(
         &self,
-        bytes: Bytes,
+        image: Digested,
         manifest: &ChunkManifest,
         provided: &HashMap<u64, Bytes>,
     ) -> u64 {
-        let digest = fnv1a64(&bytes);
-        if digest != manifest.content_digest || bytes.len() as u64 != manifest.total_size {
-            return self.insert(bytes, &manifest.params);
+        let digest = image.digest();
+        if digest != manifest.content_digest || image.bytes().len() as u64 != manifest.total_size {
+            return self.insert_digested(image, &manifest.params);
         }
         if self.images.lock().contains_key(&digest) {
             return digest;
@@ -139,13 +147,14 @@ impl ContentIndex {
             ok
         };
         if !complete {
-            return self.insert(bytes, &manifest.params);
+            return self.insert_digested(image, &manifest.params);
         }
         self.index_chunks(pairs);
         self.derived_params.lock().insert(manifest.params);
         self.manifests
             .lock()
             .insert((digest, manifest.params), manifest.clone());
+        let bytes = image.bytes().clone();
         self.images.lock().insert(digest, (bytes, manifest.params));
         digest
     }

@@ -4,9 +4,11 @@
 //! ships the subset of `bytes` it actually uses: [`Bytes`] (a cheaply
 //! cloneable, sliceable byte buffer), [`BytesMut`] (a growable builder),
 //! and the [`Buf`]/[`BufMut`] cursor traits with little-endian accessors.
+//! Every item behaves as the real crate's item of the same name does, so
+//! swapping the real crate back in changes no caller.
 
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable slice of bytes.
@@ -109,6 +111,20 @@ impl Bytes {
         };
         self.start += at;
         head
+    }
+
+    /// Converts into a [`BytesMut`] over the same bytes when this is the
+    /// only handle to the allocation; hands `self` back otherwise. No
+    /// bytes move either way.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(mut data) => {
+                data.truncate(end);
+                Ok(BytesMut { data, start })
+            }
+            Err(data) => Err(Bytes { data, start, end }),
+        }
     }
 }
 
@@ -222,10 +238,23 @@ impl std::fmt::Debug for Bytes {
 }
 
 /// A growable byte buffer for building frames.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// `start` is non-zero only for a buffer that came from
+/// [`Bytes::try_into_mut`] on a slice: the view keeps its offset into
+/// the adopted allocation.
+#[derive(Clone, Debug, Default)]
 pub struct BytesMut {
     data: Vec<u8>,
+    start: usize,
 }
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for BytesMut {}
 
 impl BytesMut {
     /// Creates an empty builder.
@@ -237,17 +266,18 @@ impl BytesMut {
     pub fn with_capacity(capacity: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(capacity),
+            start: 0,
         }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.start
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Appends a slice.
@@ -257,20 +287,37 @@ impl BytesMut {
 
     /// Freezes the builder into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
+        let mut b = Bytes::from(self.data);
+        b.start = self.start;
+        b
+    }
+}
+
+impl From<&[u8]> for BytesMut {
+    fn from(src: &[u8]) -> Self {
+        BytesMut {
+            data: src.to_vec(),
+            start: 0,
+        }
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.data[self.start..]
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data[self.start..]
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
@@ -414,6 +461,20 @@ mod tests {
         let head = rest.split_to(2);
         assert_eq!(head, Bytes::from(vec![1, 2]));
         assert_eq!(rest, Bytes::from(vec![3, 4, 5]));
+    }
+
+    #[test]
+    fn try_into_mut_needs_the_only_handle_and_keeps_the_view() {
+        let whole = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let mid = whole.slice(1..4);
+        let mid = mid.try_into_mut().expect_err("`whole` still shares it");
+        drop(whole);
+        let mut m = mid.try_into_mut().expect("now unique");
+        assert_eq!(&m[..], &[2, 3, 4]);
+        m[0] = 9;
+        m.put_u8(7);
+        assert_eq!(m.len(), 4);
+        assert_eq!(m.freeze(), Bytes::from(vec![9, 3, 4, 7]));
     }
 
     #[test]

@@ -1,0 +1,210 @@
+//! Allocation budget of the bulk path: a cold sealed bootstrap and a
+//! chunked delta may allocate a small multiple of the bytes they move,
+//! and nothing larger than the package itself. drvbench reports the same
+//! quantity as `mem.copy_factor`, but only when someone runs it; this is
+//! the deterministic guard.
+//!
+//! Own test binary: the counting allocator is process-wide.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
+
+use drivolution::core::pack::pack_driver_padded;
+use drivolution::core::transfer;
+use drivolution::prelude::*;
+
+/// The system allocator plus, while `ON`, the bytes requested and the
+/// largest single request. A `realloc` counts as one allocation of the
+/// new size: that is what it may copy.
+struct Counting;
+
+static ON: AtomicBool = AtomicBool::new(false);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static LARGEST: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    if ON.load(Relaxed) {
+        BYTES.fetch_add(size as u64, Relaxed);
+        LARGEST.fetch_max(size as u64, Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds; the counters are plain
+// atomics and allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// One measurement at a time: the counters are shared by every test
+/// thread of this binary.
+static GATE: Mutex<()> = Mutex::new(());
+
+/// Runs `f` and returns (bytes allocated, largest single allocation).
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    BYTES.store(0, Relaxed);
+    LARGEST.store(0, Relaxed);
+    ON.store(true, Relaxed);
+    let out = f();
+    ON.store(false, Relaxed);
+    (out, BYTES.load(Relaxed), LARGEST.load(Relaxed))
+}
+
+/// Holds `(bytes, largest)` against `package`: at most `factor` × the
+/// package in total, and no single allocation above 1.01 × the package
+/// (a buffer grown to fit that then doubles shows up here first).
+fn assert_budget(what: &str, package: usize, factor: f64, bytes: u64, largest: u64) {
+    let package = package as f64;
+    assert!(
+        bytes as f64 <= factor * package,
+        "{what}: allocated {bytes} B, {:.2} × the {package} B package (budget {factor})",
+        bytes as f64 / package
+    );
+    assert!(
+        largest as f64 <= 1.01 * package,
+        "{what}: one allocation of {largest} B for a {package} B package"
+    );
+}
+
+fn record(id: i64, version: DriverVersion, padding: usize) -> DriverRecord {
+    let image = DriverImage::new("budget-driver", version, 1);
+    let bytes = pack_driver_padded(BinaryFormat::Djar, &image, padding);
+    DriverRecord::new(DriverId(id), ApiName::rdbc(), BinaryFormat::Djar, bytes)
+        .with_version(version)
+}
+
+struct Rig {
+    net: Network,
+    srv: Arc<DrivolutionServer>,
+    url: DbUrl,
+}
+
+fn rig(first: &DriverRecord) -> Rig {
+    let net = Network::new();
+    let db = Arc::new(MiniDb::with_clock("orders", net.clock().clone()));
+    net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
+        .unwrap();
+    let addr = Addr::new("db1", DRIVOLUTION_PORT);
+    let srv = attach_in_database(&net, db, addr, ServerConfig::default()).unwrap();
+    srv.install_driver(first).unwrap();
+    Rig {
+        net,
+        srv,
+        url: "rdbc:minidb://db1:5432/orders".parse().unwrap(),
+    }
+}
+
+/// A fresh client with an empty in-memory depot.
+fn client(rig: &Rig, host: &str) -> (Arc<Bootloader>, Arc<DriverDepot>) {
+    let depot = DriverDepot::in_memory();
+    let config = BootloaderConfig::same_host()
+        .trusting(rig.srv.certificate())
+        .with_depot(depot.clone());
+    (Bootloader::new(&rig.net, Addr::new(host, 1), config), depot)
+}
+
+fn connect(rig: &Rig, boot: &Arc<Bootloader>) {
+    boot.connect(&rig.url, &ConnectProps::user("admin", "admin"))
+        .unwrap();
+}
+
+#[test]
+fn cold_sealed_bootstrap_allocates_about_twice_the_package() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let v1 = record(1, DriverVersion::new(1, 0, 0), 1 << 20);
+    let rig = rig(&v1);
+    // The first bootstrap pays the process's one-off set-up; the second
+    // is what every later one costs.
+    let (warm_up, _) = client(&rig, "app1");
+    connect(&rig, &warm_up);
+    let (boot, depot) = client(&rig, "app2");
+    let ((), bytes, largest) = measured(|| connect(&rig, &boot));
+    assert_eq!(boot.stats().downloads, 1);
+    assert_eq!(depot.image_count(), 1);
+    // The sealed envelope and the FILE_DATA frame around it are the two
+    // copies a hop needs; the client deciphers in place (a client that
+    // could not would read 3.0).
+    assert_budget(
+        "cold sealed bootstrap",
+        v1.binary.len(),
+        2.2,
+        bytes,
+        largest,
+    );
+}
+
+#[test]
+fn chunked_delta_allocates_about_the_package() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let v1 = record(1, DriverVersion::new(1, 0, 0), 64 << 10);
+    let v2 = record(2, DriverVersion::new(2, 0, 0), 64 << 10);
+    let rig = rig(&v1);
+    let clients: Vec<_> = ["app1", "app2"].iter().map(|h| client(&rig, h)).collect();
+    for (boot, _) in &clients {
+        connect(&rig, boot);
+    }
+    rig.srv.install_driver(&v2).unwrap();
+    let upgrade = PermissionRule::any(DriverId(2))
+        .with_policies(RenewPolicy::Upgrade, ExpirationPolicy::AfterCommit);
+    rig.srv.add_rule(&upgrade).unwrap();
+    rig.net.clock().advance_ms(4_000_000); // expire the leases
+    let mut costs = Vec::new();
+    for (boot, depot) in &clients {
+        let (outcome, bytes, largest) = measured(|| boot.poll());
+        assert!(
+            matches!(outcome, PollOutcome::Upgraded { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(boot.stats().delta_downloads, 1);
+        assert_eq!(depot.image_count(), 2);
+        costs.push((bytes, largest));
+    }
+    // One assembly buffer, plus what a renewal round trip and the
+    // fetched chunks cost whatever the package size (about 40 KiB).
+    let (bytes, largest) = costs[1];
+    assert_budget("64 KiB chunked delta", v2.binary.len(), 2.0, bytes, largest);
+}
+
+#[test]
+fn every_envelope_is_one_exactly_sized_allocation() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let payload = drivolution::core::entropy_blob(1 << 20, 5);
+    let cert = drivolution::core::Certificate::issue("db1", 1);
+    for method in [
+        TransferMethod::Plain,
+        TransferMethod::Checksum,
+        TransferMethod::Sealed,
+    ] {
+        let (wrapped, bytes, largest) =
+            measured(|| transfer::wrap(method, &payload, Some(&cert)).unwrap());
+        // The envelope, plus the few dozen bytes of the shared handle.
+        assert_eq!(largest, wrapped.len() as u64, "{method}");
+        assert!(bytes < largest + 256, "{method}: {bytes} B for {largest} B");
+    }
+}

@@ -488,3 +488,76 @@ fn depotless_clients_are_unaffected_by_the_depot_rollout() {
     rig.net.clock().advance_ms(4_000_000);
     assert_eq!(boot.poll(), PollOutcome::Renewed);
 }
+
+/// Sits in front of the real server on a `Plain` channel (no MAC to
+/// object) and answers every `FILE_REQUEST` with a different, perfectly
+/// loadable driver than the one the offer described.
+struct FileSwapper {
+    net: Network,
+    real: Addr,
+    swapped: bytes::Bytes,
+}
+
+impl netsim::Service for FileSwapper {
+    fn call(&self, from: &Addr, request: bytes::Bytes) -> Result<bytes::Bytes, netsim::NetError> {
+        use drivolution::core::proto::DrvMsg;
+        let reply = self.net.request(from, &self.real, request)?;
+        Ok(match DrvMsg::decode(reply.clone()) {
+            Ok(DrvMsg::FileData { .. }) => {
+                let payload =
+                    drivolution::core::transfer::wrap(TransferMethod::Plain, &self.swapped, None)
+                        .unwrap();
+                DrvMsg::FileData { payload }.encode()
+            }
+            _ => reply,
+        })
+    }
+}
+
+#[test]
+fn downloaded_file_that_is_not_the_offered_one_is_refused() {
+    let offered = padded_record(1, DriverVersion::new(1, 0, 0));
+    // Same length (only the digest differs), then a different length.
+    let same_len = padded_record(1, DriverVersion::new(1, 0, 1)).binary;
+    assert_eq!(same_len.len(), offered.binary.len());
+    let other_len = pack_driver_padded(
+        BinaryFormat::Djar,
+        &DriverImage::new("depot-driver", DriverVersion::new(1, 0, 0), 1),
+        1024,
+    );
+    for swapped in [same_len, other_len] {
+        let net = Network::new();
+        let db = Arc::new(MiniDb::with_clock("orders", net.clock().clone()));
+        net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
+            .unwrap();
+        let real = Addr::new("behind", DRIVOLUTION_PORT);
+        let config = ServerConfig {
+            default_transfer: TransferMethod::Plain,
+            ..ServerConfig::default()
+        };
+        let srv = attach_in_database(&net, db, real.clone(), config).unwrap();
+        srv.install_driver(&offered).unwrap();
+        let swapper = FileSwapper {
+            net: net.clone(),
+            real,
+            swapped,
+        };
+        net.bind(Addr::new("db1", DRIVOLUTION_PORT), swapper)
+            .unwrap();
+
+        let depot = DriverDepot::in_memory();
+        let boot = Bootloader::new(
+            &net,
+            Addr::new("app", 1),
+            BootloaderConfig::same_host().with_depot(depot.clone()),
+        );
+        let url: DbUrl = "rdbc:minidb://db1:5432/orders".parse().unwrap();
+        let e = boot
+            .connect(&url, &ConnectProps::user("admin", "admin"))
+            .unwrap_err();
+        assert!(matches!(e, DkError::Drv(DrvError::BadPackage(_))), "{e:?}");
+        assert_eq!(depot.image_count(), 0);
+        assert_eq!(depot.stats().full_inserts, 0);
+        assert_eq!(boot.stats().downloads, 0);
+    }
+}
