@@ -10,7 +10,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::exec::{exec_select, execute_statement, QueryResult};
 use crate::exec::expr::Params;
 use crate::schema::{Column, TableSchema};
-use crate::sql::ast::{Privilege, Statement};
+use crate::sql::ast::{Expr, Privilege, SelectItem, Statement};
 use crate::sql::parser::parse;
 use crate::storage::{Catalog, UndoRecord};
 use crate::value::{DataType, Value};
@@ -53,12 +53,74 @@ struct DbInner {
     enforce_grants: bool,
 }
 
-/// Upper bound on cached parsed statements. The Drivolution workload
-/// issues a small fixed set of parameterized statements per request, so
-/// the cache stays tiny; the bound only guards against unbounded growth
-/// under ad-hoc SQL (flushed wholesale when hit — no recency tracking to
-/// keep behavior deterministic).
+/// Upper bound on cached parsed statements. Only texts that can recur
+/// are cached ([`recurs`]), and applications issue a fixed set of those,
+/// so the cache stays tiny; the bound only guards against unbounded
+/// growth under generated SQL (flushed wholesale when hit — no recency
+/// tracking to keep behavior deterministic).
 const STMT_CACHE_CAP: usize = 256;
+
+/// Whether a statement's text can come back with different data: it
+/// binds a placeholder, or spells out no value at all (`BEGIN`,
+/// `SELECT count(*) FROM t`). A text with literals and no placeholder
+/// (`INSERT INTO orders VALUES (30000017, 4, 'new')`) carries its data
+/// in the text — the next execution is a different text — so caching it
+/// buys nothing, and a stream of them used to fill the cache and flush
+/// every statement worth keeping with it.
+fn recurs(stmt: &Statement) -> bool {
+    // (binds a placeholder, spells out a literal) anywhere under `e`.
+    fn scan(e: &Expr, seen: &mut (bool, bool)) {
+        match e {
+            Expr::Param(_) => seen.0 = true,
+            Expr::Literal(_) => seen.1 = true,
+            Expr::Column(_) => {}
+            Expr::Not(a) | Expr::Neg(a) | Expr::IsNull { expr: a, .. } => scan(a, seen),
+            Expr::Binary { lhs: a, rhs: b, .. }
+            | Expr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => {
+                scan(a, seen);
+                scan(b, seen);
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                scan(expr, seen);
+                scan(low, seen);
+                scan(high, seen);
+            }
+            Expr::InList { expr, list, .. } => {
+                scan(expr, seen);
+                list.iter().for_each(|e| scan(e, seen));
+            }
+            Expr::Func { args, .. } => args.iter().for_each(|e| scan(e, seen)),
+        }
+    }
+    let mut seen = (false, false);
+    let mut each = |e: &Expr| scan(e, &mut seen);
+    match stmt {
+        Statement::Insert { rows, .. } => rows.iter().flatten().for_each(each),
+        Statement::Select(s) => {
+            for item in &s.items {
+                if let SelectItem::Expr { expr, .. } = item {
+                    each(expr);
+                }
+            }
+            s.filter.iter().for_each(&mut each);
+            s.order_by.iter().for_each(|(e, _)| each(e));
+        }
+        Statement::Update { sets, filter, .. } => {
+            sets.iter().for_each(|(_, e)| each(e));
+            filter.iter().for_each(each);
+        }
+        Statement::Delete { filter, .. } => filter.iter().for_each(each),
+        _ => {}
+    }
+    let (param, literal) = seen;
+    param || !literal
+}
 
 /// An embedded single-database engine instance.
 ///
@@ -179,7 +241,11 @@ impl MiniDb {
         let stmt = match cached {
             Some(stmt) => stmt,
             None => {
-                let stmt = std::sync::Arc::new(parse(sql)?);
+                let stmt = parse(sql)?;
+                if !recurs(&stmt) {
+                    return self.execute_stmt(session, &stmt, params);
+                }
+                let stmt = std::sync::Arc::new(stmt);
                 let mut cache = self.stmts.lock();
                 if cache.len() >= STMT_CACHE_CAP {
                     cache.clear();
@@ -390,6 +456,18 @@ impl MiniDb {
         Ok(virt)
     }
 
+    /// Rows the engine has looked at so far on behalf of statements
+    /// against catalog tables ([`crate::storage::Table::rows_examined`]):
+    /// what a statement costs, without a clock.
+    pub fn rows_examined(&self) -> u64 {
+        self.inner.lock().catalog.rows_examined()
+    }
+
+    /// Number of parsed statements held by the parse cache.
+    pub fn cached_statements(&self) -> usize {
+        self.stmts.lock().len()
+    }
+
     /// Number of rows in `table` — a test/diagnostic convenience.
     ///
     /// # Errors
@@ -555,6 +633,35 @@ mod tests {
         clock.advance_ms(5_000);
         let rs = db.exec(&mut s, "SELECT now()").unwrap().rows().unwrap();
         assert_eq!(rs.rows[0][0], Value::Timestamp(5_000));
+    }
+
+    #[test]
+    fn only_texts_that_can_recur_are_cached() {
+        let rows = [
+            ("BEGIN", true),
+            ("SELECT count(*) FROM t", true),
+            ("SELECT v FROM t ORDER BY id LIMIT 1", true),
+            ("SELECT v FROM t WHERE id = $id AND v LIKE 'o%'", true),
+            ("INSERT INTO t VALUES (?, ?)", true),
+            ("UPDATE t SET v = upper(v) WHERE id = ?", true),
+            ("INSERT INTO t VALUES (3, 'three')", false),
+            ("UPDATE t SET v = 'x' WHERE id = 1", false),
+            ("SELECT v FROM t WHERE id IN (1, 2)", false),
+            ("SELECT v FROM t ORDER BY id + 1", false),
+            ("DELETE FROM t WHERE id BETWEEN 5 AND 9", false),
+        ];
+        for (sql, want) in rows {
+            assert_eq!(recurs(&parse(sql).unwrap()), want, "{sql}");
+        }
+        let db = db();
+        let mut s = db.admin_session();
+        let cached = db.cached_statements();
+        db.exec(&mut s, "UPDATE t SET v = 'x' WHERE id = 1")
+            .unwrap();
+        assert_eq!(db.cached_statements(), cached);
+        db.exec(&mut s, "SELECT count(*) FROM t").unwrap();
+        db.exec(&mut s, "SELECT count(*) FROM t").unwrap();
+        assert_eq!(db.cached_statements(), cached + 1);
     }
 
     #[test]

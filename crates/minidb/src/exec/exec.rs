@@ -5,8 +5,8 @@ use std::cmp::Ordering;
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::{is_aggregate, EvalCtx, Params};
 use crate::schema::{Column, TableSchema};
-use crate::sql::ast::{ColumnDef, Expr, SelectItem, SelectStmt, Statement};
-use crate::storage::{Catalog, UndoRecord};
+use crate::sql::ast::{BinOp, ColumnDef, Expr, SelectItem, SelectStmt, Statement};
+use crate::storage::{Catalog, RowId, Table, UndoRecord};
 use crate::value::Value;
 
 /// A result set: named columns and rows.
@@ -92,19 +92,150 @@ fn build_schema(name: &str, defs: &[ColumnDef]) -> DbResult<TableSchema> {
 }
 
 /// Where a statement's target table lives.
+#[derive(Clone, Copy)]
 enum Target {
     Main,
     Temp,
 }
 
-fn resolve_target(catalog: &Catalog, temp: &Catalog, table: &str) -> DbResult<Target> {
+/// Finds `table`, a session's temporary tables shadowing the catalog's.
+fn resolve<'a>(
+    catalog: &'a Catalog,
+    temp: &'a Catalog,
+    table: &str,
+) -> DbResult<(Target, &'a Table)> {
     if temp.has_table(table) {
-        Ok(Target::Temp)
-    } else if catalog.has_table(table) {
-        Ok(Target::Main)
+        Ok((Target::Temp, temp.table(table)?))
     } else {
-        Err(DbError::NoSuchTable(table.to_string()))
+        Ok((Target::Main, catalog.table(table)?))
     }
+}
+
+/// The table `resolve` found, for writing, and the undo log its
+/// mutations go to (temporary tables have none).
+fn resolve_mut<'a>(
+    target: Target,
+    catalog: &'a mut Catalog,
+    temp: &'a mut Catalog,
+    table: &str,
+    undo: &'a mut Option<Vec<UndoRecord>>,
+) -> DbResult<(&'a mut Table, Option<&'a mut Vec<UndoRecord>>)> {
+    match target {
+        Target::Main => Ok((catalog.table_mut(table)?, undo.as_mut())),
+        Target::Temp => Ok((temp.table_mut(table)?, None)),
+    }
+}
+
+/// Position of the column an expression names (qualified references
+/// resolve by their last segment, as in [`EvalCtx`]).
+fn column_index(schema: &TableSchema, name: &str) -> Option<usize> {
+    schema.col_index(name.rsplit('.').next()?).ok()
+}
+
+/// Whether `e`, evaluated as a predicate on any row of the table, yields
+/// TRUE, FALSE or NULL and never an error: comparisons and tests over
+/// literals, columns that resolve and parameters that are bound, joined
+/// by AND / OR / NOT.
+fn total(e: &Expr, schema: &TableSchema, params: &Params) -> bool {
+    let atom = |e: &Expr| match e {
+        Expr::Literal(_) => true,
+        Expr::Column(c) => column_index(schema, c).is_some(),
+        Expr::Param(p) => params.contains_key(p),
+        _ => false,
+    };
+    match e {
+        Expr::Binary {
+            op: BinOp::And | BinOp::Or,
+            lhs,
+            rhs,
+        } => total(lhs, schema, params) && total(rhs, schema, params),
+        Expr::Binary {
+            op: BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge,
+            lhs,
+            rhs,
+        } => atom(lhs) && atom(rhs),
+        Expr::Not(e) => total(e, schema, params),
+        Expr::IsNull { expr, .. } => atom(expr),
+        Expr::Like { expr, pattern, .. } => atom(expr) && atom(pattern),
+        Expr::Between {
+            expr, low, high, ..
+        } => atom(expr) && atom(low) && atom(high),
+        Expr::InList { expr, list, .. } => atom(expr) && list.iter().all(atom),
+        _ => false,
+    }
+}
+
+/// The one primary-key value `filter` can be TRUE for, when its shape
+/// says so: `pk = <literal | $param>` (either operand order), alone or
+/// as a conjunct of `AND`s. On every row with a different key such a
+/// filter evaluates to FALSE without raising an error, so skipping those
+/// rows cannot change what the statement returns or which error it
+/// raises. That needs the comparison itself to be decided — a NULL probe,
+/// an unbound parameter or a probe outside the key's type family pins
+/// nothing (`id = 'x'` is NULL, not FALSE, on every row) — and whatever
+/// `AND` evaluates before it to be [`total`]. The probe comes back
+/// coerced to the key column's type.
+fn pinned_key(filter: &Expr, schema: &TableSchema, pk: usize, params: &Params) -> Option<Value> {
+    let Expr::Binary { op, lhs, rhs } = filter else {
+        return None;
+    };
+    match op {
+        BinOp::Eq => {
+            let is_key =
+                |e: &Expr| matches!(e, Expr::Column(c) if column_index(schema, c) == Some(pk));
+            let probe = match (is_key(lhs), is_key(rhs)) {
+                (true, false) => rhs,
+                (false, true) => lhs,
+                _ => return None,
+            };
+            let probe = match &**probe {
+                Expr::Literal(v) => v,
+                Expr::Param(p) => params.get(p)?,
+                _ => return None,
+            };
+            let dtype = schema.columns().get(pk)?.dtype();
+            probe
+                .clone()
+                .coerce_to(dtype)
+                .ok()
+                .filter(|key| !key.is_null())
+        }
+        // The cheap question first: most filters pin nothing, and then
+        // nobody needs to know whether `lhs` can fail.
+        BinOp::And => pinned_key(lhs, schema, pk, params)
+            .or_else(|| pinned_key(rhs, schema, pk, params).filter(|_| total(lhs, schema, params))),
+        _ => None,
+    }
+}
+
+/// The one access path of SELECT, UPDATE and DELETE: calls `hit` on each
+/// row of `t` on which `filter` is TRUE (on every row without one), in
+/// row-id order, stopping at the first error of either. When the filter
+/// pins the primary key ([`pinned_key`]) only the indexed candidates are
+/// looked at, otherwise every row; either way the unchanged filter is
+/// evaluated on each candidate, so the index decides how many rows are
+/// examined and never which ones match.
+fn for_each_match<'a>(
+    t: &'a Table,
+    filter: Option<&Expr>,
+    params: &Params,
+    now_ms: i64,
+    mut hit: impl FnMut(RowId, &'a Vec<Value>) -> DbResult<()>,
+) -> DbResult<()> {
+    let schema = t.schema();
+    let key = filter
+        .zip(schema.primary_key_index())
+        .and_then(|(f, pk)| pinned_key(f, schema, pk, params));
+    for (id, row) in t.candidates(key.as_ref()) {
+        let keep = match filter {
+            Some(f) => EvalCtx::for_row(schema, row, params, now_ms).eval_bool(f)? == Some(true),
+            None => true,
+        };
+        if keep {
+            hit(id, row)?;
+        }
+    }
+    Ok(())
 }
 
 /// Executes one data/DDL statement.
@@ -204,11 +335,8 @@ fn exec_insert(
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
-    let target = resolve_target(catalog, temp, table)?;
-    let schema = match target {
-        Target::Main => catalog.table(table)?.schema().clone(),
-        Target::Temp => temp.table(table)?.schema().clone(),
-    };
+    let (target, t) = resolve(catalog, temp, table)?;
+    let schema = t.schema();
     // Map the explicit column list (if any) to schema positions.
     let positions: Vec<usize> = match columns {
         Some(cols) => cols
@@ -236,32 +364,22 @@ fn exec_insert(
     // Foreign-key checks only apply to main-catalog tables.
     if matches!(target, Target::Main) {
         for row in &built {
-            for (ci, col) in schema.columns().iter().enumerate() {
+            for (col, value) in schema.columns().iter().zip(row) {
                 if let Some((rt, rc)) = col.references_target() {
-                    catalog.check_reference(rt, rc, &row[ci])?;
+                    catalog.check_reference(rt, rc, value)?;
                 }
             }
         }
     }
     let n = built.len() as u64;
-    match target {
-        Target::Main => {
-            let t = catalog.table_mut(table)?;
-            for row in built {
-                let id = t.insert(row)?;
-                if let Some(log) = undo.as_mut() {
-                    log.push(UndoRecord::Inserted {
-                        table: table.to_string(),
-                        id,
-                    });
-                }
-            }
-        }
-        Target::Temp => {
-            let t = temp.table_mut(table)?;
-            for row in built {
-                t.insert(row)?;
-            }
+    let (t, mut log) = resolve_mut(target, catalog, temp, table, undo)?;
+    for row in built {
+        let id = t.insert(row)?;
+        if let Some(log) = log.as_deref_mut() {
+            log.push(UndoRecord::Inserted {
+                table: table.to_string(),
+                id,
+            });
         }
     }
     Ok(QueryResult::Affected(n))
@@ -278,72 +396,50 @@ fn exec_update(
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
-    let target = resolve_target(catalog, temp, table)?;
-    let schema = match target {
-        Target::Main => catalog.table(table)?.schema().clone(),
-        Target::Temp => temp.table(table)?.schema().clone(),
-    };
+    let (target, t) = resolve(catalog, temp, table)?;
+    let schema = t.schema();
     let set_positions: Vec<usize> = sets
         .iter()
         .map(|(c, _)| schema.col_index(c))
         .collect::<DbResult<_>>()?;
     // Phase 1: compute new images under an immutable borrow.
-    let mut changes: Vec<(u64, Vec<Value>, Vec<Value>)> = Vec::new();
-    {
-        let t = match target {
-            Target::Main => catalog.table(table)?,
-            Target::Temp => temp.table(table)?,
-        };
-        for (id, row) in t.iter() {
-            let ctx = EvalCtx::for_row(&schema, row, params, now_ms);
-            let keep = match filter {
-                Some(f) => ctx.eval_bool(f)? == Some(true),
-                None => true,
-            };
-            if !keep {
-                continue;
-            }
-            let mut new_row = row.clone();
-            for (pos, (_, e)) in set_positions.iter().zip(sets) {
-                new_row[*pos] = ctx.eval(e)?;
-            }
-            changes.push((id, row.clone(), new_row));
+    let mut changes: Vec<(RowId, &Vec<Value>, Vec<Value>)> = Vec::new();
+    for_each_match(t, filter, params, now_ms, |id, row| {
+        let ctx = EvalCtx::for_row(schema, row, params, now_ms);
+        let mut new_row = row.clone();
+        for (pos, (_, e)) in set_positions.iter().zip(sets) {
+            new_row[*pos] = ctx.eval(e)?;
         }
-    }
+        changes.push((id, row, new_row));
+        Ok(())
+    })?;
     if matches!(target, Target::Main) {
         for (_, old, new) in &changes {
-            for (ci, col) in schema.columns().iter().enumerate() {
+            for ((col, old), new) in schema.columns().iter().zip(*old).zip(new) {
+                if old.sql_eq(new) == Some(true) {
+                    continue;
+                }
                 // New referencing values must resolve.
                 if let Some((rt, rc)) = col.references_target() {
-                    if old[ci].sql_eq(&new[ci]) != Some(true) {
-                        catalog.check_reference(rt, rc, &new[ci])?;
-                    }
+                    catalog.check_reference(rt, rc, new)?;
                 }
                 // Values referenced by other tables must not be orphaned.
-                if old[ci].sql_eq(&new[ci]) != Some(true) {
-                    catalog.check_no_referents(table, col.name(), &old[ci])?;
-                }
+                catalog.check_no_referents(table, col.name(), old)?;
             }
         }
     }
+    let changes: Vec<(RowId, Vec<Value>)> =
+        changes.into_iter().map(|(id, _, new)| (id, new)).collect();
     let n = changes.len() as u64;
-    match target {
-        Target::Main => {
-            for (id, _old, new) in changes {
-                let old = catalog.table_mut(table)?.update(id, new)?;
-                if let Some(log) = undo.as_mut() {
-                    log.push(UndoRecord::Updated {
-                        table: table.to_string(),
-                        id,
-                        old,
-                    });
-                }
-            }
-        }
-        Target::Temp => {
-            for (id, _old, new) in changes {
-                temp.table_mut(table)?.update(id, new)?;
-            }
+    let (t, mut log) = resolve_mut(target, catalog, temp, table, undo)?;
+    for (id, new) in changes {
+        let old = t.update(id, new)?;
+        if let Some(log) = log.as_deref_mut() {
+            log.push(UndoRecord::Updated {
+                table: table.to_string(),
+                id,
+                old,
+            });
         }
     }
     Ok(QueryResult::Affected(n))
@@ -358,53 +454,30 @@ fn exec_delete(
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
-    let target = resolve_target(catalog, temp, table)?;
-    let schema = match target {
-        Target::Main => catalog.table(table)?.schema().clone(),
-        Target::Temp => temp.table(table)?.schema().clone(),
-    };
-    let mut doomed: Vec<(u64, Vec<Value>)> = Vec::new();
-    {
-        let t = match target {
-            Target::Main => catalog.table(table)?,
-            Target::Temp => temp.table(table)?,
-        };
-        for (id, row) in t.iter() {
-            let ctx = EvalCtx::for_row(&schema, row, params, now_ms);
-            let keep = match filter {
-                Some(f) => ctx.eval_bool(f)? == Some(true),
-                None => true,
-            };
-            if keep {
-                doomed.push((id, row.clone()));
-            }
-        }
-    }
+    let (target, t) = resolve(catalog, temp, table)?;
+    let mut doomed: Vec<(RowId, &Vec<Value>)> = Vec::new();
+    for_each_match(t, filter, params, now_ms, |id, row| {
+        doomed.push((id, row));
+        Ok(())
+    })?;
     if matches!(target, Target::Main) {
         for (_, row) in &doomed {
-            for (ci, col) in schema.columns().iter().enumerate() {
-                catalog.check_no_referents(table, col.name(), &row[ci])?;
+            for (col, value) in t.schema().columns().iter().zip(*row) {
+                catalog.check_no_referents(table, col.name(), value)?;
             }
         }
     }
+    let doomed: Vec<RowId> = doomed.into_iter().map(|(id, _)| id).collect();
     let n = doomed.len() as u64;
-    match target {
-        Target::Main => {
-            for (id, _) in doomed {
-                let old = catalog.table_mut(table)?.delete(id)?;
-                if let Some(log) = undo.as_mut() {
-                    log.push(UndoRecord::Deleted {
-                        table: table.to_string(),
-                        id,
-                        old,
-                    });
-                }
-            }
-        }
-        Target::Temp => {
-            for (id, _) in doomed {
-                temp.table_mut(table)?.delete(id)?;
-            }
+    let (t, mut log) = resolve_mut(target, catalog, temp, table, undo)?;
+    for id in doomed {
+        let old = t.delete(id)?;
+        if let Some(log) = log.as_deref_mut() {
+            log.push(UndoRecord::Deleted {
+                table: table.to_string(),
+                id,
+                old,
+            });
         }
     }
     Ok(QueryResult::Affected(n))
@@ -477,25 +550,15 @@ pub fn exec_select(
         });
     };
 
-    let t = if temp.has_table(from) {
-        temp.table(from)?
-    } else {
-        catalog.table(from)?
-    };
+    let (_, t) = resolve(catalog, temp, from)?;
     let schema = t.schema();
 
     // Collect rows passing the filter.
     let mut base: Vec<&Vec<Value>> = Vec::new();
-    for (_, row) in t.iter() {
-        let ctx = EvalCtx::for_row(schema, row, params, now_ms);
-        let keep = match &s.filter {
-            Some(f) => ctx.eval_bool(f)? == Some(true),
-            None => true,
-        };
-        if keep {
-            base.push(row);
-        }
-    }
+    for_each_match(t, s.filter.as_ref(), params, now_ms, |_, row| {
+        base.push(row);
+        Ok(())
+    })?;
 
     // Aggregate query?
     let any_agg = s.items.iter().any(|i| match i {
@@ -811,6 +874,55 @@ mod tests {
         .affected()
         .unwrap();
         assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn a_filter_that_pins_the_key_examines_one_row() {
+        let (mut c, mut t) = setup();
+        let mut p = Params::new();
+        p.insert("id".into(), Value::Timestamp(2));
+        let rows = [
+            // Pinned: either operand order, literal or parameter of the
+            // key's family, alone or behind conjuncts that cannot fail.
+            ("SELECT * FROM drivers WHERE driver_id = 2", 1),
+            ("SELECT * FROM drivers WHERE 2 = drivers.driver_id", 1),
+            ("SELECT * FROM drivers WHERE driver_id = $id", 1),
+            (
+                "SELECT * FROM drivers WHERE driver_id = 2 AND api_name = 'ODBC'",
+                1,
+            ),
+            (
+                "SELECT * FROM drivers WHERE api_name LIKE 'J%' AND platform IS NOT NULL \
+                 AND driver_id = 2",
+                1,
+            ),
+            ("SELECT count(*) FROM drivers WHERE driver_id = 9", 0),
+            // Not pinned: the scan is the fallback, never an error.
+            (
+                "SELECT * FROM drivers WHERE version_major + 1 > 0 AND driver_id = 2",
+                3,
+            ),
+            (
+                "SELECT * FROM drivers WHERE driver_id = 2 OR driver_id = 3",
+                3,
+            ),
+            ("SELECT * FROM drivers WHERE NOT driver_id = 2", 3),
+            ("SELECT * FROM drivers WHERE driver_id = 'two'", 3),
+            ("SELECT * FROM drivers WHERE driver_id = NULL", 3),
+            ("SELECT * FROM drivers WHERE driver_id = driver_id", 3),
+            ("SELECT * FROM drivers WHERE driver_id >= 2", 3),
+            ("SELECT * FROM drivers WHERE api_name = 'JDBC'", 3),
+            ("SELECT * FROM drivers", 3),
+            // DML shares the path; storing an updated row looks at the
+            // holder of its key once more.
+            ("UPDATE drivers SET platform = 'any' WHERE driver_id = 2", 2),
+            ("DELETE FROM drivers WHERE driver_id = 2", 1),
+        ];
+        for (sql, want) in rows {
+            let before = c.rows_examined();
+            run(&mut c, &mut t, sql, &p).unwrap();
+            assert_eq!(c.rows_examined() - before, want, "{sql}");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Row storage, catalog, and transaction undo log.
+//! Row storage, the primary-key index, catalog, and transaction undo log.
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use crate::error::{DbError, DbResult};
 use crate::schema::TableSchema;
@@ -9,21 +11,56 @@ use crate::value::Value;
 /// Opaque row identifier, unique within a table for its lifetime.
 pub type RowId = u64;
 
-/// A heap table: schema plus rows keyed by [`RowId`].
+/// Hash of a key value, equal for any two values [`Value::sql_eq`] calls
+/// equal: INTEGER / BIGINT / TIMESTAMP are one numeric family hashed by
+/// their `i64`, VARCHAR and BLOB by their bytes. NULL equals nothing and
+/// has no hash. Unequal values may share a hash (a VARCHAR and a BLOB of
+/// the same bytes, or a plain collision), so every index hit is confirmed
+/// against the stored row.
+fn key_hash(v: &Value) -> Option<u64> {
+    let bytes: &[u8] = match v {
+        Value::Null => return None,
+        Value::Integer(n) | Value::BigInt(n) | Value::Timestamp(n) => return Some(*n as u64),
+        Value::Boolean(b) => return Some(u64::from(*b)),
+        Value::Varchar(s) => s.as_bytes(),
+        Value::Blob(b) => b,
+    };
+    let mut h = DefaultHasher::new();
+    bytes.hash(&mut h);
+    Some(h.finish())
+}
+
+/// A heap table: schema plus rows keyed by [`RowId`], and — when the
+/// schema declares a `PRIMARY KEY` — an index from key to row that every
+/// mutation maintains.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
     rows: BTreeMap<RowId, Vec<Value>>,
     next_row_id: RowId,
+    /// Position of the primary-key column, if declared.
+    pk: Option<usize>,
+    /// `(key_hash(row[pk]), row id)` for every row of a keyed table. A set
+    /// of pairs rather than a key → row map: it holds no second copy of a
+    /// VARCHAR / BLOB key, and two rows under one hash (a collision, or a
+    /// duplicate key resurrected by another session's rollback) coexist
+    /// and come back in row-id order, as a scan would return them.
+    index: BTreeSet<(u64, RowId)>,
+    /// Rows handed out by [`Table::candidates`] or compared by a key
+    /// lookup (diagnostic; see [`Table::rows_examined`]).
+    examined: Cell<u64>,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Self {
         Table {
+            pk: schema.primary_key_index(),
             schema,
             rows: BTreeMap::new(),
             next_row_id: 1,
+            index: BTreeSet::new(),
+            examined: Cell::new(0),
         }
     }
 
@@ -52,6 +89,75 @@ impl Table {
         self.rows.get(&id)
     }
 
+    /// How many rows this table has handed to a statement or compared in
+    /// a key lookup since it was created: the deterministic cost of the
+    /// statements run against it (a scan counts every row, an index hit
+    /// one).
+    pub fn rows_examined(&self) -> u64 {
+        self.examined.get()
+    }
+
+    /// The rows a predicate has to look at, in row-id order: with `key`
+    /// (a non-NULL value of the primary-key column's type family, on a
+    /// keyed table) only the rows the index holds under that key's hash,
+    /// otherwise every row. A superset of the rows whose key equals `key`
+    /// — the caller still evaluates its predicate on each.
+    pub fn candidates<'a>(
+        &'a self,
+        key: Option<&Value>,
+    ) -> impl Iterator<Item = (RowId, &'a Vec<Value>)> + 'a {
+        // Exactly one of the two sources is present; chaining them keeps
+        // this one concrete iterator type, with nothing boxed per call.
+        let pinned = key
+            .and_then(key_hash)
+            .filter(|_| self.pk.is_some())
+            .map(|h| self.index.range((h, RowId::MIN)..=(h, RowId::MAX)));
+        let scan = pinned.is_none().then(|| self.iter());
+        let pinned = pinned
+            .into_iter()
+            .flatten()
+            .filter_map(|(_, id)| Some((*id, self.rows.get(id)?)));
+        pinned
+            .chain(scan.into_iter().flatten())
+            .inspect(|_| self.examined.set(self.examined.get() + 1))
+    }
+
+    /// The index entry of `row` stored under `id`, if this table is keyed.
+    fn index_entry(&self, id: RowId, row: &[Value]) -> Option<(u64, RowId)> {
+        let h = key_hash(row.get(self.pk?)?)?;
+        Some((h, id))
+    }
+
+    /// The one place the index changes: a row's image went from the one
+    /// behind `stale` to the one behind `entry` (`None`: no such image,
+    /// or an unkeyed table).
+    fn reindex(&mut self, stale: Option<(u64, RowId)>, entry: Option<(u64, RowId)>) {
+        if stale != entry {
+            if let Some(stale) = stale {
+                self.index.remove(&stale);
+            }
+            self.index.extend(entry);
+        }
+    }
+
+    /// Rejects `row` if a row other than `except` already holds its key.
+    fn check_unique(&self, row: &[Value], except: Option<RowId>) -> DbResult<()> {
+        let Some((pk, key)) = self.pk.and_then(|pk| Some((pk, row.get(pk)?))) else {
+            return Ok(());
+        };
+        let taken = self.candidates(Some(key)).any(|(id, r)| {
+            Some(id) != except && r.get(pk).and_then(|k| k.sql_eq(key)) == Some(true)
+        });
+        if !taken {
+            return Ok(());
+        }
+        let column = self.schema.columns().get(pk).map_or("?", |c| c.name());
+        Err(DbError::DuplicateKey(format!(
+            "{}.{column} = {key}",
+            self.schema.name()
+        )))
+    }
+
     /// Validates the row against the schema (types, NOT NULL, primary-key
     /// uniqueness) and inserts it, returning its new [`RowId`].
     ///
@@ -61,28 +167,21 @@ impl Table {
     /// [`DbError::DuplicateKey`].
     pub fn insert(&mut self, row: Vec<Value>) -> DbResult<RowId> {
         let row = self.schema.validate_row(row)?;
-        if let Some(pk) = self.schema.primary_key_index() {
-            let new_key = &row[pk];
-            for existing in self.rows.values() {
-                if existing[pk].sql_eq(new_key) == Some(true) {
-                    return Err(DbError::DuplicateKey(format!(
-                        "{}.{} = {}",
-                        self.schema.name(),
-                        self.schema.columns()[pk].name(),
-                        new_key
-                    )));
-                }
-            }
-        }
+        self.check_unique(&row, None)?;
         let id = self.next_row_id;
         self.next_row_id += 1;
+        self.reindex(None, self.index_entry(id, &row));
         self.rows.insert(id, row);
         Ok(id)
     }
 
-    /// Re-inserts a row under a previously used id (for undo).
+    /// Re-inserts a row under a previously used id (for undo), replacing
+    /// whatever image the id holds now.
     pub(crate) fn restore(&mut self, id: RowId, row: Vec<Value>) {
-        self.rows.insert(id, row);
+        let entry = self.index_entry(id, &row);
+        let replaced = self.rows.insert(id, row);
+        let stale = replaced.and_then(|old| self.index_entry(id, &old));
+        self.reindex(stale, entry);
         if id >= self.next_row_id {
             self.next_row_id = id + 1;
         }
@@ -92,29 +191,21 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// [`DbError::Internal`] if `id` is dead; schema errors as for insert.
+    /// [`DbError::Internal`] if `id` is dead (the table is left
+    /// untouched); schema errors as for insert.
     pub fn update(&mut self, id: RowId, row: Vec<Value>) -> DbResult<Vec<Value>> {
         let row = self.schema.validate_row(row)?;
-        if let Some(pk) = self.schema.primary_key_index() {
-            let new_key = &row[pk];
-            for (other_id, existing) in &self.rows {
-                if *other_id != id && existing[pk].sql_eq(new_key) == Some(true) {
-                    return Err(DbError::DuplicateKey(format!(
-                        "{}.{} = {}",
-                        self.schema.name(),
-                        self.schema.columns()[pk].name(),
-                        new_key
-                    )));
-                }
-            }
-        }
-        match self.rows.insert(id, row) {
-            Some(old) => Ok(old),
-            None => Err(DbError::Internal(format!(
+        self.check_unique(&row, Some(id))?;
+        let entry = self.index_entry(id, &row);
+        let Some(slot) = self.rows.get_mut(&id) else {
+            return Err(DbError::Internal(format!(
                 "update of dead row {id} in {}",
                 self.schema.name()
-            ))),
-        }
+            )));
+        };
+        let old = std::mem::replace(slot, row);
+        self.reindex(self.index_entry(id, &old), entry);
+        Ok(old)
     }
 
     /// Deletes the row at `id`, returning its final image.
@@ -123,16 +214,19 @@ impl Table {
     ///
     /// [`DbError::Internal`] if `id` is dead.
     pub fn delete(&mut self, id: RowId) -> DbResult<Vec<Value>> {
-        self.rows.remove(&id).ok_or_else(|| {
+        let old = self.rows.remove(&id).ok_or_else(|| {
             DbError::Internal(format!("delete of dead row {id} in {}", self.schema.name()))
-        })
+        })?;
+        self.reindex(self.index_entry(id, &old), None);
+        Ok(old)
     }
 
-    /// Returns `true` if any row has `value` in column `col`.
+    /// Returns `true` if any row has `value` in column `col` (through
+    /// the index when `col` is the primary key).
     pub fn contains_value(&self, col: usize, value: &Value) -> bool {
-        self.rows
-            .values()
-            .any(|r| r[col].sql_eq(value) == Some(true))
+        let key = Some(value).filter(|_| self.pk == Some(col));
+        self.candidates(key)
+            .any(|(_, r)| r.get(col).and_then(|v| v.sql_eq(value)) == Some(true))
     }
 }
 
@@ -237,6 +331,11 @@ impl Catalog {
     /// Sorted list of table names (canonical lowercase form).
     pub fn table_names(&self) -> Vec<String> {
         self.tables.keys().cloned().collect()
+    }
+
+    /// Rows examined across all tables ([`Table::rows_examined`]).
+    pub fn rows_examined(&self) -> u64 {
+        self.tables.values().map(Table::rows_examined).sum()
     }
 
     /// Applies one undo record, reversing a mutation.
@@ -378,6 +477,122 @@ mod tests {
         // But colliding with another row is not.
         t.insert(vec![Value::Integer(2)]).unwrap();
         assert!(t.update(id, vec![Value::Integer(2)]).is_err());
+    }
+
+    #[test]
+    fn update_of_a_dead_row_leaves_the_table_untouched() {
+        let mut t = Table::new(
+            TableSchema::new("t", vec![Column::new("a", DataType::Integer).primary_key()]).unwrap(),
+        );
+        let id = t.insert(vec![Value::Integer(1)]).unwrap();
+        t.delete(id).unwrap();
+        assert!(matches!(
+            t.update(id, vec![Value::Integer(1)]),
+            Err(DbError::Internal(_))
+        ));
+        // No phantom row, and nothing holds key 1.
+        assert!(t.is_empty());
+        assert!(!t.contains_value(0, &Value::Integer(1)));
+        t.insert(vec![Value::Integer(1)]).unwrap();
+        assert_eq!(t.len(), 1);
+    }
+
+    /// Row ids the index offers for `key`.
+    fn holders(t: &Table, key: &Value) -> Vec<RowId> {
+        t.candidates(Some(key)).map(|(id, _)| id).collect()
+    }
+
+    #[test]
+    fn index_follows_insert_update_delete_and_restore() {
+        let mut t = Table::new(
+            TableSchema::new(
+                "t",
+                vec![
+                    Column::new("a", DataType::Integer).primary_key(),
+                    Column::new("b", DataType::Varchar),
+                ],
+            )
+            .unwrap(),
+        );
+        let row = |a: i64, b: &str| vec![Value::Integer(a), Value::str(b)];
+        let one = t.insert(row(1, "x")).unwrap();
+        let two = t.insert(row(2, "y")).unwrap();
+        // INTEGER, BIGINT and TIMESTAMP probes are one key family.
+        for probe in [Value::Integer(1), Value::BigInt(1), Value::Timestamp(1)] {
+            assert_eq!(holders(&t, &probe), vec![one]);
+            assert!(t.contains_value(0, &probe));
+        }
+        // A NULL probe pins nothing: every row is a candidate, none equal.
+        assert_eq!(holders(&t, &Value::Null), vec![one, two]);
+        assert!(!t.contains_value(0, &Value::Null));
+
+        // A non-key update keeps the entry, a key move moves it.
+        t.update(one, row(1, "z")).unwrap();
+        assert_eq!(holders(&t, &Value::Integer(1)), vec![one]);
+        let before_move = t.update(one, row(7, "z")).unwrap();
+        assert!(holders(&t, &Value::Integer(1)).is_empty());
+        assert_eq!(holders(&t, &Value::Integer(7)), vec![one]);
+        // Key 1 is free again, key 2 is still taken.
+        assert!(matches!(
+            t.update(one, row(2, "z")),
+            Err(DbError::DuplicateKey(_))
+        ));
+        assert_eq!(holders(&t, &Value::Integer(7)), vec![one]);
+
+        // Undo of the move, then of a delete.
+        t.restore(one, before_move);
+        assert_eq!(holders(&t, &Value::Integer(1)), vec![one]);
+        assert!(holders(&t, &Value::Integer(7)).is_empty());
+        let gone = t.delete(two).unwrap();
+        assert!(holders(&t, &Value::Integer(2)).is_empty());
+        t.restore(two, gone);
+        assert_eq!(holders(&t, &Value::Integer(2)), vec![two]);
+        assert!(matches!(
+            t.insert(row(2, "again")),
+            Err(DbError::DuplicateKey(_))
+        ));
+    }
+
+    #[test]
+    fn every_key_type_is_indexed() {
+        let keys = [
+            (DataType::BigInt, Value::BigInt(-5), Value::BigInt(6)),
+            (DataType::Timestamp, Value::Timestamp(5), Value::Integer(6)),
+            (DataType::Varchar, Value::str("a"), Value::str("b")),
+            (
+                DataType::Blob,
+                Value::from(vec![1u8, 2]),
+                Value::from(vec![1u8]),
+            ),
+            (
+                DataType::Boolean,
+                Value::Boolean(true),
+                Value::Boolean(false),
+            ),
+        ];
+        for (dtype, held, free) in keys {
+            let mut t = Table::new(
+                TableSchema::new("t", vec![Column::new("k", dtype).primary_key()]).unwrap(),
+            );
+            let id = t.insert(vec![held.clone()]).unwrap();
+            for _ in 0..20 {
+                t.insert(vec![free.clone()]).unwrap();
+                let last = t.iter().last().unwrap().0;
+                t.delete(last).unwrap();
+            }
+            let examined = t.rows_examined();
+            assert_eq!(holders(&t, &held), vec![id], "{dtype}");
+            assert!(holders(&t, &free).is_empty(), "{dtype}");
+            assert!(matches!(
+                t.insert(vec![held.clone()]),
+                Err(DbError::DuplicateKey(_))
+            ));
+            assert_eq!(
+                t.rows_examined() - examined,
+                2,
+                "{dtype}: two hits, no scan"
+            );
+        }
     }
 
     #[test]

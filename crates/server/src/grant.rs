@@ -38,15 +38,9 @@ pub(crate) struct Grants {
 impl Grants {
     /// Runs both statements for `q`.
     pub(crate) fn load(store: &DriverStore, q: &DriverQuery) -> DrvResult<Grants> {
-        let matching = store.matching_drivers(q)?;
-        let permitted = if store.has_rules()? {
-            Some(store.permitted_driver_ids(&q.identity)?)
-        } else {
-            None
-        };
         Ok(Grants {
-            matching,
-            permitted,
+            matching: store.matching_drivers(q)?,
+            permitted: store.permitted(&q.identity)?,
         })
     }
 
@@ -123,8 +117,92 @@ pub(crate) fn renewal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+    use drivolution_core::{ApiName, BinaryFormat, ClientIdentity};
+    use minidb::{MiniDb, Params, QueryResult};
     use RenewPolicy::{Renew, Revoke, Upgrade};
     use Renewal::{Revoked, Same, Switch};
+
+    use crate::store::{EmbeddedExec, SqlExec};
+
+    /// An embedded store that counts the statements it is asked to run.
+    struct CountingExec(EmbeddedExec, Arc<AtomicU64>);
+
+    impl SqlExec for CountingExec {
+        fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult> {
+            self.1.fetch_add(1, Relaxed);
+            self.0.exec(sql, params)
+        }
+    }
+
+    /// The three things the permission table can say about a client, and
+    /// what each lookup costs: (rules in the table, user asking) →
+    /// (`permitted`, statements of the first request, of every later one).
+    #[test]
+    fn load_asks_the_permission_table_one_question_when_one_is_enough() {
+        let rule = PermissionRule::any(DriverId(1)).for_user("dba%");
+        let rows = [
+            // A rule matched: there are rules, nothing left to ask.
+            (Some(&rule), "dba7", Some(vec![DriverId(1)]), 2, 2),
+            // No rule matched, but the table has rules: denied.
+            (Some(&rule), "app", Some(vec![]), 3, 3),
+            // No rule matched because there are none: an open
+            // distribution point, and from now on the count is asked
+            // first and settles it.
+            (None, "app", None, 3, 2),
+        ];
+        for (rule, user, want, first, later) in rows {
+            let sql = Arc::new(AtomicU64::new(0));
+            let db = Arc::new(MiniDb::new("drvstore"));
+            let exec = CountingExec(EmbeddedExec::new(db), sql.clone());
+            let store = DriverStore::new(Box::new(exec));
+            store.install_schema().unwrap();
+            let rec = DriverRecord::new(
+                DriverId(1),
+                ApiName::rdbc(),
+                BinaryFormat::Djar,
+                Bytes::from_static(b"driver"),
+            );
+            store.add_driver(&rec).unwrap();
+            if let Some(rule) = rule {
+                store.add_permission(rule).unwrap();
+            }
+            let q = DriverQuery::new(
+                ClientIdentity::new(user, "10.0.0.1", "orders"),
+                "RDBC",
+                "linux-x86_64",
+            );
+            for want_sql in [first, later, later] {
+                sql.store(0, Relaxed);
+                let grants = Grants::load(&store, &q).unwrap();
+                assert_eq!(sql.load(Relaxed), want_sql, "statements for {user}");
+                let ids = |p: &Vec<(DriverId, PermissionRule)>| {
+                    p.iter().map(|(id, _)| *id).collect::<Vec<_>>()
+                };
+                assert_eq!(grants.permitted.as_ref().map(ids), want, "{user}");
+                assert_eq!(grants.matching.len(), 1);
+                assert_eq!(grants.first(&q).is_ok(), want != Some(vec![]), "{user}");
+            }
+            // Filling an open table (or emptying a ruled one) is seen by
+            // the very next request, whichever question it asks first.
+            match rule {
+                None => store
+                    .add_permission(&PermissionRule::any(DriverId(1)))
+                    .unwrap(),
+                Some(_) => assert_eq!(store.remove_permissions(DriverId(1)).unwrap(), 1),
+            }
+            let grants = Grants::load(&store, &q).unwrap();
+            assert_eq!(
+                grants.permitted.is_some(),
+                rule.is_none(),
+                "{user} after the flip"
+            );
+            assert!(grants.first(&q).is_ok());
+        }
+    }
 
     /// Every row of the rule. Columns: policy, matched == current,
     /// rollout-managed, current still granted → outcome.

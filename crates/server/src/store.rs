@@ -6,6 +6,7 @@
 //! standalone servers), [`RemoteExec`] goes through a legacy RDBC driver
 //! connection (the external server of §4.1.3).
 
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -128,6 +129,11 @@ impl SqlExec for RemoteExec {
 /// The driver store.
 pub struct DriverStore {
     exec: Box<dyn SqlExec>,
+    /// Whether the permission table held rules the last time
+    /// [`DriverStore::permitted`] looked. Never an answer — the table can
+    /// change under the store by plain SQL — only the guess that picks
+    /// which of its two questions to ask first.
+    had_rules: AtomicBool,
 }
 
 impl std::fmt::Debug for DriverStore {
@@ -152,7 +158,10 @@ impl DriverStore {
     /// Creates a store over an executor. Call
     /// [`DriverStore::install_schema`] once on a fresh database.
     pub fn new(exec: Box<dyn SqlExec>) -> Self {
-        DriverStore { exec }
+        DriverStore {
+            exec,
+            had_rules: AtomicBool::new(true),
+        }
     }
 
     /// Creates the three information-schema tables (idempotent: existing
@@ -423,6 +432,38 @@ impl DriverStore {
             .iter()
             .map(|r| Self::row_to_rule(r).map(|rule| (rule.driver_id, rule)))
             .collect()
+    }
+
+    /// What the permission table says about a client: its Sample code 2
+    /// rows, or `None` when the table is empty (an open distribution
+    /// point, where Sample code 1 alone decides).
+    ///
+    /// Two questions settle that — "which rules match?" and "are there
+    /// rules at all?" — and asked in the right order the first answer
+    /// makes the second unnecessary: a matching rule proves there are
+    /// rules, and an empty table matches nobody. The order follows what
+    /// the table looked like last time, so a request costs one statement
+    /// here whether the server restricts its drivers or not, and two only
+    /// for a client no rule matches or right after the table was filled
+    /// or emptied. Either order gives the same answer.
+    ///
+    /// # Errors
+    ///
+    /// Store failures as [`DrvError::Internal`].
+    pub fn permitted(
+        &self,
+        who: &ClientIdentity,
+    ) -> DrvResult<Option<Vec<(DriverId, PermissionRule)>>> {
+        let permitted = if self.had_rules.load(Relaxed) {
+            let rows = self.permitted_driver_ids(who)?;
+            (!rows.is_empty() || self.has_rules()?).then_some(rows)
+        } else if self.has_rules()? {
+            Some(self.permitted_driver_ids(who)?)
+        } else {
+            None
+        };
+        self.had_rules.store(permitted.is_some(), Relaxed);
+        Ok(permitted)
     }
 
     /// Drivers matching the client's API/platform and preferences — the

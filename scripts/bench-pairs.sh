@@ -4,8 +4,9 @@
 #
 #   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=3]
 #
-# Builds <parent-rev> in a `git worktree` under a temp dir and the
-# working tree in .bench_build, then runs `pairs` pairs of
+# Builds a `git archive` of <parent-rev> under a temp dir (`mktemp -d`,
+# so TMPDIR picks the place) and the working tree in .bench_build, then
+# runs `pairs` pairs of
 # `drvbench --workload <workload> --seed <k> --seconds 30`, pair k on
 # seed k, parent first in odd pairs and change first in even ones. Seed 1
 # is the seed development runs on; every other pair is a seed the change
@@ -26,14 +27,11 @@ pairs=${3:-3}
 root=$(cd "$(dirname "$0")/.." && pwd)
 
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-git -C "$root" worktree add --detach "$tmp/parent" "$rev" >/dev/null
+mkdir "$tmp/parent"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
 echo "building $rev and the working tree ..." >&2
 cargo build --release --offline --quiet \
     --manifest-path "$tmp/parent/benchmark/Cargo.toml" --target-dir "$tmp/target"
