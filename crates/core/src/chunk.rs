@@ -41,9 +41,11 @@
 //!   forced max kicks in.
 //!
 //! Manifests are built in a **single pass**: each chunk is digested with
-//! the word-folded FNV the moment its boundary is found (the bytes are
-//! still cache-hot from the boundary scan), instead of cutting first and
-//! re-traversing the image per chunk.
+//! the striped word fold ([`fnv1a64`]) the moment its boundary is found
+//! (the bytes are still cache-hot from the boundary scan), instead of
+//! cutting first and re-traversing the image per chunk. The boundaries
+//! themselves come from the Gear scan alone, so a change to the digest
+//! definition moves every chunk's name and no chunk's edges.
 //!
 //! Because boundaries are fully determined by `(bytes, params)`, any two
 //! parties chunking the same image under the same params derive
@@ -615,7 +617,10 @@ pub struct ChunkSet {
 impl ChunkSet {
     /// Serializes the set.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        // Sized exactly up front: a buffer doubled up to a `CHUNK_DATA`
+        // body allocates about twice the body and copies it log n times.
+        let body: usize = self.chunks.iter().map(|(_, b)| 8 + 4 + b.len()).sum();
+        let mut b = BytesMut::with_capacity(4 + body);
         b.put_u32_le(self.chunks.len() as u32);
         for (digest, bytes) in &self.chunks {
             b.put_u64_le(*digest);

@@ -5,21 +5,37 @@
 //! DESIGN.md): the reproduction models *where* integrity and trust
 //! checks happen, not their cryptographic strength.
 //!
-//! The fold consumes eight bytes per iteration (one little-endian `u64`
-//! lane XORed in, multiplied by the FNV prime, then an xorshift to
-//! carry the high bits back down — FNV's multiply only propagates
-//! upward). Per-lane the step is a bijection on the hash state, so two
-//! equal-length inputs differing in any one lane can never collide:
-//! the single-byte-flip detection every chunk/image verification in
-//! this workspace relies on is structural, not probabilistic. The exact
-//! output is part of the workspace's wire contract (chunk digests,
-//! `HAVE` summaries, depot keys); both ends always come from this one
-//! definition, so there is no cross-version digest negotiation — and
-//! consequently changing this definition (as the switch from byte-wise
-//! FNV-1a to this word-folded variant did) re-keys every
-//! content-addressed store: persisted depot entries hashed by an older
-//! build fail revalidation and are discarded and re-fetched cold,
-//! which is the content-addressing design's safe failure mode.
+//! The fold's one step takes eight bytes (one little-endian `u64` lane
+//! XORed in, multiplied by the FNV prime, then an xorshift to carry the
+//! high bits back down — FNV's multiply only propagates upward). A single
+//! chain of such steps is bound by the multiply's latency, not by memory,
+//! so whole blocks of `STRIPES` lanes are folded side by side: lane *k* of
+//! every block goes into state *k*, each state starts from its own step
+//! of the incoming hash, and the states are then folded into the hash in
+//! order like any other lanes. What is left — fewer lanes than a block,
+//! then fewer bytes than a lane — is folded as a single chain, so an
+//! input shorter than one block (every fingerprint, session key and
+//! keystream prefix in the workspace) has the value it always had.
+//!
+//! Per lane the step is a bijection on the state it is folded into, and
+//! injective in the lane. Of two equal-length inputs that differ in one
+//! lane of a block, exactly one stripe state therefore differs when the
+//! blocks end; the ordered combine is injective in that state, and every
+//! step after it is a bijection on the hash, so the two can never
+//! collide. A lane or byte behind the blocks is the single-chain case.
+//! The single-bit-flip detection every chunk/image verification in this
+//! workspace relies on is thus structural, not probabilistic
+//! (`tests/digest_contract.rs` flips every bit of every input up to three
+//! blocks long, and pins golden values on both sides of every boundary).
+//!
+//! The exact output is part of the workspace's wire contract (chunk
+//! digests, `HAVE` summaries, depot keys); both ends always come from
+//! this one definition, so there is no cross-version digest negotiation —
+//! and consequently changing this definition (as the switch from
+//! byte-wise FNV-1a to the word fold did, and the stripes after it)
+//! re-keys every content-addressed store: persisted depot entries hashed
+//! by an older build fail revalidation and are discarded and re-fetched
+//! cold, which is the content-addressing design's safe failure mode.
 
 use bytes::Bytes;
 
@@ -34,16 +50,35 @@ pub(crate) fn fold_lane(h: u64, lane: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Folds `data` into `h`, eight bytes per iteration with a byte-wise
-/// tail. Shared by [`fnv1a64`] and [`fnv1a64_parts`] so both digest
-/// families speed up together and stay mutually consistent.
+/// Independent fold states a block is spread over; a block is
+/// `8 * STRIPES` bytes. Picked by measurement (`EXPERIMENTS.md`, "Six
+/// serial chains").
+const STRIPES: usize = 8;
+
+/// Folds `data` into `h`: whole blocks striped over [`STRIPES`] states
+/// (state *k* seeded with `fold_lane(h, k)`) that are then folded into
+/// `h` in order, the remaining lanes one by one, then a byte-wise tail.
+/// Shared by [`fnv1a64`] and [`fnv1a64_parts`] so both digest families
+/// speed up together and stay mutually consistent.
 #[inline]
 fn fold_words(mut h: u64, data: &[u8]) -> u64 {
-    let mut lanes = data.chunks_exact(8);
-    for lane in &mut lanes {
-        h = fold_lane(h, u64::from_le_bytes(lane.try_into().expect("8-byte lane")));
+    let (lanes, tail) = data.as_chunks::<8>();
+    let (blocks, lanes) = lanes.as_chunks::<STRIPES>();
+    if !blocks.is_empty() {
+        let mut states: [u64; STRIPES] = std::array::from_fn(|k| fold_lane(h, k as u64));
+        for block in blocks {
+            for (state, lane) in states.iter_mut().zip(block) {
+                *state = fold_lane(*state, u64::from_le_bytes(*lane));
+            }
+        }
+        for state in states {
+            h = fold_lane(h, state);
+        }
     }
-    for b in lanes.remainder() {
+    for lane in lanes {
+        h = fold_lane(h, u64::from_le_bytes(*lane));
+    }
+    for b in tail {
         h ^= u64::from(*b);
         h = h.wrapping_mul(FNV_PRIME);
     }

@@ -6,9 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use drivolution_core::chunk::{
-    manifest_and_chunks, manifest_and_chunks_of, ChunkManifest, ChunkingParams,
-};
+use drivolution_core::chunk::{manifest_and_chunks_of, ChunkManifest, ChunkingParams};
 use drivolution_core::{fnv1a64, Digested};
 
 /// A content-addressed store of driver images and their chunks.
@@ -23,7 +21,9 @@ use drivolution_core::{fnv1a64, Digested};
 /// chunks differently): see [`manifest_for`](Self::manifest_for).
 #[derive(Debug, Default)]
 pub struct ContentIndex {
-    images: Mutex<BTreeMap<u64, (Bytes, ChunkingParams)>>,
+    /// Each image with the digest it is keyed by, so deriving another
+    /// chunking of it never hashes it again.
+    images: Mutex<BTreeMap<u64, (Digested, ChunkingParams)>>,
     manifests: Mutex<HashMap<(u64, ChunkingParams), ChunkManifest>>,
     /// Distinct params manifests have been derived under. Bounded by
     /// [`MAX_DERIVED_PARAMS`]: params are client-supplied over the wire,
@@ -98,8 +98,7 @@ impl ContentIndex {
         self.index_chunks(pairs);
         self.derived_params.lock().insert(*params);
         self.manifests.lock().insert((digest, *params), manifest);
-        let bytes = image.bytes().clone();
-        self.images.lock().insert(digest, (bytes, *params));
+        self.images.lock().insert(digest, (image, *params));
         digest
     }
 
@@ -154,8 +153,7 @@ impl ContentIndex {
         self.manifests
             .lock()
             .insert((digest, manifest.params), manifest.clone());
-        let bytes = image.bytes().clone();
-        self.images.lock().insert(digest, (bytes, manifest.params));
+        self.images.lock().insert(digest, (image, manifest.params));
         digest
     }
 
@@ -168,7 +166,7 @@ impl ContentIndex {
 
     /// Full image bytes by content digest.
     pub fn image(&self, digest: u64) -> Option<Bytes> {
-        self.images.lock().get(&digest).map(|(b, _)| b.clone())
+        (self.images.lock().get(&digest)).map(|(image, _)| image.bytes().clone())
     }
 
     /// Manifest of an indexed image under its insert-time params.
@@ -191,7 +189,7 @@ impl ContentIndex {
         }
         // Resolve the image before charging the params budget, so
         // unknown digests cannot burn slots.
-        let bytes = self.image(digest)?;
+        let image = self.images.lock().get(&digest).map(|(i, _)| i.clone())?;
         {
             let mut derived = self.derived_params.lock();
             if !derived.contains(params) {
@@ -201,7 +199,7 @@ impl ContentIndex {
                 derived.insert(*params);
             }
         }
-        let (manifest, pairs) = manifest_and_chunks(&bytes, params);
+        let (manifest, pairs) = manifest_and_chunks_of(&image, params);
         self.index_chunks(pairs);
         self.manifests
             .lock()

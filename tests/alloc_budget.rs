@@ -11,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
+use drivolution::core::chunk::{manifest_and_chunks, ChunkSet, ChunkingParams};
 use drivolution::core::pack::pack_driver_padded;
 use drivolution::core::transfer;
 use drivolution::prelude::*;
@@ -206,5 +207,29 @@ fn every_envelope_is_one_exactly_sized_allocation() {
         // The envelope, plus the few dozen bytes of the shared handle.
         assert_eq!(largest, wrapped.len() as u64, "{method}");
         assert!(bytes < largest + 256, "{method}: {bytes} B for {largest} B");
+    }
+}
+
+#[test]
+fn a_chunk_set_body_is_one_exactly_sized_allocation() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let image = bytes::Bytes::from(drivolution::core::entropy_blob(1 << 20, 6));
+    let (_, chunks) = manifest_and_chunks(&image, &ChunkingParams::default());
+    for take in [1, chunks.len() / 2, chunks.len()] {
+        let set = ChunkSet {
+            chunks: chunks[..take].to_vec(),
+        };
+        let (body, bytes, largest) = measured(|| set.encode());
+        assert_eq!(
+            body.len() as u64,
+            4 + 12 * take as u64 + set.payload_bytes()
+        );
+        // The body, plus the few dozen bytes of the shared handle.
+        assert_eq!(largest, body.len() as u64, "{take} chunks");
+        assert!(
+            bytes < largest + 256,
+            "{take} chunks: {bytes} B for {largest} B"
+        );
+        assert_eq!(ChunkSet::decode(body).unwrap(), set);
     }
 }

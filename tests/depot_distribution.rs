@@ -327,6 +327,61 @@ fn persistent_depot_keeps_saving_bytes_across_process_restarts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a depot persisted by a build with another digest definition
+/// looks like to this one: intact bytes under a name, and a `latest.idx`
+/// line, that this build's digest of them does not produce. (The depot
+/// cannot tell an older build's name from any other wrong one.)
+#[test]
+fn depot_keyed_by_another_builds_digest_is_discarded_and_refetched_cold() {
+    let dir = std::env::temp_dir().join(format!("drv-depot-rekey-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let images = dir.join("images");
+    let names = || -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&images)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let package = padded_record(1, DriverVersion::new(1, 0, 0)).binary;
+    let digest = drivolution::core::fnv1a64(&package);
+    let stale = !digest;
+    std::fs::create_dir_all(&images).unwrap();
+    std::fs::write(images.join(format!("{stale:016x}.img")), &package).unwrap();
+    std::fs::write(dir.join("latest.idx"), format!("{stale:016x} orders\n")).unwrap();
+
+    let rig = rig();
+    let depot = DriverDepot::persistent(&dir).unwrap();
+    assert_eq!(depot.image_count(), 0);
+    assert!(
+        names().is_empty(),
+        "stale image left on disk: {:?}",
+        names()
+    );
+    // Nothing to advertise: the bootstrap below carries no `HAVE`.
+    assert!(depot.have_summary("orders").is_none());
+
+    let boot = Bootloader::new(
+        &rig.net,
+        Addr::new("app", 1),
+        BootloaderConfig::same_host()
+            .trusting(rig.srv.certificate())
+            .with_depot(depot),
+    );
+    connect(&rig, &boot);
+    assert_eq!(boot.stats().downloads, 1);
+    assert_eq!(boot.stats().revalidations, 0);
+    assert_eq!(boot.stats().delta_downloads, 0);
+    assert_eq!(names(), [format!("{digest:016x}.img")]);
+    assert_eq!(
+        std::fs::read_to_string(dir.join("latest.idx")).unwrap(),
+        format!("{digest:016x} orders\n")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn size_shifting_upgrade_stays_a_small_delta_under_cdc() {
     // v2's version string is longer than v1's, so every byte after the

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use drivolution::core::chunk::{manifest_and_chunks, ChunkManifest, ChunkingParams};
 use drivolution::core::pack::pack_driver_padded;
 use drivolution::core::{entropy_blob, fnv1a64, Digested};
-use drivolution::depot::SharedImageCache;
+use drivolution::depot::{ContentIndex, SharedImageCache};
 use drivolution::prelude::*;
 
 const DB: &str = "orders";
@@ -41,6 +41,21 @@ fn assert_holds(depot: &DriverDepot, digest: u64, image: &Bytes, params: &Chunki
         let chunk = depot
             .chunk(*d)
             .expect("every chunk of the image is indexed");
+        assert_eq!(fnv1a64(&chunk), *d);
+    }
+}
+
+/// What an index must answer when asked for `image` under params it was
+/// not inserted with: the manifest that hashing and scanning the bytes
+/// under those params gives, every chunk of it servable.
+fn assert_derives(index: &ContentIndex, digest: u64, image: &Bytes, params: &ChunkingParams) {
+    assert_eq!(digest, fnv1a64(image));
+    let derived = index
+        .manifest_for(digest, params)
+        .expect("a held image, within the params budget");
+    assert_eq!(derived, ChunkManifest::of_with(image, params));
+    for d in &derived.chunks {
+        let chunk = index.chunk(*d).expect("every derived chunk is indexed");
         assert_eq!(fnv1a64(&chunk), *d);
     }
 }
@@ -79,6 +94,20 @@ proptest! {
                 assert_holds(&depot, d, &image, &own);
             }
         }
+
+        // The foreign-params route: the index derives the other
+        // chunking from the image it holds and the digest it holds it
+        // under, whichever way the image came in.
+        let scanned = ContentIndex::new();
+        assert_derives(&scanned, scanned.insert(image.clone(), &own), &image, &foreign);
+        let (manifest, pairs) = manifest_and_chunks(&image, &foreign);
+        let prechunked = ContentIndex::new();
+        let d = prechunked.insert_prechunked(
+            Digested::of(image.clone()),
+            &manifest,
+            &pairs.into_iter().collect(),
+        );
+        assert_derives(&prechunked, d, &image, &own);
 
         // A manifest that describes other bytes — digest, size, chunk
         // list and chunk map all consistent with each other, none with
