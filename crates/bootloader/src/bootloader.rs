@@ -381,7 +381,7 @@ impl Bootloader {
         // Server-enforced options override application settings (§3.3:
         // options "can be given to instruct the bootloader to enforce
         // particular settings at driver loading time").
-        for (k, v) in &ns.options {
+        for (k, v) in ns.options.iter() {
             if k == "locale" {
                 merged.locale = Some(v.clone());
             }

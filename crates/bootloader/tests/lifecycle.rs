@@ -490,7 +490,7 @@ fn server_enforced_options_reach_the_driver() {
     let _conn = b.connect(&r.url, &props()).unwrap();
     let ns = b.registry().active().unwrap();
     assert_eq!(
-        ns.options,
+        *ns.options,
         vec![("fetch_size".to_string(), "7".to_string())]
     );
 }

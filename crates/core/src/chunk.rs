@@ -40,6 +40,18 @@
 //!   regions more cut opportunities before the position-dependent
 //!   forced max kicks in.
 //!
+//! **The scan.** A Gear step is `h = (h << 1) + GEAR[byte]`: a byte
+//! folded *k* steps ago sits shifted left by *k* bits, so the *w* low bits
+//! a mask tests depend on the last *w* bytes only, and nothing survives 64
+//! steps. A chain may therefore start anywhere — from zero, *w* bytes
+//! early — and test exactly as the one chain from the chunk start would.
+//! One chain runs at the latency of its shift-and-add; the scan rolls
+//! four, each over a quarter of the region, in lock-step under one
+//! combined test. A lane that hits is not yet the cut: the lanes before
+//! it finish their quarters first, one by one, and the earliest hit in
+//! region order wins — the offset the single chain would have stopped at
+//! (`tests/cdc_props.rs` keeps that chain as the reference).
+//!
 //! Manifests are built in a **single pass**: each chunk is digested with
 //! the striped word fold ([`fnv1a64`]) the moment its boundary is found
 //! (the bytes are still cache-hot from the boundary scan), instead of
@@ -327,62 +339,106 @@ fn expected_chunk(min: u32, avg: u32) -> usize {
     (min as usize + (avg as usize) / 2).max(1)
 }
 
+/// Chains [`first_cut`] rolls side by side, and bytes of the easy-mask
+/// region it is handed per call; both picked by measurement
+/// (`EXPERIMENTS.md`, "One chain left").
+const LANES: usize = 4;
+const EASY_BLOCK: usize = 512;
+
+/// One Gear step.
+#[inline(always)]
+fn roll(h: u64, b: u8) -> u64 {
+    (h << 1).wrapping_add(GEAR[b as usize])
+}
+
+/// The hash of `bytes` rolled from zero.
+fn rolled(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0, |h, b| roll(h, *b))
+}
+
+/// Rolls `h` over `bytes` as one chain: the number of bytes consumed when
+/// `h & mask` first reads zero, or `None` with `h` left at the end.
+fn chain_cut(h: &mut u64, bytes: &[u8], mask: u64) -> Option<usize> {
+    for (i, b) in bytes.iter().enumerate() {
+        *h = roll(*h, *b);
+        if *h & mask == 0 {
+            return Some(i + 1);
+        }
+    }
+    None
+}
+
+/// [`chain_cut`] for a low-bit `mask`, [`LANES`] chains at a time (module
+/// docs, "The scan"): equal segments, lane 0 from the incoming `h`, the
+/// others from zero plus the `w` bytes before their segment, one combined
+/// test per step. Regions too short for that, and the bytes behind the
+/// last segment, are one chain. On `None`, `h` is exact in its low `w`
+/// bits.
+fn first_cut(h: &mut u64, region: &[u8], mask: u64) -> Option<usize> {
+    let w = (64 - mask.leading_zeros()) as usize;
+    let seg = region.len() / LANES;
+    if seg < 4 * w {
+        return chain_cut(h, region, mask);
+    }
+    let (s0, rest) = region.split_at(seg);
+    let (s1, rest) = rest.split_at(seg);
+    let (s2, rest) = rest.split_at(seg);
+    let (s3, tail) = rest.split_at(seg);
+    let warm = |before: &[u8]| rolled(before.split_at(seg - w).1);
+    let [mut h0, mut h1, mut h2, mut h3]: [u64; LANES] = [*h, warm(s0), warm(s1), warm(s2)];
+    let mut done = 0;
+    for (((b0, b1), b2), b3) in s0.iter().zip(s1).zip(s2).zip(s3) {
+        h0 = roll(h0, *b0);
+        h1 = roll(h1, *b1);
+        h2 = roll(h2, *b2);
+        h3 = roll(h3, *b3);
+        done += 1;
+        if (h0 & mask == 0) | (h1 & mask == 0) | (h2 & mask == 0) | (h3 & mask == 0) {
+            return Some(earliest_hit([(h0, s0), (h1, s1), (h2, s2)], done, mask));
+        }
+    }
+    *h = h3;
+    chain_cut(h, tail, mask).map(|c| LANES * seg + c)
+}
+
+/// The first cut in region order once some lane hit after `done` steps:
+/// per lane but the last, its own hit at `done` or a later one in the
+/// rest of its segment; failing all of those, the last lane's. Out of
+/// line: once per chunk, and the lock-step loop needs the registers.
+#[inline(never)]
+fn earliest_hit(lanes: [(u64, &[u8]); LANES - 1], done: usize, mask: u64) -> usize {
+    let mut base = 0;
+    for (mut h, seg) in lanes {
+        if h & mask == 0 {
+            return base + done;
+        }
+        if let Some(c) = chain_cut(&mut h, seg.split_at(done).1, mask) {
+            return base + done + c;
+        }
+        base += seg.len();
+    }
+    base + done
+}
+
 /// The single-pass chunking driver: walks `bytes` once under `params`,
 /// invoking `emit(start, end)` for every chunk boundary pair in image
 /// order. Every public cut/split/manifest entry point routes through
-/// here so boundary semantics have exactly one definition per level.
+/// here so boundary semantics have exactly one definition.
 ///
 /// # Panics
 ///
 /// Panics when `params` is structurally invalid.
 fn for_each_chunk(bytes: &[u8], params: &ChunkingParams, mut emit: impl FnMut(usize, usize)) {
     params.validate().expect("invalid chunking params");
-    let len = bytes.len();
-    match *params {
-        ChunkingParams::Fixed { size } => {
-            let step = size as usize;
-            let mut start = 0;
-            while start < len {
-                let end = (start + step).min(len);
-                emit(start, end);
-                start = end;
-            }
-        }
-        // Level 0: plain Gear (hashing starts at the chunk start, one
-        // mask, checks from `min` on). Boundaries are a contract for
-        // fleets and persisted depots chunked under these params.
-        ChunkingParams::Cdc {
-            min,
-            avg,
-            max,
-            norm: 0,
-        } => {
-            let (min, max) = (min as usize, max as usize);
-            let mask = (1u64 << cdc_mask_bits(avg)) - 1;
-            let mut start = 0;
-            while start < len {
-                let hard_end = (start + max).min(len);
-                let check_from = start + min;
-                let mut h: u64 = 0;
-                let mut i = start;
-                let cut = loop {
-                    if i >= hard_end {
-                        break hard_end;
-                    }
-                    h = (h << 1).wrapping_add(GEAR[bytes[i] as usize]);
-                    i += 1;
-                    if i >= check_from && (h & mask) == 0 {
-                        break i;
-                    }
-                };
-                emit(start, cut);
-                start = cut;
-            }
-        }
-        // Level ≥ 1: FastCDC-style normalized cuts. The first `min`
-        // bytes after each cut are never hashed (min-skip), the harder
-        // mask applies up to the target average and the easier mask
-        // from there to the forced-max backstop.
+    let chunk_len = |rest: &[u8]| match *params {
+        ChunkingParams::Fixed { size } => rest.len().min(size as usize),
+        // One rule for every level: `skip` bytes that cannot end a
+        // chunk, the harder mask up to the target average, the easier
+        // one from there to the forced-max backstop. The normalized
+        // levels never hash the skipped bytes (min-skip). Plain Gear
+        // (level 0: both masks are the same) hashes from the chunk start
+        // and may cut right after byte `min`, so it skips one byte fewer,
+        // of which the hash still holds the last 64.
         ChunkingParams::Cdc {
             min,
             avg,
@@ -390,41 +446,32 @@ fn for_each_chunk(bytes: &[u8], params: &ChunkingParams, mut emit: impl FnMut(us
             norm,
         } => {
             let (mask_hard, mask_easy) = norm_masks(avg, norm);
-            let (min, avg, max) = (min as usize, avg as usize, max as usize);
-            let mut start = 0;
-            while start < len {
-                let remaining = len - start;
-                if remaining <= min {
-                    emit(start, len);
-                    break;
-                }
-                let hard_end = start + max.min(remaining);
-                let avg_point = start + avg.min(remaining);
-                let mut i = start + min; // min-skip: hashing resumes here
-                let mut h: u64 = 0;
-                let mut cut = hard_end;
-                while i < avg_point {
-                    h = (h << 1).wrapping_add(GEAR[bytes[i] as usize]);
-                    i += 1;
-                    if h & mask_hard == 0 {
-                        cut = i;
-                        break;
-                    }
-                }
-                if cut == hard_end {
-                    while i < hard_end {
-                        h = (h << 1).wrapping_add(GEAR[bytes[i] as usize]);
-                        i += 1;
-                        if h & mask_easy == 0 {
-                            cut = i;
-                            break;
-                        }
-                    }
-                }
-                emit(start, cut);
-                start = cut;
+            let skip = (min - u32::from(norm == 0)) as usize;
+            let window = rest.get(..max as usize).unwrap_or(rest);
+            if window.len() <= skip {
+                return window.len();
             }
+            let (hard, easy) = window.split_at(window.len().min(avg as usize));
+            let (skipped, hard) = hard.split_at(skip);
+            let seen = skipped.split_at(skip.saturating_sub(64)).1;
+            let mut h = if norm == 0 { rolled(seen) } else { 0 };
+            let mut at = skip;
+            std::iter::once((hard, mask_hard))
+                .chain(easy.chunks(EASY_BLOCK).map(|block| (block, mask_easy)))
+                .find_map(|(region, mask)| {
+                    let cut = first_cut(&mut h, region, mask).map(|c| at + c);
+                    at += region.len();
+                    cut
+                })
+                .unwrap_or(window.len())
         }
+    };
+    let (mut start, mut rest) = (0, bytes);
+    while !rest.is_empty() {
+        let len = chunk_len(rest);
+        emit(start, start + len);
+        start += len;
+        rest = rest.split_at(len).1;
     }
 }
 

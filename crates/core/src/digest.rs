@@ -55,34 +55,89 @@ pub(crate) fn fold_lane(h: u64, lane: u64) -> u64 {
 /// serial chains").
 const STRIPES: usize = 8;
 
-/// Folds `data` into `h`: whole blocks striped over [`STRIPES`] states
-/// (state *k* seeded with `fold_lane(h, k)`) that are then folded into
-/// `h` in order, the remaining lanes one by one, then a byte-wise tail.
-/// Shared by [`fnv1a64`] and [`fnv1a64_parts`] so both digest families
-/// speed up together and stay mutually consistent.
-#[inline]
-fn fold_words(mut h: u64, data: &[u8]) -> u64 {
-    let (lanes, tail) = data.as_chunks::<8>();
-    let (blocks, lanes) = lanes.as_chunks::<STRIPES>();
-    if !blocks.is_empty() {
+/// The fold, defined here only, over input cut the way `as_chunks` cuts
+/// bytes: whole `blocks` striped over [`STRIPES`] states (state *k*
+/// seeded with `fold_lane(h, k)`) that are then folded into `h` in order,
+/// the remaining `lanes` one by one, then a byte-wise `tail`. Streaming:
+/// `lane(i, item)` is asked for lane *i* when the fold takes it, so an
+/// item may be a `u64` in hand, bytes to read, or bytes to rewrite on the
+/// way ([`fold_words_rewriting`]) — same loop, same speed.
+#[inline(always)]
+fn fold_stream<L>(
+    mut h: u64,
+    blocks: impl ExactSizeIterator<Item = [L; STRIPES]>,
+    lanes: impl Iterator<Item = L>,
+    tail: impl Iterator<Item = u8>,
+    mut lane: impl FnMut(u64, L) -> u64,
+) -> u64 {
+    let mut i = 0;
+    if blocks.len() != 0 {
         let mut states: [u64; STRIPES] = std::array::from_fn(|k| fold_lane(h, k as u64));
         for block in blocks {
-            for (state, lane) in states.iter_mut().zip(block) {
-                *state = fold_lane(*state, u64::from_le_bytes(*lane));
+            for (state, item) in states.iter_mut().zip(block) {
+                *state = fold_lane(*state, lane(i, item));
+                i += 1;
             }
         }
         for state in states {
             h = fold_lane(h, state);
         }
     }
-    for lane in lanes {
-        h = fold_lane(h, u64::from_le_bytes(*lane));
+    for item in lanes {
+        h = fold_lane(h, lane(i, item));
+        i += 1;
     }
-    for b in tail {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    tail.fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// Folds `data` into `h`: [`fold_stream`] reading the lanes as they are.
+/// Shared by [`fnv1a64`] and [`fnv1a64_parts`] so both digest families
+/// speed up together and stay mutually consistent.
+#[inline]
+fn fold_words(h: u64, data: &[u8]) -> u64 {
+    let (lanes, tail) = data.as_chunks::<8>();
+    let (blocks, lanes) = lanes.as_chunks::<STRIPES>();
+    fold_stream(
+        h,
+        blocks.iter().map(|block| block.each_ref()),
+        lanes.iter(),
+        tail.iter().copied(),
+        |_, lane| u64::from_le_bytes(*lane),
+    )
+}
+
+/// [`fold_words`] of `folded` while `data` becomes `stored`, where
+/// `rewrite(i, lane) == (stored, folded)` is asked once per lane *i* of
+/// `data`: one pass where a transform and a digest of its input or output
+/// would be two. The bytes behind the last whole lane go through as one
+/// zero-padded lane of which only their own count is stored and folded,
+/// so `rewrite` must keep byte positions apart (an XOR does).
+#[inline]
+pub(crate) fn fold_words_rewriting(
+    h: u64,
+    data: &mut [u8],
+    rewrite: impl Fn(u64, u64) -> (u64, u64),
+) -> u64 {
+    let (lanes, tail) = data.as_chunks_mut::<8>();
+    let (blocks, lanes) = lanes.as_chunks_mut::<STRIPES>();
+    let whole = blocks.len() * STRIPES + lanes.len();
+    let mut last = [0; 8];
+    last.iter_mut().zip(tail.iter()).for_each(|(l, t)| *l = *t);
+    let (stored, folded) = rewrite(whole as u64, u64::from_le_bytes(last));
+    tail.iter_mut()
+        .zip(stored.to_le_bytes())
+        .for_each(|(t, s)| *t = s);
+    fold_stream(
+        h,
+        blocks.iter_mut().map(|block| block.each_mut()),
+        lanes.iter_mut(),
+        folded.to_le_bytes().into_iter().take(tail.len()),
+        |i, lane| {
+            let (stored, folded) = rewrite(i, u64::from_le_bytes(*lane));
+            *lane = stored.to_le_bytes();
+            folded
+        },
+    )
 }
 
 /// Word-folded FNV-1a 64-bit digest of `data`.
@@ -121,12 +176,28 @@ impl Digested {
 /// Digest of several byte strings, order-sensitive and
 /// concatenation-ambiguity-free (each part is length-prefixed).
 pub fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        h = fold_words(h, &(part.len() as u64).to_le_bytes());
-        h = fold_words(h, part);
-    }
-    h
+    parts.iter().fold(FNV_OFFSET, |h, part| {
+        fold_words(parts_prefix(h, part.len()), part)
+    })
+}
+
+/// The state of [`fnv1a64_parts`] when parts so far left it at `h` and a
+/// part of `next_len` bytes comes next: fold that part's bytes into it.
+pub(crate) fn parts_prefix(h: u64, next_len: usize) -> u64 {
+    fold_words(h, &(next_len as u64).to_le_bytes())
+}
+
+/// [`fnv1a64`] of the little-endian bytes of `lanes`, which are never
+/// written out.
+pub fn fnv1a64_lanes(lanes: &[u64]) -> u64 {
+    let (blocks, lanes) = lanes.as_chunks::<STRIPES>();
+    fold_stream(
+        FNV_OFFSET,
+        blocks.iter().copied(),
+        lanes.iter().copied(),
+        std::iter::empty(),
+        |_, lane| lane,
+    )
 }
 
 /// Deterministic high-entropy byte stream (xorshift64), seeded so
@@ -168,6 +239,18 @@ mod tests {
         assert_eq!(fnv1a64(b"driver"), fnv1a64(b"driver"));
         assert_ne!(fnv1a64(b"driver"), fnv1a64(b"Driver"));
         assert_ne!(fnv1a64(b""), 0);
+    }
+
+    #[test]
+    fn lanes_digest_as_their_little_endian_bytes() {
+        // What `HAVE` chunk lists are keyed by: 0, 1, 7, 8, 9 and 200
+        // digests, on both sides of one block of lanes.
+        let digests: Vec<u64> = (0..200).map(|i| fnv1a64(&[i as u8])).collect();
+        for n in [0, 1, 7, 8, 9, 200] {
+            let (lanes, _) = digests.split_at(n);
+            let bytes: Vec<u8> = lanes.iter().flat_map(|d| d.to_le_bytes()).collect();
+            assert_eq!(fnv1a64_lanes(lanes), fnv1a64(&bytes), "{n} lanes");
+        }
     }
 
     #[test]

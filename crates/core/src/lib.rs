@@ -69,7 +69,7 @@ pub use chunk::{
     DEFAULT_CDC_MAX, DEFAULT_CDC_MIN, DEFAULT_CDC_NORM, DEFAULT_CHUNK_SIZE, MAX_CDC_NORM,
 };
 pub use descriptor::{ApiName, BinaryFormat, DriverId, DriverRecord};
-pub use digest::{entropy_blob, fnv1a64, fnv1a64_parts, Digested};
+pub use digest::{entropy_blob, fnv1a64, fnv1a64_lanes, fnv1a64_parts, Digested};
 pub use error::{DrvError, DrvResult};
 pub use image::{AuthKind, DriverFlavor, DriverImage, Extension};
 pub use lease::{Lease, LeaseState};

@@ -30,6 +30,7 @@ use crate::descriptor::{BinaryFormat, DriverId};
 use crate::error::{DrvError, DrvResult};
 use crate::policy::{ExpirationPolicy, RenewPolicy, TransferMethod};
 use crate::sign::Signature;
+use crate::transfer::{self, Certificate};
 use crate::version::{ApiVersion, DriverVersion};
 
 /// Conventional port Drivolution servers listen on (like DHCP's 67).
@@ -746,6 +747,22 @@ const TAG_OFFER_BATCH: u8 = 16;
 /// `MIRROR_COMPLAINT` frame tag.
 const TAG_MIRROR_COMPLAINT: u8 = 17;
 
+/// A bulk reply frame: `tag`, the `u32` length [`put_bytes`] would write,
+/// then the transfer envelope itself.
+fn bulk_frame(
+    tag: u8,
+    method: TransferMethod,
+    payload: &[u8],
+    cert: Option<&Certificate>,
+) -> DrvResult<Bytes> {
+    let envelope = transfer::wrapped_len(method, payload.len(), cert);
+    let mut b = BytesMut::with_capacity(1 + 4 + envelope);
+    b.put_u8(tag);
+    b.put_u32_le(envelope as u32);
+    transfer::wrap_into(&mut b, method, payload, cert)?;
+    Ok(b.freeze())
+}
+
 impl DrvMsg {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
@@ -1027,6 +1044,37 @@ impl DrvMsg {
             }),
             t => Err(DrvError::Codec(format!("unknown drv msg tag {t}"))),
         }
+    }
+
+    /// The encoded `FILE_DATA` reply for `payload` wrapped under `method`
+    /// ([`transfer::wrap`]), built once: one exactly sized buffer, the
+    /// frame head, then the envelope written behind it — where
+    /// [`encode`](Self::encode) would copy a finished envelope.
+    /// [`decode`](Self::decode) yields the payload as a slice of the frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`transfer::wrap`].
+    pub fn file_data_frame(
+        method: TransferMethod,
+        payload: &[u8],
+        cert: Option<&Certificate>,
+    ) -> DrvResult<Bytes> {
+        bulk_frame(TAG_FILE_DATA, method, payload, cert)
+    }
+
+    /// [`file_data_frame`](Self::file_data_frame) for a `CHUNK_DATA`
+    /// reply; `payload` is the [`crate::chunk::ChunkSet`] encoding.
+    ///
+    /// # Errors
+    ///
+    /// As [`transfer::wrap`].
+    pub fn chunk_data_frame(
+        method: TransferMethod,
+        payload: &[u8],
+        cert: Option<&Certificate>,
+    ) -> DrvResult<Bytes> {
+        bulk_frame(TAG_CHUNK_DATA, method, payload, cert)
     }
 
     /// Encodes an error message from a server-side failure.
@@ -1322,6 +1370,34 @@ mod tests {
         for m in msgs {
             assert_eq!(DrvMsg::decode(m.encode()).unwrap(), m, "roundtrip of {m:?}");
         }
+    }
+
+    #[test]
+    fn a_bulk_frame_is_the_encoding_of_its_wrapped_payload() {
+        let payload = crate::digest::entropy_blob(4099, 3);
+        let cert = Certificate::issue("db1", 1);
+        for method in [TransferMethod::Plain, TransferMethod::Checksum] {
+            let wrapped = transfer::wrap(method, &payload, None).unwrap();
+            let file = DrvMsg::file_data_frame(method, &payload, None).unwrap();
+            let chunk = DrvMsg::chunk_data_frame(method, &payload, None).unwrap();
+            let payload = wrapped.clone();
+            assert_eq!(file, DrvMsg::FileData { payload }.encode());
+            assert_eq!(chunk, DrvMsg::ChunkData { payload: wrapped }.encode());
+        }
+        // Sealed envelopes differ by nonce: same length, same payload back.
+        let frame = DrvMsg::file_data_frame(TransferMethod::Sealed, &payload, Some(&cert)).unwrap();
+        let len = transfer::wrapped_len(TransferMethod::Sealed, payload.len(), Some(&cert));
+        assert_eq!(frame.len(), 1 + 4 + len);
+        let DrvMsg::FileData { payload: sealed } = DrvMsg::decode(frame).unwrap() else {
+            panic!("FILE_DATA expected");
+        };
+        let mut trust = transfer::ChannelTrust::new();
+        trust.pin(&cert);
+        let plain = transfer::unwrap(TransferMethod::Sealed, sealed, &trust).unwrap();
+        assert_eq!(plain, Bytes::from(payload));
+        // A failed wrap leaves no frame.
+        assert!(DrvMsg::file_data_frame(TransferMethod::Sealed, b"x", None).is_err());
+        assert!(DrvMsg::chunk_data_frame(TransferMethod::Any, b"x", None).is_err());
     }
 
     #[test]

@@ -10,6 +10,17 @@
 //!   trust anchors, and the payload is enciphered and MAC'd under a
 //!   session key.
 //!
+//! ## One pass
+//!
+//! The MAC is over the ciphertext, and the keystream XOR has every
+//! ciphertext lane in hand — once. Sealing, the server XORs a plaintext
+//! lane and folds the lane it stores; unsealing, the client folds the lane
+//! it reads and then overwrites it with plaintext, in the buffer the frame
+//! arrived in. The MAC is compared when the pass ends, and on a mismatch
+//! that buffer is dropped inside [`unwrap`]: no deciphered byte is
+//! returned, parsed or hashed unless the MAC over what arrived matched. A
+//! frame somebody else still holds is copied once first, never modified.
+//!
 //! ## Substitution note
 //!
 //! The sealed channel is a **simulation** of TLS: certificates are
@@ -25,7 +36,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{get_bytes, get_str, get_u64};
 
-use crate::digest::{fnv1a64_parts, fold_lane};
+use crate::digest::{fnv1a64_parts, fold_lane, fold_words_rewriting, parts_prefix};
 use crate::error::{DrvError, DrvResult};
 use crate::policy::TransferMethod;
 
@@ -98,20 +109,19 @@ impl ChannelTrust {
 
 static NONCE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
-/// XORs the sealed channel's keystream into `data` in place. Counter
-/// mode: block `i` is `fnv1a64_parts(&[key_le, i_le])`, whose two
-/// length lanes and key lane are the same for every block — they fold
-/// once into `prefix`, and each block is one lane step on the counter.
-fn apply_keystream(key: u64, data: &mut [u8]) {
-    let prefix = fold_lane(fnv1a64_parts(&[&key.to_le_bytes()]), 8);
-    let (words, tail) = data.as_chunks_mut::<8>();
-    for (i, word) in words.iter_mut().enumerate() {
-        *word = (u64::from_le_bytes(*word) ^ fold_lane(prefix, i as u64)).to_le_bytes();
-    }
-    let block = fold_lane(prefix, words.len() as u64).to_le_bytes();
-    for (b, k) in tail.iter_mut().zip(block) {
-        *b ^= k;
-    }
+/// The sealed channel's keystream and MAC over `data` in one pass, in
+/// place (module docs, "One pass"). Counter mode: keystream block `i` is
+/// `fnv1a64_parts(&[key_le, i_le])`, whose two length lanes and key lane
+/// are the same for every block — they fold once into a prefix, and each
+/// block is one lane step on the counter.
+fn keystream_and_mac(key: u64, data: &mut [u8], unsealing: bool) -> u64 {
+    let keyed = fnv1a64_parts(&[&key.to_le_bytes()]);
+    let stream = parts_prefix(keyed, 8);
+    let mac = parts_prefix(keyed, data.len());
+    fold_words_rewriting(mac, data, |i, lane| {
+        let other = lane ^ fold_lane(stream, i);
+        (other, if unsealing { lane } else { other })
+    })
 }
 
 fn session_key(cert: &Certificate, nonce: u64) -> u64 {
@@ -138,37 +148,62 @@ pub fn wrap(
 ) -> DrvResult<Bytes> {
     // Sized exactly up front: a buffer grown to fit the payload doubles
     // on the trailing digest.
-    let sized = |extra| BytesMut::with_capacity(1 + 4 + payload.len() + extra);
-    let b = match method {
+    let mut b = BytesMut::with_capacity(wrapped_len(method, payload.len(), cert));
+    wrap_into(&mut b, method, payload, cert)?;
+    Ok(b.freeze())
+}
+
+/// Length of the envelope [`wrap_into`] appends around `payload_len`
+/// bytes: what a frame announces before the envelope behind it exists.
+pub fn wrapped_len(
+    method: TransferMethod,
+    payload_len: usize,
+    cert: Option<&Certificate>,
+) -> usize {
+    let extra = match method {
+        TransferMethod::Any | TransferMethod::Plain => 0,
+        TransferMethod::Checksum => 8,
+        TransferMethod::Sealed => cert.map_or(0, Certificate::encoded_len) + 8 + 8,
+    };
+    1 + 4 + payload_len + extra
+}
+
+/// [`wrap`], appending to a buffer sized with [`wrapped_len`]: a bulk
+/// frame is its head and then this, so the payload is copied once.
+///
+/// # Errors
+///
+/// As [`wrap`]; `b` is then unchanged.
+pub fn wrap_into(
+    b: &mut BytesMut,
+    method: TransferMethod,
+    payload: &[u8],
+    cert: Option<&Certificate>,
+) -> DrvResult<()> {
+    match method {
         TransferMethod::Any => {
             return Err(DrvError::TransferFailed(
                 "transfer method ANY must be resolved before wrapping".into(),
             ))
         }
         TransferMethod::Plain => {
-            let mut b = sized(0);
             b.put_u8(0);
-            netsim::codec::put_bytes(&mut b, payload);
-            b
+            netsim::codec::put_bytes(b, payload);
         }
         TransferMethod::Checksum => {
-            let mut b = sized(8);
             b.put_u8(1);
-            netsim::codec::put_bytes(&mut b, payload);
+            netsim::codec::put_bytes(b, payload);
             b.put_u64_le(fnv1a64_parts(&[payload]));
-            b
         }
         TransferMethod::Sealed => {
             let cert = cert.ok_or_else(|| {
                 DrvError::TransferFailed("sealed transfer requires a server certificate".into())
             })?;
             let nonce = NONCE_COUNTER.fetch_add(1, Ordering::Relaxed);
-            let mut b = sized(cert.encoded_len() + 8 + 8);
-            wrap_with_nonce(&mut b, cert, nonce, payload);
-            b
+            wrap_with_nonce(b, cert, nonce, payload);
         }
-    };
-    Ok(b.freeze())
+    }
+    Ok(())
 }
 
 /// Appends the sealed envelope; the nonce is explicit so tests can pin it.
@@ -179,9 +214,7 @@ fn wrap_with_nonce(b: &mut BytesMut, cert: &Certificate, nonce: u64, payload: &[
     b.put_u64_le(nonce);
     netsim::codec::put_bytes(b, payload);
     let head = b.len() - payload.len();
-    let ct = b.split_at_mut(head).1;
-    apply_keystream(key, ct);
-    let mac = fnv1a64_parts(&[&key.to_le_bytes(), ct]);
+    let mac = keystream_and_mac(key, b.split_at_mut(head).1, false);
     b.put_u64_le(mac);
 }
 
@@ -231,19 +264,17 @@ pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> Drv
             let nonce = get_u64(&mut buf, "nonce")?;
             let ct = get_bytes(&mut buf, "ciphertext")?;
             let mac = get_u64(&mut buf, "mac")?;
-            let key = session_key(&cert, nonce);
-            if fnv1a64_parts(&[&key.to_le_bytes(), &ct]) != mac {
-                return Err(DrvError::TransferFailed(
-                    "mac mismatch: sealed transfer tampered".into(),
-                ));
-            }
             // In place when the frame has no other reader (a bootloader
             // that just decoded it), into one exact copy otherwise.
             drop(buf);
             let mut plain = ct
                 .try_into_mut()
                 .unwrap_or_else(|shared| BytesMut::from(&shared[..]));
-            apply_keystream(key, &mut plain);
+            if keystream_and_mac(session_key(&cert, nonce), &mut plain, true) != mac {
+                return Err(DrvError::TransferFailed(
+                    "mac mismatch: sealed transfer tampered".into(),
+                ));
+            }
             Ok(plain.freeze())
         }
         t => Err(DrvError::TransferFailed(format!(
@@ -260,6 +291,21 @@ mod tests {
         let mut t = ChannelTrust::new();
         t.pin(cert);
         t
+    }
+
+    /// The keystream pass every build up to PR 20 ran on its own (the MAC
+    /// was a second pass, `fnv1a64_parts` over the result): with that,
+    /// the reference [`keystream_and_mac`] is held against.
+    fn apply_keystream(key: u64, data: &mut [u8]) {
+        let prefix = fold_lane(fnv1a64_parts(&[&key.to_le_bytes()]), 8);
+        let (words, tail) = data.as_chunks_mut::<8>();
+        for (i, word) in words.iter_mut().enumerate() {
+            *word = (u64::from_le_bytes(*word) ^ fold_lane(prefix, i as u64)).to_le_bytes();
+        }
+        let block = fold_lane(prefix, words.len() as u64).to_le_bytes();
+        for (b, k) in tail.iter_mut().zip(block) {
+            *b ^= k;
+        }
     }
 
     /// The byte-wise keystream every build up to PR 15 shipped: the
@@ -289,6 +335,48 @@ mod tests {
                 assert_eq!(fast, xor_stream(key, &data), "key {key:x} len {len}");
             }
         }
+    }
+
+    #[test]
+    fn one_pass_equals_keystream_then_mac_in_both_directions() {
+        let key = 0x0123_4567_89ab_cdef;
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 4099, 1 << 20] {
+            let plain = crate::digest::entropy_blob(len, len as u64);
+            let mut ct = plain.clone();
+            apply_keystream(key, &mut ct);
+            let mac = fnv1a64_parts(&[&key.to_le_bytes(), &ct]);
+
+            let mut sealed = plain.clone();
+            assert_eq!(keystream_and_mac(key, &mut sealed, false), mac, "{len}");
+            assert_eq!(sealed, ct, "sealing {len}");
+            assert_eq!(keystream_and_mac(key, &mut sealed, true), mac, "{len}");
+            assert_eq!(sealed, plain, "unsealing {len}");
+        }
+    }
+
+    #[test]
+    fn a_mac_failure_is_decided_on_the_ciphertext_and_returns_nothing() {
+        let cert = Certificate::issue("db1", 1);
+        let payload = crate::digest::entropy_blob(4099, 9);
+        let mut w = BytesMut::new();
+        wrap_with_nonce(&mut w, &cert, 7, &payload);
+        let key = session_key(&cert, 7);
+        let ct_start = 1 + cert.encoded_len() + 8 + 4;
+        let mac = fnv1a64_parts(&[&key.to_le_bytes(), &w[ct_start..w.len() - 8]]);
+        assert_eq!(w[w.len() - 8..], mac.to_le_bytes());
+        // The unsealing pass folds each lane as read, whatever it writes
+        // back, so a flipped ciphertext bit moves the MAC it computes...
+        let mut bad = w[ct_start..w.len() - 8].to_vec();
+        bad[100] ^= 0x10;
+        assert_ne!(keystream_and_mac(key, &mut bad, true), mac);
+        // ...and `unwrap` answers with the error alone: the buffer the
+        // pass left behind is dropped inside it.
+        w[ct_start + 100] ^= 0x10;
+        let e = unwrap(TransferMethod::Sealed, w.freeze(), &trust_for(&cert));
+        assert!(
+            matches!(&e, Err(DrvError::TransferFailed(m)) if m.starts_with("mac mismatch")),
+            "{e:?}"
+        );
     }
 
     /// Recorded from the parent commit (`NONCE_COUNTER` forced to the

@@ -44,8 +44,9 @@ pub fn fetch_chunks(
 }
 
 /// Server half: answers a `CHUNK_REQUEST` for `digests` from `index`,
-/// wrapped under `method` with `cert`. Returns the `CHUNK_DATA` frame
-/// and the set it carries (for the caller's served-bytes counters).
+/// wrapped under `method` with `cert`. Returns the encoded `CHUNK_DATA`
+/// frame, built once around its envelope, and the set it carries (for
+/// the caller's served-bytes counters).
 ///
 /// # Errors
 ///
@@ -56,7 +57,7 @@ pub fn serve_chunks(
     digests: &[u64],
     method: TransferMethod,
     cert: &Certificate,
-) -> DrvResult<(DrvMsg, ChunkSet)> {
+) -> DrvResult<(Bytes, ChunkSet)> {
     let chunks = digests
         .iter()
         .map(|d| {
@@ -67,8 +68,8 @@ pub fn serve_chunks(
         })
         .collect::<DrvResult<Vec<_>>>()?;
     let set = ChunkSet { chunks };
-    let payload = transfer::wrap(method, &set.encode(), Some(cert))?;
-    Ok((DrvMsg::ChunkData { payload }, set))
+    let frame = DrvMsg::chunk_data_frame(method, &set.encode(), Some(cert))?;
+    Ok((frame, set))
 }
 
 #[cfg(test)]
@@ -96,7 +97,7 @@ mod tests {
             panic!("not a chunk request");
         };
         match serve_chunks(index, &digests, transfer_method, cert) {
-            Ok((msg, _)) => msg.encode(),
+            Ok((frame, _)) => frame,
             Err(e) => DrvMsg::error_from(&e).encode(),
         }
     }
@@ -182,8 +183,8 @@ mod tests {
             TransferMethod::Sealed,
             &ChannelTrust::new(),
             |_frame| {
-                let (msg, _) = serve_chunks(&index, &digests, TransferMethod::Checksum, &cert)?;
-                Ok(msg.encode())
+                let (frame, _) = serve_chunks(&index, &digests, TransferMethod::Checksum, &cert)?;
+                Ok(frame)
             },
         );
         assert!(matches!(got, Err(DrvError::TransferFailed(_))), "{got:?}");

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use drivolution_core::chunk::{manifest_and_chunks_of, ChunkManifest, ChunkingParams};
-use drivolution_core::{fnv1a64, Digested};
+use drivolution_core::{fnv1a64, fnv1a64_lanes, Digested};
 
 /// A content-addressed store of driver images and their chunks.
 ///
@@ -60,14 +60,6 @@ pub struct DeltaPlan {
     pub manifest: ChunkManifest,
     /// Digests the client must fetch.
     pub missing: Vec<u64>,
-}
-
-fn digest_of_set(digests: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(digests.len() * 8);
-    for d in digests {
-        bytes.extend_from_slice(&d.to_le_bytes());
-    }
-    fnv1a64(&bytes)
 }
 
 impl ContentIndex {
@@ -221,7 +213,7 @@ impl ContentIndex {
         params: &ChunkingParams,
         have_chunks: &[u64],
     ) -> Option<(DeltaPlan, bool)> {
-        let key = (digest, digest_of_set(have_chunks), *params);
+        let key = (digest, fnv1a64_lanes(have_chunks), *params);
         if let Some(plan) = self.plans.lock().get(&key) {
             return Some((plan.clone(), true));
         }

@@ -332,7 +332,7 @@ impl MirrorDepot {
         Ok(())
     }
 
-    fn handle_chunk_request(&self, digests: &[u64], method: TransferMethod) -> DrvResult<DrvMsg> {
+    fn handle_chunk_request(&self, digests: &[u64], method: TransferMethod) -> DrvResult<Bytes> {
         self.fetch_missing_from_primary(digests)?;
         let method = method.resolve(TransferMethod::Checksum);
         let (reply, set) = serve_chunks(&self.index, digests, method, &self.cert)?;
@@ -351,15 +351,12 @@ impl Service for MirrorDepot {
             DrvMsg::ChunkRequest {
                 digests,
                 transfer_method,
-            } => match self.handle_chunk_request(&digests, transfer_method) {
-                Ok(m) => m,
-                Err(e) => DrvMsg::error_from(&e),
-            },
-            other => DrvMsg::error_from(&DrvError::Codec(format!(
+            } => self.handle_chunk_request(&digests, transfer_method),
+            other => Err(DrvError::Codec(format!(
                 "mirror depots only serve CHUNK_REQUEST, got {other:?}"
             ))),
         };
-        Ok(reply.encode())
+        Ok(reply.unwrap_or_else(|e| DrvMsg::error_from(&e).encode()))
     }
 }
 

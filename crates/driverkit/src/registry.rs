@@ -25,7 +25,9 @@ impl fmt::Display for NamespaceId {
     }
 }
 
-/// A loaded driver with its image, lease, and lifecycle flags.
+/// A loaded driver with its image, lease, and lifecycle flags. A clone
+/// shares the driver, the image and the options: [`DriverRegistry::active`]
+/// hands one out on every idle poll, and that must not allocate.
 #[derive(Clone)]
 pub struct Namespace {
     /// Namespace id.
@@ -33,14 +35,14 @@ pub struct Namespace {
     /// The live driver object.
     pub driver: Arc<dyn Driver>,
     /// The image it was interpreted from.
-    pub image: DriverImage,
+    pub image: Arc<DriverImage>,
     /// The driver-table id it was served under.
     pub driver_id: DriverId,
     /// The governing lease.
     pub lease: Lease,
     /// Options the server attached to the offer (Table 2
     /// `driver_options`), merged into connect properties.
-    pub options: Vec<(String, String)>,
+    pub options: Arc<Vec<(String, String)>>,
     /// Retired namespaces serve no new connections.
     pub retired: bool,
 }
@@ -99,10 +101,10 @@ impl DriverRegistry {
         inner.spaces.push(Namespace {
             id,
             driver,
-            image,
+            image: Arc::new(image),
             driver_id,
             lease,
-            options,
+            options: Arc::new(options),
             retired: false,
         });
         id

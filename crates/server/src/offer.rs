@@ -12,13 +12,24 @@ use netsim::Addr;
 use drivolution_core::pack::{pack_driver, unpack_driver};
 use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::{
-    fnv1a64, transfer, ClientIdentity, DriverId, DriverQuery, DriverRecord, DrvError, DrvResult,
+    fnv1a64, ClientIdentity, DriverId, DriverQuery, DriverRecord, DrvError, DrvResult,
     ExpirationPolicy, PermissionRule, RenewPolicy, Signature, TransferMethod,
 };
 use drivolution_depot::{serve_chunks, DeltaPlan};
 
 use crate::grant::{self, Grants, Renewal};
 use crate::server::DrivolutionServer;
+
+/// Cap on files parked for a `FILE_REQUEST` that has not come. Like the
+/// content index's `MAX_DELTA_PLANS`, the map grows at a client's will
+/// (an offer never fetched; under `customize` each pins a private copy of
+/// the package). Past the cap the oldest stage goes first: its location
+/// answers "unknown location" and the client asks again. A bootstrap
+/// fetches right after its offer, so only abandoned stages get that old.
+pub(crate) const MAX_STAGED: usize = 1024;
+
+/// A staged file's location is this and its stage number.
+const STAGE_PREFIX: &str = "stage/";
 
 /// A driver file parked for one `FILE_REQUEST`.
 pub(crate) struct Staged {
@@ -53,11 +64,12 @@ impl DrivolutionServer {
 
     fn stage(&self, bytes: Bytes, method: TransferMethod) -> String {
         let n = self.stage_counter.fetch_add(1, Ordering::SeqCst);
-        let location = format!("stage/{n}");
-        self.staged
-            .lock()
-            .insert(location.clone(), Staged { bytes, method });
-        location
+        let mut staged = self.staged.lock();
+        staged.insert(n, Staged { bytes, method });
+        while staged.len() > MAX_STAGED {
+            staged.pop_first();
+        }
+        format!("{STAGE_PREFIX}{n}")
     }
 
     /// Content digest and signature for the bytes served in an offer,
@@ -327,35 +339,39 @@ impl DrivolutionServer {
         self.offer_for(record, rule, req, same_driver, advertise_only, lease_ms)
     }
 
+    /// Answers a `FILE_REQUEST` with the encoded `FILE_DATA` frame.
     pub(crate) fn handle_file_request(
         &self,
         location: &str,
         method: TransferMethod,
-    ) -> DrvResult<DrvMsg> {
-        let staged =
-            self.staged.lock().remove(location).ok_or_else(|| {
-                DrvError::TransferFailed(format!("unknown location {location:?}"))
-            })?;
+    ) -> DrvResult<Bytes> {
+        let unknown = || DrvError::TransferFailed(format!("unknown location {location:?}"));
+        let n: u64 = location
+            .strip_prefix(STAGE_PREFIX)
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(unknown)?;
+        let staged = self.staged.lock().remove(&n).ok_or_else(unknown)?;
         if method != staged.method {
             // The client asked with the wrong method; keep the file
             // available for a corrected request.
-            self.staged.lock().insert(location.to_string(), staged);
+            self.staged.lock().insert(n, staged);
             return Err(DrvError::TransferFailed(format!(
                 "transfer method mismatch for {location:?}"
             )));
         }
-        let payload = transfer::wrap(staged.method, &staged.bytes, Some(&self.cert))?;
+        let frame = DrvMsg::file_data_frame(staged.method, &staged.bytes, Some(&self.cert))?;
         let mut st = self.stats.lock();
         st.files += 1;
         st.file_bytes += staged.bytes.len() as u64;
-        Ok(DrvMsg::FileData { payload })
+        Ok(frame)
     }
 
+    /// Answers a `CHUNK_REQUEST` with the encoded `CHUNK_DATA` frame.
     pub(crate) fn handle_chunk_request(
         &self,
         digests: &[u64],
         method: TransferMethod,
-    ) -> DrvResult<DrvMsg> {
+    ) -> DrvResult<Bytes> {
         let method = method.resolve(self.config.default_transfer);
         let (reply, set) = serve_chunks(&self.depot, digests, method, &self.cert)?;
         let mut st = self.stats.lock();

@@ -2,7 +2,7 @@
 //! stages and transfers driver files, enforces permissions and licenses,
 //! and pushes upgrade notices (paper §3–§4).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,7 +138,8 @@ pub struct DrivolutionServer {
     pub(crate) licenses: LicenseManager,
     pub(crate) assembler: Assembler,
     hub: NotifyHub,
-    pub(crate) staged: Mutex<HashMap<String, Staged>>,
+    /// Parked files by stage number, at most [`MAX_STAGED`](crate::offer::MAX_STAGED).
+    pub(crate) staged: Mutex<BTreeMap<u64, Staged>>,
     pub(crate) stage_counter: AtomicU64,
     pub(crate) depot: ContentIndex,
     pub(crate) directory: MirrorDirectory,
@@ -182,7 +183,7 @@ impl DrivolutionServer {
             cert,
             assembler: Assembler::new(),
             hub: NotifyHub::new(),
-            staged: Mutex::new(HashMap::new()),
+            staged: Mutex::new(BTreeMap::new()),
             stage_counter: AtomicU64::new(0),
             depot: ContentIndex::new(),
             stats: Mutex::new(ServerStats::default()),
@@ -425,9 +426,41 @@ impl DrivolutionServer {
     }
 
     /// Handles one decoded protocol message (exposed for in-process
-    /// embedding; the network path goes through [`Service::call`]).
+    /// embedding; the network path goes through [`Service::call`]). A
+    /// bulk reply's payload is a slice of the frame `call` would return.
     pub fn handle(&self, from: &Addr, msg: DrvMsg) -> DrvMsg {
-        let result = match &msg {
+        match self.reply(from, &msg) {
+            Reply::Msg(msg) => msg,
+            Reply::Frame(frame) => DrvMsg::decode(frame).unwrap_or_else(|e| DrvMsg::error_from(&e)),
+        }
+    }
+
+    /// The one place a reply is built, for `handle` and `call` alike.
+    fn reply(&self, from: &Addr, msg: &DrvMsg) -> Reply {
+        let result = match msg {
+            DrvMsg::FileRequest {
+                location,
+                transfer_method,
+            } => self
+                .handle_file_request(location, *transfer_method)
+                .map(Reply::Frame),
+            DrvMsg::ChunkRequest {
+                digests,
+                transfer_method,
+            } => self
+                .handle_chunk_request(digests, *transfer_method)
+                .map(Reply::Frame),
+            control => self.handle_control(from, control).map(Reply::Msg),
+        };
+        result.unwrap_or_else(|e| {
+            self.stats.lock().errors += 1;
+            Reply::Msg(DrvMsg::error_from(&e))
+        })
+    }
+
+    /// Every request but the two answered with a bulk frame.
+    fn handle_control(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
+        match msg {
             DrvMsg::Request(req) => self.grant(from, req, false).map(DrvMsg::Offer),
             DrvMsg::Discover(req) => self.grant(from, req, true).map(DrvMsg::Offer),
             DrvMsg::RenewBatch { entries } => {
@@ -448,14 +481,6 @@ impl DrivolutionServer {
                 }
                 Ok(DrvMsg::OfferBatch { replies })
             }
-            DrvMsg::FileRequest {
-                location,
-                transfer_method,
-            } => self.handle_file_request(location, *transfer_method),
-            DrvMsg::ChunkRequest {
-                digests,
-                transfer_method,
-            } => self.handle_chunk_request(digests, *transfer_method),
             DrvMsg::Release { user, driver, .. } => {
                 self.licenses.release(*driver, user, from.host());
                 Ok(DrvMsg::ReleaseOk)
@@ -516,18 +541,26 @@ impl DrivolutionServer {
             other => Err(DrvError::Codec(format!(
                 "unexpected client message {other:?}"
             ))),
-        };
-        result.unwrap_or_else(|e| {
-            self.stats.lock().errors += 1;
-            DrvMsg::error_from(&e)
-        })
+        }
     }
+}
+
+/// A reply on its way out: a message still to encode, or a bulk frame
+/// built around its envelope and never encoded again. Lives for one
+/// return; a boxed message would cost every renewal an allocation.
+#[allow(clippy::large_enum_variant)]
+enum Reply {
+    Msg(DrvMsg),
+    Frame(Bytes),
 }
 
 impl Service for DrivolutionServer {
     fn call(&self, from: &Addr, request: Bytes) -> Result<Bytes, NetError> {
         let msg = DrvMsg::decode(request).map_err(|e| NetError::Protocol(e.to_string()))?;
-        Ok(self.handle(from, msg).encode())
+        Ok(match self.reply(from, &msg) {
+            Reply::Msg(msg) => msg.encode(),
+            Reply::Frame(frame) => frame,
+        })
     }
 
     fn accept_pipe(&self, from: &Addr, pipe: Pipe) -> Result<(), NetError> {
@@ -623,6 +656,49 @@ mod tests {
         assert_eq!(st.offers, 1);
         assert_eq!(st.files, 1);
         assert_eq!(srv.store().lease_count().unwrap(), 1);
+    }
+
+    #[test]
+    fn abandoned_offers_cannot_grow_the_staged_map() {
+        use crate::offer::MAX_STAGED;
+        let (srv, _clock) = server_with(ServerConfig::default());
+        srv.install_driver(&record(1, 1, DriverVersion::new(1, 0, 0)))
+            .unwrap();
+        // A client that asks for offers and never fetches the files.
+        let offers: Vec<DrvOffer> = (0..MAX_STAGED + 50)
+            .map(|_| expect_offer(srv.handle(&client(), DrvMsg::Request(bootstrap_req()))))
+            .collect();
+        assert_eq!(srv.staged.lock().len(), MAX_STAGED);
+        let fetch = |offer: &DrvOffer, transfer_method| {
+            srv.handle(
+                &client(),
+                DrvMsg::FileRequest {
+                    location: offer.location.clone(),
+                    transfer_method,
+                },
+            )
+        };
+        // The oldest stages went first: their locations are unknown, and
+        // the client asks again.
+        let evicted = fetch(&offers[0], TransferMethod::Sealed);
+        assert!(
+            matches!(&evicted, DrvMsg::Error { message, .. } if message.contains("unknown location")),
+            "{evicted:?}"
+        );
+        // The newest is kept through a request with the wrong method and
+        // then fetched exactly once.
+        let newest = offers.last().unwrap();
+        let wrong = fetch(newest, TransferMethod::Plain);
+        assert!(
+            matches!(&wrong, DrvMsg::Error { message, .. } if message.contains("mismatch")),
+            "{wrong:?}"
+        );
+        assert_eq!(srv.staged.lock().len(), MAX_STAGED);
+        let served = fetch(newest, TransferMethod::Sealed);
+        assert!(matches!(served, DrvMsg::FileData { .. }), "{served:?}");
+        let again = fetch(newest, TransferMethod::Sealed);
+        assert!(matches!(again, DrvMsg::Error { .. }), "{again:?}");
+        assert_eq!(srv.staged.lock().len(), MAX_STAGED - 1);
     }
 
     #[test]

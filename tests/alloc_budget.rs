@@ -135,9 +135,9 @@ fn connect(rig: &Rig, boot: &Arc<Bootloader>) {
         .unwrap();
 }
 
-#[test]
-fn cold_sealed_bootstrap_allocates_about_twice_the_package() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+/// (package size, bytes allocated, largest allocation) of one cold
+/// sealed 1 MiB bootstrap into an empty depot.
+fn cold_sealed_bootstrap() -> (usize, u64, u64) {
     let v1 = record(1, DriverVersion::new(1, 0, 0), 1 << 20);
     let rig = rig(&v1);
     // The first bootstrap pays the process's one-off set-up; the second
@@ -148,16 +148,44 @@ fn cold_sealed_bootstrap_allocates_about_twice_the_package() {
     let ((), bytes, largest) = measured(|| connect(&rig, &boot));
     assert_eq!(boot.stats().downloads, 1);
     assert_eq!(depot.image_count(), 1);
-    // The sealed envelope and the FILE_DATA frame around it are the two
-    // copies a hop needs; the client deciphers in place (a client that
-    // could not would read 3.0).
-    assert_budget(
-        "cold sealed bootstrap",
-        v1.binary.len(),
-        2.2,
-        bytes,
-        largest,
-    );
+    (v1.binary.len(), bytes, largest)
+}
+
+#[test]
+fn cold_sealed_bootstrap_allocates_about_twice_the_package() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let (package, bytes, largest) = cold_sealed_bootstrap();
+    // The budget PR 16 set: a sealed envelope and a FILE_DATA frame
+    // copied around it, deciphered in place (a client that could not
+    // would read 3.0). Kept as the outer fence of the test below.
+    assert_budget("cold sealed bootstrap", package, 2.2, bytes, largest);
+}
+
+#[test]
+fn cold_sealed_bootstrap_copies_the_package_once() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let (package, bytes, largest) = cold_sealed_bootstrap();
+    // One package-sized buffer for the whole hop: the FILE_DATA frame is
+    // built around the envelope it carries, and the client deciphers
+    // that same buffer in place and keeps it. A frame copied around a
+    // finished envelope reads 2.04.
+    assert_budget("cold sealed bootstrap", package, 1.2, bytes, largest);
+}
+
+#[test]
+fn an_idle_poll_allocates_nothing() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let v1 = record(1, DriverVersion::new(1, 0, 0), 4 << 10);
+    let rig = rig(&v1);
+    let (boot, _) = client(&rig, "app1");
+    connect(&rig, &boot);
+    // A valid lease and no notice: the poll looks at the active
+    // namespace (twice) and has nothing to do. A fleet idles like this
+    // ten times per renewal; a `Namespace` cloned by value cost 84 B in
+    // eight allocations each time.
+    let (outcome, bytes, _) = measured(|| boot.poll());
+    assert!(matches!(outcome, PollOutcome::Idle), "{outcome:?}");
+    assert_eq!(bytes, 0, "an idle poll allocated {bytes} B");
 }
 
 #[test]

@@ -208,3 +208,133 @@ proptest! {
         prop_assert_eq!(rebuilt, v2);
     }
 }
+
+/// The single-chain scan every build up to PR 20 shipped, kept here as
+/// `core::transfer` keeps its byte-wise keystream: one Gear hash rolled
+/// byte by byte from each chunk's start. `cut_points` rolls several
+/// chains side by side and must cut at exactly these offsets.
+mod single_chain {
+    /// `core::chunk`'s table (its checksum is pinned by
+    /// `gear_table_is_stable`).
+    fn gear() -> [u64; 256] {
+        fn splitmix64(x: u64) -> u64 {
+            let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        std::array::from_fn(|i| splitmix64(splitmix64(i as u64)))
+    }
+
+    pub(crate) fn cut_points(bytes: &[u8], min: u32, avg: u32, max: u32, norm: u8) -> Vec<usize> {
+        let gear = gear();
+        let (min, avg, max) = (min as usize, avg as usize, max as usize);
+        let bits = usize::BITS - 1 - avg.max(2).leading_zeros();
+        let mask = |bits: u32| (1u64 << bits) - 1;
+        let hard = mask((bits + u32::from(norm)).min(62));
+        let easy = mask(bits.saturating_sub(u32::from(norm)).max(1));
+        let len = bytes.len();
+        let mut cuts = Vec::new();
+        let mut start = 0;
+        while start < len {
+            let hard_end = (start + max).min(len);
+            let avg_point = (start + avg).min(len);
+            // Level 0 hashes from the chunk start and tests from `min`
+            // on; the normalized levels never hash the first `min` bytes.
+            let (hash_from, test_from) = if norm == 0 {
+                (start, start + min)
+            } else {
+                (start + min, 0)
+            };
+            let mut h = 0u64;
+            let mut cut = hard_end;
+            for i in hash_from..hard_end {
+                h = (h << 1).wrapping_add(gear[bytes[i] as usize]);
+                let mask = match norm {
+                    0 => mask(bits),
+                    _ if i < avg_point => hard,
+                    _ => easy,
+                };
+                if i + 1 >= test_from && h & mask == 0 {
+                    cut = i + 1;
+                    break;
+                }
+            }
+            cuts.push(cut);
+            start = cut;
+        }
+        cuts
+    }
+}
+
+/// Inputs the lanes could get wrong in different ways: entropy (cuts
+/// anywhere), one repeated byte (every lane sees the same hash),
+/// a one-bit alphabet and a short period (hits cluster, so the earliest
+/// is rarely the first lane's), each at a length below the lane
+/// threshold, around it, and far above.
+fn lane_inputs() -> Vec<Vec<u8>> {
+    let mut inputs = Vec::new();
+    for len in [0, 1, 63, 200, 1_000, 4_097, 70_000, 300_001] {
+        inputs.push(image(len, len as u64));
+        inputs.push(vec![0; len]);
+        inputs.push(image(len, 77).iter().map(|b| b & 1).collect());
+        inputs.push((0..len).map(|i| (i % 251) as u8).collect());
+    }
+    inputs
+}
+
+#[test]
+fn cuts_equal_the_single_chain_reference() {
+    // Levels 0, 1, 2 and 8; `min` below the mask width (a lane's warm-up
+    // must not reach back past where the chain was reset); averages small
+    // enough that regions fall under the lane threshold and large enough
+    // that the hard mask clamps.
+    let params = [
+        (1024, 4096, 16384, 0),
+        (1024, 4096, 16384, 1),
+        (1024, 4096, 16384, 2),
+        (1024, 4096, 16384, 8),
+        (1, 256, 1024, 0),
+        (1, 256, 1024, 2),
+        (7, 300, 5000, 3),
+        (64, 256, 4096, 2),
+        (64, 64, 64, 1),
+        (2048, 8192, 65536, 2),
+        (1000, 1 << 20, 1 << 21, 8),
+    ];
+    for input in lane_inputs() {
+        for (min, avg, max, norm) in params {
+            assert_eq!(
+                cut_points(&input, &ChunkingParams::cdc_normalized(min, avg, max, norm)),
+                single_chain::cut_points(&input, min, avg, max, norm),
+                "len {} first bytes {:?} under cdc/{min}-{avg}-{max}/n{norm}",
+                input.len(),
+                input.get(..4),
+            );
+        }
+    }
+}
+
+#[test]
+fn default_cut_lists_are_the_ones_recorded_at_the_parent() {
+    // Recorded at PR 20, before the scan rolled lanes: (seed, chunk
+    // count, fnv1a64 of the cut offsets as little-endian u64s) of
+    // `entropy_blob(1 << 20, seed)`. Boundaries are a persisted format.
+    for (seed, count, golden) in [
+        (1, 230, 0x0af1_299c_8ad5_c3e2u64),
+        (2, 229, 0x1029_462f_c335_3c56),
+        (3, 226, 0x97f1_322c_8419_d2b0),
+    ] {
+        let cuts = cut_points(&image(1 << 20, seed), &ChunkingParams::default());
+        let bytes: Vec<u8> = cuts
+            .iter()
+            .flat_map(|c| (*c as u64).to_le_bytes())
+            .collect();
+        assert_eq!(cuts.len(), count, "seed {seed}");
+        assert_eq!(
+            drivolution::core::fnv1a64(&bytes),
+            golden,
+            "seed {seed}: cut list moved"
+        );
+    }
+}

@@ -7,7 +7,8 @@
 
 use std::collections::HashSet;
 
-use drivolution::core::{entropy_blob, fnv1a64, fnv1a64_parts};
+use drivolution::core::transfer::{self, Certificate, ChannelTrust};
+use drivolution::core::{entropy_blob, fnv1a64, fnv1a64_lanes, fnv1a64_parts, TransferMethod};
 
 /// Bytes per block of the striped fold: an input shorter than this is
 /// folded exactly as every build before the stripes folded it.
@@ -71,6 +72,41 @@ fn golden_vectors_on_both_sides_of_every_boundary() {
         computed, GOLDEN,
         "digest values moved: every content-addressed store re-keys (left: this build)"
     );
+}
+
+#[test]
+fn the_streaming_instances_equal_the_byte_definition() {
+    // The fold is one streaming definition with three instances: bytes
+    // read as they are (`fnv1a64`, `fnv1a64_parts`: the table above),
+    // lanes handed over as `u64`s, and lanes rewritten in place on the
+    // way — the sealed channel's one-pass keystream and MAC, reached
+    // here through the envelope it writes.
+    let blob = entropy_blob(1 << 20, 0);
+    let cert = Certificate::issue("db1", 1);
+    let mut trust = ChannelTrust::new();
+    trust.pin(&cert);
+    for (len, _, _) in GOLDEN {
+        let whole = &blob[..len - len % 8];
+        let lanes: Vec<u64> = whole
+            .chunks_exact(8)
+            .map(|lane| u64::from_le_bytes(lane.try_into().unwrap()))
+            .collect();
+        assert_eq!(fnv1a64_lanes(&lanes), fnv1a64(whole), "{len} B as lanes");
+
+        // tag, host ("db1", length-prefixed), serial | nonce | length,
+        // ciphertext | MAC over (session key, ciphertext).
+        let sealed = transfer::wrap(TransferMethod::Sealed, &blob[..len], Some(&cert)).unwrap();
+        let (head, rest) = sealed.split_at(1 + 4 + 3 + 8);
+        assert_eq!(head[0], 2);
+        let (nonce, rest) = rest.split_at(8);
+        let key = fnv1a64_parts(&[b"session", &cert.fingerprint().to_le_bytes(), nonce]);
+        let (ciphertext, mac) = rest[4..].split_at(len);
+        let expected = fnv1a64_parts(&[&key.to_le_bytes(), ciphertext]);
+        assert_eq!(mac, expected.to_le_bytes(), "{len} B sealed");
+        // Unsealing folds the same lanes before it overwrites them.
+        let plain = transfer::unwrap(TransferMethod::Sealed, sealed, &trust).unwrap();
+        assert_eq!(plain, &blob[..len], "{len} B unsealed");
+    }
 }
 
 #[test]
