@@ -1,6 +1,6 @@
 //! The report kit every scenario is written against: a run size, an
-//! ordered JSON value, a gate collector, and the chunk-size summary two
-//! scenarios share.
+//! ordered JSON value, a gate collector, and the chunk-size summary the
+//! cdc scenario records per edit.
 
 use std::fmt;
 
@@ -174,8 +174,8 @@ impl Report {
 }
 
 /// Chunk-size distribution summary of one cut-point sequence, recorded
-/// by the cdc and pipeline scenarios so normalization's tightening shows
-/// up in the benchmark trajectory.
+/// per edit by the cdc scenario, whose gate is that normalization
+/// tightens `stddev` on every edit.
 #[derive(Debug)]
 pub struct SizeStats {
     /// Number of chunks.

@@ -1,12 +1,13 @@
 //! The report scenarios, one module per `BENCH_<name>.json`, each a
 //! `fn run(Size) -> Report` that is a pure function of the code: every
-//! figure is a byte count, a frame count or a virtual-time reading.
-//! Wall-clock belongs to `drvbench` (`benchmark/`).
+//! figure is a byte count, a frame or step count, or a virtual-time
+//! reading, and each sits under a gate. Wall-clock belongs to `drvbench`
+//! (`benchmark/`).
 
 use std::sync::Arc;
 
-use driverkit::DbUrl;
-use drivolution_bootloader::BootloaderConfig;
+use driverkit::{ConnectProps, DbUrl};
+use drivolution_bootloader::{Bootloader, BootloaderConfig, PollOutcome};
 use drivolution_core::pack::pack_driver_padded;
 use drivolution_core::{
     ApiName, BinaryFormat, DriverId, DriverImage, DriverRecord, DriverVersion, ExpirationPolicy,
@@ -21,12 +22,14 @@ use minidb::wire::DbServer;
 use minidb::MiniDb;
 use netsim::{Addr, Network};
 
+use crate::kit::Gates;
+
 pub mod cdc;
 pub mod chaos;
 pub mod depot;
 pub mod hotswap;
 pub mod mirror;
-pub mod pipeline;
+pub mod paper;
 pub mod rollout;
 pub mod sched;
 pub mod shard;
@@ -47,9 +50,20 @@ fn mirror_walked_out(sim: &FleetSim, location: &str) -> bool {
     )
 }
 
+fn props() -> ConnectProps {
+    ConnectProps::user("admin", "admin")
+}
+
+/// Polls `boot` once; the promise is that this poll upgrades it.
+fn poll_upgrades(boot: &Arc<Bootloader>, gates: &mut Gates) {
+    let outcome = boot.poll();
+    let upgraded = matches!(outcome, PollOutcome::Upgraded { .. });
+    gates.require(upgraded, format!("a poll did not upgrade: {outcome:?}"));
+}
+
 /// One database host with an in-database Drivolution server distributing
-/// a padded v1.0.0 driver: the single-server rig of the depot and cdc
-/// scenarios.
+/// a padded v1.0.0 driver: the single-server rig of the depot, cdc and
+/// paper scenarios.
 struct Rig {
     net: Network,
     srv: Arc<DrivolutionServer>,
@@ -61,13 +75,16 @@ struct Rig {
 
 impl Rig {
     fn new(image_name: &'static str, padding: usize) -> Rig {
+        Rig::with_config(image_name, padding, ServerConfig::default())
+    }
+
+    fn with_config(image_name: &'static str, padding: usize, config: ServerConfig) -> Rig {
         let net = Network::new();
         let db = Arc::new(MiniDb::with_clock("orders", net.clock().clone()));
         net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
             .unwrap();
         let server_addr = Addr::new("db1", DRIVOLUTION_PORT);
-        let srv =
-            attach_in_database(&net, db, server_addr.clone(), ServerConfig::default()).unwrap();
+        let srv = attach_in_database(&net, db, server_addr.clone(), config).unwrap();
         let rig = Rig {
             net,
             srv,
@@ -104,6 +121,11 @@ impl Rig {
         BootloaderConfig::same_host().trusting(self.srv.certificate())
     }
 
+    /// A client of this rig on host `app`.
+    fn client(&self, app: &str, config: BootloaderConfig) -> Arc<Bootloader> {
+        Bootloader::new(&self.net, Addr::new(app, 1), config)
+    }
+
     /// Bytes on the wire to and from `addr` so far.
     fn wire(&self, addr: &Addr) -> u64 {
         let s = self.net.stats().for_addr(addr);
@@ -133,6 +155,7 @@ fn fault_and_roll_back(
     lease_ms: u64,
     step_ms: u64,
     settle_ms: u64,
+    gates: &mut Gates,
 ) -> Rollback {
     let (v1, v2) = (DriverVersion::new(1, 0, 0), v2());
     let clients = sim.clients().len();
@@ -145,12 +168,14 @@ fn fault_and_roll_back(
     // Pump until the first percentage wave is visibly upgrading: the
     // canary passed its gate and the blast radius is now real.
     let deadline = sim.net().clock().now_ms() + 20 * (lease_ms + 5 * MINUTE);
-    while sim.count_on(v2) <= canary {
-        let now = sim.net().clock().now_ms();
-        assert!(now < deadline, "rollout never progressed past the canary");
-        sim.net().run_until(now + step_ms);
+    while sim.count_on(v2) <= canary && sim.net().clock().now_ms() < deadline {
+        sim.net().run_until(sim.net().clock().now_ms() + step_ms);
     }
     let upgraded_at_fault = sim.count_on(v2);
+    gates.require(
+        upgraded_at_fault > canary,
+        "rollout never progressed past the canary",
+    );
     sim.inject_activation_fault(Some(v2));
     // From here on, every fetch beyond the in-flight upgrades is a
     // rollback that failed to use the depot.

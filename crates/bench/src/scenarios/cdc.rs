@@ -8,17 +8,18 @@
 //! overwrite (fixed chunking's best case), a mid-image insertion, and a
 //! prepended header (its worst cases) — under both chunkers, plus an
 //! end-to-end wire measurement of an insertion upgrade through the
-//! simulated network.
+//! simulated network, and the resync cost of an insertion inside a
+//! low-entropy region, where plain Gear degenerates to position-
+//! dependent forced-max cuts and normalization does not.
 
-use driverkit::ConnectProps;
-use drivolution_bootloader::{Bootloader, PollOutcome};
+use std::collections::HashSet;
+
 use drivolution_core::chunk::{cut_points, delta_cost, ChunkingParams};
 use drivolution_core::{entropy_blob, DriverVersion};
 use drivolution_depot::DriverDepot;
-use netsim::Addr;
 
-use super::Rig;
-use crate::kit::{Object, Report, Size, SizeStats, Value};
+use super::{poll_upgrades, props, Rig};
+use crate::kit::{Gates, Object, Report, Size, SizeStats, Value};
 
 /// Derives the v2 image from v1.
 type Edit = fn(&[u8]) -> Vec<u8>;
@@ -52,20 +53,70 @@ fn prepended_header(v1: &[u8]) -> Vec<u8> {
 /// plus identical padding (exactly the incremental edit a live fleet
 /// sees), and the client upgrades. Returns the wire bytes that moved
 /// for the upgrade.
-fn e2e_insertion_upgrade_wire_bytes(image_len: usize) -> u64 {
+fn e2e_insertion_upgrade_wire_bytes(image_len: usize, gates: &mut Gates) -> u64 {
     let rig = Rig::new("cdc-bench", image_len);
     let config = rig.client_config().with_depot(DriverDepot::in_memory());
-    let boot = Bootloader::new(&rig.net, Addr::new("app", 1), config);
-    boot.bootstrap(&rig.url, &ConnectProps::user("admin", "admin"))
-        .unwrap();
+    let boot = rig.client("app", config);
+    boot.bootstrap(&rig.url, &props()).unwrap();
     rig.publish_upgrade(DriverVersion::new(2, 0, 10));
     let mark = rig.wire(&rig.server_addr);
-    let outcome = boot.poll();
-    assert!(
-        matches!(outcome, PollOutcome::Upgraded { .. }),
-        "{outcome:?}"
-    );
+    poll_upgrades(&boot, gates);
     rig.wire(&rig.server_addr) - mark
+}
+
+/// Bytes after the edit point until the two cut sequences realign
+/// (`len - at` when they never do): the resync cost of an insertion.
+fn resync_bytes(cuts1: &[usize], cuts2: &[usize], at: usize, ins: usize, len2: usize) -> usize {
+    let shifted: HashSet<usize> = cuts1.iter().filter(|&&c| c > at).map(|c| c + ins).collect();
+    // v2's cuts from the end back: the suffix also present in the
+    // shifted v1 set has resynced; the first divergence bounds the cost.
+    let resynced = cuts2.iter().rev().take_while(|c| shifted.contains(c));
+    resynced.last().map_or(len2, |&c| c) - at
+}
+
+/// A 1 MiB image whose middle 512 KiB is a repeating 251-byte pattern
+/// (prime period, so forced-max chunks never dedupe by phase), edited by
+/// a 137-byte insertion in the middle of the pattern region: one row per
+/// chunker, gated on what the rows exist to show.
+fn low_entropy_insertion(plain: ChunkingParams, normd: ChunkingParams, r: &mut Report) {
+    let low_len = 1024 * 1024;
+    let mut low = entropy_blob(low_len, 21);
+    let pattern = entropy_blob(251, 77);
+    for i in 0..(512 * 1024) {
+        low[256 * 1024 + i] = pattern[i % 251];
+    }
+    let at = low_len / 2;
+    let mut low2 = low.clone();
+    let ins = entropy_blob(137, 99);
+    low2.splice(at..at, ins.iter().copied());
+
+    let mut rows = Vec::new();
+    let mut delta_bytes = Vec::new();
+    for (label, params) in [("plain", plain), ("normalized", normd)] {
+        let d = delta_cost(&low, &low2, &params);
+        let resync = resync_bytes(
+            &cut_points(&low, &params),
+            &cut_points(&low2, &params),
+            at,
+            ins.len(),
+            low2.len(),
+        );
+        let row = Object::default()
+            .with("params", label)
+            .with("delta_bytes", d.bytes)
+            .with("missing_chunks", d.missing_chunks)
+            .with("resync_bytes", resync);
+        rows.push(row.into());
+        delta_bytes.push(d.bytes);
+    }
+    r.set("low_entropy_insertion", Value::Array(rows));
+    r.gates.require(
+        delta_bytes[1] < delta_bytes[0],
+        format!(
+            "repeating-pattern insertion: normalized delta {} B not under plain {} B",
+            delta_bytes[1], delta_bytes[0]
+        ),
+    );
 }
 
 /// Runs the scenario.
@@ -142,12 +193,13 @@ pub fn run(size: Size) -> Report {
     }
     r.set("edits", Value::Array(rows));
 
-    let e2e_wire = e2e_insertion_upgrade_wire_bytes(image_len);
+    let e2e_wire = e2e_insertion_upgrade_wire_bytes(image_len, &mut r.gates);
     r.set("e2e_insertion_upgrade_wire_bytes", e2e_wire);
     // The e2e path must also stay a small fraction of the image.
     r.gates.require(
         (e2e_wire as f64) < image_len as f64 * 0.25,
         format!("e2e insertion upgrade moved {e2e_wire} bytes for a {image_len}-byte image"),
     );
+    low_entropy_insertion(cdc, ncdc, &mut r);
     r
 }

@@ -32,7 +32,7 @@ use drivolution_server::{RolloutConfig, RolloutPlan};
 use fleet::{FleetSim, LoadStats, SteadyLoad};
 
 use super::{fault_and_roll_back, v2, Rollback, MINUTE};
-use crate::kit::{Report, Size};
+use crate::kit::{Gates, Report, Size};
 
 const LEASE_MS: u64 = 5 * MINUTE;
 const STEP_MS: u64 = 10_000;
@@ -83,7 +83,7 @@ fn run_upgrade(clients: usize, hot_swap: Option<SwapConfig>) -> SwapOutcome {
 /// gate halts the rollout, and every upgraded client swaps back to the
 /// depot-held v1 (downgrade windows settle too) — all while the ledger
 /// stays clean.
-fn run_rollback(clients: usize) -> (Rollback, LoadStats, SwapStats) {
+fn run_rollback(clients: usize, gates: &mut Gates) -> (Rollback, LoadStats, SwapStats) {
     let (sim, load) = warmed_fleet(clients, Some(SwapConfig::default()));
     sim.publish_staged(2, v2(), 0);
     let plan = RolloutPlan {
@@ -97,7 +97,7 @@ fn run_rollback(clients: usize) -> (Rollback, LoadStats, SwapStats) {
         ..RolloutConfig::default()
     };
     let ro = sim.start_rollout(DriverId(1), DriverId(2), &plan, config);
-    let rb = fault_and_roll_back(&sim, &ro, plan.canary, LEASE_MS, STEP_MS, SETTLE_MS);
+    let rb = fault_and_roll_back(&sim, &ro, plan.canary, LEASE_MS, STEP_MS, SETTLE_MS, gates);
     (rb, load.stats(), sim.total_swap_stats())
 }
 
@@ -118,9 +118,9 @@ pub fn run(size: Size) -> Report {
     let swapped = run_upgrade(clients, Some(SwapConfig::default()));
     let baseline = run_upgrade(clients, None);
     let deterministic = run_upgrade(clients, Some(SwapConfig::default())) == swapped;
-    let (rb, rb_load, rb_swap) = run_rollback(clients);
-
     let mut r = Report::new("hotswap");
+    let (rb, rb_load, rb_swap) = run_rollback(clients, &mut r.gates);
+
     r.set("clients", clients);
     r.set("lease_ms", LEASE_MS);
     r.set("load_every_ms", LOAD_EVERY.as_millis() as u64);

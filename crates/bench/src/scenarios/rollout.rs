@@ -114,7 +114,7 @@ pub fn run(size: Size) -> Report {
     // --- mid-rollout regression ---------------------------------------
     let sim = staged_fleet(clients);
     let ro = sim.start_rollout(DriverId(1), DriverId(2), &plan(), config());
-    let rb = fault_and_roll_back(&sim, &ro, plan().canary, LEASE_MS, STEP_MS, 0);
+    let rb = fault_and_roll_back(&sim, &ro, plan().canary, LEASE_MS, STEP_MS, 0, &mut r.gates);
     r.set("regression_upgraded_at_fault", rb.upgraded_at_fault);
     r.set("regression_rolled_back", rb.rolled_back);
     let failed_wave = rb.failed_wave.map_or(Value::Null, Value::from);

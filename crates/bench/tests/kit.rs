@@ -58,6 +58,24 @@ fn a_failed_require_fails_the_report_and_carries_its_message() {
     assert_eq!(r.gates.failures(), ["3 clients stranded", "second"]);
 }
 
+/// The contract the scenarios' former `assert!`s were converted to: a
+/// broken promise is a message on the report, and the phases after it
+/// still run and are still recorded.
+#[test]
+fn a_broken_promise_mid_scenario_fails_the_gate_and_keeps_the_record_complete() {
+    let scenario = |upgraded: bool| {
+        let mut r = Report::new("shaped");
+        r.set("cold_wire_bytes", 65_868u64);
+        r.gates.require(upgraded, "a poll did not upgrade");
+        r.set("delta_wire_bytes", 6_582u64);
+        r
+    };
+    assert!(scenario(true).gates.failures().is_empty());
+    let broken = scenario(false);
+    assert_eq!(broken.gates.failures(), ["a poll did not upgrade"]);
+    assert_eq!(broken.to_json(), scenario(true).to_json());
+}
+
 #[test]
 fn size_picks_by_variant() {
     assert_eq!(Size::Smoke.pick(12, 50), 12);

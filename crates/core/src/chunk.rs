@@ -429,6 +429,8 @@ fn earliest_hit(lanes: [(u64, &[u8]); LANES - 1], done: usize, mask: u64) -> usi
 ///
 /// Panics when `params` is structurally invalid.
 fn for_each_chunk(bytes: &[u8], params: &ChunkingParams, mut emit: impl FnMut(usize, usize)) {
+    // Params off the wire or a `meta` file were validated where they were
+    // decoded, so only a caller's hand-built value can fail here.
     params.validate().expect("invalid chunking params");
     let chunk_len = |rest: &[u8]| match *params {
         ChunkingParams::Fixed { size } => rest.len().min(size as usize),

@@ -171,6 +171,8 @@ impl DriverDepot {
     ///
     /// Panics when `params` is structurally invalid.
     pub fn with_params(params: ChunkingParams) -> Arc<Self> {
+        // A constructor argument, never decoded input (`decode_meta` drops
+        // an invalid line, `persistent_with` returns a typed error).
         params.validate().expect("invalid chunking params");
         Arc::new(DriverDepot {
             index: ContentIndex::new(),

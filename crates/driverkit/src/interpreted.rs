@@ -140,13 +140,15 @@ impl Driver for InterpretedDriver {
                 Err(e) => last_err = Some(e.into()),
             }
         }
+        let Some(last_err) = last_err else {
+            return Err(DkError::NoHostAvailable(format!("{url} names no host")));
+        };
         if targets.len() == 1 {
-            Err(last_err.expect("at least one target attempted"))
+            Err(last_err)
         } else {
             Err(DkError::NoHostAvailable(format!(
-                "all {} hosts failed; last error: {}",
+                "all {} hosts failed; last error: {last_err}",
                 targets.len(),
-                last_err.expect("at least one target attempted")
             )))
         }
     }

@@ -24,8 +24,10 @@
 use crate::scan::{Finding, ScannedFile};
 
 /// Crates whose `src/` trees are sim-facing: everything that can feed
-/// the codec, the scheduler, or stats ordering.
+/// the codec, the scheduler, or stats ordering — and `bench`, whose
+/// committed reports must stay a pure function of the code.
 pub const SIM_CRATES: &[&str] = &[
+    "bench",
     "bootloader",
     "cluster",
     "core",

@@ -85,6 +85,30 @@ fn fresh_wallclock_read_in_netsim_fails() {
     );
 }
 
+/// The report library is a sim crate: a report is a pure function of
+/// the code, so a clock read or a thread in a scenario is a finding.
+#[test]
+fn wallclock_read_or_thread_in_a_report_scenario_fails() {
+    let (files, baseline) = scanned_tree();
+    let scenario = "crates/bench/src/scenarios/cdc.rs";
+    let files = with_edit(&files, scenario, |src| {
+        format!(
+            "{src}\nfn injected_probe() -> f64 {{\n    \
+             let t0 = std::time::Instant::now();\n    \
+             std::thread::spawn(|| ());\n    \
+             t0.elapsed().as_secs_f64()\n}}\n"
+        )
+    });
+    let report = run_passes(&files, &baseline).expect("run passes");
+    let hits = rules_of(&report.findings);
+    for rule in ["wallclock", "thread-spawn"] {
+        assert!(
+            hits.contains(&(rule, scenario)),
+            "expected a {rule} finding in {scenario}, got {hits:?}"
+        );
+    }
+}
+
 #[test]
 fn frame_tag_without_decode_arm_fails() {
     let (files, baseline) = scanned_tree();

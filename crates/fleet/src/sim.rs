@@ -131,15 +131,17 @@ impl FleetSim {
         driver_padding: usize,
         lifecycle: LifecyclePolicy,
     ) -> Self {
+        // The builders' signatures are frozen (drvbench), so each step
+        // that cannot fail on the world built right here says why.
         let net = Network::new();
         let db = Arc::new(MiniDb::with_clock("fleetdb", net.clock().clone()));
         {
             let mut s = db.admin_session();
             db.exec(&mut s, "CREATE TABLE load (id INTEGER)")
-                .expect("create load table on a fresh db");
+                .expect("fresh db: no `load` table yet");
         }
         net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
-            .expect("db1:5432 is unbound on a fresh network");
+            .expect("fresh network: db1:5432 unbound");
         let server = attach_in_database(
             &net,
             db,
@@ -149,10 +151,10 @@ impl FleetSim {
                 ..ServerConfig::default()
             },
         )
-        .expect("attach server on a fresh network");
+        .expect("fresh network and db: port unbound, schema absent");
         server
             .install_driver(&record(1, 1, DriverVersion::new(1, 0, 0), driver_padding))
-            .expect("install driver v1");
+            .expect("fresh store: driver id 1 unused");
         server
             .add_rule(
                 &PermissionRule::any(DriverId(1))
@@ -160,7 +162,7 @@ impl FleetSim {
                     .with_transfer(TransferMethod::Any)
                     .with_policies(RenewPolicy::Renew, ExpirationPolicy::AfterCommit),
             )
-            .expect("add permission rule for driver v1");
+            .expect("driver 1 was installed just above");
         let mut clients = Vec::with_capacity(n_clients);
         for i in 0..n_clients {
             let mut config = BootloaderConfig::same_host().with_lifecycle(lifecycle);
@@ -373,8 +375,10 @@ impl FleetSim {
             let host = format!("mirror-{zone}");
             sim.net.with_topology(|t| t.place(host.clone(), *zone));
             let mirror = MirrorDepot::launch(&sim.net, Addr::new(host, 1071), sim.drv_addr.clone())
-                .expect("mirror bind");
-            mirror.heartbeat().expect("mirror heartbeat");
+                .expect("one mirror host per zone: its address is unbound");
+            mirror
+                .heartbeat()
+                .expect("primary bound above, no fault installed yet");
             sim.mirrors.push(mirror);
         }
         for i in 0..n_clients {
@@ -468,6 +472,8 @@ impl FleetSim {
     pub fn bootstrap_all(&self) {
         for (i, c) in self.clients.iter().enumerate() {
             let props = ConnectProps::user("admin", "admin");
+            // No `Result` to return it in (frozen signature): a client that
+            // cannot bootstrap means the caller broke the world first.
             let conn = c.connect(&self.url, &props).unwrap_or_else(|e| {
                 panic!("client {i} failed to bootstrap: {e}");
             });
@@ -492,7 +498,7 @@ impl FleetSim {
     pub fn publish_staged(&self, id: i64, version: DriverVersion, driver_padding: usize) {
         self.server
             .install_driver(&record(id, id as u16, version, driver_padding))
-            .expect("install staged driver");
+            .expect("caller contract: `id` is unused");
         self.server
             .add_rule(
                 &PermissionRule::any(DriverId(id))
@@ -500,7 +506,7 @@ impl FleetSim {
                     .with_transfer(TransferMethod::Any)
                     .with_policies(RenewPolicy::Upgrade, ExpirationPolicy::AfterCommit),
             )
-            .expect("add staged permission rule");
+            .expect("driver `id` was installed just above");
     }
 
     /// Partitions the fleet per `plan`, launches a
@@ -537,11 +543,11 @@ impl FleetSim {
     pub fn publish(&self, id: i64, version: DriverVersion, driver_padding: usize, push: bool) {
         self.server
             .install_driver(&record(id, id as u16, version, driver_padding))
-            .expect("install published driver");
+            .expect("caller contract: `id` is unused");
         self.server
             .store()
             .remove_permissions(DriverId(id - 1))
-            .expect("revoke previous driver permissions");
+            .expect("a DELETE on the schema the server created");
         self.server
             .add_rule(
                 &PermissionRule::any(DriverId(id))
@@ -549,7 +555,7 @@ impl FleetSim {
                     .with_transfer(TransferMethod::Any)
                     .with_policies(RenewPolicy::Upgrade, ExpirationPolicy::AfterCommit),
             )
-            .expect("add permission rule for published driver");
+            .expect("driver `id` was installed just above");
         if push {
             self.server.notify_upgrade("fleetdb");
         }

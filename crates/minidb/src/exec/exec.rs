@@ -492,9 +492,8 @@ fn item_name(item: &SelectItem, schema: Option<&TableSchema>) -> String {
             }
             match expr {
                 Expr::Column(c) => c
-                    .rsplit('.')
-                    .next()
-                    .expect("rsplit yields at least one")
+                    .rsplit_once('.')
+                    .map_or(c.as_str(), |(_, base)| base)
                     .to_string(),
                 Expr::Func { name, .. } => name.clone(),
                 _ => {

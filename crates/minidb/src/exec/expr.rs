@@ -1,5 +1,6 @@
 //! Expression evaluation with SQL three-valued logic.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::error::{DbError, DbResult};
@@ -70,7 +71,7 @@ impl<'a> EvalCtx<'a> {
             return Err(DbError::NoSuchColumn(format!("{name} (no table in scope)")));
         };
         // Qualified references resolve by their last segment.
-        let base = name.rsplit('.').next().expect("rsplit yields at least one");
+        let base = name.rsplit_once('.').map_or(name, |(_, base)| base);
         let idx = schema.col_index(base)?;
         Ok(row[idx].clone())
     }
@@ -197,48 +198,48 @@ impl<'a> EvalCtx<'a> {
                 let r = self.eval_bool(rhs)?;
                 Ok(truth_or(opt_bool(l), opt_bool(r)))
             }
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                let cmp = l.sql_cmp(&r);
-                Ok(match cmp {
-                    None => Value::Null,
-                    Some(o) => Value::Boolean(match op {
-                        BinOp::Eq => o == std::cmp::Ordering::Equal,
-                        BinOp::Ne => o != std::cmp::Ordering::Equal,
-                        BinOp::Lt => o == std::cmp::Ordering::Less,
-                        BinOp::Gt => o == std::cmp::Ordering::Greater,
-                        BinOp::Le => o != std::cmp::Ordering::Greater,
-                        BinOp::Ge => o != std::cmp::Ordering::Less,
-                        _ => unreachable!(),
-                    }),
-                })
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                if l.is_null() || r.is_null() {
-                    return Ok(Value::Null);
-                }
-                let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) else {
-                    return Err(DbError::Type(format!("arithmetic on {l} and {r}")));
-                };
-                let v = match op {
-                    BinOp::Add => a.checked_add(b),
-                    BinOp::Sub => a.checked_sub(b),
-                    BinOp::Mul => a.checked_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            return Err(DbError::Type("division by zero".into()));
-                        }
-                        a.checked_div(b)
-                    }
-                    _ => unreachable!(),
-                };
-                v.map(Value::BigInt)
-                    .ok_or_else(|| DbError::Type("integer overflow".into()))
-            }
+            BinOp::Eq => self.compare(lhs, rhs, Ordering::is_eq),
+            BinOp::Ne => self.compare(lhs, rhs, Ordering::is_ne),
+            BinOp::Lt => self.compare(lhs, rhs, Ordering::is_lt),
+            BinOp::Gt => self.compare(lhs, rhs, Ordering::is_gt),
+            BinOp::Le => self.compare(lhs, rhs, Ordering::is_le),
+            BinOp::Ge => self.compare(lhs, rhs, Ordering::is_ge),
+            BinOp::Add => self.arith(lhs, rhs, |a, b| Ok(a.checked_add(b))),
+            BinOp::Sub => self.arith(lhs, rhs, |a, b| Ok(a.checked_sub(b))),
+            BinOp::Mul => self.arith(lhs, rhs, |a, b| Ok(a.checked_mul(b))),
+            BinOp::Div => self.arith(lhs, rhs, |a, b| match b {
+                0 => Err(DbError::Type("division by zero".into())),
+                _ => Ok(a.checked_div(b)),
+            }),
         }
+    }
+
+    /// A comparison: NULL when either side is, else whether `holds` of
+    /// their SQL ordering.
+    fn compare(&self, lhs: &Expr, rhs: &Expr, holds: impl Fn(Ordering) -> bool) -> DbResult<Value> {
+        let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
+        Ok(l.sql_cmp(&r)
+            .map_or(Value::Null, |o| Value::Boolean(holds(o))))
+    }
+
+    /// Integer arithmetic: NULL when either side is, a type error on
+    /// non-integers and on overflow (`op` returning `None`).
+    fn arith(
+        &self,
+        lhs: &Expr,
+        rhs: &Expr,
+        op: impl Fn(i64, i64) -> DbResult<Option<i64>>,
+    ) -> DbResult<Value> {
+        let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
+        if l.is_null() || r.is_null() {
+            return Ok(Value::Null);
+        }
+        let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) else {
+            return Err(DbError::Type(format!("arithmetic on {l} and {r}")));
+        };
+        op(a, b)?
+            .map(Value::BigInt)
+            .ok_or_else(|| DbError::Type("integer overflow".into()))
     }
 
     fn eval_func(&self, name: &str, args: &[Expr], star: bool) -> DbResult<Value> {

@@ -155,14 +155,14 @@ impl Value {
             return Ok(Value::Null);
         }
         match (self, ty) {
-            (v, DataType::Integer) if v.as_i64().is_some() => {
-                Ok(Value::Integer(v.as_i64().expect("checked")))
+            (Value::Integer(v) | Value::BigInt(v) | Value::Timestamp(v), DataType::Integer) => {
+                Ok(Value::Integer(v))
             }
-            (v, DataType::BigInt) if v.as_i64().is_some() => {
-                Ok(Value::BigInt(v.as_i64().expect("checked")))
+            (Value::Integer(v) | Value::BigInt(v) | Value::Timestamp(v), DataType::BigInt) => {
+                Ok(Value::BigInt(v))
             }
-            (v, DataType::Timestamp) if v.as_i64().is_some() => {
-                Ok(Value::Timestamp(v.as_i64().expect("checked")))
+            (Value::Integer(v) | Value::BigInt(v) | Value::Timestamp(v), DataType::Timestamp) => {
+                Ok(Value::Timestamp(v))
             }
             (v @ Value::Varchar(_), DataType::Varchar) => Ok(v),
             (v @ Value::Blob(_), DataType::Blob) => Ok(v),

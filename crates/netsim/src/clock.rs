@@ -1,22 +1,18 @@
-//! Virtual and system clocks.
+//! The virtual clock.
 //!
 //! Every time-dependent component in the workspace (leases, license
 //! expirations, fleet simulations) takes a [`Clock`] handle instead of
-//! reading the wall clock. Tests and benchmarks use a simulated clock and
-//! advance it manually, so a "one-day lease" experiment runs in
-//! microseconds and is fully deterministic.
+//! reading the wall clock. The clock only moves when it is advanced, so
+//! a "one-day lease" experiment runs in microseconds and is fully
+//! deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// A cloneable clock handle measuring milliseconds since an arbitrary origin.
-///
-/// Two flavors exist:
-///
-/// * [`Clock::simulated`] — starts at zero and only moves when
-///   [`Clock::advance_ms`] is called. All clones share the same time source.
-/// * [`Clock::system`] — reads the monotonic OS clock.
+/// A cloneable clock handle measuring virtual milliseconds: it starts at
+/// zero and only moves when [`Clock::advance_ms`] is called. All clones
+/// share the same time source. No constructor reads the OS clock, so
+/// "the simulation runs on virtual time" is a fact of the type.
 ///
 /// # Examples
 ///
@@ -28,69 +24,26 @@ use std::time::Instant;
 /// clock.advance_ms(86_400_000); // a full day, instantly
 /// assert_eq!(clock.now_ms(), 86_400_000);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Clock {
-    inner: ClockInner,
-}
-
-#[derive(Clone, Debug)]
-enum ClockInner {
-    Simulated(Arc<AtomicU64>),
-    System(Instant),
+    now_ms: Arc<AtomicU64>,
 }
 
 impl Clock {
     /// Creates a simulated clock starting at time zero.
     pub fn simulated() -> Self {
-        Clock {
-            inner: ClockInner::Simulated(Arc::new(AtomicU64::new(0))),
-        }
-    }
-
-    /// Creates a clock backed by the monotonic system clock.
-    ///
-    /// The origin is the moment of construction, so `now_ms` starts near
-    /// zero just like the simulated clock.
-    pub fn system() -> Self {
-        Clock {
-            // drvlint: allow(wallclock) — the explicit real-time constructor;
-            // every other path gets time from a simulated Clock.
-            inner: ClockInner::System(Instant::now()),
-        }
+        Clock::default()
     }
 
     /// Current time in milliseconds since this clock's origin.
     pub fn now_ms(&self) -> u64 {
-        match &self.inner {
-            ClockInner::Simulated(t) => t.load(Ordering::SeqCst),
-            ClockInner::System(origin) => origin.elapsed().as_millis() as u64,
-        }
+        self.now_ms.load(Ordering::SeqCst)
     }
 
-    /// Advances a simulated clock by `delta_ms` milliseconds and returns the
-    /// new time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a system clock: real time cannot be steered.
+    /// Advances the clock by `delta_ms` milliseconds and returns the new
+    /// time.
     pub fn advance_ms(&self, delta_ms: u64) -> u64 {
-        match &self.inner {
-            ClockInner::Simulated(t) => t.fetch_add(delta_ms, Ordering::SeqCst) + delta_ms,
-            ClockInner::System(_) => panic!("cannot advance a system clock"),
-        }
-    }
-
-    /// Returns `true` for clocks created with [`Clock::simulated`].
-    pub fn is_simulated(&self) -> bool {
-        matches!(self.inner, ClockInner::Simulated(_))
-    }
-}
-
-impl Default for Clock {
-    /// The default clock is simulated, matching the deterministic test and
-    /// benchmark setup used throughout this workspace.
-    fn default() -> Self {
-        Clock::simulated()
+        self.now_ms.fetch_add(delta_ms, Ordering::SeqCst) + delta_ms
     }
 }
 
@@ -117,22 +70,9 @@ mod tests {
     }
 
     #[test]
-    fn system_clock_is_monotonic() {
-        let c = Clock::system();
-        let t0 = c.now_ms();
-        let t1 = c.now_ms();
-        assert!(t1 >= t0);
-        assert!(!c.is_simulated());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot advance a system clock")]
-    fn advancing_system_clock_panics() {
-        Clock::system().advance_ms(1);
-    }
-
-    #[test]
     fn default_is_simulated() {
-        assert!(Clock::default().is_simulated());
+        let c = Clock::default();
+        assert_eq!(c.now_ms(), 0);
+        assert_eq!(c.advance_ms(7), 7);
     }
 }

@@ -342,10 +342,6 @@ impl Scheduler {
     /// link latency to the clock) is observed before the next firing is
     /// chosen, so timers and messages interleave deterministically.
     /// Returns the number of task executions.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a system clock: real time cannot be steered.
     pub fn run_until(&self, target_ms: u64) -> u64 {
         let mut fired = 0u64;
         loop {
@@ -354,7 +350,11 @@ impl Scheduler {
                 match st.queue.iter().next().copied() {
                     Some((due, id)) if due <= target_ms => {
                         st.queue.remove(&(due, id));
-                        let task = st.tasks.get_mut(&id).expect("queued task exists");
+                        // Cancelling removes a task's queue entry with it,
+                        // so an orphaned entry has nothing to run.
+                        let Some(task) = st.tasks.get_mut(&id) else {
+                            continue;
+                        };
                         task.due_ms = None;
                         task.rearmed = false;
                         Some((due, id, task.f.clone()))
