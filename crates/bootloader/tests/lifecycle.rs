@@ -8,16 +8,19 @@ use bytes::Bytes;
 
 use driverkit::{ConnectProps, Connection, DbUrl, DkError};
 use drivolution_bootloader::{Bootloader, BootloaderConfig, PollOutcome};
+use drivolution_core::chunk::{ChunkManifest, ChunkingParams};
 use drivolution_core::pack::pack_driver;
+use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer};
 use drivolution_core::{
     ApiName, BinaryFormat, DriverId, DriverImage, DriverRecord, DriverVersion, DrvError,
     ExpirationPolicy, PermissionRule, RenewPolicy, SigningKey, TransferMethod, TrustStore,
     DRIVOLUTION_PORT,
 };
+use drivolution_depot::DriverDepot;
 use drivolution_server::{attach_in_database, launch_standalone, DrivolutionServer, ServerConfig};
 use minidb::wire::DbServer;
 use minidb::{MiniDb, Value};
-use netsim::{Addr, Network};
+use netsim::{Addr, FnService, Network};
 
 const LEASE_MS: u64 = 10_000;
 
@@ -262,6 +265,59 @@ fn server_outage_keeps_current_driver() {
     // Even new connections keep working on the (expired-lease) driver.
     let _c2 = b.connect(&r.url, &props()).unwrap();
     assert!(b.stats().failed_renewals >= 1);
+}
+
+#[test]
+fn forged_manifest_size_keeps_current_driver() {
+    let r = rig(ServerConfig::default());
+    let config = BootloaderConfig::same_host()
+        .trusting(r.srv.certificate())
+        .with_depot(DriverDepot::in_memory());
+    let b = Bootloader::new(&r.net, Addr::new("app-host", 1), config);
+    let mut conn = b.connect(&r.url, &props()).unwrap();
+
+    // Whoever answers the renewal now offers an upgrade whose manifest
+    // claims u64::MAX bytes in no chunks. The offer is decoded and its
+    // delta assembled before any signature is looked at, so the size is
+    // an untrusted number: it must fail the install, not size a buffer
+    // (it used to panic with `capacity overflow`).
+    let forged = DrvMsg::Offer(DrvOffer {
+        driver_id: DriverId(2),
+        driver_version: Some(DriverVersion::new(2, 0, 0)),
+        same_driver: false,
+        lease_ms: LEASE_MS,
+        renew_policy: RenewPolicy::Upgrade,
+        expiration_policy: ExpirationPolicy::AfterClose,
+        format: BinaryFormat::Djar,
+        location: String::new(),
+        size: u64::MAX,
+        transfer_method: TransferMethod::Plain,
+        options: Vec::new(),
+        signature: None,
+        content_digest: Some(1),
+        chunked: Some(ChunkPlan {
+            manifest: ChunkManifest {
+                content_digest: 1,
+                total_size: u64::MAX,
+                params: ChunkingParams::default(),
+                chunks: Vec::new(),
+            },
+            missing: Vec::new(),
+            mirrors: Vec::new(),
+        }),
+    })
+    .encode();
+    let drivolution = Addr::new("db1", DRIVOLUTION_PORT);
+    r.net.unbind(&drivolution);
+    r.net
+        .bind(drivolution, FnService::new(move |_, _| Ok(forged.clone())))
+        .unwrap();
+    r.net.clock().advance_ms(LEASE_MS);
+    assert_eq!(b.poll(), PollOutcome::KeptAfterFailure);
+    assert_eq!(b.stats().failed_renewals, 1);
+    assert_eq!(b.active_version(), Some(DriverVersion::new(1, 0, 0)));
+    conn.execute("SELECT 1").unwrap();
+    let _c2 = b.connect(&r.url, &props()).unwrap();
 }
 
 #[test]

@@ -70,7 +70,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_bytes, get_u32, get_u64, get_u8};
+use netsim::codec::{get_bytes, get_items, get_u32, get_u64, get_u64s, get_u8, put_u64s};
 
 use crate::digest::{fnv1a64, Digested};
 use crate::error::{DrvError, DrvResult};
@@ -612,15 +612,36 @@ impl ChunkManifest {
         Ok(())
     }
 
+    /// Concatenates `parts`, this manifest's chunks in order, into one
+    /// exactly sized buffer. `total_size` was read off the wire, so it
+    /// sizes nothing: the parts are in hand, and their summed length must
+    /// equal it before the one allocation is made.
+    ///
+    /// # Errors
+    ///
+    /// [`DrvError::BadPackage`] when the parts do not add up.
+    pub fn join(&self, parts: &[Bytes]) -> DrvResult<Vec<u8>> {
+        let held: usize = parts.iter().map(Bytes::len).sum();
+        if held as u64 != self.total_size {
+            return Err(DrvError::BadPackage(format!(
+                "image size {held} does not match manifest size {}",
+                self.total_size
+            )));
+        }
+        let mut out = Vec::with_capacity(held);
+        for part in parts {
+            out.extend_from_slice(part);
+        }
+        Ok(out)
+    }
+
     /// Serializes the manifest into `b`.
     pub fn encode_into(&self, b: &mut BytesMut) {
         b.put_u64_le(self.content_digest);
         b.put_u64_le(self.total_size);
         self.params.encode_into(b);
         b.put_u32_le(self.chunks.len() as u32);
-        for d in &self.chunks {
-            b.put_u64_le(*d);
-        }
+        put_u64s(b, &self.chunks);
     }
 
     /// Deserializes a manifest.
@@ -628,24 +649,14 @@ impl ChunkManifest {
     /// # Errors
     ///
     /// [`DrvError::Codec`] on malformed or implausible frames (a chunk
-    /// count larger than the remaining buffer is rejected before any
-    /// allocation; the comparison is done in `u64` so hostile counts
-    /// cannot overflow `usize` arithmetic on 32-bit targets).
+    /// count the remaining buffer cannot hold is rejected before any
+    /// allocation, see [`netsim::codec::get_items`]).
     pub fn decode(buf: &mut Bytes) -> DrvResult<Self> {
         let content_digest = get_u64(buf, "manifest digest")?;
         let total_size = get_u64(buf, "manifest size")?;
         let params = ChunkingParams::decode(buf)?;
         let count = get_u32(buf, "manifest chunk count")?;
-        if u64::from(count) * 8 > buf.len() as u64 {
-            return Err(DrvError::Codec(format!(
-                "manifest chunk count {count} exceeds frame"
-            )));
-        }
-        let count = count as usize;
-        let mut chunks = Vec::with_capacity(count);
-        for _ in 0..count {
-            chunks.push(get_u64(buf, "chunk digest")?);
-        }
+        let chunks = get_u64s(buf, "manifest chunk digests", count)?;
         Ok(ChunkManifest {
             content_digest,
             total_size,
@@ -688,26 +699,17 @@ impl ChunkSet {
     /// on digest mismatches.
     pub fn decode(mut buf: Bytes) -> DrvResult<Self> {
         let count = get_u32(&mut buf, "chunk set count")?;
-        // Each entry needs at least a digest (8) plus a length prefix
-        // (4); compare in u64 so a hostile count cannot overflow usize
-        // arithmetic on 32-bit targets.
-        if u64::from(count) * 12 > buf.len() as u64 {
-            return Err(DrvError::Codec(format!(
-                "chunk set count {count} exceeds frame"
-            )));
-        }
-        let count = count as usize;
-        let mut chunks = Vec::with_capacity(count);
-        for _ in 0..count {
-            let digest = get_u64(&mut buf, "chunk digest")?;
-            let bytes = get_bytes(&mut buf, "chunk payload")?;
+        // An entry is at least a digest (8) and a length prefix (4).
+        let chunks = get_items(&mut buf, "chunk set", count, 12, |buf| {
+            let digest = get_u64(buf, "chunk digest")?;
+            let bytes = get_bytes(buf, "chunk payload")?;
             if fnv1a64(&bytes) != digest {
                 return Err(DrvError::BadPackage(
                     "chunk payload does not match its digest".into(),
                 ));
             }
-            chunks.push((digest, bytes));
-        }
+            Ok((digest, bytes))
+        })?;
         Ok(ChunkSet { chunks })
     }
 
@@ -805,16 +807,16 @@ pub fn assemble(
     manifest: &ChunkManifest,
     available: &std::collections::HashMap<u64, Bytes>,
 ) -> DrvResult<Bytes> {
-    let mut out = Vec::with_capacity(manifest.total_size as usize);
+    let mut parts = Vec::with_capacity(manifest.chunks.len());
     for (i, digest) in manifest.chunks.iter().enumerate() {
         let chunk = available.get(digest).ok_or_else(|| {
             DrvError::BadPackage(format!(
                 "chunk {i} ({digest:016x}) unavailable for assembly"
             ))
         })?;
-        out.extend_from_slice(chunk);
+        parts.push(chunk.clone());
     }
-    let bytes = Bytes::from(out);
+    let bytes = Bytes::from(manifest.join(&parts)?);
     manifest.verify(&bytes)?;
     Ok(bytes)
 }
@@ -991,6 +993,21 @@ mod tests {
             let mut short = map.clone();
             short.remove(&m.chunks[m.chunk_count() / 2]);
             assert!(assemble(&m, &short).is_err());
+
+            // The size field came off the wire: one that the chunks in
+            // hand do not add up to is a bad package, never a reservation
+            // (u64::MAX used to panic with `capacity overflow`).
+            for (total_size, chunks) in [(u64::MAX, Vec::new()), (u64::MAX, m.chunks.clone())] {
+                let forged = ChunkManifest {
+                    total_size,
+                    chunks,
+                    ..m.clone()
+                };
+                assert!(matches!(
+                    assemble(&forged, &map),
+                    Err(DrvError::BadPackage(_))
+                ));
+            }
         }
     }
 

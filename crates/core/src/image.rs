@@ -15,7 +15,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_str, get_u16, get_u8, put_str};
+use netsim::codec::{get_items, get_opt_str, get_str, get_u16, get_u8, put_opt_str, put_str};
 
 use crate::descriptor::ApiName;
 use crate::digest::fnv1a64;
@@ -230,13 +230,7 @@ impl DriverImage {
             put_str(&mut b, k);
             put_str(&mut b, v);
         }
-        match &self.preconfigured_target {
-            Some(t) => {
-                b.put_u8(1);
-                put_str(&mut b, t);
-            }
-            None => b.put_u8(0),
-        }
+        put_opt_str(&mut b, self.preconfigured_target.as_deref());
         b.freeze()
     }
 
@@ -254,27 +248,16 @@ impl DriverImage {
         let flavor = DriverFlavor::from_code(get_u8(&mut buf, "flavor")?)?;
         let db_protocol = get_u16(&mut buf, "db protocol")?;
         let n_auth = get_u8(&mut buf, "auth count")?;
-        let mut auth_kinds = Vec::with_capacity(n_auth as usize);
-        for _ in 0..n_auth {
-            auth_kinds.push(AuthKind::from_code(get_u8(&mut buf, "auth kind")?)?);
-        }
+        let auth_kinds = get_items(&mut buf, "auth kinds", n_auth.into(), 1, |buf| {
+            AuthKind::from_code(get_u8(buf, "auth kind")?)
+        })?;
         let n_ext = get_u8(&mut buf, "extension count")?;
-        let mut extensions = Vec::with_capacity(n_ext as usize);
-        for _ in 0..n_ext {
-            extensions.push(Extension::decode(&mut buf)?);
-        }
+        let extensions = get_items(&mut buf, "extensions", n_ext.into(), 1, Extension::decode)?;
         let n_opt = get_u16(&mut buf, "option count")?;
-        let mut default_options = Vec::with_capacity(n_opt as usize);
-        for _ in 0..n_opt {
-            let k = get_str(&mut buf, "option key")?;
-            let v = get_str(&mut buf, "option value")?;
-            default_options.push((k, v));
-        }
-        let preconfigured_target = match get_u8(&mut buf, "target presence")? {
-            0 => None,
-            1 => Some(get_str(&mut buf, "target")?),
-            t => return Err(DrvError::Codec(format!("bad target presence {t}"))),
-        };
+        let default_options = get_items(&mut buf, "default options", n_opt.into(), 8, |buf| {
+            Ok::<_, DrvError>((get_str(buf, "option key")?, get_str(buf, "option value")?))
+        })?;
+        let preconfigured_target = get_opt_str(&mut buf, "target")?;
         Ok(DriverImage {
             name,
             vendor,

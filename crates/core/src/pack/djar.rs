@@ -11,7 +11,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_bytes, get_str, get_u16, get_u64, get_u8, put_bytes, put_str};
+use netsim::codec::{get_bytes, get_items, get_str, get_u16, get_u64, get_u8, put_bytes, put_str};
 
 use crate::digest::{fnv1a64, fnv1a64_parts};
 use crate::error::DrvResult;
@@ -62,17 +62,17 @@ pub(super) fn decode(bytes: Bytes) -> DrvResult<Vec<(String, Bytes)>> {
     if ver != VERSION {
         return Err(corrupt(format!("djar: unsupported version {ver}")));
     }
-    let count = get_u16(&mut buf, "djar entry count")? as usize;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = get_str(&mut buf, "djar entry name")?;
-        let data = get_bytes(&mut buf, "djar entry data")?;
-        let digest = get_u64(&mut buf, "djar entry digest")?;
+    let count = get_u16(&mut buf, "djar entry count")?;
+    // An entry is at least two length prefixes and a digest.
+    let entries = get_items(&mut buf, "djar entries", count.into(), 16, |buf| {
+        let name = get_str(buf, "djar entry name")?;
+        let data = get_bytes(buf, "djar entry data")?;
+        let digest = get_u64(buf, "djar entry digest")?;
         if entry_digest(&name, &data) != digest {
             return Err(corrupt(format!("djar: digest mismatch for entry {name:?}")));
         }
-        entries.push((name, data));
-    }
+        Ok((name, data))
+    })?;
     if !buf.is_empty() {
         return Err(corrupt("djar: trailing bytes after last entry"));
     }

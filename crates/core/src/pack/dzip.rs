@@ -11,7 +11,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_str, get_u16, get_u32, get_u64, get_u8};
+use netsim::codec::{get_items, get_str, get_u16, get_u32, get_u64, get_u8};
 
 use crate::digest::fnv1a64;
 use crate::error::DrvResult;
@@ -77,13 +77,13 @@ pub(super) fn decode(bytes: Bytes) -> DrvResult<Vec<(String, Bytes)>> {
         return Err(corrupt("dzip: directory offset out of range"));
     }
     let mut dir = bytes.slice(dir_offset..diroff_at);
-    let count = get_u16(&mut dir, "dzip entry count")? as usize;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = get_str(&mut dir, "dzip entry name")?;
-        let off = get_u32(&mut dir, "dzip entry offset")? as usize;
-        let len = get_u32(&mut dir, "dzip entry len")? as usize;
-        let digest = get_u64(&mut dir, "dzip entry digest")?;
+    let count = get_u16(&mut dir, "dzip entry count")?;
+    // A directory entry is at least a name prefix, offset, length, digest.
+    let entries = get_items(&mut dir, "dzip directory", count.into(), 20, |dir| {
+        let name = get_str(dir, "dzip entry name")?;
+        let off = get_u32(dir, "dzip entry offset")? as usize;
+        let len = get_u32(dir, "dzip entry len")? as usize;
+        let digest = get_u64(dir, "dzip entry digest")?;
         let end = off
             .checked_add(len)
             .ok_or_else(|| corrupt("dzip: entry range overflow"))?;
@@ -94,8 +94,8 @@ pub(super) fn decode(bytes: Bytes) -> DrvResult<Vec<(String, Bytes)>> {
         if fnv1a64(&data) != digest {
             return Err(corrupt(format!("dzip: digest mismatch for entry {name:?}")));
         }
-        entries.push((name, data));
-    }
+        Ok((name, data))
+    })?;
     if !dir.is_empty() {
         return Err(corrupt("dzip: trailing bytes in directory"));
     }

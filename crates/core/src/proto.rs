@@ -21,8 +21,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    get_bytes, get_i64, get_opt_str, get_str, get_u16, get_u32, get_u64, get_u8, put_bytes,
-    put_opt_str, put_str,
+    get_bytes, get_i64, get_items, get_opt, get_opt_str, get_str, get_u16, get_u32, get_u64,
+    get_u64s, get_u8, put_bytes, put_opt_str, put_str, put_u64s,
 };
 
 use crate::chunk::{ChunkManifest, ChunkingParams};
@@ -75,38 +75,18 @@ pub struct HaveSummary {
 impl HaveSummary {
     fn encode_into(&self, b: &mut BytesMut) {
         b.put_u16_le(self.images.len() as u16);
-        for d in &self.images {
-            b.put_u64_le(*d);
-        }
+        put_u64s(b, &self.images);
         self.params.encode_into(b);
         b.put_u32_le(self.chunks.len() as u32);
-        for d in &self.chunks {
-            b.put_u64_le(*d);
-        }
+        put_u64s(b, &self.chunks);
     }
 
     fn decode(buf: &mut Bytes) -> DrvResult<Self> {
         let n_images = get_u16(buf, "have image count")?;
-        if u64::from(n_images) * 8 > buf.len() as u64 {
-            return Err(DrvError::Codec(format!(
-                "have image count {n_images} exceeds frame"
-            )));
-        }
-        let mut images = Vec::with_capacity(n_images as usize);
-        for _ in 0..n_images {
-            images.push(get_u64(buf, "have image digest")?);
-        }
+        let images = get_u64s(buf, "have image digests", n_images.into())?;
         let params = ChunkingParams::decode(buf)?;
         let n_chunks = get_u32(buf, "have chunk count")?;
-        if u64::from(n_chunks) * 8 > buf.len() as u64 {
-            return Err(DrvError::Codec(format!(
-                "have chunk count {n_chunks} exceeds frame"
-            )));
-        }
-        let mut chunks = Vec::with_capacity(n_chunks as usize);
-        for _ in 0..n_chunks {
-            chunks.push(get_u64(buf, "have chunk digest")?);
-        }
+        let chunks = get_u64s(buf, "have chunk digests", n_chunks)?;
         Ok(HaveSummary {
             images,
             params,
@@ -156,9 +136,7 @@ impl ChunkPlan {
     fn encode_into(&self, b: &mut BytesMut) {
         self.manifest.encode_into(b);
         b.put_u32_le(self.missing.len() as u32);
-        for d in &self.missing {
-            b.put_u64_le(*d);
-        }
+        put_u64s(b, &self.missing);
         b.put_u16_le(self.mirrors.len() as u16);
         for m in &self.mirrors {
             put_str(b, &m.location);
@@ -170,34 +148,17 @@ impl ChunkPlan {
     fn decode(buf: &mut Bytes) -> DrvResult<Self> {
         let manifest = ChunkManifest::decode(buf)?;
         let n_missing = get_u32(buf, "plan missing count")?;
-        if u64::from(n_missing) * 8 > buf.len() as u64 {
-            return Err(DrvError::Codec(format!(
-                "plan missing count {n_missing} exceeds frame"
-            )));
-        }
-        let mut missing = Vec::with_capacity(n_missing as usize);
-        for _ in 0..n_missing {
-            missing.push(get_u64(buf, "plan missing digest")?);
-        }
+        let missing = get_u64s(buf, "plan missing digests", n_missing)?;
         let n = get_u16(buf, "plan mirror count")?;
-        // Each candidate needs at least a string length, a presence
-        // byte, and a health byte.
-        if u64::from(n) * 6 > buf.len() as u64 {
-            return Err(DrvError::Codec(format!(
-                "plan mirror count {n} exceeds frame"
-            )));
-        }
-        let mut mirrors = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let location = get_str(buf, "mirror location")?;
-            let zone = get_opt_str(buf, "mirror zone")?;
-            let healthy = get_u8(buf, "mirror health")? != 0;
-            mirrors.push(MirrorCandidate {
-                location,
-                zone,
-                healthy,
-            });
-        }
+        // A candidate is at least a string length, a presence byte and a
+        // health byte.
+        let mirrors = get_items(buf, "plan mirrors", n.into(), 6, |buf| {
+            Ok::<_, DrvError>(MirrorCandidate {
+                location: get_str(buf, "mirror location")?,
+                zone: get_opt_str(buf, "mirror zone")?,
+                healthy: get_u8(buf, "mirror health")? != 0,
+            })
+        })?;
         Ok(ChunkPlan {
             manifest,
             missing,
@@ -552,6 +513,12 @@ fn put_req(b: &mut BytesMut, r: &DrvRequest) {
     put_opt_str(b, r.zone.as_deref());
 }
 
+/// One `key = value` option of a request or an offer: two strings, 8
+/// bytes at least.
+fn get_option(buf: &mut Bytes) -> DrvResult<(String, String)> {
+    Ok((get_str(buf, "option key")?, get_str(buf, "option value")?))
+}
+
 fn get_req(buf: &mut Bytes) -> DrvResult<DrvRequest> {
     let kind = match get_u8(buf, "request kind")? {
         0 => RequestKind::Bootstrap,
@@ -579,18 +546,9 @@ fn get_req(buf: &mut Bytes) -> DrvResult<DrvRequest> {
         .map(|s| s.parse::<DriverVersion>())
         .transpose()?;
     let transfer_method = TransferMethod::from_code(i32::from(get_u8(buf, "transfer")? as i8))?;
-    let n_opt = get_u16(buf, "request options")?;
-    let mut options = Vec::with_capacity(n_opt as usize);
-    for _ in 0..n_opt {
-        let k = get_str(buf, "option key")?;
-        let v = get_str(buf, "option value")?;
-        options.push((k, v));
-    }
-    let have = match get_u8(buf, "have presence")? {
-        0 => None,
-        1 => Some(HaveSummary::decode(buf)?),
-        t => return Err(DrvError::Codec(format!("bad have presence {t}"))),
-    };
+    let n_opt = get_u16(buf, "request option count")?;
+    let options = get_items(buf, "request options", n_opt.into(), 8, get_option)?;
+    let have = get_opt(buf, "have presence", HaveSummary::decode)?;
     let zone = get_opt_str(buf, "client zone")?;
     Ok(DrvRequest {
         kind,
@@ -661,34 +619,16 @@ fn get_offer(buf: &mut Bytes) -> DrvResult<DrvOffer> {
     let location = get_str(buf, "location")?;
     let size = get_u64(buf, "size")?;
     let transfer_method = TransferMethod::from_code(i32::from(get_u8(buf, "transfer")? as i8))?;
-    let n_opt = get_u16(buf, "option count")?;
-    let mut options = Vec::with_capacity(n_opt as usize);
-    for _ in 0..n_opt {
-        let k = get_str(buf, "option key")?;
-        let v = get_str(buf, "option value")?;
-        options.push((k, v));
-    }
-    let signature = match get_u8(buf, "signature presence")? {
-        0 => None,
-        1 => {
-            if buf.len() < 16 {
-                return Err(DrvError::Codec("truncated signature".into()));
-            }
-            let sig_bytes = buf.split_to(16);
-            Some(Signature::decode(sig_bytes)?)
+    let n_opt = get_u16(buf, "offer option count")?;
+    let options = get_items(buf, "offer options", n_opt.into(), 8, get_option)?;
+    let signature = get_opt(buf, "signature presence", |buf| {
+        if buf.len() < 16 {
+            return Err(DrvError::Codec("truncated signature".into()));
         }
-        t => return Err(DrvError::Codec(format!("bad signature presence {t}"))),
-    };
-    let content_digest = match get_u8(buf, "digest presence")? {
-        0 => None,
-        1 => Some(get_u64(buf, "content digest")?),
-        t => return Err(DrvError::Codec(format!("bad digest presence {t}"))),
-    };
-    let chunked = match get_u8(buf, "chunk plan presence")? {
-        0 => None,
-        1 => Some(ChunkPlan::decode(buf)?),
-        t => return Err(DrvError::Codec(format!("bad chunk plan presence {t}"))),
-    };
+        Ok(Signature::decode(buf.split_to(16))?)
+    })?;
+    let content_digest = get_opt(buf, "digest presence", |buf| get_u64(buf, "content digest"))?;
+    let chunked = get_opt(buf, "chunk plan presence", ChunkPlan::decode)?;
     Ok(DrvOffer {
         driver_id,
         driver_version,
@@ -818,9 +758,7 @@ impl DrvMsg {
             } => {
                 b.put_u8(TAG_CHUNK_REQUEST);
                 b.put_u32_le(digests.len() as u32);
-                for d in digests {
-                    b.put_u64_le(*d);
-                }
+                put_u64s(&mut b, digests);
                 b.put_i8(transfer_method.code() as i8);
             }
             DrvMsg::ChunkData { payload } => {
@@ -844,11 +782,9 @@ impl DrvMsg {
                 b.put_u64_le(*chunk_count);
                 b.put_u64_le(*served_bytes);
                 b.put_u32_le(*load);
-                let n = coverage.len().min(MAX_HEARTBEAT_COVERAGE);
-                b.put_u32_le(n as u32);
-                for d in coverage.iter().take(n) {
-                    b.put_u64_le(*d);
-                }
+                let capped = coverage.get(..MAX_HEARTBEAT_COVERAGE).unwrap_or(coverage);
+                b.put_u32_le(capped.len() as u32);
+                put_u64s(&mut b, capped);
             }
             DrvMsg::MirrorAck { known } => {
                 b.put_u8(TAG_MIRROR_ACK);
@@ -939,17 +875,8 @@ impl DrvMsg {
             TAG_RELEASE_OK => Ok(DrvMsg::ReleaseOk),
             TAG_CHUNK_REQUEST => {
                 let n = get_u32(&mut buf, "chunk request count")?;
-                if u64::from(n) * 8 > buf.len() as u64 {
-                    return Err(DrvError::Codec(format!(
-                        "chunk request count {n} exceeds frame"
-                    )));
-                }
-                let mut digests = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    digests.push(get_u64(&mut buf, "chunk request digest")?);
-                }
                 Ok(DrvMsg::ChunkRequest {
-                    digests,
+                    digests: get_u64s(&mut buf, "chunk request digests", n)?,
                     transfer_method: TransferMethod::from_code(i32::from(get_u8(
                         &mut buf, "transfer",
                     )?
@@ -969,21 +896,17 @@ impl DrvMsg {
                 let served_bytes = get_u64(&mut buf, "mirror served bytes")?;
                 let load = get_u32(&mut buf, "mirror load")?;
                 let n = get_u32(&mut buf, "mirror coverage count")?;
-                if n as usize > MAX_HEARTBEAT_COVERAGE || u64::from(n) * 8 > buf.len() as u64 {
+                if n as usize > MAX_HEARTBEAT_COVERAGE {
                     return Err(DrvError::Codec(format!(
-                        "mirror coverage count {n} exceeds the cap or the frame"
+                        "mirror coverage count {n} exceeds the cap"
                     )));
-                }
-                let mut coverage = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    coverage.push(get_u64(&mut buf, "mirror coverage digest")?);
                 }
                 Ok(DrvMsg::MirrorHeartbeat {
                     location,
                     chunk_count,
                     served_bytes,
                     load,
-                    coverage,
+                    coverage: get_u64s(&mut buf, "mirror coverage digests", n)?,
                 })
             }
             TAG_MIRROR_ACK => Ok(DrvMsg::MirrorAck {
@@ -1001,40 +924,26 @@ impl DrvMsg {
             TAG_ACTIVATION_ACK => Ok(DrvMsg::ActivationAck),
             TAG_RENEW_BATCH => {
                 let n = get_u32(&mut buf, "renew batch count")?;
-                // Every entry costs at least a host length prefix; a
-                // hostile count cannot reserve more than the frame holds.
-                if u64::from(n) * 4 > buf.len() as u64 {
-                    return Err(DrvError::Codec(format!(
-                        "renew batch count {n} exceeds frame"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let host = get_str(&mut buf, "batch client host")?;
-                    entries.push((host, get_req(&mut buf)?));
-                }
+                // An entry is at least a host length prefix (4) and a
+                // request with every string empty (26).
+                let entries = get_items(&mut buf, "renew batch", n, 30, |buf| {
+                    Ok::<_, DrvError>((get_str(buf, "batch client host")?, get_req(buf)?))
+                })?;
                 Ok(DrvMsg::RenewBatch { entries })
             }
             TAG_OFFER_BATCH => {
                 let n = get_u32(&mut buf, "offer batch count")?;
-                if u64::from(n) * 3 > buf.len() as u64 {
-                    return Err(DrvError::Codec(format!(
-                        "offer batch count {n} exceeds frame"
-                    )));
-                }
-                let mut replies = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    match get_u8(&mut buf, "offer batch entry kind")? {
-                        0 => replies.push(Ok(get_offer(&mut buf)?)),
-                        1 => replies.push(Err((
-                            DrvErrCode::from_code(get_u16(&mut buf, "offer batch error code")?),
-                            get_str(&mut buf, "offer batch error message")?,
+                // The shortest reply is an error: kind, code, empty message.
+                let replies = get_items(&mut buf, "offer batch", n, 7, |buf| {
+                    match get_u8(buf, "offer batch entry kind")? {
+                        0 => Ok(Ok(get_offer(buf)?)),
+                        1 => Ok(Err((
+                            DrvErrCode::from_code(get_u16(buf, "offer batch error code")?),
+                            get_str(buf, "offer batch error message")?,
                         ))),
-                        t => {
-                            return Err(DrvError::Codec(format!("bad offer batch entry kind {t}")))
-                        }
+                        t => Err(DrvError::Codec(format!("bad offer batch entry kind {t}"))),
                     }
-                }
+                })?;
                 Ok(DrvMsg::OfferBatch { replies })
             }
             TAG_MIRROR_COMPLAINT => Ok(DrvMsg::MirrorComplaint {
@@ -1409,6 +1318,24 @@ mod tests {
             b.put_u8(tag);
             b.put_u32_le(u32::MAX);
             assert!(DrvMsg::decode(b.freeze()).is_err(), "tag {tag}");
+        }
+    }
+
+    #[test]
+    fn batch_item_minima_are_real_encodings() {
+        // `get_items` refuses a count its frame cannot hold at the item
+        // minimum, so a minimum above the shortest real entry would
+        // refuse valid frames: the shortest entries fill theirs exactly.
+        let entries = vec![(String::new(), DrvRequest::bootstrap("", "", "", "")); 3];
+        let batch = DrvMsg::RenewBatch { entries };
+        assert_eq!(batch.encode().len(), 1 + 4 + 3 * 30);
+        let reply = Err((DrvErrCode::Internal, String::new()));
+        let replies = DrvMsg::OfferBatch {
+            replies: vec![reply; 3],
+        };
+        assert_eq!(replies.encode().len(), 1 + 4 + 3 * 7);
+        for m in [batch, replies] {
+            assert_eq!(DrvMsg::decode(m.encode()).unwrap(), m);
         }
     }
 

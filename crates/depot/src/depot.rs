@@ -390,7 +390,7 @@ impl DriverDepot {
         manifest: &ChunkManifest,
         fetched: &HashMap<u64, Bytes>,
     ) -> DrvResult<Digested> {
-        let mut out = Vec::with_capacity(manifest.total_size as usize);
+        let mut parts = Vec::with_capacity(manifest.chunks.len());
         let mut reused: u64 = 0;
         let mut seen = std::collections::HashSet::new();
         for (i, d) in manifest.chunks.iter().enumerate() {
@@ -400,26 +400,19 @@ impl DriverDepot {
                         "chunk {i} ({d:016x}) digest mismatch"
                     )));
                 }
-                out.extend_from_slice(chunk);
+                parts.push(chunk.clone());
             } else if let Some(chunk) = self.index.chunk(*d) {
                 if seen.insert(*d) {
                     reused += chunk.len() as u64;
                 }
-                out.extend_from_slice(&chunk);
+                parts.push(chunk);
             } else {
                 return Err(DrvError::BadPackage(format!(
                     "chunk {i} ({d:016x}) unavailable for assembly"
                 )));
             }
         }
-        if out.len() as u64 != manifest.total_size {
-            return Err(DrvError::BadPackage(format!(
-                "image size {} does not match manifest size {}",
-                out.len(),
-                manifest.total_size
-            )));
-        }
-        let image = Digested::of(Bytes::from(out));
+        let image = Digested::of(Bytes::from(manifest.join(&parts)?));
         if image.digest() != manifest.content_digest {
             return Err(DrvError::BadPackage(
                 "assembled image digest does not match manifest".into(),
@@ -584,6 +577,28 @@ mod tests {
         // Swap one chunk's bytes for garbage of the same length.
         fetched.insert(manifest.chunks[2], Bytes::from(vec![0u8; 1024]));
         assert!(depot.assemble(&manifest, &fetched).is_err());
+    }
+
+    #[test]
+    fn assemble_never_sizes_its_buffer_from_the_manifest() {
+        // `total_size` is a number off the wire (any forged offer carries
+        // one); u64::MAX used to panic with `capacity overflow`.
+        let depot = DriverDepot::with_chunk_size(1024);
+        let v2 = image(4096, 3);
+        let honest = ChunkManifest::of(&v2, 1024);
+        depot.insert("orders", v2);
+        for chunks in [Vec::new(), honest.chunks.clone()] {
+            let forged = ChunkManifest {
+                total_size: u64::MAX,
+                chunks,
+                ..honest.clone()
+            };
+            assert!(matches!(
+                depot.assemble(&forged, &HashMap::new()),
+                Err(DrvError::BadPackage(_))
+            ));
+        }
+        assert_eq!(depot.stats().delta_assemblies, 0);
     }
 
     #[test]

@@ -208,20 +208,7 @@ pub fn update_baseline(root: &Path) -> Result<String, String> {
     for (name, cur) in &counts {
         if let Some(base) = old.get(name) {
             for cat in ratchet::CATEGORIES {
-                let (c, b) = (
-                    match *cat {
-                        "unwrap" => cur.unwrap,
-                        "expect" => cur.expect,
-                        "panic" => cur.panic,
-                        _ => cur.index,
-                    },
-                    match *cat {
-                        "unwrap" => base.unwrap,
-                        "expect" => base.expect,
-                        "panic" => base.panic,
-                        _ => base.index,
-                    },
-                );
+                let (c, b) = (cur.get(cat), base.get(cat));
                 if c > b {
                     eprintln!(
                         "warning: crate {name}: {cat} baseline rising {b} -> {c}; \

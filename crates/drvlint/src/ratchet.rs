@@ -1,12 +1,15 @@
 //! Panic-path ratchet.
 //!
 //! Counts `unwrap()` / `expect()` / panic-family macros / slice-index
-//! sites per crate in non-test code and compares them against the
-//! checked-in `drvlint-baseline.toml`. A count that *rises* fails the
-//! build; a count that falls is reported so the baseline can be
-//! lowered (`cargo run -p drvlint -- update-baseline`). The baseline
-//! only ever goes down: raising it means adding a new panic path, and
-//! that has to be visible in review as a baseline diff.
+//! sites per crate in non-test code, and `with_capacity` calls sized by
+//! a cast (a number, possibly off the wire, sizing an allocation:
+//! `netsim::codec::get_items` is the one way to read a counted field),
+//! and compares them against the checked-in `drvlint-baseline.toml`. A
+//! count that *rises* fails the build; a count that falls is reported
+//! so the baseline can be lowered (`cargo run -p drvlint --
+//! update-baseline`). The baseline only ever goes down: raising it
+//! means adding a new panic path, and that has to be visible in review
+//! as a baseline diff.
 
 use std::collections::BTreeMap;
 
@@ -24,22 +27,32 @@ pub struct Counts {
     /// Indexing expressions (`x[i]`, `&buf[a..b]`) — each can panic on
     /// a bad bound.
     pub index: u64,
+    /// `with_capacity(` calls whose argument holds ` as usize` or
+    /// ` as u64`: a reservation sized by a converted number instead of
+    /// by a length in hand.
+    pub cast_capacity: u64,
 }
 
 impl Counts {
-    fn get(&self, key: &str) -> u64 {
+    fn slot(&mut self, key: &str) -> Option<&mut u64> {
         match key {
-            "unwrap" => self.unwrap,
-            "expect" => self.expect,
-            "panic" => self.panic,
-            "index" => self.index,
-            _ => 0,
+            "unwrap" => Some(&mut self.unwrap),
+            "expect" => Some(&mut self.expect),
+            "panic" => Some(&mut self.panic),
+            "index" => Some(&mut self.index),
+            "cast-capacity" => Some(&mut self.cast_capacity),
+            _ => None,
         }
+    }
+
+    /// The count of category `key` (zero for an unknown key).
+    pub fn get(mut self, key: &str) -> u64 {
+        self.slot(key).map_or(0, |n| *n)
     }
 }
 
 /// Category keys, in baseline order.
-pub const CATEGORIES: &[&str] = &["unwrap", "expect", "panic", "index"];
+pub const CATEGORIES: &[&str] = &["unwrap", "expect", "panic", "index", "cast-capacity"];
 
 /// Crates the ratchet skips: the ratchet covers non-test, non-bench
 /// code, and `bench` is bench harness code end to end.
@@ -87,6 +100,24 @@ fn count_index_sites(line: &str) -> u64 {
     n
 }
 
+/// `with_capacity(` calls on `line` whose argument (to the matching
+/// parenthesis, or the end of the line) contains a cast to a size.
+fn count_cast_capacity(line: &str) -> u64 {
+    let sized_by_cast = |after: &&str| {
+        let mut depth = 1;
+        let end = after.find(|c| {
+            depth += i32::from(c == '(') - i32::from(c == ')');
+            depth == 0
+        });
+        let arg = after.get(..end.unwrap_or(after.len())).unwrap_or(after);
+        arg.contains(" as usize") || arg.contains(" as u64")
+    };
+    line.split("with_capacity(")
+        .skip(1)
+        .filter(sized_by_cast)
+        .count() as u64
+}
+
 /// Counts panic sites per crate over non-test lines.
 pub fn count(files: &[ScannedFile]) -> BTreeMap<String, Counts> {
     let mut by_crate: BTreeMap<String, Counts> = BTreeMap::new();
@@ -106,6 +137,7 @@ pub fn count(files: &[ScannedFile]) -> BTreeMap<String, Counts> {
                 + count_token(line, "todo!")
                 + count_token(line, "unimplemented!");
             c.index += count_index_sites(line);
+            c.cast_capacity += count_cast_capacity(line);
         }
     }
     by_crate
@@ -113,7 +145,7 @@ pub fn count(files: &[ScannedFile]) -> BTreeMap<String, Counts> {
 
 /// Parses the baseline TOML (a `[crate]` section per crate, `key = n`
 /// entries). Hand-rolled: the build environment has no crates.io, and
-/// the format is four integers per section.
+/// the format is five integers per section.
 pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, Counts>, String> {
     let mut out = BTreeMap::new();
     let mut section: Option<String> = None;
@@ -144,18 +176,13 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, Counts>, String> {
         let c = out
             .get_mut(section)
             .ok_or_else(|| format!("baseline line {}: unknown section", lineno + 1))?;
-        match key.trim() {
-            "unwrap" => c.unwrap = v,
-            "expect" => c.expect = v,
-            "panic" => c.panic = v,
-            "index" => c.index = v,
-            other => {
-                return Err(format!(
-                    "baseline line {}: unknown category {other}",
-                    lineno + 1
-                ))
-            }
-        }
+        *c.slot(key.trim()).ok_or_else(|| {
+            format!(
+                "baseline line {}: unknown category {}",
+                lineno + 1,
+                key.trim()
+            )
+        })? = v;
     }
     Ok(out)
 }
@@ -165,16 +192,16 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, Counts>, String> {
 pub fn render_baseline(counts: &BTreeMap<String, Counts>) -> String {
     let mut out = String::from(
         "# drvlint panic-path baseline: per-crate counts of unwrap/expect/\n\
-         # panic-macro/slice-index sites in non-test code. `cargo run -p\n\
-         # drvlint -- check` fails when any count rises; lower it with\n\
-         # `cargo run -p drvlint -- update-baseline` after burning sites down.\n\
-         # The baseline only ever goes down.\n",
+         # panic-macro/slice-index sites and cast-sized `with_capacity` calls\n\
+         # in non-test code. `cargo run -p drvlint -- check` fails when any\n\
+         # count rises; lower it with `cargo run -p drvlint -- update-baseline`\n\
+         # after burning sites down. The baseline only ever goes down.\n",
     );
     for (name, c) in counts {
-        out.push_str(&format!(
-            "\n[{name}]\nunwrap = {}\nexpect = {}\npanic = {}\nindex = {}\n",
-            c.unwrap, c.expect, c.panic, c.index
-        ));
+        out.push_str(&format!("\n[{name}]\n"));
+        for cat in CATEGORIES {
+            out.push_str(&format!("{cat} = {}\n", c.get(cat)));
+        }
     }
     out
 }
@@ -280,6 +307,28 @@ fn f(o: Option<u32>) -> u32 {
     }
 
     #[test]
+    fn capacities_sized_by_a_cast_count_once_per_call() {
+        let src = "\
+fn f(n: u32, m: u64, v: &[u8]) {
+    let a: Vec<u8> = Vec::with_capacity(n as usize);
+    let b = BytesMut::with_capacity(4 + (m as usize) * 8);
+    let c: Vec<u8> = Vec::with_capacity(v.len());
+    let d: Vec<u8> = Vec::with_capacity(v.len()); let e = n as usize;
+    let g = (Vec::<u8>::with_capacity(m as usize), Vec::<u8>::with_capacity(8));
+    let s = \"with_capacity(n as usize)\";
+}
+#[cfg(test)]
+mod tests {
+    fn t(n: u32) { let _: Vec<u8> = Vec::with_capacity(n as usize); }
+}
+";
+        let c = count(&[scan(src)]);
+        // a, b and the first half of g; a cast elsewhere on the line (d),
+        // in a string (s) or in a test module does not count.
+        assert_eq!(c.get("demo").copied().unwrap_or_default().cast_capacity, 3);
+    }
+
+    #[test]
     fn baseline_roundtrips() {
         let mut m = BTreeMap::new();
         m.insert(
@@ -289,6 +338,7 @@ fn f(o: Option<u32>) -> u32 {
                 expect: 1,
                 panic: 0,
                 index: 40,
+                cast_capacity: 2,
             },
         );
         m.insert("netsim".to_string(), Counts::default());
@@ -306,6 +356,7 @@ fn f(o: Option<u32>) -> u32 {
                 expect: 1,
                 panic: 0,
                 index: 5,
+                cast_capacity: 0,
             },
         );
         let mut cur = base.clone();

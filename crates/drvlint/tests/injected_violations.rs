@@ -147,6 +147,33 @@ fn unwrap_count_above_baseline_fails() {
 }
 
 #[test]
+fn capacity_sized_by_a_cast_fails_outside_tests_only() {
+    let (files, baseline) = scanned_tree();
+    let injected = "fn injected(n: u32) -> Vec<u8> {\n    Vec::with_capacity(n as usize)\n}\n";
+    // Inside the `#[cfg(test)]` module the line is test code; appended
+    // behind it, it is not.
+    let in_tests = with_edit(&files, "crates/core/src/chunk.rs", |src| {
+        src.replacen("mod tests {", &format!("mod tests {{\n{injected}"), 1)
+    });
+    assert!(run_passes(&in_tests, &baseline)
+        .expect("run passes")
+        .is_clean());
+    let in_src = with_edit(&files, "crates/core/src/chunk.rs", |src| {
+        format!("{src}\n{injected}")
+    });
+    let report = run_passes(&in_src, &baseline).expect("run passes");
+    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+    assert_eq!(report.findings[0].rule, "panic-ratchet");
+    assert!(
+        report.findings[0]
+            .message
+            .contains("crate core: cast-capacity count rose 0 -> 1"),
+        "{}",
+        report.findings[0].message
+    );
+}
+
+#[test]
 fn allow_without_reason_fails() {
     let (files, baseline) = scanned_tree();
     let files = with_edit(&files, "crates/netsim/src/net.rs", |src| {

@@ -16,7 +16,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    get_bytes, get_i64, get_str, get_u16, get_u64, get_u8, put_bytes, put_str, CodecError,
+    get_bytes, get_i64, get_items, get_str, get_u16, get_u32, get_u64, get_u8, put_bytes, put_str,
+    CodecError,
 };
 
 use crate::error::DbError;
@@ -329,12 +330,10 @@ impl ClientMsg {
                 let session = get_u64(&mut buf, "session")?;
                 let sql = get_str(&mut buf, "sql")?;
                 let n = get_u16(&mut buf, "param count")?;
-                let mut params = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let k = get_str(&mut buf, "param name")?;
-                    let v = get_value(&mut buf)?;
-                    params.push((k, v));
-                }
+                // A parameter is at least a name prefix and a value tag.
+                let params = get_items(&mut buf, "params", n.into(), 5, |buf| {
+                    Ok::<_, CodecError>((get_str(buf, "param name")?, get_value(buf)?))
+                })?;
                 Ok(ClientMsg::QueryParams {
                     session,
                     sql,
@@ -409,20 +408,17 @@ impl ServerMsg {
                 nonce: get_u64(&mut buf, "nonce")?,
             }),
             2 => {
-                let ncols = get_u16(&mut buf, "column count")? as usize;
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    columns.push(get_str(&mut buf, "column name")?);
-                }
-                let nrows = netsim::codec::get_u32(&mut buf, "row count")? as usize;
-                let mut rows = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        row.push(get_value(&mut buf)?);
-                    }
-                    rows.push(row);
-                }
+                let ncols = get_u16(&mut buf, "column count")?;
+                let columns = get_items(&mut buf, "columns", ncols.into(), 4, |buf| {
+                    get_str(buf, "column name")
+                })?;
+                let nrows = get_u32(&mut buf, "row count")?;
+                // A row is one value tag per column at least. A row of no
+                // columns would occupy no bytes, and no statement selects
+                // one: `get_items` refuses any count of zero-byte items.
+                let rows = get_items(&mut buf, "rows", nrows, ncols.into(), |buf| {
+                    get_items(buf, "row cells", ncols.into(), 1, get_value)
+                })?;
                 Ok(ServerMsg::Rows(RowSet { columns, rows }))
             }
             3 => Ok(ServerMsg::Affected(get_u64(&mut buf, "affected")?)),
@@ -519,6 +515,10 @@ mod tests {
                     vec![Value::Null, Value::Boolean(true)],
                 ],
             }),
+            ServerMsg::Rows(RowSet {
+                columns: vec!["a".into()],
+                rows: Vec::new(),
+            }),
             ServerMsg::Affected(3),
             ServerMsg::Pong,
             ServerMsg::Closed,
@@ -556,6 +556,45 @@ mod tests {
         let truncated = enc.slice(0..enc.len() - 2);
         assert!(ClientMsg::decode(truncated).is_err());
         assert!(ServerMsg::decode(Bytes::from_static(&[99])).is_err());
+    }
+
+    #[test]
+    fn hostile_counts_are_typed_errors() {
+        // `[2, 0,0, ff,ff,ff,ff]`: no columns, four billion rows. Zero-byte
+        // rows cannot be counted, so this is malformed — it used to
+        // reserve u32::MAX row headers (≈ 103 GB) and abort.
+        let rows = Bytes::from_static(&[2, 0, 0, 0xff, 0xff, 0xff, 0xff]);
+        assert!(ServerMsg::decode(rows).is_err());
+        // One row of no columns is just as malformed; no row of no
+        // columns is the empty result and still decodes.
+        assert!(ServerMsg::decode(Bytes::from_static(&[2, 0, 0, 1, 0, 0, 0])).is_err());
+        let empty = RowSet {
+            columns: Vec::new(),
+            rows: Vec::new(),
+        };
+        let frame = Bytes::from_static(&[2, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(ServerMsg::decode(frame), Ok(ServerMsg::Rows(empty)));
+        // Column, row and parameter counts past what the frame holds.
+        let mut cols = BytesMut::new();
+        cols.put_u8(2);
+        cols.put_u16_le(u16::MAX);
+        put_str(&mut cols, "a");
+        assert!(ServerMsg::decode(cols.freeze()).is_err());
+        let mut rows = BytesMut::new();
+        rows.put_u8(2);
+        rows.put_u16_le(1);
+        put_str(&mut rows, "a");
+        rows.put_u32_le(u32::MAX);
+        put_value(&mut rows, &Value::Integer(1));
+        assert!(ServerMsg::decode(rows.freeze()).is_err());
+        let mut params = BytesMut::new();
+        params.put_u8(3);
+        params.put_u64_le(7);
+        put_str(&mut params, "SELECT $a");
+        params.put_u16_le(u16::MAX);
+        put_str(&mut params, "a");
+        put_value(&mut params, &Value::Null);
+        assert!(ClientMsg::decode(params.freeze()).is_err());
     }
 
     #[test]

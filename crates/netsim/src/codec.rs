@@ -4,6 +4,13 @@
 //! protocol, the minidb client/server protocol, the cluster group
 //! protocol) is hand-rolled on top of these primitives: little-endian
 //! fixed-width integers and `u32`-length-prefixed byte strings.
+//!
+//! Two rules are enforced here and nowhere else. A count read off
+//! the wire goes through [`get_items`] ([`get_u64s`] for digest lists),
+//! which refuses a count the rest of the frame cannot hold *before* it
+//! allocates: capacity follows bytes held, never the number read. A
+//! presence byte goes through [`get_opt`] ([`get_opt_str`] for strings):
+//! `0` absent, `1` present, anything else malformed.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -52,6 +59,14 @@ pub fn put_opt_str(buf: &mut BytesMut, s: Option<&str>) {
             put_str(buf, s);
         }
         None => buf.put_u8(0),
+    }
+}
+
+/// Writes `items` as little-endian `u64`s, without a count (the count's
+/// width is the frame's business; [`get_u64s`] reads them back).
+pub fn put_u64s(buf: &mut BytesMut, items: &[u64]) {
+    for d in items {
+        buf.put_u64_le(*d);
     }
 }
 
@@ -147,11 +162,67 @@ pub fn get_str(buf: &mut Bytes, what: &str) -> Result<String, CodecError> {
 ///
 /// [`CodecError`] on underflow or an invalid presence byte.
 pub fn get_opt_str(buf: &mut Bytes, what: &str) -> Result<Option<String>, CodecError> {
+    get_opt(buf, what, |buf| get_str(buf, what))
+}
+
+/// Reads a presence byte, then the value `item` decodes when it is `1`.
+///
+/// # Errors
+///
+/// [`CodecError`] (as `E`) on underflow or a presence byte other than
+/// `0` / `1`; whatever `item` returns.
+pub fn get_opt<T, E: From<CodecError>>(
+    buf: &mut Bytes,
+    what: &str,
+    item: impl FnOnce(&mut Bytes) -> Result<T, E>,
+) -> Result<Option<T>, E> {
     match get_u8(buf, what)? {
         0 => Ok(None),
-        1 => Ok(Some(get_str(buf, what)?)),
-        n => Err(CodecError::new(format!("{what}: bad presence byte {n}"))),
+        1 => item(buf).map(Some),
+        n => Err(CodecError::new(format!("{what}: bad presence byte {n}")).into()),
     }
+}
+
+/// Reads the `n` items of a counted field, `n` being the count the
+/// caller just read off the wire and `min_item_bytes` the shortest
+/// encoding of one item. The count is checked against the bytes left
+/// before anything is reserved, by division, so no product can overflow.
+/// An item of zero bytes cannot be bounded by its frame: with
+/// `min_item_bytes == 0` only `n == 0` is accepted.
+///
+/// # Errors
+///
+/// [`CodecError`] (as `E`) when the frame cannot hold `n` items;
+/// whatever `item` returns.
+pub fn get_items<T, E: From<CodecError>>(
+    buf: &mut Bytes,
+    what: &str,
+    n: u32,
+    min_item_bytes: usize,
+    mut item: impl FnMut(&mut Bytes) -> Result<T, E>,
+) -> Result<Vec<T>, E> {
+    let fits = buf.remaining().checked_div(min_item_bytes).unwrap_or(0);
+    let count = usize::try_from(n).ok().filter(|&n| n <= fits);
+    let count = count.ok_or_else(|| {
+        CodecError::new(format!(
+            "{what}: count {n} exceeds frame ({} bytes left, {min_item_bytes} per item)",
+            buf.remaining()
+        ))
+    })?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(item(buf)?);
+    }
+    Ok(items)
+}
+
+/// Reads `n` little-endian `u64`s written by [`put_u64s`].
+///
+/// # Errors
+///
+/// As [`get_items`] with 8-byte items.
+pub fn get_u64s(buf: &mut Bytes, what: &str, n: u32) -> Result<Vec<u64>, CodecError> {
+    get_items(buf, what, n, 8, |buf| get_u64(buf, what))
 }
 
 #[cfg(test)]
@@ -207,5 +278,89 @@ mod tests {
     fn bad_presence_byte_is_rejected() {
         let mut r = Bytes::from_static(&[9]);
         assert!(get_opt_str(&mut r, "opt").is_err());
+        let mut r = Bytes::from_static(&[2, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let e = get_opt(&mut r, "digest", |b| get_u64(b, "digest")).unwrap_err();
+        assert!(e.to_string().contains("bad presence byte 2"));
+        let mut r = Bytes::from_static(&[1, 7, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(get_opt(&mut r, "d", |b| get_u64(b, "d")), Ok(Some(7)));
+        assert_eq!(get_opt(&mut r, "d", |b| get_u64(b, "d")), Ok(None));
+    }
+
+    #[test]
+    fn u64_lists_roundtrip_and_leave_the_rest() {
+        let mut b = BytesMut::new();
+        put_u64s(&mut b, &[1, 2, 3]);
+        b.put_u8(9);
+        let mut r = b.freeze();
+        assert_eq!(get_u64s(&mut r, "digests", 3).unwrap(), vec![1, 2, 3]);
+        assert_eq!(get_u8(&mut r, "tail").unwrap(), 9);
+        assert_eq!(get_u64s(&mut r, "digests", 0).unwrap(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn a_count_the_frame_cannot_hold_is_rejected_before_allocating() {
+        // 17 bytes hold two 8-byte items, not three; nothing is consumed
+        // or decoded on the way to the error.
+        let frame = Bytes::from(vec![0u8; 17]);
+        let calls = std::cell::Cell::new(0);
+        let mut item = |b: &mut Bytes| {
+            calls.set(calls.get() + 1);
+            get_u64(b, "item")
+        };
+        let mut r = frame.clone();
+        let e = get_items(&mut r, "list", 3, 8, &mut item).unwrap_err();
+        assert!(e.to_string().contains("list: count 3 exceeds frame"));
+        assert_eq!(r.remaining(), 17);
+        assert_eq!(get_items(&mut r, "list", 2, 8, &mut item).unwrap().len(), 2);
+        assert_eq!(calls.get(), 2);
+        // Counts whose byte product wraps 32-bit (0x2000_0001 * 8 == 8) or
+        // 64-bit (u32::MAX * usize::MAX) arithmetic: the check divides.
+        for (n, min) in [(u32::MAX, 8), (0x2000_0001, 8), (u32::MAX, usize::MAX)] {
+            let mut r = frame.clone();
+            assert!(get_items(&mut r, "list", n, min, &mut item).is_err());
+        }
+        assert_eq!(calls.get(), 2);
+    }
+
+    #[test]
+    fn zero_byte_items_cannot_be_counted() {
+        let mut r = Bytes::from(vec![0u8; 64]);
+        let unit = |_: &mut Bytes| Ok::<_, CodecError>(());
+        assert_eq!(get_items(&mut r, "units", 0, 0, unit), Ok(Vec::new()));
+        assert!(get_items(&mut r, "units", 1, 0, unit).is_err());
+        assert!(get_items(&mut r, "units", u32::MAX, 0, unit).is_err());
+    }
+
+    #[test]
+    fn an_item_error_propagates_in_the_callers_type() {
+        #[derive(Debug, PartialEq)]
+        enum E {
+            Codec(String),
+            Item(u8),
+        }
+        impl From<CodecError> for E {
+            fn from(e: CodecError) -> Self {
+                E::Codec(e.to_string())
+            }
+        }
+        let item = |b: &mut Bytes| match get_u8(b, "item")? {
+            3 => Err(E::Item(3)),
+            n => Ok(n),
+        };
+        let mut r = Bytes::from_static(&[1, 2, 3, 4]);
+        assert_eq!(get_items(&mut r, "list", 4, 1, item), Err(E::Item(3)));
+        // The count check fails in the caller's type too, and the item
+        // minimum is a floor, not a size: a short last item is the
+        // item's own underflow.
+        assert!(matches!(
+            get_items(&mut r, "list", 9, 1, item),
+            Err(E::Codec(_))
+        ));
+        let mut r = Bytes::from_static(&[1, 2, 3]);
+        let wide = |b: &mut Bytes| Ok::<_, E>(get_u16(b, "wide")?);
+        assert!(matches!(
+            get_items(&mut r, "list", 2, 1, wide),
+            Err(E::Codec(_))
+        ));
     }
 }

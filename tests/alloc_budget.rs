@@ -16,6 +16,8 @@ use drivolution::core::pack::pack_driver_padded;
 use drivolution::core::transfer;
 use drivolution::prelude::*;
 
+mod frames;
+
 /// The system allocator plus, while `ON`, the bytes requested and the
 /// largest single request. A `realloc` counts as one allocation of the
 /// new size: that is what it may copy.
@@ -259,5 +261,28 @@ fn a_chunk_set_body_is_one_exactly_sized_allocation() {
             "{take} chunks: {bytes} B for {largest} B"
         );
         assert_eq!(ChunkSet::decode(body).unwrap(), set);
+    }
+}
+
+/// "Allocation follows bytes held" as an assert: whatever a count, size
+/// or length field of a frame is overwritten with, decoding the frame
+/// allocates a bounded multiple of the frame's own length. The widest
+/// items are a one-column row (a 24-byte row header and a 32-byte cell
+/// for one tag byte, 56 ×) and a batched `DrvOffer` (240 B for 7, 34 ×); a
+/// count that sized a reservation by itself would read 10⁴–10⁹ × here
+/// (or abort: `[2, 0,0, ff,ff,ff,ff]` to `ServerMsg::decode` once
+/// reserved 103 GB).
+#[test]
+fn a_mutated_frame_allocates_in_proportion_to_its_length() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for subject in frames::subjects() {
+        frames::for_each_mutant(&subject, |what, mutant| {
+            let budget = 128 * mutant.len() as u64 + 4096;
+            let (_, bytes, _) = measured(|| (subject.decode)(mutant));
+            assert!(
+                bytes <= budget,
+                "{what}: {bytes} B allocated, budget {budget} B"
+            );
+        });
     }
 }

@@ -13,6 +13,8 @@ use drivolution::minidb::sql::parse;
 use drivolution::minidb::wire::{ClientMsg, ServerMsg};
 use drivolution::minidb::MiniDb;
 
+mod frames;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -138,152 +140,9 @@ proptest! {
 /// unknown-tag frames.
 #[test]
 fn every_frame_tag_truncation_errors_are_typed() {
-    use drivolution::core::proto::{
-        ChunkPlan, DrvErrCode, DrvOffer, DrvRequest, HaveSummary, MirrorCandidate, RequestKind,
-    };
-    use drivolution::core::{DriverId, DrvError, ExpirationPolicy, RenewPolicy, TransferMethod};
+    use drivolution::core::DrvError;
 
-    let manifest = ChunkManifest::of_with(&[7u8; 40_000], &ChunkingParams::default());
-
-    let msgs = vec![
-        DrvMsg::Request(DrvRequest::bootstrap(
-            "orders",
-            "alice",
-            "RDBC",
-            "linux-x86_64",
-        )),
-        DrvMsg::Discover(DrvRequest {
-            kind: RequestKind::Renewal {
-                current: DriverId(7),
-            },
-            have: Some(HaveSummary {
-                images: vec![manifest.content_digest],
-                params: manifest.params,
-                chunks: manifest.chunks.clone(),
-            }),
-            zone: Some("east".into()),
-            ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
-        }),
-        DrvMsg::Offer(DrvOffer {
-            driver_id: DriverId(1),
-            driver_version: Some(DriverVersion::new(2, 0, 1)),
-            same_driver: false,
-            lease_ms: 60_000,
-            renew_policy: RenewPolicy::Renew,
-            expiration_policy: ExpirationPolicy::AfterCommit,
-            format: BinaryFormat::Djar,
-            location: "drivers/1".into(),
-            size: 4096,
-            transfer_method: TransferMethod::Sealed,
-            options: vec![("fetch_size".into(), "100".into())],
-            signature: None,
-            content_digest: Some(0xdead_beef),
-            chunked: Some(ChunkPlan {
-                missing: manifest.chunks[1..].to_vec(),
-                manifest,
-                mirrors: vec![
-                    MirrorCandidate {
-                        location: "m1:1071".into(),
-                        zone: Some("east".into()),
-                        healthy: true,
-                    },
-                    MirrorCandidate {
-                        location: "m2:1071".into(),
-                        zone: None,
-                        healthy: false,
-                    },
-                ],
-            }),
-        }),
-        DrvMsg::Error {
-            code: DrvErrCode::PermissionDenied,
-            message: "no".into(),
-        },
-        DrvMsg::FileRequest {
-            location: "loc-1".into(),
-            transfer_method: TransferMethod::Checksum,
-        },
-        DrvMsg::FileData {
-            payload: Bytes::from_static(b"abcdef"),
-        },
-        DrvMsg::Release {
-            database: "orders".into(),
-            user: "alice".into(),
-            driver: DriverId(1),
-        },
-        DrvMsg::ReleaseOk,
-        DrvMsg::ChunkRequest {
-            digests: vec![1, 2, 3],
-            transfer_method: TransferMethod::Plain,
-        },
-        DrvMsg::ChunkData {
-            payload: Bytes::from_static(b"chunks"),
-        },
-        DrvMsg::MirrorAnnounce {
-            location: "m1:1071".into(),
-            zone: Some("east".into()),
-        },
-        DrvMsg::MirrorHeartbeat {
-            location: "m1:1071".into(),
-            chunk_count: 3,
-            served_bytes: 1024,
-            load: 2,
-            coverage: vec![10, 20, 30],
-        },
-        DrvMsg::MirrorAck { known: true },
-        DrvMsg::ActivationReport {
-            database: "orders".into(),
-            driver: DriverId(2),
-            version: None,
-            ok: true,
-            detail: String::new(),
-        },
-        DrvMsg::ActivationAck,
-        DrvMsg::RenewBatch {
-            entries: vec![
-                (
-                    "app0001".into(),
-                    DrvRequest {
-                        kind: RequestKind::Renewal {
-                            current: DriverId(3),
-                        },
-                        ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
-                    },
-                ),
-                (
-                    "app0002".into(),
-                    DrvRequest::bootstrap("orders", "bob", "RDBC", "linux-x86_64"),
-                ),
-            ],
-        },
-        DrvMsg::OfferBatch {
-            replies: vec![
-                Ok(DrvOffer {
-                    driver_id: DriverId(3),
-                    driver_version: Some(DriverVersion::new(3, 1, 0)),
-                    same_driver: true,
-                    lease_ms: 60_000,
-                    renew_policy: RenewPolicy::Renew,
-                    expiration_policy: ExpirationPolicy::AfterCommit,
-                    format: BinaryFormat::Djar,
-                    location: "drivers/3".into(),
-                    size: 2048,
-                    transfer_method: TransferMethod::Plain,
-                    options: vec![],
-                    signature: None,
-                    content_digest: Some(0xfeed_f00d),
-                    chunked: None,
-                }),
-                Err((DrvErrCode::PermissionDenied, "no seats".into())),
-            ],
-        },
-        DrvMsg::MirrorComplaint {
-            location: "mirror-west:1071".into(),
-            digest: 0xbad_c0de,
-            detail: "chunk payload does not match its digest".into(),
-        },
-    ];
-    for msg in msgs {
+    for msg in frames::drv_msgs() {
         let frame = msg.encode();
         for cut in 0..frame.len() {
             match DrvMsg::decode(frame.slice(0..cut)) {
@@ -303,4 +162,33 @@ fn every_frame_tag_truncation_errors_are_typed() {
         DrvMsg::decode(Bytes::from_static(&[200u8])),
         Err(DrvError::Codec(_))
     ));
+}
+
+/// The structure-aware half of the promise above: every count, length,
+/// size and presence field of every wire shape, overwritten with all-ones
+/// and all-zeroes at every width it could have. A mutant decodes to a
+/// typed error or to a value that survives its own encoding; it never
+/// panics and never aborts on a reservation the frame cannot back
+/// (`tests/alloc_budget.rs` holds the same mutants to a byte budget).
+#[test]
+fn every_window_mutant_of_every_frame_is_an_error_or_reencodes() {
+    let mut decodes = 0u32;
+    let mut decoded = 0u32;
+    for subject in frames::subjects() {
+        let pristine = (subject.roundtrip)(subject.frame.clone());
+        assert_eq!(pristine, Ok(true), "{}", subject.name);
+        frames::for_each_mutant(&subject, |what, mutant| {
+            decodes += 1;
+            match (subject.roundtrip)(mutant) {
+                Ok(value) => decoded += u32::from(value),
+                Err(e) => panic!("{what}: {e}"),
+            }
+        });
+    }
+    // Both outcomes are exercised: most mutants are errors, a good share
+    // (a zeroed count, a widened string) still decode.
+    assert!(
+        decodes > 25_000 && decoded > decodes / 10,
+        "{decoded} of {decodes}"
+    );
 }
