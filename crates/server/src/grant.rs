@@ -1,11 +1,15 @@
 //! Who may run which driver, and what a renewal turns into: the grant
-//! lookup (the paper's Sample code 1 joined with Sample code 2, run once
-//! per request as [`Grants`]) and the renewal rule (Table 4, §4.1.3, plus
-//! the staged-rollout override, as the pure function [`renewal`]).
-//! Nothing here touches the network.
+//! lookup (the paper's Sample code 1 joined with Sample code 2 as
+//! [`Grants`], the first asked once per frame) and the renewal rule
+//! (Table 4, §4.1.3, plus the staged-rollout override, as the pure
+//! function [`renewal`]). Nothing here touches the network.
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::rc::Rc;
 
 use drivolution_core::{
-    DriverId, DriverQuery, DriverRecord, DrvError, DrvResult, PermissionRule, RenewPolicy,
+    proto::DrvRequest, ApiVersion, BinaryFormat, DriverId, DriverQuery, DriverRecord,
+    DriverVersion, DrvError, DrvResult, PermissionRule, RenewPolicy,
 };
 
 use crate::store::DriverStore;
@@ -25,21 +29,67 @@ pub(crate) fn lease_ms(rule: Option<&PermissionRule>) -> u64 {
 /// distribution point).
 type Granted<'a> = (&'a DriverRecord, Option<&'a PermissionRule>);
 
+/// Sample code 1's question: a [`DriverQuery`] less its identity.
+#[derive(PartialEq, Eq, Hash)]
+struct CatalogKey<'f> {
+    api_name: &'f str,
+    api_version: Option<ApiVersion>,
+    client_platform: &'f str,
+    preferred_format: Option<BinaryFormat>,
+    preferred_version: Option<DriverVersion>,
+}
+
+/// What one frame (a `RENEW_BATCH`, or a lone request) read of `drivers`:
+/// Sample code 1's rows per question, rows by id. Exact with nothing to
+/// invalidate: nothing writes `drivers` inside a `handle_control` call, and
+/// neither statement reads identity or `now()`. Errors are not kept.
+#[derive(Default)]
+pub(crate) struct FrameCatalog<'f> {
+    questions: HashMap<CatalogKey<'f>, Rc<[DriverRecord]>>,
+    by_id: HashMap<DriverId, Rc<DriverRecord>>,
+}
+
+impl FrameCatalog<'_> {
+    /// The driver row `id` (a rollout target, an extension base).
+    pub(crate) fn row(&mut self, store: &DriverStore, id: DriverId) -> DrvResult<Rc<DriverRecord>> {
+        Ok(match self.by_id.entry(id) {
+            Entry::Occupied(row) => row.get().clone(),
+            Entry::Vacant(slot) => slot.insert(Rc::new(store.record(id)?)).clone(),
+        })
+    }
+}
+
 /// One request's grant lookup: every later question about the request is
 /// a `.find` over these two results.
 pub(crate) struct Grants {
     /// Sample code 1 rows, in `driver_id` order.
-    matching: Vec<DriverRecord>,
+    matching: Rc<[DriverRecord]>,
     /// Sample code 2 rows, or `None` when the permission table is empty
     /// (an open distribution point: Sample code 1 alone decides).
     permitted: Option<Vec<(DriverId, PermissionRule)>>,
 }
 
 impl Grants {
-    /// Runs both statements for `q`.
-    pub(crate) fn load(store: &DriverStore, q: &DriverQuery) -> DrvResult<Grants> {
+    /// Both statements for `q`, the query of `req`; Sample code 1 once per frame.
+    pub(crate) fn load<'f>(
+        store: &DriverStore,
+        catalog: &mut FrameCatalog<'f>,
+        req: &'f DrvRequest,
+        q: &DriverQuery,
+    ) -> DrvResult<Grants> {
+        let key = CatalogKey {
+            api_name: &req.api_name,
+            api_version: req.api_version,
+            client_platform: &req.client_platform,
+            preferred_format: req.preferred_format,
+            preferred_version: req.preferred_version,
+        };
+        let matching = match catalog.questions.entry(key) {
+            Entry::Occupied(rows) => rows.get().clone(),
+            Entry::Vacant(slot) => slot.insert(store.matching_drivers(q)?.into()).clone(),
+        };
         Ok(Grants {
-            matching: store.matching_drivers(q)?,
+            matching,
             permitted: store.permitted(&q.identity)?,
         })
     }
@@ -117,25 +167,41 @@ pub(crate) fn renewal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::atomic::Ordering::Relaxed;
     use std::sync::Arc;
 
     use bytes::Bytes;
     use drivolution_core::{ApiName, BinaryFormat, ClientIdentity};
-    use minidb::{MiniDb, Params, QueryResult};
+    use minidb::MiniDb;
     use RenewPolicy::{Renew, Revoke, Upgrade};
     use Renewal::{Revoked, Same, Switch};
 
-    use crate::store::{EmbeddedExec, SqlExec};
+    use crate::store::counting;
 
-    /// An embedded store that counts the statements it is asked to run.
-    struct CountingExec(EmbeddedExec, Arc<AtomicU64>);
+    fn record(id: i64) -> DriverRecord {
+        DriverRecord::new(
+            DriverId(id),
+            ApiName::rdbc(),
+            BinaryFormat::Djar,
+            Bytes::from_static(b"driver"),
+        )
+    }
 
-    impl SqlExec for CountingExec {
-        fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult> {
-            self.1.fetch_add(1, Relaxed);
-            self.0.exec(sql, params)
-        }
+    /// `req` and its query, as the server builds it for a client at
+    /// 10.0.0.1.
+    fn request(user: &str, platform: &str) -> (DrvRequest, DriverQuery) {
+        let req = DrvRequest::bootstrap("orders", user, "RDBC", platform);
+        let q = DriverQuery::new(
+            ClientIdentity::new(user, "10.0.0.1", "orders"),
+            "RDBC",
+            platform,
+        );
+        (req, q)
+    }
+
+    /// A frame of one.
+    fn load(store: &DriverStore, req: &DrvRequest, q: &DriverQuery) -> Grants {
+        Grants::load(store, &mut FrameCatalog::default(), req, q).unwrap()
     }
 
     /// The three things the permission table can say about a client, and
@@ -155,30 +221,16 @@ mod tests {
             (None, "app", None, 3, 2),
         ];
         for (rule, user, want, first, later) in rows {
-            let sql = Arc::new(AtomicU64::new(0));
-            let db = Arc::new(MiniDb::new("drvstore"));
-            let exec = CountingExec(EmbeddedExec::new(db), sql.clone());
-            let store = DriverStore::new(Box::new(exec));
-            store.install_schema().unwrap();
-            let rec = DriverRecord::new(
-                DriverId(1),
-                ApiName::rdbc(),
-                BinaryFormat::Djar,
-                Bytes::from_static(b"driver"),
-            );
-            store.add_driver(&rec).unwrap();
+            let (store, sql) = counting::store(Arc::new(MiniDb::new("drvstore")));
+            store.add_driver(&record(1)).unwrap();
             if let Some(rule) = rule {
                 store.add_permission(rule).unwrap();
             }
-            let q = DriverQuery::new(
-                ClientIdentity::new(user, "10.0.0.1", "orders"),
-                "RDBC",
-                "linux-x86_64",
-            );
+            let (req, q) = request(user, "linux-x86_64");
             for want_sql in [first, later, later] {
-                sql.store(0, Relaxed);
-                let grants = Grants::load(&store, &q).unwrap();
-                assert_eq!(sql.load(Relaxed), want_sql, "statements for {user}");
+                sql.all.store(0, Relaxed);
+                let grants = load(&store, &req, &q);
+                assert_eq!(sql.all.load(Relaxed), want_sql, "statements for {user}");
                 let ids = |p: &Vec<(DriverId, PermissionRule)>| {
                     p.iter().map(|(id, _)| *id).collect::<Vec<_>>()
                 };
@@ -194,7 +246,7 @@ mod tests {
                     .unwrap(),
                 Some(_) => assert_eq!(store.remove_permissions(DriverId(1)).unwrap(), 1),
             }
-            let grants = Grants::load(&store, &q).unwrap();
+            let grants = load(&store, &req, &q);
             assert_eq!(
                 grants.permitted.is_some(),
                 rule.is_none(),
@@ -202,6 +254,80 @@ mod tests {
             );
             assert!(grants.first(&q).is_ok());
         }
+    }
+
+    /// The §4.1.1 retry drops the preference clauses, so it runs only
+    /// when there were some. Columns: client platform (the one driver is
+    /// 1.0.0 for `windows-%`), preferred version → statements, rows
+    /// found.
+    #[test]
+    fn sample_code_1_retries_only_when_it_had_preferences() {
+        let v9 = Some(DriverVersion::new(9, 9, 9));
+        let rows = [
+            // Nothing matches and there was nothing to drop: one SELECT
+            // (before PR 25, the same statement twice).
+            ("linux-x86_64", None, 1, 0),
+            // An unsatisfiable preference is retried without it …
+            ("linux-x86_64", v9, 2, 0),
+            // … and the retry finds what the platform allows.
+            ("windows-x64", v9, 2, 1),
+            ("windows-x64", None, 1, 1),
+        ];
+        let (store, sql) = counting::store(Arc::new(MiniDb::new("drvstore")));
+        store
+            .add_driver(
+                &record(1)
+                    .with_platform("windows-%")
+                    .with_version(DriverVersion::new(1, 0, 0)),
+            )
+            .unwrap();
+        for (platform, preferred, statements, found) in rows {
+            let (_, mut q) = request("app", platform);
+            q.preferred_version = preferred;
+            sql.all.store(0, Relaxed);
+            let rows = store.matching_drivers(&q).unwrap();
+            assert_eq!(
+                sql.all.load(Relaxed),
+                statements,
+                "{platform} {preferred:?}"
+            );
+            assert_eq!(rows.len(), found, "{platform} {preferred:?}");
+        }
+    }
+
+    /// One frame asks each catalog question once, whoever asks it, and
+    /// keeps no error: a row read by id after a miss is read again.
+    #[test]
+    fn a_frame_asks_each_catalog_question_once() {
+        let (store, sql) = counting::store(Arc::new(MiniDb::new("drvstore")));
+        store.add_driver(&record(1)).unwrap();
+        let (app, app_q) = request("app", "linux-x86_64");
+        let (dba, dba_q) = request("dba", "linux-x86_64");
+        let (mut pinned, mut pinned_q) = request("app", "linux-x86_64");
+        pinned.preferred_version = Some(DriverVersion::new(1, 0, 0));
+        pinned_q.preferred_version = pinned.preferred_version;
+        let mut catalog = FrameCatalog::default();
+        for (req, q) in [
+            (&app, &app_q),
+            (&dba, &dba_q),
+            (&pinned, &pinned_q),
+            (&app, &app_q),
+        ] {
+            let grants = Grants::load(&store, &mut catalog, req, q).unwrap();
+            assert_eq!(grants.first(q).unwrap().0.id, DriverId(1));
+        }
+        // Two questions, one statement each (the pinned one matches at
+        // once: the row's version is NULL).
+        assert_eq!(sql.sample_code_1.load(Relaxed), 2);
+
+        sql.all.store(0, Relaxed);
+        assert!(catalog.row(&store, DriverId(2)).is_err());
+        store.add_driver(&record(2)).unwrap();
+        for _ in 0..3 {
+            assert_eq!(catalog.row(&store, DriverId(2)).unwrap().id, DriverId(2));
+        }
+        // The miss, the INSERT, one read.
+        assert_eq!(sql.all.load(Relaxed), 3);
     }
 
     /// Every row of the rule. Columns: policy, matched == current,

@@ -17,7 +17,7 @@ use drivolution_core::{
 };
 use drivolution_depot::{serve_chunks, DeltaPlan};
 
-use crate::grant::{self, Grants, Renewal};
+use crate::grant::{self, FrameCatalog, Grants, Renewal};
 use crate::server::DrivolutionServer;
 
 /// Cap on files parked for a `FILE_REQUEST` that has not come. Like the
@@ -165,7 +165,6 @@ impl DrivolutionServer {
         req: &DrvRequest,
         same_driver: bool,
         advertise_only: bool,
-        lease_ms: u64,
     ) -> DrvResult<DrvOffer> {
         let expiration = rule
             .map(|r| r.expiration_policy)
@@ -208,19 +207,17 @@ impl DrivolutionServer {
         } else {
             self.deliver(req, content_digest, bytes, method)
         };
-        let mut options: Vec<(String, String)> = Vec::new();
-        if let Some(opts) = rule.and_then(|r| r.driver_options.as_deref()) {
-            for kv in opts.split(',').filter(|s| !s.is_empty()) {
-                if let Some((k, v)) = kv.split_once('=') {
-                    options.push((k.trim().to_string(), v.trim().to_string()));
-                }
-            }
-        }
+        let options = rule
+            .and_then(|r| r.driver_options.as_deref())
+            .into_iter()
+            .flat_map(|opts| opts.split(',').filter_map(|kv| kv.split_once('=')))
+            .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+            .collect();
         Ok(DrvOffer {
             driver_id: record.id,
             driver_version: record.version,
             same_driver,
-            lease_ms,
+            lease_ms: grant::lease_ms(rule),
             renew_policy: self.renew_policy(rule),
             expiration_policy: expiration,
             format: record.format,
@@ -237,23 +234,24 @@ impl DrivolutionServer {
     /// Answers one `DRIVOLUTION_REQUEST` (or, `advertise_only`, one
     /// `DRIVOLUTION_DISCOVER`): grant lookup, rollout targeting, the
     /// Table-4 renewal rule, the license seat, the lease log, the offer.
-    pub(crate) fn handle_request(
+    pub(crate) fn handle_request<'f>(
         &self,
         from: &Addr,
-        req: &DrvRequest,
+        req: &'f DrvRequest,
         advertise_only: bool,
+        catalog: &mut FrameCatalog<'f>,
     ) -> DrvResult<DrvOffer> {
         if !self.serves(&req.database) {
             return Err(DrvError::InvalidDatabase(req.database.clone()));
         }
         let q = self.query_of(from, req);
         let now = self.clock.now_ms();
-        let grants = Grants::load(&self.store, &q)?;
+        let grants = Grants::load(&self.store, catalog, req, &q)?;
 
         // Extension fetch: graft the package onto the base driver's image
         // and serve the enriched driver (§5.4.1).
         if let RequestKind::Extension { base, name } = &req.kind {
-            let record = self.store.record(*base)?;
+            let record = catalog.row(&self.store, *base)?;
             let mut image = unpack_driver(record.format, record.binary.clone())?;
             // Keep the client's customized feature set, then graft the
             // requested package on top.
@@ -263,7 +261,7 @@ impl DrivolutionServer {
             let grafted = self.assembler.with_extension(&image, name)?;
             let enriched = DriverRecord {
                 binary: pack_driver(record.format, &grafted),
-                ..record
+                ..DriverRecord::clone(&record)
             };
             let rule = grants.rule_for(*base);
             // Serve the enriched package as-is: re-applying option
@@ -272,8 +270,7 @@ impl DrivolutionServer {
                 options: Vec::new(),
                 ..req.clone()
             };
-            let lease_ms = grant::lease_ms(rule);
-            return self.offer_for(&enriched, rule, &plain, false, advertise_only, lease_ms);
+            return self.offer_for(&enriched, rule, &plain, false, advertise_only);
         }
 
         let (mut record, mut rule) = grants.first(&q)?;
@@ -290,7 +287,7 @@ impl DrivolutionServer {
             .filter(|ro| ro.manages(record.id));
         if let Some(target) = rollout.as_ref().map(|ro| ro.resolve(from.host())) {
             if target != record.id {
-                if let Ok(rec) = self.store.record(target) {
+                if let Ok(rec) = catalog.row(&self.store, target) {
                     target_rec = rec;
                     record = &target_rec;
                     rule = grants.rule_for(target).or(rule);
@@ -336,7 +333,7 @@ impl DrivolutionServer {
             self.store
                 .log_lease(&q.identity, record.id, now as i64, lease_ms as i64)?;
         }
-        self.offer_for(record, rule, req, same_driver, advertise_only, lease_ms)
+        self.offer_for(record, rule, req, same_driver, advertise_only)
     }
 
     /// Answers a `FILE_REQUEST` with the encoded `FILE_DATA` frame.

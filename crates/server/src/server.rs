@@ -21,6 +21,7 @@ use drivolution_depot::ContentIndex;
 
 use crate::assemble::Assembler;
 use crate::directory::{ComplaintOutcome, MirrorDirectory};
+use crate::grant::FrameCatalog;
 use crate::license::{LicenseManager, DEFAULT_LICENSE_SHARDS};
 use crate::notify::NotifyHub;
 use crate::offer::{OfferMeta, Staged};
@@ -414,9 +415,15 @@ impl DrivolutionServer {
 
     /// One request, counted: the offer `handle_request` makes, with the
     /// request/offer/renewal accounting every caller shares.
-    fn grant(&self, from: &Addr, req: &DrvRequest, advertise_only: bool) -> DrvResult<DrvOffer> {
+    fn grant<'f>(
+        &self,
+        from: &Addr,
+        req: &'f DrvRequest,
+        advertise_only: bool,
+        catalog: &mut FrameCatalog<'f>,
+    ) -> DrvResult<DrvOffer> {
         self.stats.lock().requests += 1;
-        let offer = self.handle_request(from, req, advertise_only)?;
+        let offer = self.handle_request(from, req, advertise_only, catalog)?;
         let mut st = self.stats.lock();
         st.offers += 1;
         if offer.same_driver {
@@ -458,11 +465,12 @@ impl DrivolutionServer {
         })
     }
 
-    /// Every request but the two answered with a bulk frame.
+    /// Every request but the two answered with a bulk frame; one [`FrameCatalog`] per call.
     fn handle_control(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
+        let mut frame = FrameCatalog::default();
         match msg {
-            DrvMsg::Request(req) => self.grant(from, req, false).map(DrvMsg::Offer),
-            DrvMsg::Discover(req) => self.grant(from, req, true).map(DrvMsg::Offer),
+            DrvMsg::Request(req) => self.grant(from, req, false, &mut frame).map(DrvMsg::Offer),
+            DrvMsg::Discover(req) => self.grant(from, req, true, &mut frame).map(DrvMsg::Offer),
             DrvMsg::RenewBatch { entries } => {
                 {
                     let mut st = self.stats.lock();
@@ -474,7 +482,7 @@ impl DrivolutionServer {
                     // License seats belong to the originating client, not
                     // the aggregator that forwarded the frame.
                     let origin = Addr::new(host.clone(), from.port());
-                    replies.push(self.grant(&origin, req, false).map_err(|e| {
+                    replies.push(self.grant(&origin, req, false, &mut frame).map_err(|e| {
                         self.stats.lock().errors += 1;
                         (DrvErrCode::classify(&e), e.to_string())
                     }));
@@ -572,6 +580,7 @@ impl Service for DrivolutionServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::counting::{self, SqlCounts};
     use crate::store::EmbeddedExec;
     use drivolution_core::chunk::ChunkSet;
     use drivolution_core::pack::{pack_driver, unpack_driver};
@@ -581,6 +590,7 @@ mod tests {
         ExpirationPolicy,
     };
     use minidb::MiniDb;
+    use std::sync::atomic::Ordering::Relaxed;
 
     fn record(id: i64, proto: u16, version: DriverVersion) -> DriverRecord {
         let image = DriverImage::new(format!("drv-{id}"), version, proto);
@@ -1362,6 +1372,148 @@ mod tests {
             (st.requests, st.offers, st.renewals, st.errors),
             (3, 2, 2, 1)
         );
+    }
+
+    /// The batch-equivalence world: drivers v1 and v2, rules that admit
+    /// `app*` users only, three seats on v1, a rollout over `hosts` whose
+    /// canary wave (the first four) is open, and a store that counts its
+    /// statements.
+    fn batch_world(hosts: &[String]) -> (Arc<DrivolutionServer>, Arc<SqlCounts>) {
+        use crate::rollout::{RolloutConfig, RolloutOrchestrator, RolloutPlan};
+
+        let clock = Clock::simulated();
+        let (store, sql) = counting::store(Arc::new(MiniDb::with_clock("orders", clock.clone())));
+        let config = ServerConfig {
+            serves: Some(vec!["orders".into()]),
+            ..ServerConfig::default()
+        };
+        let srv = Arc::new(DrivolutionServer::new("drv1", store, clock.clone(), config));
+        for (id, major) in [(1, 1), (2, 2)] {
+            srv.install_driver(&record(id, major as u16, DriverVersion::new(major, 0, 0)))
+                .unwrap();
+            srv.add_rule(&PermissionRule::any(DriverId(id)).for_user("app%"))
+                .unwrap();
+        }
+        srv.licenses().set_limit(DriverId(1), 3);
+        let plan = RolloutPlan {
+            canary: 4,
+            wave_pcts: vec![50],
+        };
+        srv.attach_rollout(Arc::new(RolloutOrchestrator::new(
+            clock,
+            "orders",
+            DriverId(1),
+            DriverId(2),
+            hosts,
+            &plan,
+            RolloutConfig::default(),
+        )));
+        (srv, sql)
+    }
+
+    /// A `RENEW_BATCH` answers each entry exactly as that entry sent alone
+    /// would be answered — offers, errors, stage locations, seats, lease
+    /// log, counters — while asking Sample code 1 once per distinct
+    /// question instead of once per entry.
+    #[test]
+    fn a_batch_answers_as_its_entries_sent_one_by_one() {
+        let hosts: Vec<String> = (0..12).map(|i| format!("h{i:02}")).collect();
+        let mut entries: Vec<(String, DrvRequest)> = hosts
+            .iter()
+            .enumerate()
+            .map(|(i, host)| {
+                // Two catalog questions: linux without preferences,
+                // windows pinned to 2.0.0 (which only v2 satisfies).
+                let (user, platform) = match (i % 5, i % 2) {
+                    (4, 0) => ("guest", "linux-x86_64"),
+                    (4, _) => ("guest", "windows-x64"),
+                    (_, 0) => ("app", "linux-x86_64"),
+                    _ => ("app", "windows-x64"),
+                };
+                let mut req = DrvRequest::bootstrap("orders", user, "RDBC", platform);
+                if i % 2 == 1 {
+                    req.preferred_version = Some(DriverVersion::new(2, 0, 0));
+                }
+                if i % 3 != 0 {
+                    req.kind = RequestKind::Renewal {
+                        current: DriverId(1),
+                    };
+                }
+                (host.clone(), req)
+            })
+            .collect();
+        entries.insert(
+            5,
+            (
+                "h99".into(),
+                DrvRequest::bootstrap("hr", "app", "RDBC", "linux-x86_64"),
+            ),
+        );
+        let asked = entries.len() as u64 - 1;
+
+        let (batched, batched_sql) = batch_world(&hosts);
+        let reply = batched.handle(
+            &Addr::new("aggregator", 7),
+            DrvMsg::RenewBatch {
+                entries: entries.clone(),
+            },
+        );
+        let DrvMsg::OfferBatch { replies } = reply else {
+            panic!("expected offer batch, got {reply:?}")
+        };
+
+        let (single, single_sql) = batch_world(&hosts);
+        let one_by_one: Vec<_> = entries
+            .iter()
+            .map(|(host, req)| {
+                match single.handle(&Addr::new(host.clone(), 7), DrvMsg::Request(req.clone())) {
+                    DrvMsg::Offer(offer) => Ok(offer),
+                    DrvMsg::Error { code, message } => Err((code, message)),
+                    other => panic!("expected offer or error, got {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(replies, one_by_one);
+
+        // The frame exercised what it claims to: both rollout targets, a
+        // denied user, seats running out, the unserved database.
+        let offered = |id| {
+            replies
+                .iter()
+                .any(|r| matches!(r, Ok(o) if o.driver_id == DriverId(id)))
+        };
+        assert!(offered(1) && offered(2), "{replies:?}");
+        for code in [
+            DrvErrCode::NoMatchingDriver,
+            DrvErrCode::PermissionDenied,
+            DrvErrCode::InvalidDatabase,
+        ] {
+            assert!(
+                replies
+                    .iter()
+                    .any(|r| matches!(r, Err((c, _)) if *c == code)),
+                "no {code:?} in {replies:?}"
+            );
+        }
+
+        let frame_free = |st: ServerStats| ServerStats {
+            batch_frames: 0,
+            batched_renewals: 0,
+            ..st
+        };
+        assert_eq!(frame_free(batched.stats()), single.stats());
+        for id in [DriverId(1), DriverId(2)] {
+            assert_eq!(
+                batched.licenses().holders(id),
+                single.licenses().holders(id)
+            );
+        }
+        assert_eq!(
+            batched.store().lease_count().unwrap(),
+            single.store().lease_count().unwrap()
+        );
+        assert_eq!(batched_sql.sample_code_1.load(Relaxed), 2);
+        assert_eq!(single_sql.sample_code_1.load(Relaxed), asked);
     }
 
     #[test]

@@ -56,6 +56,16 @@ pub const LEASES_DDL: &str = "CREATE TABLE information_schema.leases (\
  granted_at TIMESTAMP,\
  lease_time_in_ms BIGINT)";
 
+/// The paper's **Sample code 1** up to its preference clauses.
+const SAMPLE_CODE_1: &str = "SELECT * FROM information_schema.drivers \
+     WHERE api_name LIKE $client_api_name \
+     AND (platform IS NULL OR platform LIKE $client_platform \
+          OR $client_platform LIKE platform) \
+     AND ($client_api_major IS NULL OR api_version_major IS NULL \
+          OR api_version_major = $client_api_major) \
+     AND ($client_api_minor IS NULL OR api_version_minor IS NULL \
+          OR api_version_minor = $client_api_minor)";
+
 /// Executes SQL somewhere — embedded engine or remote legacy connection.
 pub trait SqlExec: Send + Sync {
     /// Runs one parameterized statement.
@@ -491,16 +501,8 @@ impl DriverStore {
             "client_api_minor".into(),
             Value::from(q.api_version.and_then(|v| v.minor)),
         );
-        let base = "SELECT * FROM information_schema.drivers \
-             WHERE api_name LIKE $client_api_name \
-             AND (platform IS NULL OR platform LIKE $client_platform \
-                  OR $client_platform LIKE platform) \
-             AND ($client_api_major IS NULL OR api_version_major IS NULL \
-                  OR api_version_major = $client_api_major) \
-             AND ($client_api_minor IS NULL OR api_version_minor IS NULL \
-                  OR api_version_minor = $client_api_minor)";
         // With preferences first…
-        let mut with_pref = String::from(base);
+        let mut with_pref = String::from(SAMPLE_CODE_1);
         if let Some(format) = q.preferred_format {
             p.insert("client_format".into(), Value::str(format.as_str()));
             with_pref.push_str(" AND binary_format LIKE $client_format");
@@ -515,12 +517,13 @@ impl DriverStore {
                  AND driver_version_micro = $client_dmic))",
             );
         }
+        let preferred = q.preferred_format.is_some() || q.preferred_version.is_some();
         with_pref.push_str(" ORDER BY driver_id");
         let rows = self.select(&with_pref, &p)?;
-        let rows = if rows.rows.is_empty() {
+        let rows = if rows.rows.is_empty() && preferred {
             // "If this statement is unsuccessful, a simple SELECT without
-            // preferences can be issued." (§4.1.1)
-            self.select(&format!("{base} ORDER BY driver_id"), &p)?
+            // preferences can be issued." (§4.1.1), when it had some.
+            self.select(&format!("{SAMPLE_CODE_1} ORDER BY driver_id"), &p)?
         } else {
             rows
         };
@@ -578,6 +581,46 @@ impl DriverStore {
             .exec(sql, params)?
             .rows()
             .map_err(|e| DrvError::Internal(e.to_string()))
+    }
+}
+
+/// A statement-counting executor for the crate's tests.
+#[cfg(test)]
+pub(crate) mod counting {
+    use std::sync::atomic::AtomicU64;
+
+    use super::*;
+
+    /// Statements run so far: all of them, and Sample code 1 (with or
+    /// without preferences) apart.
+    #[derive(Default)]
+    pub(crate) struct SqlCounts {
+        pub(crate) all: AtomicU64,
+        pub(crate) sample_code_1: AtomicU64,
+    }
+
+    struct CountingExec(EmbeddedExec, Arc<SqlCounts>);
+
+    impl SqlExec for CountingExec {
+        fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult> {
+            self.1.all.fetch_add(1, Relaxed);
+            if sql.starts_with(SAMPLE_CODE_1) {
+                self.1.sample_code_1.fetch_add(1, Relaxed);
+            }
+            self.0.exec(sql, params)
+        }
+    }
+
+    /// A store over `db`, schema installed, and its counts (zero).
+    pub(crate) fn store(db: Arc<MiniDb>) -> (DriverStore, Arc<SqlCounts>) {
+        let counts = Arc::new(SqlCounts::default());
+        let store = DriverStore::new(Box::new(CountingExec(
+            EmbeddedExec::new(db),
+            counts.clone(),
+        )));
+        store.install_schema().unwrap();
+        counts.all.store(0, Relaxed);
+        (store, counts)
     }
 }
 

@@ -13,7 +13,9 @@ use std::sync::{Arc, Mutex};
 
 use drivolution::core::chunk::{manifest_and_chunks, ChunkSet, ChunkingParams};
 use drivolution::core::pack::pack_driver_padded;
+use drivolution::core::proto::{DrvMsg, DrvRequest, RequestKind};
 use drivolution::core::transfer;
+use drivolution::netsim::Service;
 use drivolution::prelude::*;
 
 mod frames;
@@ -285,4 +287,48 @@ fn a_mutated_frame_allocates_in_proportion_to_its_length() {
             );
         });
     }
+}
+
+/// What one entry of a `RENEW_BATCH` costs the server in bytes allocated,
+/// from the frame off the wire to the `OFFER_BATCH` on it: 64 clients
+/// renewing the driver they run, two drivers installed. The catalog's
+/// answer (both driver rows) is read once per frame and shared; the
+/// entry's own statements (Sample code 2's count, the lease INSERT) and
+/// its offer are what is left: 2 735 B. Reading the rows once per entry
+/// cost 7 095 B.
+#[test]
+fn a_renew_batch_entry_allocates_under_three_kib() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let rig = rig(&record(1, DriverVersion::new(1, 0, 0), 4 << 10));
+    rig.srv
+        .install_driver(&record(2, DriverVersion::new(2, 0, 0), 4 << 10))
+        .unwrap();
+    const ENTRIES: usize = 64;
+    let frame = || {
+        let entries = (0..ENTRIES)
+            .map(|i| {
+                let mut req = DrvRequest::bootstrap("orders", "admin", "RDBC", "linux-x86_64");
+                req.kind = RequestKind::Renewal {
+                    current: DriverId(1),
+                };
+                (format!("app{i}"), req)
+            })
+            .collect();
+        DrvMsg::RenewBatch { entries }.encode()
+    };
+    let aggregator = Addr::new("agg", 1);
+    // The first frame pays the statement cache and the tables' growth.
+    rig.srv.call(&aggregator, frame()).unwrap();
+    let frame = frame();
+    let (reply, bytes, _) = measured(|| rig.srv.call(&aggregator, frame).unwrap());
+    let Ok(DrvMsg::OfferBatch { replies }) = DrvMsg::decode(reply) else {
+        panic!("expected an offer batch");
+    };
+    assert_eq!(replies.len(), ENTRIES);
+    assert!(replies.iter().all(|r| matches!(r, Ok(o) if o.same_driver)));
+    let per_entry = bytes / ENTRIES as u64;
+    assert!(
+        per_entry <= 3 << 10,
+        "{per_entry} B allocated per entry, budget 3 KiB"
+    );
 }
