@@ -134,7 +134,7 @@ pub struct Bootloader {
 #[derive(Default)]
 pub(crate) struct LifecycleTasks {
     /// Periodic upgrade-poll task (when `LifecyclePolicy::poll_every`).
-    poll: Option<TaskHandle>,
+    pub(crate) poll: Option<TaskHandle>,
     /// One-shot lease auto-renewal timer, re-armed at every lease grant.
     pub(crate) lease: Option<TaskHandle>,
     /// Periodic session-maintenance sweep (tracker prune + zombie reap),
@@ -209,12 +209,14 @@ impl Bootloader {
         let sched = self.net.scheduler();
         let mut tasks = self.lifecycle.lock();
         if let Some(every) = policy.poll_every {
-            tasks.poll = Some(sched.every(
+            let poll = sched.every(
                 every,
                 policy.poll_jitter,
                 format!("upgrade-poll {}", self.local),
                 self.task(Bootloader::poll_tick),
-            ));
+            );
+            poll.sleep_until(u64::MAX); // no driver to poll for yet
+            tasks.poll = Some(poll);
         }
         if policy.auto_renew {
             let name = format!("lease-renewal {}", self.local);
@@ -224,17 +226,16 @@ impl Bootloader {
         // same cadence idea as the server's failure detection: registered
         // for every self-driving or swap-enabled bootloader, so closed
         // sessions leave the tracking table without anybody having to
-        // remember to call `prune`.
+        // remember to call `prune`. It sleeps while nothing is tracked.
         if policy.poll_every.is_some() || self.config.swap.is_some() {
-            tasks.maintenance = Some(sched.every(
+            let sweep = sched.every(
                 MAINTAIN_EVERY,
                 Duration::ZERO,
                 format!("session-maintenance {}", self.local),
-                self.task(|b| {
-                    b.tracker.sweep();
-                    Ok(TaskControl::Continue)
-                }),
-            ));
+                self.task(Bootloader::sweep_tick),
+            );
+            sweep.sleep_until(u64::MAX);
+            tasks.maintenance = Some(sweep);
         }
         drop(tasks);
         if self.config.swap.is_some() {
@@ -264,6 +265,15 @@ impl Bootloader {
             PollOutcome::KeptAfterFailure => Err("renewal failed; driver kept (§4.1.3)".into()),
             _ => Ok(TaskControl::Continue),
         }
+    }
+
+    /// One session sweep; once nothing is tracked, asleep until `connect`.
+    fn sweep_tick(self: &Arc<Self>) -> netsim::TaskResult {
+        self.tracker.sweep();
+        if let (0, Some(sweep)) = (self.tracker.tracked_len(), self.maintenance_task()) {
+            sweep.sleep_until(u64::MAX);
+        }
+        Ok(TaskControl::Continue)
     }
 
     /// Handle to the lease auto-renewal timer, if auto-renewal is
@@ -361,6 +371,7 @@ impl Bootloader {
         let merged = self.merge_props(&ns, props);
         let inner = ns.driver.connect(url, &merged)?;
         let state = self.tracker.register(inner, ns.id, self.clock.now_ms());
+        self.maintenance_task().iter().for_each(TaskHandle::wake);
         Ok(ManagedConnection::new(state, Arc::clone(self)))
     }
 

@@ -73,12 +73,18 @@ pub enum ServerLocator {
 ///   pushed notices and runs the lease state machine — the timer thread
 ///   §3.4.2 describes, without anybody writing one;
 /// * a **lease auto-renewal timer** (one-shot, re-armed at every lease
-///   grant to `renew_due + jitter(0..margin)` — a seed-reproducible
-///   spread inside the renewal window) so renewals happen inside the
-///   margin rather than at the next poll after it, without a whole
-///   fleet granted leases in one wave renewing on the same tick.
+///   grant to `renew_due + jitter(0..margin − margin/4)`, a
+///   seed-reproducible spread that keeps the margin's last quarter as
+///   latency and retry slack) so renewals happen inside the margin
+///   rather than at the next poll after it, without a whole fleet
+///   granted leases in one wave renewing on the same tick.
 ///
-/// Both only fire when someone pumps
+/// A beat with nothing to do does not fire: the poll sleeps until the
+/// active lease is renew-due (until a driver is active when none is;
+/// never with a notify channel open or `poll_jitter` set), and the 30 s
+/// session sweep while no session is tracked.
+///
+/// All of them only fire when someone pumps
 /// [`netsim::Network::run_until`]; tests that steer the clock manually
 /// and call [`crate::Bootloader::poll`] by hand are unaffected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,7 +95,8 @@ pub struct LifecyclePolicy {
     /// Uniform jitter added to each poll firing, de-synchronizing fleet
     /// sweeps.
     pub poll_jitter: Duration,
-    /// Arm a one-shot renewal timer at each lease's expiry.
+    /// Arm a one-shot renewal timer at each lease's renew-due point,
+    /// spread over the margin's front three quarters.
     pub auto_renew: bool,
 }
 

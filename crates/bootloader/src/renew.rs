@@ -36,16 +36,28 @@ impl Bootloader {
     /// latency and retry slack so the renewal message still lands
     /// before expiry), or one retry interval out when that point has
     /// passed (a renewal just failed and the driver was kept). With no
-    /// active lease the timer goes quiet.
+    /// active lease the timer goes quiet. The upgrade poll, with work only
+    /// once the lease is renew-due or a pushed notice may be waiting,
+    /// sleeps until then.
     pub(crate) fn sync_lease_timer(&self) {
         let mut tasks = self.lifecycle.lock();
-        let Some(handle) = tasks.lease.clone() else {
+        if tasks.poll.is_none() && tasks.lease.is_none() {
             return;
-        };
+        }
         let lease = self
             .registry
             .active()
             .map(|ns| (ns.lease.renew_due_at_ms(), ns.lease.renew_margin_ms()));
+        if let Some(poll) = &tasks.poll {
+            poll.sleep_until(match lease {
+                _ if self.config.open_notify_channel && self.state.lock().pipe.is_some() => 0,
+                Some((renew_at, _)) => renew_at,
+                None => u64::MAX,
+            });
+        }
+        let Some(handle) = tasks.lease.clone() else {
+            return;
+        };
         match lease {
             Some((renew_at, margin)) => {
                 let now = self.clock.now_ms();

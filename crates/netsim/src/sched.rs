@@ -13,7 +13,8 @@
 //! Determinism: tasks fire in `(due_ms, registration order)` order, and
 //! per-task jitter comes from a splitmix generator seeded from the
 //! scheduler seed and the task id — the same seed and the same
-//! registration sequence produce the same schedule, tick for tick.
+//! registration sequence produce the same schedule, tick for tick. A
+//! task that [sleeps](TaskHandle::sleep_until) costs the pump nothing.
 //!
 //! # Examples
 //!
@@ -70,7 +71,7 @@ pub type TaskResult = Result<TaskControl, String>;
 /// Counters maintained per task across its whole lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskStats {
-    /// Completed executions (successful or not).
+    /// Completed executions (successful or not; slept ticks are none).
     pub runs: u64,
     /// Executions that returned `Err`.
     pub errors: u64,
@@ -91,18 +92,31 @@ enum Cadence {
 
 type TaskFn = Arc<dyn Fn() -> TaskResult + Send + Sync>;
 
+/// "No such time": a sleep only [`TaskHandle::wake`] ends, or a paused
+/// one-shot that was dormant.
+const NEVER: u64 = u64::MAX;
+
+// Each byte of a `Task` costs a fleet of tasks about 64 KiB of table:
+// times are `u64` sentinels, not `Option`s.
 struct Task {
     name: String,
     cadence: Cadence,
     f: TaskFn,
     rng: StdRng,
-    /// Virtual time of the next firing; `None` while dormant, paused,
-    /// cancelled, or mid-run.
-    due_ms: Option<u64>,
+    /// Its next turn (mid-run, the tick being run); parked, the next turn
+    /// it parked with, its later turns following on its grid.
+    due_ms: u64,
+    /// Sleep threshold ([`TaskHandle::sleep_until`]); 0 while awake.
+    sleep_ms: u64,
+    /// Delay left on a paused one-shot, restored on resume; [`NEVER`]
+    /// when the one-shot was dormant at pause time (it stays dormant).
+    paused_remaining: u64,
+    /// In the firing queue, at [`Task::slot`].
+    queued: bool,
+    /// Asleep off the per-tick path: in `sleepers` and queued only at its
+    /// first turn at or past the threshold (neither for [`NEVER`]).
+    parked: bool,
     paused: bool,
-    /// Delay left on a paused one-shot, restored on resume; `None` when
-    /// the one-shot was dormant at pause time (it stays dormant).
-    paused_remaining: Option<u64>,
     /// Set when the task (or anyone else) rescheduled it during its own
     /// run; the pump then leaves the explicit schedule alone.
     rearmed: bool,
@@ -112,41 +126,175 @@ struct Task {
 
 impl Task {
     fn jitter(&mut self) -> u64 {
-        match self.cadence {
-            Cadence::Periodic { jitter_ms, .. } if jitter_ms > 0 => {
-                self.rng.gen_range(0..jitter_ms + 1)
-            }
-            _ => 0,
+        match self.jitter_ms() {
+            0 => 0,
+            j => self.rng.gen_range(0..j + 1),
         }
+    }
+
+    /// The interval of a task that may sleep: a jittered one never does,
+    /// each jitter draw being part of the replay contract.
+    fn sleep_grid(&self) -> Option<u64> {
+        match self.cadence {
+            Cadence::Periodic { interval_ms: i, .. } if self.jitter_ms() == 0 => Some(i),
+            _ => None,
+        }
+    }
+
+    fn jitter_ms(&self) -> u64 {
+        match self.cadence {
+            Cadence::Periodic { jitter_ms, .. } => jitter_ms,
+            Cadence::Once => 0,
+        }
+    }
+
+    /// Its key in the firing queue while `queued`.
+    fn slot(&self) -> u64 {
+        match self.sleep_grid() {
+            Some(i) if self.parked => {
+                let ticks = (self.sleep_ms - self.due_ms).div_ceil(i);
+                self.due_ms.saturating_add(ticks.saturating_mul(i))
+            }
+            _ => self.due_ms,
+        }
+    }
+
+    /// Fixed-rate re-arm after the beat at `fire_ms` left the clock at
+    /// `now`: beats the clock already passed are skipped, not replayed.
+    fn next_beat(&mut self, fire_ms: u64, interval_ms: u64, now: u64) -> u64 {
+        let next = fire_ms + interval_ms + self.jitter();
+        if next > now {
+            return next;
+        }
+        fire_ms + ((now - fire_ms) / interval_ms + 1) * interval_ms
     }
 }
 
 #[derive(Default)]
 struct SchedState {
     tasks: HashMap<u64, Task>,
-    /// Firing queue ordered by `(due_ms, task id)`: time first, then
-    /// registration order as the deterministic tiebreak.
-    queue: BTreeSet<(u64, u64)>,
+    timeline: Timeline,
     next_id: u64,
     seed: u64,
 }
 
 impl SchedState {
-    fn enqueue(&mut self, id: u64, due: u64) {
-        if let Some(t) = self.tasks.get_mut(&id) {
-            if let Some(old) = t.due_ms.take() {
-                self.queue.remove(&(old, id));
-            }
-            t.due_ms = Some(due);
-            self.queue.insert((due, id));
-        }
+    fn task(&mut self, id: u64) -> Option<(&mut Timeline, &mut Task)> {
+        Some((&mut self.timeline, self.tasks.get_mut(&id)?))
     }
 
-    fn dequeue(&mut self, id: u64) {
-        if let Some(t) = self.tasks.get_mut(&id) {
-            if let Some(old) = t.due_ms.take() {
-                self.queue.remove(&(old, id));
+    /// Pops the next turn due by `target_ms` whose task has work to do,
+    /// with the clock advanced to it. A sleeper's turn short of its
+    /// threshold is a slept tick: re-armed as a run would, not run.
+    fn next_turn(&mut self, clock: &Clock, target_ms: u64) -> Option<(u64, u64, TaskFn)> {
+        loop {
+            let now = clock.now_ms();
+            let tl = &mut self.timeline;
+            tl.wake_sleepers(&mut self.tasks, now);
+            let &(due, id) = tl.queue.first().filter(|&&(d, _)| d <= target_ms)?;
+            tl.queue.pop_first();
+            tl.cursor = tl.cursor.max((due, id));
+            // Cancelling removes a task's queue entry with it, so an
+            // orphaned entry has nothing to run.
+            let Some((tl, task)) = self.task(id) else {
+                continue;
+            };
+            if task.parked {
+                tl.sleepers.remove(&(task.sleep_ms, id));
             }
+            (task.due_ms, task.queued, task.parked, task.rearmed) = (due, false, false, false);
+            clock.advance_ms(due.saturating_sub(now));
+            let now = now.max(due);
+            if let Some(i) = task.sleep_grid().filter(|_| task.sleep_ms > now) {
+                let next = task.next_beat(due, i, now);
+                tl.arm(id, task, next, now);
+                continue;
+            }
+            task.sleep_ms = 0;
+            return Some((due, id, task.f.clone()));
+        }
+    }
+}
+
+/// The firing queue, the parked sleepers, and how far the pump has got.
+#[derive(Default)]
+struct Timeline {
+    /// Firing queue ordered by `(due_ms, task id)`: time first, then
+    /// registration order as the deterministic tiebreak.
+    queue: BTreeSet<(u64, u64)>,
+    /// Parked sleepers by `(sleep_ms, task id)`, except those asleep until
+    /// woken: the task table finds them the rare times the clock is late.
+    sleepers: BTreeSet<(u64, u64)>,
+    /// The furthest `(due, id)` turn taken; `(target, MAX)` after a pump.
+    cursor: (u64, u64),
+    /// Smallest interval of any task that ever parked.
+    min_park_ms: Option<u64>,
+    /// The clock is `min_park_ms` behind the cursor, so beats may skip
+    /// ticks: sleepers walk their ticks, one pop each, instead of parking.
+    late: bool,
+}
+
+impl Timeline {
+    /// Takes task `id` off the schedule; a parked sleeper's `due_ms` catches
+    /// up to its next turn after the cursor (its skipped turns were on time).
+    fn unqueue(&mut self, id: u64, t: &mut Task) {
+        if t.queued {
+            self.queue.remove(&(t.slot(), id));
+        }
+        if t.parked {
+            self.sleepers.remove(&(t.sleep_ms, id));
+            if let Some(i) = t.sleep_grid().filter(|_| (t.due_ms, id) <= self.cursor) {
+                t.due_ms += (self.cursor.0 - t.due_ms) / i * i;
+                t.due_ms += if (t.due_ms, id) <= self.cursor { i } else { 0 };
+            }
+        }
+        (t.queued, t.parked) = (false, false);
+    }
+
+    /// Puts task `id` on the schedule with `due` as its next turn; a
+    /// sleeper short of its threshold by then parks, unless the clock is
+    /// late. A threshold reached by `due` still stands until the task
+    /// runs: a reschedule may yet move the turn before it.
+    fn arm(&mut self, id: u64, t: &mut Task, due: u64, now: u64) {
+        self.unqueue(id, t);
+        t.due_ms = due;
+        let asleep = t.sleep_ms > due.max(now);
+        if let Some(i) = t.sleep_grid().filter(|_| asleep && !self.late) {
+            t.parked = true;
+            self.min_park_ms = Some(self.min_park_ms.map_or(i, |m| m.min(i)));
+            if t.sleep_ms == NEVER {
+                return;
+            }
+            self.sleepers.insert((t.sleep_ms, id));
+        }
+        t.queued = true;
+        self.queue.insert((t.slot(), id));
+    }
+
+    /// Queues a parked sleeper at its next turn.
+    fn unpark(&mut self, id: u64, t: &mut Task) {
+        self.unqueue(id, t);
+        t.queued = true;
+        self.queue.insert((t.due_ms, id));
+    }
+
+    /// Before the pump's next turn, with the clock at `now`, unparks the
+    /// sleepers whose threshold the clock has passed — all of them once
+    /// the clock falls late.
+    fn wake_sleepers(&mut self, tasks: &mut HashMap<u64, Task>, now: u64) {
+        let grace = self.min_park_ms.unwrap_or(NEVER);
+        let late = now >= self.cursor.0.saturating_add(grace);
+        if late && !self.late {
+            // drvlint: allow(map-iter) — each unpark moves only its own
+            // task to its own `(turn, id)` key, so the order is immaterial.
+            for (&id, t) in tasks.iter_mut().filter(|(_, t)| t.parked) {
+                self.unpark(id, t);
+            }
+        }
+        self.late = late;
+        while let Some(&(_, id)) = self.sleepers.first().filter(|s| s.0 <= now) {
+            let Some(t) = tasks.get_mut(&id) else { break };
+            self.unpark(id, t);
         }
     }
 }
@@ -172,7 +320,7 @@ impl fmt::Debug for Scheduler {
         let st = self.inner.state.lock();
         f.debug_struct("Scheduler")
             .field("tasks", &st.tasks.len())
-            .field("scheduled", &st.queue.len())
+            .field("scheduled", &st.timeline.queue.len())
             .finish()
     }
 }
@@ -218,23 +366,25 @@ impl Scheduler {
             cadence,
             f,
             rng,
-            due_ms: None,
+            due_ms: 0,
+            sleep_ms: 0,
+            paused_remaining: NEVER,
+            queued: false,
+            parked: false,
             paused: false,
-            paused_remaining: None,
             rearmed: false,
             stats: TaskStats::default(),
             last_error: None,
         };
+        let now = self.inner.clock.now_ms();
         let due = match cadence {
-            Cadence::Periodic { interval_ms, .. } => {
-                Some(self.inner.clock.now_ms() + interval_ms + task.jitter())
-            }
+            Cadence::Periodic { interval_ms, .. } => Some(now + interval_ms + task.jitter()),
             Cadence::Once => due,
         };
-        st.tasks.insert(id, task);
         if let Some(due) = due {
-            st.enqueue(id, due);
+            st.timeline.arm(id, &mut task, due, now);
         }
+        st.tasks.insert(id, task);
         TaskHandle {
             id,
             inner: self.inner.clone(),
@@ -297,17 +447,6 @@ impl Scheduler {
         self.register(name.into(), Cadence::Once, None, Arc::new(f))
     }
 
-    /// Virtual time of the next scheduled firing, if any task is armed.
-    pub fn next_due_ms(&self) -> Option<u64> {
-        self.inner
-            .state
-            .lock()
-            .queue
-            .iter()
-            .next()
-            .map(|&(due, _)| due)
-    }
-
     /// Number of live tasks (scheduled, dormant, or paused). Cancelled
     /// and retired tasks are removed from the table; their handles then
     /// read default stats.
@@ -341,40 +480,23 @@ impl Scheduler {
     /// order; work a task triggers (for example a renewal that charges
     /// link latency to the clock) is observed before the next firing is
     /// chosen, so timers and messages interleave deterministically.
-    /// Returns the number of task executions.
+    /// Returns the number of task executions (slept ticks excluded).
     pub fn run_until(&self, target_ms: u64) -> u64 {
+        let clock = &self.inner.clock;
         let mut fired = 0u64;
         loop {
-            let next = {
-                let mut st = self.inner.state.lock();
-                match st.queue.iter().next().copied() {
-                    Some((due, id)) if due <= target_ms => {
-                        st.queue.remove(&(due, id));
-                        // Cancelling removes a task's queue entry with it,
-                        // so an orphaned entry has nothing to run.
-                        let Some(task) = st.tasks.get_mut(&id) else {
-                            continue;
-                        };
-                        task.due_ms = None;
-                        task.rearmed = false;
-                        Some((due, id, task.f.clone()))
-                    }
-                    _ => None,
-                }
-            };
+            let next = self.inner.state.lock().next_turn(clock, target_ms);
             let Some((due, id, f)) = next else { break };
-            let now = self.inner.clock.now_ms();
-            if due > now {
-                self.inner.clock.advance_ms(due - now);
-            }
             let result = f();
             fired += 1;
             self.finish_run(id, due, result);
         }
-        let now = self.inner.clock.now_ms();
+        let now = clock.now_ms();
         if now < target_ms {
-            self.inner.clock.advance_ms(target_ms - now);
+            clock.advance_ms(target_ms - now);
         }
+        let tl = &mut self.inner.state.lock().timeline;
+        tl.cursor = tl.cursor.max((target_ms, u64::MAX));
         fired
     }
 
@@ -384,7 +506,7 @@ impl Scheduler {
     fn finish_run(&self, id: u64, fire_ms: u64, result: TaskResult) {
         let now = self.inner.clock.now_ms();
         let mut st = self.inner.state.lock();
-        let Some(task) = st.tasks.get_mut(&id) else {
+        let Some((timeline, task)) = st.task(id) else {
             return;
         };
         task.stats.runs += 1;
@@ -405,7 +527,7 @@ impl Scheduler {
             // Retired tasks leave the table entirely (handles read
             // default stats afterwards); keeping them would grow the
             // task map for the scheduler's whole lifetime.
-            st.dequeue(id);
+            timeline.unqueue(id, task);
             st.tasks.remove(&id);
             return;
         }
@@ -415,14 +537,9 @@ impl Scheduler {
         if let Cadence::Periodic { interval_ms, .. } = task.cadence {
             // Fixed-rate from the scheduled firing time, so beats land on
             // exact interval multiples even when the run itself charged
-            // message latency to the clock. Beats jumped over by a manual
-            // clock advance are skipped, not replayed.
-            let mut next = fire_ms + interval_ms + task.jitter();
-            if next <= now {
-                let behind = now - fire_ms;
-                next = fire_ms + (behind / interval_ms + 1) * interval_ms;
-            }
-            st.enqueue(id, next);
+            // message latency to the clock.
+            let next = task.next_beat(fire_ms, interval_ms, now);
+            timeline.arm(id, task, next, now);
         }
         // One-shot tasks stay dormant until rescheduled.
     }
@@ -447,123 +564,90 @@ impl fmt::Debug for TaskHandle {
 }
 
 impl TaskHandle {
+    /// Reads the task, unless it was cancelled or retired.
+    fn read<R>(&self, f: impl FnOnce(&Task) -> R) -> Option<R> {
+        self.inner.state.lock().tasks.get(&self.id).map(f)
+    }
+
     /// The task's registered name (empty if the task was dropped).
     pub fn name(&self) -> String {
-        self.inner
-            .state
-            .lock()
-            .tasks
-            .get(&self.id)
-            .map(|t| t.name.clone())
-            .unwrap_or_default()
+        self.read(|t| t.name.clone()).unwrap_or_default()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> TaskStats {
-        self.inner
-            .state
-            .lock()
-            .tasks
-            .get(&self.id)
-            .map(|t| t.stats)
-            .unwrap_or_default()
+        self.read(|t| t.stats).unwrap_or_default()
     }
 
     /// Message of the most recent failed run.
     pub fn last_error(&self) -> Option<String> {
-        self.inner
-            .state
-            .lock()
-            .tasks
-            .get(&self.id)
-            .and_then(|t| t.last_error.clone())
+        self.read(|t| t.last_error.clone()).flatten()
     }
 
-    /// Virtual time of the next firing (`None` while dormant, paused, or
-    /// cancelled).
+    /// Virtual time of the next firing, a sleeper's first tick at its
+    /// threshold (`None` while dormant, paused, cancelled or unwoken).
     pub fn next_due_ms(&self) -> Option<u64> {
-        self.inner
-            .state
-            .lock()
-            .tasks
-            .get(&self.id)
-            .and_then(|t| t.due_ms)
+        self.read(|t| t.queued.then(|| t.slot())).flatten()
     }
 
-    /// Whether the task will fire again without intervention.
+    /// Whether the task is on the schedule: armed, or asleep on its grid.
     pub fn is_scheduled(&self) -> bool {
-        self.next_due_ms().is_some()
+        self.read(|t| t.queued || t.parked).unwrap_or(false)
     }
 
-    /// Whether the task was cancelled or retired itself (its entry is
-    /// removed from the task table).
+    /// Whether the task was cancelled or retired itself (left the table).
     pub fn is_cancelled(&self) -> bool {
-        !self.inner.state.lock().tasks.contains_key(&self.id)
+        self.read(|_| ()).is_none()
     }
 
     /// Takes the task off the schedule. A paused armed one-shot
     /// remembers its remaining delay (a dormant one stays dormant); a
     /// paused periodic task resumes a full interval after
-    /// [`resume`](Self::resume).
+    /// [`resume`](Self::resume), still asleep if it was.
     pub fn pause(&self) {
-        let now = self.inner.clock.now_ms();
-        let mut st = self.inner.state.lock();
-        match st.tasks.get_mut(&self.id) {
-            Some(t) if !t.paused => {
-                t.paused = true;
-                t.paused_remaining = t.due_ms.map(|d| d.saturating_sub(now));
+        self.with_task(|tl, t, now| {
+            if !t.paused {
+                let left = t.queued.then(|| t.slot().saturating_sub(now));
+                (t.paused, t.paused_remaining) = (true, left.unwrap_or(NEVER));
+                tl.unqueue(self.id, t);
             }
-            _ => return,
-        }
-        st.dequeue(self.id);
+        });
     }
 
     /// Puts a paused task back on the schedule. A one-shot that was
     /// dormant when paused stays dormant: resuming must not invent a
     /// firing that was never armed.
     pub fn resume(&self) {
-        let now = self.inner.clock.now_ms();
-        let mut st = self.inner.state.lock();
-        let Some(t) = st.tasks.get_mut(&self.id) else {
-            return;
-        };
-        if !t.paused {
-            return;
-        }
-        t.paused = false;
-        let due = match t.cadence {
-            Cadence::Periodic { interval_ms, .. } => {
-                let j = t.jitter();
-                Some(now + interval_ms + j)
+        self.with_task(|tl, t, now| {
+            if !std::mem::replace(&mut t.paused, false) {
+                return;
             }
-            Cadence::Once => t.paused_remaining.take().map(|r| now + r),
-        };
-        if let Some(due) = due {
-            st.enqueue(self.id, due);
-        }
+            let remaining = std::mem::replace(&mut t.paused_remaining, NEVER);
+            let due = match t.cadence {
+                Cadence::Periodic { interval_ms, .. } => Some(now + interval_ms + t.jitter()),
+                Cadence::Once => (remaining != NEVER).then(|| now + remaining),
+            };
+            if let Some(due) = due {
+                tl.arm(self.id, t, due, now);
+            }
+        });
     }
 
-    /// Permanently removes the task from schedule and table; the handle
-    /// reads default stats afterwards.
+    /// Permanently removes the task from schedule and table (a sleep
+    /// with it); the handle reads default stats afterwards.
     pub fn cancel(&self) {
         let mut st = self.inner.state.lock();
-        st.dequeue(self.id);
-        st.tasks.remove(&self.id);
+        if let Some(mut t) = st.tasks.remove(&self.id) {
+            st.timeline.unqueue(self.id, &mut t);
+        }
     }
 
     /// (Re-)arms the task to fire at absolute virtual time `due_ms`
     /// (clamped to now if already past), clearing a pause. This is how a
-    /// lease auto-renewal timer tracks a moving expiry. No-op on
-    /// cancelled tasks.
+    /// lease auto-renewal timer tracks a moving expiry. A periodic task's
+    /// grid moves to `due_ms`. No-op on cancelled tasks.
     pub fn reschedule_at(&self, due_ms: u64) {
-        let now = self.inner.clock.now_ms();
-        let mut st = self.inner.state.lock();
-        let Some(t) = st.tasks.get_mut(&self.id) else {
-            return;
-        };
-        t.paused = false;
-        t.rearmed = true;
-        st.enqueue(self.id, due_ms.max(now));
+        self.rearm(|_| due_ms);
     }
 
     /// Like [`reschedule_at`](Self::reschedule_at), but spreads the
@@ -575,19 +659,55 @@ impl TaskHandle {
     /// say) de-synchronizes into the window instead of stampeding one
     /// tick. `spread_ms == 0` degrades to the exact re-arm.
     pub fn reschedule_at_jittered(&self, due_ms: u64, spread_ms: u64) {
+        self.rearm(|t| {
+            let jitter = (spread_ms > 0).then(|| t.rng.gen_range(0..spread_ms));
+            due_ms.saturating_add(jitter.unwrap_or(0))
+        });
+    }
+
+    fn rearm(&self, due_ms: impl FnOnce(&mut Task) -> u64) {
+        self.with_task(|tl, t, now| {
+            let due = due_ms(t).max(now);
+            t.paused = false;
+            t.rearmed = true;
+            tl.arm(self.id, t, due, now);
+        });
+    }
+
+    /// Runs `op` on the timeline, the task (if alive) and the clock.
+    fn with_task(&self, op: impl FnOnce(&mut Timeline, &mut Task, u64)) {
         let now = self.inner.clock.now_ms();
-        let mut st = self.inner.state.lock();
-        let Some(t) = st.tasks.get_mut(&self.id) else {
-            return;
-        };
-        let jitter = if spread_ms > 0 {
-            t.rng.gen_range(0..spread_ms)
-        } else {
-            0
-        };
-        t.paused = false;
-        t.rearmed = true;
-        st.enqueue(self.id, due_ms.saturating_add(jitter).max(now));
+        if let Some((tl, t)) = self.inner.state.lock().task(self.id) {
+            op(tl, t, now);
+        }
+    }
+
+    /// Declares the task idle until virtual time `wake_ms` ([`u64::MAX`]:
+    /// until [`wake`](Self::wake)). It runs on exactly the ticks where a
+    /// body returning early while the clock is short of `wake_ms` would
+    /// have worked: the first tick of its grid (last scheduled tick plus
+    /// whole intervals) whose turn comes with the clock at `wake_ms`, late
+    /// turns included. Skipped ticks are not runs; running ends the sleep.
+    /// No-op for a jittered or one-shot task.
+    pub fn sleep_until(&self, wake_ms: u64) {
+        self.with_task(|tl, t, now| {
+            if t.sleep_grid().is_none() || t.sleep_ms == wake_ms {
+                return;
+            }
+            // Mid-run or paused, the re-arm after the run or the resume
+            // applies the new threshold.
+            let on_schedule = t.queued || t.parked;
+            tl.unqueue(self.id, t);
+            t.sleep_ms = wake_ms;
+            if on_schedule {
+                tl.arm(self.id, t, t.due_ms, now);
+            }
+        });
+    }
+
+    /// Ends a sleep: the task runs at its next tick.
+    pub fn wake(&self) {
+        self.sleep_until(0);
     }
 }
 
@@ -999,6 +1119,226 @@ mod tests {
         assert!(
             elapsed < Duration::from_secs(20),
             "10k-task pump took {elapsed:?}; scheduler has regressed toward quadratic behavior"
+        );
+    }
+
+    /// A task every 100 ms that logs the clock of each run.
+    fn logged_task(
+        sched: &Scheduler,
+        clock: &Clock,
+        name: &str,
+    ) -> (TaskHandle, Arc<Mutex<Vec<u64>>>) {
+        let times: Arc<Mutex<Vec<u64>>> = Arc::default();
+        let (t, c) = (times.clone(), clock.clone());
+        let h = sched.every(
+            Duration::from_millis(100),
+            Duration::ZERO,
+            name,
+            move || {
+                t.lock().push(c.now_ms());
+                Ok(TaskControl::Continue)
+            },
+        );
+        (h, times)
+    }
+
+    #[test]
+    fn a_beat_one_tick_short_of_its_threshold_fires_when_its_turn_comes_late() {
+        let (sched, clock) = rig();
+        // Registered first, so it takes tick 200 first and charges 50 ms.
+        let c = clock.clone();
+        sched.every(
+            Duration::from_millis(100),
+            Duration::ZERO,
+            "slow",
+            move || {
+                c.advance_ms(50);
+                Ok(TaskControl::Continue)
+            },
+        );
+        let (h, times) = logged_task(&sched, &clock, "sleeper");
+        h.sleep_until(220);
+        assert_eq!(h.next_due_ms(), Some(300), "the first tick past 220");
+        sched.run_until(450);
+        // Tick 200 was scheduled before 220, but its turn came at 250.
+        assert_eq!(*times.lock(), vec![250, 350, 450]);
+        assert_eq!(h.stats().runs, 3, "the slept tick at 100 is not a run");
+    }
+
+    #[test]
+    fn a_sleeper_wakes_on_time_and_runs_are_the_ticks_that_ran() {
+        let (sched, clock) = rig();
+        let (h, times) = logged_task(&sched, &clock, "t");
+        h.sleep_until(u64::MAX);
+        assert_eq!(sched.run_until(1_000), 0);
+        assert!(h.is_scheduled() && h.next_due_ms().is_none());
+        h.wake();
+        assert_eq!(sched.run_until(1_250), 2);
+        assert_eq!(*times.lock(), vec![1_100, 1_200]);
+        h.sleep_until(1_450);
+        assert_eq!(h.next_due_ms(), Some(1_500));
+        assert_eq!(sched.run_until(1_600), 2);
+        assert_eq!(*times.lock(), vec![1_100, 1_200, 1_500, 1_600]);
+        assert_eq!(h.stats().runs, 4);
+        // A threshold the clock already passed is no sleep at all.
+        h.sleep_until(1_600);
+        assert_eq!(h.next_due_ms(), Some(1_700));
+        h.cancel();
+        assert!(!h.is_scheduled());
+        assert_eq!(sched.run_until(3_000), 0);
+    }
+
+    #[test]
+    fn after_pause_and_resume_a_beat_sleeps_on_its_new_grid() {
+        let (sched, clock) = rig();
+        let (h, times) = logged_task(&sched, &clock, "t");
+        h.sleep_until(1_000);
+        sched.run_until(250);
+        h.pause();
+        clock.advance_ms(80);
+        h.resume(); // the grid is now 430, 530, …
+        sched.run_until(1_100);
+        assert_eq!(
+            *times.lock(),
+            vec![1_030],
+            "not 1 000: that tick left with the old grid"
+        );
+        h.sleep_until(1_250);
+        h.reschedule_at(1_160); // …and now 1 160, 1 260, …
+        sched.run_until(1_300);
+        assert_eq!(*times.lock(), vec![1_030, 1_260]);
+    }
+
+    #[test]
+    fn jittered_and_one_shot_tasks_never_sleep() {
+        let (sched, clock) = rig();
+        let hits = Arc::new(AtomicU64::new(0));
+        let jittered = sched.every(
+            Duration::from_millis(100),
+            Duration::from_millis(10),
+            "j",
+            counter_task(&hits),
+        );
+        let once = sched.once(Duration::from_millis(50), "o", counter_task(&hits));
+        jittered.sleep_until(u64::MAX);
+        once.sleep_until(u64::MAX);
+        sched.run_until(1_000);
+        assert_eq!(hits.load(Ordering::SeqCst), 1 + jittered.stats().runs);
+        assert!(jittered.stats().runs >= 9, "{:?}", jittered.stats());
+        assert_eq!(clock.now_ms(), 1_000);
+    }
+
+    /// One seeded world of `TASKS` zero-jitter periodic tasks whose
+    /// working runs charge latency (sometimes more than an interval, so
+    /// fixed-rate catch-up skips ticks) and re-aim, pause, resume and
+    /// reschedule each other; between uneven pumps the harness jumps the
+    /// clock and re-aims. "Aiming" task `j` at `t` means: it has work to
+    /// do once the clock reaches `t`. `sleeping`: aims go through
+    /// `sleep_until` / `wake` and every run is logged; otherwise every
+    /// tick runs the body, which returns early while the clock is short
+    /// of its aim, and only the runs that do work are logged.
+    fn differential_world(seed: u64, sleeping: bool) -> (Vec<(u64, usize)>, u64) {
+        const TASKS: usize = 5;
+        let (sched, clock) = rig();
+        let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
+        let aims = Arc::new(Mutex::new(vec![0u64; TASKS]));
+        let handles: Arc<Mutex<Vec<TaskHandle>>> = Arc::default();
+        let log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::default();
+        let aim = {
+            let (aims, handles) = (aims.clone(), handles.clone());
+            Arc::new(move |j: usize, at: u64| {
+                aims.lock()[j] = at;
+                if sleeping {
+                    handles.lock()[j].sleep_until(at);
+                }
+            })
+        };
+        for i in 0..TASKS {
+            let interval = rng.lock().gen_range(5..40);
+            let (rng, aims, peers) = (rng.clone(), aims.clone(), handles.clone());
+            let (log, aim, c) = (log.clone(), aim.clone(), clock.clone());
+            let h = sched.every(
+                Duration::from_millis(interval),
+                Duration::ZERO,
+                format!("t{i}"),
+                move || {
+                    let now = c.now_ms();
+                    if now < aims.lock()[i] {
+                        assert!(
+                            !sleeping,
+                            "t{i} ran at {now} asleep until {}",
+                            aims.lock()[i]
+                        );
+                        return Ok(TaskControl::Continue);
+                    }
+                    log.lock().push((now, i));
+                    let mut r = rng.lock();
+                    c.advance_ms(r.gen_range(0..60));
+                    let j = r.gen_range(0..TASKS as u64) as usize;
+                    let h = peers.lock()[j].clone();
+                    match r.gen_range(0..10) {
+                        0..=3 => aim(j, now + r.gen_range(0..150)),
+                        4 => aim(j, u64::MAX),
+                        5 => aim(j, 0),
+                        6 => h.pause(),
+                        7 => h.resume(),
+                        8 => h.reschedule_at(now + r.gen_range(0..100)),
+                        _ => {}
+                    }
+                    if r.gen_range(0..10) < 7 {
+                        aim(i, now + r.gen_range(0..200));
+                    }
+                    Ok(TaskControl::Continue)
+                },
+            );
+            handles.lock().push(h);
+        }
+        let mut outer = StdRng::seed_from_u64(!seed);
+        for j in 0..TASKS {
+            aim(j, outer.gen_range(0..300));
+        }
+        let mut fired = 0;
+        for _ in 0..60 {
+            let target = clock.now_ms() + outer.gen_range(1..120);
+            fired += sched.run_until(target);
+            let j = outer.gen_range(0..TASKS as u64) as usize;
+            match outer.gen_range(0..8) {
+                0 => {
+                    clock.advance_ms(outer.gen_range(0..200));
+                }
+                1 => aim(j, clock.now_ms() + outer.gen_range(0..300)),
+                2 => aim(j, 0),
+                3 => handles.lock()[j].resume(),
+                _ => {}
+            }
+        }
+        if sleeping {
+            let runs: u64 = handles.lock().iter().map(|h| h.stats().runs).sum();
+            assert_eq!(runs, fired, "runs count the beats that ran, and only those");
+            assert_eq!(runs as usize, log.lock().len());
+        }
+        let log = log.lock().clone();
+        (log, fired)
+    }
+
+    #[test]
+    fn sleeping_runs_exactly_the_ticks_that_would_have_done_work() {
+        let (mut saved, mut worked) = (0, 0);
+        for seed in 0..200 {
+            let (every_tick, all) = differential_world(seed, false);
+            let (slept, ran) = differential_world(seed, true);
+            assert_eq!(
+                slept, every_tick,
+                "seed {seed}: (clock, task) of the working runs"
+            );
+            assert!(!slept.is_empty(), "seed {seed}: no task ever worked");
+            saved += all - ran;
+            worked += ran;
+        }
+        assert!(
+            saved > worked,
+            "sleeping skipped {saved} idle ticks of {}",
+            saved + worked
         );
     }
 }

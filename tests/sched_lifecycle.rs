@@ -12,6 +12,7 @@ use drivolution::core::{
     PermissionRule, RenewPolicy, DRIVOLUTION_PORT,
 };
 use drivolution::depot::DriverDepot;
+use drivolution::fleet::FleetSim;
 use drivolution::prelude::*;
 use drivolution::server::MirrorHealth;
 
@@ -154,6 +155,108 @@ fn scheduled_maintenance_prunes_closed_sessions_from_the_tracker() {
     assert_eq!(task.stats().runs, 3, "30s cadence over 90s of virtual time");
     assert_eq!(task.stats().errors, 0);
     drop(keep);
+}
+
+/// The sweep sleeps while nothing is tracked: an idle bootloader runs no
+/// sweep at all, the next `connect` wakes it at its next 30 s tick, it
+/// sweeps every tick while a session is tracked, and once a sweep finds
+/// the table empty it sleeps again.
+#[test]
+fn an_idle_bootloader_sweeps_nothing_until_a_session_opens() {
+    const MINUTE: u64 = 60_000;
+    let rig = rig();
+    let registered_at = rig.net.clock().now_ms();
+    let boot = Bootloader::new(
+        &rig.net,
+        Addr::new("app", 1),
+        BootloaderConfig::same_host()
+            .trusting(rig.srv.certificate())
+            .with_lifecycle(LifecyclePolicy::driven(Duration::from_secs(60))),
+    );
+    let sweep = boot.maintenance_task().expect("maintenance registered");
+    rig.net.run_until(10 * MINUTE);
+    assert_eq!(sweep.stats().runs, 0, "an idle bootloader swept");
+    assert!(sweep.is_scheduled(), "asleep on its grid, not off it");
+
+    let mut conn = boot
+        .connect(&rig.url, &ConnectProps::user("admin", "admin"))
+        .unwrap();
+    let now = rig.net.clock().now_ms();
+    let tick = registered_at + ((now - registered_at) / 30_000 + 1) * 30_000;
+    assert_eq!(sweep.next_due_ms(), Some(tick));
+    rig.net.run_until(tick + 60_000);
+    assert_eq!(
+        sweep.stats().runs,
+        3,
+        "every tick while a session is tracked"
+    );
+    conn.close().unwrap();
+    assert_eq!(boot.tracker().tracked_len(), 0);
+    rig.net.run_until(tick + 10 * MINUTE);
+    assert_eq!(
+        sweep.stats().runs,
+        4,
+        "one sweep finds it empty, then sleep"
+    );
+}
+
+/// A notify pipe keeps the upgrade poll awake: with a 60-minute lease
+/// (renew-due 54 minutes out) a pushed notice is acted on at the very
+/// next poll tick.
+#[test]
+fn a_pushed_notice_is_acted_on_at_the_next_poll_tick() {
+    let rig = rig();
+    let registered_at = rig.net.clock().now_ms();
+    let boot = Bootloader::new(
+        &rig.net,
+        Addr::new("app", 1),
+        BootloaderConfig::same_host()
+            .trusting(rig.srv.certificate())
+            .with_notify_channel()
+            .with_lifecycle(LifecyclePolicy::driven(Duration::from_secs(60))),
+    );
+    boot.bootstrap(&rig.url, &ConnectProps::user("admin", "admin"))
+        .unwrap();
+    rig.net.run_until(registered_at + 90_000);
+    rig.srv
+        .install_driver(&padded_record(2, DriverVersion::new(2, 0, 0)))
+        .unwrap();
+    rig.srv
+        .add_rule(
+            &PermissionRule::any(DriverId(2))
+                .with_policies(RenewPolicy::Upgrade, ExpirationPolicy::AfterCommit),
+        )
+        .unwrap();
+    rig.srv.notify_upgrade("orders");
+    rig.net.run_until(registered_at + 119_999);
+    assert_eq!(boot.active_version(), Some(DriverVersion::new(1, 0, 0)));
+    rig.net.run_until(registered_at + 120_000);
+    assert_eq!(boot.active_version(), Some(DriverVersion::new(2, 0, 0)));
+    assert_eq!(boot.stats().upgrades, 1);
+}
+
+/// The beats a renewing fleet does not need stay unfired: pumped over
+/// three lease periods, 100 self-driving clients cost at most two
+/// scheduler task executions and 1.1 polls per renewal the server
+/// granted. Firing every 60 s poll and 30 s sweep costs ≈ 31 and ≈ 10.
+#[test]
+fn a_renewing_fleet_fires_about_one_task_per_renewal() {
+    const LEASE_MS: u64 = 10 * 60_000;
+    let sim = FleetSim::build(100, LEASE_MS, false);
+    sim.bootstrap_all();
+    let polls = || -> u64 { sim.clients().iter().map(|c| c.stats().polls).sum() };
+    let (renewals0, polls0) = (sim.server().stats().renewals, polls());
+    let end = sim.net().clock().now_ms() + 3 * LEASE_MS;
+    let mut tasks = 0;
+    while sim.net().clock().now_ms() < end {
+        tasks += sim.net().run_until(sim.net().clock().now_ms() + 60_000);
+    }
+    let renewals = sim.server().stats().renewals - renewals0;
+    let polls = polls() - polls0;
+    assert!(renewals >= 300, "{renewals} renewals granted");
+    let per = |n: u64| n as f64 / renewals as f64;
+    assert!(per(tasks) <= 2.0, "{tasks} tasks for {renewals} renewals");
+    assert!(per(polls) <= 1.1, "{polls} polls for {renewals} renewals");
 }
 
 /// A self-driving bootloader bootstraps once and then upgrades with no
