@@ -15,6 +15,7 @@ use driverkit::DkError;
 use drivolution_core::{DrvError, DrvResult, DRIVOLUTION_PORT};
 use drivolution_depot::MirrorDepot;
 use drivolution_server::{AdminEvent, DriverStore, DrivolutionServer, EmbeddedExec, ServerConfig};
+use minidb::sql::leading_keyword;
 use minidb::wire::proto::{err_code, ClientMsg, ServerMsg};
 use minidb::{DbError, MiniDb, QueryResult};
 
@@ -294,64 +295,51 @@ impl Controller {
                 let s = sessions
                     .get_mut(&session)
                     .ok_or_else(|| DbError::Session(format!("unknown session {session}")))?;
-                let head: String = sql
-                    .trim_start()
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphabetic())
-                    .collect::<String>()
-                    .to_ascii_uppercase();
-                match head.as_str() {
-                    "BEGIN" | "START" => {
-                        if s.in_txn {
-                            return Err(DbError::Txn("transaction already open".into()));
-                        }
-                        s.in_txn = true;
-                        Ok(ServerMsg::Affected(0))
+                let head = leading_keyword(&sql);
+                let is = |kw: &str| head.eq_ignore_ascii_case(kw);
+                if is("BEGIN") || is("START") {
+                    if s.in_txn {
+                        return Err(DbError::Txn("transaction already open".into()));
                     }
-                    "ROLLBACK" => {
-                        if !s.in_txn {
-                            return Err(DbError::Txn("no open transaction".into()));
-                        }
-                        s.in_txn = false;
-                        s.txn_buffer.clear();
-                        Ok(ServerMsg::Affected(0))
+                    s.in_txn = true;
+                    Ok(ServerMsg::Affected(0))
+                } else if is("ROLLBACK") {
+                    if !s.in_txn {
+                        return Err(DbError::Txn("no open transaction".into()));
                     }
-                    "COMMIT" => {
-                        if !s.in_txn {
-                            return Err(DbError::Txn("no open transaction".into()));
-                        }
-                        s.in_txn = false;
-                        let stmts = std::mem::take(&mut s.txn_buffer);
-                        drop(sessions);
-                        for stmt in stmts {
-                            self.write_path(&stmt).map_err(Self::dk_to_db)?;
-                        }
-                        Ok(ServerMsg::Affected(0))
+                    s.in_txn = false;
+                    s.txn_buffer.clear();
+                    Ok(ServerMsg::Affected(0))
+                } else if is("COMMIT") {
+                    if !s.in_txn {
+                        return Err(DbError::Txn("no open transaction".into()));
                     }
-                    _ if is_read(&sql) => {
-                        drop(sessions);
-                        let r = self.vdb.execute_read(&sql).map_err(Self::dk_to_db)?;
-                        Ok(match r {
-                            QueryResult::Rows(rs) => ServerMsg::Rows(rs),
-                            QueryResult::Affected(n) => ServerMsg::Affected(n),
-                        })
+                    s.in_txn = false;
+                    let stmts = std::mem::take(&mut s.txn_buffer);
+                    drop(sessions);
+                    for stmt in stmts {
+                        self.write_path(&stmt).map_err(Self::dk_to_db)?;
                     }
-                    _ => {
-                        if s.in_txn {
-                            // Buffered until COMMIT (controller-level
-                            // atomicity; see crate docs for the
-                            // read-your-writes caveat).
-                            s.txn_buffer.push(sql);
-                            Ok(ServerMsg::Affected(0))
-                        } else {
-                            drop(sessions);
-                            let r = self.write_path(&sql).map_err(Self::dk_to_db)?;
-                            Ok(match r {
-                                QueryResult::Rows(rs) => ServerMsg::Rows(rs),
-                                QueryResult::Affected(n) => ServerMsg::Affected(n),
-                            })
-                        }
-                    }
+                    Ok(ServerMsg::Affected(0))
+                } else if is_read(&sql) {
+                    drop(sessions);
+                    let r = self.vdb.execute_read(&sql).map_err(Self::dk_to_db)?;
+                    Ok(match r {
+                        QueryResult::Rows(rs) => ServerMsg::Rows(rs),
+                        QueryResult::Affected(n) => ServerMsg::Affected(n),
+                    })
+                } else if s.in_txn {
+                    // Buffered until COMMIT (controller-level atomicity;
+                    // see crate docs for the read-your-writes caveat).
+                    s.txn_buffer.push(sql);
+                    Ok(ServerMsg::Affected(0))
+                } else {
+                    drop(sessions);
+                    let r = self.write_path(&sql).map_err(Self::dk_to_db)?;
+                    Ok(match r {
+                        QueryResult::Rows(rs) => ServerMsg::Rows(rs),
+                        QueryResult::Affected(n) => ServerMsg::Affected(n),
+                    })
                 }
             }
             ClientMsg::QueryParams { .. } => Err(DbError::Protocol(

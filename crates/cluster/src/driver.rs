@@ -11,6 +11,7 @@ use driverkit::{
     ConnectProps, Connection, DbUrl, DkError, DkResult, Driver, DriverFactory, UrlScheme,
 };
 use drivolution_core::{DriverFlavor, DriverImage, DriverVersion};
+use minidb::sql::leading_keyword;
 use minidb::wire::proto::{err_from, ClientAuth, ClientMsg, ServerMsg};
 use minidb::{DbError, Params, QueryResult};
 
@@ -241,16 +242,12 @@ impl ClusterConnection {
     }
 
     fn track_txn(&mut self, sql: &str) {
-        let head: String = sql
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_alphabetic())
-            .collect::<String>()
-            .to_ascii_uppercase();
-        match head.as_str() {
-            "BEGIN" | "START" => self.txn = true,
-            "COMMIT" | "ROLLBACK" => self.txn = false,
-            _ => {}
+        let head = leading_keyword(sql);
+        let is = |kw: &str| head.eq_ignore_ascii_case(kw);
+        if is("BEGIN") || is("START") {
+            self.txn = true;
+        } else if is("COMMIT") || is("ROLLBACK") {
+            self.txn = false;
         }
     }
 }

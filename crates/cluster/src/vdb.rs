@@ -22,13 +22,7 @@ pub fn is_transport_error(e: &DkError) -> bool {
 
 /// Classifies a statement as read (load-balanced) or write (broadcast).
 pub fn is_read(sql: &str) -> bool {
-    let head: String = sql
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect::<String>()
-        .to_ascii_uppercase();
-    head == "SELECT"
+    minidb::sql::leading_keyword(sql).eq_ignore_ascii_case("SELECT")
 }
 
 struct VdbInner {

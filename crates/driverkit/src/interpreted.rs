@@ -9,6 +9,7 @@ use netsim::{Addr, Network};
 use drivolution_core::image::{AuthKind, Extension};
 use drivolution_core::{DriverFlavor, DriverImage, DriverVersion};
 use minidb::auth::realm_token;
+use minidb::sql::leading_keyword;
 use minidb::wire::{Credentials, RawClient, V2, V3};
 use minidb::{Params, QueryResult};
 
@@ -183,16 +184,12 @@ impl InterpretedConnection {
     }
 
     fn track_txn(&mut self, sql: &str) {
-        let head: String = sql
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_alphabetic())
-            .collect::<String>()
-            .to_ascii_uppercase();
-        match head.as_str() {
-            "BEGIN" | "START" => self.txn = true,
-            "COMMIT" | "ROLLBACK" => self.txn = false,
-            _ => {}
+        let head = leading_keyword(sql);
+        let is = |kw: &str| head.eq_ignore_ascii_case(kw);
+        if is("BEGIN") || is("START") {
+            self.txn = true;
+        } else if is("COMMIT") || is("ROLLBACK") {
+            self.txn = false;
         }
     }
 }

@@ -5,3 +5,4 @@ pub mod parser;
 pub mod token;
 
 pub use parser::parse;
+pub use token::leading_keyword;

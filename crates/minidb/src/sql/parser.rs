@@ -28,20 +28,22 @@ pub fn parse(sql: &str) -> DbResult<Statement> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The tokens borrow the statement text, so taking one copies a
+/// reference (only a blob or an escaped string literal is cloned); a
+/// `String` is made only where the AST keeps one.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> DbResult<Token> {
+    fn next(&mut self) -> DbResult<Token<'a>> {
         let t = self
-            .tokens
-            .get(self.pos)
+            .peek()
             .cloned()
             .ok_or_else(|| DbError::Parse("unexpected end of statement".into()))?;
         self.pos += 1;
@@ -72,7 +74,7 @@ impl Parser {
         }
     }
 
-    fn eat_tok(&mut self, tok: &Token) -> bool {
+    fn eat_tok(&mut self, tok: &Token<'_>) -> bool {
         if self.peek() == Some(tok) {
             self.pos += 1;
             true
@@ -81,7 +83,7 @@ impl Parser {
         }
     }
 
-    fn expect_tok(&mut self, tok: &Token) -> DbResult<()> {
+    fn expect_tok(&mut self, tok: &Token<'_>) -> DbResult<()> {
         if self.eat_tok(tok) {
             Ok(())
         } else {
@@ -99,7 +101,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> DbResult<String> {
+    /// The next token's name, borrowed from the text.
+    fn name(&mut self) -> DbResult<&'a str> {
         match self.next()? {
             Token::Ident(s) => Ok(s),
             other => Err(DbError::Parse(format!(
@@ -108,19 +111,29 @@ impl Parser {
         }
     }
 
+    fn ident(&mut self) -> DbResult<String> {
+        self.name().map(str::to_string)
+    }
+
     /// Identifier possibly qualified with dots (`information_schema.drivers`).
     fn dotted_ident(&mut self) -> DbResult<String> {
-        let mut s = self.ident()?;
+        let first = self.name()?;
+        self.qualified(first)
+    }
+
+    /// `first` followed by any `.name` parts.
+    fn qualified(&mut self, first: &str) -> DbResult<String> {
+        let mut s = first.to_string();
         while self.eat_tok(&Token::Dot) {
             s.push('.');
-            s.push_str(&self.ident()?);
+            s.push_str(self.name()?);
         }
         Ok(s)
     }
 
     fn string_lit(&mut self) -> DbResult<String> {
         match self.next()? {
-            Token::StringLit(s) => Ok(s),
+            Token::StringLit(s) => Ok(s.into_owned()),
             other => Err(DbError::Parse(format!(
                 "expected string literal, found {other}"
             ))),
@@ -209,7 +222,7 @@ impl Parser {
     fn parse_privileges(&mut self) -> DbResult<Vec<Privilege>> {
         let mut privs = Vec::new();
         loop {
-            let name = self.ident()?;
+            let name = self.name()?;
             let p = match name.to_ascii_uppercase().as_str() {
                 "SELECT" => Privilege::Select,
                 "INSERT" => Privilege::Insert,
@@ -251,8 +264,7 @@ impl Parser {
         let mut columns = Vec::new();
         loop {
             let col_name = self.ident()?;
-            let type_name = self.ident()?;
-            let dtype = DataType::parse(&type_name)?;
+            let dtype = DataType::parse(self.name()?)?;
             let mut def = ColumnDef {
                 name: col_name,
                 dtype,
@@ -591,9 +603,9 @@ impl Parser {
     fn parse_primary(&mut self) -> DbResult<Expr> {
         match self.next()? {
             Token::Number(n) => Ok(Expr::Literal(Value::BigInt(n))),
-            Token::StringLit(s) => Ok(Expr::Literal(Value::Varchar(s))),
+            Token::StringLit(s) => Ok(Expr::Literal(Value::Varchar(s.into_owned()))),
             Token::BlobLit(b) => Ok(Expr::Literal(Value::Blob(b.into()))),
-            Token::Param(p) => Ok(Expr::Param(p)),
+            Token::Param(p) => Ok(Expr::Param(p.to_string())),
             Token::Positional(i) => Ok(Expr::Param(i.to_string())),
             Token::LParen => {
                 let e = self.parse_expr()?;
@@ -638,12 +650,7 @@ impl Parser {
                     });
                 }
                 // Possibly qualified column reference.
-                let mut full = id;
-                while self.eat_tok(&Token::Dot) {
-                    full.push('.');
-                    full.push_str(&self.ident()?);
-                }
-                Ok(Expr::Column(full))
+                Ok(Expr::Column(self.qualified(id)?))
             }
             other => Err(DbError::Parse(format!("unexpected token {other}"))),
         }

@@ -289,6 +289,26 @@ fn a_mutated_frame_allocates_in_proportion_to_its_length() {
     }
 }
 
+/// A one-shot statement of the fleet load is parsed from scratch on every
+/// execution (its literals keep it out of the parse cache), so the front
+/// end's bytes are paid per statement. Tokens borrow the text and one
+/// token `Vec` is sized from its length; what is left is that `Vec` and
+/// the AST's own strings and boxes: 2 441 B for the three. A lexer that
+/// collected the text into a `Vec<char>` and a `String` per name, and a
+/// parser that cloned every token, read 4 697 B.
+#[test]
+fn the_load_statements_parse_in_under_2700_bytes() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let load = [
+        "INSERT INTO orders VALUES (10000017, 7, 'new')",
+        "UPDATE orders SET status = 'shipped' WHERE id = 10000017",
+        "SELECT qty FROM orders WHERE id = 10000017",
+    ];
+    let (parsed, bytes, _) = measured(|| load.map(drivolution::minidb::sql::parse));
+    assert!(parsed.iter().all(Result::is_ok), "{parsed:?}");
+    assert!(bytes <= 2_700, "{bytes} B allocated, budget 2 700 B");
+}
+
 /// What one entry of a `RENEW_BATCH` costs the server in bytes allocated,
 /// from the frame off the wire to the `OFFER_BATCH` on it: 64 clients
 /// renewing the driver they run, two drivers installed. The catalog's
