@@ -4,6 +4,8 @@
 //! sites per crate in non-test code, and `with_capacity` calls sized by
 //! a cast (a number, possibly off the wire, sizing an allocation:
 //! `netsim::codec::get_items` is the one way to read a counted field),
+//! and `Mutex::new` / `RwLock::new` constructors (the simulation is
+//! single-threaded, so each lock is a cost to merge away, not a need),
 //! and compares them against the checked-in `drvlint-baseline.toml`. A
 //! count that *rises* fails the build; a count that falls is reported
 //! so the baseline can be lowered (`cargo run -p drvlint --
@@ -31,6 +33,8 @@ pub struct Counts {
     /// ` as u64`: a reservation sized by a converted number instead of
     /// by a length in hand.
     pub cast_capacity: u64,
+    /// `Mutex::new` / `RwLock::new` constructors.
+    pub lock: u64,
 }
 
 impl Counts {
@@ -41,6 +45,7 @@ impl Counts {
             "panic" => Some(&mut self.panic),
             "index" => Some(&mut self.index),
             "cast-capacity" => Some(&mut self.cast_capacity),
+            "lock" => Some(&mut self.lock),
             _ => None,
         }
     }
@@ -52,7 +57,14 @@ impl Counts {
 }
 
 /// Category keys, in baseline order.
-pub const CATEGORIES: &[&str] = &["unwrap", "expect", "panic", "index", "cast-capacity"];
+pub const CATEGORIES: &[&str] = &[
+    "unwrap",
+    "expect",
+    "panic",
+    "index",
+    "cast-capacity",
+    "lock",
+];
 
 /// Crates the ratchet skips: the ratchet covers non-test, non-bench
 /// code, and `bench` is bench harness code end to end.
@@ -138,6 +150,7 @@ pub fn count(files: &[ScannedFile]) -> BTreeMap<String, Counts> {
                 + count_token(line, "unimplemented!");
             c.index += count_index_sites(line);
             c.cast_capacity += count_cast_capacity(line);
+            c.lock += count_token(line, "Mutex::new") + count_token(line, "RwLock::new");
         }
     }
     by_crate
@@ -145,7 +158,7 @@ pub fn count(files: &[ScannedFile]) -> BTreeMap<String, Counts> {
 
 /// Parses the baseline TOML (a `[crate]` section per crate, `key = n`
 /// entries). Hand-rolled: the build environment has no crates.io, and
-/// the format is five integers per section.
+/// the format is six integers per section.
 pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, Counts>, String> {
     let mut out = BTreeMap::new();
     let mut section: Option<String> = None;
@@ -192,8 +205,8 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, Counts>, String> {
 pub fn render_baseline(counts: &BTreeMap<String, Counts>) -> String {
     let mut out = String::from(
         "# drvlint panic-path baseline: per-crate counts of unwrap/expect/\n\
-         # panic-macro/slice-index sites and cast-sized `with_capacity` calls\n\
-         # in non-test code. `cargo run -p drvlint -- check` fails when any\n\
+         # panic-macro/slice-index sites, cast-sized `with_capacity` calls and\n\
+         # Mutex/RwLock constructors in non-test code. `cargo run -p drvlint -- check` fails when any\n\
          # count rises; lower it with `cargo run -p drvlint -- update-baseline`\n\
          # after burning sites down. The baseline only ever goes down.\n",
     );
@@ -236,8 +249,8 @@ pub fn check(
                     line: 1,
                     rule: "panic-ratchet".to_string(),
                     message: format!(
-                        "crate {name}: {cat} count rose {b} -> {c}; remove the new panic \
-                         path (or consciously raise the baseline in review)"
+                        "crate {name}: {cat} count rose {b} -> {c}; remove the new site \
+                         (or consciously raise the baseline in review)"
                     ),
                 });
             } else if c < b {
@@ -291,6 +304,27 @@ mod tests {
     }
 
     #[test]
+    fn counts_lock_constructors_outside_tests() {
+        let src = "\
+struct S { a: Mutex<u8>, b: RwLock<u8>, c: Vec<Mutex<u8>> }
+fn f() -> S {
+    let c = (0..4).map(Mutex::new).collect();
+    S { a: parking_lot::Mutex::new(0), b: RwLock::new(0), c }
+}
+fn g() -> MyMutex { MyMutex::new() }
+const NOTE: &str = \"Mutex::new(0)\";
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = Mutex::new(1); let _ = RwLock::new(2); }
+}
+";
+        let c = count(&[scan(src)]);
+        // The `map` argument, the path-qualified and the plain one; a
+        // type, a longer name, a string or a test module does not count.
+        assert_eq!(c.get("demo").copied().unwrap_or_default().lock, 3);
+    }
+
+    #[test]
     fn unwrap_or_and_strings_do_not_count() {
         let src = "\
 fn f(o: Option<u32>) -> u32 {
@@ -339,6 +373,7 @@ mod tests {
                 panic: 0,
                 index: 40,
                 cast_capacity: 2,
+                lock: 7,
             },
         );
         m.insert("netsim".to_string(), Counts::default());
@@ -357,6 +392,7 @@ mod tests {
                 panic: 0,
                 index: 5,
                 cast_capacity: 0,
+                lock: 2,
             },
         );
         let mut cur = base.clone();

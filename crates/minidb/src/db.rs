@@ -321,9 +321,8 @@ impl MiniDb {
                 // Virtual information-schema tables are synthesized on
                 // demand unless a real table shadows them.
                 if let Some(from) = &s.from {
-                    let lower = from.to_ascii_lowercase();
-                    if (lower == "information_schema.tables"
-                        || lower == "information_schema.columns")
+                    if (from.eq_ignore_ascii_case("information_schema.tables")
+                        || from.eq_ignore_ascii_case("information_schema.columns"))
                         && !inner.catalog.has_table(from)
                         && !session.temp.has_table(from)
                     {

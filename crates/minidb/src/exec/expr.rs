@@ -1,5 +1,6 @@
 //! Expression evaluation with SQL three-valued logic.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -66,14 +67,29 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    fn column(&self, name: &str) -> DbResult<Value> {
+    fn column(&self, name: &str) -> DbResult<&'a Value> {
         let (Some(schema), Some(row)) = (self.schema, self.row) else {
             return Err(DbError::NoSuchColumn(format!("{name} (no table in scope)")));
         };
         // Qualified references resolve by their last segment.
         let base = name.rsplit_once('.').map_or(name, |(_, base)| base);
         let idx = schema.col_index(base)?;
-        Ok(row[idx].clone())
+        Ok(&row[idx])
+    }
+
+    /// Evaluates an operand of a predicate: a literal, column or
+    /// parameter is borrowed, anything else evaluated.
+    fn operand<'e>(&'e self, expr: &'e Expr) -> DbResult<Cow<'e, Value>> {
+        Ok(match expr {
+            Expr::Literal(v) => Cow::Borrowed(v),
+            Expr::Column(name) => Cow::Borrowed(self.column(name)?),
+            Expr::Param(p) => Cow::Borrowed(
+                self.params
+                    .get(p)
+                    .ok_or_else(|| DbError::UnboundParam(format!("${p}")))?,
+            ),
+            other => Cow::Owned(self.eval(other)?),
+        })
     }
 
     /// Evaluates an expression to a [`Value`].
@@ -84,13 +100,9 @@ impl<'a> EvalCtx<'a> {
     /// [`DbError::NoSuchColumn`], or [`DbError::NoSuchFunction`].
     pub fn eval(&self, expr: &Expr) -> DbResult<Value> {
         match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Column(name) => self.column(name),
-            Expr::Param(p) => self
-                .params
-                .get(p)
-                .cloned()
-                .ok_or_else(|| DbError::UnboundParam(format!("${p}"))),
+            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => {
+                self.operand(expr).map(Cow::into_owned)
+            }
             Expr::Not(e) => Ok(truth_not(self.eval_bool(e)?)),
             Expr::Neg(e) => {
                 let v = self.eval(e)?;
@@ -102,7 +114,7 @@ impl<'a> EvalCtx<'a> {
             }
             Expr::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs),
             Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr)?;
+                let v = self.operand(expr)?;
                 Ok(Value::Boolean(v.is_null() != *negated))
             }
             Expr::Like {
@@ -110,8 +122,8 @@ impl<'a> EvalCtx<'a> {
                 pattern,
                 negated,
             } => {
-                let v = self.eval(expr)?;
-                let p = self.eval(pattern)?;
+                let v = self.operand(expr)?;
+                let p = self.operand(pattern)?;
                 Ok(match v.sql_like(&p) {
                     None => Value::Null,
                     Some(b) => Value::Boolean(b != *negated),
@@ -123,9 +135,9 @@ impl<'a> EvalCtx<'a> {
                 high,
                 negated,
             } => {
-                let v = self.eval(expr)?;
-                let lo = self.eval(low)?;
-                let hi = self.eval(high)?;
+                let v = self.operand(expr)?;
+                let lo = self.operand(low)?;
+                let hi = self.operand(high)?;
                 let ge_lo = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
                 let le_hi = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
                 Ok(match truth_and(opt_bool(ge_lo), opt_bool(le_hi)) {
@@ -138,11 +150,11 @@ impl<'a> EvalCtx<'a> {
                 list,
                 negated,
             } => {
-                let v = self.eval(expr)?;
+                let v = self.operand(expr)?;
                 let mut saw_null = false;
                 let mut found = false;
                 for item in list {
-                    let iv = self.eval(item)?;
+                    let iv = self.operand(item)?;
                     match v.sql_eq(&iv) {
                         Some(true) => {
                             found = true;
@@ -217,7 +229,7 @@ impl<'a> EvalCtx<'a> {
     /// A comparison: NULL when either side is, else whether `holds` of
     /// their SQL ordering.
     fn compare(&self, lhs: &Expr, rhs: &Expr, holds: impl Fn(Ordering) -> bool) -> DbResult<Value> {
-        let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
+        let (l, r) = (self.operand(lhs)?, self.operand(rhs)?);
         Ok(l.sql_cmp(&r)
             .map_or(Value::Null, |o| Value::Boolean(holds(o))))
     }

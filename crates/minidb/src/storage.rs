@@ -1,5 +1,6 @@
 //! Row storage, the primary-key index, catalog, and transaction undo log.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -272,8 +273,14 @@ impl Catalog {
         Catalog::default()
     }
 
-    fn key(name: &str) -> String {
-        name.to_ascii_lowercase()
+    /// The catalog's (lowercase) key for `name`, borrowed when `name`
+    /// already is one.
+    fn key(name: &str) -> Cow<'_, str> {
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        }
     }
 
     /// Creates a table.
@@ -282,7 +289,7 @@ impl Catalog {
     ///
     /// [`DbError::TableExists`] when the name is taken.
     pub fn create_table(&mut self, schema: TableSchema) -> DbResult<()> {
-        let key = Self::key(schema.name());
+        let key = Self::key(schema.name()).into_owned();
         if self.tables.contains_key(&key) {
             return Err(DbError::TableExists(schema.name().to_string()));
         }
@@ -297,7 +304,7 @@ impl Catalog {
     /// [`DbError::NoSuchTable`] when absent.
     pub fn drop_table(&mut self, name: &str) -> DbResult<Table> {
         self.tables
-            .remove(&Self::key(name))
+            .remove(Self::key(name).as_ref())
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
@@ -308,7 +315,7 @@ impl Catalog {
     /// [`DbError::NoSuchTable`] when absent.
     pub fn table(&self, name: &str) -> DbResult<&Table> {
         self.tables
-            .get(&Self::key(name))
+            .get(Self::key(name).as_ref())
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
@@ -319,13 +326,13 @@ impl Catalog {
     /// [`DbError::NoSuchTable`] when absent.
     pub fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
         self.tables
-            .get_mut(&Self::key(name))
+            .get_mut(Self::key(name).as_ref())
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
     /// Whether a table exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&Self::key(name))
+        self.tables.contains_key(Self::key(name).as_ref())
     }
 
     /// Sorted list of table names (canonical lowercase form).

@@ -209,33 +209,43 @@ impl Value {
     }
 }
 
-/// Reference implementation of SQL LIKE over `%` and `_` wildcards.
+/// SQL LIKE over `%` and `_` wildcards. ASCII texts match byte by byte;
+/// anything else matches by `char`, so `_` still takes one whole
+/// non-ASCII character.
 pub fn like_match(s: &str, pattern: &str) -> bool {
+    if s.is_ascii() && pattern.is_ascii() {
+        return like_units(s.as_bytes(), pattern.as_bytes(), b'%', b'_');
+    }
     let s: Vec<char> = s.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
-    // Iterative two-pointer matcher with backtracking over the last `%`.
+    like_units(&s, &p, '%', '_')
+}
+
+/// Iterative two-pointer matcher with backtracking over the last `run`
+/// (`%`); `one` (`_`) matches any single unit.
+fn like_units<T: Copy + PartialEq>(s: &[T], p: &[T], run: T, one: T) -> bool {
     let (mut si, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_s) = (usize::MAX, 0usize);
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star_p = pi;
-            star_s = si;
-            pi += 1;
-        } else if star_p != usize::MAX {
-            pi = star_p + 1;
-            star_s += 1;
-            si = star_s;
-        } else {
-            return false;
+    while let Some(&c) = s.get(si) {
+        match p.get(pi) {
+            Some(&u) if u == one || u == c => {
+                si += 1;
+                pi += 1;
+            }
+            Some(&u) if u == run => {
+                star_p = pi;
+                star_s = si;
+                pi += 1;
+            }
+            _ if star_p != usize::MAX => {
+                pi = star_p + 1;
+                star_s += 1;
+                si = star_s;
+            }
+            _ => return false,
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p.iter().skip(pi).all(|&u| u == run)
 }
 
 impl fmt::Display for Value {
@@ -345,6 +355,121 @@ mod tests {
         assert!(like_match("a%c", "a%c")); // literal traversal via wildcard
         assert!(like_match("anything", "%%"));
         assert!(like_match("windows-i586", "%i586"));
+    }
+
+    /// The char-only matcher `like_match` used before it learned bytes.
+    fn like_match_chars(s: &str, pattern: &str) -> bool {
+        let s: Vec<char> = s.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        let (mut si, mut pi) = (0usize, 0usize);
+        let (mut star_p, mut star_s) = (usize::MAX, 0usize);
+        while si < s.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
+                si += 1;
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star_p = pi;
+                star_s = si;
+                pi += 1;
+            } else if star_p != usize::MAX {
+                pi = star_p + 1;
+                star_s += 1;
+                si = star_s;
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    /// `text` plus every text one char longer (each of `extra` inserted
+    /// at each char boundary) or one char shorter.
+    fn neighbours(text: &str, extra: &[char]) -> Vec<String> {
+        let chars: Vec<char> = text.chars().collect();
+        let mut out = vec![text.to_string()];
+        for i in 0..=chars.len() {
+            for &c in extra {
+                let mut v = chars.clone();
+                v.insert(i, c);
+                out.push(v.into_iter().collect());
+            }
+            if i < chars.len() {
+                let mut v = chars.clone();
+                v.remove(i);
+                out.push(v.into_iter().collect());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn like_agrees_with_the_char_matcher() {
+        // Sample code 1/2 operands (API names, platforms, users, hosts,
+        // formats), wildcard edge cases, and non-ASCII texts where `_`
+        // must take a whole char.
+        let corpus = [
+            "RDBC",
+            "JDBC",
+            "ODBC",
+            "R%",
+            "linux-x86_64",
+            "linux%",
+            "%x86%",
+            "windows-i586",
+            "%i586",
+            "admin",
+            "adm_n",
+            "10.0.0.%",
+            "10.0.0.17",
+            "app1",
+            "app_",
+            "orders",
+            "djar",
+            "%",
+            "%%",
+            "_",
+            "__",
+            "%_",
+            "_%",
+            "%_%",
+            "a%c",
+            "a_c",
+            "",
+            "é",
+            "_é_",
+            "caf%é",
+            "中文",
+            "中_",
+            "%中%",
+            "a\u{a0}b",
+            "a_b",
+            "\u{a0}%",
+        ];
+        let extra = ['%', '_', 'a', 'é', '中', '\u{a0}'];
+        let mut matched = 0;
+        for text in corpus {
+            for mutant in neighbours(text, &extra) {
+                for other in corpus {
+                    for (s, p) in [(mutant.as_str(), other), (other, mutant.as_str())] {
+                        let want = like_match_chars(s, p);
+                        assert_eq!(like_match(s, p), want, "{s:?} LIKE {p:?}");
+                        matched += usize::from(want);
+                    }
+                }
+            }
+        }
+        assert!(matched > 1_000, "the corpus exercises matches: {matched}");
+    }
+
+    #[test]
+    fn like_underscore_takes_one_whole_char() {
+        assert!(like_match("é", "_"));
+        assert!(like_match("中文", "__"));
+        assert!(!like_match("中文", "_"));
+        assert!(like_match("a\u{a0}b", "a_b"));
     }
 
     #[test]

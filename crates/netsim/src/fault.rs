@@ -80,7 +80,7 @@ impl FaultPlan {
     /// Returns `true` when traffic between the two hosts is blocked by a
     /// host-pair partition.
     pub fn is_partitioned(&self, a: &str, b: &str) -> bool {
-        self.partitions.contains(&Self::key(a, b))
+        !self.partitions.is_empty() && self.partitions.contains(&Self::key(a, b))
     }
 
     /// Installs a symmetric partition between two *zones*: every message
@@ -98,7 +98,7 @@ impl FaultPlan {
 
     /// Returns `true` when traffic between the two zones is blocked.
     pub fn zones_partitioned(&self, a: &str, b: &str) -> bool {
-        self.zone_partitions.contains(&Self::key(a, b))
+        !self.zone_partitions.is_empty() && self.zone_partitions.contains(&Self::key(a, b))
     }
 
     /// Marks a host as crashed: all its services become unreachable.
@@ -144,6 +144,9 @@ impl FaultPlan {
     /// Directional loss probability on the `from → to` host link (zero
     /// when unconfigured).
     pub fn link_loss(&self, from: &str, to: &str) -> f64 {
+        if self.link_loss.is_empty() {
+            return 0.0;
+        }
         self.link_loss
             .get(&(from.to_string(), to.to_string()))
             .copied()
@@ -179,6 +182,19 @@ impl FaultPlan {
     /// Current latency multiplier (1 outside a storm).
     pub fn latency_factor(&self) -> u64 {
         self.latency_factor
+    }
+
+    /// Returns `true` when the plan injects no fault at all: no
+    /// partition, down host, loss, corruption or storm. A message under
+    /// a calm plan needs no host or zone lookup and draws nothing.
+    pub(crate) fn is_calm(&self) -> bool {
+        self.partitions.is_empty()
+            && self.zone_partitions.is_empty()
+            && self.down_hosts.is_empty()
+            && self.drop_prob == 0.0
+            && self.link_loss.is_empty()
+            && self.corrupt_hosts.is_empty()
+            && self.latency_factor == 1
     }
 }
 
@@ -255,6 +271,33 @@ mod tests {
         assert_eq!(p.corrupt_prob("honest"), 0.0);
         p.corrupt_serves("evil", 0.0);
         assert_eq!(p.corrupt_prob("evil"), 0.0);
+    }
+
+    #[test]
+    fn a_plan_is_calm_until_any_fault_is_installed() {
+        let installs: [fn(&mut FaultPlan); 7] = [
+            |p| p.partition("a", "b"),
+            |p| p.partition_zones("east", "west"),
+            |p| p.take_down("a"),
+            |p| p.set_drop_prob(0.1),
+            |p| p.set_link_loss("a", "b", 0.1),
+            |p| p.corrupt_serves("a", 0.1),
+            |p| p.set_latency_factor(2),
+        ];
+        assert!(FaultPlan::new().is_calm());
+        for install in installs {
+            let mut p = FaultPlan::new();
+            install(&mut p);
+            assert!(!p.is_calm(), "{p:?}");
+        }
+        let mut p = FaultPlan::new();
+        p.take_down("a");
+        p.restore("a");
+        p.set_link_loss("a", "b", 0.5);
+        p.set_link_loss("a", "b", 0.0);
+        p.set_latency_factor(3);
+        p.set_latency_factor(1);
+        assert!(p.is_calm(), "cleared faults leave a calm plan");
     }
 
     #[test]

@@ -104,14 +104,19 @@ where
     }
 }
 
+/// What a message's path consults (faults, topology, RNG), behind one lock.
+struct Path {
+    faults: FaultPlan,
+    topology: Topology,
+    rng: StdRng,
+}
+
 struct NetworkInner {
     services: RwLock<BTreeMap<Addr, Arc<dyn Service>>>,
-    faults: Mutex<FaultPlan>,
-    topology: RwLock<Topology>,
+    path: Mutex<Path>,
     stats: NetStats,
     clock: Clock,
     sched: Scheduler,
-    rng: Mutex<StdRng>,
 }
 
 /// Handle to the in-process simulated network.
@@ -147,12 +152,14 @@ impl Network {
         Network {
             inner: Arc::new(NetworkInner {
                 services: RwLock::new(BTreeMap::new()),
-                faults: Mutex::new(FaultPlan::new()),
-                topology: RwLock::new(Topology::new()),
+                path: Mutex::new(Path {
+                    faults: FaultPlan::new(),
+                    topology: Topology::new(),
+                    rng: StdRng::seed_from_u64(0x5eed),
+                }),
                 stats: NetStats::new(),
                 sched: Scheduler::new(clock.clone()),
                 clock,
-                rng: Mutex::new(StdRng::seed_from_u64(0x5eed)),
             }),
         }
     }
@@ -186,17 +193,18 @@ impl Network {
 
     /// Runs `f` against the mutable fault plan.
     pub fn with_faults<R>(&self, f: impl FnOnce(&mut FaultPlan) -> R) -> R {
-        f(&mut self.inner.faults.lock())
+        f(&mut self.inner.path.lock().faults)
     }
 
     /// Runs `f` against the mutable zone/latency topology.
     pub fn with_topology<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
-        f(&mut self.inner.topology.write())
+        f(&mut self.inner.path.lock().topology)
     }
 
     /// The zone `host` is placed in, if any.
     pub fn zone_of(&self, host: &str) -> Option<String> {
-        self.inner.topology.read().zone_of(host).map(str::to_string)
+        let path = self.inner.path.lock();
+        path.topology.zone_of(host).map(str::to_string)
     }
 
     /// One-way link latency between two addresses under the current
@@ -204,26 +212,14 @@ impl Network {
     /// any active latency storm; delivery applies the fault plan's
     /// multiplier on top of this base figure.
     pub fn latency_between(&self, from: &Addr, to: &Addr) -> u64 {
-        self.inner
-            .topology
-            .read()
-            .latency_ms(from.host(), to.host())
-    }
-
-    /// One-way delivery latency between two addresses: the topology
-    /// base times the fault plan's latency-storm multiplier.
-    fn effective_latency(&self, from: &Addr, to: &Addr) -> u64 {
-        let base = self.latency_between(from, to);
-        if base == 0 {
-            return 0;
-        }
-        base * self.inner.faults.lock().latency_factor()
+        let path = self.inner.path.lock();
+        path.topology.latency_ms(from.host(), to.host())
     }
 
     /// Reseeds the RNG used for probabilistic message loss, for
     /// reproducible lossy-network tests.
     pub fn reseed(&self, seed: u64) {
-        *self.inner.rng.lock() = StdRng::seed_from_u64(seed);
+        self.inner.path.lock().rng = StdRng::seed_from_u64(seed);
     }
 
     /// Binds a service at `addr`.
@@ -259,8 +255,16 @@ impl Network {
         self.inner.services.read().keys().cloned().collect()
     }
 
-    fn check_path(&self, from: &Addr, to: &Addr) -> Result<(), NetError> {
-        let faults = self.inner.faults.lock();
+    /// Decides the leg `from → to` under one lock: an open path yields its
+    /// one-way latency (topology × storm) and whether the plan was calm.
+    /// A calm plan skips every lookup; it never drew (each draw needs p > 0).
+    fn check_path(&self, from: &Addr, to: &Addr) -> Result<(u64, bool), NetError> {
+        let path = &mut *self.inner.path.lock();
+        let (faults, topology, rng) = (&path.faults, &path.topology, &mut path.rng);
+        let latency = topology.latency_ms(from.host(), to.host()) * faults.latency_factor();
+        if faults.is_calm() {
+            return Ok((latency, true));
+        }
         if faults.is_down(to.host()) {
             return Err(NetError::Unreachable(format!("{to} (host down)")));
         }
@@ -276,39 +280,42 @@ impl Network {
         }
         // Zone-level partitions: blocked only when both endpoints are
         // placed and their zones are separated.
-        {
-            let topo = self.inner.topology.read();
-            if let (Some(za), Some(zb)) = (topo.zone_of(from.host()), topo.zone_of(to.host())) {
-                if faults.zones_partitioned(za, zb) {
-                    return Err(NetError::Partitioned(format!("zone {za} <-> zone {zb}")));
-                }
+        if let (Some(za), Some(zb)) = (topology.zone_of(from.host()), topology.zone_of(to.host())) {
+            if faults.zones_partitioned(za, zb) {
+                return Err(NetError::Partitioned(format!("zone {za} <-> zone {zb}")));
             }
         }
         let p = faults.drop_prob();
-        if p > 0.0 && self.inner.rng.lock().gen_bool(p) {
+        if p > 0.0 && rng.gen_bool(p) {
             return Err(NetError::Timeout(format!("message to {to} lost")));
         }
         // Directional per-link loss: drawn after the global probability
         // so a flapping link composes with background loss.
         let p = faults.link_loss(from.host(), to.host());
-        if p > 0.0 && self.inner.rng.lock().gen_bool(p) {
+        if p > 0.0 && rng.gen_bool(p) {
             return Err(NetError::Timeout(format!(
                 "message on link {} -> {} lost",
                 from.host(),
                 to.host()
             )));
         }
-        Ok(())
+        Ok((latency, false))
     }
 
     /// Applies byzantine corruption to a response served by `to`: with
     /// the fault plan's per-host probability, one payload byte is
     /// flipped. Digest- and checksum-verifying clients detect the
     /// damage; the ledger records the corrupted serve against the
-    /// byzantine address either way.
-    fn maybe_corrupt(&self, to: &Addr, resp: Bytes) -> Bytes {
-        let p = self.inner.faults.lock().corrupt_prob(to.host());
-        if p == 0.0 || resp.is_empty() || !self.inner.rng.lock().gen_bool(p) {
+    /// byzantine address either way. Drawn after the service's call,
+    /// which may itself have drawn for nested requests; a `calm` leg
+    /// neither draws nor locks.
+    fn maybe_corrupt(&self, to: &Addr, resp: Bytes, calm: bool) -> Bytes {
+        if calm || resp.is_empty() {
+            return resp;
+        }
+        let path = &mut *self.inner.path.lock();
+        let p = path.faults.corrupt_prob(to.host());
+        if p == 0.0 || !path.rng.gen_bool(p) {
             return resp;
         }
         self.inner.stats.record_failure(to, FailureKind::Corrupted);
@@ -329,14 +336,14 @@ impl Network {
     /// * [`NetError::Timeout`] — the message was lost (fault injection).
     /// * Any error returned by the service itself.
     pub fn request(&self, from: &Addr, to: &Addr, request: Bytes) -> Result<Bytes, NetError> {
-        if let Err(e) = self.check_path(from, to) {
-            self.inner.stats.record_failure(to, failure_kind(&e));
-            return Err(e);
-        }
-        let service = {
-            let services = self.inner.services.read();
-            services.get(to).cloned()
+        let (latency, calm) = match self.check_path(from, to) {
+            Ok(leg) => leg,
+            Err(e) => {
+                self.inner.stats.record_failure(to, failure_kind(&e));
+                return Err(e);
+            }
         };
+        let service = self.inner.services.read().get(to).cloned();
         let Some(service) = service else {
             self.inner
                 .stats
@@ -346,7 +353,6 @@ impl Network {
         // Charge the one-way link latency on each leg against the shared
         // clock (multiplied during a latency storm), so locality is
         // observable wherever time is.
-        let latency = self.effective_latency(from, to);
         if latency > 0 {
             self.inner.clock.advance_ms(latency);
         }
@@ -358,7 +364,7 @@ impl Network {
         match result {
             Ok(resp) => {
                 self.inner.stats.record_response(to, resp.len());
-                Ok(self.maybe_corrupt(to, resp))
+                Ok(self.maybe_corrupt(to, resp, calm))
             }
             Err(e) => {
                 self.inner.stats.record_failure(to, failure_kind(&e));
@@ -400,15 +406,11 @@ impl Network {
     /// Path errors as for [`Network::request`], plus
     /// [`NetError::PipesUnsupported`] when the service refuses pipes.
     pub fn connect_pipe(&self, from: &Addr, to: &Addr) -> Result<Pipe, NetError> {
-        self.check_path(from, to)?;
-        let service = {
-            let services = self.inner.services.read();
-            services.get(to).cloned()
-        };
+        let (latency, _) = self.check_path(from, to)?;
+        let service = self.inner.services.read().get(to).cloned();
         let Some(service) = service else {
             return Err(NetError::Unreachable(to.to_string()));
         };
-        let latency = self.effective_latency(from, to);
         if latency > 0 {
             self.inner.clock.advance_ms(latency);
         }
@@ -627,6 +629,107 @@ mod tests {
         )
         .unwrap();
         assert_eq!(net.clock().now_ms(), t1);
+    }
+
+    /// Runs 200 requests through six fault stretches on a seeded network
+    /// and renders each as `<kind><last reply byte>+<clock advance>`, ten
+    /// to a line. `mirror` answers by fetching from `srv` over a link
+    /// that is lossy in the third stretch, where `mirror`'s own serves
+    /// are also corrupted: its corrupt draw must follow the nested
+    /// request's loss draw.
+    fn seeded_fault_schedule() -> Vec<String> {
+        let net = Network::new();
+        net.reseed(2024);
+        net.bind(Addr::new("srv", 1), echo()).unwrap();
+        let inner = net.clone();
+        net.bind(
+            Addr::new("mirror", 1),
+            FnService::new(move |_from, req| {
+                inner
+                    .request(&Addr::new("mirror", 2), &Addr::new("srv", 1), req)
+                    .map_err(|e| NetError::Refused(format!("upstream: {e}")))
+            }),
+        )
+        .unwrap();
+        net.with_topology(|t| {
+            t.set_default_latency(1, 20);
+            t.place("client", "east");
+            t.place("mirror", "east");
+            t.place("srv", "west");
+        });
+        let mut out = Vec::new();
+        let mut line = Vec::new();
+        for i in 0..200u32 {
+            match i {
+                0 => net.with_faults(|f| f.set_drop_prob(0.3)),
+                40 => net.with_faults(|f| *f = FaultPlan::new()),
+                70 => net.with_faults(|f| {
+                    f.set_link_loss("mirror", "srv", 0.5);
+                    f.corrupt_serves("mirror", 0.5);
+                }),
+                110 => net.with_faults(|f| {
+                    *f = FaultPlan::new();
+                    f.partition("client", "srv");
+                }),
+                125 => net.with_faults(FaultPlan::heal_all),
+                140 => net.with_faults(|f| f.set_latency_factor(4)),
+                170 => net.with_faults(|f| *f = FaultPlan::new()),
+                _ => {}
+            }
+            let to = if i % 2 == 0 { "srv" } else { "mirror" };
+            let t0 = net.clock().now_ms();
+            let r = net.request(&client(), &Addr::new(to, 1), Bytes::from(vec![i as u8]));
+            let (kind, byte) = match r {
+                Ok(b) => ('o', b.last().copied().unwrap_or(0)),
+                Err(NetError::Timeout(_)) => ('t', 0),
+                Err(NetError::Partitioned(_)) => ('p', 0),
+                Err(NetError::Unreachable(_)) => ('u', 0),
+                Err(_) => ('r', 0),
+            };
+            line.push(format!("{kind}{byte:02x}+{}", net.clock().now_ms() - t0));
+            if line.len() == 10 {
+                out.push(line.join(" "));
+                line.clear();
+            }
+        }
+        net.unbind(&Addr::new("mirror", 1));
+        out
+    }
+
+    /// Recorded before a calm network learned to skip its fault lookups.
+    /// A calm stretch that drew would shift every later `t`/corrupted
+    /// entry; a corrupt draw taken before `mirror`'s nested request would
+    /// swap the two draws of each third-stretch `mirror` exchange.
+    const GOLDEN: &str = "\
+t00+0 t00+0 t00+0 o03+42 t00+0 r00+2 o06+40 o07+42 o08+40 r00+2
+o0a+40 o0b+42 o0c+40 o0d+42 o0e+40 t00+0 o10+40 o11+42 o12+40 r00+2
+t00+0 r00+2 o16+40 t00+0 t00+0 o19+42 o1a+40 o1b+42 o1c+40 r00+2
+o1e+40 o1f+42 o20+40 t00+0 o22+40 r00+2 t00+0 r00+2 o26+40 t00+0
+o28+40 o29+42 o2a+40 o2b+42 o2c+40 o2d+42 o2e+40 o2f+42 o30+40 o31+42
+o32+40 o33+42 o34+40 o35+42 o36+40 o37+42 o38+40 o39+42 o3a+40 o3b+42
+o3c+40 o3d+42 o3e+40 o3f+42 o40+40 o41+42 o42+40 o43+42 o44+40 o45+42
+o46+40 o1d+42 o48+40 o49+42 o4a+40 o11+42 o4c+40 r00+2 o4e+40 o15+42
+o50+40 r00+2 o52+40 o09+42 o54+40 o55+42 o56+40 r00+2 o58+40 r00+2
+o5a+40 r00+2 o5c+40 o5d+42 o5e+40 r00+2 o60+40 o3b+42 o62+40 r00+2
+o64+40 o65+42 o66+40 r00+2 o68+40 r00+2 o6a+40 o6b+42 o6c+40 o6d+42
+p00+0 o6f+42 p00+0 o71+42 p00+0 o73+42 p00+0 o75+42 p00+0 o77+42
+p00+0 o79+42 p00+0 o7b+42 p00+0 o7d+42 o7e+40 o7f+42 o80+40 o81+42
+o82+40 o83+42 o84+40 o85+42 o86+40 o87+42 o88+40 o89+42 o8a+40 o8b+42
+o8c+160 o8d+168 o8e+160 o8f+168 o90+160 o91+168 o92+160 o93+168 o94+160 o95+168
+o96+160 o97+168 o98+160 o99+168 o9a+160 o9b+168 o9c+160 o9d+168 o9e+160 o9f+168
+oa0+160 oa1+168 oa2+160 oa3+168 oa4+160 oa5+168 oa6+160 oa7+168 oa8+160 oa9+168
+oaa+40 oab+42 oac+40 oad+42 oae+40 oaf+42 ob0+40 ob1+42 ob2+40 ob3+42
+ob4+40 ob5+42 ob6+40 ob7+42 ob8+40 ob9+42 oba+40 obb+42 obc+40 obd+42
+obe+40 obf+42 oc0+40 oc1+42 oc2+40 oc3+42 oc4+40 oc5+42 oc6+40 oc7+42";
+
+    #[test]
+    fn a_seeded_fault_schedule_replays_draw_for_draw() {
+        let got = seeded_fault_schedule();
+        let want: Vec<&str> = GOLDEN.lines().collect();
+        assert_eq!(got.len(), want.len());
+        for (n, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "requests {}..{}", n * 10, n * 10 + 10);
+        }
     }
 
     #[test]

@@ -70,40 +70,38 @@ impl NetStats {
         NetStats::default()
     }
 
-    pub(crate) fn record_request(&self, to: &Addr, req_bytes: usize) {
+    /// Runs `f` on `to`'s counters, cloning the address only the first
+    /// time it is seen.
+    fn update(&self, to: &Addr, f: impl FnOnce(&mut AddrStats)) {
         let mut m = self.inner.lock();
-        let e = m.entry(to.clone()).or_default();
-        e.requests += 1;
-        e.bytes_in += req_bytes as u64;
+        match m.get_mut(to) {
+            Some(e) => f(e),
+            None => f(m.entry(to.clone()).or_default()),
+        }
+    }
+
+    pub(crate) fn record_request(&self, to: &Addr, req_bytes: usize) {
+        self.update(to, |e| {
+            e.requests += 1;
+            e.bytes_in += req_bytes as u64;
+        });
     }
 
     pub(crate) fn record_response(&self, to: &Addr, resp_bytes: usize) {
-        let mut m = self.inner.lock();
-        m.entry(to.clone()).or_default().bytes_out += resp_bytes as u64;
+        self.update(to, |e| e.bytes_out += resp_bytes as u64);
     }
 
     pub(crate) fn record_failure(&self, to: &Addr, kind: FailureKind) {
-        let mut m = self.inner.lock();
-        let e = m.entry(to.clone()).or_default();
-        match kind {
-            FailureKind::Dropped => {
-                e.failures += 1;
-                e.dropped += 1;
-            }
-            FailureKind::Unreachable => {
-                e.failures += 1;
-                e.unreachable += 1;
-            }
-            FailureKind::Partitioned => {
-                e.failures += 1;
-                e.partitioned += 1;
-            }
-            FailureKind::Refused => {
-                e.failures += 1;
-                e.refused += 1;
-            }
-            FailureKind::Corrupted => e.corrupted += 1,
-        }
+        self.update(to, |e| {
+            e.failures += u64::from(kind != FailureKind::Corrupted);
+            *match kind {
+                FailureKind::Dropped => &mut e.dropped,
+                FailureKind::Unreachable => &mut e.unreachable,
+                FailureKind::Partitioned => &mut e.partitioned,
+                FailureKind::Refused => &mut e.refused,
+                FailureKind::Corrupted => &mut e.corrupted,
+            } += 1;
+        });
     }
 
     /// Counters for one destination address (zeroes if never contacted).

@@ -8,29 +8,34 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 use drivolution::core::chunk::{manifest_and_chunks, ChunkSet, ChunkingParams};
 use drivolution::core::pack::pack_driver_padded;
 use drivolution::core::proto::{DrvMsg, DrvRequest, RequestKind};
 use drivolution::core::transfer;
-use drivolution::netsim::Service;
+use drivolution::netsim::{FnService, Service};
 use drivolution::prelude::*;
 
 mod frames;
 
-/// The system allocator plus, while `ON`, the bytes requested and the
-/// largest single request. A `realloc` counts as one allocation of the
-/// new size: that is what it may copy.
+/// The system allocator plus, while `ON` on the allocating thread, the
+/// bytes requested and the largest single request. A `realloc` counts as
+/// one allocation of the new size: that is what it may copy. Counting
+/// only the measuring thread keeps the harness's own bookkeeping (a
+/// finished test reported while another measures) out of the figures.
 struct Counting;
 
-static ON: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static ON: Cell<bool> = const { Cell::new(false) };
+}
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 fn count(size: usize) {
-    if ON.load(Relaxed) {
+    if ON.with(Cell::get) {
         BYTES.fetch_add(size as u64, Relaxed);
         LARGEST.fetch_max(size as u64, Relaxed);
     }
@@ -75,9 +80,9 @@ static GATE: Mutex<()> = Mutex::new(());
 fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     BYTES.store(0, Relaxed);
     LARGEST.store(0, Relaxed);
-    ON.store(true, Relaxed);
+    ON.with(|on| on.set(true));
     let out = f();
-    ON.store(false, Relaxed);
+    ON.with(|on| on.set(false));
     (out, BYTES.load(Relaxed), LARGEST.load(Relaxed))
 }
 
@@ -190,6 +195,30 @@ fn an_idle_poll_allocates_nothing() {
     let (outcome, bytes, _) = measured(|| boot.poll());
     assert!(matches!(outcome, PollOutcome::Idle), "{outcome:?}");
     assert_eq!(bytes, 0, "an idle poll allocated {bytes} B");
+}
+
+#[test]
+fn a_calm_request_allocates_nothing() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let net = Network::new();
+    let (app, echo) = (Addr::new("app1", 1), Addr::new("echo", 7));
+    net.bind(echo.clone(), FnService::new(|_from, req| Ok(req)))
+        .unwrap();
+    net.with_topology(|t| {
+        t.set_default_latency(1, 20);
+        t.place("app1", "east");
+        t.place("echo", "west");
+    });
+    let payload = bytes::Bytes::from_static(b"ping");
+    // The first request is the stats entry's first sight of `echo`.
+    net.request(&app, &echo, payload.clone()).unwrap();
+    // No fault installed: one path lock, the service lookup and the
+    // stats entry, with no owned fault key and no `Addr` clone.
+    let (reply, bytes, _) = measured(|| net.request(&app, &echo, payload.clone()));
+    assert_eq!(reply.unwrap(), payload);
+    assert_eq!(bytes, 0, "a calm request allocated {bytes} B");
+    assert_eq!(net.stats().for_addr(&echo).requests, 2);
+    assert_eq!(net.clock().now_ms(), 80, "two legs of 20 ms per request");
 }
 
 #[test]
