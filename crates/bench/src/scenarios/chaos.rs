@@ -12,7 +12,7 @@
 //! `NetStats` counter.
 
 use drivolution_core::DriverVersion;
-use fleet::FleetSim;
+use fleet::{FleetSim, SimSpec};
 use netsim::{Addr, AddrStats, ChaosSchedule};
 
 use super::MINUTE;
@@ -42,14 +42,13 @@ struct SeedOutcome {
 /// One chaos run: two upgrades under the byzantine/partition/storm
 /// schedule, all lifecycle scheduler-driven.
 fn run_seed(seed: u64, clients: usize) -> SeedOutcome {
-    let sim = FleetSim::build_cdn(
-        clients,
-        LEASE_MS,
-        &ZONES,
-        DRIVER_PADDING,
-        SAME_ZONE_MS,
-        CROSS_ZONE_MS,
-    );
+    let sim = FleetSim::from_spec(SimSpec {
+        driver_padding: DRIVER_PADDING,
+        zones: &ZONES,
+        same_zone_ms: SAME_ZONE_MS,
+        cross_zone_ms: CROSS_ZONE_MS,
+        ..SimSpec::new(clients, LEASE_MS)
+    });
     sim.net().scheduler().reseed(seed);
     sim.net().reseed(seed);
     sim.bootstrap_all();

@@ -11,7 +11,7 @@
 
 use drivolution_bootloader::{LifecyclePolicy, PollOutcome};
 use drivolution_core::{DriverVersion, DRIVOLUTION_PORT};
-use fleet::FleetSim;
+use fleet::{FleetSim, SimSpec};
 use netsim::Addr;
 
 use super::mirror_walked_out;
@@ -59,18 +59,17 @@ fn drain_latencies(sim: &FleetSim) -> Vec<u64> {
 /// Runs the scenario.
 pub fn run(size: Size) -> Report {
     let clients = size.pick(12, 50);
-    let sim = FleetSim::build_cdn_with(
-        clients,
-        LEASE_MS,
-        &ZONES,
-        DRIVER_PADDING,
-        SAME_ZONE_MS,
-        CROSS_ZONE_MS,
+    let sim = FleetSim::from_spec(SimSpec {
+        driver_padding: DRIVER_PADDING,
         // Manual client lifecycle: the failover choreography below needs
         // per-client control over who polls before and after the kill.
         // (The sched scenario measures the fully scheduler-driven flow.)
-        LifecyclePolicy::manual(),
-    );
+        lifecycle: LifecyclePolicy::manual(),
+        zones: &ZONES,
+        same_zone_ms: SAME_ZONE_MS,
+        cross_zone_ms: CROSS_ZONE_MS,
+        ..SimSpec::new(clients, LEASE_MS)
+    });
     let primary = Addr::new("db1", DRIVOLUTION_PORT);
 
     sim.bootstrap_all();

@@ -16,7 +16,7 @@ use drivolution_core::{
     PermissionRule, RenewPolicy, TransferMethod, DRIVOLUTION_PORT,
 };
 use drivolution_server::{launch_standalone, AdminEvent, ServerConfig};
-use fleet::{fleet_install_report, fleet_update_report, ops, table5, FleetSim, FleetSpec};
+use fleet::{fleet_install_report, fleet_update_report, ops, table5, FleetSim, FleetSpec, SimSpec};
 use minidb::wire::DbServer;
 use minidb::MiniDb;
 use netsim::{Addr, Network};
@@ -91,7 +91,10 @@ fn lease_tradeoff(r: &mut Report, size: Size) {
         &[MINUTE, 10 * MINUTE, HOUR, 6 * HOUR, 24 * HOUR],
     );
     let full_upgrade_min = |lease: u64, push: bool| {
-        let sim = FleetSim::build(clients, lease, push);
+        let sim = FleetSim::from_spec(SimSpec {
+            notify: push,
+            ..SimSpec::new(clients, lease)
+        });
         sim.bootstrap_all();
         sim.publish_upgrade(push);
         sim.run_until_upgraded(MINUTE, 48 * HOUR)
@@ -101,7 +104,7 @@ fn lease_tradeoff(r: &mut Report, size: Size) {
     let mut rows = Vec::new();
     let (mut requests, mut upgrade_mins) = (Vec::new(), Vec::new());
     for &lease in leases {
-        let sim = FleetSim::build(clients, lease, false);
+        let sim = FleetSim::from_spec(SimSpec::new(clients, lease));
         sim.bootstrap_all();
         let steady = sim.run_steady_state(MINUTE, steady_hours * HOUR);
         let upgrade_min = full_upgrade_min(lease, false);

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use drivolution_bootloader::LifecyclePolicy;
 use drivolution_core::DriverVersion;
-use fleet::FleetSim;
+use fleet::{FleetSim, SimSpec};
 use netsim::TaskControl;
 
 use super::mirror_walked_out;
@@ -57,15 +57,14 @@ struct RunOutcome {
 }
 
 fn run_scenario(clients: usize) -> RunOutcome {
-    let sim = FleetSim::build_cdn_with(
-        clients,
-        LEASE_MS,
-        &ZONES,
-        DRIVER_PADDING,
-        SAME_ZONE_MS,
-        CROSS_ZONE_MS,
-        LifecyclePolicy::driven(POLL_EVERY).with_jitter(POLL_JITTER),
-    );
+    let sim = FleetSim::from_spec(SimSpec {
+        driver_padding: DRIVER_PADDING,
+        lifecycle: LifecyclePolicy::driven(POLL_EVERY).with_jitter(POLL_JITTER),
+        zones: &ZONES,
+        same_zone_ms: SAME_ZONE_MS,
+        cross_zone_ms: CROSS_ZONE_MS,
+        ..SimSpec::new(clients, LEASE_MS)
+    });
     let t_bootstrap_start = sim.net().clock().now_ms();
     sim.bootstrap_all();
     let t_bootstrap_end = sim.net().clock().now_ms();

@@ -15,7 +15,7 @@
 
 use drivolution_core::DriverId;
 use drivolution_server::LicenseManager;
-use fleet::FleetSim;
+use fleet::{FleetSim, SimSpec};
 
 use super::MINUTE;
 use crate::kit::{Object, Report, Size, Value};
@@ -60,11 +60,12 @@ struct FrameTrace {
 /// Runs `CYCLES` lease windows of steady-state maintenance and reports
 /// the frames the Drivolution server actually received.
 fn run_fleet(batched: bool, clients: usize) -> FrameTrace {
-    let sim = if batched {
-        FleetSim::build_rollout_batched(clients, LEASE_MS, DRIVER_PADDING)
-    } else {
-        FleetSim::build_rollout(clients, LEASE_MS, DRIVER_PADDING)
-    };
+    let sim = FleetSim::from_spec(SimSpec {
+        driver_padding: DRIVER_PADDING,
+        checked: true,
+        batched,
+        ..SimSpec::new(clients, LEASE_MS)
+    });
     sim.bootstrap_all();
     let before = sim.server().stats();
     let steady = sim.run_steady_state(MINUTE, CYCLES * LEASE_MS);

@@ -12,7 +12,10 @@
 //! * [`report`] — regenerates Table 5 and fleet-wide comparisons;
 //! * [`sim`] — a live fleet of real bootloaders against a real
 //!   Drivolution server under virtual time, measuring upgrade propagation
-//!   and server traffic versus lease length (§3.2's tradeoff);
+//!   and server traffic versus lease length (§3.2's tradeoff). One
+//!   [`SimSpec`] describes every such world (zones and mirrors, rollout
+//!   self-checks, hot swap, batched renewals, push channels) and
+//!   [`FleetSim::from_spec`] builds it;
 //! * [`workload`] — an OLTP-ish workload to demonstrate zero-downtime
 //!   upgrades under load;
 //! * [`load`] — a scheduler-driven steady-load harness whose
@@ -37,4 +40,4 @@ pub use report::{
     fleet_install_report, fleet_update_report, render_fleet_update, render_table5, table5,
     FleetInstallReport, FleetUpdateReport, OpsRow,
 };
-pub use sim::{FleetSim, PropagationResult, DEFAULT_POLL_EVERY};
+pub use sim::{FleetSim, PropagationResult, SimSpec, DEFAULT_POLL_EVERY};

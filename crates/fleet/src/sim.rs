@@ -5,6 +5,9 @@
 //! propagation time vs Drivolution-server traffic, and the
 //! dedicated-channel ablation.
 //!
+//! One [`SimSpec`] describes every world, and [`FleetSim::from_spec`]
+//! builds it.
+//!
 //! Nothing here hand-cranks lifecycle beats: every client registers its
 //! own upgrade-poll task and lease auto-renewal timer, every mirror its
 //! own heartbeat task, and the fleet runs by pumping
@@ -27,7 +30,7 @@ use drivolution_core::{
     ApiName, BinaryFormat, DriverId, DriverImage, DriverRecord, DriverVersion, ExpirationPolicy,
     PermissionRule, RenewPolicy, TransferMethod, DRIVOLUTION_PORT,
 };
-use drivolution_depot::{DriverDepot, MirrorDepot};
+use drivolution_depot::{DriverDepot, MirrorDepot, SharedImageCache};
 use drivolution_server::{
     attach_in_database, DrivolutionServer, RolloutConfig, RolloutOrchestrator, RolloutPlan,
     ServerConfig,
@@ -58,6 +61,63 @@ pub struct PropagationResult {
     pub mirror_heartbeat_failures: u64,
 }
 
+/// One simulated world: start from [`SimSpec::new`] and set the rest
+/// with struct-update syntax. Every client starts from
+/// `BootloaderConfig::same_host()` under `lifecycle`, and each other
+/// field adds its own part of the config.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SimSpec {
+    /// Client bootloaders, `app0000:1` onwards.
+    pub clients: usize,
+    /// Lease length of every permission rule the fleet is routed by.
+    pub lease_ms: u64,
+    /// Extra bytes in the v1 driver package (realistic driver sizes).
+    pub driver_padding: usize,
+    /// The clients' lifecycle-task policy (ignored under `batched`).
+    pub lifecycle: LifecyclePolicy,
+    /// Clients open dedicated notify channels (the push ablation).
+    pub notify: bool,
+    /// CDN zones, empty for an unzoned fleet. The database lives in the
+    /// first, each gets a mirror (`mirror-<zone>:1071`), and clients are
+    /// placed round-robin, trust the server and every mirror, and carry
+    /// a depot.
+    pub zones: &'static [&'static str],
+    /// One-way latency of a same-zone link (zoned fleets only).
+    pub same_zone_ms: u64,
+    /// One-way latency of a cross-zone link (zoned fleets only).
+    pub cross_zone_ms: u64,
+    /// Rollout clients: a depot, activation reports, and a self-check
+    /// that fails for the [`FleetSim::inject_activation_fault`] version.
+    pub checked: bool,
+    /// A coexistence window on upgrade; `None` expires old sessions at
+    /// once (the hot-swap benches' baseline).
+    pub hot_swap: Option<SwapConfig>,
+    /// Manual clients sharing one image cache, whose renewals one
+    /// [`RenewalAggregator`] per zone (`agg-<zone>:1`, or `agg-default:1`)
+    /// coalesces into `RENEW_BATCH` frames.
+    pub batched: bool,
+}
+
+impl SimSpec {
+    /// An unzoned fleet of `clients` plain self-driving bootloaders
+    /// (polling every [`DEFAULT_POLL_EVERY`]) on `lease_ms` leases.
+    pub fn new(clients: usize, lease_ms: u64) -> Self {
+        SimSpec {
+            clients,
+            lease_ms,
+            driver_padding: 0,
+            lifecycle: LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
+            notify: false,
+            zones: &[],
+            same_zone_ms: 0,
+            cross_zone_ms: 0,
+            checked: false,
+            hot_swap: None,
+            batched: false,
+        }
+    }
+}
+
 /// A simulated fleet wired from real components.
 pub struct FleetSim {
     net: Network,
@@ -70,8 +130,8 @@ pub struct FleetSim {
     lease_ms: u64,
     /// When set, activation-checking clients fail their post-activation
     /// self-check for exactly this driver version (the injected
-    /// regression of the rollout benchmarks). Only clients built by
-    /// [`FleetSim::build_rollout`] wire the check.
+    /// regression of the rollout benchmarks). Only [`SimSpec::checked`]
+    /// clients wire the check.
     faulty_version: Arc<Mutex<Option<DriverVersion>>>,
 }
 
@@ -96,34 +156,122 @@ fn record(id: i64, proto: u16, version: DriverVersion, padding: usize) -> Driver
 }
 
 impl FleetSim {
-    /// Builds a fleet of `n_clients` self-driving bootloaders with
+    /// Builds the world `spec` describes, in a fixed order: server,
+    /// topology, mirrors, clients, aggregators. The scheduler seeds each
+    /// task's jitter from its registration index, so this order fixes
+    /// every virtual time.
+    pub fn from_spec(spec: SimSpec) -> Self {
+        // Each step that cannot fail on the world built here says why.
+        let net = Network::new();
+        let db = Arc::new(MiniDb::with_clock("fleetdb", net.clock().clone()));
+        db.exec(&mut db.admin_session(), "CREATE TABLE load (id INTEGER)")
+            .expect("fresh db: no `load` table yet");
+        net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
+            .expect("fresh network: db1:5432 unbound");
+        let drv_addr = Addr::new("db1", DRIVOLUTION_PORT);
+        let server = attach_in_database(
+            &net,
+            db,
+            drv_addr.clone(),
+            ServerConfig {
+                default_transfer: TransferMethod::Checksum,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("fresh network and db: port unbound, schema absent");
+        let v1 = record(1, 1, DriverVersion::new(1, 0, 0), spec.driver_padding);
+        server
+            .install_driver(&v1)
+            .expect("fresh store: driver id 1 unused");
+        server
+            .add_rule(
+                &PermissionRule::any(DriverId(1))
+                    .with_lease_ms(spec.lease_ms as i64)
+                    .with_transfer(TransferMethod::Any)
+                    .with_policies(RenewPolicy::Renew, ExpirationPolicy::AfterCommit),
+            )
+            .expect("driver 1 was installed just above");
+        let mut sim = FleetSim {
+            net,
+            server,
+            drv_addr,
+            clients: Vec::with_capacity(spec.clients),
+            mirrors: Vec::new(),
+            aggregators: Vec::new(),
+            url: DbUrl::direct(Addr::new("db1", 5432), "fleetdb"),
+            lease_ms: spec.lease_ms,
+            faulty_version: Arc::new(Mutex::new(None)),
+        };
+        if let Some(home) = spec.zones.first() {
+            sim.net.with_topology(|t| {
+                t.set_default_latency(spec.same_zone_ms, spec.cross_zone_ms);
+                t.place("db1", *home);
+            });
+        }
+        for zone in spec.zones {
+            let host = format!("mirror-{zone}");
+            sim.net.with_topology(|t| t.place(host.clone(), *zone));
+            let mirror = MirrorDepot::launch(&sim.net, Addr::new(host, 1071), sim.drv_addr.clone())
+                .expect("one mirror host per zone: its address is unbound");
+            mirror
+                .heartbeat()
+                .expect("primary bound above, no fault installed yet");
+            sim.mirrors.push(mirror);
+        }
+        let lifecycle = if spec.batched {
+            LifecyclePolicy::manual()
+        } else {
+            spec.lifecycle
+        };
+        // A wave materializes each target image once; every other batched
+        // client adopts the refcounted bytes after re-verifying.
+        let image_cache = spec.batched.then(SharedImageCache::new);
+        let mut placement = spec.zones.iter().cycle();
+        for i in 0..spec.clients {
+            let host = format!("app{i:04}");
+            let mut config = BootloaderConfig::same_host().with_lifecycle(lifecycle);
+            if let Some(zone) = placement.next() {
+                sim.net.with_topology(|t| t.place(host.clone(), *zone));
+                config = config.trusting(sim.server.certificate());
+                for m in &sim.mirrors {
+                    config = config.trusting(m.certificate());
+                }
+            }
+            if spec.checked || !spec.zones.is_empty() {
+                config = config.with_depot(DriverDepot::in_memory());
+            }
+            if spec.checked {
+                let faulty = sim.faulty_version.clone();
+                config = config
+                    .with_activation_reports()
+                    .with_activation_check(move |image| match *faulty.lock() {
+                        Some(v) if image.version == v => {
+                            Err("injected activation regression".to_string())
+                        }
+                        _ => Ok(()),
+                    });
+            }
+            if let Some(swap) = spec.hot_swap {
+                config = config.with_hot_swap(swap);
+            }
+            if let Some(cache) = &image_cache {
+                config = config.with_image_cache(cache.clone());
+            }
+            if spec.notify {
+                config = config.with_notify_channel();
+            }
+            sim.clients
+                .push(Bootloader::new(&sim.net, Addr::new(host, 1), config));
+        }
+        if spec.batched {
+            sim.attach_aggregators();
+        }
+        sim
+    }
+
+    /// A fleet of `n_clients` bootloaders under `lifecycle` with
     /// `lease_ms` leases; `notify` opens dedicated channels (the push
     /// ablation).
-    pub fn build(n_clients: usize, lease_ms: u64, notify: bool) -> Self {
-        Self::build_with_driver_size(n_clients, lease_ms, notify, 0)
-    }
-
-    /// As [`FleetSim::build`] with `driver_padding` extra bytes per
-    /// driver package (to sweep realistic driver sizes). Clients run
-    /// under [`LifecyclePolicy::driven`] at [`DEFAULT_POLL_EVERY`].
-    pub fn build_with_driver_size(
-        n_clients: usize,
-        lease_ms: u64,
-        notify: bool,
-        driver_padding: usize,
-    ) -> Self {
-        Self::build_with_lifecycle(
-            n_clients,
-            lease_ms,
-            notify,
-            driver_padding,
-            LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
-        )
-    }
-
-    /// As [`FleetSim::build_with_driver_size`] with an explicit client
-    /// [`LifecyclePolicy`] — [`LifecyclePolicy::manual`] builds a fleet
-    /// for harnesses that hand-crank [`Bootloader::poll`].
     pub fn build_with_lifecycle(
         n_clients: usize,
         lease_ms: u64,
@@ -131,121 +279,33 @@ impl FleetSim {
         driver_padding: usize,
         lifecycle: LifecyclePolicy,
     ) -> Self {
-        // The builders' signatures are frozen (drvbench), so each step
-        // that cannot fail on the world built right here says why.
-        let net = Network::new();
-        let db = Arc::new(MiniDb::with_clock("fleetdb", net.clock().clone()));
-        {
-            let mut s = db.admin_session();
-            db.exec(&mut s, "CREATE TABLE load (id INTEGER)")
-                .expect("fresh db: no `load` table yet");
-        }
-        net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
-            .expect("fresh network: db1:5432 unbound");
-        let server = attach_in_database(
-            &net,
-            db,
-            Addr::new("db1", DRIVOLUTION_PORT),
-            ServerConfig {
-                default_transfer: TransferMethod::Checksum,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("fresh network and db: port unbound, schema absent");
-        server
-            .install_driver(&record(1, 1, DriverVersion::new(1, 0, 0), driver_padding))
-            .expect("fresh store: driver id 1 unused");
-        server
-            .add_rule(
-                &PermissionRule::any(DriverId(1))
-                    .with_lease_ms(lease_ms as i64)
-                    .with_transfer(TransferMethod::Any)
-                    .with_policies(RenewPolicy::Renew, ExpirationPolicy::AfterCommit),
-            )
-            .expect("driver 1 was installed just above");
-        let mut clients = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let mut config = BootloaderConfig::same_host().with_lifecycle(lifecycle);
-            if notify {
-                config = config.with_notify_channel();
-            }
-            clients.push(Bootloader::new(
-                &net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
-        }
-        FleetSim {
-            net,
-            server,
-            drv_addr: Addr::new("db1", DRIVOLUTION_PORT),
-            clients,
-            mirrors: Vec::new(),
-            aggregators: Vec::new(),
-            url: DbUrl::direct(Addr::new("db1", 5432), "fleetdb"),
-            lease_ms,
-            faulty_version: Arc::new(Mutex::new(None)),
-        }
+        Self::from_spec(SimSpec {
+            notify,
+            driver_padding,
+            lifecycle,
+            ..SimSpec::new(n_clients, lease_ms)
+        })
     }
 
-    /// The client config every rollout-style builder starts from: a
-    /// depot, activation reports, and a post-activation self-check that
-    /// fails for the [`FleetSim::inject_activation_fault`] version.
-    fn checked_config(&self, lifecycle: LifecyclePolicy) -> BootloaderConfig {
-        let faulty = self.faulty_version.clone();
-        BootloaderConfig::same_host()
-            .with_lifecycle(lifecycle)
-            .with_depot(DriverDepot::in_memory())
-            .with_activation_reports()
-            .with_activation_check(move |image| match *faulty.lock() {
-                Some(v) if image.version == v => Err("injected activation regression".to_string()),
-                _ => Ok(()),
-            })
-    }
-
-    /// Builds a fleet wired for staged rollouts: every client carries a
-    /// depot (so rollbacks revalidate with zero transfer), sends
-    /// activation reports after upgrades (so health gates have signal),
-    /// and runs a post-activation self-check that fails whenever the
-    /// activated version matches the injected
-    /// [`FleetSim::inject_activation_fault`] target.
-    pub fn build_rollout(n_clients: usize, lease_ms: u64, driver_padding: usize) -> Self {
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, driver_padding);
-        for i in 0..n_clients {
-            let config = sim.checked_config(LifecyclePolicy::driven(DEFAULT_POLL_EVERY));
-            sim.clients.push(Bootloader::new(
-                &sim.net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
-        }
-        sim
-    }
-
-    /// Builds a fleet wired for zero-downtime hot swaps: every client
-    /// carries a depot (rollbacks revalidate with zero transfer), sends
-    /// activation reports, runs the injectable self-check of
-    /// [`FleetSim::build_rollout`], and — when `hot_swap` is set — opens
-    /// a bounded coexistence window on upgrade instead of expiring old
-    /// sessions immediately. `hot_swap: None` builds the *baseline*
-    /// fleet for the same scenario: identical clients that apply the
-    /// expiration policy the moment the new driver activates, which is
-    /// exactly the configuration whose dropped-query ledger the hot-swap
-    /// benches contrast against.
+    /// A [`SimSpec::checked`] fleet whose clients open a coexistence
+    /// window on upgrade when `hot_swap` is set.
     pub fn build_hotswap(n_clients: usize, lease_ms: u64, hot_swap: Option<SwapConfig>) -> Self {
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, 0);
-        for i in 0..n_clients {
-            let mut config = sim.checked_config(LifecyclePolicy::driven(DEFAULT_POLL_EVERY));
-            if let Some(swap) = hot_swap {
-                config = config.with_hot_swap(swap);
-            }
-            sim.clients.push(Bootloader::new(
-                &sim.net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
-        }
-        sim
+        Self::from_spec(SimSpec {
+            checked: true,
+            hot_swap,
+            ..SimSpec::new(n_clients, lease_ms)
+        })
+    }
+
+    /// A [`SimSpec::checked`] and [`SimSpec::batched`] unzoned fleet (one
+    /// aggregator): the shape the 10k-client rollout bench runs.
+    pub fn build_rollout_batched(n_clients: usize, lease_ms: u64, driver_padding: usize) -> Self {
+        Self::from_spec(SimSpec {
+            driver_padding,
+            checked: true,
+            batched: true,
+            ..SimSpec::new(n_clients, lease_ms)
+        })
     }
 
     /// Fleet-wide hot-swap counters, summed over every client's
@@ -266,39 +326,9 @@ impl FleetSim {
         total
     }
 
-    /// As [`FleetSim::build_rollout`], but with batched lease traffic:
-    /// clients run [`LifecyclePolicy::manual`] and a per-zone
-    /// [`RenewalAggregator`] coalesces their same-tick renewals into one
-    /// `RENEW_BATCH` frame (one aggregator total here, since the plain
-    /// rollout fleet is unzoned). This is the shape the 10k-client
-    /// rollout bench runs: same lease windows and wave targeting, a tiny
-    /// fraction of the frames.
-    pub fn build_rollout_batched(n_clients: usize, lease_ms: u64, driver_padding: usize) -> Self {
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, driver_padding);
-        // One shared assembled-image cache for the (unzoned) fleet: a
-        // rollout wave materializes each target image once, and every
-        // other client adopts the refcounted bytes after re-verifying.
-        let image_cache = drivolution_depot::SharedImageCache::new();
-        for i in 0..n_clients {
-            let config = sim
-                .checked_config(LifecyclePolicy::manual())
-                .with_image_cache(image_cache.clone());
-            sim.clients.push(Bootloader::new(
-                &sim.net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
-        }
-        sim.attach_aggregators(DEFAULT_POLL_EVERY);
-        sim
-    }
-
     /// Groups the fleet's clients by zone and launches one
-    /// [`RenewalAggregator`] per zone (`agg-<zone>:1`, unzoned clients
-    /// under `agg-default:1`) ticking at `every`. Clients under an
-    /// aggregator should run [`LifecyclePolicy::manual`]; the aggregator
-    /// tick is then their only renewal driver.
-    pub fn attach_aggregators(&mut self, every: Duration) {
+    /// [`RenewalAggregator`] per zone, ticking at [`DEFAULT_POLL_EVERY`].
+    fn attach_aggregators(&mut self) {
         use std::collections::BTreeMap;
         let mut groups: BTreeMap<String, Vec<Arc<Bootloader>>> = BTreeMap::new();
         for c in &self.clients {
@@ -314,7 +344,7 @@ impl FleetSim {
                 Addr::new(format!("agg-{zone}"), 1),
                 self.drv_addr.clone(),
                 &members,
-                every,
+                DEFAULT_POLL_EVERY,
             ));
         }
     }
@@ -322,80 +352,6 @@ impl FleetSim {
     /// The per-zone renewal aggregators (empty on unbatched fleets).
     pub fn aggregators(&self) -> &[Arc<RenewalAggregator>] {
         &self.aggregators
-    }
-
-    /// Builds a CDN-style multi-zone fleet: the database (and primary
-    /// Drivolution server) lives in `zones[0]`, every zone gets a depot
-    /// mirror (`mirror-<zone>:1071`) registered via the announce
-    /// protocol, and the `n_clients` depot-equipped clients are placed
-    /// round-robin across zones. Links cost `same_zone_ms`/`cross_zone_ms`
-    /// one-way against the virtual clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `zones` is empty.
-    pub fn build_cdn(
-        n_clients: usize,
-        lease_ms: u64,
-        zones: &[&str],
-        driver_padding: usize,
-        same_zone_ms: u64,
-        cross_zone_ms: u64,
-    ) -> Self {
-        Self::build_cdn_with(
-            n_clients,
-            lease_ms,
-            zones,
-            driver_padding,
-            same_zone_ms,
-            cross_zone_ms,
-            LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
-        )
-    }
-
-    /// As [`FleetSim::build_cdn`] with an explicit client
-    /// [`LifecyclePolicy`] (mirror heartbeat tasks always register; the
-    /// policy governs the clients).
-    pub fn build_cdn_with(
-        n_clients: usize,
-        lease_ms: u64,
-        zones: &[&str],
-        driver_padding: usize,
-        same_zone_ms: u64,
-        cross_zone_ms: u64,
-        lifecycle: LifecyclePolicy,
-    ) -> Self {
-        assert!(!zones.is_empty(), "a CDN fleet needs at least one zone");
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, driver_padding);
-        sim.net.with_topology(|t| {
-            t.set_default_latency(same_zone_ms, cross_zone_ms);
-            t.place("db1", zones[0]);
-        });
-        for zone in zones {
-            let host = format!("mirror-{zone}");
-            sim.net.with_topology(|t| t.place(host.clone(), *zone));
-            let mirror = MirrorDepot::launch(&sim.net, Addr::new(host, 1071), sim.drv_addr.clone())
-                .expect("one mirror host per zone: its address is unbound");
-            mirror
-                .heartbeat()
-                .expect("primary bound above, no fault installed yet");
-            sim.mirrors.push(mirror);
-        }
-        for i in 0..n_clients {
-            let host = format!("app{i:04}");
-            let zone = zones[i % zones.len()];
-            sim.net.with_topology(|t| t.place(host.clone(), zone));
-            let mut config = BootloaderConfig::same_host()
-                .with_lifecycle(lifecycle)
-                .trusting(sim.server.certificate())
-                .with_depot(DriverDepot::in_memory());
-            for m in &sim.mirrors {
-                config = config.trusting(m.certificate());
-            }
-            sim.clients
-                .push(Bootloader::new(&sim.net, Addr::new(host, 1), config));
-        }
-        sim
     }
 
     /// The simulated network (clock, stats, faults).
@@ -418,8 +374,7 @@ impl FleetSim {
         &self.clients
     }
 
-    /// The per-zone depot mirrors (empty outside
-    /// [`FleetSim::build_cdn`]).
+    /// The per-zone depot mirrors (empty on an unzoned fleet).
     pub fn mirrors(&self) -> &[Arc<MirrorDepot>] {
         &self.mirrors
     }
@@ -481,7 +436,7 @@ impl FleetSim {
         }
     }
 
-    /// Injects (or clears) the activation regression: rollout-built
+    /// Injects (or clears) the activation regression: [`SimSpec::checked`]
     /// clients fail their post-activation self-check for `version` from
     /// now on. Clients that already activated it are unaffected — the
     /// regression surfaces through the *next* wave's reports, exactly
@@ -496,9 +451,21 @@ impl FleetSim {
     /// rollout — held-back and rolled-back clients must still be able to
     /// renew (and re-download) the prior version.
     pub fn publish_staged(&self, id: i64, version: DriverVersion, driver_padding: usize) {
+        self.install_and_route(id, version, driver_padding, false);
+    }
+
+    /// Installs driver `id` and permits it under [`RenewPolicy::Upgrade`];
+    /// with `revoke`, driver `id - 1` loses its permissions in between.
+    fn install_and_route(&self, id: i64, version: DriverVersion, padding: usize, revoke: bool) {
         self.server
-            .install_driver(&record(id, id as u16, version, driver_padding))
+            .install_driver(&record(id, id as u16, version, padding))
             .expect("caller contract: `id` is unused");
+        if revoke {
+            self.server
+                .store()
+                .remove_permissions(DriverId(id - 1))
+                .expect("a DELETE on the schema the server created");
+        }
         self.server
             .add_rule(
                 &PermissionRule::any(DriverId(id))
@@ -541,21 +508,7 @@ impl FleetSim {
     /// driver's permissions. With `push`, also notifies dedicated
     /// channels.
     pub fn publish(&self, id: i64, version: DriverVersion, driver_padding: usize, push: bool) {
-        self.server
-            .install_driver(&record(id, id as u16, version, driver_padding))
-            .expect("caller contract: `id` is unused");
-        self.server
-            .store()
-            .remove_permissions(DriverId(id - 1))
-            .expect("a DELETE on the schema the server created");
-        self.server
-            .add_rule(
-                &PermissionRule::any(DriverId(id))
-                    .with_lease_ms(self.lease_ms as i64)
-                    .with_transfer(TransferMethod::Any)
-                    .with_policies(RenewPolicy::Upgrade, ExpirationPolicy::AfterCommit),
-            )
-            .expect("driver `id` was installed just above");
+        self.install_and_route(id, version, driver_padding, true);
         if push {
             self.server.notify_upgrade("fleetdb");
         }
@@ -592,26 +545,9 @@ impl FleetSim {
         step_ms: u64,
         max_ms: u64,
     ) -> PropagationResult {
-        let start = self.net.clock().now_ms();
-        let base_stats = self.net.stats().for_addr(&self.drv_addr);
-        let base_polls = self.total_polls();
-        let base_failures = self.total_mirror_failures();
-        while self.fraction_on(target) < 1.0 {
-            let now = self.net.clock().now_ms();
-            if now - start >= max_ms {
-                break;
-            }
-            self.net.run_until((now + step_ms).min(start + max_ms));
-        }
-        let end_stats = self.net.stats().for_addr(&self.drv_addr);
-        PropagationResult {
-            time_to_full_upgrade_ms: self.net.clock().now_ms() - start,
-            server_requests: end_stats.requests - base_stats.requests,
-            server_bytes: (end_stats.bytes_in + end_stats.bytes_out)
-                - (base_stats.bytes_in + base_stats.bytes_out),
-            polls: self.total_polls() - base_polls,
-            mirror_heartbeat_failures: self.total_mirror_failures() - base_failures,
-        }
+        self.pump(step_ms, max_ms, || {
+            self.count_on(target) == self.clients.len()
+        })
     }
 
     /// Runs `duration_ms` of steady-state lease maintenance (no upgrade)
@@ -620,17 +556,29 @@ impl FleetSim {
     /// tradeoff. `step_ms` is only the pump granularity; lifecycle
     /// cadence comes from the registered tasks.
     pub fn run_steady_state(&self, step_ms: u64, duration_ms: u64) -> PropagationResult {
+        PropagationResult {
+            time_to_full_upgrade_ms: duration_ms,
+            ..self.pump(step_ms, duration_ms, || false)
+        }
+    }
+
+    /// Runs the scheduler in `step_ms` increments until `done` holds or
+    /// `max_ms` elapses, and reports what the run cost.
+    fn pump(&self, step_ms: u64, max_ms: u64, done: impl Fn() -> bool) -> PropagationResult {
         let start = self.net.clock().now_ms();
         let base_stats = self.net.stats().for_addr(&self.drv_addr);
         let base_polls = self.total_polls();
         let base_failures = self.total_mirror_failures();
-        while self.net.clock().now_ms() - start < duration_ms {
+        loop {
             let now = self.net.clock().now_ms();
-            self.net.run_until((now + step_ms).min(start + duration_ms));
+            if done() || now - start >= max_ms {
+                break;
+            }
+            self.net.run_until((now + step_ms).min(start + max_ms));
         }
         let end_stats = self.net.stats().for_addr(&self.drv_addr);
         PropagationResult {
-            time_to_full_upgrade_ms: duration_ms,
+            time_to_full_upgrade_ms: self.net.clock().now_ms() - start,
             server_requests: end_stats.requests - base_stats.requests,
             server_bytes: (end_stats.bytes_in + end_stats.bytes_out)
                 - (base_stats.bytes_in + base_stats.bytes_out),
@@ -646,9 +594,20 @@ mod tests {
 
     const MINUTE: u64 = 60_000;
 
+    /// A zoned fleet on 10-minute leases, 1 ms same-zone and 25 ms
+    /// cross-zone links.
+    fn cdn(zones: &'static [&'static str], clients: usize) -> SimSpec {
+        SimSpec {
+            zones,
+            same_zone_ms: 1,
+            cross_zone_ms: 25,
+            ..SimSpec::new(clients, 10 * MINUTE)
+        }
+    }
+
     #[test]
     fn fleet_bootstraps_and_upgrades_via_leases() {
-        let sim = FleetSim::build(5, 10 * MINUTE, false);
+        let sim = FleetSim::from_spec(SimSpec::new(5, 10 * MINUTE));
         sim.bootstrap_all();
         assert_eq!(sim.fraction_on(DriverVersion::new(1, 0, 0)), 1.0);
         sim.publish_upgrade(false);
@@ -663,7 +622,10 @@ mod tests {
 
     #[test]
     fn push_channel_upgrades_immediately() {
-        let sim = FleetSim::build(5, 60 * MINUTE, true);
+        let sim = FleetSim::from_spec(SimSpec {
+            notify: true,
+            ..SimSpec::new(5, 60 * MINUTE)
+        });
         sim.bootstrap_all();
         sim.publish_upgrade(true);
         let r = sim.run_until_upgraded(MINUTE, 120 * MINUTE);
@@ -675,8 +637,10 @@ mod tests {
 
     #[test]
     fn cdn_fleet_upgrades_from_same_zone_mirrors() {
-        let zones = ["za", "zb", "zc"];
-        let sim = FleetSim::build_cdn(6, 10 * MINUTE, &zones, 64 * 1024, 1, 25);
+        let sim = FleetSim::from_spec(SimSpec {
+            driver_padding: 64 * 1024,
+            ..cdn(&["za", "zb", "zc"], 6)
+        });
         assert_eq!(sim.mirrors().len(), 3);
         assert_eq!(sim.server().mirror_directory().len(), 3);
         sim.bootstrap_all();
@@ -707,8 +671,10 @@ mod tests {
         // every error (`let _ = m.heartbeat()`), so a fleet report could
         // not tell a healthy mirror tier from one silently failing. The
         // task error counters must surface them per mirror.
-        let zones = ["za", "zb"];
-        let sim = FleetSim::build_cdn(2, 10 * MINUTE, &zones, 16 * 1024, 1, 25);
+        let sim = FleetSim::from_spec(SimSpec {
+            driver_padding: 16 * 1024,
+            ..cdn(&["za", "zb"], 2)
+        });
         sim.bootstrap_all();
         sim.net().with_faults(|f| f.take_down("mirror-za"));
         let r = sim.run_steady_state(MINUTE, 2 * MINUTE);
@@ -735,7 +701,10 @@ mod tests {
     #[test]
     fn staged_rollout_completes_wave_by_wave() {
         use drivolution_server::RolloutPhase;
-        let sim = FleetSim::build_rollout(10, 5 * MINUTE, 0);
+        let sim = FleetSim::from_spec(SimSpec {
+            checked: true,
+            ..SimSpec::new(10, 5 * MINUTE)
+        });
         sim.bootstrap_all();
         sim.publish_staged(2, DriverVersion::new(2, 0, 0), 0);
         let ro = sim.start_rollout(
@@ -811,7 +780,10 @@ mod tests {
     #[test]
     fn injected_regression_halts_and_rolls_the_fleet_back() {
         use drivolution_server::RolloutPhase;
-        let sim = FleetSim::build_rollout(10, 5 * MINUTE, 0);
+        let sim = FleetSim::from_spec(SimSpec {
+            checked: true,
+            ..SimSpec::new(10, 5 * MINUTE)
+        });
         sim.bootstrap_all();
         sim.publish_staged(2, DriverVersion::new(2, 0, 0), 0);
         // The regression is live from the start: the canary is the blast
@@ -907,11 +879,11 @@ mod tests {
 
     #[test]
     fn shorter_leases_mean_more_server_traffic() {
-        let short = FleetSim::build(4, 5 * MINUTE, false);
+        let short = FleetSim::from_spec(SimSpec::new(4, 5 * MINUTE));
         short.bootstrap_all();
         let r_short = short.run_steady_state(MINUTE, 120 * MINUTE);
 
-        let long = FleetSim::build(4, 60 * MINUTE, false);
+        let long = FleetSim::from_spec(SimSpec::new(4, 60 * MINUTE));
         long.bootstrap_all();
         let r_long = long.run_steady_state(MINUTE, 120 * MINUTE);
 
@@ -921,5 +893,51 @@ mod tests {
             r_short.server_requests,
             r_long.server_requests
         );
+    }
+
+    #[test]
+    fn an_empty_fleet_has_converged_before_the_first_step() {
+        // Regression: the stop predicate read `fraction_on(target) < 1.0`,
+        // and an empty fleet's fraction is 0, so it pumped to `max_ms`.
+        let sim = FleetSim::from_spec(SimSpec::new(0, 10 * MINUTE));
+        sim.publish_upgrade(false);
+        let r = sim.run_until_upgraded(MINUTE, 60 * MINUTE);
+        assert_eq!(r.time_to_full_upgrade_ms, 0);
+    }
+
+    #[test]
+    fn a_zoned_checked_batched_fleet_batches_per_zone_and_stays_local() {
+        let sim = FleetSim::from_spec(SimSpec {
+            driver_padding: 32 * 1024,
+            checked: true,
+            batched: true,
+            ..cdn(&["za", "zb"], 6)
+        });
+        // Registration order is server, mirrors, aggregators; batched
+        // clients are manual and register nothing.
+        assert_eq!(
+            sim.net().scheduler().task_names(),
+            [
+                "server-maintenance:db1",
+                "mirror-heartbeat mirror-za:1071",
+                "mirror-heartbeat mirror-zb:1071",
+                "renew-aggregator:agg-za",
+                "renew-aggregator:agg-zb",
+            ]
+        );
+        assert_eq!(sim.aggregators().len(), 2, "one batcher per zone");
+        sim.bootstrap_all();
+        sim.publish(2, DriverVersion::new(2, 0, 0), 32 * 1024, false);
+        sim.run_until_upgraded(MINUTE, 60 * MINUTE);
+        assert_eq!(sim.count_on(DriverVersion::new(2, 0, 0)), 6);
+        for agg in sim.aggregators() {
+            assert!(agg.stats().batch_frames >= 1, "{:?}", agg.stats());
+        }
+        let (same, cross) = sim.clients().iter().fold((0u64, 0u64), |(s, c), b| {
+            let st = b.stats();
+            (s + st.same_zone_chunk_bytes, c + st.cross_zone_chunk_bytes)
+        });
+        assert!(same > 0, "no chunk bytes accounted");
+        assert_eq!(cross, 0, "cross-zone chunk bytes on a healthy fleet");
     }
 }

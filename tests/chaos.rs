@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use drivolution::core::pack::pack_driver;
-use drivolution::fleet::FleetSim;
+use drivolution::fleet::{FleetSim, SimSpec};
 use drivolution::prelude::*;
 
 const MINUTE: u64 = 60_000;
@@ -23,6 +23,18 @@ const LEASE_MS: u64 = 10_000;
 /// draws land on enough distinct west-zone clients to demonstrate
 /// corroborated demotion inside the run's window.
 const E2E_SEED: u64 = 9;
+
+/// A zoned fleet on 10-minute leases, 1 ms same-zone and 25 ms
+/// cross-zone links.
+fn cdn(zones: &'static [&'static str], clients: usize, driver_padding: usize) -> FleetSim {
+    FleetSim::from_spec(SimSpec {
+        driver_padding,
+        zones,
+        same_zone_ms: 1,
+        cross_zone_ms: 25,
+        ..SimSpec::new(clients, 10 * MINUTE)
+    })
+}
 
 fn record(id: i64, proto: u16, version: DriverVersion) -> DriverRecord {
     let image = DriverImage::new(format!("drv-{id}"), version, proto);
@@ -201,8 +213,7 @@ struct ChaosRun {
 /// byzantine mirror (25% corrupt serves), a healing zone partition, and
 /// a latency storm.
 fn chaos_fleet_run(seed: u64) -> ChaosRun {
-    let zones = ["east", "west", "south"];
-    let sim = FleetSim::build_cdn(12, 10 * MINUTE, &zones, 32 * 1024, 1, 25);
+    let sim = cdn(&["east", "west", "south"], 12, 32 * 1024);
     sim.net().scheduler().reseed(seed);
     sim.net().reseed(seed);
     sim.bootstrap_all();
@@ -298,8 +309,7 @@ fn demoted_mirror_stays_out_even_after_reannounce() {
     // Directory-level regression, fleet-shaped: once the chaos run
     // demotes the byzantine mirror, a fresh announce must not put it
     // back into plans.
-    let zones = ["east", "west"];
-    let sim = FleetSim::build_cdn(2, 10 * MINUTE, &zones, 16 * 1024, 1, 25);
+    let sim = cdn(&["east", "west"], 2, 16 * 1024);
     let dir = sim.server().mirror_directory();
     dir.complaint("mirror-west:1071", "app0001");
     dir.complaint("mirror-west:1071", "app0003");

@@ -6,10 +6,22 @@
 use std::time::Duration;
 
 use drivolution::core::DriverVersion;
-use drivolution::fleet::FleetSim;
+use drivolution::fleet::{FleetSim, SimSpec};
 use drivolution::netsim::{Addr, AddrStats, ChaosSchedule, Network};
 
 const MINUTE: u64 = 60_000;
+
+/// A zoned fleet on 10-minute leases, 1 ms same-zone and 25 ms
+/// cross-zone links.
+fn cdn(zones: &'static [&'static str], clients: usize, driver_padding: usize) -> FleetSim {
+    FleetSim::from_spec(SimSpec {
+        driver_padding,
+        zones,
+        same_zone_ms: 1,
+        cross_zone_ms: 25,
+        ..SimSpec::new(clients, 10 * MINUTE)
+    })
+}
 
 /// A default `Network` must be pure virtual time: no wall-clock source
 /// is reachable from it, so its time only moves when the scheduler is
@@ -35,8 +47,7 @@ fn default_network_is_pure_virtual_time() {
 #[test]
 fn same_seed_replays_identical_fleet_traffic() {
     let run = |seed: u64| -> Vec<(Addr, AddrStats)> {
-        let zones = ["east", "west"];
-        let sim = FleetSim::build_cdn(4, 10 * MINUTE, &zones, 32 * 1024, 1, 25);
+        let sim = cdn(&["east", "west"], 4, 32 * 1024);
         sim.net().scheduler().reseed(seed);
         sim.bootstrap_all();
         sim.publish_upgrade(false);
@@ -61,8 +72,7 @@ fn same_seed_replays_identical_fleet_traffic() {
 #[test]
 fn same_seed_chaos_schedule_reproduces_every_counter() {
     let run = |seed: u64| -> Vec<(Addr, AddrStats)> {
-        let zones = ["east", "west"];
-        let sim = FleetSim::build_cdn(6, 10 * MINUTE, &zones, 32 * 1024, 1, 25);
+        let sim = cdn(&["east", "west"], 6, 32 * 1024);
         sim.net().scheduler().reseed(seed);
         sim.net().reseed(seed);
         sim.bootstrap_all();

@@ -7,12 +7,22 @@
 
 use std::time::Duration;
 
-use drivolution::fleet::FleetSim;
+use drivolution::fleet::{FleetSim, SimSpec};
 use drivolution::prelude::*;
 use drivolution::server::{RolloutConfig, RolloutPhase, RolloutPlan};
 
 const MINUTE: u64 = 60_000;
 const PADDING: usize = 16 * 1024;
+
+/// A rollout fleet: depot, activation reports and the injectable
+/// self-check on every client.
+fn checked(clients: usize) -> FleetSim {
+    FleetSim::from_spec(SimSpec {
+        driver_padding: PADDING,
+        checked: true,
+        ..SimSpec::new(clients, 5 * MINUTE)
+    })
+}
 
 fn v1() -> DriverVersion {
     DriverVersion::new(1, 0, 0)
@@ -59,7 +69,7 @@ fn assert_zero_transfer_rollbacks(sim: &FleetSim) {
 
 #[test]
 fn canary_rollback_to_depot_held_version_is_zero_transfer() {
-    let sim = FleetSim::build_rollout(10, 5 * MINUTE, PADDING);
+    let sim = checked(10);
     sim.bootstrap_all();
     sim.publish_staged(2, v2(), PADDING);
     // Regression live from the start: only the canary ever activates
@@ -94,7 +104,7 @@ fn canary_rollback_to_depot_held_version_is_zero_transfer() {
 
 #[test]
 fn mid_wave_halt_rolls_everyone_back_without_refetching() {
-    let sim = FleetSim::build_rollout(12, 5 * MINUTE, PADDING);
+    let sim = checked(12);
     sim.bootstrap_all();
     sim.publish_staged(2, v2(), PADDING);
     let ro = sim.start_rollout(DriverId(1), DriverId(2), &plan(), config());

@@ -12,7 +12,7 @@ use drivolution::core::{
     PermissionRule, RenewPolicy, DRIVOLUTION_PORT,
 };
 use drivolution::depot::DriverDepot;
-use drivolution::fleet::FleetSim;
+use drivolution::fleet::{FleetSim, SimSpec};
 use drivolution::prelude::*;
 use drivolution::server::MirrorHealth;
 
@@ -242,7 +242,7 @@ fn a_pushed_notice_is_acted_on_at_the_next_poll_tick() {
 #[test]
 fn a_renewing_fleet_fires_about_one_task_per_renewal() {
     const LEASE_MS: u64 = 10 * 60_000;
-    let sim = FleetSim::build(100, LEASE_MS, false);
+    let sim = FleetSim::from_spec(SimSpec::new(100, LEASE_MS));
     sim.bootstrap_all();
     let polls = || -> u64 { sim.clients().iter().map(|c| c.stats().polls).sum() };
     let (renewals0, polls0) = (sim.server().stats().renewals, polls());
