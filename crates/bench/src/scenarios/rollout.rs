@@ -45,7 +45,7 @@ fn config() -> RolloutConfig {
     }
 }
 
-/// The batched fleet shape (sharded license table on the server, one
+/// The batched fleet shape (license seat table on the server, one
 /// `RENEW_BATCH` frame per aggregator tick instead of one request per
 /// client), bootstrapped on v1 with v2 staged.
 fn staged_fleet(clients: usize) -> FleetSim {

@@ -1,11 +1,11 @@
-//! Sharded license table and batched lease traffic.
+//! The license seat table under a renewal storm, and batched lease
+//! traffic.
 //!
 //! Two checks behind the 10k-client fast path:
 //!
-//! 1. **Seat-shard correctness** — a renewal storm (every host of a
-//!    fully seated fleet renews, repeatedly) against [`LicenseManager`]
-//!    instances with 1, 4 and 16 shards: every renewal grants, zero
-//!    denials at full occupancy.
+//! 1. **Renewal in place** — a renewal storm (every host of a fully
+//!    seated fleet renews, repeatedly) against one [`LicenseManager`]:
+//!    every renewal grants, zero denials at full occupancy.
 //! 2. **Frame reduction** — the same fleet run unbatched (one
 //!    `DRIVOLUTION_REQUEST` frame per client per renewal) and batched
 //!    (per-zone aggregator coalescing same-tick renewals into
@@ -18,7 +18,7 @@ use drivolution_server::LicenseManager;
 use fleet::{FleetSim, SimSpec};
 
 use super::MINUTE;
-use crate::kit::{Object, Report, Size, Value};
+use crate::kit::{Report, Size};
 
 const LEASE_MS: u64 = 10 * MINUTE;
 const DRIVER_PADDING: usize = 16 * 1024;
@@ -28,9 +28,9 @@ const CYCLES: u64 = 3;
 /// storms (every host renews its own seat, lease half-expired) with a
 /// maintenance prune between rounds — the server's steady-state shape.
 /// Returns the denied renewals.
-fn run_license_storm(shards: usize, hosts: usize, rounds: usize) -> u64 {
+fn run_license_storm(hosts: usize, rounds: usize) -> u64 {
     const D: DriverId = DriverId(1);
-    let lm = LicenseManager::with_shards(shards);
+    let lm = LicenseManager::new();
     lm.set_limit(D, hosts);
     for h in 0..hosts {
         lm.acquire(D, "app", &format!("host-{h:05}"), LEASE_MS, 0)
@@ -86,25 +86,18 @@ pub fn run(size: Size) -> Report {
     let mut r = Report::new("shard");
     r.set("hosts", hosts);
     r.set("rounds", rounds);
-    let mut storm = Vec::new();
-    for shards in [1usize, 4, 16] {
-        let denials = run_license_storm(shards, hosts, rounds);
-        let renewals = expected - denials;
-        r.gates.require(
-            denials == 0,
-            format!("{denials} renewals denied at {shards} shards — renewal-in-place broke"),
-        );
-        r.gates.require(
-            renewals == expected,
-            format!("expected {expected} renewals at {shards} shards, granted {renewals}"),
-        );
-        let row = Object::default()
-            .with("shards", shards)
-            .with("renewals", renewals)
-            .with("denials", denials);
-        storm.push(row.into());
-    }
-    r.set("license_storm", Value::Array(storm));
+    let denials = run_license_storm(hosts, rounds);
+    let renewals = expected - denials;
+    r.gates.require(
+        denials == 0,
+        format!("{denials} renewals denied — renewal-in-place broke"),
+    );
+    r.gates.require(
+        renewals == expected,
+        format!("expected {expected} renewals, granted {renewals}"),
+    );
+    r.set("license_renewals", renewals);
+    r.set("license_denials", denials);
 
     let unbatched = run_fleet(false, fleet_clients);
     let batched = run_fleet(true, fleet_clients);

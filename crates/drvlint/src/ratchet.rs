@@ -4,8 +4,10 @@
 //! sites per crate in non-test code, and `with_capacity` calls sized by
 //! a cast (a number, possibly off the wire, sizing an allocation:
 //! `netsim::codec::get_items` is the one way to read a counted field),
-//! and `Mutex::new` / `RwLock::new` constructors (the simulation is
-//! single-threaded, so each lock is a cost to merge away, not a need),
+//! and `Mutex<` / `RwLock<` type sites (the simulation is
+//! single-threaded, so each lock is a cost to merge away, not a need; a
+//! type site is counted rather than a constructor because a lock built
+//! by `#[derive(Default)]` has no constructor call to see),
 //! and compares them against the checked-in `drvlint-baseline.toml`. A
 //! count that *rises* fails the build; a count that falls is reported
 //! so the baseline can be lowered (`cargo run -p drvlint --
@@ -33,7 +35,7 @@ pub struct Counts {
     /// ` as u64`: a reservation sized by a converted number instead of
     /// by a length in hand.
     pub cast_capacity: u64,
-    /// `Mutex::new` / `RwLock::new` constructors.
+    /// `Mutex<` / `RwLock<` type sites.
     pub lock: u64,
 }
 
@@ -150,7 +152,7 @@ pub fn count(files: &[ScannedFile]) -> BTreeMap<String, Counts> {
                 + count_token(line, "unimplemented!");
             c.index += count_index_sites(line);
             c.cast_capacity += count_cast_capacity(line);
-            c.lock += count_token(line, "Mutex::new") + count_token(line, "RwLock::new");
+            c.lock += count_token(line, "Mutex<") + count_token(line, "RwLock<");
         }
     }
     by_crate
@@ -206,7 +208,7 @@ pub fn render_baseline(counts: &BTreeMap<String, Counts>) -> String {
     let mut out = String::from(
         "# drvlint panic-path baseline: per-crate counts of unwrap/expect/\n\
          # panic-macro/slice-index sites, cast-sized `with_capacity` calls and\n\
-         # Mutex/RwLock constructors in non-test code. `cargo run -p drvlint -- check` fails when any\n\
+         # Mutex/RwLock type sites in non-test code. `cargo run -p drvlint -- check` fails when any\n\
          # count rises; lower it with `cargo run -p drvlint -- update-baseline`\n\
          # after burning sites down. The baseline only ever goes down.\n",
     );
@@ -307,21 +309,25 @@ mod tests {
     fn counts_lock_constructors_outside_tests() {
         let src = "\
 struct S { a: Mutex<u8>, b: RwLock<u8>, c: Vec<Mutex<u8>> }
+#[derive(Default)]
+struct D { m: parking_lot::Mutex<u8> }
 fn f() -> S {
     let c = (0..4).map(Mutex::new).collect();
-    S { a: parking_lot::Mutex::new(0), b: RwLock::new(0), c }
+    S { a: Mutex::new(0), b: RwLock::new(0), c }
 }
-fn g() -> MyMutex { MyMutex::new() }
-const NOTE: &str = \"Mutex::new(0)\";
+fn g(m: &MyMutex<u8>) -> MutexGuard<'_, u8> { m.lock() }
+const NOTE: &str = \"Mutex<u8>\";
 #[cfg(test)]
 mod tests {
-    fn t() { let _ = Mutex::new(1); let _ = RwLock::new(2); }
+    fn t() { let _: Mutex<u8> = Mutex::new(1); let _ = RwLock::new(2); }
 }
 ";
         let c = count(&[scan(src)]);
-        // The `map` argument, the path-qualified and the plain one; a
-        // type, a longer name, a string or a test module does not count.
-        assert_eq!(c.get("demo").copied().unwrap_or_default().lock, 3);
+        // The three fields of `S` and the path-qualified field of the
+        // derived `D`, which no constructor call builds; a constructor,
+        // a longer name, a guard, a string or a test module does not
+        // count.
+        assert_eq!(c.get("demo").copied().unwrap_or_default().lock, 4);
     }
 
     #[test]

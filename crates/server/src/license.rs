@@ -6,177 +6,97 @@
 //! lease back), on lease expiry (server-side pruning), or when the
 //! client's dedicated channel breaks (failure detection).
 //!
-//! # Sharding
-//!
-//! Seat state is split across N shards keyed by a stable FNV-1a hash of
-//! the client host, so a fleet-scale renewal storm takes N independent
-//! locks instead of one global one and every prune scan is shard-local.
-//! The hash is the workspace's own [`fnv1a64`], not a `RandomState`, so
-//! shard placement — and therefore replay — is seed-reproducible.
-//!
-//! Each limited driver's seat count is sliced into per-shard
-//! **sub-quotas** (`Σ quota == limit`, `used ≤ quota` per shard): a
-//! renewal or checkout that fits its shard's slice grants under that one
-//! shard lock. When a shard exhausts its slice the slow path locks every
-//! shard in index order, prunes the driver's expired seats globally,
-//! grants or denies against the *exact* fleet-wide count, and rebalances
-//! the quotas so the hot shard inherits the spare capacity. Denials are
-//! therefore only ever issued from the exact path — sharding is
-//! observationally equivalent to a single global table (pinned by
-//! `tests/license_shard_props.rs`).
+//! One seat table behind one lock. A driver's seats are keyed user →
+//! client host → lease expiry, so a renewal finds its seat by the
+//! borrowed `&str`s it was given and allocates nothing. A new checkout
+//! is granted or denied against the driver's exact holder count, taken
+//! after that driver's expired seats are pruned.
 
 use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use drivolution_core::{fnv1a64, DriverId, DrvError, DrvResult};
+use drivolution_core::{DriverId, DrvError, DrvResult};
 
-/// Default shard count for [`LicenseManager::new`]. Eight keeps the
-/// per-shard prune scans an order of magnitude smaller on a 10k-client
-/// fleet while staying cheap for single-client tests.
-pub const DEFAULT_LICENSE_SHARDS: usize = 8;
-
-/// Seat table of one driver within one shard.
-#[derive(Debug)]
+/// Seat table of one driver.
+#[derive(Debug, Default)]
 struct Seats {
-    /// `(user, client_host)` → lease expiry instant.
-    holders: BTreeMap<(String, String), u64>,
-    /// Earliest expiry among `holders` (may be stale-low after renewals
-    /// and releases — that only costs a harmless re-scan). Prune scans
-    /// are skipped entirely while `now < next_expiry`, which keeps the
-    /// renewal fast path O(log seats) instead of O(seats).
+    /// user → client host → lease expiry instant.
+    users: BTreeMap<String, BTreeMap<String, u64>>,
+    /// At most the earliest expiry among the seats (stale-low after
+    /// renewals and releases, and zero when new — that only costs a
+    /// harmless re-scan). Prune scans are skipped entirely while
+    /// `now < next_expiry`, which keeps the renewal path O(log seats)
+    /// instead of O(seats).
     next_expiry: u64,
-    /// This shard's slice of the driver's seat limit. Invariant while
-    /// balanced: the slices sum to the limit and every shard's holder
-    /// count stays within its slice, so an in-quota grant cannot
-    /// oversubscribe the fleet-wide limit. A limit change that leaves
-    /// the fleet oversubscribed zeroes every slice, forcing all grants
-    /// through the exact slow path until a rebalance restores balance.
-    quota: usize,
-}
-
-impl Default for Seats {
-    fn default() -> Self {
-        Seats {
-            holders: BTreeMap::new(),
-            next_expiry: u64::MAX,
-            quota: 0,
-        }
-    }
 }
 
 impl Seats {
-    /// Drops expired holders if any can have expired, maintaining
-    /// `next_expiry`. Exact: after this returns, every remaining holder
-    /// is unexpired at `now_ms`.
+    /// Drops expired seats, and users left with none, if any seat can
+    /// have expired, maintaining `next_expiry`. Exact: after this
+    /// returns, every remaining seat is unexpired at `now_ms`.
     fn prune(&mut self, now_ms: u64) -> usize {
-        if self.holders.is_empty() {
-            self.next_expiry = u64::MAX;
-            return 0;
-        }
         if now_ms < self.next_expiry {
             return 0;
         }
-        let before = self.holders.len();
-        self.holders.retain(|_, exp| *exp > now_ms);
-        self.next_expiry = self.holders.values().copied().min().unwrap_or(u64::MAX);
-        before - self.holders.len()
-    }
-
-    fn insert(&mut self, user: &str, client_host: &str, expires_at_ms: u64) {
-        self.holders
-            .insert((user.to_string(), client_host.to_string()), expires_at_ms);
-        self.next_expiry = self.next_expiry.min(expires_at_ms);
+        let (mut freed, mut next) = (0, u64::MAX);
+        self.users.retain(|_, hosts| {
+            let before = hosts.len();
+            hosts.retain(|_, exp| *exp > now_ms);
+            freed += before - hosts.len();
+            next = hosts.values().copied().fold(next, u64::min);
+            !hosts.is_empty()
+        });
+        self.next_expiry = next;
+        freed
     }
 }
 
-/// One lock's worth of seat state.
+/// Seat limits and the seats held under them.
 #[derive(Debug, Default)]
-struct Shard {
+struct Table {
+    limits: BTreeMap<DriverId, usize>,
     held: BTreeMap<DriverId, Seats>,
 }
 
-/// Tracks per-driver license capacity and outstanding checkouts,
-/// sharded by client host (see the module docs).
-#[derive(Debug)]
+/// Tracks per-driver license capacity and outstanding checkouts.
+#[derive(Debug, Default)]
 pub struct LicenseManager {
-    limits: Mutex<BTreeMap<DriverId, usize>>,
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl Default for LicenseManager {
-    fn default() -> Self {
-        LicenseManager::with_shards(DEFAULT_LICENSE_SHARDS)
-    }
+    table: Mutex<Table>,
 }
 
 impl LicenseManager {
-    /// Creates a manager with no limits (all drivers unlimited) and the
-    /// default shard count.
+    /// Creates a manager with no limits (all drivers unlimited).
     pub fn new() -> Self {
         LicenseManager::default()
     }
 
-    /// Creates a manager with `shards` seat shards (clamped to ≥ 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1);
-        LicenseManager {
-            limits: Mutex::new(BTreeMap::new()),
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-        }
+    /// The same as [`LicenseManager::new`]: the table is one table
+    /// whatever `_shards` says. Kept for callers that still pass a count.
+    pub fn with_shards(_shards: usize) -> Self {
+        LicenseManager::new()
     }
 
-    /// The shard a client host's seats live in: stable FNV-1a of the
-    /// host, so placement is identical across runs and processes.
-    fn shard_for(&self, client_host: &str) -> Option<(usize, &Mutex<Shard>)> {
-        let idx = (fnv1a64(client_host.as_bytes()) % self.shards.len() as u64) as usize;
-        self.shards.get(idx).map(|m| (idx, m))
-    }
-
-    /// Caps `driver` at `seats` concurrent holders and re-slices the
-    /// per-shard sub-quotas around the holders already seated.
+    /// Caps `driver` at `seats` concurrent holders. Lowering a limit
+    /// under live holders denies new checkouts until they drain below it.
     pub fn set_limit(&self, driver: DriverId, seats: usize) {
-        self.limits.lock().insert(driver, seats);
-        let mut guards: Vec<_> = self.shards.iter().map(|m| m.lock()).collect();
-        let total: usize = guards
-            .iter()
-            .map(|g| g.held.get(&driver).map(|s| s.holders.len()).unwrap_or(0))
-            .sum();
-        if total >= seats {
-            // Oversubscribed (limit lowered under live holders): zero
-            // every slice so grants go through the exact path until
-            // capacity frees up.
-            for g in guards.iter_mut() {
-                g.held.entry(driver).or_default().quota = 0;
-            }
-            return;
-        }
-        // Balanced: each shard keeps its current holders plus an even
-        // slice of the spare capacity.
-        let spare = seats - total;
-        let n = guards.len();
-        for (i, g) in guards.iter_mut().enumerate() {
-            let seat = g.held.entry(driver).or_default();
-            seat.quota = seat.holders.len() + spare / n + usize::from(i < spare % n);
-        }
+        self.table.lock().limits.insert(driver, seats);
     }
 
     /// Remaining seats for `driver` (`None` = unlimited). **Read-only**:
     /// counts holders unexpired at `now_ms` without pruning, so stats
     /// and introspection never mutate seat state.
     pub fn available(&self, driver: DriverId, now_ms: u64) -> Option<usize> {
-        let limit = *self.limits.lock().get(&driver)?;
-        let used: usize = self
-            .shards
-            .iter()
-            .map(|m| {
-                m.lock()
-                    .held
-                    .get(&driver)
-                    .map(|s| s.holders.values().filter(|exp| **exp > now_ms).count())
-                    .unwrap_or(0)
-            })
-            .sum();
+        let table = self.table.lock();
+        let limit = *table.limits.get(&driver)?;
+        let used = table.held.get(&driver).map_or(0, |seats| {
+            seats
+                .users
+                .values()
+                .flat_map(BTreeMap::values)
+                .filter(|exp| **exp > now_ms)
+                .count()
+        });
         Some(limit.saturating_sub(used))
     }
 
@@ -184,21 +104,17 @@ impl LicenseManager {
     /// sorted. Read-only; includes seats whose lease has expired but has
     /// not been pruned yet.
     pub fn holders(&self, driver: DriverId) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = Vec::new();
-        for m in &self.shards {
-            if let Some(seats) = m.lock().held.get(&driver) {
-                out.extend(seats.holders.keys().cloned());
-            }
-        }
-        out.sort();
-        out
+        let table = self.table.lock();
+        let users = table.held.get(&driver).map(|seats| &seats.users);
+        users
+            .into_iter()
+            .flatten()
+            .flat_map(|(user, hosts)| hosts.keys().map(move |host| (user.clone(), host.clone())))
+            .collect()
     }
 
     /// Checks out one seat. A client renewing its own seat (same user and
-    /// host) re-uses it rather than consuming a second one. Grants that
-    /// fit the host shard's sub-quota take only that shard's lock; a
-    /// shard that exhausted its slice falls back to the exact
-    /// every-shard path, which also rebalances the slices toward it.
+    /// host) re-uses it rather than consuming a second one.
     ///
     /// # Errors
     ///
@@ -211,74 +127,33 @@ impl LicenseManager {
         lease_ms: u64,
         now_ms: u64,
     ) -> DrvResult<()> {
-        let Some(&limit) = self.limits.lock().get(&driver) else {
+        let mut table = self.table.lock();
+        let Table { limits, held } = &mut *table;
+        let Some(&limit) = limits.get(&driver) else {
             return Ok(()); // unlimited driver
         };
-        let Some((idx, cell)) = self.shard_for(client_host) else {
-            return Ok(()); // unreachable: with_shards guarantees ≥ 1 shard
-        };
+        let seats = held.entry(driver).or_default();
+        seats.prune(now_ms);
         let expires_at_ms = now_ms.saturating_add(lease_ms);
-        {
-            let mut shard = cell.lock();
-            let seats = shard.held.entry(driver).or_default();
-            seats.prune(now_ms);
-            let key = (user.to_string(), client_host.to_string());
-            if let Some(exp) = seats.holders.get_mut(&key) {
-                // Renewal in place: the seat is already this client's.
-                *exp = expires_at_ms;
-                seats.next_expiry = seats.next_expiry.min(expires_at_ms);
-                return Ok(());
-            }
-            if seats.holders.len() < seats.quota {
-                seats.insert(user, client_host, expires_at_ms);
-                return Ok(());
-            }
-        }
-        self.acquire_slow(driver, limit, idx, user, client_host, expires_at_ms, now_ms)
-    }
-
-    /// The exact path: every shard locked in index order, the driver's
-    /// expired seats pruned fleet-wide, the grant/denial decided against
-    /// the true total, and the sub-quotas rebalanced so the requesting
-    /// shard inherits all spare capacity (it is the hot one).
-    #[allow(clippy::too_many_arguments)]
-    fn acquire_slow(
-        &self,
-        driver: DriverId,
-        limit: usize,
-        idx: usize,
-        user: &str,
-        client_host: &str,
-        expires_at_ms: u64,
-        now_ms: u64,
-    ) -> DrvResult<()> {
-        let mut guards: Vec<_> = self.shards.iter().map(|m| m.lock()).collect();
-        let mut total = 0;
-        for g in guards.iter_mut() {
-            let seats = g.held.entry(driver).or_default();
-            seats.prune(now_ms);
-            total += seats.holders.len();
-        }
-        if total >= limit {
+        let seat = seats
+            .users
+            .get_mut(user)
+            .and_then(|hosts| hosts.get_mut(client_host));
+        if let Some(exp) = seat {
+            // Renewal in place: the seat is already this client's.
+            *exp = expires_at_ms;
+        } else if seats.users.values().map(BTreeMap::len).sum::<usize>() >= limit {
             return Err(DrvError::PermissionDenied(format!(
                 "no license available for {driver}: {limit} seats in use"
             )));
+        } else {
+            seats
+                .users
+                .entry(user.to_string())
+                .or_default()
+                .insert(client_host.to_string(), expires_at_ms);
         }
-        let mut spare = limit;
-        for (i, g) in guards.iter_mut().enumerate() {
-            if i != idx {
-                let seats = g.held.entry(driver).or_default();
-                seats.quota = seats.holders.len();
-                spare = spare.saturating_sub(seats.holders.len());
-            }
-        }
-        for (i, g) in guards.iter_mut().enumerate() {
-            if i == idx {
-                let seats = g.held.entry(driver).or_default();
-                seats.insert(user, client_host, expires_at_ms);
-                seats.quota = spare;
-            }
-        }
+        seats.next_expiry = seats.next_expiry.min(expires_at_ms);
         Ok(())
     }
 
@@ -286,35 +161,22 @@ impl LicenseManager {
     /// bootloader can notify the Drivolution server when the driver is
     /// unloaded to give back its lease").
     pub fn release(&self, driver: DriverId, user: &str, client_host: &str) -> bool {
-        let Some((_, cell)) = self.shard_for(client_host) else {
-            return false;
-        };
-        let mut shard = cell.lock();
-        if let Some(seats) = shard.held.get_mut(&driver) {
-            return seats
-                .holders
-                .remove(&(user.to_string(), client_host.to_string()))
-                .is_some();
-        }
-        false
+        let mut table = self.table.lock();
+        let hosts = table
+            .held
+            .get_mut(&driver)
+            .and_then(|s| s.users.get_mut(user));
+        hosts.is_some_and(|hosts| hosts.remove(client_host).is_some())
     }
 
     /// Frees every seat held from `client_host` — the dedicated-channel
     /// failure detector: "If the Drivolution server and bootloader are
     /// using a dedicated connection, it can be used as a failure
-    /// detector." Touches only the host's own shard.
+    /// detector." One lookup per (driver, user).
     pub fn release_host(&self, client_host: &str) -> usize {
-        let Some((_, cell)) = self.shard_for(client_host) else {
-            return 0;
-        };
-        let mut shard = cell.lock();
-        let mut freed = 0;
-        for seats in shard.held.values_mut() {
-            let before = seats.holders.len();
-            seats.holders.retain(|(_, host), _| host != client_host);
-            freed += before - seats.holders.len();
-        }
-        freed
+        let mut table = self.table.lock();
+        let hosts = table.held.values_mut().flat_map(|s| s.users.values_mut());
+        hosts.filter_map(|hosts| hosts.remove(client_host)).count()
     }
 
     /// Drops seats whose lease expired without renewal ("the Drivolution
@@ -322,14 +184,8 @@ impl LicenseManager {
     /// driver freed"). Runs as a scheduled maintenance task, never on the
     /// request path.
     pub fn prune_expired(&self, now_ms: u64) -> usize {
-        let mut freed = 0;
-        for cell in &self.shards {
-            let mut shard = cell.lock();
-            for seats in shard.held.values_mut() {
-                freed += seats.prune(now_ms);
-            }
-        }
-        freed
+        let mut table = self.table.lock();
+        table.held.values_mut().map(|s| s.prune(now_ms)).sum()
     }
 }
 
@@ -412,7 +268,7 @@ mod tests {
         // The read path must never prune as a side effect: an expired
         // seat is excluded from the count but still visible to
         // `holders()` until an explicit prune.
-        let lm = LicenseManager::with_shards(4);
+        let lm = LicenseManager::new();
         lm.set_limit(D, 3);
         lm.acquire(D, "a", "h1", 100, 0).unwrap();
         lm.acquire(D, "b", "h2", 10_000, 0).unwrap();
@@ -432,11 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn quota_rebalance_hands_spare_seats_to_the_exhausted_shard() {
-        // 16 shards, 4 seats: most shards start with a zero slice, so
-        // grants exercise the slow path and must still all succeed
-        // until the true limit is reached.
-        let lm = LicenseManager::with_shards(16);
+    fn grants_run_to_the_limit_and_a_release_reopens_one() {
+        // 4 seats on distinct hosts: every grant succeeds until the
+        // true limit is reached.
+        let lm = LicenseManager::new();
         lm.set_limit(D, 4);
         for i in 0..4 {
             lm.acquire(D, "u", &format!("host-{i}"), 1000, 0).unwrap();
@@ -451,14 +306,13 @@ mod tests {
 
     #[test]
     fn lowering_a_limit_under_live_holders_blocks_new_grants() {
-        let lm = LicenseManager::with_shards(4);
+        let lm = LicenseManager::new();
         lm.set_limit(D, 4);
         for i in 0..4 {
             lm.acquire(D, "u", &format!("h{i}"), 1000, 0).unwrap();
         }
         lm.set_limit(D, 2);
-        // Oversubscribed: no new grant, even though some shard may have
-        // had spare quota before the change.
+        // Oversubscribed: no new grant.
         assert!(lm.acquire(D, "u", "h-new", 1000, 0).is_err());
         // Draining below the new limit re-opens capacity.
         assert!(lm.release(D, "u", "h0"));

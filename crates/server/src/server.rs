@@ -22,7 +22,7 @@ use drivolution_depot::ContentIndex;
 use crate::assemble::Assembler;
 use crate::directory::{ComplaintOutcome, MirrorDirectory};
 use crate::grant::FrameCatalog;
-use crate::license::{LicenseManager, DEFAULT_LICENSE_SHARDS};
+use crate::license::LicenseManager;
 use crate::notify::NotifyHub;
 use crate::offer::{OfferMeta, Staged};
 use crate::rollout::RolloutOrchestrator;
@@ -45,11 +45,6 @@ pub struct ServerConfig {
     pub signing: Option<SigningKey>,
     /// Customize driver feature sets to request options (§5.4.1).
     pub customize: bool,
-    /// License-table shard count. Requests hash to a shard by
-    /// `client_host` (stable FNV), so replay stays seed-reproducible;
-    /// more shards means less lock contention under fleet-scale renewal
-    /// storms. Clamped to at least 1.
-    pub license_shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -60,7 +55,6 @@ impl Default for ServerConfig {
             serves: None,
             signing: None,
             customize: false,
-            license_shards: DEFAULT_LICENSE_SHARDS,
         }
     }
 }
@@ -177,7 +171,7 @@ impl DrivolutionServer {
         DrivolutionServer {
             name,
             store,
-            licenses: LicenseManager::with_shards(config.license_shards),
+            licenses: LicenseManager::new(),
             config,
             directory: MirrorDirectory::new(clock.clone()),
             clock,

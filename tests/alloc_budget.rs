@@ -18,6 +18,7 @@ use drivolution::core::proto::{DrvMsg, DrvRequest, RequestKind};
 use drivolution::core::transfer;
 use drivolution::netsim::{FnService, Service};
 use drivolution::prelude::*;
+use drivolution::server::LicenseManager;
 
 mod frames;
 
@@ -380,4 +381,32 @@ fn a_renew_batch_entry_allocates_under_three_kib() {
         per_entry <= 3 << 10,
         "{per_entry} B allocated per entry, budget 3 KiB"
     );
+}
+
+/// A renewal finds its seat by the `&str`s it was given (the table is
+/// keyed user → host → expiry and looked up by borrow), so renewing a
+/// seat in place allocates nothing. Keyed by an owned `(user, host)`
+/// pair, the table built both strings per renewal: 12 000 B for these
+/// 1 000.
+#[test]
+fn a_seat_renewal_allocates_nothing() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    const SEATS: usize = 1_000;
+    let hosts: Vec<String> = (0..SEATS).map(|i| format!("app{i:04}")).collect();
+    let table = LicenseManager::new();
+    table.set_limit(DriverId(1), SEATS);
+    for h in &hosts {
+        table.acquire(DriverId(1), "admin", h, 600_000, 0).unwrap();
+    }
+    let (renewed, bytes, _) = measured(|| {
+        hosts.iter().all(|h| {
+            table
+                .acquire(DriverId(1), "admin", h, 600_000, 1_000)
+                .is_ok()
+        })
+    });
+    assert!(renewed, "a seated host was denied its renewal");
+    assert_eq!(bytes, 0, "{SEATS} renewals allocated {bytes} B");
+    // Every expiry moved out to 601 000: no seat has lapsed at 600 500.
+    assert_eq!(table.available(DriverId(1), 600_500), Some(0));
 }

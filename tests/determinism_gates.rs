@@ -109,7 +109,7 @@ fn same_seed_chaos_schedule_reproduces_every_counter() {
 }
 
 /// The same replay guarantee for the batched fleet shape (renewal
-/// aggregators, sharded license table, zone-shared image cache): pins
+/// aggregators, license seat table, zone-shared image cache): pins
 /// that coalesced renewals fire in a reproducible order — and that
 /// adopting a peer's assembled image never changes what crosses the wire.
 #[test]

@@ -1,28 +1,21 @@
-//! Property tests pinning the license-table sharding invariant: a
-//! [`LicenseManager`] with any shard count is observationally
-//! equivalent to the single-table reference (`with_shards(1)`) for any
-//! op sequence — same grants, same denials, same seat counts, same
-//! holder sets. Sharding is a locking strategy, never a semantics
-//! change (see the sub-quota discussion in the `license` module docs).
+//! Property tests pinning the license seat table against a brute-force
+//! model: for any op sequence, [`LicenseManager`] gives the same grants
+//! and denials, the same `available` counts, the same sorted holder
+//! lists and the same `release` / `release_host` / `prune_expired`
+//! results as a flat list of `(driver, user, host, expiry)` seats,
+//! compared at every step.
 //!
-//! Mid-sequence, the only tolerated divergence is *pruning debt*:
-//! acquire's fast path opportunistically prunes just the requesting
-//! shard, so expired-but-unpruned seats sit in different shards at
-//! different times depending on the layout. Debt is invisible to
-//! everything a client observes — acquire outcomes and `available`
-//! are compared exactly at every step — but it does skew raw removal
-//! counts, so release outcomes are compared after a synchronized
-//! `prune_expired` and maintenance passes are checked by the holder
-//! sets they leave behind, not by how much debt each happened to
-//! collect.
+//! The model drops expired seats exactly where the table prunes — on an
+//! acquire of a limited driver (that driver's seats only) and on a
+//! maintenance pass — so expired-but-unpruned seats are part of the
+//! compared state, not slack.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use drivolution::core::DriverId;
 use drivolution::server::LicenseManager;
-
-/// Shard counts under test: the reference, a small split, the default.
-const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -79,111 +72,131 @@ fn host(h: u8) -> String {
     format!("host-{h}")
 }
 
+/// The reference: every seat in one list, every query a scan.
+#[derive(Default)]
+struct Model {
+    limits: BTreeMap<u8, usize>,
+    /// `(driver, user, host, expiry)`.
+    seats: Vec<(u8, u8, u8, u64)>,
+}
+
+impl Model {
+    /// Drops the seats of `driver` (every driver when `None`) whose
+    /// lease ran out at `now_ms`, returning how many went.
+    fn prune(&mut self, driver: Option<u8>, now_ms: u64) -> usize {
+        let before = self.seats.len();
+        self.seats
+            .retain(|&(d, _, _, exp)| driver.is_some_and(|x| x != d) || exp > now_ms);
+        before - self.seats.len()
+    }
+
+    fn acquire(&mut self, driver: u8, user: u8, host: u8, lease_ms: u64, now_ms: u64) -> bool {
+        let Some(&limit) = self.limits.get(&driver) else {
+            return true;
+        };
+        self.prune(Some(driver), now_ms);
+        let expiry = now_ms + lease_ms;
+        if let Some(seat) = self
+            .seats
+            .iter_mut()
+            .find(|(d, u, h, _)| (*d, *u, *h) == (driver, user, host))
+        {
+            seat.3 = expiry;
+            return true;
+        }
+        if self.seats.iter().filter(|s| s.0 == driver).count() >= limit {
+            return false;
+        }
+        self.seats.push((driver, user, host, expiry));
+        true
+    }
+
+    fn release(&mut self, driver: u8, user: u8, host: u8) -> bool {
+        let before = self.seats.len();
+        self.seats
+            .retain(|&(d, u, h, _)| (d, u, h) != (driver, user, host));
+        before != self.seats.len()
+    }
+
+    fn release_host(&mut self, host: u8) -> usize {
+        let before = self.seats.len();
+        self.seats.retain(|&(_, _, h, _)| h != host);
+        before - self.seats.len()
+    }
+
+    fn available(&self, driver: u8, now_ms: u64) -> Option<usize> {
+        let limit = *self.limits.get(&driver)?;
+        let used = self
+            .seats
+            .iter()
+            .filter(|&&(d, _, _, exp)| d == driver && exp > now_ms)
+            .count();
+        Some(limit.saturating_sub(used))
+    }
+
+    fn holders(&self, driver: u8) -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = self
+            .seats
+            .iter()
+            .filter(|s| s.0 == driver)
+            .map(|&(_, u, h, _)| (user(u), host(h)))
+            .collect();
+        out.sort();
+        out
+    }
+}
+
 proptest! {
     #[test]
     fn sharded_tables_are_observationally_equivalent(ops in arb_ops()) {
-        let tables: Vec<LicenseManager> =
-            SHARD_COUNTS.iter().map(|&n| LicenseManager::with_shards(n)).collect();
+        let table = LicenseManager::new();
+        let mut model = Model::default();
         let mut now_ms = 0u64;
 
         for (step, op) in ops.iter().enumerate() {
-            match op {
+            match *op {
                 Op::SetLimit { driver, seats } => {
-                    for t in &tables {
-                        t.set_limit(DriverId(*driver as i64), *seats);
-                    }
+                    table.set_limit(DriverId(driver as i64), seats);
+                    model.limits.insert(driver, seats);
                 }
                 Op::Acquire { driver, user: u, host: h, lease_ms } => {
-                    let outcomes: Vec<bool> = tables
-                        .iter()
-                        .map(|t| {
-                            t.acquire(DriverId(*driver as i64), &user(*u), &host(*h), *lease_ms, now_ms)
-                                .is_ok()
-                        })
-                        .collect();
-                    prop_assert!(
-                        outcomes.windows(2).all(|w| w[0] == w[1]),
-                        "step {step}: acquire {op:?} granted {outcomes:?} across shard counts {SHARD_COUNTS:?}"
-                    );
+                    let got = table
+                        .acquire(DriverId(driver as i64), &user(u), &host(h), lease_ms, now_ms)
+                        .is_ok();
+                    let want = model.acquire(driver, u, h, lease_ms, now_ms);
+                    prop_assert_eq!(got, want, "step {}: {:?} at t={}", step, op, now_ms);
                 }
                 Op::Release { driver, user: u, host: h } => {
-                    // Synchronize pruning debt first: whether a *live*
-                    // seat exists to give back must not depend on which
-                    // shards earlier acquires happened to sweep.
-                    let outcomes: Vec<bool> = tables
-                        .iter()
-                        .map(|t| {
-                            t.prune_expired(now_ms);
-                            t.release(DriverId(*driver as i64), &user(*u), &host(*h))
-                        })
-                        .collect();
-                    prop_assert!(
-                        outcomes.windows(2).all(|w| w[0] == w[1]),
-                        "step {step}: release {op:?} returned {outcomes:?} across shard counts {SHARD_COUNTS:?}"
-                    );
+                    let got = table.release(DriverId(driver as i64), &user(u), &host(h));
+                    let want = model.release(driver, u, h);
+                    prop_assert_eq!(got, want, "step {}: {:?}", step, op);
                 }
                 Op::ReleaseHost { host: h } => {
-                    let freed: Vec<usize> = tables
-                        .iter()
-                        .map(|t| {
-                            t.prune_expired(now_ms);
-                            t.release_host(&host(*h))
-                        })
-                        .collect();
-                    prop_assert!(
-                        freed.windows(2).all(|w| w[0] == w[1]),
-                        "step {step}: release_host({h}) freed {freed:?} across shard counts {SHARD_COUNTS:?}"
-                    );
+                    let got = table.release_host(&host(h));
+                    let want = model.release_host(h);
+                    prop_assert_eq!(got, want, "step {}: {:?}", step, op);
                 }
                 Op::Prune => {
-                    // Freed counts are pruning debt (layout-dependent);
-                    // the state a maintenance pass leaves behind is not.
-                    for t in &tables {
-                        t.prune_expired(now_ms);
-                    }
-                    for d in 0..3u8 {
-                        let holders: Vec<Vec<(String, String)>> = tables
-                            .iter()
-                            .map(|t| t.holders(DriverId(d as i64)))
-                            .collect();
-                        prop_assert!(
-                            holders.windows(2).all(|w| w[0] == w[1]),
-                            "step {step}: post-prune holders({d}) diverged across shard counts {SHARD_COUNTS:?}: {holders:?}"
-                        );
-                    }
+                    let got = table.prune_expired(now_ms);
+                    let want = model.prune(None, now_ms);
+                    prop_assert_eq!(got, want, "step {}: prune at t={}", step, now_ms);
                 }
                 Op::Advance { dt_ms } => now_ms += dt_ms,
             }
 
-            // `available` is a protocol-visible read (seat counts in
-            // offers): it must agree at every step, pruning debt and
-            // all, because it counts unexpired holders only.
             for d in 0..3u8 {
-                let avail: Vec<Option<usize>> = tables
-                    .iter()
-                    .map(|t| t.available(DriverId(d as i64), now_ms))
-                    .collect();
-                prop_assert!(
-                    avail.windows(2).all(|w| w[0] == w[1]),
-                    "step {step}: available({d}) at t={now_ms} was {avail:?} across shard counts {SHARD_COUNTS:?}"
+                let id = DriverId(d as i64);
+                prop_assert_eq!(
+                    table.available(id, now_ms),
+                    model.available(d, now_ms),
+                    "step {}: available({}) at t={}", step, d, now_ms
+                );
+                prop_assert_eq!(
+                    table.holders(id),
+                    model.holders(d),
+                    "step {}: holders({}) at t={}", step, d, now_ms
                 );
             }
-        }
-
-        // After a synchronized maintenance pass the tables must hold
-        // bit-identical seat sets — pruning debt was the only slack.
-        for t in &tables {
-            t.prune_expired(now_ms);
-        }
-        for d in 0..3u8 {
-            let holders: Vec<Vec<(String, String)>> = tables
-                .iter()
-                .map(|t| t.holders(DriverId(d as i64)))
-                .collect();
-            prop_assert!(
-                holders.windows(2).all(|w| w[0] == w[1]),
-                "post-prune holders({d}) diverged across shard counts {SHARD_COUNTS:?}: {holders:?}"
-            );
         }
     }
 }
