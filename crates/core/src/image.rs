@@ -15,41 +15,26 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_items, get_opt_str, get_str, get_u16, get_u8, put_opt_str, put_str};
+use netsim::codec::{
+    get_code, get_items, get_opt_str, get_str, get_u16, get_u8, put_opt_str, put_str, wire_enum,
+};
 
 use crate::descriptor::ApiName;
 use crate::digest::fnv1a64;
 use crate::error::{DrvError, DrvResult};
 use crate::version::{ApiVersion, DriverVersion};
 
-/// Authentication methods a driver implements (mirrors the database's
-/// methods without depending on the `minidb` crate).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum AuthKind {
-    /// Cleartext password.
-    Password,
-    /// Nonce/response challenge.
-    Challenge,
-    /// Realm token (requires the [`Extension::Kerberos`] package).
-    Token,
-}
-
-impl AuthKind {
-    fn code(self) -> u8 {
-        match self {
-            AuthKind::Password => 0,
-            AuthKind::Challenge => 1,
-            AuthKind::Token => 2,
-        }
-    }
-
-    fn from_code(c: u8) -> DrvResult<Self> {
-        match c {
-            0 => Ok(AuthKind::Password),
-            1 => Ok(AuthKind::Challenge),
-            2 => Ok(AuthKind::Token),
-            other => Err(DrvError::Codec(format!("unknown auth kind {other}"))),
-        }
+wire_enum! {
+    /// Authentication methods a driver implements (mirrors the database's
+    /// methods without depending on the `minidb` crate).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum AuthKind: u8 {
+        /// Cleartext password.
+        Password = 0,
+        /// Nonce/response challenge.
+        Challenge = 1,
+        /// Realm token (requires the [`Extension::Kerberos`] package).
+        Token = 2,
     }
 }
 
@@ -109,31 +94,16 @@ impl Extension {
     }
 }
 
-/// Which middleware protocol the driver speaks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum DriverFlavor {
-    /// Talks directly to a `minidb` wire server.
-    #[default]
-    Direct,
-    /// Talks to Sequoia-like cluster controllers (supports multi-host
-    /// URLs with failover, like the paper's Sequoia JDBC driver).
-    Cluster,
-}
-
-impl DriverFlavor {
-    fn code(self) -> u8 {
-        match self {
-            DriverFlavor::Direct => 0,
-            DriverFlavor::Cluster => 1,
-        }
-    }
-
-    fn from_code(c: u8) -> DrvResult<Self> {
-        match c {
-            0 => Ok(DriverFlavor::Direct),
-            1 => Ok(DriverFlavor::Cluster),
-            other => Err(DrvError::Codec(format!("unknown driver flavor {other}"))),
-        }
+wire_enum! {
+    /// Which middleware protocol the driver speaks.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+    pub enum DriverFlavor: u8 {
+        /// Talks directly to a `minidb` wire server.
+        #[default]
+        Direct = 0,
+        /// Talks to Sequoia-like cluster controllers (supports multi-host
+        /// URLs with failover, like the paper's Sequoia JDBC driver).
+        Cluster = 1,
     }
 }
 
@@ -245,11 +215,11 @@ impl DriverImage {
         let version: DriverVersion = get_str(&mut buf, "version")?.parse()?;
         let api_name: ApiName = get_str(&mut buf, "api name")?.parse()?;
         let api_version: ApiVersion = get_str(&mut buf, "api version")?.parse()?;
-        let flavor = DriverFlavor::from_code(get_u8(&mut buf, "flavor")?)?;
+        let flavor = get_code(&mut buf, "driver flavor", DriverFlavor::from_code)?;
         let db_protocol = get_u16(&mut buf, "db protocol")?;
         let n_auth = get_u8(&mut buf, "auth count")?;
         let auth_kinds = get_items(&mut buf, "auth kinds", n_auth.into(), 1, |buf| {
-            AuthKind::from_code(get_u8(buf, "auth kind")?)
+            get_code(buf, "auth kind", AuthKind::from_code)
         })?;
         let n_ext = get_u8(&mut buf, "extension count")?;
         let extensions = get_items(&mut buf, "extensions", n_ext.into(), 1, Extension::decode)?;

@@ -2,43 +2,20 @@
 
 use std::fmt;
 
-use crate::error::{DrvError, DrvResult};
+use netsim::codec::wire_enum;
 
-/// What the bootloader does when a lease needs renewal (Table 2,
-/// `renew_policy`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RenewPolicy {
-    /// Continue using the same driver with a fresh lease.
-    #[default]
-    Renew,
-    /// Download and switch to a new driver version.
-    Upgrade,
-    /// Stop using the current driver even though no replacement exists.
-    Revoke,
-}
-
-impl RenewPolicy {
-    /// The integer encoding of Table 2 (`0: RENEW, 1: UPGRADE, 2: REVOKE`).
-    pub fn code(self) -> i32 {
-        match self {
-            RenewPolicy::Renew => 0,
-            RenewPolicy::Upgrade => 1,
-            RenewPolicy::Revoke => 2,
-        }
-    }
-
-    /// Decodes the Table 2 integer encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`DrvError::Codec`] for unknown codes.
-    pub fn from_code(code: i32) -> DrvResult<Self> {
-        match code {
-            0 => Ok(RenewPolicy::Renew),
-            1 => Ok(RenewPolicy::Upgrade),
-            2 => Ok(RenewPolicy::Revoke),
-            other => Err(DrvError::Codec(format!("unknown renew policy {other}"))),
-        }
+wire_enum! {
+    /// What the bootloader does when a lease needs renewal (Table 2,
+    /// `renew_policy`, whose integer encoding the codes are).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+    pub enum RenewPolicy: u8 {
+        /// Continue using the same driver with a fresh lease.
+        #[default]
+        Renew = 0,
+        /// Download and switch to a new driver version.
+        Upgrade = 1,
+        /// Stop using the current driver even though no replacement exists.
+        Revoke = 2,
     }
 }
 
@@ -52,45 +29,19 @@ impl fmt::Display for RenewPolicy {
     }
 }
 
-/// When existing connections must transition off the old driver (Table 2,
-/// `expiration_policy`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ExpirationPolicy {
-    /// Wait until the application explicitly closes each connection.
-    #[default]
-    AfterClose,
-    /// Close connections as soon as they are idle or their current
-    /// transaction commits.
-    AfterCommit,
-    /// Terminate all connections immediately.
-    Immediate,
-}
-
-impl ExpirationPolicy {
-    /// The integer encoding of Table 2
-    /// (`0: AFTER_CLOSE, 1: AFTER_COMMIT, 2: IMMEDIATE`).
-    pub fn code(self) -> i32 {
-        match self {
-            ExpirationPolicy::AfterClose => 0,
-            ExpirationPolicy::AfterCommit => 1,
-            ExpirationPolicy::Immediate => 2,
-        }
-    }
-
-    /// Decodes the Table 2 integer encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`DrvError::Codec`] for unknown codes.
-    pub fn from_code(code: i32) -> DrvResult<Self> {
-        match code {
-            0 => Ok(ExpirationPolicy::AfterClose),
-            1 => Ok(ExpirationPolicy::AfterCommit),
-            2 => Ok(ExpirationPolicy::Immediate),
-            other => Err(DrvError::Codec(format!(
-                "unknown expiration policy {other}"
-            ))),
-        }
+wire_enum! {
+    /// When existing connections must transition off the old driver
+    /// (Table 2, `expiration_policy`, whose integer encoding the codes are).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+    pub enum ExpirationPolicy: u8 {
+        /// Wait until the application explicitly closes each connection.
+        #[default]
+        AfterClose = 0,
+        /// Close connections as soon as they are idle or their current
+        /// transaction commits.
+        AfterCommit = 1,
+        /// Terminate all connections immediately.
+        Immediate = 2,
     }
 }
 
@@ -104,47 +55,25 @@ impl fmt::Display for ExpirationPolicy {
     }
 }
 
-/// How the driver binary is transferred (Table 2, `transfer_method`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum TransferMethod {
-    /// Any method the bootloader and server both support.
-    Any,
-    /// Raw bytes, no integrity protection ("FTP-like").
-    Plain,
-    /// Bytes with an integrity checksum.
-    Checksum,
-    /// Sealed channel: certificate-verified, tamper-evident
-    /// (the paper's "encrypted authenticated SSL channel").
-    #[default]
-    Sealed,
+wire_enum! {
+    /// How the driver binary is transferred (Table 2, `transfer_method`:
+    /// `-1` any, `>= 0` a protocol id).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+    pub enum TransferMethod: i8 {
+        /// Any method the bootloader and server both support.
+        Any = -1,
+        /// Raw bytes, no integrity protection ("FTP-like").
+        Plain = 0,
+        /// Bytes with an integrity checksum.
+        Checksum = 1,
+        /// Sealed channel: certificate-verified, tamper-evident
+        /// (the paper's "encrypted authenticated SSL channel").
+        #[default]
+        Sealed = 2,
+    }
 }
 
 impl TransferMethod {
-    /// The integer encoding of Table 2 (`-1: ANY, >=0: protocol id`).
-    pub fn code(self) -> i32 {
-        match self {
-            TransferMethod::Any => -1,
-            TransferMethod::Plain => 0,
-            TransferMethod::Checksum => 1,
-            TransferMethod::Sealed => 2,
-        }
-    }
-
-    /// Decodes the Table 2 integer encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`DrvError::Codec`] for unknown codes.
-    pub fn from_code(code: i32) -> DrvResult<Self> {
-        match code {
-            -1 => Ok(TransferMethod::Any),
-            0 => Ok(TransferMethod::Plain),
-            1 => Ok(TransferMethod::Checksum),
-            2 => Ok(TransferMethod::Sealed),
-            other => Err(DrvError::Codec(format!("unknown transfer method {other}"))),
-        }
-    }
-
     /// Resolves `Any` against a server preference, keeping concrete
     /// methods as-is.
     pub fn resolve(self, server_default: TransferMethod) -> TransferMethod {
@@ -182,7 +111,7 @@ mod tests {
         ] {
             assert_eq!(RenewPolicy::from_code(p.code()).unwrap(), p);
         }
-        assert!(RenewPolicy::from_code(7).is_err());
+        assert!(RenewPolicy::from_code(7).is_none());
     }
 
     #[test]
@@ -197,7 +126,7 @@ mod tests {
         ] {
             assert_eq!(ExpirationPolicy::from_code(p.code()).unwrap(), p);
         }
-        assert!(ExpirationPolicy::from_code(-1).is_err());
+        assert!(ExpirationPolicy::from_code(u8::MAX).is_none());
     }
 
     #[test]

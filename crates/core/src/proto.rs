@@ -21,8 +21,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    get_bytes, get_i64, get_items, get_opt, get_opt_str, get_str, get_u16, get_u32, get_u64,
-    get_u64s, get_u8, put_bytes, put_opt_str, put_str, put_u64s,
+    get_bytes, get_code, get_i64, get_items, get_opt, get_opt_str, get_str, get_u16, get_u32,
+    get_u64, get_u64s, get_u8, put_bytes, put_opt_str, put_str, put_u64s, wire_enum, CodecError,
 };
 
 use crate::chunk::{ChunkManifest, ChunkingParams};
@@ -275,42 +275,25 @@ pub struct DrvOffer {
     pub chunked: Option<ChunkPlan>,
 }
 
-/// Stable `DRIVOLUTION_ERROR` codes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DrvErrCode {
-    /// "invalid database".
-    InvalidDatabase,
-    /// "no driver for specified API/platform".
-    NoMatchingDriver,
-    /// Client not permitted.
-    PermissionDenied,
-    /// Lease cannot be renewed and no replacement exists (REVOKE path).
-    NoDriverAvailable,
-    /// Anything else.
-    Internal,
+wire_enum! {
+    /// Stable `DRIVOLUTION_ERROR` codes. A decoder reads a code it does
+    /// not know as [`DrvErrCode::Internal`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum DrvErrCode: u16 {
+        /// "invalid database".
+        InvalidDatabase = 1,
+        /// "no driver for specified API/platform".
+        NoMatchingDriver = 2,
+        /// Client not permitted.
+        PermissionDenied = 3,
+        /// Lease cannot be renewed and no replacement exists (REVOKE path).
+        NoDriverAvailable = 4,
+        /// Anything else.
+        Internal = 5,
+    }
 }
 
 impl DrvErrCode {
-    fn code(self) -> u16 {
-        match self {
-            DrvErrCode::InvalidDatabase => 1,
-            DrvErrCode::NoMatchingDriver => 2,
-            DrvErrCode::PermissionDenied => 3,
-            DrvErrCode::NoDriverAvailable => 4,
-            DrvErrCode::Internal => 5,
-        }
-    }
-
-    fn from_code(c: u16) -> Self {
-        match c {
-            1 => DrvErrCode::InvalidDatabase,
-            2 => DrvErrCode::NoMatchingDriver,
-            3 => DrvErrCode::PermissionDenied,
-            4 => DrvErrCode::NoDriverAvailable,
-            _ => DrvErrCode::Internal,
-        }
-    }
-
     /// Maps a protocol error into the crate error type.
     pub fn into_error(self, message: String) -> DrvError {
         match self {
@@ -476,6 +459,21 @@ pub enum DrvMsg {
     },
 }
 
+/// `xfer` (`DESIGN.md` §2): a transfer method as its `i8` code.
+fn put_xfer(b: &mut BytesMut, method: TransferMethod) {
+    b.put_i8(method.code());
+}
+
+fn get_xfer(buf: &mut Bytes) -> Result<TransferMethod, CodecError> {
+    get_code(buf, "transfer", |c| TransferMethod::from_code(c as i8))
+}
+
+/// A `DRIVOLUTION_ERROR` code; one this side does not know is
+/// [`DrvErrCode::Internal`] (`DESIGN.md` §2, "else internal").
+fn get_err_code(buf: &mut Bytes, what: &str) -> Result<DrvErrCode, CodecError> {
+    get_u16(buf, what).map(|c| DrvErrCode::from_code(c).unwrap_or(DrvErrCode::Internal))
+}
+
 fn put_req(b: &mut BytesMut, r: &DrvRequest) {
     match &r.kind {
         RequestKind::Bootstrap => b.put_u8(0),
@@ -497,7 +495,7 @@ fn put_req(b: &mut BytesMut, r: &DrvRequest) {
     put_str(b, &r.client_platform);
     put_opt_str(b, r.preferred_format.map(|f| f.to_string()).as_deref());
     put_opt_str(b, r.preferred_version.map(|v| v.to_string()).as_deref());
-    b.put_i8(r.transfer_method.code() as i8);
+    put_xfer(b, r.transfer_method);
     b.put_u16_le(r.options.len() as u16);
     for (k, v) in &r.options {
         put_str(b, k);
@@ -545,7 +543,7 @@ fn get_req(buf: &mut Bytes) -> DrvResult<DrvRequest> {
     let preferred_version = get_opt_str(buf, "preferred version")?
         .map(|s| s.parse::<DriverVersion>())
         .transpose()?;
-    let transfer_method = TransferMethod::from_code(i32::from(get_u8(buf, "transfer")? as i8))?;
+    let transfer_method = get_xfer(buf)?;
     let n_opt = get_u16(buf, "request option count")?;
     let options = get_items(buf, "request options", n_opt.into(), 8, get_option)?;
     let have = get_opt(buf, "have presence", HaveSummary::decode)?;
@@ -572,12 +570,12 @@ fn put_offer(b: &mut BytesMut, o: &DrvOffer) {
     put_opt_str(b, o.driver_version.map(|v| v.to_string()).as_deref());
     b.put_u8(u8::from(o.same_driver));
     b.put_u64_le(o.lease_ms);
-    b.put_u8(o.renew_policy.code() as u8);
-    b.put_u8(o.expiration_policy.code() as u8);
+    b.put_u8(o.renew_policy.code());
+    b.put_u8(o.expiration_policy.code());
     put_str(b, o.format.as_str());
     put_str(b, &o.location);
     b.put_u64_le(o.size);
-    b.put_i8(o.transfer_method.code() as i8);
+    put_xfer(b, o.transfer_method);
     b.put_u16_le(o.options.len() as u16);
     for (k, v) in &o.options {
         put_str(b, k);
@@ -613,12 +611,12 @@ fn get_offer(buf: &mut Bytes) -> DrvResult<DrvOffer> {
         .transpose()?;
     let same_driver = get_u8(buf, "same driver")? != 0;
     let lease_ms = get_u64(buf, "lease ms")?;
-    let renew_policy = RenewPolicy::from_code(i32::from(get_u8(buf, "renew policy")?))?;
-    let expiration_policy = ExpirationPolicy::from_code(i32::from(get_u8(buf, "exp policy")?))?;
+    let renew_policy = get_code(buf, "renew policy", RenewPolicy::from_code)?;
+    let expiration_policy = get_code(buf, "expiration policy", ExpirationPolicy::from_code)?;
     let format = BinaryFormat::parse(&get_str(buf, "format")?)?;
     let location = get_str(buf, "location")?;
     let size = get_u64(buf, "size")?;
-    let transfer_method = TransferMethod::from_code(i32::from(get_u8(buf, "transfer")? as i8))?;
+    let transfer_method = get_xfer(buf)?;
     let n_opt = get_u16(buf, "offer option count")?;
     let options = get_items(buf, "offer options", n_opt.into(), 8, get_option)?;
     let signature = get_opt(buf, "signature presence", |buf| {
@@ -647,57 +645,43 @@ fn get_offer(buf: &mut Bytes) -> DrvResult<DrvOffer> {
     })
 }
 
-/// Frame tags: the first byte of every [`DrvMsg`] wire frame. One
-/// constant per variant, used by both `encode` and `decode` so the two
-/// sides cannot drift apart (drvlint's protocol-conformance pass checks
-/// uniqueness and encode/decode symmetry of every `TAG_*`).
-const TAG_REQUEST: u8 = 0;
-/// `DRIVOLUTION_DISCOVER` frame tag.
-const TAG_DISCOVER: u8 = 1;
-/// `DRIVOLUTION_OFFER` frame tag.
-const TAG_OFFER: u8 = 2;
-/// `DRIVOLUTION_ERROR` frame tag.
-const TAG_ERROR: u8 = 3;
-/// `FILE_REQUEST` frame tag.
-const TAG_FILE_REQUEST: u8 = 4;
-/// `FILE_DATA` frame tag.
-const TAG_FILE_DATA: u8 = 5;
-/// Lease-release frame tag.
-const TAG_RELEASE: u8 = 6;
-/// Release-acknowledgement frame tag.
-const TAG_RELEASE_OK: u8 = 7;
-/// `CHUNK_REQUEST` frame tag.
-const TAG_CHUNK_REQUEST: u8 = 8;
-/// `CHUNK_DATA` frame tag.
-const TAG_CHUNK_DATA: u8 = 9;
-/// `MIRROR_ANNOUNCE` frame tag.
-const TAG_MIRROR_ANNOUNCE: u8 = 10;
-/// `MIRROR_HEARTBEAT` frame tag.
-const TAG_MIRROR_HEARTBEAT: u8 = 11;
-/// `MIRROR_ACK` frame tag.
-const TAG_MIRROR_ACK: u8 = 12;
-/// Activation-report frame tag.
-const TAG_ACTIVATION_REPORT: u8 = 13;
-/// Activation-acknowledgement frame tag.
-const TAG_ACTIVATION_ACK: u8 = 14;
-/// `RENEW_BATCH` frame tag.
-const TAG_RENEW_BATCH: u8 = 15;
-/// `OFFER_BATCH` frame tag.
-const TAG_OFFER_BATCH: u8 = 16;
-/// `MIRROR_COMPLAINT` frame tag.
-const TAG_MIRROR_COMPLAINT: u8 = 17;
+wire_enum! {
+    /// Frame tags: the first byte of every [`DrvMsg`] wire frame, one per
+    /// variant (`DESIGN.md` §2). `encode` writes them from its exhaustive
+    /// match, and `decode` matches every one of them with no `_` arm.
+    enum Tag: u8 {
+        Request = 0,
+        Discover = 1,
+        Offer = 2,
+        Error = 3,
+        FileRequest = 4,
+        FileData = 5,
+        Release = 6,
+        ReleaseOk = 7,
+        ChunkRequest = 8,
+        ChunkData = 9,
+        MirrorAnnounce = 10,
+        MirrorHeartbeat = 11,
+        MirrorAck = 12,
+        ActivationReport = 13,
+        ActivationAck = 14,
+        RenewBatch = 15,
+        OfferBatch = 16,
+        MirrorComplaint = 17,
+    }
+}
 
 /// A bulk reply frame: `tag`, the `u32` length [`put_bytes`] would write,
 /// then the transfer envelope itself.
 fn bulk_frame(
-    tag: u8,
+    tag: Tag,
     method: TransferMethod,
     payload: &[u8],
     cert: Option<&Certificate>,
 ) -> DrvResult<Bytes> {
     let envelope = transfer::wrapped_len(method, payload.len(), cert);
     let mut b = BytesMut::with_capacity(1 + 4 + envelope);
-    b.put_u8(tag);
+    b.put_u8(tag.code());
     b.put_u32_le(envelope as u32);
     transfer::wrap_into(&mut b, method, payload, cert)?;
     Ok(b.freeze())
@@ -713,19 +697,19 @@ impl DrvMsg {
         });
         match self {
             DrvMsg::Request(r) => {
-                b.put_u8(TAG_REQUEST);
+                b.put_u8(Tag::Request.code());
                 put_req(&mut b, r);
             }
             DrvMsg::Discover(r) => {
-                b.put_u8(TAG_DISCOVER);
+                b.put_u8(Tag::Discover.code());
                 put_req(&mut b, r);
             }
             DrvMsg::Offer(o) => {
-                b.put_u8(TAG_OFFER);
+                b.put_u8(Tag::Offer.code());
                 put_offer(&mut b, o);
             }
             DrvMsg::Error { code, message } => {
-                b.put_u8(TAG_ERROR);
+                b.put_u8(Tag::Error.code());
                 b.put_u16_le(code.code());
                 put_str(&mut b, message);
             }
@@ -733,12 +717,12 @@ impl DrvMsg {
                 location,
                 transfer_method,
             } => {
-                b.put_u8(TAG_FILE_REQUEST);
+                b.put_u8(Tag::FileRequest.code());
                 put_str(&mut b, location);
-                b.put_i8(transfer_method.code() as i8);
+                put_xfer(&mut b, *transfer_method);
             }
             DrvMsg::FileData { payload } => {
-                b.put_u8(TAG_FILE_DATA);
+                b.put_u8(Tag::FileData.code());
                 put_bytes(&mut b, payload);
             }
             DrvMsg::Release {
@@ -746,27 +730,27 @@ impl DrvMsg {
                 user,
                 driver,
             } => {
-                b.put_u8(TAG_RELEASE);
+                b.put_u8(Tag::Release.code());
                 put_str(&mut b, database);
                 put_str(&mut b, user);
                 b.put_i64_le(driver.0);
             }
-            DrvMsg::ReleaseOk => b.put_u8(TAG_RELEASE_OK),
+            DrvMsg::ReleaseOk => b.put_u8(Tag::ReleaseOk.code()),
             DrvMsg::ChunkRequest {
                 digests,
                 transfer_method,
             } => {
-                b.put_u8(TAG_CHUNK_REQUEST);
+                b.put_u8(Tag::ChunkRequest.code());
                 b.put_u32_le(digests.len() as u32);
                 put_u64s(&mut b, digests);
-                b.put_i8(transfer_method.code() as i8);
+                put_xfer(&mut b, *transfer_method);
             }
             DrvMsg::ChunkData { payload } => {
-                b.put_u8(TAG_CHUNK_DATA);
+                b.put_u8(Tag::ChunkData.code());
                 put_bytes(&mut b, payload);
             }
             DrvMsg::MirrorAnnounce { location, zone } => {
-                b.put_u8(TAG_MIRROR_ANNOUNCE);
+                b.put_u8(Tag::MirrorAnnounce.code());
                 put_str(&mut b, location);
                 put_opt_str(&mut b, zone.as_deref());
             }
@@ -777,7 +761,7 @@ impl DrvMsg {
                 load,
                 coverage,
             } => {
-                b.put_u8(TAG_MIRROR_HEARTBEAT);
+                b.put_u8(Tag::MirrorHeartbeat.code());
                 put_str(&mut b, location);
                 b.put_u64_le(*chunk_count);
                 b.put_u64_le(*served_bytes);
@@ -787,7 +771,7 @@ impl DrvMsg {
                 put_u64s(&mut b, capped);
             }
             DrvMsg::MirrorAck { known } => {
-                b.put_u8(TAG_MIRROR_ACK);
+                b.put_u8(Tag::MirrorAck.code());
                 b.put_u8(u8::from(*known));
             }
             DrvMsg::ActivationReport {
@@ -797,16 +781,16 @@ impl DrvMsg {
                 ok,
                 detail,
             } => {
-                b.put_u8(TAG_ACTIVATION_REPORT);
+                b.put_u8(Tag::ActivationReport.code());
                 put_str(&mut b, database);
                 b.put_i64_le(driver.0);
                 put_opt_str(&mut b, version.map(|v| v.to_string()).as_deref());
                 b.put_u8(u8::from(*ok));
                 put_str(&mut b, detail);
             }
-            DrvMsg::ActivationAck => b.put_u8(TAG_ACTIVATION_ACK),
+            DrvMsg::ActivationAck => b.put_u8(Tag::ActivationAck.code()),
             DrvMsg::RenewBatch { entries } => {
-                b.put_u8(TAG_RENEW_BATCH);
+                b.put_u8(Tag::RenewBatch.code());
                 b.put_u32_le(entries.len() as u32);
                 for (host, req) in entries {
                     put_str(&mut b, host);
@@ -814,7 +798,7 @@ impl DrvMsg {
                 }
             }
             DrvMsg::OfferBatch { replies } => {
-                b.put_u8(TAG_OFFER_BATCH);
+                b.put_u8(Tag::OfferBatch.code());
                 b.put_u32_le(replies.len() as u32);
                 for reply in replies {
                     match reply {
@@ -835,7 +819,7 @@ impl DrvMsg {
                 digest,
                 detail,
             } => {
-                b.put_u8(TAG_MIRROR_COMPLAINT);
+                b.put_u8(Tag::MirrorComplaint.code());
                 put_str(&mut b, location);
                 b.put_u64_le(*digest);
                 put_str(&mut b, detail);
@@ -850,47 +834,42 @@ impl DrvMsg {
     ///
     /// [`DrvError::Codec`] on malformed frames.
     pub fn decode(mut buf: Bytes) -> DrvResult<Self> {
-        match get_u8(&mut buf, "drv msg tag")? {
-            TAG_REQUEST => Ok(DrvMsg::Request(get_req(&mut buf)?)),
-            TAG_DISCOVER => Ok(DrvMsg::Discover(get_req(&mut buf)?)),
-            TAG_OFFER => Ok(DrvMsg::Offer(get_offer(&mut buf)?)),
-            TAG_ERROR => Ok(DrvMsg::Error {
-                code: DrvErrCode::from_code(get_u16(&mut buf, "error code")?),
+        match get_code(&mut buf, "drv msg tag", Tag::from_code)? {
+            Tag::Request => Ok(DrvMsg::Request(get_req(&mut buf)?)),
+            Tag::Discover => Ok(DrvMsg::Discover(get_req(&mut buf)?)),
+            Tag::Offer => Ok(DrvMsg::Offer(get_offer(&mut buf)?)),
+            Tag::Error => Ok(DrvMsg::Error {
+                code: get_err_code(&mut buf, "error code")?,
                 message: get_str(&mut buf, "error message")?,
             }),
-            TAG_FILE_REQUEST => Ok(DrvMsg::FileRequest {
+            Tag::FileRequest => Ok(DrvMsg::FileRequest {
                 location: get_str(&mut buf, "location")?,
-                transfer_method: TransferMethod::from_code(i32::from(
-                    get_u8(&mut buf, "transfer")? as i8,
-                ))?,
+                transfer_method: get_xfer(&mut buf)?,
             }),
-            TAG_FILE_DATA => Ok(DrvMsg::FileData {
+            Tag::FileData => Ok(DrvMsg::FileData {
                 payload: get_bytes(&mut buf, "file payload")?,
             }),
-            TAG_RELEASE => Ok(DrvMsg::Release {
+            Tag::Release => Ok(DrvMsg::Release {
                 database: get_str(&mut buf, "database")?,
                 user: get_str(&mut buf, "user")?,
                 driver: DriverId(get_i64(&mut buf, "driver")?),
             }),
-            TAG_RELEASE_OK => Ok(DrvMsg::ReleaseOk),
-            TAG_CHUNK_REQUEST => {
+            Tag::ReleaseOk => Ok(DrvMsg::ReleaseOk),
+            Tag::ChunkRequest => {
                 let n = get_u32(&mut buf, "chunk request count")?;
                 Ok(DrvMsg::ChunkRequest {
                     digests: get_u64s(&mut buf, "chunk request digests", n)?,
-                    transfer_method: TransferMethod::from_code(i32::from(get_u8(
-                        &mut buf, "transfer",
-                    )?
-                        as i8))?,
+                    transfer_method: get_xfer(&mut buf)?,
                 })
             }
-            TAG_CHUNK_DATA => Ok(DrvMsg::ChunkData {
+            Tag::ChunkData => Ok(DrvMsg::ChunkData {
                 payload: get_bytes(&mut buf, "chunk payload")?,
             }),
-            TAG_MIRROR_ANNOUNCE => Ok(DrvMsg::MirrorAnnounce {
+            Tag::MirrorAnnounce => Ok(DrvMsg::MirrorAnnounce {
                 location: get_str(&mut buf, "mirror location")?,
                 zone: get_opt_str(&mut buf, "mirror zone")?,
             }),
-            TAG_MIRROR_HEARTBEAT => {
+            Tag::MirrorHeartbeat => {
                 let location = get_str(&mut buf, "mirror location")?;
                 let chunk_count = get_u64(&mut buf, "mirror chunk count")?;
                 let served_bytes = get_u64(&mut buf, "mirror served bytes")?;
@@ -909,10 +888,10 @@ impl DrvMsg {
                     coverage: get_u64s(&mut buf, "mirror coverage digests", n)?,
                 })
             }
-            TAG_MIRROR_ACK => Ok(DrvMsg::MirrorAck {
+            Tag::MirrorAck => Ok(DrvMsg::MirrorAck {
                 known: get_u8(&mut buf, "mirror ack")? != 0,
             }),
-            TAG_ACTIVATION_REPORT => Ok(DrvMsg::ActivationReport {
+            Tag::ActivationReport => Ok(DrvMsg::ActivationReport {
                 database: get_str(&mut buf, "activation database")?,
                 driver: DriverId(get_i64(&mut buf, "activation driver")?),
                 version: get_opt_str(&mut buf, "activation version")?
@@ -921,8 +900,8 @@ impl DrvMsg {
                 ok: get_u8(&mut buf, "activation ok")? != 0,
                 detail: get_str(&mut buf, "activation detail")?,
             }),
-            TAG_ACTIVATION_ACK => Ok(DrvMsg::ActivationAck),
-            TAG_RENEW_BATCH => {
+            Tag::ActivationAck => Ok(DrvMsg::ActivationAck),
+            Tag::RenewBatch => {
                 let n = get_u32(&mut buf, "renew batch count")?;
                 // An entry is at least a host length prefix (4) and a
                 // request with every string empty (26).
@@ -931,14 +910,14 @@ impl DrvMsg {
                 })?;
                 Ok(DrvMsg::RenewBatch { entries })
             }
-            TAG_OFFER_BATCH => {
+            Tag::OfferBatch => {
                 let n = get_u32(&mut buf, "offer batch count")?;
                 // The shortest reply is an error: kind, code, empty message.
                 let replies = get_items(&mut buf, "offer batch", n, 7, |buf| {
                     match get_u8(buf, "offer batch entry kind")? {
                         0 => Ok(Ok(get_offer(buf)?)),
                         1 => Ok(Err((
-                            DrvErrCode::from_code(get_u16(buf, "offer batch error code")?),
+                            get_err_code(buf, "offer batch error code")?,
                             get_str(buf, "offer batch error message")?,
                         ))),
                         t => Err(DrvError::Codec(format!("bad offer batch entry kind {t}"))),
@@ -946,12 +925,11 @@ impl DrvMsg {
                 })?;
                 Ok(DrvMsg::OfferBatch { replies })
             }
-            TAG_MIRROR_COMPLAINT => Ok(DrvMsg::MirrorComplaint {
+            Tag::MirrorComplaint => Ok(DrvMsg::MirrorComplaint {
                 location: get_str(&mut buf, "complaint location")?,
                 digest: get_u64(&mut buf, "complaint digest")?,
                 detail: get_str(&mut buf, "complaint detail")?,
             }),
-            t => Err(DrvError::Codec(format!("unknown drv msg tag {t}"))),
         }
     }
 
@@ -969,7 +947,7 @@ impl DrvMsg {
         payload: &[u8],
         cert: Option<&Certificate>,
     ) -> DrvResult<Bytes> {
-        bulk_frame(TAG_FILE_DATA, method, payload, cert)
+        bulk_frame(Tag::FileData, method, payload, cert)
     }
 
     /// [`file_data_frame`](Self::file_data_frame) for a `CHUNK_DATA`
@@ -983,7 +961,7 @@ impl DrvMsg {
         payload: &[u8],
         cert: Option<&Certificate>,
     ) -> DrvResult<Bytes> {
-        bulk_frame(TAG_CHUNK_DATA, method, payload, cert)
+        bulk_frame(Tag::ChunkData, method, payload, cert)
     }
 
     /// Encodes an error message from a server-side failure.
@@ -1061,6 +1039,8 @@ impl DrvNotice {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::sign::SigningKey;
 
@@ -1276,6 +1256,13 @@ mod tests {
                 detail: String::new(),
             },
         ];
+        // One message per tag: every tag is encoded by some variant.
+        let tags: BTreeSet<u8> = msgs.iter().map(|m| m.encode()[0]).collect();
+        let all: BTreeSet<u8> = (0..=u8::MAX)
+            .filter_map(Tag::from_code)
+            .map(Tag::code)
+            .collect();
+        assert_eq!(tags, all);
         for m in msgs {
             assert_eq!(DrvMsg::decode(m.encode()).unwrap(), m, "roundtrip of {m:?}");
         }

@@ -187,11 +187,11 @@ pub fn wrap_into(
             ))
         }
         TransferMethod::Plain => {
-            b.put_u8(0);
+            b.put_i8(method.code());
             netsim::codec::put_bytes(b, payload);
         }
         TransferMethod::Checksum => {
-            b.put_u8(1);
+            b.put_i8(method.code());
             netsim::codec::put_bytes(b, payload);
             b.put_u64_le(fnv1a64_parts(&[payload]));
         }
@@ -209,7 +209,7 @@ pub fn wrap_into(
 /// Appends the sealed envelope; the nonce is explicit so tests can pin it.
 fn wrap_with_nonce(b: &mut BytesMut, cert: &Certificate, nonce: u64, payload: &[u8]) {
     let key = session_key(cert, nonce);
-    b.put_u8(2);
+    b.put_i8(TransferMethod::Sealed.code());
     cert.encode_into(b);
     b.put_u64_le(nonce);
     netsim::codec::put_bytes(b, payload);
@@ -228,21 +228,18 @@ fn wrap_with_nonce(b: &mut BytesMut, cert: &Certificate, nonce: u64, payload: &[
 ///   unpinned certificate (the paper's man-in-the-middle defence).
 pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> DrvResult<Bytes> {
     let mut buf = bytes;
+    // The envelope's first byte is the `xfer` code of the method that
+    // wrapped it; `Any` accepts whatever the server chose.
     let tag = netsim::codec::get_u8(&mut buf, "transfer tag")?;
-    let expected = match method {
-        TransferMethod::Any => tag, // accept whatever the server chose
-        TransferMethod::Plain => 0,
-        TransferMethod::Checksum => 1,
-        TransferMethod::Sealed => 2,
-    };
-    if tag != expected {
+    let got = TransferMethod::from_code(tag as i8);
+    if method != TransferMethod::Any && got != Some(method) {
         return Err(DrvError::TransferFailed(format!(
             "expected transfer method {method}, got tag {tag}"
         )));
     }
-    match tag {
-        0 => Ok(get_bytes(&mut buf, "plain payload")?),
-        1 => {
+    match got {
+        Some(TransferMethod::Plain) => Ok(get_bytes(&mut buf, "plain payload")?),
+        Some(TransferMethod::Checksum) => {
             let payload = get_bytes(&mut buf, "checksum payload")?;
             let sum = get_u64(&mut buf, "checksum")?;
             if fnv1a64_parts(&[&payload]) != sum {
@@ -252,7 +249,7 @@ pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> Drv
             }
             Ok(payload)
         }
-        2 => {
+        Some(TransferMethod::Sealed) => {
             let cert = Certificate::decode(&mut buf)?;
             if !trust.trusts(&cert) {
                 return Err(DrvError::CertificateUntrusted(format!(
@@ -277,8 +274,8 @@ pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> Drv
             }
             Ok(plain.freeze())
         }
-        t => Err(DrvError::TransferFailed(format!(
-            "unknown transfer tag {t}"
+        Some(TransferMethod::Any) | None => Err(DrvError::TransferFailed(format!(
+            "unknown transfer tag {tag}"
         ))),
     }
 }
@@ -501,6 +498,31 @@ mod tests {
         let cert = Certificate::issue("db1", 1);
         let w = wrap(TransferMethod::Sealed, b"x", Some(&cert)).unwrap();
         assert!(unwrap(TransferMethod::Plain, w, &trust_for(&cert)).is_err());
+    }
+
+    /// The method byte is read as an `xfer` code: a byte that is not the
+    /// expected method's, `0xFF` (`Any`, which no envelope is wrapped
+    /// under) and every unknown code included, fails the transfer.
+    #[test]
+    fn every_method_byte_but_the_expected_one_fails_the_transfer() {
+        let plain = wrap(TransferMethod::Plain, b"x", None).unwrap();
+        for method in (i8::MIN..=i8::MAX).filter_map(TransferMethod::from_code) {
+            for tag in 0..=u8::MAX {
+                let mut envelope = plain.to_vec();
+                envelope[0] = tag;
+                let r = unwrap(method, Bytes::from(envelope), &ChannelTrust::new());
+                match TransferMethod::from_code(tag as i8) {
+                    // A concrete method the caller accepts: its body decides.
+                    Some(m)
+                        if m != TransferMethod::Any
+                            && (method == m || method == TransferMethod::Any) => {}
+                    _ => assert!(
+                        matches!(r, Err(DrvError::TransferFailed(_))),
+                        "{method} under tag {tag}: {r:?}"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //!    the wall clock, spawn threads, draw ambient randomness, or let
 //!    hash-map iteration order escape into wire frames, candidate
 //!    ranking, or stats.
-//! 2. **Protocol conformance** ([`proto`]) — every frame tag in
-//!    `core::proto` is unique and symmetric between encode and decode.
-//! 3. **Panic-path hygiene** ([`ratchet`]) — per-crate counts of
+//! 2. **Panic-path hygiene** ([`ratchet`]) — per-crate counts of
 //!    `unwrap`/`expect`/panic-macro/slice-index sites only ever go
 //!    down, against `drvlint-baseline.toml`.
+//!
+//! Wire-protocol conformance is the compiler's: every tag and code byte
+//! is an enum declared once through `netsim::codec::wire_enum!`.
 //!
 //! Run as `cargo run -p drvlint -- check`; wired into CI ahead of the
 //! bench gates and into the tier-1 suite via `tests/drvlint_gate.rs`.
@@ -21,7 +22,6 @@
 //! findings.
 
 pub mod determinism;
-pub mod proto;
 pub mod ratchet;
 pub mod scan;
 
@@ -29,10 +29,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use scan::{Finding, ScannedFile};
-
-/// Workspace-relative path of the protocol source the conformance pass
-/// verifies.
-pub const PROTO_FILE: &str = "crates/core/src/proto.rs";
 
 /// Workspace-relative path of the panic-path baseline.
 pub const BASELINE_FILE: &str = "drvlint-baseline.toml";
@@ -131,13 +127,12 @@ pub fn collect_workspace(root: &Path) -> Result<Vec<ScannedFile>, String> {
 pub fn known_rules() -> Vec<&'static str> {
     let mut rules = Vec::new();
     rules.extend_from_slice(determinism::RULES);
-    rules.extend_from_slice(proto::RULES);
     rules.push("panic-ratchet");
     rules
 }
 
-/// Runs all three passes over the scanned files against the given
-/// baseline text.
+/// Runs both passes over the scanned files against the given baseline
+/// text.
 pub fn run_passes(files: &[ScannedFile], baseline_text: &str) -> Result<Report, String> {
     let mut report = Report::default();
     let known = known_rules();
@@ -164,15 +159,6 @@ pub fn run_passes(files: &[ScannedFile], baseline_text: &str) -> Result<Report, 
         }
     }
     report.findings.extend(determinism::check(files));
-    match files.iter().find(|f| f.rel_path == PROTO_FILE) {
-        Some(proto_file) => report.findings.extend(proto::check(proto_file)),
-        None => report.findings.push(Finding {
-            file: PROTO_FILE.to_string(),
-            line: 1,
-            rule: "proto-structure".to_string(),
-            message: "protocol source file not found".to_string(),
-        }),
-    }
     let counts = ratchet::count(files);
     let baseline = ratchet::parse_baseline(baseline_text)?;
     let (findings, notes) = ratchet::check(&counts, &baseline);

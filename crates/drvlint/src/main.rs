@@ -11,8 +11,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: drvlint <check|update-baseline> [--root PATH]\n\
          \n\
-         check            run determinism, protocol-conformance and\n\
-         \x20                panic-ratchet passes; exit 1 on any finding\n\
+         check            run the determinism and panic-ratchet passes;\n\
+         \x20                exit 1 on any finding\n\
          update-baseline  recompute panic-path counts and rewrite\n\
          \x20                drvlint-baseline.toml"
     );

@@ -14,42 +14,22 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
+use netsim::codec::wire_enum;
+
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::Privilege;
 
-/// Authentication methods a database may require.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum AuthMethod {
-    /// Cleartext password.
-    Password,
-    /// Nonce/response challenge.
-    Challenge,
-    /// Realm token (Kerberos-like).
-    Token,
-}
-
-impl AuthMethod {
-    /// Wire tag for this method.
-    pub fn code(self) -> u8 {
-        match self {
-            AuthMethod::Password => 0,
-            AuthMethod::Challenge => 1,
-            AuthMethod::Token => 2,
-        }
-    }
-
-    /// Decodes a wire tag.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Protocol`] for unknown tags.
-    pub fn from_code(code: u8) -> DbResult<Self> {
-        match code {
-            0 => Ok(AuthMethod::Password),
-            1 => Ok(AuthMethod::Challenge),
-            2 => Ok(AuthMethod::Token),
-            other => Err(DbError::Protocol(format!("unknown auth method {other}"))),
-        }
+wire_enum! {
+    /// Authentication methods a database may require. The codes are the
+    /// credential tag of a `Hello` frame.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum AuthMethod: u8 {
+        /// Cleartext password.
+        Password = 0,
+        /// Nonce/response challenge.
+        Challenge = 1,
+        /// Realm token (Kerberos-like).
+        Token = 2,
     }
 }
 
@@ -347,7 +327,7 @@ mod tests {
         ] {
             assert_eq!(AuthMethod::from_code(m.code()).unwrap(), m);
         }
-        assert!(AuthMethod::from_code(9).is_err());
+        assert!(AuthMethod::from_code(9).is_none());
     }
 
     #[test]

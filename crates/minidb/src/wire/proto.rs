@@ -16,10 +16,11 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    get_bytes, get_i64, get_items, get_str, get_u16, get_u32, get_u64, get_u8, put_bytes, put_str,
-    CodecError,
+    get_bytes, get_code, get_i64, get_items, get_str, get_u16, get_u32, get_u64, get_u8, put_bytes,
+    put_str, wire_enum, CodecError,
 };
 
+use crate::auth::AuthMethod;
 use crate::error::DbError;
 use crate::exec::{QueryResult, RowSet};
 use crate::value::Value;
@@ -180,32 +181,45 @@ pub fn err_from(code: u16, msg: String) -> DbError {
 
 // --- value encoding -----------------------------------------------------
 
+wire_enum! {
+    /// First byte of an encoded [`Value`].
+    enum ValueTag: u8 {
+        Null = 0,
+        Integer = 1,
+        BigInt = 2,
+        Varchar = 3,
+        Blob = 4,
+        Timestamp = 5,
+        Boolean = 6,
+    }
+}
+
 /// Encodes one [`Value`].
 pub fn put_value(buf: &mut BytesMut, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => buf.put_u8(ValueTag::Null.code()),
         Value::Integer(n) => {
-            buf.put_u8(1);
+            buf.put_u8(ValueTag::Integer.code());
             buf.put_i64_le(*n);
         }
         Value::BigInt(n) => {
-            buf.put_u8(2);
+            buf.put_u8(ValueTag::BigInt.code());
             buf.put_i64_le(*n);
         }
         Value::Varchar(s) => {
-            buf.put_u8(3);
+            buf.put_u8(ValueTag::Varchar.code());
             put_str(buf, s);
         }
         Value::Blob(b) => {
-            buf.put_u8(4);
+            buf.put_u8(ValueTag::Blob.code());
             put_bytes(buf, b);
         }
         Value::Timestamp(n) => {
-            buf.put_u8(5);
+            buf.put_u8(ValueTag::Timestamp.code());
             buf.put_i64_le(*n);
         }
         Value::Boolean(b) => {
-            buf.put_u8(6);
+            buf.put_u8(ValueTag::Boolean.code());
             buf.put_u8(u8::from(*b));
         }
     }
@@ -217,19 +231,43 @@ pub fn put_value(buf: &mut BytesMut, v: &Value) {
 ///
 /// [`CodecError`] on truncation or an unknown tag.
 pub fn get_value(buf: &mut Bytes) -> Result<Value, CodecError> {
-    match get_u8(buf, "value tag")? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Integer(get_i64(buf, "integer")?)),
-        2 => Ok(Value::BigInt(get_i64(buf, "bigint")?)),
-        3 => Ok(Value::Varchar(get_str(buf, "varchar")?)),
-        4 => Ok(Value::Blob(get_bytes(buf, "blob")?.to_vec().into())),
-        5 => Ok(Value::Timestamp(get_i64(buf, "timestamp")?)),
-        6 => Ok(Value::Boolean(get_u8(buf, "boolean")? != 0)),
-        t => Err(CodecError::new(format!("unknown value tag {t}"))),
+    match get_code(buf, "value tag", ValueTag::from_code)? {
+        ValueTag::Null => Ok(Value::Null),
+        ValueTag::Integer => Ok(Value::Integer(get_i64(buf, "integer")?)),
+        ValueTag::BigInt => Ok(Value::BigInt(get_i64(buf, "bigint")?)),
+        ValueTag::Varchar => Ok(Value::Varchar(get_str(buf, "varchar")?)),
+        ValueTag::Blob => Ok(Value::Blob(get_bytes(buf, "blob")?.to_vec().into())),
+        ValueTag::Timestamp => Ok(Value::Timestamp(get_i64(buf, "timestamp")?)),
+        ValueTag::Boolean => Ok(Value::Boolean(get_u8(buf, "boolean")? != 0)),
     }
 }
 
 // --- message encoding ---------------------------------------------------
+
+wire_enum! {
+    /// First byte of a [`ClientMsg`] frame.
+    enum ClientTag: u8 {
+        Hello = 0,
+        ChallengeAnswer = 1,
+        Query = 2,
+        QueryParams = 3,
+        Ping = 4,
+        Close = 5,
+    }
+}
+
+wire_enum! {
+    /// First byte of a [`ServerMsg`] frame.
+    enum ServerTag: u8 {
+        HelloOk = 0,
+        ChallengeNonce = 1,
+        Rows = 2,
+        Affected = 3,
+        Pong = 4,
+        Closed = 5,
+        Error = 6,
+    }
+}
 
 impl ClientMsg {
     /// Serializes the message.
@@ -242,29 +280,29 @@ impl ClientMsg {
                 user,
                 auth,
             } => {
-                b.put_u8(0);
+                b.put_u8(ClientTag::Hello.code());
                 b.put_u16_le(*proto);
                 put_str(&mut b, database);
                 put_str(&mut b, user);
                 match auth {
                     ClientAuth::Password(p) => {
-                        b.put_u8(0);
+                        b.put_u8(AuthMethod::Password.code());
                         put_str(&mut b, p);
                     }
-                    ClientAuth::Challenge => b.put_u8(1),
+                    ClientAuth::Challenge => b.put_u8(AuthMethod::Challenge.code()),
                     ClientAuth::Token(t) => {
-                        b.put_u8(2);
+                        b.put_u8(AuthMethod::Token.code());
                         b.put_u64_le(*t);
                     }
                 }
             }
             ClientMsg::ChallengeAnswer { session, response } => {
-                b.put_u8(1);
+                b.put_u8(ClientTag::ChallengeAnswer.code());
                 b.put_u64_le(*session);
                 b.put_u64_le(*response);
             }
             ClientMsg::Query { session, sql } => {
-                b.put_u8(2);
+                b.put_u8(ClientTag::Query.code());
                 b.put_u64_le(*session);
                 put_str(&mut b, sql);
             }
@@ -273,7 +311,7 @@ impl ClientMsg {
                 sql,
                 params,
             } => {
-                b.put_u8(3);
+                b.put_u8(ClientTag::QueryParams.code());
                 b.put_u64_le(*session);
                 put_str(&mut b, sql);
                 b.put_u16_le(params.len() as u16);
@@ -283,11 +321,11 @@ impl ClientMsg {
                 }
             }
             ClientMsg::Ping { session } => {
-                b.put_u8(4);
+                b.put_u8(ClientTag::Ping.code());
                 b.put_u64_le(*session);
             }
             ClientMsg::Close { session } => {
-                b.put_u8(5);
+                b.put_u8(ClientTag::Close.code());
                 b.put_u64_le(*session);
             }
         }
@@ -300,16 +338,15 @@ impl ClientMsg {
     ///
     /// [`CodecError`] on malformed frames.
     pub fn decode(mut buf: Bytes) -> Result<Self, CodecError> {
-        match get_u8(&mut buf, "client msg tag")? {
-            0 => {
+        match get_code(&mut buf, "client msg tag", ClientTag::from_code)? {
+            ClientTag::Hello => {
                 let proto = get_u16(&mut buf, "proto")?;
                 let database = get_str(&mut buf, "database")?;
                 let user = get_str(&mut buf, "user")?;
-                let auth = match get_u8(&mut buf, "auth tag")? {
-                    0 => ClientAuth::Password(get_str(&mut buf, "password")?),
-                    1 => ClientAuth::Challenge,
-                    2 => ClientAuth::Token(get_u64(&mut buf, "token")?),
-                    t => return Err(CodecError::new(format!("unknown auth tag {t}"))),
+                let auth = match get_code(&mut buf, "auth tag", AuthMethod::from_code)? {
+                    AuthMethod::Password => ClientAuth::Password(get_str(&mut buf, "password")?),
+                    AuthMethod::Challenge => ClientAuth::Challenge,
+                    AuthMethod::Token => ClientAuth::Token(get_u64(&mut buf, "token")?),
                 };
                 Ok(ClientMsg::Hello {
                     proto,
@@ -318,15 +355,15 @@ impl ClientMsg {
                     auth,
                 })
             }
-            1 => Ok(ClientMsg::ChallengeAnswer {
+            ClientTag::ChallengeAnswer => Ok(ClientMsg::ChallengeAnswer {
                 session: get_u64(&mut buf, "session")?,
                 response: get_u64(&mut buf, "response")?,
             }),
-            2 => Ok(ClientMsg::Query {
+            ClientTag::Query => Ok(ClientMsg::Query {
                 session: get_u64(&mut buf, "session")?,
                 sql: get_str(&mut buf, "sql")?,
             }),
-            3 => {
+            ClientTag::QueryParams => {
                 let session = get_u64(&mut buf, "session")?;
                 let sql = get_str(&mut buf, "sql")?;
                 let n = get_u16(&mut buf, "param count")?;
@@ -340,13 +377,12 @@ impl ClientMsg {
                     params,
                 })
             }
-            4 => Ok(ClientMsg::Ping {
+            ClientTag::Ping => Ok(ClientMsg::Ping {
                 session: get_u64(&mut buf, "session")?,
             }),
-            5 => Ok(ClientMsg::Close {
+            ClientTag::Close => Ok(ClientMsg::Close {
                 session: get_u64(&mut buf, "session")?,
             }),
-            t => Err(CodecError::new(format!("unknown client msg tag {t}"))),
         }
     }
 }
@@ -357,16 +393,16 @@ impl ServerMsg {
         let mut b = BytesMut::new();
         match self {
             ServerMsg::HelloOk { session } => {
-                b.put_u8(0);
+                b.put_u8(ServerTag::HelloOk.code());
                 b.put_u64_le(*session);
             }
             ServerMsg::ChallengeNonce { session, nonce } => {
-                b.put_u8(1);
+                b.put_u8(ServerTag::ChallengeNonce.code());
                 b.put_u64_le(*session);
                 b.put_u64_le(*nonce);
             }
             ServerMsg::Rows(rs) => {
-                b.put_u8(2);
+                b.put_u8(ServerTag::Rows.code());
                 b.put_u16_le(rs.columns.len() as u16);
                 for c in &rs.columns {
                     put_str(&mut b, c);
@@ -379,13 +415,13 @@ impl ServerMsg {
                 }
             }
             ServerMsg::Affected(n) => {
-                b.put_u8(3);
+                b.put_u8(ServerTag::Affected.code());
                 b.put_u64_le(*n);
             }
-            ServerMsg::Pong => b.put_u8(4),
-            ServerMsg::Closed => b.put_u8(5),
+            ServerMsg::Pong => b.put_u8(ServerTag::Pong.code()),
+            ServerMsg::Closed => b.put_u8(ServerTag::Closed.code()),
             ServerMsg::Error { code, msg } => {
-                b.put_u8(6);
+                b.put_u8(ServerTag::Error.code());
                 b.put_u16_le(*code);
                 put_str(&mut b, msg);
             }
@@ -399,15 +435,15 @@ impl ServerMsg {
     ///
     /// [`CodecError`] on malformed frames.
     pub fn decode(mut buf: Bytes) -> Result<Self, CodecError> {
-        match get_u8(&mut buf, "server msg tag")? {
-            0 => Ok(ServerMsg::HelloOk {
+        match get_code(&mut buf, "server msg tag", ServerTag::from_code)? {
+            ServerTag::HelloOk => Ok(ServerMsg::HelloOk {
                 session: get_u64(&mut buf, "session")?,
             }),
-            1 => Ok(ServerMsg::ChallengeNonce {
+            ServerTag::ChallengeNonce => Ok(ServerMsg::ChallengeNonce {
                 session: get_u64(&mut buf, "session")?,
                 nonce: get_u64(&mut buf, "nonce")?,
             }),
-            2 => {
+            ServerTag::Rows => {
                 let ncols = get_u16(&mut buf, "column count")?;
                 let columns = get_items(&mut buf, "columns", ncols.into(), 4, |buf| {
                     get_str(buf, "column name")
@@ -421,14 +457,13 @@ impl ServerMsg {
                 })?;
                 Ok(ServerMsg::Rows(RowSet { columns, rows }))
             }
-            3 => Ok(ServerMsg::Affected(get_u64(&mut buf, "affected")?)),
-            4 => Ok(ServerMsg::Pong),
-            5 => Ok(ServerMsg::Closed),
-            6 => Ok(ServerMsg::Error {
+            ServerTag::Affected => Ok(ServerMsg::Affected(get_u64(&mut buf, "affected")?)),
+            ServerTag::Pong => Ok(ServerMsg::Pong),
+            ServerTag::Closed => Ok(ServerMsg::Closed),
+            ServerTag::Error => Ok(ServerMsg::Error {
                 code: get_u16(&mut buf, "error code")?,
                 msg: get_str(&mut buf, "error msg")?,
             }),
-            t => Err(CodecError::new(format!("unknown server msg tag {t}"))),
         }
     }
 
@@ -452,6 +487,8 @@ impl ServerMsg {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -495,6 +532,9 @@ mod tests {
             ClientMsg::Ping { session: 7 },
             ClientMsg::Close { session: 7 },
         ];
+        let tags: BTreeSet<u8> = msgs.iter().map(|m| m.encode()[0]).collect();
+        let all = (0..=u8::MAX).filter_map(ClientTag::from_code);
+        assert_eq!(tags, all.map(ClientTag::code).collect());
         for m in msgs {
             assert_eq!(ClientMsg::decode(m.encode()).unwrap(), m);
         }
@@ -527,6 +567,9 @@ mod tests {
                 msg: "authentication failed: nope".into(),
             },
         ];
+        let tags: BTreeSet<u8> = msgs.iter().map(|m| m.encode()[0]).collect();
+        let all = (0..=u8::MAX).filter_map(ServerTag::from_code);
+        assert_eq!(tags, all.map(ServerTag::code).collect());
         for m in msgs {
             assert_eq!(ServerMsg::decode(m.encode()).unwrap(), m);
         }
@@ -534,15 +577,13 @@ mod tests {
 
     #[test]
     fn error_codes_roundtrip() {
-        let errs = vec![
-            DbError::Parse("x".into()),
-            DbError::Auth("x".into()),
-            DbError::NoSuchDatabase("x".into()),
-            DbError::Protocol("x".into()),
-        ];
-        for e in errs {
-            let round = err_from(err_code(&e), "x".into());
-            assert_eq!(std::mem::discriminant(&round), std::mem::discriminant(&e));
+        for c in 0..=20 {
+            let e = err_from(c, "x".into());
+            if (1..=19).contains(&c) {
+                assert_eq!(err_code(&e), c, "{e:?}");
+            } else {
+                assert!(matches!(e, DbError::Internal(_)), "{c}: {e:?}");
+            }
         }
     }
 

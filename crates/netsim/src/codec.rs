@@ -10,7 +10,8 @@
 //! which refuses a count the rest of the frame cannot hold *before* it
 //! allocates: capacity follows bytes held, never the number read. A
 //! presence byte goes through [`get_opt`] ([`get_opt_str`] for strings):
-//! `0` absent, `1` present, anything else malformed.
+//! `0` absent, `1` present, anything else malformed. A tag or code byte
+//! names a variant of an enum declared once through [`wire_enum!`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -224,6 +225,90 @@ pub fn get_items<T, E: From<CodecError>>(
 pub fn get_u64s(buf: &mut Bytes, what: &str, n: u32) -> Result<Vec<u64>, CodecError> {
     get_items(buf, what, n, 8, |buf| get_u64(buf, what))
 }
+
+/// Reads a one-byte code and maps it through `from_code` (a
+/// [`wire_enum!`]'s).
+///
+/// # Errors
+///
+/// [`CodecError`] on underflow or a code `from_code` does not know.
+pub fn get_code<T>(
+    buf: &mut Bytes,
+    what: &str,
+    from_code: impl FnOnce(u8) -> Option<T>,
+) -> Result<T, CodecError> {
+    let c = get_u8(buf, what)?;
+    from_code(c).ok_or_else(|| CodecError::new(format!("unknown {what} {c}")))
+}
+
+/// Declares a fieldless wire enum once: the enum under `#[repr(R)]`, its
+/// `code(self) -> R` and its `from_code(R) -> Option<Self>`, both read
+/// off the one list of `Variant = code` lines, so they cannot drift
+/// apart. Derives stay at the call site.
+///
+/// ```
+/// netsim::codec::wire_enum! {
+///     #[derive(Clone, Copy, Debug, PartialEq)]
+///     pub enum Method: i8 { Any = -1, Plain = 0 }
+/// }
+/// assert_eq!(Method::Any.code(), -1);
+/// assert_eq!(Method::from_code(0), Some(Method::Plain));
+/// assert_eq!(Method::from_code(1), None);
+/// ```
+///
+/// The compiler rejects two variants with one code (E0081):
+///
+/// ```compile_fail,E0081
+/// netsim::codec::wire_enum! {
+///     enum Tag: u8 { Request = 0, Offer = 0 }
+/// }
+/// ```
+///
+/// and a decoder that matches `from_code` with no `_` arm rejects a
+/// variant it has no arm for (E0004):
+///
+/// ```compile_fail,E0004
+/// netsim::codec::wire_enum! {
+///     enum Tag: u8 { Request = 0, Offer = 1 }
+/// }
+/// fn decode(byte: u8) -> &'static str {
+///     match Tag::from_code(byte) {
+///         Some(Tag::Request) => "request",
+///         None => "unknown",
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident : $repr:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $code:literal),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[repr($repr)]
+        $vis enum $name {
+            $($(#[$vmeta])* $variant = $code,)+
+        }
+
+        impl $name {
+            /// The wire code.
+            $vis const fn code(self) -> $repr {
+                self as $repr
+            }
+
+            /// The variant whose wire code is `c`.
+            $vis const fn from_code(c: $repr) -> Option<Self> {
+                match c {
+                    $($code => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+pub use wire_enum;
 
 #[cfg(test)]
 mod tests {

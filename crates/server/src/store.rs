@@ -164,6 +164,20 @@ fn opt_i32(v: &Value) -> Option<i32> {
     v.as_i64().map(|n| n as i32)
 }
 
+/// A Table 2 policy column, `None` for NULL. The column is an `INTEGER`
+/// an administrator may set to anything: a value that is not one of the
+/// enum's codes, however wide, is malformed, never truncated into one.
+fn stored_code<C: TryFrom<i64>, T>(
+    v: &Value,
+    column: &str,
+    from_code: fn(C) -> Option<T>,
+) -> DrvResult<Option<T>> {
+    let Some(n) = v.as_i64() else { return Ok(None) };
+    let code = C::try_from(n).ok().and_then(from_code);
+    code.ok_or_else(|| DrvError::Codec(format!("unknown {column} {n}")))
+        .map(Some)
+}
+
 impl DriverStore {
     /// Creates a store over an executor. Call
     /// [`DriverStore::install_schema`] once on a fresh database.
@@ -261,15 +275,15 @@ impl DriverStore {
         );
         p.insert(
             "renew".into(),
-            Value::Integer(rule.renew_policy.code() as i64),
+            Value::Integer(i64::from(rule.renew_policy.code())),
         );
         p.insert(
             "exp".into(),
-            Value::Integer(rule.expiration_policy.code() as i64),
+            Value::Integer(i64::from(rule.expiration_policy.code())),
         );
         p.insert(
             "xfer".into(),
-            Value::Integer(rule.transfer_method.code() as i64),
+            Value::Integer(i64::from(rule.transfer_method.code())),
         );
         self.exec.exec(
             "INSERT INTO information_schema.driver_permission VALUES \
@@ -354,9 +368,16 @@ impl DriverStore {
             start_date: opt_i64(&row[5]),
             end_date: opt_i64(&row[6]),
             lease_time_ms: opt_i64(&row[7]),
-            renew_policy: RenewPolicy::from_code(row[8].as_i64().unwrap_or(0) as i32)?,
-            expiration_policy: ExpirationPolicy::from_code(row[9].as_i64().unwrap_or(0) as i32)?,
-            transfer_method: TransferMethod::from_code(row[10].as_i64().unwrap_or(-1) as i32)?,
+            renew_policy: stored_code(&row[8], "renew_policy", RenewPolicy::from_code)?
+                .unwrap_or_default(),
+            expiration_policy: stored_code(
+                &row[9],
+                "expiration_policy",
+                ExpirationPolicy::from_code,
+            )?
+            .unwrap_or_default(),
+            transfer_method: stored_code(&row[10], "transfer_method", TransferMethod::from_code)?
+                .unwrap_or(TransferMethod::Any),
         })
     }
 
@@ -832,6 +853,41 @@ mod tests {
                     .collect();
             assert_eq!(sql_ids, mem_ids, "disagreement for user {user}");
         }
+    }
+
+    #[test]
+    fn a_stored_policy_code_out_of_range_is_an_error_not_a_truncation() {
+        let s = store();
+        s.add_driver(&rec(1)).unwrap();
+        // 2^32 + 1 truncated to 32 bits is 1 (UPGRADE).
+        for column in ["renew_policy", "expiration_policy", "transfer_method"] {
+            s.remove_permissions(DriverId(1)).unwrap();
+            s.add_permission(&PermissionRule::any(DriverId(1))).unwrap();
+            s.exec
+                .exec(
+                    &format!(
+                        "UPDATE information_schema.driver_permission SET {column} = 4294967297"
+                    ),
+                    &Params::new(),
+                )
+                .unwrap();
+            assert!(
+                matches!(s.rules(), Err(DrvError::Codec(m)) if m.contains(column)),
+                "{column}"
+            );
+        }
+        // NULL keeps the defaults.
+        s.exec
+            .exec(
+                "UPDATE information_schema.driver_permission \
+                 SET renew_policy = NULL, expiration_policy = NULL, transfer_method = NULL",
+                &Params::new(),
+            )
+            .unwrap();
+        let rule = &s.rules().unwrap()[0];
+        assert_eq!(rule.renew_policy, RenewPolicy::Renew);
+        assert_eq!(rule.expiration_policy, ExpirationPolicy::AfterClose);
+        assert_eq!(rule.transfer_method, TransferMethod::Any);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use drivolution::minidb::exec::RowSet;
 use drivolution::minidb::wire::{ClientAuth, ClientMsg, ServerMsg};
 use drivolution::minidb::Value;
 
-/// One valid frame per `TAG_*`, all 18, in tag order.
+/// One valid frame per `core::proto` frame tag, all 18, in tag order.
 pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
     let manifest = ChunkManifest::of_with(&[7u8; 40_000], &ChunkingParams::default());
 

@@ -192,3 +192,29 @@ fn every_window_mutant_of_every_frame_is_an_error_or_reencodes() {
         "{decoded} of {decodes}"
     );
 }
+
+/// Enum-byte mutation: byte 0 of every wire shape (a frame tag for every
+/// protocol message), set to each of 0..=255 and resealed where the shape
+/// is sealed. A byte no tag enum declares is a typed error; a declared tag
+/// under another tag's body decodes to a typed error or to a value that
+/// survives its own encoding.
+#[test]
+fn every_tag_byte_under_every_frame_body_is_an_error_or_reencodes() {
+    let mut runs = 0u32;
+    let mut decoded = 0u32;
+    for subject in frames::subjects() {
+        for tag in 0..=u8::MAX {
+            let mut frame = subject.frame.to_vec();
+            frame[0] = tag;
+            (subject.reseal)(&mut frame);
+            runs += 1;
+            match (subject.roundtrip)(Bytes::from(frame)) {
+                Ok(value) => decoded += u32::from(value),
+                Err(e) => panic!("{} under tag {tag}: {e}", subject.name),
+            }
+        }
+    }
+    // 40 shapes; each still decodes under its own first byte at least.
+    assert_eq!(runs, 40 * 256);
+    assert!(decoded >= 40, "{decoded} of {runs}");
+}
