@@ -20,7 +20,7 @@ use drivolution_core::{DriverVersion, DrvError, ExpirationPolicy};
 use crate::config::{BootloaderConfig, ServerLocator};
 use crate::fetch::MirrorFetchStats;
 use crate::managed::ManagedConnection;
-use crate::swap::{SwapCoordinator, SwapStats};
+use crate::swap::{DrainWindow, SwapStats};
 use crate::tracker::ConnectionTracker;
 
 /// Cadence of the session-maintenance sweep (tracker prune + zombie
@@ -103,6 +103,11 @@ pub enum PollOutcome {
     KeptAfterFailure,
 }
 
+/// Cap on each undrained sample list; the oldest half is shed at it.
+pub(crate) const MAX_SAMPLES: usize = 4096;
+
+/// Everything mutable about a bootloader, behind its one lock.
+#[derive(Default)]
 pub(crate) struct BootState {
     pub(crate) server: Option<Addr>,
     pub(crate) pipe: Option<Pipe>,
@@ -110,6 +115,21 @@ pub(crate) struct BootState {
     /// URL and properties of the last `connect`/`bootstrap`: the
     /// identity every later exchange with the server is made under.
     pub(crate) context: Option<(DbUrl, ConnectProps)>,
+    pub(crate) stats: BootStats,
+    pub(crate) mirror_fetch: HashMap<String, MirrorFetchStats>,
+    pub(crate) fetch_latencies: Vec<u64>,
+    pub(crate) renewal_times: Vec<u64>,
+    pub(crate) tasks: LifecycleTasks,
+    /// Open hot-swap coexistence windows.
+    pub(crate) windows: Vec<DrainWindow>,
+}
+
+/// Appends `sample`, shedding the oldest half at [`MAX_SAMPLES`].
+pub(crate) fn push_sample(samples: &mut Vec<u64>, sample: u64) {
+    if samples.len() >= MAX_SAMPLES {
+        samples.drain(..MAX_SAMPLES / 2);
+    }
+    samples.push(sample);
 }
 
 /// The client-side bootloader. One per application; create with
@@ -123,12 +143,6 @@ pub struct Bootloader {
     pub(crate) tracker: ConnectionTracker,
     pub(crate) clock: Clock,
     pub(crate) state: Mutex<BootState>,
-    pub(crate) stats: Mutex<BootStats>,
-    pub(crate) mirror_fetch: Mutex<HashMap<String, MirrorFetchStats>>,
-    pub(crate) fetch_latencies: Mutex<Vec<u64>>,
-    pub(crate) renewal_times: Mutex<Vec<u64>>,
-    pub(crate) lifecycle: Mutex<LifecycleTasks>,
-    pub(crate) swap: SwapCoordinator,
 }
 
 #[derive(Default)]
@@ -140,6 +154,8 @@ pub(crate) struct LifecycleTasks {
     /// Periodic session-maintenance sweep (tracker prune + zombie reap),
     /// registered for self-driving and swap-enabled bootloaders.
     maintenance: Option<TaskHandle>,
+    /// Hot-swap tick (swap-enabled bootloaders), dormant until a swap.
+    pub(crate) swap: Option<TaskHandle>,
     /// Renew-due instant the lease timer is currently armed for. The
     /// spread jitter is sampled once per lease grant; re-running
     /// maintenance against the same lease must not re-sample it (the
@@ -162,11 +178,10 @@ impl Drop for Bootloader {
     /// in particular would otherwise linger forever, since a task that
     /// never fires never notices its weak reference died.
     fn drop(&mut self) {
-        let tasks = self.lifecycle.lock();
-        for task in [&tasks.poll, &tasks.lease, &tasks.maintenance] {
+        let tasks = &self.state.lock().tasks;
+        for task in [&tasks.poll, &tasks.lease, &tasks.maintenance, &tasks.swap] {
             task.iter().for_each(TaskHandle::cancel);
         }
-        self.swap.cancel_task();
     }
 }
 
@@ -184,30 +199,20 @@ impl Bootloader {
             registry: DriverRegistry::new(),
             tracker: ConnectionTracker::new(),
             clock: net.clock().clone(),
-            state: Mutex::new(BootState {
-                server: None,
-                pipe: None,
-                revoked: false,
-                context: None,
-            }),
-            stats: Mutex::new(BootStats::default()),
-            mirror_fetch: Mutex::new(HashMap::new()),
-            fetch_latencies: Mutex::new(Vec::new()),
-            renewal_times: Mutex::new(Vec::new()),
-            lifecycle: Mutex::new(LifecycleTasks::default()),
-            swap: SwapCoordinator::default(),
+            state: Mutex::new(BootState::default()),
         });
         boot.register_lifecycle();
         boot
     }
 
-    /// Registers the upgrade-poll task and the (dormant until a lease is
-    /// granted) auto-renewal timer. Both hold only a weak reference:
-    /// dropping the bootloader retires its tasks on their next firing.
+    /// Registers the upgrade-poll task, the (dormant until a lease is
+    /// granted) auto-renewal timer, the session sweep and the hot-swap
+    /// tick. Each holds only a weak reference: dropping the bootloader
+    /// retires its tasks on their next firing.
     fn register_lifecycle(self: &Arc<Self>) {
         let policy = self.config.lifecycle;
         let sched = self.net.scheduler();
-        let mut tasks = self.lifecycle.lock();
+        let mut tasks = LifecycleTasks::default();
         if let Some(every) = policy.poll_every {
             let poll = sched.every(
                 every,
@@ -237,10 +242,15 @@ impl Bootloader {
             sweep.sleep_until(u64::MAX);
             tasks.maintenance = Some(sweep);
         }
-        drop(tasks);
         if self.config.swap.is_some() {
-            self.register_swap_task();
+            let name = format!("hot-swap {}", self.local);
+            let tick = self.task(|boot| {
+                boot.swap_tick();
+                Ok(TaskControl::Continue)
+            });
+            tasks.swap = Some(sched.dormant(name, tick));
         }
+        self.state.lock().tasks = tasks;
     }
 
     /// A scheduler task body running `run` against this bootloader. It
@@ -279,13 +289,13 @@ impl Bootloader {
     /// Handle to the lease auto-renewal timer, if auto-renewal is
     /// enabled. Dormant until the first lease is granted.
     pub fn lease_task(&self) -> Option<TaskHandle> {
-        self.lifecycle.lock().lease.clone()
+        self.state.lock().tasks.lease.clone()
     }
 
     /// Handle to the periodic session-maintenance sweep, if registered
     /// (self-driving or swap-enabled bootloaders).
     pub fn maintenance_task(&self) -> Option<TaskHandle> {
-        self.lifecycle.lock().maintenance.clone()
+        self.state.lock().tasks.maintenance.clone()
     }
 
     /// Current virtual-clock instant.
@@ -311,7 +321,7 @@ impl Bootloader {
 
     /// Counter snapshot.
     pub fn stats(&self) -> BootStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
     /// The client's own network address.
@@ -577,7 +587,7 @@ impl Bootloader {
         let new_ns = self.install_offer(&server, &offer)?;
         self.registry.activate(new_ns)?;
         // Old connections keep working (extension fetch is additive).
-        self.stats.lock().extension_fetches += 1;
+        self.state.lock().stats.extension_fetches += 1;
         self.sync_lease_timer();
         Ok(())
     }
@@ -650,4 +660,25 @@ fn expect_offer(reply: DrvMsg, what: &str) -> DkResult<DrvOffer> {
 
 fn no_context() -> DkError {
     DkError::Closed("no connection context".into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn undrained_fetch_latencies_stay_bounded() {
+        let net = Network::new();
+        let boot = Bootloader::new(
+            &net,
+            Addr::new("app", 1),
+            BootloaderConfig::fixed(Vec::new()),
+        );
+        for dt in 0..=MAX_SAMPLES as u64 {
+            push_sample(&mut boot.state.lock().fetch_latencies, dt);
+        }
+        let kept = boot.take_fetch_latencies();
+        assert!(kept.len() <= MAX_SAMPLES, "{} samples kept", kept.len());
+        assert_eq!(kept.last(), Some(&(MAX_SAMPLES as u64)));
+    }
 }

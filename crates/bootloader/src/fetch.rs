@@ -15,7 +15,7 @@ use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer};
 use drivolution_core::{transfer, Digested, DriverImage, DrvError, Lease};
 use drivolution_depot::{fetch_chunks, parse_mirror_addr, DriverDepot};
 
-use crate::bootloader::Bootloader;
+use crate::bootloader::{push_sample, Bootloader};
 
 /// Per-source chunk-fetch statistics a bootloader keeps about each
 /// mirror (and the primary) it has pulled chunks from.
@@ -46,8 +46,9 @@ impl Bootloader {
     /// sorted by location.
     pub fn mirror_fetch_stats(&self) -> Vec<(String, MirrorFetchStats)> {
         let mut v: Vec<(String, MirrorFetchStats)> = self
-            .mirror_fetch
+            .state
             .lock()
+            .mirror_fetch
             .iter()
             .map(|(k, s)| (k.clone(), *s))
             .collect();
@@ -56,9 +57,10 @@ impl Bootloader {
     }
 
     /// Drains the recorded per-fetch virtual-clock latencies (one entry
-    /// per successful chunk-set fetch), for percentile reporting.
+    /// per successful chunk-set fetch, the most recent few thousand when
+    /// never drained), for percentile reporting.
     pub fn take_fetch_latencies(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.fetch_latencies.lock())
+        std::mem::take(&mut self.state.lock().fetch_latencies)
     }
 
     /// The database the current connection context is about (depot cache
@@ -108,7 +110,7 @@ impl Bootloader {
                 })?;
                 depot.note_revalidation(&self.context_database(), digest);
                 {
-                    let mut st = self.stats.lock();
+                    let st = &mut self.state.lock().stats;
                     st.revalidations += 1;
                     st.bytes_saved += bytes.len() as u64;
                 }
@@ -147,9 +149,8 @@ impl Bootloader {
         let loaded = self.verify_and_load(offer, image.bytes().clone())?;
         if let Some(depot) = &self.config.depot {
             depot.insert_digested(&self.context_database(), image);
-            depot.note_full_insert();
         }
-        self.stats.lock().downloads += 1;
+        self.state.lock().stats.downloads += 1;
         Ok(loaded)
     }
 
@@ -171,26 +172,22 @@ impl Bootloader {
         })
         .map_err(DkError::Drv);
         let dt = self.clock.now_ms().saturating_sub(t0);
-        {
-            let mut fs = self.mirror_fetch.lock();
-            let e = fs.entry(location.to_string()).or_default();
-            e.attempts += 1;
-            match &result {
-                Ok(chunks) => {
-                    e.successes += 1;
-                    e.bytes_fetched += chunks.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
-                    e.last_latency_ms = dt;
-                    e.ewma_latency_ms = if e.successes == 1 {
-                        dt
-                    } else {
-                        (3 * e.ewma_latency_ms + dt) / 4
-                    };
-                }
-                Err(_) => e.failures += 1,
+        let mut st = self.state.lock();
+        let e = st.mirror_fetch.entry(location.to_string()).or_default();
+        e.attempts += 1;
+        match &result {
+            Ok(chunks) => {
+                e.successes += 1;
+                e.bytes_fetched += chunks.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
+                e.last_latency_ms = dt;
+                e.ewma_latency_ms = if e.successes == 1 {
+                    dt
+                } else {
+                    (3 * e.ewma_latency_ms + dt) / 4
+                };
+                push_sample(&mut st.fetch_latencies, dt);
             }
-        }
-        if result.is_ok() {
-            self.fetch_latencies.lock().push(dt);
+            Err(_) => e.failures += 1,
         }
         result
     }
@@ -228,7 +225,7 @@ impl Bootloader {
                         &chunk_map,
                     );
                     {
-                        let mut st = self.stats.lock();
+                        let st = &mut self.state.lock().stats;
                         st.shared_image_reuses += 1;
                         st.bytes_saved += plan.manifest.total_size;
                     }
@@ -247,7 +244,7 @@ impl Bootloader {
             // tiebreak.
             let mut candidates = plan.mirrors.clone();
             {
-                let fs = self.mirror_fetch.lock();
+                let fs = &self.state.lock().mirror_fetch;
                 candidates.sort_by_key(|c| {
                     let zone_miss = match (client_zone.as_deref(), c.zone.as_deref()) {
                         (Some(a), Some(b)) => a != b,
@@ -267,7 +264,7 @@ impl Bootloader {
                     match self.timed_fetch(&c.location, &addr, &need, offer) {
                         Ok(chunks) => {
                             fetched = chunks.into_iter().collect();
-                            self.stats.lock().mirror_chunk_fetches += 1;
+                            self.state.lock().stats.mirror_chunk_fetches += 1;
                             source_zone = Some(c.zone.clone());
                             break 'candidates;
                         }
@@ -318,7 +315,7 @@ impl Bootloader {
                 // Unzoned topologies are a single implicit zone.
                 _ => true,
             };
-            let mut st = self.stats.lock();
+            let st = &mut self.state.lock().stats;
             if same_zone {
                 st.same_zone_chunk_bytes += fetched_bytes;
             } else {
@@ -347,7 +344,7 @@ impl Bootloader {
         }
         let saved = plan.manifest.total_size.saturating_sub(fetched_bytes);
         {
-            let mut st = self.stats.lock();
+            let st = &mut self.state.lock().stats;
             st.delta_downloads += 1;
             st.bytes_saved += saved;
             if fell_back {
@@ -383,7 +380,7 @@ impl Bootloader {
     /// directory's strike ledger, never part of the fetch path's own
     /// control flow.
     fn send_mirror_complaint(&self, server: &Addr, location: &str, digest: u64, detail: &str) {
-        self.stats.lock().mirror_complaints += 1;
+        self.state.lock().stats.mirror_complaints += 1;
         let msg = DrvMsg::MirrorComplaint {
             location: location.to_string(),
             digest,

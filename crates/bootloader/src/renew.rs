@@ -12,16 +12,11 @@ use netsim::Addr;
 use drivolution_core::proto::{DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::{DriverVersion, DrvNotice, LeaseState};
 
-use crate::bootloader::{Bootloader, PollOutcome};
+use crate::bootloader::{push_sample, Bootloader, PollOutcome};
 
 /// Retry backoff after a failed renewal ("the bootloader keeps its
 /// current implementation", §4.1.3 — but keeps trying).
 const RENEW_RETRY: Duration = Duration::from_secs(30);
-
-/// Cap on retained renewal-attempt timestamps (see
-/// [`Bootloader::take_renewal_times`]); the oldest half is shed when a
-/// harness never drains them.
-const MAX_RENEWAL_TIMES: usize = 4096;
 
 impl Bootloader {
     /// Re-arms the auto-renewal timer against the active lease: spread
@@ -40,7 +35,9 @@ impl Bootloader {
     /// once the lease is renew-due or a pushed notice may be waiting,
     /// sleeps until then.
     pub(crate) fn sync_lease_timer(&self) {
-        let mut tasks = self.lifecycle.lock();
+        let mut st = self.state.lock();
+        let notified = self.config.open_notify_channel && st.pipe.is_some();
+        let tasks = &mut st.tasks;
         if tasks.poll.is_none() && tasks.lease.is_none() {
             return;
         }
@@ -50,7 +47,7 @@ impl Bootloader {
             .map(|ns| (ns.lease.renew_due_at_ms(), ns.lease.renew_margin_ms()));
         if let Some(poll) = &tasks.poll {
             poll.sleep_until(match lease {
-                _ if self.config.open_notify_channel && self.state.lock().pipe.is_some() => 0,
+                _ if notified => 0,
                 Some((renew_at, _)) => renew_at,
                 None => u64::MAX,
             });
@@ -88,7 +85,7 @@ impl Bootloader {
     /// whatever its outcome). Fleet harnesses bucket these per tick to
     /// measure the renewal burst the spread jitter is meant to flatten.
     pub fn take_renewal_times(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.renewal_times.lock())
+        std::mem::take(&mut self.state.lock().renewal_times)
     }
 
     /// Drains pushed notices and runs the lease state machine once, then
@@ -102,7 +99,7 @@ impl Bootloader {
     /// anybody writing one). It also runs at each `connect` ("wait
     /// lazily for an application call to trigger the check").
     pub fn poll(self: &Arc<Self>) -> PollOutcome {
-        self.stats.lock().polls += 1;
+        self.state.lock().stats.polls += 1;
         let outcome = self.maintenance();
         self.sync_lease_timer();
         outcome
@@ -129,17 +126,6 @@ impl Bootloader {
         force_renew
     }
 
-    /// Records a renewal attempt timestamp, bounded: an undrained
-    /// long-lived bootloader keeps only the most recent attempts instead
-    /// of growing forever.
-    fn record_renewal_time(&self) {
-        let mut times = self.renewal_times.lock();
-        if times.len() >= MAX_RENEWAL_TIMES {
-            times.drain(..MAX_RENEWAL_TIMES / 2);
-        }
-        times.push(self.clock.now_ms());
-    }
-
     /// The renewal this bootloader owes right now — the one trigger the
     /// poll path and the batch interface share: `None` when no driver is
     /// active, or the lease is still valid and no pushed notice forced a
@@ -153,7 +139,7 @@ impl Bootloader {
         let (url, props) = self.context()?;
         let current = ns.driver_id;
         let req = self.build_request(RequestKind::Renewal { current }, &url, &props);
-        self.record_renewal_time();
+        push_sample(&mut self.state.lock().renewal_times, self.clock.now_ms());
         Some((ns, url, req))
     }
 
@@ -171,7 +157,7 @@ impl Bootloader {
             }
             _ => {
                 // Network failure or nonsense: keep the current driver.
-                self.stats.lock().failed_renewals += 1;
+                self.state.lock().stats.failed_renewals += 1;
                 PollOutcome::KeptAfterFailure
             }
         }
@@ -190,8 +176,9 @@ impl Bootloader {
             if let Ok(lease) = self.lease_of(&offer) {
                 let _ = self.registry.set_lease(ns.id, lease);
             }
-            self.state.lock().server = Some(server);
-            self.stats.lock().renewals += 1;
+            let mut st = self.state.lock();
+            st.server = Some(server);
+            st.stats.renewals += 1;
             return PollOutcome::Renewed;
         }
         // UPGRADE: download, switch new connects, transition old
@@ -218,7 +205,7 @@ impl Bootloader {
                     let reason = "driver upgraded by drivolution server";
                     self.expire_sessions(ns.id, offer.expiration_policy, reason);
                 }
-                self.stats.lock().upgrades += 1;
+                self.state.lock().stats.upgrades += 1;
                 if self.config.report_activation {
                     let verdict = self.run_activation_check(new_ns);
                     self.send_activation_report(&offer, Some(to), verdict);
@@ -226,7 +213,7 @@ impl Bootloader {
                 PollOutcome::Upgraded { from, to }
             }
             Err(e) => {
-                self.stats.lock().failed_renewals += 1;
+                self.state.lock().stats.failed_renewals += 1;
                 if self.config.report_activation {
                     let verdict = Err(format!("driver install failed: {e}"));
                     self.send_activation_report(&offer, None, verdict);
@@ -301,7 +288,7 @@ impl Bootloader {
             Err(detail) => (false, detail),
         };
         {
-            let mut st = self.stats.lock();
+            let st = &mut self.state.lock().stats;
             st.activation_reports += 1;
             if !ok {
                 st.activation_failures += 1;
@@ -324,7 +311,7 @@ impl Bootloader {
         self.state.lock().revoked = true;
         let reason = "driver revoked and no replacement available";
         self.expire_sessions(ns.id, ns.lease.expiration_policy(), reason);
-        self.stats.lock().revocations += 1;
+        self.state.lock().stats.revocations += 1;
     }
 }
 

@@ -27,14 +27,10 @@
 //! zero-transfer revalidation) and the failed version drains
 //! symmetrically — only [`SwapStats::downgrades`] tells them apart.
 
-use std::sync::Arc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use driverkit::NamespaceId;
 use drivolution_core::{DriverVersion, ExpirationPolicy};
-use netsim::{TaskControl, TaskHandle};
 
 use crate::bootloader::Bootloader;
 
@@ -102,7 +98,7 @@ pub struct SwapStats {
 
 /// One namespace being drained inside a coexistence window.
 #[derive(Clone, Copy, Debug)]
-struct DrainWindow {
+pub(crate) struct DrainWindow {
     ns: NamespaceId,
     policy: ExpirationPolicy,
     deadline_ms: u64,
@@ -111,38 +107,10 @@ struct DrainWindow {
     escalated: bool,
 }
 
-/// Bootloader-internal swap state: open windows and the (dormant until
-/// a swap begins) coordinator task.
-#[derive(Default)]
-pub(crate) struct SwapCoordinator {
-    windows: Mutex<Vec<DrainWindow>>,
-    task: Mutex<Option<TaskHandle>>,
-}
-
-impl SwapCoordinator {
-    pub(crate) fn cancel_task(&self) {
-        if let Some(t) = &*self.task.lock() {
-            t.cancel();
-        }
-    }
-}
-
 impl Bootloader {
     /// Whether hot-swap coexistence windows are configured.
     pub fn swap_enabled(&self) -> bool {
         self.config.swap.is_some()
-    }
-
-    /// Registers the (dormant) swap-coordinator task; called from the
-    /// lifecycle registration when a [`SwapConfig`] is present.
-    pub(crate) fn register_swap_task(self: &Arc<Self>) {
-        let tick = self.task(|b| {
-            b.swap_tick();
-            Ok(TaskControl::Continue)
-        });
-        let name = format!("hot-swap {}", self.local);
-        let handle = self.net.scheduler().dormant(name, tick);
-        *self.swap.task.lock() = Some(handle);
     }
 
     /// Opens a coexistence window for `old_ns` after a different
@@ -163,20 +131,20 @@ impl Bootloader {
         let marked = self.tracker.mark_draining(old_ns);
 
         {
-            let mut st = self.stats.lock();
-            st.swap.windows_opened += 1;
+            let mut st = self.state.lock();
+            st.stats.swap.windows_opened += 1;
             if to < from {
-                st.swap.downgrades += 1;
+                st.stats.swap.downgrades += 1;
             }
+            st.windows.push(DrainWindow {
+                ns: old_ns,
+                policy,
+                deadline_ms: now + cfg.drain_grace.as_millis() as u64,
+                initial_sessions: marked,
+                forced: 0,
+                escalated: false,
+            });
         }
-        self.swap.windows.lock().push(DrainWindow {
-            ns: old_ns,
-            policy,
-            deadline_ms: now + cfg.drain_grace.as_millis() as u64,
-            initial_sessions: marked,
-            forced: 0,
-            escalated: false,
-        });
         // Settle instantly-drained windows (no old sessions) and arm the
         // coordinator for the rest.
         self.swap_tick();
@@ -189,13 +157,13 @@ impl Bootloader {
             return;
         };
         let now = self.clock.now_ms();
-        let windows = std::mem::take(&mut *self.swap.windows.lock());
+        let windows = std::mem::take(&mut self.state.lock().windows);
         if windows.is_empty() {
             return;
         }
         if self.registry.active().is_none() {
             // A window is open yet nobody serves new sessions: blackout.
-            self.stats.lock().swap.blackout_ticks += 1;
+            self.state.lock().stats.swap.blackout_ticks += 1;
         }
         let mut remaining = Vec::new();
         for mut w in windows {
@@ -203,38 +171,34 @@ impl Bootloader {
                 let out = self.tracker.escalate(w.ns, w.policy, ESCALATION_REASON);
                 w.forced += out.closed_now + out.close_at_commit;
                 w.escalated = true;
-                let mut st = self.stats.lock();
-                st.swap.sessions_forced += (out.closed_now + out.close_at_commit) as u64;
-                st.swap.transactions_severed += out.severed as u64;
+                let st = &mut self.state.lock().stats.swap;
+                st.sessions_forced += (out.closed_now + out.close_at_commit) as u64;
+                st.transactions_severed += out.severed as u64;
             }
             if self.tracker.drained(w.ns) {
                 // Retire + unload (activate() already retired it; this
                 // prunes and drops the namespace).
                 self.maybe_unload(w.ns);
-                let mut st = self.stats.lock();
-                st.swap.windows_completed += 1;
-                st.swap.sessions_drained += w.initial_sessions.saturating_sub(w.forced) as u64;
+                let st = &mut self.state.lock().stats.swap;
+                st.windows_completed += 1;
+                st.sessions_drained += w.initial_sessions.saturating_sub(w.forced) as u64;
             } else {
                 remaining.push(w);
             }
         }
         let rearm = !remaining.is_empty();
-        {
-            let mut ws = self.swap.windows.lock();
-            // Windows opened re-entrantly during this tick stay queued.
-            remaining.append(&mut ws);
-            *ws = remaining;
-        }
-        if rearm {
-            if let Some(t) = &*self.swap.task.lock() {
-                t.reschedule_at(now + cfg.tick_every.as_millis() as u64);
-            }
+        let mut st = self.state.lock();
+        // Windows opened re-entrantly during this tick stay queued.
+        remaining.append(&mut st.windows);
+        st.windows = remaining;
+        if let (true, Some(t)) = (rearm, &st.tasks.swap) {
+            t.reschedule_at(now + cfg.tick_every.as_millis() as u64);
         }
     }
 
     /// Counts one transparent boundary migration (called by the managed
     /// wrapper after it reconnects a session onto the active driver).
     pub(crate) fn note_session_migrated(&self) {
-        self.stats.lock().swap.sessions_migrated += 1;
+        self.state.lock().stats.swap.sessions_migrated += 1;
     }
 }

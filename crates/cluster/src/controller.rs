@@ -28,6 +28,14 @@ struct CtrlSession {
     txn_buffer: Vec<String>,
 }
 
+#[derive(Default)]
+struct CtrlState {
+    sessions: HashMap<u64, CtrlSession>,
+    group: Option<Arc<Group>>,
+    drivolution: Option<Arc<DrivolutionServer>>,
+    mirror: Option<Arc<MirrorDepot>>,
+}
+
 /// A Sequoia-like controller.
 pub struct Controller {
     id: u32,
@@ -36,11 +44,8 @@ pub struct Controller {
     vdb: Arc<VirtualDb>,
     max_proto: u16,
     running: AtomicBool,
-    sessions: Mutex<HashMap<u64, CtrlSession>>,
     next_session: AtomicU64,
-    group: Mutex<Option<Arc<Group>>>,
-    drivolution: Mutex<Option<Arc<DrivolutionServer>>>,
-    mirror: Mutex<Option<Arc<MirrorDepot>>>,
+    state: Mutex<CtrlState>,
 }
 
 impl std::fmt::Debug for Controller {
@@ -73,11 +78,8 @@ impl Controller {
             vdb: Arc::new(vdb),
             max_proto,
             running: AtomicBool::new(true),
-            sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            group: Mutex::new(None),
-            drivolution: Mutex::new(None),
-            mirror: Mutex::new(None),
+            state: Mutex::default(),
         });
         net.bind_arc(addr, ctrl.clone())?;
         Ok(ctrl)
@@ -109,12 +111,16 @@ impl Controller {
     }
 
     pub(crate) fn set_group(&self, group: Arc<Group>) {
-        *self.group.lock() = Some(group);
+        self.state.lock().group = Some(group);
     }
 
     /// The embedded Drivolution server, if one was attached.
     pub fn drivolution(&self) -> Option<Arc<DrivolutionServer>> {
-        self.drivolution.lock().clone()
+        self.state.lock().drivolution.clone()
+    }
+
+    fn mirror(&self) -> Option<Arc<MirrorDepot>> {
+        self.state.lock().mirror.clone()
     }
 
     /// Embeds a Drivolution server in this controller (Figure 6), bound
@@ -142,12 +148,12 @@ impl Controller {
         ));
         self.net
             .bind_arc(self.addr.with_port(DRIVOLUTION_PORT), server.clone())?;
-        *self.drivolution.lock() = Some(server.clone());
+        self.state.lock().drivolution = Some(server.clone());
         // Replicate admin events to the other controllers' servers.
         let me = Arc::downgrade(self);
         server.subscribe(Arc::new(move |event| {
             if let Some(ctrl) = me.upgrade() {
-                let group = ctrl.group.lock().clone();
+                let group = ctrl.state.lock().group.clone();
                 if let Some(g) = group {
                     g.replicate_admin(ctrl.id, event);
                 }
@@ -174,10 +180,10 @@ impl Controller {
     /// [`DrvError::Internal`] when no Drivolution server is embedded;
     /// bind failures.
     pub fn attach_depot_mirror(self: &Arc<Self>, port: u16) -> DrvResult<Arc<MirrorDepot>> {
-        if let Some(existing) = self.mirror.lock().clone() {
+        if let Some(existing) = self.mirror() {
             return Ok(existing);
         }
-        let server = self.drivolution.lock().clone().ok_or_else(|| {
+        let server = self.drivolution().ok_or_else(|| {
             DrvError::Internal("attach_depot_mirror requires an embedded drivolution server".into())
         })?;
         let mirror = MirrorDepot::launch(
@@ -198,7 +204,7 @@ impl Controller {
             }
         }));
         mirror.heartbeat()?;
-        *self.mirror.lock() = Some(mirror.clone());
+        self.state.lock().mirror = Some(mirror.clone());
         Ok(mirror)
     }
 
@@ -209,17 +215,18 @@ impl Controller {
     pub fn stop(&self) {
         self.running.store(false, Ordering::SeqCst);
         self.net.unbind(&self.addr);
-        if self.drivolution.lock().is_some() {
+        let mut st = self.state.lock();
+        st.sessions.clear();
+        if st.drivolution.is_some() {
             self.net.unbind(&self.addr.with_port(DRIVOLUTION_PORT));
         }
-        if let Some(mirror) = self.mirror.lock().as_ref() {
+        if let Some(mirror) = &st.mirror {
             self.net.unbind(mirror.addr());
             // A stopped controller must not keep beating a heart it
             // unplugged: the scheduler task goes quiet with it, and the
             // directory quarantines the entry like any dead mirror.
             mirror.pause_lifecycle();
         }
-        self.sessions.lock().clear();
     }
 
     /// Restarts a stopped controller.
@@ -232,11 +239,11 @@ impl Controller {
             return Ok(());
         }
         self.net.bind_arc(self.addr.clone(), self.clone())?;
-        if let Some(drv) = self.drivolution.lock().clone() {
+        if let Some(drv) = self.drivolution() {
             self.net
                 .bind_arc(self.addr.with_port(DRIVOLUTION_PORT), drv)?;
         }
-        if let Some(mirror) = self.mirror.lock().clone() {
+        if let Some(mirror) = self.mirror() {
             self.net.bind_arc(mirror.addr().clone(), mirror.clone())?;
             // The directory may have evicted the mirror while the
             // controller was down; re-announce and refresh coverage once,
@@ -250,7 +257,7 @@ impl Controller {
     }
 
     fn write_path(&self, sql: &str) -> Result<QueryResult, DkError> {
-        let group = self.group.lock().clone();
+        let group = self.state.lock().group.clone();
         match group {
             Some(g) => g.ordered_write(self, sql),
             None => self.vdb.execute_write(sql),
@@ -281,7 +288,7 @@ impl Controller {
                     return Err(DbError::NoSuchDatabase(database));
                 }
                 let session = self.next_session.fetch_add(1, Ordering::SeqCst);
-                self.sessions.lock().insert(
+                self.state.lock().sessions.insert(
                     session,
                     CtrlSession {
                         in_txn: false,
@@ -291,8 +298,9 @@ impl Controller {
                 Ok(ServerMsg::HelloOk { session })
             }
             ClientMsg::Query { session, sql } => {
-                let mut sessions = self.sessions.lock();
-                let s = sessions
+                let mut st = self.state.lock();
+                let s = st
+                    .sessions
                     .get_mut(&session)
                     .ok_or_else(|| DbError::Session(format!("unknown session {session}")))?;
                 let head = leading_keyword(&sql);
@@ -316,13 +324,13 @@ impl Controller {
                     }
                     s.in_txn = false;
                     let stmts = std::mem::take(&mut s.txn_buffer);
-                    drop(sessions);
+                    drop(st);
                     for stmt in stmts {
                         self.write_path(&stmt).map_err(Self::dk_to_db)?;
                     }
                     Ok(ServerMsg::Affected(0))
                 } else if is_read(&sql) {
-                    drop(sessions);
+                    drop(st);
                     let r = self.vdb.execute_read(&sql).map_err(Self::dk_to_db)?;
                     Ok(match r {
                         QueryResult::Rows(rs) => ServerMsg::Rows(rs),
@@ -334,7 +342,7 @@ impl Controller {
                     s.txn_buffer.push(sql);
                     Ok(ServerMsg::Affected(0))
                 } else {
-                    drop(sessions);
+                    drop(st);
                     let r = self.write_path(&sql).map_err(Self::dk_to_db)?;
                     Ok(match r {
                         QueryResult::Rows(rs) => ServerMsg::Rows(rs),
@@ -349,14 +357,14 @@ impl Controller {
                 "challenge auth is not part of the cluster protocol".into(),
             )),
             ClientMsg::Ping { session } => {
-                if self.sessions.lock().contains_key(&session) {
+                if self.state.lock().sessions.contains_key(&session) {
                     Ok(ServerMsg::Pong)
                 } else {
                     Err(DbError::Session(format!("unknown session {session}")))
                 }
             }
             ClientMsg::Close { session } => {
-                self.sessions.lock().remove(&session);
+                self.state.lock().sessions.remove(&session);
                 Ok(ServerMsg::Closed)
             }
         }

@@ -4,12 +4,14 @@
 //! ## Substitution note
 //!
 //! Sequoia uses a group communication stack (total-order multicast) among
-//! controllers. This reproduction orders writes with a shared group lock
-//! and applies them synchronously on every live member — the same
-//! guarantees (total order, virtual synchrony at the granularity the
-//! case studies need) in an in-process form. Controllers that are stopped
-//! miss writes and must be restarted with fresh state or resynced at the
-//! backend level.
+//! controllers. This reproduction applies each write synchronously on
+//! every live member, in ascending controller id, before the call
+//! returns. The simulation runs one call at a time on one thread, so the
+//! order in which writes are issued already is the total order every
+//! member sees — the same guarantees (total order, virtual synchrony at
+//! the granularity the case studies need) with no lock. Controllers that
+//! are stopped miss writes and must be restarted with fresh state or
+//! resynced at the backend level.
 
 use std::sync::Arc;
 
@@ -24,7 +26,6 @@ use crate::controller::Controller;
 /// A controller replication group.
 pub struct Group {
     name: String,
-    order: Mutex<()>,
     members: Mutex<Vec<Arc<Controller>>>,
 }
 
@@ -42,7 +43,6 @@ impl Group {
     pub fn new(name: impl Into<String>) -> Arc<Self> {
         Arc::new(Group {
             name: name.into(),
-            order: Mutex::new(()),
             members: Mutex::new(Vec::new()),
         })
     }
@@ -81,7 +81,6 @@ impl Group {
     ///
     /// The origin's error; peer failures only affect peer backends.
     pub fn ordered_write(&self, origin: &Controller, sql: &str) -> DkResult<QueryResult> {
-        let _order = self.order.lock();
         let mut origin_result: Option<DkResult<QueryResult>> = None;
         for m in self.live_members() {
             let r = m.vdb().execute_write(sql);
@@ -103,7 +102,6 @@ impl Group {
     /// server, it is instantly replicated to other Drivolution servers",
     /// §5.3.2).
     pub fn replicate_admin(&self, origin_id: u32, event: &AdminEvent) {
-        let _order = self.order.lock();
         for m in self.live_members() {
             if m.id() == origin_id {
                 continue;

@@ -239,9 +239,9 @@ impl ChunkingParams {
             return false;
         }
         match *self {
-            ChunkingParams::Fixed { size } => (256..=(64 << 20)).contains(&size),
+            ChunkingParams::Fixed { size } => (256..=MAX_IMAGE_BYTES).contains(&u64::from(size)),
             ChunkingParams::Cdc { min, avg, max, .. } => {
-                min >= 64 && avg >= 256 && max <= (64 << 20)
+                min >= 64 && avg >= 256 && u64::from(max) <= MAX_IMAGE_BYTES
             }
         }
     }
@@ -501,6 +501,11 @@ pub fn split_with(bytes: &Bytes, params: &ChunkingParams) -> Vec<Bytes> {
     out
 }
 
+/// Largest driver image a frame may describe or an assembly may build
+/// (the largest chunk [`ChunkingParams::delta_safe`] admits): a manifest
+/// may name one chunk many times, so the parts alone bound nothing.
+pub const MAX_IMAGE_BYTES: u64 = 64 << 20;
+
 /// Ordered chunk-digest description of one driver image.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkManifest {
@@ -619,12 +624,13 @@ impl ChunkManifest {
     ///
     /// # Errors
     ///
-    /// [`DrvError::BadPackage`] when the parts do not add up.
+    /// [`DrvError::BadPackage`] when the parts do not add up, or add up
+    /// to more than [`MAX_IMAGE_BYTES`].
     pub fn join(&self, parts: &[Bytes]) -> DrvResult<Vec<u8>> {
         let held: usize = parts.iter().map(Bytes::len).sum();
-        if held as u64 != self.total_size {
+        if held as u64 != self.total_size || self.total_size > MAX_IMAGE_BYTES {
             return Err(DrvError::BadPackage(format!(
-                "image size {held} does not match manifest size {}",
+                "image size {held} does not match manifest size {} within {MAX_IMAGE_BYTES} bytes",
                 self.total_size
             )));
         }
@@ -648,12 +654,13 @@ impl ChunkManifest {
     ///
     /// # Errors
     ///
-    /// [`DrvError::Codec`] on malformed or implausible frames (a chunk
-    /// count the remaining buffer cannot hold is rejected before any
-    /// allocation, see [`netsim::codec::get_items`]).
+    /// [`DrvError::Codec`] on malformed or implausible frames (a size
+    /// past [`MAX_IMAGE_BYTES`], or a chunk count the remaining buffer
+    /// cannot hold, rejected before any allocation, see
+    /// [`netsim::codec::get_items`]).
     pub fn decode(buf: &mut Bytes) -> DrvResult<Self> {
         let content_digest = get_u64(buf, "manifest digest")?;
-        let total_size = get_u64(buf, "manifest size")?;
+        let total_size = get_image_size(buf, "manifest size")?;
         let params = ChunkingParams::decode(buf)?;
         let count = get_u32(buf, "manifest chunk count")?;
         let chunks = get_u64s(buf, "manifest chunk digests", count)?;
@@ -664,6 +671,17 @@ impl ChunkManifest {
             chunks,
         })
     }
+}
+
+/// An image size off the wire, refused past [`MAX_IMAGE_BYTES`].
+pub(crate) fn get_image_size(buf: &mut Bytes, what: &str) -> DrvResult<u64> {
+    let size = get_u64(buf, what)?;
+    if size > MAX_IMAGE_BYTES {
+        return Err(DrvError::Codec(format!(
+            "{what} {size} beyond the {MAX_IMAGE_BYTES}-byte cap"
+        )));
+    }
+    Ok(size)
 }
 
 /// A digest-keyed bundle of chunk payloads — the body of a

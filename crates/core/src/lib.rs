@@ -67,6 +67,7 @@ mod version;
 pub use chunk::{
     delta_cost, ChunkManifest, ChunkSet, ChunkingParams, DeltaCost, DEFAULT_CDC_AVG,
     DEFAULT_CDC_MAX, DEFAULT_CDC_MIN, DEFAULT_CDC_NORM, DEFAULT_CHUNK_SIZE, MAX_CDC_NORM,
+    MAX_IMAGE_BYTES,
 };
 pub use descriptor::{ApiName, BinaryFormat, DriverId, DriverRecord};
 pub use digest::{entropy_blob, fnv1a64, fnv1a64_lanes, fnv1a64_parts, Digested};

@@ -25,7 +25,7 @@ use netsim::codec::{
     get_u64, get_u64s, get_u8, put_bytes, put_opt_str, put_str, put_u64s, wire_enum, CodecError,
 };
 
-use crate::chunk::{ChunkManifest, ChunkingParams};
+use crate::chunk::{get_image_size, ChunkManifest, ChunkingParams};
 use crate::descriptor::{BinaryFormat, DriverId};
 use crate::error::{DrvError, DrvResult};
 use crate::policy::{ExpirationPolicy, RenewPolicy, TransferMethod};
@@ -615,7 +615,7 @@ fn get_offer(buf: &mut Bytes) -> DrvResult<DrvOffer> {
     let expiration_policy = get_code(buf, "expiration policy", ExpirationPolicy::from_code)?;
     let format = BinaryFormat::parse(&get_str(buf, "format")?)?;
     let location = get_str(buf, "location")?;
-    let size = get_u64(buf, "size")?;
+    let size = get_image_size(buf, "size")?;
     let transfer_method = get_xfer(buf)?;
     let n_opt = get_u16(buf, "offer option count")?;
     let options = get_items(buf, "offer options", n_opt.into(), 8, get_option)?;
@@ -1092,6 +1092,30 @@ mod tests {
                     healthy: false,
                 },
             ],
+        }
+    }
+
+    #[test]
+    fn an_offered_size_past_the_image_cap_does_not_decode() {
+        use crate::chunk::MAX_IMAGE_BYTES;
+        let at_cap = DrvMsg::Offer(DrvOffer {
+            size: MAX_IMAGE_BYTES,
+            ..offer()
+        });
+        assert_eq!(DrvMsg::decode(at_cap.encode()).unwrap(), at_cap);
+        let past = DrvOffer {
+            size: MAX_IMAGE_BYTES + 1,
+            ..offer()
+        };
+        let mut plan = chunk_plan();
+        plan.manifest.total_size = MAX_IMAGE_BYTES + 1;
+        let forged_plan = DrvOffer {
+            chunked: Some(plan),
+            ..offer()
+        };
+        for forged in [past, forged_plan] {
+            let e = DrvMsg::decode(DrvMsg::Offer(forged).encode());
+            assert!(matches!(e, Err(DrvError::Codec(_))), "{e:?}");
         }
     }
 

@@ -15,21 +15,6 @@ use drivolution_core::{fnv1a64, Digested, DrvError, DrvResult};
 
 use crate::index::ContentIndex;
 
-/// Counters exposed by [`DriverDepot`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DepotStats {
-    /// Offers satisfied entirely from cache (zero-transfer revalidation).
-    pub revalidations: u64,
-    /// Images rebuilt from a chunk delta.
-    pub delta_assemblies: u64,
-    /// Full images inserted after a full-file download.
-    pub full_inserts: u64,
-    /// Chunk bytes reused from the local store during delta assembly.
-    pub bytes_reused: u64,
-    /// Chunk bytes fetched over the network during delta assembly.
-    pub bytes_fetched: u64,
-}
-
 /// Percent-encodes control characters (and `%` itself) in a depot key so
 /// a database name can never corrupt the line-oriented `latest.idx`
 /// format. Everything else passes through untouched.
@@ -139,7 +124,6 @@ pub struct DriverDepot {
     latest: Mutex<BTreeMap<String, u64>>,
     params: ChunkingParams,
     dir: Option<PathBuf>,
-    stats: Mutex<DepotStats>,
 }
 
 impl std::fmt::Debug for DriverDepot {
@@ -179,7 +163,6 @@ impl DriverDepot {
             latest: Mutex::new(BTreeMap::new()),
             params,
             dir: None,
-            stats: Mutex::new(DepotStats::default()),
         })
     }
 
@@ -230,7 +213,6 @@ impl DriverDepot {
             latest: Mutex::new(BTreeMap::new()),
             params,
             dir: Some(dir.clone()),
-            stats: Mutex::new(DepotStats::default()),
         };
         // Load images; entries whose bytes no longer match their
         // digest-derived name are discarded (corrupted at rest).
@@ -276,11 +258,6 @@ impl DriverDepot {
         self.params
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> DepotStats {
-        *self.stats.lock()
-    }
-
     /// Number of cached images.
     pub fn image_count(&self) -> usize {
         self.index.image_count()
@@ -310,10 +287,10 @@ impl DriverDepot {
         self.index.chunk(digest)
     }
 
-    /// Records a zero-transfer revalidation hit.
+    /// Records a zero-transfer revalidation hit: `digest` becomes the
+    /// image last used for `database`.
     pub fn note_revalidation(&self, database: &str, digest: u64) {
         self.latest.lock().insert(database.to_string(), digest);
-        self.stats.lock().revalidations += 1;
     }
 
     /// Builds the `HAVE` summary for a request about `database`: all
@@ -391,7 +368,6 @@ impl DriverDepot {
         fetched: &HashMap<u64, Bytes>,
     ) -> DrvResult<Digested> {
         let mut parts = Vec::with_capacity(manifest.chunks.len());
-        let mut reused: u64 = 0;
         let mut seen = std::collections::HashSet::new();
         for (i, d) in manifest.chunks.iter().enumerate() {
             if let Some(chunk) = fetched.get(d) {
@@ -402,9 +378,6 @@ impl DriverDepot {
                 }
                 parts.push(chunk.clone());
             } else if let Some(chunk) = self.index.chunk(*d) {
-                if seen.insert(*d) {
-                    reused += chunk.len() as u64;
-                }
                 parts.push(chunk);
             } else {
                 return Err(DrvError::BadPackage(format!(
@@ -417,15 +390,6 @@ impl DriverDepot {
             return Err(DrvError::BadPackage(
                 "assembled image digest does not match manifest".into(),
             ));
-        }
-        // drvlint: allow(map-iter) — summation is commutative; order cannot
-        // reach the result.
-        let fetched_bytes: u64 = fetched.values().map(|b| b.len() as u64).sum();
-        {
-            let mut st = self.stats.lock();
-            st.delta_assemblies += 1;
-            st.bytes_reused += reused;
-            st.bytes_fetched += fetched_bytes;
         }
         Ok(image)
     }
@@ -466,11 +430,6 @@ impl DriverDepot {
         digest
     }
 
-    /// Records a full-file insert (cold download path).
-    pub fn note_full_insert(&self) {
-        self.stats.lock().full_inserts += 1;
-    }
-
     fn persist(&self, digest: u64, bytes: &Bytes) {
         let Some(dir) = &self.dir else { return };
         let path = dir.join("images").join(format!("{digest:016x}.img"));
@@ -498,6 +457,7 @@ impl DriverDepot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drivolution_core::MAX_IMAGE_BYTES;
 
     fn image(len: usize, seed: u8) -> Bytes {
         Bytes::from(drivolution_core::entropy_blob(len, seed as u64))
@@ -552,10 +512,9 @@ mod tests {
             need.iter().map(|d| (*d, v2.slice(1024..2048))).collect();
         let rebuilt = depot.assemble(&manifest, &fetched).unwrap();
         assert_eq!(rebuilt, v2);
-        let st = depot.stats();
-        assert_eq!(st.delta_assemblies, 1);
-        assert_eq!(st.bytes_fetched, 1024);
-        assert_eq!(st.bytes_reused, 7 * 1024);
+        // One chunk came off the wire; the bytes of the other seven can
+        // only have come from the depot.
+        assert_eq!(fetched.len(), 1);
         // Assembly does not store; the caller inserts after its own
         // verification.
         assert_eq!(depot.image_count(), 1);
@@ -598,7 +557,27 @@ mod tests {
                 Err(DrvError::BadPackage(_))
             ));
         }
-        assert_eq!(depot.stats().delta_assemblies, 0);
+    }
+
+    #[test]
+    fn assemble_refuses_an_image_past_the_size_cap() {
+        // One held 1 MiB chunk named once more than the cap allows: every
+        // part is in hand and size and digest agree, yet nothing that big
+        // may be built.
+        let depot = DriverDepot::with_chunk_size(1 << 20);
+        let chunk = image(1 << 20, 9);
+        depot.insert("orders", chunk.clone());
+        let n = (MAX_IMAGE_BYTES >> 20) as usize + 1;
+        let manifest = ChunkManifest {
+            content_digest: fnv1a64(&chunk.repeat(n)),
+            total_size: (n as u64) << 20,
+            params: ChunkingParams::fixed(1 << 20),
+            chunks: vec![fnv1a64(&chunk); n],
+        };
+        assert!(matches!(
+            depot.assemble(&manifest, &HashMap::new()),
+            Err(DrvError::BadPackage(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The content-addressed index shared by server, mirror, and client
 //! depots.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -21,21 +21,26 @@ use drivolution_core::{fnv1a64, fnv1a64_lanes, Digested};
 /// chunks differently): see [`manifest_for`](Self::manifest_for).
 #[derive(Debug, Default)]
 pub struct ContentIndex {
+    state: Mutex<IndexState>,
+}
+
+#[derive(Debug, Default)]
+struct IndexState {
     /// Each image with the digest it is keyed by, so deriving another
     /// chunking of it never hashes it again.
-    images: Mutex<BTreeMap<u64, (Digested, ChunkingParams)>>,
-    manifests: Mutex<HashMap<(u64, ChunkingParams), ChunkManifest>>,
+    images: BTreeMap<u64, (Digested, ChunkingParams)>,
+    manifests: HashMap<(u64, ChunkingParams), ChunkManifest>,
     /// Distinct params manifests have been derived under. Bounded by
     /// [`MAX_DERIVED_PARAMS`]: params are client-supplied over the wire,
     /// and an unbounded set would let one client grow the manifest and
     /// chunk maps (and burn a re-chunk per request) without limit.
-    derived_params: Mutex<std::collections::HashSet<ChunkingParams>>,
-    chunks: Mutex<BTreeMap<u64, Bytes>>,
+    derived_params: HashSet<ChunkingParams>,
+    chunks: BTreeMap<u64, Bytes>,
     /// Memoized delta plans keyed by (target digest, digest of the
     /// client's advertised chunk set, params). A fleet wave of clients
     /// upgrading from the same prior version advertises byte-identical
     /// `HAVE` chunk lists, so the whole wave shares one plan computation.
-    plans: Mutex<HashMap<(u64, u64, ChunkingParams), DeltaPlan>>,
+    plans: HashMap<(u64, u64, ChunkingParams), DeltaPlan>,
 }
 
 /// Cap on distinct chunking params an index derives manifests for. Real
@@ -62,6 +67,46 @@ pub struct DeltaPlan {
     pub missing: Vec<u64>,
 }
 
+impl IndexState {
+    /// Indexes `manifest` of the image at `digest` and the chunk slices
+    /// not yet held.
+    fn add(&mut self, digest: u64, manifest: ChunkManifest, pairs: Vec<(u64, Bytes)>) {
+        for (d, part) in pairs {
+            self.chunks.entry(d).or_insert(part);
+        }
+        self.derived_params.insert(manifest.params);
+        self.manifests.insert((digest, manifest.params), manifest);
+    }
+
+    fn insert_digested(&mut self, image: Digested, params: &ChunkingParams) -> u64 {
+        let digest = image.digest();
+        if !self.images.contains_key(&digest) {
+            // One boundary scan yields both the manifest and the chunk
+            // slices to index.
+            let (manifest, pairs) = manifest_and_chunks_of(&image, params);
+            self.add(digest, manifest, pairs);
+            self.images.insert(digest, (image, *params));
+        }
+        digest
+    }
+
+    fn manifest_for(&mut self, digest: u64, params: &ChunkingParams) -> Option<ChunkManifest> {
+        if let Some(m) = self.manifests.get(&(digest, *params)) {
+            return Some(m.clone());
+        }
+        // Resolve the image before charging the params budget, so
+        // unknown digests cannot burn slots.
+        let image = self.images.get(&digest).map(|(i, _)| i.clone())?;
+        let fresh = !self.derived_params.contains(params);
+        if fresh && self.derived_params.len() >= MAX_DERIVED_PARAMS {
+            return None;
+        }
+        let (manifest, pairs) = manifest_and_chunks_of(&image, params);
+        self.add(digest, manifest.clone(), pairs);
+        Some(manifest)
+    }
+}
+
 impl ContentIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
@@ -77,21 +122,7 @@ impl ContentIndex {
 
     /// [`insert`](Self::insert) of an image that is already hashed.
     pub fn insert_digested(&self, image: Digested, params: &ChunkingParams) -> u64 {
-        let digest = image.digest();
-        {
-            let images = self.images.lock();
-            if images.contains_key(&digest) {
-                return digest;
-            }
-        }
-        // One boundary scan yields both the manifest and the chunk
-        // slices to index.
-        let (manifest, pairs) = manifest_and_chunks_of(&image, params);
-        self.index_chunks(pairs);
-        self.derived_params.lock().insert(*params);
-        self.manifests.lock().insert((digest, *params), manifest);
-        self.images.lock().insert(digest, (image, *params));
-        digest
+        self.state.lock().insert_digested(image, params)
     }
 
     /// Indexes `image` whose chunking is already known: `manifest` names
@@ -112,59 +143,42 @@ impl ContentIndex {
         provided: &HashMap<u64, Bytes>,
     ) -> u64 {
         let digest = image.digest();
+        let mut st = self.state.lock();
         if digest != manifest.content_digest || image.bytes().len() as u64 != manifest.total_size {
-            return self.insert_digested(image, &manifest.params);
+            return st.insert_digested(image, &manifest.params);
         }
-        if self.images.lock().contains_key(&digest) {
+        if st.images.contains_key(&digest) {
             return digest;
         }
         let mut pairs: Vec<(u64, Bytes)> = Vec::new();
-        let complete = {
-            let chunks = self.chunks.lock();
-            let mut seen = std::collections::HashSet::new();
-            let mut ok = true;
-            for d in &manifest.chunks {
-                if !seen.insert(*d) || chunks.contains_key(d) {
-                    continue;
-                }
-                match provided.get(d) {
-                    Some(b) if fnv1a64(b) == *d => pairs.push((*d, b.clone())),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
+        let mut seen = HashSet::new();
+        for d in &manifest.chunks {
+            if !seen.insert(*d) || st.chunks.contains_key(d) {
+                continue;
             }
-            ok
-        };
-        if !complete {
-            return self.insert_digested(image, &manifest.params);
+            match provided.get(d) {
+                Some(b) if fnv1a64(b) == *d => pairs.push((*d, b.clone())),
+                _ => return st.insert_digested(image, &manifest.params),
+            }
         }
-        self.index_chunks(pairs);
-        self.derived_params.lock().insert(manifest.params);
-        self.manifests
-            .lock()
-            .insert((digest, manifest.params), manifest.clone());
-        self.images.lock().insert(digest, (image, manifest.params));
+        st.add(digest, manifest.clone(), pairs);
+        st.images.insert(digest, (image, manifest.params));
         digest
-    }
-
-    fn index_chunks(&self, pairs: Vec<(u64, Bytes)>) {
-        let mut chunks = self.chunks.lock();
-        for (d, part) in pairs {
-            chunks.entry(d).or_insert(part);
-        }
     }
 
     /// Full image bytes by content digest.
     pub fn image(&self, digest: u64) -> Option<Bytes> {
-        (self.images.lock().get(&digest)).map(|(image, _)| image.bytes().clone())
+        let st = self.state.lock();
+        st.images
+            .get(&digest)
+            .map(|(image, _)| image.bytes().clone())
     }
 
     /// Manifest of an indexed image under its insert-time params.
     pub fn manifest(&self, digest: u64) -> Option<ChunkManifest> {
-        let params = self.images.lock().get(&digest).map(|(_, p)| *p)?;
-        self.manifest_for(digest, &params)
+        let mut st = self.state.lock();
+        let params = st.images.get(&digest).map(|(_, p)| *p)?;
+        st.manifest_for(digest, &params)
     }
 
     /// Manifest of an indexed image under arbitrary `params`, deriving
@@ -176,27 +190,7 @@ impl ContentIndex {
     /// `MAX_DERIVED_PARAMS` distinct-params budget (the caller then
     /// falls back to a full transfer).
     pub fn manifest_for(&self, digest: u64, params: &ChunkingParams) -> Option<ChunkManifest> {
-        if let Some(m) = self.manifests.lock().get(&(digest, *params)) {
-            return Some(m.clone());
-        }
-        // Resolve the image before charging the params budget, so
-        // unknown digests cannot burn slots.
-        let image = self.images.lock().get(&digest).map(|(i, _)| i.clone())?;
-        {
-            let mut derived = self.derived_params.lock();
-            if !derived.contains(params) {
-                if derived.len() >= MAX_DERIVED_PARAMS {
-                    return None;
-                }
-                derived.insert(*params);
-            }
-        }
-        let (manifest, pairs) = manifest_and_chunks_of(&image, params);
-        self.index_chunks(pairs);
-        self.manifests
-            .lock()
-            .insert((digest, *params), manifest.clone());
-        Some(manifest)
+        self.state.lock().manifest_for(digest, params)
     }
 
     /// Memoized chunked-delta plan for upgrading a client that holds
@@ -214,22 +208,22 @@ impl ContentIndex {
         have_chunks: &[u64],
     ) -> Option<(DeltaPlan, bool)> {
         let key = (digest, fnv1a64_lanes(have_chunks), *params);
-        if let Some(plan) = self.plans.lock().get(&key) {
+        let mut st = self.state.lock();
+        if let Some(plan) = st.plans.get(&key) {
             return Some((plan.clone(), true));
         }
-        let manifest = self.manifest_for(digest, params)?;
+        let manifest = st.manifest_for(digest, params)?;
         let missing = manifest.missing_given(have_chunks);
         let plan = DeltaPlan { manifest, missing };
-        let mut plans = self.plans.lock();
-        if plans.len() < MAX_DELTA_PLANS || plans.contains_key(&key) {
-            plans.insert(key, plan.clone());
+        if st.plans.len() < MAX_DELTA_PLANS {
+            st.plans.insert(key, plan.clone());
         }
         Some((plan, false))
     }
 
     /// Chunk bytes by chunk digest.
     pub fn chunk(&self, digest: u64) -> Option<Bytes> {
-        self.chunks.lock().get(&digest).cloned()
+        self.state.lock().chunks.get(&digest).cloned()
     }
 
     /// Inserts a single verified chunk (used by read-through mirrors).
@@ -238,33 +232,33 @@ impl ContentIndex {
         if fnv1a64(&bytes) != digest {
             return false;
         }
-        self.chunks.lock().entry(digest).or_insert(bytes);
+        self.state.lock().chunks.entry(digest).or_insert(bytes);
         true
     }
 
     /// Whether an image with this digest is indexed.
     pub fn contains_image(&self, digest: u64) -> bool {
-        self.images.lock().contains_key(&digest)
+        self.state.lock().images.contains_key(&digest)
     }
 
     /// Number of indexed images.
     pub fn image_count(&self) -> usize {
-        self.images.lock().len()
+        self.state.lock().images.len()
     }
 
     /// Number of indexed chunks.
     pub fn chunk_count(&self) -> usize {
-        self.chunks.lock().len()
+        self.state.lock().chunks.len()
     }
 
     /// All chunk digests currently indexed, sorted.
     pub fn chunk_digests(&self) -> Vec<u64> {
-        self.chunks.lock().keys().copied().collect()
+        self.state.lock().chunks.keys().copied().collect()
     }
 
     /// All image digests currently indexed, sorted.
     pub fn image_digests(&self) -> Vec<u64> {
-        self.images.lock().keys().copied().collect()
+        self.state.lock().images.keys().copied().collect()
     }
 }
 
@@ -384,7 +378,7 @@ mod tests {
             assert!(!hit);
             assert_eq!(p.missing.len(), 8);
         }
-        assert!(idx.plans.lock().len() <= MAX_DELTA_PLANS);
+        assert!(idx.state.lock().plans.len() <= MAX_DELTA_PLANS);
         // Unknown digests yield no plan (and no stored entry).
         assert!(idx.delta_plan(d2 ^ 1, &params, &base).is_none());
     }

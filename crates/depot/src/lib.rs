@@ -46,7 +46,7 @@ mod index;
 mod mirror;
 mod shared;
 
-pub use depot::{DepotStats, DriverDepot};
+pub use depot::DriverDepot;
 pub use exchange::{fetch_chunks, serve_chunks};
 pub use index::{ContentIndex, DeltaPlan};
 pub use mirror::{MirrorDepot, MirrorStats, HEARTBEAT_EVERY};

@@ -69,15 +69,15 @@ pub struct MirrorDepot {
     primary: Addr,
     cert: Certificate,
     index: ContentIndex,
-    stats: Mutex<MirrorStats>,
-    /// `chunk_requests` value at the previous heartbeat; the next
-    /// heartbeat reports the delta as its load signal.
-    last_reported_requests: Mutex<u64>,
-    lifecycle: Mutex<LifecycleTasks>,
+    state: Mutex<MirrorState>,
 }
 
 #[derive(Default)]
-struct LifecycleTasks {
+struct MirrorState {
+    stats: MirrorStats,
+    /// `chunk_requests` value at the previous heartbeat; the next
+    /// heartbeat reports the delta as its load signal.
+    last_reported_requests: u64,
     heartbeat: Option<TaskHandle>,
     announce_retry: Option<TaskHandle>,
 }
@@ -114,9 +114,7 @@ impl MirrorDepot {
             primary,
             cert: Certificate::issue(addr.host(), u64::from(addr.port())),
             index: ContentIndex::new(),
-            stats: Mutex::new(MirrorStats::default()),
-            last_reported_requests: Mutex::new(0),
-            lifecycle: Mutex::new(LifecycleTasks::default()),
+            state: Mutex::default(),
         });
         net.bind_arc(addr, mirror.clone())?;
         // Self-announce, then hand all further lifecycle beats to the
@@ -148,11 +146,9 @@ impl MirrorDepot {
                 None => Ok(TaskControl::Done),
             },
         );
-        let mut tasks = self.lifecycle.lock();
-        tasks.heartbeat = Some(heartbeat);
-        if !announced {
+        let announce_retry = (!announced).then(|| {
             let me = Arc::downgrade(self);
-            tasks.announce_retry = Some(sched.every(
+            sched.every(
                 ANNOUNCE_RETRY,
                 Duration::ZERO,
                 format!("mirror-announce {}", self.location()),
@@ -163,8 +159,11 @@ impl MirrorDepot {
                     },
                     None => Ok(TaskControl::Done),
                 },
-            ));
-        }
+            )
+        });
+        let mut st = self.state.lock();
+        st.heartbeat = Some(heartbeat);
+        st.announce_retry = announce_retry;
     }
 
     /// Handle to the scheduler-registered heartbeat task: its error
@@ -172,7 +171,7 @@ impl MirrorDepot {
     /// report, and cancelling it simulates a mirror whose lifecycle
     /// driving died while the replica still serves.
     pub fn heartbeat_task(&self) -> Option<TaskHandle> {
-        self.lifecycle.lock().heartbeat.clone()
+        self.state.lock().heartbeat.clone()
     }
 
     /// Takes this mirror's lifecycle tasks off the schedule (a
@@ -188,8 +187,8 @@ impl MirrorDepot {
     }
 
     fn each_task(&self, apply: fn(&TaskHandle)) {
-        let tasks = self.lifecycle.lock();
-        let all = tasks.heartbeat.iter().chain(&tasks.announce_retry);
+        let st = self.state.lock();
+        let all = st.heartbeat.iter().chain(&st.announce_retry);
         all.for_each(apply);
     }
 
@@ -218,7 +217,7 @@ impl MirrorDepot {
     /// Network failures reaching the primary, or a primary that does not
     /// speak the announce protocol.
     pub fn announce(&self) -> DrvResult<()> {
-        self.stats.lock().announces += 1;
+        self.state.lock().stats.announces += 1;
         self.exchange_directory(DrvMsg::MirrorAnnounce {
             location: self.location(),
             zone: self.zone(),
@@ -237,11 +236,12 @@ impl MirrorDepot {
     /// Network failures reaching the primary.
     pub fn heartbeat(&self) -> DrvResult<()> {
         let (msg, requests_snapshot) = {
-            let st = self.stats.lock();
-            let last = self.last_reported_requests.lock();
+            let mut st = self.state.lock();
+            st.stats.heartbeats += 1;
             let load = st
+                .stats
                 .chunk_requests
-                .saturating_sub(*last)
+                .saturating_sub(st.last_reported_requests)
                 .min(u64::from(u32::MAX)) as u32;
             // Coverage: sorted for determinism, capped (it is a ranking
             // hint; past the cap the directory sees partial coverage).
@@ -252,14 +252,13 @@ impl MirrorDepot {
                 DrvMsg::MirrorHeartbeat {
                     location: self.location(),
                     chunk_count: self.index.chunk_count() as u64,
-                    served_bytes: st.chunk_bytes_served,
+                    served_bytes: st.stats.chunk_bytes_served,
                     load,
                     coverage,
                 },
-                st.chunk_requests,
+                st.stats.chunk_requests,
             )
         };
-        self.stats.lock().heartbeats += 1;
         if !self.exchange_directory(msg.clone())? {
             self.announce()?;
             self.exchange_directory(msg)?;
@@ -267,7 +266,7 @@ impl MirrorDepot {
         // Only a delivered heartbeat consumes the interval: a failed
         // send keeps the load attributable to the next beat instead of
         // silently dropping it.
-        *self.last_reported_requests.lock() = requests_snapshot;
+        self.state.lock().last_reported_requests = requests_snapshot;
         Ok(())
     }
 
@@ -289,7 +288,7 @@ impl MirrorDepot {
 
     /// Counter snapshot.
     pub fn stats(&self) -> MirrorStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
     /// Number of replicated chunks.
@@ -328,7 +327,7 @@ impl MirrorDepot {
                 pulled += 1;
             }
         }
-        self.stats.lock().read_through_chunks += pulled;
+        self.state.lock().stats.read_through_chunks += pulled;
         Ok(())
     }
 
@@ -336,7 +335,7 @@ impl MirrorDepot {
         self.fetch_missing_from_primary(digests)?;
         let method = method.resolve(TransferMethod::Checksum);
         let (reply, set) = serve_chunks(&self.index, digests, method, &self.cert)?;
-        let mut st = self.stats.lock();
+        let st = &mut self.state.lock().stats;
         st.chunk_requests += 1;
         st.chunks_served += set.chunks.len() as u64;
         st.chunk_bytes_served += set.payload_bytes();

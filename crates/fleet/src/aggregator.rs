@@ -45,9 +45,14 @@ pub struct RenewalAggregator {
     net: Network,
     local: Addr,
     server: Addr,
-    clients: Mutex<Vec<Weak<Bootloader>>>,
-    stats: Mutex<AggregatorStats>,
-    task: Mutex<Option<TaskHandle>>,
+    state: Mutex<AggregatorState>,
+}
+
+#[derive(Default)]
+struct AggregatorState {
+    clients: Vec<Weak<Bootloader>>,
+    stats: AggregatorStats,
+    task: Option<TaskHandle>,
 }
 
 impl std::fmt::Debug for RenewalAggregator {
@@ -75,9 +80,10 @@ impl RenewalAggregator {
             net: net.clone(),
             local: local.clone(),
             server,
-            clients: Mutex::new(clients.iter().map(Arc::downgrade).collect()),
-            stats: Mutex::new(AggregatorStats::default()),
-            task: Mutex::new(None),
+            state: Mutex::new(AggregatorState {
+                clients: clients.iter().map(Arc::downgrade).collect(),
+                ..AggregatorState::default()
+            }),
         });
         let me = Arc::downgrade(&agg);
         let handle = net.scheduler().every(
@@ -92,18 +98,18 @@ impl RenewalAggregator {
                 Ok(TaskControl::Continue)
             },
         );
-        *agg.task.lock() = Some(handle);
+        agg.state.lock().task = Some(handle);
         agg
     }
 
     /// Snapshot of the aggregator's counters.
     pub fn stats(&self) -> AggregatorStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
     /// The aggregator's scheduler task, for cadence introspection.
     pub fn task(&self) -> Option<TaskHandle> {
-        self.task.lock().clone()
+        self.state.lock().task.clone()
     }
 
     /// One coalescing pass: asks every live client for its due renewal,
@@ -111,43 +117,38 @@ impl RenewalAggregator {
     /// the server's `OFFER_BATCH` replies back to the contributors in
     /// order. Returns the number of renewals carried.
     pub fn tick(&self) -> usize {
-        self.stats.lock().ticks += 1;
+        // The client list leaves the lock while each bootloader is asked.
+        let mut clients = std::mem::take(&mut self.state.lock().clients);
         let mut contributors: Vec<Arc<Bootloader>> = Vec::new();
         let mut entries = Vec::new();
-        {
-            let mut clients = self.clients.lock();
-            clients.retain(|w| {
-                let Some(c) = w.upgrade() else { return false };
-                if let Some(entry) = c.batch_renewal_entry() {
-                    entries.push(entry);
-                    contributors.push(c);
-                }
-                true
-            });
-        }
+        clients.retain(|w| {
+            let Some(c) = w.upgrade() else { return false };
+            if let Some(entry) = c.batch_renewal_entry() {
+                entries.push(entry);
+                contributors.push(c);
+            }
+            true
+        });
+        let mut st = self.state.lock();
+        st.clients = clients;
+        st.stats.ticks += 1;
         if entries.is_empty() {
-            self.stats.lock().empty_ticks += 1;
+            st.stats.empty_ticks += 1;
             return 0;
         }
         let n = entries.len();
-        {
-            let mut st = self.stats.lock();
-            st.batch_frames += 1;
-            st.coalesced_renewals += n as u64;
-        }
+        st.stats.batch_frames += 1;
+        st.stats.coalesced_renewals += n as u64;
+        drop(st);
         let frame = DrvMsg::RenewBatch { entries }.encode();
-        let replies = match self.net.request(&self.local, &self.server, frame) {
-            Ok(raw) => match DrvMsg::decode(raw) {
-                Ok(DrvMsg::OfferBatch { replies }) if replies.len() == n => replies,
-                _ => {
-                    self.stats.lock().failed_batches += 1;
-                    return n;
-                }
-            },
-            Err(_) => {
-                // Network failure: like an individually failed renewal,
-                // every contributor keeps its current driver.
-                self.stats.lock().failed_batches += 1;
+        let reply = self.net.request(&self.local, &self.server, frame);
+        let replies = match reply.map(DrvMsg::decode) {
+            Ok(Ok(DrvMsg::OfferBatch { replies })) if replies.len() == n => replies,
+            _ => {
+                // A network failure or a malformed answer: like an
+                // individually failed renewal, every contributor keeps
+                // its current driver.
+                self.state.lock().stats.failed_batches += 1;
                 return n;
             }
         };

@@ -62,12 +62,18 @@ pub struct SteadyLoad {
     url: DbUrl,
     props: ConnectProps,
     slots: Vec<Mutex<ClientSlot>>,
-    stats: Mutex<LoadStats>,
-    tasks: Mutex<Vec<TaskHandle>>,
+    state: Mutex<LoadState>,
     /// Every `hold_every`-th client spreads its transaction over three
     /// firings (BEGIN+INSERT, UPDATE, SELECT+COMMIT), so some sessions
     /// are mid-transaction whenever an upgrade lands. `0` disables.
     hold_every: usize,
+}
+
+/// The ledger and the per-client load tasks.
+#[derive(Default)]
+struct LoadState {
+    stats: LoadStats,
+    tasks: Vec<TaskHandle>,
 }
 
 impl std::fmt::Debug for SteadyLoad {
@@ -107,8 +113,7 @@ impl SteadyLoad {
                     })
                 })
                 .collect(),
-            stats: Mutex::new(LoadStats::default()),
-            tasks: Mutex::new(Vec::new()),
+            state: Mutex::default(),
             hold_every,
         });
         let mut tasks = Vec::with_capacity(clients.len());
@@ -127,7 +132,7 @@ impl SteadyLoad {
                 },
             ));
         }
-        *load.tasks.lock() = tasks;
+        load.state.lock().tasks = tasks;
         load
     }
 
@@ -153,7 +158,7 @@ impl SteadyLoad {
 
     /// Snapshot of the outcome ledger.
     pub fn stats(&self) -> LoadStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
     /// Number of clients currently holding an open (multi-firing)
@@ -165,9 +170,8 @@ impl SteadyLoad {
     /// Cancels the load tasks (the driver stops firing; connections
     /// stay open until the `SteadyLoad` is dropped).
     pub fn stop(&self) {
-        for t in self.tasks.lock().drain(..) {
-            t.cancel();
-        }
+        let tasks = std::mem::take(&mut self.state.lock().tasks);
+        tasks.iter().for_each(TaskHandle::cancel);
     }
 
     /// One firing for client `i`: reconnect if the previous connection
@@ -178,12 +182,12 @@ impl SteadyLoad {
             return;
         };
         let mut slot = slot.lock();
-        self.stats.lock().attempted += 1;
+        self.state.lock().stats.attempted += 1;
         if slot.conn.is_none() {
             match slot.client.connect(&self.url, &self.props) {
                 Ok(c) => {
                     if slot.ever_connected {
-                        self.stats.lock().reconnects += 1;
+                        self.state.lock().stats.reconnects += 1;
                     }
                     slot.conn = Some(c);
                     slot.ever_connected = true;
@@ -193,7 +197,7 @@ impl SteadyLoad {
                 Err(_) => {
                     // The application wanted to run work and could not
                     // even get a connection: that work is lost.
-                    self.stats.lock().dropped_queries += 1;
+                    self.state.lock().stats.dropped_queries += 1;
                     return;
                 }
             }
@@ -260,13 +264,13 @@ impl SteadyLoad {
         match result {
             Ok(committed) => {
                 if committed {
-                    self.stats.lock().committed += 1;
+                    self.state.lock().stats.committed += 1;
                 }
             }
             Err(_) => {
                 let gone = !conn.is_open();
                 {
-                    let mut st = self.stats.lock();
+                    let st = &mut self.state.lock().stats;
                     st.dropped_queries += 1;
                     if was_mid_txn && gone {
                         st.severed_transactions += 1;

@@ -51,6 +51,9 @@ struct DbInner {
     catalog: Catalog,
     auth: AuthStore,
     enforce_grants: bool,
+    /// Parse cache: statement text → parsed AST. Parsing is pure (params
+    /// bind at execution), so entries never go stale.
+    stmts: std::collections::HashMap<String, std::sync::Arc<Statement>>,
 }
 
 /// Upper bound on cached parsed statements. Only texts that can recur
@@ -145,10 +148,6 @@ pub struct MiniDb {
     name: String,
     clock: Clock,
     inner: Mutex<DbInner>,
-    // Parse cache: statement text → parsed AST. Parsing is pure (params
-    // bind at execution), so entries never go stale. Kept outside `inner`
-    // so a cache probe never contends with executing statements.
-    stmts: Mutex<std::collections::HashMap<String, std::sync::Arc<Statement>>>,
 }
 
 impl std::fmt::Debug for MiniDb {
@@ -173,8 +172,8 @@ impl MiniDb {
                 catalog: Catalog::new(),
                 auth: AuthStore::new("admin", "admin"),
                 enforce_grants: false,
+                stmts: std::collections::HashMap::new(),
             }),
-            stmts: Mutex::new(std::collections::HashMap::new()),
         }
     }
 
@@ -237,7 +236,7 @@ impl MiniDb {
         sql: &str,
         params: &Params,
     ) -> DbResult<QueryResult> {
-        let cached = self.stmts.lock().get(sql).cloned();
+        let cached = self.inner.lock().stmts.get(sql).cloned();
         let stmt = match cached {
             Some(stmt) => stmt,
             None => {
@@ -246,7 +245,7 @@ impl MiniDb {
                     return self.execute_stmt(session, &stmt, params);
                 }
                 let stmt = std::sync::Arc::new(stmt);
-                let mut cache = self.stmts.lock();
+                let cache = &mut self.inner.lock().stmts;
                 if cache.len() >= STMT_CACHE_CAP {
                     cache.clear();
                 }
@@ -464,7 +463,7 @@ impl MiniDb {
 
     /// Number of parsed statements held by the parse cache.
     pub fn cached_statements(&self) -> usize {
-        self.stmts.lock().len()
+        self.inner.lock().stmts.len()
     }
 
     /// Number of rows in `table` — a test/diagnostic convenience.

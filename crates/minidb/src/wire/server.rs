@@ -26,6 +26,13 @@ struct Pending {
     proto: u16,
 }
 
+/// Authenticated sessions and those still owing a challenge answer.
+#[derive(Default)]
+struct Sessions {
+    live: HashMap<u64, Slot>,
+    pending: HashMap<u64, Pending>,
+}
+
 /// Wire server for one [`MiniDb`] instance.
 ///
 /// Bind it on the network with [`netsim::Network::bind_arc`]; it speaks the
@@ -35,8 +42,7 @@ pub struct DbServer {
     db: Arc<MiniDb>,
     versions: Vec<u16>,
     next_session: AtomicU64,
-    sessions: Mutex<HashMap<u64, Slot>>,
-    pending: Mutex<HashMap<u64, Pending>>,
+    sessions: Mutex<Sessions>,
 }
 
 impl std::fmt::Debug for DbServer {
@@ -61,8 +67,7 @@ impl DbServer {
             db,
             versions: versions.to_vec(),
             next_session: AtomicU64::new(1),
-            sessions: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            sessions: Mutex::default(),
         }
     }
 
@@ -78,7 +83,7 @@ impl DbServer {
 
     /// Number of live (authenticated) sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.lock().live.len()
     }
 
     fn handle(&self, msg: ClientMsg) -> ServerMsg {
@@ -100,7 +105,7 @@ impl DbServer {
                 auth,
             } => self.handle_hello(proto, &database, &user, auth),
             ClientMsg::ChallengeAnswer { session, response } => {
-                let Some(pending) = self.pending.lock().remove(&session) else {
+                let Some(pending) = self.sessions.lock().pending.remove(&session) else {
                     return Err(DbError::Session(format!(
                         "no pending challenge for session {session}"
                     )));
@@ -108,7 +113,7 @@ impl DbServer {
                 self.db
                     .with_auth(|a| a.verify_challenge(&pending.user, pending.nonce, response))?;
                 let db_session = self.db.session(&pending.user)?;
-                self.sessions.lock().insert(
+                self.sessions.lock().live.insert(
                     session,
                     Slot {
                         proto: pending.proto,
@@ -129,14 +134,14 @@ impl DbServer {
                 self.run_query(session, &sql, &params, true)
             }
             ClientMsg::Ping { session } => {
-                if self.sessions.lock().contains_key(&session) {
+                if self.sessions.lock().live.contains_key(&session) {
                     Ok(ServerMsg::Pong)
                 } else {
                     Err(DbError::Session(format!("unknown session {session}")))
                 }
             }
             ClientMsg::Close { session } => {
-                self.sessions.lock().remove(&session);
+                self.sessions.lock().live.remove(&session);
                 Ok(ServerMsg::Closed)
             }
         }
@@ -190,7 +195,7 @@ impl DbServer {
                 let nonce = session
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .wrapping_add(0xd1b5);
-                self.pending.lock().insert(
+                self.sessions.lock().pending.insert(
                     session,
                     Pending {
                         user: user.to_string(),
@@ -215,7 +220,7 @@ impl DbServer {
     fn open_session(&self, proto: u16, user: &str) -> DbResult<ServerMsg> {
         let db_session = self.db.session(user)?;
         let session = self.next_session.fetch_add(1, Ordering::SeqCst);
-        self.sessions.lock().insert(
+        self.sessions.lock().live.insert(
             session,
             Slot {
                 proto,
@@ -233,7 +238,7 @@ impl DbServer {
         parameterized: bool,
     ) -> DbResult<ServerMsg> {
         let mut sessions = self.sessions.lock();
-        let Some(slot) = sessions.get_mut(&session) else {
+        let Some(slot) = sessions.live.get_mut(&session) else {
             return Err(DbError::Session(format!("unknown session {session}")));
         };
         if parameterized && slot.proto < V2 {

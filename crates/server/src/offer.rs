@@ -3,8 +3,6 @@
 //! (revalidation, chunked delta, or staged full file), and the file and
 //! chunk transfers that follow.
 
-use std::sync::atomic::Ordering;
-
 use bytes::Bytes;
 
 use netsim::Addr;
@@ -63,11 +61,12 @@ impl DrivolutionServer {
     }
 
     fn stage(&self, bytes: Bytes, method: TransferMethod) -> String {
-        let n = self.stage_counter.fetch_add(1, Ordering::SeqCst);
-        let mut staged = self.staged.lock();
-        staged.insert(n, Staged { bytes, method });
-        while staged.len() > MAX_STAGED {
-            staged.pop_first();
+        let mut st = self.state.lock();
+        let n = st.stage_counter;
+        st.stage_counter += 1;
+        st.staged.insert(n, Staged { bytes, method });
+        while st.staged.len() > MAX_STAGED {
+            st.staged.pop_first();
         }
         format!("{STAGE_PREFIX}{n}")
     }
@@ -79,18 +78,16 @@ impl DrivolutionServer {
     /// [`Bytes`] all the way from storage), equal content after the
     /// drivers row was rewritten in place.
     fn offer_meta_for(&self, id: DriverId, bytes: &Bytes) -> (u64, Option<Signature>) {
-        {
-            let cache = self.offer_meta.lock();
-            if let Some(m) = cache.get(&id) {
-                let same_alloc = m.bytes.as_ptr() == bytes.as_ptr() && m.bytes.len() == bytes.len();
-                if same_alloc || m.bytes == *bytes {
-                    return (m.digest, m.signature);
-                }
+        let mut st = self.state.lock();
+        if let Some(m) = st.offer_meta.get(&id) {
+            let same_alloc = m.bytes.as_ptr() == bytes.as_ptr() && m.bytes.len() == bytes.len();
+            if same_alloc || m.bytes == *bytes {
+                return (m.digest, m.signature);
             }
         }
         let digest = fnv1a64(bytes);
         let signature = self.config.signing.as_ref().map(|k| k.sign(bytes));
-        self.offer_meta.lock().insert(
+        st.offer_meta.insert(
             id,
             OfferMeta {
                 bytes: bytes.clone(),
@@ -118,7 +115,7 @@ impl DrivolutionServer {
     ) -> (String, Option<ChunkPlan>) {
         if let Some(have) = &req.have {
             if have.images.contains(&content_digest) {
-                self.stats.lock().revalidations += 1;
+                self.state.lock().stats.revalidations += 1;
                 return (String::new(), None);
             }
             // The plan (manifest derivation + missing-chunk set) is
@@ -132,7 +129,7 @@ impl DrivolutionServer {
             };
             if let Some((DeltaPlan { manifest, missing }, hit)) = plan {
                 {
-                    let mut st = self.stats.lock();
+                    let st = &mut self.state.lock().stats;
                     if hit {
                         st.plan_hits += 1;
                     } else {
@@ -145,7 +142,7 @@ impl DrivolutionServer {
                     // fresh release does not trigger a read-through storm
                     // on the primary.
                     let mirrors = self.directory.candidates(req.zone.as_deref(), &missing);
-                    self.stats.lock().delta_offers += 1;
+                    self.state.lock().stats.delta_offers += 1;
                     let plan = ChunkPlan {
                         manifest,
                         missing,
@@ -347,17 +344,17 @@ impl DrivolutionServer {
             .strip_prefix(STAGE_PREFIX)
             .and_then(|n| n.parse().ok())
             .ok_or_else(unknown)?;
-        let staged = self.staged.lock().remove(&n).ok_or_else(unknown)?;
+        let staged = self.state.lock().staged.remove(&n).ok_or_else(unknown)?;
         if method != staged.method {
             // The client asked with the wrong method; keep the file
             // available for a corrected request.
-            self.staged.lock().insert(n, staged);
+            self.state.lock().staged.insert(n, staged);
             return Err(DrvError::TransferFailed(format!(
                 "transfer method mismatch for {location:?}"
             )));
         }
         let frame = DrvMsg::file_data_frame(staged.method, &staged.bytes, Some(&self.cert))?;
-        let mut st = self.stats.lock();
+        let st = &mut self.state.lock().stats;
         st.files += 1;
         st.file_bytes += staged.bytes.len() as u64;
         Ok(frame)
@@ -371,7 +368,7 @@ impl DrivolutionServer {
     ) -> DrvResult<Bytes> {
         let method = method.resolve(self.config.default_transfer);
         let (reply, set) = serve_chunks(&self.depot, digests, method, &self.cert)?;
-        let mut st = self.stats.lock();
+        let st = &mut self.state.lock().stats;
         st.chunk_requests += 1;
         st.chunk_bytes += set.payload_bytes();
         Ok(reply)

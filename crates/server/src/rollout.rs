@@ -182,11 +182,14 @@ struct RolloutState {
     completed_at_ms: Option<u64>,
     halted_at_ms: Option<u64>,
     halt_reason: Option<String>,
+    /// The evaluation tick [`RolloutOrchestrator::launch`] registers.
+    task: Option<TaskHandle>,
+    halt_hook: Option<HaltHook>,
 }
 
 /// Function invoked (with the rollout's database) exactly once when a
 /// health gate trips and the rollout rolls back.
-type HaltHook = Box<dyn Fn(&str) + Send + Sync>;
+type HaltHook = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// Orchestrates one staged rollout from a prior driver to a new one
 /// over a fixed registered fleet. Attach it to a
@@ -202,8 +205,6 @@ pub struct RolloutOrchestrator {
     config: RolloutConfig,
     clock: Clock,
     state: Mutex<RolloutState>,
-    task: Mutex<Option<TaskHandle>>,
-    halt_hook: Mutex<Option<HaltHook>>,
 }
 
 impl std::fmt::Debug for RolloutOrchestrator {
@@ -255,6 +256,8 @@ impl RolloutOrchestrator {
             completed_at_ms: None,
             halted_at_ms: None,
             halt_reason: None,
+            task: None,
+            halt_hook: None,
         };
         if state.waves.is_empty() {
             // An empty fleet has nothing to stage.
@@ -270,8 +273,6 @@ impl RolloutOrchestrator {
             config,
             clock,
             state: Mutex::new(state),
-            task: Mutex::new(None),
-            halt_hook: Mutex::new(None),
         }
     }
 
@@ -316,7 +317,7 @@ impl RolloutOrchestrator {
                     None => Ok(TaskControl::Done),
                 },
             );
-        *ro.task.lock() = Some(handle);
+        ro.state.lock().task = Some(handle);
         ro
     }
 
@@ -391,14 +392,7 @@ impl RolloutOrchestrator {
     where
         F: Fn(&str) + Send + Sync + 'static,
     {
-        *self.halt_hook.lock() = Some(Box::new(hook));
-    }
-
-    fn fire_halt_hook(&self) {
-        let hook = self.halt_hook.lock();
-        if let Some(h) = &*hook {
-            h(&self.database);
-        }
+        self.state.lock().halt_hook = Some(Arc::new(hook));
     }
 
     /// Whether the rollout reached a terminal phase.
@@ -435,8 +429,11 @@ impl RolloutOrchestrator {
                 "activation error rate {err_total}/{reports} exceeded {:.2}% in wave {open}",
                 self.config.max_error_rate * 100.0
             ));
+            let hook = st.halt_hook.clone();
             drop(st);
-            self.fire_halt_hook();
+            if let Some(hook) = hook {
+                hook(&self.database);
+            }
             return;
         }
 
@@ -484,7 +481,7 @@ impl RolloutOrchestrator {
 
 impl Drop for RolloutOrchestrator {
     fn drop(&mut self) {
-        if let Some(h) = self.task.lock().take() {
+        if let Some(h) = self.state.lock().task.take() {
             h.cancel();
         }
     }
@@ -673,6 +670,28 @@ mod tests {
         clock.advance_ms(11_000);
         ro.evaluate();
         assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn the_halt_hook_may_call_back_into_the_orchestrator() {
+        let config = RolloutConfig {
+            min_reports: 1,
+            max_error_rate: 0.0,
+            ..RolloutConfig::default()
+        };
+        let (ro, _clock) = rig(10, config);
+        let ro = Arc::new(ro);
+        let settled = Arc::new(Mutex::new(Vec::new()));
+        let (me, sink) = (Arc::downgrade(&ro), settled.clone());
+        ro.on_rollback(move |_| {
+            if let Some(ro) = me.upgrade() {
+                sink.lock().push(ro.is_settled());
+            }
+        });
+        ro.report_activation("app0000", DriverId(2), false);
+        ro.evaluate();
+        ro.evaluate();
+        assert_eq!(settled.lock().as_slice(), [true]);
     }
 
     #[test]

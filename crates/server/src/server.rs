@@ -3,7 +3,6 @@
 //! and pushes upgrade notices (paper §3–§4).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -133,20 +132,27 @@ pub struct DrivolutionServer {
     pub(crate) licenses: LicenseManager,
     pub(crate) assembler: Assembler,
     hub: NotifyHub,
-    /// Parked files by stage number, at most [`MAX_STAGED`](crate::offer::MAX_STAGED).
-    pub(crate) staged: Mutex<BTreeMap<u64, Staged>>,
-    pub(crate) stage_counter: AtomicU64,
     pub(crate) depot: ContentIndex,
     pub(crate) directory: MirrorDirectory,
-    pub(crate) stats: Mutex<ServerStats>,
-    rollout: Mutex<Option<Arc<RolloutOrchestrator>>>,
+    pub(crate) state: Mutex<ServerState>,
+}
+
+/// Everything mutable about a server that no sub-component owns, behind
+/// its one lock.
+#[derive(Default)]
+pub(crate) struct ServerState {
+    /// Parked files by stage number, at most [`MAX_STAGED`](crate::offer::MAX_STAGED).
+    pub(crate) staged: BTreeMap<u64, Staged>,
+    pub(crate) stage_counter: u64,
+    pub(crate) stats: ServerStats,
+    rollout: Option<Arc<RolloutOrchestrator>>,
     /// Memoized per-driver offer metadata (content digest + signature),
     /// keyed by the served bytes themselves so direct SQL writes to the
     /// drivers table can never serve a stale digest: a hit requires the
     /// cached [`Bytes`] to match the record's, checked by pointer first
     /// and by content on reallocation.
-    pub(crate) offer_meta: Mutex<HashMap<DriverId, OfferMeta>>,
-    hooks: Mutex<Vec<EventHook>>,
+    pub(crate) offer_meta: HashMap<DriverId, OfferMeta>,
+    hooks: Vec<EventHook>,
 }
 
 impl std::fmt::Debug for DrivolutionServer {
@@ -178,13 +184,8 @@ impl DrivolutionServer {
             cert,
             assembler: Assembler::new(),
             hub: NotifyHub::new(),
-            staged: Mutex::new(BTreeMap::new()),
-            stage_counter: AtomicU64::new(0),
             depot: ContentIndex::new(),
-            stats: Mutex::new(ServerStats::default()),
-            rollout: Mutex::new(None),
-            offer_meta: Mutex::new(HashMap::new()),
-            hooks: Mutex::new(Vec::new()),
+            state: Mutex::default(),
         }
     }
 
@@ -221,7 +222,7 @@ impl DrivolutionServer {
 
     /// Snapshot of the protocol counters.
     pub fn stats(&self) -> ServerStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
     /// The server's content-addressed depot index (installed driver
@@ -268,22 +269,25 @@ impl DrivolutionServer {
                 srv.notify_upgrade(database);
             }
         });
-        *self.rollout.lock() = Some(rollout);
+        self.state.lock().rollout = Some(rollout);
     }
 
     /// The attached rollout orchestrator, when it governs `database`.
     pub(crate) fn rollout_for(&self, database: &str) -> Option<Arc<RolloutOrchestrator>> {
-        let attached = self.rollout.lock().clone();
+        let attached = self.state.lock().rollout.clone();
         attached.filter(|ro| ro.database() == database)
     }
 
     /// Subscribes to admin events (replication hook).
     pub fn subscribe(&self, hook: EventHook) {
-        self.hooks.lock().push(hook);
+        self.state.lock().hooks.push(hook);
     }
 
+    /// Runs every subscribed hook on `event`, with no lock held: a hook
+    /// may call back into this server.
     fn emit(&self, event: AdminEvent) {
-        for h in self.hooks.lock().iter() {
+        let hooks = self.state.lock().hooks.clone();
+        for h in &hooks {
             h(&event);
         }
     }
@@ -416,9 +420,9 @@ impl DrivolutionServer {
         advertise_only: bool,
         catalog: &mut FrameCatalog<'f>,
     ) -> DrvResult<DrvOffer> {
-        self.stats.lock().requests += 1;
+        self.state.lock().stats.requests += 1;
         let offer = self.handle_request(from, req, advertise_only, catalog)?;
-        let mut st = self.stats.lock();
+        let st = &mut self.state.lock().stats;
         st.offers += 1;
         if offer.same_driver {
             st.renewals += 1;
@@ -454,7 +458,7 @@ impl DrivolutionServer {
             control => self.handle_control(from, control).map(Reply::Msg),
         };
         result.unwrap_or_else(|e| {
-            self.stats.lock().errors += 1;
+            self.state.lock().stats.errors += 1;
             Reply::Msg(DrvMsg::error_from(&e))
         })
     }
@@ -467,7 +471,7 @@ impl DrivolutionServer {
             DrvMsg::Discover(req) => self.grant(from, req, true, &mut frame).map(DrvMsg::Offer),
             DrvMsg::RenewBatch { entries } => {
                 {
-                    let mut st = self.stats.lock();
+                    let st = &mut self.state.lock().stats;
                     st.batch_frames += 1;
                     st.batched_renewals += entries.len() as u64;
                 }
@@ -477,7 +481,7 @@ impl DrivolutionServer {
                     // the aggregator that forwarded the frame.
                     let origin = Addr::new(host.clone(), from.port());
                     replies.push(self.grant(&origin, req, false, &mut frame).map_err(|e| {
-                        self.stats.lock().errors += 1;
+                        self.state.lock().stats.errors += 1;
                         (DrvErrCode::classify(&e), e.to_string())
                     }));
                 }
@@ -488,7 +492,7 @@ impl DrivolutionServer {
                 Ok(DrvMsg::ReleaseOk)
             }
             DrvMsg::MirrorAnnounce { location, zone } => {
-                self.stats.lock().mirror_announces += 1;
+                self.state.lock().stats.mirror_announces += 1;
                 self.directory.announce(location, zone.clone(), false);
                 Ok(DrvMsg::MirrorAck { known: true })
             }
@@ -499,7 +503,7 @@ impl DrivolutionServer {
                 load,
                 coverage,
             } => {
-                self.stats.lock().mirror_heartbeats += 1;
+                self.state.lock().stats.mirror_heartbeats += 1;
                 let known = self.directory.heartbeat(
                     location,
                     *chunk_count,
@@ -512,7 +516,7 @@ impl DrivolutionServer {
             DrvMsg::MirrorComplaint { location, .. } => {
                 let outcome = self.directory.complaint(location, from.host());
                 {
-                    let mut st = self.stats.lock();
+                    let st = &mut self.state.lock().stats;
                     st.mirror_complaints += 1;
                     if outcome == ComplaintOutcome::Demoted {
                         st.mirror_demotions += 1;
@@ -529,7 +533,7 @@ impl DrivolutionServer {
                 ..
             } => {
                 {
-                    let mut st = self.stats.lock();
+                    let st = &mut self.state.lock().stats;
                     st.activation_reports += 1;
                     if !ok {
                         st.activation_failures += 1;
@@ -672,7 +676,7 @@ mod tests {
         let offers: Vec<DrvOffer> = (0..MAX_STAGED + 50)
             .map(|_| expect_offer(srv.handle(&client(), DrvMsg::Request(bootstrap_req()))))
             .collect();
-        assert_eq!(srv.staged.lock().len(), MAX_STAGED);
+        assert_eq!(srv.state.lock().staged.len(), MAX_STAGED);
         let fetch = |offer: &DrvOffer, transfer_method| {
             srv.handle(
                 &client(),
@@ -697,12 +701,12 @@ mod tests {
             matches!(&wrong, DrvMsg::Error { message, .. } if message.contains("mismatch")),
             "{wrong:?}"
         );
-        assert_eq!(srv.staged.lock().len(), MAX_STAGED);
+        assert_eq!(srv.state.lock().staged.len(), MAX_STAGED);
         let served = fetch(newest, TransferMethod::Sealed);
         assert!(matches!(served, DrvMsg::FileData { .. }), "{served:?}");
         let again = fetch(newest, TransferMethod::Sealed);
         assert!(matches!(again, DrvMsg::Error { .. }), "{again:?}");
-        assert_eq!(srv.staged.lock().len(), MAX_STAGED - 1);
+        assert_eq!(srv.state.lock().staged.len(), MAX_STAGED - 1);
     }
 
     #[test]
@@ -860,7 +864,7 @@ mod tests {
             assert!(offer.location.is_empty());
             assert_eq!(offer.driver_id, DriverId(1));
         }
-        assert!(srv.staged.lock().is_empty());
+        assert!(srv.state.lock().staged.is_empty());
         assert_eq!(srv.licenses().available(DriverId(1), 0), Some(1));
         assert_eq!(srv.store().lease_count().unwrap(), 0);
     }
@@ -963,6 +967,23 @@ mod tests {
         let custom = unpack_driver(offer.format, raw).unwrap();
         assert!(custom.extension("nls-fr_FR").is_some());
         assert!(custom.extension("nls-de_DE").is_none());
+    }
+
+    #[test]
+    fn an_admin_hook_may_call_back_into_the_server() {
+        let (srv, _c) = server_with(ServerConfig::default());
+        let srv = Arc::new(srv);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (me, sink) = (Arc::downgrade(&srv), seen.clone());
+        srv.subscribe(Arc::new(move |_| {
+            if let Some(srv) = me.upgrade() {
+                sink.lock()
+                    .push((srv.stats().requests, srv.channel_count()));
+            }
+        }));
+        srv.install_driver(&record(1, 1, DriverVersion::new(1, 0, 0)))
+            .unwrap();
+        assert_eq!(seen.lock().as_slice(), [(0, 0)]);
     }
 
     #[test]

@@ -112,9 +112,7 @@ fn delta_upgrade_transfers_measurably_fewer_bytes_than_cold_fetch() {
     assert_eq!(bs.delta_downloads, 1);
     assert!(bs.bytes_saved > (DRIVER_PADDING as u64) / 2);
     assert_eq!(rig.srv.stats().delta_offers, 1);
-    let ds = depot.stats();
-    assert_eq!(ds.delta_assemblies, 1);
-    assert!(ds.bytes_reused > ds.bytes_fetched);
+    assert!(bs.bytes_saved > bs.same_zone_chunk_bytes + bs.cross_zone_chunk_bytes);
 }
 
 #[test]
@@ -142,7 +140,7 @@ fn shared_depot_revalidates_with_zero_payload_transfer() {
     assert_eq!(bs.revalidations, 1);
     assert_eq!(bs.downloads, 0);
     assert_eq!(rig.srv.stats().revalidations, 1);
-    assert_eq!(depot.stats().revalidations, 1);
+    assert_eq!(depot.image_count(), 1);
     // Both apps run the same driver.
     assert_eq!(boot1.active_version(), boot2.active_version());
 }
@@ -612,7 +610,6 @@ fn downloaded_file_that_is_not_the_offered_one_is_refused() {
             .unwrap_err();
         assert!(matches!(e, DkError::Drv(DrvError::BadPackage(_))), "{e:?}");
         assert_eq!(depot.image_count(), 0);
-        assert_eq!(depot.stats().full_inserts, 0);
         assert_eq!(boot.stats().downloads, 0);
     }
 }
