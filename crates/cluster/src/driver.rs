@@ -18,14 +18,14 @@ use minidb::{DbError, Params, QueryResult};
 use crate::proto::ClusterFrame;
 use crate::CLUSTER_V1;
 
-static LB_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
 /// A [`Driver`] interpreting a cluster-flavor [`DriverImage`]; its
 /// `db_protocol` field is the cluster protocol version it speaks.
 pub struct ClusterDriver {
     image: DriverImage,
     net: Network,
     local: Addr,
+    /// Connections opened so far: each starts at the next controller.
+    connects: AtomicUsize,
 }
 
 impl std::fmt::Debug for ClusterDriver {
@@ -51,7 +51,12 @@ impl ClusterDriver {
                 image.name, image.flavor
             )));
         }
-        Ok(ClusterDriver { image, net, local })
+        Ok(ClusterDriver {
+            image,
+            net,
+            local,
+            connects: AtomicUsize::new(0),
+        })
     }
 
     /// The interpreted image.
@@ -78,7 +83,7 @@ impl Driver for ClusterDriver {
         }
         // Load balance the starting controller (§5.3.2: "bootloaders
         // exploit this information to load balance their requests").
-        let start = LB_COUNTER.fetch_add(1, Ordering::Relaxed) % url.hosts().len();
+        let start = self.connects.fetch_add(1, Ordering::Relaxed) % url.hosts().len();
         let mut conn = ClusterConnection {
             net: self.net.clone(),
             local: self.local.clone(),

@@ -31,6 +31,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -40,19 +41,33 @@ use crate::digest::{fnv1a64_parts, fold_lane, fold_words_rewriting, parts_prefix
 use crate::error::{DrvError, DrvResult};
 use crate::policy::TransferMethod;
 
-/// A server identity certificate for the sealed channel.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A server identity certificate for the sealed channel. The holder of
+/// the certificate keeps the count its sealed envelopes draw nonces from,
+/// shared by every clone: a nonce is unique per key, and two worlds that
+/// each issue their own certificate seal the same bytes alike.
+#[derive(Clone, Debug)]
 pub struct Certificate {
     host: String,
     serial: u64,
+    nonces: Arc<AtomicU64>,
 }
 
+impl PartialEq for Certificate {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.host, self.serial) == (&other.host, other.serial)
+    }
+}
+
+impl Eq for Certificate {}
+
 impl Certificate {
-    /// Issues a certificate for `host` with the given serial.
+    /// Issues a certificate for `host` with the given serial; its first
+    /// sealed envelope carries nonce 1.
     pub fn issue(host: impl Into<String>, serial: u64) -> Self {
         Certificate {
             host: host.into(),
             serial,
+            nonces: Arc::new(AtomicU64::new(1)),
         }
     }
 
@@ -79,6 +94,7 @@ impl Certificate {
         Ok(Certificate {
             host: get_str(buf, "cert host")?,
             serial: get_u64(buf, "cert serial")?,
+            nonces: Arc::default(),
         })
     }
 }
@@ -106,8 +122,6 @@ impl ChannelTrust {
         self.pinned.contains(&cert.fingerprint())
     }
 }
-
-static NONCE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 /// The sealed channel's keystream and MAC over `data` in one pass, in
 /// place (module docs, "One pass"). Counter mode: keystream block `i` is
@@ -199,7 +213,7 @@ pub fn wrap_into(
             let cert = cert.ok_or_else(|| {
                 DrvError::TransferFailed("sealed transfer requires a server certificate".into())
             })?;
-            let nonce = NONCE_COUNTER.fetch_add(1, Ordering::Relaxed);
+            let nonce = cert.nonces.fetch_add(1, Ordering::Relaxed);
             wrap_with_nonce(b, cert, nonce, payload);
         }
     }
@@ -376,9 +390,8 @@ mod tests {
         );
     }
 
-    /// Recorded from the parent commit (`NONCE_COUNTER` forced to the
-    /// nonce below): the envelope is a wire format, not an
-    /// implementation detail.
+    /// Recorded with the nonce below forced: the envelope is a wire
+    /// format, not an implementation detail.
     #[test]
     fn sealed_envelope_bytes_are_pinned() {
         const GOLDEN: &str = "02030000006462310100000000000000887766554433221113000000\

@@ -58,6 +58,7 @@ fn unescape_key(key: &str) -> Option<String> {
 /// on one tmp file would reintroduce exactly the torn write this
 /// function exists to prevent.
 fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    // drvlint: allow(global-state) — tmp names must differ across every depot of the process that shares a directory; the name never reaches a frame or a count
     static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = match (path.parent(), path.file_name().and_then(|n| n.to_str())) {

@@ -19,7 +19,11 @@
 //!   `.keys()`, `.values()`, `for … in &map`, ...): iteration order is
 //!   arbitrary and changes between runs, so anything it feeds —
 //!   codecs, candidate ranking, stats — becomes nondeterministic. Use
-//!   `BTreeMap`/`BTreeSet` or sort before use.
+//!   `BTreeMap`/`BTreeSet` or sort before use;
+//! * `global-state` — a `static` whose type holds an `Atomic*`, `Mutex`,
+//!   `RwLock`, `Cell` or `OnceLock`: state outside every world, so a
+//!   second same-seed world in the process starts where the first left
+//!   off. A world's counters belong to the component that counts.
 
 use crate::scan::{Finding, ScannedFile};
 
@@ -40,7 +44,33 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Every rule this pass can emit (used to validate allow comments).
-pub const RULES: &[&str] = &["wallclock", "thread-spawn", "ambient-rng", "map-iter"];
+pub const RULES: &[&str] = &[
+    "wallclock",
+    "thread-spawn",
+    "ambient-rng",
+    "map-iter",
+    "global-state",
+];
+
+/// Type names that make a `static` mutable state ([`mutable_static`]).
+const INTERIOR_MUTABLE: &[&str] = &["Atomic", "Mutex", "RwLock", "Cell", "OnceLock"];
+
+/// Whether the masked `line` declares a `static` whose type holds one of
+/// [`INTERIOR_MUTABLE`].
+fn mutable_static(line: &str) -> bool {
+    let decl = line.trim_start();
+    let decl = ["pub(crate) ", "pub "]
+        .iter()
+        .find_map(|v| decl.strip_prefix(v))
+        .unwrap_or(decl);
+    let Some(rest) = decl.strip_prefix("static ") else {
+        return false;
+    };
+    let ty = rest
+        .split_once(':')
+        .map_or("", |(_, ty)| ty.split('=').next().unwrap_or(ty));
+    INTERIOR_MUTABLE.iter().any(|name| ty.contains(name))
+}
 
 const BANNED_ITERS: &[&str] = &[
     "iter()",
@@ -315,6 +345,15 @@ pub fn check(files: &[ScannedFile]) -> Vec<Finding> {
                     &mut findings,
                 );
             }
+            if mutable_static(line) {
+                hit(
+                    "global-state",
+                    "mutable static in a sim-facing crate: state no world owns; \
+                     keep the count in the component that counts"
+                        .to_string(),
+                    &mut findings,
+                );
+            }
             for name in &tainted {
                 if iterates(line, name) {
                     hit(
@@ -427,6 +466,27 @@ fn f(s: &S, k: u64) {
 }
 ";
         assert!(check(&[scan(src)]).is_empty());
+    }
+
+    #[test]
+    fn mutable_statics_are_flagged_and_constants_are_not() {
+        let src = "\
+static COUNTER: AtomicU64 = AtomicU64::new(0);
+pub(crate) static CACHE: Mutex<Vec<u8>> = Mutex::new(Vec::new());
+pub static ONCE: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
+fn f() {
+    static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+}
+static NAME: &str = \"Mutex\";
+const LIMIT: usize = 4;
+static TABLE: [u8; 2] = [0, 1];
+";
+        let lines: Vec<usize> = check(&[scan(src)])
+            .into_iter()
+            .filter(|f| f.rule == "global-state")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![1, 2, 3, 5]);
     }
 
     #[test]

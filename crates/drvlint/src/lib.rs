@@ -4,9 +4,9 @@
 //! invariants of this reproduction into machine-checked build gates:
 //!
 //! 1. **Determinism** ([`determinism`]) — sim-facing crates never read
-//!    the wall clock, spawn threads, draw ambient randomness, or let
-//!    hash-map iteration order escape into wire frames, candidate
-//!    ranking, or stats.
+//!    the wall clock, spawn threads, draw ambient randomness, keep
+//!    mutable state in a `static`, or let hash-map iteration order
+//!    escape into wire frames, candidate ranking, or stats.
 //! 2. **Panic-path hygiene** ([`ratchet`]) — per-crate counts of
 //!    `unwrap`/`expect`/panic-macro/slice-index sites only ever go
 //!    down, against `drvlint-baseline.toml`.

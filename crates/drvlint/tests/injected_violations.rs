@@ -189,3 +189,22 @@ fn allow_naming_unknown_rule_fails() {
         report.findings
     );
 }
+
+/// A counter kept in a `static` belongs to no world: the rule that
+/// keeps `core::transfer`'s nonce and `cluster::driver`'s balancing
+/// count inside their components.
+#[test]
+fn a_mutable_static_in_a_sim_crate_fails() {
+    let (files, baseline) = scanned_tree();
+    let path = "crates/core/src/transfer.rs";
+    let files = with_edit(&files, path, |src| {
+        format!("{src}\nstatic NONCE_COUNTER: AtomicU64 = AtomicU64::new(1);\n")
+    });
+    let report = run_passes(&files, &baseline).expect("run passes");
+    assert_eq!(
+        rules_of(&report.findings),
+        vec![("global-state", path)],
+        "{:#?}",
+        report.findings
+    );
+}

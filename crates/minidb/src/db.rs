@@ -474,6 +474,19 @@ impl MiniDb {
     pub fn table_len(&self, table: &str) -> DbResult<usize> {
         Ok(self.inner.lock().catalog.table(table)?.len())
     }
+
+    /// `table`'s write stamp ([`Table::stamp`](crate::storage::Table::stamp)),
+    /// `None` when there is no such table: while it reads the same, every
+    /// statement over the table alone answers the same at the same
+    /// `now()`.
+    pub fn table_stamp(&self, table: &str) -> Option<u64> {
+        self.inner
+            .lock()
+            .catalog
+            .table(table)
+            .ok()
+            .map(|t| t.stamp())
+    }
 }
 
 #[cfg(test)]
@@ -488,6 +501,41 @@ mod tests {
         db.exec(&mut s, "INSERT INTO t VALUES (1, 'one'), (2, 'two')")
             .unwrap();
         db
+    }
+
+    /// Every write moves the table's stamp to one never seen before, in
+    /// any table of the catalog; a read moves nothing, and neither does a
+    /// write to another table.
+    #[test]
+    fn a_write_stamps_its_table_with_a_fresh_value_and_a_read_never_does() {
+        let db = db();
+        let mut s = db.admin_session();
+        db.exec(&mut s, "CREATE TABLE other (id INTEGER)").unwrap();
+        let mut seen = vec![db.table_stamp("t").unwrap()];
+        let mut step = |sql: &str, moves: bool| {
+            let before = db.table_stamp("t");
+            db.exec(&mut s, sql).unwrap();
+            let after = db.table_stamp("t");
+            assert_eq!(before != after, moves, "{sql}");
+            if let Some(after) = after.filter(|_| moves) {
+                assert!(!seen.contains(&after), "{sql} repeated stamp {after}");
+                seen.push(after);
+            }
+        };
+        step("SELECT * FROM t WHERE id = 1", false);
+        step("SELECT count(*) FROM t", false);
+        step("INSERT INTO other VALUES (1)", false);
+        step("INSERT INTO t VALUES (3, 'three')", true);
+        step("UPDATE t SET v = 'THREE' WHERE id = 3", true);
+        step("DELETE FROM t WHERE id = 3", true);
+        step("BEGIN", false);
+        step("INSERT INTO t VALUES (4, 'four')", true);
+        step("ROLLBACK", true);
+        step("SELECT v FROM t", false);
+        step("DROP TABLE t", true);
+        step("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)", true);
+        step("INSERT INTO other VALUES (2)", false);
+        assert_eq!(db.table_stamp("nope"), None);
     }
 
     #[test]

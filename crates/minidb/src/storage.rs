@@ -50,6 +50,9 @@ pub struct Table {
     /// Rows handed out by [`Table::candidates`] or compared by a key
     /// lookup (diagnostic; see [`Table::rows_examined`]).
     examined: Cell<u64>,
+    /// The catalog write that last handed this table out for change
+    /// ([`Table::stamp`]).
+    stamp: u64,
 }
 
 impl Table {
@@ -62,7 +65,17 @@ impl Table {
             next_row_id: 1,
             index: BTreeSet::new(),
             examined: Cell::new(0),
+            stamp: 0,
         }
+    }
+
+    /// The table's write stamp: moved by every mutable access through its
+    /// [`Catalog`] (INSERT, UPDATE, DELETE, a rollback's undo, creation),
+    /// never by a read, and drawn from one catalog-wide counter, so no two
+    /// states of any table in the catalog — a dropped and re-created one
+    /// included — share a stamp. Equal stamps mean equal contents.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// The table schema.
@@ -265,6 +278,8 @@ pub enum UndoRecord {
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
+    /// The last write stamp handed out ([`Table::stamp`]).
+    writes: u64,
 }
 
 impl Catalog {
@@ -293,7 +308,12 @@ impl Catalog {
         if self.tables.contains_key(&key) {
             return Err(DbError::TableExists(schema.name().to_string()));
         }
-        self.tables.insert(key, Table::new(schema));
+        self.writes += 1;
+        let table = Table {
+            stamp: self.writes,
+            ..Table::new(schema)
+        };
+        self.tables.insert(key, table);
         Ok(())
     }
 
@@ -319,15 +339,19 @@ impl Catalog {
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
-    /// Mutable access to a table.
+    /// Mutable access to a table, which moves its [`Table::stamp`].
     ///
     /// # Errors
     ///
     /// [`DbError::NoSuchTable`] when absent.
     pub fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
-        self.tables
+        let table = self
+            .tables
             .get_mut(Self::key(name).as_ref())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
+        self.writes += 1;
+        table.stamp = self.writes;
+        Ok(table)
     }
 
     /// Whether a table exists.

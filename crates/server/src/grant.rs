@@ -1,22 +1,34 @@
 //! Who may run which driver, and what a renewal turns into: the grant
 //! lookup (the paper's Sample code 1 joined with Sample code 2 as
-//! [`Grants`], the first asked once per frame) and the renewal rule
-//! (Table 4, §4.1.3, plus the staged-rollout override, as the pure
-//! function [`renewal`]). Nothing here touches the network.
+//! [`Grants`], both answered from the [`GrantMemo`] while the tables they
+//! read and the clock's rule window hold) and the renewal rule (Table 4,
+//! §4.1.3, plus the staged-rollout override, as the pure function
+//! [`renewal`]). Nothing here touches the network.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::rc::Rc;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use drivolution_core::{
-    proto::DrvRequest, ApiVersion, BinaryFormat, DriverId, DriverQuery, DriverRecord,
-    DriverVersion, DrvError, DrvResult, PermissionRule, RenewPolicy,
+    ClientIdentity, DriverId, DriverQuery, DriverRecord, DrvError, DrvResult, PermissionRule,
+    RenewPolicy,
 };
 
-use crate::store::DriverStore;
+use crate::server::DrivolutionServer;
+use crate::store::Stamps;
 
 /// Lease granted when no permission rule overrides it (paper §3.2:
 /// "settings ranging from an hour to a day are suitable").
 const DEFAULT_LEASE_MS: u64 = 3_600_000;
+
+/// Sample code 1 questions kept at most; the client picks the API name
+/// and platform strings, so past this the list is flushed wholesale.
+const MAX_QUESTIONS: usize = 64;
+
+/// Sample code 2 answers kept at most, one per identity: the client picks
+/// the user and database strings, so past this the map is flushed
+/// wholesale (as minidb's parse cache is).
+pub(crate) const MAX_IDENTITIES: usize = 1 << 16;
 
 /// The lease time a grant under `rule` carries.
 pub(crate) fn lease_ms(rule: Option<&PermissionRule>) -> u64 {
@@ -29,33 +41,217 @@ pub(crate) fn lease_ms(rule: Option<&PermissionRule>) -> u64 {
 /// distribution point).
 type Granted<'a> = (&'a DriverRecord, Option<&'a PermissionRule>);
 
-/// Sample code 1's question: a [`DriverQuery`] less its identity.
-#[derive(PartialEq, Eq, Hash)]
-struct CatalogKey<'f> {
-    api_name: &'f str,
-    api_version: Option<ApiVersion>,
-    client_platform: &'f str,
-    preferred_format: Option<BinaryFormat>,
-    preferred_version: Option<DriverVersion>,
+/// What the permission table says about one identity: its Sample code 2
+/// rows, or `None` on an open distribution point.
+type Permitted = Option<Arc<[(DriverId, PermissionRule)]>>;
+
+/// Whether `a` and `b` ask Sample code 1 the same question: equal but
+/// for the identity, which it does not read.
+fn same_question(a: &DriverQuery, b: &DriverQuery) -> bool {
+    a.api_name == b.api_name
+        && a.api_version == b.api_version
+        && a.client_platform == b.client_platform
+        && a.preferred_format == b.preferred_format
+        && a.preferred_version == b.preferred_version
 }
 
-/// What one frame (a `RENEW_BATCH`, or a lone request) read of `drivers`:
-/// Sample code 1's rows per question, rows by id. Exact with nothing to
-/// invalidate: nothing writes `drivers` inside a `handle_control` call, and
-/// neither statement reads identity or `now()`. Errors are not kept.
+/// When the memo's answers were read: under these write stamps of
+/// `drivers` and `driver_permission`, with `now()` anywhere in `window`
+/// (no rule's date clause changes value inside it).
+struct Epoch {
+    drivers: u64,
+    permissions: u64,
+    window: Range<i64>,
+}
+
+/// What the server has read of the two grant tables, kept until they
+/// change. With an executor that reports [`Stamps`], the answers live for
+/// an [`Epoch`]: a renewal whose tables are unchanged runs no grant
+/// statement. Without, they live for one frame (`handle_control` ends it
+/// with [`GrantMemo::end_frame`]), which is exact because nothing writes
+/// the tables inside one call, and Sample code 2, which reads identity and
+/// `now()`, is not kept. Errors are never kept.
 #[derive(Default)]
-pub(crate) struct FrameCatalog<'f> {
-    questions: HashMap<CatalogKey<'f>, Rc<[DriverRecord]>>,
-    by_id: HashMap<DriverId, Rc<DriverRecord>>,
+pub(crate) struct GrantMemo {
+    /// `None`: the answers belong to the current frame.
+    epoch: Option<Epoch>,
+    /// Sample code 1 rows per question.
+    questions: Vec<(DriverQuery, Arc<[DriverRecord]>)>,
+    /// Driver rows by id (a rollout target, an extension base).
+    by_id: HashMap<DriverId, Arc<DriverRecord>>,
+    /// Sample code 2 answers by identity, packed by [`pack_identity`];
+    /// kept only under an epoch.
+    identities: HashMap<Box<[u8]>, Permitted>,
+    /// The last answer kept, which an equal one shares.
+    latest: Permitted,
+    /// Reused to pack the identity a lookup asks for.
+    packed: Vec<u8>,
 }
 
-impl FrameCatalog<'_> {
-    /// The driver row `id` (a rollout target, an extension base).
-    pub(crate) fn row(&mut self, store: &DriverStore, id: DriverId) -> DrvResult<Rc<DriverRecord>> {
-        Ok(match self.by_id.entry(id) {
-            Entry::Occupied(row) => row.get().clone(),
-            Entry::Vacant(slot) => slot.insert(Rc::new(store.record(id)?)).clone(),
+/// `who` as one key: each part behind its length, so no two identities
+/// pack alike.
+fn pack_identity(key: &mut Vec<u8>, who: &ClientIdentity) {
+    key.clear();
+    for part in [&who.user, &who.client_ip, &who.database] {
+        key.extend_from_slice(&part.len().to_le_bytes());
+        key.extend_from_slice(part.as_bytes());
+    }
+}
+
+impl GrantMemo {
+    /// Whether the answers kept hold under `stamps` (`None`: the
+    /// executor reports none, and they hold for the frame).
+    fn holds(&self, stamps: Option<&Stamps>) -> bool {
+        match (&self.epoch, stamps) {
+            (None, None) => true,
+            (Some(e), Some(s)) => {
+                e.drivers == s.drivers
+                    && e.permissions == s.permissions
+                    && e.window.contains(&s.now)
+            }
+            _ => false,
+        }
+    }
+
+    /// Drops every answer and starts `epoch`.
+    fn reset(&mut self, epoch: Option<Epoch>) {
+        *self = GrantMemo {
+            epoch,
+            packed: std::mem::take(&mut self.packed),
+            ..GrantMemo::default()
+        };
+    }
+
+    /// Ends a frame: answers that live for one are dropped.
+    pub(crate) fn end_frame(&mut self) {
+        if self.epoch.is_none() {
+            self.reset(None);
+        }
+    }
+
+    fn matching(&self, q: &DriverQuery) -> Option<Arc<[DriverRecord]>> {
+        let found = self
+            .questions
+            .iter()
+            .find(|(asked, _)| same_question(asked, q));
+        found.map(|(_, rows)| rows.clone())
+    }
+
+    fn permitted(&mut self, who: &ClientIdentity) -> Option<Permitted> {
+        pack_identity(&mut self.packed, who);
+        self.identities.get(self.packed.as_slice()).cloned()
+    }
+
+    fn keep_matching(&mut self, q: &DriverQuery, rows: Arc<[DriverRecord]>) {
+        if self.questions.len() >= MAX_QUESTIONS {
+            self.questions.clear();
+        }
+        self.questions.push((q.clone(), rows));
+    }
+
+    /// Keeps `answer` for `who` under an epoch, shared with the last
+    /// answer kept when equal; returns the copy kept.
+    fn keep_permitted(&mut self, who: &ClientIdentity, answer: Permitted) -> Permitted {
+        if self.epoch.is_none() {
+            return answer;
+        }
+        let answer = match (&self.latest, answer) {
+            (Some(latest), Some(fresh)) if *latest == fresh => Some(latest.clone()),
+            (_, fresh) => fresh,
+        };
+        if self.identities.len() >= MAX_IDENTITIES {
+            self.identities.clear();
+        }
+        pack_identity(&mut self.packed, who);
+        self.identities
+            .insert(self.packed.as_slice().into(), answer.clone());
+        self.latest = answer.clone();
+        answer
+    }
+}
+
+impl DrivolutionServer {
+    /// Both statements for `q`, each from the memo while it holds.
+    /// SQL runs with the state guard dropped, and its answer is kept only
+    /// if the memo still holds when it returns: no write came in between
+    /// and the clock did not leave the rule window.
+    pub(crate) fn grants(&self, q: &DriverQuery) -> DrvResult<Grants> {
+        let stamps = self.store.stamps();
+        let kept = {
+            let memo = &mut self.state.lock().grants;
+            memo.holds(stamps.as_ref())
+                .then(|| (memo.matching(q), memo.permitted(&q.identity)))
+        };
+        let (matching, permitted) = match kept {
+            Some(kept) => kept,
+            None => {
+                self.start_epoch(stamps)?;
+                (None, None)
+            }
+        };
+        let matching = match matching {
+            Some(rows) => rows,
+            None => {
+                let rows: Arc<[DriverRecord]> = self.store.matching_drivers(q)?.into();
+                self.keep(|memo| memo.keep_matching(q, rows.clone()));
+                rows
+            }
+        };
+        let permitted = match permitted {
+            Some(answer) => answer,
+            None => {
+                let answer: Permitted = self.store.permitted(&q.identity)?.map(Arc::from);
+                self.keep(|memo| memo.keep_permitted(&q.identity, answer.clone()))
+                    .unwrap_or(answer)
+            }
+        };
+        Ok(Grants {
+            matching,
+            permitted,
         })
+    }
+
+    /// The driver row `id` (a rollout target, an extension base), from the
+    /// memo while it holds.
+    pub(crate) fn driver_row(&self, id: DriverId) -> DrvResult<Arc<DriverRecord>> {
+        let stamps = self.store.stamps();
+        let kept = {
+            let memo = &self.state.lock().grants;
+            memo.holds(stamps.as_ref())
+                .then(|| memo.by_id.get(&id).cloned())
+        };
+        if let Some(row) = kept.flatten() {
+            return Ok(row);
+        }
+        let row = Arc::new(self.store.record(id)?);
+        self.keep(|memo| {
+            memo.by_id.insert(id, row.clone());
+        });
+        Ok(row)
+    }
+
+    /// Moves the memo to the epoch `stamps` belong to, dropping what it
+    /// kept. A write between reading `stamps` and reading the rule window
+    /// only labels the epoch with stamps no table will show again.
+    fn start_epoch(&self, stamps: Option<Stamps>) -> DrvResult<()> {
+        let epoch = match stamps {
+            None => None,
+            Some(s) => Some(Epoch {
+                drivers: s.drivers,
+                permissions: s.permissions,
+                window: self.store.rule_window(s.now)?,
+            }),
+        };
+        self.state.lock().grants.reset(epoch);
+        Ok(())
+    }
+
+    /// Runs `put` on the memo if it holds under stamps read now, after
+    /// the SQL whose answer `put` keeps.
+    fn keep<R>(&self, put: impl FnOnce(&mut GrantMemo) -> R) -> Option<R> {
+        let stamps = self.store.stamps();
+        let memo = &mut self.state.lock().grants;
+        memo.holds(stamps.as_ref()).then(|| put(memo))
     }
 }
 
@@ -63,37 +259,13 @@ impl FrameCatalog<'_> {
 /// a `.find` over these two results.
 pub(crate) struct Grants {
     /// Sample code 1 rows, in `driver_id` order.
-    matching: Rc<[DriverRecord]>,
+    matching: Arc<[DriverRecord]>,
     /// Sample code 2 rows, or `None` when the permission table is empty
     /// (an open distribution point: Sample code 1 alone decides).
-    permitted: Option<Vec<(DriverId, PermissionRule)>>,
+    permitted: Permitted,
 }
 
 impl Grants {
-    /// Both statements for `q`, the query of `req`; Sample code 1 once per frame.
-    pub(crate) fn load<'f>(
-        store: &DriverStore,
-        catalog: &mut FrameCatalog<'f>,
-        req: &'f DrvRequest,
-        q: &DriverQuery,
-    ) -> DrvResult<Grants> {
-        let key = CatalogKey {
-            api_name: &req.api_name,
-            api_version: req.api_version,
-            client_platform: &req.client_platform,
-            preferred_format: req.preferred_format,
-            preferred_version: req.preferred_version,
-        };
-        let matching = match catalog.questions.entry(key) {
-            Entry::Occupied(rows) => rows.get().clone(),
-            Entry::Vacant(slot) => slot.insert(store.matching_drivers(q)?.into()).clone(),
-        };
-        Ok(Grants {
-            matching,
-            permitted: store.permitted(&q.identity)?,
-        })
-    }
-
     /// The rule granting `id` to this client, if any.
     pub(crate) fn rule_for(&self, id: DriverId) -> Option<&PermissionRule> {
         let rules = self.permitted.as_ref()?;
@@ -171,12 +343,14 @@ mod tests {
     use std::sync::Arc;
 
     use bytes::Bytes;
-    use drivolution_core::{ApiName, BinaryFormat, ClientIdentity};
+    use drivolution_core::{ApiName, BinaryFormat, DriverVersion};
     use minidb::MiniDb;
+    use netsim::Clock;
     use RenewPolicy::{Renew, Revoke, Upgrade};
     use Renewal::{Revoked, Same, Switch};
 
-    use crate::store::counting;
+    use crate::server::ServerConfig;
+    use crate::store::{counting, DriverStore};
 
     fn record(id: i64) -> DriverRecord {
         DriverRecord::new(
@@ -187,21 +361,24 @@ mod tests {
         )
     }
 
-    /// `req` and its query, as the server builds it for a client at
-    /// 10.0.0.1.
-    fn request(user: &str, platform: &str) -> (DrvRequest, DriverQuery) {
-        let req = DrvRequest::bootstrap("orders", user, "RDBC", platform);
-        let q = DriverQuery::new(
+    /// The query the server builds for `user` at 10.0.0.1.
+    fn query(user: &str, platform: &str) -> DriverQuery {
+        DriverQuery::new(
             ClientIdentity::new(user, "10.0.0.1", "orders"),
             "RDBC",
             platform,
-        );
-        (req, q)
+        )
+    }
+
+    fn server(store: DriverStore) -> DrivolutionServer {
+        DrivolutionServer::new("drv1", store, Clock::simulated(), ServerConfig::default())
     }
 
     /// A frame of one.
-    fn load(store: &DriverStore, req: &DrvRequest, q: &DriverQuery) -> Grants {
-        Grants::load(store, &mut FrameCatalog::default(), req, q).unwrap()
+    fn load(srv: &DrivolutionServer, q: &DriverQuery) -> Grants {
+        let grants = srv.grants(q).unwrap();
+        srv.state.lock().grants.end_frame();
+        grants
     }
 
     /// The three things the permission table can say about a client, and
@@ -222,16 +399,18 @@ mod tests {
         ];
         for (rule, user, want, first, later) in rows {
             let (store, sql) = counting::store(Arc::new(MiniDb::new("drvstore")));
+            let srv = server(store);
+            let store = srv.store();
             store.add_driver(&record(1)).unwrap();
             if let Some(rule) = rule {
                 store.add_permission(rule).unwrap();
             }
-            let (req, q) = request(user, "linux-x86_64");
+            let q = query(user, "linux-x86_64");
             for want_sql in [first, later, later] {
                 sql.all.store(0, Relaxed);
-                let grants = load(&store, &req, &q);
+                let grants = load(&srv, &q);
                 assert_eq!(sql.all.load(Relaxed), want_sql, "statements for {user}");
-                let ids = |p: &Vec<(DriverId, PermissionRule)>| {
+                let ids = |p: &Arc<[(DriverId, PermissionRule)]>| {
                     p.iter().map(|(id, _)| *id).collect::<Vec<_>>()
                 };
                 assert_eq!(grants.permitted.as_ref().map(ids), want, "{user}");
@@ -246,7 +425,7 @@ mod tests {
                     .unwrap(),
                 Some(_) => assert_eq!(store.remove_permissions(DriverId(1)).unwrap(), 1),
             }
-            let grants = load(&store, &req, &q);
+            let grants = load(&srv, &q);
             assert_eq!(
                 grants.permitted.is_some(),
                 rule.is_none(),
@@ -282,7 +461,7 @@ mod tests {
             )
             .unwrap();
         for (platform, preferred, statements, found) in rows {
-            let (_, mut q) = request("app", platform);
+            let mut q = query("app", platform);
             q.preferred_version = preferred;
             sql.all.store(0, Relaxed);
             let rows = store.matching_drivers(&q).unwrap();
@@ -300,20 +479,14 @@ mod tests {
     #[test]
     fn a_frame_asks_each_catalog_question_once() {
         let (store, sql) = counting::store(Arc::new(MiniDb::new("drvstore")));
-        store.add_driver(&record(1)).unwrap();
-        let (app, app_q) = request("app", "linux-x86_64");
-        let (dba, dba_q) = request("dba", "linux-x86_64");
-        let (mut pinned, mut pinned_q) = request("app", "linux-x86_64");
+        let srv = server(store);
+        srv.store().add_driver(&record(1)).unwrap();
+        let app = query("app", "linux-x86_64");
+        let dba = query("dba", "linux-x86_64");
+        let mut pinned = query("app", "linux-x86_64");
         pinned.preferred_version = Some(DriverVersion::new(1, 0, 0));
-        pinned_q.preferred_version = pinned.preferred_version;
-        let mut catalog = FrameCatalog::default();
-        for (req, q) in [
-            (&app, &app_q),
-            (&dba, &dba_q),
-            (&pinned, &pinned_q),
-            (&app, &app_q),
-        ] {
-            let grants = Grants::load(&store, &mut catalog, req, q).unwrap();
+        for q in [&app, &dba, &pinned, &app] {
+            let grants = srv.grants(q).unwrap();
             assert_eq!(grants.first(q).unwrap().0.id, DriverId(1));
         }
         // Two questions, one statement each (the pinned one matches at
@@ -321,13 +494,131 @@ mod tests {
         assert_eq!(sql.sample_code_1.load(Relaxed), 2);
 
         sql.all.store(0, Relaxed);
-        assert!(catalog.row(&store, DriverId(2)).is_err());
-        store.add_driver(&record(2)).unwrap();
+        assert!(srv.driver_row(DriverId(2)).is_err());
+        srv.store().add_driver(&record(2)).unwrap();
         for _ in 0..3 {
-            assert_eq!(catalog.row(&store, DriverId(2)).unwrap().id, DriverId(2));
+            assert_eq!(srv.driver_row(DriverId(2)).unwrap().id, DriverId(2));
         }
         // The miss, the INSERT, one read.
         assert_eq!(sql.all.load(Relaxed), 3);
+
+        // The frame ends, and with it what it read.
+        srv.state.lock().grants.end_frame();
+        srv.grants(&app).unwrap();
+        assert_eq!(sql.sample_code_1.load(Relaxed), 3);
+    }
+
+    /// A memo over an executor that reports stamps, with drivers 1 and 2
+    /// installed, and its statement counts.
+    fn stamped() -> (DrivolutionServer, Arc<MiniDb>, Arc<counting::SqlCounts>) {
+        let db = Arc::new(MiniDb::new("drvstore"));
+        let (store, sql) = counting::with_stamps(db.clone(), true);
+        let srv = server(store);
+        for id in [1, 2] {
+            srv.store().add_driver(&record(id)).unwrap();
+        }
+        (srv, db, sql)
+    }
+
+    /// Statements `f` runs.
+    fn statements<T>(sql: &counting::SqlCounts, f: impl FnOnce() -> T) -> (T, u64) {
+        sql.all.store(0, Relaxed);
+        let out = f();
+        (out, sql.all.load(Relaxed))
+    }
+
+    /// A rule written by plain SQL, past the server's API, is seen by the
+    /// very next request; until then, a request runs no grant statement.
+    #[test]
+    fn a_rule_inserted_by_plain_sql_is_seen_by_the_very_next_renewal() {
+        let (srv, db, sql) = stamped();
+        let q = query("app", "linux-x86_64");
+        let first = |srv: &DrivolutionServer| srv.grants(&q).unwrap().first(&q).unwrap().0.id;
+        // The rule window, Sample code 1, Sample code 2 and the count
+        // that finds the table open.
+        assert_eq!(statements(&sql, || first(&srv)), (DriverId(1), 4));
+        assert_eq!(statements(&sql, || first(&srv)), (DriverId(1), 0));
+        db.exec(
+            &mut db.admin_session(),
+            "INSERT INTO information_schema.driver_permission VALUES \
+             (NULL, NULL, NULL, 2, NULL, NULL, NULL, NULL, NULL, NULL, NULL)",
+        )
+        .unwrap();
+        let (id, ran) = statements(&sql, || first(&srv));
+        assert_eq!(id, DriverId(2));
+        assert!(ran > 0);
+        assert_eq!(statements(&sql, || first(&srv)), (DriverId(2), 0));
+        // A write to another table moves nothing.
+        srv.store()
+            .log_lease(&q.identity, DriverId(2), 0, 1)
+            .unwrap();
+        assert_eq!(statements(&sql, || first(&srv)), (DriverId(2), 0));
+    }
+
+    /// Driver 2's rule is valid on [100, 200]: its grant appears and
+    /// disappears as the clock moves, with no write in between, and a
+    /// request inside one window runs no grant statement.
+    #[test]
+    fn a_date_window_opens_and_closes_with_no_write_in_between() {
+        let (srv, db, sql) = stamped();
+        srv.store()
+            .add_permission(&PermissionRule::any(DriverId(1)))
+            .unwrap();
+        srv.store()
+            .add_permission(&PermissionRule::any(DriverId(2)).valid_between(Some(100), Some(200)))
+            .unwrap();
+        let q = query("app", "linux-x86_64");
+        // (clock, driver 2 granted, grant statements run)
+        let steps = [
+            (0, false, 3),
+            (99, false, 0),
+            (100, true, 3),
+            (150, true, 0),
+            (200, true, 0),
+            (201, false, 3),
+            (10_000, false, 0),
+        ];
+        for (at, granted, want) in steps {
+            db.clock().advance_ms(at - db.clock().now_ms());
+            let (grants, ran) = statements(&sql, || srv.grants(&q).unwrap());
+            assert_eq!(grants.rule_for(DriverId(2)).is_some(), granted, "t={at}");
+            assert_eq!(ran, want, "t={at}");
+        }
+    }
+
+    /// However many users ask, the memo keeps at most [`MAX_IDENTITIES`]
+    /// answers, and equal answers share one allocation.
+    #[test]
+    fn a_flood_of_distinct_users_stays_under_the_cap() {
+        let mut memo = GrantMemo::default();
+        memo.reset(Some(Epoch {
+            drivers: 1,
+            permissions: 1,
+            window: 0..1,
+        }));
+        let answer: Permitted = Some(Arc::from(vec![(
+            DriverId(1),
+            PermissionRule::any(DriverId(1)),
+        )]));
+        let who = |i: usize| ClientIdentity::new(format!("u{i}"), "10.0.0.1", "orders");
+        let mut first = None;
+        for i in 0..MAX_IDENTITIES + 10 {
+            let kept = memo.keep_permitted(&who(i), answer.as_ref().map(|a| Arc::from(a.to_vec())));
+            assert!(memo.identities.len() <= MAX_IDENTITIES);
+            let kept = kept.unwrap();
+            let first = first.get_or_insert_with(|| kept.clone());
+            assert!(Arc::ptr_eq(first, &kept), "answer {i} is not shared");
+        }
+        assert_eq!(memo.identities.len(), 10);
+        assert!(memo.permitted(&who(MAX_IDENTITIES + 9)).is_some());
+        assert!(memo.permitted(&who(0)).is_none());
+        // Parts are packed with their lengths: moving a byte from one
+        // part to the next is another identity.
+        let ab = ClientIdentity::new("ab", "c", "orders");
+        let a_bc = ClientIdentity::new("a", "bc", "orders");
+        memo.keep_permitted(&ab, None);
+        assert_eq!(memo.permitted(&ab), Some(None));
+        assert_eq!(memo.permitted(&a_bc), None);
     }
 
     /// Every row of the rule. Columns: policy, matched == current,

@@ -15,7 +15,7 @@ use drivolution_core::{
 };
 use drivolution_depot::{serve_chunks, DeltaPlan};
 
-use crate::grant::{self, FrameCatalog, Grants, Renewal};
+use crate::grant::{self, Renewal};
 use crate::server::DrivolutionServer;
 
 /// Cap on files parked for a `FILE_REQUEST` that has not come. Like the
@@ -231,24 +231,23 @@ impl DrivolutionServer {
     /// Answers one `DRIVOLUTION_REQUEST` (or, `advertise_only`, one
     /// `DRIVOLUTION_DISCOVER`): grant lookup, rollout targeting, the
     /// Table-4 renewal rule, the license seat, the lease log, the offer.
-    pub(crate) fn handle_request<'f>(
+    pub(crate) fn handle_request(
         &self,
         from: &Addr,
-        req: &'f DrvRequest,
+        req: &DrvRequest,
         advertise_only: bool,
-        catalog: &mut FrameCatalog<'f>,
     ) -> DrvResult<DrvOffer> {
         if !self.serves(&req.database) {
             return Err(DrvError::InvalidDatabase(req.database.clone()));
         }
         let q = self.query_of(from, req);
         let now = self.clock.now_ms();
-        let grants = Grants::load(&self.store, catalog, req, &q)?;
+        let grants = self.grants(&q)?;
 
         // Extension fetch: graft the package onto the base driver's image
         // and serve the enriched driver (§5.4.1).
         if let RequestKind::Extension { base, name } = &req.kind {
-            let record = catalog.row(&self.store, *base)?;
+            let record = self.driver_row(*base)?;
             let mut image = unpack_driver(record.format, record.binary.clone())?;
             // Keep the client's customized feature set, then graft the
             // requested package on top.
@@ -284,7 +283,7 @@ impl DrivolutionServer {
             .filter(|ro| ro.manages(record.id));
         if let Some(target) = rollout.as_ref().map(|ro| ro.resolve(from.host())) {
             if target != record.id {
-                if let Ok(rec) = catalog.row(&self.store, target) {
+                if let Ok(rec) = self.driver_row(target) {
                     target_rec = rec;
                     record = &target_rec;
                     rule = grants.rule_for(target).or(rule);

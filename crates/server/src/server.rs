@@ -20,7 +20,7 @@ use drivolution_depot::ContentIndex;
 
 use crate::assemble::Assembler;
 use crate::directory::{ComplaintOutcome, MirrorDirectory};
-use crate::grant::FrameCatalog;
+use crate::grant::GrantMemo;
 use crate::license::LicenseManager;
 use crate::notify::NotifyHub;
 use crate::offer::{OfferMeta, Staged};
@@ -152,6 +152,8 @@ pub(crate) struct ServerState {
     /// cached [`Bytes`] to match the record's, checked by pointer first
     /// and by content on reallocation.
     pub(crate) offer_meta: HashMap<DriverId, OfferMeta>,
+    /// The grant statements' answers, kept until their tables change.
+    pub(crate) grants: GrantMemo,
     hooks: Vec<EventHook>,
 }
 
@@ -413,15 +415,9 @@ impl DrivolutionServer {
 
     /// One request, counted: the offer `handle_request` makes, with the
     /// request/offer/renewal accounting every caller shares.
-    fn grant<'f>(
-        &self,
-        from: &Addr,
-        req: &'f DrvRequest,
-        advertise_only: bool,
-        catalog: &mut FrameCatalog<'f>,
-    ) -> DrvResult<DrvOffer> {
+    fn grant(&self, from: &Addr, req: &DrvRequest, advertise_only: bool) -> DrvResult<DrvOffer> {
         self.state.lock().stats.requests += 1;
-        let offer = self.handle_request(from, req, advertise_only, catalog)?;
+        let offer = self.handle_request(from, req, advertise_only)?;
         let st = &mut self.state.lock().stats;
         st.offers += 1;
         if offer.same_driver {
@@ -463,12 +459,18 @@ impl DrivolutionServer {
         })
     }
 
-    /// Every request but the two answered with a bulk frame; one [`FrameCatalog`] per call.
+    /// Every request but the two answered with a bulk frame; the call is
+    /// one frame of the [`GrantMemo`].
     fn handle_control(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
-        let mut frame = FrameCatalog::default();
+        let reply = self.control_reply(from, msg);
+        self.state.lock().grants.end_frame();
+        reply
+    }
+
+    fn control_reply(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
         match msg {
-            DrvMsg::Request(req) => self.grant(from, req, false, &mut frame).map(DrvMsg::Offer),
-            DrvMsg::Discover(req) => self.grant(from, req, true, &mut frame).map(DrvMsg::Offer),
+            DrvMsg::Request(req) => self.grant(from, req, false).map(DrvMsg::Offer),
+            DrvMsg::Discover(req) => self.grant(from, req, true).map(DrvMsg::Offer),
             DrvMsg::RenewBatch { entries } => {
                 {
                     let st = &mut self.state.lock().stats;
@@ -480,7 +482,7 @@ impl DrivolutionServer {
                     // License seats belong to the originating client, not
                     // the aggregator that forwarded the frame.
                     let origin = Addr::new(host.clone(), from.port());
-                    replies.push(self.grant(&origin, req, false, &mut frame).map_err(|e| {
+                    replies.push(self.grant(&origin, req, false).map_err(|e| {
                         self.state.lock().stats.errors += 1;
                         (DrvErrCode::classify(&e), e.to_string())
                     }));
@@ -1529,6 +1531,44 @@ mod tests {
         );
         assert_eq!(batched_sql.sample_code_1.load(Relaxed), 2);
         assert_eq!(single_sql.sample_code_1.load(Relaxed), asked);
+    }
+
+    /// Over an executor that reports stamps, a `RENEW_BATCH` whose tables
+    /// did not change since the last one asks nothing but the lease log:
+    /// 64 entries, 64 statements.
+    #[test]
+    fn a_second_identical_batch_runs_only_its_lease_inserts() {
+        let clock = Clock::simulated();
+        let db = Arc::new(MiniDb::with_clock("orders", clock.clone()));
+        let (store, sql) = counting::with_stamps(db, true);
+        let srv = DrivolutionServer::new("drv1", store, clock, ServerConfig::default());
+        srv.install_driver(&record(1, 1, DriverVersion::new(1, 0, 0)))
+            .unwrap();
+        srv.add_rule(&PermissionRule::any(DriverId(1))).unwrap();
+        let mut req = bootstrap_req();
+        req.kind = RequestKind::Renewal {
+            current: DriverId(1),
+        };
+        let entries: Vec<(String, DrvRequest)> =
+            (0..64).map(|i| (format!("app{i}"), req.clone())).collect();
+        let batch = || {
+            sql.all.store(0, Relaxed);
+            let reply = srv.handle(
+                &Addr::new("aggregator", 7),
+                DrvMsg::RenewBatch {
+                    entries: entries.clone(),
+                },
+            );
+            (reply, sql.all.load(Relaxed))
+        };
+        let (first, cold) = batch();
+        let (second, warm) = batch();
+        assert_eq!(first, second);
+        // The window, Sample code 1, then per entry Sample code 2 and
+        // the lease INSERT.
+        assert_eq!(cold, 2 + 64 * 2);
+        assert_eq!(warm, 64);
+        assert_eq!(srv.store().lease_count().unwrap(), 128);
     }
 
     #[test]

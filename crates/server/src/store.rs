@@ -6,6 +6,7 @@
 //! standalone servers), [`RemoteExec`] goes through a legacy RDBC driver
 //! connection (the external server of §4.1.3).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -18,6 +19,12 @@ use drivolution_core::{
     TransferMethod,
 };
 use minidb::{MiniDb, Params, QueryResult, RowSet, Value};
+
+/// The table Sample code 1 reads.
+const DRIVERS: &str = "information_schema.drivers";
+
+/// The table Sample code 2 reads.
+const PERMISSIONS: &str = "information_schema.driver_permission";
 
 /// DDL for the drivers table — the paper's Table 1, verbatim columns.
 pub const DRIVERS_DDL: &str = "CREATE TABLE information_schema.drivers (\
@@ -74,6 +81,15 @@ pub trait SqlExec: Send + Sync {
     ///
     /// [`DrvError::Internal`] wrapping the underlying failure.
     fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult>;
+
+    /// `table`'s write stamp ([`MiniDb::table_stamp`]) and the engine's
+    /// `now()` in ms, when this executor can see them. While the stamps of
+    /// the tables a statement reads hold, it answers as it did at the same
+    /// `now()`, so the server keeps its grant answers that long. The
+    /// default, `None`, keeps them for one frame.
+    fn stamp(&self, _table: &str) -> Option<(u64, i64)> {
+        None
+    }
 }
 
 /// Direct in-process execution against a [`MiniDb`].
@@ -100,6 +116,10 @@ impl SqlExec for EmbeddedExec {
         self.db
             .execute(&mut session, sql, params)
             .map_err(|e| DrvError::Internal(format!("store: {e}")))
+    }
+
+    fn stamp(&self, table: &str) -> Option<(u64, i64)> {
+        Some((self.db.table_stamp(table)?, self.db.clock().now_ms() as i64))
     }
 }
 
@@ -160,8 +180,22 @@ fn opt_i64(v: &Value) -> Option<i64> {
     v.as_i64()
 }
 
-fn opt_i32(v: &Value) -> Option<i32> {
-    v.as_i64().map(|n| n as i32)
+/// A Table 1 version column, `None` for NULL; a value no `i32` holds is
+/// malformed, never truncated into a version.
+fn opt_i32(v: &Value, column: &str) -> DrvResult<Option<i32>> {
+    v.as_i64()
+        .map(|n| {
+            i32::try_from(n).map_err(|_| DrvError::Codec(format!("{column} {n} out of range")))
+        })
+        .transpose()
+}
+
+/// The write stamps of the two tables a grant reads, and the engine's
+/// `now()` in ms, as one executor read them.
+pub(crate) struct Stamps {
+    pub(crate) drivers: u64,
+    pub(crate) permissions: u64,
+    pub(crate) now: i64,
 }
 
 /// A Table 2 policy column, `None` for NULL. The column is an `INTEGER`
@@ -334,10 +368,14 @@ impl DriverStore {
 
     fn row_to_record(row: &[Value]) -> DrvResult<DriverRecord> {
         let api_version = ApiVersion {
-            major: opt_i32(&row[2]),
-            minor: opt_i32(&row[3]),
+            major: opt_i32(&row[2], "api_version_major")?,
+            minor: opt_i32(&row[3], "api_version_minor")?,
         };
-        let version = match (opt_i32(&row[5]), opt_i32(&row[6]), opt_i32(&row[7])) {
+        let version = match (
+            opt_i32(&row[5], "driver_version_major")?,
+            opt_i32(&row[6], "driver_version_minor")?,
+            opt_i32(&row[7], "driver_version_micro")?,
+        ) {
             (Some(ma), mi, mc) => Some(DriverVersion::new(ma, mi.unwrap_or(0), mc.unwrap_or(0))),
             _ => None,
         };
@@ -497,6 +535,51 @@ impl DriverStore {
         Ok(permitted)
     }
 
+    /// The executor's [`Stamps`], `None` when it reports none.
+    pub(crate) fn stamps(&self) -> Option<Stamps> {
+        let (drivers, now) = self.exec.stamp(DRIVERS)?;
+        let (permissions, _) = self.exec.stamp(PERMISSIONS)?;
+        Some(Stamps {
+            drivers,
+            permissions,
+            now,
+        })
+    }
+
+    /// The half-open interval around `now` in which no rule's `now()
+    /// BETWEEN start_date AND end_date` (Sample code 2) changes value:
+    /// bounded by the nearest `start_date` at or before `now` and the
+    /// nearest `start_date` or `end_date + 1` after it, over the rules
+    /// with both dates set. A date that is not a number pins the interval
+    /// to `now` alone.
+    ///
+    /// # Errors
+    ///
+    /// Store failures as [`DrvError::Internal`].
+    pub(crate) fn rule_window(&self, now: i64) -> DrvResult<Range<i64>> {
+        let rows = self.select(
+            "SELECT start_date, end_date FROM information_schema.driver_permission \
+             WHERE start_date IS NOT NULL AND end_date IS NOT NULL",
+            &Params::new(),
+        )?;
+        let mut window = i64::MIN..i64::MAX;
+        for row in &rows.rows {
+            let edges = match row.as_slice() {
+                [start, end] => start.as_i64().zip(end.as_i64()),
+                _ => None,
+            };
+            let (start, end) = edges.unwrap_or((now, now));
+            for edge in [start, end.saturating_add(1)] {
+                if edge <= now {
+                    window.start = window.start.max(edge);
+                } else {
+                    window.end = window.end.min(edge);
+                }
+            }
+        }
+        Ok(window)
+    }
+
     /// Drivers matching the client's API/platform and preferences — the
     /// paper's **Sample code 1**, executed as real SQL, with the paper's
     /// retry-without-preferences fallback.
@@ -620,7 +703,8 @@ pub(crate) mod counting {
         pub(crate) sample_code_1: AtomicU64,
     }
 
-    struct CountingExec(EmbeddedExec, Arc<SqlCounts>);
+    /// Counts every statement; forwards the engine's stamps when `.2`.
+    struct CountingExec(EmbeddedExec, Arc<SqlCounts>, bool);
 
     impl SqlExec for CountingExec {
         fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult> {
@@ -630,14 +714,25 @@ pub(crate) mod counting {
             }
             self.0.exec(sql, params)
         }
+
+        fn stamp(&self, table: &str) -> Option<(u64, i64)> {
+            self.0.stamp(table).filter(|_| self.2)
+        }
     }
 
-    /// A store over `db`, schema installed, and its counts (zero).
+    /// A store over `db`, schema installed, and its counts (zero). It
+    /// reports no stamps: the server keeps its grant answers one frame.
     pub(crate) fn store(db: Arc<MiniDb>) -> (DriverStore, Arc<SqlCounts>) {
+        with_stamps(db, false)
+    }
+
+    /// [`store`], reporting the engine's stamps when `stamps`.
+    pub(crate) fn with_stamps(db: Arc<MiniDb>, stamps: bool) -> (DriverStore, Arc<SqlCounts>) {
         let counts = Arc::new(SqlCounts::default());
         let store = DriverStore::new(Box::new(CountingExec(
             EmbeddedExec::new(db),
             counts.clone(),
+            stamps,
         )));
         store.install_schema().unwrap();
         counts.all.store(0, Relaxed);
@@ -888,6 +983,39 @@ mod tests {
         assert_eq!(rule.renew_policy, RenewPolicy::Renew);
         assert_eq!(rule.expiration_policy, ExpirationPolicy::AfterClose);
         assert_eq!(rule.transfer_method, TransferMethod::Any);
+    }
+
+    #[test]
+    fn a_stored_version_out_of_range_is_an_error_not_a_truncation() {
+        let s = store();
+        s.add_driver(&rec(1).with_version(DriverVersion::new(1, 0, 0)))
+            .unwrap();
+        // 2^32 + 2 truncated to 32 bits is 2.
+        for column in [
+            "api_version_major",
+            "api_version_minor",
+            "driver_version_major",
+            "driver_version_minor",
+            "driver_version_micro",
+        ] {
+            let set = |v: &str| {
+                s.exec
+                    .exec(
+                        &format!("UPDATE information_schema.drivers SET {column} = {v}"),
+                        &Params::new(),
+                    )
+                    .unwrap();
+            };
+            set("4294967298");
+            assert!(
+                matches!(s.record(DriverId(1)), Err(DrvError::Codec(m)) if m.contains(column)),
+                "{column}"
+            );
+            assert!(s.matching_drivers(&query("app")).is_err(), "{column}");
+            set("-2147483648");
+            assert!(s.record(DriverId(1)).is_ok(), "{column}");
+            set("1");
+        }
     }
 
     #[test]

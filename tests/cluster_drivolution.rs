@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use drivolution::cluster::{
-    cluster_image, Backend, ClusterDriverFactory, Controller, Group, VirtualDb, CLUSTER_V2,
+    cluster_image, Backend, ClusterDriver, ClusterDriverFactory, Controller, Group, VirtualDb,
+    CLUSTER_V2,
 };
 use drivolution::core::pack::pack_driver;
 use drivolution::core::DriverFlavor;
@@ -198,4 +199,38 @@ fn figure_6_embedded_replicated_servers_have_no_spof() {
     // The upgraded driver still serves traffic.
     let mut conn3 = b.connect(&url, &ConnectProps::user("app", "pw")).unwrap();
     conn3.execute("INSERT INTO t VALUES (3)").unwrap();
+}
+
+/// A cluster connection's first controller is chosen by its own driver,
+/// not by whatever connected before it in the process: two worlds built
+/// one after the other start at the same controller, and each driver
+/// still spreads its connections over both.
+#[test]
+fn two_worlds_built_one_after_the_other_pick_the_same_first_controller() {
+    let controllers = ["controller1", "controller2"].map(|h| Addr::new(h, 25322));
+    let world = || {
+        let net = Network::new();
+        let _cluster = build_cluster(&net);
+        let image = cluster_image("sequoia-driver", DriverVersion::new(2, 0, 0), 2);
+        let driver = ClusterDriver::new(image, net.clone(), Addr::new("web0", 1)).unwrap();
+        let url: DbUrl = "rdbc:cluster://controller1:25322,controller2:25322/vdb"
+            .parse()
+            .unwrap();
+        let props = ConnectProps::user("app", "pw");
+        let mut reached = Vec::new();
+        for _ in 0..3 {
+            let before = controllers
+                .clone()
+                .map(|c| net.stats().for_addr(&c).requests);
+            let _conn = driver.connect(&url, &props).unwrap();
+            let after = controllers
+                .clone()
+                .map(|c| net.stats().for_addr(&c).requests);
+            reached.push((0..2).filter(|&i| after[i] > before[i]).collect::<Vec<_>>());
+        }
+        reached
+    };
+    let first = world();
+    assert_eq!(first, vec![vec![0], vec![1], vec![0]]);
+    assert_eq!(world(), first);
 }

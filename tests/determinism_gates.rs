@@ -130,3 +130,52 @@ fn same_seed_replays_identical_batched_traffic() {
         "scenario produced no traffic; the replay assertion is vacuous"
     );
 }
+
+/// A sealed envelope's nonce is counted by the certificate that seals it,
+/// not by the process: two same-seed worlds built one after the other ship
+/// byte-identical `FILE_DATA` for the same bootstrap.
+#[test]
+fn same_seed_sealed_bootstraps_ship_identical_file_data() {
+    use drivolution::core::pack::pack_driver;
+    use drivolution::core::proto::{DrvMsg, DrvRequest};
+    use drivolution::core::{ApiName, BinaryFormat, DriverId, DriverImage, DriverRecord};
+    use drivolution::core::{ChannelTrust, TransferMethod};
+    use drivolution::server::{launch_standalone, ServerConfig};
+
+    let world = |seed: u64| {
+        let net = Network::new();
+        net.scheduler().reseed(seed);
+        let drv = Addr::new("drvsrv", 1071);
+        let srv = launch_standalone(&net, drv.clone(), ServerConfig::default()).unwrap();
+        let image = DriverImage::new("rdbc", DriverVersion::new(1, 0, 0), 1);
+        let bytes = pack_driver(BinaryFormat::Djar, &image);
+        srv.install_driver(&DriverRecord::new(
+            DriverId(1),
+            ApiName::rdbc(),
+            BinaryFormat::Djar,
+            bytes.clone(),
+        ))
+        .unwrap();
+        let from = Addr::new("web0", 1);
+        let ask = |msg: DrvMsg| DrvMsg::decode(net.request(&from, &drv, msg.encode()).unwrap());
+        let req = DrvRequest::bootstrap("vdb", "app", "RDBC", "linux-x86_64");
+        let Ok(DrvMsg::Offer(offer)) = ask(DrvMsg::Request(req)) else {
+            panic!("no offer")
+        };
+        assert_eq!(offer.transfer_method, TransferMethod::Sealed);
+        let file = DrvMsg::FileRequest {
+            location: offer.location,
+            transfer_method: offer.transfer_method,
+        };
+        let frame = net.request(&from, &drv, file.encode()).unwrap();
+        let Ok(DrvMsg::FileData { payload }) = DrvMsg::decode(frame.clone()) else {
+            panic!("no FILE_DATA")
+        };
+        let mut trust = ChannelTrust::new();
+        trust.pin(srv.certificate());
+        let plain = drivolution::core::transfer::unwrap(TransferMethod::Sealed, payload, &trust);
+        assert_eq!(plain.unwrap(), bytes);
+        frame
+    };
+    assert_eq!(world(7), world(7));
+}
