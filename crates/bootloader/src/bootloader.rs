@@ -37,8 +37,6 @@ pub struct BootStats {
     pub renewals: u64,
     /// Driver upgrades applied.
     pub upgrades: u64,
-    /// Revocations applied.
-    pub revocations: u64,
     /// Renewal attempts that failed at the network level (driver kept).
     pub failed_renewals: u64,
     /// Extension packages fetched lazily.
@@ -298,11 +296,6 @@ impl Bootloader {
         self.state.lock().tasks.maintenance.clone()
     }
 
-    /// Current virtual-clock instant.
-    pub(crate) fn now_ms(&self) -> u64 {
-        self.clock.now_ms()
-    }
-
     /// The driver VM, exposed so middleware can register extra flavor
     /// factories (the cluster driver).
     pub fn vm(&self) -> &DriverVm {
@@ -380,7 +373,7 @@ impl Bootloader {
         };
         let merged = self.merge_props(&ns, props);
         let inner = ns.driver.connect(url, &merged)?;
-        let state = self.tracker.register(inner, ns.id, self.clock.now_ms());
+        let state = self.tracker.register(inner, ns.id);
         self.maintenance_task().iter().for_each(TaskHandle::wake);
         Ok(ManagedConnection::new(state, Arc::clone(self)))
     }

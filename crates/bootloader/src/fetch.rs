@@ -21,16 +21,10 @@ use crate::bootloader::{push_sample, Bootloader};
 /// mirror (and the primary) it has pulled chunks from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MirrorFetchStats {
-    /// Fetch attempts (including retries).
-    pub attempts: u64,
     /// Successful chunk-set fetches.
     pub successes: u64,
     /// Failed attempts (network or application refusal).
     pub failures: u64,
-    /// Raw chunk payload bytes fetched from this source.
-    pub bytes_fetched: u64,
-    /// Virtual-clock latency of the most recent successful fetch.
-    pub last_latency_ms: u64,
     /// Exponentially weighted moving average of successful fetch
     /// latencies — the client-side tiebreak between equally ranked
     /// candidates.
@@ -174,12 +168,9 @@ impl Bootloader {
         let dt = self.clock.now_ms().saturating_sub(t0);
         let mut st = self.state.lock();
         let e = st.mirror_fetch.entry(location.to_string()).or_default();
-        e.attempts += 1;
         match &result {
-            Ok(chunks) => {
+            Ok(_) => {
                 e.successes += 1;
-                e.bytes_fetched += chunks.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
-                e.last_latency_ms = dt;
                 e.ewma_latency_ms = if e.successes == 1 {
                     dt
                 } else {

@@ -53,31 +53,6 @@ impl ManagedConnection {
         }
     }
 
-    /// Runs one statement: boundary-migrates first if a swap window is
-    /// draining this session, then executes and records the statement in
-    /// the session meta.
-    fn run_statement<R>(
-        &mut self,
-        f: impl FnOnce(&mut Box<dyn Connection>) -> DkResult<R>,
-    ) -> DkResult<R> {
-        self.maybe_migrate();
-        let now = self.bootloader.now_ms();
-        let mut st = self.state.lock();
-        let TrackedConn {
-            inner,
-            meta,
-            revoked_reason,
-            ..
-        } = &mut *st;
-        match inner.as_mut() {
-            Some(c) => {
-                meta.note_statement(now);
-                f(c)
-            }
-            None => Err(Self::closed_err(revoked_reason)),
-        }
-    }
-
     /// Migrates this session onto the active namespace if it is flagged
     /// for boundary migration and sits at a transaction boundary. A
     /// failed reconnect keeps the session on its current driver — the
@@ -114,17 +89,12 @@ impl ManagedConnection {
         }
         match self.bootloader.reconnect() {
             Ok((new_inner, new_ns)) => {
-                let now = self.bootloader.now_ms();
                 {
                     let mut st = self.state.lock();
-                    if let Some(mut old) = st.inner.replace(new_inner) {
-                        let _ = old.close();
-                    }
-                    st.ns = new_ns;
                     st.migrate_at_boundary = false;
                     st.close_after_commit = false;
-                    st.meta.note_migrated(new_ns, now);
                 }
+                let old_ns = self.replace_inner(new_inner, new_ns);
                 self.bootloader.note_session_migrated();
                 self.bootloader.maybe_unload(old_ns);
             }
@@ -136,26 +106,30 @@ impl ManagedConnection {
         }
     }
 
+    /// Installs `new_inner` on `new_ns`, closes the connection it
+    /// replaces, and returns the namespace the session left.
+    fn replace_inner(
+        &mut self,
+        new_inner: Box<dyn Connection>,
+        new_ns: NamespaceId,
+    ) -> NamespaceId {
+        let mut st = self.state.lock();
+        if let Some(mut old) = st.inner.replace(new_inner) {
+            let _ = old.close();
+        }
+        std::mem::replace(&mut st.ns, new_ns)
+    }
+
     fn finish_txn(
         &mut self,
         f: impl FnOnce(&mut Box<dyn Connection>) -> DkResult<()>,
     ) -> DkResult<()> {
-        let now = self.bootloader.now_ms();
         let (result, close_now, migrate, ns) = {
             let mut st = self.state.lock();
-            let TrackedConn {
-                inner,
-                meta,
-                revoked_reason,
-                ..
-            } = &mut *st;
-            let Some(c) = inner.as_mut() else {
-                return Err(Self::closed_err(revoked_reason));
+            let Some(c) = st.inner.as_mut() else {
+                return Err(Self::closed_err(&st.revoked_reason));
             };
             let r = f(c);
-            if r.is_ok() {
-                meta.note_txn_end(now);
-            }
             let close_now = r.is_ok() && st.close_after_commit;
             if close_now {
                 st.force_close("driver upgraded; connection closed after commit (AFTER_COMMIT)");
@@ -176,33 +150,18 @@ impl ManagedConnection {
 
 impl Connection for ManagedConnection {
     fn execute(&mut self, sql: &str) -> DkResult<QueryResult> {
-        self.run_statement(|c| c.execute(sql))
+        self.maybe_migrate();
+        self.with_inner(|c| c.execute(sql))
     }
 
     fn execute_params(&mut self, sql: &str, params: &Params) -> DkResult<QueryResult> {
-        self.run_statement(|c| c.execute_params(sql, params))
+        self.maybe_migrate();
+        self.with_inner(|c| c.execute_params(sql, params))
     }
 
     fn begin(&mut self) -> DkResult<()> {
         self.maybe_migrate();
-        let now = self.bootloader.now_ms();
-        let mut st = self.state.lock();
-        let TrackedConn {
-            inner,
-            meta,
-            revoked_reason,
-            ..
-        } = &mut *st;
-        match inner.as_mut() {
-            Some(c) => {
-                let r = c.begin();
-                if r.is_ok() {
-                    meta.note_begin(now);
-                }
-                r
-            }
-            None => Err(Self::closed_err(revoked_reason)),
-        }
+        self.with_inner(|c| c.begin())
     }
 
     /// Commits; if an `AFTER_COMMIT` upgrade is pending, the connection is
@@ -250,22 +209,17 @@ impl Connection for ManagedConnection {
     /// GIS query with lazy extension fetch: on the first
     /// extension-missing failure the bootloader downloads the GIS package
     /// (§5.4.1), this connection transparently reconnects on the enriched
-    /// driver, and the query is retried once.
+    /// driver, and the query is retried once. Inside a transaction the
+    /// typed error is returned instead: reconnecting would sever it.
     fn geo_query(&mut self, wkt: &str) -> DkResult<QueryResult> {
-        let first = self.run_statement(|c| c.geo_query(wkt));
-        match first {
-            Err(DkError::ExtensionMissing(name)) if self.bootloader.lazy_extensions() => {
+        self.maybe_migrate();
+        match self.with_inner(|c| c.geo_query(wkt)) {
+            Err(DkError::ExtensionMissing(name))
+                if self.bootloader.lazy_extensions() && !self.in_transaction() =>
+            {
                 self.bootloader.fetch_extension(&name)?;
                 let (new_inner, new_ns) = self.bootloader.reconnect()?;
-                let old_ns = {
-                    let mut st = self.state.lock();
-                    let old_ns = st.ns;
-                    if let Some(mut old) = st.inner.replace(new_inner) {
-                        let _ = old.close();
-                    }
-                    st.ns = new_ns;
-                    old_ns
-                };
+                let old_ns = self.replace_inner(new_inner, new_ns);
                 self.bootloader.maybe_unload(old_ns);
                 self.with_inner(|c| c.geo_query(wkt))
             }

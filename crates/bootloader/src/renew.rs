@@ -311,7 +311,6 @@ impl Bootloader {
         self.state.lock().revoked = true;
         let reason = "driver revoked and no replacement available";
         self.expire_sessions(ns.id, ns.lease.expiration_policy(), reason);
-        self.state.lock().stats.revocations += 1;
     }
 }
 

@@ -9,17 +9,16 @@
 //!   connections close right after their COMMIT/ROLLBACK;
 //! * `IMMEDIATE` — all connections are terminated at once.
 //!
-//! Each tracked connection carries a [`SessionMeta`]: the tracker is the
-//! session-aware substrate the hot-swap coordinator (`crate::swap`)
-//! drives — it marks a namespace's sessions as draining, derives
-//! [`SessionCensus`] aggregates, and escalates overdue sessions through
-//! the policy ladder without ever severing an `AFTER_COMMIT` transaction.
+//! The tracker is the session-aware substrate the hot-swap coordinator
+//! (`crate::swap`) drives — it marks a namespace's sessions as draining
+//! and escalates overdue sessions through the policy ladder without ever
+//! severing an `AFTER_COMMIT` transaction.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use driverkit::{Connection, NamespaceId, SessionCensus, SessionIdGen, SessionMeta};
+use driverkit::{Connection, NamespaceId};
 use drivolution_core::ExpirationPolicy;
 
 /// Shared state of one managed connection.
@@ -32,7 +31,6 @@ pub(crate) struct TrackedConn {
     /// at the next transaction boundary.
     pub migrate_at_boundary: bool,
     pub revoked_reason: Option<String>,
-    pub meta: SessionMeta,
 }
 
 impl TrackedConn {
@@ -63,7 +61,6 @@ pub struct EscalationOutcome {
 #[derive(Default)]
 pub struct ConnectionTracker {
     conns: Mutex<Vec<Arc<Mutex<TrackedConn>>>>,
-    ids: SessionIdGen,
 }
 
 impl std::fmt::Debug for ConnectionTracker {
@@ -84,16 +81,13 @@ impl ConnectionTracker {
         &self,
         inner: Box<dyn Connection>,
         ns: NamespaceId,
-        now_ms: u64,
     ) -> Arc<Mutex<TrackedConn>> {
-        let id = self.ids.allocate();
         let state = Arc::new(Mutex::new(TrackedConn {
             inner: Some(inner),
             ns,
             close_after_commit: false,
             migrate_at_boundary: false,
             revoked_reason: None,
-            meta: SessionMeta::open(id, ns, now_ms),
         }));
         self.conns.lock().push(state.clone());
         state
@@ -112,7 +106,6 @@ impl ConnectionTracker {
                 continue;
             }
             st.migrate_at_boundary = true;
-            st.meta.draining = true;
             marked += 1;
         }
         marked
@@ -172,35 +165,6 @@ impl ConnectionTracker {
             }
         }
         out
-    }
-
-    /// Census of `ns`'s live sessions. A session whose transaction has
-    /// been open for at least `long_running_ms` counts as long-running.
-    pub fn census(&self, ns: NamespaceId, now_ms: u64, long_running_ms: u64) -> SessionCensus {
-        let mut census = SessionCensus::default();
-        for state in self.conns.lock().iter() {
-            let st = state.lock();
-            if st.ns != ns {
-                continue;
-            }
-            let Some(c) = st.inner.as_ref() else {
-                continue;
-            };
-            census.live += 1;
-            if st.meta.draining {
-                census.draining += 1;
-            }
-            if c.in_transaction() {
-                census.in_transaction += 1;
-                let started = st.meta.txn_started_at_ms.unwrap_or(now_ms);
-                if now_ms.saturating_sub(started) >= long_running_ms {
-                    census.long_running += 1;
-                }
-            } else {
-                census.idle += 1;
-            }
-        }
-        census
     }
 
     /// Number of live connections on `ns`.
@@ -321,7 +285,7 @@ mod tests {
     #[test]
     fn prune_drops_closed_entries() {
         let t = ConnectionTracker::new();
-        let a = t.register(conn(false), NS1, 0);
+        let a = t.register(conn(false), NS1);
         a.lock().force_close("test");
         t.prune();
         assert_eq!(t.total_live(), 0);
@@ -331,39 +295,20 @@ mod tests {
     #[test]
     fn force_close_keeps_first_reason() {
         let t = ConnectionTracker::new();
-        let a = t.register(conn(false), NS1, 0);
+        let a = t.register(conn(false), NS1);
         a.lock().force_close("first");
         a.lock().force_close("second");
         assert_eq!(a.lock().revoked_reason.as_deref(), Some("first"));
     }
 
     #[test]
-    fn sessions_get_unique_ids_and_census_counts_phases() {
-        let t = ConnectionTracker::new();
-        let a = t.register(conn(false), NS1, 100);
-        let b = t.register(conn(true), NS1, 100);
-        assert_ne!(a.lock().meta.id, b.lock().meta.id);
-        b.lock().meta.note_begin(100);
-        let census = t.census(NS1, 200, 1_000);
-        assert_eq!(census.live, 2);
-        assert_eq!(census.idle, 1);
-        assert_eq!(census.in_transaction, 1);
-        assert_eq!(census.long_running, 0);
-        // After the threshold passes, the open transaction is long-running.
-        let census = t.census(NS1, 1_200, 1_000);
-        assert_eq!(census.long_running, 1);
-    }
-
-    #[test]
     fn mark_draining_flags_only_the_namespace() {
         let t = ConnectionTracker::new();
-        let a = t.register(conn(false), NS1, 0);
-        let other = t.register(conn(false), NS2, 0);
+        let a = t.register(conn(false), NS1);
+        let other = t.register(conn(false), NS2);
         assert_eq!(t.mark_draining(NS1), 1);
         assert!(a.lock().migrate_at_boundary);
-        assert!(a.lock().meta.draining);
         assert!(!other.lock().migrate_at_boundary);
-        assert_eq!(t.census(NS1, 0, 0).draining, 1);
     }
 
     /// The whole ladder in one table: every policy against an idle
@@ -398,9 +343,9 @@ mod tests {
         ];
         for (policy, session, want, live) in rows {
             let t = ConnectionTracker::new();
-            let s = t.register(conn(!matches!(session, Session::Idle)), NS1, 0);
+            let s = t.register(conn(!matches!(session, Session::Idle)), NS1);
             s.lock().close_after_commit = matches!(session, Session::MarkedInTxn);
-            let bystander = t.register(conn(true), NS2, 0);
+            let bystander = t.register(conn(true), NS2);
             let got = t.escalate(NS1, policy, "ladder");
             assert_eq!(got, want, "{policy:?} on {session:?}");
             assert_eq!(s.lock().inner.is_some(), live, "{policy:?} on {session:?}");
@@ -417,9 +362,9 @@ mod tests {
         // A mixed population gets the sum of its rows.
         for policy in [AfterClose, AfterCommit, Immediate] {
             let t = ConnectionTracker::new();
-            t.register(conn(false), NS1, 0);
-            t.register(conn(true), NS1, 0);
-            t.register(conn(true), NS1, 0).lock().close_after_commit = true;
+            t.register(conn(false), NS1);
+            t.register(conn(true), NS1);
+            t.register(conn(true), NS1).lock().close_after_commit = true;
             let mut want = EscalationOutcome::default();
             for (_, _, row, _) in rows.iter().filter(|r| r.0 == policy) {
                 want.closed_now += row.closed_now;
@@ -433,8 +378,8 @@ mod tests {
     #[test]
     fn sweep_reaps_dead_connections_and_prunes() {
         let t = ConnectionTracker::new();
-        let a = t.register(conn(false), NS1, 0);
-        let _b = t.register(conn(false), NS1, 0);
+        let a = t.register(conn(false), NS1);
+        let _b = t.register(conn(false), NS1);
         // Kill the physical connection underneath the tracker: the entry
         // still holds `inner` but the session is gone.
         if let Some(c) = a.lock().inner.as_mut() {

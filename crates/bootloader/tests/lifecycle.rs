@@ -26,7 +26,6 @@ const LEASE_MS: u64 = 10_000;
 
 struct Rig {
     net: Network,
-    #[allow(dead_code)]
     db: Arc<MiniDb>,
     srv: Arc<DrivolutionServer>,
     url: DbUrl,
@@ -508,6 +507,33 @@ fn lazy_extension_fetch_on_geo_query() {
         c2.geo_query("POINT(1 1)"),
         Err(DkError::ExtensionMissing(_))
     ));
+}
+
+#[test]
+fn lazy_extension_fetch_waits_for_the_transaction_boundary() {
+    let r = rig(ServerConfig::default());
+    r.srv.assembler().register(drivolution_core::Extension::Gis);
+    let config = BootloaderConfig::same_host()
+        .trusting(r.srv.certificate())
+        .with_lazy_extensions();
+    let b = Bootloader::new(&r.net, Addr::new("app-host", 1), config);
+    let mut conn = b.connect(&r.url, &props()).unwrap();
+    conn.begin().unwrap();
+    conn.execute("INSERT INTO items VALUES (4)").unwrap();
+    // Reconnecting onto the enriched driver would sever the open
+    // transaction: the typed error comes back instead.
+    assert!(matches!(
+        conn.geo_query("POINT(3 4)"),
+        Err(DkError::ExtensionMissing(_))
+    ));
+    assert!(conn.in_transaction());
+    assert_eq!(b.stats().extension_fetches, 0);
+    conn.commit().unwrap();
+    assert_eq!(r.db.table_len("items").unwrap(), 4);
+    // At the boundary the lazy fetch goes ahead.
+    let rs = conn.geo_query("POINT(3 4)").unwrap().rows().unwrap();
+    assert_eq!(rs.rows[0][0], Value::str("POINT(3 4)"));
+    assert_eq!(b.stats().extension_fetches, 1);
 }
 
 #[test]

@@ -74,7 +74,7 @@ pub use digest::{entropy_blob, fnv1a64, fnv1a64_lanes, fnv1a64_parts, Digested};
 pub use error::{DrvError, DrvResult};
 pub use image::{AuthKind, DriverFlavor, DriverImage, Extension};
 pub use lease::{Lease, LeaseState};
-pub use matching::{DriverQuery, Match, MatchMode};
+pub use matching::{DriverQuery, Match};
 pub use permission::{like, ClientIdentity, PermissionRule};
 pub use policy::{ExpirationPolicy, RenewPolicy, TransferMethod};
 pub use proto::{

@@ -45,19 +45,6 @@ impl DriverQuery {
     }
 }
 
-/// How ties between several matching drivers are broken.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MatchMode {
-    /// Paper default: "If multiple drivers match the request, the first
-    /// matching driver is chosen."
-    #[default]
-    FirstMatch,
-    /// Preference-ranked: exact format matches first, then the highest
-    /// driver version ("This list can be further sorted with client
-    /// preferences", §4.1.1).
-    Ranked,
-}
-
 /// A successful match: the record to serve and the permission rule that
 /// granted it (if permission rules are configured).
 #[derive(Clone, Debug, PartialEq)]
@@ -111,7 +98,7 @@ fn record_matches_preferences(rec: &DriverRecord, q: &DriverQuery) -> bool {
     true
 }
 
-/// All candidates for `q`, permission-filtered and (optionally) ranked.
+/// All candidates for `q`, permission-filtered, in table order.
 ///
 /// When `rules` is non-empty it acts as the paper's distribution table:
 /// only drivers granted by a matching rule are considered (Sample code 2
@@ -122,7 +109,6 @@ pub fn candidates<'a>(
     rules: &'a [PermissionRule],
     q: &DriverQuery,
     now_ms: i64,
-    mode: MatchMode,
 ) -> Vec<Match<'a>> {
     let granted: Option<Vec<(&PermissionRule, crate::descriptor::DriverId)>> = if rules.is_empty() {
         None
@@ -164,23 +150,12 @@ pub fn candidates<'a>(
     if out.is_empty() {
         out = base;
     }
-
-    if mode == MatchMode::Ranked {
-        out.sort_by(|a, b| {
-            let fmt_rank = |m: &Match<'_>| match q.preferred_format {
-                Some(f) if m.record.format == f => 0,
-                _ => 1,
-            };
-            fmt_rank(a)
-                .cmp(&fmt_rank(b))
-                .then_with(|| b.record.version.cmp(&a.record.version))
-                .then_with(|| a.record.id.cmp(&b.record.id))
-        });
-    }
     out
 }
 
-/// Finds the driver to serve, applying the paper's selection rule.
+/// Finds the driver to serve, applying the paper's selection rule: "If
+/// multiple drivers match the request, the first matching driver is
+/// chosen."
 ///
 /// # Errors
 ///
@@ -190,9 +165,8 @@ pub fn find_driver<'a>(
     rules: &'a [PermissionRule],
     q: &DriverQuery,
     now_ms: i64,
-    mode: MatchMode,
 ) -> DrvResult<Match<'a>> {
-    candidates(records, rules, q, now_ms, mode)
+    candidates(records, rules, q, now_ms)
         .into_iter()
         .next()
         .ok_or_else(|| {
@@ -229,7 +203,7 @@ mod tests {
     #[test]
     fn open_server_first_match() {
         let records = vec![rec(1), rec(2)];
-        let m = find_driver(&records, &[], &query(), 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &[], &query(), 0).unwrap();
         assert_eq!(m.record.id, DriverId(1));
         assert!(m.rule.is_none());
     }
@@ -245,7 +219,7 @@ mod tests {
             ),
             rec(2),
         ];
-        let m = find_driver(&records, &[], &query(), 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &[], &query(), 0).unwrap();
         assert_eq!(m.record.id, DriverId(2));
     }
 
@@ -259,7 +233,7 @@ mod tests {
             rec(1).with_platform("windows-i586"),
             rec(2).with_platform("linux-%"),
         ];
-        let m = find_driver(&records, &[], &query(), 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &[], &query(), 0).unwrap();
         assert_eq!(m.record.id, DriverId(2));
     }
 
@@ -271,10 +245,10 @@ mod tests {
         ];
         let mut q = query();
         q.api_version = Some(ApiVersion::exact(3, 0));
-        let m = find_driver(&records, &[], &q, 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &[], &q, 0).unwrap();
         assert_eq!(m.record.id, DriverId(2));
         // No requested version matches anything (first wins).
-        let m = find_driver(&records, &[], &query(), 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &[], &query(), 0).unwrap();
         assert_eq!(m.record.id, DriverId(1));
     }
 
@@ -286,43 +260,13 @@ mod tests {
         ];
         let mut q = query();
         q.preferred_version = Some(DriverVersion::new(2, 0, 0));
-        let m = find_driver(&records, &[], &q, 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &[], &q, 0).unwrap();
         assert_eq!(m.record.id, DriverId(2));
         // A preference nothing satisfies falls back to the plain query
         // (paper: "a simple SELECT without preferences can be issued").
         q.preferred_version = Some(DriverVersion::new(9, 9, 9));
-        let m = find_driver(&records, &[], &q, 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &[], &q, 0).unwrap();
         assert_eq!(m.record.id, DriverId(1));
-    }
-
-    #[test]
-    fn ranked_mode_prefers_format_then_highest_version() {
-        let records = vec![
-            rec(1).with_version(DriverVersion::new(1, 0, 0)),
-            DriverRecord::new(
-                DriverId(2),
-                ApiName::rdbc(),
-                BinaryFormat::Dzip,
-                Bytes::new(),
-            )
-            .with_version(DriverVersion::new(3, 0, 0)),
-            rec(3).with_version(DriverVersion::new(2, 0, 0)),
-        ];
-        let mut q = query();
-        q.preferred_format = Some(BinaryFormat::Djar);
-        let c = candidates(&records, &[], &q, 0, MatchMode::Ranked);
-        let ids: Vec<_> = c.iter().map(|m| m.record.id.0).collect();
-        // The format preference filters to the djar drivers, ranked by
-        // version (3 has 2.0.0 > 1's 1.0.0).
-        assert_eq!(ids, vec![3, 1]);
-        // A format preference nothing satisfies relaxes to all candidates;
-        // ranked mode still puts preferred-format matches first (none
-        // here) and sorts by version: 2 (3.0.0), 3 (2.0.0), 1 (1.0.0).
-        let mut q = query();
-        q.preferred_format = None;
-        let c = candidates(&records, &[], &q, 0, MatchMode::Ranked);
-        let ids: Vec<_> = c.iter().map(|m| m.record.id.0).collect();
-        assert_eq!(ids, vec![2, 3, 1]);
     }
 
     #[test]
@@ -332,14 +276,14 @@ mod tests {
             PermissionRule::any(DriverId(2)).for_user("app"),
             PermissionRule::any(DriverId(1)).for_user("dba%"),
         ];
-        let m = find_driver(&records, &rules, &query(), 0, MatchMode::FirstMatch).unwrap();
+        let m = find_driver(&records, &rules, &query(), 0).unwrap();
         assert_eq!(m.record.id, DriverId(2));
         assert!(m.rule.is_some());
         // A user matching no rule gets nothing, even though records match.
         let mut q = query();
         q.identity.user = "stranger".into();
         assert!(matches!(
-            find_driver(&records, &rules, &q, 0, MatchMode::FirstMatch),
+            find_driver(&records, &rules, &q, 0),
             Err(DrvError::NoMatchingDriver(_))
         ));
     }
@@ -348,13 +292,13 @@ mod tests {
     fn expired_rules_do_not_grant() {
         let records = vec![rec(1)];
         let rules = vec![PermissionRule::any(DriverId(1)).valid_between(Some(0), Some(100))];
-        assert!(find_driver(&records, &rules, &query(), 50, MatchMode::FirstMatch).is_ok());
-        assert!(find_driver(&records, &rules, &query(), 101, MatchMode::FirstMatch).is_err());
+        assert!(find_driver(&records, &rules, &query(), 50).is_ok());
+        assert!(find_driver(&records, &rules, &query(), 101).is_err());
     }
 
     #[test]
     fn no_driver_error_is_descriptive() {
-        let e = find_driver(&[], &[], &query(), 0, MatchMode::FirstMatch).unwrap_err();
+        let e = find_driver(&[], &[], &query(), 0).unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("RDBC") || msg.contains("rdbc"));
         assert!(msg.contains("linux-x86_64"));

@@ -16,9 +16,6 @@
 //!   versions loaded side by side, one active for new connects;
 //! * [`pool`] — a connection pool, needed to reproduce the paper's
 //!   `AFTER_CLOSE`-starvation caveat;
-//! * [`session`] — per-session accounting (phases, transaction
-//!   boundaries, drain flags) behind the bootloader's coexistence
-//!   windows;
 //! * [`url`] — `rdbc:minidb://…` and `rdbc:cluster://…` URLs.
 //!
 //! [`DriverImage`]: drivolution_core::DriverImage
@@ -31,7 +28,6 @@ pub mod interpreted;
 pub mod legacy;
 pub mod pool;
 pub mod registry;
-pub mod session;
 pub mod url;
 pub mod vm;
 
@@ -39,8 +35,7 @@ pub use api::{ConnectProps, Connection, Driver};
 pub use error::{DkError, DkResult};
 pub use interpreted::{interpret_direct, InterpretedDriver};
 pub use legacy::{legacy_driver, legacy_image};
-pub use pool::{ConnectionPool, PoolStats, PooledConnection};
+pub use pool::{ConnectionPool, PooledConnection};
 pub use registry::{DriverRegistry, Namespace, NamespaceId};
-pub use session::{SessionCensus, SessionId, SessionIdGen, SessionMeta, SessionPhase};
 pub use url::{DbUrl, UrlScheme};
 pub use vm::{DriverFactory, DriverVm};

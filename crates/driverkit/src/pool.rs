@@ -19,15 +19,6 @@ use crate::api::{ConnectProps, Connection, Driver};
 use crate::error::{DkError, DkResult};
 use crate::url::DbUrl;
 
-/// Pool statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Connections physically opened.
-    pub created: usize,
-    /// Checkouts served from the idle list.
-    pub reused: usize,
-}
-
 /// A connection pool over one driver, captured at construction.
 pub struct ConnectionPool {
     driver: Arc<dyn Driver>,
@@ -36,8 +27,6 @@ pub struct ConnectionPool {
     max_size: usize,
     idle: Mutex<Vec<Box<dyn Connection>>>,
     live: AtomicUsize,
-    created: AtomicUsize,
-    reused: AtomicUsize,
 }
 
 impl std::fmt::Debug for ConnectionPool {
@@ -66,8 +55,6 @@ impl ConnectionPool {
             max_size: max_size.max(1),
             idle: Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
-            created: AtomicUsize::new(0),
-            reused: AtomicUsize::new(0),
         })
     }
 
@@ -82,7 +69,6 @@ impl ConnectionPool {
             let candidate = self.idle.lock().pop();
             match candidate {
                 Some(conn) if conn.is_open() => {
-                    self.reused.fetch_add(1, Ordering::SeqCst);
                     return Ok(PooledConnection {
                         conn: Some(conn),
                         pool: Arc::clone(self),
@@ -105,7 +91,6 @@ impl ConnectionPool {
         }
         let conn = self.driver.connect(&self.url, &self.props)?;
         self.live.fetch_add(1, Ordering::SeqCst);
-        self.created.fetch_add(1, Ordering::SeqCst);
         Ok(PooledConnection {
             conn: Some(conn),
             pool: Arc::clone(self),
@@ -120,14 +105,6 @@ impl ConnectionPool {
     /// Number of live (idle + checked out) connections.
     pub fn live_len(&self) -> usize {
         self.live.load(Ordering::SeqCst)
-    }
-
-    /// Pool statistics.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            created: self.created.load(Ordering::SeqCst),
-            reused: self.reused.load(Ordering::SeqCst),
-        }
     }
 
     /// Closes every idle connection (checked-out ones are unaffected) —
@@ -271,13 +248,8 @@ mod tests {
         c.close().unwrap();
         assert_eq!(p.idle_len(), 1);
         let _c2 = p.checkout().unwrap();
-        assert_eq!(
-            p.stats(),
-            PoolStats {
-                created: 1,
-                reused: 1
-            }
-        );
+        // Served from the idle list: no second connection was opened.
+        assert_eq!(p.idle_len(), 0);
         assert_eq!(p.live_len(), 1);
     }
 
@@ -310,9 +282,9 @@ mod tests {
         p.close_idle();
         assert_eq!(p.idle_len(), 0);
         assert_eq!(p.live_len(), 0);
-        // The pool recovers by opening fresh connections.
+        // The pool recovers by opening a fresh connection.
         let _c = p.checkout().unwrap();
-        assert_eq!(p.stats().created, 3);
+        assert_eq!(p.live_len(), 1);
     }
 
     #[test]
@@ -322,10 +294,11 @@ mod tests {
         // Physically close the connection, then return it to the pool.
         a.inner().unwrap().close().unwrap();
         drop(a);
-        // The dead connection is skipped and a new one created.
+        assert_eq!((p.idle_len(), p.live_len()), (0, 0));
+        // The dead connection is skipped and a new one opened.
         let mut b = p.checkout().unwrap();
         b.execute("SELECT 1").unwrap();
-        assert_eq!(p.stats().created, 2);
+        assert_eq!(p.live_len(), 1);
     }
 
     #[test]

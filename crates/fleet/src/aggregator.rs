@@ -22,14 +22,10 @@ use drivolution_core::proto::DrvMsg;
 /// Counters exposed for the batching benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AggregatorStats {
-    /// Scheduler ticks executed.
-    pub ticks: u64,
     /// `RENEW_BATCH` frames sent (ticks with at least one due renewal).
     pub batch_frames: u64,
     /// Renewal entries coalesced into those frames.
     pub coalesced_renewals: u64,
-    /// Ticks where no client had a renewal due (no frame sent).
-    pub empty_ticks: u64,
     /// Batch exchanges that failed at the network level or came back
     /// malformed (every contributor keeps its driver, like an
     /// individually failed renewal).
@@ -131,9 +127,7 @@ impl RenewalAggregator {
         });
         let mut st = self.state.lock();
         st.clients = clients;
-        st.stats.ticks += 1;
         if entries.is_empty() {
-            st.stats.empty_ticks += 1;
             return 0;
         }
         let n = entries.len();

@@ -141,7 +141,12 @@ impl DbServer {
                 }
             }
             ClientMsg::Close { session } => {
-                self.sessions.lock().live.remove(&session);
+                let slot = self.sessions.lock().live.remove(&session);
+                if let Some(mut slot) = slot {
+                    if slot.session.in_transaction() {
+                        self.db.exec(&mut slot.session, "ROLLBACK")?;
+                    }
+                }
                 Ok(ServerMsg::Closed)
             }
         }
@@ -309,6 +314,36 @@ mod tests {
             ServerMsg::Closed
         );
         assert_eq!(srv.session_count(), 0);
+    }
+
+    #[test]
+    fn closing_inside_a_transaction_rolls_it_back() {
+        let srv = server();
+        let sid = hello_ok(srv.handle(ClientMsg::Hello {
+            proto: V1,
+            database: "prod".into(),
+            user: "bob".into(),
+            auth: ClientAuth::Password("pw".into()),
+        }));
+        for sql in ["BEGIN", "INSERT INTO t VALUES (77)"] {
+            let r = srv.handle(ClientMsg::Query {
+                session: sid,
+                sql: sql.into(),
+            });
+            assert!(matches!(r, ServerMsg::Affected(_)), "{sql}: {r:?}");
+        }
+        assert_eq!(
+            srv.handle(ClientMsg::Close { session: sid }),
+            ServerMsg::Closed
+        );
+        let mut s = srv.db().admin_session();
+        let rs = srv
+            .db()
+            .exec(&mut s, "SELECT a FROM t WHERE a = 77")
+            .unwrap()
+            .rows()
+            .unwrap();
+        assert!(rs.rows.is_empty(), "the closed session's INSERT survived");
     }
 
     #[test]

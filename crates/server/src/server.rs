@@ -1590,7 +1590,6 @@ mod tests {
             &srv.store().rules().unwrap(),
             &srv.query_of(&client(), &req),
             clock.now_ms() as i64,
-            drivolution_core::MatchMode::FirstMatch,
         )
         .unwrap()
         .record

@@ -744,7 +744,7 @@ pub(crate) mod counting {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use drivolution_core::matching::{self, MatchMode};
+    use drivolution_core::matching;
     use netsim::Clock;
 
     fn store_with_clock(clock: Clock) -> DriverStore {
@@ -941,11 +941,10 @@ mod tests {
                     .collect()
             };
             // Memory path.
-            let mem_ids: Vec<i64> =
-                matching::candidates(&records, &rules, &q, 0, MatchMode::FirstMatch)
-                    .into_iter()
-                    .map(|m| m.record.id.0)
-                    .collect();
+            let mem_ids: Vec<i64> = matching::candidates(&records, &rules, &q, 0)
+                .into_iter()
+                .map(|m| m.record.id.0)
+                .collect();
             assert_eq!(sql_ids, mem_ids, "disagreement for user {user}");
         }
     }

@@ -163,6 +163,12 @@ fn upgrade_immediate_terminates_all_connections() {
     let mut fresh = r.boot.connect(&r.url, &props()).unwrap();
     fresh.execute("SELECT 1").unwrap();
     assert_eq!(r.boot.active_version(), Some(DriverVersion::new(2, 0, 0)));
+    // The severed transaction's INSERT was rolled back, not kept.
+    let rs = fresh.execute("SELECT id FROM t WHERE id = 1").unwrap();
+    assert!(
+        rs.rows().unwrap().rows.is_empty(),
+        "severed INSERT survived"
+    );
 }
 
 // --- REVOKE × each expiration policy ---------------------------------------
