@@ -110,6 +110,11 @@ pub(crate) struct BootState {
     pub(crate) server: Option<Addr>,
     pub(crate) pipe: Option<Pipe>,
     pub(crate) revoked: bool,
+    /// A renewal exchange failed: the next one goes out whatever the
+    /// lease says, as if a pushed notice had just arrived, so a notice
+    /// the failed renewal consumed is not lost. Cleared by the next
+    /// exchange that completes.
+    pub(crate) renew_owed: bool,
     /// URL and properties of the last `connect`/`bootstrap`: the
     /// identity every later exchange with the server is made under.
     pub(crate) context: Option<(DbUrl, ConnectProps)>,

@@ -30,13 +30,14 @@ impl Bootloader {
     /// tick; the last quarter of the margin is kept free as link-
     /// latency and retry slack so the renewal message still lands
     /// before expiry), or one retry interval out when that point has
-    /// passed (a renewal just failed and the driver was kept). With no
-    /// active lease the timer goes quiet. The upgrade poll, with work only
-    /// once the lease is renew-due or a pushed notice may be waiting,
-    /// sleeps until then.
+    /// passed or a failed renewal is still owed (the driver was kept).
+    /// With no active lease the timer goes quiet. The upgrade poll, with
+    /// work only once the lease is renew-due, a pushed notice may be
+    /// waiting or a renewal is owed, sleeps until then.
     pub(crate) fn sync_lease_timer(&self) {
         let mut st = self.state.lock();
-        let notified = self.config.open_notify_channel && st.pipe.is_some();
+        let owed = st.renew_owed;
+        let wake_now = owed || (self.config.open_notify_channel && st.pipe.is_some());
         let tasks = &mut st.tasks;
         if tasks.poll.is_none() && tasks.lease.is_none() {
             return;
@@ -47,7 +48,7 @@ impl Bootloader {
             .map(|ns| (ns.lease.renew_due_at_ms(), ns.lease.renew_margin_ms()));
         if let Some(poll) = &tasks.poll {
             poll.sleep_until(match lease {
-                _ if notified => 0,
+                _ if wake_now => 0,
                 Some((renew_at, _)) => renew_at,
                 None => u64::MAX,
             });
@@ -58,7 +59,7 @@ impl Bootloader {
         match lease {
             Some((renew_at, margin)) => {
                 let now = self.clock.now_ms();
-                if renew_at > now {
+                if renew_at > now && !owed {
                     // One jitter draw per lease grant: skip when the
                     // timer is already armed for this renew-due point.
                     if tasks.lease_armed_for != Some(renew_at) || !handle.is_scheduled() {
@@ -106,7 +107,8 @@ impl Bootloader {
     }
 
     /// Drains pushed notices off the dedicated channel; returns whether
-    /// any of them concerned our database (forcing a renewal).
+    /// a renewal is forced: one of them concerned our database, or a
+    /// failed renewal is still owed.
     fn drain_notices(&self) -> bool {
         let mut force_renew = false;
         let mut st = self.state.lock();
@@ -123,13 +125,13 @@ impl Bootloader {
                 st.pipe = None;
             }
         }
-        force_renew
+        force_renew || st.renew_owed
     }
 
     /// The renewal this bootloader owes right now — the one trigger the
     /// poll path and the batch interface share: `None` when no driver is
-    /// active, or the lease is still valid and no pushed notice forced a
-    /// renewal. Counts as a renewal attempt.
+    /// active, or the lease is still valid and neither a pushed notice
+    /// nor a failed renewal forced one. Counts as a renewal attempt.
     fn due_renewal(&self) -> Option<(Namespace, DbUrl, DrvRequest)> {
         let force_renew = self.drain_notices();
         let ns = self.registry.active()?;
@@ -155,12 +157,18 @@ impl Bootloader {
                 self.apply_revoke(&ns);
                 PollOutcome::Revoked
             }
-            _ => {
-                // Network failure or nonsense: keep the current driver.
-                self.state.lock().stats.failed_renewals += 1;
-                PollOutcome::KeptAfterFailure
-            }
+            // Network failure or nonsense: keep the current driver.
+            _ => self.renewal_failed(),
         }
+    }
+
+    /// A renewal exchange that did not complete: the driver is kept and
+    /// the renewal stays owed.
+    fn renewal_failed(&self) -> PollOutcome {
+        let mut st = self.state.lock();
+        st.stats.failed_renewals += 1;
+        st.renew_owed = true;
+        PollOutcome::KeptAfterFailure
     }
 
     /// Applies a renewal-shaped offer, whether it arrived as an
@@ -178,9 +186,11 @@ impl Bootloader {
             }
             let mut st = self.state.lock();
             st.server = Some(server);
+            st.renew_owed = false;
             st.stats.renewals += 1;
             return PollOutcome::Renewed;
         }
+        self.state.lock().renew_owed = false;
         // UPGRADE: download, switch new connects, transition old
         // connections per the offer's expiration policy, unload.
         let from = ns.image.version;
@@ -261,6 +271,16 @@ impl Bootloader {
         outcome
     }
 
+    /// Applies a `RENEW_BATCH` exchange that failed, at the network
+    /// level or with a malformed answer, to one of its contributors:
+    /// exactly what a failed individual renewal does. Re-arms the lease
+    /// timer.
+    pub fn apply_batch_failure(self: &Arc<Self>) -> PollOutcome {
+        let outcome = self.renewal_failed();
+        self.sync_lease_timer();
+        outcome
+    }
+
     /// Runs the configured post-activation self-check against the
     /// freshly activated namespace.
     fn run_activation_check(&self, ns_id: NamespaceId) -> Result<(), String> {
@@ -308,7 +328,11 @@ impl Bootloader {
     }
 
     fn apply_revoke(&self, ns: &Namespace) {
-        self.state.lock().revoked = true;
+        {
+            let mut st = self.state.lock();
+            st.revoked = true;
+            st.renew_owed = false;
+        }
         let reason = "driver revoked and no replacement available";
         self.expire_sessions(ns.id, ns.lease.expiration_policy(), reason);
     }

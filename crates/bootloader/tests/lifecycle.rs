@@ -419,6 +419,46 @@ fn notify_channel_triggers_immediate_upgrade() {
 }
 
 #[test]
+fn a_notice_whose_renewal_failed_still_forces_the_next_one() {
+    let r = rig(ServerConfig::default());
+    let config = BootloaderConfig::same_host()
+        .trusting(r.srv.certificate())
+        .with_notify_channel();
+    let b = Bootloader::new(&r.net, Addr::new("app-host", 1), config);
+    let _conn = b.connect(&r.url, &props()).unwrap();
+    r.srv
+        .install_driver(&record(2, 2, DriverVersion::new(2, 0, 0)))
+        .unwrap();
+    r.srv.store().remove_permissions(DriverId(1)).unwrap();
+    r.srv
+        .add_rule(
+            &PermissionRule::any(DriverId(2))
+                .with_lease_ms(LEASE_MS as i64)
+                .with_policies(RenewPolicy::Upgrade, ExpirationPolicy::AfterCommit),
+        )
+        .unwrap();
+    r.srv.notify_upgrade("orders");
+
+    // The renewal the notice forces fails; the lease is still far from
+    // renew-due.
+    let drv = Addr::new("db1", DRIVOLUTION_PORT);
+    r.net.unbind(&drv);
+    assert_eq!(b.poll(), PollOutcome::KeptAfterFailure);
+    r.net.bind_arc(drv, r.srv.clone()).unwrap();
+    r.net.clock().advance_ms(100);
+    assert_eq!(
+        b.poll(),
+        PollOutcome::Upgraded {
+            from: DriverVersion::new(1, 0, 0),
+            to: DriverVersion::new(2, 0, 0),
+        }
+    );
+    assert_eq!(b.stats().failed_renewals, 1);
+    // The completed exchange paid the debt.
+    assert_eq!(b.poll(), PollOutcome::Idle);
+}
+
+#[test]
 fn signatures_are_required_and_verified() {
     let key = SigningKey::from_seed(42);
     let mut trust = TrustStore::new();

@@ -62,35 +62,54 @@ pub enum RequestKind {
 /// delta instead of re-shipping the full image.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HaveSummary {
-    /// Content digests of complete cached driver images.
+    /// Content digests of complete cached driver images, the delta base
+    /// first. At most [`MAX_HAVE_IMAGES`] travel.
     pub images: Vec<u64>,
     /// Chunking params the client's depot chunks with. The server
-    /// derives its delta manifest under these same params, so both sides
-    /// agree on boundaries without negotiation.
+    /// derives both delta manifests under these same params, so both
+    /// sides agree on boundaries without negotiation.
     pub params: ChunkingParams,
-    /// Chunk digests available in the client's depot.
-    pub chunks: Vec<u64>,
+    /// The image the client would upgrade from: the one it last used for
+    /// the database, one of `images`. Chunk boundaries are a pure
+    /// function of `(bytes, params)`, so a server that indexes this
+    /// image derives the chunk list the client holds from the digest.
+    pub base: Option<u64>,
 }
 
 impl HaveSummary {
     fn encode_into(&self, b: &mut BytesMut) {
-        b.put_u16_le(self.images.len() as u16);
-        put_u64s(b, &self.images);
+        let images = self.images.get(..MAX_HAVE_IMAGES).unwrap_or(&self.images);
+        b.put_u16_le(u16::try_from(images.len()).unwrap_or(u16::MAX));
+        put_u64s(b, images);
         self.params.encode_into(b);
-        b.put_u32_le(self.chunks.len() as u32);
-        put_u64s(b, &self.chunks);
+        // A base the cap cut off would make the frame undecodable; the
+        // request then just carries no base.
+        match self.base.filter(|d| images.contains(d)) {
+            Some(d) => {
+                b.put_u8(1);
+                b.put_u64_le(d);
+            }
+            None => b.put_u8(0),
+        }
     }
 
     fn decode(buf: &mut Bytes) -> DrvResult<Self> {
         let n_images = get_u16(buf, "have image count")?;
+        if usize::from(n_images) > MAX_HAVE_IMAGES {
+            return Err(DrvError::Codec(format!(
+                "have image count {n_images} exceeds the cap"
+            )));
+        }
         let images = get_u64s(buf, "have image digests", n_images.into())?;
         let params = ChunkingParams::decode(buf)?;
-        let n_chunks = get_u32(buf, "have chunk count")?;
-        let chunks = get_u64s(buf, "have chunk digests", n_chunks)?;
+        let base = get_opt(buf, "have base presence", |buf| get_u64(buf, "have base"))?;
+        if base.is_some_and(|d| !images.contains(&d)) {
+            return Err(DrvError::Codec("have base is not among its images".into()));
+        }
         Ok(HaveSummary {
             images,
             params,
-            chunks,
+            base,
         })
     }
 }
@@ -114,6 +133,14 @@ pub struct MirrorCandidate {
 /// simply sees partial coverage, which only costs ranking precision.
 /// Decoders reject a heartbeat claiming more.
 pub const MAX_HEARTBEAT_COVERAGE: usize = 4096;
+
+/// Cap on image digests one `HAVE` summary advertises. The list only
+/// lets the server revalidate an image instead of shipping it, so a
+/// depot past the cap advertises its delta base first and drops the
+/// rest: an image it does not name costs a delta or a download, never
+/// a wrong answer. Decoders reject a summary claiming more.
+pub const MAX_HAVE_IMAGES: usize = 4096;
+const _: () = assert!(MAX_HAVE_IMAGES <= u16::MAX as usize, "the count is a u16");
 
 /// Chunked-delta delivery plan carried by a `DRIVOLUTION_OFFER`: the
 /// manifest of the offered image, the chunks the client must fetch, and
@@ -1139,9 +1166,9 @@ mod tests {
             }),
             DrvMsg::Request(DrvRequest {
                 have: Some(HaveSummary {
-                    images: vec![1, 2],
+                    images: vec![2, 1],
                     params: ChunkingParams::fixed(4096),
-                    chunks: vec![3, 4, 5],
+                    base: Some(2),
                 }),
                 ..request()
             }),
@@ -1149,7 +1176,7 @@ mod tests {
                 have: Some(HaveSummary {
                     images: vec![9],
                     params: ChunkingParams::default(),
-                    chunks: vec![6, 7],
+                    base: None,
                 }),
                 ..request()
             }),
@@ -1427,37 +1454,83 @@ mod tests {
                 DrvMsg::decode(b.freeze()).is_err(),
                 "chunk request count {count:#x} accepted"
             );
-
-            // A request whose HAVE summary claims a hostile chunk count.
-            let mut enc = BytesMut::new();
-            put_req(
-                &mut enc,
-                &DrvRequest {
-                    have: Some(HaveSummary {
-                        images: vec![1],
-                        params: ChunkingParams::default(),
-                        chunks: Vec::new(),
-                    }),
-                    ..request()
-                },
-            );
-            let mut raw = enc.to_vec();
-            // Overwrite the chunk count (which sits just before the
-            // trailing zone presence byte) and pad with one bogus
-            // digest.
-            let zone_byte = raw.pop().unwrap();
-            let at = raw.len() - 4;
-            raw[at..].copy_from_slice(&count.to_le_bytes());
-            raw.extend_from_slice(&0xdeadu64.to_le_bytes());
-            raw.push(zone_byte);
-            let mut full = BytesMut::new();
-            full.put_u8(0);
-            full.put_slice(&raw);
-            assert!(
-                DrvMsg::decode(full.freeze()).is_err(),
-                "have chunk count {count:#x} accepted"
-            );
         }
+    }
+
+    fn have_bytes(images: &[u64], base: Option<u64>) -> Bytes {
+        let mut b = BytesMut::new();
+        b.put_u16_le(images.len() as u16);
+        put_u64s(&mut b, images);
+        ChunkingParams::default().encode_into(&mut b);
+        match base {
+            Some(d) => {
+                b.put_u8(1);
+                b.put_u64_le(d);
+            }
+            None => b.put_u8(0),
+        }
+        b.freeze()
+    }
+
+    #[test]
+    fn have_image_count_past_the_cap_is_rejected() {
+        // Every digest is really in the frame: the cap is policy, not a
+        // bytes-left check.
+        let images: Vec<u64> = (0..=MAX_HAVE_IMAGES as u64).collect();
+        let decoded = HaveSummary::decode(&mut have_bytes(&images, None));
+        assert!(matches!(decoded, Err(DrvError::Codec(_))), "{decoded:?}");
+        let at_cap = HaveSummary::decode(&mut have_bytes(&images[1..], None)).unwrap();
+        assert_eq!(at_cap.images.len(), MAX_HAVE_IMAGES);
+    }
+
+    #[test]
+    fn have_base_outside_its_images_is_rejected() {
+        let decoded = HaveSummary::decode(&mut have_bytes(&[1, 2], Some(3)));
+        assert!(matches!(decoded, Err(DrvError::Codec(_))), "{decoded:?}");
+        let ok = HaveSummary::decode(&mut have_bytes(&[1, 2], Some(2))).unwrap();
+        assert_eq!(ok.base, Some(2));
+    }
+
+    #[test]
+    fn have_summary_past_the_cap_keeps_its_base_and_the_rest_of_the_request() {
+        // A `u16` count cast from 70 000 would wrap to 4 464 and the
+        // decoder would read digests as the params and zone.
+        let images: Vec<u64> = (0..70_000u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9))
+            .collect();
+        let req = DrvRequest {
+            have: Some(HaveSummary {
+                images: images.clone(),
+                params: ChunkingParams::default(),
+                base: Some(images[0]),
+            }),
+            zone: Some("east".into()),
+            ..request()
+        };
+        let DrvMsg::Request(got) = DrvMsg::decode(DrvMsg::Request(req.clone()).encode()).unwrap()
+        else {
+            panic!()
+        };
+        let want = DrvRequest {
+            have: Some(HaveSummary {
+                images: images[..MAX_HAVE_IMAGES].to_vec(),
+                params: ChunkingParams::default(),
+                base: Some(images[0]),
+            }),
+            ..req.clone()
+        };
+        assert_eq!(got, want);
+
+        // A base the cap cuts off travels as no base, never as a frame
+        // the decoder refuses.
+        let mut past = req;
+        if let Some(h) = past.have.as_mut() {
+            h.base = images.last().copied();
+        }
+        let DrvMsg::Request(got) = DrvMsg::decode(DrvMsg::Request(past).encode()).unwrap() else {
+            panic!()
+        };
+        assert_eq!(got.have.map(|h| h.base), Some(None));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use drivolution_core::chunk::{ChunkManifest, ChunkingParams};
-use drivolution_core::proto::HaveSummary;
+use drivolution_core::proto::{HaveSummary, MAX_HAVE_IMAGES};
 use drivolution_core::{fnv1a64, Digested, DrvError, DrvResult};
 
 use crate::index::ContentIndex;
@@ -294,25 +294,27 @@ impl DriverDepot {
         self.latest.lock().insert(database.to_string(), digest);
     }
 
-    /// Builds the `HAVE` summary for a request about `database`: all
-    /// cached image digests, plus the chunk digests of the image last
-    /// used for this database (the natural delta base for an upgrade).
+    /// Builds the `HAVE` summary for a request about `database`: the
+    /// cached image digests, led by the image last used for this
+    /// database (the natural delta base for an upgrade) when this depot
+    /// still holds it.
     pub fn have_summary(&self, database: &str) -> Option<HaveSummary> {
-        let images = self.index.image_digests();
+        let mut images = self.index.image_digests();
         if images.is_empty() {
             return None;
         }
-        let chunks = self
-            .latest
-            .lock()
-            .get(database)
-            .and_then(|d| self.index.manifest(*d))
-            .map(|m| m.chunks)
-            .unwrap_or_default();
+        let latest = self.latest.lock().get(database).copied();
+        // `images` is sorted: rotating the base to the front keeps the
+        // rest in order, and the cap then never cuts the base off.
+        let at = latest.and_then(|d| images.binary_search(&d).ok());
+        if let Some(head) = at.and_then(|i| images.get_mut(..=i)) {
+            head.rotate_right(1);
+        }
+        images.truncate(MAX_HAVE_IMAGES);
         Some(HaveSummary {
             images,
             params: self.params,
-            chunks,
+            base: at.and(latest),
         })
     }
 
@@ -479,8 +481,9 @@ mod tests {
         let have = depot.have_summary("orders").unwrap();
         assert_eq!(have.images, vec![d]);
         assert_eq!(have.params, ChunkingParams::fixed(1024));
-        assert_eq!(have.chunks.len(), 10);
-        assert!(depot.have_summary("other").unwrap().chunks.is_empty());
+        assert_eq!(have.base, Some(d));
+        assert_eq!(depot.index.manifest(d).unwrap().chunk_count(), 10);
+        assert_eq!(depot.have_summary("other").unwrap().base, None);
     }
 
     #[test]
@@ -490,7 +493,7 @@ mod tests {
         depot.insert("orders", img);
         let have = depot.have_summary("orders").unwrap();
         assert_eq!(have.params, ChunkingParams::default());
-        assert!(!have.chunks.is_empty());
+        assert!(have.base.is_some());
     }
 
     #[test]
@@ -596,7 +599,7 @@ mod tests {
             assert_eq!(depot.lookup(digest), Some(img.clone()));
             let have = depot.have_summary("orders").unwrap();
             assert!(have.images.contains(&digest));
-            assert!(!have.chunks.is_empty());
+            assert_eq!(have.base, Some(digest));
         }
         // Corrupt the stored file: it is discarded on the next open.
         let path = dir.join("images").join(format!("{digest:016x}.img"));
@@ -609,6 +612,41 @@ mod tests {
             assert!(depot.have_summary("orders").is_none());
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopened_depot_without_its_base_image_names_no_base() {
+        let dir = temp_dir("lost-base");
+        let (v1, v2);
+        {
+            let depot = DriverDepot::persistent(&dir).unwrap();
+            v1 = depot.insert("orders", image(5000, 1));
+            v2 = depot.insert("orders", image(5000, 2));
+            assert_eq!(depot.have_summary("orders").unwrap().base, Some(v2));
+        }
+        fs::remove_file(dir.join("images").join(format!("{v2:016x}.img"))).unwrap();
+        let depot = DriverDepot::persistent(&dir).unwrap();
+        let have = depot.have_summary("orders").unwrap();
+        assert_eq!(have.images, vec![v1]);
+        assert_eq!(have.base, None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_base_leads_the_images_and_survives_the_cap() {
+        let depot = DriverDepot::with_chunk_size(64);
+        let blob = |seed: u64| Bytes::from(drivolution_core::entropy_blob(64, seed));
+        let mut others: Vec<u64> = (0..MAX_HAVE_IMAGES as u64)
+            .map(|i| depot.insert("other", blob(i)))
+            .collect();
+        let base = depot.insert("orders", blob(u64::MAX));
+        let have = depot.have_summary("orders").unwrap();
+        assert_eq!(have.base, Some(base));
+        assert_eq!(have.images.len(), MAX_HAVE_IMAGES);
+        assert_eq!(have.images.first(), Some(&base));
+        // The rest follow sorted; the one the cap drops is the largest.
+        others.sort_unstable();
+        assert_eq!(have.images[1..], others[..MAX_HAVE_IMAGES - 1]);
     }
 
     #[test]
@@ -643,13 +681,14 @@ mod tests {
             let depot = DriverDepot::persistent(&dir).unwrap();
             assert_eq!(depot.params(), ChunkingParams::default());
             let digest = depot.insert("orders", img.clone());
-            (digest, depot.have_summary("orders").unwrap().chunks)
+            (digest, depot.index.manifest(digest).unwrap().chunks)
         };
         let depot = DriverDepot::persistent(&dir).unwrap();
         assert_eq!(depot.params(), ChunkingParams::default());
         let have = depot.have_summary("orders").unwrap();
         assert_eq!(have.params, ChunkingParams::default());
-        assert_eq!(have.chunks, chunks_before);
+        assert_eq!(have.base, Some(digest));
+        assert_eq!(depot.index.manifest(digest).unwrap().chunks, chunks_before);
         assert_eq!(depot.lookup(digest), Some(img));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -665,16 +704,17 @@ mod tests {
         let (digest, chunks_before) = {
             let depot = DriverDepot::persistent_with(&dir, params).unwrap();
             let digest = depot.insert("orders", img.clone());
-            (digest, depot.have_summary("orders").unwrap().chunks)
+            (digest, depot.index.manifest(digest).unwrap().chunks)
         };
         // Plain `persistent` reopen restores the params from `meta`, and
-        // the advertised chunk digests are bit-identical, so the server
-        // keeps seeing a usable delta base.
+        // the base's chunk digests are bit-identical, so the server keeps
+        // seeing a usable delta base.
         let depot = DriverDepot::persistent(&dir).unwrap();
         assert_eq!(depot.params(), params);
         let have = depot.have_summary("orders").unwrap();
         assert_eq!(have.params, params);
-        assert_eq!(have.chunks, chunks_before);
+        assert_eq!(have.base, Some(digest));
+        assert_eq!(depot.index.manifest(digest).unwrap().chunks, chunks_before);
         assert_eq!(depot.lookup(digest), Some(img));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -736,7 +776,7 @@ mod tests {
             .filter(|db| {
                 depot
                     .have_summary(db)
-                    .map(|h| !h.chunks.is_empty())
+                    .map(|h| h.base.is_some())
                     .unwrap_or(false)
             })
             .count();
@@ -768,7 +808,7 @@ mod tests {
         for (db, d) in [(evil, d_evil), (tab, d_tab), ("plain db", d_plain)] {
             let have = depot.have_summary(db).unwrap();
             assert!(have.images.contains(&d));
-            assert!(!have.chunks.is_empty(), "latest mapping lost for {db:?}");
+            assert_eq!(have.base, Some(d), "latest mapping lost for {db:?}");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -37,9 +37,10 @@ struct IndexState {
     derived_params: HashSet<ChunkingParams>,
     chunks: BTreeMap<u64, Bytes>,
     /// Memoized delta plans keyed by (target digest, digest of the
-    /// client's advertised chunk set, params). A fleet wave of clients
-    /// upgrading from the same prior version advertises byte-identical
-    /// `HAVE` chunk lists, so the whole wave shares one plan computation.
+    /// client's chunk set, params). A fleet wave of clients upgrading
+    /// from the same prior version names the same `HAVE` base, whose
+    /// chunk list is derived once, so the whole wave shares one plan
+    /// computation.
     plans: HashMap<(u64, u64, ChunkingParams), DeltaPlan>,
 }
 
@@ -50,8 +51,8 @@ struct IndexState {
 const MAX_DERIVED_PARAMS: usize = 8;
 
 /// Cap on memoized delta plans. Like [`MAX_DERIVED_PARAMS`], the key is
-/// client-influenced (the `HAVE` chunk set), so a hostile client cycling
-/// fabricated summaries must not grow server state without bound. Past
+/// client-influenced (the chunk set passed in), so a caller cycling
+/// fabricated sets must not grow server state without bound. Past
 /// the cap, new plans are computed per request but not stored — the
 /// attacker burns only its own round-trips.
 const MAX_DELTA_PLANS: usize = 64;

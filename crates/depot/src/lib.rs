@@ -35,7 +35,7 @@
 //! // HAVE summary for the next DRIVOLUTION_REQUEST.
 //! let have = depot.have_summary("orders").unwrap();
 //! assert!(have.images.contains(&digest));
-//! assert!(!have.chunks.is_empty());
+//! assert_eq!(have.base, Some(digest));
 //! ```
 
 #![warn(missing_docs)]

@@ -4,6 +4,9 @@
 //! sites per crate in non-test code, and `with_capacity` calls sized by
 //! a cast (a number, possibly off the wire, sizing an allocation:
 //! `netsim::codec::get_items` is the one way to read a counted field),
+//! `.len() as u8` / `.len() as u16` sites (the encode-side twin: a
+//! length narrowed to a wire count wraps silently past its width, and
+//! the frame then decodes to something else),
 //! and `Mutex<` / `RwLock<` type sites (the simulation is
 //! single-threaded, so each lock is a cost to merge away, not a need; a
 //! type site is counted rather than a constructor because a lock built
@@ -35,6 +38,9 @@ pub struct Counts {
     /// ` as u64`: a reservation sized by a converted number instead of
     /// by a length in hand.
     pub cast_capacity: u64,
+    /// `.len() as u8` / `.len() as u16` sites: a length narrowed to a
+    /// count field without a cap in front of it.
+    pub cast_count: u64,
     /// `Mutex<` / `RwLock<` type sites.
     pub lock: u64,
 }
@@ -47,6 +53,7 @@ impl Counts {
             "panic" => Some(&mut self.panic),
             "index" => Some(&mut self.index),
             "cast-capacity" => Some(&mut self.cast_capacity),
+            "cast-count" => Some(&mut self.cast_count),
             "lock" => Some(&mut self.lock),
             _ => None,
         }
@@ -65,6 +72,7 @@ pub const CATEGORIES: &[&str] = &[
     "panic",
     "index",
     "cast-capacity",
+    "cast-count",
     "lock",
 ];
 
@@ -152,6 +160,7 @@ pub fn count(files: &[ScannedFile]) -> BTreeMap<String, Counts> {
                 + count_token(line, "unimplemented!");
             c.index += count_index_sites(line);
             c.cast_capacity += count_cast_capacity(line);
+            c.cast_count += count_token(line, ".len() as u8") + count_token(line, ".len() as u16");
             c.lock += count_token(line, "Mutex<") + count_token(line, "RwLock<");
         }
     }
@@ -207,10 +216,11 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, Counts>, String> {
 pub fn render_baseline(counts: &BTreeMap<String, Counts>) -> String {
     let mut out = String::from(
         "# drvlint panic-path baseline: per-crate counts of unwrap/expect/\n\
-         # panic-macro/slice-index sites, cast-sized `with_capacity` calls and\n\
-         # Mutex/RwLock type sites in non-test code. `cargo run -p drvlint -- check` fails when any\n\
-         # count rises; lower it with `cargo run -p drvlint -- update-baseline`\n\
-         # after burning sites down. The baseline only ever goes down.\n",
+         # panic-macro/slice-index sites, cast-sized `with_capacity` calls,\n\
+         # `.len()` narrowed to u8/u16 and Mutex/RwLock type sites in non-test\n\
+         # code. `cargo run -p drvlint -- check` fails when any count rises;\n\
+         # lower it with `cargo run -p drvlint -- update-baseline` after\n\
+         # burning sites down. The baseline only ever goes down.\n",
     );
     for (name, c) in counts {
         out.push_str(&format!("\n[{name}]\n"));
@@ -369,6 +379,27 @@ mod tests {
     }
 
     #[test]
+    fn lengths_narrowed_to_u8_or_u16_count_outside_tests() {
+        let src = "\
+fn f(b: &mut BytesMut, v: &[u8], w: &[u64]) {
+    b.put_u16_le(v.len() as u16);
+    b.put_u8(w.len() as u8); b.put_u16_le(w.len() as u16);
+    b.put_u32_le(v.len() as u32);
+    let n = u16::try_from(v.len()).unwrap_or(u16::MAX);
+    let s = \"v.len() as u16\";
+}
+#[cfg(test)]
+mod tests {
+    fn t(v: &[u8]) -> u8 { v.len() as u8 }
+}
+";
+        let c = count(&[scan(src)]);
+        // Three narrowing sites; a `u32` count, a checked conversion, a
+        // string and a test module do not count.
+        assert_eq!(c.get("demo").copied().unwrap_or_default().cast_count, 3);
+    }
+
+    #[test]
     fn baseline_roundtrips() {
         let mut m = BTreeMap::new();
         m.insert(
@@ -379,6 +410,7 @@ mod tests {
                 panic: 0,
                 index: 40,
                 cast_capacity: 2,
+                cast_count: 4,
                 lock: 7,
             },
         );
@@ -398,6 +430,7 @@ mod tests {
                 panic: 0,
                 index: 5,
                 cast_capacity: 0,
+                cast_count: 0,
                 lock: 2,
             },
         );

@@ -156,6 +156,25 @@ fn capacity_sized_by_a_cast_fails_outside_tests_only() {
     );
 }
 
+/// The encode-side twin: a length narrowed to a `u16` count wraps past
+/// 65 535 and the frame decodes to a different message.
+#[test]
+fn a_length_narrowed_to_a_wire_count_fails() {
+    let (files, baseline) = scanned_tree();
+    let files = with_edit(&files, "crates/depot/src/index.rs", |src| {
+        format!("{src}\nfn injected_count(v: &[u64]) -> u16 {{\n    v.len() as u16\n}}\n")
+    });
+    let report = run_passes(&files, &baseline).expect("run passes");
+    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+    assert!(
+        report.findings[0]
+            .message
+            .contains("crate depot: cast-count count rose 0 -> 1"),
+        "{}",
+        report.findings[0].message
+    );
+}
+
 #[test]
 fn allow_without_reason_fails() {
     let (files, baseline) = scanned_tree();

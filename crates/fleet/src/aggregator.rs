@@ -27,8 +27,8 @@ pub struct AggregatorStats {
     /// Renewal entries coalesced into those frames.
     pub coalesced_renewals: u64,
     /// Batch exchanges that failed at the network level or came back
-    /// malformed (every contributor keeps its driver, like an
-    /// individually failed renewal).
+    /// malformed (each contributor counts a failed renewal and keeps its
+    /// driver).
     pub failed_batches: u64,
 }
 
@@ -139,10 +139,12 @@ impl RenewalAggregator {
         let replies = match reply.map(DrvMsg::decode) {
             Ok(Ok(DrvMsg::OfferBatch { replies })) if replies.len() == n => replies,
             _ => {
-                // A network failure or a malformed answer: like an
-                // individually failed renewal, every contributor keeps
-                // its current driver.
+                // A network failure or a malformed answer: every
+                // contributor takes it as an individually failed renewal.
                 self.state.lock().stats.failed_batches += 1;
+                for client in &contributors {
+                    client.apply_batch_failure();
+                }
                 return n;
             }
         };

@@ -774,6 +774,27 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_batch_is_a_failed_renewal_for_every_contributor() {
+        let sim = FleetSim::build_rollout_batched(6, 5 * MINUTE, 0);
+        sim.bootstrap_all();
+        let agg = &sim.aggregators()[0];
+        sim.net().clock().advance_ms(5 * MINUTE);
+        sim.net().with_faults(|f| f.take_down("db1"));
+        assert_eq!(agg.tick(), 6);
+        sim.net().with_faults(|f| f.restore("db1"));
+        assert_eq!(agg.stats().failed_batches, 1);
+        for c in sim.clients() {
+            assert_eq!(c.stats().failed_renewals, 1);
+        }
+        // Every contributor still owes its renewal and pays it next tick.
+        assert_eq!(agg.tick(), 6);
+        for c in sim.clients() {
+            assert_eq!(c.stats().renewals, 1);
+        }
+        assert_eq!(agg.tick(), 0);
+    }
+
+    #[test]
     fn injected_regression_halts_and_rolls_the_fleet_back() {
         use drivolution_server::RolloutPhase;
         let sim = FleetSim::from_spec(SimSpec {

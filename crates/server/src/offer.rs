@@ -101,10 +101,11 @@ impl DrivolutionServer {
     /// The delivery choice for a granted driver: the offer's `location`
     /// and chunk plan. Clients advertising a `HAVE` summary revalidate
     /// exact cached content with zero transfer, or upgrade via a chunk
-    /// delta when they already hold some of the image's chunks. The
-    /// delta manifest is derived under the *client's* chunking params —
-    /// boundaries are a pure function of (bytes, params), so both sides
-    /// agree without negotiation. Everything else (and every depot-less
+    /// delta when the base image they name is in this server's index and
+    /// shares chunks with the offered one. Both manifests are derived
+    /// under the *client's* chunking params — boundaries are a pure
+    /// function of (bytes, params), so the base's digest stands for the
+    /// chunk list the client holds. Everything else (and every depot-less
     /// client) gets a staged full file.
     fn deliver(
         &self,
@@ -121,12 +122,14 @@ impl DrivolutionServer {
             // The plan (manifest derivation + missing-chunk set) is
             // memoized in the content index, so a fleet-wide wave of
             // clients on the same prior version computes it once.
-            let plan = if have.params.delta_safe() && !have.chunks.is_empty() {
-                self.depot
-                    .delta_plan(content_digest, &have.params, &have.chunks)
-            } else {
-                None
-            };
+            let plan = have
+                .base
+                .filter(|_| have.params.delta_safe())
+                .and_then(|base| self.depot.manifest_for(base, &have.params))
+                .and_then(|base| {
+                    self.depot
+                        .delta_plan(content_digest, &have.params, &base.chunks)
+                });
             if let Some((DeltaPlan { manifest, missing }, hit)) = plan {
                 {
                     let st = &mut self.state.lock().stats;

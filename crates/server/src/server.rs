@@ -1022,7 +1022,7 @@ mod tests {
         req.have = Some(drivolution_core::HaveSummary {
             images: vec![digest],
             params: srv.depot_chunking(),
-            chunks: Vec::new(),
+            base: None,
         });
         let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req)));
         assert_eq!(offer.content_digest, Some(digest));
@@ -1043,25 +1043,37 @@ mod tests {
             .with_version(version)
     }
 
-    #[test]
-    fn have_with_old_version_chunks_gets_delta_offer() {
-        let (srv, _c) = server_with(ServerConfig::default());
+    /// A server that published v1 and now serves only v2 (the rule
+    /// grants driver 2): v1 is in its content index, so a client naming
+    /// v1 as its base can be sent a delta.
+    fn v1_published_v2_served() -> (DrivolutionServer, Clock, DriverRecord) {
+        let (srv, clock) = server_with(ServerConfig::default());
         // v1 and v2 share the 64 KiB padding blob; only the image entry
         // differs (same encoded length, so chunk boundaries line up).
         let v1 = padded_record(1, DriverVersion::new(1, 0, 0));
         let v2 = padded_record(2, DriverVersion::new(2, 0, 0));
         assert_eq!(v1.binary.len(), v2.binary.len());
+        srv.install_driver(&v1).unwrap();
         srv.install_driver(&v2).unwrap();
+        srv.add_rule(&PermissionRule::any(DriverId(2))).unwrap();
+        (srv, clock, v2)
+    }
 
-        // The client depot holds v1: its HAVE lists v1's chunks.
-        let v1_manifest =
-            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.depot_chunking());
-        let mut req = bootstrap_req();
-        req.have = Some(drivolution_core::HaveSummary {
-            images: vec![v1_manifest.content_digest],
+    /// The `HAVE` of a client whose depot holds v1.
+    fn have_v1(srv: &DrivolutionServer) -> drivolution_core::HaveSummary {
+        let v1 = fnv1a64(&padded_record(1, DriverVersion::new(1, 0, 0)).binary);
+        drivolution_core::HaveSummary {
+            images: vec![v1],
             params: srv.depot_chunking(),
-            chunks: v1_manifest.chunks.clone(),
-        });
+            base: Some(v1),
+        }
+    }
+
+    #[test]
+    fn have_with_old_version_base_gets_delta_offer() {
+        let (srv, _c, v2) = v1_published_v2_served();
+        let mut req = bootstrap_req();
+        req.have = Some(have_v1(&srv));
         let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req)));
         let plan = offer.chunked.expect("delta offer expected");
         assert!(offer.location.is_empty(), "delta must not stage a file");
@@ -1096,6 +1108,22 @@ mod tests {
     }
 
     #[test]
+    fn a_base_the_server_never_indexed_gets_a_staged_full_file() {
+        // v1 was never published here: its digest names no chunk list.
+        let (srv, _c) = server_with(ServerConfig::default());
+        srv.install_driver(&padded_record(2, DriverVersion::new(2, 0, 0)))
+            .unwrap();
+        let mut req = bootstrap_req();
+        req.have = Some(have_v1(&srv));
+        let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req)));
+        assert!(offer.chunked.is_none());
+        assert!(!offer.location.is_empty(), "a full file is staged");
+        let st = srv.stats();
+        assert_eq!(st.delta_offers, 0);
+        assert_eq!(st.revalidations, 0);
+    }
+
+    #[test]
     fn unknown_chunk_request_is_an_error() {
         let (srv, _c) = server_with(ServerConfig::default());
         let reply = srv.handle(
@@ -1110,20 +1138,11 @@ mod tests {
 
     #[test]
     fn registered_mirrors_rank_into_delta_offers_and_rotate() {
-        let (srv, _c) = server_with(ServerConfig::default());
-        let v2 = padded_record(2, DriverVersion::new(2, 0, 0));
-        srv.install_driver(&v2).unwrap();
+        let (srv, _c, _v2) = v1_published_v2_served();
         srv.register_mirror("mirror1:1071");
         srv.register_mirror("mirror2:1071");
 
-        let v1 = padded_record(1, DriverVersion::new(1, 0, 0));
-        let v1_manifest =
-            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.depot_chunking());
-        let have = drivolution_core::HaveSummary {
-            images: vec![v1_manifest.content_digest],
-            params: srv.depot_chunking(),
-            chunks: v1_manifest.chunks.clone(),
-        };
+        let have = have_v1(&srv);
         let mut seen = Vec::new();
         for _ in 0..2 {
             let mut req = bootstrap_req();
@@ -1212,9 +1231,7 @@ mod tests {
 
     #[test]
     fn delta_offers_rank_same_zone_mirrors_first_for_zoned_clients() {
-        let (srv, _c) = server_with(ServerConfig::default());
-        let v2 = padded_record(2, DriverVersion::new(2, 0, 0));
-        srv.install_driver(&v2).unwrap();
+        let (srv, _c, _v2) = v1_published_v2_served();
         for (loc, zone) in [("m-east:1071", "east"), ("m-west:1071", "west")] {
             srv.handle(
                 &client(),
@@ -1224,17 +1241,10 @@ mod tests {
                 },
             );
         }
-        let v1 = padded_record(1, DriverVersion::new(1, 0, 0));
-        let v1_manifest =
-            drivolution_core::ChunkManifest::of_with(&v1.binary, &srv.depot_chunking());
         for (zone, want_first) in [("east", "m-east:1071"), ("west", "m-west:1071")] {
             let mut req = bootstrap_req();
             req.zone = Some(zone.into());
-            req.have = Some(drivolution_core::HaveSummary {
-                images: vec![v1_manifest.content_digest],
-                params: srv.depot_chunking(),
-                chunks: v1_manifest.chunks.clone(),
-            });
+            req.have = Some(have_v1(&srv));
             let offer = expect_offer(srv.handle(&client(), DrvMsg::Request(req)));
             let plan = offer.chunked.expect("delta offer");
             assert_eq!(plan.mirrors[0].location, want_first, "zone {zone}");

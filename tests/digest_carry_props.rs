@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use drivolution::core::chunk::{manifest_and_chunks, ChunkManifest, ChunkingParams};
 use drivolution::core::pack::pack_driver_padded;
+use drivolution::core::proto::{DrvMsg, DrvRequest, HaveSummary};
 use drivolution::core::{entropy_blob, fnv1a64, Digested};
 use drivolution::depot::{ContentIndex, SharedImageCache};
 use drivolution::prelude::*;
@@ -36,7 +37,7 @@ fn assert_holds(depot: &DriverDepot, digest: u64, image: &Bytes, params: &Chunki
     assert_eq!(expected.content_digest, digest);
     let summary = depot.have_summary(DB).expect("depot is not empty");
     assert!(summary.images.contains(&digest));
-    assert_eq!(summary.chunks, expected.chunks);
+    assert_eq!(summary.base, Some(digest));
     for d in &expected.chunks {
         let chunk = depot
             .chunk(*d)
@@ -122,6 +123,69 @@ proptest! {
             prop_assert_ne!(d, manifest.content_digest);
             assert_holds(&depot, d, &image, &own);
             prop_assert!(depot.lookup(manifest.content_digest).is_none());
+        }
+    }
+}
+
+/// A server that published `v1` and now grants only `v2`.
+fn server_with_v1_indexed(v1: &Bytes, v2: &Bytes) -> Arc<DrivolutionServer> {
+    let net = Network::new();
+    let db = Arc::new(MiniDb::with_clock(DB, net.clock().clone()));
+    let addr = Addr::new("db1", DRIVOLUTION_PORT);
+    let srv = attach_in_database(&net, db, addr, ServerConfig::default()).unwrap();
+    for (id, bytes) in [(1, v1), (2, v2)] {
+        let rec = DriverRecord::new(
+            DriverId(id),
+            ApiName::rdbc(),
+            BinaryFormat::Djar,
+            bytes.clone(),
+        )
+        .with_version(DriverVersion::new(id as i32, 0, 0));
+        srv.install_driver(&rec).unwrap();
+    }
+    srv.add_rule(&PermissionRule::any(DriverId(2))).unwrap();
+    srv
+}
+
+// The server turns a named base into the chunk list the client holds:
+// the plan it answers with is the one hashing and scanning both images
+// under the client's params gives.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_named_base_plans_what_hash_and_scan_gives(
+        seed in any::<u64>(),
+        len in 1024usize..96 * 1024,
+        edit_at in any::<u32>(),
+        edit_len in 1usize..8 * 1024,
+        pick in any::<u8>(),
+    ) {
+        let v1 = entropy_blob(len, seed);
+        let mut v2 = v1.clone();
+        let at = edit_at as usize % len;
+        let end = (at + edit_len).min(len);
+        v2[at..end].copy_from_slice(&entropy_blob(end - at, !seed));
+        v2[at] = !v1[at];
+        let (v1, v2) = (Bytes::from(v1), Bytes::from(v2));
+        let params = params(pick);
+        let srv = server_with_v1_indexed(&v1, &v2);
+
+        let base = fnv1a64(&v1);
+        let mut req = DrvRequest::bootstrap(DB, "app", "RDBC", "linux-x86_64");
+        req.have = Some(HaveSummary { images: vec![base], params, base: Some(base) });
+        let DrvMsg::Offer(offer) = srv.handle(&Addr::new("app1", 1), DrvMsg::Request(req)) else {
+            panic!("expected an offer");
+        };
+        let target = ChunkManifest::of_with(&v2, &params);
+        let missing = target.missing_given(&ChunkManifest::of_with(&v1, &params).chunks);
+        match offer.chunked {
+            Some(plan) => {
+                prop_assert_eq!(plan.manifest, target);
+                prop_assert_eq!(plan.missing, missing);
+            }
+            // No chunk in common: a delta would ship everything anyway.
+            None => prop_assert_eq!(missing.len(), target.chunk_count()),
         }
     }
 }

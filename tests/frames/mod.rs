@@ -39,7 +39,7 @@ pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
             have: Some(HaveSummary {
                 images: vec![manifest.content_digest],
                 params: manifest.params,
-                chunks: manifest.chunks.clone(),
+                base: Some(manifest.content_digest),
             }),
             zone: Some("east".into()),
             ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
