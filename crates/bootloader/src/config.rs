@@ -174,11 +174,13 @@ pub struct BootloaderConfig {
     /// summary and the bootloader resolves zero-transfer revalidations
     /// and chunked delta upgrades against it.
     pub depot: Option<Arc<DriverDepot>>,
-    /// Zone-level cache of assembled upgrade images, shared with the
-    /// other clients behind the same renewal aggregator. A rollout wave
-    /// assembles each target image once instead of once per client; the
-    /// adopted bytes are re-verified against the offer's digest, so the
-    /// cache can accelerate but never corrupt an install.
+    /// Zone-level cache of driver images, shared with the other clients
+    /// of the zone. A rollout wave assembles each target image once
+    /// instead of once per client, and a bootstrap's depot keeps the
+    /// zone's copy of a download when it is byte-equal to what arrived.
+    /// Adopted bytes are re-verified against the offer's digest and
+    /// interned ones compared in full, so the cache can accelerate but
+    /// never corrupt an install.
     pub image_cache: Option<Arc<SharedImageCache>>,
     /// Scheduler-driven lifecycle tasks (upgrade polling, lease
     /// auto-renewal).

@@ -130,7 +130,7 @@ impl Bootloader {
         let bytes = transfer::unwrap(offer.transfer_method, payload, &self.config.channel_trust)?;
         // What arrived must be what was offered: `Plain` has no integrity
         // of its own, and any server can stage the wrong file.
-        let image = Digested::of(bytes);
+        let mut image = Digested::of(bytes);
         if image.bytes().len() as u64 != offer.size
             || offer.content_digest.is_some_and(|d| d != image.digest())
         {
@@ -142,7 +142,18 @@ impl Bootloader {
         // HAVE summaries and reused in delta assemblies).
         let loaded = self.verify_and_load(offer, image.bytes().clone())?;
         if let Some(depot) = &self.config.depot {
+            // A zone peer may already hold exactly these bytes: the depot
+            // keeps its refcounted handle, not a private copy. Only equal
+            // content is taken, so a digest collision in the cache cannot
+            // enter the depot; anything else is published for peers.
+            let (digest, bytes) = (image.digest(), image.bytes().clone());
+            let cache = self.config.image_cache.as_ref();
+            let shared = cache.and_then(|c| c.get(digest));
+            let interned = shared.is_some_and(|(peer, _)| image.share(&peer));
             depot.insert_digested(&self.context_database(), image);
+            if let Some(cache) = cache.filter(|_| !interned) {
+                cache.put(digest, bytes, Arc::new(depot.chunk_map(digest)));
+            }
         }
         self.state.lock().stats.downloads += 1;
         Ok(loaded)
@@ -224,7 +235,7 @@ impl Bootloader {
                 }
             }
         }
-        let (have, need) = depot.partition_chunks(&plan.manifest);
+        let (_, need) = depot.partition_chunks(&plan.manifest);
         let mut fetched: HashMap<u64, Bytes> = HashMap::new();
         let mut fetched_bytes: u64 = 0;
         let mut fell_back = false;
@@ -322,16 +333,10 @@ impl Bootloader {
         let loaded = self.verify_and_load(offer, bytes.clone())?;
         depot.insert_assembled_digested(&self.context_database(), image, &plan.manifest, &fetched);
         if let Some(cache) = &self.config.image_cache {
-            // Publish for zone peers: the verified image plus the chunk
-            // bytes it was assembled from (fetched entries and local
-            // reuses alike), all as refcounted handles.
-            let mut chunk_map = fetched.clone();
-            for d in &have {
-                if let Some(c) = depot.chunk(*d) {
-                    chunk_map.insert(*d, c);
-                }
-            }
-            cache.put(plan.manifest.content_digest, bytes, Arc::new(chunk_map));
+            // Publish for zone peers: the verified image plus the chunks
+            // the depot now holds for it, all as refcounted handles.
+            let digest = plan.manifest.content_digest;
+            cache.put(digest, bytes, Arc::new(depot.chunk_map(digest)));
         }
         let saved = plan.manifest.total_size.saturating_sub(fetched_bytes);
         {

@@ -171,6 +171,18 @@ impl Digested {
     pub fn digest(&self) -> u64 {
         self.digest
     }
+
+    /// Takes `other` in place of the bytes when it holds the same content
+    /// (a handle onto a peer's allocation, say), keeping the digest: equal
+    /// bytes need no second hash, and unequal ones are never taken.
+    /// Returns whether it took them.
+    pub fn share(&mut self, other: &Bytes) -> bool {
+        let equal = *other == self.bytes;
+        if equal {
+            self.bytes = other.clone();
+        }
+        equal
+    }
 }
 
 /// Digest of several byte strings, order-sensitive and

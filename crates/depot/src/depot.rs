@@ -288,6 +288,15 @@ impl DriverDepot {
         self.index.chunk(digest)
     }
 
+    /// The chunks of a held image under its insert-time params, keyed by
+    /// digest, as refcounted handles: what a client publishes to its
+    /// zone's [`SharedImageCache`](crate::SharedImageCache).
+    pub fn chunk_map(&self, digest: u64) -> HashMap<u64, Bytes> {
+        let manifest = self.index.manifest(digest);
+        let chunks = manifest.iter().flat_map(|m| &m.chunks);
+        chunks.filter_map(|&d| Some((d, self.chunk(d)?))).collect()
+    }
+
     /// Records a zero-transfer revalidation hit: `digest` becomes the
     /// image last used for `database`.
     pub fn note_revalidation(&self, database: &str, digest: u64) {

@@ -1,4 +1,5 @@
-//! Zone-level sharing of assembled upgrade images.
+//! Zone-level sharing of driver images: assembled upgrades and
+//! bootstrapped downloads alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,24 +14,34 @@ use parking_lot::Mutex;
 /// (no recency bookkeeping), like the statement cache in minidb.
 const MAX_SHARED_IMAGES: usize = 8;
 
-/// A zone-level cache of fully assembled driver images, shared by the
-/// clients behind one renewal aggregator.
+/// A zone-level cache of full driver images, shared by the clients of
+/// one zone (in `FleetSim`, the clients behind one renewal aggregator:
+/// one cache per zone, one for an unzoned fleet).
 ///
 /// During a rollout wave every client in a zone assembles the *same*
 /// target image from the same delta plan. Without sharing, a 10k-client
 /// fleet materializes 10k identical copies onto freshly faulted pages —
 /// measured as the dominant cost of upgrade wall time, far ahead of the
 /// request traffic itself. The first client to assemble an image
-/// publishes its refcounted bytes (plus the chunk map the assembly was
-/// built from); every later client adopts the shared allocation, so the
+/// publishes its refcounted bytes (plus the chunk map its depot holds
+/// for them); every later client adopts the shared allocation, so the
 /// per-wave memory and page-fault cost collapses from
 /// O(clients × image) to O(image).
 ///
-/// Trust: the cache is advisory, never authoritative. Consumers
-/// re-verify the adopted bytes against their own offer's content digest
-/// before loading, and depot insertion digest-verifies every provided
-/// chunk, so a poisoned or stale entry is rejected exactly like a
-/// corrupt download — it can never be loaded or cached downstream.
+/// Bootstraps intern the same way. Every client still downloads,
+/// verifies and loads its own full file, but its depot then keeps the
+/// cache entry's handle when that entry's bytes equal the ones that
+/// arrived; otherwise it keeps its own and publishes them. A zone thus
+/// holds one copy of the image its clients started on, not one each.
+///
+/// Trust: the cache is advisory, never authoritative. An adopted upgrade
+/// is re-verified against the client's own offer's content digest before
+/// loading, and depot insertion digest-verifies every provided chunk, so
+/// a poisoned or stale entry is rejected exactly like a corrupt download.
+/// A bootstrap takes an entry only on byte equality with what it
+/// downloaded and verified, never on a digest match, so not even an
+/// entry that collides under the digest can enter a depot. Either way a
+/// bad entry can never be loaded or cached downstream.
 #[derive(Debug, Default)]
 pub struct SharedImageCache {
     entries: Mutex<HashMap<u64, SharedImage>>,
@@ -44,8 +55,7 @@ struct SharedImage {
 
 impl SharedImageCache {
     /// Creates an empty cache, ready to hand to every bootloader of a
-    /// zone via
-    /// `BootloaderConfig::with_image_cache`.
+    /// zone via `BootloaderConfig::with_image_cache`.
     pub fn new() -> Arc<Self> {
         Arc::new(SharedImageCache::default())
     }
@@ -61,9 +71,10 @@ impl SharedImageCache {
             .map(|e| (e.bytes.clone(), e.chunks.clone()))
     }
 
-    /// Publishes an assembled image for peers. The caller must have
-    /// verified `bytes` against `digest` already (consumers re-verify,
-    /// so a bad publish wastes work but cannot propagate).
+    /// Publishes an assembled or downloaded image for peers. The caller
+    /// must have verified `bytes` against `digest` already (consumers
+    /// re-verify or compare, so a bad publish wastes work but cannot
+    /// propagate).
     pub fn put(&self, digest: u64, bytes: Bytes, chunks: Arc<HashMap<u64, Bytes>>) {
         let mut entries = self.entries.lock();
         if entries.len() >= MAX_SHARED_IMAGES && !entries.contains_key(&digest) {

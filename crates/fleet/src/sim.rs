@@ -15,6 +15,7 @@
 //! read straight off the task error counters
 //! ([`FleetSim::mirror_heartbeat_failures`]) instead of being swallowed.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -221,15 +222,21 @@ impl FleetSim {
         } else {
             spec.lifecycle
         };
-        // A wave materializes each target image once; every other batched
-        // client adopts the refcounted bytes after re-verifying.
-        let image_cache = spec.batched.then(SharedImageCache::new);
+        // A zone holds each image once: a wave materializes each target
+        // image once per zone, and a bootstrap keeps the bytes its zone
+        // already holds. One cache per zone, or one for an unzoned fleet.
+        let mut image_caches: HashMap<&str, Arc<SharedImageCache>> = HashMap::new();
         let mut placement = spec.zones.iter().cycle();
         for i in 0..spec.clients {
             let host = format!("app{i:04}");
             let mut config = BootloaderConfig::same_host().with_lifecycle(lifecycle);
-            if let Some(zone) = placement.next() {
-                sim.net.with_topology(|t| t.place(host.clone(), *zone));
+            let zone = placement.next().copied();
+            if spec.batched {
+                let cache = image_caches.entry(zone.unwrap_or("default")).or_default();
+                config = config.with_image_cache(cache.clone());
+            }
+            if let Some(zone) = zone {
+                sim.net.with_topology(|t| t.place(host.clone(), zone));
                 config = config.trusting(sim.server.certificate());
                 for m in &sim.mirrors {
                     config = config.trusting(m.certificate());
@@ -251,9 +258,6 @@ impl FleetSim {
             }
             if let Some(swap) = spec.hot_swap {
                 config = config.with_hot_swap(swap);
-            }
-            if let Some(cache) = &image_cache {
-                config = config.with_image_cache(cache.clone());
             }
             if spec.notify {
                 config = config.with_notify_channel();
@@ -956,5 +960,16 @@ mod tests {
         });
         assert!(same > 0, "no chunk bytes accounted");
         assert_eq!(cross, 0, "cross-zone chunk bytes on a healthy fleet");
+        // Each zone assembled v2 once, from its own mirror: a cache shared
+        // across zones would let every zb client adopt za's copy.
+        for zone in ["za", "zb"] {
+            let assemblers = sim.clients().iter().filter(|b| {
+                let st = b.stats();
+                sim.net().zone_of(b.local_addr().host()).as_deref() == Some(zone)
+                    && st.delta_downloads == 1
+                    && st.shared_image_reuses == 0
+            });
+            assert_eq!(assemblers.count(), 1, "zone {zone}");
+        }
     }
 }

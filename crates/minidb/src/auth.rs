@@ -1,4 +1,4 @@
-//! Users, grants, and authentication methods.
+//! Users and authentication methods.
 //!
 //! The paper's lifecycle step 6 ("Authenticate") can fail when "the driver
 //! does not support authentication methods that are required by the
@@ -12,12 +12,11 @@
 //! The hashes here are **simulations** (FNV-1a), standing in for real
 //! cryptography; they model the handshake shapes, not security.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use netsim::codec::wire_enum;
 
 use crate::error::{DbError, DbResult};
-use crate::sql::ast::Privilege;
 
 wire_enum! {
     /// Authentication methods a database may require. The codes are the
@@ -49,11 +48,10 @@ struct UserEntry {
     is_admin: bool,
 }
 
-/// User registry, grants, and the database's accepted auth methods.
+/// User registry and the database's accepted auth methods.
 #[derive(Clone, Debug)]
 pub struct AuthStore {
     users: HashMap<String, UserEntry>,
-    grants: HashMap<(String, String), HashSet<Privilege>>,
     accepted: BTreeSet<AuthMethod>,
     realm_secret: String,
 }
@@ -71,7 +69,6 @@ impl AuthStore {
         );
         AuthStore {
             users,
-            grants: HashMap::new(),
             accepted: [
                 AuthMethod::Password,
                 AuthMethod::Challenge,
@@ -199,38 +196,6 @@ impl AuthStore {
             Err(DbError::Auth(format!("bad realm token for {user}")))
         }
     }
-
-    /// Grants privileges on `table` to `user`.
-    pub fn grant(&mut self, user: &str, table: &str, privileges: &[Privilege]) {
-        let e = self
-            .grants
-            .entry((user.to_string(), table.to_ascii_lowercase()))
-            .or_default();
-        e.extend(privileges.iter().copied());
-    }
-
-    /// Revokes privileges on `table` from `user`.
-    pub fn revoke(&mut self, user: &str, table: &str, privileges: &[Privilege]) {
-        if let Some(e) = self
-            .grants
-            .get_mut(&(user.to_string(), table.to_ascii_lowercase()))
-        {
-            for p in privileges {
-                e.remove(p);
-            }
-        }
-    }
-
-    /// Whether `user` holds `privilege` on `table` (admins hold everything).
-    pub fn allows(&self, user: &str, table: &str, privilege: Privilege) -> bool {
-        if self.is_admin(user) {
-            return true;
-        }
-        self.grants
-            .get(&(user.to_string(), table.to_ascii_lowercase()))
-            .map(|s| s.contains(&privilege))
-            .unwrap_or(false)
-    }
 }
 
 /// Challenge digest: `weak_hash(password || nonce)`.
@@ -303,19 +268,6 @@ mod tests {
         let tok = realm_token("bob", s.realm_secret());
         s.verify_token("bob", tok).unwrap();
         assert!(s.accepts(AuthMethod::Token) && !s.accepts(AuthMethod::Password));
-    }
-
-    #[test]
-    fn grants_and_admin_bypass() {
-        let mut s = store();
-        assert!(!s.allows("bob", "drivers", Privilege::Select));
-        s.grant("bob", "Drivers", &[Privilege::Select, Privilege::Insert]);
-        assert!(s.allows("bob", "DRIVERS", Privilege::Select));
-        assert!(s.allows("bob", "drivers", Privilege::Insert));
-        assert!(!s.allows("bob", "drivers", Privilege::Delete));
-        s.revoke("bob", "drivers", &[Privilege::Insert]);
-        assert!(!s.allows("bob", "drivers", Privilege::Insert));
-        assert!(s.allows("admin", "anything", Privilege::Delete));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The embedded database engine: sessions, transactions, grants, and the
+//! The embedded database engine: sessions, transactions, and the
 //! virtual `information_schema`.
 
 use parking_lot::Mutex;
@@ -10,7 +10,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::exec::{exec_select, execute_statement, QueryResult};
 use crate::exec::expr::Params;
 use crate::schema::{Column, TableSchema};
-use crate::sql::ast::{Expr, Privilege, SelectItem, Statement};
+use crate::sql::ast::{Expr, SelectItem, Statement};
 use crate::sql::parser::parse;
 use crate::storage::{Catalog, UndoRecord};
 use crate::value::{DataType, Value};
@@ -50,7 +50,6 @@ impl Session {
 struct DbInner {
     catalog: Catalog,
     auth: AuthStore,
-    enforce_grants: bool,
     /// Parse cache: statement text → parsed AST. Parsing is pure (params
     /// bind at execution), so entries never go stale.
     stmts: std::collections::HashMap<String, std::sync::Arc<Statement>>,
@@ -171,7 +170,6 @@ impl MiniDb {
             inner: Mutex::new(DbInner {
                 catalog: Catalog::new(),
                 auth: AuthStore::new("admin", "admin"),
-                enforce_grants: false,
                 stmts: std::collections::HashMap::new(),
             }),
         }
@@ -188,15 +186,9 @@ impl MiniDb {
     }
 
     /// Runs `f` with mutable access to the authentication store
-    /// (users, accepted methods, realm secret, grants).
+    /// (users, accepted methods, realm secret).
     pub fn with_auth<R>(&self, f: impl FnOnce(&mut AuthStore) -> R) -> R {
         f(&mut self.inner.lock().auth)
-    }
-
-    /// Enables or disables grant enforcement (disabled by default; admins
-    /// always bypass).
-    pub fn set_enforce_grants(&self, on: bool) {
-        self.inner.lock().enforce_grants = on;
     }
 
     /// Opens a session for an existing user.
@@ -220,7 +212,7 @@ impl MiniDb {
     ///
     /// # Errors
     ///
-    /// Any [`DbError`] from parsing, authorization, or execution.
+    /// Any [`DbError`] from parsing or execution.
     pub fn exec(&self, session: &mut Session, sql: &str) -> DbResult<QueryResult> {
         self.execute(session, sql, &Params::new())
     }
@@ -229,7 +221,7 @@ impl MiniDb {
     ///
     /// # Errors
     ///
-    /// Any [`DbError`] from parsing, authorization, or execution.
+    /// Any [`DbError`] from parsing or execution.
     pub fn execute(
         &self,
         session: &mut Session,
@@ -260,7 +252,7 @@ impl MiniDb {
     ///
     /// # Errors
     ///
-    /// Any [`DbError`] from authorization or execution.
+    /// Any [`DbError`] from execution.
     pub fn execute_stmt(
         &self,
         session: &mut Session,
@@ -268,7 +260,6 @@ impl MiniDb {
         params: &Params,
     ) -> DbResult<QueryResult> {
         let mut inner = self.inner.lock();
-        self.authorize(&inner, session, stmt)?;
         let now_ms = self.clock.now_ms() as i64;
         match stmt {
             Statement::Begin => {
@@ -291,29 +282,6 @@ impl MiniDb {
                 for rec in log.into_iter().rev() {
                     inner.catalog.apply_undo(rec);
                 }
-                Ok(QueryResult::Affected(0))
-            }
-            Statement::CreateUser { name, password } => {
-                inner.auth.create_user(name, password)?;
-                Ok(QueryResult::Affected(0))
-            }
-            Statement::Grant {
-                privileges,
-                table,
-                user,
-            } => {
-                if !inner.auth.has_user(user) {
-                    return Err(DbError::NoSuchUser(user.clone()));
-                }
-                inner.auth.grant(user, table, privileges);
-                Ok(QueryResult::Affected(0))
-            }
-            Statement::Revoke {
-                privileges,
-                table,
-                user,
-            } => {
-                inner.auth.revoke(user, table, privileges);
                 Ok(QueryResult::Affected(0))
             }
             Statement::Select(s) => {
@@ -358,59 +326,6 @@ impl MiniDb {
                 }
                 result
             }
-        }
-    }
-
-    fn authorize(&self, inner: &DbInner, session: &Session, stmt: &Statement) -> DbResult<()> {
-        let user = &session.user;
-        let admin = inner.auth.is_admin(user);
-        // Operations on the auth store always require an administrator.
-        match stmt {
-            Statement::CreateUser { .. } | Statement::Grant { .. } | Statement::Revoke { .. } => {
-                if !admin {
-                    return Err(DbError::Denied(format!(
-                        "{user} may not manage users or grants"
-                    )));
-                }
-                return Ok(());
-            }
-            _ => {}
-        }
-        if admin || !inner.enforce_grants {
-            return Ok(());
-        }
-        let check = |table: &str, p: Privilege| -> DbResult<()> {
-            if session.temp.has_table(table) || inner.auth.allows(user, table, p) {
-                Ok(())
-            } else {
-                Err(DbError::Denied(format!("{user} lacks {p:?} on {table}")))
-            }
-        };
-        match stmt {
-            Statement::Select(s) => {
-                if let Some(from) = &s.from {
-                    check(from, Privilege::Select)?;
-                }
-                Ok(())
-            }
-            Statement::Insert { table, .. } => check(table, Privilege::Insert),
-            Statement::Update { table, .. } => check(table, Privilege::Update),
-            Statement::Delete { table, .. } => check(table, Privilege::Delete),
-            Statement::CreateTable { temporary, .. } => {
-                if *temporary {
-                    Ok(())
-                } else {
-                    Err(DbError::Denied(format!("{user} may not create tables")))
-                }
-            }
-            Statement::DropTable { name, .. } => {
-                if session.temp.has_table(name) {
-                    Ok(())
-                } else {
-                    Err(DbError::Denied(format!("{user} may not drop tables")))
-                }
-            }
-            _ => Ok(()),
         }
     }
 
@@ -573,37 +488,6 @@ mod tests {
         db.exec(&mut s, "COMMIT").unwrap();
         assert!(db.exec(&mut s, "COMMIT").is_err());
         assert!(db.exec(&mut s, "ROLLBACK").is_err());
-    }
-
-    #[test]
-    fn grants_enforced_for_non_admin() {
-        let db = db();
-        let mut admin = db.admin_session();
-        db.exec(&mut admin, "CREATE USER bob PASSWORD 'pw'")
-            .unwrap();
-        db.set_enforce_grants(true);
-        let mut bob = db.session("bob").unwrap();
-        assert!(matches!(
-            db.exec(&mut bob, "SELECT * FROM t"),
-            Err(DbError::Denied(_))
-        ));
-        db.exec(&mut admin, "GRANT SELECT ON t TO bob").unwrap();
-        db.exec(&mut bob, "SELECT * FROM t").unwrap();
-        assert!(db.exec(&mut bob, "INSERT INTO t VALUES (9, 'x')").is_err());
-        db.exec(&mut admin, "GRANT INSERT ON t TO bob").unwrap();
-        db.exec(&mut bob, "INSERT INTO t VALUES (9, 'x')").unwrap();
-        db.exec(&mut admin, "REVOKE SELECT ON t FROM bob").unwrap();
-        assert!(db.exec(&mut bob, "SELECT * FROM t").is_err());
-        // Non-admins may always use temp tables.
-        db.exec(&mut bob, "CREATE TEMP TABLE mine (a INTEGER)")
-            .unwrap();
-        db.exec(&mut bob, "INSERT INTO mine VALUES (1)").unwrap();
-        // But not create persistent ones.
-        assert!(db
-            .exec(&mut bob, "CREATE TABLE theirs (a INTEGER)")
-            .is_err());
-        // And not manage users.
-        assert!(db.exec(&mut bob, "CREATE USER eve PASSWORD 'x'").is_err());
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub enum DbError {
     NoSuchFunction(String),
     /// Authentication failure.
     Auth(String),
-    /// Permission (GRANT) failure.
+    /// Permission failure. The engine has no SQL privileges to deny; the
+    /// variant keeps its wire code for peers that do.
     Denied(String),
     /// Transaction state error (e.g. BEGIN inside a transaction).
     Txn(String),

@@ -6,11 +6,11 @@
 //! require of a database:
 //!
 //! * a relational engine with typed columns, NOT NULL / PRIMARY KEY /
-//!   REFERENCES constraints, transactions with rollback, temporary tables,
-//!   users, and GRANT-based access control — enough to host the paper's
-//!   `information_schema.drivers` and `driver_permission` tables (Tables
-//!   1–2) and run the paper's driver-matchmaking SQL verbatim (Sample
-//!   code 1–2);
+//!   REFERENCES constraints, transactions with rollback, temporary tables
+//!   and users (no SQL privileges: see `DESIGN.md` §1) — enough to host
+//!   the paper's `information_schema.drivers` and `driver_permission`
+//!   tables (Tables 1–2) and run the paper's driver-matchmaking SQL
+//!   verbatim (Sample code 1–2);
 //! * a **versioned wire protocol** ([`wire`]) with three protocol versions
 //!   and three authentication methods, so driver↔database compatibility
 //!   failures occur at the same lifecycle steps as in the paper (§2 steps

@@ -147,19 +147,6 @@ pub struct ColumnDef {
     pub references: Option<(String, String)>,
 }
 
-/// Grantable privileges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Privilege {
-    /// SELECT on a table.
-    Select,
-    /// INSERT on a table.
-    Insert,
-    /// UPDATE on a table.
-    Update,
-    /// DELETE on a table.
-    Delete,
-}
-
 /// A parsed SQL statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Statement {
@@ -212,29 +199,4 @@ pub enum Statement {
     Commit,
     /// `ROLLBACK`
     Rollback,
-    /// `CREATE USER name PASSWORD 'pw'`
-    CreateUser {
-        /// User name.
-        name: String,
-        /// Plain password (stored hashed by the engine).
-        password: String,
-    },
-    /// `GRANT priv, … ON table TO user`
-    Grant {
-        /// Granted privileges.
-        privileges: Vec<Privilege>,
-        /// Target table.
-        table: String,
-        /// Grantee.
-        user: String,
-    },
-    /// `REVOKE priv, … ON table FROM user`
-    Revoke {
-        /// Revoked privileges.
-        privileges: Vec<Privilege>,
-        /// Target table.
-        table: String,
-        /// Former grantee.
-        user: String,
-    },
 }

@@ -131,15 +131,6 @@ impl<'a> Parser<'a> {
         Ok(s)
     }
 
-    fn string_lit(&mut self) -> DbResult<String> {
-        match self.next()? {
-            Token::StringLit(s) => Ok(s.into_owned()),
-            other => Err(DbError::Parse(format!(
-                "expected string literal, found {other}"
-            ))),
-        }
-    }
-
     fn eat_semi_and_eof(&mut self) -> DbResult<()> {
         while self.eat_tok(&Token::Semi) {}
         if self.pos != self.tokens.len() {
@@ -189,74 +180,13 @@ impl<'a> Parser<'a> {
         if self.eat_kw("ROLLBACK") {
             return Ok(Statement::Rollback);
         }
-        if self.eat_kw("GRANT") {
-            let privileges = self.parse_privileges()?;
-            self.expect_kw("ON")?;
-            let table = self.dotted_ident()?;
-            self.expect_kw("TO")?;
-            let user = self.ident()?;
-            return Ok(Statement::Grant {
-                privileges,
-                table,
-                user,
-            });
-        }
-        if self.eat_kw("REVOKE") {
-            let privileges = self.parse_privileges()?;
-            self.expect_kw("ON")?;
-            let table = self.dotted_ident()?;
-            self.expect_kw("FROM")?;
-            let user = self.ident()?;
-            return Ok(Statement::Revoke {
-                privileges,
-                table,
-                user,
-            });
-        }
         Err(DbError::Parse(format!(
             "expected a statement, found {}",
             self.describe_here()
         )))
     }
 
-    fn parse_privileges(&mut self) -> DbResult<Vec<Privilege>> {
-        let mut privs = Vec::new();
-        loop {
-            let name = self.name()?;
-            let p = match name.to_ascii_uppercase().as_str() {
-                "SELECT" => Privilege::Select,
-                "INSERT" => Privilege::Insert,
-                "UPDATE" => Privilege::Update,
-                "DELETE" => Privilege::Delete,
-                "ALL" => {
-                    privs.extend([
-                        Privilege::Select,
-                        Privilege::Insert,
-                        Privilege::Update,
-                        Privilege::Delete,
-                    ]);
-                    if !self.eat_tok(&Token::Comma) {
-                        break;
-                    }
-                    continue;
-                }
-                other => return Err(DbError::Parse(format!("unknown privilege {other}"))),
-            };
-            privs.push(p);
-            if !self.eat_tok(&Token::Comma) {
-                break;
-            }
-        }
-        Ok(privs)
-    }
-
     fn parse_create(&mut self) -> DbResult<Statement> {
-        if self.eat_kw("USER") {
-            let name = self.ident()?;
-            self.expect_kw("PASSWORD")?;
-            let password = self.string_lit()?;
-            return Ok(Statement::CreateUser { name, password });
-        }
         let temporary = self.eat_kw("TEMPORARY") || self.eat_kw("TEMP");
         self.expect_kw("TABLE")?;
         let name = self.dotted_ident()?;
@@ -771,24 +701,6 @@ mod tests {
         assert_eq!(parse("START TRANSACTION").unwrap(), Statement::Begin);
         assert_eq!(parse("COMMIT;").unwrap(), Statement::Commit);
         assert_eq!(parse("ROLLBACK").unwrap(), Statement::Rollback);
-    }
-
-    #[test]
-    fn parses_grant_revoke_user() {
-        assert!(matches!(
-            parse("CREATE USER bob PASSWORD 'secret'").unwrap(),
-            Statement::CreateUser { .. }
-        ));
-        let Statement::Grant { privileges, .. } =
-            parse("GRANT SELECT, INSERT ON information_schema.drivers TO bob").unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(privileges, vec![Privilege::Select, Privilege::Insert]);
-        assert!(matches!(
-            parse("REVOKE ALL ON t FROM bob").unwrap(),
-            Statement::Revoke { .. }
-        ));
     }
 
     #[test]

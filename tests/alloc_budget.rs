@@ -4,18 +4,22 @@
 //! quantity as `mem.copy_factor`, but only when someone runs it; this is
 //! the deterministic guard.
 //!
+//! The same allocator also counts live bytes, which guards what a
+//! simulated client costs to hold once bootstrapped.
+//!
 //! Own test binary: the counting allocator is process-wide.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 use drivolution::core::chunk::{manifest_and_chunks, ChunkSet, ChunkingParams};
 use drivolution::core::pack::pack_driver_padded;
 use drivolution::core::proto::{DrvMsg, DrvRequest, RequestKind};
 use drivolution::core::transfer;
+use drivolution::fleet::FleetSim;
 use drivolution::netsim::{FnService, Service};
 use drivolution::prelude::*;
 use drivolution::server::LicenseManager;
@@ -23,8 +27,9 @@ use drivolution::server::LicenseManager;
 mod frames;
 
 /// The system allocator plus, while `ON` on the allocating thread, the
-/// bytes requested and the largest single request. A `realloc` counts as
-/// one allocation of the new size: that is what it may copy. Counting
+/// bytes requested, the largest single request and the bytes live (freed
+/// ones subtracted). A `realloc` counts as one allocation of the new
+/// size: that is what it may copy. Counting
 /// only the measuring thread keeps the harness's own bookkeeping (a
 /// finished test reported while another measures) out of the figures.
 struct Counting;
@@ -34,11 +39,19 @@ thread_local! {
 }
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGEST: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 fn count(size: usize) {
     if ON.with(Cell::get) {
         BYTES.fetch_add(size as u64, Relaxed);
         LARGEST.fetch_max(size as u64, Relaxed);
+        LIVE.fetch_add(size as i64, Relaxed);
+    }
+}
+
+fn free(size: usize) {
+    if ON.with(Cell::get) {
+        LIVE.fetch_sub(size as i64, Relaxed);
     }
 }
 
@@ -59,12 +72,14 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        free(layout.size());
         // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        free(layout.size());
         // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -79,12 +94,21 @@ static GATE: Mutex<()> = Mutex::new(());
 
 /// Runs `f` and returns (bytes allocated, largest single allocation).
 fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (out, bytes, largest, _) = measured_live(f);
+    (out, bytes, largest)
+}
+
+/// [`measured`], plus the bytes `f` left live (what it allocated and
+/// did not free; memory it freed from before counts against it).
+fn measured_live<T>(f: impl FnOnce() -> T) -> (T, u64, u64, i64) {
     BYTES.store(0, Relaxed);
     LARGEST.store(0, Relaxed);
+    LIVE.store(0, Relaxed);
     ON.with(|on| on.set(true));
     let out = f();
     ON.with(|on| on.set(false));
-    (out, BYTES.load(Relaxed), LARGEST.load(Relaxed))
+    let live = LIVE.load(Relaxed);
+    (out, BYTES.load(Relaxed), LARGEST.load(Relaxed), live)
 }
 
 /// Holds `(bytes, largest)` against `package`: at most `factor` × the
@@ -409,4 +433,22 @@ fn a_seat_renewal_allocates_nothing() {
     assert_eq!(bytes, 0, "{SEATS} renewals allocated {bytes} B");
     // Every expiry moved out to 601 000: no seat has lapsed at 600 500.
     assert_eq!(table.available(DriverId(1), 600_500), Some(0));
+}
+
+#[test]
+fn a_bootstrapped_rollout_client_holds_under_16_kib() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 500;
+    let sim = FleetSim::build_rollout_batched(CLIENTS, 10 * 60_000, 64 << 10);
+    let ((), _, _, live) = measured_live(|| sim.bootstrap_all());
+    assert!(sim.clients().iter().all(|b| b.stats().downloads == 1));
+    // Every client verified and loaded its own 64 KiB download; what it
+    // keeps is its lease, its depot's index and the VM's loaded driver.
+    // The package bytes themselves are held once per zone (a private
+    // copy per client read about 68 KiB).
+    let per_client = live / CLIENTS as i64;
+    assert!(
+        per_client <= 16 << 10,
+        "{per_client} B live per bootstrapped client"
+    );
 }

@@ -4,7 +4,7 @@
 //! manifest, chunk map or peer cache can make a depot believe a digest
 //! it did not compute.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -190,45 +190,58 @@ proptest! {
     }
 }
 
+fn record(id: i64, version: DriverVersion, padding: usize) -> DriverRecord {
+    let image = DriverImage::new("carry-driver", version, 1);
+    let bytes = pack_driver_padded(BinaryFormat::Djar, &image, padding);
+    DriverRecord::new(DriverId(id), ApiName::rdbc(), BinaryFormat::Djar, bytes)
+        .with_version(version)
+}
+
+/// A database at `db1` whose Drivolution server grants `first`.
+fn world(first: &DriverRecord) -> (Network, Arc<DrivolutionServer>) {
+    let net = Network::new();
+    let db = Arc::new(MiniDb::with_clock(DB, net.clock().clone()));
+    net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
+        .unwrap();
+    let addr = Addr::new("db1", DRIVOLUTION_PORT);
+    let srv = attach_in_database(&net, db, addr, ServerConfig::default()).unwrap();
+    srv.install_driver(first).unwrap();
+    (net, srv)
+}
+
+/// A depot client of `cache`'s zone at `host`, bootstrapped.
+fn bootstrapped(
+    net: &Network,
+    srv: &DrivolutionServer,
+    host: &str,
+    cache: &Arc<SharedImageCache>,
+) -> (Arc<Bootloader>, Arc<DriverDepot>) {
+    let depot = DriverDepot::in_memory();
+    let config = BootloaderConfig::same_host()
+        .trusting(srv.certificate())
+        .with_depot(depot.clone())
+        .with_image_cache(cache.clone());
+    let boot = Bootloader::new(net, Addr::new(host, 1), config);
+    let url: DbUrl = "rdbc:minidb://db1:5432/orders".parse().unwrap();
+    boot.connect(&url, &ConnectProps::user("admin", "admin"))
+        .unwrap();
+    (boot, depot)
+}
+
 /// The zone-shared image cache end to end: the second client of a zone
 /// adopts the first one's assembled image, and its depot ends up holding
 /// exactly what the first one's does.
 #[test]
 fn shared_cache_adoption_leaves_the_same_depot_as_an_assembly() {
     for padding in [40 << 10, 64 << 10, 96 << 10] {
-        let record = |id: i64, version: DriverVersion| {
-            let image = DriverImage::new("carry-driver", version, 1);
-            let bytes = pack_driver_padded(BinaryFormat::Djar, &image, padding);
-            DriverRecord::new(DriverId(id), ApiName::rdbc(), BinaryFormat::Djar, bytes)
-                .with_version(version)
-        };
-        let net = Network::new();
-        let db = Arc::new(MiniDb::with_clock(DB, net.clock().clone()));
-        net.bind_arc(Addr::new("db1", 5432), Arc::new(DbServer::new(db.clone())))
-            .unwrap();
-        let addr = Addr::new("db1", DRIVOLUTION_PORT);
-        let srv = attach_in_database(&net, db, addr, ServerConfig::default()).unwrap();
-        srv.install_driver(&record(1, DriverVersion::new(1, 0, 0)))
-            .unwrap();
-        let url: DbUrl = "rdbc:minidb://db1:5432/orders".parse().unwrap();
-
+        let (net, srv) = world(&record(1, DriverVersion::new(1, 0, 0), padding));
         let cache = SharedImageCache::new();
         let clients: Vec<_> = ["app1", "app2"]
             .iter()
-            .map(|host| {
-                let depot = DriverDepot::in_memory();
-                let config = BootloaderConfig::same_host()
-                    .trusting(srv.certificate())
-                    .with_depot(depot.clone())
-                    .with_image_cache(cache.clone());
-                let boot = Bootloader::new(&net, Addr::new(*host, 1), config);
-                boot.connect(&url, &ConnectProps::user("admin", "admin"))
-                    .unwrap();
-                (boot, depot)
-            })
+            .map(|host| bootstrapped(&net, &srv, host, &cache))
             .collect();
 
-        let v2 = record(2, DriverVersion::new(2, 0, 0));
+        let v2 = record(2, DriverVersion::new(2, 0, 0), padding);
         srv.install_driver(&v2).unwrap();
         let upgrade = PermissionRule::any(DriverId(2))
             .with_policies(RenewPolicy::Upgrade, ExpirationPolicy::AfterCommit);
@@ -242,4 +255,64 @@ fn shared_cache_adoption_leaves_the_same_depot_as_an_assembly() {
         assert_eq!(clients[1].0.stats().shared_image_reuses, 1);
         assert_eq!(clients[0].1.have_summary(DB), clients[1].1.have_summary(DB));
     }
+}
+
+/// A bootstrap keeps the bytes its zone already holds: both clients
+/// download and verify their own copy, and both depots end up on one
+/// allocation that hashes and scans like the package.
+#[test]
+fn a_zone_holds_one_copy_of_a_bootstrapped_image() {
+    let v1 = record(1, DriverVersion::new(1, 0, 0), 64 << 10);
+    let (net, srv) = world(&v1);
+    let cache = SharedImageCache::new();
+    let digest = fnv1a64(&v1.binary);
+    let clients = ["app1", "app2"].map(|host| bootstrapped(&net, &srv, host, &cache));
+    let held = clients
+        .each_ref()
+        .map(|(_, depot)| depot.lookup(digest).unwrap());
+    assert_eq!(
+        held[0].as_ptr(),
+        held[1].as_ptr(),
+        "one allocation per zone"
+    );
+    for (boot, depot) in &clients {
+        assert_eq!(boot.stats().downloads, 1);
+        assert_eq!(boot.stats().shared_image_reuses, 0);
+        assert_holds(depot, digest, &v1.binary, &depot.params());
+    }
+    assert_eq!(srv.stats().files, 2, "every client still fetched the file");
+    assert_eq!(clients[0].1.have_summary(DB), clients[1].1.have_summary(DB));
+}
+
+/// Only equal bytes are interned: a cache entry under the package's
+/// digest that holds other bytes (a collision, or a poisoned peer) never
+/// enters a depot, which keeps what arrived and publishes it in its place.
+#[test]
+fn a_cache_entry_with_other_bytes_is_not_interned() {
+    let v1 = record(1, DriverVersion::new(1, 0, 0), 64 << 10);
+    let (net, srv) = world(&v1);
+    let cache = SharedImageCache::new();
+    let digest = fnv1a64(&v1.binary);
+    let mut other = v1.binary.to_vec();
+    other[100] ^= 1;
+    let other = Bytes::from(other);
+    cache.put(digest, other.clone(), Arc::new(HashMap::new()));
+    let (boot, depot) = bootstrapped(&net, &srv, "app1", &cache);
+    assert_eq!(boot.stats().downloads, 1);
+    let held = depot.lookup(digest).unwrap();
+    assert_ne!(held.as_ptr(), other.as_ptr());
+    assert_holds(&depot, digest, &v1.binary, &depot.params());
+    let (published, chunks) = cache.get(digest).unwrap();
+    assert_eq!(
+        published.as_ptr(),
+        held.as_ptr(),
+        "the arrived bytes replace the entry"
+    );
+    let manifest = ChunkManifest::of_with(&v1.binary, &depot.params());
+    let keys: HashSet<u64> = chunks.keys().copied().collect();
+    assert_eq!(
+        keys,
+        manifest.chunks.into_iter().collect(),
+        "with its chunk map"
+    );
 }
