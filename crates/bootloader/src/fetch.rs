@@ -149,10 +149,10 @@ impl Bootloader {
             let (digest, bytes) = (image.digest(), image.bytes().clone());
             let cache = self.config.image_cache.as_ref();
             let shared = cache.and_then(|c| c.get(digest));
-            let interned = shared.is_some_and(|(peer, _)| image.share(&peer));
+            let interned = shared.is_some_and(|peer| image.share(&peer));
             depot.insert_digested(&self.context_database(), image);
             if let Some(cache) = cache.filter(|_| !interned) {
-                cache.put(digest, bytes, Arc::new(depot.chunk_map(digest)));
+                cache.put(digest, bytes);
             }
         }
         self.state.lock().stats.downloads += 1;
@@ -210,22 +210,17 @@ impl Bootloader {
         // A zone peer may already have assembled exactly this image:
         // adopt its refcounted bytes instead of re-fetching and
         // re-materializing an identical copy. The adopted bytes are
-        // re-verified against the manifest digest and the chunk map is
-        // digest-verified during depot insertion, so a bad cache entry
-        // fails like a corrupt download instead of being trusted.
+        // re-verified against the manifest's size and digest, so a bad
+        // cache entry fails like a corrupt download instead of being
+        // trusted.
         if let Some(cache) = &self.config.image_cache {
-            if let Some((bytes, chunk_map)) = cache.get(plan.manifest.content_digest) {
+            if let Some(bytes) = cache.get(plan.manifest.content_digest) {
                 let image = Digested::of(bytes);
                 if image.bytes().len() as u64 == plan.manifest.total_size
                     && image.digest() == plan.manifest.content_digest
                 {
                     let loaded = self.verify_and_load(offer, image.bytes().clone())?;
-                    depot.insert_assembled_digested(
-                        &self.context_database(),
-                        image,
-                        &plan.manifest,
-                        &chunk_map,
-                    );
+                    depot.insert_digested(&self.context_database(), image);
                     {
                         let st = &mut self.state.lock().stats;
                         st.shared_image_reuses += 1;
@@ -331,12 +326,11 @@ impl Bootloader {
             .map_err(DkError::Drv)?;
         let bytes = image.bytes().clone();
         let loaded = self.verify_and_load(offer, bytes.clone())?;
-        depot.insert_assembled_digested(&self.context_database(), image, &plan.manifest, &fetched);
+        depot.insert_digested(&self.context_database(), image);
         if let Some(cache) = &self.config.image_cache {
-            // Publish for zone peers: the verified image plus the chunks
-            // the depot now holds for it, all as refcounted handles.
-            let digest = plan.manifest.content_digest;
-            cache.put(digest, bytes, Arc::new(depot.chunk_map(digest)));
+            // Publish the verified image for zone peers, as a refcounted
+            // handle.
+            cache.put(plan.manifest.content_digest, bytes);
         }
         let saved = plan.manifest.total_size.saturating_sub(fetched_bytes);
         {

@@ -131,7 +131,7 @@ impl std::fmt::Debug for DriverDepot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DriverDepot")
             .field("images", &self.index.image_count())
-            .field("chunks", &self.index.chunk_count())
+            .field("chunks_cut", &self.index.chunks_cut())
             .field("chunking", &self.params)
             .field("persistent", &self.dir.is_some())
             .finish()
@@ -187,9 +187,10 @@ impl DriverDepot {
 
     /// Opens (or creates) a persistent depot rooted at `dir` with
     /// explicit chunking params, overriding (and rewriting) any params
-    /// recorded in the depot's `meta` file. Cached images are re-indexed
-    /// under the new params on load, so switching params costs a local
-    /// re-chunk, never a re-download.
+    /// recorded in the depot's `meta` file. Cached images are recorded
+    /// under the new params on load and cut under them when a delta first
+    /// needs their chunks, so switching params costs a local re-chunk,
+    /// never a re-download.
     ///
     /// # Errors
     ///
@@ -286,15 +287,6 @@ impl DriverDepot {
     /// indexed allocation.
     pub fn chunk(&self, digest: u64) -> Option<Bytes> {
         self.index.chunk(digest)
-    }
-
-    /// The chunks of a held image under its insert-time params, keyed by
-    /// digest, as refcounted handles: what a client publishes to its
-    /// zone's [`SharedImageCache`](crate::SharedImageCache).
-    pub fn chunk_map(&self, digest: u64) -> HashMap<u64, Bytes> {
-        let manifest = self.index.manifest(digest);
-        let chunks = manifest.iter().flat_map(|m| &m.chunks);
-        chunks.filter_map(|&d| Some((d, self.chunk(d)?))).collect()
     }
 
     /// Records a zero-transfer revalidation hit: `digest` becomes the
@@ -406,12 +398,10 @@ impl DriverDepot {
         Ok(image)
     }
 
-    /// Inserts an image just produced by [`assemble`](Self::assemble),
-    /// reusing its manifest and fetched chunks so the depot does not
-    /// re-derive chunk boundaries it already holds. Falls back to a
-    /// plain [`insert`](Self::insert) whenever the fast path cannot be
-    /// proven safe (foreign params, digest mismatch, missing chunks), so
-    /// callers never trade correctness for the saved scan.
+    /// Inserts an image just produced by [`assemble`](Self::assemble).
+    /// The depot records the image under its own params like any
+    /// [`insert`](Self::insert): `manifest` and `fetched` are not needed,
+    /// since its chunks are cut from its bytes when a delta first asks.
     pub fn insert_assembled(
         &self,
         database: &str,
@@ -423,23 +413,15 @@ impl DriverDepot {
     }
 
     /// [`insert_assembled`](Self::insert_assembled) of an image that is
-    /// already hashed.
+    /// already hashed: [`insert_digested`](Self::insert_digested).
     pub fn insert_assembled_digested(
         &self,
         database: &str,
         image: Digested,
-        manifest: &ChunkManifest,
-        fetched: &HashMap<u64, Bytes>,
+        _manifest: &ChunkManifest,
+        _fetched: &HashMap<u64, Bytes>,
     ) -> u64 {
-        let digest = if manifest.params == self.params {
-            self.index
-                .insert_prechunked(image.clone(), manifest, fetched)
-        } else {
-            self.index.insert_digested(image.clone(), &self.params)
-        };
-        self.latest.lock().insert(database.to_string(), digest);
-        self.persist(digest, image.bytes());
-        digest
+        self.insert_digested(database, image)
     }
 
     fn persist(&self, digest: u64, bytes: &Bytes) {
@@ -739,7 +721,7 @@ mod tests {
             let depot =
                 DriverDepot::persistent_with(&dir, ChunkingParams::cdc(256, 1024, 4096)).unwrap();
             assert_eq!(depot.params(), ChunkingParams::cdc(256, 1024, 4096));
-            // Cached images were re-indexed under the new params.
+            // Cached images were recorded under the new params.
             assert_eq!(
                 depot.have_summary("orders").unwrap().params,
                 ChunkingParams::cdc(256, 1024, 4096)

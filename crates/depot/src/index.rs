@@ -12,13 +12,18 @@ use drivolution_core::{fnv1a64, fnv1a64_lanes, Digested};
 /// A content-addressed store of driver images and their chunks.
 ///
 /// Images are keyed by the digest of their complete bytes; chunks by the
-/// digest of the chunk bytes. Inserting an image automatically indexes
-/// its chunks under the insert-time [`ChunkingParams`], so deltas
-/// between any two indexed images can be computed and served without
-/// further preparation. Because chunk boundaries are a pure function of
-/// `(bytes, params)`, the index can additionally derive and serve a
-/// manifest of any held image under *foreign* params (a client that
-/// chunks differently): see [`manifest_for`](Self::manifest_for).
+/// digest of the chunk bytes. Inserting an image records it with its
+/// insert-time [`ChunkingParams`] and cuts nothing: the first chunk read
+/// ([`chunk`](Self::chunk), [`chunk_count`](Self::chunk_count),
+/// [`chunk_digests`](Self::chunk_digests)) cuts every image not yet
+/// indexed under its own params, then answers, and a manifest request
+/// cuts the image it names. A depot that never serves or takes a delta
+/// never pays the boundary scan; one that does sees exactly the chunks
+/// an eager insert would have indexed. Because
+/// chunk boundaries are a pure function of `(bytes, params)`, the index
+/// can additionally derive and serve a manifest of any held image under
+/// *foreign* params (a client that chunks differently): see
+/// [`manifest_for`](Self::manifest_for).
 #[derive(Debug, Default)]
 pub struct ContentIndex {
     state: Mutex<IndexState>,
@@ -36,6 +41,9 @@ struct IndexState {
     /// chunk maps (and burn a re-chunk per request) without limit.
     derived_params: HashSet<ChunkingParams>,
     chunks: BTreeMap<u64, Bytes>,
+    /// Images inserted since the last [`settle`](Self::settle), whose
+    /// chunks under their insert-time params are not cut yet.
+    unindexed: Vec<u64>,
     /// Memoized delta plans keyed by (target digest, digest of the
     /// client's chunk set, params). A fleet wave of clients upgrading
     /// from the same prior version names the same `HAVE` base, whose
@@ -79,16 +87,33 @@ impl IndexState {
         self.manifests.insert((digest, manifest.params), manifest);
     }
 
+    /// Records `image` under `params` without cutting it. The params are
+    /// charged to the derived-params budget here, so the budget counts an
+    /// image's own params whether or not it is ever cut.
     fn insert_digested(&mut self, image: Digested, params: &ChunkingParams) -> u64 {
         let digest = image.digest();
         if !self.images.contains_key(&digest) {
-            // One boundary scan yields both the manifest and the chunk
-            // slices to index.
-            let (manifest, pairs) = manifest_and_chunks_of(&image, params);
-            self.add(digest, manifest, pairs);
+            self.derived_params.insert(*params);
             self.images.insert(digest, (image, *params));
+            self.unindexed.push(digest);
         }
         digest
+    }
+
+    /// Cuts every image not yet indexed under its insert-time params:
+    /// one boundary scan of the bytes the index holds yields both the
+    /// manifest and the chunk slices. Every chunk-level read calls this
+    /// first, so no read can tell a lazy insert from an eager one.
+    fn settle(&mut self) {
+        for digest in std::mem::take(&mut self.unindexed) {
+            let Some((image, params)) = self.images.get(&digest).cloned() else {
+                continue;
+            };
+            if !self.manifests.contains_key(&(digest, params)) {
+                let (manifest, pairs) = manifest_and_chunks_of(&image, &params);
+                self.add(digest, manifest, pairs);
+            }
+        }
     }
 
     fn manifest_for(&mut self, digest: u64, params: &ChunkingParams) -> Option<ChunkManifest> {
@@ -126,45 +151,18 @@ impl ContentIndex {
         self.state.lock().insert_digested(image, params)
     }
 
-    /// Indexes `image` whose chunking is already known: `manifest` names
-    /// the chunk sequence and `provided` holds any chunk bytes not yet in
-    /// the index (typically the fetched half of a delta). Skips the
-    /// boundary re-scan a plain [`insert`](Self::insert) would pay — for
-    /// a rollout wave of identical upgrades that scan is pure overhead.
-    ///
-    /// The content-addressed invariant is preserved, not assumed: the
-    /// image's own digest is held against the manifest, provided chunks
-    /// are digest-verified before entering the chunk map, and any gap
-    /// (foreign digest, missing chunk) falls back to the scanning
-    /// `insert`, which derives everything from the verified bytes.
+    /// [`insert_digested`](Self::insert_digested) of an image assembled
+    /// from `manifest`, recorded under the manifest's params. The image
+    /// is hashed already; `manifest` and `provided` are not trusted and
+    /// not needed, since its chunks are cut from its own bytes on the
+    /// first chunk-level read like any other insert's.
     pub fn insert_prechunked(
         &self,
         image: Digested,
         manifest: &ChunkManifest,
-        provided: &HashMap<u64, Bytes>,
+        _provided: &HashMap<u64, Bytes>,
     ) -> u64 {
-        let digest = image.digest();
-        let mut st = self.state.lock();
-        if digest != manifest.content_digest || image.bytes().len() as u64 != manifest.total_size {
-            return st.insert_digested(image, &manifest.params);
-        }
-        if st.images.contains_key(&digest) {
-            return digest;
-        }
-        let mut pairs: Vec<(u64, Bytes)> = Vec::new();
-        let mut seen = HashSet::new();
-        for d in &manifest.chunks {
-            if !seen.insert(*d) || st.chunks.contains_key(d) {
-                continue;
-            }
-            match provided.get(d) {
-                Some(b) if fnv1a64(b) == *d => pairs.push((*d, b.clone())),
-                _ => return st.insert_digested(image, &manifest.params),
-            }
-        }
-        st.add(digest, manifest.clone(), pairs);
-        st.images.insert(digest, (image, manifest.params));
-        digest
+        self.insert_digested(image, &manifest.params)
     }
 
     /// Full image bytes by content digest.
@@ -224,7 +222,9 @@ impl ContentIndex {
 
     /// Chunk bytes by chunk digest.
     pub fn chunk(&self, digest: u64) -> Option<Bytes> {
-        self.state.lock().chunks.get(&digest).cloned()
+        let mut st = self.state.lock();
+        st.settle();
+        st.chunks.get(&digest).cloned()
     }
 
     /// Inserts a single verified chunk (used by read-through mirrors).
@@ -249,12 +249,22 @@ impl ContentIndex {
 
     /// Number of indexed chunks.
     pub fn chunk_count(&self) -> usize {
+        let mut st = self.state.lock();
+        st.settle();
+        st.chunks.len()
+    }
+
+    /// Number of chunks cut so far, without cutting the images that are
+    /// not indexed yet: what a `Debug` print may read.
+    pub(crate) fn chunks_cut(&self) -> usize {
         self.state.lock().chunks.len()
     }
 
-    /// All chunk digests currently indexed, sorted.
+    /// All chunk digests indexed, sorted.
     pub fn chunk_digests(&self) -> Vec<u64> {
-        self.state.lock().chunks.keys().copied().collect()
+        let mut st = self.state.lock();
+        st.settle();
+        st.chunks.keys().copied().collect()
     }
 
     /// All image digests currently indexed, sorted.
@@ -283,6 +293,46 @@ mod tests {
             assert_eq!(idx.chunk_count(), m.chunk_count());
             for cd in &m.chunks {
                 assert!(idx.chunk(*cd).is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn an_insert_cuts_nothing_until_a_chunk_is_read() {
+        let foreign = ChunkingParams::fixed(2048);
+        for params in [ChunkingParams::fixed(1024), ChunkingParams::default()] {
+            let img = image(100_000, 6);
+            let (eager, pairs) = manifest_and_chunks_of(&Digested::of(img.clone()), &params);
+            let eager_chunks: BTreeMap<u64, Bytes> = pairs.into_iter().collect();
+            // Either first read settles the index the same way.
+            for first_read_is_chunk in [true, false] {
+                let idx = ContentIndex::new();
+                let d = idx.insert(img.clone(), &params);
+                {
+                    let st = idx.state.lock();
+                    assert!(st.manifests.is_empty() && st.chunks.is_empty());
+                    assert!(st.derived_params.contains(&params), "the budget is charged");
+                }
+                assert_eq!(idx.image(d), Some(img.clone()));
+                if first_read_is_chunk {
+                    assert_eq!(
+                        idx.chunk(eager.chunks[0]),
+                        eager_chunks.get(&eager.chunks[0]).cloned()
+                    );
+                } else {
+                    assert_eq!(idx.chunk_count(), eager_chunks.len());
+                }
+                {
+                    let st = idx.state.lock();
+                    assert_eq!(st.chunks, eager_chunks);
+                    assert_eq!(st.manifests.get(&(d, params)), Some(&eager));
+                    assert!(st.unindexed.is_empty());
+                }
+                // A foreign derivation afterwards is what it always was,
+                // and leaves the image's own manifest alone.
+                let m = idx.manifest_for(d, &foreign).unwrap();
+                assert_eq!(m, ChunkManifest::of_with(&img, &foreign));
+                assert_eq!(idx.manifest(d), Some(eager.clone()));
             }
         }
     }

@@ -87,7 +87,8 @@ impl std::fmt::Debug for MirrorDepot {
         f.debug_struct("MirrorDepot")
             .field("addr", &self.addr)
             .field("primary", &self.primary)
-            .field("chunks", &self.index.chunk_count())
+            .field("images", &self.index.image_count())
+            .field("chunks_cut", &self.index.chunks_cut())
             .finish()
     }
 }
@@ -243,15 +244,16 @@ impl MirrorDepot {
                 .chunk_requests
                 .saturating_sub(st.last_reported_requests)
                 .min(u64::from(u32::MAX)) as u32;
-            // Coverage: sorted for determinism, capped (it is a ranking
-            // hint; past the cap the directory sees partial coverage).
+            // Coverage: sorted for determinism (the index lists digests
+            // in order), capped (it is a ranking hint; past the cap the
+            // directory sees partial coverage).
             let mut coverage = self.index.chunk_digests();
-            coverage.sort_unstable();
+            let chunk_count = coverage.len() as u64;
             coverage.truncate(MAX_HEARTBEAT_COVERAGE);
             (
                 DrvMsg::MirrorHeartbeat {
                     location: self.location(),
-                    chunk_count: self.index.chunk_count() as u64,
+                    chunk_count,
                     served_bytes: st.stats.chunk_bytes_served,
                     load,
                     coverage,
@@ -299,7 +301,8 @@ impl MirrorDepot {
     /// Warms the replica with a full image (e.g. pushed alongside driver
     ///-table replication in a cluster), chunked under `params` — use the
     /// primary's params so preloaded chunks match the digests its offers
-    /// reference.
+    /// reference. The chunks are cut when the next heartbeat or chunk
+    /// request reads them.
     pub fn preload(&self, bytes: Bytes, params: &ChunkingParams) -> u64 {
         self.index.insert(bytes, params)
     }

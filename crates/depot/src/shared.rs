@@ -23,9 +23,8 @@ const MAX_SHARED_IMAGES: usize = 8;
 /// fleet materializes 10k identical copies onto freshly faulted pages —
 /// measured as the dominant cost of upgrade wall time, far ahead of the
 /// request traffic itself. The first client to assemble an image
-/// publishes its refcounted bytes (plus the chunk map its depot holds
-/// for them); every later client adopts the shared allocation, so the
-/// per-wave memory and page-fault cost collapses from
+/// publishes its refcounted bytes; every later client adopts the shared
+/// allocation, so the per-wave memory and page-fault cost collapses from
 /// O(clients × image) to O(image).
 ///
 /// Bootstraps intern the same way. Every client still downloads,
@@ -34,23 +33,18 @@ const MAX_SHARED_IMAGES: usize = 8;
 /// arrived; otherwise it keeps its own and publishes them. A zone thus
 /// holds one copy of the image its clients started on, not one each.
 ///
-/// Trust: the cache is advisory, never authoritative. An adopted upgrade
-/// is re-verified against the client's own offer's content digest before
-/// loading, and depot insertion digest-verifies every provided chunk, so
-/// a poisoned or stale entry is rejected exactly like a corrupt download.
-/// A bootstrap takes an entry only on byte equality with what it
-/// downloaded and verified, never on a digest match, so not even an
-/// entry that collides under the digest can enter a depot. Either way a
-/// bad entry can never be loaded or cached downstream.
+/// Trust: the cache holds bytes only, and it is advisory, never
+/// authoritative. An adopted upgrade is hashed and held against the
+/// client's own offer's size and content digest, then signature-checked
+/// and loaded, before its depot records it; a bootstrap takes an entry
+/// only on byte equality with what it downloaded and verified, never on
+/// a digest match. Either way a depot only ever holds bytes under the
+/// digest it computed itself, and cuts its chunks from those bytes, so a
+/// poisoned or stale entry is rejected exactly like a corrupt download
+/// and can never be loaded or cached downstream.
 #[derive(Debug, Default)]
 pub struct SharedImageCache {
-    entries: Mutex<HashMap<u64, SharedImage>>,
-}
-
-#[derive(Clone, Debug)]
-struct SharedImage {
-    bytes: Bytes,
-    chunks: Arc<HashMap<u64, Bytes>>,
+    entries: Mutex<HashMap<u64, Bytes>>,
 }
 
 impl SharedImageCache {
@@ -60,27 +54,22 @@ impl SharedImageCache {
         Arc::new(SharedImageCache::default())
     }
 
-    /// The shared image under `digest`, if a peer already assembled it:
-    /// the full image bytes and the digest-keyed chunk bytes it was
-    /// assembled from (for pre-chunked depot insertion). Both are
-    /// refcounted handles onto the publisher's allocations.
-    pub fn get(&self, digest: u64) -> Option<(Bytes, Arc<HashMap<u64, Bytes>>)> {
-        self.entries
-            .lock()
-            .get(&digest)
-            .map(|e| (e.bytes.clone(), e.chunks.clone()))
+    /// The shared image under `digest`, if a peer already assembled or
+    /// downloaded it: a refcounted handle onto the publisher's bytes.
+    pub fn get(&self, digest: u64) -> Option<Bytes> {
+        self.entries.lock().get(&digest).cloned()
     }
 
     /// Publishes an assembled or downloaded image for peers. The caller
     /// must have verified `bytes` against `digest` already (consumers
     /// re-verify or compare, so a bad publish wastes work but cannot
     /// propagate).
-    pub fn put(&self, digest: u64, bytes: Bytes, chunks: Arc<HashMap<u64, Bytes>>) {
+    pub fn put(&self, digest: u64, bytes: Bytes) {
         let mut entries = self.entries.lock();
         if entries.len() >= MAX_SHARED_IMAGES && !entries.contains_key(&digest) {
             entries.clear();
         }
-        entries.insert(digest, SharedImage { bytes, chunks });
+        entries.insert(digest, bytes);
     }
 
     /// Number of cached images.
@@ -102,26 +91,25 @@ mod tests {
     fn put_get_roundtrip_shares_allocations() {
         let cache = SharedImageCache::new();
         let img = Bytes::from(vec![7u8; 4096]);
-        let chunks: HashMap<u64, Bytes> = [(1u64, img.slice(0..1024))].into_iter().collect();
         assert!(cache.get(42).is_none());
-        cache.put(42, img.clone(), Arc::new(chunks));
-        let (got, got_chunks) = cache.get(42).unwrap();
+        cache.put(42, img.clone());
+        let got = cache.get(42).unwrap();
         assert_eq!(got, img);
-        assert_eq!(got_chunks.len(), 1);
+        assert_eq!(got.as_ptr(), img.as_ptr());
     }
 
     #[test]
     fn cache_clears_wholesale_at_cap() {
         let cache = SharedImageCache::new();
         for d in 0..MAX_SHARED_IMAGES as u64 {
-            cache.put(d, Bytes::from(vec![d as u8]), Arc::new(HashMap::new()));
+            cache.put(d, Bytes::from(vec![d as u8]));
         }
         assert_eq!(cache.len(), MAX_SHARED_IMAGES);
         // Re-publishing a present digest does not flush...
-        cache.put(0, Bytes::from(vec![0]), Arc::new(HashMap::new()));
+        cache.put(0, Bytes::from(vec![0]));
         assert_eq!(cache.len(), MAX_SHARED_IMAGES);
         // ...a new one does, and then occupies the fresh table alone.
-        cache.put(99, Bytes::from(vec![9]), Arc::new(HashMap::new()));
+        cache.put(99, Bytes::from(vec![9]));
         assert_eq!(cache.len(), 1);
         assert!(cache.get(99).is_some());
         assert!(cache.get(0).is_none());

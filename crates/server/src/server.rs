@@ -233,8 +233,9 @@ impl DrivolutionServer {
         &self.depot
     }
 
-    /// The chunking params the server's depot index pre-indexes
-    /// installed drivers under (content-defined, the workspace default).
+    /// The chunking params the server's depot index records installed
+    /// drivers under, and cuts them under when a delta first needs their
+    /// chunks (content-defined, the workspace default).
     /// Delta plans themselves are derived under each client's advertised
     /// params.
     pub fn depot_chunking(&self) -> ChunkingParams {

@@ -1,10 +1,12 @@
 //! Stage budget of one cold sealed bootstrap's bulk path, over the public
 //! API: what the server spends building the `FILE_DATA` frame and what the
-//! client spends from that frame to a chunked depot entry, each stage timed
-//! alone (fastest of N) and the five summed — the figure a `cold_fetch`
-//! step in drvbench is made of, less the simulator and the VM load. Below
-//! the sum, two parts of stages for scale: the boundary scan alone and one
-//! digest pass. Prints; gates nothing (wall-clock on a shared box).
+//! client spends from that frame to a depot entry, each stage timed alone
+//! (fastest of N) and the five summed — the figure a `cold_fetch` step in
+//! drvbench is made of, less the simulator and the VM load. The depot
+//! records the image and cuts it into chunks only when a delta first asks,
+//! so below the sum comes the boundary scan that first delta pays, and one
+//! digest pass for scale. Prints; gates nothing (wall-clock on a shared
+//! box).
 //!
 //! Run with: `cargo run --release --example bulk_budget [-- <package bytes> <reps>]`
 
@@ -83,7 +85,7 @@ fn main() {
     ];
     let parts = [
         (
-            "  of which: boundary scan",
+            "deferred, paid by the first delta: boundary scan",
             fastest(
                 reps,
                 || (),
@@ -91,7 +93,7 @@ fn main() {
             ),
         ),
         (
-            "  for scale: one fnv1a64 pass",
+            "for scale: one fnv1a64 pass",
             fastest(reps, || (), |()| fnv1a64(&package)),
         ),
     ];
@@ -103,11 +105,11 @@ fn main() {
         package.len()
     );
     for (name, us) in stages {
-        println!("{name:<30} {:>9.1}", us * per_mib);
+        println!("{name:<50} {:>9.1}", us * per_mib);
     }
     let sum: f64 = stages.iter().map(|(_, us)| us * per_mib).sum();
-    println!("{:<30} {sum:>9.1}", "sum");
+    println!("{:<50} {sum:>9.1}", "sum");
     for (name, us) in parts {
-        println!("{name:<30} {:>9.1}", us * per_mib);
+        println!("{name:<50} {:>9.1}", us * per_mib);
     }
 }

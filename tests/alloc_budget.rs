@@ -207,6 +207,21 @@ fn cold_sealed_bootstrap_copies_the_package_once() {
 }
 
 #[test]
+fn a_cold_bootstrap_indexes_nothing_it_was_not_asked_for() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let (package, bytes, _) = cold_sealed_bootstrap();
+    // The package-sized buffer and a few KiB of frames, lease and VM
+    // state. The depot records the image and cuts it into chunks only
+    // when a delta first asks: a boundary scan at insert added a
+    // manifest and a chunk map, 36 578 B over the package here.
+    assert!(
+        bytes <= package as u64 + (8 << 10),
+        "cold sealed bootstrap: allocated {} B over the {package} B package (budget 8 KiB)",
+        bytes as i64 - package as i64
+    );
+}
+
+#[test]
 fn an_idle_poll_allocates_nothing() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let v1 = record(1, DriverVersion::new(1, 0, 0), 4 << 10);
