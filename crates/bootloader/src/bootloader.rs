@@ -119,12 +119,26 @@ pub(crate) struct BootState {
     /// identity every later exchange with the server is made under.
     pub(crate) context: Option<(DbUrl, ConnectProps)>,
     pub(crate) stats: BootStats,
+    /// Told this client's next renewal deadline after every change to
+    /// it, when something outside drives its renewals
+    /// ([`Bootloader::on_renewal_due`]).
+    pub(crate) renewal_due: Option<Arc<dyn Fn(u64) + Send + Sync>>,
     pub(crate) mirror_fetch: HashMap<String, MirrorFetchStats>,
     pub(crate) fetch_latencies: Vec<u64>,
     pub(crate) renewal_times: Vec<u64>,
     pub(crate) tasks: LifecycleTasks,
     /// Open hot-swap coexistence windows.
     pub(crate) windows: Vec<DrainWindow>,
+}
+
+impl BootState {
+    /// Makes `server` the first one tried next time, copying its address
+    /// only when it changed.
+    pub(crate) fn prefer(&mut self, server: &Addr) {
+        if self.server.as_ref() != Some(server) {
+            self.server = Some(server.clone());
+        }
+    }
 }
 
 /// Appends `sample`, shedding the oldest half at [`MAX_SAMPLES`].
@@ -640,10 +654,10 @@ impl Bootloader {
     /// Closes the dedicated channel (simulating application shutdown so
     /// the server-side failure detector fires).
     pub fn drop_notify_channel(&self) {
-        let mut st = self.state.lock();
-        if let Some(pipe) = st.pipe.take() {
+        if let Some(pipe) = self.state.lock().pipe.take() {
             pipe.close();
         }
+        self.report_renewal_deadline();
     }
 }
 

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use driverkit::{DbUrl, Namespace, NamespaceId};
+use driverkit::{Namespace, NamespaceId};
 use netsim::Addr;
 
 use drivolution_core::proto::{DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
@@ -33,8 +33,11 @@ impl Bootloader {
     /// passed or a failed renewal is still owed (the driver was kept).
     /// With no active lease the timer goes quiet. The upgrade poll, with
     /// work only once the lease is renew-due, a pushed notice may be
-    /// waiting or a renewal is owed, sleeps until then.
+    /// waiting or a renewal is owed, sleeps until then. Whoever drives
+    /// the renewals from outside ([`on_renewal_due`](Self::on_renewal_due))
+    /// is told the new deadline.
     pub(crate) fn sync_lease_timer(&self) {
+        self.report_renewal_deadline();
         let mut st = self.state.lock();
         let owed = st.renew_owed;
         let wake_now = owed || (self.config.open_notify_channel && st.pipe.is_some());
@@ -79,6 +82,41 @@ impl Bootloader {
                 handle.pause();
             }
         }
+    }
+
+    /// Tells whoever drives the renewals from outside
+    /// ([`on_renewal_due`](Self::on_renewal_due)) this client's next
+    /// renewal deadline, with the state guard dropped: its lease's
+    /// renew-due point, or 0 (at any moment) when a renewal is owed, a
+    /// notify channel is open (a pushed notice may be waiting) or no
+    /// lease is active. Before it, [`due_renewal`](Self::due_renewal)
+    /// answers `None`.
+    pub(crate) fn report_renewal_deadline(&self) {
+        let (report, at) = {
+            let st = self.state.lock();
+            let Some(report) = st.renewal_due.clone() else {
+                return;
+            };
+            let wake_now = st.renew_owed || (self.config.open_notify_channel && st.pipe.is_some());
+            let at = match self.registry.active() {
+                Some(ns) if !wake_now => ns.lease.renew_due_at_ms(),
+                _ => 0,
+            };
+            (report, at)
+        };
+        report(at);
+    }
+
+    /// Hands this client's next renewal deadline to `report`, now and
+    /// after every lease, owed renewal, notify channel or context change:
+    /// the virtual instant its lease turns renew-due, or 0 when a renewal
+    /// may be due at any moment (one is owed, a notify channel is open, or
+    /// no lease is active). A fleet aggregator that drives the client's
+    /// renewals asks it only once that instant has passed. One driver per
+    /// client: a later call replaces the earlier one.
+    pub fn on_renewal_due(&self, report: impl Fn(u64) + Send + Sync + 'static) {
+        self.state.lock().renewal_due = Some(Arc::new(report));
+        self.report_renewal_deadline();
     }
 
     /// Drains the virtual-clock instants at which this bootloader
@@ -131,26 +169,40 @@ impl Bootloader {
     /// The renewal this bootloader owes right now — the one trigger the
     /// poll path and the batch interface share: `None` when no driver is
     /// active, or the lease is still valid and neither a pushed notice
-    /// nor a failed renewal forced one. Counts as a renewal attempt.
-    fn due_renewal(&self) -> Option<(Namespace, DbUrl, DrvRequest)> {
+    /// nor a failed renewal forced one. Counts as a renewal attempt. The
+    /// request is built from the connection context in place, under the
+    /// state lock.
+    fn due_renewal(&self) -> Option<(Namespace, DrvRequest)> {
         let force_renew = self.drain_notices();
         let ns = self.registry.active()?;
         if !force_renew && ns.lease.state(self.clock.now_ms()) == LeaseState::Valid {
             return None;
         }
-        let (url, props) = self.context()?;
-        let current = ns.driver_id;
-        let req = self.build_request(RequestKind::Renewal { current }, &url, &props);
-        push_sample(&mut self.state.lock().renewal_times, self.clock.now_ms());
-        Some((ns, url, req))
+        let kind = RequestKind::Renewal {
+            current: ns.driver_id,
+        };
+        let mut st = self.state.lock();
+        let (url, props) = st.context.as_ref()?;
+        let req = self.build_request(kind, url, props);
+        push_sample(&mut st.renewal_times, self.clock.now_ms());
+        Some((ns, req))
     }
 
     fn maintenance(self: &Arc<Self>) -> PollOutcome {
-        let Some((ns, url, req)) = self.due_renewal() else {
+        let Some((ns, req)) = self.due_renewal() else {
+            return PollOutcome::Idle;
+        };
+        let url = self
+            .state
+            .lock()
+            .context
+            .as_ref()
+            .map(|(url, _)| url.clone());
+        let Some(url) = url else {
             return PollOutcome::Idle;
         };
         match self.exchange(&url, DrvMsg::Request(req)) {
-            Ok((server, DrvMsg::Offer(offer))) => self.apply_renewal_offer(&ns, server, offer),
+            Ok((server, DrvMsg::Offer(offer))) => self.apply_renewal_offer(&ns, &server, offer),
             Ok((_server, DrvMsg::Error { .. })) => {
                 // REVOKE (or no driver anymore): block new connections and
                 // transition existing ones per the *current* lease policy.
@@ -176,7 +228,7 @@ impl Bootloader {
     fn apply_renewal_offer(
         self: &Arc<Self>,
         ns: &Namespace,
-        server: Addr,
+        server: &Addr,
         offer: DrvOffer,
     ) -> PollOutcome {
         if offer.same_driver {
@@ -185,7 +237,7 @@ impl Bootloader {
                 let _ = self.registry.set_lease(ns.id, lease);
             }
             let mut st = self.state.lock();
-            st.server = Some(server);
+            st.prefer(server);
             st.renew_owed = false;
             st.stats.renewals += 1;
             return PollOutcome::Renewed;
@@ -194,7 +246,7 @@ impl Bootloader {
         // UPGRADE: download, switch new connects, transition old
         // connections per the offer's expiration policy, unload.
         let from = ns.image.version;
-        match self.install_offer(&server, &offer) {
+        match self.install_offer(server, &offer) {
             Ok(new_ns) => {
                 let to = self
                     .registry
@@ -204,7 +256,7 @@ impl Bootloader {
                 if self.registry.activate(new_ns).is_err() {
                     return PollOutcome::KeptAfterFailure;
                 }
-                self.state.lock().server = Some(server);
+                self.state.lock().prefer(server);
                 if self.swap_enabled() {
                     // Coexistence window: old sessions keep executing on
                     // the prior driver and migrate at their next
@@ -244,7 +296,7 @@ impl Bootloader {
     /// carries this bootloader's host so the server attributes the
     /// license seat to the client, not the aggregator.
     pub fn batch_renewal_entry(self: &Arc<Self>) -> Option<(String, DrvRequest)> {
-        let (_ns, _url, req) = self.due_renewal()?;
+        let (_ns, req) = self.due_renewal()?;
         Some((self.local.host().to_string(), req))
     }
 
@@ -261,7 +313,7 @@ impl Bootloader {
             return PollOutcome::Idle;
         };
         let outcome = match reply {
-            Ok(offer) => self.apply_renewal_offer(&ns, server.clone(), offer),
+            Ok(offer) => self.apply_renewal_offer(&ns, server, offer),
             Err(_) => {
                 self.apply_revoke(&ns);
                 PollOutcome::Revoked

@@ -46,7 +46,11 @@ pub struct RenewalAggregator {
 
 #[derive(Default)]
 struct AggregatorState {
-    clients: Vec<Weak<Bootloader>>,
+    /// Each client with its next renewal deadline in virtual ms, as its
+    /// bootloader last reported it ([`Bootloader::on_renewal_due`]; 0:
+    /// ask on the next tick). A client's place in the list is fixed: its
+    /// report names it. A dropped client stays as a dead entry due never.
+    clients: Vec<(Weak<Bootloader>, u64)>,
     stats: AggregatorStats,
     task: Option<TaskHandle>,
 }
@@ -64,7 +68,8 @@ impl RenewalAggregator {
     /// Creates an aggregator speaking from `local` to the Drivolution
     /// server at `server` and registers its tick on the network's
     /// scheduler at `every`. The task holds only a weak reference and
-    /// retires itself once the aggregator is dropped.
+    /// retires itself once the aggregator is dropped. Each client reports
+    /// its renewal deadlines to the aggregator from then on.
     pub fn launch(
         net: &Network,
         local: Addr,
@@ -77,10 +82,20 @@ impl RenewalAggregator {
             local: local.clone(),
             server,
             state: Mutex::new(AggregatorState {
-                clients: clients.iter().map(Arc::downgrade).collect(),
+                clients: clients.iter().map(|c| (Arc::downgrade(c), 0)).collect(),
                 ..AggregatorState::default()
             }),
         });
+        for (slot, client) in clients.iter().enumerate() {
+            let me = Arc::downgrade(&agg);
+            client.on_renewal_due(move |at_ms| {
+                let Some(agg) = me.upgrade() else { return };
+                let mut st = agg.state.lock();
+                if let Some((_, due)) = st.clients.get_mut(slot) {
+                    *due = at_ms;
+                }
+            });
+        }
         let me = Arc::downgrade(&agg);
         let handle = net.scheduler().every(
             every,
@@ -108,32 +123,45 @@ impl RenewalAggregator {
         self.state.lock().task.clone()
     }
 
-    /// One coalescing pass: asks every live client for its due renewal,
-    /// sends the collected entries as a single `RENEW_BATCH`, and applies
-    /// the server's `OFFER_BATCH` replies back to the contributors in
-    /// order. Returns the number of renewals carried.
+    /// The live clients whose renewal deadline has passed, in list order.
+    /// They leave the lock to be asked; a dropped client's entry is
+    /// cleared on the way.
+    fn due_clients(&self) -> Vec<Arc<Bootloader>> {
+        let now = self.net.clock().now_ms();
+        let mut st = self.state.lock();
+        let mut due = Vec::new();
+        for (client, at) in st.clients.iter_mut().filter(|(_, at)| *at <= now) {
+            match client.upgrade() {
+                Some(live) => due.push(live),
+                None => (*client, *at) = (Weak::new(), u64::MAX),
+            }
+        }
+        due
+    }
+
+    /// One coalescing pass: asks every live client whose renewal deadline
+    /// has passed for its due renewal, sends the collected entries as a
+    /// single `RENEW_BATCH`, and applies the server's `OFFER_BATCH`
+    /// replies back to the contributors in order. Returns the number of
+    /// renewals carried.
     pub fn tick(&self) -> usize {
-        // The client list leaves the lock while each bootloader is asked.
-        let mut clients = std::mem::take(&mut self.state.lock().clients);
         let mut contributors: Vec<Arc<Bootloader>> = Vec::new();
         let mut entries = Vec::new();
-        clients.retain(|w| {
-            let Some(c) = w.upgrade() else { return false };
-            if let Some(entry) = c.batch_renewal_entry() {
+        for client in self.due_clients() {
+            if let Some(entry) = client.batch_renewal_entry() {
                 entries.push(entry);
-                contributors.push(c);
+                contributors.push(client);
             }
-            true
-        });
-        let mut st = self.state.lock();
-        st.clients = clients;
+        }
         if entries.is_empty() {
             return 0;
         }
         let n = entries.len();
-        st.stats.batch_frames += 1;
-        st.stats.coalesced_renewals += n as u64;
-        drop(st);
+        {
+            let stats = &mut self.state.lock().stats;
+            stats.batch_frames += 1;
+            stats.coalesced_renewals += n as u64;
+        }
         let frame = DrvMsg::RenewBatch { entries }.encode();
         let reply = self.net.request(&self.local, &self.server, frame);
         let replies = match reply.map(DrvMsg::decode) {
@@ -152,5 +180,77 @@ impl RenewalAggregator {
             client.apply_batch_offer(&self.server, reply);
         }
         n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use driverkit::ConnectProps;
+
+    use super::*;
+    use crate::sim::{FleetSim, SimSpec};
+
+    const MINUTE: u64 = 60_000;
+
+    /// A bootstrapped batched fleet of four clients on ten-minute leases
+    /// (renew-due after nine), and its one aggregator.
+    fn fleet(notify: bool) -> (FleetSim, Arc<RenewalAggregator>) {
+        let sim = FleetSim::from_spec(SimSpec {
+            batched: true,
+            notify,
+            ..SimSpec::new(4, 10 * MINUTE)
+        });
+        sim.bootstrap_all();
+        let agg = sim.aggregators()[0].clone();
+        (sim, agg)
+    }
+
+    fn renewals(sim: &FleetSim) -> u64 {
+        sim.clients().iter().map(|c| c.stats().renewals).sum()
+    }
+
+    #[test]
+    fn a_pushed_notice_renews_on_the_next_tick() {
+        let (sim, agg) = fleet(true);
+        sim.server().notify_upgrade("fleetdb");
+        assert_eq!(agg.tick(), 4);
+        assert_eq!(renewals(&sim), 4, "a notice waited for its lease");
+    }
+
+    #[test]
+    fn a_renewal_owed_after_a_failed_batch_goes_out_on_the_next_tick() {
+        let (sim, agg) = fleet(true);
+        sim.net().with_faults(|f| f.take_down("db1"));
+        sim.server().notify_upgrade("fleetdb");
+        assert_eq!(agg.tick(), 4);
+        assert_eq!(agg.stats().failed_batches, 1);
+        // The failed batch consumed the notices; with the channels gone,
+        // only the owed renewal is left to force one before the lease.
+        sim.clients().iter().for_each(|c| c.drop_notify_channel());
+        sim.net().with_faults(|f| f.restore("db1"));
+        assert_eq!(agg.tick(), 4);
+        assert_eq!(renewals(&sim), 4, "an owed renewal waited for its lease");
+    }
+
+    #[test]
+    fn a_client_that_renewed_by_itself_is_not_asked_before_its_new_deadline() {
+        let (sim, agg) = fleet(false);
+        let clock = sim.net().clock();
+        clock.advance_ms(9 * MINUTE);
+        let own = sim.clients()[0].clone();
+        let props = ConnectProps::user("admin", "admin");
+        drop(own.connect(sim.url(), &props).unwrap());
+        assert_eq!(own.stats().renewals, 1);
+        let asked = |agg: &RenewalAggregator| agg.due_clients().len();
+        let own_asked = agg.due_clients().iter().any(|c| Arc::ptr_eq(c, &own));
+        assert!(!own_asked, "asked again right after its own renewal");
+        assert_eq!(asked(&agg), 3);
+        assert_eq!(agg.tick(), 3);
+        assert_eq!(own.stats().renewals, 1);
+        // All four now hold leases granted at this instant.
+        clock.advance_ms(9 * MINUTE - 1);
+        assert_eq!(asked(&agg), 0, "asked before the new deadline");
+        clock.advance_ms(1);
+        assert_eq!(asked(&agg), 4);
     }
 }

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 
 use crate::error::{DbError, DbResult};
-use crate::exec::expr::{is_aggregate, EvalCtx, Params};
+use crate::exec::expr::{is_aggregate, Bind, EvalCtx};
 use crate::schema::{Column, TableSchema};
 use crate::sql::ast::{BinOp, ColumnDef, Expr, SelectItem, SelectStmt, Statement};
 use crate::storage::{Catalog, RowId, Table, UndoRecord};
@@ -136,11 +136,11 @@ fn column_index(schema: &TableSchema, name: &str) -> Option<usize> {
 /// TRUE, FALSE or NULL and never an error: comparisons and tests over
 /// literals, columns that resolve and parameters that are bound, joined
 /// by AND / OR / NOT.
-fn total(e: &Expr, schema: &TableSchema, params: &Params) -> bool {
+fn total(e: &Expr, schema: &TableSchema, params: &dyn Bind) -> bool {
     let atom = |e: &Expr| match e {
         Expr::Literal(_) => true,
         Expr::Column(c) => column_index(schema, c).is_some(),
-        Expr::Param(p) => params.contains_key(p),
+        Expr::Param(p) => params.bound(p).is_some(),
         _ => false,
     };
     match e {
@@ -160,7 +160,6 @@ fn total(e: &Expr, schema: &TableSchema, params: &Params) -> bool {
         Expr::Between {
             expr, low, high, ..
         } => atom(expr) && atom(low) && atom(high),
-        Expr::InList { expr, list, .. } => atom(expr) && list.iter().all(atom),
         _ => false,
     }
 }
@@ -175,7 +174,7 @@ fn total(e: &Expr, schema: &TableSchema, params: &Params) -> bool {
 /// nothing (`id = 'x'` is NULL, not FALSE, on every row) — and whatever
 /// `AND` evaluates before it to be [`total`]. The probe comes back
 /// coerced to the key column's type.
-fn pinned_key(filter: &Expr, schema: &TableSchema, pk: usize, params: &Params) -> Option<Value> {
+fn pinned_key(filter: &Expr, schema: &TableSchema, pk: usize, params: &dyn Bind) -> Option<Value> {
     let Expr::Binary { op, lhs, rhs } = filter else {
         return None;
     };
@@ -190,7 +189,7 @@ fn pinned_key(filter: &Expr, schema: &TableSchema, pk: usize, params: &Params) -
             };
             let probe = match &**probe {
                 Expr::Literal(v) => v,
-                Expr::Param(p) => params.get(p)?,
+                Expr::Param(p) => params.bound(p)?,
                 _ => return None,
             };
             let dtype = schema.columns().get(pk)?.dtype();
@@ -218,7 +217,7 @@ fn pinned_key(filter: &Expr, schema: &TableSchema, pk: usize, params: &Params) -
 fn for_each_match<'a>(
     t: &'a Table,
     filter: Option<&Expr>,
-    params: &Params,
+    params: &dyn Bind,
     now_ms: i64,
     mut hit: impl FnMut(RowId, &'a Vec<Value>) -> DbResult<()>,
 ) -> DbResult<()> {
@@ -251,7 +250,7 @@ pub fn execute_statement(
     catalog: &mut Catalog,
     temp: &mut Catalog,
     stmt: &Statement,
-    params: &Params,
+    params: &dyn Bind,
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
@@ -271,18 +270,6 @@ pub fn execute_statement(
                 catalog.create_table(schema)?;
             }
             Ok(QueryResult::Affected(0))
-        }
-        Statement::DropTable { name, if_exists } => {
-            let dropped = if temp.has_table(name) {
-                temp.drop_table(name).map(|_| true)
-            } else if catalog.has_table(name) {
-                catalog.drop_table(name).map(|_| true)
-            } else if *if_exists {
-                Ok(false)
-            } else {
-                Err(DbError::NoSuchTable(name.to_string()))
-            }?;
-            Ok(QueryResult::Affected(u64::from(dropped)))
         }
         Statement::Insert {
             table,
@@ -331,7 +318,7 @@ fn exec_insert(
     table: &str,
     columns: Option<&[String]>,
     rows: &[Vec<Expr>],
-    params: &Params,
+    params: &dyn Bind,
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
@@ -392,7 +379,7 @@ fn exec_update(
     table: &str,
     sets: &[(String, Expr)],
     filter: Option<&Expr>,
-    params: &Params,
+    params: &dyn Bind,
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
@@ -450,7 +437,7 @@ fn exec_delete(
     temp: &mut Catalog,
     table: &str,
     filter: Option<&Expr>,
-    params: &Params,
+    params: &dyn Bind,
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
@@ -518,7 +505,7 @@ pub fn exec_select(
     catalog: &Catalog,
     temp: &Catalog,
     s: &SelectStmt,
-    params: &Params,
+    params: &dyn Bind,
     now_ms: i64,
 ) -> DbResult<RowSet> {
     let Some(from) = &s.from else {
@@ -673,7 +660,7 @@ fn eval_aggregate(
     star: bool,
     schema: &TableSchema,
     rows: &[&Vec<Value>],
-    params: &Params,
+    params: &dyn Bind,
     now_ms: i64,
 ) -> DbResult<Value> {
     if star {
@@ -742,13 +729,14 @@ fn eval_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::expr::Params;
     use crate::sql::parser::parse;
 
     fn run(
         catalog: &mut Catalog,
         temp: &mut Catalog,
         sql: &str,
-        params: &Params,
+        params: &dyn Bind,
     ) -> DbResult<QueryResult> {
         let stmt = parse(sql)?;
         execute_statement(catalog, temp, &stmt, params, 1_000, &mut None)
@@ -1064,13 +1052,6 @@ mod tests {
         // The temp table shadows the real one within this session.
         assert_eq!(rs.columns, vec!["x"]);
         assert_eq!(rs.rows.len(), 1);
-        // Dropping the temp table reveals the base table again.
-        run(&mut c, &mut t, "DROP TABLE drivers", &p).unwrap();
-        let rs = run(&mut c, &mut t, "SELECT count(*) FROM drivers", &p)
-            .unwrap()
-            .rows()
-            .unwrap();
-        assert_eq!(rs.rows[0][0], Value::BigInt(3));
     }
 
     #[test]

@@ -12,6 +12,44 @@ use crate::value::Value;
 /// Statement parameters: named (`$name`) and positional (`?` → "1", "2", …).
 pub type Params = HashMap<String, Value>;
 
+/// The values a statement's placeholders bind to, by name (without the
+/// `$`): a [`Params`] map, or [`Named`] pairs that cost no map to build.
+pub trait Bind: std::fmt::Debug {
+    /// The value bound to `name`, if any.
+    fn bound(&self, name: &str) -> Option<&Value>;
+}
+
+impl Bind for Params {
+    fn bound(&self, name: &str) -> Option<&Value> {
+        self.get(name)
+    }
+}
+
+/// Placeholder values as `(name, value)` pairs: they bind as a
+/// [`Params`] map holding the same pairs would, without building one.
+///
+/// # Examples
+///
+/// ```
+/// use minidb::{MiniDb, Named, Value};
+///
+/// let db = MiniDb::new("inventory");
+/// let mut s = db.admin_session();
+/// db.exec(&mut s, "CREATE TABLE parts (id INTEGER, name VARCHAR)")?;
+/// let row = [("id", Value::from(1)), ("name", Value::from("bolt"))];
+/// db.execute(&mut s, "INSERT INTO parts VALUES ($id, $name)", &Named(&row))?;
+/// assert_eq!(db.table_len("parts")?, 1);
+/// # Ok::<(), minidb::DbError>(())
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Named<'a>(pub &'a [(&'a str, Value)]);
+
+impl Bind for Named<'_> {
+    fn bound(&self, name: &str) -> Option<&Value> {
+        self.0.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+}
+
 /// Builds a [`Params`] map from positional values.
 ///
 /// # Examples
@@ -37,13 +75,13 @@ pub fn positional(values: Vec<Value>) -> Params {
 pub struct EvalCtx<'a> {
     schema: Option<&'a TableSchema>,
     row: Option<&'a [Value]>,
-    params: &'a Params,
+    params: &'a dyn Bind,
     now_ms: i64,
 }
 
 impl<'a> EvalCtx<'a> {
     /// Context for row-free evaluation (`SELECT 1`, INSERT values).
-    pub fn rowless(params: &'a Params, now_ms: i64) -> Self {
+    pub fn rowless(params: &'a dyn Bind, now_ms: i64) -> Self {
         EvalCtx {
             schema: None,
             row: None,
@@ -56,7 +94,7 @@ impl<'a> EvalCtx<'a> {
     pub fn for_row(
         schema: &'a TableSchema,
         row: &'a [Value],
-        params: &'a Params,
+        params: &'a dyn Bind,
         now_ms: i64,
     ) -> Self {
         EvalCtx {
@@ -85,7 +123,7 @@ impl<'a> EvalCtx<'a> {
             Expr::Column(name) => Cow::Borrowed(self.column(name)?),
             Expr::Param(p) => Cow::Borrowed(
                 self.params
-                    .get(p)
+                    .bound(p)
                     .ok_or_else(|| DbError::UnboundParam(format!("${p}")))?,
             ),
             other => Cow::Owned(self.eval(other)?),
@@ -143,33 +181,6 @@ impl<'a> EvalCtx<'a> {
                 Ok(match truth_and(opt_bool(ge_lo), opt_bool(le_hi)) {
                     Value::Boolean(b) => Value::Boolean(b != *negated),
                     other => other,
-                })
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = self.operand(expr)?;
-                let mut saw_null = false;
-                let mut found = false;
-                for item in list {
-                    let iv = self.operand(item)?;
-                    match v.sql_eq(&iv) {
-                        Some(true) => {
-                            found = true;
-                            break;
-                        }
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                Ok(if found {
-                    Value::Boolean(!*negated)
-                } else if saw_null {
-                    Value::Null
-                } else {
-                    Value::Boolean(*negated)
                 })
             }
             Expr::Func { name, args, star } => self.eval_func(name, args, *star),
@@ -413,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn like_and_between_and_in() {
+    fn like_and_between() {
         let p = Params::new();
         assert_eq!(
             eval_scalar("'JDBC' LIKE 'J%'", &p).unwrap(),
@@ -434,15 +445,6 @@ mod tests {
         assert_eq!(
             eval_scalar("NULL BETWEEN 1 AND 10", &p).unwrap(),
             Value::Null
-        );
-        assert_eq!(
-            eval_scalar("2 IN (1, 2, 3)", &p).unwrap(),
-            Value::Boolean(true)
-        );
-        assert_eq!(eval_scalar("4 IN (1, NULL)", &p).unwrap(), Value::Null);
-        assert_eq!(
-            eval_scalar("4 NOT IN (1, 2)", &p).unwrap(),
-            Value::Boolean(true)
         );
     }
 

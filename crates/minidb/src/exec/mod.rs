@@ -5,4 +5,4 @@ pub mod exec;
 pub mod expr;
 
 pub use exec::{QueryResult, RowSet};
-pub use expr::{positional, EvalCtx, Params};
+pub use expr::{positional, Bind, EvalCtx, Named, Params};

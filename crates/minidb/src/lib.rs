@@ -47,6 +47,6 @@ pub mod wire;
 pub use auth::{AuthMethod, AuthStore};
 pub use db::{MiniDb, Session};
 pub use error::{DbError, DbResult};
-pub use exec::{positional, Params, QueryResult, RowSet};
+pub use exec::{positional, Bind, Named, Params, QueryResult, RowSet};
 pub use schema::{Column, TableSchema};
 pub use value::{like_match, DataType, Value};

@@ -81,15 +81,6 @@ pub enum Expr {
         /// `true` for `NOT BETWEEN`.
         negated: bool,
     },
-    /// `expr [NOT] IN (a, b, …)`
-    InList {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// Candidate list.
-        list: Vec<Expr>,
-        /// `true` for `NOT IN`.
-        negated: bool,
-    },
     /// Function call; `star` marks `COUNT(*)`.
     Func {
         /// Lowercased function name.
@@ -158,13 +149,6 @@ pub enum Statement {
         columns: Vec<ColumnDef>,
         /// `true` for session-scoped temporary tables.
         temporary: bool,
-    },
-    /// `DROP TABLE [IF EXISTS]`
-    DropTable {
-        /// Table name.
-        name: String,
-        /// Suppress the error when the table is absent.
-        if_exists: bool,
     },
     /// `INSERT INTO t [(cols)] VALUES (…), (…)`
     Insert {

@@ -158,17 +158,6 @@ impl<'a> Parser<'a> {
         if self.eat_kw("CREATE") {
             return self.parse_create();
         }
-        if self.eat_kw("DROP") {
-            self.expect_kw("TABLE")?;
-            let if_exists = if self.eat_kw("IF") {
-                self.expect_kw("EXISTS")?;
-                true
-            } else {
-                false
-            };
-            let name = self.dotted_ident()?;
-            return Ok(Statement::DropTable { name, if_exists });
-        }
         if self.eat_kw("BEGIN") || self.eat_kw("START") {
             // Accept both BEGIN and START TRANSACTION.
             self.eat_kw("TRANSACTION");
@@ -443,25 +432,9 @@ impl<'a> Parser<'a> {
                 negated,
             });
         }
-        if self.eat_kw("IN") {
-            self.expect_tok(&Token::LParen)?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.parse_expr()?);
-                if !self.eat_tok(&Token::Comma) {
-                    break;
-                }
-            }
-            self.expect_tok(&Token::RParen)?;
-            return Ok(Expr::InList {
-                expr: Box::new(lhs),
-                list,
-                negated,
-            });
-        }
         if negated {
             return Err(DbError::Parse(
-                "NOT must be followed by LIKE, BETWEEN, or IN here".into(),
+                "NOT must be followed by LIKE or BETWEEN here".into(),
             ));
         }
         let op = match self.peek() {
@@ -747,8 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn not_in_and_not_like() {
-        assert!(parse("SELECT * FROM t WHERE a NOT IN (1, 2)").is_ok());
+    fn not_like_and_not_between() {
         assert!(parse("SELECT * FROM t WHERE a NOT LIKE 'x%'").is_ok());
         assert!(parse("SELECT * FROM t WHERE a IS NOT NULL").is_ok());
         assert!(parse("SELECT * FROM t WHERE a NOT BETWEEN 1 AND 2").is_ok());

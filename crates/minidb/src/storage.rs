@@ -317,17 +317,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drops a table.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchTable`] when absent.
-    pub fn drop_table(&mut self, name: &str) -> DbResult<Table> {
-        self.tables
-            .remove(Self::key(name).as_ref())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
     /// Immutable access to a table.
     ///
     /// # Errors

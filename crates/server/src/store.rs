@@ -18,7 +18,7 @@ use drivolution_core::{
     DriverVersion, DrvError, DrvResult, ExpirationPolicy, PermissionRule, RenewPolicy,
     TransferMethod,
 };
-use minidb::{MiniDb, Params, QueryResult, RowSet, Value};
+use minidb::{Bind, MiniDb, Named, Params, QueryResult, RowSet, Value};
 
 /// The table Sample code 1 reads.
 const DRIVERS: &str = "information_schema.drivers";
@@ -82,6 +82,19 @@ pub trait SqlExec: Send + Sync {
     /// [`DrvError::Internal`] wrapping the underlying failure.
     fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult>;
 
+    /// Runs one statement whose placeholders bind to `values` by name:
+    /// [`exec`](Self::exec) with the same pairs in a [`Params`] map,
+    /// which this default builds. An executor that binds them in place
+    /// overrides it.
+    ///
+    /// # Errors
+    ///
+    /// As [`exec`](Self::exec).
+    fn exec_named(&self, sql: &str, values: &[(&str, Value)]) -> DrvResult<QueryResult> {
+        let params = values.iter().map(|(n, v)| (n.to_string(), v.clone()));
+        self.exec(sql, &params.collect())
+    }
+
     /// `table`'s write stamp ([`MiniDb::table_stamp`]) and the engine's
     /// `now()` in ms, when this executor can see them. While the stamps of
     /// the tables a statement reads hold, it answers as it did at the same
@@ -108,14 +121,24 @@ impl EmbeddedExec {
     pub fn new(db: Arc<MiniDb>) -> Self {
         EmbeddedExec { db }
     }
-}
 
-impl SqlExec for EmbeddedExec {
-    fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult> {
+    /// One statement in a fresh admin session (one that allocates
+    /// nothing).
+    fn run(&self, sql: &str, params: &dyn Bind) -> DrvResult<QueryResult> {
         let mut session = self.db.admin_session();
         self.db
             .execute(&mut session, sql, params)
             .map_err(|e| DrvError::Internal(format!("store: {e}")))
+    }
+}
+
+impl SqlExec for EmbeddedExec {
+    fn exec(&self, sql: &str, params: &Params) -> DrvResult<QueryResult> {
+        self.run(sql, params)
+    }
+
+    fn exec_named(&self, sql: &str, values: &[(&str, Value)]) -> DrvResult<QueryResult> {
+        self.run(sql, &Named(values))
     }
 
     fn stamp(&self, table: &str) -> Option<(u64, i64)> {
@@ -647,16 +670,16 @@ impl DriverStore {
         granted_at_ms: i64,
         lease_ms: i64,
     ) -> DrvResult<()> {
-        let mut p = Params::new();
-        p.insert("user".into(), Value::str(who.user.clone()));
-        p.insert("ip".into(), Value::str(who.client_ip.clone()));
-        p.insert("db".into(), Value::str(who.database.clone()));
-        p.insert("id".into(), Value::Integer(driver.0));
-        p.insert("at".into(), Value::Timestamp(granted_at_ms));
-        p.insert("ms".into(), Value::BigInt(lease_ms));
-        self.exec.exec(
+        self.exec.exec_named(
             "INSERT INTO information_schema.leases VALUES ($user, $ip, $db, $id, $at, $ms)",
-            &p,
+            &[
+                ("user", Value::str(who.user.as_str())),
+                ("ip", Value::str(who.client_ip.as_str())),
+                ("db", Value::str(who.database.as_str())),
+                ("id", Value::Integer(driver.0)),
+                ("at", Value::Timestamp(granted_at_ms)),
+                ("ms", Value::BigInt(lease_ms)),
+            ],
         )?;
         Ok(())
     }

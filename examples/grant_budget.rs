@@ -7,8 +7,11 @@
 //! parts each timed alone over every entry: decode, reply encode, and the
 //! grant path's statements and seat. The statements are timed as if asked
 //! per entry, which the server no longer does: its grant memo answers
-//! Sample code 1 and Sample code 2 until their tables change. Fastest of
-//! N, µs per entry. Prints; gates nothing (wall-clock on a shared box).
+//! Sample code 1 and Sample code 2 until their tables change. Last, one
+//! `RenewalAggregator::tick` over the same batched fleet with every lease
+//! due, split into the asks, the frame, the server and the apply, and a
+//! tick with nothing due. Fastest of N, µs per entry. Prints; gates
+//! nothing (wall-clock on a shared box).
 //!
 //! Run with: `cargo run --release --example grant_budget [-- <clients> <reps>]`
 
@@ -22,6 +25,7 @@ use drivolution::fleet::{FleetSim, SimSpec, DEFAULT_POLL_EVERY};
 use drivolution::netsim::Service;
 use drivolution::prelude::{
     Addr, DriverId, DriverVersion, DrivolutionServer, LifecyclePolicy, RolloutConfig, RolloutPlan,
+    DRIVOLUTION_PORT,
 };
 
 const LEASE_MS: u64 = 10 * 60 * 1000;
@@ -236,6 +240,81 @@ fn storm_renewals(clients: usize, reps: usize) {
     );
 }
 
+/// One `RenewalAggregator::tick` of a `delta_rollout`-shaped fleet (v1
+/// only: every due client renews the driver it runs), whole and in the
+/// stages it runs: ask each due client for its entry, encode the
+/// `RENEW_BATCH` and decode the `OFFER_BATCH`, the server's
+/// `Service::call`, apply each reply; then a tick with nothing due, per
+/// client.
+fn aggregator_tick(clients: usize, reps: usize) {
+    let sim = FleetSim::build_rollout_batched(clients, LEASE_MS, PADDING);
+    sim.bootstrap_all();
+    let agg = sim.aggregators().first().expect("a batched fleet has one");
+    let clock = sim.net().clock();
+    let tick = fastest(reps, || {
+        clock.advance_ms(LEASE_MS);
+        agg.tick()
+    });
+
+    clock.advance_ms(LEASE_MS);
+    let asks = || {
+        sim.clients()
+            .iter()
+            .filter_map(|c| c.batch_renewal_entry())
+            .collect::<Vec<_>>()
+    };
+    let batch = DrvMsg::RenewBatch { entries: asks() };
+    let frame = batch.encode();
+    let srv = sim.server();
+    let aggregator = Addr::new("agg-default", 1);
+    let reply = srv
+        .call(&aggregator, frame.clone())
+        .expect("the server answers");
+    let Ok(DrvMsg::OfferBatch { replies }) = DrvMsg::decode(reply.clone()) else {
+        panic!("expected an OFFER_BATCH");
+    };
+    let n = replies.len();
+    let drv = Addr::new("db1", DRIVOLUTION_PORT);
+    let mut reply_sets: Vec<_> = (0..reps).map(|_| replies.clone()).collect();
+    let stages = [
+        ("RenewalAggregator::tick", tick),
+        ("  asks", fastest(reps, asks)),
+        (
+            "  frame (encode + decode)",
+            fastest(reps, || {
+                black_box(batch.encode());
+                DrvMsg::decode(reply.clone()).expect("decodes")
+            }),
+        ),
+        (
+            "  server (Service::call)",
+            fastest(reps, || {
+                srv.call(&aggregator, frame.clone()).expect("answers")
+            }),
+        ),
+        (
+            "  apply",
+            fastest(reps, || {
+                let set = reply_sets.pop().unwrap_or_default();
+                for (client, reply) in sim.clients().iter().zip(set) {
+                    black_box(client.apply_batch_offer(&drv, reply));
+                }
+            }),
+        ),
+    ];
+    print(
+        &format!("one RenewalAggregator::tick of {n} due renewals ({clients} clients, v1 only)"),
+        n,
+        reps,
+        &stages,
+    );
+    let idle = fastest(reps, || agg.tick());
+    println!(
+        "a tick with nothing due: {:.1} ns per client",
+        idle * 1e3 / clients as f64
+    );
+}
+
 fn main() {
     let mut args = std::env::args().skip(1).map(|a| a.parse::<usize>());
     let clients = args.next().and_then(Result::ok).unwrap_or(2000).max(10);
@@ -243,4 +322,6 @@ fn main() {
     rollout_batch(clients, reps);
     println!();
     storm_renewals(clients, reps);
+    println!();
+    aggregator_tick(clients, reps);
 }

@@ -12,8 +12,9 @@
 # is the seed development runs on; every other pair is a seed the change
 # was not tuned against. Prints, per end-to-end metric of BENCHMARK.json
 # (and run.failed_share), both medians, both interquartile ranges and the
-# pairs the change won, and exits 1 if a median is worse than the parent's
-# by more than the metric's bound or the change failed more operations.
+# pairs the change won, then each pair's change / parent ratio of
+# ops_per_s, and exits 1 if a median is worse than the parent's by more
+# than the metric's bound or the change failed more operations.
 # Not run in CI: two release builds, then two 30-second runs per pair.
 set -eu
 
@@ -108,6 +109,13 @@ awk -v workload="$workload" '
             printf "%-26s %14.6f %12.6f %14.6f %12.6f %3d/%-2d  %s\n", name, \
                 p["med"], p["iqr"], c["med"], c["iqr"], won, pairs, verdict
         }
+        printf "ops_per_s change / parent, pair (seed) 1..%d:", pairs
+        for (k = 1; k <= pairs; k++) {
+            parent = val[k, "parent", "ops_per_s"]
+            ratio = parent > 0 ? sprintf("%.3f", val[k, "change", "ops_per_s"] / parent) : "-"
+            printf " %s", ratio
+        }
+        printf "\n"
         exit failed
     }
 ' "$tmp/metrics" "$tmp/runs"
