@@ -5,13 +5,20 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use drivolution::cluster::proto::{ClusterFrame, CLUSTER_V2};
 use drivolution::core::chunk::{split_with, ChunkManifest, ChunkSet, ChunkingParams};
 use drivolution::core::pack::{pack_driver_padded, unpack_driver, Archive};
-use drivolution::core::proto::{DrvMsg, DrvNotice};
-use drivolution::core::{BinaryFormat, DriverImage, DriverVersion, Signature};
+use drivolution::core::proto::{
+    DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, RequestKind,
+};
+use drivolution::core::{
+    fnv1a64, ApiVersion, BinaryFormat, DriverId, DriverImage, DriverVersion, ExpirationPolicy,
+    RenewPolicy, Signature, SigningKey, TransferMethod,
+};
+use drivolution::minidb::exec::RowSet;
 use drivolution::minidb::sql::parse;
-use drivolution::minidb::wire::{ClientMsg, ServerMsg};
-use drivolution::minidb::MiniDb;
+use drivolution::minidb::wire::{ClientAuth, ClientMsg, ServerMsg};
+use drivolution::minidb::{MiniDb, Value};
 
 mod frames;
 
@@ -217,4 +224,163 @@ fn every_tag_byte_under_every_frame_body_is_an_error_or_reencodes() {
     // 40 shapes; each still decodes under its own first byte at least.
     assert_eq!(runs, 40 * 256);
     assert!(decoded >= 40, "{decoded} of {runs}");
+}
+
+/// Frames whose optional fields `tests/frames` leaves unset: a `REQ` with
+/// every field present, an `OFFER` with a signature and no digest, the
+/// other two credentials, a row of every value kind, and a cluster frame.
+fn frames_with_every_field() -> Vec<(&'static str, Bytes)> {
+    let full = DrvRequest {
+        kind: RequestKind::Extension {
+            base: DriverId(-3),
+            name: "gis".into(),
+        },
+        password: Some("pw".into()),
+        api_version: Some(ApiVersion::exact(1, 0)),
+        preferred_format: Some(BinaryFormat::Dzip),
+        preferred_version: Some(DriverVersion::new(2, 1, 0)),
+        transfer_method: TransferMethod::Any,
+        options: vec![
+            ("locale".into(), "fr_FR".into()),
+            ("gis".into(), "true".into()),
+        ],
+        have: Some(HaveSummary {
+            images: vec![5, 6],
+            params: ChunkingParams::cdc_normalized(64, 256, 1024, 2),
+            base: Some(6),
+        }),
+        zone: Some("west".into()),
+        ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
+    };
+    let signed = DrvOffer {
+        driver_id: DriverId(9),
+        driver_version: None,
+        same_driver: true,
+        lease_ms: 1,
+        renew_policy: RenewPolicy::Revoke,
+        expiration_policy: ExpirationPolicy::Immediate,
+        format: BinaryFormat::Dzip,
+        location: String::new(),
+        size: 0,
+        transfer_method: TransferMethod::Checksum,
+        options: Vec::new(),
+        signature: Some(SigningKey::from_seed(1).sign(b"bytes")),
+        content_digest: None,
+        chunked: None,
+    };
+    let hello = |auth| ClientMsg::Hello {
+        proto: 3,
+        database: "db".into(),
+        user: "bob".into(),
+        auth,
+    };
+    let row = vec![
+        Value::Null,
+        Value::Integer(-1),
+        Value::BigInt(1 << 40),
+        Value::str("x"),
+        Value::Blob(vec![1, 2, 3].into()),
+        Value::Timestamp(1_000),
+        Value::Boolean(false),
+    ];
+    let columns = (0..row.len()).map(|i| format!("c{i}")).collect();
+    vec![
+        ("REQ, every field", DrvMsg::Request(full).encode()),
+        ("OFFER, signed", DrvMsg::Offer(signed).encode()),
+        (
+            "ERROR, internal",
+            DrvMsg::Error {
+                code: DrvErrCode::Internal,
+                message: "boom".into(),
+            }
+            .encode(),
+        ),
+        ("Hello, challenge", hello(ClientAuth::Challenge).encode()),
+        ("Hello, token", hello(ClientAuth::Token(42)).encode()),
+        (
+            "Rows, every value",
+            ServerMsg::Rows(RowSet {
+                columns,
+                rows: vec![row],
+            })
+            .encode(),
+        ),
+        (
+            "ClusterFrame",
+            ClusterFrame::new(CLUSTER_V2, Bytes::from_static(b"inner-bytes")).encode(),
+        ),
+    ]
+}
+
+/// `fnv1a64` of every frame's encoding: each wire shape `tests/frames`
+/// builds, then the frames above. Recorded before frames were declared
+/// through `wire_frame!`; compared as one table, so a layout change
+/// prints every row that moved.
+const PINNED_FRAMES: [(&str, u64); 47] = [
+    ("DrvMsg tag 0", 0xc2c5_bcf9_8133_c332),
+    ("DrvMsg tag 1", 0xb1ca_377e_dce6_d81a),
+    ("DrvMsg tag 2", 0x8d69_0d5d_eb62_d118),
+    ("DrvMsg tag 3", 0x293f_c3a0_8c1d_7a86),
+    ("DrvMsg tag 4", 0x5920_e110_bf62_37c7),
+    ("DrvMsg tag 5", 0x0451_8f82_36dc_1a60),
+    ("DrvMsg tag 6", 0xbdc1_4014_d329_a1bb),
+    ("DrvMsg tag 7", 0xaf63_ba4c_8601_b2c6),
+    ("DrvMsg tag 8", 0xa12c_1d8e_13a8_206d),
+    ("DrvMsg tag 9", 0x3258_6fd4_49c1_2bef),
+    ("DrvMsg tag 10", 0x0559_412d_1ea6_92b2),
+    ("DrvMsg tag 11", 0x3355_c420_fbb7_ec41),
+    ("DrvMsg tag 12", 0x0840_1f07_b4f6_fade),
+    ("DrvMsg tag 13", 0x69b0_1b42_754b_48dd),
+    ("DrvMsg tag 14", 0xaf63_c34c_8601_c211),
+    ("DrvMsg tag 15", 0xb5cb_36ef_9185_d995),
+    ("DrvMsg tag 16", 0xca56_3179_3766_d057),
+    ("DrvMsg tag 17", 0xf351_3f29_1593_e81a),
+    (
+        "DriverAvailable { database: \"orders\" }",
+        0xe9ee_fd69_0b04_65a6,
+    ),
+    (
+        "DriverRevoked { database: \"orders\" }",
+        0x2bdf_0f84_e3c4_2faf,
+    ),
+    ("ClientMsg tag 0", 0x3231_1657_c3a3_2ace),
+    ("ClientMsg tag 1", 0x2153_7041_27d7_2ab3),
+    ("ClientMsg tag 2", 0xda7a_03a1_6686_74cd),
+    ("ClientMsg tag 3", 0xb03b_dad4_8bc5_2dd4),
+    ("ClientMsg tag 4", 0xd23d_6947_5f64_4c7e),
+    ("ClientMsg tag 5", 0xd238_2547_5f5e_3d1b),
+    ("ServerMsg tag 0", 0xca45_f147_5795_90f2),
+    ("ServerMsg tag 1", 0xd1c9_703d_8dd4_16b3),
+    ("ServerMsg tag 2", 0xdf9b_088f_67c4_6951),
+    ("ServerMsg tag 3", 0x3f3f_694b_8a1c_e6b1),
+    ("ServerMsg tag 4", 0xaf63_b94c_8601_b113),
+    ("ServerMsg tag 5", 0xaf63_b84c_8601_af60),
+    ("ServerMsg tag 6", 0x69ba_44ac_2074_39f0),
+    ("DriverImage", 0x62a3_855b_32b4_d029),
+    ("djar archive, as sent", 0x5353_a46a_be31_ee70),
+    ("djar archive, resealed", 0x5353_a46a_be31_ee70),
+    ("dzip archive, as sent", 0x2de6_c3d9_1596_a007),
+    ("dzip archive, resealed", 0x2de6_c3d9_1596_a007),
+    ("ChunkManifest", 0xd0cf_6dcd_731a_748a),
+    ("ChunkSet", 0xd6da_bdf9_7d77_e34a),
+    ("REQ, every field", 0x98bf_5401_bfc3_16ae),
+    ("OFFER, signed", 0xbc43_ff03_25ab_5b12),
+    ("ERROR, internal", 0x53eb_2d30_5cd5_ca6e),
+    ("Hello, challenge", 0xf580_c3b7_0aaa_f0aa),
+    ("Hello, token", 0x1062_75c1_6d1b_82fb),
+    ("Rows, every value", 0x2203_3114_a061_cbfa),
+    ("ClusterFrame", 0xce3b_7d1f_a3cf_ed3c),
+];
+
+#[test]
+fn every_frame_encodes_to_its_pinned_bytes() {
+    let named = frames::subjects().into_iter().map(|s| (s.name, s.frame));
+    let more = frames_with_every_field().into_iter();
+    let row = |name: &str, digest: u64| format!("({name:?}, {digest:#018x})");
+    let computed: Vec<String> = named
+        .chain(more.map(|(name, frame)| (name.to_string(), frame)))
+        .map(|(name, frame)| row(&name, fnv1a64(&frame)))
+        .collect();
+    let pinned: Vec<String> = PINNED_FRAMES.map(|(name, d)| row(name, d)).into();
+    assert_eq!(computed, pinned);
 }
