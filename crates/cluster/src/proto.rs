@@ -6,22 +6,24 @@
 //! protocol versions will work together. Drivers are backward compatible
 //! with older controllers." (§5.3.1)
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use netsim::codec::{get_bytes, get_u16, CodecError};
+use netsim::codec::{encode, wire_frame, CodecError, Wire};
 
 /// First cluster protocol version.
 pub const CLUSTER_V1: u16 = 1;
 /// Second cluster protocol version (what upgraded drivers speak).
 pub const CLUSTER_V2: u16 = 2;
 
-/// A version-prefixed frame wrapping a database-protocol message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClusterFrame {
-    /// Cluster protocol version the driver speaks.
-    pub version: u16,
-    /// Encoded inner message (`minidb::wire::ClientMsg`).
-    pub inner: Bytes,
+wire_frame! {
+    /// A version-prefixed frame wrapping a database-protocol message.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ClusterFrame {
+        /// Cluster protocol version the driver speaks.
+        pub version: u16,
+        /// Encoded inner message (`minidb::wire::ClientMsg`).
+        pub inner: Bytes,
+    }
 }
 
 impl ClusterFrame {
@@ -32,10 +34,7 @@ impl ClusterFrame {
 
     /// Serializes the frame.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.inner.len() + 6);
-        b.put_u16_le(self.version);
-        netsim::codec::put_bytes(&mut b, &self.inner);
-        b.freeze()
+        encode(self, self.inner.len() + 6)
     }
 
     /// Deserializes a frame.
@@ -44,9 +43,7 @@ impl ClusterFrame {
     ///
     /// [`CodecError`] on truncation.
     pub fn decode(mut buf: Bytes) -> Result<Self, CodecError> {
-        let version = get_u16(&mut buf, "cluster version")?;
-        let inner = get_bytes(&mut buf, "cluster inner")?;
-        Ok(ClusterFrame { version, inner })
+        Self::get(&mut buf, "cluster frame")
     }
 }
 

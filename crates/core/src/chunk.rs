@@ -70,7 +70,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_bytes, get_items, get_u32, get_u64, get_u64s, get_u8, put_u64s};
+use netsim::codec::{get_bytes, get_items, wire_frame, Capped, CodecError, Wire, WireAs};
 
 use crate::digest::{fnv1a64, Digested};
 use crate::error::{DrvError, DrvResult};
@@ -277,15 +277,15 @@ impl ChunkingParams {
     /// [`DrvError::Codec`] on truncation, an unknown kind byte, or
     /// structurally invalid bounds.
     pub fn decode(buf: &mut Bytes) -> DrvResult<Self> {
-        let params = match get_u8(buf, "chunking kind")? {
+        let params = match u8::get(buf, "chunking kind")? {
             PARAMS_FIXED => ChunkingParams::Fixed {
-                size: get_u32(buf, "fixed chunk size")?,
+                size: u32::get(buf, "fixed chunk size")?,
             },
             PARAMS_CDC => ChunkingParams::Cdc {
-                min: get_u32(buf, "cdc min")?,
-                avg: get_u32(buf, "cdc avg")?,
-                max: get_u32(buf, "cdc max")?,
-                norm: get_u8(buf, "cdc norm level")?,
+                min: u32::get(buf, "cdc min")?,
+                avg: u32::get(buf, "cdc avg")?,
+                max: u32::get(buf, "cdc max")?,
+                norm: u8::get(buf, "cdc norm level")?,
             },
             k => return Err(DrvError::Codec(format!("unknown chunking kind {k}"))),
         };
@@ -506,18 +506,21 @@ pub fn split_with(bytes: &Bytes, params: &ChunkingParams) -> Vec<Bytes> {
 /// may name one chunk many times, so the parts alone bound nothing.
 pub const MAX_IMAGE_BYTES: u64 = 64 << 20;
 
-/// Ordered chunk-digest description of one driver image.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkManifest {
-    /// Digest of the complete image bytes.
-    pub content_digest: u64,
-    /// Image size in bytes.
-    pub total_size: u64,
-    /// Chunking strategy that produced the boundaries; re-deriving cut
-    /// points from `(bytes, params)` reproduces the chunk list exactly.
-    pub params: ChunkingParams,
-    /// Per-chunk digests, in image order.
-    pub chunks: Vec<u64>,
+wire_frame! {
+    /// Ordered chunk-digest description of one driver image (`MANIFEST`,
+    /// `DESIGN.md` §2).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ChunkManifest {
+        /// Digest of the complete image bytes.
+        pub content_digest: u64,
+        /// Image size in bytes.
+        pub total_size: u64 as ImageSize,
+        /// Chunking strategy that produced the boundaries; re-deriving cut
+        /// points from `(bytes, params)` reproduces the chunk list exactly.
+        pub params: ChunkingParams,
+        /// Per-chunk digests, in image order.
+        pub chunks: Vec<u64> as Capped<u32>,
+    }
 }
 
 impl ChunkManifest {
@@ -643,11 +646,7 @@ impl ChunkManifest {
 
     /// Serializes the manifest into `b`.
     pub fn encode_into(&self, b: &mut BytesMut) {
-        b.put_u64_le(self.content_digest);
-        b.put_u64_le(self.total_size);
-        self.params.encode_into(b);
-        b.put_u32_le(self.chunks.len() as u32);
-        put_u64s(b, &self.chunks);
+        self.put(b);
     }
 
     /// Deserializes a manifest.
@@ -659,29 +658,44 @@ impl ChunkManifest {
     /// cannot hold, rejected before any allocation, see
     /// [`netsim::codec::get_items`]).
     pub fn decode(buf: &mut Bytes) -> DrvResult<Self> {
-        let content_digest = get_u64(buf, "manifest digest")?;
-        let total_size = get_image_size(buf, "manifest size")?;
-        let params = ChunkingParams::decode(buf)?;
-        let count = get_u32(buf, "manifest chunk count")?;
-        let chunks = get_u64s(buf, "manifest chunk digests", count)?;
-        Ok(ChunkManifest {
-            content_digest,
-            total_size,
-            params,
-            chunks,
-        })
+        Ok(Self::get(buf, "manifest")?)
     }
 }
 
-/// An image size off the wire, refused past [`MAX_IMAGE_BYTES`].
-pub(crate) fn get_image_size(buf: &mut Bytes, what: &str) -> DrvResult<u64> {
-    let size = get_u64(buf, what)?;
-    if size > MAX_IMAGE_BYTES {
-        return Err(DrvError::Codec(format!(
-            "{what} {size} beyond the {MAX_IMAGE_BYTES}-byte cap"
-        )));
+/// The layout of a `u64` image size (`size: u64 as ImageSize`), refused
+/// past [`MAX_IMAGE_BYTES`].
+#[derive(Debug)]
+pub(crate) struct ImageSize;
+
+impl WireAs<u64> for ImageSize {
+    const MIN_BYTES: usize = 8;
+
+    fn put(size: &u64, buf: &mut BytesMut) {
+        size.put(buf);
     }
-    Ok(size)
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<u64, CodecError> {
+        let size = u64::get(buf, what)?;
+        if size > MAX_IMAGE_BYTES {
+            return Err(CodecError::new(format!(
+                "{what} {size} beyond the {MAX_IMAGE_BYTES}-byte cap"
+            )));
+        }
+        Ok(size)
+    }
+}
+
+/// `PARAMS` (`DESIGN.md` §2).
+impl Wire for ChunkingParams {
+    const MIN_BYTES: usize = 5;
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.encode_into(buf);
+    }
+
+    fn get(buf: &mut Bytes, _: &str) -> Result<Self, CodecError> {
+        Ok(Self::decode(buf)?)
+    }
 }
 
 /// A digest-keyed bundle of chunk payloads — the body of a
@@ -716,10 +730,10 @@ impl ChunkSet {
     /// [`DrvError::Codec`] on malformed frames, [`DrvError::BadPackage`]
     /// on digest mismatches.
     pub fn decode(mut buf: Bytes) -> DrvResult<Self> {
-        let count = get_u32(&mut buf, "chunk set count")?;
+        let count = u32::get(&mut buf, "chunk set count")?;
         // An entry is at least a digest (8) and a length prefix (4).
         let chunks = get_items(&mut buf, "chunk set", count, 12, |buf| {
-            let digest = get_u64(buf, "chunk digest")?;
+            let digest = u64::get(buf, "chunk digest")?;
             let bytes = get_bytes(buf, "chunk payload")?;
             if fnv1a64(&bytes) != digest {
                 return Err(DrvError::BadPackage(

@@ -64,6 +64,14 @@ impl From<netsim::codec::CodecError> for DrvError {
     }
 }
 
+/// A field that parses or validates as it decodes (a version, a format,
+/// chunking params) fails its frame with its own message.
+impl From<DrvError> for netsim::codec::CodecError {
+    fn from(e: DrvError) -> Self {
+        netsim::codec::CodecError::new(e.to_string())
+    }
+}
+
 impl From<netsim::NetError> for DrvError {
     fn from(e: netsim::NetError) -> Self {
         DrvError::Net(e.to_string())

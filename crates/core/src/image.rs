@@ -15,9 +15,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{
-    get_code, get_items, get_opt_str, get_str, get_u16, get_u8, put_opt_str, put_str, wire_enum,
-};
+use netsim::codec::{get_items, get_str, put_str, wire_enum, Wire};
 
 use crate::descriptor::ApiName;
 use crate::digest::fnv1a64;
@@ -81,7 +79,7 @@ impl Extension {
     }
 
     fn decode(buf: &mut Bytes) -> DrvResult<Self> {
-        match get_u8(buf, "extension tag")? {
+        match u8::get(buf, "extension tag")? {
             0 => Ok(Extension::Gis),
             1 => Ok(Extension::Nls {
                 locale: get_str(buf, "locale")?,
@@ -200,7 +198,7 @@ impl DriverImage {
             put_str(&mut b, k);
             put_str(&mut b, v);
         }
-        put_opt_str(&mut b, self.preconfigured_target.as_deref());
+        self.preconfigured_target.put(&mut b);
         b.freeze()
     }
 
@@ -215,19 +213,19 @@ impl DriverImage {
         let version: DriverVersion = get_str(&mut buf, "version")?.parse()?;
         let api_name: ApiName = get_str(&mut buf, "api name")?.parse()?;
         let api_version: ApiVersion = get_str(&mut buf, "api version")?.parse()?;
-        let flavor = get_code(&mut buf, "driver flavor", DriverFlavor::from_code)?;
-        let db_protocol = get_u16(&mut buf, "db protocol")?;
-        let n_auth = get_u8(&mut buf, "auth count")?;
+        let flavor = DriverFlavor::get(&mut buf, "driver flavor")?;
+        let db_protocol = u16::get(&mut buf, "db protocol")?;
+        let n_auth = u8::get(&mut buf, "auth count")?;
         let auth_kinds = get_items(&mut buf, "auth kinds", n_auth.into(), 1, |buf| {
-            get_code(buf, "auth kind", AuthKind::from_code)
+            AuthKind::get(buf, "auth kind")
         })?;
-        let n_ext = get_u8(&mut buf, "extension count")?;
+        let n_ext = u8::get(&mut buf, "extension count")?;
         let extensions = get_items(&mut buf, "extensions", n_ext.into(), 1, Extension::decode)?;
-        let n_opt = get_u16(&mut buf, "option count")?;
+        let n_opt = u16::get(&mut buf, "option count")?;
         let default_options = get_items(&mut buf, "default options", n_opt.into(), 8, |buf| {
             Ok::<_, DrvError>((get_str(buf, "option key")?, get_str(buf, "option value")?))
         })?;
-        let preconfigured_target = get_opt_str(&mut buf, "target")?;
+        let preconfigured_target = Option::get(&mut buf, "target")?;
         Ok(DriverImage {
             name,
             vendor,

@@ -11,7 +11,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_bytes, get_items, get_str, get_u16, get_u64, get_u8, put_bytes, put_str};
+use netsim::codec::{get_bytes, get_items, get_str, put_bytes, put_str, Wire};
 
 use crate::digest::{fnv1a64, fnv1a64_parts};
 use crate::error::DrvResult;
@@ -49,7 +49,7 @@ pub(super) fn decode(bytes: Bytes) -> DrvResult<Vec<(String, Bytes)>> {
     let seal_at = bytes.len() - 8;
     let body = bytes.slice(0..seal_at);
     let mut seal_bytes = bytes.slice(seal_at..);
-    let seal = get_u64(&mut seal_bytes, "djar seal")?;
+    let seal = u64::get(&mut seal_bytes, "djar seal")?;
     if fnv1a64(&body) != seal {
         return Err(corrupt("djar: seal mismatch"));
     }
@@ -58,16 +58,16 @@ pub(super) fn decode(bytes: Bytes) -> DrvResult<Vec<(String, Bytes)>> {
     if magic.split_to(MAGIC.len()).as_ref() != MAGIC {
         return Err(corrupt("djar: bad magic"));
     }
-    let ver = get_u8(&mut buf, "djar version")?;
+    let ver = u8::get(&mut buf, "djar version")?;
     if ver != VERSION {
         return Err(corrupt(format!("djar: unsupported version {ver}")));
     }
-    let count = get_u16(&mut buf, "djar entry count")?;
+    let count = u16::get(&mut buf, "djar entry count")?;
     // An entry is at least two length prefixes and a digest.
     let entries = get_items(&mut buf, "djar entries", count.into(), 16, |buf| {
         let name = get_str(buf, "djar entry name")?;
         let data = get_bytes(buf, "djar entry data")?;
-        let digest = get_u64(buf, "djar entry digest")?;
+        let digest = u64::get(buf, "djar entry digest")?;
         if entry_digest(&name, &data) != digest {
             return Err(corrupt(format!("djar: digest mismatch for entry {name:?}")));
         }

@@ -11,7 +11,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_items, get_str, get_u16, get_u32, get_u64, get_u8};
+use netsim::codec::{get_items, get_str, Wire};
 
 use crate::digest::fnv1a64;
 use crate::error::DrvResult;
@@ -58,7 +58,7 @@ pub(super) fn decode(bytes: Bytes) -> DrvResult<Vec<(String, Bytes)>> {
     }
     let seal_at = bytes.len() - END_MAGIC.len() - 8;
     let mut seal_bytes = bytes.slice(seal_at..seal_at + 8);
-    let seal = get_u64(&mut seal_bytes, "dzip seal")?;
+    let seal = u64::get(&mut seal_bytes, "dzip seal")?;
     if fnv1a64(&bytes[..seal_at]) != seal {
         return Err(corrupt("dzip: seal mismatch"));
     }
@@ -66,24 +66,24 @@ pub(super) fn decode(bytes: Bytes) -> DrvResult<Vec<(String, Bytes)>> {
         return Err(corrupt("dzip: bad magic"));
     }
     let mut header = bytes.slice(MAGIC.len()..MAGIC.len() + 1);
-    let ver = get_u8(&mut header, "dzip version")?;
+    let ver = u8::get(&mut header, "dzip version")?;
     if ver != VERSION {
         return Err(corrupt(format!("dzip: unsupported version {ver}")));
     }
     let diroff_at = seal_at - 4;
     let mut diroff_bytes = bytes.slice(diroff_at..diroff_at + 4);
-    let dir_offset = get_u32(&mut diroff_bytes, "dzip dir offset")? as usize;
+    let dir_offset = u32::get(&mut diroff_bytes, "dzip dir offset")? as usize;
     if dir_offset < MAGIC.len() + 1 || dir_offset > diroff_at {
         return Err(corrupt("dzip: directory offset out of range"));
     }
     let mut dir = bytes.slice(dir_offset..diroff_at);
-    let count = get_u16(&mut dir, "dzip entry count")?;
+    let count = u16::get(&mut dir, "dzip entry count")?;
     // A directory entry is at least a name prefix, offset, length, digest.
     let entries = get_items(&mut dir, "dzip directory", count.into(), 20, |dir| {
         let name = get_str(dir, "dzip entry name")?;
-        let off = get_u32(dir, "dzip entry offset")? as usize;
-        let len = get_u32(dir, "dzip entry len")? as usize;
-        let digest = get_u64(dir, "dzip entry digest")?;
+        let off = u32::get(dir, "dzip entry offset")? as usize;
+        let len = u32::get(dir, "dzip entry len")? as usize;
+        let digest = u64::get(dir, "dzip entry digest")?;
         let end = off
             .checked_add(len)
             .ok_or_else(|| corrupt("dzip: entry range overflow"))?;

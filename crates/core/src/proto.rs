@@ -16,16 +16,16 @@
 //! (§3.2) use [`DrvNotice`].
 //!
 //! Every frame has exactly one encoding and every field is mandatory;
-//! the byte layout of all 18 tags is the table in `DESIGN.md` §2.
+//! each is declared once through [`wire_frame!`], and the byte layout of
+//! all 18 tags is the table in `DESIGN.md` §2.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    get_bytes, get_code, get_i64, get_items, get_opt, get_opt_str, get_str, get_u16, get_u32,
-    get_u64, get_u64s, get_u8, put_bytes, put_opt_str, put_str, put_u64s, wire_enum, CodecError,
+    encode, get_bytes, put_display, wire_enum, wire_frame, Capped, CodecError, Wire, WireAs,
 };
 
-use crate::chunk::{get_image_size, ChunkManifest, ChunkingParams};
+use crate::chunk::{ChunkManifest, ChunkingParams, ImageSize};
 use crate::descriptor::{BinaryFormat, DriverId};
 use crate::error::{DrvError, DrvResult};
 use crate::policy::{ExpirationPolicy, RenewPolicy, TransferMethod};
@@ -36,24 +36,66 @@ use crate::version::{ApiVersion, DriverVersion};
 /// Conventional port Drivolution servers listen on (like DHCP's 67).
 pub const DRIVOLUTION_PORT: u16 = 1070;
 
-/// Why the client is asking for a driver.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RequestKind {
-    /// First download (cold bootstrap).
-    Bootstrap,
-    /// Lease renewal for a driver the client already runs.
-    Renewal {
-        /// The currently loaded driver.
-        current: DriverId,
-    },
-    /// Lazy fetch of an extension package for a loaded driver
-    /// (paper §5.4.1, the `ClassNotFoundException` path).
-    Extension {
-        /// The loaded base driver.
-        base: DriverId,
-        /// Stable extension name (e.g. `gis`, `nls-fr_FR`).
-        name: String,
-    },
+/// Driver ids travel as their `i64`.
+impl Wire for DriverId {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+    }
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+        i64::get(buf, what).map(DriverId)
+    }
+}
+
+/// `ver` and the format name (`DESIGN.md` §2): the display form as a
+/// `str`, parsed back on decode.
+macro_rules! wire_display {
+    ($($ty:ty = $parse:path;)+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 4;
+
+            fn put(&self, buf: &mut BytesMut) {
+                put_display(buf, self);
+            }
+
+            fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+                let b = get_bytes(buf, what)?;
+                let s = std::str::from_utf8(&b)
+                    .map_err(|_| CodecError::new(format!("{what}: invalid utf-8")))?;
+                Ok($parse(s)?)
+            }
+        }
+    )+};
+}
+
+wire_display! {
+    ApiVersion = str::parse;
+    DriverVersion = str::parse;
+    BinaryFormat = BinaryFormat::parse;
+}
+
+wire_frame! {
+    /// Why the client is asking for a driver.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum RequestKind: KindTag(u8) {
+        /// First download (cold bootstrap).
+        Bootstrap = 0,
+        /// Lease renewal for a driver the client already runs.
+        Renewal {
+            /// The currently loaded driver.
+            current: DriverId,
+        } = 1,
+        /// Lazy fetch of an extension package for a loaded driver
+        /// (paper §5.4.1, the `ClassNotFoundException` path).
+        Extension {
+            /// The loaded base driver.
+            base: DriverId,
+            /// Stable extension name (e.g. `gis`, `nls-fr_FR`).
+            name: String,
+        } = 2,
+    }
 }
 
 /// `HAVE` summary attached to requests by depot-equipped bootloaders: a
@@ -76,35 +118,28 @@ pub struct HaveSummary {
     pub base: Option<u64>,
 }
 
-impl HaveSummary {
-    fn encode_into(&self, b: &mut BytesMut) {
-        let images = self.images.get(..MAX_HAVE_IMAGES).unwrap_or(&self.images);
-        b.put_u16_le(u16::try_from(images.len()).unwrap_or(u16::MAX));
-        put_u64s(b, images);
-        self.params.encode_into(b);
+type HaveImages = Capped<u16, MAX_HAVE_IMAGES>;
+
+/// `HAVE`: the images, `PARAMS`, then the base, which must be among the
+/// images.
+impl Wire for HaveSummary {
+    const MIN_BYTES: usize = 2 + ChunkingParams::MIN_BYTES + 1;
+
+    fn put(&self, buf: &mut BytesMut) {
+        HaveImages::put(&self.images, buf);
+        self.params.put(buf);
         // A base the cap cut off would make the frame undecodable; the
         // request then just carries no base.
-        match self.base.filter(|d| images.contains(d)) {
-            Some(d) => {
-                b.put_u8(1);
-                b.put_u64_le(d);
-            }
-            None => b.put_u8(0),
-        }
+        let sent = self.images.get(..MAX_HAVE_IMAGES).unwrap_or(&self.images);
+        self.base.filter(|d| sent.contains(d)).put(buf);
     }
 
-    fn decode(buf: &mut Bytes) -> DrvResult<Self> {
-        let n_images = get_u16(buf, "have image count")?;
-        if usize::from(n_images) > MAX_HAVE_IMAGES {
-            return Err(DrvError::Codec(format!(
-                "have image count {n_images} exceeds the cap"
-            )));
-        }
-        let images = get_u64s(buf, "have image digests", n_images.into())?;
-        let params = ChunkingParams::decode(buf)?;
-        let base = get_opt(buf, "have base presence", |buf| get_u64(buf, "have base"))?;
+    fn get(buf: &mut Bytes, _: &str) -> Result<Self, CodecError> {
+        let images = HaveImages::get(buf, "HaveSummary.images")?;
+        let params = ChunkingParams::get(buf, "HaveSummary.params")?;
+        let base = Option::get(buf, "HaveSummary.base")?;
         if base.is_some_and(|d| !images.contains(&d)) {
-            return Err(DrvError::Codec("have base is not among its images".into()));
+            return Err(CodecError::new("have base is not among its images"));
         }
         Ok(HaveSummary {
             images,
@@ -114,17 +149,19 @@ impl HaveSummary {
     }
 }
 
-/// One ranked mirror replica in a [`ChunkPlan`]: where it is, which zone
-/// it serves from, and the server's current health estimate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MirrorCandidate {
-    /// `host:port` of the replica serving `CHUNK_REQUEST`s.
-    pub location: String,
-    /// Zone the mirror announced itself in, if any.
-    pub zone: Option<String>,
-    /// Health hint: `false` when the mirror's heartbeat is overdue but
-    /// it has not yet been quarantined — try it last.
-    pub healthy: bool,
+wire_frame! {
+    /// One ranked mirror replica in a [`ChunkPlan`]: where it is, which zone
+    /// it serves from, and the server's current health estimate.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct MirrorCandidate {
+        /// `host:port` of the replica serving `CHUNK_REQUEST`s.
+        pub location: String,
+        /// Zone the mirror announced itself in, if any.
+        pub zone: Option<String>,
+        /// Health hint: `false` when the mirror's heartbeat is overdue but
+        /// it has not yet been quarantined — try it last.
+        pub healthy: bool,
+    }
 }
 
 /// Cap on chunk digests one `MIRROR_HEARTBEAT` advertises. Coverage is a
@@ -140,92 +177,60 @@ pub const MAX_HEARTBEAT_COVERAGE: usize = 4096;
 /// rest: an image it does not name costs a delta or a download, never
 /// a wrong answer. Decoders reject a summary claiming more.
 pub const MAX_HAVE_IMAGES: usize = 4096;
-const _: () = assert!(MAX_HAVE_IMAGES <= u16::MAX as usize, "the count is a u16");
 
-/// Chunked-delta delivery plan carried by a `DRIVOLUTION_OFFER`: the
-/// manifest of the offered image, the chunks the client must fetch, and
-/// a ranked list of mirror replicas to fetch them from (keeping bulk
-/// transfer off the matchmaking/lease path).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkPlan {
-    /// Manifest of the offered image.
-    pub manifest: ChunkManifest,
-    /// Chunk digests the client must fetch (the rest are already in its
-    /// depot per the request's `HAVE` summary).
-    pub missing: Vec<u64>,
-    /// Mirror replicas serving `CHUNK_REQUEST`s, best candidate first
-    /// (server-ranked by health, zone proximity, and load). Empty when
-    /// the primary is the only source.
-    pub mirrors: Vec<MirrorCandidate>,
-}
-
-impl ChunkPlan {
-    fn encode_into(&self, b: &mut BytesMut) {
-        self.manifest.encode_into(b);
-        b.put_u32_le(self.missing.len() as u32);
-        put_u64s(b, &self.missing);
-        b.put_u16_le(self.mirrors.len() as u16);
-        for m in &self.mirrors {
-            put_str(b, &m.location);
-            put_opt_str(b, m.zone.as_deref());
-            b.put_u8(u8::from(m.healthy));
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> DrvResult<Self> {
-        let manifest = ChunkManifest::decode(buf)?;
-        let n_missing = get_u32(buf, "plan missing count")?;
-        let missing = get_u64s(buf, "plan missing digests", n_missing)?;
-        let n = get_u16(buf, "plan mirror count")?;
-        // A candidate is at least a string length, a presence byte and a
-        // health byte.
-        let mirrors = get_items(buf, "plan mirrors", n.into(), 6, |buf| {
-            Ok::<_, DrvError>(MirrorCandidate {
-                location: get_str(buf, "mirror location")?,
-                zone: get_opt_str(buf, "mirror zone")?,
-                healthy: get_u8(buf, "mirror health")? != 0,
-            })
-        })?;
-        Ok(ChunkPlan {
-            manifest,
-            missing,
-            mirrors,
-        })
+wire_frame! {
+    /// Chunked-delta delivery plan carried by a `DRIVOLUTION_OFFER`: the
+    /// manifest of the offered image, the chunks the client must fetch, and
+    /// a ranked list of mirror replicas to fetch them from (keeping bulk
+    /// transfer off the matchmaking/lease path).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ChunkPlan {
+        /// Manifest of the offered image.
+        pub manifest: ChunkManifest,
+        /// Chunk digests the client must fetch (the rest are already in its
+        /// depot per the request's `HAVE` summary).
+        pub missing: Vec<u64> as Capped<u32>,
+        /// Mirror replicas serving `CHUNK_REQUEST`s, best candidate first
+        /// (server-ranked by health, zone proximity, and load). Empty when
+        /// the primary is the only source.
+        pub mirrors: Vec<MirrorCandidate> as Capped<u16>,
     }
 }
 
-/// `DRIVOLUTION_REQUEST` payload (§3.4.1).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DrvRequest {
-    /// Request kind (bootstrap / renewal / extension fetch).
-    pub kind: RequestKind,
-    /// Name of the database to be accessed.
-    pub database: String,
-    /// User name (optional credentials may accompany it).
-    pub user: String,
-    /// Optional password for servers that authenticate downloads.
-    pub password: Option<String>,
-    /// API name (e.g. `RDBC`, `JDBC`, `ODBC`).
-    pub api_name: String,
-    /// Optional API version.
-    pub api_version: Option<ApiVersion>,
-    /// Client platform (e.g. `jre-1.5`, `linux-x86_64`).
-    pub client_platform: String,
-    /// Optional preferred binary format.
-    pub preferred_format: Option<BinaryFormat>,
-    /// Optional preferred driver version.
-    pub preferred_version: Option<DriverVersion>,
-    /// Transfer methods the bootloader is willing to use.
-    pub transfer_method: TransferMethod,
-    /// Client options, e.g. required extensions encoded in the connection
-    /// URL (`locale=fr_FR`, `gis=true`; paper §5.4.1).
-    pub options: Vec<(String, String)>,
-    /// Depot `HAVE` summary: cached content the server may revalidate or
-    /// delta against instead of re-shipping the full image.
-    pub have: Option<HaveSummary>,
-    /// Zone the client is in, when its machine is placed in a zone
-    /// topology. The server ranks mirror candidates for this zone.
-    pub zone: Option<String>,
+wire_frame! {
+    /// `DRIVOLUTION_REQUEST` payload (§3.4.1).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct DrvRequest {
+        /// Request kind (bootstrap / renewal / extension fetch).
+        pub kind: RequestKind,
+        /// Name of the database to be accessed.
+        pub database: String,
+        /// User name (optional credentials may accompany it).
+        pub user: String,
+        /// Optional password for servers that authenticate downloads.
+        pub password: Option<String>,
+        /// API name (e.g. `RDBC`, `JDBC`, `ODBC`).
+        pub api_name: String,
+        /// Optional API version.
+        pub api_version: Option<ApiVersion>,
+        /// Client platform (e.g. `jre-1.5`, `linux-x86_64`).
+        pub client_platform: String,
+        /// Optional preferred binary format.
+        pub preferred_format: Option<BinaryFormat>,
+        /// Optional preferred driver version.
+        pub preferred_version: Option<DriverVersion>,
+        /// Transfer methods the bootloader is willing to use.
+        pub transfer_method: TransferMethod,
+        /// Client options, e.g. required extensions encoded in the connection
+        /// URL (`locale=fr_FR`, `gis=true`; paper §5.4.1).
+        pub options: Vec<(String, String)> as Capped<u16>,
+        /// Depot `HAVE` summary: cached content the server may revalidate or
+        /// delta against instead of re-shipping the full image.
+        pub have: Option<HaveSummary>,
+        /// Zone the client is in, when its machine is placed in a zone
+        /// topology. The server ranks mirror candidates for this zone.
+        pub zone: Option<String>,
+    }
 }
 
 impl DrvRequest {
@@ -262,51 +267,53 @@ impl DrvRequest {
     }
 }
 
-/// `DRIVOLUTION_OFFER` payload (§3.4.1): lease terms, driver location and
-/// format.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DrvOffer {
-    /// The offered driver.
-    pub driver_id: DriverId,
-    /// Its version, if recorded.
-    pub driver_version: Option<DriverVersion>,
-    /// `true` when this is a renewal of the driver the client already has:
-    /// "a DRIVOLUTION_OFFER without data file instructs the bootloader to
-    /// continue to use the same driver" (Table 4).
-    pub same_driver: bool,
-    /// Lease duration in milliseconds.
-    pub lease_ms: u64,
-    /// Renewal policy for this lease.
-    pub renew_policy: RenewPolicy,
-    /// Expiration policy for this lease.
-    pub expiration_policy: ExpirationPolicy,
-    /// Container format of the driver file.
-    pub format: BinaryFormat,
-    /// Opaque location token for `FILE_REQUEST`.
-    pub location: String,
-    /// Driver file size in bytes.
-    pub size: u64,
-    /// Transfer method the server will use.
-    pub transfer_method: TransferMethod,
-    /// Options the bootloader must pass to the driver at load time
-    /// (Table 2 `driver_options`).
-    pub options: Vec<(String, String)>,
-    /// Optional code signature over the driver file.
-    pub signature: Option<Signature>,
-    /// Digest of the exact bytes this offer describes. With an empty
-    /// `location` and no `chunked` plan, a matching depot entry means the
-    /// offer is a zero-transfer revalidation of cached content.
-    pub content_digest: Option<u64>,
-    /// Chunked-delta delivery plan (only the listed `missing` chunks need
-    /// to travel).
-    pub chunked: Option<ChunkPlan>,
+wire_frame! {
+    /// `DRIVOLUTION_OFFER` payload (§3.4.1): lease terms, driver location and
+    /// format.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct DrvOffer {
+        /// The offered driver.
+        pub driver_id: DriverId,
+        /// Its version, if recorded.
+        pub driver_version: Option<DriverVersion>,
+        /// `true` when this is a renewal of the driver the client already has:
+        /// "a DRIVOLUTION_OFFER without data file instructs the bootloader to
+        /// continue to use the same driver" (Table 4).
+        pub same_driver: bool,
+        /// Lease duration in milliseconds.
+        pub lease_ms: u64,
+        /// Renewal policy for this lease.
+        pub renew_policy: RenewPolicy,
+        /// Expiration policy for this lease.
+        pub expiration_policy: ExpirationPolicy,
+        /// Container format of the driver file.
+        pub format: BinaryFormat,
+        /// Opaque location token for `FILE_REQUEST`.
+        pub location: String,
+        /// Driver file size in bytes.
+        pub size: u64 as ImageSize,
+        /// Transfer method the server will use.
+        pub transfer_method: TransferMethod,
+        /// Options the bootloader must pass to the driver at load time
+        /// (Table 2 `driver_options`).
+        pub options: Vec<(String, String)> as Capped<u16>,
+        /// Optional code signature over the driver file.
+        pub signature: Option<Signature>,
+        /// Digest of the exact bytes this offer describes. With an empty
+        /// `location` and no `chunked` plan, a matching depot entry means the
+        /// offer is a zero-transfer revalidation of cached content.
+        pub content_digest: Option<u64>,
+        /// Chunked-delta delivery plan (only the listed `missing` chunks need
+        /// to travel).
+        pub chunked: Option<ChunkPlan>,
+    }
 }
 
 wire_enum! {
     /// Stable `DRIVOLUTION_ERROR` codes. A decoder reads a code it does
     /// not know as [`DrvErrCode::Internal`].
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum DrvErrCode: u16 {
+    pub enum DrvErrCode: u16 else Internal {
         /// "invalid database".
         InvalidDatabase = 1,
         /// "no driver for specified API/platform".
@@ -344,362 +351,152 @@ impl DrvErrCode {
     }
 }
 
-/// A Drivolution protocol message.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DrvMsg {
-    /// Unicast `DRIVOLUTION_REQUEST`.
-    Request(DrvRequest),
-    /// Broadcast `DRIVOLUTION_DISCOVER` (same payload; servers that can
-    /// serve it answer with offers).
-    Discover(DrvRequest),
-    /// `DRIVOLUTION_OFFER`.
-    Offer(DrvOffer),
-    /// `DRIVOLUTION_ERROR` with an "optional detailed error message in
-    /// plain text".
-    Error {
-        /// Error class.
-        code: DrvErrCode,
-        /// Plain-text detail.
-        message: String,
-    },
-    /// `FILE_REQUEST(driver_file)`.
-    FileRequest {
-        /// Location token from the offer.
-        location: String,
-        /// Transfer method to use.
-        transfer_method: TransferMethod,
-    },
-    /// `FILE_DATA(binary_code)` — payload is transfer-wrapped (see
-    /// [`crate::transfer`]).
-    FileData {
-        /// Wrapped driver bytes.
-        payload: Bytes,
-    },
-    /// Lease give-back (license server, §5.4.2).
-    Release {
-        /// Database whose driver is returned.
-        database: String,
-        /// Releasing user.
-        user: String,
-        /// The returned driver.
-        driver: DriverId,
-    },
-    /// Acknowledgement of a release.
-    ReleaseOk,
-    /// `CHUNK_REQUEST(digests)` — content-addressed fetch of depot
-    /// chunks, served by the primary server or a mirror replica.
-    ChunkRequest {
-        /// Chunk digests to fetch.
-        digests: Vec<u64>,
-        /// Transfer method to wrap the chunk set with.
-        transfer_method: TransferMethod,
-    },
-    /// `CHUNK_DATA(chunk_set)` — payload is a transfer-wrapped
-    /// [`crate::chunk::ChunkSet`] encoding.
-    ChunkData {
-        /// Wrapped chunk-set bytes.
-        payload: Bytes,
-    },
-    /// `MIRROR_ANNOUNCE` — a depot mirror registers itself with the
-    /// primary's mirror directory (location, zone). Sent at launch and
-    /// whenever a heartbeat is answered with `known: false`.
-    MirrorAnnounce {
-        /// `host:port` the mirror serves `CHUNK_REQUEST`s on.
-        location: String,
-        /// Zone the mirror is placed in, if any.
-        zone: Option<String>,
-    },
-    /// `MIRROR_HEARTBEAT` — a registered mirror's periodic liveness and
-    /// coverage report; silence quarantines and eventually evicts it.
-    MirrorHeartbeat {
-        /// `host:port` the mirror announced under.
-        location: String,
-        /// Chunks the mirror's replica currently holds.
-        chunk_count: u64,
-        /// Cumulative raw chunk bytes the mirror has served.
-        served_bytes: u64,
-        /// Requests served since the previous heartbeat (load signal for
-        /// candidate ranking).
-        load: u32,
-        /// Chunk digests the replica holds, sorted, capped at
-        /// [`MAX_HEARTBEAT_COVERAGE`]. The directory ranks candidates
-        /// that already hold a plan's missing chunks ahead of ones that
-        /// would read through to the primary.
-        coverage: Vec<u64>,
-    },
-    /// `MIRROR_ACK` — the directory's answer to an announce or
-    /// heartbeat.
-    MirrorAck {
-        /// `false` when the heartbeat named an unregistered mirror (it
-        /// was evicted or the server restarted): re-announce.
-        known: bool,
-    },
-    /// `ACTIVATION_REPORT` — a bootloader's best-effort report that it
-    /// activated (or failed to activate) a freshly offered driver. Rollout
-    /// health gates aggregate these per wave; servers without an active
-    /// rollout just count them.
-    ActivationReport {
-        /// Database the driver serves.
-        database: String,
-        /// The driver the client tried to activate.
-        driver: DriverId,
-        /// Version of that driver, if the client knows it.
-        version: Option<DriverVersion>,
-        /// `true` when the driver loaded and activated cleanly.
-        ok: bool,
-        /// Plain-text failure detail (empty on success).
-        detail: String,
-    },
-    /// `ACTIVATION_ACK` — the server's answer to an activation report.
-    ActivationAck,
-    /// `RENEW_BATCH` — a renewal aggregator's coalesced frame: one entry
-    /// per client due in the same scheduler tick, carrying the
-    /// originating client host (licensing, lease logging, and rollout
-    /// wave membership key on the client, never the aggregator) plus
-    /// that client's renewal request. The server answers with one
-    /// [`DrvMsg::OfferBatch`] whose entries pair up by position.
-    /// Unbatched clients keep sending single `Request` frames.
-    RenewBatch {
-        /// Per-client entries: `(client_host, request)`.
-        entries: Vec<(String, DrvRequest)>,
-    },
-    /// `OFFER_BATCH` — the server's positional reply to a
-    /// [`DrvMsg::RenewBatch`]: per entry, either a full offer or the
-    /// typed error that client's individual request would have produced.
-    OfferBatch {
-        /// Positional replies, one per batch entry.
-        replies: Vec<Result<DrvOffer, (DrvErrCode, String)>>,
-    },
-    /// `MIRROR_COMPLAINT` — a bootloader's best-effort report that a
-    /// mirror served bytes failing digest/checksum verification. The
-    /// directory keeps a corroborated strike ledger per mirror and
-    /// demotes repeat offenders (distinct from silence-quarantine); the
-    /// server answers with [`DrvMsg::MirrorAck`].
-    MirrorComplaint {
-        /// The offending mirror's registered location (`host:port`).
-        location: String,
-        /// The chunk or payload digest the client expected and did not
-        /// receive (zero when the frame itself failed to decode).
-        digest: u64,
-        /// Plain-text detail of what failed verification.
-        detail: String,
-    },
-}
-
-/// `xfer` (`DESIGN.md` §2): a transfer method as its `i8` code.
-fn put_xfer(b: &mut BytesMut, method: TransferMethod) {
-    b.put_i8(method.code());
-}
-
-fn get_xfer(buf: &mut Bytes) -> Result<TransferMethod, CodecError> {
-    get_code(buf, "transfer", |c| TransferMethod::from_code(c as i8))
-}
-
-/// A `DRIVOLUTION_ERROR` code; one this side does not know is
-/// [`DrvErrCode::Internal`] (`DESIGN.md` §2, "else internal").
-fn get_err_code(buf: &mut Bytes, what: &str) -> Result<DrvErrCode, CodecError> {
-    get_u16(buf, what).map(|c| DrvErrCode::from_code(c).unwrap_or(DrvErrCode::Internal))
-}
-
-fn put_req(b: &mut BytesMut, r: &DrvRequest) {
-    match &r.kind {
-        RequestKind::Bootstrap => b.put_u8(0),
-        RequestKind::Renewal { current } => {
-            b.put_u8(1);
-            b.put_i64_le(current.0);
-        }
-        RequestKind::Extension { base, name } => {
-            b.put_u8(2);
-            b.put_i64_le(base.0);
-            put_str(b, name);
-        }
-    }
-    put_str(b, &r.database);
-    put_str(b, &r.user);
-    put_opt_str(b, r.password.as_deref());
-    put_str(b, &r.api_name);
-    put_opt_str(b, r.api_version.map(|v| v.to_string()).as_deref());
-    put_str(b, &r.client_platform);
-    put_opt_str(b, r.preferred_format.map(|f| f.to_string()).as_deref());
-    put_opt_str(b, r.preferred_version.map(|v| v.to_string()).as_deref());
-    put_xfer(b, r.transfer_method);
-    b.put_u16_le(r.options.len() as u16);
-    for (k, v) in &r.options {
-        put_str(b, k);
-        put_str(b, v);
-    }
-    match &r.have {
-        Some(h) => {
-            b.put_u8(1);
-            h.encode_into(b);
-        }
-        None => b.put_u8(0),
-    }
-    put_opt_str(b, r.zone.as_deref());
-}
-
-/// One `key = value` option of a request or an offer: two strings, 8
-/// bytes at least.
-fn get_option(buf: &mut Bytes) -> DrvResult<(String, String)> {
-    Ok((get_str(buf, "option key")?, get_str(buf, "option value")?))
-}
-
-fn get_req(buf: &mut Bytes) -> DrvResult<DrvRequest> {
-    let kind = match get_u8(buf, "request kind")? {
-        0 => RequestKind::Bootstrap,
-        1 => RequestKind::Renewal {
-            current: DriverId(get_i64(buf, "current driver")?),
-        },
-        2 => RequestKind::Extension {
-            base: DriverId(get_i64(buf, "base driver")?),
-            name: get_str(buf, "extension name")?,
-        },
-        t => return Err(DrvError::Codec(format!("unknown request kind {t}"))),
-    };
-    let database = get_str(buf, "database")?;
-    let user = get_str(buf, "user")?;
-    let password = get_opt_str(buf, "password")?;
-    let api_name = get_str(buf, "api name")?;
-    let api_version = get_opt_str(buf, "api version")?
-        .map(|s| s.parse::<ApiVersion>())
-        .transpose()?;
-    let client_platform = get_str(buf, "client platform")?;
-    let preferred_format = get_opt_str(buf, "preferred format")?
-        .map(|s| BinaryFormat::parse(&s))
-        .transpose()?;
-    let preferred_version = get_opt_str(buf, "preferred version")?
-        .map(|s| s.parse::<DriverVersion>())
-        .transpose()?;
-    let transfer_method = get_xfer(buf)?;
-    let n_opt = get_u16(buf, "request option count")?;
-    let options = get_items(buf, "request options", n_opt.into(), 8, get_option)?;
-    let have = get_opt(buf, "have presence", HaveSummary::decode)?;
-    let zone = get_opt_str(buf, "client zone")?;
-    Ok(DrvRequest {
-        kind,
-        database,
-        user,
-        password,
-        api_name,
-        api_version,
-        client_platform,
-        preferred_format,
-        preferred_version,
-        transfer_method,
-        options,
-        have,
-        zone,
-    })
-}
-
-fn put_offer(b: &mut BytesMut, o: &DrvOffer) {
-    b.put_i64_le(o.driver_id.0);
-    put_opt_str(b, o.driver_version.map(|v| v.to_string()).as_deref());
-    b.put_u8(u8::from(o.same_driver));
-    b.put_u64_le(o.lease_ms);
-    b.put_u8(o.renew_policy.code());
-    b.put_u8(o.expiration_policy.code());
-    put_str(b, o.format.as_str());
-    put_str(b, &o.location);
-    b.put_u64_le(o.size);
-    put_xfer(b, o.transfer_method);
-    b.put_u16_le(o.options.len() as u16);
-    for (k, v) in &o.options {
-        put_str(b, k);
-        put_str(b, v);
-    }
-    match &o.signature {
-        Some(s) => {
-            b.put_u8(1);
-            b.put_slice(&s.encode());
-        }
-        None => b.put_u8(0),
-    }
-    match o.content_digest {
-        Some(d) => {
-            b.put_u8(1);
-            b.put_u64_le(d);
-        }
-        None => b.put_u8(0),
-    }
-    match &o.chunked {
-        Some(p) => {
-            b.put_u8(1);
-            p.encode_into(b);
-        }
-        None => b.put_u8(0),
-    }
-}
-
-fn get_offer(buf: &mut Bytes) -> DrvResult<DrvOffer> {
-    let driver_id = DriverId(get_i64(buf, "driver id")?);
-    let driver_version = get_opt_str(buf, "driver version")?
-        .map(|s| s.parse::<DriverVersion>())
-        .transpose()?;
-    let same_driver = get_u8(buf, "same driver")? != 0;
-    let lease_ms = get_u64(buf, "lease ms")?;
-    let renew_policy = get_code(buf, "renew policy", RenewPolicy::from_code)?;
-    let expiration_policy = get_code(buf, "expiration policy", ExpirationPolicy::from_code)?;
-    let format = BinaryFormat::parse(&get_str(buf, "format")?)?;
-    let location = get_str(buf, "location")?;
-    let size = get_image_size(buf, "size")?;
-    let transfer_method = get_xfer(buf)?;
-    let n_opt = get_u16(buf, "offer option count")?;
-    let options = get_items(buf, "offer options", n_opt.into(), 8, get_option)?;
-    let signature = get_opt(buf, "signature presence", |buf| {
-        if buf.len() < 16 {
-            return Err(DrvError::Codec("truncated signature".into()));
-        }
-        Ok(Signature::decode(buf.split_to(16))?)
-    })?;
-    let content_digest = get_opt(buf, "digest presence", |buf| get_u64(buf, "content digest"))?;
-    let chunked = get_opt(buf, "chunk plan presence", ChunkPlan::decode)?;
-    Ok(DrvOffer {
-        driver_id,
-        driver_version,
-        same_driver,
-        lease_ms,
-        renew_policy,
-        expiration_policy,
-        format,
-        location,
-        size,
-        transfer_method,
-        options,
-        signature,
-        content_digest,
-        chunked,
-    })
-}
-
-wire_enum! {
-    /// Frame tags: the first byte of every [`DrvMsg`] wire frame, one per
-    /// variant (`DESIGN.md` §2). `encode` writes them from its exhaustive
-    /// match, and `decode` matches every one of them with no `_` arm.
-    enum Tag: u8 {
-        Request = 0,
-        Discover = 1,
-        Offer = 2,
-        Error = 3,
-        FileRequest = 4,
-        FileData = 5,
-        Release = 6,
+wire_frame! {
+    /// A Drivolution protocol message.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum DrvMsg: Tag(u8) {
+        /// Unicast `DRIVOLUTION_REQUEST`.
+        Request(DrvRequest) = 0,
+        /// Broadcast `DRIVOLUTION_DISCOVER` (same payload; servers that can
+        /// serve it answer with offers).
+        Discover(DrvRequest) = 1,
+        /// `DRIVOLUTION_OFFER`.
+        Offer(DrvOffer) = 2,
+        /// `DRIVOLUTION_ERROR` with an "optional detailed error message in
+        /// plain text".
+        Error {
+            /// Error class.
+            code: DrvErrCode,
+            /// Plain-text detail.
+            message: String,
+        } = 3,
+        /// `FILE_REQUEST(driver_file)`.
+        FileRequest {
+            /// Location token from the offer.
+            location: String,
+            /// Transfer method to use.
+            transfer_method: TransferMethod,
+        } = 4,
+        /// `FILE_DATA(binary_code)` — payload is transfer-wrapped (see
+        /// [`crate::transfer`]).
+        FileData {
+            /// Wrapped driver bytes.
+            payload: Bytes,
+        } = 5,
+        /// Lease give-back (license server, §5.4.2).
+        Release {
+            /// Database whose driver is returned.
+            database: String,
+            /// Releasing user.
+            user: String,
+            /// The returned driver.
+            driver: DriverId,
+        } = 6,
+        /// Acknowledgement of a release.
         ReleaseOk = 7,
-        ChunkRequest = 8,
-        ChunkData = 9,
-        MirrorAnnounce = 10,
-        MirrorHeartbeat = 11,
-        MirrorAck = 12,
-        ActivationReport = 13,
+        /// `CHUNK_REQUEST(digests)` — content-addressed fetch of depot
+        /// chunks, served by the primary server or a mirror replica.
+        ChunkRequest {
+            /// Chunk digests to fetch.
+            digests: Vec<u64> as Capped<u32>,
+            /// Transfer method to wrap the chunk set with.
+            transfer_method: TransferMethod,
+        } = 8,
+        /// `CHUNK_DATA(chunk_set)` — payload is a transfer-wrapped
+        /// [`crate::chunk::ChunkSet`] encoding.
+        ChunkData {
+            /// Wrapped chunk-set bytes.
+            payload: Bytes,
+        } = 9,
+        /// `MIRROR_ANNOUNCE` — a depot mirror registers itself with the
+        /// primary's mirror directory (location, zone). Sent at launch and
+        /// whenever a heartbeat is answered with `known: false`.
+        MirrorAnnounce {
+            /// `host:port` the mirror serves `CHUNK_REQUEST`s on.
+            location: String,
+            /// Zone the mirror is placed in, if any.
+            zone: Option<String>,
+        } = 10,
+        /// `MIRROR_HEARTBEAT` — a registered mirror's periodic liveness and
+        /// coverage report; silence quarantines and eventually evicts it.
+        MirrorHeartbeat {
+            /// `host:port` the mirror announced under.
+            location: String,
+            /// Chunks the mirror's replica currently holds.
+            chunk_count: u64,
+            /// Cumulative raw chunk bytes the mirror has served.
+            served_bytes: u64,
+            /// Requests served since the previous heartbeat (load signal for
+            /// candidate ranking).
+            load: u32,
+            /// Chunk digests the replica holds, sorted, capped at
+            /// [`MAX_HEARTBEAT_COVERAGE`]. The directory ranks candidates
+            /// that already hold a plan's missing chunks ahead of ones that
+            /// would read through to the primary.
+            coverage: Vec<u64> as Capped<u32, MAX_HEARTBEAT_COVERAGE>,
+        } = 11,
+        /// `MIRROR_ACK` — the directory's answer to an announce or
+        /// heartbeat.
+        MirrorAck {
+            /// `false` when the heartbeat named an unregistered mirror (it
+            /// was evicted or the server restarted): re-announce.
+            known: bool,
+        } = 12,
+        /// `ACTIVATION_REPORT` — a bootloader's best-effort report that it
+        /// activated (or failed to activate) a freshly offered driver. Rollout
+        /// health gates aggregate these per wave; servers without an active
+        /// rollout just count them.
+        ActivationReport {
+            /// Database the driver serves.
+            database: String,
+            /// The driver the client tried to activate.
+            driver: DriverId,
+            /// Version of that driver, if the client knows it.
+            version: Option<DriverVersion>,
+            /// `true` when the driver loaded and activated cleanly.
+            ok: bool,
+            /// Plain-text failure detail (empty on success).
+            detail: String,
+        } = 13,
+        /// `ACTIVATION_ACK` — the server's answer to an activation report.
         ActivationAck = 14,
-        RenewBatch = 15,
-        OfferBatch = 16,
-        MirrorComplaint = 17,
+        /// `RENEW_BATCH` — a renewal aggregator's coalesced frame: one entry
+        /// per client due in the same scheduler tick, carrying the
+        /// originating client host (licensing, lease logging, and rollout
+        /// wave membership key on the client, never the aggregator) plus
+        /// that client's renewal request. The server answers with one
+        /// [`DrvMsg::OfferBatch`] whose entries pair up by position.
+        /// Unbatched clients keep sending single `Request` frames.
+        RenewBatch {
+            /// Per-client entries: `(client_host, request)`.
+            entries: Vec<(String, DrvRequest)> as Capped<u32>,
+        } = 15,
+        /// `OFFER_BATCH` — the server's positional reply to a
+        /// [`DrvMsg::RenewBatch`]: per entry, either a full offer or the
+        /// typed error that client's individual request would have produced.
+        OfferBatch {
+            /// Positional replies, one per batch entry.
+            replies: Vec<Result<DrvOffer, (DrvErrCode, String)>> as Capped<u32>,
+        } = 16,
+        /// `MIRROR_COMPLAINT` — a bootloader's best-effort report that a
+        /// mirror served bytes failing digest/checksum verification. The
+        /// directory keeps a corroborated strike ledger per mirror and
+        /// demotes repeat offenders (distinct from silence-quarantine); the
+        /// server answers with [`DrvMsg::MirrorAck`].
+        MirrorComplaint {
+            /// The offending mirror's registered location (`host:port`).
+            location: String,
+            /// The chunk or payload digest the client expected and did not
+            /// receive (zero when the frame itself failed to decode).
+            digest: u64,
+            /// Plain-text detail of what failed verification.
+            detail: String,
+        } = 17,
     }
 }
 
-/// A bulk reply frame: `tag`, the `u32` length [`put_bytes`] would write,
-/// then the transfer envelope itself.
+/// A bulk reply frame: `tag`, the `u32` length `bytes` would write, then
+/// the transfer envelope itself.
 fn bulk_frame(
     tag: Tag,
     method: TransferMethod,
@@ -718,141 +515,11 @@ impl DrvMsg {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
         // Bulk frames reserve their exact length; the rest are small.
-        let mut b = BytesMut::with_capacity(match self {
+        let capacity = match self {
             DrvMsg::FileData { payload } | DrvMsg::ChunkData { payload } => 5 + payload.len(),
             _ => 0,
-        });
-        match self {
-            DrvMsg::Request(r) => {
-                b.put_u8(Tag::Request.code());
-                put_req(&mut b, r);
-            }
-            DrvMsg::Discover(r) => {
-                b.put_u8(Tag::Discover.code());
-                put_req(&mut b, r);
-            }
-            DrvMsg::Offer(o) => {
-                b.put_u8(Tag::Offer.code());
-                put_offer(&mut b, o);
-            }
-            DrvMsg::Error { code, message } => {
-                b.put_u8(Tag::Error.code());
-                b.put_u16_le(code.code());
-                put_str(&mut b, message);
-            }
-            DrvMsg::FileRequest {
-                location,
-                transfer_method,
-            } => {
-                b.put_u8(Tag::FileRequest.code());
-                put_str(&mut b, location);
-                put_xfer(&mut b, *transfer_method);
-            }
-            DrvMsg::FileData { payload } => {
-                b.put_u8(Tag::FileData.code());
-                put_bytes(&mut b, payload);
-            }
-            DrvMsg::Release {
-                database,
-                user,
-                driver,
-            } => {
-                b.put_u8(Tag::Release.code());
-                put_str(&mut b, database);
-                put_str(&mut b, user);
-                b.put_i64_le(driver.0);
-            }
-            DrvMsg::ReleaseOk => b.put_u8(Tag::ReleaseOk.code()),
-            DrvMsg::ChunkRequest {
-                digests,
-                transfer_method,
-            } => {
-                b.put_u8(Tag::ChunkRequest.code());
-                b.put_u32_le(digests.len() as u32);
-                put_u64s(&mut b, digests);
-                put_xfer(&mut b, *transfer_method);
-            }
-            DrvMsg::ChunkData { payload } => {
-                b.put_u8(Tag::ChunkData.code());
-                put_bytes(&mut b, payload);
-            }
-            DrvMsg::MirrorAnnounce { location, zone } => {
-                b.put_u8(Tag::MirrorAnnounce.code());
-                put_str(&mut b, location);
-                put_opt_str(&mut b, zone.as_deref());
-            }
-            DrvMsg::MirrorHeartbeat {
-                location,
-                chunk_count,
-                served_bytes,
-                load,
-                coverage,
-            } => {
-                b.put_u8(Tag::MirrorHeartbeat.code());
-                put_str(&mut b, location);
-                b.put_u64_le(*chunk_count);
-                b.put_u64_le(*served_bytes);
-                b.put_u32_le(*load);
-                let capped = coverage.get(..MAX_HEARTBEAT_COVERAGE).unwrap_or(coverage);
-                b.put_u32_le(capped.len() as u32);
-                put_u64s(&mut b, capped);
-            }
-            DrvMsg::MirrorAck { known } => {
-                b.put_u8(Tag::MirrorAck.code());
-                b.put_u8(u8::from(*known));
-            }
-            DrvMsg::ActivationReport {
-                database,
-                driver,
-                version,
-                ok,
-                detail,
-            } => {
-                b.put_u8(Tag::ActivationReport.code());
-                put_str(&mut b, database);
-                b.put_i64_le(driver.0);
-                put_opt_str(&mut b, version.map(|v| v.to_string()).as_deref());
-                b.put_u8(u8::from(*ok));
-                put_str(&mut b, detail);
-            }
-            DrvMsg::ActivationAck => b.put_u8(Tag::ActivationAck.code()),
-            DrvMsg::RenewBatch { entries } => {
-                b.put_u8(Tag::RenewBatch.code());
-                b.put_u32_le(entries.len() as u32);
-                for (host, req) in entries {
-                    put_str(&mut b, host);
-                    put_req(&mut b, req);
-                }
-            }
-            DrvMsg::OfferBatch { replies } => {
-                b.put_u8(Tag::OfferBatch.code());
-                b.put_u32_le(replies.len() as u32);
-                for reply in replies {
-                    match reply {
-                        Ok(offer) => {
-                            b.put_u8(0);
-                            put_offer(&mut b, offer);
-                        }
-                        Err((code, message)) => {
-                            b.put_u8(1);
-                            b.put_u16_le(code.code());
-                            put_str(&mut b, message);
-                        }
-                    }
-                }
-            }
-            DrvMsg::MirrorComplaint {
-                location,
-                digest,
-                detail,
-            } => {
-                b.put_u8(Tag::MirrorComplaint.code());
-                put_str(&mut b, location);
-                b.put_u64_le(*digest);
-                put_str(&mut b, detail);
-            }
-        }
-        b.freeze()
+        };
+        encode(self, capacity)
     }
 
     /// Deserializes a message.
@@ -861,103 +528,7 @@ impl DrvMsg {
     ///
     /// [`DrvError::Codec`] on malformed frames.
     pub fn decode(mut buf: Bytes) -> DrvResult<Self> {
-        match get_code(&mut buf, "drv msg tag", Tag::from_code)? {
-            Tag::Request => Ok(DrvMsg::Request(get_req(&mut buf)?)),
-            Tag::Discover => Ok(DrvMsg::Discover(get_req(&mut buf)?)),
-            Tag::Offer => Ok(DrvMsg::Offer(get_offer(&mut buf)?)),
-            Tag::Error => Ok(DrvMsg::Error {
-                code: get_err_code(&mut buf, "error code")?,
-                message: get_str(&mut buf, "error message")?,
-            }),
-            Tag::FileRequest => Ok(DrvMsg::FileRequest {
-                location: get_str(&mut buf, "location")?,
-                transfer_method: get_xfer(&mut buf)?,
-            }),
-            Tag::FileData => Ok(DrvMsg::FileData {
-                payload: get_bytes(&mut buf, "file payload")?,
-            }),
-            Tag::Release => Ok(DrvMsg::Release {
-                database: get_str(&mut buf, "database")?,
-                user: get_str(&mut buf, "user")?,
-                driver: DriverId(get_i64(&mut buf, "driver")?),
-            }),
-            Tag::ReleaseOk => Ok(DrvMsg::ReleaseOk),
-            Tag::ChunkRequest => {
-                let n = get_u32(&mut buf, "chunk request count")?;
-                Ok(DrvMsg::ChunkRequest {
-                    digests: get_u64s(&mut buf, "chunk request digests", n)?,
-                    transfer_method: get_xfer(&mut buf)?,
-                })
-            }
-            Tag::ChunkData => Ok(DrvMsg::ChunkData {
-                payload: get_bytes(&mut buf, "chunk payload")?,
-            }),
-            Tag::MirrorAnnounce => Ok(DrvMsg::MirrorAnnounce {
-                location: get_str(&mut buf, "mirror location")?,
-                zone: get_opt_str(&mut buf, "mirror zone")?,
-            }),
-            Tag::MirrorHeartbeat => {
-                let location = get_str(&mut buf, "mirror location")?;
-                let chunk_count = get_u64(&mut buf, "mirror chunk count")?;
-                let served_bytes = get_u64(&mut buf, "mirror served bytes")?;
-                let load = get_u32(&mut buf, "mirror load")?;
-                let n = get_u32(&mut buf, "mirror coverage count")?;
-                if n as usize > MAX_HEARTBEAT_COVERAGE {
-                    return Err(DrvError::Codec(format!(
-                        "mirror coverage count {n} exceeds the cap"
-                    )));
-                }
-                Ok(DrvMsg::MirrorHeartbeat {
-                    location,
-                    chunk_count,
-                    served_bytes,
-                    load,
-                    coverage: get_u64s(&mut buf, "mirror coverage digests", n)?,
-                })
-            }
-            Tag::MirrorAck => Ok(DrvMsg::MirrorAck {
-                known: get_u8(&mut buf, "mirror ack")? != 0,
-            }),
-            Tag::ActivationReport => Ok(DrvMsg::ActivationReport {
-                database: get_str(&mut buf, "activation database")?,
-                driver: DriverId(get_i64(&mut buf, "activation driver")?),
-                version: get_opt_str(&mut buf, "activation version")?
-                    .map(|s| s.parse::<DriverVersion>())
-                    .transpose()?,
-                ok: get_u8(&mut buf, "activation ok")? != 0,
-                detail: get_str(&mut buf, "activation detail")?,
-            }),
-            Tag::ActivationAck => Ok(DrvMsg::ActivationAck),
-            Tag::RenewBatch => {
-                let n = get_u32(&mut buf, "renew batch count")?;
-                // An entry is at least a host length prefix (4) and a
-                // request with every string empty (26).
-                let entries = get_items(&mut buf, "renew batch", n, 30, |buf| {
-                    Ok::<_, DrvError>((get_str(buf, "batch client host")?, get_req(buf)?))
-                })?;
-                Ok(DrvMsg::RenewBatch { entries })
-            }
-            Tag::OfferBatch => {
-                let n = get_u32(&mut buf, "offer batch count")?;
-                // The shortest reply is an error: kind, code, empty message.
-                let replies = get_items(&mut buf, "offer batch", n, 7, |buf| {
-                    match get_u8(buf, "offer batch entry kind")? {
-                        0 => Ok(Ok(get_offer(buf)?)),
-                        1 => Ok(Err((
-                            get_err_code(buf, "offer batch error code")?,
-                            get_str(buf, "offer batch error message")?,
-                        ))),
-                        t => Err(DrvError::Codec(format!("bad offer batch entry kind {t}"))),
-                    }
-                })?;
-                Ok(DrvMsg::OfferBatch { replies })
-            }
-            Tag::MirrorComplaint => Ok(DrvMsg::MirrorComplaint {
-                location: get_str(&mut buf, "complaint location")?,
-                digest: get_u64(&mut buf, "complaint digest")?,
-                detail: get_str(&mut buf, "complaint detail")?,
-            }),
-        }
+        Ok(Self::get(&mut buf, "drv msg")?)
     }
 
     /// The encoded `FILE_DATA` reply for `payload` wrapped under `method`
@@ -1011,39 +582,30 @@ impl DrvMsg {
     }
 }
 
-/// Push notifications on the dedicated bootloader↔server channel (§3.2:
-/// "a dedicated channel … allows the Drivolution Server to immediately
-/// signal that a new driver is available").
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DrvNotice {
-    /// A new driver for `database` is available; renew now.
-    DriverAvailable {
-        /// Affected database.
-        database: String,
-    },
-    /// The driver for `database` has been revoked; apply the expiration
-    /// policy now.
-    DriverRevoked {
-        /// Affected database.
-        database: String,
-    },
+wire_frame! {
+    /// Push notifications on the dedicated bootloader↔server channel (§3.2:
+    /// "a dedicated channel … allows the Drivolution Server to immediately
+    /// signal that a new driver is available").
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum DrvNotice: NoticeTag(u8) {
+        /// A new driver for `database` is available; renew now.
+        DriverAvailable {
+            /// Affected database.
+            database: String,
+        } = 0,
+        /// The driver for `database` has been revoked; apply the expiration
+        /// policy now.
+        DriverRevoked {
+            /// Affected database.
+            database: String,
+        } = 1,
+    }
 }
 
 impl DrvNotice {
     /// Serializes the notice.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
-        match self {
-            DrvNotice::DriverAvailable { database } => {
-                b.put_u8(0);
-                put_str(&mut b, database);
-            }
-            DrvNotice::DriverRevoked { database } => {
-                b.put_u8(1);
-                put_str(&mut b, database);
-            }
-        }
-        b.freeze()
+        encode(self, 0)
     }
 
     /// Deserializes a notice.
@@ -1052,15 +614,7 @@ impl DrvNotice {
     ///
     /// [`DrvError::Codec`] on malformed frames.
     pub fn decode(mut buf: Bytes) -> DrvResult<Self> {
-        match get_u8(&mut buf, "notice tag")? {
-            0 => Ok(DrvNotice::DriverAvailable {
-                database: get_str(&mut buf, "database")?,
-            }),
-            1 => Ok(DrvNotice::DriverRevoked {
-                database: get_str(&mut buf, "database")?,
-            }),
-            t => Err(DrvError::Codec(format!("unknown notice tag {t}"))),
-        }
+        Ok(Self::get(&mut buf, "notice")?)
     }
 }
 
@@ -1068,8 +622,15 @@ impl DrvNotice {
 mod tests {
     use std::collections::BTreeSet;
 
+    use netsim::codec::put_str;
+
     use super::*;
     use crate::sign::SigningKey;
+
+    /// Decodes one `T` as its enclosing frame would report it.
+    fn get<T: Wire>(mut buf: Bytes) -> DrvResult<T> {
+        Ok(T::get(&mut buf, "test")?)
+    }
 
     fn request() -> DrvRequest {
         let mut r = DrvRequest::bootstrap("orders", "app1", "RDBC", "linux-x86_64");
@@ -1460,7 +1021,9 @@ mod tests {
     fn have_bytes(images: &[u64], base: Option<u64>) -> Bytes {
         let mut b = BytesMut::new();
         b.put_u16_le(images.len() as u16);
-        put_u64s(&mut b, images);
+        for d in images {
+            b.put_u64_le(*d);
+        }
         ChunkingParams::default().encode_into(&mut b);
         match base {
             Some(d) => {
@@ -1477,17 +1040,17 @@ mod tests {
         // Every digest is really in the frame: the cap is policy, not a
         // bytes-left check.
         let images: Vec<u64> = (0..=MAX_HAVE_IMAGES as u64).collect();
-        let decoded = HaveSummary::decode(&mut have_bytes(&images, None));
+        let decoded = get::<HaveSummary>(have_bytes(&images, None));
         assert!(matches!(decoded, Err(DrvError::Codec(_))), "{decoded:?}");
-        let at_cap = HaveSummary::decode(&mut have_bytes(&images[1..], None)).unwrap();
+        let at_cap = get::<HaveSummary>(have_bytes(&images[1..], None)).unwrap();
         assert_eq!(at_cap.images.len(), MAX_HAVE_IMAGES);
     }
 
     #[test]
     fn have_base_outside_its_images_is_rejected() {
-        let decoded = HaveSummary::decode(&mut have_bytes(&[1, 2], Some(3)));
+        let decoded = get::<HaveSummary>(have_bytes(&[1, 2], Some(3)));
         assert!(matches!(decoded, Err(DrvError::Codec(_))), "{decoded:?}");
-        let ok = HaveSummary::decode(&mut have_bytes(&[1, 2], Some(2))).unwrap();
+        let ok = get::<HaveSummary>(have_bytes(&[1, 2], Some(2))).unwrap();
         assert_eq!(ok.base, Some(2));
     }
 
@@ -1569,9 +1132,9 @@ mod tests {
             for d in &plan.missing {
                 b.put_u64_le(*d);
             }
-            put_opt_str(&mut b, mirror);
+            mirror.map(String::from).put(&mut b);
             assert!(matches!(
-                ChunkPlan::decode(&mut b.freeze()),
+                get::<ChunkPlan>(b.freeze()),
                 Err(DrvError::Codec(_))
             ));
         }

@@ -12,9 +12,9 @@
 
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use netsim::codec::{get_u64, CodecError};
+use netsim::codec::{wire_frame, CodecError, Wire};
 
 use crate::digest::fnv1a64_parts;
 use crate::error::{DrvError, DrvResult};
@@ -39,11 +39,13 @@ impl fmt::Debug for VerifyingKey {
     }
 }
 
-/// A detached signature over driver bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Signature {
-    key_id: u64,
-    tag: u64,
+wire_frame! {
+    /// A detached signature over driver bytes.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Signature {
+        key_id: u64,
+        tag: u64,
+    }
 }
 
 impl SigningKey {
@@ -109,10 +111,7 @@ impl VerifyingKey {
 impl Signature {
     /// Serializes the signature (16 bytes).
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_u64_le(self.key_id);
-        b.put_u64_le(self.tag);
-        b.freeze()
+        netsim::codec::encode(self, Self::MIN_BYTES)
     }
 
     /// Deserializes a signature.
@@ -121,10 +120,7 @@ impl Signature {
     ///
     /// [`CodecError`] on truncation.
     pub fn decode(mut bytes: Bytes) -> Result<Self, CodecError> {
-        Ok(Signature {
-            key_id: get_u64(&mut bytes, "signature key id")?,
-            tag: get_u64(&mut bytes, "signature tag")?,
-        })
+        Self::get(&mut bytes, "signature")
     }
 }
 

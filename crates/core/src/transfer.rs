@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use netsim::codec::{get_bytes, get_str, get_u64};
+use netsim::codec::{get_bytes, get_str, Wire};
 
 use crate::digest::{fnv1a64_parts, fold_lane, fold_words_rewriting, parts_prefix};
 use crate::error::{DrvError, DrvResult};
@@ -93,7 +93,7 @@ impl Certificate {
     fn decode(buf: &mut Bytes) -> DrvResult<Self> {
         Ok(Certificate {
             host: get_str(buf, "cert host")?,
-            serial: get_u64(buf, "cert serial")?,
+            serial: u64::get(buf, "cert serial")?,
             nonces: Arc::default(),
         })
     }
@@ -244,7 +244,7 @@ pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> Drv
     let mut buf = bytes;
     // The envelope's first byte is the `xfer` code of the method that
     // wrapped it; `Any` accepts whatever the server chose.
-    let tag = netsim::codec::get_u8(&mut buf, "transfer tag")?;
+    let tag = u8::get(&mut buf, "transfer tag")?;
     let got = TransferMethod::from_code(tag as i8);
     if method != TransferMethod::Any && got != Some(method) {
         return Err(DrvError::TransferFailed(format!(
@@ -255,7 +255,7 @@ pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> Drv
         Some(TransferMethod::Plain) => Ok(get_bytes(&mut buf, "plain payload")?),
         Some(TransferMethod::Checksum) => {
             let payload = get_bytes(&mut buf, "checksum payload")?;
-            let sum = get_u64(&mut buf, "checksum")?;
+            let sum = u64::get(&mut buf, "checksum")?;
             if fnv1a64_parts(&[&payload]) != sum {
                 return Err(DrvError::TransferFailed(
                     "checksum mismatch: transfer corrupted".into(),
@@ -272,9 +272,9 @@ pub fn unwrap(method: TransferMethod, bytes: Bytes, trust: &ChannelTrust) -> Drv
                     cert.fingerprint()
                 )));
             }
-            let nonce = get_u64(&mut buf, "nonce")?;
+            let nonce = u64::get(&mut buf, "nonce")?;
             let ct = get_bytes(&mut buf, "ciphertext")?;
-            let mac = get_u64(&mut buf, "mac")?;
+            let mac = u64::get(&mut buf, "mac")?;
             // In place when the frame has no other reader (a bootloader
             // that just decoded it), into one exact copy otherwise.
             drop(buf);

@@ -339,7 +339,7 @@ impl DriverDepot {
 
     /// Assembles a full image from the manifest, local chunks, and
     /// freshly `fetched` chunks. The result is *not* stored — callers
-    /// [`insert_assembled`](Self::insert_assembled) it once any further
+    /// [`insert_digested`](Self::insert_digested) it once any further
     /// checks (e.g. code signatures) have passed, so unverifiable images
     /// never enter the cache.
     ///
@@ -396,32 +396,6 @@ impl DriverDepot {
             ));
         }
         Ok(image)
-    }
-
-    /// Inserts an image just produced by [`assemble`](Self::assemble).
-    /// The depot records the image under its own params like any
-    /// [`insert`](Self::insert): `manifest` and `fetched` are not needed,
-    /// since its chunks are cut from its bytes when a delta first asks.
-    pub fn insert_assembled(
-        &self,
-        database: &str,
-        bytes: Bytes,
-        manifest: &ChunkManifest,
-        fetched: &HashMap<u64, Bytes>,
-    ) -> u64 {
-        self.insert_assembled_digested(database, Digested::of(bytes), manifest, fetched)
-    }
-
-    /// [`insert_assembled`](Self::insert_assembled) of an image that is
-    /// already hashed: [`insert_digested`](Self::insert_digested).
-    pub fn insert_assembled_digested(
-        &self,
-        database: &str,
-        image: Digested,
-        _manifest: &ChunkManifest,
-        _fetched: &HashMap<u64, Bytes>,
-    ) -> u64 {
-        self.insert_digested(database, image)
     }
 
     fn persist(&self, digest: u64, bytes: &Bytes) {

@@ -151,20 +151,6 @@ impl ContentIndex {
         self.state.lock().insert_digested(image, params)
     }
 
-    /// [`insert_digested`](Self::insert_digested) of an image assembled
-    /// from `manifest`, recorded under the manifest's params. The image
-    /// is hashed already; `manifest` and `provided` are not trusted and
-    /// not needed, since its chunks are cut from its own bytes on the
-    /// first chunk-level read like any other insert's.
-    pub fn insert_prechunked(
-        &self,
-        image: Digested,
-        manifest: &ChunkManifest,
-        _provided: &HashMap<u64, Bytes>,
-    ) -> u64 {
-        self.insert_digested(image, &manifest.params)
-    }
-
     /// Full image bytes by content digest.
     pub fn image(&self, digest: u64) -> Option<Bytes> {
         let st = self.state.lock();

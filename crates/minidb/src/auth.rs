@@ -14,23 +14,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use netsim::codec::wire_enum;
-
 use crate::error::{DbError, DbResult};
-
-wire_enum! {
-    /// Authentication methods a database may require. The codes are the
-    /// credential tag of a `Hello` frame.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    pub enum AuthMethod: u8 {
-        /// Cleartext password.
-        Password = 0,
-        /// Nonce/response challenge.
-        Challenge = 1,
-        /// Realm token (Kerberos-like).
-        Token = 2,
-    }
-}
+pub use crate::wire::proto::AuthMethod;
 
 /// FNV-1a 64-bit hash — the workspace's stand-in for cryptographic hashes.
 pub fn weak_hash(data: &[u8]) -> u64 {

@@ -4,6 +4,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use bytes::Bytes;
+use netsim::codec::wire_frame;
 
 use crate::error::{DbError, DbResult};
 
@@ -58,26 +59,29 @@ impl fmt::Display for DataType {
     }
 }
 
-/// A SQL value. `Null` is typeless, as in SQL.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// SQL NULL.
-    Null,
-    /// INTEGER value.
-    Integer(i64),
-    /// BIGINT value.
-    BigInt(i64),
-    /// VARCHAR value.
-    Varchar(String),
-    /// BLOB value. Backed by [`Bytes`] so row clones (scans, undo logs,
-    /// result sets) share the allocation instead of copying it — driver
-    /// binaries are the dominant blob payload and get re-read on every
-    /// lease renewal.
-    Blob(Bytes),
-    /// TIMESTAMP value (milliseconds).
-    Timestamp(i64),
-    /// BOOLEAN value.
-    Boolean(bool),
+wire_frame! {
+    /// A SQL value. `Null` is typeless, as in SQL. On the wire: its tag
+    /// byte, then the payload.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Value: ValueTag(u8) {
+        /// SQL NULL.
+        Null = 0,
+        /// INTEGER value.
+        Integer(i64) = 1,
+        /// BIGINT value.
+        BigInt(i64) = 2,
+        /// VARCHAR value.
+        Varchar(String) = 3,
+        /// BLOB value. Backed by [`Bytes`] so row clones (scans, undo logs,
+        /// result sets) share the allocation instead of copying it — driver
+        /// binaries are the dominant blob payload and get re-read on every
+        /// lease renewal.
+        Blob(Bytes) = 4,
+        /// TIMESTAMP value (milliseconds).
+        Timestamp(i64) = 5,
+        /// BOOLEAN value.
+        Boolean(bool) = 6,
+    }
 }
 
 impl Value {

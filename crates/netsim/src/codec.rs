@@ -2,21 +2,25 @@
 //!
 //! Every wire protocol in this workspace (the Drivolution bootstrap
 //! protocol, the minidb client/server protocol, the cluster group
-//! protocol) is hand-rolled on top of these primitives: little-endian
-//! fixed-width integers and `u32`-length-prefixed byte strings.
+//! protocol) is built on these primitives: little-endian fixed-width
+//! integers and `u32`-length-prefixed byte strings. A frame is declared
+//! once through [`wire_frame!`]: its field list is its layout, and each
+//! field is written and read by its type's [`Wire`] impl.
 //!
 //! Two rules are enforced here and nowhere else. A count read off
-//! the wire goes through [`get_items`] ([`get_u64s`] for digest lists),
-//! which refuses a count the rest of the frame cannot hold *before* it
-//! allocates: capacity follows bytes held, never the number read. A
-//! presence byte goes through [`get_opt`] ([`get_opt_str`] for strings):
-//! `0` absent, `1` present, anything else malformed. A tag or code byte
-//! names a variant of an enum declared once through [`wire_enum!`].
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! the wire goes through [`get_items`] ([`Capped`] in a frame), which
+//! refuses a count the rest of the frame cannot hold *before* it
+//! allocates: capacity follows bytes held, never the number read. A presence byte is read by `Option`'s [`Wire`]
+//! impl: `0` absent, `1` present, anything else malformed. A tag or code
+//! byte names a variant of an enum declared once through [`wire_enum!`].
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::marker::PhantomData;
+
+use bytes::{Buf, BufMut};
+#[doc(hidden)]
+pub use bytes::{Bytes, BytesMut};
 
 /// Error produced when decoding a malformed frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,92 +56,13 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
-/// Writes an `Option<&str>`: presence byte then the string.
-pub fn put_opt_str(buf: &mut BytesMut, s: Option<&str>) {
-    match s {
-        Some(s) => {
-            buf.put_u8(1);
-            put_str(buf, s);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-/// Writes `items` as little-endian `u64`s, without a count (the count's
-/// width is the frame's business; [`get_u64s`] reads them back).
-pub fn put_u64s(buf: &mut BytesMut, items: &[u64]) {
-    for d in items {
-        buf.put_u64_le(*d);
-    }
-}
-
-/// Reads one byte.
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow.
-pub fn get_u8(buf: &mut Bytes, what: &str) -> Result<u8, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::new(format!("{what}: need 1 byte")));
-    }
-    Ok(buf.get_u8())
-}
-
-/// Reads a little-endian `u16`.
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow.
-pub fn get_u16(buf: &mut Bytes, what: &str) -> Result<u16, CodecError> {
-    if buf.remaining() < 2 {
-        return Err(CodecError::new(format!("{what}: need 2 bytes")));
-    }
-    Ok(buf.get_u16_le())
-}
-
-/// Reads a little-endian `u32`.
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow.
-pub fn get_u32(buf: &mut Bytes, what: &str) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::new(format!("{what}: need 4 bytes")));
-    }
-    Ok(buf.get_u32_le())
-}
-
-/// Reads a little-endian `u64`.
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow.
-pub fn get_u64(buf: &mut Bytes, what: &str) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::new(format!("{what}: need 8 bytes")));
-    }
-    Ok(buf.get_u64_le())
-}
-
-/// Reads a little-endian `i64`.
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow.
-pub fn get_i64(buf: &mut Bytes, what: &str) -> Result<i64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::new(format!("{what}: need 8 bytes")));
-    }
-    Ok(buf.get_i64_le())
-}
-
 /// Reads a `u32`-length-prefixed byte string.
 ///
 /// # Errors
 ///
 /// [`CodecError`] on underflow or a length prefix exceeding the buffer.
 pub fn get_bytes(buf: &mut Bytes, what: &str) -> Result<Bytes, CodecError> {
-    let len = get_u32(buf, what)? as usize;
+    let len = u32::get(buf, what)? as usize;
     if buf.remaining() < len {
         return Err(CodecError::new(format!(
             "{what}: length prefix {len} exceeds remaining {}",
@@ -155,33 +80,6 @@ pub fn get_bytes(buf: &mut Bytes, what: &str) -> Result<Bytes, CodecError> {
 pub fn get_str(buf: &mut Bytes, what: &str) -> Result<String, CodecError> {
     let b = get_bytes(buf, what)?;
     String::from_utf8(b.to_vec()).map_err(|_| CodecError::new(format!("{what}: invalid utf-8")))
-}
-
-/// Reads an `Option<String>` written by [`put_opt_str`].
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow or an invalid presence byte.
-pub fn get_opt_str(buf: &mut Bytes, what: &str) -> Result<Option<String>, CodecError> {
-    get_opt(buf, what, |buf| get_str(buf, what))
-}
-
-/// Reads a presence byte, then the value `item` decodes when it is `1`.
-///
-/// # Errors
-///
-/// [`CodecError`] (as `E`) on underflow or a presence byte other than
-/// `0` / `1`; whatever `item` returns.
-pub fn get_opt<T, E: From<CodecError>>(
-    buf: &mut Bytes,
-    what: &str,
-    item: impl FnOnce(&mut Bytes) -> Result<T, E>,
-) -> Result<Option<T>, E> {
-    match get_u8(buf, what)? {
-        0 => Ok(None),
-        1 => item(buf).map(Some),
-        n => Err(CodecError::new(format!("{what}: bad presence byte {n}")).into()),
-    }
 }
 
 /// Reads the `n` items of a counted field, `n` being the count the
@@ -217,34 +115,292 @@ pub fn get_items<T, E: From<CodecError>>(
     Ok(items)
 }
 
-/// Reads `n` little-endian `u64`s written by [`put_u64s`].
-///
-/// # Errors
-///
-/// As [`get_items`] with 8-byte items.
-pub fn get_u64s(buf: &mut Bytes, what: &str, n: u32) -> Result<Vec<u64>, CodecError> {
-    get_items(buf, what, n, 8, |buf| get_u64(buf, what))
+/// Writes `value`'s display form as a `str`, formatted straight into
+/// the frame rather than through a `String`.
+pub fn put_display(buf: &mut BytesMut, value: &impl fmt::Display) {
+    struct Sink<'a>(&'a mut BytesMut);
+    impl fmt::Write for Sink<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.put_slice(s.as_bytes());
+            Ok(())
+        }
+    }
+    let at = buf.len();
+    buf.put_u32_le(0);
+    // The sink never fails.
+    let _ = write!(Sink(buf), "{value}");
+    let len = u32::try_from(buf.len() - at - 4).unwrap_or(u32::MAX);
+    if let Some(prefix) = buf.get_mut(at..at + 4) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
 }
 
-/// Reads a one-byte code and maps it through `from_code` (a
-/// [`wire_enum!`]'s).
-///
-/// # Errors
-///
-/// [`CodecError`] on underflow or a code `from_code` does not know.
-pub fn get_code<T>(
-    buf: &mut Bytes,
-    what: &str,
-    from_code: impl FnOnce(u8) -> Option<T>,
-) -> Result<T, CodecError> {
-    let c = get_u8(buf, what)?;
-    from_code(c).ok_or_else(|| CodecError::new(format!("unknown {what} {c}")))
+/// A value with one encoding: [`put`](Wire::put) writes it and
+/// [`get`](Wire::get) reads it back. Implemented for the primitives of
+/// `DESIGN.md` §2, every [`wire_enum!`] and every [`wire_frame!`].
+pub trait Wire: Sized {
+    /// Length of the shortest encoding: what [`get_items`] holds a count
+    /// of these against.
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding.
+    fn put(&self, buf: &mut BytesMut);
+
+    /// Reads one value; `what` names it in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] when `buf` does not start with an encoding.
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError>;
+}
+
+/// The layout a field is written in: `field: T as L` in a [`wire_frame!`]
+/// writes and reads its `T` through `L` ([`Capped`] for a counted list),
+/// and a field with no `as` is written [`AsIs`].
+pub trait WireAs<T> {
+    /// Length of the shortest encoding.
+    const MIN_BYTES: usize;
+
+    /// Appends `value`'s encoding.
+    fn put(value: &T, buf: &mut BytesMut);
+
+    /// Reads one value; `what` names it in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] when `buf` does not start with an encoding.
+    fn get(buf: &mut Bytes, what: &str) -> Result<T, CodecError>;
+}
+
+/// The layout of a field with no `as`: its type's own [`Wire`].
+#[derive(Debug)]
+pub struct AsIs;
+
+impl<T: Wire> WireAs<T> for AsIs {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+
+    fn put(value: &T, buf: &mut BytesMut) {
+        value.put(buf);
+    }
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<T, CodecError> {
+        T::get(buf, what)
+    }
+}
+
+macro_rules! wire_int {
+    ($($t:ty: $put:ident, $get:ident;)+) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+
+            #[inline]
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self);
+            }
+
+            #[inline]
+            fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+                if buf.remaining() < Self::MIN_BYTES {
+                    let need = Self::MIN_BYTES;
+                    return Err(CodecError::new(format!("{what}: need {need} bytes")));
+                }
+                Ok(buf.$get())
+            }
+        }
+    )+};
+}
+
+wire_int! {
+    u8: put_u8, get_u8;
+    i8: put_i8, get_i8;
+    u16: put_u16_le, get_u16_le;
+    u32: put_u32_le, get_u32_le;
+    u64: put_u64_le, get_u64_le;
+    i64: put_i64_le, get_i64_le;
+}
+
+/// `u8`, zero is false.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(*self));
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+        Ok(u8::get(buf, what)? != 0)
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+        get_str(buf, what)
+    }
+}
+
+/// A slice of the frame it was read from.
+impl Wire for Bytes {
+    const MIN_BYTES: usize = 4;
+
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        put_bytes(buf, self);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+        get_bytes(buf, what)
+    }
+}
+
+/// `opt T`: a presence byte, `0` absent, `1` present and then the
+/// value, anything else malformed.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Some(v) => {
+                buf.put_u8(1);
+                v.put(buf);
+            }
+            None => buf.put_u8(0),
+        }
+    }
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+        match u8::get(buf, what)? {
+            0 => Ok(None),
+            1 => T::get(buf, what).map(Some),
+            n => Err(CodecError::new(format!("{what}: bad presence byte {n}"))),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+        Ok((A::get(buf, what)?, B::get(buf, what)?))
+    }
+}
+
+/// A `u8` kind, `0` then the value or `1` then the error.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    const MIN_BYTES: usize = 1 + min_of(&[T::MIN_BYTES, E::MIN_BYTES]);
+
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Ok(v) => {
+                buf.put_u8(0);
+                v.put(buf);
+            }
+            Err(e) => {
+                buf.put_u8(1);
+                e.put(buf);
+            }
+        }
+    }
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
+        match u8::get(buf, what)? {
+            0 => T::get(buf, what).map(Ok),
+            1 => E::get(buf, what).map(Err),
+            k => Err(CodecError::new(format!("{what}: bad result kind {k}"))),
+        }
+    }
+}
+
+/// The width of a list's count.
+pub trait Count: Wire + Copy + Into<u32> + TryFrom<usize> {
+    /// The largest count the width holds.
+    const MAX: Self;
+}
+
+impl Count for u16 {
+    const MAX: Self = u16::MAX;
+}
+
+impl Count for u32 {
+    const MAX: Self = u32::MAX;
+}
+
+/// The layout of a counted list (`Vec<T> as Capped<N>` in a
+/// [`wire_frame!`]): its count as an `N`, then the items. A list longer
+/// than `CAP`, or than `N` can count, is written as its first items, so
+/// the count written is always the number of items written; a count past
+/// `CAP` does not decode, and one the frame cannot hold does not
+/// allocate ([`get_items`]).
+#[derive(Debug)]
+pub struct Capped<N, const CAP: usize = { usize::MAX }>(PhantomData<N>);
+
+impl<N: Count, T: Wire, const CAP: usize> WireAs<Vec<T>> for Capped<N, CAP> {
+    const MIN_BYTES: usize = N::MIN_BYTES;
+
+    fn put(items: &Vec<T>, buf: &mut BytesMut) {
+        let cap = usize::try_from(N::MAX.into()).map_or(CAP, |max| max.min(CAP));
+        let items = items.get(..cap).unwrap_or(items);
+        N::try_from(items.len()).unwrap_or(N::MAX).put(buf);
+        for item in items {
+            item.put(buf);
+        }
+    }
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<Vec<T>, CodecError> {
+        let n: u32 = N::get(buf, what)?.into();
+        if usize::try_from(n).map_or(true, |n| n > CAP) {
+            return Err(CodecError::new(format!(
+                "{what}: count {n} exceeds the cap {CAP}"
+            )));
+        }
+        get_items(buf, what, n, T::MIN_BYTES, |buf| T::get(buf, what))
+    }
+}
+
+/// `value`'s encoding, in a buffer of `capacity` bytes to start with.
+pub fn encode<T: Wire>(value: &T, capacity: usize) -> Bytes {
+    let mut buf = BytesMut::with_capacity(capacity);
+    value.put(&mut buf);
+    buf.freeze()
+}
+
+/// The least of `xs` (`usize::MAX` for none): an enum's shortest variant.
+#[doc(hidden)]
+pub const fn min_of(xs: &[usize]) -> usize {
+    match xs {
+        [] => usize::MAX,
+        [x, rest @ ..] => {
+            let rest = min_of(rest);
+            if *x < rest {
+                *x
+            } else {
+                rest
+            }
+        }
+    }
 }
 
 /// Declares a fieldless wire enum once: the enum under `#[repr(R)]`, its
-/// `code(self) -> R` and its `from_code(R) -> Option<Self>`, both read
-/// off the one list of `Variant = code` lines, so they cannot drift
-/// apart. Derives stay at the call site.
+/// `code(self) -> R`, its `from_code(R) -> Option<Self>` and its [`Wire`]
+/// impl (the code as an `R`), all read off the one list of
+/// `Variant = code` lines, so they cannot drift apart. Derives stay at
+/// the call site, and `Copy` is one of them. `else Variant` after the
+/// repr decodes a code the list does not know as that variant.
 ///
 /// ```
 /// netsim::codec::wire_enum! {
@@ -260,6 +416,7 @@ pub fn get_code<T>(
 ///
 /// ```compile_fail,E0081
 /// netsim::codec::wire_enum! {
+///     #[derive(Clone, Copy)]
 ///     enum Tag: u8 { Request = 0, Offer = 0 }
 /// }
 /// ```
@@ -269,6 +426,7 @@ pub fn get_code<T>(
 ///
 /// ```compile_fail,E0004
 /// netsim::codec::wire_enum! {
+///     #[derive(Clone, Copy)]
 ///     enum Tag: u8 { Request = 0, Offer = 1 }
 /// }
 /// fn decode(byte: u8) -> &'static str {
@@ -282,7 +440,7 @@ pub fn get_code<T>(
 macro_rules! wire_enum {
     (
         $(#[$meta:meta])*
-        $vis:vis enum $name:ident : $repr:ident {
+        $vis:vis enum $name:ident : $repr:ident $(else $fallback:ident)? {
             $($(#[$vmeta:meta])* $variant:ident = $code:literal),+ $(,)?
         }
     ) => {
@@ -306,9 +464,201 @@ macro_rules! wire_enum {
                 }
             }
         }
+
+        impl $crate::codec::Wire for $name {
+            const MIN_BYTES: usize = <$repr as $crate::codec::Wire>::MIN_BYTES;
+
+            fn put(&self, buf: &mut $crate::codec::BytesMut) {
+                $crate::codec::Wire::put(&self.code(), buf);
+            }
+
+            fn get(
+                buf: &mut $crate::codec::Bytes,
+                what: &str,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                let c = <$repr as $crate::codec::Wire>::get(buf, what)?;
+                Self::from_code(c)
+                    $(.or(Some($name::$fallback)))?
+                    .ok_or_else(|| $crate::codec::CodecError::new(format!("unknown {what} {c}")))
+            }
+        }
     };
 }
 pub use wire_enum;
+
+/// Declares a frame once: a struct, or an enum whose variants carry a
+/// `= code` tag, and each field's layout in the one list that declares
+/// it. It emits the type (docs and derives kept), the enum's tag enum
+/// through [`wire_enum!`] (named after the `:`, with the variants'
+/// docs), and the [`Wire`] impl: `put` (encode) writes the tag and the
+/// fields in order, `get` (decode) reads them back and names the field
+/// that failed, and `MIN_BYTES` is summed from the fields' types (for an
+/// enum: the tag and its shortest variant). A field is written as its
+/// type's own [`Wire`], or `as` a layout ([`WireAs`]): a counted list
+/// is `Vec<T> as Capped<N>` or `Capped<N, CAP>`.
+///
+/// ```
+/// use netsim::codec::{wire_frame, Wire};
+///
+/// wire_frame! {
+///     #[derive(Debug, PartialEq)]
+///     pub enum Msg: Tag(u8) {
+///         Ping = 0,
+///         Echo(String) = 1,
+///         Sum { terms: Vec<u64> as netsim::codec::Capped<u16, 8>, carry: bool } = 2,
+///     }
+/// }
+///
+/// let msg = Msg::Sum { terms: vec![1, 2], carry: true };
+/// let frame = netsim::codec::encode(&msg, 0);
+/// assert_eq!(frame.len(), 1 + 2 + 2 * 8 + 1);
+/// assert_eq!(Msg::get(&mut frame.clone(), "msg"), Ok(msg));
+/// assert_eq!(<Msg as Wire>::MIN_BYTES, 1);
+/// assert_eq!(Tag::Echo.code(), 1);
+/// ```
+///
+/// Two variants with one tag do not build (E0081):
+///
+/// ```compile_fail,E0081
+/// netsim::codec::wire_frame! {
+///     enum Msg: Tag(u8) { Ping = 0, Echo(String) = 0 }
+/// }
+/// ```
+#[macro_export]
+macro_rules! wire_frame {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty $(as $fvia:ty)?),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty,)+
+        }
+
+        impl $crate::codec::Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$crate::__wire_via!($fty $(, $fvia)?)
+                as $crate::codec::WireAs<$fty>>::MIN_BYTES)+;
+
+            fn put(&self, buf: &mut $crate::codec::BytesMut) {
+                $(<$crate::__wire_via!($fty $(, $fvia)?) as $crate::codec::WireAs<$fty>>::put(
+                    &self.$field,
+                    buf,
+                );)+
+            }
+
+            fn get(
+                buf: &mut $crate::codec::Bytes,
+                _: &str,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok($name {$(
+                    $field: <$crate::__wire_via!($fty $(, $fvia)?)
+                        as $crate::codec::WireAs<$fty>>::get(
+                        buf,
+                        concat!(stringify!($name), ".", stringify!($field)),
+                    )?,
+                )+})
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident : $tvis:vis $tag:ident ($repr:ident) {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $(($tty:ty $(as $tvia:ty)?))?
+                $({$($(#[$fmeta:meta])* $field:ident : $fty:ty $(as $fvia:ty)?),+ $(,)?})?
+                = $code:literal
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant $(($tty))? $({$($(#[$fmeta])* $field: $fty,)+})?,)+
+        }
+
+        $crate::wire_enum! {
+            #[doc = concat!("The tag of a [`", stringify!($name), "`], one per variant.")]
+            #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+            $tvis enum $tag: $repr {
+                $($(#[$vmeta])* $variant = $code,)+
+            }
+        }
+
+        impl $crate::codec::Wire for $name {
+            const MIN_BYTES: usize = <$tag as $crate::codec::Wire>::MIN_BYTES
+                + $crate::codec::min_of(&[$(
+                    0 $(+ <$crate::__wire_via!($tty $(, $tvia)?)
+                        as $crate::codec::WireAs<$tty>>::MIN_BYTES)?
+                    $($(+ <$crate::__wire_via!($fty $(, $fvia)?)
+                        as $crate::codec::WireAs<$fty>>::MIN_BYTES)+)?
+                ),+]);
+
+            fn put(&self, buf: &mut $crate::codec::BytesMut) {
+                match self {$(
+                    $name::$variant {
+                        $(0: $crate::__wire_bind!(x $tty),)?
+                        $($($field,)+)?
+                    } => {
+                        $crate::codec::Wire::put(&$tag::$variant, buf);
+                        $(<$crate::__wire_via!($tty $(, $tvia)?)
+                            as $crate::codec::WireAs<$tty>>::put(x, buf);)?
+                        $($(<$crate::__wire_via!($fty $(, $fvia)?)
+                            as $crate::codec::WireAs<$fty>>::put($field, buf);)+)?
+                    }
+                )+}
+            }
+
+            fn get(
+                buf: &mut $crate::codec::Bytes,
+                _: &str,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match <$tag as $crate::codec::Wire>::get(buf, stringify!($name))? {$(
+                    $tag::$variant => $name::$variant {
+                        $(0: <$crate::__wire_via!($tty $(, $tvia)?)
+                            as $crate::codec::WireAs<$tty>>::get(
+                            buf,
+                            concat!(stringify!($name), "::", stringify!($variant)),
+                        )?,)?
+                        $($($field: <$crate::__wire_via!($fty $(, $fvia)?)
+                            as $crate::codec::WireAs<$fty>>::get(
+                            buf,
+                            concat!(
+                                stringify!($name), "::", stringify!($variant),
+                                ".", stringify!($field),
+                            ),
+                        )?,)+)?
+                    },
+                )+})
+            }
+        }
+    };
+}
+pub use wire_frame;
+
+/// A field's layout: its `as` type when it has one, else [`AsIs`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_via {
+    ($ty:ty) => {
+        $crate::codec::AsIs
+    };
+    ($ty:ty, $via:ty) => {
+        $via
+    };
+}
+
+/// The binding a one-field variant's pattern names; the type only drives
+/// the repetition.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_bind {
+    ($x:ident $ty:ty) => {
+        $x
+    };
+}
 
 #[cfg(test)]
 mod tests {
@@ -324,29 +674,35 @@ mod tests {
         b.put_i64_le(-42);
         put_str(&mut b, "héllo");
         put_bytes(&mut b, &[1, 2, 3]);
-        put_opt_str(&mut b, None);
-        put_opt_str(&mut b, Some("x"));
+        None::<String>.put(&mut b);
+        Some("x".to_string()).put(&mut b);
+        (-3i8).put(&mut b);
+        true.put(&mut b);
+        put_display(&mut b, &format_args!("v{}.{}", 2, 10));
 
         let mut r = b.freeze();
-        assert_eq!(get_u8(&mut r, "a").unwrap(), 7);
-        assert_eq!(get_u16(&mut r, "b").unwrap(), 300);
-        assert_eq!(get_u32(&mut r, "c").unwrap(), 70_000);
-        assert_eq!(get_u64(&mut r, "d").unwrap(), 1 << 40);
-        assert_eq!(get_i64(&mut r, "e").unwrap(), -42);
+        assert_eq!(u8::get(&mut r, "a").unwrap(), 7);
+        assert_eq!(u16::get(&mut r, "b").unwrap(), 300);
+        assert_eq!(u32::get(&mut r, "c").unwrap(), 70_000);
+        assert_eq!(u64::get(&mut r, "d").unwrap(), 1 << 40);
+        assert_eq!(i64::get(&mut r, "e").unwrap(), -42);
         assert_eq!(get_str(&mut r, "f").unwrap(), "héllo");
         assert_eq!(
             get_bytes(&mut r, "g").unwrap(),
             Bytes::from_static(&[1, 2, 3])
         );
-        assert_eq!(get_opt_str(&mut r, "h").unwrap(), None);
-        assert_eq!(get_opt_str(&mut r, "i").unwrap(), Some("x".to_string()));
+        assert_eq!(Option::<String>::get(&mut r, "h").unwrap(), None);
+        assert_eq!(Option::get(&mut r, "i"), Ok(Some("x".to_string())));
+        assert_eq!(i8::get(&mut r, "j"), Ok(-3));
+        assert_eq!(bool::get(&mut r, "k"), Ok(true));
+        assert_eq!(get_str(&mut r, "l").unwrap(), "v2.10");
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn underflow_is_reported_with_context() {
         let mut r = Bytes::from_static(&[1]);
-        let e = get_u32(&mut r, "session id").unwrap_err();
+        let e = u32::get(&mut r, "session id").unwrap_err();
         assert!(e.to_string().contains("session id"));
     }
 
@@ -362,24 +718,41 @@ mod tests {
     #[test]
     fn bad_presence_byte_is_rejected() {
         let mut r = Bytes::from_static(&[9]);
-        assert!(get_opt_str(&mut r, "opt").is_err());
+        assert!(Option::<String>::get(&mut r, "opt").is_err());
         let mut r = Bytes::from_static(&[2, 0, 0, 0, 0, 0, 0, 0, 0]);
-        let e = get_opt(&mut r, "digest", |b| get_u64(b, "digest")).unwrap_err();
+        let e = Option::<u64>::get(&mut r, "digest").unwrap_err();
         assert!(e.to_string().contains("bad presence byte 2"));
         let mut r = Bytes::from_static(&[1, 7, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(get_opt(&mut r, "d", |b| get_u64(b, "d")), Ok(Some(7)));
-        assert_eq!(get_opt(&mut r, "d", |b| get_u64(b, "d")), Ok(None));
+        assert_eq!(Option::<u64>::get(&mut r, "d"), Ok(Some(7)));
+        assert_eq!(Option::<u64>::get(&mut r, "d"), Ok(None));
     }
 
     #[test]
-    fn u64_lists_roundtrip_and_leave_the_rest() {
+    fn capped_lists_count_what_they_write_and_leave_the_rest() {
+        type Three = Capped<u16, 3>;
         let mut b = BytesMut::new();
-        put_u64s(&mut b, &[1, 2, 3]);
+        <Three as WireAs<Vec<u64>>>::put(&vec![1, 2, 3, 4], &mut b);
         b.put_u8(9);
+        assert_eq!(b.len(), 2 + 3 * 8 + 1);
         let mut r = b.freeze();
-        assert_eq!(get_u64s(&mut r, "digests", 3).unwrap(), vec![1, 2, 3]);
-        assert_eq!(get_u8(&mut r, "tail").unwrap(), 9);
-        assert_eq!(get_u64s(&mut r, "digests", 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(Three::get(&mut r, "digests"), Ok(vec![1u64, 2, 3]));
+        assert_eq!(u8::get(&mut r, "tail"), Ok(9));
+
+        // A count past the cap is refused with every item in the frame.
+        let mut b = BytesMut::new();
+        <Capped<u16> as WireAs<Vec<u8>>>::put(&vec![7; 4], &mut b);
+        let e = <Three as WireAs<Vec<u8>>>::get(&mut b.freeze(), "digests");
+        assert!(e
+            .unwrap_err()
+            .to_string()
+            .contains("count 4 exceeds the cap 3"));
+
+        // Past the count's width: as many items as `u16::MAX`, and it says so.
+        let mut b = BytesMut::new();
+        <Capped<u16> as WireAs<Vec<u8>>>::put(&vec![7; 70_000], &mut b);
+        assert_eq!(b.len(), 2 + usize::from(u16::MAX));
+        let list: Vec<u8> = Capped::<u16>::get(&mut b.freeze(), "bytes").unwrap();
+        assert_eq!(list.len(), usize::from(u16::MAX));
     }
 
     #[test]
@@ -390,7 +763,7 @@ mod tests {
         let calls = std::cell::Cell::new(0);
         let mut item = |b: &mut Bytes| {
             calls.set(calls.get() + 1);
-            get_u64(b, "item")
+            u64::get(b, "item")
         };
         let mut r = frame.clone();
         let e = get_items(&mut r, "list", 3, 8, &mut item).unwrap_err();
@@ -428,7 +801,7 @@ mod tests {
                 E::Codec(e.to_string())
             }
         }
-        let item = |b: &mut Bytes| match get_u8(b, "item")? {
+        let item = |b: &mut Bytes| match u8::get(b, "item")? {
             3 => Err(E::Item(3)),
             n => Ok(n),
         };
@@ -442,7 +815,7 @@ mod tests {
             Err(E::Codec(_))
         ));
         let mut r = Bytes::from_static(&[1, 2, 3]);
-        let wide = |b: &mut Bytes| Ok::<_, E>(get_u16(b, "wide")?);
+        let wide = |b: &mut Bytes| Ok::<_, E>(u16::get(b, "wide")?);
         assert!(matches!(
             get_items(&mut r, "list", 2, 1, wide),
             Err(E::Codec(_))

@@ -4,7 +4,6 @@
 //! manifest, chunk map or peer cache can make a depot believe a digest
 //! it did not compute.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -70,7 +69,6 @@ proptest! {
         len in 1usize..96 * 1024,
         depot_pick in any::<u8>(),
         foreign_pick in 1u8..4,
-        dropped in any::<u32>(),
     ) {
         let image = Bytes::from(entropy_blob(len, seed));
         let own = params(depot_pick);
@@ -80,46 +78,30 @@ proptest! {
         let plain = DriverDepot::with_params(own);
         assert_holds(&plain, plain.insert(DB, image.clone()), &image, &own);
 
-        for manifest_params in [own, foreign] {
-            let (manifest, pairs) = manifest_and_chunks(&image, &manifest_params);
-            let complete: HashMap<u64, Bytes> = pairs.into_iter().collect();
-            let mut incomplete = complete.clone();
-            incomplete.remove(&manifest.chunks[dropped as usize % manifest.chunks.len()]);
-            for provided in [&complete, &incomplete, &HashMap::new()] {
-                let depot = DriverDepot::with_params(own);
-                let d = depot.insert_assembled(DB, image.clone(), &manifest, provided);
-                assert_holds(&depot, d, &image, &own);
-                let depot = DriverDepot::with_params(own);
-                let hashed = Digested::of(image.clone());
-                let d = depot.insert_assembled_digested(DB, hashed, &manifest, provided);
-                assert_holds(&depot, d, &image, &own);
-            }
-        }
+        // An assembled image enters hashed, whatever manifest and
+        // chunks it was assembled from.
+        let depot = DriverDepot::with_params(own);
+        let d = depot.insert_digested(DB, Digested::of(image.clone()));
+        assert_holds(&depot, d, &image, &own);
 
         // The foreign-params route: the index derives the other
         // chunking from the image it holds and the digest it holds it
         // under, whichever way the image came in.
         let scanned = ContentIndex::new();
         assert_derives(&scanned, scanned.insert(image.clone(), &own), &image, &foreign);
-        let (manifest, pairs) = manifest_and_chunks(&image, &foreign);
-        let prechunked = ContentIndex::new();
-        let d = prechunked.insert_prechunked(
-            Digested::of(image.clone()),
-            &manifest,
-            &pairs.into_iter().collect(),
-        );
-        assert_derives(&prechunked, d, &image, &own);
+        let foreign_first = ContentIndex::new();
+        let d = foreign_first.insert_digested(Digested::of(image.clone()), &foreign);
+        assert_derives(&foreign_first, d, &image, &own);
 
-        // A manifest that describes other bytes — digest, size, chunk
-        // list and chunk map all consistent with each other, none with
-        // the image — buys nothing: the depot scans what it was given.
-        let (lying, pairs) = manifest_and_chunks(&other, &own);
-        let lying_chunks: HashMap<u64, Bytes> = pairs.into_iter().collect();
+        // A manifest that describes other bytes — digest, size and chunk
+        // list consistent with each other, none with the image — buys
+        // nothing: the insert takes the bytes, never a manifest.
+        let (lying, _) = manifest_and_chunks(&other, &own);
         let mut off_by_one = ChunkManifest::of_with(&image, &own);
         off_by_one.content_digest ^= 1;
         for manifest in [&lying, &off_by_one] {
             let depot = DriverDepot::with_params(own);
-            let d = depot.insert_assembled(DB, image.clone(), manifest, &lying_chunks);
+            let d = depot.insert_digested(DB, Digested::of(image.clone()));
             prop_assert_ne!(d, manifest.content_digest);
             assert_holds(&depot, d, &image, &own);
             prop_assert!(depot.lookup(manifest.content_digest).is_none());

@@ -9,7 +9,8 @@ use drivolution::cluster::proto::{ClusterFrame, CLUSTER_V2};
 use drivolution::core::chunk::{split_with, ChunkManifest, ChunkSet, ChunkingParams};
 use drivolution::core::pack::{pack_driver_padded, unpack_driver, Archive};
 use drivolution::core::proto::{
-    DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, RequestKind,
+    ChunkPlan, DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, MirrorCandidate,
+    RequestKind,
 };
 use drivolution::core::{
     fnv1a64, ApiVersion, BinaryFormat, DriverId, DriverImage, DriverVersion, ExpirationPolicy,
@@ -383,4 +384,127 @@ fn every_frame_encodes_to_its_pinned_bytes() {
         .collect();
     let pinned: Vec<String> = PINNED_FRAMES.map(|(name, d)| row(name, d)).into();
     assert_eq!(computed, pinned);
+}
+
+/// A count is never narrowed apart from its items: a list longer than
+/// its count's width travels as its first `u16::MAX` items under a count
+/// that says so, and every field after it still decodes. Each of these
+/// five lists used to write `len() as u16` (65 537 → 1) ahead of all its
+/// items, and the frame did not decode. A request reaches that size
+/// through `BootloaderConfig::with_request_option`.
+#[test]
+fn a_list_past_its_count_width_writes_as_many_items_as_it_counts() {
+    let max = usize::from(u16::MAX);
+    let pairs: Vec<(String, String)> = (0..max + 2).map(|i| (i.to_string(), "v".into())).collect();
+
+    let request = DrvRequest {
+        options: pairs.clone(),
+        zone: Some("east".into()),
+        ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
+    };
+    let Ok(DrvMsg::Request(got)) = DrvMsg::decode(DrvMsg::Request(request.clone()).encode()) else {
+        panic!("a request with {} options does not decode", max + 2);
+    };
+    assert_eq!(got.options, pairs[..max]);
+    assert_eq!(got.zone, request.zone);
+
+    let manifest = ChunkManifest::of(&[1u8; 4096], 1024);
+    let mirror = |i: usize| MirrorCandidate {
+        location: format!("m{i}"),
+        zone: None,
+        healthy: true,
+    };
+    let offer = DrvOffer {
+        driver_id: DriverId(1),
+        driver_version: None,
+        same_driver: false,
+        lease_ms: 1,
+        renew_policy: RenewPolicy::Renew,
+        expiration_policy: ExpirationPolicy::AfterClose,
+        format: BinaryFormat::Djar,
+        location: "drivers/1".into(),
+        size: 4096,
+        transfer_method: TransferMethod::Plain,
+        options: pairs.clone(),
+        signature: None,
+        content_digest: Some(7),
+        chunked: Some(ChunkPlan {
+            missing: manifest.chunks.clone(),
+            manifest,
+            mirrors: (0..max + 2).map(mirror).collect(),
+        }),
+    };
+    let Ok(DrvMsg::Offer(got)) = DrvMsg::decode(DrvMsg::Offer(offer.clone()).encode()) else {
+        panic!(
+            "an offer with {} options and mirrors does not decode",
+            max + 2
+        );
+    };
+    assert_eq!(got.options, pairs[..max]);
+    assert_eq!(got.content_digest, Some(7));
+    let plan = got.chunked.expect("the plan travels");
+    assert_eq!(plan.mirrors, (0..max).map(mirror).collect::<Vec<_>>());
+
+    let params: Vec<(String, Value)> = (0..max + 2).map(|i| (i.to_string(), Value::Null)).collect();
+    let query = ClientMsg::QueryParams {
+        session: 7,
+        sql: "SELECT 1".into(),
+        params: params.clone(),
+    };
+    let Ok(ClientMsg::QueryParams { params: got, .. }) = ClientMsg::decode(query.encode()) else {
+        panic!("a query with {} parameters does not decode", max + 2);
+    };
+    assert_eq!(got, params[..max]);
+
+    let columns: Vec<String> = (0..max + 2).map(|i| format!("c{i}")).collect();
+    let row: Vec<Value> = (0..max + 2).map(|i| Value::Integer(i as i64)).collect();
+    let rows = ServerMsg::Rows(RowSet {
+        columns: columns.clone(),
+        rows: vec![row.clone()],
+    });
+    let Ok(ServerMsg::Rows(got)) = ServerMsg::decode(rows.encode()) else {
+        panic!("a row set of {} columns does not decode", max + 2);
+    };
+    assert_eq!(got.columns, columns[..max]);
+    assert_eq!(got.rows, vec![row[..max].to_vec()]);
+}
+
+/// `get_items` refuses a count its frame cannot hold at the item's
+/// `MIN_BYTES`, so each counted item's minimum must be the length of its
+/// shortest encoding — and the figure each decoder used to hand-count.
+#[test]
+fn every_counted_item_minimum_is_its_shortest_encoding() {
+    use drivolution::netsim::codec::{encode, Wire};
+
+    fn row<T: Wire>(name: &'static str, shortest: T) -> (&'static str, usize, usize) {
+        (name, T::MIN_BYTES, encode(&shortest, 0).len())
+    }
+    let request = || DrvRequest::bootstrap("", "", "", "");
+    let no_offer: Result<DrvOffer, _> = Err((DrvErrCode::Internal, String::new()));
+    let computed = [
+        row("REQ", request()),
+        row("batch entry", (String::new(), request())),
+        row("kv", (String::new(), String::new())),
+        row("offer-batch reply", no_offer),
+        row(
+            "mirror candidate",
+            MirrorCandidate {
+                location: String::new(),
+                zone: None,
+                healthy: false,
+            },
+        ),
+        row("param", (String::new(), Value::Null)),
+        row("column", String::new()),
+    ];
+    let literal = [
+        ("REQ", 26, 26),
+        ("batch entry", 30, 30),
+        ("kv", 8, 8),
+        ("offer-batch reply", 7, 7),
+        ("mirror candidate", 6, 6),
+        ("param", 5, 5),
+        ("column", 4, 4),
+    ];
+    assert_eq!(computed, literal);
 }
