@@ -11,14 +11,16 @@
 //!    (per-zone aggregator coalescing same-tick renewals into
 //!    `RENEW_BATCH` frames) over identical virtual steady-state
 //!    windows. The server must see at least 10× fewer frames on the
-//!    batched shape; this count is deterministic, so it is a hard gate.
+//!    batched shape, and ship at most a quarter of the bytes per granted
+//!    renewal (a batch frame carries each distinct request and reply
+//!    once); these counts are deterministic, so they are hard gates.
 
 use drivolution_core::DriverId;
 use drivolution_server::LicenseManager;
 use fleet::{FleetSim, SimSpec};
 
 use super::MINUTE;
-use crate::kit::{Report, Size};
+use crate::kit::{Report, Size, Value};
 
 const LEASE_MS: u64 = 10 * MINUTE;
 const DRIVER_PADDING: usize = 16 * 1024;
@@ -53,8 +55,16 @@ fn run_license_storm(hosts: usize, rounds: usize) -> u64 {
 
 struct FrameTrace {
     frames: u64,
+    bytes: u64,
     renewals: u64,
     batch_frames: u64,
+}
+
+impl FrameTrace {
+    /// Bytes to and from the server per granted renewal.
+    fn bytes_per_renewal(&self) -> f64 {
+        self.bytes as f64 / self.renewals.max(1) as f64
+    }
 }
 
 /// Runs `CYCLES` lease windows of steady-state maintenance and reports
@@ -72,6 +82,7 @@ fn run_fleet(batched: bool, clients: usize) -> FrameTrace {
     let after = sim.server().stats();
     FrameTrace {
         frames: steady.server_requests,
+        bytes: steady.server_bytes,
         renewals: after.renewals - before.renewals,
         batch_frames: after.batch_frames - before.batch_frames,
     }
@@ -108,6 +119,9 @@ pub fn run(size: Size) -> Report {
     r.set("batched_frames", batched.frames);
     r.set("batched_renewals", batched.renewals);
     r.set("batch_frames", batched.batch_frames);
+    let per_renewal = |t: &FrameTrace| Value::Float(t.bytes_per_renewal(), 2);
+    r.set("unbatched_bytes_per_renewal", per_renewal(&unbatched));
+    r.set("batched_bytes_per_renewal", per_renewal(&batched));
     r.gates.require(
         batched.renewals > 0 && batched.batch_frames > 0,
         "batched fleet produced no RENEW_BATCH traffic",
@@ -117,6 +131,14 @@ pub fn run(size: Size) -> Report {
         format!(
             "batching only cut server frames from {} to {} (need ≥10×)",
             unbatched.frames, batched.frames
+        ),
+    );
+    r.gates.require(
+        batched.bytes_per_renewal() * 4.0 <= unbatched.bytes_per_renewal(),
+        format!(
+            "batching only cut server bytes per renewal from {:.2} to {:.2} (need ≥4×)",
+            unbatched.bytes_per_renewal(),
+            batched.bytes_per_renewal()
         ),
     );
     r

@@ -9,7 +9,7 @@ use std::time::Duration;
 use driverkit::{Namespace, NamespaceId};
 use netsim::Addr;
 
-use drivolution_core::proto::{DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
+use drivolution_core::proto::{BatchReply, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::{DriverVersion, DrvNotice, LeaseState};
 
 use crate::bootloader::{push_sample, Bootloader, PollOutcome};
@@ -202,7 +202,7 @@ impl Bootloader {
             return PollOutcome::Idle;
         };
         match self.exchange(&url, DrvMsg::Request(req)) {
-            Ok((server, DrvMsg::Offer(offer))) => self.apply_renewal_offer(&ns, &server, offer),
+            Ok((server, DrvMsg::Offer(offer))) => self.apply_renewal_offer(&ns, &server, &offer),
             Ok((_server, DrvMsg::Error { .. })) => {
                 // REVOKE (or no driver anymore): block new connections and
                 // transition existing ones per the *current* lease policy.
@@ -229,11 +229,11 @@ impl Bootloader {
         self: &Arc<Self>,
         ns: &Namespace,
         server: &Addr,
-        offer: DrvOffer,
+        offer: &DrvOffer,
     ) -> PollOutcome {
         if offer.same_driver {
             // RENEW: keep the driver, restart the lease window.
-            if let Ok(lease) = self.lease_of(&offer) {
+            if let Ok(lease) = self.lease_of(offer) {
                 let _ = self.registry.set_lease(ns.id, lease);
             }
             let mut st = self.state.lock();
@@ -246,7 +246,7 @@ impl Bootloader {
         // UPGRADE: download, switch new connects, transition old
         // connections per the offer's expiration policy, unload.
         let from = ns.image.version;
-        match self.install_offer(server, &offer) {
+        match self.install_offer(server, offer) {
             Ok(new_ns) => {
                 let to = self
                     .registry
@@ -270,7 +270,7 @@ impl Bootloader {
                 self.state.lock().stats.upgrades += 1;
                 if self.config.report_activation {
                     let verdict = self.run_activation_check(new_ns);
-                    self.send_activation_report(&offer, Some(to), verdict);
+                    self.send_activation_report(offer, Some(to), verdict);
                 }
                 PollOutcome::Upgraded { from, to }
             }
@@ -278,7 +278,7 @@ impl Bootloader {
                 self.state.lock().stats.failed_renewals += 1;
                 if self.config.report_activation {
                     let verdict = Err(format!("driver install failed: {e}"));
-                    self.send_activation_report(&offer, None, verdict);
+                    self.send_activation_report(offer, None, verdict);
                 }
                 PollOutcome::KeptAfterFailure
             }
@@ -295,20 +295,16 @@ impl Bootloader {
     /// through [`apply_batch_offer`](Self::apply_batch_offer). The entry
     /// carries this bootloader's host so the server attributes the
     /// license seat to the client, not the aggregator.
-    pub fn batch_renewal_entry(self: &Arc<Self>) -> Option<(String, DrvRequest)> {
+    pub fn batch_renewal_entry(self: &Arc<Self>) -> Option<(String, Arc<DrvRequest>)> {
         let (_ns, req) = self.due_renewal()?;
-        Some((self.local.host().to_string(), req))
+        Some((self.local.host().to_string(), Arc::new(req)))
     }
 
     /// Applies one reply from an `OFFER_BATCH` to this bootloader,
     /// mirroring exactly what an individually exchanged renewal would
     /// have done: same-driver offers renew the lease, other offers
     /// upgrade, and error replies revoke. Re-arms the lease timer.
-    pub fn apply_batch_offer(
-        self: &Arc<Self>,
-        server: &Addr,
-        reply: Result<DrvOffer, (DrvErrCode, String)>,
-    ) -> PollOutcome {
+    pub fn apply_batch_offer(self: &Arc<Self>, server: &Addr, reply: &BatchReply) -> PollOutcome {
         let Some(ns) = self.registry.active() else {
             return PollOutcome::Idle;
         };

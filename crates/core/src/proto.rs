@@ -19,10 +19,13 @@
 //! each is declared once through [`wire_frame!`], and the byte layout of
 //! all 18 tags is the table in `DESIGN.md` §2.
 
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    encode, get_bytes, put_display, wire_enum, wire_frame, Capped, CodecError, Wire, WireAs,
+    encode, get_bytes, put_display, wire_enum, wire_frame, Capped, CodecError, Interned, Wire,
+    WireAs,
 };
 
 use crate::chunk::{ChunkManifest, ChunkingParams, ImageSize};
@@ -327,6 +330,10 @@ wire_enum! {
     }
 }
 
+/// One entry's reply in an [`DrvMsg::OfferBatch`]: the offer, or the
+/// error class and message an individual request would have drawn.
+pub type BatchReply = Result<DrvOffer, (DrvErrCode, String)>;
+
 impl DrvErrCode {
     /// Maps a protocol error into the crate error type.
     pub fn into_error(self, message: String) -> DrvError {
@@ -424,8 +431,6 @@ wire_frame! {
             location: String,
             /// Chunks the mirror's replica currently holds.
             chunk_count: u64,
-            /// Cumulative raw chunk bytes the mirror has served.
-            served_bytes: u64,
             /// Requests served since the previous heartbeat (load signal for
             /// candidate ranking).
             load: u32,
@@ -464,19 +469,23 @@ wire_frame! {
         /// per client due in the same scheduler tick, carrying the
         /// originating client host (licensing, lease logging, and rollout
         /// wave membership key on the client, never the aggregator) plus
-        /// that client's renewal request. The server answers with one
+        /// that client's renewal request. Each distinct request travels
+        /// once per frame ([`Interned`]). The server answers with one
         /// [`DrvMsg::OfferBatch`] whose entries pair up by position.
         /// Unbatched clients keep sending single `Request` frames.
         RenewBatch {
-            /// Per-client entries: `(client_host, request)`.
-            entries: Vec<(String, DrvRequest)> as Capped<u32>,
+            /// Per-client entries: `(client_host, request)`; equal
+            /// requests share one decoded value.
+            entries: Vec<(String, Arc<DrvRequest>)> as Interned,
         } = 15,
         /// `OFFER_BATCH` — the server's positional reply to a
         /// [`DrvMsg::RenewBatch`]: per entry, either a full offer or the
-        /// typed error that client's individual request would have produced.
+        /// typed error that client's individual request would have
+        /// produced. Each distinct reply travels once per frame.
         OfferBatch {
-            /// Positional replies, one per batch entry.
-            replies: Vec<Result<DrvOffer, (DrvErrCode, String)>> as Capped<u32>,
+            /// Positional replies, one per batch entry; equal replies
+            /// share one decoded value.
+            replies: Vec<Arc<BatchReply>> as Interned,
         } = 16,
         /// `MIRROR_COMPLAINT` — a bootloader's best-effort report that a
         /// mirror served bytes failing digest/checksum verification. The
@@ -798,14 +807,12 @@ mod tests {
             DrvMsg::MirrorHeartbeat {
                 location: "mirror1:1071".into(),
                 chunk_count: 1234,
-                served_bytes: 5_000_000,
                 load: 17,
                 coverage: vec![0xaa, 0xbb, 0xcc],
             },
             DrvMsg::MirrorHeartbeat {
                 location: "mirror2:1071".into(),
                 chunk_count: 0,
-                served_bytes: 0,
                 load: 0,
                 coverage: Vec::new(),
             },
@@ -830,14 +837,14 @@ mod tests {
                 entries: vec![
                     (
                         "app0001".into(),
-                        DrvRequest {
+                        Arc::new(DrvRequest {
                             kind: RequestKind::Renewal {
                                 current: DriverId(3),
                             },
                             ..request()
-                        },
+                        }),
                     ),
-                    ("app0002".into(), request()),
+                    ("app0002".into(), Arc::new(request())),
                 ],
             },
             DrvMsg::RenewBatch {
@@ -845,13 +852,16 @@ mod tests {
             },
             DrvMsg::OfferBatch {
                 replies: vec![
-                    Ok(offer()),
-                    Err((DrvErrCode::PermissionDenied, "no license available".into())),
-                    Ok(DrvOffer {
+                    Arc::new(Ok(offer())),
+                    Arc::new(Err((
+                        DrvErrCode::PermissionDenied,
+                        "no license available".into(),
+                    ))),
+                    Arc::new(Ok(DrvOffer {
                         same_driver: true,
                         chunked: Some(chunk_plan()),
                         ..offer()
-                    }),
+                    })),
                 ],
             },
             DrvMsg::OfferBatch {
@@ -923,16 +933,23 @@ mod tests {
     #[test]
     fn batch_item_minima_are_real_encodings() {
         // `get_items` refuses a count its frame cannot hold at the item
-        // minimum, so a minimum above the shortest real entry would
-        // refuse valid frames: the shortest entries fill theirs exactly.
-        let entries = vec![(String::new(), DrvRequest::bootstrap("", "", "", "")); 3];
+        // minimum, so a minimum above the shortest real item or entry
+        // would refuse valid frames: the shortest fill theirs exactly.
+        // Each distinct item travels once, then each entry its index.
+        let empty = || Arc::new(DrvRequest::bootstrap("", "", "", ""));
+        let other = Arc::new(DrvRequest::bootstrap("", "", "", "x"));
+        let entries = vec![
+            (String::new(), empty()),
+            (String::new(), other),
+            (String::new(), empty()),
+        ];
         let batch = DrvMsg::RenewBatch { entries };
-        assert_eq!(batch.encode().len(), 1 + 4 + 3 * 30);
-        let reply = Err((DrvErrCode::Internal, String::new()));
+        assert_eq!(batch.encode().len(), 1 + 4 + 26 + 27 + 4 + 3 * 8);
+        let reply = Arc::new(Err((DrvErrCode::Internal, String::new())));
         let replies = DrvMsg::OfferBatch {
             replies: vec![reply; 3],
         };
-        assert_eq!(replies.encode().len(), 1 + 4 + 3 * 7);
+        assert_eq!(replies.encode().len(), 1 + 4 + 7 + 4 + 3 * 4);
         for m in [batch, replies] {
             assert_eq!(DrvMsg::decode(m.encode()).unwrap(), m);
         }
@@ -943,7 +960,6 @@ mod tests {
         let mut b = BytesMut::new();
         b.put_u8(11);
         put_str(&mut b, "mirror1:1071");
-        b.put_u64_le(1);
         b.put_u64_le(1);
         b.put_u32_le(0);
         let head = b.clone();
@@ -969,7 +985,6 @@ mod tests {
         let msg = DrvMsg::MirrorHeartbeat {
             location: "m:1".into(),
             chunk_count: 10_000,
-            served_bytes: 0,
             load: 0,
             coverage: (0..10_000u64).collect(),
         };
@@ -1111,7 +1126,6 @@ mod tests {
         let coverageless = DrvMsg::MirrorHeartbeat {
             location: "mirror1:1071".into(),
             chunk_count: 42,
-            served_bytes: 1000,
             load: 3,
             coverage: Vec::new(),
         }

@@ -55,7 +55,7 @@ pub struct MirrorStats {
 /// `MIRROR_ANNOUNCE` (location and zone) to the primary and registers
 /// its own lifecycle tasks on the network's
 /// [`Scheduler`](netsim::Scheduler): a periodic heartbeat reporting
-/// liveness, chunk coverage, served bytes, and load, plus — when the
+/// liveness, chunk coverage and load, plus — when the
 /// launch announce could not reach the primary — an announce-retry task
 /// that retires itself on first success. Nobody has to remember to call
 /// [`heartbeat`](Self::heartbeat) by hand; pumping
@@ -226,11 +226,10 @@ impl MirrorDepot {
         Ok(())
     }
 
-    /// Sends one heartbeat: liveness plus chunk coverage, cumulative
-    /// served bytes, and the number of requests served since the last
-    /// heartbeat. When the primary answers `known: false` (this mirror
-    /// was evicted or the server restarted), re-announces and retries
-    /// once.
+    /// Sends one heartbeat: liveness plus chunk coverage and the number
+    /// of requests served since the last heartbeat. When the primary
+    /// answers `known: false` (this mirror was evicted or the server
+    /// restarted), re-announces and retries once.
     ///
     /// # Errors
     ///
@@ -254,7 +253,6 @@ impl MirrorDepot {
                 DrvMsg::MirrorHeartbeat {
                     location: self.location(),
                     chunk_count,
-                    served_bytes: st.stats.chunk_bytes_served,
                     load,
                     coverage,
                 },
@@ -556,16 +554,12 @@ mod tests {
         mirror.heartbeat().unwrap();
         let msgs = seen.lock();
         let DrvMsg::MirrorHeartbeat {
-            chunk_count,
-            served_bytes,
-            load,
-            ..
+            chunk_count, load, ..
         } = &msgs[0]
         else {
             panic!("{:?}", msgs[0]);
         };
         assert_eq!(*chunk_count, 4);
-        assert!(*served_bytes > 0);
         assert_eq!(*load, 1, "first beat reports the served request");
         let DrvMsg::MirrorHeartbeat { load, .. } = &msgs[1] else {
             panic!()

@@ -177,7 +177,7 @@ impl RenewalAggregator {
             }
         };
         for (client, reply) in contributors.iter().zip(replies) {
-            client.apply_batch_offer(&self.server, reply);
+            client.apply_batch_offer(&self.server, &reply);
         }
         n
     }

@@ -52,6 +52,8 @@ pub struct PropagationResult {
     pub time_to_full_upgrade_ms: u64,
     /// Requests that reached the Drivolution server over the whole run.
     pub server_requests: u64,
+    /// Bytes of those requests and of the server's replies to them.
+    pub server_bytes: u64,
     /// Maintenance passes executed across the fleet (scheduler-fired
     /// poll tasks plus lease-renewal timers).
     pub polls: u64,
@@ -582,6 +584,8 @@ impl FleetSim {
         PropagationResult {
             time_to_full_upgrade_ms: self.net.clock().now_ms() - start,
             server_requests: end_stats.requests - base_stats.requests,
+            server_bytes: (end_stats.bytes_in + end_stats.bytes_out)
+                - (base_stats.bytes_in + base_stats.bytes_out),
             polls: self.total_polls() - base_polls,
             mirror_heartbeat_failures: self.total_mirror_failures() - base_failures,
         }

@@ -13,10 +13,13 @@
 //! allocates: capacity follows bytes held, never the number read. A presence byte is read by `Option`'s [`Wire`]
 //! impl: `0` absent, `1` present, anything else malformed. A tag or code
 //! byte names a variant of an enum declared once through [`wire_enum!`].
+//! A list whose entries repeat an item ([`Interned`]) carries and decodes
+//! each distinct item once.
 
 use std::error::Error;
 use std::fmt::{self, Write as _};
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 #[doc(hidden)]
@@ -369,6 +372,172 @@ impl<N: Count, T: Wire, const CAP: usize> WireAs<Vec<T>> for Capped<N, CAP> {
             )));
         }
         get_items(buf, what, n, T::MIN_BYTES, |buf| T::get(buf, what))
+    }
+}
+
+/// An entry of an [`Interned`] list: an item it shares with other
+/// entries, named on the wire by its index in the list's table, and
+/// whatever travels beside the index in each entry.
+pub trait Interns: Sized {
+    /// The item entries share.
+    type Item: Wire + PartialEq;
+
+    /// Length of the shortest entry encoding, its index included.
+    const MIN_BYTES: usize;
+
+    /// The item this entry names.
+    fn item(&self) -> &Arc<Self::Item>;
+
+    /// Appends the entry with its item written as `index`.
+    fn put(&self, index: u32, buf: &mut BytesMut);
+
+    /// Reads one entry; `item` turns the index read into its item.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] when `buf` does not start with an entry, or `item`
+    /// refuses its index.
+    fn get(
+        buf: &mut Bytes,
+        what: &str,
+        item: impl FnOnce(u32) -> Result<Arc<Self::Item>, CodecError>,
+    ) -> Result<Self, CodecError>;
+}
+
+/// An entry that is its item alone: the index.
+impl<T: Wire + PartialEq> Interns for Arc<T> {
+    type Item = T;
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+
+    fn item(&self) -> &Arc<T> {
+        self
+    }
+
+    fn put(&self, index: u32, buf: &mut BytesMut) {
+        index.put(buf);
+    }
+
+    fn get(
+        buf: &mut Bytes,
+        what: &str,
+        item: impl FnOnce(u32) -> Result<Arc<T>, CodecError>,
+    ) -> Result<Self, CodecError> {
+        item(u32::get(buf, what)?)
+    }
+}
+
+/// An entry with a value of its own: the value, then the index.
+impl<A: Wire, T: Wire + PartialEq> Interns for (A, Arc<T>) {
+    type Item = T;
+    const MIN_BYTES: usize = A::MIN_BYTES + u32::MIN_BYTES;
+
+    fn item(&self) -> &Arc<T> {
+        &self.1
+    }
+
+    fn put(&self, index: u32, buf: &mut BytesMut) {
+        self.0.put(buf);
+        index.put(buf);
+    }
+
+    fn get(
+        buf: &mut Bytes,
+        what: &str,
+        item: impl FnOnce(u32) -> Result<Arc<T>, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let own = A::get(buf, what)?;
+        Ok((own, item(u32::get(buf, what)?)?))
+    }
+}
+
+/// How many of the latest distinct items an [`Interned`] encoder holds
+/// an entry's item against: enough for the few a batch frame repeats,
+/// few enough that a frame of distinct items encodes in linear time.
+const LOOK_BACK: usize = 8;
+
+/// The layout of a list whose entries share items (`Vec<E> as Interned`
+/// in a [`wire_frame!`], `E:` [`Interns`]): a `u32` count of distinct
+/// items in first-use order, those items, then a `u32` count of entries,
+/// each naming its item by a `u32` index into that table. The encoder
+/// writes an item once when it equals one of the last eight distinct
+/// items (by pointer, else by value); the decoder reads each
+/// table item once and hands every entry that names it a shared handle,
+/// so a list never decodes to more items than its frame holds. An index
+/// past the table, one that skips ahead of first-use order, and a table
+/// item no entry names do not decode.
+#[derive(Debug)]
+pub struct Interned;
+
+impl<E: Interns> WireAs<Vec<E>> for Interned {
+    const MIN_BYTES: usize = 2 * u32::MIN_BYTES;
+
+    fn put(entries: &Vec<E>, buf: &mut BytesMut) {
+        let cap = usize::try_from(u32::MAX).unwrap_or(usize::MAX);
+        let entries = entries.get(..cap).unwrap_or(entries);
+        let at = buf.len();
+        buf.put_u32_le(0);
+        let mut table: Vec<&Arc<E::Item>> = Vec::new();
+        let indices: Vec<u32> = entries
+            .iter()
+            .map(|entry| {
+                let item = entry.item();
+                let recent = table.len().saturating_sub(LOOK_BACK);
+                let seen =
+                    (table.iter().skip(recent)).rposition(|t| Arc::ptr_eq(t, item) || *t == item);
+                let index = seen.map_or_else(
+                    || {
+                        Wire::put(&**item, buf);
+                        table.push(item);
+                        table.len() - 1
+                    },
+                    |i| recent + i,
+                );
+                u32::try_from(index).unwrap_or(u32::MAX)
+            })
+            .collect();
+        let distinct = u32::try_from(table.len()).unwrap_or(u32::MAX);
+        if let Some(count) = buf.get_mut(at..at + 4) {
+            count.copy_from_slice(&distinct.to_le_bytes());
+        }
+        u32::try_from(entries.len()).unwrap_or(u32::MAX).put(buf);
+        for (entry, index) in entries.iter().zip(indices) {
+            entry.put(index, buf);
+        }
+    }
+
+    fn get(buf: &mut Bytes, what: &str) -> Result<Vec<E>, CodecError> {
+        let n = u32::get(buf, what)?;
+        let table = get_items(buf, what, n, E::Item::MIN_BYTES, |buf| {
+            E::Item::get(buf, what).map(Arc::new)
+        })?;
+        let n = u32::get(buf, what)?;
+        // Items are named in table order: the first entry to name one
+        // names the next unnamed item.
+        let mut named = 0;
+        let entries = get_items(buf, what, n, E::MIN_BYTES, |buf| {
+            E::get(buf, what, |index| {
+                let i = usize::try_from(index).unwrap_or(usize::MAX);
+                let Some(item) = table.get(i) else {
+                    let len = table.len();
+                    return Err(CodecError::new(format!(
+                        "{what}: index {index} past a table of {len}"
+                    )));
+                };
+                if i > named {
+                    return Err(CodecError::new(format!(
+                        "{what}: index {index} skips ahead of first use (next new is {named})"
+                    )));
+                }
+                named = named.max(i + 1);
+                Ok(Arc::clone(item))
+            })
+        })?;
+        if named < table.len() {
+            return Err(CodecError::new(format!(
+                "{what}: table item {named} is named by no entry"
+            )));
+        }
+        Ok(entries)
     }
 }
 
@@ -753,6 +922,75 @@ mod tests {
         assert_eq!(b.len(), 2 + usize::from(u16::MAX));
         let list: Vec<u8> = Capped::<u16>::get(&mut b.freeze(), "bytes").unwrap();
         assert_eq!(list.len(), usize::from(u16::MAX));
+    }
+
+    /// An interned list of `u64` items: the table, then the entries'
+    /// indices.
+    fn interned(table: &[u64], indices: &[u32]) -> Bytes {
+        let mut b = BytesMut::new();
+        <Capped<u32> as WireAs<Vec<u64>>>::put(&table.to_vec(), &mut b);
+        <Capped<u32> as WireAs<Vec<u32>>>::put(&indices.to_vec(), &mut b);
+        b.freeze()
+    }
+
+    fn get_interned(frame: Bytes) -> Result<Vec<Arc<u64>>, CodecError> {
+        Interned::get(&mut frame.clone(), "replies")
+    }
+
+    #[test]
+    fn an_interned_list_writes_each_distinct_item_once_and_shares_it() {
+        let seven = Arc::new(7u64);
+        // Equal by pointer, then by value only.
+        let list = vec![seven.clone(), Arc::new(8), seven, Arc::new(7), Arc::new(8)];
+        let mut b = BytesMut::new();
+        Interned::put(&list, &mut b);
+        assert_eq!(b.clone().freeze(), interned(&[7, 8], &[0, 1, 0, 0, 1]));
+        let got = get_interned(b.freeze()).unwrap();
+        assert_eq!(got, list);
+        assert!(Arc::ptr_eq(&got[0], &got[3]) && Arc::ptr_eq(&got[1], &got[4]));
+
+        // An entry with a value of its own writes it before its index.
+        let hosts = vec![("a".to_string(), Arc::new(7u64)), ("b".into(), Arc::new(7))];
+        let mut b = BytesMut::new();
+        Interned::put(&hosts, &mut b);
+        assert_eq!(b.len(), 4 + 8 + 4 + 2 * (4 + 1 + 4));
+        let got: Vec<(String, Arc<u64>)> = Interned::get(&mut b.freeze(), "batch").unwrap();
+        assert_eq!(got, hosts);
+
+        // An item last seen more than `LOOK_BACK` distinct items ago is
+        // written again: the frame is longer, the list the same.
+        let far: Vec<Arc<u64>> = (0..=LOOK_BACK as u64).chain([0]).map(Arc::new).collect();
+        let mut b = BytesMut::new();
+        Interned::put(&far, &mut b);
+        assert_eq!(b.len(), 4 + (LOOK_BACK + 2) * 8 + 4 + far.len() * 4);
+        assert_eq!(get_interned(b.freeze()).unwrap(), far);
+    }
+
+    #[test]
+    fn an_index_past_the_table_is_rejected() {
+        let e = get_interned(interned(&[7], &[0, 1])).unwrap_err();
+        assert!(e.to_string().contains("index 1 past a table of 1"), "{e}");
+    }
+
+    #[test]
+    fn an_index_that_skips_ahead_of_first_use_is_rejected() {
+        // Both items are named, but the second before the first: the
+        // same list is also `[7, 8]` named `[0, 1]`, its one encoding.
+        let e = get_interned(interned(&[8, 7], &[1, 0])).unwrap_err();
+        assert!(e.to_string().contains("index 1 skips ahead"), "{e}");
+        assert!(get_interned(interned(&[7, 8], &[0, 1])).is_ok());
+    }
+
+    #[test]
+    fn a_table_item_no_entry_names_is_rejected() {
+        let e = get_interned(interned(&[7, 8], &[0, 0])).unwrap_err();
+        assert!(
+            e.to_string().contains("table item 1 is named by no entry"),
+            "{e}"
+        );
+        let e = get_interned(interned(&[7], &[])).unwrap_err();
+        assert!(e.to_string().contains("table item 0"), "{e}");
+        assert_eq!(get_interned(interned(&[], &[])), Ok(Vec::new()));
     }
 
     #[test]

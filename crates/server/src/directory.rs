@@ -65,8 +65,6 @@ pub struct MirrorEntry {
     /// Chunk digests the mirror reported holding in its last heartbeat
     /// (capped at the protocol's coverage limit by the sender).
     pub coverage: BTreeSet<u64>,
-    /// Cumulative served bytes from the last heartbeat.
-    pub served_bytes: u64,
     /// Requests served between the last two heartbeats (ranking load).
     pub load: u32,
     /// Pinned entries (manual registration) never expire.
@@ -160,7 +158,6 @@ impl MirrorDirectory {
                         last_seen_ms: now,
                         chunk_count: 0,
                         coverage: BTreeSet::new(),
-                        served_bytes: 0,
                         load: 0,
                         pinned,
                         health: MirrorHealth::Healthy,
@@ -198,14 +195,7 @@ impl MirrorDirectory {
 
     /// Applies a heartbeat. Returns `false` for unknown locations (the
     /// mirror was evicted or never announced; it should re-announce).
-    pub fn heartbeat(
-        &self,
-        location: &str,
-        chunk_count: u64,
-        served_bytes: u64,
-        load: u32,
-        coverage: &[u64],
-    ) -> bool {
+    pub fn heartbeat(&self, location: &str, chunk_count: u64, load: u32, coverage: &[u64]) -> bool {
         let now = self.clock.now_ms();
         let mut entries = self.entries.lock();
         match entries.get_mut(location) {
@@ -213,7 +203,6 @@ impl MirrorDirectory {
                 e.last_seen_ms = now;
                 e.chunk_count = chunk_count;
                 e.coverage = coverage.iter().copied().collect();
-                e.served_bytes = served_bytes;
                 e.load = load;
                 e.health = MirrorHealth::Healthy;
                 true
@@ -347,13 +336,13 @@ mod tests {
         let (dir, clock) = directory();
         dir.announce("m1:1071", None, false);
         clock.advance_ms(4_000);
-        assert!(dir.heartbeat("m1:1071", 42, 1000, 3, &[0xa, 0xb]));
+        assert!(dir.heartbeat("m1:1071", 42, 3, &[0xa, 0xb]));
         let e = dir.entry("m1:1071").unwrap();
         assert_eq!(e.chunk_count, 42);
         assert_eq!(e.load, 3);
         assert_eq!(e.last_seen_ms, 4_000);
         assert!(e.coverage.contains(&0xa) && e.coverage.contains(&0xb));
-        assert!(!dir.heartbeat("ghost:1071", 0, 0, 0, &[]));
+        assert!(!dir.heartbeat("ghost:1071", 0, 0, &[]));
     }
 
     #[test]
@@ -369,7 +358,7 @@ mod tests {
         );
         assert!(dir.candidates(None, &[]).is_empty());
         // A heartbeat resurrects it.
-        assert!(dir.heartbeat("m1:1071", 1, 1, 0, &[]));
+        assert!(dir.heartbeat("m1:1071", 1, 0, &[]));
         assert_eq!(dir.entry("m1:1071").unwrap().health, MirrorHealth::Healthy);
         // Long silence evicts.
         clock.advance_ms(200_000);
@@ -395,9 +384,9 @@ mod tests {
         dir.announce("idle-west:1071", Some("west".into()), false);
         dir.announce("stale-east:1071", Some("east".into()), false);
         clock.advance_ms(12_000); // everyone overdue now...
-        dir.heartbeat("busy-east:1071", 10, 10, 50, &[]);
-        dir.heartbeat("idle-east:1071", 10, 10, 1, &[]);
-        dir.heartbeat("idle-west:1071", 10, 10, 0, &[]);
+        dir.heartbeat("busy-east:1071", 10, 50, &[]);
+        dir.heartbeat("idle-east:1071", 10, 1, &[]);
+        dir.heartbeat("idle-west:1071", 10, 0, &[]);
         // ...except stale-east, which stays overdue (not yet quarantined).
         let c = dir.candidates(Some("east"), &[]);
         assert_eq!(c.len(), 3, "MAX_CANDIDATES caps the plan");
@@ -418,8 +407,8 @@ mod tests {
         dir.announce("warm:1071", None, false);
         // The warm mirror holds the new release's chunks but is busier;
         // the cold one is idle but would read through for everything.
-        dir.heartbeat("cold:1071", 0, 0, 0, &[]);
-        dir.heartbeat("warm:1071", 3, 0, 40, &[0x1, 0x2, 0x3]);
+        dir.heartbeat("cold:1071", 0, 0, &[]);
+        dir.heartbeat("warm:1071", 3, 40, &[0x1, 0x2, 0x3]);
         let c = dir.candidates(None, &[0x1, 0x2]);
         assert_eq!(c[0].location, "warm:1071");
         // With no wanted chunks (full-coverage request), load decides
@@ -427,7 +416,7 @@ mod tests {
         let c = dir.candidates(None, &[]);
         assert_eq!(c[0].location, "cold:1071");
         // Partial coverage still beats none.
-        dir.heartbeat("cold:1071", 1, 0, 0, &[0x1]);
+        dir.heartbeat("cold:1071", 1, 0, &[0x1]);
         let c = dir.candidates(None, &[0x1, 0x2, 0x3]);
         assert_eq!(c[0].location, "warm:1071", "2 misses lose to 0 misses");
     }
@@ -437,8 +426,8 @@ mod tests {
         let (dir, _c) = directory();
         dir.announce("near:1071", Some("east".into()), false);
         dir.announce("far-warm:1071", Some("west".into()), false);
-        dir.heartbeat("near:1071", 0, 0, 0, &[]);
-        dir.heartbeat("far-warm:1071", 2, 0, 0, &[0x1, 0x2]);
+        dir.heartbeat("near:1071", 0, 0, &[]);
+        dir.heartbeat("far-warm:1071", 2, 0, &[0x1, 0x2]);
         let c = dir.candidates(Some("east"), &[0x1, 0x2]);
         assert_eq!(
             c[0].location, "near:1071",
@@ -517,7 +506,7 @@ mod tests {
         assert!(e.demoted, "demotion survives re-announce");
         assert!(dir.candidates(Some("west"), &[]).is_empty());
         // Heartbeats don't launder it either.
-        assert!(dir.heartbeat("evil:1071", 9, 9, 0, &[]));
+        assert!(dir.heartbeat("evil:1071", 9, 0, &[]));
         assert!(dir.entry("evil:1071").unwrap().demoted);
     }
 

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use netsim::{Addr, Clock, NetError, Network, Pipe, Service, TaskControl};
 
-use drivolution_core::proto::{DrvErrCode, DrvMsg, DrvOffer, DrvRequest};
+use drivolution_core::proto::{BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest};
 use drivolution_core::{
     Certificate, ChunkingParams, DriverId, DriverRecord, DrvError, DrvNotice, DrvResult,
     PermissionRule, RenewPolicy, SigningKey, TransferMethod,
@@ -478,15 +478,23 @@ impl DrivolutionServer {
                     st.batch_frames += 1;
                     st.batched_renewals += entries.len() as u64;
                 }
-                let mut replies = Vec::with_capacity(entries.len());
+                let mut replies: Vec<Arc<BatchReply>> = Vec::with_capacity(entries.len());
                 for (host, req) in entries {
                     // License seats belong to the originating client, not
                     // the aggregator that forwarded the frame.
                     let origin = Addr::new(host.clone(), from.port());
-                    replies.push(self.grant(&origin, req, false).map_err(|e| {
+                    let reply = self.grant(&origin, req, false).map_err(|e| {
                         self.state.lock().stats.errors += 1;
                         (DrvErrCode::classify(&e), e.to_string())
-                    }));
+                    });
+                    // A reply equal to the one before shares it, so a
+                    // frame holds one offer per run of equal replies
+                    // until it is encoded, not one per entry.
+                    let reply = match replies.last() {
+                        Some(last) if **last == reply => Arc::clone(last),
+                        _ => Arc::new(reply),
+                    };
+                    replies.push(reply);
                 }
                 Ok(DrvMsg::OfferBatch { replies })
             }
@@ -502,18 +510,13 @@ impl DrivolutionServer {
             DrvMsg::MirrorHeartbeat {
                 location,
                 chunk_count,
-                served_bytes,
                 load,
                 coverage,
             } => {
                 self.state.lock().stats.mirror_heartbeats += 1;
-                let known = self.directory.heartbeat(
-                    location,
-                    *chunk_count,
-                    *served_bytes,
-                    *load,
-                    coverage,
-                );
+                let known = self
+                    .directory
+                    .heartbeat(location, *chunk_count, *load, coverage);
                 Ok(DrvMsg::MirrorAck { known })
             }
             DrvMsg::MirrorComplaint { location, .. } => {
@@ -1193,7 +1196,6 @@ mod tests {
             DrvMsg::MirrorHeartbeat {
                 location: "ghost:1071".into(),
                 chunk_count: 0,
-                served_bytes: 0,
                 load: 0,
                 coverage: Vec::new(),
             },
@@ -1216,7 +1218,6 @@ mod tests {
             DrvMsg::MirrorHeartbeat {
                 location: "mirror1:1071".into(),
                 chunk_count: 7,
-                served_bytes: 4096,
                 load: 2,
                 coverage: vec![0x1, 0x2],
             },
@@ -1366,9 +1367,9 @@ mod tests {
             req
         };
         let entries = vec![
-            ("app0".to_string(), renew_req()),
-            ("app1".to_string(), renew_req()),
-            ("app2".to_string(), renew_req()),
+            ("app0".to_string(), Arc::new(renew_req())),
+            ("app1".to_string(), Arc::new(renew_req())),
+            ("app2".to_string(), Arc::new(renew_req())),
         ];
         let reply = srv.handle(&Addr::new("aggregator", 7), DrvMsg::RenewBatch { entries });
         let DrvMsg::OfferBatch { replies } = reply else {
@@ -1376,12 +1377,12 @@ mod tests {
         };
         assert_eq!(replies.len(), 3);
         for r in &replies[0..2] {
-            let Ok(o) = r else {
+            let Ok(o) = &**r else {
                 panic!("expected offer, got {r:?}")
             };
             assert!(o.same_driver);
         }
-        let Err((code, _)) = &replies[2] else {
+        let Err((code, _)) = &*replies[2] else {
             panic!("third entry should exhaust the 2 seats")
         };
         assert_eq!(*code, DrvErrCode::PermissionDenied);
@@ -1446,7 +1447,7 @@ mod tests {
     #[test]
     fn a_batch_answers_as_its_entries_sent_one_by_one() {
         let hosts: Vec<String> = (0..12).map(|i| format!("h{i:02}")).collect();
-        let mut entries: Vec<(String, DrvRequest)> = hosts
+        let mut entries: Vec<(String, Arc<DrvRequest>)> = hosts
             .iter()
             .enumerate()
             .map(|(i, host)| {
@@ -1467,14 +1468,14 @@ mod tests {
                         current: DriverId(1),
                     };
                 }
-                (host.clone(), req)
+                (host.clone(), Arc::new(req))
             })
             .collect();
         entries.insert(
             5,
             (
                 "h99".into(),
-                DrvRequest::bootstrap("hr", "app", "RDBC", "linux-x86_64"),
+                Arc::new(DrvRequest::bootstrap("hr", "app", "RDBC", "linux-x86_64")),
             ),
         );
         let asked = entries.len() as u64 - 1;
@@ -1494,11 +1495,12 @@ mod tests {
         let one_by_one: Vec<_> = entries
             .iter()
             .map(|(host, req)| {
-                match single.handle(&Addr::new(host.clone(), 7), DrvMsg::Request(req.clone())) {
+                let req = DrvMsg::Request(DrvRequest::clone(req));
+                Arc::new(match single.handle(&Addr::new(host.clone(), 7), req) {
                     DrvMsg::Offer(offer) => Ok(offer),
                     DrvMsg::Error { code, message } => Err((code, message)),
                     other => panic!("expected offer or error, got {other:?}"),
-                }
+                })
             })
             .collect();
         assert_eq!(replies, one_by_one);
@@ -1508,7 +1510,7 @@ mod tests {
         let offered = |id| {
             replies
                 .iter()
-                .any(|r| matches!(r, Ok(o) if o.driver_id == DriverId(id)))
+                .any(|r| matches!(&**r, Ok(o) if o.driver_id == DriverId(id)))
         };
         assert!(offered(1) && offered(2), "{replies:?}");
         for code in [
@@ -1519,7 +1521,7 @@ mod tests {
             assert!(
                 replies
                     .iter()
-                    .any(|r| matches!(r, Err((c, _)) if *c == code)),
+                    .any(|r| matches!(&**r, Err((c, _)) if *c == code)),
                 "no {code:?} in {replies:?}"
             );
         }
@@ -1560,8 +1562,10 @@ mod tests {
         req.kind = RequestKind::Renewal {
             current: DriverId(1),
         };
-        let entries: Vec<(String, DrvRequest)> =
-            (0..64).map(|i| (format!("app{i}"), req.clone())).collect();
+        let req = Arc::new(req);
+        let entries: Vec<(String, Arc<DrvRequest>)> = (0..64)
+            .map(|i| (format!("app{i}"), Arc::clone(&req)))
+            .collect();
         let batch = || {
             sql.all.store(0, Relaxed);
             let reply = srv.handle(

@@ -16,6 +16,7 @@
 //! Run with: `cargo run --release --example grant_budget [-- <clients> <reps>]`
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -56,7 +57,7 @@ fn query(host: &str, req: &DrvRequest) -> DriverQuery {
 }
 
 /// Every due renewal of `sim`'s clients, once the leases ran out.
-fn due_entries(sim: &FleetSim) -> Vec<(String, DrvRequest)> {
+fn due_entries(sim: &FleetSim) -> Vec<(String, Arc<DrvRequest>)> {
     sim.net().clock().advance_ms(LEASE_MS);
     sim.clients()
         .iter()
@@ -69,7 +70,7 @@ fn due_entries(sim: &FleetSim) -> Vec<(String, DrvRequest)> {
 /// lease INSERT, the licence acquire.
 fn grant_stages(
     srv: &DrivolutionServer,
-    entries: &[(String, DrvRequest)],
+    entries: &[(String, Arc<DrvRequest>)],
     now: u64,
     reps: usize,
 ) -> Vec<(&'static str, f64)> {
@@ -190,7 +191,7 @@ fn storm_renewals(clients: usize, reps: usize) {
         .map(|(host, req)| {
             (
                 Addr::new(host.clone(), 1),
-                DrvMsg::Request(req.clone()).encode(),
+                DrvMsg::Request(DrvRequest::clone(req)).encode(),
             )
         })
         .collect();
@@ -297,7 +298,7 @@ fn aggregator_tick(clients: usize, reps: usize) {
             fastest(reps, || {
                 let set = reply_sets.pop().unwrap_or_default();
                 for (client, reply) in sim.clients().iter().zip(set) {
-                    black_box(client.apply_batch_offer(&drv, reply));
+                    black_box(client.apply_batch_offer(&drv, &reply));
                 }
             }),
         ),

@@ -4,6 +4,7 @@
 #![allow(dead_code)] // each of the two binaries uses one of `Subject`'s closures
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -106,7 +107,6 @@ pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
         DrvMsg::MirrorHeartbeat {
             location: "m1:1071".into(),
             chunk_count: 3,
-            served_bytes: 1024,
             load: 2,
             coverage: vec![10, 20, 30],
         },
@@ -120,25 +120,26 @@ pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
         },
         DrvMsg::ActivationAck,
         DrvMsg::RenewBatch {
-            entries: vec![
-                (
-                    "app0001".into(),
-                    DrvRequest {
-                        kind: RequestKind::Renewal {
-                            current: DriverId(3),
-                        },
-                        ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
+            entries: {
+                let renewal = Arc::new(DrvRequest {
+                    kind: RequestKind::Renewal {
+                        current: DriverId(3),
                     },
-                ),
-                (
-                    "app0002".into(),
-                    DrvRequest::bootstrap("orders", "bob", "RDBC", "linux-x86_64"),
-                ),
-            ],
+                    ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
+                });
+                let bob = DrvRequest::bootstrap("orders", "bob", "RDBC", "linux-x86_64");
+                // The third entry repeats the first request under another
+                // host: one table item named twice.
+                vec![
+                    ("app0001".into(), Arc::clone(&renewal)),
+                    ("app0002".into(), Arc::new(bob)),
+                    ("app0003".into(), renewal),
+                ]
+            },
         },
         DrvMsg::OfferBatch {
-            replies: vec![
-                Ok(DrvOffer {
+            replies: {
+                let renewed = Arc::new(Ok(DrvOffer {
                     driver_id: DriverId(3),
                     driver_version: Some(DriverVersion::new(3, 1, 0)),
                     same_driver: true,
@@ -153,9 +154,11 @@ pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
                     signature: None,
                     content_digest: Some(0xfeed_f00d),
                     chunked: None,
-                }),
-                Err((DrvErrCode::PermissionDenied, "no seats".into())),
-            ],
+                }));
+                let refused = Err((DrvErrCode::PermissionDenied, "no seats".into()));
+                // The third reply repeats the first.
+                vec![Arc::clone(&renewed), Arc::new(refused), renewed]
+            },
         },
         DrvMsg::MirrorComplaint {
             location: "mirror-west:1071".into(),

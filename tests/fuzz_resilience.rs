@@ -2,6 +2,8 @@
 //! workspace may panic on arbitrary input — malformed bytes and SQL must
 //! come back as errors.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -9,8 +11,8 @@ use drivolution::cluster::proto::{ClusterFrame, CLUSTER_V2};
 use drivolution::core::chunk::{split_with, ChunkManifest, ChunkSet, ChunkingParams};
 use drivolution::core::pack::{pack_driver_padded, unpack_driver, Archive};
 use drivolution::core::proto::{
-    ChunkPlan, DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, MirrorCandidate,
-    RequestKind,
+    BatchReply, ChunkPlan, DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary,
+    MirrorCandidate, RequestKind,
 };
 use drivolution::core::{
     fnv1a64, ApiVersion, BinaryFormat, DriverId, DriverImage, DriverVersion, ExpirationPolicy,
@@ -329,12 +331,12 @@ const PINNED_FRAMES: [(&str, u64); 47] = [
     ("DrvMsg tag 8", 0xa12c_1d8e_13a8_206d),
     ("DrvMsg tag 9", 0x3258_6fd4_49c1_2bef),
     ("DrvMsg tag 10", 0x0559_412d_1ea6_92b2),
-    ("DrvMsg tag 11", 0x3355_c420_fbb7_ec41),
+    ("DrvMsg tag 11", 0xa42e_0385_f1e5_04b0),
     ("DrvMsg tag 12", 0x0840_1f07_b4f6_fade),
     ("DrvMsg tag 13", 0x69b0_1b42_754b_48dd),
     ("DrvMsg tag 14", 0xaf63_c34c_8601_c211),
-    ("DrvMsg tag 15", 0xb5cb_36ef_9185_d995),
-    ("DrvMsg tag 16", 0xca56_3179_3766_d057),
+    ("DrvMsg tag 15", 0xcbe2_b55c_039b_4856),
+    ("DrvMsg tag 16", 0xc4fb_b3f3_cdd0_cfb1),
     ("DrvMsg tag 17", 0xf351_3f29_1593_e81a),
     (
         "DriverAvailable { database: \"orders\" }",
@@ -474,18 +476,24 @@ fn a_list_past_its_count_width_writes_as_many_items_as_it_counts() {
 /// shortest encoding — and the figure each decoder used to hand-count.
 #[test]
 fn every_counted_item_minimum_is_its_shortest_encoding() {
-    use drivolution::netsim::codec::{encode, Wire};
+    use drivolution::netsim::codec::{encode, Interns, Wire};
 
     fn row<T: Wire>(name: &'static str, shortest: T) -> (&'static str, usize, usize) {
         (name, T::MIN_BYTES, encode(&shortest, 0).len())
     }
+    // A batch entry travels as its host and an index, a reply entry as
+    // its index; the request or reply itself travels once in the table.
+    fn entry<E: Interns>(name: &'static str, shortest: impl Wire) -> (&'static str, usize, usize) {
+        (name, E::MIN_BYTES, encode(&shortest, 0).len())
+    }
     let request = || DrvRequest::bootstrap("", "", "", "");
-    let no_offer: Result<DrvOffer, _> = Err((DrvErrCode::Internal, String::new()));
+    let no_offer: BatchReply = Err((DrvErrCode::Internal, String::new()));
     let computed = [
         row("REQ", request()),
-        row("batch entry", (String::new(), request())),
+        entry::<(String, Arc<DrvRequest>)>("batch entry", (String::new(), 0u32)),
         row("kv", (String::new(), String::new())),
-        row("offer-batch reply", no_offer),
+        entry::<Arc<BatchReply>>("offer-batch reply", 0u32),
+        row("offer-batch table reply", no_offer),
         row(
             "mirror candidate",
             MirrorCandidate {
@@ -499,9 +507,10 @@ fn every_counted_item_minimum_is_its_shortest_encoding() {
     ];
     let literal = [
         ("REQ", 26, 26),
-        ("batch entry", 30, 30),
+        ("batch entry", 8, 8),
         ("kv", 8, 8),
-        ("offer-batch reply", 7, 7),
+        ("offer-batch reply", 4, 4),
+        ("offer-batch table reply", 7, 7),
         ("mirror candidate", 6, 6),
         ("param", 5, 5),
         ("column", 4, 4),

@@ -200,10 +200,10 @@ fn a_stamped_server_answers_as_a_twin_that_asks_every_frame() {
                     clock.advance_ms(rng.below(250));
                 }
                 4 => {
-                    let entries: Vec<(String, DrvRequest)> = (0..1 + rng.below(4))
+                    let entries: Vec<(String, Arc<DrvRequest>)> = (0..1 + rng.below(4))
                         .map(|_| {
                             let (from, req) = request(&mut rng);
-                            (from.host().to_string(), req)
+                            (from.host().to_string(), Arc::new(req))
                         })
                         .collect();
                     let msg = DrvMsg::RenewBatch { entries };
