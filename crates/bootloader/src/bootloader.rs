@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use netsim::{Addr, Clock, Network, Pipe, TaskControl, TaskHandle};
+use netsim::{Addr, Clock, NetError, Network, Pipe, TaskControl, TaskHandle};
 
 use driverkit::{
     ConnectProps, DbUrl, DkError, DkResult, DriverRegistry, DriverVm, Namespace, NamespaceId,
@@ -118,6 +118,8 @@ pub(crate) struct BootState {
     /// URL and properties of the last `connect`/`bootstrap`: the
     /// identity every later exchange with the server is made under.
     pub(crate) context: Option<(DbUrl, ConnectProps)>,
+    /// What a renewal may name instead of its whole request.
+    pub(crate) renew_ref: RenewRef,
     pub(crate) stats: BootStats,
     /// Told this client's next renewal deadline after every change to
     /// it, when something outside drives its renewals
@@ -131,7 +133,30 @@ pub(crate) struct BootState {
     pub(crate) windows: Vec<DrainWindow>,
 }
 
+/// What a client knows about renewing by reference.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum RenewRef {
+    /// No full request has drawn an offer since the server last lost it.
+    #[default]
+    Unknown,
+    /// The [`DrvRequest::context_digest`] of the last full request that
+    /// drew an offer: the server keeps that request for this host, so a
+    /// renewal whose request has the same digest names it by this token.
+    Token(u64),
+    /// A server refused the `RENEW_REF` frame itself: every renewal of
+    /// this bootloader travels in full.
+    Refused,
+}
+
 impl BootState {
+    /// A full request whose context digest is `token` drew an offer: the
+    /// server keeps it for this host.
+    pub(crate) fn offered(&mut self, token: u64) {
+        if self.renew_ref != RenewRef::Refused {
+            self.renew_ref = RenewRef::Token(token);
+        }
+    }
+
     /// Makes `server` the first one tried next time, copying its address
     /// only when it changed.
     pub(crate) fn prefer(&mut self, server: &Addr) {
@@ -139,6 +164,17 @@ impl BootState {
             self.server = Some(server.clone());
         }
     }
+}
+
+/// The error of an exchange no candidate server answered: the last
+/// network error.
+pub(crate) fn unreachable(errs: &[NetError]) -> DkError {
+    DkError::Drv(DrvError::Net(format!(
+        "no drivolution server reachable: {}",
+        errs.last()
+            .map(|e| e.to_string())
+            .unwrap_or_else(|| "no candidates".to_string())
+    )))
 }
 
 /// Appends `sample`, shedding the oldest half at [`MAX_SAMPLES`].
@@ -494,6 +530,16 @@ impl Bootloader {
     /// failures try the next server (controller failover, §5.3.2);
     /// application-level errors are authoritative and returned.
     pub(crate) fn exchange(&self, url: &DbUrl, msg: DrvMsg) -> DkResult<(Addr, DrvMsg)> {
+        self.send(url, &msg)?.map_err(|errs| unreachable(&errs))
+    }
+
+    /// [`Self::exchange`], handing back every candidate's network error,
+    /// in the order tried, when none answered.
+    pub(crate) fn send(
+        &self,
+        url: &DbUrl,
+        msg: &DrvMsg,
+    ) -> DkResult<Result<(Addr, DrvMsg), Vec<NetError>>> {
         let preferred: Vec<Addr> = {
             let st = self.state.lock();
             st.server.iter().cloned().collect()
@@ -504,22 +550,17 @@ impl Bootloader {
                 candidates.push(s);
             }
         }
-        let mut last_net_err = None;
+        let mut errs = Vec::new();
         for server in candidates {
             match self.net.request(&self.local, &server, msg.encode()) {
                 Ok(raw) => {
                     let reply = DrvMsg::decode(raw).map_err(DkError::Drv)?;
-                    return Ok((server, reply));
+                    return Ok(Ok((server, reply)));
                 }
-                Err(e) => last_net_err = Some(e),
+                Err(e) => errs.push(e),
             }
         }
-        Err(DkError::Drv(DrvError::Net(format!(
-            "no drivolution server reachable: {}",
-            last_net_err
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "no candidates".to_string())
-        ))))
+        Ok(Err(errs))
     }
 
     /// Performs the cold bootstrap (Table 3): request → offer → file →
@@ -533,8 +574,10 @@ impl Bootloader {
         // bootstrap was driven directly rather than through `connect`.
         self.remember(url, props);
         let req = self.build_request(RequestKind::Bootstrap, url, props);
+        let token = req.context_digest();
         let (server, reply) = self.exchange(url, DrvMsg::Request(req))?;
         let offer = expect_offer(reply, "bootstrap")?;
+        self.state.lock().offered(token);
         let ns_id = self.install_offer(&server, &offer)?;
         self.registry.activate(ns_id)?;
         {

@@ -11,7 +11,7 @@ use bytes::Bytes;
 use driverkit::{DkError, DkResult, Driver, NamespaceId};
 use netsim::Addr;
 
-use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer};
+use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer, LeaseTerms};
 use drivolution_core::{transfer, Digested, DriverImage, DrvError, Lease};
 use drivolution_depot::{fetch_chunks, parse_mirror_addr, DriverDepot};
 
@@ -344,20 +344,20 @@ impl Bootloader {
         Ok(loaded)
     }
 
-    pub(crate) fn lease_of(&self, offer: &DrvOffer) -> DkResult<Lease> {
+    pub(crate) fn lease_of(&self, terms: &LeaseTerms) -> DkResult<Lease> {
         Lease::grant(
-            offer.driver_id,
+            terms.driver_id,
             self.clock.now_ms(),
-            offer.lease_ms,
-            offer.renew_policy,
-            offer.expiration_policy,
+            terms.lease_ms,
+            terms.renew_policy,
+            terms.expiration_policy,
         )
         .map_err(DkError::Drv)
     }
 
     pub(crate) fn install_offer(&self, server: &Addr, offer: &DrvOffer) -> DkResult<NamespaceId> {
         let (image, driver) = self.download(server, offer)?;
-        let lease = self.lease_of(offer)?;
+        let lease = self.lease_of(&offer.terms())?;
         let ns = self
             .registry
             .load(driver, image, offer.driver_id, lease, offer.options.clone());

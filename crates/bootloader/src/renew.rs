@@ -6,13 +6,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use driverkit::{Namespace, NamespaceId};
-use netsim::Addr;
+use driverkit::{DbUrl, DkResult, Namespace, NamespaceId};
+use netsim::{Addr, NetError};
 
-use drivolution_core::proto::{BatchReply, DrvMsg, DrvOffer, DrvRequest, RequestKind};
+use drivolution_core::proto::{
+    BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, LeaseTerms, RequestKind,
+};
 use drivolution_core::{DriverVersion, DrvNotice, LeaseState};
 
-use crate::bootloader::{push_sample, Bootloader, PollOutcome};
+use crate::bootloader::{push_sample, unreachable, Bootloader, PollOutcome, RenewRef};
 
 /// Retry backoff after a failed renewal ("the bootloader keeps its
 /// current implementation", §4.1.3 — but keeps trying).
@@ -201,8 +203,9 @@ impl Bootloader {
         let Some(url) = url else {
             return PollOutcome::Idle;
         };
-        match self.exchange(&url, DrvMsg::Request(req)) {
+        match self.renew(&url, &ns, req) {
             Ok((server, DrvMsg::Offer(offer))) => self.apply_renewal_offer(&ns, &server, &offer),
+            Ok((server, DrvMsg::Renewed(terms))) => self.apply_renewed(&ns, &server, &terms),
             Ok((_server, DrvMsg::Error { .. })) => {
                 // REVOKE (or no driver anymore): block new connections and
                 // transition existing ones per the *current* lease policy.
@@ -212,6 +215,40 @@ impl Bootloader {
             // Network failure or nonsense: keep the current driver.
             _ => self.renewal_failed(),
         }
+    }
+
+    /// One renewal exchange for `req`: a `RENEW_REF` when `req` is the
+    /// request the server last granted this client, else the full
+    /// request. A server that keeps no such request makes the client
+    /// forget its token, and one that refuses the frame makes it stop
+    /// sending references; either way the full request goes out in the
+    /// same attempt.
+    fn renew(&self, url: &DbUrl, ns: &Namespace, req: DrvRequest) -> DkResult<(Addr, DrvMsg)> {
+        let token = req.context_digest();
+        if self.state.lock().renew_ref == RenewRef::Token(token) {
+            let current = ns.driver_id;
+            let fallback = match self.send(url, &DrvMsg::RenewRef { current, token })? {
+                Ok((
+                    _,
+                    DrvMsg::Error {
+                        code: DrvErrCode::ResendInFull,
+                        ..
+                    },
+                )) => RenewRef::Unknown,
+                Ok(answered) => return Ok(answered),
+                // A server from before the frame refuses it as undecodable.
+                Err(errs) if errs.iter().any(|e| matches!(e, NetError::Protocol(_))) => {
+                    RenewRef::Refused
+                }
+                Err(errs) => return Err(unreachable(&errs)),
+            };
+            self.state.lock().renew_ref = fallback;
+        }
+        let answered = self.exchange(url, DrvMsg::Request(req))?;
+        if let (_, DrvMsg::Offer(_)) = answered {
+            self.state.lock().offered(token);
+        }
+        Ok(answered)
     }
 
     /// A renewal exchange that did not complete: the driver is kept and
@@ -232,15 +269,7 @@ impl Bootloader {
         offer: &DrvOffer,
     ) -> PollOutcome {
         if offer.same_driver {
-            // RENEW: keep the driver, restart the lease window.
-            if let Ok(lease) = self.lease_of(offer) {
-                let _ = self.registry.set_lease(ns.id, lease);
-            }
-            let mut st = self.state.lock();
-            st.prefer(server);
-            st.renew_owed = false;
-            st.stats.renewals += 1;
-            return PollOutcome::Renewed;
+            return self.apply_renewed(ns, server, &offer.terms());
         }
         self.state.lock().renew_owed = false;
         // UPGRADE: download, switch new connects, transition old
@@ -283,6 +312,18 @@ impl Bootloader {
                 PollOutcome::KeptAfterFailure
             }
         }
+    }
+
+    /// RENEW: keep the driver, restart the lease window under `terms`.
+    fn apply_renewed(&self, ns: &Namespace, server: &Addr, terms: &LeaseTerms) -> PollOutcome {
+        if let Ok(lease) = self.lease_of(terms) {
+            let _ = self.registry.set_lease(ns.id, lease);
+        }
+        let mut st = self.state.lock();
+        st.prefer(server);
+        st.renew_owed = false;
+        st.stats.renewals += 1;
+        PollOutcome::Renewed
     }
 
     // --- batched renewals (aggregator interface) ------------------------

@@ -35,6 +35,9 @@ pub enum DrvError {
     BadPackage(String),
     /// Internal invariant violation.
     Internal(String),
+    /// A renewal by reference named a request the server does not hold:
+    /// the client sends the full request instead.
+    ResendInFull(String),
 }
 
 impl fmt::Display for DrvError {
@@ -52,6 +55,7 @@ impl fmt::Display for DrvError {
             DrvError::Policy(m) => write!(f, "policy violation: {m}"),
             DrvError::BadPackage(m) => write!(f, "malformed driver package: {m}"),
             DrvError::Internal(m) => write!(f, "internal error: {m}"),
+            DrvError::ResendInFull(m) => write!(f, "resend the full request: {m}"),
         }
     }
 }

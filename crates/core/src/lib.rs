@@ -78,8 +78,8 @@ pub use matching::{DriverQuery, Match};
 pub use permission::{like, ClientIdentity, PermissionRule};
 pub use policy::{ExpirationPolicy, RenewPolicy, TransferMethod};
 pub use proto::{
-    ChunkPlan, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, MirrorCandidate, RequestKind,
-    DRIVOLUTION_PORT,
+    ChunkPlan, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, LeaseTerms, MirrorCandidate,
+    RequestKind, DRIVOLUTION_PORT,
 };
 pub use sign::{Signature, SigningKey, TrustStore, VerifyingKey};
 pub use transfer::{Certificate, ChannelTrust};

@@ -17,7 +17,7 @@
 //!
 //! Every frame has exactly one encoding and every field is mandatory;
 //! each is declared once through [`wire_frame!`], and the byte layout of
-//! all 18 tags is the table in `DESIGN.md` §2.
+//! every tag is the table in `DESIGN.md` §2.
 
 use std::sync::Arc;
 
@@ -30,6 +30,7 @@ use netsim::codec::{
 
 use crate::chunk::{ChunkManifest, ChunkingParams, ImageSize};
 use crate::descriptor::{BinaryFormat, DriverId};
+use crate::digest::fnv1a64;
 use crate::error::{DrvError, DrvResult};
 use crate::policy::{ExpirationPolicy, RenewPolicy, TransferMethod};
 use crate::sign::Signature;
@@ -268,6 +269,53 @@ impl DrvRequest {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
+
+    /// The digest of this request's encoding without its `kind`: what a
+    /// [`DrvMsg::RenewRef`] names. Two requests that differ only in why
+    /// they ask share it.
+    pub fn context_digest(&self) -> u64 {
+        // The kind's encoding, then the request's, which starts with it:
+        // the context is what follows the kind the second time. Most
+        // requests fit the first allocation.
+        let mut b = BytesMut::with_capacity(128);
+        self.kind.put(&mut b);
+        let kind = b.len();
+        self.put(&mut b);
+        fnv1a64(b.get(2 * kind..).unwrap_or_default())
+    }
+
+    /// Whether `other` equals this request but for its `kind`: what two
+    /// requests with equal [`context_digest`](Self::context_digest)s
+    /// must also be before one stands for the other.
+    pub fn same_context(&self, other: &DrvRequest) -> bool {
+        let DrvRequest {
+            kind: _,
+            database,
+            user,
+            password,
+            api_name,
+            api_version,
+            client_platform,
+            preferred_format,
+            preferred_version,
+            transfer_method,
+            options,
+            have,
+            zone,
+        } = self;
+        *database == other.database
+            && *user == other.user
+            && *password == other.password
+            && *api_name == other.api_name
+            && *api_version == other.api_version
+            && *client_platform == other.client_platform
+            && *preferred_format == other.preferred_format
+            && *preferred_version == other.preferred_version
+            && *transfer_method == other.transfer_method
+            && *options == other.options
+            && *have == other.have
+            && *zone == other.zone
+    }
 }
 
 wire_frame! {
@@ -312,6 +360,34 @@ wire_frame! {
     }
 }
 
+impl DrvOffer {
+    /// What a same-driver renewal of this offer changes on the client.
+    pub fn terms(&self) -> LeaseTerms {
+        LeaseTerms {
+            driver_id: self.driver_id,
+            lease_ms: self.lease_ms,
+            renew_policy: self.renew_policy,
+            expiration_policy: self.expiration_policy,
+        }
+    }
+}
+
+wire_frame! {
+    /// The lease a same-driver renewal grants: all a client reads of a
+    /// `RENEW` offer (Table 4), and the whole of a [`DrvMsg::Renewed`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct LeaseTerms {
+        /// The driver the client keeps running.
+        pub driver_id: DriverId,
+        /// Lease duration in milliseconds.
+        pub lease_ms: u64,
+        /// Renewal policy for this lease.
+        pub renew_policy: RenewPolicy,
+        /// Expiration policy for this lease.
+        pub expiration_policy: ExpirationPolicy,
+    }
+}
+
 wire_enum! {
     /// Stable `DRIVOLUTION_ERROR` codes. A decoder reads a code it does
     /// not know as [`DrvErrCode::Internal`].
@@ -327,6 +403,10 @@ wire_enum! {
         NoDriverAvailable = 4,
         /// Anything else.
         Internal = 5,
+        /// The server holds no request under the token a
+        /// [`DrvMsg::RenewRef`] named (it never saw one from this host,
+        /// restarted, or flushed its table): send the full request.
+        ResendInFull = 6,
     }
 }
 
@@ -343,6 +423,7 @@ impl DrvErrCode {
             DrvErrCode::PermissionDenied => DrvError::PermissionDenied(message),
             DrvErrCode::NoDriverAvailable => DrvError::LeaseExpired(message),
             DrvErrCode::Internal => DrvError::Internal(message),
+            DrvErrCode::ResendInFull => DrvError::ResendInFull(message),
         }
     }
 
@@ -353,6 +434,7 @@ impl DrvErrCode {
             DrvError::NoMatchingDriver(_) => DrvErrCode::NoMatchingDriver,
             DrvError::PermissionDenied(_) => DrvErrCode::PermissionDenied,
             DrvError::LeaseExpired(_) => DrvErrCode::NoDriverAvailable,
+            DrvError::ResendInFull(_) => DrvErrCode::ResendInFull,
             _ => DrvErrCode::Internal,
         }
     }
@@ -501,6 +583,21 @@ wire_frame! {
             /// Plain-text detail of what failed verification.
             detail: String,
         } = 17,
+        /// `RENEW_REF` — a lone renewal whose request equals the last
+        /// full one this host had granted: the driver it runs and that
+        /// request's [`DrvRequest::context_digest`]. The server renews
+        /// from the request it kept for the host, or answers
+        /// [`DrvErrCode::ResendInFull`].
+        RenewRef {
+            /// The currently loaded driver.
+            current: DriverId,
+            /// The kept request's context digest.
+            token: u64,
+        } = 18,
+        /// `RENEWED` — the answer to a [`DrvMsg::RenewRef`] whose grant
+        /// keeps the client's driver: the new lease and nothing else. Any
+        /// other grant is answered with the full [`DrvMsg::Offer`].
+        Renewed(LeaseTerms) = 19,
     }
 }
 
@@ -523,9 +620,12 @@ fn bulk_frame(
 impl DrvMsg {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
-        // Bulk frames reserve their exact length; the rest are small.
+        // Bulk frames and the two fixed-size renewal frames reserve their
+        // exact length; the rest are small.
         let capacity = match self {
             DrvMsg::FileData { payload } | DrvMsg::ChunkData { payload } => 5 + payload.len(),
+            DrvMsg::RenewRef { .. } => 1 + 2 * 8,
+            DrvMsg::Renewed(_) => 1 + LeaseTerms::MIN_BYTES,
             _ => 0,
         };
         encode(self, capacity)
@@ -877,6 +977,15 @@ mod tests {
                 digest: 0,
                 detail: String::new(),
             },
+            DrvMsg::RenewRef {
+                current: DriverId(3),
+                token: 0x0123_4567_89ab_cdef,
+            },
+            DrvMsg::Renewed(offer().terms()),
+            DrvMsg::Error {
+                code: DrvErrCode::ResendInFull,
+                message: "no request kept for app0001".into(),
+            },
         ];
         // One message per tag: every tag is encoded by some variant.
         let tags: BTreeSet<u8> = msgs.iter().map(|m| m.encode()[0]).collect();
@@ -1009,6 +1118,7 @@ mod tests {
             DrvErrCode::PermissionDenied,
             DrvErrCode::NoDriverAvailable,
             DrvErrCode::Internal,
+            DrvErrCode::ResendInFull,
         ] {
             let e = code.into_error("m".into());
             assert_eq!(DrvErrCode::classify(&e), code);
@@ -1151,6 +1261,61 @@ mod tests {
                 get::<ChunkPlan>(b.freeze()),
                 Err(DrvError::Codec(_))
             ));
+        }
+    }
+
+    #[test]
+    fn a_reference_is_seventeen_bytes_and_its_answer_nineteen() {
+        let reference = DrvMsg::RenewRef {
+            current: DriverId(1),
+            token: request().context_digest(),
+        };
+        assert_eq!(reference.encode().len(), 17);
+        assert_eq!(DrvMsg::Renewed(offer().terms()).encode().len(), 19);
+    }
+
+    #[test]
+    fn the_context_digest_ignores_only_the_kind() {
+        let base = request();
+        let digest = base.context_digest();
+        let kinds = [
+            RequestKind::Renewal {
+                current: DriverId(3),
+            },
+            RequestKind::Extension {
+                base: DriverId(3),
+                name: "gis".into(),
+            },
+        ];
+        for kind in kinds {
+            let same = DrvRequest {
+                kind,
+                ..base.clone()
+            };
+            assert_eq!(same.context_digest(), digest);
+            assert!(same.same_context(&base));
+        }
+        let others = [
+            DrvRequest {
+                zone: Some("east".into()),
+                ..base.clone()
+            },
+            DrvRequest {
+                user: "app2".into(),
+                ..base.clone()
+            },
+            DrvRequest {
+                options: Vec::new(),
+                ..base.clone()
+            },
+            DrvRequest {
+                have: Some(HaveSummary::default()),
+                ..base.clone()
+            },
+        ];
+        for other in others {
+            assert_ne!(other.context_digest(), digest, "{other:?}");
+            assert!(!other.same_context(&base), "{other:?}");
         }
     }
 

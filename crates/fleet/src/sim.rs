@@ -373,6 +373,11 @@ impl FleetSim {
         &self.server
     }
 
+    /// The address the Drivolution server is bound at.
+    pub fn server_addr(&self) -> &Addr {
+        &self.drv_addr
+    }
+
     /// The client bootloaders.
     pub fn clients(&self) -> &[Arc<Bootloader>] {
         &self.clients

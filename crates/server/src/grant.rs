@@ -1,14 +1,18 @@
 //! Who may run which driver, and what a renewal turns into: the grant
 //! lookup (the paper's Sample code 1 joined with Sample code 2 as
 //! [`Grants`], both answered from the [`GrantMemo`] while the tables they
-//! read and the clock's rule window hold) and the renewal rule (Table 4,
+//! read and the clock's rule window hold), the renewal rule (Table 4,
 //! §4.1.3, plus the staged-rollout override, as the pure function
-//! [`renewal`]). Nothing here touches the network.
+//! [`renewal`]) and the requests a renewal by reference names
+//! ([`RenewRefs`]). Nothing here touches the network.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use netsim::Addr;
+
+use drivolution_core::proto::DrvRequest;
 use drivolution_core::{
     ClientIdentity, DriverId, DriverQuery, DriverRecord, DrvError, DrvResult, PermissionRule,
     RenewPolicy,
@@ -29,6 +33,16 @@ const MAX_QUESTIONS: usize = 64;
 /// the user and database strings, so past this the map is flushed
 /// wholesale (as minidb's parse cache is).
 pub(crate) const MAX_IDENTITIES: usize = 1 << 16;
+
+/// Client addresses whose last lone request the server keeps at most for
+/// renewals by reference: the client picks its address, so past this the
+/// table is flushed wholesale, as the grant memo's identities are. A
+/// flushed client resends in full once.
+pub const MAX_RENEW_REFS: usize = MAX_IDENTITIES;
+
+/// Distinct requests [`RenewRefs`] compares a new one with, so that equal
+/// requests from many hosts share one copy.
+const RECENT_REQUESTS: usize = 8;
 
 /// The lease time a grant under `rule` carries.
 pub(crate) fn lease_ms(rule: Option<&PermissionRule>) -> u64 {
@@ -167,6 +181,63 @@ impl GrantMemo {
             .insert(self.packed.as_slice().into(), answer.clone());
         self.latest = answer.clone();
         answer
+    }
+}
+
+/// A lone request kept for renewal by reference, under its
+/// [`DrvRequest::context_digest`].
+pub(crate) struct KeptRequest {
+    pub(crate) token: u64,
+    pub(crate) req: DrvRequest,
+}
+
+/// The last lone request each client address had granted, which its
+/// `RENEW_REF` names by token. A token is honoured only for the address
+/// (host and port) that registered it, so clients sharing a host keep
+/// their own. Equal requests share one [`KeptRequest`].
+#[derive(Default)]
+pub(crate) struct RenewRefs {
+    by_addr: HashMap<Addr, Arc<KeptRequest>>,
+    /// The last distinct requests kept, newest last.
+    recent: Vec<Arc<KeptRequest>>,
+}
+
+impl RenewRefs {
+    /// Keeps `req` as `from`'s request. Its digest is taken only when no
+    /// equal request is kept already.
+    pub(crate) fn keep(&mut self, from: &Addr, req: &DrvRequest) {
+        let same = |k: &Arc<KeptRequest>| k.req.same_context(req);
+        if self.by_addr.get(from).is_some_and(same) {
+            return;
+        }
+        let kept = match self.recent.iter().find(|k| same(k)) {
+            Some(k) => Arc::clone(k),
+            None => {
+                let k = Arc::new(KeptRequest {
+                    token: req.context_digest(),
+                    req: req.clone(),
+                });
+                if self.recent.len() >= RECENT_REQUESTS {
+                    self.recent.remove(0);
+                }
+                self.recent.push(Arc::clone(&k));
+                k
+            }
+        };
+        if let Some(slot) = self.by_addr.get_mut(from) {
+            *slot = kept;
+            return;
+        }
+        if self.by_addr.len() >= MAX_RENEW_REFS {
+            self.by_addr.clear();
+        }
+        self.by_addr.insert(from.clone(), kept);
+    }
+
+    /// `from`'s kept request, when `token` names it.
+    pub(crate) fn get(&self, from: &Addr, token: u64) -> Option<Arc<KeptRequest>> {
+        let kept = self.by_addr.get(from).filter(|k| k.token == token);
+        kept.cloned()
     }
 }
 

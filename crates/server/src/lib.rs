@@ -31,6 +31,7 @@ pub mod variants;
 
 pub use assemble::Assembler;
 pub use directory::{ComplaintOutcome, MirrorDirectory, MirrorEntry, MirrorHealth};
+pub use grant::MAX_RENEW_REFS;
 pub use license::LicenseManager;
 pub use notify::NotifyHub;
 pub use rollout::{

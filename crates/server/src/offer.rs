@@ -232,12 +232,15 @@ impl DrivolutionServer {
     }
 
     /// Answers one `DRIVOLUTION_REQUEST` (or, `advertise_only`, one
-    /// `DRIVOLUTION_DISCOVER`): grant lookup, rollout targeting, the
-    /// Table-4 renewal rule, the license seat, the lease log, the offer.
+    /// `DRIVOLUTION_DISCOVER`) for `req` asked as `kind`, which a renewal
+    /// by reference sets apart from the kept request's own: grant lookup,
+    /// rollout targeting, the Table-4 renewal rule, the license seat, the
+    /// lease log, the offer.
     pub(crate) fn handle_request(
         &self,
         from: &Addr,
         req: &DrvRequest,
+        kind: &RequestKind,
         advertise_only: bool,
     ) -> DrvResult<DrvOffer> {
         if !self.serves(&req.database) {
@@ -249,7 +252,7 @@ impl DrivolutionServer {
 
         // Extension fetch: graft the package onto the base driver's image
         // and serve the enriched driver (§5.4.1).
-        if let RequestKind::Extension { base, name } = &req.kind {
+        if let RequestKind::Extension { base, name } = kind {
             let record = self.driver_row(*base)?;
             let mut image = unpack_driver(record.format, record.binary.clone())?;
             // Keep the client's customized feature set, then graft the
@@ -294,7 +297,7 @@ impl DrivolutionServer {
             }
         }
 
-        let same_driver = match &req.kind {
+        let same_driver = match kind {
             RequestKind::Renewal { current } => {
                 let policy = self.renew_policy(rule);
                 let kept = grants.current(*current);

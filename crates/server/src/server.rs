@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use netsim::{Addr, Clock, NetError, Network, Pipe, Service, TaskControl};
 
-use drivolution_core::proto::{BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest};
+use drivolution_core::proto::{BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::{
     Certificate, ChunkingParams, DriverId, DriverRecord, DrvError, DrvNotice, DrvResult,
     PermissionRule, RenewPolicy, SigningKey, TransferMethod,
@@ -20,7 +20,7 @@ use drivolution_depot::ContentIndex;
 
 use crate::assemble::Assembler;
 use crate::directory::{ComplaintOutcome, MirrorDirectory};
-use crate::grant::GrantMemo;
+use crate::grant::{GrantMemo, RenewRefs};
 use crate::license::LicenseManager;
 use crate::notify::NotifyHub;
 use crate::offer::{OfferMeta, Staged};
@@ -154,6 +154,9 @@ pub(crate) struct ServerState {
     pub(crate) offer_meta: HashMap<DriverId, OfferMeta>,
     /// The grant statements' answers, kept until their tables change.
     pub(crate) grants: GrantMemo,
+    /// Each client address's last lone request, for its renewals by
+    /// reference.
+    renew_refs: RenewRefs,
     hooks: Vec<EventHook>,
 }
 
@@ -414,11 +417,18 @@ impl DrivolutionServer {
         }
     }
 
-    /// One request, counted: the offer `handle_request` makes, with the
-    /// request/offer/renewal accounting every caller shares.
-    fn grant(&self, from: &Addr, req: &DrvRequest, advertise_only: bool) -> DrvResult<DrvOffer> {
+    /// One request, counted: the offer `handle_request` makes for `req`
+    /// asked as `kind`, with the request/offer/renewal accounting every
+    /// caller shares.
+    fn grant(
+        &self,
+        from: &Addr,
+        req: &DrvRequest,
+        kind: &RequestKind,
+        advertise_only: bool,
+    ) -> DrvResult<DrvOffer> {
         self.state.lock().stats.requests += 1;
-        let offer = self.handle_request(from, req, advertise_only)?;
+        let offer = self.handle_request(from, req, kind, advertise_only)?;
         let st = &mut self.state.lock().stats;
         st.offers += 1;
         if offer.same_driver {
@@ -470,8 +480,24 @@ impl DrivolutionServer {
 
     fn control_reply(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
         match msg {
-            DrvMsg::Request(req) => self.grant(from, req, false).map(DrvMsg::Offer),
-            DrvMsg::Discover(req) => self.grant(from, req, true).map(DrvMsg::Offer),
+            DrvMsg::Request(req) => {
+                let offer = self.grant(from, req, &req.kind, false)?;
+                self.state.lock().renew_refs.keep(from, req);
+                Ok(DrvMsg::Offer(offer))
+            }
+            DrvMsg::RenewRef { current, token } => {
+                let kept = self.state.lock().renew_refs.get(from, *token);
+                let kept = kept
+                    .ok_or_else(|| DrvError::ResendInFull(format!("no request kept for {from}")))?;
+                let kind = RequestKind::Renewal { current: *current };
+                let offer = self.grant(from, &kept.req, &kind, false)?;
+                Ok(if offer.same_driver {
+                    DrvMsg::Renewed(offer.terms())
+                } else {
+                    DrvMsg::Offer(offer)
+                })
+            }
+            DrvMsg::Discover(req) => self.grant(from, req, &req.kind, true).map(DrvMsg::Offer),
             DrvMsg::RenewBatch { entries } => {
                 {
                     let st = &mut self.state.lock().stats;
@@ -483,7 +509,7 @@ impl DrivolutionServer {
                     // License seats belong to the originating client, not
                     // the aggregator that forwarded the frame.
                     let origin = Addr::new(host.clone(), from.port());
-                    let reply = self.grant(&origin, req, false).map_err(|e| {
+                    let reply = self.grant(&origin, req, &req.kind, false).map_err(|e| {
                         self.state.lock().stats.errors += 1;
                         (DrvErrCode::classify(&e), e.to_string())
                     });

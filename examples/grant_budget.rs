@@ -7,7 +7,10 @@
 //! parts each timed alone over every entry: decode, reply encode, and the
 //! grant path's statements and seat. The statements are timed as if asked
 //! per entry, which the server no longer does: its grant memo answers
-//! Sample code 1 and Sample code 2 until their tables change. Last, one
+//! Sample code 1 and Sample code 2 until their tables change. The same
+//! clients then renew by reference (`RENEW_REF` → `RENEWED`, each host's
+//! request already kept): the whole call, its decode, the grant path
+//! (`DrivolutionServer::handle`) and the reply encode. Last, one
 //! `RenewalAggregator::tick` over the same batched fleet with every lease
 //! due, split into the asks, the frame, the server and the apply, and a
 //! tick with nothing due. Fastest of N, µs per entry. Prints; gates
@@ -235,6 +238,65 @@ fn storm_renewals(clients: usize, reps: usize) {
     ));
     print(
         &format!("{n} lone RENEWs ({clients} unbatched clients, one driver, seats full)"),
+        n,
+        reps,
+        &stages,
+    );
+    println!();
+    by_reference(srv, &entries, reps);
+}
+
+/// The same renewals by reference: every host's request is kept, so each
+/// sends `RENEW_REF` and draws `RENEWED`.
+fn by_reference(srv: &DrivolutionServer, entries: &[(String, Arc<DrvRequest>)], reps: usize) {
+    let msgs: Vec<(Addr, DrvMsg)> = entries
+        .iter()
+        .map(|(host, req)| {
+            let by_ref = DrvMsg::RenewRef {
+                current: DriverId(1),
+                token: req.context_digest(),
+            };
+            (Addr::new(host.clone(), 1), by_ref)
+        })
+        .collect();
+    let frames: Vec<(&Addr, Bytes)> = msgs.iter().map(|(from, m)| (from, m.encode())).collect();
+    let handle_all = || {
+        msgs.iter()
+            .map(|(from, m)| srv.handle(from, m.clone()))
+            .collect::<Vec<_>>()
+    };
+    let replies = handle_all();
+    assert!(replies.iter().all(|r| matches!(r, DrvMsg::Renewed(_))));
+    let stages = [
+        (
+            "Service::call",
+            fastest(reps, || {
+                for (from, frame) in &frames {
+                    black_box(srv.call(from, frame.clone()).expect("the server answers"));
+                }
+            }),
+        ),
+        (
+            "  decode",
+            fastest(reps, || {
+                for (_, frame) in &frames {
+                    black_box(DrvMsg::decode(frame.clone()).expect("decodes"));
+                }
+            }),
+        ),
+        ("  grant (handle)", fastest(reps, handle_all)),
+        (
+            "  reply encode",
+            fastest(reps, || {
+                for reply in &replies {
+                    black_box(reply.encode());
+                }
+            }),
+        ),
+    ];
+    let n = msgs.len();
+    print(
+        &format!("{n} lone RENEWs by reference (the same clients, each request kept)"),
         n,
         reps,
         &stages,

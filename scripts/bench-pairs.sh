@@ -4,9 +4,11 @@
 #
 #   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=3]
 #
-# Builds a `git archive` of <parent-rev> under a temp dir (`mktemp -d`,
-# so TMPDIR picks the place) and the working tree in .bench_build, then
-# runs `pairs` pairs of
+# Builds a `git archive` of <parent-rev> once per resolved commit, in
+# ${TMPDIR:-/tmp}/bench-pairs-<commit> (tree and target dir; a later run
+# on the same commit reuses both and builds nothing for the parent, and
+# the first run on a new commit removes the other bench-pairs-* there), and
+# the working tree in .bench_build, then runs `pairs` pairs of
 # `drvbench --workload <workload> --seed <k> --seconds 30`, pair k on
 # seed k, parent first in odd pairs and change first in even ones. Seed 1
 # is the seed development runs on; every other pair is a seed the change
@@ -15,7 +17,7 @@
 # pairs the change won, then each pair's change / parent ratio of
 # ops_per_s, and exits 1 if a median is worse than the parent's by more
 # than the metric's bound or the change failed more operations.
-# Not run in CI: two release builds, then two 30-second runs per pair.
+# Not run in CI: up to two release builds, then two 30-second runs per pair.
 set -eu
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -27,15 +29,35 @@ workload=$2
 pairs=${3:-3}
 root=$(cd "$(dirname "$0")/.." && pwd)
 
+commit=$(git -C "$root" rev-parse --verify "$rev^{commit}")
+base=${TMPDIR:-/tmp}/bench-pairs-$commit
+parent_bin=$base/target/release/drvbench
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-mkdir "$tmp/parent"
-git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
-echo "building $rev and the working tree ..." >&2
-cargo build --release --offline --quiet \
-    --manifest-path "$tmp/parent/benchmark/Cargo.toml" --target-dir "$tmp/target"
+# The parent's tree is extracted beside its final place and renamed into
+# it, so a tree that exists is whole; its binary exists once a build of
+# it finished.
+if [ ! -d "$base/parent" ]; then
+    for old in "${TMPDIR:-/tmp}"/bench-pairs-*; do
+        if [ "$old" != "$base" ]; then
+            rm -rf "$old"
+        fi
+    done
+    mkdir -p "$base"
+    rm -rf "$base/parent.new"
+    mkdir "$base/parent.new"
+    git -C "$root" archive "$commit" | tar -x -C "$base/parent.new"
+    mv "$base/parent.new" "$base/parent"
+fi
+if [ ! -x "$parent_bin" ]; then
+    echo "building $rev ($commit) in $base ..." >&2
+    cargo build --release --offline --quiet \
+        --manifest-path "$base/parent/benchmark/Cargo.toml" --target-dir "$base/target"
+fi
+echo "building the working tree ..." >&2
 cargo build --release --offline --quiet \
     --manifest-path "$root/benchmark/Cargo.toml" --target-dir "$root/.bench_build"
 
@@ -53,11 +75,11 @@ pair=1
 while [ "$pair" -le "$pairs" ]; do
     echo "pair $pair of $pairs (seed $pair) ..." >&2
     if [ $((pair % 2)) -eq 1 ]; then
-        run parent "$tmp/parent" "$tmp/target/release/drvbench"
+        run parent "$base/parent" "$parent_bin"
         run change "$root" "$root/.bench_build/release/drvbench"
     else
         run change "$root" "$root/.bench_build/release/drvbench"
-        run parent "$tmp/parent" "$tmp/target/release/drvbench"
+        run parent "$base/parent" "$parent_bin"
     fi
     pair=$((pair + 1))
 done

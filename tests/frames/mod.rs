@@ -11,8 +11,8 @@ use bytes::Bytes;
 use drivolution::core::chunk::{split_with, ChunkManifest, ChunkSet, ChunkingParams};
 use drivolution::core::pack::Archive;
 use drivolution::core::proto::{
-    ChunkPlan, DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, MirrorCandidate,
-    RequestKind,
+    ChunkPlan, DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, LeaseTerms,
+    MirrorCandidate, RequestKind,
 };
 use drivolution::core::{
     fnv1a64, BinaryFormat, DriverId, DriverImage, DriverVersion, ExpirationPolicy, Extension,
@@ -22,7 +22,7 @@ use drivolution::minidb::exec::RowSet;
 use drivolution::minidb::wire::{ClientAuth, ClientMsg, ServerMsg};
 use drivolution::minidb::Value;
 
-/// One valid frame per `core::proto` frame tag, all 18, in tag order.
+/// One valid frame per `core::proto` frame tag, all 20, in tag order.
 pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
     let manifest = ChunkManifest::of_with(&[7u8; 40_000], &ChunkingParams::default());
 
@@ -165,7 +165,26 @@ pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
             digest: 0xbad_c0de,
             detail: "chunk payload does not match its digest".into(),
         },
+        DrvMsg::RenewRef {
+            current: DriverId(3),
+            token: 0x5eed_c0de_cafe_f00d,
+        },
+        DrvMsg::Renewed(LeaseTerms {
+            driver_id: DriverId(3),
+            lease_ms: 60_000,
+            renew_policy: RenewPolicy::Upgrade,
+            expiration_policy: ExpirationPolicy::AfterCommit,
+        }),
     ]
+}
+
+/// The answer to a renewal by reference the server cannot resolve: one
+/// `DRIVOLUTION_ERROR` code beyond the tag list.
+pub(crate) fn resend_in_full() -> DrvMsg {
+    DrvMsg::Error {
+        code: DrvErrCode::ResendInFull,
+        message: "no request kept for app0001".into(),
+    }
 }
 
 /// One wire shape under mutation: a valid frame and its decoder.
@@ -223,10 +242,11 @@ fn reseal_dzip(frame: &mut [u8]) {
     reseal(frame, 12);
 }
 
-/// Every wire shape a count, size or presence field lives in: the 18
-/// `DrvMsg` tags, both notices, every minidb message, an image with
-/// extensions and options, both archive layouts (as sent, and resealed
-/// after each mutation), a manifest and a chunk set.
+/// Every wire shape a count, size or presence field lives in: the 20
+/// `DrvMsg` tags and the resend error, both notices, every minidb
+/// message, an image with extensions and options, both archive layouts
+/// (as sent, and resealed after each mutation), a manifest and a chunk
+/// set.
 pub(crate) fn subjects() -> Vec<Subject> {
     let mut out = Vec::new();
     for msg in drv_msgs() {
@@ -239,6 +259,13 @@ pub(crate) fn subjects() -> Vec<Subject> {
             DrvMsg::encode,
         ));
     }
+    out.push(subject(
+        "DrvMsg tag 3, resend in full",
+        resend_in_full().encode(),
+        unsealed,
+        DrvMsg::decode,
+        DrvMsg::encode,
+    ));
     for notice in [
         DrvNotice::DriverAvailable {
             database: "orders".into(),
