@@ -10,7 +10,7 @@ use driverkit::{DbUrl, DkResult, Namespace, NamespaceId};
 use netsim::{Addr, NetError};
 
 use drivolution_core::proto::{
-    BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, LeaseTerms, RequestKind,
+    Activation, BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, LeaseTerms, RequestKind,
 };
 use drivolution_core::{DriverVersion, DrvNotice, LeaseState};
 
@@ -204,7 +204,13 @@ impl Bootloader {
             return PollOutcome::Idle;
         };
         match self.renew(&url, &ns, req) {
-            Ok((server, DrvMsg::Offer(offer))) => self.apply_renewal_offer(&ns, &server, &offer),
+            Ok((server, DrvMsg::Offer(offer))) => {
+                let (outcome, report) = self.apply_renewal_offer(&ns, &server, &offer);
+                if let Some(report) = report {
+                    self.send_activation_report(report);
+                }
+                outcome
+            }
             Ok((server, DrvMsg::Renewed(terms))) => self.apply_renewed(&ns, &server, &terms),
             Ok((_server, DrvMsg::Error { .. })) => {
                 // REVOKE (or no driver anymore): block new connections and
@@ -261,15 +267,17 @@ impl Bootloader {
     }
 
     /// Applies a renewal-shaped offer, whether it arrived as an
-    /// individual reply or inside an `OFFER_BATCH`.
+    /// individual reply or inside an `OFFER_BATCH`, with the activation
+    /// report an upgrade owes the server when reports are configured:
+    /// the caller sends it alone or hands it to whoever batches it.
     fn apply_renewal_offer(
         self: &Arc<Self>,
         ns: &Namespace,
         server: &Addr,
         offer: &DrvOffer,
-    ) -> PollOutcome {
+    ) -> (PollOutcome, Option<Activation>) {
         if offer.same_driver {
-            return self.apply_renewed(ns, server, &offer.terms());
+            return (self.apply_renewed(ns, server, &offer.terms()), None);
         }
         self.state.lock().renew_owed = false;
         // UPGRADE: download, switch new connects, transition old
@@ -283,7 +291,7 @@ impl Bootloader {
                     .map(|n| n.image.version)
                     .unwrap_or_default();
                 if self.registry.activate(new_ns).is_err() {
-                    return PollOutcome::KeptAfterFailure;
+                    return (PollOutcome::KeptAfterFailure, None);
                 }
                 self.state.lock().prefer(server);
                 if self.swap_enabled() {
@@ -297,19 +305,23 @@ impl Bootloader {
                     self.expire_sessions(ns.id, offer.expiration_policy, reason);
                 }
                 self.state.lock().stats.upgrades += 1;
-                if self.config.report_activation {
+                let report = if self.config.report_activation {
                     let verdict = self.run_activation_check(new_ns);
-                    self.send_activation_report(offer, Some(to), verdict);
-                }
-                PollOutcome::Upgraded { from, to }
+                    self.activation_report(offer, Some(to), verdict)
+                } else {
+                    None
+                };
+                (PollOutcome::Upgraded { from, to }, report)
             }
             Err(e) => {
                 self.state.lock().stats.failed_renewals += 1;
-                if self.config.report_activation {
+                let report = if self.config.report_activation {
                     let verdict = Err(format!("driver install failed: {e}"));
-                    self.send_activation_report(offer, None, verdict);
-                }
-                PollOutcome::KeptAfterFailure
+                    self.activation_report(offer, None, verdict)
+                } else {
+                    None
+                };
+                (PollOutcome::KeptAfterFailure, report)
             }
         }
     }
@@ -345,19 +357,28 @@ impl Bootloader {
     /// mirroring exactly what an individually exchanged renewal would
     /// have done: same-driver offers renew the lease, other offers
     /// upgrade, and error replies revoke. Re-arms the lease timer.
-    pub fn apply_batch_offer(self: &Arc<Self>, server: &Addr, reply: &BatchReply) -> PollOutcome {
+    ///
+    /// An upgrade's activation report is not sent: it comes back beside
+    /// the outcome, for the aggregator to carry in its tick's
+    /// `ACTIVATION_BATCH` (or to hand back to
+    /// [`send_activation_report`](Self::send_activation_report)).
+    pub fn apply_batch_offer(
+        self: &Arc<Self>,
+        server: &Addr,
+        reply: &BatchReply,
+    ) -> (PollOutcome, Option<Activation>) {
         let Some(ns) = self.registry.active() else {
-            return PollOutcome::Idle;
+            return (PollOutcome::Idle, None);
         };
-        let outcome = match reply {
+        let applied = match reply {
             Ok(offer) => self.apply_renewal_offer(&ns, server, offer),
             Err(_) => {
                 self.apply_revoke(&ns);
-                PollOutcome::Revoked
+                (PollOutcome::Revoked, None)
             }
         };
         self.sync_lease_timer();
-        outcome
+        applied
     }
 
     /// Applies a `RENEW_BATCH` exchange that failed, at the network
@@ -382,38 +403,43 @@ impl Bootloader {
         }
     }
 
-    /// Best-effort `ACTIVATION_REPORT`: tells the server how the upgrade
-    /// went so staged-rollout health gates have real signal. Transport
-    /// failures are swallowed — the report is advisory, never part of
-    /// the lease state machine.
-    fn send_activation_report(
+    /// Counts an upgrade's activation verdict and builds the report
+    /// that tells the server how it went, so staged-rollout health gates
+    /// have real signal: `None` when no connection context names the
+    /// database.
+    fn activation_report(
         &self,
         offer: &DrvOffer,
         version: Option<DriverVersion>,
         verdict: Result<(), String>,
-    ) {
+    ) -> Option<Activation> {
         let (ok, detail) = match verdict {
             Ok(()) => (true, String::new()),
             Err(detail) => (false, detail),
         };
-        {
-            let st = &mut self.state.lock().stats;
-            st.activation_reports += 1;
-            if !ok {
-                st.activation_failures += 1;
-            }
+        let mut st = self.state.lock();
+        st.stats.activation_reports += 1;
+        if !ok {
+            st.stats.activation_failures += 1;
         }
-        let Some((url, _props)) = self.context() else {
-            return;
-        };
-        let msg = DrvMsg::ActivationReport {
+        let (url, _) = st.context.as_ref()?;
+        Some(Activation {
             database: url.database().to_string(),
             driver: offer.driver_id,
             version,
             ok,
             detail,
+        })
+    }
+
+    /// Sends `report` alone, as this client's best-effort
+    /// `ACTIVATION_REPORT`. Transport failures are swallowed — the report
+    /// is advisory, never part of the lease state machine.
+    pub fn send_activation_report(&self, report: Activation) {
+        let Some((url, _props)) = self.context() else {
+            return;
         };
-        let _ = self.exchange(&url, msg);
+        let _ = self.exchange(&url, report.into_report());
     }
 
     fn apply_revoke(&self, ns: &Namespace) {

@@ -410,6 +410,45 @@ wire_enum! {
     }
 }
 
+wire_frame! {
+    /// How one client's activation of a freshly offered driver went: the
+    /// body of an `ACTIVATION_REPORT`, and what each entry of an
+    /// [`DrvMsg::ActivationBatch`] names.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Activation {
+        /// Database the driver serves.
+        pub database: String,
+        /// The driver the client tried to activate.
+        pub driver: DriverId,
+        /// Version of that driver, if the client knows it.
+        pub version: Option<DriverVersion>,
+        /// `true` when the driver loaded and activated cleanly.
+        pub ok: bool,
+        /// Plain-text failure detail (empty on success).
+        pub detail: String,
+    }
+}
+
+impl Activation {
+    /// The lone `ACTIVATION_REPORT` carrying this report.
+    pub fn into_report(self) -> DrvMsg {
+        let Activation {
+            database,
+            driver,
+            version,
+            ok,
+            detail,
+        } = self;
+        DrvMsg::ActivationReport {
+            database,
+            driver,
+            version,
+            ok,
+            detail,
+        }
+    }
+}
+
 /// One entry's reply in an [`DrvMsg::OfferBatch`]: the offer, or the
 /// error class and message an individual request would have drawn.
 pub type BatchReply = Result<DrvOffer, (DrvErrCode, String)>;
@@ -598,6 +637,17 @@ wire_frame! {
         /// keeps the client's driver: the new lease and nothing else. Any
         /// other grant is answered with the full [`DrvMsg::Offer`].
         Renewed(LeaseTerms) = 19,
+        /// `ACTIVATION_BATCH` — a renewal aggregator's activation reports
+        /// for the clients one of its ticks upgraded, each entry naming
+        /// its client host as a [`DrvMsg::RenewBatch`] entry does. Each
+        /// distinct report travels once per frame. The server takes each
+        /// entry as that host's lone `ACTIVATION_REPORT` and answers the
+        /// frame with one [`DrvMsg::ActivationAck`].
+        ActivationBatch {
+            /// Per-client entries: `(client_host, report)`; equal
+            /// reports share one decoded value.
+            entries: Vec<(String, Arc<Activation>)> as Interned,
+        } = 20,
     }
 }
 
@@ -982,6 +1032,31 @@ mod tests {
                 token: 0x0123_4567_89ab_cdef,
             },
             DrvMsg::Renewed(offer().terms()),
+            DrvMsg::ActivationBatch {
+                entries: {
+                    let ok = Arc::new(Activation {
+                        database: "orders".into(),
+                        driver: DriverId(2),
+                        version: Some(DriverVersion::new(2, 0, 0)),
+                        ok: true,
+                        detail: String::new(),
+                    });
+                    let failed = Arc::new(Activation {
+                        version: None,
+                        ok: false,
+                        detail: "load failed: bad symbol".into(),
+                        ..(*ok).clone()
+                    });
+                    vec![
+                        ("app0001".into(), Arc::clone(&ok)),
+                        ("app0002".into(), failed),
+                        ("app0003".into(), ok),
+                    ]
+                },
+            },
+            DrvMsg::ActivationBatch {
+                entries: Vec::new(),
+            },
             DrvMsg::Error {
                 code: DrvErrCode::ResendInFull,
                 message: "no request kept for app0001".into(),
@@ -1030,8 +1105,8 @@ mod tests {
     #[test]
     fn hostile_batch_counts_are_rejected() {
         // A hostile count cannot reserve more entries than the frame
-        // could possibly hold, for either batch frame.
-        for tag in [15u8, 16u8] {
+        // could possibly hold, for any batch frame.
+        for tag in [15u8, 16u8, 20u8] {
             let mut b = BytesMut::new();
             b.put_u8(tag);
             b.put_u32_le(u32::MAX);
@@ -1262,6 +1337,20 @@ mod tests {
                 Err(DrvError::Codec(_))
             ));
         }
+    }
+
+    #[test]
+    fn a_batched_report_is_the_body_of_a_lone_one() {
+        let report = Activation {
+            database: "orders".into(),
+            driver: DriverId(2),
+            version: Some(DriverVersion::new(2, 0, 0)),
+            ok: false,
+            detail: "load failed".into(),
+        };
+        let lone = report.clone().into_report().encode();
+        assert_eq!(lone[0], Tag::ActivationReport.code());
+        assert_eq!(lone[1..], encode(&report, 0)[..]);
     }
 
     #[test]

@@ -7,17 +7,23 @@
 //! bootloader exactly as an individually exchanged renewal would have
 //! been. Entries carry each client's own host, so license seats, rollout
 //! wave targeting, and lease logging still attribute to the client, not
-//! the aggregator.
+//! the aggregator. The activation reports of the clients a tick upgraded
+//! travel the same way, as one `ACTIVATION_BATCH` before the tick returns.
 
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use netsim::{Addr, Network, TaskControl, TaskHandle};
+use netsim::{Addr, NetError, Network, TaskControl, TaskHandle};
 
 use drivolution_bootloader::Bootloader;
-use drivolution_core::proto::DrvMsg;
+use drivolution_core::proto::{Activation, DrvMsg};
+
+/// How many of the latest distinct requests or reports a tick holds a
+/// new one against before it keeps its own copy: enough for the few a
+/// wave repeats, few enough that a tick of distinct values stays linear.
+const RECENT: usize = 8;
 
 /// Counters exposed for the batching benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -142,14 +148,17 @@ impl RenewalAggregator {
     /// One coalescing pass: asks every live client whose renewal deadline
     /// has passed for its due renewal, sends the collected entries as a
     /// single `RENEW_BATCH`, and applies the server's `OFFER_BATCH`
-    /// replies back to the contributors in order. Returns the number of
-    /// renewals carried.
+    /// replies back to the contributors in order. The activation reports
+    /// of the contributors it upgraded go out as one `ACTIVATION_BATCH`.
+    /// Equal requests, and equal reports, share one value. Returns the
+    /// number of renewals carried.
     pub fn tick(&self) -> usize {
         let mut contributors: Vec<Arc<Bootloader>> = Vec::new();
         let mut entries = Vec::new();
+        let mut requests = Vec::new();
         for client in self.due_clients() {
-            if let Some(entry) = client.batch_renewal_entry() {
-                entries.push(entry);
+            if let Some((host, req)) = client.batch_renewal_entry() {
+                entries.push((host, shared(&mut requests, req)));
                 contributors.push(client);
             }
         }
@@ -176,11 +185,50 @@ impl RenewalAggregator {
                 return n;
             }
         };
+        let mut reports = Vec::new();
+        let mut distinct = Vec::new();
         for (client, reply) in contributors.iter().zip(replies) {
-            client.apply_batch_offer(&self.server, &reply);
+            if let (_, Some(report)) = client.apply_batch_offer(&self.server, &reply) {
+                reports.push((client, shared(&mut distinct, Arc::new(report))));
+            }
         }
+        self.send_reports(reports);
         n
     }
+
+    /// Sends one tick's activation reports, each under its client's
+    /// host, as one `ACTIVATION_BATCH`. A server from before the frame
+    /// refuses it as undecodable; each client then sends its report
+    /// alone, so the rollout gates still hear from every host. Any other
+    /// failure is dropped: reports are advisory, as a lone one is.
+    fn send_reports(&self, reports: Vec<(&Arc<Bootloader>, Arc<Activation>)>) {
+        if reports.is_empty() {
+            return;
+        }
+        let entries = (reports.iter())
+            .map(|(client, report)| (client.local_addr().host().to_string(), Arc::clone(report)))
+            .collect();
+        let frame = DrvMsg::ActivationBatch { entries }.encode();
+        if let Err(NetError::Protocol(_)) = self.net.request(&self.local, &self.server, frame) {
+            for (client, report) in reports {
+                client.send_activation_report(Arc::unwrap_or_clone(report));
+            }
+        }
+    }
+}
+
+/// `value`, or the `Arc` of an equal value among the last [`RECENT`]
+/// distinct ones in `recent` (newest last), which `value` joins when it
+/// is new.
+fn shared<T: PartialEq>(recent: &mut Vec<Arc<T>>, value: Arc<T>) -> Arc<T> {
+    if let Some(same) = recent.iter().rev().find(|r| **r == value) {
+        return Arc::clone(same);
+    }
+    if recent.len() >= RECENT {
+        recent.remove(0);
+    }
+    recent.push(Arc::clone(&value));
+    value
 }
 
 #[cfg(test)]
@@ -207,6 +255,19 @@ mod tests {
 
     fn renewals(sim: &FleetSim) -> u64 {
         sim.clients().iter().map(|c| c.stats().renewals).sum()
+    }
+
+    #[test]
+    fn an_equal_value_shares_one_of_the_last_distinct_ones() {
+        let mut recent = Vec::new();
+        let first = shared(&mut recent, Arc::new(0));
+        assert!(Arc::ptr_eq(&first, &shared(&mut recent, Arc::new(0))));
+        for i in 1..=RECENT {
+            shared(&mut recent, Arc::new(i));
+        }
+        // `RECENT` distinct values later, 0 is no longer held.
+        assert_eq!(recent.len(), RECENT);
+        assert!(!Arc::ptr_eq(&first, &shared(&mut recent, Arc::new(0))));
     }
 
     #[test]

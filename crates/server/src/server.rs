@@ -89,7 +89,8 @@ pub struct ServerStats {
     pub mirror_complaints: u64,
     /// Mirrors demoted by corroborated complaint strikes.
     pub mirror_demotions: u64,
-    /// `ACTIVATION_REPORT`s handled.
+    /// Activation reports handled: lone `ACTIVATION_REPORT`s and
+    /// `ACTIVATION_BATCH` entries, one each.
     pub activation_reports: u64,
     /// Failed activations among the reports.
     pub activation_failures: u64,
@@ -564,21 +565,35 @@ impl DrivolutionServer {
                 ok,
                 ..
             } => {
-                {
-                    let st = &mut self.state.lock().stats;
-                    st.activation_reports += 1;
-                    if !ok {
-                        st.activation_failures += 1;
-                    }
-                }
-                if let Some(ro) = self.rollout_for(database) {
-                    ro.report_activation(from.host(), *driver, *ok);
+                self.record_activation(from.host(), database, *driver, *ok);
+                Ok(DrvMsg::ActivationAck)
+            }
+            DrvMsg::ActivationBatch { entries } => {
+                // Each entry is its client host's own report, as a
+                // `RENEW_BATCH` entry is that host's renewal.
+                for (host, report) in entries {
+                    self.record_activation(host, &report.database, report.driver, report.ok);
                 }
                 Ok(DrvMsg::ActivationAck)
             }
             other => Err(DrvError::Codec(format!(
                 "unexpected client message {other:?}"
             ))),
+        }
+    }
+
+    /// Counts `host`'s activation report and hands it to the rollout of
+    /// `database`, if one is attached.
+    fn record_activation(&self, host: &str, database: &str, driver: DriverId, ok: bool) {
+        {
+            let st = &mut self.state.lock().stats;
+            st.activation_reports += 1;
+            if !ok {
+                st.activation_failures += 1;
+            }
+        }
+        if let Some(ro) = self.rollout_for(database) {
+            ro.report_activation(host, driver, ok);
         }
     }
 }

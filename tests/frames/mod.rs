@@ -11,8 +11,8 @@ use bytes::Bytes;
 use drivolution::core::chunk::{split_with, ChunkManifest, ChunkSet, ChunkingParams};
 use drivolution::core::pack::Archive;
 use drivolution::core::proto::{
-    ChunkPlan, DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary, LeaseTerms,
-    MirrorCandidate, RequestKind,
+    Activation, ChunkPlan, DrvErrCode, DrvMsg, DrvNotice, DrvOffer, DrvRequest, HaveSummary,
+    LeaseTerms, MirrorCandidate, RequestKind,
 };
 use drivolution::core::{
     fnv1a64, BinaryFormat, DriverId, DriverImage, DriverVersion, ExpirationPolicy, Extension,
@@ -22,7 +22,7 @@ use drivolution::minidb::exec::RowSet;
 use drivolution::minidb::wire::{ClientAuth, ClientMsg, ServerMsg};
 use drivolution::minidb::Value;
 
-/// One valid frame per `core::proto` frame tag, all 20, in tag order.
+/// One valid frame per `core::proto` frame tag, all 21, in tag order.
 pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
     let manifest = ChunkManifest::of_with(&[7u8; 40_000], &ChunkingParams::default());
 
@@ -175,6 +175,31 @@ pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
             renew_policy: RenewPolicy::Upgrade,
             expiration_policy: ExpirationPolicy::AfterCommit,
         }),
+        DrvMsg::ActivationBatch {
+            entries: {
+                let ok = Arc::new(Activation {
+                    database: "orders".into(),
+                    driver: DriverId(2),
+                    version: Some(DriverVersion::new(2, 0, 0)),
+                    ok: true,
+                    detail: String::new(),
+                });
+                let failed = Activation {
+                    version: None,
+                    ok: false,
+                    detail: "injected activation regression".into(),
+                    ..(*ok).clone()
+                };
+                // One failed report named once, and one report three
+                // hosts share: a table of two items, four entries.
+                vec![
+                    ("app0001".into(), Arc::clone(&ok)),
+                    ("app0002".into(), Arc::new(failed)),
+                    ("app0003".into(), Arc::clone(&ok)),
+                    ("app0004".into(), ok),
+                ]
+            },
+        },
     ]
 }
 
@@ -242,7 +267,7 @@ fn reseal_dzip(frame: &mut [u8]) {
     reseal(frame, 12);
 }
 
-/// Every wire shape a count, size or presence field lives in: the 20
+/// Every wire shape a count, size or presence field lives in: the 21
 /// `DrvMsg` tags and the resend error, both notices, every minidb
 /// message, an image with extensions and options, both archive layouts
 /// (as sent, and resealed after each mutation), a manifest and a chunk

@@ -224,9 +224,9 @@ fn every_tag_byte_under_every_frame_body_is_an_error_or_reencodes() {
             }
         }
     }
-    // 43 shapes; each still decodes under its own first byte at least.
-    assert_eq!(runs, 43 * 256);
-    assert!(decoded >= 43, "{decoded} of {runs}");
+    // 44 shapes; each still decodes under its own first byte at least.
+    assert_eq!(runs, 44 * 256);
+    assert!(decoded >= 44, "{decoded} of {runs}");
 }
 
 /// Frames whose optional fields `tests/frames` leaves unset: a `REQ` with
@@ -317,10 +317,10 @@ fn frames_with_every_field() -> Vec<(&'static str, Bytes)> {
 
 /// `fnv1a64` of every frame's encoding: each wire shape `tests/frames`
 /// builds, then the frames above. Recorded before frames were declared
-/// through `wire_frame!` (tags 18 and 19 and the resend error when they
-/// were added); compared as one table, so a layout change prints every
-/// row that moved.
-const PINNED_FRAMES: [(&str, u64); 50] = [
+/// through `wire_frame!` (tags 18, 19 and 20 and the resend error when
+/// they were added); compared as one table, so a layout change prints
+/// every row that moved.
+const PINNED_FRAMES: [(&str, u64); 51] = [
     ("DrvMsg tag 0", 0xc2c5_bcf9_8133_c332),
     ("DrvMsg tag 1", 0xb1ca_377e_dce6_d81a),
     ("DrvMsg tag 2", 0x8d69_0d5d_eb62_d118),
@@ -341,6 +341,7 @@ const PINNED_FRAMES: [(&str, u64); 50] = [
     ("DrvMsg tag 17", 0xf351_3f29_1593_e81a),
     ("DrvMsg tag 18", 0x64c9_04c8_59b1_f130),
     ("DrvMsg tag 19", 0xd653_f82e_929d_e5de),
+    ("DrvMsg tag 20", 0xb94d_7a88_d55b_9ae6),
     ("DrvMsg tag 3, resend in full", 0x3786_9290_a0da_f326),
     (
         "DriverAvailable { database: \"orders\" }",
