@@ -6,6 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 use netsim::{Addr, Clock, NetError, Network, Pipe, TaskControl, TaskHandle};
@@ -120,6 +121,10 @@ pub(crate) struct BootState {
     pub(crate) context: Option<(DbUrl, ConnectProps)>,
     /// What a renewal may name instead of its whole request.
     pub(crate) renew_ref: RenewRef,
+    /// A server refused the `FETCH` frame itself: every request of this
+    /// bootloader goes out as a `REQUEST`, and a file it is offered is
+    /// fetched with a `FILE_REQUEST`.
+    pub(crate) fetch_refused: bool,
     pub(crate) stats: BootStats,
     /// Told this client's next renewal deadline after every change to
     /// it, when something outside drives its renewals
@@ -530,15 +535,47 @@ impl Bootloader {
     /// failures try the next server (controller failover, §5.3.2);
     /// application-level errors are authoritative and returned.
     pub(crate) fn exchange(&self, url: &DbUrl, msg: DrvMsg) -> DkResult<(Addr, DrvMsg)> {
-        self.send(url, &msg)?.map_err(|errs| unreachable(&errs))
+        self.send(url, msg.encode())?
+            .map_err(|errs| unreachable(&errs))
     }
 
-    /// [`Self::exchange`], handing back every candidate's network error,
-    /// in the order tried, when none answered.
+    /// Sends `req` as a `FETCH`, whose answer carries the offered file
+    /// when the client would otherwise fetch it whole, or as a
+    /// `REQUEST` once a server refused that frame. A server from before
+    /// it refuses it as undecodable; the request then goes out again in
+    /// the same attempt, and the client does not ask again.
+    pub(crate) fn ask(&self, url: &DbUrl, req: DrvRequest) -> DkResult<(Addr, DrvMsg)> {
+        if !self.state.lock().fetch_refused {
+            match self.send_new_tag(url, req.fetch_frame())? {
+                Some(answered) => return Ok(answered),
+                None => self.state.lock().fetch_refused = true,
+            }
+        }
+        self.exchange(url, DrvMsg::Request(req))
+    }
+
+    /// [`Self::exchange`] for `frame`, a tag servers from before it do
+    /// not know: `None` when a candidate refused it as undecodable, for
+    /// the caller to say the same in an older frame.
+    pub(crate) fn send_new_tag(
+        &self,
+        url: &DbUrl,
+        frame: Bytes,
+    ) -> DkResult<Option<(Addr, DrvMsg)>> {
+        match self.send(url, frame)? {
+            Ok(answered) => Ok(Some(answered)),
+            Err(errs) if errs.iter().any(|e| matches!(e, NetError::Protocol(_))) => Ok(None),
+            Err(errs) => Err(unreachable(&errs)),
+        }
+    }
+
+    /// [`Self::exchange`] for an encoded `frame`, handing back every
+    /// candidate's network error, in the order tried, when none
+    /// answered.
     pub(crate) fn send(
         &self,
         url: &DbUrl,
-        msg: &DrvMsg,
+        frame: Bytes,
     ) -> DkResult<Result<(Addr, DrvMsg), Vec<NetError>>> {
         let preferred: Vec<Addr> = {
             let st = self.state.lock();
@@ -552,7 +589,7 @@ impl Bootloader {
         }
         let mut errs = Vec::new();
         for server in candidates {
-            match self.net.request(&self.local, &server, msg.encode()) {
+            match self.net.request(&self.local, &server, frame.clone()) {
                 Ok(raw) => {
                     let reply = DrvMsg::decode(raw).map_err(DkError::Drv)?;
                     return Ok(Ok((server, reply)));
@@ -564,7 +601,13 @@ impl Bootloader {
     }
 
     /// Performs the cold bootstrap (Table 3): request → offer → file →
-    /// decode → load.
+    /// decode → load. The request goes out as a `FETCH`: a server that
+    /// would offer the whole file sends it inside its answer
+    /// (`OFFER_FILE`), one round trip for the offer and the file. A
+    /// revalidation or a chunked delta comes back as a plain `OFFER`, and
+    /// a server that refuses the frame is asked with a `REQUEST`, whose
+    /// offer names a staged file the client fetches with a
+    /// `FILE_REQUEST`.
     ///
     /// # Errors
     ///
@@ -575,10 +618,10 @@ impl Bootloader {
         self.remember(url, props);
         let req = self.build_request(RequestKind::Bootstrap, url, props);
         let token = req.context_digest();
-        let (server, reply) = self.exchange(url, DrvMsg::Request(req))?;
-        let offer = expect_offer(reply, "bootstrap")?;
+        let (server, reply) = self.ask(url, req)?;
+        let (offer, file) = offered(reply, "bootstrap")?;
         self.state.lock().offered(token);
-        let ns_id = self.install_offer(&server, &offer)?;
+        let ns_id = self.install_offer(&server, &offer, file)?;
         self.registry.activate(ns_id)?;
         {
             let mut st = self.state.lock();
@@ -637,9 +680,9 @@ impl Bootloader {
             &url,
             &props,
         );
-        let (server, reply) = self.exchange(&url, DrvMsg::Request(req))?;
-        let offer = expect_offer(reply, "extension")?;
-        let new_ns = self.install_offer(&server, &offer)?;
+        let (server, reply) = self.ask(&url, req)?;
+        let (offer, file) = offered(reply, "extension")?;
+        let new_ns = self.install_offer(&server, &offer, file)?;
         self.registry.activate(new_ns)?;
         // Old connections keep working (extension fetch is additive).
         self.state.lock().stats.extension_fetches += 1;
@@ -704,11 +747,13 @@ impl Bootloader {
     }
 }
 
-/// The offer a request was answered with; a `DRIVOLUTION_ERROR` becomes
-/// its typed error, any other frame a codec error naming `what`.
-fn expect_offer(reply: DrvMsg, what: &str) -> DkResult<DrvOffer> {
+/// The offer a request was answered with, and the wrapped file when it
+/// came inside the answer; a `DRIVOLUTION_ERROR` becomes its typed
+/// error, any other frame a codec error naming `what`.
+fn offered(reply: DrvMsg, what: &str) -> DkResult<(DrvOffer, Option<Bytes>)> {
     match reply {
-        DrvMsg::Offer(offer) => Ok(offer),
+        DrvMsg::Offer(offer) => Ok((offer, None)),
+        DrvMsg::OfferFile { offer, payload } => Ok((offer, Some(payload))),
         other => Err(DkError::Drv(other.unexpected(what))),
     }
 }

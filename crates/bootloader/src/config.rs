@@ -185,10 +185,10 @@ pub struct BootloaderConfig {
     /// Scheduler-driven lifecycle tasks (upgrade polling, lease
     /// auto-renewal).
     pub lifecycle: LifecyclePolicy,
-    /// Send a best-effort `ACTIVATION_REPORT` to the server after each
-    /// driver upgrade (success or failure), feeding staged-rollout
-    /// health gates. Off by default: reports cost one extra message per
-    /// upgrade.
+    /// Send an `ACTIVATION_REPORT` to the server after each driver
+    /// upgrade (success or failure), feeding staged-rollout health
+    /// gates, and again until a server answers it. Off by default:
+    /// reports cost one extra message per upgrade.
     pub report_activation: bool,
     /// Post-activation self-check; its verdict becomes the report's
     /// `ok`/`detail`. `None` means upgrades that install and activate
@@ -313,7 +313,7 @@ impl BootloaderConfig {
         self
     }
 
-    /// Enables best-effort activation reports after driver upgrades.
+    /// Enables activation reports after driver upgrades.
     pub fn with_activation_reports(mut self) -> Self {
         self.report_activation = true;
         self

@@ -1,7 +1,7 @@
 //! Getting an offered driver onto this machine: depot revalidation, the
-//! chunked delta with its ranked mirror walk, and the plain full-file
-//! download — then signature check and VM load, the shared tail of every
-//! delivery path.
+//! chunked delta with its ranked mirror walk, and the full file, sent
+//! inside the answer or downloaded — then signature check and VM load,
+//! the shared tail of every delivery path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -83,6 +83,9 @@ impl Bootloader {
         self.vm.load(offer.format, bytes)
     }
 
+    /// The driver of an offer whose answer carried no file: a
+    /// revalidation, a chunked delta, or a `FILE_REQUEST` for the staged
+    /// file.
     fn download(
         &self,
         server: &Addr,
@@ -127,6 +130,17 @@ impl Bootloader {
             DrvMsg::FileData { payload } => payload,
             other => return Err(other.unexpected("file").into()),
         };
+        self.install_file(offer, payload)
+    }
+
+    /// The full file `offer` describes, arrived as its transfer envelope
+    /// `payload`: unwrapped, checked against the offer, verified, loaded,
+    /// then cached.
+    fn install_file(
+        &self,
+        offer: &DrvOffer,
+        payload: Bytes,
+    ) -> DkResult<(DriverImage, Arc<dyn Driver>)> {
         let bytes = transfer::unwrap(offer.transfer_method, payload, &self.config.channel_trust)?;
         // What arrived must be what was offered: `Plain` has no integrity
         // of its own, and any server can stage the wrong file.
@@ -355,8 +369,18 @@ impl Bootloader {
         .map_err(DkError::Drv)
     }
 
-    pub(crate) fn install_offer(&self, server: &Addr, offer: &DrvOffer) -> DkResult<NamespaceId> {
-        let (image, driver) = self.download(server, offer)?;
+    /// Installs `offer`'s driver, from `file` when the answer carried it,
+    /// as a namespace under the offered lease.
+    pub(crate) fn install_offer(
+        &self,
+        server: &Addr,
+        offer: &DrvOffer,
+        file: Option<Bytes>,
+    ) -> DkResult<NamespaceId> {
+        let (image, driver) = match file {
+            Some(payload) => self.install_file(offer, payload)?,
+            None => self.download(server, offer)?,
+        };
         let lease = self.lease_of(&offer.terms())?;
         let ns = self
             .registry

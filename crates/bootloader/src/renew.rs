@@ -6,15 +6,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use driverkit::{DbUrl, DkResult, Namespace, NamespaceId};
-use netsim::{Addr, NetError};
+use netsim::{Addr, TaskControl};
 
 use drivolution_core::proto::{
     Activation, BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, LeaseTerms, RequestKind,
 };
 use drivolution_core::{DriverVersion, DrvNotice, LeaseState};
 
-use crate::bootloader::{push_sample, unreachable, Bootloader, PollOutcome, RenewRef};
+use crate::bootloader::{push_sample, Bootloader, PollOutcome, RenewRef};
 
 /// Retry backoff after a failed renewal ("the bootloader keeps its
 /// current implementation", §4.1.3 — but keeps trying).
@@ -204,12 +205,9 @@ impl Bootloader {
             return PollOutcome::Idle;
         };
         match self.renew(&url, &ns, req) {
-            Ok((server, DrvMsg::Offer(offer))) => {
-                let (outcome, report) = self.apply_renewal_offer(&ns, &server, &offer);
-                if let Some(report) = report {
-                    self.send_activation_report(report);
-                }
-                outcome
+            Ok((server, DrvMsg::Offer(offer))) => self.apply_lone_offer(&ns, &server, &offer, None),
+            Ok((server, DrvMsg::OfferFile { offer, payload })) => {
+                self.apply_lone_offer(&ns, &server, &offer, Some(payload))
             }
             Ok((server, DrvMsg::Renewed(terms))) => self.apply_renewed(&ns, &server, &terms),
             Ok((_server, DrvMsg::Error { .. })) => {
@@ -225,36 +223,50 @@ impl Bootloader {
 
     /// One renewal exchange for `req`: a `RENEW_REF` when `req` is the
     /// request the server last granted this client, else the full
-    /// request. A server that keeps no such request makes the client
-    /// forget its token, and one that refuses the frame makes it stop
-    /// sending references; either way the full request goes out in the
-    /// same attempt.
+    /// request ([`ask`](Self::ask)). A server that keeps no such request
+    /// makes the client forget its token, and one that refuses the frame
+    /// makes it stop sending references; either way the full request
+    /// goes out in the same attempt.
     fn renew(&self, url: &DbUrl, ns: &Namespace, req: DrvRequest) -> DkResult<(Addr, DrvMsg)> {
         let token = req.context_digest();
         if self.state.lock().renew_ref == RenewRef::Token(token) {
             let current = ns.driver_id;
-            let fallback = match self.send(url, &DrvMsg::RenewRef { current, token })? {
-                Ok((
+            let frame = DrvMsg::RenewRef { current, token }.encode();
+            let fallback = match self.send_new_tag(url, frame)? {
+                Some((
                     _,
                     DrvMsg::Error {
                         code: DrvErrCode::ResendInFull,
                         ..
                     },
                 )) => RenewRef::Unknown,
-                Ok(answered) => return Ok(answered),
-                // A server from before the frame refuses it as undecodable.
-                Err(errs) if errs.iter().any(|e| matches!(e, NetError::Protocol(_))) => {
-                    RenewRef::Refused
-                }
-                Err(errs) => return Err(unreachable(&errs)),
+                Some(answered) => return Ok(answered),
+                None => RenewRef::Refused,
             };
             self.state.lock().renew_ref = fallback;
         }
-        let answered = self.exchange(url, DrvMsg::Request(req))?;
-        if let (_, DrvMsg::Offer(_)) = answered {
+        let answered = self.ask(url, req)?;
+        if let (_, DrvMsg::Offer(_) | DrvMsg::OfferFile { .. }) = answered {
             self.state.lock().offered(token);
         }
         Ok(answered)
+    }
+
+    /// Applies the offer a lone renewal drew, `file` being the wrapped
+    /// file its answer carried, and sends the upgrade's activation report
+    /// alone.
+    fn apply_lone_offer(
+        self: &Arc<Self>,
+        ns: &Namespace,
+        server: &Addr,
+        offer: &DrvOffer,
+        file: Option<Bytes>,
+    ) -> PollOutcome {
+        let (outcome, report) = self.apply_renewal_offer(ns, server, offer, file);
+        if let Some(report) = report {
+            self.send_activation_report(report);
+        }
+        outcome
     }
 
     /// A renewal exchange that did not complete: the driver is kept and
@@ -267,7 +279,8 @@ impl Bootloader {
     }
 
     /// Applies a renewal-shaped offer, whether it arrived as an
-    /// individual reply or inside an `OFFER_BATCH`, with the activation
+    /// individual reply (with `file`, the wrapped file, when the answer
+    /// carried it) or inside an `OFFER_BATCH`, with the activation
     /// report an upgrade owes the server when reports are configured:
     /// the caller sends it alone or hands it to whoever batches it.
     fn apply_renewal_offer(
@@ -275,6 +288,7 @@ impl Bootloader {
         ns: &Namespace,
         server: &Addr,
         offer: &DrvOffer,
+        file: Option<Bytes>,
     ) -> (PollOutcome, Option<Activation>) {
         if offer.same_driver {
             return (self.apply_renewed(ns, server, &offer.terms()), None);
@@ -283,7 +297,7 @@ impl Bootloader {
         // UPGRADE: download, switch new connects, transition old
         // connections per the offer's expiration policy, unload.
         let from = ns.image.version;
-        match self.install_offer(server, offer) {
+        match self.install_offer(server, offer, file) {
             Ok(new_ns) => {
                 let to = self
                     .registry
@@ -371,7 +385,7 @@ impl Bootloader {
             return (PollOutcome::Idle, None);
         };
         let applied = match reply {
-            Ok(offer) => self.apply_renewal_offer(&ns, server, offer),
+            Ok(offer) => self.apply_renewal_offer(&ns, server, offer, None),
             Err(_) => {
                 self.apply_revoke(&ns);
                 (PollOutcome::Revoked, None)
@@ -432,14 +446,38 @@ impl Bootloader {
         })
     }
 
-    /// Sends `report` alone, as this client's best-effort
-    /// `ACTIVATION_REPORT`. Transport failures are swallowed — the report
-    /// is advisory, never part of the lease state machine.
-    pub fn send_activation_report(&self, report: Activation) {
-        let Some((url, _props)) = self.context() else {
+    /// Sends `report` alone, as this client's `ACTIVATION_REPORT`. A
+    /// report no server answered is sent again every renewal-retry
+    /// interval (30 s) by a scheduler task that retires once one does:
+    /// a staged rollout counts a host only by its report, so a lost one
+    /// would hold its wave open for good. The report never touches the
+    /// lease state machine.
+    pub fn send_activation_report(self: &Arc<Self>, report: Activation) {
+        if self.report_answered(&report) {
             return;
+        }
+        let me = Arc::downgrade(self);
+        self.net.scheduler().every(
+            RENEW_RETRY,
+            Duration::ZERO,
+            format!("activation-report {}", self.local),
+            move || match me.upgrade() {
+                Some(boot) if !boot.report_answered(&report) => {
+                    Err("no server answered the activation report".to_string())
+                }
+                _ => Ok(TaskControl::Done),
+            },
+        );
+    }
+
+    /// Sends `report` once; `false` when no server answered it with a
+    /// frame. `true` with no connection context: there is no one to tell.
+    fn report_answered(&self, report: &Activation) -> bool {
+        let Some((url, _props)) = self.context() else {
+            return true;
         };
-        let _ = self.exchange(&url, report.into_report());
+        let frame = report.clone().into_report().encode();
+        matches!(self.send(&url, frame), Ok(Ok(_)))
     }
 
     fn apply_revoke(&self, ns: &Namespace) {

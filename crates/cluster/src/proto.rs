@@ -34,7 +34,7 @@ impl ClusterFrame {
 
     /// Serializes the frame.
     pub fn encode(&self) -> Bytes {
-        encode(self, self.inner.len() + 6)
+        encode(self)
     }
 
     /// Deserializes a frame.

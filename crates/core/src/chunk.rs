@@ -670,6 +670,10 @@ pub(crate) struct ImageSize;
 impl WireAs<u64> for ImageSize {
     const MIN_BYTES: usize = 8;
 
+    fn wire_len(_: &u64) -> usize {
+        Self::MIN_BYTES
+    }
+
     fn put(size: &u64, buf: &mut BytesMut) {
         size.put(buf);
     }
@@ -688,6 +692,13 @@ impl WireAs<u64> for ImageSize {
 /// `PARAMS` (`DESIGN.md` §2).
 impl Wire for ChunkingParams {
     const MIN_BYTES: usize = 5;
+
+    fn wire_len(&self) -> usize {
+        match self {
+            ChunkingParams::Fixed { .. } => 1 + 4,
+            ChunkingParams::Cdc { .. } => 1 + 3 * 4 + 1,
+        }
+    }
 
     fn put(&self, buf: &mut BytesMut) {
         self.encode_into(buf);

@@ -8,6 +8,8 @@
 //! * [`DrvMsg::Error`] — `DRIVOLUTION_ERROR` with a plain-text detail;
 //! * [`DrvMsg::FileRequest`] / [`DrvMsg::FileData`] — the driver file
 //!   transfer;
+//! * [`DrvMsg::Fetch`] / [`DrvMsg::OfferFile`] — a request whose answer
+//!   carries the file beside the offer, one round trip for both;
 //! * [`DrvMsg::Release`] — lease give-back, used by the license-server
 //!   case study (§5.4.2).
 //!
@@ -24,8 +26,8 @@ use std::sync::Arc;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    encode, get_bytes, put_display, wire_enum, wire_frame, Capped, CodecError, Interned, Wire,
-    WireAs,
+    display_len, encode, get_bytes, put_display, wire_enum, wire_frame, Capped, CodecError,
+    Interned, Wire, WireAs,
 };
 
 use crate::chunk::{ChunkManifest, ChunkingParams, ImageSize};
@@ -44,6 +46,10 @@ pub const DRIVOLUTION_PORT: u16 = 1070;
 impl Wire for DriverId {
     const MIN_BYTES: usize = 8;
 
+    fn wire_len(&self) -> usize {
+        Self::MIN_BYTES
+    }
+
     fn put(&self, buf: &mut BytesMut) {
         self.0.put(buf);
     }
@@ -59,6 +65,10 @@ macro_rules! wire_display {
     ($($ty:ty = $parse:path;)+) => {$(
         impl Wire for $ty {
             const MIN_BYTES: usize = 4;
+
+            fn wire_len(&self) -> usize {
+                display_len(self)
+            }
 
             fn put(&self, buf: &mut BytesMut) {
                 put_display(buf, self);
@@ -124,18 +134,28 @@ pub struct HaveSummary {
 
 type HaveImages = Capped<u16, MAX_HAVE_IMAGES>;
 
+impl HaveSummary {
+    /// The base as it travels: a base the cap cut off would make the
+    /// frame undecodable, so the request then carries no base.
+    fn sent_base(&self) -> Option<u64> {
+        let sent = self.images.get(..MAX_HAVE_IMAGES).unwrap_or(&self.images);
+        self.base.filter(|d| sent.contains(d))
+    }
+}
+
 /// `HAVE`: the images, `PARAMS`, then the base, which must be among the
 /// images.
 impl Wire for HaveSummary {
     const MIN_BYTES: usize = 2 + ChunkingParams::MIN_BYTES + 1;
 
+    fn wire_len(&self) -> usize {
+        HaveImages::wire_len(&self.images) + self.params.wire_len() + self.sent_base().wire_len()
+    }
+
     fn put(&self, buf: &mut BytesMut) {
         HaveImages::put(&self.images, buf);
         self.params.put(buf);
-        // A base the cap cut off would make the frame undecodable; the
-        // request then just carries no base.
-        let sent = self.images.get(..MAX_HAVE_IMAGES).unwrap_or(&self.images);
-        self.base.filter(|d| sent.contains(d)).put(buf);
+        self.sent_base().put(buf);
     }
 
     fn get(buf: &mut Bytes, _: &str) -> Result<Self, CodecError> {
@@ -275,13 +295,22 @@ impl DrvRequest {
     /// they ask share it.
     pub fn context_digest(&self) -> u64 {
         // The kind's encoding, then the request's, which starts with it:
-        // the context is what follows the kind the second time. Most
-        // requests fit the first allocation.
-        let mut b = BytesMut::with_capacity(128);
+        // the context is what follows the kind the second time.
+        let mut b = BytesMut::with_capacity(self.kind.wire_len() + self.wire_len());
         self.kind.put(&mut b);
         let kind = b.len();
         self.put(&mut b);
         fnv1a64(b.get(2 * kind..).unwrap_or_default())
+    }
+
+    /// The [`DrvMsg::Fetch`] frame asking this request, encoded without
+    /// taking it: a sender whose `FETCH` is refused says the same in a
+    /// [`DrvMsg::Request`].
+    pub fn fetch_frame(&self) -> Bytes {
+        let mut b = BytesMut::with_capacity(Tag::Fetch.wire_len() + self.wire_len());
+        Tag::Fetch.put(&mut b);
+        self.put(&mut b);
+        b.freeze()
     }
 
     /// Whether `other` equals this request but for its `kind`: what two
@@ -568,7 +597,7 @@ wire_frame! {
             /// was evicted or the server restarted): re-announce.
             known: bool,
         } = 12,
-        /// `ACTIVATION_REPORT` — a bootloader's best-effort report that it
+        /// `ACTIVATION_REPORT` — a bootloader's report that it
         /// activated (or failed to activate) a freshly offered driver. Rollout
         /// health gates aggregate these per wave; servers without an active
         /// rollout just count them.
@@ -648,37 +677,48 @@ wire_frame! {
             /// reports share one decoded value.
             entries: Vec<(String, Arc<Activation>)> as Interned,
         } = 20,
+        /// `FETCH` — a `DRIVOLUTION_REQUEST` whose sender takes the
+        /// file inside the answer: an offer that would name a staged
+        /// file comes back as [`DrvMsg::OfferFile`], any other answer as
+        /// it would to a [`DrvMsg::Request`].
+        Fetch(DrvRequest) = 21,
+        /// `OFFER_FILE` — the answer to a [`DrvMsg::Fetch`] whose offer
+        /// ships a full file: the offer (with an empty location) and the
+        /// `FILE_DATA` payload, transfer-wrapped, in one frame.
+        OfferFile {
+            /// The offer.
+            offer: DrvOffer,
+            /// Wrapped driver bytes.
+            payload: Bytes,
+        } = 22,
     }
 }
 
-/// A bulk reply frame: `tag`, the `u32` length `bytes` would write, then
-/// the transfer envelope itself.
+/// A bulk reply frame: `tag`, the offer it carries if any, the `u32`
+/// length `bytes` would write, then the transfer envelope itself.
 fn bulk_frame(
     tag: Tag,
+    offer: Option<&DrvOffer>,
     method: TransferMethod,
     payload: &[u8],
     cert: Option<&Certificate>,
 ) -> DrvResult<Bytes> {
     let envelope = transfer::wrapped_len(method, payload.len(), cert);
-    let mut b = BytesMut::with_capacity(1 + 4 + envelope);
-    b.put_u8(tag.code());
+    let head = tag.wire_len() + offer.map_or(0, Wire::wire_len);
+    let mut b = BytesMut::with_capacity(head + 4 + envelope);
+    tag.put(&mut b);
+    if let Some(offer) = offer {
+        offer.put(&mut b);
+    }
     b.put_u32_le(envelope as u32);
     transfer::wrap_into(&mut b, method, payload, cert)?;
     Ok(b.freeze())
 }
 
 impl DrvMsg {
-    /// Serializes the message.
+    /// Serializes the message into one buffer of its exact length.
     pub fn encode(&self) -> Bytes {
-        // Bulk frames and the two fixed-size renewal frames reserve their
-        // exact length; the rest are small.
-        let capacity = match self {
-            DrvMsg::FileData { payload } | DrvMsg::ChunkData { payload } => 5 + payload.len(),
-            DrvMsg::RenewRef { .. } => 1 + 2 * 8,
-            DrvMsg::Renewed(_) => 1 + LeaseTerms::MIN_BYTES,
-            _ => 0,
-        };
-        encode(self, capacity)
+        encode(self)
     }
 
     /// Deserializes a message.
@@ -704,7 +744,7 @@ impl DrvMsg {
         payload: &[u8],
         cert: Option<&Certificate>,
     ) -> DrvResult<Bytes> {
-        bulk_frame(Tag::FileData, method, payload, cert)
+        bulk_frame(Tag::FileData, None, method, payload, cert)
     }
 
     /// [`file_data_frame`](Self::file_data_frame) for a `CHUNK_DATA`
@@ -718,7 +758,23 @@ impl DrvMsg {
         payload: &[u8],
         cert: Option<&Certificate>,
     ) -> DrvResult<Bytes> {
-        bulk_frame(Tag::ChunkData, method, payload, cert)
+        bulk_frame(Tag::ChunkData, None, method, payload, cert)
+    }
+
+    /// [`file_data_frame`](Self::file_data_frame) for an `OFFER_FILE`
+    /// reply: `offer`, then `payload` wrapped under the offer's transfer
+    /// method, in one exactly sized buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`transfer::wrap`].
+    pub fn offer_file_frame(
+        offer: &DrvOffer,
+        payload: &[u8],
+        cert: Option<&Certificate>,
+    ) -> DrvResult<Bytes> {
+        let method = offer.transfer_method;
+        bulk_frame(Tag::OfferFile, Some(offer), method, payload, cert)
     }
 
     /// Encodes an error message from a server-side failure.
@@ -764,7 +820,7 @@ wire_frame! {
 impl DrvNotice {
     /// Serializes the notice.
     pub fn encode(&self) -> Bytes {
-        encode(self, 0)
+        encode(self)
     }
 
     /// Deserializes a notice.
@@ -1061,6 +1117,14 @@ mod tests {
                 code: DrvErrCode::ResendInFull,
                 message: "no request kept for app0001".into(),
             },
+            DrvMsg::Fetch(request()),
+            DrvMsg::OfferFile {
+                offer: DrvOffer {
+                    location: String::new(),
+                    ..offer()
+                },
+                payload: Bytes::from_static(b"wrapped"),
+            },
         ];
         // One message per tag: every tag is encoded by some variant.
         let tags: BTreeSet<u8> = msgs.iter().map(|m| m.encode()[0]).collect();
@@ -1072,6 +1136,9 @@ mod tests {
         for m in msgs {
             assert_eq!(DrvMsg::decode(m.encode()).unwrap(), m, "roundtrip of {m:?}");
         }
+        // A borrowed request's `FETCH` is the owned one's.
+        let req = request();
+        assert_eq!(req.fetch_frame(), DrvMsg::Fetch(req.clone()).encode());
     }
 
     #[test]
@@ -1096,8 +1163,30 @@ mod tests {
         let mut trust = transfer::ChannelTrust::new();
         trust.pin(&cert);
         let plain = transfer::unwrap(TransferMethod::Sealed, sealed, &trust).unwrap();
+        assert_eq!(plain, payload[..]);
+        // An inline file is the same envelope behind its offer.
+        for method in [TransferMethod::Plain, TransferMethod::Checksum] {
+            let offer = DrvOffer {
+                transfer_method: method,
+                ..offer()
+            };
+            let frame = DrvMsg::offer_file_frame(&offer, &payload, None).unwrap();
+            let payload = transfer::wrap(method, &payload, None).unwrap();
+            assert_eq!(frame, DrvMsg::OfferFile { offer, payload }.encode());
+        }
+        let frame = DrvMsg::offer_file_frame(&offer(), &payload, Some(&cert)).unwrap();
+        let DrvMsg::OfferFile {
+            offer: got,
+            payload: sealed,
+        } = DrvMsg::decode(frame).unwrap()
+        else {
+            panic!("OFFER_FILE expected");
+        };
+        assert_eq!(got, offer());
+        let plain = transfer::unwrap(TransferMethod::Sealed, sealed, &trust).unwrap();
         assert_eq!(plain, Bytes::from(payload));
         // A failed wrap leaves no frame.
+        assert!(DrvMsg::offer_file_frame(&offer(), b"x", None).is_err());
         assert!(DrvMsg::file_data_frame(TransferMethod::Sealed, b"x", None).is_err());
         assert!(DrvMsg::chunk_data_frame(TransferMethod::Any, b"x", None).is_err());
     }
@@ -1350,7 +1439,27 @@ mod tests {
         };
         let lone = report.clone().into_report().encode();
         assert_eq!(lone[0], Tag::ActivationReport.code());
-        assert_eq!(lone[1..], encode(&report, 0)[..]);
+        assert_eq!(lone[1..], encode(&report)[..]);
+    }
+
+    #[test]
+    fn a_fetch_is_a_request_under_its_own_tag_and_its_answer_an_offer_then_a_file() {
+        let fetch = DrvMsg::Fetch(request()).encode();
+        assert_eq!(fetch[0], 21);
+        assert_eq!(fetch[1..], DrvMsg::Request(request()).encode()[1..]);
+        let offer = DrvOffer {
+            location: String::new(),
+            ..offer()
+        };
+        let frame = DrvMsg::OfferFile {
+            offer: offer.clone(),
+            payload: Bytes::from_static(b"wrapped"),
+        }
+        .encode();
+        let alone = DrvMsg::Offer(offer).encode();
+        assert_eq!(frame[0], 22);
+        assert_eq!(frame[1..alone.len()], alone[1..]);
+        assert_eq!(frame[alone.len()..], b"\x07\0\0\0wrapped"[..]);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl VerifyingKey {
 impl Signature {
     /// Serializes the signature (16 bytes).
     pub fn encode(&self) -> Bytes {
-        netsim::codec::encode(self, Self::MIN_BYTES)
+        netsim::codec::encode(self)
     }
 
     /// Deserializes a signature.

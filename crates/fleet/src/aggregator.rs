@@ -8,7 +8,8 @@
 //! been. Entries carry each client's own host, so license seats, rollout
 //! wave targeting, and lease logging still attribute to the client, not
 //! the aggregator. The activation reports of the clients a tick upgraded
-//! travel the same way, as one `ACTIVATION_BATCH` before the tick returns.
+//! travel the same way, as one `ACTIVATION_BATCH` before the tick returns;
+//! a batch no server answered goes out again with the next tick's.
 
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -24,6 +25,9 @@ use drivolution_core::proto::{Activation, DrvMsg};
 /// new one against before it keeps its own copy: enough for the few a
 /// wave repeats, few enough that a tick of distinct values stays linear.
 const RECENT: usize = 8;
+
+/// An activation report, and the client it speaks for.
+type Report = (Arc<Bootloader>, Arc<Activation>);
 
 /// Counters exposed for the batching benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,6 +61,9 @@ struct AggregatorState {
     /// ask on the next tick). A client's place in the list is fixed: its
     /// report names it. A dropped client stays as a dead entry due never.
     clients: Vec<(Weak<Bootloader>, u64)>,
+    /// Activation reports whose batch no server answered, oldest first:
+    /// they lead the next tick's batch.
+    unsent: Vec<Report>,
     stats: AggregatorStats,
     task: Option<TaskHandle>,
 }
@@ -149,10 +156,19 @@ impl RenewalAggregator {
     /// has passed for its due renewal, sends the collected entries as a
     /// single `RENEW_BATCH`, and applies the server's `OFFER_BATCH`
     /// replies back to the contributors in order. The activation reports
-    /// of the contributors it upgraded go out as one `ACTIVATION_BATCH`.
-    /// Equal requests, and equal reports, share one value. Returns the
-    /// number of renewals carried.
+    /// of the contributors it upgraded go out as one `ACTIVATION_BATCH`,
+    /// behind any an earlier tick could not deliver. Equal requests, and
+    /// equal reports, share one value. Returns the number of renewals
+    /// carried.
     pub fn tick(&self) -> usize {
+        let (n, reports) = self.renew_due();
+        self.send_reports(reports);
+        n
+    }
+
+    /// The renewal half of [`tick`](Self::tick): the renewals carried,
+    /// and the reports of the contributors it upgraded.
+    fn renew_due(&self) -> (usize, Vec<Report>) {
         let mut contributors: Vec<Arc<Bootloader>> = Vec::new();
         let mut entries = Vec::new();
         let mut requests = Vec::new();
@@ -163,7 +179,7 @@ impl RenewalAggregator {
             }
         }
         if entries.is_empty() {
-            return 0;
+            return (0, Vec::new());
         }
         let n = entries.len();
         {
@@ -182,26 +198,30 @@ impl RenewalAggregator {
                 for client in &contributors {
                     client.apply_batch_failure();
                 }
-                return n;
+                return (n, Vec::new());
             }
         };
         let mut reports = Vec::new();
         let mut distinct = Vec::new();
-        for (client, reply) in contributors.iter().zip(replies) {
+        for (client, reply) in contributors.into_iter().zip(replies) {
             if let (_, Some(report)) = client.apply_batch_offer(&self.server, &reply) {
                 reports.push((client, shared(&mut distinct, Arc::new(report))));
             }
         }
-        self.send_reports(reports);
-        n
+        (n, reports)
     }
 
-    /// Sends one tick's activation reports, each under its client's
-    /// host, as one `ACTIVATION_BATCH`. A server from before the frame
-    /// refuses it as undecodable; each client then sends its report
-    /// alone, so the rollout gates still hear from every host. Any other
-    /// failure is dropped: reports are advisory, as a lone one is.
-    fn send_reports(&self, reports: Vec<(&Arc<Bootloader>, Arc<Activation>)>) {
+    /// Sends the reports no earlier batch delivered, then `reports`,
+    /// each under its client's host, as one `ACTIVATION_BATCH`. A server
+    /// from before the frame refuses it as undecodable; each client then
+    /// sends its report alone, so the rollout gates still hear from
+    /// every host. A batch no server answered waits for the next tick: a
+    /// rollout counts a host only by its report.
+    fn send_reports(&self, mut reports: Vec<Report>) {
+        let unsent = std::mem::take(&mut self.state.lock().unsent);
+        if !unsent.is_empty() {
+            reports.splice(..0, unsent);
+        }
         if reports.is_empty() {
             return;
         }
@@ -209,10 +229,14 @@ impl RenewalAggregator {
             .map(|(client, report)| (client.local_addr().host().to_string(), Arc::clone(report)))
             .collect();
         let frame = DrvMsg::ActivationBatch { entries }.encode();
-        if let Err(NetError::Protocol(_)) = self.net.request(&self.local, &self.server, frame) {
-            for (client, report) in reports {
-                client.send_activation_report(Arc::unwrap_or_clone(report));
+        match self.net.request(&self.local, &self.server, frame) {
+            Ok(_) => {}
+            Err(NetError::Protocol(_)) => {
+                for (client, report) in reports {
+                    client.send_activation_report(Arc::unwrap_or_clone(report));
+                }
             }
+            Err(_) => self.state.lock().unsent = reports,
         }
     }
 }

@@ -176,6 +176,14 @@ err_codes! {
 
 type Columns = Capped<u16>;
 
+/// The rows a row set writes, each cut to the columns it writes: as many
+/// as their `u32` and `u16` counts hold.
+fn written(set: &RowSet) -> impl Iterator<Item = &[Value]> {
+    let width = set.columns.len().min(u16::MAX.into());
+    let rows = usize::try_from(u32::MAX).unwrap_or(usize::MAX);
+    (set.rows.iter().take(rows)).map(move |row| row.get(..width).unwrap_or(row))
+}
+
 /// A row set: the column names, a `u32` row count, then each row's
 /// values, one per column. A row of no columns would occupy no bytes, and
 /// no statement selects one: [`get_items`] refuses any count of
@@ -183,13 +191,17 @@ type Columns = Capped<u16>;
 impl Wire for RowSet {
     const MIN_BYTES: usize = 2 + 4;
 
+    fn wire_len(&self) -> usize {
+        let cells = written(self).flatten();
+        Columns::wire_len(&self.columns) + 4 + cells.map(Wire::wire_len).sum::<usize>()
+    }
+
     fn put(&self, buf: &mut BytesMut) {
         Columns::put(&self.columns, buf);
-        let width = self.columns.len().min(u16::MAX.into());
         let n = u32::try_from(self.rows.len()).unwrap_or(u32::MAX);
         n.put(buf);
-        for row in self.rows.iter().take(n as usize) {
-            for value in row.iter().take(width) {
+        for row in written(self) {
+            for value in row {
                 value.put(buf);
             }
         }
@@ -212,7 +224,7 @@ impl Wire for RowSet {
 impl ClientMsg {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
-        encode(self, 0)
+        encode(self)
     }
 
     /// Deserializes a message.
@@ -228,7 +240,7 @@ impl ClientMsg {
 impl ServerMsg {
     /// Serializes the message.
     pub fn encode(&self) -> Bytes {
-        encode(self, 0)
+        encode(self)
     }
 
     /// Deserializes a message.

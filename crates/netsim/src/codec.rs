@@ -14,7 +14,9 @@
 //! impl: `0` absent, `1` present, anything else malformed. A tag or code
 //! byte names a variant of an enum declared once through [`wire_enum!`].
 //! A list whose entries repeat an item ([`Interned`]) carries and decodes
-//! each distinct item once.
+//! each distinct item once. Every value knows the length of its encoding
+//! ([`Wire::wire_len`]) before it is written, so [`encode`] allocates each
+//! frame once, at its exact size.
 
 use std::error::Error;
 use std::fmt::{self, Write as _};
@@ -118,6 +120,22 @@ pub fn get_items<T, E: From<CodecError>>(
     Ok(items)
 }
 
+/// The length [`put_display`] writes for `value`: its display form,
+/// counted as it is formatted, and the prefix.
+pub fn display_len(value: &impl fmt::Display) -> usize {
+    struct Count(usize);
+    impl fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = Count(0);
+    // The counter never fails.
+    let _ = write!(count, "{value}");
+    4 + count.0
+}
+
 /// Writes `value`'s display form as a `str`, formatted straight into
 /// the frame rather than through a `String`.
 pub fn put_display(buf: &mut BytesMut, value: &impl fmt::Display) {
@@ -146,6 +164,9 @@ pub trait Wire: Sized {
     /// of these against.
     const MIN_BYTES: usize;
 
+    /// Length of this value's encoding: what [`put`](Wire::put) appends.
+    fn wire_len(&self) -> usize;
+
     /// Appends the encoding.
     fn put(&self, buf: &mut BytesMut);
 
@@ -163,6 +184,9 @@ pub trait Wire: Sized {
 pub trait WireAs<T> {
     /// Length of the shortest encoding.
     const MIN_BYTES: usize;
+
+    /// Length of `value`'s encoding.
+    fn wire_len(value: &T) -> usize;
 
     /// Appends `value`'s encoding.
     fn put(value: &T, buf: &mut BytesMut);
@@ -182,6 +206,10 @@ pub struct AsIs;
 impl<T: Wire> WireAs<T> for AsIs {
     const MIN_BYTES: usize = T::MIN_BYTES;
 
+    fn wire_len(value: &T) -> usize {
+        value.wire_len()
+    }
+
     fn put(value: &T, buf: &mut BytesMut) {
         value.put(buf);
     }
@@ -195,6 +223,11 @@ macro_rules! wire_int {
     ($($t:ty: $put:ident, $get:ident;)+) => {$(
         impl Wire for $t {
             const MIN_BYTES: usize = std::mem::size_of::<$t>();
+
+            #[inline]
+            fn wire_len(&self) -> usize {
+                Self::MIN_BYTES
+            }
 
             #[inline]
             fn put(&self, buf: &mut BytesMut) {
@@ -227,6 +260,11 @@ impl Wire for bool {
     const MIN_BYTES: usize = 1;
 
     #[inline]
+    fn wire_len(&self) -> usize {
+        1
+    }
+
+    #[inline]
     fn put(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));
     }
@@ -239,6 +277,11 @@ impl Wire for bool {
 
 impl Wire for String {
     const MIN_BYTES: usize = 4;
+
+    #[inline]
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
 
     #[inline]
     fn put(&self, buf: &mut BytesMut) {
@@ -256,6 +299,11 @@ impl Wire for Bytes {
     const MIN_BYTES: usize = 4;
 
     #[inline]
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
+
+    #[inline]
     fn put(&self, buf: &mut BytesMut) {
         put_bytes(buf, self);
     }
@@ -270,6 +318,10 @@ impl Wire for Bytes {
 /// value, anything else malformed.
 impl<T: Wire> Wire for Option<T> {
     const MIN_BYTES: usize = 1;
+
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::wire_len)
+    }
 
     fn put(&self, buf: &mut BytesMut) {
         match self {
@@ -293,6 +345,10 @@ impl<T: Wire> Wire for Option<T> {
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
 
+    fn wire_len(&self) -> usize {
+        self.0.wire_len() + self.1.wire_len()
+    }
+
     fn put(&self, buf: &mut BytesMut) {
         self.0.put(buf);
         self.1.put(buf);
@@ -306,6 +362,13 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// A `u8` kind, `0` then the value or `1` then the error.
 impl<T: Wire, E: Wire> Wire for Result<T, E> {
     const MIN_BYTES: usize = 1 + min_of(&[T::MIN_BYTES, E::MIN_BYTES]);
+
+    fn wire_len(&self) -> usize {
+        1 + match self {
+            Ok(v) => v.wire_len(),
+            Err(e) => e.wire_len(),
+        }
+    }
 
     fn put(&self, buf: &mut BytesMut) {
         match self {
@@ -355,9 +418,13 @@ pub struct Capped<N, const CAP: usize = { usize::MAX }>(PhantomData<N>);
 impl<N: Count, T: Wire, const CAP: usize> WireAs<Vec<T>> for Capped<N, CAP> {
     const MIN_BYTES: usize = N::MIN_BYTES;
 
+    fn wire_len(items: &Vec<T>) -> usize {
+        let items = Self::written(items);
+        N::MIN_BYTES + items.iter().map(Wire::wire_len).sum::<usize>()
+    }
+
     fn put(items: &Vec<T>, buf: &mut BytesMut) {
-        let cap = usize::try_from(N::MAX.into()).map_or(CAP, |max| max.min(CAP));
-        let items = items.get(..cap).unwrap_or(items);
+        let items = Self::written(items);
         N::try_from(items.len()).unwrap_or(N::MAX).put(buf);
         for item in items {
             item.put(buf);
@@ -375,6 +442,14 @@ impl<N: Count, T: Wire, const CAP: usize> WireAs<Vec<T>> for Capped<N, CAP> {
     }
 }
 
+impl<N: Count, const CAP: usize> Capped<N, CAP> {
+    /// The first items of `items`, as many as the layout counts.
+    fn written<T>(items: &[T]) -> &[T] {
+        let cap = usize::try_from(N::MAX.into()).map_or(CAP, |max| max.min(CAP));
+        items.get(..cap).unwrap_or(items)
+    }
+}
+
 /// An entry of an [`Interned`] list: an item it shares with other
 /// entries, named on the wire by its index in the list's table, and
 /// whatever travels beside the index in each entry.
@@ -387,6 +462,9 @@ pub trait Interns: Sized {
 
     /// The item this entry names.
     fn item(&self) -> &Arc<Self::Item>;
+
+    /// Length of the entry with its item written as an index.
+    fn wire_len(&self) -> usize;
 
     /// Appends the entry with its item written as `index`.
     fn put(&self, index: u32, buf: &mut BytesMut);
@@ -413,6 +491,10 @@ impl<T: Wire + PartialEq> Interns for Arc<T> {
         self
     }
 
+    fn wire_len(&self) -> usize {
+        u32::MIN_BYTES
+    }
+
     fn put(&self, index: u32, buf: &mut BytesMut) {
         index.put(buf);
     }
@@ -435,6 +517,10 @@ impl<A: Wire, T: Wire + PartialEq> Interns for (A, Arc<T>) {
         &self.1
     }
 
+    fn wire_len(&self) -> usize {
+        self.0.wire_len() + u32::MIN_BYTES
+    }
+
     fn put(&self, index: u32, buf: &mut BytesMut) {
         self.0.put(buf);
         index.put(buf);
@@ -455,6 +541,40 @@ impl<A: Wire, T: Wire + PartialEq> Interns for (A, Arc<T>) {
 /// few enough that a frame of distinct items encodes in linear time.
 const LOOK_BACK: usize = 8;
 
+/// The last [`LOOK_BACK`] distinct items an [`Interned`] list wrote to
+/// its table, each with its index there: what the next entry's item is
+/// held against.
+struct Recent<'a, T> {
+    slots: [Option<(&'a Arc<T>, u32)>; LOOK_BACK],
+    written: u32,
+}
+
+impl<'a, T: PartialEq> Recent<'a, T> {
+    fn new() -> Self {
+        Recent {
+            slots: [None; LOOK_BACK],
+            written: 0,
+        }
+    }
+
+    /// `item`'s index in the table, and whether the table gets it now:
+    /// an item equal to a recent one (by pointer, else by value) takes
+    /// that one's index.
+    fn index(&mut self, item: &'a Arc<T>) -> (u32, bool) {
+        let mut recent = self.slots.iter().flatten();
+        if let Some(&(_, i)) = recent.find(|(t, _)| Arc::ptr_eq(t, item) || *t == item) {
+            return (i, false);
+        }
+        let i = self.written;
+        let slot = usize::try_from(i).map_or(0, |i| i % LOOK_BACK);
+        if let Some(slot) = self.slots.get_mut(slot) {
+            *slot = Some((item, i));
+        }
+        self.written = i.saturating_add(1);
+        (i, true)
+    }
+}
+
 /// The layout of a list whose entries share items (`Vec<E> as Interned`
 /// in a [`wire_frame!`], `E:` [`Interns`]): a `u32` count of distinct
 /// items in first-use order, those items, then a `u32` count of entries,
@@ -468,36 +588,48 @@ const LOOK_BACK: usize = 8;
 #[derive(Debug)]
 pub struct Interned;
 
+impl Interned {
+    /// The entries a list writes: as many as a `u32` counts.
+    fn written<E>(entries: &[E]) -> &[E] {
+        let cap = usize::try_from(u32::MAX).unwrap_or(usize::MAX);
+        entries.get(..cap).unwrap_or(entries)
+    }
+}
+
 impl<E: Interns> WireAs<Vec<E>> for Interned {
     const MIN_BYTES: usize = 2 * u32::MIN_BYTES;
 
+    fn wire_len(entries: &Vec<E>) -> usize {
+        let mut recent = Recent::new();
+        let mut len = <Self as WireAs<Vec<E>>>::MIN_BYTES;
+        for entry in Self::written(entries) {
+            let item = entry.item();
+            if recent.index(item).1 {
+                len += Wire::wire_len(&**item);
+            }
+            len += entry.wire_len();
+        }
+        len
+    }
+
     fn put(entries: &Vec<E>, buf: &mut BytesMut) {
-        let cap = usize::try_from(u32::MAX).unwrap_or(usize::MAX);
-        let entries = entries.get(..cap).unwrap_or(entries);
+        let entries = Self::written(entries);
         let at = buf.len();
         buf.put_u32_le(0);
-        let mut table: Vec<&Arc<E::Item>> = Vec::new();
+        let mut recent = Recent::new();
         let indices: Vec<u32> = entries
             .iter()
             .map(|entry| {
                 let item = entry.item();
-                let recent = table.len().saturating_sub(LOOK_BACK);
-                let seen =
-                    (table.iter().skip(recent)).rposition(|t| Arc::ptr_eq(t, item) || *t == item);
-                let index = seen.map_or_else(
-                    || {
-                        Wire::put(&**item, buf);
-                        table.push(item);
-                        table.len() - 1
-                    },
-                    |i| recent + i,
-                );
-                u32::try_from(index).unwrap_or(u32::MAX)
+                let (index, new) = recent.index(item);
+                if new {
+                    Wire::put(&**item, buf);
+                }
+                index
             })
             .collect();
-        let distinct = u32::try_from(table.len()).unwrap_or(u32::MAX);
         if let Some(count) = buf.get_mut(at..at + 4) {
-            count.copy_from_slice(&distinct.to_le_bytes());
+            count.copy_from_slice(&recent.written.to_le_bytes());
         }
         u32::try_from(entries.len()).unwrap_or(u32::MAX).put(buf);
         for (entry, index) in entries.iter().zip(indices) {
@@ -541,10 +673,12 @@ impl<E: Interns> WireAs<Vec<E>> for Interned {
     }
 }
 
-/// `value`'s encoding, in a buffer of `capacity` bytes to start with.
-pub fn encode<T: Wire>(value: &T, capacity: usize) -> Bytes {
-    let mut buf = BytesMut::with_capacity(capacity);
+/// `value`'s encoding, in one buffer of exactly its length.
+pub fn encode<T: Wire>(value: &T) -> Bytes {
+    let len = value.wire_len();
+    let mut buf = BytesMut::with_capacity(len);
     value.put(&mut buf);
+    debug_assert_eq!(buf.len(), len, "wire_len disagrees with put");
     buf.freeze()
 }
 
@@ -637,6 +771,10 @@ macro_rules! wire_enum {
         impl $crate::codec::Wire for $name {
             const MIN_BYTES: usize = <$repr as $crate::codec::Wire>::MIN_BYTES;
 
+            fn wire_len(&self) -> usize {
+                Self::MIN_BYTES
+            }
+
             fn put(&self, buf: &mut $crate::codec::BytesMut) {
                 $crate::codec::Wire::put(&self.code(), buf);
             }
@@ -661,8 +799,9 @@ pub use wire_enum;
 /// through [`wire_enum!`] (named after the `:`, with the variants'
 /// docs), and the [`Wire`] impl: `put` (encode) writes the tag and the
 /// fields in order, `get` (decode) reads them back and names the field
-/// that failed, and `MIN_BYTES` is summed from the fields' types (for an
-/// enum: the tag and its shortest variant). A field is written as its
+/// that failed, `MIN_BYTES` is summed from the fields' types (for an
+/// enum: the tag and its shortest variant) and `wire_len` from the
+/// fields' values. A field is written as its
 /// type's own [`Wire`], or `as` a layout ([`WireAs`]): a counted list
 /// is `Vec<T> as Capped<N>` or `Capped<N, CAP>`.
 ///
@@ -679,8 +818,9 @@ pub use wire_enum;
 /// }
 ///
 /// let msg = Msg::Sum { terms: vec![1, 2], carry: true };
-/// let frame = netsim::codec::encode(&msg, 0);
+/// let frame = netsim::codec::encode(&msg);
 /// assert_eq!(frame.len(), 1 + 2 + 2 * 8 + 1);
+/// assert_eq!(msg.wire_len(), frame.len());
 /// assert_eq!(Msg::get(&mut frame.clone(), "msg"), Ok(msg));
 /// assert_eq!(<Msg as Wire>::MIN_BYTES, 1);
 /// assert_eq!(Tag::Echo.code(), 1);
@@ -709,6 +849,11 @@ macro_rules! wire_frame {
         impl $crate::codec::Wire for $name {
             const MIN_BYTES: usize = 0 $(+ <$crate::__wire_via!($fty $(, $fvia)?)
                 as $crate::codec::WireAs<$fty>>::MIN_BYTES)+;
+
+            fn wire_len(&self) -> usize {
+                0 $(+ <$crate::__wire_via!($fty $(, $fvia)?)
+                    as $crate::codec::WireAs<$fty>>::wire_len(&self.$field))+
+            }
 
             fn put(&self, buf: &mut $crate::codec::BytesMut) {
                 $(<$crate::__wire_via!($fty $(, $fvia)?) as $crate::codec::WireAs<$fty>>::put(
@@ -764,6 +909,20 @@ macro_rules! wire_frame {
                     $($(+ <$crate::__wire_via!($fty $(, $fvia)?)
                         as $crate::codec::WireAs<$fty>>::MIN_BYTES)+)?
                 ),+]);
+
+            fn wire_len(&self) -> usize {
+                <$tag as $crate::codec::Wire>::MIN_BYTES + match self {$(
+                    $name::$variant {
+                        $(0: $crate::__wire_bind!(x $tty),)?
+                        $($($field,)+)?
+                    } => {
+                        0 $(+ <$crate::__wire_via!($tty $(, $tvia)?)
+                            as $crate::codec::WireAs<$tty>>::wire_len(x))?
+                        $($(+ <$crate::__wire_via!($fty $(, $fvia)?)
+                            as $crate::codec::WireAs<$fty>>::wire_len($field))+)?
+                    }
+                )+}
+            }
 
             fn put(&self, buf: &mut $crate::codec::BytesMut) {
                 match self {$(
@@ -869,6 +1028,37 @@ mod tests {
     }
 
     #[test]
+    fn every_value_knows_the_length_it_writes() {
+        fn len_of<T: Wire>(value: T) -> (usize, usize) {
+            let mut b = BytesMut::new();
+            value.put(&mut b);
+            (value.wire_len(), b.len())
+        }
+        for (said, written) in [
+            len_of(7u8),
+            len_of(-42i64),
+            len_of("héllo".to_string()),
+            len_of(Bytes::from_static(&[1, 2, 3])),
+            len_of(None::<u64>),
+            len_of(Some("x".to_string())),
+            len_of((true, 300u16)),
+            len_of(Ok::<u32, String>(1)),
+            len_of(Err::<u32, String>("no".into())),
+        ] {
+            assert_eq!(said, written);
+        }
+        let version = format_args!("v{}.{}", 2, 10);
+        let mut b = BytesMut::new();
+        put_display(&mut b, &version);
+        assert_eq!(display_len(&version), b.len());
+        // A capped list counts only the items it writes.
+        type Three = Capped<u16, 3>;
+        let mut b = BytesMut::new();
+        Three::put(&vec![1u64, 2, 3, 4], &mut b);
+        assert_eq!(Three::wire_len(&vec![1u64, 2, 3, 4]), b.len());
+    }
+
+    #[test]
     fn underflow_is_reported_with_context() {
         let mut r = Bytes::from_static(&[1]);
         let e = u32::get(&mut r, "session id").unwrap_err();
@@ -945,6 +1135,7 @@ mod tests {
         let mut b = BytesMut::new();
         Interned::put(&list, &mut b);
         assert_eq!(b.clone().freeze(), interned(&[7, 8], &[0, 1, 0, 0, 1]));
+        assert_eq!(Interned::wire_len(&list), b.len());
         let got = get_interned(b.freeze()).unwrap();
         assert_eq!(got, list);
         assert!(Arc::ptr_eq(&got[0], &got[3]) && Arc::ptr_eq(&got[1], &got[4]));
@@ -954,6 +1145,7 @@ mod tests {
         let mut b = BytesMut::new();
         Interned::put(&hosts, &mut b);
         assert_eq!(b.len(), 4 + 8 + 4 + 2 * (4 + 1 + 4));
+        assert_eq!(Interned::wire_len(&hosts), b.len());
         let got: Vec<(String, Arc<u64>)> = Interned::get(&mut b.freeze(), "batch").unwrap();
         assert_eq!(got, hosts);
 
@@ -963,6 +1155,7 @@ mod tests {
         let mut b = BytesMut::new();
         Interned::put(&far, &mut b);
         assert_eq!(b.len(), 4 + (LOOK_BACK + 2) * 8 + 4 + far.len() * 4);
+        assert_eq!(Interned::wire_len(&far), b.len());
         assert_eq!(get_interned(b.freeze()).unwrap(), far);
     }
 

@@ -59,14 +59,47 @@ type Granted<'a> = (&'a DriverRecord, Option<&'a PermissionRule>);
 /// rows, or `None` on an open distribution point.
 type Permitted = Option<Arc<[(DriverId, PermissionRule)]>>;
 
-/// Whether `a` and `b` ask Sample code 1 the same question: equal but
-/// for the identity, which it does not read.
-fn same_question(a: &DriverQuery, b: &DriverQuery) -> bool {
-    a.api_name == b.api_name
-        && a.api_version == b.api_version
-        && a.client_platform == b.client_platform
-        && a.preferred_format == b.preferred_format
-        && a.preferred_version == b.preferred_version
+/// The grant questions a request asks from a client host, read off the
+/// request in place: the owned [`DriverQuery`] and [`ClientIdentity`]
+/// are built only for the statements a memo miss runs.
+#[derive(Clone, Copy)]
+pub(crate) struct Asked<'a> {
+    pub(crate) req: &'a DrvRequest,
+    pub(crate) host: &'a str,
+}
+
+impl Asked<'_> {
+    /// Sample code 1's question.
+    pub(crate) fn query(&self) -> DriverQuery {
+        DriverQuery {
+            identity: self.identity(),
+            api_name: self.req.api_name.clone(),
+            api_version: self.req.api_version,
+            client_platform: self.req.client_platform.clone(),
+            preferred_format: self.req.preferred_format,
+            preferred_version: self.req.preferred_version,
+        }
+    }
+
+    /// Who asks: Sample code 2's identity and the lease log's.
+    pub(crate) fn identity(&self) -> ClientIdentity {
+        ClientIdentity::new(&self.req.user, self.host, &self.req.database)
+    }
+
+    /// The identity's parts, in [`ClientIdentity`] order.
+    pub(crate) fn who(&self) -> [&str; 3] {
+        [&self.req.user, self.host, &self.req.database]
+    }
+
+    /// Whether Sample code 1 answered `q` what it would answer this:
+    /// equal but for the identity, which it does not read.
+    fn asks(&self, q: &DriverQuery) -> bool {
+        q.api_name == self.req.api_name
+            && q.api_version == self.req.api_version
+            && q.client_platform == self.req.client_platform
+            && q.preferred_format == self.req.preferred_format
+            && q.preferred_version == self.req.preferred_version
+    }
 }
 
 /// When the memo's answers were read: under these write stamps of
@@ -81,7 +114,7 @@ struct Epoch {
 /// What the server has read of the two grant tables, kept until they
 /// change. With an executor that reports [`Stamps`], the answers live for
 /// an [`Epoch`]: a renewal whose tables are unchanged runs no grant
-/// statement. Without, they live for one frame (`handle_control` ends it
+/// statement. Without, they live for one frame (`framed` ends it
 /// with [`GrantMemo::end_frame`]), which is exact because nothing writes
 /// the tables inside one call, and Sample code 2, which reads identity and
 /// `now()`, is not kept. Errors are never kept.
@@ -102,11 +135,11 @@ pub(crate) struct GrantMemo {
     packed: Vec<u8>,
 }
 
-/// `who` as one key: each part behind its length, so no two identities
-/// pack alike.
-fn pack_identity(key: &mut Vec<u8>, who: &ClientIdentity) {
+/// `who` (user, client host, database) as one key: each part behind its
+/// length, so no two identities pack alike.
+fn pack_identity(key: &mut Vec<u8>, who: [&str; 3]) {
     key.clear();
-    for part in [&who.user, &who.client_ip, &who.database] {
+    for part in who {
         key.extend_from_slice(&part.len().to_le_bytes());
         key.extend_from_slice(part.as_bytes());
     }
@@ -143,29 +176,26 @@ impl GrantMemo {
         }
     }
 
-    fn matching(&self, q: &DriverQuery) -> Option<Arc<[DriverRecord]>> {
-        let found = self
-            .questions
-            .iter()
-            .find(|(asked, _)| same_question(asked, q));
+    fn matching(&self, asked: &Asked) -> Option<Arc<[DriverRecord]>> {
+        let found = self.questions.iter().find(|(q, _)| asked.asks(q));
         found.map(|(_, rows)| rows.clone())
     }
 
-    fn permitted(&mut self, who: &ClientIdentity) -> Option<Permitted> {
+    fn permitted(&mut self, who: [&str; 3]) -> Option<Permitted> {
         pack_identity(&mut self.packed, who);
         self.identities.get(self.packed.as_slice()).cloned()
     }
 
-    fn keep_matching(&mut self, q: &DriverQuery, rows: Arc<[DriverRecord]>) {
+    fn keep_matching(&mut self, q: DriverQuery, rows: Arc<[DriverRecord]>) {
         if self.questions.len() >= MAX_QUESTIONS {
             self.questions.clear();
         }
-        self.questions.push((q.clone(), rows));
+        self.questions.push((q, rows));
     }
 
     /// Keeps `answer` for `who` under an epoch, shared with the last
     /// answer kept when equal; returns the copy kept.
-    fn keep_permitted(&mut self, who: &ClientIdentity, answer: Permitted) -> Permitted {
+    fn keep_permitted(&mut self, who: [&str; 3], answer: Permitted) -> Permitted {
         if self.epoch.is_none() {
             return answer;
         }
@@ -242,16 +272,16 @@ impl RenewRefs {
 }
 
 impl DrivolutionServer {
-    /// Both statements for `q`, each from the memo while it holds.
+    /// Both statements for `asked`, each from the memo while it holds.
     /// SQL runs with the state guard dropped, and its answer is kept only
     /// if the memo still holds when it returns: no write came in between
     /// and the clock did not leave the rule window.
-    pub(crate) fn grants(&self, q: &DriverQuery) -> DrvResult<Grants> {
+    pub(crate) fn grants(&self, asked: &Asked) -> DrvResult<Grants> {
         let stamps = self.store.stamps();
         let kept = {
             let memo = &mut self.state.lock().grants;
             memo.holds(stamps.as_ref())
-                .then(|| (memo.matching(q), memo.permitted(&q.identity)))
+                .then(|| (memo.matching(asked), memo.permitted(asked.who())))
         };
         let (matching, permitted) = match kept {
             Some(kept) => kept,
@@ -263,7 +293,8 @@ impl DrivolutionServer {
         let matching = match matching {
             Some(rows) => rows,
             None => {
-                let rows: Arc<[DriverRecord]> = self.store.matching_drivers(q)?.into();
+                let q = asked.query();
+                let rows: Arc<[DriverRecord]> = self.store.matching_drivers(&q)?.into();
                 self.keep(|memo| memo.keep_matching(q, rows.clone()));
                 rows
             }
@@ -271,8 +302,8 @@ impl DrivolutionServer {
         let permitted = match permitted {
             Some(answer) => answer,
             None => {
-                let answer: Permitted = self.store.permitted(&q.identity)?.map(Arc::from);
-                self.keep(|memo| memo.keep_permitted(&q.identity, answer.clone()))
+                let answer: Permitted = self.store.permitted(&asked.identity())?.map(Arc::from);
+                self.keep(|memo| memo.keep_permitted(asked.who(), answer.clone()))
                     .unwrap_or(answer)
             }
         };
@@ -352,14 +383,18 @@ impl Grants {
 
     /// The first matching driver this client may run (Sample code 1's
     /// `LIMIT 1` over the join).
-    pub(crate) fn first(&self, q: &DriverQuery) -> DrvResult<Granted<'_>> {
+    pub(crate) fn first(&self, asked: &Asked) -> DrvResult<Granted<'_>> {
         let found = self.matching.iter().find_map(|rec| self.granted(rec));
+        let req = asked.req;
         found.ok_or_else(|| {
             DrvError::NoMatchingDriver(match self.permitted {
-                None => format!("no driver for API {} on {}", q.api_name, q.client_platform),
+                None => format!(
+                    "no driver for API {} on {}",
+                    req.api_name, req.client_platform
+                ),
                 Some(_) => format!(
                     "no permitted driver for user {} from {}",
-                    q.identity.user, q.identity.client_ip
+                    req.user, asked.host
                 ),
             })
         })
@@ -441,13 +476,26 @@ mod tests {
         )
     }
 
+    /// The request `user` sends from 10.0.0.1.
+    fn request(user: &str, platform: &str) -> DrvRequest {
+        DrvRequest::bootstrap("orders", user, "RDBC", platform)
+    }
+
+    /// What `req` asks from 10.0.0.1.
+    fn asked(req: &DrvRequest) -> Asked<'_> {
+        Asked {
+            req,
+            host: "10.0.0.1",
+        }
+    }
+
     fn server(store: DriverStore) -> DrivolutionServer {
         DrivolutionServer::new("drv1", store, Clock::simulated(), ServerConfig::default())
     }
 
     /// A frame of one.
-    fn load(srv: &DrivolutionServer, q: &DriverQuery) -> Grants {
-        let grants = srv.grants(q).unwrap();
+    fn load(srv: &DrivolutionServer, q: &DrvRequest) -> Grants {
+        let grants = srv.grants(&asked(q)).unwrap();
         srv.state.lock().grants.end_frame();
         grants
     }
@@ -476,7 +524,7 @@ mod tests {
             if let Some(rule) = rule {
                 store.add_permission(rule).unwrap();
             }
-            let q = query(user, "linux-x86_64");
+            let q = request(user, "linux-x86_64");
             for want_sql in [first, later, later] {
                 sql.all.store(0, Relaxed);
                 let grants = load(&srv, &q);
@@ -486,7 +534,11 @@ mod tests {
                 };
                 assert_eq!(grants.permitted.as_ref().map(ids), want, "{user}");
                 assert_eq!(grants.matching.len(), 1);
-                assert_eq!(grants.first(&q).is_ok(), want != Some(vec![]), "{user}");
+                assert_eq!(
+                    grants.first(&asked(&q)).is_ok(),
+                    want != Some(vec![]),
+                    "{user}"
+                );
             }
             // Filling an open table (or emptying a ruled one) is seen by
             // the very next request, whichever question it asks first.
@@ -502,7 +554,7 @@ mod tests {
                 rule.is_none(),
                 "{user} after the flip"
             );
-            assert!(grants.first(&q).is_ok());
+            assert!(grants.first(&asked(&q)).is_ok());
         }
     }
 
@@ -552,13 +604,13 @@ mod tests {
         let (store, sql) = counting::store(Arc::new(MiniDb::new("drvstore")));
         let srv = server(store);
         srv.store().add_driver(&record(1)).unwrap();
-        let app = query("app", "linux-x86_64");
-        let dba = query("dba", "linux-x86_64");
-        let mut pinned = query("app", "linux-x86_64");
+        let app = request("app", "linux-x86_64");
+        let dba = request("dba", "linux-x86_64");
+        let mut pinned = request("app", "linux-x86_64");
         pinned.preferred_version = Some(DriverVersion::new(1, 0, 0));
         for q in [&app, &dba, &pinned, &app] {
-            let grants = srv.grants(q).unwrap();
-            assert_eq!(grants.first(q).unwrap().0.id, DriverId(1));
+            let grants = srv.grants(&asked(q)).unwrap();
+            assert_eq!(grants.first(&asked(q)).unwrap().0.id, DriverId(1));
         }
         // Two questions, one statement each (the pinned one matches at
         // once: the row's version is NULL).
@@ -575,7 +627,7 @@ mod tests {
 
         // The frame ends, and with it what it read.
         srv.state.lock().grants.end_frame();
-        srv.grants(&app).unwrap();
+        srv.grants(&asked(&app)).unwrap();
         assert_eq!(sql.sample_code_1.load(Relaxed), 3);
     }
 
@@ -603,8 +655,11 @@ mod tests {
     #[test]
     fn a_rule_inserted_by_plain_sql_is_seen_by_the_very_next_renewal() {
         let (srv, db, sql) = stamped();
-        let q = query("app", "linux-x86_64");
-        let first = |srv: &DrivolutionServer| srv.grants(&q).unwrap().first(&q).unwrap().0.id;
+        let q = request("app", "linux-x86_64");
+        let first = |srv: &DrivolutionServer| {
+            let asked = asked(&q);
+            srv.grants(&asked).unwrap().first(&asked).unwrap().0.id
+        };
         // The rule window, Sample code 1, Sample code 2 and the count
         // that finds the table open.
         assert_eq!(statements(&sql, || first(&srv)), (DriverId(1), 4));
@@ -621,7 +676,7 @@ mod tests {
         assert_eq!(statements(&sql, || first(&srv)), (DriverId(2), 0));
         // A write to another table moves nothing.
         srv.store()
-            .log_lease(&q.identity, DriverId(2), 0, 1)
+            .log_lease(&asked(&q).identity(), DriverId(2), 0, 1)
             .unwrap();
         assert_eq!(statements(&sql, || first(&srv)), (DriverId(2), 0));
     }
@@ -638,7 +693,7 @@ mod tests {
         srv.store()
             .add_permission(&PermissionRule::any(DriverId(2)).valid_between(Some(100), Some(200)))
             .unwrap();
-        let q = query("app", "linux-x86_64");
+        let q = request("app", "linux-x86_64");
         // (clock, driver 2 granted, grant statements run)
         let steps = [
             (0, false, 3),
@@ -651,7 +706,7 @@ mod tests {
         ];
         for (at, granted, want) in steps {
             db.clock().advance_ms(at - db.clock().now_ms());
-            let (grants, ran) = statements(&sql, || srv.grants(&q).unwrap());
+            let (grants, ran) = statements(&sql, || srv.grants(&asked(&q)).unwrap());
             assert_eq!(grants.rule_for(DriverId(2)).is_some(), granted, "t={at}");
             assert_eq!(ran, want, "t={at}");
         }
@@ -671,25 +726,26 @@ mod tests {
             DriverId(1),
             PermissionRule::any(DriverId(1)),
         )]));
-        let who = |i: usize| ClientIdentity::new(format!("u{i}"), "10.0.0.1", "orders");
+        let users: Vec<String> = (0..MAX_IDENTITIES + 10).map(|i| format!("u{i}")).collect();
+        let who = |i: usize| [users[i].as_str(), "10.0.0.1", "orders"];
         let mut first = None;
         for i in 0..MAX_IDENTITIES + 10 {
-            let kept = memo.keep_permitted(&who(i), answer.as_ref().map(|a| Arc::from(a.to_vec())));
+            let kept = memo.keep_permitted(who(i), answer.as_ref().map(|a| Arc::from(a.to_vec())));
             assert!(memo.identities.len() <= MAX_IDENTITIES);
             let kept = kept.unwrap();
             let first = first.get_or_insert_with(|| kept.clone());
             assert!(Arc::ptr_eq(first, &kept), "answer {i} is not shared");
         }
         assert_eq!(memo.identities.len(), 10);
-        assert!(memo.permitted(&who(MAX_IDENTITIES + 9)).is_some());
-        assert!(memo.permitted(&who(0)).is_none());
+        assert!(memo.permitted(who(MAX_IDENTITIES + 9)).is_some());
+        assert!(memo.permitted(who(0)).is_none());
         // Parts are packed with their lengths: moving a byte from one
         // part to the next is another identity.
-        let ab = ClientIdentity::new("ab", "c", "orders");
-        let a_bc = ClientIdentity::new("a", "bc", "orders");
-        memo.keep_permitted(&ab, None);
-        assert_eq!(memo.permitted(&ab), Some(None));
-        assert_eq!(memo.permitted(&a_bc), None);
+        let ab = ["ab", "c", "orders"];
+        let a_bc = ["a", "bc", "orders"];
+        memo.keep_permitted(ab, None);
+        assert_eq!(memo.permitted(ab), Some(None));
+        assert_eq!(memo.permitted(a_bc), None);
     }
 
     /// Every row of the rule. Columns: policy, matched == current,

@@ -2,8 +2,9 @@
 //!
 //! The server side of the Drivolution reproduction: driver and permission
 //! tables stored as real SQL tables (queried with the paper's Sample
-//! code 1–2), the `DRIVOLUTION_REQUEST`/`OFFER`/`ERROR` protocol, staged
-//! file transfer with plain/checksum/sealed security, license management
+//! code 1–2), the `DRIVOLUTION_REQUEST`/`OFFER`/`ERROR` protocol, file
+//! transfer inside the offer (`FETCH` → `OFFER_FILE`) or staged for a
+//! `FILE_REQUEST`, with plain/checksum/sealed security, license management
 //! (§5.4.2), on-demand driver assembly (§5.4.1), push notification
 //! channels, and replication hooks for cluster embedding (§5.3.2).
 //!

@@ -1,7 +1,7 @@
 //! From a request to an offer, and from an offer to bytes on the wire:
 //! which driver a client is granted, how it will be delivered
-//! (revalidation, chunked delta, or staged full file), and the file and
-//! chunk transfers that follow.
+//! (revalidation, chunked delta, or a full file, staged or inside the
+//! reply), and the file and chunk transfers that follow.
 
 use bytes::Bytes;
 
@@ -10,12 +10,12 @@ use netsim::Addr;
 use drivolution_core::pack::{pack_driver, unpack_driver};
 use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::{
-    fnv1a64, ClientIdentity, DriverId, DriverQuery, DriverRecord, DrvError, DrvResult,
-    ExpirationPolicy, PermissionRule, RenewPolicy, Signature, TransferMethod,
+    fnv1a64, DriverId, DriverRecord, DrvError, DrvResult, ExpirationPolicy, PermissionRule,
+    RenewPolicy, Signature, TransferMethod,
 };
 use drivolution_depot::{serve_chunks, DeltaPlan};
 
-use crate::grant::{self, Renewal};
+use crate::grant::{self, Asked, Renewal};
 use crate::server::DrivolutionServer;
 
 /// Cap on files parked for a `FILE_REQUEST` that has not come. Like the
@@ -35,6 +35,28 @@ pub(crate) struct Staged {
     method: TransferMethod,
 }
 
+/// Where an offer that ships a full file puts it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ship {
+    /// Nowhere: a `DISCOVER` answer only advertises.
+    Advertise,
+    /// In a stage, for the `FILE_REQUEST` that follows.
+    Stage,
+    /// Beside the offer, in an `OFFER_FILE` reply.
+    Inline,
+}
+
+/// What a granted driver's client needs beyond the offer.
+enum Delivery {
+    /// Nothing: a renewal, an advertisement, or bytes its depot holds
+    /// (a revalidation).
+    Nothing,
+    /// The chunks its depot lacks.
+    Delta(ChunkPlan),
+    /// The whole file.
+    File,
+}
+
 /// Memoized offer metadata for one driver row; usable only while `bytes`
 /// still equals the served binary.
 pub(crate) struct OfferMeta {
@@ -44,17 +66,6 @@ pub(crate) struct OfferMeta {
 }
 
 impl DrivolutionServer {
-    pub(crate) fn query_of(&self, from: &Addr, req: &DrvRequest) -> DriverQuery {
-        DriverQuery {
-            identity: ClientIdentity::new(&req.user, from.host(), &req.database),
-            api_name: req.api_name.clone(),
-            api_version: req.api_version,
-            client_platform: req.client_platform.clone(),
-            preferred_format: req.preferred_format,
-            preferred_version: req.preferred_version,
-        }
-    }
-
     /// The renew policy governing a grant under `rule`.
     fn renew_policy(&self, rule: Option<&PermissionRule>) -> RenewPolicy {
         rule.map_or(self.config.default_renew, |r| r.renew_policy)
@@ -98,26 +109,19 @@ impl DrivolutionServer {
         (digest, signature)
     }
 
-    /// The delivery choice for a granted driver: the offer's `location`
-    /// and chunk plan. Clients advertising a `HAVE` summary revalidate
-    /// exact cached content with zero transfer, or upgrade via a chunk
-    /// delta when the base image they name is in this server's index and
-    /// shares chunks with the offered one. Both manifests are derived
-    /// under the *client's* chunking params — boundaries are a pure
-    /// function of (bytes, params), so the base's digest stands for the
-    /// chunk list the client holds. Everything else (and every depot-less
-    /// client) gets a staged full file.
-    fn deliver(
-        &self,
-        req: &DrvRequest,
-        content_digest: u64,
-        bytes: Bytes,
-        method: TransferMethod,
-    ) -> (String, Option<ChunkPlan>) {
+    /// The delivery choice for a granted driver. Clients advertising a
+    /// `HAVE` summary revalidate exact cached content with zero transfer,
+    /// or upgrade via a chunk delta when the base image they name is in
+    /// this server's index and shares chunks with the offered one. Both
+    /// manifests are derived under the *client's* chunking params —
+    /// boundaries are a pure function of (bytes, params), so the base's
+    /// digest stands for the chunk list the client holds. Everything else
+    /// (and every depot-less client) gets the full file.
+    fn deliver(&self, req: &DrvRequest, content_digest: u64) -> Delivery {
         if let Some(have) = &req.have {
             if have.images.contains(&content_digest) {
                 self.state.lock().stats.revalidations += 1;
-                return (String::new(), None);
+                return Delivery::Nothing;
             }
             // The plan (manifest derivation + missing-chunk set) is
             // memoized in the content index, so a fleet-wide wave of
@@ -146,26 +150,28 @@ impl DrivolutionServer {
                     // on the primary.
                     let mirrors = self.directory.candidates(req.zone.as_deref(), &missing);
                     self.state.lock().stats.delta_offers += 1;
-                    let plan = ChunkPlan {
+                    return Delivery::Delta(ChunkPlan {
                         manifest,
                         missing,
                         mirrors,
-                    };
-                    return (String::new(), Some(plan));
+                    });
                 }
             }
         }
-        (self.stage(bytes, method), None)
+        Delivery::File
     }
 
+    /// The offer of `record` under `rule`, and the file to send beside
+    /// it when `ship` is [`Ship::Inline`] and the client needs the whole
+    /// file.
     fn offer_for(
         &self,
         record: &DriverRecord,
         rule: Option<&PermissionRule>,
         req: &DrvRequest,
         same_driver: bool,
-        advertise_only: bool,
-    ) -> DrvResult<DrvOffer> {
+        ship: Ship,
+    ) -> DrvResult<(DrvOffer, Option<Bytes>)> {
         let expiration = rule
             .map(|r| r.expiration_policy)
             .unwrap_or(ExpirationPolicy::AfterCommit);
@@ -201,11 +207,18 @@ impl DrivolutionServer {
         // a unicast request would be offered: it grants nothing, so it
         // must not move the depot counters, consume mirror round-robin
         // slots or park a file nobody will ever request (the follow-up
-        // request stages its own).
-        let (location, chunked) = if same_driver || advertise_only {
-            (String::new(), None)
+        // request stages its own). A full file is staged, or sent beside
+        // the offer when the client asked for it there.
+        let delivery = if same_driver || ship == Ship::Advertise {
+            Delivery::Nothing
         } else {
-            self.deliver(req, content_digest, bytes, method)
+            self.deliver(req, content_digest)
+        };
+        let (location, chunked, file) = match delivery {
+            Delivery::Nothing => (String::new(), None, None),
+            Delivery::Delta(plan) => (String::new(), Some(plan), None),
+            Delivery::File if ship == Ship::Inline => (String::new(), None, Some(bytes)),
+            Delivery::File => (self.stage(bytes, method), None, None),
         };
         let options = rule
             .and_then(|r| r.driver_options.as_deref())
@@ -213,7 +226,7 @@ impl DrivolutionServer {
             .flat_map(|opts| opts.split(',').filter_map(|kv| kv.split_once('=')))
             .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
             .collect();
-        Ok(DrvOffer {
+        let offer = DrvOffer {
             driver_id: record.id,
             driver_version: record.version,
             same_driver,
@@ -228,27 +241,32 @@ impl DrivolutionServer {
             signature,
             content_digest: Some(content_digest),
             chunked,
-        })
+        };
+        Ok((offer, file))
     }
 
-    /// Answers one `DRIVOLUTION_REQUEST` (or, `advertise_only`, one
-    /// `DRIVOLUTION_DISCOVER`) for `req` asked as `kind`, which a renewal
-    /// by reference sets apart from the kept request's own: grant lookup,
-    /// rollout targeting, the Table-4 renewal rule, the license seat, the
-    /// lease log, the offer.
+    /// Answers one `DRIVOLUTION_REQUEST` or `FETCH` (or, under
+    /// [`Ship::Advertise`], one `DRIVOLUTION_DISCOVER`) for `req` asked as
+    /// `kind`, which a renewal by reference sets apart from the kept
+    /// request's own: grant lookup, rollout targeting, the Table-4
+    /// renewal rule, the license seat, the lease log, the offer, and the
+    /// file that ships beside it under [`Ship::Inline`].
     pub(crate) fn handle_request(
         &self,
         from: &Addr,
         req: &DrvRequest,
         kind: &RequestKind,
-        advertise_only: bool,
-    ) -> DrvResult<DrvOffer> {
+        ship: Ship,
+    ) -> DrvResult<(DrvOffer, Option<Bytes>)> {
         if !self.serves(&req.database) {
             return Err(DrvError::InvalidDatabase(req.database.clone()));
         }
-        let q = self.query_of(from, req);
+        let asked = Asked {
+            req,
+            host: from.host(),
+        };
         let now = self.clock.now_ms();
-        let grants = self.grants(&q)?;
+        let grants = self.grants(&asked)?;
 
         // Extension fetch: graft the package onto the base driver's image
         // and serve the enriched driver (§5.4.1).
@@ -272,10 +290,10 @@ impl DrivolutionServer {
                 options: Vec::new(),
                 ..req.clone()
             };
-            return self.offer_for(&enriched, rule, &plain, false, advertise_only);
+            return self.offer_for(&enriched, rule, &plain, false, ship);
         }
 
-        let (mut record, mut rule) = grants.first(&q)?;
+        let (mut record, mut rule) = grants.first(&asked)?;
 
         // Staged rollout: when an orchestrator governs this database and
         // the matched driver is one of its two managed versions, the
@@ -329,13 +347,13 @@ impl DrivolutionServer {
         };
 
         let lease_ms = grant::lease_ms(rule);
-        if !advertise_only {
+        if ship != Ship::Advertise {
             self.licenses
                 .acquire(record.id, &req.user, from.host(), lease_ms, now)?;
             self.store
-                .log_lease(&q.identity, record.id, now as i64, lease_ms as i64)?;
+                .log_lease_of(asked.who(), record.id, now as i64, lease_ms as i64)?;
         }
-        self.offer_for(record, rule, req, same_driver, advertise_only)
+        self.offer_for(record, rule, req, same_driver, ship)
     }
 
     /// Answers a `FILE_REQUEST` with the encoded `FILE_DATA` frame.

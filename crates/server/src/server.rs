@@ -23,7 +23,7 @@ use crate::directory::{ComplaintOutcome, MirrorDirectory};
 use crate::grant::{GrantMemo, RenewRefs};
 use crate::license::LicenseManager;
 use crate::notify::NotifyHub;
-use crate::offer::{OfferMeta, Staged};
+use crate::offer::{OfferMeta, Ship, Staged};
 use crate::rollout::RolloutOrchestrator;
 use crate::store::DriverStore;
 
@@ -419,23 +419,23 @@ impl DrivolutionServer {
     }
 
     /// One request, counted: the offer `handle_request` makes for `req`
-    /// asked as `kind`, with the request/offer/renewal accounting every
-    /// caller shares.
+    /// asked as `kind` (and the file it ships beside it), with the
+    /// request/offer/renewal accounting every caller shares.
     fn grant(
         &self,
         from: &Addr,
         req: &DrvRequest,
         kind: &RequestKind,
-        advertise_only: bool,
-    ) -> DrvResult<DrvOffer> {
+        ship: Ship,
+    ) -> DrvResult<(DrvOffer, Option<Bytes>)> {
         self.state.lock().stats.requests += 1;
-        let offer = self.handle_request(from, req, kind, advertise_only)?;
+        let granted = self.handle_request(from, req, kind, ship)?;
         let st = &mut self.state.lock().stats;
         st.offers += 1;
-        if offer.same_driver {
+        if granted.0.same_driver {
             st.renewals += 1;
         }
-        Ok(offer)
+        Ok(granted)
     }
 
     /// Handles one decoded protocol message (exposed for in-process
@@ -463,7 +463,10 @@ impl DrivolutionServer {
             } => self
                 .handle_chunk_request(digests, *transfer_method)
                 .map(Reply::Frame),
-            control => self.handle_control(from, control).map(Reply::Msg),
+            DrvMsg::Fetch(req) => self.framed(|| self.fetch_reply(from, req)),
+            control => self
+                .framed(|| self.control_reply(from, control))
+                .map(Reply::Msg),
         };
         result.unwrap_or_else(|e| {
             self.state.lock().stats.errors += 1;
@@ -471,18 +474,34 @@ impl DrivolutionServer {
         })
     }
 
-    /// Every request but the two answered with a bulk frame; the call is
-    /// one frame of the [`GrantMemo`].
-    fn handle_control(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
-        let reply = self.control_reply(from, msg);
+    /// Runs `reply` to one call but a file or chunk request, as one frame
+    /// of the [`GrantMemo`].
+    fn framed<T>(&self, reply: impl FnOnce() -> T) -> T {
+        let reply = reply();
         self.state.lock().grants.end_frame();
         reply
+    }
+
+    /// A `FETCH`: granted as a `REQUEST` is, and answered with the file
+    /// inside the reply when the offer ships one. The envelope is sealed
+    /// straight into the `OFFER_FILE` frame; nothing is staged.
+    fn fetch_reply(&self, from: &Addr, req: &DrvRequest) -> DrvResult<Reply> {
+        let (offer, file) = self.grant(from, req, &req.kind, Ship::Inline)?;
+        self.state.lock().renew_refs.keep(from, req);
+        let Some(file) = file else {
+            return Ok(Reply::Msg(DrvMsg::Offer(offer)));
+        };
+        let frame = DrvMsg::offer_file_frame(&offer, &file, Some(&self.cert))?;
+        let st = &mut self.state.lock().stats;
+        st.files += 1;
+        st.file_bytes += file.len() as u64;
+        Ok(Reply::Frame(frame))
     }
 
     fn control_reply(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
         match msg {
             DrvMsg::Request(req) => {
-                let offer = self.grant(from, req, &req.kind, false)?;
+                let (offer, _) = self.grant(from, req, &req.kind, Ship::Stage)?;
                 self.state.lock().renew_refs.keep(from, req);
                 Ok(DrvMsg::Offer(offer))
             }
@@ -491,14 +510,17 @@ impl DrivolutionServer {
                 let kept = kept
                     .ok_or_else(|| DrvError::ResendInFull(format!("no request kept for {from}")))?;
                 let kind = RequestKind::Renewal { current: *current };
-                let offer = self.grant(from, &kept.req, &kind, false)?;
+                let (offer, _) = self.grant(from, &kept.req, &kind, Ship::Stage)?;
                 Ok(if offer.same_driver {
                     DrvMsg::Renewed(offer.terms())
                 } else {
                     DrvMsg::Offer(offer)
                 })
             }
-            DrvMsg::Discover(req) => self.grant(from, req, &req.kind, true).map(DrvMsg::Offer),
+            DrvMsg::Discover(req) => {
+                let (offer, _) = self.grant(from, req, &req.kind, Ship::Advertise)?;
+                Ok(DrvMsg::Offer(offer))
+            }
             DrvMsg::RenewBatch { entries } => {
                 {
                     let st = &mut self.state.lock().stats;
@@ -510,10 +532,13 @@ impl DrivolutionServer {
                     // License seats belong to the originating client, not
                     // the aggregator that forwarded the frame.
                     let origin = Addr::new(host.clone(), from.port());
-                    let reply = self.grant(&origin, req, &req.kind, false).map_err(|e| {
-                        self.state.lock().stats.errors += 1;
-                        (DrvErrCode::classify(&e), e.to_string())
-                    });
+                    let reply = self
+                        .grant(&origin, req, &req.kind, Ship::Stage)
+                        .map(|(offer, _)| offer)
+                        .map_err(|e| {
+                            self.state.lock().stats.errors += 1;
+                            (DrvErrCode::classify(&e), e.to_string())
+                        });
                     // A reply equal to the one before shares it, so a
                     // frame holds one offer per run of equal replies
                     // until it is encoded, not one per entry.
@@ -1641,10 +1666,15 @@ mod tests {
         assert_eq!(offer.driver_id, DriverId(2));
         // The in-memory reference engine picks the same driver from the
         // same records and rules.
+        let from = client();
+        let asked = crate::grant::Asked {
+            req: &req,
+            host: from.host(),
+        };
         let reference = drivolution_core::matching::find_driver(
             &srv.store().records().unwrap(),
             &srv.store().rules().unwrap(),
-            &srv.query_of(&client(), &req),
+            &asked.query(),
             clock.now_ms() as i64,
         )
         .unwrap()

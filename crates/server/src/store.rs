@@ -670,12 +670,25 @@ impl DriverStore {
         granted_at_ms: i64,
         lease_ms: i64,
     ) -> DrvResult<()> {
+        let who = [&*who.user, &*who.client_ip, &*who.database];
+        self.log_lease_of(who, driver, granted_at_ms, lease_ms)
+    }
+
+    /// [`log_lease`](Self::log_lease) for the identity's parts: user,
+    /// client host, database.
+    pub(crate) fn log_lease_of(
+        &self,
+        [user, client_ip, database]: [&str; 3],
+        driver: DriverId,
+        granted_at_ms: i64,
+        lease_ms: i64,
+    ) -> DrvResult<()> {
         self.exec.exec_named(
             "INSERT INTO information_schema.leases VALUES ($user, $ip, $db, $id, $at, $ms)",
             &[
-                ("user", Value::str(who.user.as_str())),
-                ("ip", Value::str(who.client_ip.as_str())),
-                ("db", Value::str(who.database.as_str())),
+                ("user", Value::str(user)),
+                ("ip", Value::str(client_ip)),
+                ("db", Value::str(database)),
                 ("id", Value::Integer(driver.0)),
                 ("at", Value::Timestamp(granted_at_ms)),
                 ("ms", Value::BigInt(lease_ms)),

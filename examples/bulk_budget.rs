@@ -1,6 +1,7 @@
 //! Stage budget of one cold sealed bootstrap's bulk path, over the public
-//! API: what the server spends building the `FILE_DATA` frame and what the
-//! client spends from that frame to a depot entry, each stage timed alone
+//! API: what the server spends building the `OFFER_FILE` reply (the offer,
+//! then the sealed file behind it) and what the client spends from that
+//! frame to a depot entry, each stage timed alone
 //! (fastest of N) and the five summed — the figure a `cold_fetch` step in
 //! drvbench is made of, less the simulator and the VM load. The depot
 //! records the image and cuts it into chunks only when a delta first asks,
@@ -17,8 +18,8 @@ use bytes::Bytes;
 use drivolution::core::chunk::{cut_points, ChunkingParams};
 use drivolution::core::pack::{pack_driver_padded, unpack_driver};
 use drivolution::core::{
-    fnv1a64, transfer, BinaryFormat, Certificate, ChannelTrust, Digested, DriverImage,
-    DriverVersion, DrvMsg, TransferMethod,
+    fnv1a64, transfer, BinaryFormat, Certificate, ChannelTrust, Digested, DriverId, DriverImage,
+    DriverVersion, DrvMsg, DrvOffer, ExpirationPolicy, RenewPolicy, TransferMethod,
 };
 use drivolution::prelude::DriverDepot;
 
@@ -49,7 +50,24 @@ fn main() {
     let mut trust = ChannelTrust::new();
     trust.pin(&cert);
     let sealed = TransferMethod::Sealed;
-    let frame = || DrvMsg::file_data_frame(sealed, &package, Some(&cert)).expect("seals");
+    // What the server offers a cold client beside the file.
+    let offer = DrvOffer {
+        driver_id: DriverId(1),
+        driver_version: Some(image.version),
+        same_driver: false,
+        lease_ms: 3_600_000,
+        renew_policy: RenewPolicy::Renew,
+        expiration_policy: ExpirationPolicy::AfterCommit,
+        format,
+        location: String::new(),
+        size: package.len() as u64,
+        transfer_method: sealed,
+        options: Vec::new(),
+        signature: None,
+        content_digest: Some(fnv1a64(&package)),
+        chunked: None,
+    };
+    let frame = || DrvMsg::offer_file_frame(&offer, &package, Some(&cert)).expect("seals");
     // A private copy per run where a stage may take its input apart.
     let copy = || Bytes::from(package.to_vec());
 
@@ -58,8 +76,9 @@ fn main() {
         (
             "decode + unwrap",
             fastest(reps, frame, |frame| {
-                let DrvMsg::FileData { payload } = DrvMsg::decode(frame).expect("decodes") else {
-                    panic!("FILE_DATA expected");
+                let DrvMsg::OfferFile { payload, .. } = DrvMsg::decode(frame).expect("decodes")
+                else {
+                    panic!("OFFER_FILE expected");
                 };
                 transfer::unwrap(sealed, payload, &trust).expect("unseals")
             }),

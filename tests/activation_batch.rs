@@ -3,7 +3,10 @@
 //! each entry under its own client host, and the rollout sees exactly
 //! what lone reports would have shown it. A server from before the frame
 //! refuses it as undecodable; the same fleet then reports alone, and its
-//! rollout ends the same way.
+//! rollout ends the same way. A report no server answered is sent again,
+//! in the next tick's batch or alone, so a lost report does not hold a
+//! wave open; and a host whose reports never arrive is never counted,
+//! whatever driver it renews on.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -32,10 +35,12 @@ fn v2() -> DriverVersion {
 /// What the server's front saw of the activation reports.
 #[derive(Debug, Default, PartialEq)]
 struct Seen {
-    /// Lone `ACTIVATION_REPORT` frames.
+    /// Lone `ACTIVATION_REPORT` frames, lost ones included.
     lone: u64,
-    /// `ACTIVATION_BATCH` frames, refused ones included.
+    /// `ACTIVATION_BATCH` frames, refused and lost ones included.
     batches: u64,
+    /// Report frames the front lost.
+    lost: u64,
     /// Upgrade offers in the last `OFFER_BATCH` whose reports have not
     /// yet arrived in a batch.
     owed: Option<usize>,
@@ -63,11 +68,45 @@ struct Outcome {
     on_v2: usize,
 }
 
+/// What the server's front does with an `ACTIVATION_BATCH`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Batches {
+    /// Hands it to the server.
+    Taken,
+    /// Refuses it as undecodable, as a server from before the frame
+    /// does.
+    Refused,
+}
+
+/// Which report frames (batches it takes, and lone reports) the front
+/// loses, as a dropped link does.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Loss {
+    None,
+    /// The first one.
+    First,
+    /// Every one.
+    All,
+}
+
+impl Loss {
+    /// Whether the next report frame is lost, `seen` holding what was.
+    fn next(self, seen: &mut Seen) -> bool {
+        let lost = match self {
+            Loss::None => false,
+            Loss::First => seen.lost == 0,
+            Loss::All => true,
+        };
+        seen.lost += u64::from(lost);
+        lost
+    }
+}
+
 /// A bootstrapped batched rollout fleet with v2 staged, its server put
-/// behind a front that records the reports it is sent; `refuse` makes
-/// the front refuse `ACTIVATION_BATCH` as undecodable, as a server from
-/// before the frame does.
-fn fleet(refuse: bool) -> (FleetSim, Arc<Mutex<Seen>>) {
+/// behind a front that records the reports it is sent, treats an
+/// `ACTIVATION_BATCH` as `batches` says and loses report frames as
+/// `loss` says.
+fn fleet(batches: Batches, loss: Loss) -> (FleetSim, Arc<Mutex<Seen>>) {
     let sim = FleetSim::from_spec(SimSpec {
         driver_padding: PADDING,
         checked: true,
@@ -84,6 +123,9 @@ fn fleet(refuse: bool) -> (FleetSim, Arc<Mutex<Seen>>) {
             DrvMsg::ActivationReport { driver, ok, .. } => {
                 let mut log = lock(&log);
                 log.lone += 1;
+                if loss.next(&mut log) {
+                    return Err(NetError::Timeout("report lost".into()));
+                }
                 let host = from.host().to_string();
                 log.verdicts.entry(host).or_default().push((*driver, *ok));
             }
@@ -97,8 +139,11 @@ fn fleet(refuse: bool) -> (FleetSim, Arc<Mutex<Seen>>) {
                         log.stray.push(format!("{n} entries for {owed:?} upgrades"));
                     }
                 }
-                if refuse {
+                if batches == Batches::Refused {
                     return Err(NetError::Protocol("unknown drv msg tag 20".into()));
+                }
+                if loss.next(&mut log) {
+                    return Err(NetError::Timeout("batch lost".into()));
                 }
                 for (host, report) in entries {
                     let verdict = (report.driver, report.ok);
@@ -150,13 +195,13 @@ fn rollout(sim: &FleetSim) -> Arc<RolloutOrchestrator> {
     )
 }
 
-/// Pumps the fleet until the rollout leaves its waves, then one more
-/// lease so rolled-back clients renew onto the prior driver.
+/// Pumps the fleet until the rollout leaves its waves or six virtual
+/// hours pass, then one more lease so rolled-back clients renew onto the
+/// prior driver.
 fn settle(sim: &FleetSim, ro: &RolloutOrchestrator) {
     let deadline = sim.net().clock().now_ms() + 6 * 60 * MINUTE;
-    while !ro.is_settled() {
+    while !ro.is_settled() && sim.net().clock().now_ms() < deadline {
         let now = sim.net().clock().now_ms();
-        assert!(now < deadline, "rollout never settled: {:?}", ro.status());
         sim.net().run_until(now + MINUTE);
     }
     sim.run_steady_state(MINUTE, 10 * MINUTE);
@@ -183,8 +228,8 @@ fn outcome(sim: &FleetSim, status: RolloutStatus, seen: &Seen) -> Outcome {
 
 /// Runs one fleet through a rollout; `fault` injects an activation
 /// regression for v2 once the canary has upgraded.
-fn run(refuse: bool, fault: bool) -> (Outcome, Seen) {
-    let (sim, seen) = fleet(refuse);
+fn run(batches: Batches, loss: Loss, fault: bool) -> (Outcome, Seen) {
+    let (sim, seen) = fleet(batches, loss);
     let ro = rollout(&sim);
     if fault {
         let deadline = sim.net().clock().now_ms() + 60 * MINUTE;
@@ -219,7 +264,7 @@ fn assert_lone(seen: &Seen, reports: u64) {
 
 #[test]
 fn a_batched_rollout_reports_once_per_upgrading_tick_as_lone_reports_would() {
-    let (batched, seen) = run(false, false);
+    let (batched, seen) = run(Batches::Taken, Loss::None, false);
     assert_batched(&seen);
     assert_eq!(batched.phase, RolloutPhase::Complete, "{batched:?}");
     assert_eq!(batched.on_v2, CLIENTS);
@@ -229,14 +274,42 @@ fn a_batched_rollout_reports_once_per_upgrading_tick_as_lone_reports_would() {
     let whole = |&(members, ok, err): &(usize, usize, usize)| ok == members && err == 0;
     assert!(batched.waves.iter().all(whole), "{:?}", batched.waves);
 
-    let (lone, seen) = run(true, false);
+    let (lone, seen) = run(Batches::Refused, Loss::None, false);
     assert_lone(&seen, lone.reports);
     assert_eq!(batched, lone);
 }
 
 #[test]
+fn a_lost_report_is_sent_again_and_the_rollout_ends_as_if_none_was() {
+    for batches in [Batches::Taken, Batches::Refused] {
+        let (lost, seen) = run(batches, Loss::First, false);
+        assert_eq!(seen.lost, 1, "{batches:?}");
+        assert_eq!(lost.phase, RolloutPhase::Complete, "{batches:?}: {lost:?}");
+        let (whole, _) = run(batches, Loss::None, false);
+        assert_eq!(lost, whole, "{batches:?}");
+    }
+}
+
+#[test]
+fn a_host_whose_reports_never_arrive_is_never_counted_whatever_it_runs() {
+    for batches in [Batches::Taken, Batches::Refused] {
+        let (lost, seen) = run(batches, Loss::All, true);
+        assert!(seen.lost > 0, "{batches:?}: no report was sent");
+        assert_eq!(lost.reports, 0, "{batches:?}: a report reached the server");
+        // The canary upgraded and renews on v2, but no host passed its
+        // check as far as the server knows: the rollout waits.
+        assert_eq!(lost.phase, RolloutPhase::Wave(0), "{batches:?}: {lost:?}");
+        assert!(
+            lost.waves.iter().all(|&(_, ok, err)| ok == 0 && err == 0),
+            "{lost:?}"
+        );
+        assert_eq!(lost.on_v2, 2, "{batches:?}: only the canary upgraded");
+    }
+}
+
+#[test]
 fn a_faulty_version_halts_and_rolls_back_a_batched_fleet_as_a_lone_reporting_one() {
-    let (batched, seen) = run(false, true);
+    let (batched, seen) = run(Batches::Taken, Loss::None, true);
     assert_batched(&seen);
     assert!(
         matches!(batched.phase, RolloutPhase::RolledBack { .. }),
@@ -245,7 +318,7 @@ fn a_faulty_version_halts_and_rolls_back_a_batched_fleet_as_a_lone_reporting_one
     assert!(batched.failures > 0, "{batched:?}");
     assert_eq!(batched.on_v1, CLIENTS, "a client was stranded on v2");
 
-    let (lone, seen) = run(true, true);
+    let (lone, seen) = run(Batches::Refused, Loss::None, true);
     assert_lone(&seen, lone.reports);
     assert_eq!(batched, lone);
 }

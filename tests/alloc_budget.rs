@@ -19,10 +19,11 @@ use bytes::Bytes;
 
 use drivolution::core::chunk::{manifest_and_chunks, ChunkSet, ChunkingParams};
 use drivolution::core::pack::pack_driver_padded;
-use drivolution::core::proto::{DrvErrCode, DrvMsg, DrvRequest, RequestKind};
+use drivolution::core::proto::{DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution::core::transfer;
 use drivolution::core::ClientIdentity;
 use drivolution::fleet::FleetSim;
+use drivolution::netsim::codec::Wire;
 use drivolution::netsim::{FnService, Service};
 use drivolution::prelude::*;
 use drivolution::server::LicenseManager;
@@ -182,7 +183,8 @@ fn connect(rig: &Rig, boot: &Arc<Bootloader>) {
 }
 
 /// (package size, bytes allocated, largest allocation) of one cold
-/// sealed 1 MiB bootstrap into an empty depot.
+/// sealed 1 MiB bootstrap into an empty depot: one request, answered
+/// with the offer and the file in one frame.
 fn cold_sealed_bootstrap() -> (usize, u64, u64) {
     let v1 = record(1, DriverVersion::new(1, 0, 0), 1 << 20);
     let rig = rig(&v1);
@@ -191,7 +193,11 @@ fn cold_sealed_bootstrap() -> (usize, u64, u64) {
     let (warm_up, _) = client(&rig, "app1");
     connect(&rig, &warm_up);
     let (boot, depot) = client(&rig, "app2");
+    let server = Addr::new("db1", DRIVOLUTION_PORT);
+    let asked = rig.net.stats().for_addr(&server).requests;
     let ((), bytes, largest) = measured(|| connect(&rig, &boot));
+    assert_eq!(rig.net.stats().for_addr(&server).requests - asked, 1);
+    assert_eq!(rig.srv.stats().files, 2);
     assert_eq!(boot.stats().downloads, 1);
     assert_eq!(depot.image_count(), 1);
     (v1.binary.len(), bytes, largest)
@@ -211,10 +217,10 @@ fn cold_sealed_bootstrap_allocates_about_twice_the_package() {
 fn cold_sealed_bootstrap_copies_the_package_once() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let (package, bytes, largest) = cold_sealed_bootstrap();
-    // One package-sized buffer for the whole hop: the FILE_DATA frame is
-    // built around the envelope it carries, and the client deciphers
-    // that same buffer in place and keeps it. A frame copied around a
-    // finished envelope reads 2.04.
+    // One package-sized buffer for the whole hop: the OFFER_FILE frame is
+    // built around the offer and the envelope it carries, and the client
+    // deciphers that same buffer in place and keeps it. A frame copied
+    // around a finished envelope reads 2.04.
     assert_budget("cold sealed bootstrap", package, 1.2, bytes, largest);
 }
 
@@ -320,6 +326,34 @@ fn every_envelope_is_one_exactly_sized_allocation() {
         // The envelope, plus the few dozen bytes of the shared handle.
         assert_eq!(largest, wrapped.len() as u64, "{method}");
         assert!(bytes < largest + 256, "{method}: {bytes} B for {largest} B");
+        // The inline reply: the offer, then the envelope sealed behind it
+        // in the same buffer.
+        let offer = inline_offer(method, payload.len());
+        let (frame, bytes, largest) =
+            measured(|| DrvMsg::offer_file_frame(&offer, &payload, Some(&cert)).unwrap());
+        assert_eq!(largest, frame.len() as u64, "{method}");
+        assert_eq!(frame.len(), 1 + offer.wire_len() + 4 + wrapped.len());
+        assert!(bytes < largest + 256, "{method}: {bytes} B for {largest} B");
+    }
+}
+
+/// The offer an `OFFER_FILE` carries for a `size`-byte file.
+fn inline_offer(transfer_method: TransferMethod, size: usize) -> DrvOffer {
+    DrvOffer {
+        driver_id: DriverId(1),
+        driver_version: Some(DriverVersion::new(1, 0, 0)),
+        same_driver: false,
+        lease_ms: 60_000,
+        renew_policy: RenewPolicy::Upgrade,
+        expiration_policy: ExpirationPolicy::AfterCommit,
+        format: BinaryFormat::Djar,
+        location: String::new(),
+        size: size as u64,
+        transfer_method,
+        options: Vec::new(),
+        signature: None,
+        content_digest: Some(7),
+        chunked: None,
     }
 }
 

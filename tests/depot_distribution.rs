@@ -543,8 +543,9 @@ fn depotless_clients_are_unaffected_by_the_depot_rollout() {
 }
 
 /// Sits in front of the real server on a `Plain` channel (no MAC to
-/// object) and answers every `FILE_REQUEST` with a different, perfectly
-/// loadable driver than the one the offer described.
+/// object) and answers every `FILE_REQUEST`, and every offer that
+/// carries its file, with a different, perfectly loadable driver than
+/// the one the offer described.
 struct FileSwapper {
     net: Network,
     real: Addr,
@@ -555,12 +556,14 @@ impl netsim::Service for FileSwapper {
     fn call(&self, from: &Addr, request: bytes::Bytes) -> Result<bytes::Bytes, netsim::NetError> {
         use drivolution::core::proto::DrvMsg;
         let reply = self.net.request(from, &self.real, request)?;
+        let swapped = || {
+            drivolution::core::transfer::wrap(TransferMethod::Plain, &self.swapped, None).unwrap()
+        };
         Ok(match DrvMsg::decode(reply.clone()) {
-            Ok(DrvMsg::FileData { .. }) => {
-                let payload =
-                    drivolution::core::transfer::wrap(TransferMethod::Plain, &self.swapped, None)
-                        .unwrap();
-                DrvMsg::FileData { payload }.encode()
+            Ok(DrvMsg::FileData { .. }) => DrvMsg::FileData { payload: swapped() }.encode(),
+            Ok(DrvMsg::OfferFile { offer, .. }) => {
+                let payload = swapped();
+                DrvMsg::OfferFile { offer, payload }.encode()
             }
             _ => reply,
         })

@@ -22,7 +22,7 @@ use drivolution::minidb::exec::RowSet;
 use drivolution::minidb::wire::{ClientAuth, ClientMsg, ServerMsg};
 use drivolution::minidb::Value;
 
-/// One valid frame per `core::proto` frame tag, all 21, in tag order.
+/// One valid frame per `core::proto` frame tag, all 23, in tag order.
 pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
     let manifest = ChunkManifest::of_with(&[7u8; 40_000], &ChunkingParams::default());
 
@@ -200,6 +200,34 @@ pub(crate) fn drv_msgs() -> Vec<DrvMsg> {
                 ]
             },
         },
+        DrvMsg::Fetch(DrvRequest {
+            kind: RequestKind::Extension {
+                base: DriverId(7),
+                name: "gis".into(),
+            },
+            options: vec![("locale".into(), "fr_FR".into())],
+            zone: Some("east".into()),
+            ..DrvRequest::bootstrap("orders", "alice", "RDBC", "linux-x86_64")
+        }),
+        DrvMsg::OfferFile {
+            offer: DrvOffer {
+                driver_id: DriverId(1),
+                driver_version: Some(DriverVersion::new(2, 0, 1)),
+                same_driver: false,
+                lease_ms: 60_000,
+                renew_policy: RenewPolicy::Upgrade,
+                expiration_policy: ExpirationPolicy::AfterCommit,
+                format: BinaryFormat::Djar,
+                location: String::new(),
+                size: 6,
+                transfer_method: TransferMethod::Checksum,
+                options: vec![("fetch_size".into(), "100".into())],
+                signature: None,
+                content_digest: Some(0xdead_beef),
+                chunked: None,
+            },
+            payload: Bytes::from_static(b"abcdef"),
+        },
     ]
 }
 
@@ -267,7 +295,7 @@ fn reseal_dzip(frame: &mut [u8]) {
     reseal(frame, 12);
 }
 
-/// Every wire shape a count, size or presence field lives in: the 21
+/// Every wire shape a count, size or presence field lives in: the 23
 /// `DrvMsg` tags and the resend error, both notices, every minidb
 /// message, an image with extensions and options, both archive layouts
 /// (as sent, and resealed after each mutation), a manifest and a chunk

@@ -224,9 +224,9 @@ fn every_tag_byte_under_every_frame_body_is_an_error_or_reencodes() {
             }
         }
     }
-    // 44 shapes; each still decodes under its own first byte at least.
-    assert_eq!(runs, 44 * 256);
-    assert!(decoded >= 44, "{decoded} of {runs}");
+    // 46 shapes; each still decodes under its own first byte at least.
+    assert_eq!(runs, 46 * 256);
+    assert!(decoded >= 46, "{decoded} of {runs}");
 }
 
 /// Frames whose optional fields `tests/frames` leaves unset: a `REQ` with
@@ -317,10 +317,10 @@ fn frames_with_every_field() -> Vec<(&'static str, Bytes)> {
 
 /// `fnv1a64` of every frame's encoding: each wire shape `tests/frames`
 /// builds, then the frames above. Recorded before frames were declared
-/// through `wire_frame!` (tags 18, 19 and 20 and the resend error when
+/// through `wire_frame!` (tags 18 to 22 and the resend error when
 /// they were added); compared as one table, so a layout change prints
 /// every row that moved.
-const PINNED_FRAMES: [(&str, u64); 51] = [
+const PINNED_FRAMES: [(&str, u64); 53] = [
     ("DrvMsg tag 0", 0xc2c5_bcf9_8133_c332),
     ("DrvMsg tag 1", 0xb1ca_377e_dce6_d81a),
     ("DrvMsg tag 2", 0x8d69_0d5d_eb62_d118),
@@ -342,6 +342,8 @@ const PINNED_FRAMES: [(&str, u64); 51] = [
     ("DrvMsg tag 18", 0x64c9_04c8_59b1_f130),
     ("DrvMsg tag 19", 0xd653_f82e_929d_e5de),
     ("DrvMsg tag 20", 0xb94d_7a88_d55b_9ae6),
+    ("DrvMsg tag 21", 0x1669_3c5d_3589_e27e),
+    ("DrvMsg tag 22", 0x774f_ae13_54b5_684d),
     ("DrvMsg tag 3, resend in full", 0x3786_9290_a0da_f326),
     (
         "DriverAvailable { database: \"orders\" }",
@@ -484,12 +486,12 @@ fn every_counted_item_minimum_is_its_shortest_encoding() {
     use drivolution::netsim::codec::{encode, Interns, Wire};
 
     fn row<T: Wire>(name: &'static str, shortest: T) -> (&'static str, usize, usize) {
-        (name, T::MIN_BYTES, encode(&shortest, 0).len())
+        (name, T::MIN_BYTES, encode(&shortest).len())
     }
     // A batch entry travels as its host and an index, a reply entry as
     // its index; the request or reply itself travels once in the table.
     fn entry<E: Interns>(name: &'static str, shortest: impl Wire) -> (&'static str, usize, usize) {
-        (name, E::MIN_BYTES, encode(&shortest, 0).len())
+        (name, E::MIN_BYTES, encode(&shortest).len())
     }
     let request = || DrvRequest::bootstrap("", "", "", "");
     let no_offer: BatchReply = Err((DrvErrCode::Internal, String::new()));
