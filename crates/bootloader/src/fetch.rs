@@ -71,7 +71,7 @@ impl Bootloader {
         &self,
         offer: &DrvOffer,
         bytes: Bytes,
-    ) -> DkResult<(DriverImage, Arc<dyn Driver>)> {
+    ) -> DkResult<(Arc<DriverImage>, Arc<dyn Driver>)> {
         if let Some(trust) = &self.config.signature_trust {
             let sig = offer.signature.as_ref().ok_or_else(|| {
                 DkError::Drv(DrvError::SignatureInvalid(
@@ -90,7 +90,7 @@ impl Bootloader {
         &self,
         server: &Addr,
         offer: &DrvOffer,
-    ) -> DkResult<(DriverImage, Arc<dyn Driver>)> {
+    ) -> DkResult<(Arc<DriverImage>, Arc<dyn Driver>)> {
         if let Some(depot) = self.config.depot.clone() {
             // Zero-transfer revalidation: the offer describes content the
             // depot already holds, verified by digest.
@@ -140,7 +140,7 @@ impl Bootloader {
         &self,
         offer: &DrvOffer,
         payload: Bytes,
-    ) -> DkResult<(DriverImage, Arc<dyn Driver>)> {
+    ) -> DkResult<(Arc<DriverImage>, Arc<dyn Driver>)> {
         let bytes = transfer::unwrap(offer.transfer_method, payload, &self.config.channel_trust)?;
         // What arrived must be what was offered: `Plain` has no integrity
         // of its own, and any server can stage the wrong file.
@@ -220,7 +220,7 @@ impl Bootloader {
         offer: &DrvOffer,
         plan: &ChunkPlan,
         depot: &Arc<DriverDepot>,
-    ) -> DkResult<(DriverImage, Arc<dyn Driver>)> {
+    ) -> DkResult<(Arc<DriverImage>, Arc<dyn Driver>)> {
         // A zone peer may already have assembled exactly this image:
         // adopt its refcounted bytes instead of re-fetching and
         // re-materializing an identical copy. The adopted bytes are

@@ -21,7 +21,7 @@ use crate::CLUSTER_V1;
 /// A [`Driver`] interpreting a cluster-flavor [`DriverImage`]; its
 /// `db_protocol` field is the cluster protocol version it speaks.
 pub struct ClusterDriver {
-    image: DriverImage,
+    image: Arc<DriverImage>,
     net: Network,
     local: Addr,
     /// Connections opened so far: each starts at the next controller.
@@ -44,7 +44,8 @@ impl ClusterDriver {
     /// # Errors
     ///
     /// [`DkError::Unsupported`] for non-cluster images.
-    pub fn new(image: DriverImage, net: Network, local: Addr) -> DkResult<Self> {
+    pub fn new(image: impl Into<Arc<DriverImage>>, net: Network, local: Addr) -> DkResult<Self> {
+        let image = image.into();
         if image.flavor != DriverFlavor::Cluster {
             return Err(DkError::Unsupported(format!(
                 "image {} has flavor {:?}; expected Cluster",
@@ -122,7 +123,7 @@ impl ClusterDriverFactory {
 }
 
 impl DriverFactory for ClusterDriverFactory {
-    fn instantiate(&self, image: DriverImage) -> DkResult<Arc<dyn Driver>> {
+    fn instantiate(&self, image: Arc<DriverImage>) -> DkResult<Arc<dyn Driver>> {
         Ok(Arc::new(ClusterDriver::new(
             image,
             self.net.clone(),

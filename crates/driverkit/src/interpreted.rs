@@ -19,7 +19,7 @@ use crate::url::{DbUrl, UrlScheme};
 
 /// A [`Driver`] interpreting a direct-flavor [`DriverImage`].
 pub struct InterpretedDriver {
-    image: DriverImage,
+    image: Arc<DriverImage>,
     net: Network,
     local: Addr,
 }
@@ -42,7 +42,8 @@ impl InterpretedDriver {
     ///
     /// [`DkError::Unsupported`] for non-direct images (cluster images are
     /// instantiated by the cluster middleware's factory).
-    pub fn new(image: DriverImage, net: Network, local: Addr) -> DkResult<Self> {
+    pub fn new(image: impl Into<Arc<DriverImage>>, net: Network, local: Addr) -> DkResult<Self> {
+        let image = image.into();
         if image.flavor != DriverFlavor::Direct {
             return Err(DkError::Unsupported(format!(
                 "image {} has flavor {:?}; this VM factory only interprets Direct",

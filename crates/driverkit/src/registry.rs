@@ -67,6 +67,8 @@ pub struct DriverRegistry {
 #[derive(Default)]
 struct Inner {
     next: u64,
+    /// The loaded namespaces (one, two mid-upgrade) and no spare room: a
+    /// first `push` would reserve four, an unload would keep its slot.
     spaces: Vec<Namespace>,
     active: Option<NamespaceId>,
 }
@@ -90,7 +92,7 @@ impl DriverRegistry {
     pub fn load(
         &self,
         driver: Arc<dyn Driver>,
-        image: DriverImage,
+        image: Arc<DriverImage>,
         driver_id: DriverId,
         lease: Lease,
         options: Vec<(String, String)>,
@@ -98,10 +100,11 @@ impl DriverRegistry {
         let mut inner = self.inner.lock();
         inner.next += 1;
         let id = NamespaceId(inner.next);
+        inner.spaces.reserve_exact(1);
         inner.spaces.push(Namespace {
             id,
             driver,
-            image: Arc::new(image),
+            image,
             driver_id,
             lease,
             options: Arc::new(options),
@@ -193,6 +196,7 @@ impl DriverRegistry {
             )));
         }
         inner.spaces.retain(|n| n.id != id);
+        inner.spaces.shrink_to_fit();
         Ok(())
     }
 
@@ -243,8 +247,8 @@ mod tests {
         .unwrap()
     }
 
-    fn image(name: &str) -> DriverImage {
-        DriverImage::new(name, DriverVersion::new(1, 0, 0), 1)
+    fn image(name: &str) -> Arc<DriverImage> {
+        Arc::new(DriverImage::new(name, DriverVersion::new(1, 0, 0), 1))
     }
 
     #[test]

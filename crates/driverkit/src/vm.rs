@@ -19,12 +19,13 @@ use crate::interpreted::InterpretedDriver;
 /// Instantiates drivers of one [`DriverFlavor`]. The cluster middleware
 /// registers its own factory for [`DriverFlavor::Cluster`].
 pub trait DriverFactory: Send + Sync {
-    /// Builds a live driver from an image.
+    /// Builds a live driver from an image, keeping the loader's `Arc`
+    /// rather than a copy of the image.
     ///
     /// # Errors
     ///
     /// [`DkError::Unsupported`] for images this factory cannot interpret.
-    fn instantiate(&self, image: DriverImage) -> DkResult<Arc<dyn Driver>>;
+    fn instantiate(&self, image: Arc<DriverImage>) -> DkResult<Arc<dyn Driver>>;
 }
 
 struct DirectFactory {
@@ -33,7 +34,7 @@ struct DirectFactory {
 }
 
 impl DriverFactory for DirectFactory {
-    fn instantiate(&self, image: DriverImage) -> DkResult<Arc<dyn Driver>> {
+    fn instantiate(&self, image: Arc<DriverImage>) -> DkResult<Arc<dyn Driver>> {
         Ok(Arc::new(InterpretedDriver::new(
             image,
             self.net.clone(),
@@ -76,7 +77,8 @@ impl DriverVm {
     }
 
     /// Loads driver bytes: unpack container, decode image, check API
-    /// compatibility, instantiate.
+    /// compatibility, instantiate. The image is held once: the driver and
+    /// the caller share the returned `Arc`.
     ///
     /// The API check is the paper's lifecycle step 4 failure mode
     /// ("mismatches between the binary format of the driver and the
@@ -91,8 +93,8 @@ impl DriverVm {
         &self,
         format: BinaryFormat,
         bytes: Bytes,
-    ) -> DkResult<(DriverImage, Arc<dyn Driver>)> {
-        let image = unpack_driver(format, bytes)?;
+    ) -> DkResult<(Arc<DriverImage>, Arc<dyn Driver>)> {
+        let image = Arc::new(unpack_driver(format, bytes)?);
         if image.api_name != self.host_api {
             return Err(DkError::Unsupported(format!(
                 "driver implements API {}, application expects {}",
@@ -110,7 +112,7 @@ impl DriverVm {
                     image.flavor
                 ))
             })?;
-        let driver = factory.instantiate(image.clone())?;
+        let driver = factory.instantiate(Arc::clone(&image))?;
         Ok((image, driver))
     }
 }
@@ -133,7 +135,7 @@ mod tests {
     fn load_roundtrip() {
         let bytes = pack_driver(BinaryFormat::Djar, &image());
         let (img, driver) = vm().load(BinaryFormat::Djar, bytes).unwrap();
-        assert_eq!(img, image());
+        assert_eq!(*img, image());
         assert_eq!(driver.name(), "d");
         assert_eq!(driver.version(), DriverVersion::new(1, 0, 0));
     }
@@ -169,10 +171,10 @@ mod tests {
         // Registering a factory makes it loadable.
         struct Fake;
         impl DriverFactory for Fake {
-            fn instantiate(&self, image: DriverImage) -> DkResult<Arc<dyn Driver>> {
+            fn instantiate(&self, image: Arc<DriverImage>) -> DkResult<Arc<dyn Driver>> {
                 // Reuse the direct interpreter by rewriting the flavor —
                 // good enough for the registry test.
-                let mut img = image;
+                let mut img = DriverImage::clone(&image);
                 img.flavor = DriverFlavor::Direct;
                 Ok(Arc::new(
                     InterpretedDriver::new(img, Network::new(), Addr::new("x", 1)).unwrap(),

@@ -96,7 +96,9 @@ type TaskFn = Arc<dyn Fn() -> TaskResult + Send + Sync>;
 /// one-shot that was dormant.
 const NEVER: u64 = u64::MAX;
 
-// Each byte of a `Task` costs a fleet of tasks about 64 KiB of table:
+// The table holds each task boxed: a hash table keeps up to half its
+// buckets empty, and an empty bucket then costs a key and a pointer, not
+// a whole `Task`. Each live task still pays for every byte of its own:
 // times are `u64` sentinels, not `Option`s.
 struct Task {
     name: String,
@@ -172,7 +174,7 @@ impl Task {
 
 #[derive(Default)]
 struct SchedState {
-    tasks: HashMap<u64, Task>,
+    tasks: HashMap<u64, Box<Task>>,
     timeline: Timeline,
     next_id: u64,
     seed: u64,
@@ -281,7 +283,7 @@ impl Timeline {
     /// Before the pump's next turn, with the clock at `now`, unparks the
     /// sleepers whose threshold the clock has passed — all of them once
     /// the clock falls late.
-    fn wake_sleepers(&mut self, tasks: &mut HashMap<u64, Task>, now: u64) {
+    fn wake_sleepers(&mut self, tasks: &mut HashMap<u64, Box<Task>>, now: u64) {
         let grace = self.min_park_ms.unwrap_or(NEVER);
         let late = now >= self.cursor.0.saturating_add(grace);
         if late && !self.late {
@@ -361,7 +363,7 @@ impl Scheduler {
         let id = st.next_id;
         st.next_id += 1;
         let rng = StdRng::seed_from_u64(st.seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut task = Task {
+        let mut task = Box::new(Task {
             name,
             cadence,
             f,
@@ -375,7 +377,7 @@ impl Scheduler {
             rearmed: false,
             stats: TaskStats::default(),
             last_error: None,
-        };
+        });
         let now = self.inner.clock.now_ms();
         let due = match cadence {
             Cadence::Periodic { interval_ms, .. } => Some(now + interval_ms + task.jitter()),
@@ -461,7 +463,7 @@ impl Scheduler {
     pub fn task_names(&self) -> Vec<String> {
         let st = self.inner.state.lock();
         // drvlint: allow(map-iter) — sorted by task id on the next line.
-        let mut by_id: Vec<(&u64, &Task)> = st.tasks.iter().collect();
+        let mut by_id: Vec<_> = st.tasks.iter().collect();
         by_id.sort_unstable_by_key(|(id, _)| **id);
         by_id.into_iter().map(|(_, t)| t.name.clone()).collect()
     }
@@ -566,7 +568,7 @@ impl fmt::Debug for TaskHandle {
 impl TaskHandle {
     /// Reads the task, unless it was cancelled or retired.
     fn read<R>(&self, f: impl FnOnce(&Task) -> R) -> Option<R> {
-        self.inner.state.lock().tasks.get(&self.id).map(f)
+        self.inner.state.lock().tasks.get(&self.id).map(|t| f(t))
     }
 
     /// The task's registered name (empty if the task was dropped).

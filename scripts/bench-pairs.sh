@@ -2,7 +2,7 @@
 # The ROADMAP's protocol for a performance claim: alternating pairs of
 # drvbench runs, parent commit against the working tree.
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=3]
+#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=3] [metric=ops_per_s]
 #
 # Builds a `git archive` of <parent-rev> once per resolved commit, in
 # ${TMPDIR:-/tmp}/bench-pairs-<commit> (tree and target dir; a later run
@@ -15,18 +15,20 @@
 # was not tuned against. Prints, per end-to-end metric of BENCHMARK.json
 # (and run.failed_share), both medians, both interquartile ranges and the
 # pairs the change won, then each pair's change / parent ratio of
-# ops_per_s, and exits 1 if a median is worse than the parent's by more
-# than the metric's bound or the change failed more operations.
+# `metric` (any metric drvbench prints, e.g. peak_heap_mb), and exits 1 if
+# a median is worse than the parent's by more than the metric's bound or
+# the change failed more operations.
 # Not run in CI: up to two release builds, then two 30-second runs per pair.
 set -eu
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs=3]" >&2
+if [ $# -lt 2 ] || [ $# -gt 4 ]; then
+    echo "usage: $0 <parent-rev> <workload> [pairs=3] [metric=ops_per_s]" >&2
     exit 2
 fi
 rev=$1
 workload=$2
 pairs=${3:-3}
+ratio_of=${4:-ops_per_s}
 root=$(cd "$(dirname "$0")/.." && pwd)
 
 commit=$(git -C "$root" rev-parse --verify "$rev^{commit}")
@@ -94,7 +96,7 @@ awk '
 ' "$root/BENCHMARK.json" >"$tmp/metrics"
 echo "run.failed_share lower 0" >>"$tmp/metrics"
 
-awk -v workload="$workload" '
+awk -v workload="$workload" -v ratio_of="$ratio_of" '
     # q-th quantile of v[1..n] (sorted in place), linear interpolation.
     function quantile(v, n, q,    i, j, t, pos, lo) {
         for (i = 2; i <= n; i++)
@@ -131,10 +133,10 @@ awk -v workload="$workload" '
             printf "%-26s %14.6f %12.6f %14.6f %12.6f %3d/%-2d  %s\n", name, \
                 p["med"], p["iqr"], c["med"], c["iqr"], won, pairs, verdict
         }
-        printf "ops_per_s change / parent, pair (seed) 1..%d:", pairs
+        printf "%s change / parent, pair (seed) 1..%d:", ratio_of, pairs
         for (k = 1; k <= pairs; k++) {
-            parent = val[k, "parent", "ops_per_s"]
-            ratio = parent > 0 ? sprintf("%.3f", val[k, "change", "ops_per_s"] / parent) : "-"
+            parent = val[k, "parent", ratio_of]
+            ratio = parent > 0 ? sprintf("%.3f", val[k, "change", ratio_of] / parent) : "-"
             printf " %s", ratio
         }
         printf "\n"

@@ -22,7 +22,7 @@ use drivolution::core::pack::pack_driver_padded;
 use drivolution::core::proto::{DrvErrCode, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution::core::transfer;
 use drivolution::core::ClientIdentity;
-use drivolution::fleet::FleetSim;
+use drivolution::fleet::{FleetSim, DEFAULT_POLL_EVERY};
 use drivolution::netsim::codec::Wire;
 use drivolution::netsim::{FnService, Service};
 use drivolution::prelude::*;
@@ -584,6 +584,35 @@ fn a_bootstrapped_rollout_client_holds_under_16_kib() {
     let per_client = live / CLIENTS as i64;
     assert!(
         per_client <= 16 << 10,
+        "{per_client} B live per bootstrapped client"
+    );
+}
+
+/// What a self-driving client of the renew storm's shape holds once
+/// bootstrapped, world included: its bootloader, three scheduler tasks,
+/// its loaded namespace, its lease row and seat on the server. Each
+/// driver image is held once per load and each task once in the
+/// scheduler's table (inline tasks in a half-empty table, a second copy
+/// of each image and a namespace list with room for four read 4 051 B).
+#[test]
+fn a_self_driving_client_holds_under_3_5_kib_once_bootstrapped() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 2_000;
+    let (sim, _, _, live) = measured_live(|| {
+        let sim = FleetSim::build_with_lifecycle(
+            CLIENTS,
+            10 * 60_000,
+            false,
+            0,
+            LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
+        );
+        sim.bootstrap_all();
+        sim
+    });
+    assert!(sim.clients().iter().all(|b| b.stats().downloads == 1));
+    let per_client = live / CLIENTS as i64;
+    assert!(
+        per_client <= 3_584,
         "{per_client} B live per bootstrapped client"
     );
 }

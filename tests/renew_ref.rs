@@ -1,6 +1,7 @@
 //! Renewal by reference at its edges: a server from before the frame, a
-//! server restart, a token presented by a host that did not register it,
-//! two clients on one host, and a reference table flushed at its cap. In each, every renewal still
+//! server restart, a server briefly unreachable, a token presented by a
+//! host that did not register it, two clients on one host, and a
+//! reference table flushed at its cap. In each, every renewal still
 //! completes, and the server grants what full requests would have drawn.
 
 use std::sync::Arc;
@@ -174,6 +175,41 @@ fn after_a_server_restart_each_client_resends_in_full_at_most_once() {
     let (in_full, _, _) = restart_run(N, true);
     assert_eq!(granted(&by_ref), granted(&in_full));
     assert_eq!(granted(&by_ref), (2 * N as u64, N, 2 * N as i64));
+}
+
+/// A server that did not answer is not one that refused the frame: a
+/// renewal lost to an outage fails, and the next one, once the server
+/// answers again, still goes by reference.
+#[test]
+fn after_an_outage_each_client_renews_by_reference_again() {
+    const N: usize = 4;
+    let rig = rig(N, false);
+    let bytes_in = || rig.net.stats().for_addr(&drv()).bytes_in;
+    let before = bytes_in();
+    rig.renew_all();
+    let by_reference = bytes_in() - before;
+
+    rig.net.with_faults(|f| f.take_down(drv().host()));
+    rig.net.clock().advance_ms(LEASE_MS);
+    for c in &rig.clients {
+        assert_eq!(
+            c.poll(),
+            PollOutcome::KeptAfterFailure,
+            "{}",
+            c.local_addr()
+        );
+    }
+    assert_eq!(rig.failed_renewals(), N as u64);
+
+    rig.net.with_faults(|f| f.restore(drv().host()));
+    let (requests, before) = (rig.requests(), bytes_in());
+    for c in &rig.clients {
+        assert_eq!(c.poll(), PollOutcome::Renewed, "{}", c.local_addr());
+    }
+    // One reference per client, as before the outage.
+    assert_eq!(rig.requests() - requests, N as u64);
+    assert_eq!(bytes_in() - before, by_reference);
+    assert_eq!(rig.srv.stats().renewals, 2 * N as u64);
 }
 
 fn renewal(user: &str) -> DrvRequest {
