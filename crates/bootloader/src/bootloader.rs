@@ -121,6 +121,18 @@ pub(crate) struct BootState {
     pub(crate) context: Option<(DbUrl, ConnectProps)>,
     /// What a renewal may name instead of its whole request.
     pub(crate) renew_ref: RenewRef,
+    /// `Some(zone)` while the [`RenewRef::Token`] is the digest of a
+    /// request built from the current `context` in `zone`: a client
+    /// without a depot (whose request reads nothing else that changes)
+    /// still placed in `zone` renews by reference without building its
+    /// request. Cleared when the context changes.
+    pub(crate) token_zone: Option<Option<String>>,
+    /// The request this client's last batched renewal carried, reused
+    /// while it is the one `build_request` would build: the context is
+    /// unchanged (cleared when it changes) and so are its kind, `have`
+    /// and zone. A fleet's aggregator hands back the value its clients
+    /// share ([`Bootloader::share_renewal_request`]).
+    pub(crate) batch_request: Option<Arc<DrvRequest>>,
     /// A server refused the `FETCH` frame itself: every request of this
     /// bootloader goes out as a `REQUEST`, and a file it is offered is
     /// fetched with a `FILE_REQUEST`.
@@ -154,11 +166,13 @@ pub(crate) enum RenewRef {
 }
 
 impl BootState {
-    /// A full request whose context digest is `token` drew an offer: the
-    /// server keeps it for this host.
-    pub(crate) fn offered(&mut self, token: u64) {
+    /// A full request whose context digest is `token`, built from the
+    /// current context in `zone`, drew an offer: the server keeps it for
+    /// this host.
+    pub(crate) fn offered(&mut self, token: u64, zone: Option<String>) {
         if self.renew_ref != RenewRef::Refused {
             self.renew_ref = RenewRef::Token(token);
+            self.token_zone = Some(zone);
         }
     }
 
@@ -439,7 +453,17 @@ impl Bootloader {
     }
 
     fn remember(&self, url: &DbUrl, props: &ConnectProps) {
-        self.state.lock().context = Some((url.clone(), props.clone()));
+        let mut st = self.state.lock();
+        if st
+            .context
+            .as_ref()
+            .is_some_and(|(u, p)| u == url && p == props)
+        {
+            return;
+        }
+        st.context = Some((url.clone(), props.clone()));
+        st.token_zone = None;
+        st.batch_request = None;
     }
 
     /// The connection context; `None` before the first `connect`.
@@ -577,24 +601,29 @@ impl Bootloader {
         url: &DbUrl,
         frame: Bytes,
     ) -> DkResult<Result<(Addr, DrvMsg), Vec<NetError>>> {
-        let preferred: Vec<Addr> = {
-            let st = self.state.lock();
-            st.server.iter().cloned().collect()
+        let mut errs = Vec::new();
+        let mut attempt = |server: Addr| match self.net.request(&self.local, &server, frame.clone())
+        {
+            Ok(raw) => DrvMsg::decode(raw)
+                .map(|reply| Some((server, reply)))
+                .map_err(DkError::Drv),
+            Err(e) => {
+                errs.push(e);
+                Ok(None)
+            }
         };
-        let mut candidates = preferred;
-        for s in self.candidate_servers(url)? {
-            if !candidates.contains(&s) {
-                candidates.push(s);
+        // The server that answered last first, before the list is built.
+        let preferred = self.state.lock().server.clone();
+        if let Some(server) = preferred.clone() {
+            if let Some(answered) = attempt(server)? {
+                return Ok(Ok(answered));
             }
         }
-        let mut errs = Vec::new();
-        for server in candidates {
-            match self.net.request(&self.local, &server, frame.clone()) {
-                Ok(raw) => {
-                    let reply = DrvMsg::decode(raw).map_err(DkError::Drv)?;
-                    return Ok(Ok((server, reply)));
+        for server in self.candidate_servers(url)? {
+            if preferred.as_ref() != Some(&server) {
+                if let Some(answered) = attempt(server)? {
+                    return Ok(Ok(answered));
                 }
-                Err(e) => errs.push(e),
             }
         }
         Ok(Err(errs))
@@ -617,10 +646,10 @@ impl Bootloader {
         // bootstrap was driven directly rather than through `connect`.
         self.remember(url, props);
         let req = self.build_request(RequestKind::Bootstrap, url, props);
-        let token = req.context_digest();
+        let (token, zone) = (req.context_digest(), req.zone.clone());
         let (server, reply) = self.ask(url, req)?;
         let (offer, file) = offered(reply, "bootstrap")?;
-        self.state.lock().offered(token);
+        self.state.lock().offered(token, zone);
         let ns_id = self.install_offer(&server, &offer, file)?;
         self.registry.activate(ns_id)?;
         {
@@ -758,7 +787,7 @@ fn offered(reply: DrvMsg, what: &str) -> DkResult<(DrvOffer, Option<Bytes>)> {
     }
 }
 
-fn no_context() -> DkError {
+pub(crate) fn no_context() -> DkError {
     DkError::Closed("no connection context".into())
 }
 

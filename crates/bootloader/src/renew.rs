@@ -15,7 +15,7 @@ use drivolution_core::proto::{
 };
 use drivolution_core::{DriverVersion, DrvNotice, LeaseState};
 
-use crate::bootloader::{push_sample, Bootloader, PollOutcome, RenewRef};
+use crate::bootloader::{no_context, push_sample, Bootloader, PollOutcome, RenewRef};
 
 /// Retry backoff after a failed renewal ("the bootloader keeps its
 /// current implementation", §4.1.3 — but keeps trying).
@@ -170,29 +170,35 @@ impl Bootloader {
     }
 
     /// The renewal this bootloader owes right now — the one trigger the
-    /// poll path and the batch interface share: `None` when no driver is
-    /// active, or the lease is still valid and neither a pushed notice
-    /// nor a failed renewal forced one. Counts as a renewal attempt. The
-    /// request is built from the connection context in place, under the
-    /// state lock.
-    fn due_renewal(&self) -> Option<(Namespace, DrvRequest)> {
+    /// poll path and the batch interface share: the active namespace, or
+    /// `None` when no driver is active, no connection context names the
+    /// server, or the lease is still valid and neither a pushed notice
+    /// nor a failed renewal forced one. Counts as a renewal attempt.
+    fn due_renewal(&self) -> Option<Namespace> {
         let force_renew = self.drain_notices();
         let ns = self.registry.active()?;
         if !force_renew && ns.lease.state(self.clock.now_ms()) == LeaseState::Valid {
             return None;
         }
+        let mut st = self.state.lock();
+        st.context.as_ref()?;
+        push_sample(&mut st.renewal_times, self.clock.now_ms());
+        Some(ns)
+    }
+
+    /// The request renewing `ns`, built from the connection context in
+    /// place, under the state lock.
+    fn renewal_request(&self, ns: &Namespace) -> DkResult<DrvRequest> {
         let kind = RequestKind::Renewal {
             current: ns.driver_id,
         };
-        let mut st = self.state.lock();
-        let (url, props) = st.context.as_ref()?;
-        let req = self.build_request(kind, url, props);
-        push_sample(&mut st.renewal_times, self.clock.now_ms());
-        Some((ns, req))
+        let st = self.state.lock();
+        let (url, props) = st.context.as_ref().ok_or_else(no_context)?;
+        Ok(self.build_request(kind, url, props))
     }
 
     fn maintenance(self: &Arc<Self>) -> PollOutcome {
-        let Some((ns, req)) = self.due_renewal() else {
+        let Some(ns) = self.due_renewal() else {
             return PollOutcome::Idle;
         };
         let url = self
@@ -204,7 +210,7 @@ impl Bootloader {
         let Some(url) = url else {
             return PollOutcome::Idle;
         };
-        match self.renew(&url, &ns, req) {
+        match self.renew(&url, &ns) {
             Ok((server, DrvMsg::Offer(offer))) => self.apply_lone_offer(&ns, &server, &offer, None),
             Ok((server, DrvMsg::OfferFile { offer, payload })) => {
                 self.apply_lone_offer(&ns, &server, &offer, Some(payload))
@@ -221,14 +227,34 @@ impl Bootloader {
         }
     }
 
-    /// One renewal exchange for `req`: a `RENEW_REF` when `req` is the
-    /// request the server last granted this client, else the full
-    /// request ([`ask`](Self::ask)). A server that keeps no such request
-    /// makes the client forget its token, and one that refuses the frame
-    /// makes it stop sending references; either way the full request
-    /// goes out in the same attempt.
-    fn renew(&self, url: &DbUrl, ns: &Namespace, req: DrvRequest) -> DkResult<(Addr, DrvMsg)> {
-        let token = req.context_digest();
+    /// One renewal exchange for `ns`: a `RENEW_REF` when the request it
+    /// would send is the one the server last granted this client, else
+    /// the full request ([`ask`](Self::ask)). A token that is current
+    /// (`BootState::token_zone`) goes out without the request being
+    /// built. A server that keeps no such request makes the client forget
+    /// its token, and one that refuses the frame makes it stop sending
+    /// references; either way the full request goes out in the same
+    /// attempt.
+    fn renew(&self, url: &DbUrl, ns: &Namespace) -> DkResult<(Addr, DrvMsg)> {
+        let zone = self.zone();
+        let current = {
+            let st = self.state.lock();
+            match st.renew_ref {
+                RenewRef::Token(token)
+                    if st.token_zone.as_ref() == Some(&zone) && self.config.depot.is_none() =>
+                {
+                    Some(token)
+                }
+                _ => None,
+            }
+        };
+        let (token, req) = match current {
+            Some(token) => (token, None),
+            None => {
+                let req = self.renewal_request(ns)?;
+                (req.context_digest(), Some(req))
+            }
+        };
         if self.state.lock().renew_ref == RenewRef::Token(token) {
             let current = ns.driver_id;
             let frame = DrvMsg::RenewRef { current, token }.encode();
@@ -245,9 +271,14 @@ impl Bootloader {
             };
             self.state.lock().renew_ref = fallback;
         }
+        let req = match req {
+            Some(req) => req,
+            None => self.renewal_request(ns)?,
+        };
+        let zone = req.zone.clone();
         let answered = self.ask(url, req)?;
         if let (_, DrvMsg::Offer(_) | DrvMsg::OfferFile { .. }) = answered {
-            self.state.lock().offered(token);
+            self.state.lock().offered(token, zone);
         }
         Ok(answered)
     }
@@ -363,8 +394,42 @@ impl Bootloader {
     /// carries this bootloader's host so the server attributes the
     /// license seat to the client, not the aggregator.
     pub fn batch_renewal_entry(self: &Arc<Self>) -> Option<(String, Arc<DrvRequest>)> {
-        let (_ns, req) = self.due_renewal()?;
-        Some((self.local.host().to_string(), Arc::new(req)))
+        let req = self.batch_request(&self.due_renewal()?).ok()?;
+        Some((self.local.host().to_string(), req))
+    }
+
+    /// The request renewing `ns` in a batch: the last one while it is
+    /// still the one [`renewal_request`](Self::renewal_request) would
+    /// build, else a new one, kept.
+    fn batch_request(&self, ns: &Namespace) -> DkResult<Arc<DrvRequest>> {
+        let kind = RequestKind::Renewal {
+            current: ns.driver_id,
+        };
+        let mut st = self.state.lock();
+        let (url, props) = st.context.as_ref().ok_or_else(no_context)?;
+        if let Some(kept) = &st.batch_request {
+            let depot = self.config.depot.as_ref();
+            if kept.kind == kind
+                && kept.have == depot.and_then(|d| d.have_summary(url.database()))
+                && kept.zone == self.zone()
+            {
+                return Ok(Arc::clone(kept));
+            }
+        }
+        let req = Arc::new(self.build_request(kind, url, props));
+        st.batch_request = Some(Arc::clone(&req));
+        Ok(req)
+    }
+
+    /// Keeps `req`, the value a fleet's aggregator shares among clients
+    /// whose batched renewal requests are equal, in place of this
+    /// client's own equal one, so the fleet holds one copy.
+    pub fn share_renewal_request(&self, req: &Arc<DrvRequest>) {
+        let mut st = self.state.lock();
+        let equal = |kept: &Arc<DrvRequest>| !Arc::ptr_eq(kept, req) && **kept == **req;
+        if st.batch_request.as_ref().is_some_and(equal) {
+            st.batch_request = Some(Arc::clone(req));
+        }
     }
 
     /// Applies one reply from an `OFFER_BATCH` to this bootloader,

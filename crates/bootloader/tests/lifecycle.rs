@@ -617,15 +617,29 @@ fn server_enforced_options_reach_the_driver() {
     );
 }
 
+/// The binding's one lease row, and the instant of its latest grant.
 #[test]
 fn lease_is_logged_server_side() {
     let r = rig(ServerConfig::default());
+    let granted_at = || {
+        let mut s = r.db.admin_session();
+        let rows =
+            r.db.exec(&mut s, "SELECT granted_at FROM information_schema.leases")
+                .unwrap()
+                .rows()
+                .unwrap()
+                .rows;
+        assert_eq!(rows.len(), 1, "one row per binding");
+        rows[0][0].as_i64().unwrap()
+    };
     let b = boot(&r);
     let _conn = b.connect(&r.url, &props()).unwrap();
     assert_eq!(r.srv.store().lease_count().unwrap(), 1);
+    let first = granted_at();
     r.net.clock().advance_ms(LEASE_MS);
     assert_eq!(b.poll(), PollOutcome::Renewed);
-    assert_eq!(r.srv.store().lease_count().unwrap(), 2);
+    assert_eq!(r.srv.store().lease_count().unwrap(), 1);
+    assert_eq!(granted_at(), first + LEASE_MS as i64);
 }
 
 #[test]

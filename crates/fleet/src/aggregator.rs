@@ -174,7 +174,9 @@ impl RenewalAggregator {
         let mut requests = Vec::new();
         for client in self.due_clients() {
             if let Some((host, req)) = client.batch_renewal_entry() {
-                entries.push((host, shared(&mut requests, req)));
+                let req = shared(&mut requests, req);
+                client.share_renewal_request(&req);
+                entries.push((host, req));
                 contributors.push(client);
             }
         }
@@ -245,7 +247,7 @@ impl RenewalAggregator {
 /// distinct ones in `recent` (newest last), which `value` joins when it
 /// is new.
 fn shared<T: PartialEq>(recent: &mut Vec<Arc<T>>, value: Arc<T>) -> Arc<T> {
-    if let Some(same) = recent.iter().rev().find(|r| **r == value) {
+    if let Some(same) = (recent.iter().rev()).find(|r| Arc::ptr_eq(r, &value) || **r == value) {
         return Arc::clone(same);
     }
     if recent.len() >= RECENT {

@@ -14,7 +14,7 @@ use crate::exec::expr::{Bind, Params};
 use crate::schema::{Column, TableSchema};
 use crate::sql::ast::{Expr, SelectItem, Statement};
 use crate::sql::parser::parse;
-use crate::storage::{Catalog, UndoRecord};
+use crate::storage::{Catalog, FoldState, UndoRecord};
 use crate::value::{DataType, Value};
 
 /// A client session: identity, temporary tables, and transaction state.
@@ -56,7 +56,7 @@ struct DbInner {
     auth: AuthStore,
     /// Parse cache: statement text → parsed AST. Parsing is pure (params
     /// bind at execution), so entries never go stale.
-    stmts: std::collections::HashMap<String, std::sync::Arc<Statement>>,
+    stmts: std::collections::HashMap<String, std::sync::Arc<Statement>, FoldState>,
 }
 
 /// Upper bound on cached parsed statements. Only texts that can recur
@@ -170,7 +170,7 @@ impl MiniDb {
             inner: Mutex::new(DbInner {
                 catalog: Catalog::new(),
                 auth: AuthStore::new("admin", "admin"),
-                stmts: std::collections::HashMap::new(),
+                stmts: std::collections::HashMap::default(),
             }),
         }
     }

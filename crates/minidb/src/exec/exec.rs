@@ -6,7 +6,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::expr::{is_aggregate, Bind, EvalCtx};
 use crate::schema::{Column, TableSchema};
 use crate::sql::ast::{BinOp, ColumnDef, Expr, SelectItem, SelectStmt, Statement};
-use crate::storage::{Catalog, RowId, Table, UndoRecord};
+use crate::storage::{key_part, probe_hash, Catalog, RowId, Table, UndoRecord};
 use crate::value::Value;
 
 /// A result set: named columns and rows.
@@ -74,7 +74,7 @@ impl QueryResult {
     }
 }
 
-fn build_schema(name: &str, defs: &[ColumnDef]) -> DbResult<TableSchema> {
+fn build_schema(name: &str, defs: &[ColumnDef], key: &[String]) -> DbResult<TableSchema> {
     let mut cols = Vec::with_capacity(defs.len());
     for d in defs {
         let mut c = Column::new(d.name.clone(), d.dtype);
@@ -88,7 +88,12 @@ fn build_schema(name: &str, defs: &[ColumnDef]) -> DbResult<TableSchema> {
         }
         cols.push(c);
     }
-    TableSchema::new(name, cols)
+    let schema = TableSchema::new(name, cols)?;
+    if key.is_empty() {
+        Ok(schema)
+    } else {
+        schema.with_key(key)
+    }
 }
 
 /// Where a statement's target table lives.
@@ -164,47 +169,80 @@ fn total(e: &Expr, schema: &TableSchema, params: &dyn Bind) -> bool {
     }
 }
 
-/// The one primary-key value `filter` can be TRUE for, when its shape
-/// says so: `pk = <literal | $param>` (either operand order), alone or
-/// as a conjunct of `AND`s. On every row with a different key such a
-/// filter evaluates to FALSE without raising an error, so skipping those
-/// rows cannot change what the statement returns or which error it
-/// raises. That needs the comparison itself to be decided — a NULL probe,
-/// an unbound parameter or a probe outside the key's type family pins
-/// nothing (`id = 'x'` is NULL, not FALSE, on every row) — and whatever
-/// `AND` evaluates before it to be [`total`]. The probe comes back
-/// coerced to the key column's type.
-fn pinned_key(filter: &Expr, schema: &TableSchema, pk: usize, params: &dyn Bind) -> Option<Value> {
-    let Expr::Binary { op, lhs, rhs } = filter else {
+/// The key slot and probe hash of `e` when it is `k = <literal |
+/// $param>` (either operand order) for a key column `k` and a decided
+/// comparison: a NULL probe, an unbound parameter or a probe outside the
+/// column's type family pins nothing (`id = 'x'` is NULL, not FALSE, on
+/// every row). The probe is hashed as coerced to the column's type.
+fn pin(e: &Expr, schema: &TableSchema, params: &dyn Bind) -> Option<(usize, u64)> {
+    let Expr::Binary {
+        op: BinOp::Eq,
+        lhs,
+        rhs,
+    } = e
+    else {
         return None;
     };
-    match op {
-        BinOp::Eq => {
-            let is_key =
-                |e: &Expr| matches!(e, Expr::Column(c) if column_index(schema, c) == Some(pk));
-            let probe = match (is_key(lhs), is_key(rhs)) {
-                (true, false) => rhs,
-                (false, true) => lhs,
-                _ => return None,
-            };
-            let probe = match &**probe {
-                Expr::Literal(v) => v,
-                Expr::Param(p) => params.bound(p)?,
-                _ => return None,
-            };
-            let dtype = schema.columns().get(pk)?.dtype();
-            probe
-                .clone()
-                .coerce_to(dtype)
-                .ok()
-                .filter(|key| !key.is_null())
+    let slot = |e: &Expr| match e {
+        Expr::Column(c) => {
+            let pos = column_index(schema, c)?;
+            let slot = schema.key().iter().position(|&k| k == pos)?;
+            Some((slot, schema.columns().get(pos)?.dtype()))
         }
-        // The cheap question first: most filters pin nothing, and then
-        // nobody needs to know whether `lhs` can fail.
-        BinOp::And => pinned_key(lhs, schema, pk, params)
-            .or_else(|| pinned_key(rhs, schema, pk, params).filter(|_| total(lhs, schema, params))),
         _ => None,
+    };
+    let ((slot, dtype), probe) = match (slot(lhs), slot(rhs)) {
+        (Some(slot), None) => (slot, rhs),
+        (None, Some(slot)) => (slot, lhs),
+        _ => return None,
+    };
+    let probe = match &**probe {
+        Expr::Literal(v) => v,
+        Expr::Param(p) => params.bound(p)?,
+        _ => return None,
+    };
+    Some((slot, probe_hash(probe, dtype)?))
+}
+
+/// Walks the `AND` chain of `e` in evaluation order, adding each key
+/// slot a conjunct pins ([`pin`]) to `pins.0` and its [`key_part`] to
+/// `pins.1`, the first pin of a slot only; `false` once no later conjunct
+/// can pin more: every key column is pinned, or a conjunct that is not
+/// [`total`] may raise an error before any later one is reached.
+fn walk_pins(e: &Expr, schema: &TableSchema, params: &dyn Bind, pins: &mut (u64, u64)) -> bool {
+    if let Expr::Binary {
+        op: BinOp::And,
+        lhs,
+        rhs,
+    } = e
+    {
+        return walk_pins(lhs, schema, params, pins) && walk_pins(rhs, schema, params, pins);
     }
+    let width = schema.key().len();
+    let Some((slot, h)) = pin(e, schema, params) else {
+        return total(e, schema, params);
+    };
+    if pins.0 & 1 << slot == 0 {
+        pins.0 |= 1 << slot;
+        pins.1 = pins.1.wrapping_add(key_part(width, slot, h));
+    }
+    (pins.0.count_ones() as usize) < width
+}
+
+/// The index hash of the one key `filter` can be TRUE for, when its shape
+/// says so: every key column pinned ([`pin`]) by a conjunct of its `AND`
+/// chain that only [`total`] conjuncts precede. On every row with a
+/// different key one of those conjuncts is FALSE, the `AND`s before it
+/// raise no error and `AND` stops at FALSE, so skipping those rows cannot
+/// change what the statement returns or which error it raises.
+fn pinned_key(filter: &Expr, schema: &TableSchema, params: &dyn Bind) -> Option<u64> {
+    let width = schema.key().len();
+    if width == 0 {
+        return None;
+    }
+    let mut pins = (0, 0);
+    walk_pins(filter, schema, params, &mut pins);
+    (pins.0.count_ones() as usize == width).then_some(pins.1)
 }
 
 /// The one access path of SELECT, UPDATE and DELETE: calls `hit` on each
@@ -222,10 +260,8 @@ fn for_each_match<'a>(
     mut hit: impl FnMut(RowId, &'a Vec<Value>) -> DbResult<()>,
 ) -> DbResult<()> {
     let schema = t.schema();
-    let key = filter
-        .zip(schema.primary_key_index())
-        .and_then(|(f, pk)| pinned_key(f, schema, pk, params));
-    for (id, row) in t.candidates(key.as_ref()) {
+    let key = filter.and_then(|f| pinned_key(f, schema, params));
+    for (id, row) in t.candidates(key) {
         let keep = match filter {
             Some(f) => EvalCtx::for_row(schema, row, params, now_ms).eval_bool(f)? == Some(true),
             None => true,
@@ -258,9 +294,10 @@ pub fn execute_statement(
         Statement::CreateTable {
             name,
             columns,
+            key,
             temporary,
         } => {
-            let schema = build_schema(name, columns)?;
+            let schema = build_schema(name, columns, key)?;
             if *temporary {
                 temp.create_table(schema)?;
             } else {
@@ -275,12 +312,14 @@ pub fn execute_statement(
             table,
             columns,
             rows,
+            or_replace,
         } => exec_insert(
             catalog,
             temp,
             table,
             columns.as_deref(),
             rows,
+            *or_replace,
             params,
             now_ms,
             undo,
@@ -318,6 +357,7 @@ fn exec_insert(
     table: &str,
     columns: Option<&[String]>,
     rows: &[Vec<Expr>],
+    or_replace: bool,
     params: &dyn Bind,
     now_ms: i64,
     undo: &mut Option<Vec<UndoRecord>>,
@@ -350,10 +390,21 @@ fn exec_insert(
     }
     // Foreign-key checks only apply to main-catalog tables.
     if matches!(target, Target::Main) {
+        // A row that takes a replacing row's values must not orphan a
+        // value another table references.
+        let replaces = or_replace && catalog.is_referenced(table);
         for row in &built {
             for (col, value) in schema.columns().iter().zip(row) {
                 if let Some((rt, rc)) = col.references_target() {
                     catalog.check_reference(rt, rc, value)?;
+                }
+            }
+            let Some(held) = t.holder(row).filter(|_| replaces) else {
+                continue;
+            };
+            for ((col, old), new) in schema.columns().iter().zip(held).zip(row) {
+                if old.sql_eq(new) != Some(true) {
+                    catalog.check_no_referents(table, col.name(), old)?;
                 }
             }
         }
@@ -361,11 +412,16 @@ fn exec_insert(
     let n = built.len() as u64;
     let (t, mut log) = resolve_mut(target, catalog, temp, table, undo)?;
     for row in built {
-        let id = t.insert(row)?;
+        let (id, old) = if or_replace {
+            t.upsert(row, log.is_some())?
+        } else {
+            (t.insert(row)?, None)
+        };
         if let Some(log) = log.as_deref_mut() {
-            log.push(UndoRecord::Inserted {
-                table: table.to_string(),
-                id,
+            let table = table.to_string();
+            log.push(match old {
+                Some(old) => UndoRecord::Updated { table, id, old },
+                None => UndoRecord::Inserted { table, id },
             });
         }
     }
@@ -1090,6 +1146,57 @@ mod tests {
             c.apply_undo(rec);
         }
         assert_eq!(c.table("drivers").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn insert_or_replace_writes_over_the_row_holding_the_key() {
+        let (mut c, mut t) = setup();
+        let p = Params::new();
+        let select = |c: &mut Catalog, t: &mut Catalog, sql: &str| {
+            run(c, t, sql, &p).unwrap().rows().unwrap().rows
+        };
+        let all = "SELECT driver_id, api_name, version_major FROM drivers";
+        let before = select(&mut c, &mut t, all);
+        // Driver 2's row takes the new values in its place; driver 4 is new.
+        let stmt = parse(
+            "INSERT OR REPLACE INTO drivers VALUES \
+             (2, 'ODBC', NULL, 5), (4, 'JDBC', NULL, 1)",
+        )
+        .unwrap();
+        let mut undo = Some(Vec::new());
+        let n = execute_statement(&mut c, &mut t, &stmt, &p, 0, &mut undo).unwrap();
+        assert_eq!(n.affected().unwrap(), 2);
+        let row = |id: i64, api: &str, major: i64| {
+            vec![Value::Integer(id), Value::str(api), Value::Integer(major)]
+        };
+        assert_eq!(
+            select(&mut c, &mut t, all),
+            [row(1, "JDBC", 3), row(2, "ODBC", 5), row(3, "ODBC", 3), row(4, "JDBC", 1)]
+        );
+        let examined = c.rows_examined();
+        let hit = select(&mut c, &mut t, "SELECT api_name FROM drivers WHERE driver_id = 2");
+        assert_eq!(hit, [[Value::str("ODBC")]]);
+        assert_eq!(c.rows_examined() - examined, 1, "the row kept its index entry");
+        // The undo log puts the old row back and takes the new one out.
+        for rec in undo.unwrap().into_iter().rev() {
+            c.apply_undo(rec);
+        }
+        assert_eq!(select(&mut c, &mut t, all), before);
+        // A value another table references is not written over.
+        run(
+            &mut c,
+            &mut t,
+            "CREATE TABLE apis (api VARCHAR REFERENCES drivers(api_name))",
+            &p,
+        )
+        .unwrap();
+        run(&mut c, &mut t, "INSERT INTO apis VALUES ('ODBC')", &p).unwrap();
+        let orphaning = "INSERT OR REPLACE INTO drivers VALUES (3, 'JDBC', NULL, 3)";
+        assert!(matches!(
+            run(&mut c, &mut t, orphaning, &p),
+            Err(DbError::ForeignKey(_))
+        ));
+        assert_eq!(select(&mut c, &mut t, all), before);
     }
 
     #[test]

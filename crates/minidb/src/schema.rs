@@ -34,7 +34,8 @@ impl Column {
         self
     }
 
-    /// Marks the column PRIMARY KEY (implies NOT NULL).
+    /// Marks the column PRIMARY KEY (implies NOT NULL): the table's key
+    /// is this column alone.
     pub fn primary_key(mut self) -> Self {
         self.primary_key = true;
         self.not_null = true;
@@ -62,7 +63,7 @@ impl Column {
         self.not_null
     }
 
-    /// Whether the column is the primary key.
+    /// Whether the column is the primary key or one of its columns.
     pub fn is_primary_key(&self) -> bool {
         self.primary_key
     }
@@ -75,11 +76,18 @@ impl Column {
     }
 }
 
+/// The most columns a primary key may span: a filter's pinned key
+/// columns are one bit each of a `u64`.
+const MAX_KEY_COLUMNS: usize = 64;
+
 /// A table schema: ordered named columns plus constraints.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableSchema {
     name: String,
     columns: Vec<Column>,
+    /// Positions of the primary-key columns, in key order (empty: no
+    /// key). Kept here so no statement rebuilds the list.
+    key: Vec<usize>,
 }
 
 impl TableSchema {
@@ -92,7 +100,6 @@ impl TableSchema {
     pub fn new(name: impl Into<String>, columns: Vec<Column>) -> DbResult<Self> {
         let name = name.into();
         let mut seen = std::collections::HashSet::new();
-        let mut pk = 0;
         for c in &columns {
             if !seen.insert(c.name.to_ascii_lowercase()) {
                 return Err(DbError::Constraint(format!(
@@ -100,16 +107,56 @@ impl TableSchema {
                     c.name, name
                 )));
             }
-            if c.primary_key {
-                pk += 1;
-            }
         }
-        if pk > 1 {
+        let key: Vec<usize> = (columns.iter().enumerate())
+            .filter_map(|(i, c)| c.primary_key.then_some(i))
+            .collect();
+        if key.len() > 1 {
             return Err(DbError::Constraint(format!(
-                "table {name} declares {pk} primary keys"
+                "table {name} declares {} primary keys",
+                key.len()
             )));
         }
-        Ok(TableSchema { name, columns })
+        Ok(TableSchema { name, columns, key })
+    }
+
+    /// Declares the primary key as a table constraint, `PRIMARY KEY (a,
+    /// b, …)`: the named columns, in that order, become NOT NULL and
+    /// together unique.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::NoSuchColumn`] for an unknown column;
+    /// [`DbError::Constraint`] for a column named twice, a table that
+    /// already has a key, or a list that is empty or longer than 64.
+    pub fn with_key<S: AsRef<str>>(mut self, names: &[S]) -> DbResult<Self> {
+        let mut key = Vec::with_capacity(names.len());
+        for name in names {
+            let i = self.col_index(name.as_ref())?;
+            if key.contains(&i) {
+                return Err(DbError::Constraint(format!(
+                    "key column {}.{} named twice",
+                    self.name,
+                    name.as_ref()
+                )));
+            }
+            key.push(i);
+        }
+        if !self.key.is_empty() || key.is_empty() || key.len() > MAX_KEY_COLUMNS {
+            return Err(DbError::Constraint(format!(
+                "table {} cannot take a key of {} columns",
+                self.name,
+                key.len()
+            )));
+        }
+        for &i in &key {
+            if let Some(c) = self.columns.get_mut(i) {
+                c.primary_key = true;
+                c.not_null = true;
+            }
+        }
+        self.key = key;
+        Ok(self)
     }
 
     /// Table name (may be dotted, e.g. `information_schema.drivers`).
@@ -134,9 +181,10 @@ impl TableSchema {
             .ok_or_else(|| DbError::NoSuchColumn(format!("{}.{}", self.name, name)))
     }
 
-    /// Index of the primary-key column, if declared.
-    pub fn primary_key_index(&self) -> Option<usize> {
-        self.columns.iter().position(|c| c.primary_key)
+    /// Positions of the primary-key columns, in key order; empty when the
+    /// table has no key.
+    pub fn key(&self) -> &[usize] {
+        &self.key
     }
 
     /// Validates and coerces a full row to this schema.
@@ -154,17 +202,17 @@ impl TableSchema {
                 row.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (v, c) in row.into_iter().zip(&self.columns) {
+        let mut row = row;
+        for (v, c) in row.iter_mut().zip(&self.columns) {
             if v.is_null() && c.not_null {
                 return Err(DbError::Constraint(format!(
                     "column {}.{} is NOT NULL",
                     self.name, c.name
                 )));
             }
-            out.push(v.coerce_to(c.dtype)?);
+            *v = std::mem::replace(v, Value::Null).coerce_to(c.dtype)?;
         }
-        Ok(out)
+        Ok(row)
     }
 }
 
@@ -176,11 +224,21 @@ impl fmt::Display for TableSchema {
                 f.write_str(", ")?;
             }
             write!(f, "{} {}", c.name, c.dtype)?;
-            if c.primary_key {
+            if c.primary_key && self.key.len() == 1 {
                 f.write_str(" PRIMARY KEY")?;
             } else if c.not_null {
                 f.write_str(" NOT NULL")?;
             }
+        }
+        if self.key.len() > 1 {
+            f.write_str(", PRIMARY KEY (")?;
+            for (i, &pos) in self.key.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(", ")?;
+                }
+                f.write_str(self.columns.get(pos).map_or("?", |c| &c.name))?;
+            }
+            f.write_str(")")?;
         }
         f.write_str(")")
     }
@@ -231,6 +289,38 @@ mod tests {
             ],
         );
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn a_key_constraint_spans_columns_and_is_the_only_key() {
+        let cols = || {
+            vec![
+                Column::new("user", DataType::Varchar),
+                Column::new("host", DataType::Varchar),
+                Column::new("at", DataType::Timestamp),
+            ]
+        };
+        let s = TableSchema::new("leases", cols())
+            .unwrap()
+            .with_key(&["HOST", "user"])
+            .unwrap();
+        assert_eq!(s.key(), &[1, 0]);
+        assert!(s.columns()[0].is_not_null() && s.columns()[1].is_primary_key());
+        assert!(!s.columns()[2].is_primary_key());
+        assert_eq!(
+            s.to_string(),
+            "leases(user VARCHAR NOT NULL, host VARCHAR NOT NULL, at TIMESTAMP, \
+             PRIMARY KEY (host, user))"
+        );
+        let keyed = || TableSchema::new("t", cols()).unwrap();
+        assert!(keyed().with_key(&["user", "user"]).is_err());
+        assert!(keyed().with_key(&["nope"]).is_err());
+        assert!(keyed().with_key::<&str>(&[]).is_err());
+        assert!(s.with_key(&["at"]).is_err());
+        let mut marked = cols();
+        marked[2] = marked[2].clone().primary_key();
+        let marked = TableSchema::new("t", marked).unwrap();
+        assert!(marked.with_key(&["user"]).is_err());
     }
 
     #[test]

@@ -147,10 +147,13 @@ pub enum Statement {
         name: String,
         /// Column definitions.
         columns: Vec<ColumnDef>,
+        /// The columns of a `PRIMARY KEY (a, b, …)` table constraint, in
+        /// key order; empty without one.
+        key: Vec<String>,
         /// `true` for session-scoped temporary tables.
         temporary: bool,
     },
-    /// `INSERT INTO t [(cols)] VALUES (…), (…)`
+    /// `INSERT [OR REPLACE] INTO t [(cols)] VALUES (…), (…)`
     Insert {
         /// Target table.
         table: String,
@@ -158,6 +161,9 @@ pub enum Statement {
         columns: Option<Vec<String>>,
         /// Row value expressions.
         rows: Vec<Vec<Expr>>,
+        /// `INSERT OR REPLACE`: a row whose key a stored row holds already
+        /// gives that row its other columns instead of being inserted.
+        or_replace: bool,
     },
     /// `SELECT …`
     Select(SelectStmt),

@@ -181,7 +181,23 @@ impl<'a> Parser<'a> {
         let name = self.dotted_ident()?;
         self.expect_tok(&Token::LParen)?;
         let mut columns = Vec::new();
+        let mut key = Vec::new();
         loop {
+            if key.is_empty() && self.eat_kw("PRIMARY") {
+                self.expect_kw("KEY")?;
+                self.expect_tok(&Token::LParen)?;
+                loop {
+                    key.push(self.ident()?);
+                    if !self.eat_tok(&Token::Comma) {
+                        break;
+                    }
+                }
+                self.expect_tok(&Token::RParen)?;
+                if !self.eat_tok(&Token::Comma) {
+                    break;
+                }
+                continue;
+            }
             let col_name = self.ident()?;
             let dtype = DataType::parse(self.name()?)?;
             let mut def = ColumnDef {
@@ -217,11 +233,16 @@ impl<'a> Parser<'a> {
         Ok(Statement::CreateTable {
             name,
             columns,
+            key,
             temporary,
         })
     }
 
     fn parse_insert(&mut self) -> DbResult<Statement> {
+        let or_replace = self.eat_kw("OR");
+        if or_replace {
+            self.expect_kw("REPLACE")?;
+        }
         self.expect_kw("INTO")?;
         let table = self.dotted_ident()?;
         let columns = if self.eat_tok(&Token::LParen) {
@@ -258,6 +279,7 @@ impl<'a> Parser<'a> {
             table,
             columns,
             rows,
+            or_replace,
         })
     }
 
@@ -611,6 +633,7 @@ mod tests {
         let Statement::CreateTable {
             name,
             columns,
+            key,
             temporary,
         } = stmt
         else {
@@ -618,12 +641,39 @@ mod tests {
         };
         assert_eq!(name, "driver_permission");
         assert!(!temporary);
+        assert!(key.is_empty());
         assert_eq!(columns.len(), 3);
         assert_eq!(
             columns[1].references,
             Some(("drivers".to_string(), "driver_id".to_string()))
         );
         assert!(columns[1].not_null);
+    }
+
+    #[test]
+    fn parses_a_primary_key_table_constraint() {
+        let stmt = parse("CREATE TABLE l (u VARCHAR, PRIMARY KEY (u, h), h VARCHAR)").unwrap();
+        let Statement::CreateTable { columns, key, .. } = stmt else {
+            panic!()
+        };
+        assert_eq!(columns.len(), 2);
+        assert_eq!(key, ["u", "h"]);
+        // One constraint per table; a second reads as a column named
+        // PRIMARY, which is not an identifier.
+        assert!(parse("CREATE TABLE l (u VARCHAR, PRIMARY KEY (u), PRIMARY KEY (u))").is_err());
+        assert!(parse("CREATE TABLE l (u VARCHAR, PRIMARY KEY ())").is_err());
+    }
+
+    #[test]
+    fn parses_insert_or_replace() {
+        let replace = |sql| match parse(sql) {
+            Ok(Statement::Insert { or_replace, .. }) => Some(or_replace),
+            _ => None,
+        };
+        assert_eq!(replace("INSERT OR REPLACE INTO t VALUES (1)"), Some(true));
+        assert_eq!(replace("insert or replace into t (a) values (1)"), Some(true));
+        assert_eq!(replace("INSERT INTO t VALUES (1)"), Some(false));
+        assert_eq!(replace("INSERT OR INTO t VALUES (1)"), None);
     }
 
     #[test]

@@ -2,15 +2,52 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::error::{DbError, DbResult};
-use crate::schema::TableSchema;
-use crate::value::Value;
+use crate::schema::{Column, TableSchema};
+use crate::value::{DataType, Value};
 
 /// Opaque row identifier, unique within a table for its lifetime.
 pub type RowId = u64;
+
+/// The hasher of the key index and the parse cache: one multiply-rotate
+/// step per 8-byte word (the FxHash scheme) and no per-map seed, far
+/// cheaper than the standard SipHash on short keys and statement texts.
+/// Neither needs defending from chosen collisions: an index hit is
+/// confirmed against its row, and the parse cache is bounded.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
+            let mut word = [0; 8];
+            word.copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word.iter_mut().zip(rest).for_each(|(w, b)| *w = *b);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`FoldHasher`]s.
+pub(crate) type FoldState = BuildHasherDefault<FoldHasher>;
 
 /// Hash of a key value, equal for any two values [`Value::sql_eq`] calls
 /// equal: INTEGER / BIGINT / TIMESTAMP are one numeric family hashed by
@@ -18,7 +55,7 @@ pub type RowId = u64;
 /// has no hash. Unequal values may share a hash (a VARCHAR and a BLOB of
 /// the same bytes, or a plain collision), so every index hit is confirmed
 /// against the stored row.
-fn key_hash(v: &Value) -> Option<u64> {
+pub(crate) fn key_hash(v: &Value) -> Option<u64> {
     let bytes: &[u8] = match v {
         Value::Null => return None,
         Value::Integer(n) | Value::BigInt(n) | Value::Timestamp(n) => return Some(*n as u64),
@@ -26,27 +63,68 @@ fn key_hash(v: &Value) -> Option<u64> {
         Value::Varchar(s) => s.as_bytes(),
         Value::Blob(b) => b,
     };
-    let mut h = DefaultHasher::new();
+    let mut h = FoldHasher::default();
     bytes.hash(&mut h);
     Some(h.finish())
 }
 
+/// [`key_hash`] of `probe.coerce_to(ty)`, without building it: `None`
+/// when the probe is NULL or does not coerce to `ty`.
+pub(crate) fn probe_hash(probe: &Value, ty: DataType) -> Option<u64> {
+    let coerces = matches!(
+        (probe, ty),
+        (
+            Value::Integer(_) | Value::BigInt(_) | Value::Timestamp(_),
+            DataType::Integer | DataType::BigInt | DataType::Timestamp
+        ) | (Value::Varchar(_), DataType::Varchar)
+            | (Value::Blob(_), DataType::Blob)
+            | (Value::Boolean(_), DataType::Boolean)
+    );
+    key_hash(probe).filter(|_| coerces)
+}
+
+/// What the value hashed `h` in slot `slot` of a `width`-column key adds
+/// to the key's index hash: the index hash is the wrapping sum over the
+/// slots, so it builds in any order and allocates nothing. A one-column
+/// key hashes as its value.
+pub(crate) fn key_part(width: usize, slot: usize, h: u64) -> u64 {
+    if width == 1 {
+        return h;
+    }
+    let x =
+        (h ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^ (x >> 31)
+}
+
+/// The index hash of `row`'s key: `None` on an unkeyed table or a NULL
+/// key column.
+fn row_hash(key: &[usize], row: &[Value]) -> Option<u64> {
+    if key.is_empty() {
+        return None;
+    }
+    key.iter().enumerate().try_fold(0u64, |h, (slot, &pos)| {
+        let part = key_part(key.len(), slot, key_hash(row.get(pos)?)?);
+        Some(h.wrapping_add(part))
+    })
+}
+
 /// A heap table: schema plus rows keyed by [`RowId`], and — when the
-/// schema declares a `PRIMARY KEY` — an index from key to row that every
-/// mutation maintains.
+/// schema declares a `PRIMARY KEY` of one column or several — an index
+/// from key to row that every mutation maintains.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
     rows: BTreeMap<RowId, Vec<Value>>,
     next_row_id: RowId,
-    /// Position of the primary-key column, if declared.
-    pk: Option<usize>,
-    /// `(key_hash(row[pk]), row id)` for every row of a keyed table. A set
-    /// of pairs rather than a key → row map: it holds no second copy of a
-    /// VARCHAR / BLOB key, and two rows under one hash (a collision, or a
-    /// duplicate key resurrected by another session's rollback) coexist
-    /// and come back in row-id order, as a scan would return them.
-    index: BTreeSet<(u64, RowId)>,
+    /// `row_hash(row)` → the lowest id of the rows under that hash, for
+    /// every row of a keyed table. It holds no second copy of a VARCHAR /
+    /// BLOB key.
+    index: HashMap<u64, RowId, FoldState>,
+    /// `(hash, row id)` of every other row under an indexed hash (a
+    /// collision, or a duplicate key resurrected by another session's
+    /// rollback), so a hash's rows come back in row-id order, as a scan
+    /// would return them.
+    spill: BTreeSet<(u64, RowId)>,
     /// Rows handed out by [`Table::candidates`] or compared by a key
     /// lookup (diagnostic; see [`Table::rows_examined`]).
     examined: Cell<u64>,
@@ -59,11 +137,11 @@ impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Self {
         Table {
-            pk: schema.primary_key_index(),
             schema,
             rows: BTreeMap::new(),
             next_row_id: 1,
-            index: BTreeSet::new(),
+            index: HashMap::default(),
+            spill: BTreeSet::new(),
             examined: Cell::new(0),
             stamp: 0,
         }
@@ -112,25 +190,24 @@ impl Table {
     }
 
     /// The rows a predicate has to look at, in row-id order: with `key`
-    /// (a non-NULL value of the primary-key column's type family, on a
-    /// keyed table) only the rows the index holds under that key's hash,
-    /// otherwise every row. A superset of the rows whose key equals `key`
-    /// — the caller still evaluates its predicate on each.
-    pub fn candidates<'a>(
-        &'a self,
-        key: Option<&Value>,
-    ) -> impl Iterator<Item = (RowId, &'a Vec<Value>)> + 'a {
+    /// (the index hash of one key, on a keyed table) only the rows the
+    /// index holds under it, otherwise every row. A superset of the rows
+    /// holding that key — the caller still confirms each.
+    pub(crate) fn candidates(
+        &self,
+        key: Option<u64>,
+    ) -> impl Iterator<Item = (RowId, &Vec<Value>)> + '_ {
         // Exactly one of the two sources is present; chaining them keeps
         // this one concrete iterator type, with nothing boxed per call.
-        let pinned = key
-            .and_then(key_hash)
-            .filter(|_| self.pk.is_some())
-            .map(|h| self.index.range((h, RowId::MIN)..=(h, RowId::MAX)));
+        let pinned = key.filter(|_| !self.schema.key().is_empty()).map(|h| {
+            let first = self.index.get(&h).copied();
+            first.into_iter().chain(self.spilled(h).map(|&(_, id)| id))
+        });
         let scan = pinned.is_none().then(|| self.iter());
         let pinned = pinned
             .into_iter()
             .flatten()
-            .filter_map(|(_, id)| Some((*id, self.rows.get(id)?)));
+            .filter_map(|id| Some((id, self.rows.get(&id)?)));
         pinned
             .chain(scan.into_iter().flatten())
             .inspect(|_| self.examined.set(self.examined.get() + 1))
@@ -138,37 +215,92 @@ impl Table {
 
     /// The index entry of `row` stored under `id`, if this table is keyed.
     fn index_entry(&self, id: RowId, row: &[Value]) -> Option<(u64, RowId)> {
-        let h = key_hash(row.get(self.pk?)?)?;
-        Some((h, id))
+        Some((row_hash(self.schema.key(), row)?, id))
     }
 
     /// The one place the index changes: a row's image went from the one
     /// behind `stale` to the one behind `entry` (`None`: no such image,
     /// or an unkeyed table).
     fn reindex(&mut self, stale: Option<(u64, RowId)>, entry: Option<(u64, RowId)>) {
-        if stale != entry {
-            if let Some(stale) = stale {
-                self.index.remove(&stale);
-            }
-            self.index.extend(entry);
+        if stale == entry {
+            return;
         }
+        if let Some((h, id)) = stale {
+            if self.index.get(&h) == Some(&id) {
+                let next = self.spilled(h).next().copied();
+                match next {
+                    Some(next) => {
+                        self.spill.remove(&next);
+                        self.index.insert(h, next.1);
+                    }
+                    None => {
+                        self.index.remove(&h);
+                    }
+                }
+            } else {
+                self.spill.remove(&(h, id));
+            }
+        }
+        if let Some((h, id)) = entry {
+            match self.index.entry(h) {
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                }
+                Entry::Occupied(mut slot) => {
+                    let later = if id < *slot.get() { slot.insert(id) } else { id };
+                    self.spill.insert((h, later));
+                }
+            }
+        }
+    }
+
+    /// The spilled index entries under hash `h`, in row-id order.
+    fn spilled(&self, h: u64) -> impl Iterator<Item = &(u64, RowId)> + '_ {
+        self.spill.range((h, RowId::MIN)..=(h, RowId::MAX))
+    }
+
+    /// The rows other than `except` that hold `row`'s key, found through
+    /// the index (none on an unkeyed table or for a NULL key column).
+    fn holders<'a>(
+        &'a self,
+        row: &'a [Value],
+        except: Option<RowId>,
+    ) -> impl Iterator<Item = (RowId, &'a Vec<Value>)> + 'a {
+        let key = self.schema.key();
+        let same = |(a, b): (&Value, &Value)| a.sql_eq(b) == Some(true);
+        let hash = row_hash(key, row);
+        (hash.into_iter())
+            .flat_map(|h| self.candidates(Some(h)))
+            .filter(move |(id, held)| {
+                Some(*id) != except
+                    && key.iter().all(|&k| held.get(k).zip(row.get(k)).is_some_and(same))
+            })
+    }
+
+    /// The row that holds `row`'s key, if any.
+    pub(crate) fn holder<'a>(&'a self, row: &'a [Value]) -> Option<&'a Vec<Value>> {
+        self.holders(row, None).next().map(|(_, held)| held)
     }
 
     /// Rejects `row` if a row other than `except` already holds its key.
     fn check_unique(&self, row: &[Value], except: Option<RowId>) -> DbResult<()> {
-        let Some((pk, key)) = self.pk.and_then(|pk| Some((pk, row.get(pk)?))) else {
-            return Ok(());
-        };
-        let taken = self.candidates(Some(key)).any(|(id, r)| {
-            Some(id) != except && r.get(pk).and_then(|k| k.sql_eq(key)) == Some(true)
-        });
-        if !taken {
+        if self.holders(row, except).next().is_none() {
             return Ok(());
         }
-        let column = self.schema.columns().get(pk).map_or("?", |c| c.name());
+        let key = self.schema.key();
+        let held: Vec<String> = (key.iter())
+            .filter_map(|&k| {
+                Some(format!(
+                    "{} = {}",
+                    self.schema.columns().get(k)?.name(),
+                    row.get(k)?
+                ))
+            })
+            .collect();
         Err(DbError::DuplicateKey(format!(
-            "{}.{column} = {key}",
-            self.schema.name()
+            "{}.{}",
+            self.schema.name(),
+            held.join(", ")
         )))
     }
 
@@ -182,11 +314,51 @@ impl Table {
     pub fn insert(&mut self, row: Vec<Value>) -> DbResult<RowId> {
         let row = self.schema.validate_row(row)?;
         self.check_unique(&row, None)?;
+        Ok(self.push(row))
+    }
+
+    /// Stores a validated row whose key no row holds, under a new id.
+    fn push(&mut self, row: Vec<Value>) -> RowId {
         let id = self.next_row_id;
         self.next_row_id += 1;
         self.reindex(None, self.index_entry(id, &row));
         self.rows.insert(id, row);
-        Ok(id)
+        id
+    }
+
+    /// Validates `row` and inserts it, unless a row already holds its key:
+    /// that row then takes `row`'s other columns in place, keeping its
+    /// id, its key and with them its index entry. Returns the row's id
+    /// and, when a row took `row`'s values and `keep_old` asks for it
+    /// (an undo log), that row's previous image.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Constraint`] or [`DbError::Type`]; the table is left
+    /// untouched.
+    pub fn upsert(
+        &mut self,
+        row: Vec<Value>,
+        keep_old: bool,
+    ) -> DbResult<(RowId, Option<Vec<Value>>)> {
+        let row = self.schema.validate_row(row)?;
+        let Some(id) = self.holders(&row, None).next().map(|(id, _)| id) else {
+            return Ok((self.push(row), None));
+        };
+        let key = self.schema.key();
+        let Some(held) = self.rows.get_mut(&id) else {
+            return Err(DbError::Internal(format!(
+                "upsert into dead row {id} in {}",
+                self.schema.name()
+            )));
+        };
+        let old = keep_old.then(|| held.clone());
+        for (pos, (held, new)) in held.iter_mut().zip(row).enumerate() {
+            if !key.contains(&pos) {
+                *held = new;
+            }
+        }
+        Ok((id, old))
     }
 
     /// Re-inserts a row under a previously used id (for undo), replacing
@@ -238,7 +410,7 @@ impl Table {
     /// Returns `true` if any row has `value` in column `col` (through
     /// the index when `col` is the primary key).
     pub fn contains_value(&self, col: usize, value: &Value) -> bool {
-        let key = Some(value).filter(|_| self.pk == Some(col));
+        let key = key_hash(value).filter(|_| self.schema.key() == [col]);
         self.candidates(key)
             .any(|(_, r)| r.get(col).and_then(|v| v.sql_eq(value)) == Some(true))
     }
@@ -280,6 +452,8 @@ pub struct Catalog {
     tables: BTreeMap<String, Table>,
     /// The last write stamp handed out ([`Table::stamp`]).
     writes: u64,
+    /// The (lowercase) names of the tables a column `REFERENCES`.
+    referenced: BTreeSet<String>,
 }
 
 impl Catalog {
@@ -309,6 +483,8 @@ impl Catalog {
             return Err(DbError::TableExists(schema.name().to_string()));
         }
         self.writes += 1;
+        let targets = schema.columns().iter().filter_map(Column::references_target);
+        (self.referenced).extend(targets.map(|(rt, _)| Self::key(rt).into_owned()));
         let table = Table {
             stamp: self.writes,
             ..Table::new(schema)
@@ -403,6 +579,11 @@ impl Catalog {
                 "no row with {table}.{column} = {value}"
             )))
         }
+    }
+
+    /// Whether a column of any table `REFERENCES` a column of `table`.
+    pub fn is_referenced(&self, table: &str) -> bool {
+        self.referenced.contains(Self::key(table).as_ref())
     }
 
     /// Checks that no row in any table references `value` in
@@ -519,7 +700,7 @@ mod tests {
 
     /// Row ids the index offers for `key`.
     fn holders(t: &Table, key: &Value) -> Vec<RowId> {
-        t.candidates(Some(key)).map(|(id, _)| id).collect()
+        t.candidates(key_hash(key)).map(|(id, _)| id).collect()
     }
 
     #[test]
@@ -571,6 +752,38 @@ mod tests {
             t.insert(row(2, "again")),
             Err(DbError::DuplicateKey(_))
         ));
+    }
+
+    #[test]
+    fn rows_under_one_key_come_back_in_row_id_order() {
+        let mut t = Table::new(
+            TableSchema::new(
+                "t",
+                vec![
+                    Column::new("a", DataType::Integer).primary_key(),
+                    Column::new("b", DataType::Varchar),
+                ],
+            )
+            .unwrap(),
+        );
+        let row = |a: i64, b: &str| vec![Value::Integer(a), Value::str(b)];
+        let one = t.insert(row(1, "x")).unwrap();
+        let two = t.insert(row(2, "y")).unwrap();
+        // A rollback can put back a key another row took meanwhile: both
+        // rows hold key 2, the lower id first.
+        t.restore(one, row(2, "back"));
+        assert_eq!(holders(&t, &Value::Integer(2)), vec![one, two]);
+        assert!(holders(&t, &Value::Integer(1)).is_empty());
+        t.delete(one).unwrap();
+        assert_eq!(holders(&t, &Value::Integer(2)), vec![two]);
+        t.restore(one, row(2, "again"));
+        let three = t.push(row(2, "third"));
+        assert_eq!(holders(&t, &Value::Integer(2)), vec![one, two, three]);
+        t.update(two, row(3, "y")).unwrap();
+        assert_eq!(holders(&t, &Value::Integer(2)), vec![one, three]);
+        assert_eq!(holders(&t, &Value::Integer(3)), vec![two]);
+        t.delete(one).unwrap();
+        assert_eq!(holders(&t, &Value::Integer(2)), vec![three]);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Asked<'_> {
         }
     }
 
-    /// Who asks: Sample code 2's identity and the lease log's.
+    /// Who asks: Sample code 2's identity and the lease table's key.
     pub(crate) fn identity(&self) -> ClientIdentity {
         ClientIdentity::new(&self.req.user, self.host, &self.req.database)
     }

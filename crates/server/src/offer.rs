@@ -5,8 +5,6 @@
 
 use bytes::Bytes;
 
-use netsim::Addr;
-
 use drivolution_core::pack::{pack_driver, unpack_driver};
 use drivolution_core::proto::{ChunkPlan, DrvMsg, DrvOffer, DrvRequest, RequestKind};
 use drivolution_core::{
@@ -246,14 +244,15 @@ impl DrivolutionServer {
     }
 
     /// Answers one `DRIVOLUTION_REQUEST` or `FETCH` (or, under
-    /// [`Ship::Advertise`], one `DRIVOLUTION_DISCOVER`) for `req` asked as
+    /// [`Ship::Advertise`], one `DRIVOLUTION_DISCOVER`) from `host` for
+    /// `req` asked as
     /// `kind`, which a renewal by reference sets apart from the kept
     /// request's own: grant lookup, rollout targeting, the Table-4
-    /// renewal rule, the license seat, the lease log, the offer, and the
+    /// renewal rule, the license seat, the lease row, the offer, and the
     /// file that ships beside it under [`Ship::Inline`].
     pub(crate) fn handle_request(
         &self,
-        from: &Addr,
+        host: &str,
         req: &DrvRequest,
         kind: &RequestKind,
         ship: Ship,
@@ -261,10 +260,7 @@ impl DrivolutionServer {
         if !self.serves(&req.database) {
             return Err(DrvError::InvalidDatabase(req.database.clone()));
         }
-        let asked = Asked {
-            req,
-            host: from.host(),
-        };
+        let asked = Asked { req, host };
         let now = self.clock.now_ms();
         let grants = self.grants(&asked)?;
 
@@ -305,7 +301,7 @@ impl DrivolutionServer {
         let rollout = self
             .rollout_for(&req.database)
             .filter(|ro| ro.manages(record.id));
-        if let Some(target) = rollout.as_ref().map(|ro| ro.resolve(from.host())) {
+        if let Some(target) = rollout.as_ref().map(|ro| ro.resolve(host)) {
             if target != record.id {
                 if let Ok(rec) = self.driver_row(target) {
                     target_rec = rec;
@@ -349,7 +345,7 @@ impl DrivolutionServer {
         let lease_ms = grant::lease_ms(rule);
         if ship != Ship::Advertise {
             self.licenses
-                .acquire(record.id, &req.user, from.host(), lease_ms, now)?;
+                .acquire(record.id, &req.user, host, lease_ms, now)?;
             self.store
                 .log_lease_of(asked.who(), record.id, now as i64, lease_ms as i64)?;
         }

@@ -418,18 +418,18 @@ impl DrivolutionServer {
         }
     }
 
-    /// One request, counted: the offer `handle_request` makes for `req`
-    /// asked as `kind` (and the file it ships beside it), with the
+    /// One request from `host`, counted: the offer `handle_request` makes
+    /// for `req` asked as `kind` (and the file it ships beside it), with the
     /// request/offer/renewal accounting every caller shares.
     fn grant(
         &self,
-        from: &Addr,
+        host: &str,
         req: &DrvRequest,
         kind: &RequestKind,
         ship: Ship,
     ) -> DrvResult<(DrvOffer, Option<Bytes>)> {
         self.state.lock().stats.requests += 1;
-        let granted = self.handle_request(from, req, kind, ship)?;
+        let granted = self.handle_request(host, req, kind, ship)?;
         let st = &mut self.state.lock().stats;
         st.offers += 1;
         if granted.0.same_driver {
@@ -486,7 +486,7 @@ impl DrivolutionServer {
     /// inside the reply when the offer ships one. The envelope is sealed
     /// straight into the `OFFER_FILE` frame; nothing is staged.
     fn fetch_reply(&self, from: &Addr, req: &DrvRequest) -> DrvResult<Reply> {
-        let (offer, file) = self.grant(from, req, &req.kind, Ship::Inline)?;
+        let (offer, file) = self.grant(from.host(), req, &req.kind, Ship::Inline)?;
         self.state.lock().renew_refs.keep(from, req);
         let Some(file) = file else {
             return Ok(Reply::Msg(DrvMsg::Offer(offer)));
@@ -501,7 +501,7 @@ impl DrivolutionServer {
     fn control_reply(&self, from: &Addr, msg: &DrvMsg) -> DrvResult<DrvMsg> {
         match msg {
             DrvMsg::Request(req) => {
-                let (offer, _) = self.grant(from, req, &req.kind, Ship::Stage)?;
+                let (offer, _) = self.grant(from.host(), req, &req.kind, Ship::Stage)?;
                 self.state.lock().renew_refs.keep(from, req);
                 Ok(DrvMsg::Offer(offer))
             }
@@ -510,7 +510,7 @@ impl DrivolutionServer {
                 let kept = kept
                     .ok_or_else(|| DrvError::ResendInFull(format!("no request kept for {from}")))?;
                 let kind = RequestKind::Renewal { current: *current };
-                let (offer, _) = self.grant(from, &kept.req, &kind, Ship::Stage)?;
+                let (offer, _) = self.grant(from.host(), &kept.req, &kind, Ship::Stage)?;
                 Ok(if offer.same_driver {
                     DrvMsg::Renewed(offer.terms())
                 } else {
@@ -518,7 +518,7 @@ impl DrivolutionServer {
                 })
             }
             DrvMsg::Discover(req) => {
-                let (offer, _) = self.grant(from, req, &req.kind, Ship::Advertise)?;
+                let (offer, _) = self.grant(from.host(), req, &req.kind, Ship::Advertise)?;
                 Ok(DrvMsg::Offer(offer))
             }
             DrvMsg::RenewBatch { entries } => {
@@ -531,9 +531,8 @@ impl DrivolutionServer {
                 for (host, req) in entries {
                     // License seats belong to the originating client, not
                     // the aggregator that forwarded the frame.
-                    let origin = Addr::new(host.clone(), from.port());
                     let reply = self
-                        .grant(&origin, req, &req.kind, Ship::Stage)
+                        .grant(host, req, &req.kind, Ship::Stage)
                         .map(|(offer, _)| offer)
                         .map_err(|e| {
                             self.state.lock().stats.errors += 1;
@@ -1613,7 +1612,7 @@ mod tests {
     }
 
     /// Over an executor that reports stamps, a `RENEW_BATCH` whose tables
-    /// did not change since the last one asks nothing but the lease log:
+    /// did not change since the last one asks nothing but the lease table:
     /// 64 entries, 64 statements.
     #[test]
     fn a_second_identical_batch_runs_only_its_lease_inserts() {
@@ -1649,7 +1648,8 @@ mod tests {
         // the lease INSERT.
         assert_eq!(cold, 2 + 64 * 2);
         assert_eq!(warm, 64);
-        assert_eq!(srv.store().lease_count().unwrap(), 128);
+        // One row per host, holding its latest grant.
+        assert_eq!(srv.store().lease_count().unwrap(), 64);
     }
 
     #[test]

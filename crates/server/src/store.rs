@@ -53,15 +53,18 @@ pub const PERMISSIONS_DDL: &str = "CREATE TABLE information_schema.driver_permis
  expiration_policy INTEGER,\
  transfer_method INTEGER)";
 
-/// DDL for the lease log ("Leases can be stored in a table that has the
-/// same format as the distribution table", §4.1.1).
+/// DDL for the lease table, one row per binding ("Leases can be stored
+/// in a table that has the same format as the distribution table",
+/// §4.1.1): keyed by the (user, client_ip, database) a rule of that table
+/// names, holding the binding's latest grant.
 pub const LEASES_DDL: &str = "CREATE TABLE information_schema.leases (\
  user VARCHAR,\
  client_ip VARCHAR,\
  database VARCHAR,\
  driver_id INTEGER,\
  granted_at TIMESTAMP,\
- lease_time_in_ms BIGINT)";
+ lease_time_in_ms BIGINT,\
+ PRIMARY KEY (user, client_ip, database))";
 
 /// The paper's **Sample code 1** up to its preference clauses.
 const SAMPLE_CODE_1: &str = "SELECT * FROM information_schema.drivers \
@@ -657,8 +660,9 @@ impl DriverStore {
         rows.rows.iter().map(|r| Self::row_to_record(r)).collect()
     }
 
-    /// Logs a granted lease (§4.1.1: "used only for logging purposes, but
-    /// also to retrieve client information when a lease must be renewed").
+    /// Records a granted lease in its binding's row (§4.1.1: "used only
+    /// for logging purposes, but also to retrieve client information when
+    /// a lease must be renewed").
     ///
     /// # Errors
     ///
@@ -675,7 +679,9 @@ impl DriverStore {
     }
 
     /// [`log_lease`](Self::log_lease) for the identity's parts: user,
-    /// client host, database.
+    /// client host, database. One `INSERT OR REPLACE`: the binding's row,
+    /// found through the table's key, takes the grant in place, and only
+    /// a binding with no row yet inserts one.
     pub(crate) fn log_lease_of(
         &self,
         [user, client_ip, database]: [&str; 3],
@@ -684,7 +690,8 @@ impl DriverStore {
         lease_ms: i64,
     ) -> DrvResult<()> {
         self.exec.exec_named(
-            "INSERT INTO information_schema.leases VALUES ($user, $ip, $db, $id, $at, $ms)",
+            "INSERT OR REPLACE INTO information_schema.leases \
+             VALUES ($user, $ip, $db, $id, $at, $ms)",
             &[
                 ("user", Value::str(user)),
                 ("ip", Value::str(client_ip)),
@@ -697,7 +704,8 @@ impl DriverStore {
         Ok(())
     }
 
-    /// Number of lease-log rows (for tests and reports).
+    /// Number of lease-table rows, one per binding ever granted (for
+    /// tests and reports).
     ///
     /// # Errors
     ///
@@ -1057,11 +1065,37 @@ mod tests {
     fn lease_logging() {
         let s = store();
         s.add_driver(&rec(1)).unwrap();
+        s.add_driver(&rec(2)).unwrap();
         let who = ClientIdentity::new("u", "h", "orders");
         assert_eq!(s.lease_count().unwrap(), 0);
         s.log_lease(&who, DriverId(1), 0, 3_600_000).unwrap();
-        s.log_lease(&who, DriverId(1), 10, 3_600_000).unwrap();
+        s.log_lease(&who, DriverId(2), 10, 60_000).unwrap();
+        // One row per binding, holding its latest grant; another binding
+        // gets its own.
+        assert_eq!(s.lease_count().unwrap(), 1);
+        s.log_lease(
+            &ClientIdentity::new("u", "h2", "orders"),
+            DriverId(1),
+            20,
+            1,
+        )
+        .unwrap();
         assert_eq!(s.lease_count().unwrap(), 2);
+        let rows = s
+            .select(
+                "SELECT driver_id, granted_at, lease_time_in_ms FROM information_schema.leases \
+                 WHERE client_ip = 'h'",
+                &Params::new(),
+            )
+            .unwrap();
+        assert_eq!(
+            rows.rows,
+            vec![vec![
+                Value::Integer(2),
+                Value::Timestamp(10),
+                Value::BigInt(60_000)
+            ]]
+        );
     }
 
     #[test]

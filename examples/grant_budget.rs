@@ -70,7 +70,8 @@ fn due_entries(sim: &FleetSim) -> Vec<(String, Arc<DrvRequest>)> {
 
 /// The grant path's statements and seat, each timed alone over every
 /// entry: Sample code 1 and Sample code 2 as if asked per entry, the
-/// lease INSERT, the licence acquire.
+/// lease write for a binding that has its row (a renewal) and for one
+/// that has none yet (a first grant), the licence acquire.
 fn grant_stages(
     srv: &DrivolutionServer,
     entries: &[(String, Arc<DrvRequest>)],
@@ -97,7 +98,7 @@ fn grant_stages(
             }),
         ),
         (
-            "  lease INSERT",
+            "  lease write, renewal",
             fastest(reps, || {
                 for q in &queries {
                     store
@@ -106,6 +107,26 @@ fn grant_stages(
                 }
             }),
         ),
+        ("  lease write, first grant", {
+            // A binding of its own per entry and run: each write inserts.
+            let fresh: Vec<Vec<ClientIdentity>> = (0..reps)
+                .map(|run| {
+                    let who = |q: &DriverQuery| {
+                        let host = format!("{}-{run}", q.identity.client_ip);
+                        ClientIdentity::new(&*q.identity.user, host, &*q.identity.database)
+                    };
+                    queries.iter().map(who).collect()
+                })
+                .collect();
+            let mut runs = fresh.iter();
+            fastest(reps, || {
+                for who in runs.next().expect("one set per run") {
+                    store
+                        .log_lease(who, DriverId(1), now as i64, LEASE_MS as i64)
+                        .expect("runs");
+                }
+            })
+        }),
         (
             "  licence acquire",
             fastest(reps, || {

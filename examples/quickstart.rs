@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         st.requests, st.offers, st.files, st.file_bytes
     );
     println!(
-        "lease log rows in information_schema.leases: {}",
+        "lease table rows in information_schema.leases (one per binding): {}",
         srv.store().lease_count()?
     );
     Ok(())

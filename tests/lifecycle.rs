@@ -142,3 +142,76 @@ fn drivolution_lifecycle_step_counts() {
     assert_eq!(ops::drv_initial_install().step_count(), 4);
     assert_eq!(ops::drv_driver_update().step_count(), 1);
 }
+
+/// The lease table holds one row per binding (§4.1.1: "the same format
+/// as the distribution table"): `N` clients renewed for `K` rounds, each
+/// at its own instant, leave `N` rows, each holding its client's last
+/// grant.
+#[test]
+fn a_renewed_fleet_holds_one_lease_row_per_client_with_its_last_grant() {
+    const N: usize = 6;
+    const K: usize = 4;
+    const LEASE_MS: u64 = 60_000;
+    let (net, db, url) = db_rig(&[1]);
+    db.with_auth(|a| a.create_user("app2", "pw").unwrap());
+    let srv = attach_in_database(
+        &net,
+        db.clone(),
+        Addr::new("db1", DRIVOLUTION_PORT),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let image = DriverImage::new("d", DriverVersion::new(1, 0, 0), 1);
+    srv.install_driver(&DriverRecord::new(
+        DriverId(1),
+        ApiName::rdbc(),
+        BinaryFormat::Djar,
+        pack_driver(BinaryFormat::Djar, &image),
+    ))
+    .unwrap();
+    srv.add_rule(&PermissionRule::any(DriverId(1)).with_lease_ms(LEASE_MS as i64))
+        .unwrap();
+    // Two users on one host are two bindings, as are two hosts.
+    let clients: Vec<_> = (0..N)
+        .map(|i| {
+            let config = BootloaderConfig::same_host().trusting(srv.certificate());
+            let boot = Bootloader::new(&net, Addr::new(format!("app{}", i / 2), 1), config);
+            let user = ["app", "app2"][i % 2];
+            drop(boot.connect(&url, &ConnectProps::user(user, "pw")).unwrap());
+            (format!("app{}", i / 2), user, boot)
+        })
+        .collect();
+    let mut last = vec![0; N];
+    for _ in 0..K {
+        net.clock().advance_ms(LEASE_MS);
+        for (i, (_, _, boot)) in clients.iter().enumerate() {
+            net.clock().advance_ms(1);
+            assert_eq!(boot.poll(), PollOutcome::Renewed);
+            last[i] = net.clock().now_ms() as i64;
+        }
+    }
+    assert_eq!(srv.stats().renewals, (N * K) as u64);
+    let mut s = db.admin_session();
+    let rows = db
+        .exec(
+            &mut s,
+            "SELECT client_ip, user, granted_at FROM information_schema.leases \
+             ORDER BY client_ip, user",
+        )
+        .unwrap()
+        .rows()
+        .unwrap()
+        .rows;
+    let want: Vec<Vec<Value>> = clients
+        .iter()
+        .zip(&last)
+        .map(|((host, user, _), at)| {
+            vec![
+                Value::str(host.as_str()),
+                Value::str(*user),
+                Value::Timestamp(*at),
+            ]
+        })
+        .collect();
+    assert_eq!(rows, want);
+}

@@ -122,7 +122,8 @@ impl Rig {
     }
 }
 
-/// What a server granted: renewals, seats held, lease-log rows.
+/// What a server granted: renewals, seats held, lease rows (one per
+/// binding).
 fn granted(srv: &DrivolutionServer) -> (u64, usize, i64) {
     (
         srv.stats().renewals,
@@ -174,7 +175,8 @@ fn after_a_server_restart_each_client_resends_in_full_at_most_once() {
     // The same run with every renewal in full grants the same.
     let (in_full, _, _) = restart_run(N, true);
     assert_eq!(granted(&by_ref), granted(&in_full));
-    assert_eq!(granted(&by_ref), (2 * N as u64, N, 2 * N as i64));
+    // Two renewals each, one seat each, one lease row per client.
+    assert_eq!(granted(&by_ref), (2 * N as u64, N, N as i64));
 }
 
 /// A server that did not answer is not one that refused the frame: a
@@ -210,6 +212,37 @@ fn after_an_outage_each_client_renews_by_reference_again() {
     assert_eq!(rig.requests() - requests, N as u64);
     assert_eq!(bytes_in() - before, by_reference);
     assert_eq!(rig.srv.stats().renewals, 2 * N as u64);
+}
+
+/// A client's request carries its zone, so a client placed in a zone
+/// after it bootstrapped no longer has the request its token names: its
+/// next renewal goes in full, once, and the ones after by reference
+/// again.
+#[test]
+fn a_client_placed_in_a_zone_renews_in_full_once() {
+    const N: usize = 4;
+    let rig = rig(N, false);
+    let bytes_in = || rig.net.stats().for_addr(&drv()).bytes_in;
+    let before = bytes_in();
+    rig.renew_all();
+    let by_reference = bytes_in() - before;
+
+    rig.net.with_topology(|t| {
+        for c in &rig.clients {
+            t.place(c.local_addr().host(), "east");
+        }
+    });
+    let before = bytes_in();
+    rig.renew_all();
+    let placed = bytes_in() - before;
+    assert!(
+        placed > by_reference,
+        "{placed} B after placement, {by_reference} B by reference"
+    );
+    let before = bytes_in();
+    rig.renew_all();
+    assert_eq!(bytes_in() - before, by_reference);
+    assert_eq!(rig.failed_renewals(), 0);
 }
 
 fn renewal(user: &str) -> DrvRequest {
