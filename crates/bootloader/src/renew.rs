@@ -7,13 +7,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use driverkit::{DbUrl, DkResult, Namespace, NamespaceId};
+use driverkit::{DbUrl, DkError, DkResult, Namespace, NamespaceId};
 use netsim::{Addr, TaskControl};
 
 use drivolution_core::proto::{
     Activation, BatchReply, DrvErrCode, DrvMsg, DrvOffer, DrvRequest, LeaseTerms, RequestKind,
 };
-use drivolution_core::{DriverVersion, DrvNotice, LeaseState};
+use drivolution_core::{DriverVersion, DrvError, DrvNotice, LeaseState};
 
 use crate::bootloader::{no_context, push_sample, Bootloader, PollOutcome, RenewRef};
 
@@ -359,8 +359,17 @@ impl Bootloader {
                 (PollOutcome::Upgraded { from, to }, report)
             }
             Err(e) => {
-                self.state.lock().stats.failed_renewals += 1;
-                let report = if self.config.report_activation {
+                // A transfer the network cut short says nothing of the
+                // driver: the renewal stays owed, as when the exchange
+                // itself fails, and a rollout hears only of an install
+                // that fails on its bytes.
+                let cut_short = matches!(e, DkError::Drv(DrvError::Net(_)));
+                {
+                    let mut st = self.state.lock();
+                    st.stats.failed_renewals += 1;
+                    st.renew_owed |= cut_short;
+                }
+                let report = if self.config.report_activation && !cut_short {
                     let verdict = Err(format!("driver install failed: {e}"));
                     self.activation_report(offer, None, verdict)
                 } else {

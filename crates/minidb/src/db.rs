@@ -285,46 +285,49 @@ impl MiniDb {
                 Ok(QueryResult::Affected(0))
             }
             Statement::Select(s) => {
-                // Virtual information-schema tables are synthesized on
+                let from = s.from.as_deref().unwrap_or_default();
+                // A session's temporary tables shadow the catalog's, and
+                // virtual information-schema tables are synthesized on
                 // demand unless a real table shadows them.
-                if let Some(from) = &s.from {
-                    if (from.eq_ignore_ascii_case("information_schema.tables")
-                        || from.eq_ignore_ascii_case("information_schema.columns"))
-                        && !inner.catalog.has_table(from)
-                        && !session.temp.has_table(from)
-                    {
-                        let virtual_catalog = self.build_info_schema(&inner.catalog)?;
-                        return exec_select(&virtual_catalog, &session.temp, s, params, now_ms)
-                            .map(QueryResult::Rows);
-                    }
+                if session.temp.has_table(from) {
+                    return exec_select(&session.temp, s, params, now_ms).map(QueryResult::Rows);
                 }
-                exec_select(&inner.catalog, &session.temp, s, params, now_ms).map(QueryResult::Rows)
+                if (from.eq_ignore_ascii_case("information_schema.tables")
+                    || from.eq_ignore_ascii_case("information_schema.columns"))
+                    && !inner.catalog.has_table(from)
+                {
+                    let virtual_catalog = self.build_info_schema(&inner.catalog)?;
+                    return exec_select(&virtual_catalog, s, params, now_ms).map(QueryResult::Rows);
+                }
+                exec_select(&inner.catalog, s, params, now_ms).map(QueryResult::Rows)
             }
             other => {
-                // DML/DDL. Temporary-table mutations bypass the undo log.
-                let is_temp_target = match other {
+                // DML/DDL on a temporary table stays in the session and
+                // bypasses the undo log.
+                let temp = match other {
+                    Statement::CreateTable {
+                        name, temporary, ..
+                    } => {
+                        if !temporary && session.temp.has_table(name) {
+                            return Err(DbError::TableExists(format!("{name} (temporary)")));
+                        }
+                        *temporary
+                    }
                     Statement::Insert { table, .. }
                     | Statement::Update { table, .. }
                     | Statement::Delete { table, .. } => session.temp.has_table(table),
                     _ => false,
                 };
-                let mut undo = if is_temp_target {
-                    None
-                } else {
-                    session.undo.take()
-                };
-                let result = execute_statement(
+                if temp {
+                    return execute_statement(&mut session.temp, other, params, now_ms, None);
+                }
+                execute_statement(
                     &mut inner.catalog,
-                    &mut session.temp,
                     other,
                     params,
                     now_ms,
-                    &mut undo,
-                );
-                if let Some(log) = undo {
-                    session.undo = Some(log);
-                }
-                result
+                    session.undo.as_mut(),
+                )
             }
         }
     }
@@ -506,6 +509,24 @@ mod tests {
     }
 
     #[test]
+    fn temp_tables_shadow_and_stay_private() {
+        let db = db();
+        let mut s = db.admin_session();
+        db.exec(&mut s, "CREATE TEMPORARY TABLE t (x INTEGER)")
+            .unwrap();
+        db.exec(&mut s, "INSERT INTO t VALUES (42)").unwrap();
+        let rs = db.exec(&mut s, "SELECT * FROM t").unwrap().rows().unwrap();
+        // The temp table shadows the real one within this session.
+        assert_eq!(rs.columns, vec!["x"]);
+        assert_eq!(rs.rows.len(), 1);
+        assert_eq!(
+            db.table_len("t").unwrap(),
+            2,
+            "the catalog's table is untouched"
+        );
+    }
+
+    #[test]
     fn temp_table_mutations_survive_rollback() {
         let db = db();
         let mut s = db.admin_session();
@@ -568,10 +589,10 @@ mod tests {
         let rows = [
             ("BEGIN", true),
             ("SELECT count(*) FROM t", true),
-            ("SELECT v FROM t ORDER BY id LIMIT 1", true),
+            ("SELECT v FROM t ORDER BY id", true),
             ("SELECT v FROM t WHERE id = $id AND v LIKE 'o%'", true),
             ("INSERT INTO t VALUES (?, ?)", true),
-            ("UPDATE t SET v = upper(v) WHERE id = ?", true),
+            ("UPDATE t SET v = coalesce(v) WHERE id = ?", true),
             ("INSERT INTO t VALUES (3, 'three')", false),
             ("UPDATE t SET v = 'x' WHERE id = 1", false),
             ("SELECT v FROM t ORDER BY id + 1", false),

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 
 use crate::error::{DbError, DbResult};
-use crate::exec::expr::{is_aggregate, Bind, EvalCtx};
+use crate::exec::expr::{Bind, EvalCtx};
 use crate::schema::{Column, TableSchema};
 use crate::sql::ast::{BinOp, ColumnDef, Expr, SelectItem, SelectStmt, Statement};
 use crate::storage::{key_part, probe_hash, Catalog, RowId, Table, UndoRecord};
@@ -93,41 +93,6 @@ fn build_schema(name: &str, defs: &[ColumnDef], key: &[String]) -> DbResult<Tabl
         Ok(schema)
     } else {
         schema.with_key(key)
-    }
-}
-
-/// Where a statement's target table lives.
-#[derive(Clone, Copy)]
-enum Target {
-    Main,
-    Temp,
-}
-
-/// Finds `table`, a session's temporary tables shadowing the catalog's.
-fn resolve<'a>(
-    catalog: &'a Catalog,
-    temp: &'a Catalog,
-    table: &str,
-) -> DbResult<(Target, &'a Table)> {
-    if temp.has_table(table) {
-        Ok((Target::Temp, temp.table(table)?))
-    } else {
-        Ok((Target::Main, catalog.table(table)?))
-    }
-}
-
-/// The table `resolve` found, for writing, and the undo log its
-/// mutations go to (temporary tables have none).
-fn resolve_mut<'a>(
-    target: Target,
-    catalog: &'a mut Catalog,
-    temp: &'a mut Catalog,
-    table: &str,
-    undo: &'a mut Option<Vec<UndoRecord>>,
-) -> DbResult<(&'a mut Table, Option<&'a mut Vec<UndoRecord>>)> {
-    match target {
-        Target::Main => Ok((catalog.table_mut(table)?, undo.as_mut())),
-        Target::Temp => Ok((temp.table_mut(table)?, None)),
     }
 }
 
@@ -273,39 +238,28 @@ fn for_each_match<'a>(
     Ok(())
 }
 
-/// Executes one data/DDL statement.
+/// Executes one data/DDL statement against `catalog`: the database's,
+/// or a session's temporary tables.
 ///
-/// `undo` receives reversal records for mutations of main-catalog tables
-/// while a transaction is open; temporary-table mutations are session-local
-/// and never logged.
+/// `undo` receives reversal records for the mutations while a
+/// transaction is open; temporary-table mutations are session-local and
+/// never logged, so their caller passes `None`.
 ///
 /// # Errors
 ///
 /// Any [`DbError`] arising from resolution, validation, or evaluation.
 pub fn execute_statement(
     catalog: &mut Catalog,
-    temp: &mut Catalog,
     stmt: &Statement,
     params: &dyn Bind,
     now_ms: i64,
-    undo: &mut Option<Vec<UndoRecord>>,
+    undo: Option<&mut Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
     match stmt {
         Statement::CreateTable {
-            name,
-            columns,
-            key,
-            temporary,
+            name, columns, key, ..
         } => {
-            let schema = build_schema(name, columns, key)?;
-            if *temporary {
-                temp.create_table(schema)?;
-            } else {
-                if temp.has_table(name) {
-                    return Err(DbError::TableExists(format!("{name} (temporary)")));
-                }
-                catalog.create_table(schema)?;
-            }
+            catalog.create_table(build_schema(name, columns, key)?)?;
             Ok(QueryResult::Affected(0))
         }
         Statement::Insert {
@@ -315,7 +269,6 @@ pub fn execute_statement(
             or_replace,
         } => exec_insert(
             catalog,
-            temp,
             table,
             columns.as_deref(),
             rows,
@@ -328,22 +281,11 @@ pub fn execute_statement(
             table,
             sets,
             filter,
-        } => exec_update(
-            catalog,
-            temp,
-            table,
-            sets,
-            filter.as_ref(),
-            params,
-            now_ms,
-            undo,
-        ),
+        } => exec_update(catalog, table, sets, filter.as_ref(), params, now_ms, undo),
         Statement::Delete { table, filter } => {
-            exec_delete(catalog, temp, table, filter.as_ref(), params, now_ms, undo)
+            exec_delete(catalog, table, filter.as_ref(), params, now_ms, undo)
         }
-        Statement::Select(s) => {
-            exec_select(catalog, temp, s, params, now_ms).map(QueryResult::Rows)
-        }
+        Statement::Select(s) => exec_select(catalog, s, params, now_ms).map(QueryResult::Rows),
         other => Err(DbError::Internal(format!(
             "statement not handled by executor: {other:?}"
         ))),
@@ -353,16 +295,15 @@ pub fn execute_statement(
 #[allow(clippy::too_many_arguments)]
 fn exec_insert(
     catalog: &mut Catalog,
-    temp: &mut Catalog,
     table: &str,
     columns: Option<&[String]>,
     rows: &[Vec<Expr>],
     or_replace: bool,
     params: &dyn Bind,
     now_ms: i64,
-    undo: &mut Option<Vec<UndoRecord>>,
+    mut undo: Option<&mut Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
-    let (target, t) = resolve(catalog, temp, table)?;
+    let t = catalog.table(table)?;
     let schema = t.schema();
     // Map the explicit column list (if any) to schema positions.
     let positions: Vec<usize> = match columns {
@@ -388,36 +329,33 @@ fn exec_insert(
         }
         built.push(row);
     }
-    // Foreign-key checks only apply to main-catalog tables.
-    if matches!(target, Target::Main) {
-        // A row that takes a replacing row's values must not orphan a
-        // value another table references.
-        let replaces = or_replace && catalog.is_referenced(table);
-        for row in &built {
-            for (col, value) in schema.columns().iter().zip(row) {
-                if let Some((rt, rc)) = col.references_target() {
-                    catalog.check_reference(rt, rc, value)?;
-                }
+    // A row that takes a replacing row's values must not orphan a value
+    // another table references.
+    let replaces = or_replace && catalog.is_referenced(table);
+    for row in &built {
+        for (col, value) in schema.columns().iter().zip(row) {
+            if let Some((rt, rc)) = col.references_target() {
+                catalog.check_reference(rt, rc, value)?;
             }
-            let Some(held) = t.holder(row).filter(|_| replaces) else {
-                continue;
-            };
-            for ((col, old), new) in schema.columns().iter().zip(held).zip(row) {
-                if old.sql_eq(new) != Some(true) {
-                    catalog.check_no_referents(table, col.name(), old)?;
-                }
+        }
+        let Some(held) = t.holder(row).filter(|_| replaces) else {
+            continue;
+        };
+        for ((col, old), new) in schema.columns().iter().zip(held).zip(row) {
+            if old.sql_eq(new) != Some(true) {
+                catalog.check_no_referents(table, col.name(), old)?;
             }
         }
     }
     let n = built.len() as u64;
-    let (t, mut log) = resolve_mut(target, catalog, temp, table, undo)?;
+    let t = catalog.table_mut(table)?;
     for row in built {
         let (id, old) = if or_replace {
-            t.upsert(row, log.is_some())?
+            t.upsert(row, undo.is_some())?
         } else {
             (t.insert(row)?, None)
         };
-        if let Some(log) = log.as_deref_mut() {
+        if let Some(log) = undo.as_deref_mut() {
             let table = table.to_string();
             log.push(match old {
                 Some(old) => UndoRecord::Updated { table, id, old },
@@ -428,18 +366,16 @@ fn exec_insert(
     Ok(QueryResult::Affected(n))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn exec_update(
     catalog: &mut Catalog,
-    temp: &mut Catalog,
     table: &str,
     sets: &[(String, Expr)],
     filter: Option<&Expr>,
     params: &dyn Bind,
     now_ms: i64,
-    undo: &mut Option<Vec<UndoRecord>>,
+    mut undo: Option<&mut Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
-    let (target, t) = resolve(catalog, temp, table)?;
+    let t = catalog.table(table)?;
     let schema = t.schema();
     let set_positions: Vec<usize> = sets
         .iter()
@@ -456,28 +392,26 @@ fn exec_update(
         changes.push((id, row, new_row));
         Ok(())
     })?;
-    if matches!(target, Target::Main) {
-        for (_, old, new) in &changes {
-            for ((col, old), new) in schema.columns().iter().zip(*old).zip(new) {
-                if old.sql_eq(new) == Some(true) {
-                    continue;
-                }
-                // New referencing values must resolve.
-                if let Some((rt, rc)) = col.references_target() {
-                    catalog.check_reference(rt, rc, new)?;
-                }
-                // Values referenced by other tables must not be orphaned.
-                catalog.check_no_referents(table, col.name(), old)?;
+    for (_, old, new) in &changes {
+        for ((col, old), new) in schema.columns().iter().zip(*old).zip(new) {
+            if old.sql_eq(new) == Some(true) {
+                continue;
             }
+            // New referencing values must resolve.
+            if let Some((rt, rc)) = col.references_target() {
+                catalog.check_reference(rt, rc, new)?;
+            }
+            // Values referenced by other tables must not be orphaned.
+            catalog.check_no_referents(table, col.name(), old)?;
         }
     }
     let changes: Vec<(RowId, Vec<Value>)> =
         changes.into_iter().map(|(id, _, new)| (id, new)).collect();
     let n = changes.len() as u64;
-    let (t, mut log) = resolve_mut(target, catalog, temp, table, undo)?;
+    let t = catalog.table_mut(table)?;
     for (id, new) in changes {
         let old = t.update(id, new)?;
-        if let Some(log) = log.as_deref_mut() {
+        if let Some(log) = undo.as_deref_mut() {
             log.push(UndoRecord::Updated {
                 table: table.to_string(),
                 id,
@@ -490,32 +424,29 @@ fn exec_update(
 
 fn exec_delete(
     catalog: &mut Catalog,
-    temp: &mut Catalog,
     table: &str,
     filter: Option<&Expr>,
     params: &dyn Bind,
     now_ms: i64,
-    undo: &mut Option<Vec<UndoRecord>>,
+    mut undo: Option<&mut Vec<UndoRecord>>,
 ) -> DbResult<QueryResult> {
-    let (target, t) = resolve(catalog, temp, table)?;
+    let t = catalog.table(table)?;
     let mut doomed: Vec<(RowId, &Vec<Value>)> = Vec::new();
     for_each_match(t, filter, params, now_ms, |id, row| {
         doomed.push((id, row));
         Ok(())
     })?;
-    if matches!(target, Target::Main) {
-        for (_, row) in &doomed {
-            for (col, value) in t.schema().columns().iter().zip(*row) {
-                catalog.check_no_referents(table, col.name(), value)?;
-            }
+    for (_, row) in &doomed {
+        for (col, value) in t.schema().columns().iter().zip(*row) {
+            catalog.check_no_referents(table, col.name(), value)?;
         }
     }
     let doomed: Vec<RowId> = doomed.into_iter().map(|(id, _)| id).collect();
     let n = doomed.len() as u64;
-    let (t, mut log) = resolve_mut(target, catalog, temp, table, undo)?;
+    let t = catalog.table_mut(table)?;
     for id in doomed {
         let old = t.delete(id)?;
-        if let Some(log) = log.as_deref_mut() {
+        if let Some(log) = undo.as_deref_mut() {
             log.push(UndoRecord::Deleted {
                 table: table.to_string(),
                 id,
@@ -548,10 +479,6 @@ fn item_name(item: &SelectItem, schema: Option<&TableSchema>) -> String {
     }
 }
 
-fn expr_is_aggregate(e: &Expr) -> bool {
-    matches!(e, Expr::Func { name, star, .. } if *star || is_aggregate(name))
-}
-
 /// Executes a SELECT.
 ///
 /// # Errors
@@ -559,7 +486,6 @@ fn expr_is_aggregate(e: &Expr) -> bool {
 /// Any [`DbError`] from resolution or evaluation.
 pub fn exec_select(
     catalog: &Catalog,
-    temp: &Catalog,
     s: &SelectStmt,
     params: &dyn Bind,
     now_ms: i64,
@@ -592,7 +518,7 @@ pub fn exec_select(
         });
     };
 
-    let (_, t) = resolve(catalog, temp, from)?;
+    let t = catalog.table(from)?;
     let schema = t.schema();
 
     // Collect rows passing the filter.
@@ -602,32 +528,30 @@ pub fn exec_select(
         Ok(())
     })?;
 
-    // Aggregate query?
-    let any_agg = s.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr_is_aggregate(expr),
-        SelectItem::Star => false,
-    });
-    if any_agg {
-        let mut names = Vec::new();
-        let mut row = Vec::new();
-        for item in &s.items {
-            let SelectItem::Expr { expr, .. } = item else {
-                return Err(DbError::Parse("cannot mix * with aggregates".into()));
-            };
-            let Expr::Func { name, args, star } = expr else {
-                return Err(DbError::Parse(
-                    "non-aggregate expression in aggregate query".into(),
-                ));
-            };
-            row.push(eval_aggregate(
-                name, args, *star, schema, &base, params, now_ms,
-            )?);
-            names.push(item_name(item, Some(schema)));
+    // `count(*)` is the one aggregate, and an aggregate query projects
+    // nothing else.
+    let count = |i: &&SelectItem| match i {
+        SelectItem::Expr {
+            expr: Expr::Func {
+                name, star: true, ..
+            },
+            ..
+        } => name == "count",
+        _ => false,
+    };
+    match s.items.iter().filter(count).count() {
+        0 => {}
+        n if n < s.items.len() => {
+            return Err(DbError::Parse(
+                "an aggregate query projects count(*) only".into(),
+            ))
         }
-        return Ok(RowSet {
-            columns: names,
-            rows: vec![row],
-        });
+        n => {
+            return Ok(RowSet {
+                columns: s.items.iter().map(|i| item_name(i, Some(schema))).collect(),
+                rows: vec![vec![Value::BigInt(base.len() as i64); n]],
+            })
+        }
     }
 
     // Order the base rows.
@@ -667,13 +591,6 @@ pub fn exec_select(
         });
         ordered = keyed.into_iter().map(|(_, r)| r).collect();
     }
-    // With DISTINCT, LIMIT applies to the deduplicated output below.
-    if let Some(limit) = s.limit {
-        if !s.distinct {
-            ordered.truncate(limit as usize);
-        }
-    }
-
     // Project.
     let mut names = Vec::new();
     for item in &s.items {
@@ -696,90 +613,12 @@ pub fn exec_select(
                 SelectItem::Expr { expr, .. } => out.push(ctx.eval(expr)?),
             }
         }
-        if s.distinct && rows.contains(&out) {
-            continue;
-        }
         rows.push(out);
-        if s.distinct && s.limit == Some(rows.len() as u64) {
-            break;
-        }
     }
     Ok(RowSet {
         columns: names,
         rows,
     })
-}
-
-fn eval_aggregate(
-    name: &str,
-    args: &[Expr],
-    star: bool,
-    schema: &TableSchema,
-    rows: &[&Vec<Value>],
-    params: &dyn Bind,
-    now_ms: i64,
-) -> DbResult<Value> {
-    if star {
-        if name != "count" {
-            return Err(DbError::Type(format!("{name}(*) is not supported")));
-        }
-        return Ok(Value::BigInt(rows.len() as i64));
-    }
-    let [arg] = args else {
-        return Err(DbError::Type(format!("{name}() takes one argument")));
-    };
-    let mut vals = Vec::new();
-    for row in rows {
-        let ctx = EvalCtx::for_row(schema, row, params, now_ms);
-        let v = ctx.eval(arg)?;
-        if !v.is_null() {
-            vals.push(v);
-        }
-    }
-    match name {
-        "count" => Ok(Value::BigInt(vals.len() as i64)),
-        "sum" | "avg" => {
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut total: i64 = 0;
-            for v in &vals {
-                total =
-                    total
-                        .checked_add(v.as_i64().ok_or_else(|| {
-                            DbError::Type(format!("{name}() over non-numeric {v}"))
-                        })?)
-                        .ok_or_else(|| DbError::Type("aggregate overflow".into()))?;
-            }
-            if name == "sum" {
-                Ok(Value::BigInt(total))
-            } else {
-                Ok(Value::BigInt(total / vals.len() as i64))
-            }
-        }
-        "min" | "max" => {
-            let mut best: Option<Value> = None;
-            for v in vals {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let take = match v.sql_cmp(&b) {
-                            Some(Ordering::Less) => name == "min",
-                            Some(Ordering::Greater) => name == "max",
-                            _ => false,
-                        };
-                        if take {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-        other => Err(DbError::NoSuchFunction(format!("aggregate {other}"))),
-    }
 }
 
 #[cfg(test)]
@@ -788,23 +627,16 @@ mod tests {
     use crate::exec::expr::Params;
     use crate::sql::parser::parse;
 
-    fn run(
-        catalog: &mut Catalog,
-        temp: &mut Catalog,
-        sql: &str,
-        params: &dyn Bind,
-    ) -> DbResult<QueryResult> {
+    fn run(catalog: &mut Catalog, sql: &str, params: &dyn Bind) -> DbResult<QueryResult> {
         let stmt = parse(sql)?;
-        execute_statement(catalog, temp, &stmt, params, 1_000, &mut None)
+        execute_statement(catalog, &stmt, params, 1_000, None)
     }
 
-    fn setup() -> (Catalog, Catalog) {
+    fn setup() -> Catalog {
         let mut c = Catalog::new();
-        let mut t = Catalog::new();
         let p = Params::new();
         run(
             &mut c,
-            &mut t,
             "CREATE TABLE drivers (driver_id INTEGER PRIMARY KEY, api_name VARCHAR NOT NULL, \
              platform VARCHAR, version_major INTEGER)",
             &p,
@@ -812,7 +644,6 @@ mod tests {
         .unwrap();
         run(
             &mut c,
-            &mut t,
             "INSERT INTO drivers VALUES \
              (1, 'JDBC', NULL, 3), \
              (2, 'JDBC', 'linux-x86_64', 4), \
@@ -820,14 +651,14 @@ mod tests {
             &p,
         )
         .unwrap();
-        (c, t)
+        c
     }
 
     #[test]
     fn insert_select_roundtrip() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
-        let rs = run(&mut c, &mut t, "SELECT * FROM drivers", &p)
+        let rs = run(&mut c, "SELECT * FROM drivers", &p)
             .unwrap()
             .rows()
             .unwrap();
@@ -837,13 +668,12 @@ mod tests {
 
     #[test]
     fn where_with_null_semantics() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
         // platform IS NULL matches driver 1 only; a plain comparison with
         // NULL matches nothing.
         let rs = run(
             &mut c,
-            &mut t,
             "SELECT driver_id FROM drivers WHERE platform IS NULL",
             &p,
         )
@@ -853,7 +683,6 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![Value::Integer(1)]]);
         let rs = run(
             &mut c,
-            &mut t,
             "SELECT driver_id FROM drivers WHERE platform = NULL",
             &p,
         )
@@ -865,13 +694,12 @@ mod tests {
 
     #[test]
     fn sample_code_1_matching_semantics() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let mut p = Params::new();
         p.insert("client_api_name".into(), Value::str("JDBC"));
         p.insert("client_platform".into(), Value::str("linux-x86_64"));
         let rs = run(
             &mut c,
-            &mut t,
             "SELECT driver_id FROM drivers \
              WHERE api_name LIKE $client_api_name \
              AND (platform IS NULL OR platform LIKE $client_platform) \
@@ -890,11 +718,10 @@ mod tests {
 
     #[test]
     fn update_and_delete() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
         let n = run(
             &mut c,
-            &mut t,
             "UPDATE drivers SET version_major = version_major + 10 WHERE api_name = 'JDBC'",
             &p,
         )
@@ -902,26 +729,29 @@ mod tests {
         .affected()
         .unwrap();
         assert_eq!(n, 2);
-        let rs = run(&mut c, &mut t, "SELECT sum(version_major) FROM drivers", &p)
-            .unwrap()
-            .rows()
-            .unwrap();
-        assert_eq!(rs.rows[0][0], Value::BigInt(3 + 13 + 14));
-        let n = run(
+        let rs = run(
             &mut c,
-            &mut t,
-            "DELETE FROM drivers WHERE driver_id = 3",
+            "SELECT version_major FROM drivers ORDER BY driver_id",
             &p,
         )
         .unwrap()
-        .affected()
+        .rows()
         .unwrap();
+        assert_eq!(
+            rs.rows,
+            [13, 14, 3].map(|v| vec![Value::Integer(v)]),
+            "JDBC rows moved by 10, ODBC's kept"
+        );
+        let n = run(&mut c, "DELETE FROM drivers WHERE driver_id = 3", &p)
+            .unwrap()
+            .affected()
+            .unwrap();
         assert_eq!(n, 1);
     }
 
     #[test]
     fn a_filter_that_pins_the_key_examines_one_row() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let mut p = Params::new();
         p.insert("id".into(), Value::Timestamp(2));
         let rows = [
@@ -963,59 +793,17 @@ mod tests {
         ];
         for (sql, want) in rows {
             let before = c.rows_examined();
-            run(&mut c, &mut t, sql, &p).unwrap();
+            run(&mut c, sql, &p).unwrap();
             assert_eq!(c.rows_examined() - before, want, "{sql}");
         }
     }
 
     #[test]
-    fn aggregates() {
-        let (mut c, mut t) = setup();
-        let p = Params::new();
-        let rs = run(
-            &mut c,
-            &mut t,
-            "SELECT count(*), count(platform), min(version_major), max(version_major), avg(version_major) FROM drivers",
-            &p,
-        )
-        .unwrap()
-        .rows()
-        .unwrap();
-        assert_eq!(
-            rs.rows[0],
-            vec![
-                Value::BigInt(3),
-                Value::BigInt(2), // NULL platform not counted
-                Value::Integer(3),
-                Value::Integer(4),
-                Value::BigInt(3),
-            ]
-        );
-    }
-
-    #[test]
-    fn aggregates_on_empty_set() {
-        let (mut c, mut t) = setup();
-        let p = Params::new();
-        let rs = run(
-            &mut c,
-            &mut t,
-            "SELECT count(*), sum(version_major), min(version_major) FROM drivers WHERE driver_id > 100",
-            &p,
-        )
-        .unwrap()
-        .rows()
-        .unwrap();
-        assert_eq!(rs.rows[0], vec![Value::BigInt(0), Value::Null, Value::Null]);
-    }
-
-    #[test]
     fn order_by_desc_with_nulls_last() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
         let rs = run(
             &mut c,
-            &mut t,
             "SELECT driver_id FROM drivers ORDER BY platform DESC",
             &p,
         )
@@ -1034,96 +822,17 @@ mod tests {
     }
 
     #[test]
-    fn select_distinct_collapses_duplicates() {
-        let (mut c, mut t) = setup();
-        let p = Params::new();
-        let rs = run(
-            &mut c,
-            &mut t,
-            "SELECT DISTINCT api_name FROM drivers ORDER BY driver_id",
-            &p,
-        )
-        .unwrap()
-        .rows()
-        .unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![vec![Value::str("JDBC")], vec![Value::str("ODBC")]]
-        );
-        // Without DISTINCT, all three rows come back.
-        let rs = run(&mut c, &mut t, "SELECT api_name FROM drivers", &p)
-            .unwrap()
-            .rows()
-            .unwrap();
-        assert_eq!(rs.rows.len(), 3);
-        // LIMIT applies after deduplication: rows are (JDBC, JDBC, ODBC),
-        // so DISTINCT … LIMIT 2 must yield both distinct names.
-        let rs = run(
-            &mut c,
-            &mut t,
-            "SELECT DISTINCT api_name FROM drivers ORDER BY driver_id LIMIT 2",
-            &p,
-        )
-        .unwrap()
-        .rows()
-        .unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![vec![Value::str("JDBC")], vec![Value::str("ODBC")]]
-        );
-    }
-
-    #[test]
-    fn limit_truncates() {
-        let (mut c, mut t) = setup();
-        let p = Params::new();
-        let rs = run(
-            &mut c,
-            &mut t,
-            "SELECT driver_id FROM drivers ORDER BY driver_id LIMIT 1",
-            &p,
-        )
-        .unwrap()
-        .rows()
-        .unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::Integer(1)]]);
-    }
-
-    #[test]
-    fn temp_tables_shadow_and_stay_private() {
-        let (mut c, mut t) = setup();
-        let p = Params::new();
-        run(
-            &mut c,
-            &mut t,
-            "CREATE TEMPORARY TABLE drivers (x INTEGER)",
-            &p,
-        )
-        .unwrap();
-        run(&mut c, &mut t, "INSERT INTO drivers VALUES (42)", &p).unwrap();
-        let rs = run(&mut c, &mut t, "SELECT * FROM drivers", &p)
-            .unwrap()
-            .rows()
-            .unwrap();
-        // The temp table shadows the real one within this session.
-        assert_eq!(rs.columns, vec!["x"]);
-        assert_eq!(rs.rows.len(), 1);
-    }
-
-    #[test]
     fn insert_with_column_list_defaults_null() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
         run(
             &mut c,
-            &mut t,
             "INSERT INTO drivers (driver_id, api_name) VALUES (9, 'PHP')",
             &p,
         )
         .unwrap();
         let rs = run(
             &mut c,
-            &mut t,
             "SELECT platform FROM drivers WHERE driver_id = 9",
             &p,
         )
@@ -1135,11 +844,11 @@ mod tests {
 
     #[test]
     fn undo_log_records_mutations() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
         let mut undo = Some(Vec::new());
         let stmt = parse("DELETE FROM drivers WHERE driver_id = 1").unwrap();
-        execute_statement(&mut c, &mut t, &stmt, &p, 0, &mut undo).unwrap();
+        execute_statement(&mut c, &stmt, &p, 0, undo.as_mut()).unwrap();
         let log = undo.unwrap();
         assert_eq!(log.len(), 1);
         for rec in log.into_iter().rev() {
@@ -1150,13 +859,11 @@ mod tests {
 
     #[test]
     fn insert_or_replace_writes_over_the_row_holding_the_key() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
-        let select = |c: &mut Catalog, t: &mut Catalog, sql: &str| {
-            run(c, t, sql, &p).unwrap().rows().unwrap().rows
-        };
+        let select = |c: &mut Catalog, sql: &str| run(c, sql, &p).unwrap().rows().unwrap().rows;
         let all = "SELECT driver_id, api_name, version_major FROM drivers";
-        let before = select(&mut c, &mut t, all);
+        let before = select(&mut c, all);
         // Driver 2's row takes the new values in its place; driver 4 is new.
         let stmt = parse(
             "INSERT OR REPLACE INTO drivers VALUES \
@@ -1164,47 +871,54 @@ mod tests {
         )
         .unwrap();
         let mut undo = Some(Vec::new());
-        let n = execute_statement(&mut c, &mut t, &stmt, &p, 0, &mut undo).unwrap();
+        let n = execute_statement(&mut c, &stmt, &p, 0, undo.as_mut()).unwrap();
         assert_eq!(n.affected().unwrap(), 2);
         let row = |id: i64, api: &str, major: i64| {
             vec![Value::Integer(id), Value::str(api), Value::Integer(major)]
         };
         assert_eq!(
-            select(&mut c, &mut t, all),
-            [row(1, "JDBC", 3), row(2, "ODBC", 5), row(3, "ODBC", 3), row(4, "JDBC", 1)]
+            select(&mut c, all),
+            [
+                row(1, "JDBC", 3),
+                row(2, "ODBC", 5),
+                row(3, "ODBC", 3),
+                row(4, "JDBC", 1)
+            ]
         );
         let examined = c.rows_examined();
-        let hit = select(&mut c, &mut t, "SELECT api_name FROM drivers WHERE driver_id = 2");
+        let hit = select(&mut c, "SELECT api_name FROM drivers WHERE driver_id = 2");
         assert_eq!(hit, [[Value::str("ODBC")]]);
-        assert_eq!(c.rows_examined() - examined, 1, "the row kept its index entry");
+        assert_eq!(
+            c.rows_examined() - examined,
+            1,
+            "the row kept its index entry"
+        );
         // The undo log puts the old row back and takes the new one out.
         for rec in undo.unwrap().into_iter().rev() {
             c.apply_undo(rec);
         }
-        assert_eq!(select(&mut c, &mut t, all), before);
+        assert_eq!(select(&mut c, all), before);
         // A value another table references is not written over.
         run(
             &mut c,
-            &mut t,
             "CREATE TABLE apis (api VARCHAR REFERENCES drivers(api_name))",
             &p,
         )
         .unwrap();
-        run(&mut c, &mut t, "INSERT INTO apis VALUES ('ODBC')", &p).unwrap();
+        run(&mut c, "INSERT INTO apis VALUES ('ODBC')", &p).unwrap();
         let orphaning = "INSERT OR REPLACE INTO drivers VALUES (3, 'JDBC', NULL, 3)";
         assert!(matches!(
-            run(&mut c, &mut t, orphaning, &p),
+            run(&mut c, orphaning, &p),
             Err(DbError::ForeignKey(_))
         ));
-        assert_eq!(select(&mut c, &mut t, all), before);
+        assert_eq!(select(&mut c, all), before);
     }
 
     #[test]
     fn select_without_from() {
         let mut c = Catalog::new();
-        let mut t = Catalog::new();
         let p = Params::new();
-        let rs = run(&mut c, &mut t, "SELECT 1 + 1, now() AS t", &p)
+        let rs = run(&mut c, "SELECT 1 + 1, now() AS t", &p)
             .unwrap()
             .rows()
             .unwrap();
@@ -1214,9 +928,9 @@ mod tests {
 
     #[test]
     fn scalar_helper() {
-        let (mut c, mut t) = setup();
+        let mut c = setup();
         let p = Params::new();
-        let rs = run(&mut c, &mut t, "SELECT count(*) FROM drivers", &p)
+        let rs = run(&mut c, "SELECT count(*) FROM drivers", &p)
             .unwrap()
             .rows()
             .unwrap();

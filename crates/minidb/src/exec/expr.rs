@@ -266,32 +266,18 @@ impl<'a> EvalCtx<'a> {
     }
 
     fn eval_func(&self, name: &str, args: &[Expr], star: bool) -> DbResult<Value> {
-        if star || is_aggregate(name) {
+        if star {
             return Err(DbError::Type(format!(
-                "aggregate {name} not allowed in this context"
+                "aggregate {name}(*) not allowed in this context"
             )));
         }
         let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<DbResult<_>>()?;
         match name {
-            "now" | "current_timestamp" => {
+            "now" => {
                 if !vals.is_empty() {
                     return Err(DbError::Type("now() takes no arguments".into()));
                 }
                 Ok(Value::Timestamp(self.now_ms))
-            }
-            "lower" | "upper" => {
-                let [v] = vals.as_slice() else {
-                    return Err(DbError::Type(format!("{name}() takes one argument")));
-                };
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Varchar(s) => Ok(Value::Varchar(if name == "lower" {
-                        s.to_lowercase()
-                    } else {
-                        s.to_uppercase()
-                    })),
-                    other => Err(DbError::Type(format!("{name}() on {other}"))),
-                }
             }
             "length" => {
                 let [v] = vals.as_slice() else {
@@ -312,26 +298,9 @@ impl<'a> EvalCtx<'a> {
                 }
                 Ok(Value::Null)
             }
-            "abs" => {
-                let [v] = vals.as_slice() else {
-                    return Err(DbError::Type("abs() takes one argument".into()));
-                };
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    v => v
-                        .as_i64()
-                        .map(|n| Value::BigInt(n.abs()))
-                        .ok_or_else(|| DbError::Type(format!("abs() on {v}"))),
-                }
-            }
             other => Err(DbError::NoSuchFunction(other.to_string())),
         }
     }
-}
-
-/// Whether `name` is an aggregate function handled by the executor.
-pub fn is_aggregate(name: &str) -> bool {
-    matches!(name, "count" | "sum" | "min" | "max" | "avg")
 }
 
 fn opt_bool(b: Option<bool>) -> Value {
@@ -452,17 +421,22 @@ mod tests {
     fn functions() {
         let p = Params::new();
         assert_eq!(eval_scalar("now()", &p).unwrap(), Value::Timestamp(1_000));
-        assert_eq!(
-            eval_scalar("lower('JDBC')", &p).unwrap(),
-            Value::str("jdbc")
-        );
         assert_eq!(eval_scalar("length('abc')", &p).unwrap(), Value::BigInt(3));
         assert_eq!(
             eval_scalar("coalesce(NULL, NULL, 7)", &p).unwrap(),
             Value::BigInt(7)
         );
-        assert_eq!(eval_scalar("abs(-3)", &p).unwrap(), Value::BigInt(3));
-        assert!(eval_scalar("nosuch(1)", &p).is_err());
+        for gone in [
+            "nosuch(1)",
+            "lower('JDBC')",
+            "abs(-3)",
+            "current_timestamp()",
+        ] {
+            assert!(
+                matches!(eval_scalar(gone, &p), Err(DbError::NoSuchFunction(_))),
+                "{gone}"
+            );
+        }
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //! let mut session = db.admin_session();
 //! db.exec(&mut session, "CREATE TABLE o (id INTEGER PRIMARY KEY, qty INTEGER)")?;
 //! db.exec(&mut session, "INSERT INTO o VALUES (1, 10), (2, 20)")?;
-//! let total = db.exec(&mut session, "SELECT sum(qty) FROM o")?.rows()?;
-//! assert_eq!(total.rows[0][0], minidb::Value::BigInt(30));
-//! # let _ = total;
+//! let big = db.exec(&mut session, "SELECT count(*) FROM o WHERE qty > 15")?.rows()?;
+//! assert_eq!(big.rows[0][0], minidb::Value::BigInt(1));
 //! # Ok::<(), minidb::DbError>(())
 //! ```
 

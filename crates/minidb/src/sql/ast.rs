@@ -109,8 +109,6 @@ pub enum SelectItem {
 /// A SELECT statement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SelectStmt {
-    /// `DISTINCT` flag: duplicate output rows are collapsed.
-    pub distinct: bool,
     /// Projection list.
     pub items: Vec<SelectItem>,
     /// `FROM` table (single-table engine; `None` for `SELECT 1`).
@@ -119,8 +117,6 @@ pub struct SelectStmt {
     pub filter: Option<Expr>,
     /// `ORDER BY` keys with ascending flags.
     pub order_by: Vec<(Expr, bool)>,
-    /// `LIMIT` row count.
-    pub limit: Option<u64>,
 }
 
 /// A column definition in CREATE TABLE.

@@ -320,7 +320,6 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_select(&mut self) -> DbResult<Statement> {
-        let distinct = self.eat_kw("DISTINCT");
         let mut items = Vec::new();
         loop {
             if self.eat_tok(&Token::Star) {
@@ -365,21 +364,11 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        let limit = if self.eat_kw("LIMIT") {
-            match self.next()? {
-                Token::Number(n) if n >= 0 => Some(n as u64),
-                other => return Err(DbError::Parse(format!("bad LIMIT {other}"))),
-            }
-        } else {
-            None
-        };
         Ok(Statement::Select(SelectStmt {
-            distinct,
             items,
             from,
             filter,
             order_by,
-            limit,
         }))
     }
 
@@ -671,7 +660,10 @@ mod tests {
             _ => None,
         };
         assert_eq!(replace("INSERT OR REPLACE INTO t VALUES (1)"), Some(true));
-        assert_eq!(replace("insert or replace into t (a) values (1)"), Some(true));
+        assert_eq!(
+            replace("insert or replace into t (a) values (1)"),
+            Some(true)
+        );
         assert_eq!(replace("INSERT INTO t VALUES (1)"), Some(false));
         assert_eq!(replace("INSERT OR INTO t VALUES (1)"), None);
     }
@@ -729,15 +721,16 @@ mod tests {
     #[test]
     fn parses_order_by_limit() {
         let Statement::Select(s) =
-            parse("SELECT * FROM drivers ORDER BY driver_version_major DESC, driver_id LIMIT 1")
-                .unwrap()
+            parse("SELECT * FROM drivers ORDER BY driver_version_major DESC, driver_id").unwrap()
         else {
             panic!()
         };
         assert_eq!(s.order_by.len(), 2);
         assert!(!s.order_by[0].1);
         assert!(s.order_by[1].1);
-        assert_eq!(s.limit, Some(1));
+        // LIMIT and DISTINCT are not SQL this engine speaks.
+        assert!(parse("SELECT * FROM drivers ORDER BY driver_id LIMIT 1").is_err());
+        assert!(parse("SELECT DISTINCT api_name FROM drivers").is_err());
     }
 
     #[test]

@@ -247,7 +247,11 @@ impl Table {
                     slot.insert(id);
                 }
                 Entry::Occupied(mut slot) => {
-                    let later = if id < *slot.get() { slot.insert(id) } else { id };
+                    let later = if id < *slot.get() {
+                        slot.insert(id)
+                    } else {
+                        id
+                    };
                     self.spill.insert((h, later));
                 }
             }
@@ -273,7 +277,9 @@ impl Table {
             .flat_map(|h| self.candidates(Some(h)))
             .filter(move |(id, held)| {
                 Some(*id) != except
-                    && key.iter().all(|&k| held.get(k).zip(row.get(k)).is_some_and(same))
+                    && key
+                        .iter()
+                        .all(|&k| held.get(k).zip(row.get(k)).is_some_and(same))
             })
     }
 
@@ -483,7 +489,10 @@ impl Catalog {
             return Err(DbError::TableExists(schema.name().to_string()));
         }
         self.writes += 1;
-        let targets = schema.columns().iter().filter_map(Column::references_target);
+        let targets = schema
+            .columns()
+            .iter()
+            .filter_map(Column::references_target);
         (self.referenced).extend(targets.map(|(rt, _)| Self::key(rt).into_owned()));
         let table = Table {
             stamp: self.writes,

@@ -9,6 +9,8 @@
 //! corroborated `MIRROR_COMPLAINT` strikes, no healthy mirror is ever
 //! demoted, and a same-seed replay reproduces every counter.
 
+mod oracle;
+
 use std::sync::Arc;
 
 use drivolution::core::pack::pack_driver;
@@ -197,9 +199,10 @@ fn partition_heals_on_schedule_and_upgrade_completes() {
 /// Everything a chaos fleet run exposes, for assertions and replay
 /// comparison.
 struct ChaosRun {
-    converged_v2: bool,
-    converged_v3: bool,
-    digests_v3: std::collections::BTreeSet<u64>,
+    /// The fleet once it reached v2, then v3 (`oracle`'s convergence
+    /// promise: every client on the version, all on one image).
+    at_v2: oracle::FinishedRun,
+    at_v3: oracle::FinishedRun,
     complaints: u64,
     demotions: u64,
     byzantine_demoted: bool,
@@ -230,12 +233,21 @@ fn chaos_fleet_run(seed: u64) -> ChaosRun {
     );
     assert_eq!(installed, 6);
 
+    let on = |major| oracle::FinishedRun {
+        clients: sim
+            .clients()
+            .iter()
+            .map(|c| oracle::ClientEnd::of(c))
+            .collect(),
+        target: Some((DriverVersion::new(major, 0, 0), None)),
+        ..oracle::FinishedRun::default()
+    };
     sim.publish(2, DriverVersion::new(2, 0, 0), 32 * 1024, false);
     let _ = sim.run_until_upgraded(MINUTE, 90 * MINUTE);
-    let converged_v2 = sim.count_on(DriverVersion::new(2, 0, 0)) == sim.clients().len();
+    let at_v2 = on(2);
     sim.publish(3, DriverVersion::new(3, 0, 0), 32 * 1024, false);
     let _ = sim.run_until_on(DriverVersion::new(3, 0, 0), MINUTE, 90 * MINUTE);
-    let converged_v3 = sim.count_on(DriverVersion::new(3, 0, 0)) == sim.clients().len();
+    let at_v3 = on(3);
 
     let dir = sim.server().mirror_directory();
     let byz = dir.entry("mirror-west:1071").expect("byzantine entry");
@@ -247,9 +259,8 @@ fn chaos_fleet_run(seed: u64) -> ChaosRun {
     let st = sim.server().stats();
     let totals = sim.net().stats().totals();
     ChaosRun {
-        converged_v2,
-        converged_v3,
-        digests_v3: sim.image_digests_on(DriverVersion::new(3, 0, 0)),
+        at_v2,
+        at_v3,
         complaints: st.mirror_complaints,
         demotions: st.mirror_demotions,
         byzantine_demoted: byz.demoted,
@@ -271,15 +282,10 @@ fn chaos_fleet_run(seed: u64) -> ChaosRun {
 #[test]
 fn byzantine_mirror_is_demoted_and_the_fleet_converges_with_correct_bytes() {
     let run = chaos_fleet_run(E2E_SEED);
-    // Zero failed upgrades: every client reached both versions.
-    assert!(run.converged_v2, "fleet must fully converge on v2");
-    assert!(run.converged_v3, "fleet must fully converge on v3");
-    // Zero wrong-byte installs: all twelve clients agree on one image.
-    assert_eq!(
-        run.digests_v3.len(),
-        1,
-        "every client must hold the same verified v3 image"
-    );
+    // Zero failed upgrades and zero wrong-byte installs: every client
+    // reached both versions, all twelve on one verified image of each.
+    assert_eq!(oracle::check(&run.at_v2), Ok(()));
+    assert_eq!(oracle::check(&run.at_v3), Ok(()));
     // The byzantine mirror really served corrupted bytes, each one was
     // reported, and corroborated strikes demoted it.
     assert!(

@@ -2,6 +2,8 @@
 //! {AFTER_CLOSE, AFTER_COMMIT, IMMEDIATE}, each exercised against live
 //! connections with and without open transactions.
 
+mod oracle;
+
 use std::sync::Arc;
 
 use drivolution::bootloader::ManagedConnection;
@@ -165,10 +167,11 @@ fn upgrade_immediate_terminates_all_connections() {
     assert_eq!(r.boot.active_version(), Some(DriverVersion::new(2, 0, 0)));
     // The severed transaction's INSERT was rolled back, not kept.
     let rs = fresh.execute("SELECT id FROM t WHERE id = 1").unwrap();
-    assert!(
-        rs.rows().unwrap().rows.is_empty(),
-        "severed INSERT survived"
-    );
+    let run = oracle::FinishedRun {
+        abandoned: vec![("severed INSERT".into(), !rs.rows().unwrap().rows.is_empty())],
+        ..oracle::FinishedRun::default()
+    };
+    assert_eq!(oracle::check(&run), Ok(()));
 }
 
 // --- REVOKE × each expiration policy ---------------------------------------
@@ -318,7 +321,11 @@ fn drain_window_after_commit_forces_at_boundary_and_never_severs() {
     pump_past_deadline(&r);
     let swap = r.boot.stats().swap;
     assert_eq!(swap.sessions_forced, 1, "{swap:?}");
-    assert_eq!(swap.transactions_severed, 0, "AFTER_COMMIT severed a txn");
+    let run = oracle::FinishedRun {
+        severed: swap.transactions_severed,
+        ..oracle::FinishedRun::default()
+    };
+    assert_eq!(oracle::check(&run), Ok(()));
     assert!(swap.sessions_migrated >= 2, "{swap:?}");
     assert_eq!(swap.windows_completed, 1, "{swap:?}");
     assert_eq!(r.boot.registry().len(), 1);

@@ -5,6 +5,8 @@
 //! or a chunked delta. Stranding a client or re-fetching bytes it
 //! already has would defeat the point of halting a bad rollout fast.
 
+mod oracle;
+
 use std::time::Duration;
 
 use drivolution::fleet::{FleetSim, SimSpec};
@@ -48,22 +50,18 @@ fn config() -> RolloutConfig {
     }
 }
 
-/// `fetches - 1 == revalidations` for every client: one paid transfer
-/// per distinct version ever activated (bootstrap plus at most one bad
-/// upgrade), and every return to the prior version satisfied from the
-/// depot. Any violation means rollback re-transferred bytes.
-fn assert_zero_transfer_rollbacks(sim: &FleetSim) {
-    for (i, client) in sim.clients().iter().enumerate() {
-        let s = client.stats();
-        let fetches = s.downloads + s.delta_downloads;
-        assert_eq!(
-            s.revalidations,
-            fetches - 1,
-            "client {i}: {} paid transfers but {} revalidations — \
-             a rollback re-fetched bytes the depot already held",
-            fetches,
-            s.revalidations
-        );
+/// The fleet as a rollback back to v1 left it: every client on v1, and
+/// no return to it paid for with a transfer (`oracle`'s rollback
+/// promise).
+fn rolled_back(sim: &FleetSim) -> oracle::FinishedRun {
+    oracle::FinishedRun {
+        clients: sim
+            .clients()
+            .iter()
+            .map(|c| oracle::ClientEnd::of(c))
+            .collect(),
+        rolled_back_to: Some(v1()),
+        ..oracle::FinishedRun::default()
     }
 }
 
@@ -87,9 +85,7 @@ fn canary_rollback_to_depot_held_version_is_zero_transfer() {
         "{:?}",
         ro.status()
     );
-    assert_eq!(sim.count_on(v1()), 10, "no stranded clients");
-
-    assert_zero_transfer_rollbacks(&sim);
+    assert_eq!(oracle::check(&rolled_back(&sim)), Ok(()));
     let total_revalidations: u64 = sim.clients().iter().map(|c| c.stats().revalidations).sum();
     assert_eq!(
         total_revalidations, 1,
@@ -128,10 +124,7 @@ fn mid_wave_halt_rolls_everyone_back_without_refetching() {
         matches!(st.phase, RolloutPhase::RolledBack { .. }),
         "{st:?}"
     );
-    assert_eq!(sim.count_on(v1()), 12, "no stranded clients after halt");
-    assert_eq!(sim.count_on(v2()), 0);
-
-    assert_zero_transfer_rollbacks(&sim);
+    assert_eq!(oracle::check(&rolled_back(&sim)), Ok(()));
     let total_revalidations: u64 = sim.clients().iter().map(|c| c.stats().revalidations).sum();
     assert!(
         total_revalidations >= upgraded_before_fault as u64,
