@@ -9,7 +9,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use netsim::{Addr, Clock, NetError, Network, Pipe, TaskControl, TaskHandle};
+use netsim::{Addr, NetError, Network, Pipe, TaskControl, TaskHandle};
 
 use driverkit::{
     ConnectProps, DbUrl, DkError, DkResult, DriverRegistry, DriverVm, Namespace, NamespaceId,
@@ -109,7 +109,6 @@ pub(crate) const MAX_SAMPLES: usize = 4096;
 #[derive(Default)]
 pub(crate) struct BootState {
     pub(crate) server: Option<Addr>,
-    pub(crate) pipe: Option<Pipe>,
     pub(crate) revoked: bool,
     /// A renewal exchange failed: the next one goes out whatever the
     /// lease says, as if a pushed notice had just arrived, so a notice
@@ -137,17 +136,39 @@ pub(crate) struct BootState {
     /// bootloader goes out as a `REQUEST`, and a file it is offered is
     /// fetched with a `FILE_REQUEST`.
     pub(crate) fetch_refused: bool,
-    pub(crate) stats: BootStats,
+    pub(crate) stats: HotStats,
     /// Told this client's next renewal deadline after every change to
     /// it, when something outside drives its renewals
     /// ([`Bootloader::on_renewal_due`]).
     pub(crate) renewal_due: Option<Arc<dyn Fn(u64) + Send + Sync>>,
-    pub(crate) mirror_fetch: HashMap<String, MirrorFetchStats>,
-    pub(crate) fetch_latencies: Vec<u64>,
     pub(crate) renewal_times: Vec<u64>,
     pub(crate) tasks: LifecycleTasks,
+    /// What only the paths a client that bootstraps and renews never
+    /// takes write; allocated by the first of them ([`BootState::cold`]).
+    pub(crate) cold: Option<Box<ColdState>>,
+}
+
+/// The [`BootStats`] counters every client writes.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct HotStats {
+    pub(crate) downloads: u64,
+    pub(crate) renewals: u64,
+    pub(crate) upgrades: u64,
+    pub(crate) failed_renewals: u64,
+    pub(crate) polls: u64,
+}
+
+/// The state of notify channels, extensions, depot deliveries, mirror
+/// walks, activation reports and swap windows.
+#[derive(Default)]
+pub(crate) struct ColdState {
+    pub(crate) pipe: Option<Pipe>,
+    pub(crate) mirror_fetch: HashMap<String, MirrorFetchStats>,
+    pub(crate) fetch_latencies: Vec<u64>,
     /// Open hot-swap coexistence windows.
     pub(crate) windows: Vec<DrainWindow>,
+    /// Its counters; the five [`HotStats`] ones stay zero here.
+    pub(crate) stats: BootStats,
 }
 
 /// What a client knows about renewing by reference.
@@ -166,6 +187,29 @@ pub(crate) enum RenewRef {
 }
 
 impl BootState {
+    /// The cold part, allocated now if this is its first use.
+    pub(crate) fn cold(&mut self) -> &mut ColdState {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// The open notify channel, if any.
+    pub(crate) fn pipe(&self) -> Option<&Pipe> {
+        self.cold.as_ref()?.pipe.as_ref()
+    }
+
+    /// The frozen counter view: the hot counters and the cold ones.
+    fn stats(&self) -> BootStats {
+        let hot = self.stats;
+        BootStats {
+            downloads: hot.downloads,
+            renewals: hot.renewals,
+            upgrades: hot.upgrades,
+            failed_renewals: hot.failed_renewals,
+            polls: hot.polls,
+            ..self.cold.as_ref().map(|c| c.stats).unwrap_or_default()
+        }
+    }
+
     /// A full request whose context digest is `token`, built from the
     /// current context in `zone`, drew an offer: the server keeps it for
     /// this host.
@@ -209,11 +253,11 @@ pub(crate) fn push_sample(samples: &mut Vec<u64>, sample: u64) {
 pub struct Bootloader {
     pub(crate) net: Network,
     pub(crate) local: Addr,
-    pub(crate) config: BootloaderConfig,
+    /// Shared by every client built from one configuration.
+    pub(crate) config: Arc<BootloaderConfig>,
     pub(crate) vm: DriverVm,
     pub(crate) registry: DriverRegistry,
     pub(crate) tracker: ConnectionTracker,
-    pub(crate) clock: Clock,
     pub(crate) state: Mutex<BootState>,
 }
 
@@ -260,17 +304,17 @@ impl Drop for Bootloader {
 impl Bootloader {
     /// Creates a bootloader for an application at `local` and registers
     /// its lifecycle tasks (per `config.lifecycle`) on the network's
-    /// scheduler.
-    pub fn new(net: &Network, local: Addr, config: BootloaderConfig) -> Arc<Self> {
+    /// scheduler. A fleet whose clients are configured alike passes them
+    /// one shared `Arc`.
+    pub fn new(net: &Network, local: Addr, config: impl Into<Arc<BootloaderConfig>>) -> Arc<Self> {
         let vm = DriverVm::new(net.clone(), local.clone());
         let boot = Arc::new(Bootloader {
             net: net.clone(),
             local,
-            config,
+            config: config.into(),
             vm,
             registry: DriverRegistry::new(),
             tracker: ConnectionTracker::new(),
-            clock: net.clock().clone(),
             state: Mutex::new(BootState::default()),
         });
         boot.register_lifecycle();
@@ -388,7 +432,7 @@ impl Bootloader {
 
     /// Counter snapshot.
     pub fn stats(&self) -> BootStats {
-        self.state.lock().stats
+        self.state.lock().stats()
     }
 
     /// The client's own network address.
@@ -656,9 +700,9 @@ impl Bootloader {
             let mut st = self.state.lock();
             st.server = Some(server.clone());
             st.revoked = false;
-            if self.config.open_notify_channel && st.pipe.is_none() {
+            if self.config.open_notify_channel && st.pipe().is_none() {
                 if let Ok(pipe) = self.net.connect_pipe(&self.local, &server) {
-                    st.pipe = Some(pipe);
+                    st.cold().pipe = Some(pipe);
                 }
             }
         }
@@ -714,7 +758,7 @@ impl Bootloader {
         let new_ns = self.install_offer(&server, &offer, file)?;
         self.registry.activate(new_ns)?;
         // Old connections keep working (extension fetch is additive).
-        self.state.lock().stats.extension_fetches += 1;
+        self.state.lock().cold().stats.extension_fetches += 1;
         self.sync_lease_timer();
         Ok(())
     }
@@ -769,7 +813,13 @@ impl Bootloader {
     /// Closes the dedicated channel (simulating application shutdown so
     /// the server-side failure detector fires).
     pub fn drop_notify_channel(&self) {
-        if let Some(pipe) = self.state.lock().pipe.take() {
+        let pipe = self
+            .state
+            .lock()
+            .cold
+            .as_deref_mut()
+            .and_then(|c| c.pipe.take());
+        if let Some(pipe) = pipe {
             pipe.close();
         }
         self.report_renewal_deadline();
@@ -804,10 +854,49 @@ mod tests {
             BootloaderConfig::fixed(Vec::new()),
         );
         for dt in 0..=MAX_SAMPLES as u64 {
-            push_sample(&mut boot.state.lock().fetch_latencies, dt);
+            push_sample(&mut boot.state.lock().cold().fetch_latencies, dt);
         }
         let kept = boot.take_fetch_latencies();
         assert!(kept.len() <= MAX_SAMPLES, "{} samples kept", kept.len());
         assert_eq!(kept.last(), Some(&(MAX_SAMPLES as u64)));
+    }
+
+    /// A client with no notify channel, depot, activation reports or swap
+    /// windows, that bootstraps and renews three times, never allocates
+    /// the cold part of its state.
+    #[test]
+    fn a_client_that_only_bootstraps_and_renews_never_allocates_its_cold_part() {
+        use drivolution_core::pack::pack_driver;
+        use drivolution_core::{
+            ApiName, BinaryFormat, DriverId, DriverImage, DriverRecord, PermissionRule,
+            RenewPolicy, DRIVOLUTION_PORT,
+        };
+        use drivolution_server::{attach_in_database, ServerConfig};
+
+        let net = Network::new();
+        let db = Arc::new(minidb::MiniDb::with_clock("orders", net.clock().clone()));
+        let at = Addr::new("db1", DRIVOLUTION_PORT);
+        let srv = attach_in_database(&net, db, at, ServerConfig::default()).unwrap();
+        let v1 = DriverVersion::new(1, 0, 0);
+        let image = pack_driver(BinaryFormat::Djar, &DriverImage::new("drv", v1, 1));
+        let record = DriverRecord::new(DriverId(1), ApiName::rdbc(), BinaryFormat::Djar, image);
+        srv.install_driver(&record.with_version(v1)).unwrap();
+        let rule = PermissionRule::any(DriverId(1))
+            .with_lease_ms(10_000)
+            .with_policies(RenewPolicy::Renew, ExpirationPolicy::AfterCommit);
+        srv.add_rule(&rule).unwrap();
+        let config = BootloaderConfig::same_host()
+            .trusting(srv.certificate())
+            .with_lifecycle(crate::LifecyclePolicy::manual());
+        let boot = Bootloader::new(&net, Addr::new("app", 1), config);
+        let url = DbUrl::direct(Addr::new("db1", 5432), "orders");
+        boot.bootstrap(&url, &ConnectProps::user("admin", "admin"))
+            .unwrap();
+        for _ in 0..3 {
+            net.clock().advance_ms(10_000);
+            assert_eq!(boot.poll(), PollOutcome::Renewed);
+        }
+        assert_eq!((boot.stats().downloads, boot.stats().renewals), (1, 3));
+        assert!(boot.state.lock().cold.is_none(), "cold part allocated");
     }
 }

@@ -39,13 +39,17 @@ impl Bootloader {
     /// Per-source chunk-fetch statistics (mirrors and the primary),
     /// sorted by location.
     pub fn mirror_fetch_stats(&self) -> Vec<(String, MirrorFetchStats)> {
-        let mut v: Vec<(String, MirrorFetchStats)> = self
-            .state
-            .lock()
-            .mirror_fetch
-            .iter()
-            .map(|(k, s)| (k.clone(), *s))
-            .collect();
+        let st = self.state.lock();
+        let mut v: Vec<(String, MirrorFetchStats)> = st
+            .cold
+            .as_ref()
+            .map(|c| {
+                c.mirror_fetch
+                    .iter()
+                    .map(|(k, s)| (k.clone(), *s))
+                    .collect()
+            })
+            .unwrap_or_default();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
@@ -54,7 +58,11 @@ impl Bootloader {
     /// per successful chunk-set fetch, the most recent few thousand when
     /// never drained), for percentile reporting.
     pub fn take_fetch_latencies(&self) -> Vec<u64> {
-        std::mem::take(&mut self.state.lock().fetch_latencies)
+        let mut st = self.state.lock();
+        st.cold
+            .as_deref_mut()
+            .map(|c| std::mem::take(&mut c.fetch_latencies))
+            .unwrap_or_default()
     }
 
     /// The database the current connection context is about (depot cache
@@ -107,7 +115,8 @@ impl Bootloader {
                 })?;
                 depot.note_revalidation(&self.context_database(), digest);
                 {
-                    let st = &mut self.state.lock().stats;
+                    let mut state = self.state.lock();
+                    let st = &mut state.cold().stats;
                     st.revalidations += 1;
                     st.bytes_saved += bytes.len() as u64;
                 }
@@ -182,7 +191,7 @@ impl Bootloader {
         digests: &[u64],
         offer: &DrvOffer,
     ) -> DkResult<Vec<(u64, Bytes)>> {
-        let t0 = self.clock.now_ms();
+        let t0 = self.net.clock().now_ms();
         let trust = &self.config.channel_trust;
         let result = fetch_chunks(digests, offer.transfer_method, trust, |frame| {
             self.net
@@ -190,9 +199,10 @@ impl Bootloader {
                 .map_err(|e| DrvError::Net(e.to_string()))
         })
         .map_err(DkError::Drv);
-        let dt = self.clock.now_ms().saturating_sub(t0);
+        let dt = self.net.clock().now_ms().saturating_sub(t0);
         let mut st = self.state.lock();
-        let e = st.mirror_fetch.entry(location.to_string()).or_default();
+        let cold = st.cold();
+        let e = cold.mirror_fetch.entry(location.to_string()).or_default();
         match &result {
             Ok(_) => {
                 e.successes += 1;
@@ -201,7 +211,7 @@ impl Bootloader {
                 } else {
                     (3 * e.ewma_latency_ms + dt) / 4
                 };
-                push_sample(&mut st.fetch_latencies, dt);
+                push_sample(&mut cold.fetch_latencies, dt);
             }
             Err(_) => e.failures += 1,
         }
@@ -236,7 +246,8 @@ impl Bootloader {
                     let loaded = self.verify_and_load(offer, image.bytes().clone())?;
                     depot.insert_digested(&self.context_database(), image);
                     {
-                        let st = &mut self.state.lock().stats;
+                        let mut state = self.state.lock();
+                        let st = &mut state.cold().stats;
                         st.shared_image_reuses += 1;
                         st.bytes_saved += plan.manifest.total_size;
                     }
@@ -255,7 +266,8 @@ impl Bootloader {
             // tiebreak.
             let mut candidates = plan.mirrors.clone();
             {
-                let fs = &self.state.lock().mirror_fetch;
+                let mut st = self.state.lock();
+                let fs = &st.cold().mirror_fetch;
                 candidates.sort_by_key(|c| {
                     let zone_miss = match (client_zone.as_deref(), c.zone.as_deref()) {
                         (Some(a), Some(b)) => a != b,
@@ -275,7 +287,7 @@ impl Bootloader {
                     match self.timed_fetch(&c.location, &addr, &need, offer) {
                         Ok(chunks) => {
                             fetched = chunks.into_iter().collect();
-                            self.state.lock().stats.mirror_chunk_fetches += 1;
+                            self.state.lock().cold().stats.mirror_chunk_fetches += 1;
                             source_zone = Some(c.zone.clone());
                             break 'candidates;
                         }
@@ -326,7 +338,8 @@ impl Bootloader {
                 // Unzoned topologies are a single implicit zone.
                 _ => true,
             };
-            let st = &mut self.state.lock().stats;
+            let mut state = self.state.lock();
+            let st = &mut state.cold().stats;
             if same_zone {
                 st.same_zone_chunk_bytes += fetched_bytes;
             } else {
@@ -348,7 +361,8 @@ impl Bootloader {
         }
         let saved = plan.manifest.total_size.saturating_sub(fetched_bytes);
         {
-            let st = &mut self.state.lock().stats;
+            let mut state = self.state.lock();
+            let st = &mut state.cold().stats;
             st.delta_downloads += 1;
             st.bytes_saved += saved;
             if fell_back {
@@ -361,7 +375,7 @@ impl Bootloader {
     pub(crate) fn lease_of(&self, terms: &LeaseTerms) -> DkResult<Lease> {
         Lease::grant(
             terms.driver_id,
-            self.clock.now_ms(),
+            self.net.clock().now_ms(),
             terms.lease_ms,
             terms.renew_policy,
             terms.expiration_policy,
@@ -394,7 +408,7 @@ impl Bootloader {
     /// directory's strike ledger, never part of the fetch path's own
     /// control flow.
     fn send_mirror_complaint(&self, server: &Addr, location: &str, digest: u64, detail: &str) {
-        self.state.lock().stats.mirror_complaints += 1;
+        self.state.lock().cold().stats.mirror_complaints += 1;
         let msg = DrvMsg::MirrorComplaint {
             location: location.to_string(),
             digest,

@@ -43,7 +43,7 @@ impl Bootloader {
         self.report_renewal_deadline();
         let mut st = self.state.lock();
         let owed = st.renew_owed;
-        let wake_now = owed || (self.config.open_notify_channel && st.pipe.is_some());
+        let wake_now = owed || (self.config.open_notify_channel && st.pipe().is_some());
         let tasks = &mut st.tasks;
         if tasks.poll.is_none() && tasks.lease.is_none() {
             return;
@@ -64,7 +64,7 @@ impl Bootloader {
         };
         match lease {
             Some((renew_at, margin)) => {
-                let now = self.clock.now_ms();
+                let now = self.net.clock().now_ms();
                 if renew_at > now && !owed {
                     // One jitter draw per lease grant: skip when the
                     // timer is already armed for this renew-due point.
@@ -100,7 +100,8 @@ impl Bootloader {
             let Some(report) = st.renewal_due.clone() else {
                 return;
             };
-            let wake_now = st.renew_owed || (self.config.open_notify_channel && st.pipe.is_some());
+            let wake_now =
+                st.renew_owed || (self.config.open_notify_channel && st.pipe().is_some());
             let at = match self.registry.active() {
                 Some(ns) if !wake_now => ns.lease.renew_due_at_ms(),
                 _ => 0,
@@ -153,17 +154,20 @@ impl Bootloader {
     fn drain_notices(&self) -> bool {
         let mut force_renew = false;
         let mut st = self.state.lock();
-        if let Some(pipe) = &st.pipe {
-            while let Ok(Some(raw)) = pipe.try_recv() {
-                if let Ok(notice) = DrvNotice::decode(raw) {
-                    let ours = st.context.as_ref().map(|(url, _)| url.database());
-                    if ours == Some(notice_database(&notice)) {
-                        force_renew = true;
+        let st = &mut *st;
+        let ours = st.context.as_ref().map(|(url, _)| url.database());
+        if let Some(cold) = st.cold.as_deref_mut() {
+            if let Some(pipe) = &cold.pipe {
+                while let Ok(Some(raw)) = pipe.try_recv() {
+                    if let Ok(notice) = DrvNotice::decode(raw) {
+                        if ours == Some(notice_database(&notice)) {
+                            force_renew = true;
+                        }
                     }
                 }
-            }
-            if !pipe.is_open() {
-                st.pipe = None;
+                if !pipe.is_open() {
+                    cold.pipe = None;
+                }
             }
         }
         force_renew || st.renew_owed
@@ -177,12 +181,12 @@ impl Bootloader {
     fn due_renewal(&self) -> Option<Namespace> {
         let force_renew = self.drain_notices();
         let ns = self.registry.active()?;
-        if !force_renew && ns.lease.state(self.clock.now_ms()) == LeaseState::Valid {
+        if !force_renew && ns.lease.state(self.net.clock().now_ms()) == LeaseState::Valid {
             return None;
         }
         let mut st = self.state.lock();
         st.context.as_ref()?;
-        push_sample(&mut st.renewal_times, self.clock.now_ms());
+        push_sample(&mut st.renewal_times, self.net.clock().now_ms());
         Some(ns)
     }
 
@@ -506,9 +510,10 @@ impl Bootloader {
             Err(detail) => (false, detail),
         };
         let mut st = self.state.lock();
-        st.stats.activation_reports += 1;
+        let counts = &mut st.cold().stats;
+        counts.activation_reports += 1;
         if !ok {
-            st.stats.activation_failures += 1;
+            counts.activation_failures += 1;
         }
         let (url, _) = st.context.as_ref()?;
         Some(Activation {

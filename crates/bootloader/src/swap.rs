@@ -127,16 +127,17 @@ impl Bootloader {
         let Some(cfg) = self.config.swap else {
             return;
         };
-        let now = self.clock.now_ms();
+        let now = self.net.clock().now_ms();
         let marked = self.tracker.mark_draining(old_ns);
 
         {
             let mut st = self.state.lock();
-            st.stats.swap.windows_opened += 1;
+            let cold = st.cold();
+            cold.stats.swap.windows_opened += 1;
             if to < from {
-                st.stats.swap.downgrades += 1;
+                cold.stats.swap.downgrades += 1;
             }
-            st.windows.push(DrainWindow {
+            cold.windows.push(DrainWindow {
                 ns: old_ns,
                 policy,
                 deadline_ms: now + cfg.drain_grace.as_millis() as u64,
@@ -156,14 +157,14 @@ impl Bootloader {
         let Some(cfg) = self.config.swap else {
             return;
         };
-        let now = self.clock.now_ms();
-        let windows = std::mem::take(&mut self.state.lock().windows);
-        if windows.is_empty() {
-            return;
-        }
+        let now = self.net.clock().now_ms();
+        let windows = match self.state.lock().cold.as_deref_mut() {
+            Some(cold) if !cold.windows.is_empty() => std::mem::take(&mut cold.windows),
+            _ => return,
+        };
         if self.registry.active().is_none() {
             // A window is open yet nobody serves new sessions: blackout.
-            self.state.lock().stats.swap.blackout_ticks += 1;
+            self.state.lock().cold().stats.swap.blackout_ticks += 1;
         }
         let mut remaining = Vec::new();
         for mut w in windows {
@@ -171,7 +172,8 @@ impl Bootloader {
                 let out = self.tracker.escalate(w.ns, w.policy, ESCALATION_REASON);
                 w.forced += out.closed_now + out.close_at_commit;
                 w.escalated = true;
-                let st = &mut self.state.lock().stats.swap;
+                let mut state = self.state.lock();
+                let st = &mut state.cold().stats.swap;
                 st.sessions_forced += (out.closed_now + out.close_at_commit) as u64;
                 st.transactions_severed += out.severed as u64;
             }
@@ -179,7 +181,8 @@ impl Bootloader {
                 // Retire + unload (activate() already retired it; this
                 // prunes and drops the namespace).
                 self.maybe_unload(w.ns);
-                let st = &mut self.state.lock().stats.swap;
+                let mut state = self.state.lock();
+                let st = &mut state.cold().stats.swap;
                 st.windows_completed += 1;
                 st.sessions_drained += w.initial_sessions.saturating_sub(w.forced) as u64;
             } else {
@@ -189,8 +192,9 @@ impl Bootloader {
         let rearm = !remaining.is_empty();
         let mut st = self.state.lock();
         // Windows opened re-entrantly during this tick stay queued.
-        remaining.append(&mut st.windows);
-        st.windows = remaining;
+        let cold = st.cold();
+        remaining.append(&mut cold.windows);
+        cold.windows = remaining;
         if let (true, Some(t)) = (rearm, &st.tasks.swap) {
             t.reschedule_at(now + cfg.tick_every.as_millis() as u64);
         }
@@ -199,6 +203,6 @@ impl Bootloader {
     /// Counts one transparent boundary migration (called by the managed
     /// wrapper after it reconnects a session onto the active driver).
     pub(crate) fn note_session_migrated(&self) {
-        self.state.lock().stats.swap.sessions_migrated += 1;
+        self.state.lock().cold().stats.swap.sessions_migrated += 1;
     }
 }

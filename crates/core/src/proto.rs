@@ -26,8 +26,8 @@ use std::sync::Arc;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use netsim::codec::{
-    display_len, encode, get_bytes, put_display, wire_enum, wire_frame, Capped, CodecError,
-    Interned, Wire, WireAs,
+    display_len, encode, get_bytes, get_whole, put_display, wire_enum, wire_frame, Capped,
+    CodecError, Interned, Wire, WireAs,
 };
 
 use crate::chunk::{ChunkManifest, ChunkingParams, ImageSize};
@@ -725,9 +725,10 @@ impl DrvMsg {
     ///
     /// # Errors
     ///
-    /// [`DrvError::Codec`] on malformed frames.
-    pub fn decode(mut buf: Bytes) -> DrvResult<Self> {
-        Ok(Self::get(&mut buf, "drv msg")?)
+    /// [`DrvError::Codec`] on malformed frames and on bytes after the last
+    /// field.
+    pub fn decode(buf: Bytes) -> DrvResult<Self> {
+        Ok(get_whole(buf, "drv msg")?)
     }
 
     /// The encoded `FILE_DATA` reply for `payload` wrapped under `method`
@@ -827,9 +828,10 @@ impl DrvNotice {
     ///
     /// # Errors
     ///
-    /// [`DrvError::Codec`] on malformed frames.
-    pub fn decode(mut buf: Bytes) -> DrvResult<Self> {
-        Ok(Self::get(&mut buf, "notice")?)
+    /// [`DrvError::Codec`] on malformed frames and on bytes after the last
+    /// field.
+    pub fn decode(buf: Bytes) -> DrvResult<Self> {
+        Ok(get_whole(buf, "notice")?)
     }
 }
 

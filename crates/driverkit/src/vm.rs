@@ -47,6 +47,9 @@ impl DriverFactory for DirectFactory {
 /// bootloader).
 pub struct DriverVm {
     host_api: ApiName,
+    /// The direct flavor's factory, unless one is registered for it.
+    direct: DirectFactory,
+    /// Registered factories: empty, and unallocated, until the first.
     factories: RwLock<HashMap<DriverFlavor, Arc<dyn DriverFactory>>>,
 }
 
@@ -60,15 +63,14 @@ impl std::fmt::Debug for DriverVm {
 }
 
 impl DriverVm {
-    /// Creates a VM for an application on `local`, with the direct-flavor
-    /// factory pre-registered.
+    /// Creates a VM for an application on `local`, loading direct-flavor
+    /// drivers until another factory is registered for them.
     pub fn new(net: Network, local: Addr) -> Self {
-        let vm = DriverVm {
+        DriverVm {
             host_api: ApiName::rdbc(),
+            direct: DirectFactory { net, local },
             factories: RwLock::new(HashMap::new()),
-        };
-        vm.register_factory(DriverFlavor::Direct, Arc::new(DirectFactory { net, local }));
-        vm
+        }
     }
 
     /// Registers (or replaces) the factory for a flavor.
@@ -101,18 +103,19 @@ impl DriverVm {
                 image.api_name, self.host_api
             )));
         }
-        let factory = self
-            .factories
-            .read()
-            .get(&image.flavor)
-            .cloned()
-            .ok_or_else(|| {
-                DkError::Unsupported(format!(
+        let registered = self.factories.read().get(&image.flavor).cloned();
+        let driver = match registered {
+            Some(factory) => factory.instantiate(Arc::clone(&image))?,
+            None if image.flavor == DriverFlavor::Direct => {
+                self.direct.instantiate(Arc::clone(&image))?
+            }
+            None => {
+                return Err(DkError::Unsupported(format!(
                     "no factory registered for driver flavor {:?}",
                     image.flavor
-                ))
-            })?;
-        let driver = factory.instantiate(Arc::clone(&image))?;
+                )))
+            }
+        };
         Ok((image, driver))
     }
 }

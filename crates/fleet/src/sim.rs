@@ -25,13 +25,13 @@ use netsim::{Addr, ChaosSchedule, Network};
 
 use driverkit::{ConnectProps, DbUrl};
 use drivolution_bootloader::{
-    Bootloader, BootloaderConfig, LifecyclePolicy, SwapConfig, SwapStats,
+    ActivationCheck, Bootloader, BootloaderConfig, LifecyclePolicy, SwapConfig, SwapStats,
 };
 use drivolution_core::{
     ApiName, BinaryFormat, DriverId, DriverImage, DriverRecord, DriverVersion, ExpirationPolicy,
     PermissionRule, RenewPolicy, TransferMethod, DRIVOLUTION_PORT,
 };
-use drivolution_depot::{DriverDepot, MirrorDepot, SharedImageCache};
+use drivolution_depot::{DriverDepot, MirrorDepot};
 use drivolution_server::{
     attach_in_database, DrivolutionServer, RolloutConfig, RolloutOrchestrator, RolloutPlan,
     ServerConfig,
@@ -224,39 +224,33 @@ impl FleetSim {
         } else {
             spec.lifecycle
         };
-        // A zone holds each image once: a wave materializes each target
+        // Clients placed alike share one configuration, built by the
+        // first of them: one per zone, or one for an unzoned fleet. A
+        // zone holds each image once: a wave materializes each target
         // image once per zone, and a bootstrap keeps the bytes its zone
-        // already holds. One cache per zone, or one for an unzoned fleet.
-        let mut image_caches: HashMap<&str, Arc<SharedImageCache>> = HashMap::new();
-        let mut placement = spec.zones.iter().cycle();
-        for i in 0..spec.clients {
-            let host = format!("app{i:04}");
+        // already holds. A client with a depot of its own owns a copy.
+        let own_depot = spec.checked || !spec.zones.is_empty();
+        let check = spec.checked.then(|| {
+            let faulty = sim.faulty_version.clone();
+            ActivationCheck::new(move |image| match *faulty.lock() {
+                Some(v) if image.version == v => Err("injected activation regression".to_string()),
+                _ => Ok(()),
+            })
+        });
+        let configure = |zone: Option<&str>| {
             let mut config = BootloaderConfig::same_host().with_lifecycle(lifecycle);
-            let zone = placement.next().copied();
             if spec.batched {
-                let cache = image_caches.entry(zone.unwrap_or("default")).or_default();
-                config = config.with_image_cache(cache.clone());
+                config = config.with_image_cache(Arc::default());
             }
-            if let Some(zone) = zone {
-                sim.net.with_topology(|t| t.place(host.clone(), zone));
+            if zone.is_some() {
                 config = config.trusting(sim.server.certificate());
                 for m in &sim.mirrors {
                     config = config.trusting(m.certificate());
                 }
             }
-            if spec.checked || !spec.zones.is_empty() {
-                config = config.with_depot(DriverDepot::in_memory());
-            }
-            if spec.checked {
-                let faulty = sim.faulty_version.clone();
-                config = config
-                    .with_activation_reports()
-                    .with_activation_check(move |image| match *faulty.lock() {
-                        Some(v) if image.version == v => {
-                            Err("injected activation regression".to_string())
-                        }
-                        _ => Ok(()),
-                    });
+            if let Some(check) = &check {
+                config.activation_check = Some(check.clone());
+                config = config.with_activation_reports();
             }
             if let Some(swap) = spec.hot_swap {
                 config = config.with_hot_swap(swap);
@@ -264,6 +258,23 @@ impl FleetSim {
             if spec.notify {
                 config = config.with_notify_channel();
             }
+            Arc::new(config)
+        };
+        let mut configs: HashMap<Option<&str>, Arc<BootloaderConfig>> = HashMap::new();
+        let mut placement = spec.zones.iter().cycle();
+        for i in 0..spec.clients {
+            let host = format!("app{i:04}");
+            let zone = placement.next().copied();
+            if let Some(zone) = zone {
+                sim.net.with_topology(|t| t.place(host.clone(), zone));
+            }
+            let shared = configs.entry(zone).or_insert_with(|| configure(zone));
+            let config = if own_depot {
+                let config = BootloaderConfig::clone(shared);
+                Arc::new(config.with_depot(DriverDepot::in_memory()))
+            } else {
+                Arc::clone(shared)
+            };
             sim.clients
                 .push(Bootloader::new(&sim.net, Addr::new(host, 1), config));
         }

@@ -1,5 +1,6 @@
 //! Statement execution against a catalog.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::error::{DbError, DbResult};
@@ -292,6 +293,31 @@ pub fn execute_statement(
     }
 }
 
+/// What a column the column list of an `INSERT` leaves out takes.
+static NULL: Value = Value::Null;
+
+/// The value `exprs`, one row of an `INSERT` whose column list maps to
+/// `positions` (`None`: every column, in order), gives the column at
+/// schema position `pos`: borrowed when it is a literal or a parameter,
+/// and NULL when the list leaves the column out.
+fn supplied<'e>(
+    ctx: &'e EvalCtx<'_>,
+    positions: Option<&[usize]>,
+    exprs: &'e [Expr],
+    pos: usize,
+) -> DbResult<Cow<'e, Value>> {
+    let at = positions.map_or(Some(pos), |p| p.iter().rposition(|&q| q == pos));
+    match at.and_then(|i| exprs.get(i)) {
+        Some(e) => ctx.operand(e),
+        None => Ok(Cow::Borrowed(&NULL)),
+    }
+}
+
+/// Runs an `INSERT` in three passes over its rows: evaluates them, checks
+/// their references, then writes them. No pass keeps a row: each reads
+/// the values it needs from the statement, borrowed where it can, so an
+/// `OR REPLACE` row whose key a row holds, found through the index by
+/// those values, is written into that row with nothing built.
 #[allow(clippy::too_many_arguments)]
 fn exec_insert(
     catalog: &mut Catalog,
@@ -305,55 +331,64 @@ fn exec_insert(
 ) -> DbResult<QueryResult> {
     let t = catalog.table(table)?;
     let schema = t.schema();
+    let width = schema.columns().len();
     // Map the explicit column list (if any) to schema positions.
-    let positions: Vec<usize> = match columns {
-        Some(cols) => cols
-            .iter()
-            .map(|c| schema.col_index(c))
-            .collect::<DbResult<_>>()?,
-        None => (0..schema.columns().len()).collect(),
-    };
+    let positions: Option<Vec<usize>> = columns
+        .map(|cols| cols.iter().map(|c| schema.col_index(c)).collect())
+        .transpose()?;
+    let positions = positions.as_deref();
+    let arity = positions.map_or(width, <[usize]>::len);
     let ctx = EvalCtx::rowless(params, now_ms);
-    let mut built: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
     for exprs in rows {
-        if exprs.len() != positions.len() {
+        if exprs.len() != arity {
             return Err(DbError::Constraint(format!(
-                "INSERT supplies {} values for {} columns",
+                "INSERT supplies {} values for {arity} columns",
                 exprs.len(),
-                positions.len()
             )));
         }
-        let mut row = vec![Value::Null; schema.columns().len()];
-        for (pos, e) in positions.iter().zip(exprs) {
-            row[*pos] = ctx.eval(e)?;
+        for e in exprs {
+            ctx.operand(e)?;
         }
-        built.push(row);
     }
     // A row that takes a replacing row's values must not orphan a value
     // another table references.
     let replaces = or_replace && catalog.is_referenced(table);
-    for row in &built {
-        for (col, value) in schema.columns().iter().zip(row) {
+    for exprs in rows {
+        let value = |pos| supplied(&ctx, positions, exprs, pos);
+        for (pos, col) in schema.columns().iter().enumerate() {
             if let Some((rt, rc)) = col.references_target() {
-                catalog.check_reference(rt, rc, value)?;
+                catalog.check_reference(rt, rc, &*value(pos)?)?;
             }
         }
-        let Some(held) = t.holder(row).filter(|_| replaces) else {
+        let held = replaces.then(|| t.holders(|pos| value(pos).ok(), None).next());
+        let Some((_, held)) = held.flatten() else {
             continue;
         };
-        for ((col, old), new) in schema.columns().iter().zip(held).zip(row) {
-            if old.sql_eq(new) != Some(true) {
+        for (pos, (col, old)) in schema.columns().iter().zip(held).enumerate() {
+            if old.sql_eq(&*value(pos)?) != Some(true) {
                 catalog.check_no_referents(table, col.name(), old)?;
             }
         }
     }
-    let n = built.len() as u64;
     let t = catalog.table_mut(table)?;
-    for row in built {
-        let (id, old) = if or_replace {
-            t.upsert(row, undo.is_some())?
-        } else {
-            (t.insert(row)?, None)
+    for exprs in rows {
+        let value = |pos| supplied(&ctx, positions, exprs, pos);
+        let held = or_replace.then(|| t.holders(|pos| value(pos).ok(), None).next());
+        let (id, old) = match held.flatten().map(|(id, _)| id) {
+            Some(id) => (id, t.write_in_place(id, undo.is_some(), value)?),
+            None => {
+                let mut row = Vec::with_capacity(width);
+                for pos in 0..width {
+                    row.push(value(pos)?.into_owned());
+                }
+                let id = if or_replace {
+                    let row = t.schema().validate_row(row)?;
+                    t.push(row)
+                } else {
+                    t.insert(row)?
+                };
+                (id, None)
+            }
         };
         if let Some(log) = undo.as_deref_mut() {
             let table = table.to_string();
@@ -363,7 +398,7 @@ fn exec_insert(
             });
         }
     }
-    Ok(QueryResult::Affected(n))
+    Ok(QueryResult::Affected(rows.len() as u64))
 }
 
 fn exec_update(

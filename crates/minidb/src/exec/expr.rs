@@ -117,7 +117,7 @@ impl<'a> EvalCtx<'a> {
 
     /// Evaluates an operand of a predicate: a literal, column or
     /// parameter is borrowed, anything else evaluated.
-    fn operand<'e>(&'e self, expr: &'e Expr) -> DbResult<Cow<'e, Value>> {
+    pub(crate) fn operand<'e>(&'e self, expr: &'e Expr) -> DbResult<Cow<'e, Value>> {
         Ok(match expr {
             Expr::Literal(v) => Cow::Borrowed(v),
             Expr::Column(name) => Cow::Borrowed(self.column(name)?),

@@ -204,15 +204,37 @@ impl TableSchema {
         }
         let mut row = row;
         for (v, c) in row.iter_mut().zip(&self.columns) {
-            if v.is_null() && c.not_null {
-                return Err(DbError::Constraint(format!(
-                    "column {}.{} is NOT NULL",
-                    self.name, c.name
-                )));
-            }
+            self.check_not_null(c, v)?;
             *v = std::mem::replace(v, Value::Null).coerce_to(c.dtype)?;
         }
         Ok(row)
+    }
+
+    /// Rejects NULL in column `c` if it is NOT NULL.
+    fn check_not_null(&self, c: &Column, v: &Value) -> DbResult<()> {
+        if v.is_null() && c.not_null {
+            return Err(DbError::Constraint(format!(
+                "column {}.{} is NOT NULL",
+                self.name, c.name
+            )));
+        }
+        Ok(())
+    }
+
+    /// Checks, without coercing it, that column `c` of this table can
+    /// store `v`, as [`validate_row`](Self::validate_row) would: for a
+    /// write that must not stop halfway through a row.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Constraint`] or [`DbError::Type`].
+    pub(crate) fn check_storable(&self, c: &Column, v: &Value) -> DbResult<()> {
+        self.check_not_null(c, v)?;
+        if !v.conforms_to(c.dtype) {
+            let ty = c.dtype;
+            return Err(DbError::Type(format!("cannot store {v} in {ty} column")));
+        }
+        Ok(())
     }
 }
 

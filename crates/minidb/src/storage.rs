@@ -1,6 +1,6 @@
 //! Row storage, the primary-key index, catalog, and transaction undo log.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -71,16 +71,7 @@ pub(crate) fn key_hash(v: &Value) -> Option<u64> {
 /// [`key_hash`] of `probe.coerce_to(ty)`, without building it: `None`
 /// when the probe is NULL or does not coerce to `ty`.
 pub(crate) fn probe_hash(probe: &Value, ty: DataType) -> Option<u64> {
-    let coerces = matches!(
-        (probe, ty),
-        (
-            Value::Integer(_) | Value::BigInt(_) | Value::Timestamp(_),
-            DataType::Integer | DataType::BigInt | DataType::Timestamp
-        ) | (Value::Varchar(_), DataType::Varchar)
-            | (Value::Blob(_), DataType::Blob)
-            | (Value::Boolean(_), DataType::Boolean)
-    );
-    key_hash(probe).filter(|_| coerces)
+    key_hash(probe).filter(|_| probe.conforms_to(ty))
 }
 
 /// What the value hashed `h` in slot `slot` of a `width`-column key adds
@@ -263,34 +254,38 @@ impl Table {
         self.spill.range((h, RowId::MIN)..=(h, RowId::MAX))
     }
 
-    /// The rows other than `except` that hold `row`'s key, found through
-    /// the index (none on an unkeyed table or for a NULL key column).
-    fn holders<'a>(
+    /// The rows other than `except` that hold the key whose column at
+    /// position `pos` is `value(pos)`, found through the index without
+    /// building a row: none on an unkeyed table, or when a key value is
+    /// missing, NULL or of a type its column cannot store.
+    pub(crate) fn holders<'a, V: Borrow<Value>>(
         &'a self,
-        row: &'a [Value],
+        value: impl Fn(usize) -> Option<V> + 'a,
         except: Option<RowId>,
     ) -> impl Iterator<Item = (RowId, &'a Vec<Value>)> + 'a {
         let key = self.schema.key();
-        let same = |(a, b): (&Value, &Value)| a.sql_eq(b) == Some(true);
-        let hash = row_hash(key, row);
+        let part = |(slot, &pos): (usize, &usize)| {
+            let dtype = self.schema.columns().get(pos)?.dtype();
+            let h = probe_hash(value(pos)?.borrow(), dtype)?;
+            Some(key_part(key.len(), slot, h))
+        };
+        let hash = (key.iter().enumerate())
+            .try_fold(0u64, |h, k| Some(h.wrapping_add(part(k)?)))
+            .filter(|_| !key.is_empty());
+        let same = move |pos: usize, held: &Value| {
+            value(pos).is_some_and(|v| held.sql_eq(v.borrow()) == Some(true))
+        };
         (hash.into_iter())
             .flat_map(|h| self.candidates(Some(h)))
             .filter(move |(id, held)| {
                 Some(*id) != except
-                    && key
-                        .iter()
-                        .all(|&k| held.get(k).zip(row.get(k)).is_some_and(same))
+                    && (key.iter()).all(|&pos| held.get(pos).is_some_and(|v| same(pos, v)))
             })
-    }
-
-    /// The row that holds `row`'s key, if any.
-    pub(crate) fn holder<'a>(&'a self, row: &'a [Value]) -> Option<&'a Vec<Value>> {
-        self.holders(row, None).next().map(|(_, held)| held)
     }
 
     /// Rejects `row` if a row other than `except` already holds its key.
     fn check_unique(&self, row: &[Value], except: Option<RowId>) -> DbResult<()> {
-        if self.holders(row, except).next().is_none() {
+        if self.holders(|pos| row.get(pos), except).next().is_none() {
             return Ok(());
         }
         let key = self.schema.key();
@@ -324,7 +319,7 @@ impl Table {
     }
 
     /// Stores a validated row whose key no row holds, under a new id.
-    fn push(&mut self, row: Vec<Value>) -> RowId {
+    pub(crate) fn push(&mut self, row: Vec<Value>) -> RowId {
         let id = self.next_row_id;
         self.next_row_id += 1;
         self.reindex(None, self.index_entry(id, &row));
@@ -332,39 +327,42 @@ impl Table {
         id
     }
 
-    /// Validates `row` and inserts it, unless a row already holds its key:
-    /// that row then takes `row`'s other columns in place, keeping its
-    /// id, its key and with them its index entry. Returns the row's id
-    /// and, when a row took `row`'s values and `keep_old` asks for it
-    /// (an undo log), that row's previous image.
+    /// Writes each column of the row at `id` outside the key in place,
+    /// from `value(position)`, keeping its id, its key and with them its
+    /// index entry; returns the previous image when `keep_old` asks for
+    /// it (an undo log). Every value is checked as
+    /// [`TableSchema::validate_row`] would before the first is written.
     ///
     /// # Errors
     ///
-    /// [`DbError::Constraint`] or [`DbError::Type`]; the table is left
-    /// untouched.
-    pub fn upsert(
+    /// The first error of `value` or of a check, with the row untouched;
+    /// [`DbError::Internal`] if `id` is dead.
+    pub(crate) fn write_in_place<'v>(
         &mut self,
-        row: Vec<Value>,
+        id: RowId,
         keep_old: bool,
-    ) -> DbResult<(RowId, Option<Vec<Value>>)> {
-        let row = self.schema.validate_row(row)?;
-        let Some(id) = self.holders(&row, None).next().map(|(id, _)| id) else {
-            return Ok((self.push(row), None));
-        };
-        let key = self.schema.key();
+        value: impl Fn(usize) -> DbResult<Cow<'v, Value>>,
+    ) -> DbResult<Option<Vec<Value>>> {
+        let schema = &self.schema;
+        let key = schema.key();
+        let columns =
+            || (schema.columns().iter().enumerate()).filter(|(pos, _)| !key.contains(pos));
+        for (pos, col) in columns() {
+            schema.check_storable(col, &*value(pos)?)?;
+        }
         let Some(held) = self.rows.get_mut(&id) else {
             return Err(DbError::Internal(format!(
-                "upsert into dead row {id} in {}",
-                self.schema.name()
+                "write into dead row {id} in {}",
+                schema.name()
             )));
         };
         let old = keep_old.then(|| held.clone());
-        for (pos, (held, new)) in held.iter_mut().zip(row).enumerate() {
-            if !key.contains(&pos) {
-                *held = new;
+        for (pos, col) in columns() {
+            if let Some(held) = held.get_mut(pos) {
+                *held = value(pos)?.into_owned().coerce_to(col.dtype())?;
             }
         }
-        Ok((id, old))
+        Ok(old)
     }
 
     /// Re-inserts a row under a previously used id (for undo), replacing

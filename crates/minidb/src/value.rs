@@ -127,21 +127,17 @@ impl Value {
         }
     }
 
-    /// Checks whether this value may be stored in a column of type `ty`.
-    /// NULL conforms to every type; integers conform to all numeric types.
+    /// Checks whether this value may be stored in a column of type `ty`:
+    /// whether [`coerce_to`](Self::coerce_to) takes it there. NULL
+    /// conforms to every type; INTEGER, BIGINT and TIMESTAMP to each other.
     pub fn conforms_to(&self, ty: DataType) -> bool {
         matches!(
             (self, ty),
             (Value::Null, _)
                 | (
-                    Value::Integer(_) | Value::BigInt(_),
-                    DataType::Integer | DataType::BigInt
-                )
-                | (
                     Value::Integer(_) | Value::BigInt(_) | Value::Timestamp(_),
-                    DataType::Timestamp
+                    DataType::Integer | DataType::BigInt | DataType::Timestamp
                 )
-                | (Value::Timestamp(_), DataType::BigInt)
                 | (Value::Varchar(_), DataType::Varchar)
                 | (Value::Blob(_), DataType::Blob)
                 | (Value::Boolean(_), DataType::Boolean)

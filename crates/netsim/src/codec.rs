@@ -156,6 +156,22 @@ pub fn put_display(buf: &mut BytesMut, value: &impl fmt::Display) {
     }
 }
 
+/// Reads one `T` that is the whole of `buf`: a byte after its last
+/// field is an error.
+///
+/// # Errors
+///
+/// [`CodecError`] when `buf` is not one encoding of a `T`.
+pub fn get_whole<T: Wire>(mut buf: Bytes, what: &str) -> Result<T, CodecError> {
+    let value = T::get(&mut buf, what)?;
+    match buf.remaining() {
+        0 => Ok(value),
+        n => Err(CodecError::new(format!(
+            "{what}: {n} bytes after the last field"
+        ))),
+    }
+}
+
 /// A value with one encoding: [`put`](Wire::put) writes it and
 /// [`get`](Wire::get) reads it back. Implemented for the primitives of
 /// `DESIGN.md` §2, every [`wire_enum!`] and every [`wire_frame!`].
@@ -255,7 +271,7 @@ wire_int! {
     i64: put_i64_le, get_i64_le;
 }
 
-/// `u8`, zero is false.
+/// `u8`: 0 is false, 1 is true, any other byte an error.
 impl Wire for bool {
     const MIN_BYTES: usize = 1;
 
@@ -271,7 +287,11 @@ impl Wire for bool {
 
     #[inline]
     fn get(buf: &mut Bytes, what: &str) -> Result<Self, CodecError> {
-        Ok(u8::get(buf, what)? != 0)
+        match u8::get(buf, what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(CodecError::new(format!("{what}: bool byte {b:#04x}"))),
+        }
     }
 }
 

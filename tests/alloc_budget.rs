@@ -541,17 +541,19 @@ fn a_seat_renewal_allocates_nothing() {
 
 /// A lease row allocates about what it stores. The table keeps one row
 /// per binding, and every grant is one `INSERT OR REPLACE` that binds
-/// and evaluates the row's values: a binding's first grant stores its
-/// three strings and the row, 9.18 allocations per row over 1 000
-/// bindings (the table's growth included); a later grant allocates the
-/// same values, 9.00, and keeps none of them, its row taking the three
-/// numbers in place. Both run in an admin session that allocates
-/// nothing. Before the table was keyed every grant appended a row: 10.17
-/// allocations each, over 1 000 grants to one identity.
+/// the row's values: a binding's first grant stores its three strings
+/// and the row, 7.17 allocations per row over 1 000 bindings (the
+/// table's growth included); a later grant finds the binding's row by
+/// the bound key values, borrowed, and writes the three numbers into it,
+/// so it allocates only the three strings it binds, 3.00. Both run in an
+/// admin session that allocates nothing. While a later grant built the
+/// row as for an insert and then found it taken, it read 9.00, and a
+/// first grant 9.18; before the table was keyed every grant appended a
+/// row: 10.17 allocations each, over 1 000 grants to one identity.
 #[test]
 fn a_lease_log_row_allocates_what_it_stores() {
-    const PER_ROW_FIRST: f64 = 9.2;
-    const PER_ROW_RENEWED: f64 = 9.0;
+    const PER_ROW_FIRST: f64 = 7.2;
+    const PER_ROW_RENEWED: f64 = 3.0;
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let rig = rig(&record(1, DriverVersion::new(1, 0, 0), 4 << 10));
     let store = rig.srv.store();
@@ -646,6 +648,34 @@ fn a_self_driving_client_holds_under_3_5_kib_once_bootstrapped() {
     let per_client = live / CLIENTS as i64;
     assert!(
         per_client <= 3_584,
+        "{per_client} B live per bootstrapped client"
+    );
+}
+
+/// The same client, held to what a client that only bootstraps and
+/// renews uses: the fleet shares one bootloader configuration, and the
+/// state of notify channels, mirror walks, activation reports and swap
+/// windows is allocated only by the first of them. A private copy of the
+/// configuration and all of that state inline read 3 397 B.
+#[test]
+fn a_self_driving_client_holds_under_2_800_bytes_once_bootstrapped() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 2_000;
+    let (sim, _, _, live) = measured_live(|| {
+        let sim = FleetSim::build_with_lifecycle(
+            CLIENTS,
+            10 * 60_000,
+            false,
+            0,
+            LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
+        );
+        sim.bootstrap_all();
+        sim
+    });
+    assert!(sim.clients().iter().all(|b| b.stats().downloads == 1));
+    let per_client = live / CLIENTS as i64;
+    assert!(
+        per_client <= 2_800,
         "{per_client} B live per bootstrapped client"
     );
 }

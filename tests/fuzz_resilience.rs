@@ -174,6 +174,34 @@ fn every_frame_tag_truncation_errors_are_typed() {
     ));
 }
 
+/// Each frame has one encoding: a bool byte other than 0 or 1, and a byte
+/// after the last field of any frame or notice, are typed errors (they
+/// once decoded as `true`, and as if the byte were not there).
+#[test]
+fn a_bool_byte_past_one_or_a_byte_after_the_frame_is_a_typed_error() {
+    use drivolution::core::DrvError;
+
+    let mut ack = DrvMsg::MirrorAck { known: true }.encode().to_vec();
+    assert_eq!(ack.last(), Some(&1), "the bool is the frame's last byte");
+    ack.pop();
+    ack.push(0xFF);
+    let decoded = DrvMsg::decode(Bytes::from(ack));
+    assert!(matches!(decoded, Err(DrvError::Codec(_))), "{decoded:?}");
+    for msg in frames::drv_msgs() {
+        let mut frame = msg.encode().to_vec();
+        frame.push(0);
+        let decoded = DrvMsg::decode(Bytes::from(frame));
+        assert!(matches!(decoded, Err(DrvError::Codec(_))), "{msg:?}");
+    }
+    let notice = DrvNotice::DriverRevoked {
+        database: "orders".into(),
+    };
+    let mut frame = notice.encode().to_vec();
+    frame.push(0);
+    let decoded = DrvNotice::decode(Bytes::from(frame));
+    assert!(matches!(decoded, Err(DrvError::Codec(_))), "{decoded:?}");
+}
+
 /// The structure-aware half of the promise above: every count, length,
 /// size and presence field of every wire shape, overwritten with all-ones
 /// and all-zeroes at every width it could have. A mutant decodes to a
