@@ -2,7 +2,7 @@
 //!
 //! A 3-zone, 50-client CDN fleet performs a driver upgrade driven
 //! *purely* by scheduler ticks: every client registered its own
-//! upgrade-poll task (jittered) and lease auto-renewal timer, every
+//! lifecycle task (a jittered poll grid and lease auto-renewal), every
 //! mirror its own heartbeat task, and the only thing the scenario does
 //! is pump `Network::run_until`. Zero manual `poll()` or `heartbeat()`
 //! calls. Mid-wave, a one-shot scheduler task kills one zone's mirror:

@@ -4,7 +4,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -25,9 +24,12 @@ use crate::swap::{DrainWindow, SwapStats};
 use crate::tracker::ConnectionTracker;
 
 /// Cadence of the session-maintenance sweep (tracker prune + zombie
-/// reap) — the client-side analog of the server's failure-detection
-/// cadence.
-const MAINTAIN_EVERY: Duration = Duration::from_secs(30);
+/// reap) in ms — the client-side analog of the server's
+/// failure-detection cadence.
+const MAINTAIN_EVERY: u64 = 30_000;
+
+/// "Not due": a lifecycle job with nothing to do.
+pub(crate) const NEVER: u64 = u64::MAX;
 
 /// Counters exposed for tests and benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -142,7 +144,7 @@ pub(crate) struct BootState {
     /// ([`Bootloader::on_renewal_due`]).
     pub(crate) renewal_due: Option<Arc<dyn Fn(u64) + Send + Sync>>,
     pub(crate) renewal_times: Vec<u64>,
-    pub(crate) tasks: LifecycleTasks,
+    pub(crate) lifecycle: Lifecycle,
     /// What only the paths a client that bootstraps and renews never
     /// takes write; allocated by the first of them ([`BootState::cold`]).
     pub(crate) cold: Option<Box<ColdState>>,
@@ -167,8 +169,25 @@ pub(crate) struct ColdState {
     pub(crate) fetch_latencies: Vec<u64>,
     /// Open hot-swap coexistence windows.
     pub(crate) windows: Vec<DrainWindow>,
-    /// Its counters; the five [`HotStats`] ones stay zero here.
-    pub(crate) stats: BootStats,
+    pub(crate) stats: ColdStats,
+}
+
+/// The [`BootStats`] counters only the cold paths write.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ColdStats {
+    pub(crate) extension_fetches: u64,
+    pub(crate) revalidations: u64,
+    pub(crate) delta_downloads: u64,
+    pub(crate) bytes_saved: u64,
+    pub(crate) mirror_fallbacks: u64,
+    pub(crate) mirror_chunk_fetches: u64,
+    pub(crate) shared_image_reuses: u64,
+    pub(crate) same_zone_chunk_bytes: u64,
+    pub(crate) cross_zone_chunk_bytes: u64,
+    pub(crate) mirror_complaints: u64,
+    pub(crate) activation_reports: u64,
+    pub(crate) activation_failures: u64,
+    pub(crate) swap: SwapStats,
 }
 
 /// What a client knows about renewing by reference.
@@ -200,13 +219,29 @@ impl BootState {
     /// The frozen counter view: the hot counters and the cold ones.
     fn stats(&self) -> BootStats {
         let hot = self.stats;
+        let cold = self
+            .cold
+            .as_ref()
+            .map_or_else(ColdStats::default, |c| c.stats);
         BootStats {
             downloads: hot.downloads,
             renewals: hot.renewals,
             upgrades: hot.upgrades,
             failed_renewals: hot.failed_renewals,
             polls: hot.polls,
-            ..self.cold.as_ref().map(|c| c.stats).unwrap_or_default()
+            extension_fetches: cold.extension_fetches,
+            revalidations: cold.revalidations,
+            delta_downloads: cold.delta_downloads,
+            bytes_saved: cold.bytes_saved,
+            mirror_fallbacks: cold.mirror_fallbacks,
+            mirror_chunk_fetches: cold.mirror_chunk_fetches,
+            shared_image_reuses: cold.shared_image_reuses,
+            same_zone_chunk_bytes: cold.same_zone_chunk_bytes,
+            cross_zone_chunk_bytes: cold.cross_zone_chunk_bytes,
+            mirror_complaints: cold.mirror_complaints,
+            activation_reports: cold.activation_reports,
+            activation_failures: cold.activation_failures,
+            swap: cold.swap,
         }
     }
 
@@ -261,22 +296,61 @@ pub struct Bootloader {
     pub(crate) state: Mutex<BootState>,
 }
 
-#[derive(Default)]
-pub(crate) struct LifecycleTasks {
-    /// Periodic upgrade-poll task (when `LifecyclePolicy::poll_every`).
-    pub(crate) poll: Option<TaskHandle>,
-    /// One-shot lease auto-renewal timer, re-armed at every lease grant.
-    pub(crate) lease: Option<TaskHandle>,
-    /// Periodic session-maintenance sweep (tracker prune + zombie reap),
-    /// registered for self-driving and swap-enabled bootloaders.
-    maintenance: Option<TaskHandle>,
-    /// Hot-swap tick (swap-enabled bootloaders), dormant until a swap.
-    pub(crate) swap: Option<TaskHandle>,
-    /// Renew-due instant the lease timer is currently armed for. The
-    /// spread jitter is sampled once per lease grant; re-running
-    /// maintenance against the same lease must not re-sample it (the
-    /// timer would random-walk inside the margin and could starve).
-    pub(crate) lease_armed_for: Option<u64>,
+/// The one scheduler task of a bootloader that drives its own lifecycle,
+/// and when each of its three jobs is next due ([`NEVER`]: not at all).
+/// The task is armed at the earliest of them and, when it fires, runs
+/// the due ones in a fixed order: poll, sweep, swap tick.
+pub(crate) struct Lifecycle {
+    pub(crate) task: Option<TaskHandle>,
+    /// Origin of the poll and sweep grids: the registration instant plus
+    /// one poll-jitter draw. Their ticks are `origin + k · interval`,
+    /// `k ≥ 1`.
+    pub(crate) origin: u64,
+    /// The renew-due instant the lease timer's spread was drawn for, and
+    /// the instant drawn. One draw per lease grant: re-drawing against
+    /// the same lease would random-walk the timer inside the margin.
+    pub(crate) drawn: (u64, u64),
+    /// The poll: renew, read pushed notices, or retry a failed renewal.
+    pub(crate) poll_at: u64,
+    /// The session sweep, while any session is tracked.
+    pub(crate) sweep_at: u64,
+    /// The swap tick, while a coexistence window is open.
+    pub(crate) swap_at: u64,
+}
+
+impl Default for Lifecycle {
+    fn default() -> Self {
+        Lifecycle {
+            task: None,
+            origin: 0,
+            drawn: (NEVER, NEVER),
+            poll_at: NEVER,
+            sweep_at: NEVER,
+            swap_at: NEVER,
+        }
+    }
+}
+
+impl Lifecycle {
+    /// The first tick of the `every` grid at or after `at`.
+    pub(crate) fn tick_at_or_after(&self, at: u64, every: u64) -> u64 {
+        let k = at.saturating_sub(self.origin).div_ceil(every).max(1);
+        self.origin.saturating_add(k.saturating_mul(every))
+    }
+
+    /// Arms the task at the earliest due job; off the schedule when no
+    /// job is due.
+    pub(crate) fn arm(&self) {
+        let Some(task) = &self.task else {
+            return;
+        };
+        let at = self.poll_at.min(self.sweep_at).min(self.swap_at);
+        match task.next_due_ms() {
+            Some(due) if due == at => {}
+            _ if at == NEVER => task.pause(),
+            _ => task.reschedule_at(at),
+        }
+    }
 }
 
 impl std::fmt::Debug for Bootloader {
@@ -289,14 +363,13 @@ impl std::fmt::Debug for Bootloader {
 }
 
 impl Drop for Bootloader {
-    /// Cancels the lifecycle tasks so a dropped bootloader does not
-    /// leave entries in the scheduler's table — the dormant lease timer
-    /// in particular would otherwise linger forever, since a task that
-    /// never fires never notices its weak reference died.
+    /// Cancels the lifecycle task so a dropped bootloader does not leave
+    /// an entry in the scheduler's table: a dormant task would otherwise
+    /// linger forever, since a task that never fires never notices its
+    /// weak reference died.
     fn drop(&mut self) {
-        let tasks = &self.state.lock().tasks;
-        for task in [&tasks.poll, &tasks.lease, &tasks.maintenance, &tasks.swap] {
-            task.iter().for_each(TaskHandle::cancel);
+        if let Some(task) = &self.state.lock().lifecycle.task {
+            task.cancel();
         }
     }
 }
@@ -321,52 +394,27 @@ impl Bootloader {
         boot
     }
 
-    /// Registers the upgrade-poll task, the (dormant until a lease is
-    /// granted) auto-renewal timer, the session sweep and the hot-swap
-    /// tick. Each holds only a weak reference: dropping the bootloader
-    /// retires its tasks on their next firing.
+    /// Registers the lifecycle task (per `config.lifecycle`, or for a
+    /// swap config), dormant until a job is due. It holds only a weak
+    /// reference: dropping the bootloader cancels it.
     fn register_lifecycle(self: &Arc<Self>) {
         let policy = self.config.lifecycle;
-        let sched = self.net.scheduler();
-        let mut tasks = LifecycleTasks::default();
-        if let Some(every) = policy.poll_every {
-            let poll = sched.every(
-                every,
-                policy.poll_jitter,
-                format!("upgrade-poll {}", self.local),
-                self.task(Bootloader::poll_tick),
-            );
-            poll.sleep_until(u64::MAX); // no driver to poll for yet
-            tasks.poll = Some(poll);
+        if policy.poll_every.is_none() && !policy.auto_renew && !self.sweeps() {
+            return;
         }
-        if policy.auto_renew {
-            let name = format!("lease-renewal {}", self.local);
-            tasks.lease = Some(sched.dormant(name, self.task(Bootloader::poll_tick)));
-        }
-        // Session maintenance (tracker prune + zombie reap) rides the
-        // same cadence idea as the server's failure detection: registered
-        // for every self-driving or swap-enabled bootloader, so closed
-        // sessions leave the tracking table without anybody having to
-        // remember to call `prune`. It sleeps while nothing is tracked.
-        if policy.poll_every.is_some() || self.config.swap.is_some() {
-            let sweep = sched.every(
-                MAINTAIN_EVERY,
-                Duration::ZERO,
-                format!("session-maintenance {}", self.local),
-                self.task(Bootloader::sweep_tick),
-            );
-            sweep.sleep_until(u64::MAX);
-            tasks.maintenance = Some(sweep);
-        }
-        if self.config.swap.is_some() {
-            let name = format!("hot-swap {}", self.local);
-            let tick = self.task(|boot| {
-                boot.swap_tick();
-                Ok(TaskControl::Continue)
-            });
-            tasks.swap = Some(sched.dormant(name, tick));
-        }
-        self.state.lock().tasks = tasks;
+        let name = format!("lifecycle {}", self.local);
+        let task = (self.net.scheduler()).dormant(name, self.task(Bootloader::lifecycle_tick));
+        let origin = self.net.clock().now_ms() + task.jitter(policy.poll_jitter.as_millis() as u64);
+        let mut st = self.state.lock();
+        (st.lifecycle.task, st.lifecycle.origin) = (Some(task), origin);
+    }
+
+    /// Whether this bootloader sweeps its sessions on schedule: a
+    /// self-driving or swap-enabled one does, so closed sessions leave
+    /// the tracking table without anybody having to call `prune` (the
+    /// cadence idea of the server's failure detection).
+    fn sweeps(&self) -> bool {
+        self.config.lifecycle.poll_every.is_some() || self.config.swap.is_some()
     }
 
     /// A scheduler task body running `run` against this bootloader. It
@@ -383,35 +431,66 @@ impl Bootloader {
         }
     }
 
-    /// One scheduler-driven maintenance pass. Renewal failures surface
-    /// as task errors so fleets can read per-client failure counters off
-    /// the handles.
-    fn poll_tick(self: &Arc<Self>) -> netsim::TaskResult {
-        match self.poll() {
-            PollOutcome::KeptAfterFailure => Err("renewal failed; driver kept (§4.1.3)".into()),
+    /// One firing of the lifecycle task: the jobs due by now, in order —
+    /// the poll, the session sweep, the swap tick — then the task re-armed
+    /// at the next due job. Renewal failures surface as task errors so
+    /// fleets can read per-client failure counters off the handle.
+    fn lifecycle_tick(self: &Arc<Self>) -> netsim::TaskResult {
+        let now = self.net.clock().now_ms();
+        // A job that runs is not due again until it says when.
+        let take = |at: &mut u64| {
+            let due = *at <= now;
+            if due {
+                *at = NEVER;
+            }
+            due
+        };
+        let (poll, sweep, swap) = {
+            let l = &mut self.state.lock().lifecycle;
+            (
+                take(&mut l.poll_at),
+                take(&mut l.sweep_at),
+                take(&mut l.swap_at),
+            )
+        };
+        let outcome = poll.then(|| self.poll());
+        if sweep {
+            self.tracker.sweep();
+            self.sync_sweep();
+        }
+        if swap {
+            self.swap_tick();
+        }
+        self.state.lock().lifecycle.arm();
+        match outcome {
+            Some(PollOutcome::KeptAfterFailure) => {
+                Err("renewal failed; driver kept (§4.1.3)".into())
+            }
             _ => Ok(TaskControl::Continue),
         }
     }
 
-    /// One session sweep; once nothing is tracked, asleep until `connect`.
-    fn sweep_tick(self: &Arc<Self>) -> netsim::TaskResult {
-        self.tracker.sweep();
-        if let (0, Some(sweep)) = (self.tracker.tracked_len(), self.maintenance_task()) {
-            sweep.sleep_until(u64::MAX);
+    /// Puts the session sweep on its next 30 s tick while a session is
+    /// tracked, off the schedule once none is.
+    fn sync_sweep(&self) {
+        if !self.sweeps() {
+            return;
         }
-        Ok(TaskControl::Continue)
+        let tracked = self.tracker.tracked_len() > 0;
+        let now = self.net.clock().now_ms();
+        let l = &mut self.state.lock().lifecycle;
+        if !tracked {
+            l.sweep_at = NEVER;
+        } else if l.sweep_at == NEVER {
+            l.sweep_at = l.tick_at_or_after(now + 1, MAINTAIN_EVERY);
+        }
+        l.arm();
     }
 
-    /// Handle to the lease auto-renewal timer, if auto-renewal is
-    /// enabled. Dormant until the first lease is granted.
-    pub fn lease_task(&self) -> Option<TaskHandle> {
-        self.state.lock().tasks.lease.clone()
-    }
-
-    /// Handle to the periodic session-maintenance sweep, if registered
-    /// (self-driving or swap-enabled bootloaders).
-    pub fn maintenance_task(&self) -> Option<TaskHandle> {
-        self.state.lock().tasks.maintenance.clone()
+    /// Handle to the lifecycle task: registered for a bootloader that
+    /// polls, auto-renews or hot-swaps, dormant while no job is due.
+    pub fn lifecycle_task(&self) -> Option<TaskHandle> {
+        self.state.lock().lifecycle.task.clone()
     }
 
     /// The driver VM, exposed so middleware can register extra flavor
@@ -492,7 +571,7 @@ impl Bootloader {
         let merged = self.merge_props(&ns, props);
         let inner = ns.driver.connect(url, &merged)?;
         let state = self.tracker.register(inner, ns.id);
-        self.maintenance_task().iter().for_each(TaskHandle::wake);
+        self.sync_sweep();
         Ok(ManagedConnection::new(state, Arc::clone(self)))
     }
 
@@ -859,6 +938,17 @@ mod tests {
         let kept = boot.take_fetch_latencies();
         assert!(kept.len() <= MAX_SAMPLES, "{} samples kept", kept.len());
         assert_eq!(kept.last(), Some(&(MAX_SAMPLES as u64)));
+    }
+
+    /// The cold part keeps only the counters of its own paths: a whole
+    /// `BootStats` in it carried the five hot counters too (40 B more).
+    #[test]
+    fn the_cold_part_holds_only_cold_counters() {
+        let size = std::mem::size_of::<ColdState>();
+        assert!(
+            size <= 336,
+            "ColdState is {size} B, 376 with a whole `BootStats`"
+        );
     }
 
     /// A client with no notify channel, depot, activation reports or swap

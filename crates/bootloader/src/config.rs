@@ -67,41 +67,46 @@ pub enum ServerLocator {
 /// How a bootloader drives its own lifecycle on the network's
 /// [`netsim::Scheduler`] instead of waiting for application calls.
 ///
-/// Two tasks exist:
+/// A bootloader that polls, auto-renews or hot-swaps registers one
+/// scheduler task, `lifecycle <addr>` ([`crate::Bootloader::lifecycle_task`]).
+/// It is armed at the earliest due job and, when it fires, runs the due
+/// ones in a fixed order:
 ///
-/// * an **upgrade-poll task** (periodic, `poll_every`) that drains
-///   pushed notices and runs the lease state machine — the timer thread
-///   §3.4.2 describes, without anybody writing one;
-/// * a **lease auto-renewal timer** (one-shot, re-armed at every lease
-///   grant to `renew_due + jitter(0..margin − margin/4)`, a
-///   seed-reproducible spread that keeps the margin's last quarter as
-///   latency and retry slack) so renewals happen inside the margin
-///   rather than at the next poll after it, without a whole fleet
-///   granted leases in one wave renewing on the same tick.
+/// * the **poll**, which drains pushed notices and runs the lease state
+///   machine — the timer thread §3.4.2 describes, without anybody writing
+///   one. It is due at the earliest of the first `poll_every` tick at or
+///   after the lease's renew-due point (the next tick while a notify
+///   channel is open or a failed renewal is owed) and, with
+///   `auto_renew`, the renew-due point plus a seed-reproducible spread
+///   over the margin's front three quarters (the last quarter is latency
+///   and retry slack), or one 30 s retry after a failed renewal. The
+///   spread keeps a fleet granted leases in one wave from renewing on the
+///   same tick; the poll grid bounds each renewal, so the spread never
+///   accumulates from lease to lease;
+/// * the 30 s **session sweep**, while a session is tracked (self-driving
+///   or swap-enabled bootloaders);
+/// * the **swap tick**, while a hot-swap coexistence window is open.
 ///
-/// A beat with nothing to do does not fire: the poll sleeps until the
-/// active lease is renew-due (until a driver is active when none is;
-/// never with a notify channel open or `poll_jitter` set), and the 30 s
-/// session sweep while no session is tracked.
-///
-/// All of them only fire when someone pumps
+/// A job with nothing to do costs the pump nothing. The poll and sweep
+/// ticks lie on grids from the registration instant, shifted by one
+/// `poll_jitter` draw. The task only fires when someone pumps
 /// [`netsim::Network::run_until`]; tests that steer the clock manually
 /// and call [`crate::Bootloader::poll`] by hand are unaffected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LifecyclePolicy {
-    /// Cadence of the periodic upgrade-poll task; `None` registers no
-    /// poll task (manual driving).
+    /// Cadence of the poll grid; `None` polls only by the lease timer
+    /// (or by hand).
     pub poll_every: Option<Duration>,
-    /// Uniform jitter added to each poll firing, de-synchronizing fleet
-    /// sweeps.
+    /// Bound of the uniform shift of this client's poll and sweep grids,
+    /// de-synchronizing fleet sweeps.
     pub poll_jitter: Duration,
-    /// Arm a one-shot renewal timer at each lease's renew-due point,
-    /// spread over the margin's front three quarters.
+    /// Poll at each lease's renew-due point, spread over the margin's
+    /// front three quarters.
     pub auto_renew: bool,
 }
 
 impl Default for LifecyclePolicy {
-    /// Auto-renewal on, no periodic poll task: a default bootloader
+    /// Auto-renewal on, no poll grid: a default bootloader
     /// renews its lease on time under a pumped scheduler yet behaves
     /// exactly like the manual flow when nobody pumps.
     fn default() -> Self {
@@ -114,7 +119,7 @@ impl Default for LifecyclePolicy {
 }
 
 impl LifecyclePolicy {
-    /// Fully manual: no poll task, no renewal timer. For tests and
+    /// Fully manual: no poll grid, no renewal timer. For tests and
     /// harnesses that hand-crank [`crate::Bootloader::poll`].
     pub fn manual() -> Self {
         LifecyclePolicy {
@@ -132,7 +137,7 @@ impl LifecyclePolicy {
         }
     }
 
-    /// Adds jitter to the poll task.
+    /// Shifts the poll grid by up to `jitter`.
     pub fn with_jitter(mut self, jitter: Duration) -> Self {
         self.poll_jitter = jitter;
         self
@@ -182,7 +187,7 @@ pub struct BootloaderConfig {
     /// interned ones compared in full, so the cache can accelerate but
     /// never corrupt an install.
     pub image_cache: Option<Arc<SharedImageCache>>,
-    /// Scheduler-driven lifecycle tasks (upgrade polling, lease
+    /// The scheduler-driven lifecycle task's poll (upgrade polling, lease
     /// auto-renewal).
     pub lifecycle: LifecyclePolicy,
     /// Send an `ACTIVATION_REPORT` to the server after each driver
@@ -336,9 +341,8 @@ impl BootloaderConfig {
         self
     }
 
-    /// Shorthand for a fully self-driving bootloader: upgrade polls
-    /// every `every` and lease auto-renewal timers, all fired by the
-    /// network scheduler.
+    /// Shorthand for a fully self-driving bootloader: a poll grid of
+    /// `every` and lease auto-renewal, fired by the network scheduler.
     pub fn self_driving(self, every: Duration) -> Self {
         self.with_lifecycle(LifecyclePolicy::driven(every))
     }

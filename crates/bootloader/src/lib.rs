@@ -12,9 +12,9 @@
 //! namespaces, lease renewal, transparent hot upgrades under the three
 //! expiration policies, revocation, lazy extension fetch, and license
 //! give-back. Under a [`LifecyclePolicy`], the bootloader also registers
-//! its own upgrade-poll task and lease auto-renewal timer on the
-//! network's scheduler, so no application code has to remember to call
-//! [`Bootloader::poll`] at the right moment.
+//! one lifecycle task on the network's scheduler (poll grid, lease
+//! auto-renewal, session sweep, swap tick), so no application code has to
+//! remember to call [`Bootloader::poll`] at the right moment.
 //!
 //! This crate deliberately contains **no SQL and no driver logic** —
 //! mirroring the paper's claim that one bootloader implementation per API

@@ -15,76 +15,69 @@ use drivolution_core::proto::{
 };
 use drivolution_core::{DriverVersion, DrvError, DrvNotice, LeaseState};
 
-use crate::bootloader::{no_context, push_sample, Bootloader, PollOutcome, RenewRef};
+use crate::bootloader::{no_context, push_sample, Bootloader, PollOutcome, RenewRef, NEVER};
 
 /// Retry backoff after a failed renewal ("the bootloader keeps its
 /// current implementation", §4.1.3 — but keeps trying).
 const RENEW_RETRY: Duration = Duration::from_secs(30);
 
 impl Bootloader {
-    /// Re-arms the auto-renewal timer against the active lease: spread
-    /// uniformly inside the front of the renewal window — `renew_due +
-    /// jitter(0..margin·¾)`, sampled from the scheduler's
-    /// seed-reproducible jitter — when the renew-due point is still
-    /// ahead (renewing inside the margin, like the poll state machine,
-    /// keeps license seats instead of racing the server-side holder
-    /// eviction at the expiry tick, and the spread keeps a fleet
-    /// granted leases in one wave from stampeding the server at one
-    /// tick; the last quarter of the margin is kept free as link-
-    /// latency and retry slack so the renewal message still lands
-    /// before expiry), or one retry interval out when that point has
-    /// passed or a failed renewal is still owed (the driver was kept).
-    /// With no active lease the timer goes quiet. The upgrade poll, with
-    /// work only once the lease is renew-due, a pushed notice may be
-    /// waiting or a renewal is owed, sleeps until then. Whoever drives
-    /// the renewals from outside ([`on_renewal_due`](Self::on_renewal_due))
-    /// is told the new deadline.
+    /// Re-arms the lifecycle task's poll against the active lease, at the
+    /// earliest of two terms. With a poll cadence: the first poll tick at
+    /// or after the renew-due point, or the next tick when a pushed notice
+    /// may be waiting (a notify channel is open) or a failed renewal is
+    /// owed. With auto-renewal: the renew-due point plus a spread drawn
+    /// uniformly over the front of the renewal window — `renew_due +
+    /// jitter(0..margin·¾)`, sampled from the scheduler's seed-reproducible
+    /// jitter — while that point is still ahead (renewing inside the
+    /// margin keeps licence seats instead of racing the server-side
+    /// holder eviction at the expiry tick, and the spread keeps a fleet
+    /// granted leases in one wave from stampeding the server at one tick;
+    /// the last quarter of the margin is latency and retry slack), or one
+    /// retry interval out when that point has passed or a renewal is owed
+    /// (the driver was kept). With no active lease the poll has nothing
+    /// to do. Whoever drives the renewals from outside
+    /// ([`on_renewal_due`](Self::on_renewal_due)) is told the new deadline.
     pub(crate) fn sync_lease_timer(&self) {
         self.report_renewal_deadline();
+        let policy = self.config.lifecycle;
+        let now = self.net.clock().now_ms();
         let mut st = self.state.lock();
         let owed = st.renew_owed;
         let wake_now = owed || (self.config.open_notify_channel && st.pipe().is_some());
-        let tasks = &mut st.tasks;
-        if tasks.poll.is_none() && tasks.lease.is_none() {
+        let l = &mut st.lifecycle;
+        let Some(task) = &l.task else {
             return;
-        }
+        };
         let lease = self
             .registry
             .active()
             .map(|ns| (ns.lease.renew_due_at_ms(), ns.lease.renew_margin_ms()));
-        if let Some(poll) = &tasks.poll {
-            poll.sleep_until(match lease {
-                _ if wake_now => 0,
-                Some((renew_at, _)) => renew_at,
-                None => u64::MAX,
-            });
-        }
-        let Some(handle) = tasks.lease.clone() else {
+        let Some((renew_at, margin)) = lease else {
+            l.poll_at = NEVER;
+            l.arm();
             return;
         };
-        match lease {
-            Some((renew_at, margin)) => {
-                let now = self.net.clock().now_ms();
-                if renew_at > now && !owed {
-                    // One jitter draw per lease grant: skip when the
-                    // timer is already armed for this renew-due point.
-                    if tasks.lease_armed_for != Some(renew_at) || !handle.is_scheduled() {
-                        tasks.lease_armed_for = Some(renew_at);
-                        handle.reschedule_at_jittered(renew_at, margin.saturating_sub(margin / 4));
-                    }
-                } else {
-                    let due = now + RENEW_RETRY.as_millis() as u64;
-                    tasks.lease_armed_for = None;
-                    if handle.next_due_ms() != Some(due) {
-                        handle.reschedule_at(due);
-                    }
-                }
+        let poll = policy.poll_every.map_or(NEVER, |every| {
+            let from = if wake_now {
+                now + 1
+            } else {
+                renew_at.max(now + 1)
+            };
+            l.tick_at_or_after(from, every.as_millis() as u64)
+        });
+        let timer = if !policy.auto_renew {
+            NEVER
+        } else if renew_at > now && !owed {
+            if l.drawn.0 != renew_at {
+                l.drawn = (renew_at, renew_at + task.jitter(margin - margin / 4));
             }
-            None => {
-                tasks.lease_armed_for = None;
-                handle.pause();
-            }
-        }
+            l.drawn.1
+        } else {
+            now + RENEW_RETRY.as_millis() as u64
+        };
+        l.poll_at = poll.min(timer);
+        l.arm();
     }
 
     /// Tells whoever drives the renewals from outside
@@ -135,8 +128,8 @@ impl Bootloader {
     /// re-arms the auto-renewal timer against whatever lease resulted.
     ///
     /// This is the manual "run my maintenance now" entry point: the
-    /// scheduler-registered upgrade-poll task and lease-renewal timer
-    /// call exactly this, so tests and harnesses that hand-crank the
+    /// scheduler-registered lifecycle task calls exactly this when its
+    /// poll is due, so tests and harnesses that hand-crank the
     /// clock keep full control, while fleets just pump
     /// [`netsim::Network::run_until`] (§3.4.2's timer thread without
     /// anybody writing one). It also runs at each `connect` ("wait

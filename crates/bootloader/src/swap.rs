@@ -13,7 +13,7 @@
 //!    migrates transparently onto the new driver at its next
 //!    transaction boundary (idle sessions at their next statement,
 //!    in-transaction sessions right after COMMIT/ROLLBACK);
-//! 3. a deterministic `netsim::sched` task ticks the window; when the
+//! 3. the bootloader's lifecycle task ticks the window; when the
 //!    drain grace expires, the same ladder runs over the remaining
 //!    sessions under the offer's [`ExpirationPolicy`] — `AFTER_COMMIT`
 //!    waits for the transaction boundary (never severing a live
@@ -116,7 +116,7 @@ impl Bootloader {
     /// Opens a coexistence window for `old_ns` after a different
     /// namespace became active. Old sessions keep executing on their
     /// driver and migrate at transaction boundaries; the window is
-    /// ticked by the swap-coordinator task until drained.
+    /// ticked by the lifecycle task until drained.
     pub(crate) fn swap_begin(
         &self,
         old_ns: NamespaceId,
@@ -152,7 +152,8 @@ impl Bootloader {
     }
 
     /// One coordinator tick: complete drained windows, escalate overdue
-    /// ones through the policy ladder, and re-arm while any remain.
+    /// ones through the policy ladder, and put the next tick on the
+    /// lifecycle task while any remain.
     pub(crate) fn swap_tick(&self) {
         let Some(cfg) = self.config.swap else {
             return;
@@ -195,8 +196,9 @@ impl Bootloader {
         let cold = st.cold();
         remaining.append(&mut cold.windows);
         cold.windows = remaining;
-        if let (true, Some(t)) = (rearm, &st.tasks.swap) {
-            t.reschedule_at(now + cfg.tick_every.as_millis() as u64);
+        if rearm {
+            st.lifecycle.swap_at = now + cfg.tick_every.as_millis() as u64;
+            st.lifecycle.arm();
         }
     }
 

@@ -9,7 +9,7 @@
 //! builds it.
 //!
 //! Nothing here hand-cranks lifecycle beats: every client registers its
-//! own upgrade-poll task and lease auto-renewal timer, every mirror its
+//! own lifecycle task (poll grid and lease auto-renewal), every mirror its
 //! own heartbeat task, and the fleet runs by pumping
 //! [`netsim::Network::run_until`]. Per-mirror heartbeat failures are
 //! read straight off the task error counters
@@ -41,7 +41,7 @@ use minidb::MiniDb;
 
 use crate::aggregator::RenewalAggregator;
 
-/// Default cadence of each client's upgrade-poll task (one virtual
+/// Default cadence of each client's poll grid (one virtual
 /// minute, as the original hand-cranked sweeps used).
 pub const DEFAULT_POLL_EVERY: Duration = Duration::from_secs(60);
 
@@ -54,8 +54,8 @@ pub struct PropagationResult {
     pub server_requests: u64,
     /// Bytes of those requests and of the server's replies to them.
     pub server_bytes: u64,
-    /// Maintenance passes executed across the fleet (scheduler-fired
-    /// poll tasks plus lease-renewal timers).
+    /// Maintenance passes executed across the fleet (the polls of the
+    /// clients' lifecycle tasks).
     pub polls: u64,
     /// Mirror heartbeats that failed during the run — surfaced from the
     /// heartbeat tasks' error counters rather than swallowed.
@@ -547,8 +547,8 @@ impl FleetSim {
             .count()
     }
 
-    /// Pumps the scheduler in `step_ms` increments — client poll tasks,
-    /// lease-renewal timers, and mirror heartbeats all fire on their own
+    /// Pumps the scheduler in `step_ms` increments — client lifecycle
+    /// tasks and mirror heartbeats all fire on their own
     /// registered cadence — until every client runs v2 or `max_ms`
     /// elapses. No manual poll or heartbeat call anywhere: the fleet's
     /// entire lifecycle is scheduler ticks.

@@ -14,7 +14,9 @@
 //! per-task jitter comes from a splitmix generator seeded from the
 //! scheduler seed and the task id — the same seed and the same
 //! registration sequence produce the same schedule, tick for tick. A
-//! task that [sleeps](TaskHandle::sleep_until) costs the pump nothing.
+//! component with several timed jobs registers one task and re-arms it
+//! at the earliest of them ([`TaskHandle::reschedule_at`]), so a job
+//! with nothing to do costs the pump nothing.
 //!
 //! # Examples
 //!
@@ -71,7 +73,7 @@ pub type TaskResult = Result<TaskControl, String>;
 /// Counters maintained per task across its whole lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskStats {
-    /// Completed executions (successful or not; slept ticks are none).
+    /// Completed executions (successful or not).
     pub runs: u64,
     /// Executions that returned `Err`.
     pub errors: u64,
@@ -92,8 +94,7 @@ enum Cadence {
 
 type TaskFn = Arc<dyn Fn() -> TaskResult + Send + Sync>;
 
-/// "No such time": a sleep only [`TaskHandle::wake`] ends, or a paused
-/// one-shot that was dormant.
+/// "No such time": a paused one-shot that was dormant.
 const NEVER: u64 = u64::MAX;
 
 // The table holds each task boxed: a hash table keeps up to half its
@@ -105,19 +106,13 @@ struct Task {
     cadence: Cadence,
     f: TaskFn,
     rng: StdRng,
-    /// Its next turn (mid-run, the tick being run); parked, the next turn
-    /// it parked with, its later turns following on its grid.
+    /// Its next turn (mid-run, the tick being run).
     due_ms: u64,
-    /// Sleep threshold ([`TaskHandle::sleep_until`]); 0 while awake.
-    sleep_ms: u64,
     /// Delay left on a paused one-shot, restored on resume; [`NEVER`]
     /// when the one-shot was dormant at pause time (it stays dormant).
     paused_remaining: u64,
-    /// In the firing queue, at [`Task::slot`].
+    /// In the firing queue, at `due_ms`.
     queued: bool,
-    /// Asleep off the per-tick path: in `sleepers` and queued only at its
-    /// first turn at or past the threshold (neither for [`NEVER`]).
-    parked: bool,
     paused: bool,
     /// Set when the task (or anyone else) rescheduled it during its own
     /// run; the pump then leaves the explicit schedule alone.
@@ -127,37 +122,13 @@ struct Task {
 }
 
 impl Task {
+    /// A periodic task's per-firing jitter draw.
     fn jitter(&mut self) -> u64 {
-        match self.jitter_ms() {
-            0 => 0,
-            j => self.rng.gen_range(0..j + 1),
-        }
-    }
-
-    /// The interval of a task that may sleep: a jittered one never does,
-    /// each jitter draw being part of the replay contract.
-    fn sleep_grid(&self) -> Option<u64> {
         match self.cadence {
-            Cadence::Periodic { interval_ms: i, .. } if self.jitter_ms() == 0 => Some(i),
-            _ => None,
-        }
-    }
-
-    fn jitter_ms(&self) -> u64 {
-        match self.cadence {
-            Cadence::Periodic { jitter_ms, .. } => jitter_ms,
-            Cadence::Once => 0,
-        }
-    }
-
-    /// Its key in the firing queue while `queued`.
-    fn slot(&self) -> u64 {
-        match self.sleep_grid() {
-            Some(i) if self.parked => {
-                let ticks = (self.sleep_ms - self.due_ms).div_ceil(i);
-                self.due_ms.saturating_add(ticks.saturating_mul(i))
+            Cadence::Periodic { jitter_ms, .. } if jitter_ms > 0 => {
+                self.rng.gen_range(0..jitter_ms + 1)
             }
-            _ => self.due_ms,
+            _ => 0,
         }
     }
 
@@ -185,119 +156,45 @@ impl SchedState {
         Some((&mut self.timeline, self.tasks.get_mut(&id)?))
     }
 
-    /// Pops the next turn due by `target_ms` whose task has work to do,
-    /// with the clock advanced to it. A sleeper's turn short of its
-    /// threshold is a slept tick: re-armed as a run would, not run.
+    /// Pops the next turn due by `target_ms`, with the clock advanced to
+    /// it.
     fn next_turn(&mut self, clock: &Clock, target_ms: u64) -> Option<(u64, u64, TaskFn)> {
-        loop {
-            let now = clock.now_ms();
-            let tl = &mut self.timeline;
-            tl.wake_sleepers(&mut self.tasks, now);
-            let &(due, id) = tl.queue.first().filter(|&&(d, _)| d <= target_ms)?;
-            tl.queue.pop_first();
-            tl.cursor = tl.cursor.max((due, id));
-            // Cancelling removes a task's queue entry with it, so an
-            // orphaned entry has nothing to run.
-            let Some((tl, task)) = self.task(id) else {
-                continue;
-            };
-            if task.parked {
-                tl.sleepers.remove(&(task.sleep_ms, id));
-            }
-            (task.due_ms, task.queued, task.parked, task.rearmed) = (due, false, false, false);
-            clock.advance_ms(due.saturating_sub(now));
-            let now = now.max(due);
-            if let Some(i) = task.sleep_grid().filter(|_| task.sleep_ms > now) {
-                let next = task.next_beat(due, i, now);
-                tl.arm(id, task, next, now);
-                continue;
-            }
-            task.sleep_ms = 0;
-            return Some((due, id, task.f.clone()));
-        }
+        let &(due, id) = self
+            .timeline
+            .queue
+            .first()
+            .filter(|&&(d, _)| d <= target_ms)?;
+        self.timeline.queue.pop_first();
+        // Cancelling removes a task's queue entry with it: every entry has
+        // its task.
+        let task = self.tasks.get_mut(&id)?;
+        (task.due_ms, task.queued, task.rearmed) = (due, false, false);
+        clock.advance_ms(due.saturating_sub(clock.now_ms()));
+        Some((due, id, task.f.clone()))
     }
 }
 
-/// The firing queue, the parked sleepers, and how far the pump has got.
+/// The firing queue.
 #[derive(Default)]
 struct Timeline {
     /// Firing queue ordered by `(due_ms, task id)`: time first, then
     /// registration order as the deterministic tiebreak.
     queue: BTreeSet<(u64, u64)>,
-    /// Parked sleepers by `(sleep_ms, task id)`, except those asleep until
-    /// woken: the task table finds them the rare times the clock is late.
-    sleepers: BTreeSet<(u64, u64)>,
-    /// The furthest `(due, id)` turn taken; `(target, MAX)` after a pump.
-    cursor: (u64, u64),
-    /// Smallest interval of any task that ever parked.
-    min_park_ms: Option<u64>,
-    /// The clock is `min_park_ms` behind the cursor, so beats may skip
-    /// ticks: sleepers walk their ticks, one pop each, instead of parking.
-    late: bool,
 }
 
 impl Timeline {
-    /// Takes task `id` off the schedule; a parked sleeper's `due_ms` catches
-    /// up to its next turn after the cursor (its skipped turns were on time).
+    /// Takes task `id` off the schedule.
     fn unqueue(&mut self, id: u64, t: &mut Task) {
-        if t.queued {
-            self.queue.remove(&(t.slot(), id));
+        if std::mem::replace(&mut t.queued, false) {
+            self.queue.remove(&(t.due_ms, id));
         }
-        if t.parked {
-            self.sleepers.remove(&(t.sleep_ms, id));
-            if let Some(i) = t.sleep_grid().filter(|_| (t.due_ms, id) <= self.cursor) {
-                t.due_ms += (self.cursor.0 - t.due_ms) / i * i;
-                t.due_ms += if (t.due_ms, id) <= self.cursor { i } else { 0 };
-            }
-        }
-        (t.queued, t.parked) = (false, false);
     }
 
-    /// Puts task `id` on the schedule with `due` as its next turn; a
-    /// sleeper short of its threshold by then parks, unless the clock is
-    /// late. A threshold reached by `due` still stands until the task
-    /// runs: a reschedule may yet move the turn before it.
-    fn arm(&mut self, id: u64, t: &mut Task, due: u64, now: u64) {
+    /// Puts task `id` on the schedule with `due` as its next turn.
+    fn arm(&mut self, id: u64, t: &mut Task, due: u64) {
         self.unqueue(id, t);
-        t.due_ms = due;
-        let asleep = t.sleep_ms > due.max(now);
-        if let Some(i) = t.sleep_grid().filter(|_| asleep && !self.late) {
-            t.parked = true;
-            self.min_park_ms = Some(self.min_park_ms.map_or(i, |m| m.min(i)));
-            if t.sleep_ms == NEVER {
-                return;
-            }
-            self.sleepers.insert((t.sleep_ms, id));
-        }
-        t.queued = true;
-        self.queue.insert((t.slot(), id));
-    }
-
-    /// Queues a parked sleeper at its next turn.
-    fn unpark(&mut self, id: u64, t: &mut Task) {
-        self.unqueue(id, t);
-        t.queued = true;
-        self.queue.insert((t.due_ms, id));
-    }
-
-    /// Before the pump's next turn, with the clock at `now`, unparks the
-    /// sleepers whose threshold the clock has passed — all of them once
-    /// the clock falls late.
-    fn wake_sleepers(&mut self, tasks: &mut HashMap<u64, Box<Task>>, now: u64) {
-        let grace = self.min_park_ms.unwrap_or(NEVER);
-        let late = now >= self.cursor.0.saturating_add(grace);
-        if late && !self.late {
-            // drvlint: allow(map-iter) — each unpark moves only its own
-            // task to its own `(turn, id)` key, so the order is immaterial.
-            for (&id, t) in tasks.iter_mut().filter(|(_, t)| t.parked) {
-                self.unpark(id, t);
-            }
-        }
-        self.late = late;
-        while let Some(&(_, id)) = self.sleepers.first().filter(|s| s.0 <= now) {
-            let Some(t) = tasks.get_mut(&id) else { break };
-            self.unpark(id, t);
-        }
+        (t.due_ms, t.queued) = (due, true);
+        self.queue.insert((due, id));
     }
 }
 
@@ -369,10 +266,8 @@ impl Scheduler {
             f,
             rng,
             due_ms: 0,
-            sleep_ms: 0,
             paused_remaining: NEVER,
             queued: false,
-            parked: false,
             paused: false,
             rearmed: false,
             stats: TaskStats::default(),
@@ -384,7 +279,7 @@ impl Scheduler {
             Cadence::Once => due,
         };
         if let Some(due) = due {
-            st.timeline.arm(id, &mut task, due, now);
+            st.timeline.arm(id, &mut task, due);
         }
         st.tasks.insert(id, task);
         TaskHandle {
@@ -482,7 +377,7 @@ impl Scheduler {
     /// order; work a task triggers (for example a renewal that charges
     /// link latency to the clock) is observed before the next firing is
     /// chosen, so timers and messages interleave deterministically.
-    /// Returns the number of task executions (slept ticks excluded).
+    /// Returns the number of task executions.
     pub fn run_until(&self, target_ms: u64) -> u64 {
         let clock = &self.inner.clock;
         let mut fired = 0u64;
@@ -497,8 +392,6 @@ impl Scheduler {
         if now < target_ms {
             clock.advance_ms(target_ms - now);
         }
-        let tl = &mut self.inner.state.lock().timeline;
-        tl.cursor = tl.cursor.max((target_ms, u64::MAX));
         fired
     }
 
@@ -541,7 +434,7 @@ impl Scheduler {
             // exact interval multiples even when the run itself charged
             // message latency to the clock.
             let next = task.next_beat(fire_ms, interval_ms, now);
-            timeline.arm(id, task, next, now);
+            timeline.arm(id, task, next);
         }
         // One-shot tasks stay dormant until rescheduled.
     }
@@ -586,15 +479,15 @@ impl TaskHandle {
         self.read(|t| t.last_error.clone()).flatten()
     }
 
-    /// Virtual time of the next firing, a sleeper's first tick at its
-    /// threshold (`None` while dormant, paused, cancelled or unwoken).
+    /// Virtual time of the next firing (`None` while dormant, paused or
+    /// cancelled).
     pub fn next_due_ms(&self) -> Option<u64> {
-        self.read(|t| t.queued.then(|| t.slot())).flatten()
+        self.read(|t| t.queued.then_some(t.due_ms)).flatten()
     }
 
-    /// Whether the task is on the schedule: armed, or asleep on its grid.
+    /// Whether the task is on the schedule.
     pub fn is_scheduled(&self) -> bool {
-        self.read(|t| t.queued || t.parked).unwrap_or(false)
+        self.read(|t| t.queued).unwrap_or(false)
     }
 
     /// Whether the task was cancelled or retired itself (left the table).
@@ -605,11 +498,11 @@ impl TaskHandle {
     /// Takes the task off the schedule. A paused armed one-shot
     /// remembers its remaining delay (a dormant one stays dormant); a
     /// paused periodic task resumes a full interval after
-    /// [`resume`](Self::resume), still asleep if it was.
+    /// [`resume`](Self::resume).
     pub fn pause(&self) {
         self.with_task(|tl, t, now| {
             if !t.paused {
-                let left = t.queued.then(|| t.slot().saturating_sub(now));
+                let left = t.queued.then(|| t.due_ms.saturating_sub(now));
                 (t.paused, t.paused_remaining) = (true, left.unwrap_or(NEVER));
                 tl.unqueue(self.id, t);
             }
@@ -630,13 +523,13 @@ impl TaskHandle {
                 Cadence::Once => (remaining != NEVER).then(|| now + remaining),
             };
             if let Some(due) = due {
-                tl.arm(self.id, t, due, now);
+                tl.arm(self.id, t, due);
             }
         });
     }
 
-    /// Permanently removes the task from schedule and table (a sleep
-    /// with it); the handle reads default stats afterwards.
+    /// Permanently removes the task from schedule and table; the handle
+    /// reads default stats afterwards.
     pub fn cancel(&self) {
         let mut st = self.inner.state.lock();
         if let Some(mut t) = st.tasks.remove(&self.id) {
@@ -649,31 +542,27 @@ impl TaskHandle {
     /// lease auto-renewal timer tracks a moving expiry. A periodic task's
     /// grid moves to `due_ms`. No-op on cancelled tasks.
     pub fn reschedule_at(&self, due_ms: u64) {
-        self.rearm(|_| due_ms);
-    }
-
-    /// Like [`reschedule_at`](Self::reschedule_at), but spreads the
-    /// firing uniformly inside `[due_ms, due_ms + spread_ms)` using the
-    /// task's own seed-reproducible jitter generator — the same source
-    /// periodic jitter draws from, so replays under one scheduler seed
-    /// reproduce the spread exactly. A fleet of one-shot timers all due
-    /// at structurally similar instants (every lease's renew-due point,
-    /// say) de-synchronizes into the window instead of stampeding one
-    /// tick. `spread_ms == 0` degrades to the exact re-arm.
-    pub fn reschedule_at_jittered(&self, due_ms: u64, spread_ms: u64) {
-        self.rearm(|t| {
-            let jitter = (spread_ms > 0).then(|| t.rng.gen_range(0..spread_ms));
-            due_ms.saturating_add(jitter.unwrap_or(0))
-        });
-    }
-
-    fn rearm(&self, due_ms: impl FnOnce(&mut Task) -> u64) {
         self.with_task(|tl, t, now| {
-            let due = due_ms(t).max(now);
-            t.paused = false;
-            t.rearmed = true;
-            tl.arm(self.id, t, due, now);
+            (t.paused, t.rearmed) = (false, true);
+            tl.arm(self.id, t, due_ms.max(now));
         });
+    }
+
+    /// A uniform draw from `0..spread_ms` (0 when `spread_ms` is 0 or the
+    /// task is gone), from the task's own seed-reproducible jitter
+    /// generator — the same source periodic jitter draws from, so replays
+    /// under one scheduler seed reproduce it exactly. A fleet of one-shot
+    /// timers all due at structurally similar instants (every lease's
+    /// renew-due point, say) re-armed at `due + jitter(spread)`
+    /// de-synchronizes into the window instead of stampeding one tick.
+    pub fn jitter(&self, spread_ms: u64) -> u64 {
+        let mut drawn = 0;
+        self.with_task(|_, t, _| {
+            if spread_ms > 0 {
+                drawn = t.rng.gen_range(0..spread_ms);
+            }
+        });
+        drawn
     }
 
     /// Runs `op` on the timeline, the task (if alive) and the clock.
@@ -682,34 +571,6 @@ impl TaskHandle {
         if let Some((tl, t)) = self.inner.state.lock().task(self.id) {
             op(tl, t, now);
         }
-    }
-
-    /// Declares the task idle until virtual time `wake_ms` ([`u64::MAX`]:
-    /// until [`wake`](Self::wake)). It runs on exactly the ticks where a
-    /// body returning early while the clock is short of `wake_ms` would
-    /// have worked: the first tick of its grid (last scheduled tick plus
-    /// whole intervals) whose turn comes with the clock at `wake_ms`, late
-    /// turns included. Skipped ticks are not runs; running ends the sleep.
-    /// No-op for a jittered or one-shot task.
-    pub fn sleep_until(&self, wake_ms: u64) {
-        self.with_task(|tl, t, now| {
-            if t.sleep_grid().is_none() || t.sleep_ms == wake_ms {
-                return;
-            }
-            // Mid-run or paused, the re-arm after the run or the resume
-            // applies the new threshold.
-            let on_schedule = t.queued || t.parked;
-            tl.unqueue(self.id, t);
-            t.sleep_ms = wake_ms;
-            if on_schedule {
-                tl.arm(self.id, t, t.due_ms, now);
-            }
-        });
-    }
-
-    /// Ends a sleep: the task runs at its next tick.
-    pub fn wake(&self) {
-        self.sleep_until(0);
     }
 }
 
@@ -1002,7 +863,7 @@ mod tests {
             let mut dues = Vec::new();
             for i in 0..8 {
                 let h = sched.dormant(format!("lease{i}"), || Ok(TaskControl::Continue));
-                h.reschedule_at_jittered(1_000, 500);
+                h.reschedule_at(1_000 + h.jitter(500));
                 dues.push(h.next_due_ms().unwrap());
             }
             dues
@@ -1015,12 +876,10 @@ mod tests {
             a.windows(2).any(|w| w[0] != w[1]),
             "spread collapsed to one tick: {a:?}"
         );
-        // Zero spread is the exact re-arm.
-        let clock = Clock::simulated();
-        let sched = Scheduler::new(clock);
+        // Zero spread draws nothing.
+        let sched = Scheduler::new(Clock::simulated());
         let h = sched.dormant("exact", || Ok(TaskControl::Continue));
-        h.reschedule_at_jittered(2_000, 0);
-        assert_eq!(h.next_due_ms(), Some(2_000));
+        assert_eq!(h.jitter(0), 0);
     }
 
     #[test]
@@ -1121,226 +980,6 @@ mod tests {
         assert!(
             elapsed < Duration::from_secs(20),
             "10k-task pump took {elapsed:?}; scheduler has regressed toward quadratic behavior"
-        );
-    }
-
-    /// A task every 100 ms that logs the clock of each run.
-    fn logged_task(
-        sched: &Scheduler,
-        clock: &Clock,
-        name: &str,
-    ) -> (TaskHandle, Arc<Mutex<Vec<u64>>>) {
-        let times: Arc<Mutex<Vec<u64>>> = Arc::default();
-        let (t, c) = (times.clone(), clock.clone());
-        let h = sched.every(
-            Duration::from_millis(100),
-            Duration::ZERO,
-            name,
-            move || {
-                t.lock().push(c.now_ms());
-                Ok(TaskControl::Continue)
-            },
-        );
-        (h, times)
-    }
-
-    #[test]
-    fn a_beat_one_tick_short_of_its_threshold_fires_when_its_turn_comes_late() {
-        let (sched, clock) = rig();
-        // Registered first, so it takes tick 200 first and charges 50 ms.
-        let c = clock.clone();
-        sched.every(
-            Duration::from_millis(100),
-            Duration::ZERO,
-            "slow",
-            move || {
-                c.advance_ms(50);
-                Ok(TaskControl::Continue)
-            },
-        );
-        let (h, times) = logged_task(&sched, &clock, "sleeper");
-        h.sleep_until(220);
-        assert_eq!(h.next_due_ms(), Some(300), "the first tick past 220");
-        sched.run_until(450);
-        // Tick 200 was scheduled before 220, but its turn came at 250.
-        assert_eq!(*times.lock(), vec![250, 350, 450]);
-        assert_eq!(h.stats().runs, 3, "the slept tick at 100 is not a run");
-    }
-
-    #[test]
-    fn a_sleeper_wakes_on_time_and_runs_are_the_ticks_that_ran() {
-        let (sched, clock) = rig();
-        let (h, times) = logged_task(&sched, &clock, "t");
-        h.sleep_until(u64::MAX);
-        assert_eq!(sched.run_until(1_000), 0);
-        assert!(h.is_scheduled() && h.next_due_ms().is_none());
-        h.wake();
-        assert_eq!(sched.run_until(1_250), 2);
-        assert_eq!(*times.lock(), vec![1_100, 1_200]);
-        h.sleep_until(1_450);
-        assert_eq!(h.next_due_ms(), Some(1_500));
-        assert_eq!(sched.run_until(1_600), 2);
-        assert_eq!(*times.lock(), vec![1_100, 1_200, 1_500, 1_600]);
-        assert_eq!(h.stats().runs, 4);
-        // A threshold the clock already passed is no sleep at all.
-        h.sleep_until(1_600);
-        assert_eq!(h.next_due_ms(), Some(1_700));
-        h.cancel();
-        assert!(!h.is_scheduled());
-        assert_eq!(sched.run_until(3_000), 0);
-    }
-
-    #[test]
-    fn after_pause_and_resume_a_beat_sleeps_on_its_new_grid() {
-        let (sched, clock) = rig();
-        let (h, times) = logged_task(&sched, &clock, "t");
-        h.sleep_until(1_000);
-        sched.run_until(250);
-        h.pause();
-        clock.advance_ms(80);
-        h.resume(); // the grid is now 430, 530, …
-        sched.run_until(1_100);
-        assert_eq!(
-            *times.lock(),
-            vec![1_030],
-            "not 1 000: that tick left with the old grid"
-        );
-        h.sleep_until(1_250);
-        h.reschedule_at(1_160); // …and now 1 160, 1 260, …
-        sched.run_until(1_300);
-        assert_eq!(*times.lock(), vec![1_030, 1_260]);
-    }
-
-    #[test]
-    fn jittered_and_one_shot_tasks_never_sleep() {
-        let (sched, clock) = rig();
-        let hits = Arc::new(AtomicU64::new(0));
-        let jittered = sched.every(
-            Duration::from_millis(100),
-            Duration::from_millis(10),
-            "j",
-            counter_task(&hits),
-        );
-        let once = sched.once(Duration::from_millis(50), "o", counter_task(&hits));
-        jittered.sleep_until(u64::MAX);
-        once.sleep_until(u64::MAX);
-        sched.run_until(1_000);
-        assert_eq!(hits.load(Ordering::SeqCst), 1 + jittered.stats().runs);
-        assert!(jittered.stats().runs >= 9, "{:?}", jittered.stats());
-        assert_eq!(clock.now_ms(), 1_000);
-    }
-
-    /// One seeded world of `TASKS` zero-jitter periodic tasks whose
-    /// working runs charge latency (sometimes more than an interval, so
-    /// fixed-rate catch-up skips ticks) and re-aim, pause, resume and
-    /// reschedule each other; between uneven pumps the harness jumps the
-    /// clock and re-aims. "Aiming" task `j` at `t` means: it has work to
-    /// do once the clock reaches `t`. `sleeping`: aims go through
-    /// `sleep_until` / `wake` and every run is logged; otherwise every
-    /// tick runs the body, which returns early while the clock is short
-    /// of its aim, and only the runs that do work are logged.
-    fn differential_world(seed: u64, sleeping: bool) -> (Vec<(u64, usize)>, u64) {
-        const TASKS: usize = 5;
-        let (sched, clock) = rig();
-        let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
-        let aims = Arc::new(Mutex::new(vec![0u64; TASKS]));
-        let handles: Arc<Mutex<Vec<TaskHandle>>> = Arc::default();
-        let log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::default();
-        let aim = {
-            let (aims, handles) = (aims.clone(), handles.clone());
-            Arc::new(move |j: usize, at: u64| {
-                aims.lock()[j] = at;
-                if sleeping {
-                    handles.lock()[j].sleep_until(at);
-                }
-            })
-        };
-        for i in 0..TASKS {
-            let interval = rng.lock().gen_range(5..40);
-            let (rng, aims, peers) = (rng.clone(), aims.clone(), handles.clone());
-            let (log, aim, c) = (log.clone(), aim.clone(), clock.clone());
-            let h = sched.every(
-                Duration::from_millis(interval),
-                Duration::ZERO,
-                format!("t{i}"),
-                move || {
-                    let now = c.now_ms();
-                    if now < aims.lock()[i] {
-                        assert!(
-                            !sleeping,
-                            "t{i} ran at {now} asleep until {}",
-                            aims.lock()[i]
-                        );
-                        return Ok(TaskControl::Continue);
-                    }
-                    log.lock().push((now, i));
-                    let mut r = rng.lock();
-                    c.advance_ms(r.gen_range(0..60));
-                    let j = r.gen_range(0..TASKS as u64) as usize;
-                    let h = peers.lock()[j].clone();
-                    match r.gen_range(0..10) {
-                        0..=3 => aim(j, now + r.gen_range(0..150)),
-                        4 => aim(j, u64::MAX),
-                        5 => aim(j, 0),
-                        6 => h.pause(),
-                        7 => h.resume(),
-                        8 => h.reschedule_at(now + r.gen_range(0..100)),
-                        _ => {}
-                    }
-                    if r.gen_range(0..10) < 7 {
-                        aim(i, now + r.gen_range(0..200));
-                    }
-                    Ok(TaskControl::Continue)
-                },
-            );
-            handles.lock().push(h);
-        }
-        let mut outer = StdRng::seed_from_u64(!seed);
-        for j in 0..TASKS {
-            aim(j, outer.gen_range(0..300));
-        }
-        let mut fired = 0;
-        for _ in 0..60 {
-            let target = clock.now_ms() + outer.gen_range(1..120);
-            fired += sched.run_until(target);
-            let j = outer.gen_range(0..TASKS as u64) as usize;
-            match outer.gen_range(0..8) {
-                0 => {
-                    clock.advance_ms(outer.gen_range(0..200));
-                }
-                1 => aim(j, clock.now_ms() + outer.gen_range(0..300)),
-                2 => aim(j, 0),
-                3 => handles.lock()[j].resume(),
-                _ => {}
-            }
-        }
-        if sleeping {
-            let runs: u64 = handles.lock().iter().map(|h| h.stats().runs).sum();
-            assert_eq!(runs, fired, "runs count the beats that ran, and only those");
-            assert_eq!(runs as usize, log.lock().len());
-        }
-        let log = log.lock().clone();
-        (log, fired)
-    }
-
-    #[test]
-    fn sleeping_runs_exactly_the_ticks_that_would_have_done_work() {
-        let (mut saved, mut worked) = (0, 0);
-        for seed in 0..200 {
-            let (every_tick, all) = differential_world(seed, false);
-            let (slept, ran) = differential_world(seed, true);
-            assert_eq!(
-                slept, every_tick,
-                "seed {seed}: (clock, task) of the working runs"
-            );
-            assert!(!slept.is_empty(), "seed {seed}: no task ever worked");
-            saved += all - ran;
-            worked += ran;
-        }
-        assert!(
-            saved > worked,
-            "sleeping skipped {saved} idle ticks of {}",
-            saved + worked
         );
     }
 }

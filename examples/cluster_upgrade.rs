@@ -127,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => unreachable!(),
         })
         // Self-driving lifecycle: the upgrade below lands via each
-        // client's scheduler-registered poll task, not a manual loop.
+        // client's scheduler-registered lifecycle task, not a manual loop.
         .self_driving(Duration::from_secs(60))
         .with_notify_channel();
         for s in &servers {
@@ -172,7 +172,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for s in &servers {
         s.notify_upgrade("vdb");
     }
-    // Pump the scheduler one poll interval: every client's upgrade-poll
+    // Pump the scheduler one poll interval: every client's lifecycle
     // task drains the pushed notice and hot-swaps on its own.
     let now = net.clock().now_ms();
     net.run_until(now + 61_000);

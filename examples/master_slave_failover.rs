@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &net,
             Addr::new(format!("client{i}"), 1),
             BootloaderConfig::fixed(vec![Addr::new("drv", DRIVOLUTION_PORT)])
-                // Self-driving: each bootloader registers an upgrade-poll
+                // Self-driving: each bootloader registers a lifecycle
                 // task; the swaps below happen by pumping the scheduler,
                 // with no application code calling poll().
                 .self_driving(Duration::from_secs(30))

@@ -1,13 +1,15 @@
 //! Resident bytes per simulated client, by call site: a fleet in the
 //! `renew_storm` shape (self-driving clients, a licence table seated at
 //! the fleet size) is built, bootstrapped, placed in two zones and pumped
-//! for three lease periods while a tracking allocator records a stack
-//! for every allocation. What is still live at the end is grouped by the
-//! first frame of a workspace crate on its stack and printed as bytes and
-//! allocations per client, largest first. A release build has no line
-//! tables: sites are functions, inlined ones folded into their callers;
-//! `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` adds `file:line`.
-//! Prints; gates nothing.
+//! for three lease periods while a tracking allocator keys every live
+//! allocation by a hash of its stack's return addresses (glibc's
+//! `backtrace(3)`) and captures one `Backtrace` per distinct stack. What
+//! is still live at the end is grouped by the first frame of a workspace
+//! crate on its stack, each distinct stack resolved once, and printed as
+//! bytes and allocations per client, largest first. A release build has
+//! no line tables: sites are functions, inlined ones folded into their
+//! callers; `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` adds
+//! `file:line`. Prints; gates nothing. Linux with glibc only.
 //!
 //! Run with: `cargo run --release --example resident_budget [-- <clients>]`
 #![allow(unsafe_code)]
@@ -16,6 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::ffi::{c_int, c_void};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Mutex;
 
 use drivolution::fleet::{FleetSim, DEFAULT_POLL_EVERY};
@@ -47,17 +51,42 @@ thread_local! {
     static ON: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Every tracked allocation still live: its size and its stack.
-static LIVE: Mutex<Option<HashMap<usize, (usize, Backtrace)>>> = Mutex::new(None);
+/// Every tracked allocation still live: its size and its stack's id.
+static LIVE: Mutex<Option<HashMap<usize, (usize, u64)>>> = Mutex::new(None);
+
+/// One captured stack per stack id, resolved only when the table is built.
+static STACKS: Mutex<Option<HashMap<u64, Backtrace>>> = Mutex::new(None);
+
+extern "C" {
+    /// glibc's `backtrace(3)`: the calling stack's return addresses,
+    /// unresolved.
+    fn backtrace(buffer: *mut *mut c_void, size: c_int) -> c_int;
+}
+
+/// The id of the calling stack: a hash of its return addresses.
+fn stack_id() -> u64 {
+    let mut frames = [std::ptr::null_mut::<c_void>(); 64];
+    // SAFETY: `frames` has room for the 64 addresses glibc may write.
+    let n = unsafe { backtrace(frames.as_mut_ptr(), 64) };
+    let mut h = DefaultHasher::new();
+    frames[..n.max(0) as usize].hash(&mut h);
+    h.finish()
+}
 
 fn record(ptr: *mut u8, size: usize) {
     if ptr.is_null() || !ON.with(|on| on.replace(false)) {
         return;
     }
-    let stack = Backtrace::force_capture();
+    let id = stack_id();
+    let mut stacks = STACKS.lock().unwrap_or_else(|e| e.into_inner());
+    stacks
+        .get_or_insert_with(HashMap::new)
+        .entry(id)
+        .or_insert_with(Backtrace::force_capture);
+    drop(stacks);
     let mut live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
     live.get_or_insert_with(HashMap::new)
-        .insert(ptr as usize, (size, stack));
+        .insert(ptr as usize, (size, id));
     drop(live);
     ON.with(|on| on.set(true));
 }
@@ -66,10 +95,9 @@ fn forget(ptr: *mut u8) {
     if !ON.with(|on| on.replace(false)) {
         return;
     }
-    let mut live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let gone = live.as_mut().and_then(|m| m.remove(&(ptr as usize)));
-    drop(live);
-    drop(gone);
+    if let Some(live) = LIVE.lock().unwrap_or_else(|e| e.into_inner()).as_mut() {
+        live.remove(&(ptr as usize));
+    }
     ON.with(|on| on.set(true));
 }
 
@@ -173,10 +201,19 @@ fn main() {
         .unwrap_or_else(|e| e.into_inner())
         .take()
         .unwrap_or_default();
+    let stacks = STACKS
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take()
+        .unwrap_or_default();
+    let mut sites: HashMap<u64, String> = HashMap::new();
     let mut by_site: HashMap<String, (usize, usize)> = HashMap::new();
     // drvlint: allow(map-iter) — sums per site; the rows are sorted below.
-    for (size, stack) in live.values() {
-        let row = by_site.entry(site(stack)).or_default();
+    for (size, id) in live.values() {
+        let site = sites
+            .entry(*id)
+            .or_insert_with(|| stacks.get(id).map_or_else(String::new, site));
+        let row = by_site.entry(site.clone()).or_default();
         row.0 += size;
         row.1 += 1;
     }
@@ -184,7 +221,8 @@ fn main() {
     rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
     let per = |n: usize| n as f64 / clients as f64;
     println!(
-        "{clients} clients, {renewals} renewals over {LEASES} leases; live at the end, per client:"
+        "{clients} clients, {renewals} renewals over {LEASES} leases, {} distinct stacks; live at the end, per client:",
+        stacks.len()
     );
     println!("{:>10} {:>8}  site", "bytes", "allocs");
     let (mut bytes, mut allocs) = (0, 0);

@@ -680,6 +680,33 @@ fn a_self_driving_client_holds_under_2_800_bytes_once_bootstrapped() {
     );
 }
 
+/// The same client, held to one scheduler task: its poll, lease timer,
+/// session sweep and swap tick are the jobs of one lifecycle task, so it
+/// holds one task box, closure, name and table slot where it held three,
+/// and the scheduler no sleep bookkeeping. Three tasks read 2 673 B.
+#[test]
+fn a_self_driving_client_holds_under_2_300_bytes_once_bootstrapped() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 2_000;
+    let (sim, _, _, live) = measured_live(|| {
+        let sim = FleetSim::build_with_lifecycle(
+            CLIENTS,
+            10 * 60_000,
+            false,
+            0,
+            LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
+        );
+        sim.bootstrap_all();
+        sim
+    });
+    assert!(sim.clients().iter().all(|b| b.stats().downloads == 1));
+    let per_client = live / CLIENTS as i64;
+    assert!(
+        per_client <= 2_300,
+        "{per_client} B live per bootstrapped client"
+    );
+}
+
 /// The renewal request every host of these two guards sends in full.
 fn storm_renewal() -> DrvRequest {
     DrvRequest {

@@ -12,7 +12,7 @@ use drivolution::core::{
     PermissionRule, RenewPolicy, DRIVOLUTION_PORT,
 };
 use drivolution::depot::DriverDepot;
-use drivolution::fleet::{FleetSim, SimSpec};
+use drivolution::fleet::{FleetSim, SimSpec, DEFAULT_POLL_EVERY};
 use drivolution::prelude::*;
 use drivolution::server::MirrorHealth;
 
@@ -119,9 +119,9 @@ fn paused_lifecycle_quarantines_then_resume_recovers() {
 }
 
 /// Closed sessions must leave the tracker without anybody calling
-/// `prune` by hand: the session-maintenance task (registered for every
-/// self-driving bootloader, on the same 30s cadence idea as the
-/// server's failure detection) sweeps the tracking table on schedule.
+/// `prune` by hand: the lifecycle task of every self-driving bootloader
+/// sweeps the tracking table on a 30s cadence (the cadence idea of the
+/// server's failure detection) while a session is tracked.
 #[test]
 fn scheduled_maintenance_prunes_closed_sessions_from_the_tracker() {
     let rig = rig();
@@ -132,11 +132,11 @@ fn scheduled_maintenance_prunes_closed_sessions_from_the_tracker() {
             .trusting(rig.srv.certificate())
             .with_lifecycle(LifecyclePolicy::driven(Duration::from_secs(60))),
     );
-    let task = boot.maintenance_task().expect("maintenance registered");
-    assert!(task.is_scheduled());
+    let task = boot.lifecycle_task().expect("lifecycle registered");
 
     let props = ConnectProps::user("admin", "admin");
     let keep = boot.connect(&rig.url, &props).unwrap();
+    assert!(task.is_scheduled());
     let mut gone_a = boot.connect(&rig.url, &props).unwrap();
     let mut gone_b = boot.connect(&rig.url, &props).unwrap();
     assert_eq!(boot.tracker().tracked_len(), 3);
@@ -157,10 +157,10 @@ fn scheduled_maintenance_prunes_closed_sessions_from_the_tracker() {
     drop(keep);
 }
 
-/// The sweep sleeps while nothing is tracked: an idle bootloader runs no
-/// sweep at all, the next `connect` wakes it at its next 30 s tick, it
-/// sweeps every tick while a session is tracked, and once a sweep finds
-/// the table empty it sleeps again.
+/// The sweep is off the schedule while nothing is tracked: an idle
+/// bootloader's lifecycle task fires not at all, the next `connect` arms
+/// the sweep at its next 30 s tick, it sweeps every tick while a session
+/// is tracked, and once a sweep finds the table empty it stops.
 #[test]
 fn an_idle_bootloader_sweeps_nothing_until_a_session_opens() {
     const MINUTE: u64 = 60_000;
@@ -173,10 +173,10 @@ fn an_idle_bootloader_sweeps_nothing_until_a_session_opens() {
             .trusting(rig.srv.certificate())
             .with_lifecycle(LifecyclePolicy::driven(Duration::from_secs(60))),
     );
-    let sweep = boot.maintenance_task().expect("maintenance registered");
+    let sweep = boot.lifecycle_task().expect("lifecycle registered");
     rig.net.run_until(10 * MINUTE);
     assert_eq!(sweep.stats().runs, 0, "an idle bootloader swept");
-    assert!(sweep.is_scheduled(), "asleep on its grid, not off it");
+    assert!(!sweep.is_scheduled(), "armed with nothing due");
 
     let mut conn = boot
         .connect(&rig.url, &ConnectProps::user("admin", "admin"))
@@ -200,7 +200,7 @@ fn an_idle_bootloader_sweeps_nothing_until_a_session_opens() {
     );
 }
 
-/// A notify pipe keeps the upgrade poll awake: with a 60-minute lease
+/// A notify pipe keeps the poll on every tick: with a 60-minute lease
 /// (renew-due 54 minutes out) a pushed notice is acted on at the very
 /// next poll tick.
 #[test]
@@ -284,7 +284,7 @@ fn lease_timer_renews_and_upgrades_without_manual_polls() {
     boot.bootstrap(&rig.url, &ConnectProps::user("admin", "admin"))
         .unwrap();
     assert_eq!(boot.active_version(), Some(DriverVersion::new(1, 0, 0)));
-    let renew_at = boot.lease_task().unwrap().next_due_ms().unwrap();
+    let renew_at = boot.lifecycle_task().unwrap().next_due_ms().unwrap();
     let granted_at = rig.net.clock().now_ms();
     // The timer arms inside the renewal window: at the renew-due point
     // plus a seed-reproducible spread strictly under the margin, so the
@@ -318,7 +318,7 @@ fn lease_timer_renews_and_upgrades_without_manual_polls() {
         1,
         "upgrade travelled as a delta"
     );
-    let next = boot.lease_task().unwrap().next_due_ms().unwrap();
+    let next = boot.lifecycle_task().unwrap().next_due_ms().unwrap();
     assert!(next > renew_at, "timer re-armed against the new lease");
 }
 
@@ -339,10 +339,10 @@ fn failed_renewals_count_on_the_lease_task_and_retry() {
     );
     boot.bootstrap(&rig.url, &ConnectProps::user("admin", "admin"))
         .unwrap();
-    let renew_at = boot.lease_task().unwrap().next_due_ms().unwrap();
+    let renew_at = boot.lifecycle_task().unwrap().next_due_ms().unwrap();
     rig.net.with_faults(|f| f.take_down("db1"));
     rig.net.run_until(renew_at + 1);
-    let task = boot.lease_task().unwrap();
+    let task = boot.lifecycle_task().unwrap();
     assert_eq!(task.stats().errors, 1);
     assert!(task.last_error().unwrap().contains("renewal failed"));
     // Driver kept (§4.1.3), retry armed one backoff after the failed
@@ -358,6 +358,85 @@ fn failed_renewals_count_on_the_lease_task_and_retry() {
     rig.net.run_until(rig.net.clock().now_ms() + 30_001);
     assert_eq!(task.stats().consecutive_errors, 0);
     assert!(boot.stats().renewals >= 1);
+}
+
+/// A bootloader that polls, auto-renews, sweeps and hot-swaps runs all
+/// four jobs on one scheduler task, and dropping it leaves none.
+#[test]
+fn a_driven_hot_swap_bootloader_registers_one_task_and_dropping_it_leaves_none() {
+    let rig = rig();
+    let before = rig.net.scheduler().task_count();
+    let boot = Bootloader::new(
+        &rig.net,
+        Addr::new("app", 1),
+        BootloaderConfig::same_host()
+            .self_driving(Duration::from_secs(60))
+            .with_hot_swap(SwapConfig::default())
+            .trusting(rig.srv.certificate()),
+    );
+    assert_eq!(rig.net.scheduler().task_count(), before + 1);
+    let conn = boot
+        .connect(&rig.url, &ConnectProps::user("admin", "admin"))
+        .unwrap();
+    rig.net.run_until(rig.net.clock().now_ms() + 10 * 60_000);
+    assert_eq!(rig.net.scheduler().task_count(), before + 1);
+    assert!(boot.lifecycle_task().unwrap().stats().runs > 0);
+    drop(conn);
+    drop(boot);
+    assert_eq!(rig.net.scheduler().task_count(), before);
+}
+
+/// The renew storm's shape at 200 clients: self-driving clients on a
+/// fully seated licence table, bootstrapped through `connect` at virtual
+/// time 0 and placed in two zones, renew exactly once per lease over
+/// three leases. Each renewal charges its round trip to the one virtual
+/// clock, so a wave of renewals makes later timers fire late: 200 clients
+/// at 600 ms charge a wave ≈ 120 s, a little more than drvbench's 10 000
+/// clients at 10 ms. The poll's grid bounds each renewal to the first
+/// poll tick at or after its renew-due point; a lease timer alone
+/// (`poll_every: None`) lets the spread and the lateness accumulate, and
+/// some clients' third renewal falls past the three leases.
+#[test]
+fn every_self_driving_client_renews_exactly_once_per_lease() {
+    const CLIENTS: usize = 200;
+    const LEASE_MS: u64 = 10 * 60_000;
+    let sim = FleetSim::build_with_lifecycle(
+        CLIENTS,
+        LEASE_MS,
+        false,
+        0,
+        LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
+    );
+    sim.server().licenses().set_limit(DriverId(1), CLIENTS);
+    let props = ConnectProps::user("admin", "admin");
+    for c in sim.clients() {
+        drop(c.connect(sim.url(), &props).unwrap());
+    }
+    sim.net().with_topology(|t| {
+        t.set_default_latency(300, 300);
+        t.place("db1", "za");
+        for (i, c) in sim.clients().iter().enumerate() {
+            t.place(c.local_addr().host(), if i % 2 == 0 { "za" } else { "zb" });
+        }
+    });
+    let start = sim.net().clock().now_ms();
+    let granted0 = sim.server().stats().renewals;
+    let mut now = start;
+    while now < start + 3 * LEASE_MS {
+        now += 1_000;
+        sim.net().run_until(now);
+    }
+    assert_eq!(sim.server().stats().renewals - granted0, 3 * CLIENTS as u64);
+    for c in sim.clients() {
+        let st = c.stats();
+        assert_eq!(
+            (st.renewals, st.failed_renewals),
+            (3, 0),
+            "{}",
+            c.local_addr()
+        );
+    }
+    assert_eq!(sim.net().scheduler().task_count(), CLIENTS + 1);
 }
 
 /// Same seed ⇒ same schedule, end to end: two identically-built worlds
@@ -439,10 +518,7 @@ fn components_register_their_tasks_in_a_pinned_order() {
             "mirror-heartbeat mirror1:1071",
             "mirror-heartbeat mirror2:1072",
             "mirror-announce mirror2:1072",
-            "upgrade-poll app:1",
-            "lease-renewal app:1",
-            "session-maintenance app:1",
-            "hot-swap app:1",
+            "lifecycle app:1",
         ]
     );
     // Dropping a component retires exactly its own tasks.
