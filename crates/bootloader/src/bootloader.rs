@@ -150,14 +150,49 @@ pub(crate) struct BootState {
     pub(crate) cold: Option<Box<ColdState>>,
 }
 
-/// The [`BootStats`] counters every client writes.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct HotStats {
-    pub(crate) downloads: u64,
-    pub(crate) renewals: u64,
-    pub(crate) upgrades: u64,
-    pub(crate) failed_renewals: u64,
-    pub(crate) polls: u64,
+/// Splits [`BootStats`] in two and assembles the view from both, each
+/// counter named once: [`HotStats`], the counters every client writes,
+/// and [`ColdStats`], the ones only the cold paths write.
+macro_rules! split_stats {
+    (hot { $($hot:ident),* } cold { $($cold:ident: $ty:ty),* $(,)? }) => {
+        /// The [`BootStats`] counters every client writes.
+        #[derive(Clone, Copy, Default)]
+        pub(crate) struct HotStats {
+            $(pub(crate) $hot: u64,)*
+        }
+
+        /// The [`BootStats`] counters only the cold paths write.
+        #[derive(Clone, Copy, Default)]
+        pub(crate) struct ColdStats {
+            $(pub(crate) $cold: $ty,)*
+        }
+
+        fn assemble_stats(hot: HotStats, cold: ColdStats) -> BootStats {
+            BootStats {
+                $($hot: hot.$hot,)*
+                $($cold: cold.$cold,)*
+            }
+        }
+    };
+}
+
+split_stats! {
+    hot { downloads, renewals, upgrades, failed_renewals, polls }
+    cold {
+        extension_fetches: u64,
+        revalidations: u64,
+        delta_downloads: u64,
+        bytes_saved: u64,
+        mirror_fallbacks: u64,
+        mirror_chunk_fetches: u64,
+        shared_image_reuses: u64,
+        same_zone_chunk_bytes: u64,
+        cross_zone_chunk_bytes: u64,
+        mirror_complaints: u64,
+        activation_reports: u64,
+        activation_failures: u64,
+        swap: SwapStats,
+    }
 }
 
 /// The state of notify channels, extensions, depot deliveries, mirror
@@ -170,24 +205,6 @@ pub(crate) struct ColdState {
     /// Open hot-swap coexistence windows.
     pub(crate) windows: Vec<DrainWindow>,
     pub(crate) stats: ColdStats,
-}
-
-/// The [`BootStats`] counters only the cold paths write.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct ColdStats {
-    pub(crate) extension_fetches: u64,
-    pub(crate) revalidations: u64,
-    pub(crate) delta_downloads: u64,
-    pub(crate) bytes_saved: u64,
-    pub(crate) mirror_fallbacks: u64,
-    pub(crate) mirror_chunk_fetches: u64,
-    pub(crate) shared_image_reuses: u64,
-    pub(crate) same_zone_chunk_bytes: u64,
-    pub(crate) cross_zone_chunk_bytes: u64,
-    pub(crate) mirror_complaints: u64,
-    pub(crate) activation_reports: u64,
-    pub(crate) activation_failures: u64,
-    pub(crate) swap: SwapStats,
 }
 
 /// What a client knows about renewing by reference.
@@ -218,31 +235,11 @@ impl BootState {
 
     /// The frozen counter view: the hot counters and the cold ones.
     fn stats(&self) -> BootStats {
-        let hot = self.stats;
         let cold = self
             .cold
             .as_ref()
             .map_or_else(ColdStats::default, |c| c.stats);
-        BootStats {
-            downloads: hot.downloads,
-            renewals: hot.renewals,
-            upgrades: hot.upgrades,
-            failed_renewals: hot.failed_renewals,
-            polls: hot.polls,
-            extension_fetches: cold.extension_fetches,
-            revalidations: cold.revalidations,
-            delta_downloads: cold.delta_downloads,
-            bytes_saved: cold.bytes_saved,
-            mirror_fallbacks: cold.mirror_fallbacks,
-            mirror_chunk_fetches: cold.mirror_chunk_fetches,
-            shared_image_reuses: cold.shared_image_reuses,
-            same_zone_chunk_bytes: cold.same_zone_chunk_bytes,
-            cross_zone_chunk_bytes: cold.cross_zone_chunk_bytes,
-            mirror_complaints: cold.mirror_complaints,
-            activation_reports: cold.activation_reports,
-            activation_failures: cold.activation_failures,
-            swap: cold.swap,
-        }
+        assemble_stats(self.stats, cold)
     }
 
     /// A full request whose context digest is `token`, built from the
@@ -316,6 +313,10 @@ pub(crate) struct Lifecycle {
     pub(crate) sweep_at: u64,
     /// The swap tick, while a coexistence window is open.
     pub(crate) swap_at: u64,
+    /// How far the clock had run past the turn of the firing in progress
+    /// (0 between firings): the pump's lateness, which the poll term
+    /// allows for.
+    pub(crate) late_ms: u64,
 }
 
 impl Default for Lifecycle {
@@ -327,6 +328,7 @@ impl Default for Lifecycle {
             poll_at: NEVER,
             sweep_at: NEVER,
             swap_at: NEVER,
+            late_ms: 0,
         }
     }
 }
@@ -447,13 +449,22 @@ impl Bootloader {
         };
         let (poll, sweep, swap) = {
             let l = &mut self.state.lock().lifecycle;
+            let turn = l.poll_at.min(l.sweep_at).min(l.swap_at);
+            l.late_ms = now.saturating_sub(turn);
             (
                 take(&mut l.poll_at),
                 take(&mut l.sweep_at),
                 take(&mut l.swap_at),
             )
         };
-        let outcome = poll.then(|| self.poll());
+        let outcome = match poll {
+            true if self.poll_has_work(now) => Some(self.poll()),
+            true => {
+                self.sync_lease_timer();
+                None
+            }
+            false => None,
+        };
         if sweep {
             self.tracker.sweep();
             self.sync_sweep();
@@ -461,7 +472,9 @@ impl Bootloader {
         if swap {
             self.swap_tick();
         }
-        self.state.lock().lifecycle.arm();
+        let l = &mut self.state.lock().lifecycle;
+        l.late_ms = 0;
+        l.arm();
         match outcome {
             Some(PollOutcome::KeptAfterFailure) => {
                 Err("renewal failed; driver kept (§4.1.3)".into())

@@ -74,9 +74,11 @@ pub enum ServerLocator {
 ///
 /// * the **poll**, which drains pushed notices and runs the lease state
 ///   machine — the timer thread §3.4.2 describes, without anybody writing
-///   one. It is due at the earliest of the first `poll_every` tick at or
-///   after the lease's renew-due point (the next tick while a notify
-///   channel is open or a failed renewal is owed) and, with
+///   one. It is due at the earliest of the first `poll_every` tick whose
+///   turn comes with the clock at or after the lease's renew-due point
+///   (requests charge their round trips to the clock, so a pump can run
+///   late; the next tick while a notify channel is open or a failed
+///   renewal is owed) and, with
 ///   `auto_renew`, the renew-due point plus a seed-reproducible spread
 ///   over the margin's front three quarters (the last quarter is latency
 ///   and retry slack), or one 30 s retry after a failed renewal. The

@@ -15,7 +15,9 @@ use drivolution_core::proto::{
 };
 use drivolution_core::{DriverVersion, DrvError, DrvNotice, LeaseState};
 
-use crate::bootloader::{no_context, push_sample, Bootloader, PollOutcome, RenewRef, NEVER};
+use crate::bootloader::{
+    no_context, push_sample, BootState, Bootloader, PollOutcome, RenewRef, NEVER,
+};
 
 /// Retry backoff after a failed renewal ("the bootloader keeps its
 /// current implementation", §4.1.3 — but keeps trying).
@@ -23,10 +25,13 @@ const RENEW_RETRY: Duration = Duration::from_secs(30);
 
 impl Bootloader {
     /// Re-arms the lifecycle task's poll against the active lease, at the
-    /// earliest of two terms. With a poll cadence: the first poll tick at
-    /// or after the renew-due point, or the next tick when a pushed notice
-    /// may be waiting (a notify channel is open) or a failed renewal is
-    /// owed. With auto-renewal: the renew-due point plus a spread drawn
+    /// earliest of two terms. With a poll cadence: the first poll tick
+    /// whose turn, at the pump's present lateness, comes with the clock at
+    /// or after the renew-due point (a turn that comes with the clock
+    /// still short of it re-arms without polling, see
+    /// [`Self::poll_has_work`]), or the next
+    /// tick when [the poll may have work before](Self::polls_before_due).
+    /// With auto-renewal: the renew-due point plus a spread drawn
     /// uniformly over the front of the renewal window — `renew_due +
     /// jitter(0..margin·¾)`, sampled from the scheduler's seed-reproducible
     /// jitter — while that point is still ahead (renewing inside the
@@ -44,7 +49,7 @@ impl Bootloader {
         let now = self.net.clock().now_ms();
         let mut st = self.state.lock();
         let owed = st.renew_owed;
-        let wake_now = owed || (self.config.open_notify_channel && st.pipe().is_some());
+        let wake_now = self.polls_before_due(&st);
         let l = &mut st.lifecycle;
         let Some(task) = &l.task else {
             return;
@@ -62,7 +67,7 @@ impl Bootloader {
             let from = if wake_now {
                 now + 1
             } else {
-                renew_at.max(now + 1)
+                renew_at.max(now + 1) - l.late_ms
             };
             l.tick_at_or_after(from, every.as_millis() as u64)
         });
@@ -80,6 +85,26 @@ impl Bootloader {
         l.arm();
     }
 
+    /// Whether a poll may have work before the lease turns renew-due: a
+    /// failed renewal is owed, or a notify channel is open (a pushed
+    /// notice may be waiting).
+    fn polls_before_due(&self, st: &BootState) -> bool {
+        st.renew_owed || (self.config.open_notify_channel && st.pipe().is_some())
+    }
+
+    /// Whether the lifecycle task's poll, due with the clock at `now`, has
+    /// work: [it may before renew-due](Self::polls_before_due), or the
+    /// active lease is renew-due. The poll term allows for the pump
+    /// running late (each request charges its round trip to the shared
+    /// clock, so a renewal wave leaves the clock ahead of the turns); a
+    /// turn that comes with the clock still short of renew-due re-arms
+    /// instead, so a lease renews when it turns renew-due however late the
+    /// pump runs.
+    pub(crate) fn poll_has_work(&self, now: u64) -> bool {
+        self.polls_before_due(&self.state.lock())
+            || (self.registry.active()).is_some_and(|ns| ns.lease.renew_due_at_ms() <= now)
+    }
+
     /// Tells whoever drives the renewals from outside
     /// ([`on_renewal_due`](Self::on_renewal_due)) this client's next
     /// renewal deadline, with the state guard dropped: its lease's
@@ -93,8 +118,7 @@ impl Bootloader {
             let Some(report) = st.renewal_due.clone() else {
                 return;
             };
-            let wake_now =
-                st.renew_owed || (self.config.open_notify_channel && st.pipe().is_some());
+            let wake_now = self.polls_before_due(&st);
             let at = match self.registry.active() {
                 Some(ns) if !wake_now => ns.lease.renew_due_at_ms(),
                 _ => 0,

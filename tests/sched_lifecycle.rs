@@ -3,6 +3,7 @@
 //! classification, lease renewal, upgrades — happens by pumping
 //! `Network::run_until`, at exact virtual-clock ticks.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -390,14 +391,25 @@ fn a_driven_hot_swap_bootloader_registers_one_task_and_dropping_it_leaves_none()
 /// fully seated licence table, bootstrapped through `connect` at virtual
 /// time 0 and placed in two zones, renew exactly once per lease over
 /// three leases. Each renewal charges its round trip to the one virtual
-/// clock, so a wave of renewals makes later timers fire late: 200 clients
-/// at 600 ms charge a wave ≈ 120 s, a little more than drvbench's 10 000
-/// clients at 10 ms. The poll's grid bounds each renewal to the first
-/// poll tick at or after its renew-due point; a lease timer alone
-/// (`poll_every: None`) lets the spread and the lateness accumulate, and
-/// some clients' third renewal falls past the three leases.
+/// clock, so a wave of renewals leaves the clock ahead of the pump's
+/// turns. Checked at 600 ms, 800 ms and 2 s round trips, 200 clients
+/// charge a wave ≈ 120 s (a little more than drvbench's 10 000 clients at
+/// 10 ms), ≈ 160 s and ≈ 400 s (more than six poll intervals). The poll
+/// is armed at the first tick whose turn, that late, comes with the clock
+/// at its renew-due point, so no client's renewal slips from one lease to
+/// the next; a lease timer alone (`poll_every: None`) fires late by the
+/// wave's charge, the lateness accumulates, and some clients' third
+/// renewal falls past the three leases.
 #[test]
 fn every_self_driving_client_renews_exactly_once_per_lease() {
+    for one_way_ms in [300, 400, 1_000] {
+        renews_once_per_lease_at(one_way_ms);
+    }
+}
+
+/// [`every_self_driving_client_renews_exactly_once_per_lease`] at one
+/// cross-zone one-way latency.
+fn renews_once_per_lease_at(one_way_ms: u64) {
     const CLIENTS: usize = 200;
     const LEASE_MS: u64 = 10 * 60_000;
     let sim = FleetSim::build_with_lifecycle(
@@ -413,7 +425,7 @@ fn every_self_driving_client_renews_exactly_once_per_lease() {
         drop(c.connect(sim.url(), &props).unwrap());
     }
     sim.net().with_topology(|t| {
-        t.set_default_latency(300, 300);
+        t.set_default_latency(one_way_ms, one_way_ms);
         t.place("db1", "za");
         for (i, c) in sim.clients().iter().enumerate() {
             t.place(c.local_addr().host(), if i % 2 == 0 { "za" } else { "zb" });
@@ -426,17 +438,76 @@ fn every_self_driving_client_renews_exactly_once_per_lease() {
         now += 1_000;
         sim.net().run_until(now);
     }
-    assert_eq!(sim.server().stats().renewals - granted0, 3 * CLIENTS as u64);
+    let granted = sim.server().stats().renewals - granted0;
+    assert_eq!(granted, 3 * CLIENTS as u64, "at {one_way_ms} ms one way");
     for c in sim.clients() {
         let st = c.stats();
         assert_eq!(
             (st.renewals, st.failed_renewals),
             (3, 0),
-            "{}",
+            "{} at {one_way_ms} ms one way",
             c.local_addr()
         );
     }
     assert_eq!(sim.net().scheduler().task_count(), CLIENTS + 1);
+}
+
+/// A poll one tick short of its renew-due point renews when its turn
+/// comes late. A task registered first charges 50 s to the clock on every
+/// 60 s tick, so the bootloader's turns come 50 s late. After a renewal
+/// at a turn that late, the next poll is armed on the tick before the
+/// first tick at or after renew-due, and its turn comes with the clock
+/// at renew-due. Once the charging stops, that tick's turn comes early:
+/// it re-arms without polling, and the next tick renews.
+#[test]
+fn a_poll_one_tick_short_of_renew_due_renews_when_its_turn_comes_late() {
+    const TICK: u64 = 60_000;
+    const CHARGE: u64 = 50_000;
+    let rig = rig();
+    let charging = Arc::new(AtomicBool::new(true));
+    let (clock, on) = (rig.net.clock().clone(), charging.clone());
+    rig.net.scheduler().every(
+        Duration::from_millis(TICK),
+        Duration::ZERO,
+        "slow",
+        move || {
+            if on.load(Ordering::SeqCst) {
+                clock.advance_ms(CHARGE);
+            }
+            Ok(TaskControl::Continue)
+        },
+    );
+    let boot = Bootloader::new(
+        &rig.net,
+        Addr::new("app", 1),
+        BootloaderConfig::same_host()
+            .trusting(rig.srv.certificate())
+            .with_lifecycle(LifecyclePolicy {
+                auto_renew: false,
+                ..LifecyclePolicy::driven(Duration::from_millis(TICK))
+            }),
+    );
+    boot.bootstrap(&rig.url, &ConnectProps::user("admin", "admin"))
+        .unwrap();
+    let task = boot.lifecycle_task().unwrap();
+    // A 60-minute lease granted at 0 is renew-due at 54 minutes, a tick.
+    assert_eq!(task.next_due_ms(), Some(54 * TICK));
+    rig.net.run_until(54 * TICK);
+    assert_eq!(boot.take_renewal_times(), vec![54 * TICK + CHARGE]);
+    // Renew-due at 108 min 50 s: the tick before 109 min is armed.
+    assert_eq!(task.next_due_ms(), Some(108 * TICK));
+    rig.net.run_until(108 * TICK);
+    assert_eq!(boot.take_renewal_times(), vec![108 * TICK + CHARGE]);
+    // Renew-due at 162 min 50 s; the 162 min tick's turn now comes on time.
+    assert_eq!(task.next_due_ms(), Some(162 * TICK));
+    charging.store(false, Ordering::SeqCst);
+    let polls = boot.stats().polls;
+    rig.net.run_until(162 * TICK);
+    assert_eq!(boot.stats().polls, polls, "an early turn does not poll");
+    assert_eq!(task.next_due_ms(), Some(163 * TICK));
+    rig.net.run_until(163 * TICK);
+    assert_eq!(boot.take_renewal_times(), vec![163 * TICK]);
+    assert_eq!(boot.stats().renewals, 3);
 }
 
 /// Same seed ⇒ same schedule, end to end: two identically-built worlds
