@@ -398,14 +398,17 @@ impl Bootloader {
 
     /// Registers the lifecycle task (per `config.lifecycle`, or for a
     /// swap config), dormant until a job is due. It holds only a weak
-    /// reference: dropping the bootloader cancels it.
+    /// reference and retires itself once the bootloader is dropped.
     fn register_lifecycle(self: &Arc<Self>) {
         let policy = self.config.lifecycle;
         if policy.poll_every.is_none() && !policy.auto_renew && !self.sweeps() {
             return;
         }
         let name = format!("lifecycle {}", self.local);
-        let task = (self.net.scheduler()).dormant(name, self.task(Bootloader::lifecycle_tick));
+        let task = self
+            .net
+            .scheduler()
+            .owned(self, None, name, Bootloader::lifecycle_tick);
         let origin = self.net.clock().now_ms() + task.jitter(policy.poll_jitter.as_millis() as u64);
         let mut st = self.state.lock();
         (st.lifecycle.task, st.lifecycle.origin) = (Some(task), origin);
@@ -417,20 +420,6 @@ impl Bootloader {
     /// cadence idea of the server's failure detection).
     fn sweeps(&self) -> bool {
         self.config.lifecycle.poll_every.is_some() || self.config.swap.is_some()
-    }
-
-    /// A scheduler task body running `run` against this bootloader. It
-    /// holds only a weak reference and retires itself once the
-    /// bootloader is dropped.
-    pub(crate) fn task(
-        self: &Arc<Self>,
-        run: fn(&Arc<Bootloader>) -> netsim::TaskResult,
-    ) -> impl Fn() -> netsim::TaskResult {
-        let me = Arc::downgrade(self);
-        move || match me.upgrade() {
-            Some(boot) => run(&boot),
-            None => Ok(TaskControl::Done),
-        }
     }
 
     /// One firing of the lifecycle task: the jobs due by now, in order —

@@ -292,12 +292,6 @@ impl BootloaderConfig {
         self
     }
 
-    /// Sets the platform string.
-    pub fn on_platform(mut self, platform: impl Into<String>) -> Self {
-        self.client_platform = platform.into();
-        self
-    }
-
     /// Attaches a driver depot (content-addressed cache). Shared depots
     /// are fine: many bootloaders on one machine can point at the same
     /// persistent depot.
@@ -331,15 +325,6 @@ impl BootloaderConfig {
     /// sessions immediately (see [`SwapConfig`]).
     pub fn with_hot_swap(mut self, swap: SwapConfig) -> Self {
         self.swap = Some(swap);
-        self
-    }
-
-    /// Installs a post-activation self-check (see [`ActivationCheck`]).
-    pub fn with_activation_check<F>(mut self, check: F) -> Self
-    where
-        F: Fn(&DriverImage) -> Result<(), String> + Send + Sync + 'static,
-    {
-        self.activation_check = Some(ActivationCheck::new(check));
         self
     }
 
@@ -382,12 +367,10 @@ mod tests {
             .trusting(&cert)
             .with_request_option("locale", "fr_FR")
             .with_notify_channel()
-            .with_lazy_extensions()
-            .on_platform("jre-1.5");
+            .with_lazy_extensions();
         assert!(c.channel_trust.trusts(&cert));
         assert_eq!(c.request_options.len(), 1);
         assert!(c.open_notify_channel);
         assert!(c.lazy_extension_fetch);
-        assert_eq!(c.client_platform, "jre-1.5");
     }
 }

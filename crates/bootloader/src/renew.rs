@@ -552,16 +552,16 @@ impl Bootloader {
         if self.report_answered(&report) {
             return;
         }
-        let me = Arc::downgrade(self);
-        self.net.scheduler().every(
-            RENEW_RETRY,
-            Duration::ZERO,
+        self.net.scheduler().owned(
+            self,
+            Some(RENEW_RETRY),
             format!("activation-report {}", self.local),
-            move || match me.upgrade() {
-                Some(boot) if !boot.report_answered(&report) => {
+            move |boot| {
+                if boot.report_answered(&report) {
+                    Ok(TaskControl::Done)
+                } else {
                     Err("no server answered the activation report".to_string())
                 }
-                _ => Ok(TaskControl::Done),
             },
         );
     }

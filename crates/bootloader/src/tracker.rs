@@ -168,7 +168,7 @@ impl ConnectionTracker {
     }
 
     /// Number of live connections on `ns`.
-    pub fn live_count(&self, ns: NamespaceId) -> usize {
+    fn live_count(&self, ns: NamespaceId) -> usize {
         self.conns
             .lock()
             .iter()

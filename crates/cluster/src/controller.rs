@@ -100,11 +100,6 @@ impl Controller {
         &self.vdb
     }
 
-    /// Highest cluster protocol version this controller accepts.
-    pub fn max_proto(&self) -> u16 {
-        self.max_proto
-    }
-
     /// Whether the controller is serving.
     pub fn is_running(&self) -> bool {
         self.running.load(Ordering::SeqCst)

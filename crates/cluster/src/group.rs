@@ -62,7 +62,7 @@ impl Group {
     }
 
     /// Live members, ordered by id.
-    pub fn live_members(&self) -> Vec<Arc<Controller>> {
+    fn live_members(&self) -> Vec<Arc<Controller>> {
         let mut v: Vec<Arc<Controller>> = self
             .members
             .lock()

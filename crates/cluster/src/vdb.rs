@@ -12,7 +12,7 @@ use crate::backend::Backend;
 
 /// Whether an error is a transport/availability failure (backend should
 /// be disabled or skipped) rather than a deterministic statement error.
-pub fn is_transport_error(e: &DkError) -> bool {
+fn is_transport_error(e: &DkError) -> bool {
     match e {
         DkError::Db(DbError::Session(_)) => true,
         DkError::Db(_) => false,
@@ -74,11 +74,6 @@ impl VirtualDb {
             .iter()
             .map(|b| (b.name().to_string(), b.is_enabled()))
             .collect()
-    }
-
-    /// Number of committed writes in the recovery log.
-    pub fn log_len(&self) -> usize {
-        self.inner.lock().recovery_log.len()
     }
 
     /// Executes a write on every enabled backend and appends it to the
@@ -344,7 +339,7 @@ mod tests {
             Err(DkError::Db(_))
         ));
         assert!(vdb.backend_states().iter().all(|(_, on)| *on));
-        assert_eq!(vdb.log_len(), 0);
+        assert_eq!(vdb.inner.lock().recovery_log.len(), 0);
     }
 
     #[test]

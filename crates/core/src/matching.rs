@@ -59,7 +59,7 @@ pub struct Match<'a> {
 /// pattern. The paper's SQL writes `platform LIKE $client_platform`; real
 /// deployments also store patterns like `linux-%` in the driver table, so
 /// the check is applied symmetrically. `None` (NULL) matches everything.
-pub fn platform_matches(record_platform: Option<&str>, client_platform: &str) -> bool {
+fn platform_matches(record_platform: Option<&str>, client_platform: &str) -> bool {
     match record_platform {
         None => true,
         Some(p) => like(p, client_platform) || like(client_platform, p),

@@ -38,13 +38,6 @@ impl Archive {
         }
     }
 
-    /// Removes an entry, returning whether it existed.
-    pub fn remove_entry(&mut self, name: &str) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(n, _)| n != name);
-        self.entries.len() != before
-    }
-
     /// Looks up an entry by name.
     pub fn entry(&self, name: &str) -> Option<&Bytes> {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, d)| d)
@@ -86,7 +79,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_replace_remove() {
+    fn add_and_replace() {
         let mut a = Archive::new(BinaryFormat::Djar);
         a.add_entry("a", Bytes::from_static(b"1"));
         a.add_entry("b", Bytes::from_static(b"2"));
@@ -94,9 +87,6 @@ mod tests {
         assert_eq!(a.entry("a").unwrap(), &Bytes::from_static(b"3"));
         let names: Vec<&str> = a.entries().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
-        assert!(a.remove_entry("a"));
-        assert!(!a.remove_entry("a"));
-        assert_eq!(a.entries(), [("b".to_string(), Bytes::from_static(b"2"))]);
     }
 
     #[test]

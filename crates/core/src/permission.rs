@@ -118,12 +118,6 @@ impl PermissionRule {
         self
     }
 
-    /// Restricts the rule to a client IP pattern.
-    pub fn for_client_ip(mut self, pattern: impl Into<String>) -> Self {
-        self.client_ip = Some(pattern.into());
-        self
-    }
-
     /// Restricts the rule to a database pattern.
     pub fn for_database(mut self, pattern: impl Into<String>) -> Self {
         self.database = Some(pattern.into());
@@ -200,10 +194,12 @@ mod tests {
 
     #[test]
     fn pattern_fields_use_like() {
-        let r = PermissionRule::any(DriverId(1))
-            .for_user("dba%")
-            .for_client_ip("10.0.%")
-            .for_database("orders");
+        let r = PermissionRule {
+            client_ip: Some("10.0.%".into()),
+            ..PermissionRule::any(DriverId(1))
+                .for_user("dba%")
+                .for_database("orders")
+        };
         assert!(r.matches(&who(), 0));
         let other = ClientIdentity::new("app1", "10.0.0.5", "orders");
         assert!(!r.matches(&other, 0));

@@ -418,10 +418,10 @@ wire_frame! {
 }
 
 wire_enum! {
-    /// Stable `DRIVOLUTION_ERROR` codes. A decoder reads a code it does
-    /// not know as [`DrvErrCode::Internal`].
+    /// Stable `DRIVOLUTION_ERROR` codes. A code the list does not know
+    /// does not decode.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum DrvErrCode: u16 else Internal {
+    pub enum DrvErrCode: u16 {
         /// "invalid database".
         InvalidDatabase = 1,
         /// "no driver for specified API/platform".
@@ -484,7 +484,7 @@ pub type BatchReply = Result<DrvOffer, (DrvErrCode, String)>;
 
 impl DrvErrCode {
     /// Maps a protocol error into the crate error type.
-    pub fn into_error(self, message: String) -> DrvError {
+    fn into_error(self, message: String) -> DrvError {
         match self {
             DrvErrCode::InvalidDatabase => DrvError::InvalidDatabase(message),
             DrvErrCode::NoMatchingDriver => DrvError::NoMatchingDriver(message),
@@ -1289,6 +1289,19 @@ mod tests {
             let e = code.into_error("m".into());
             assert_eq!(DrvErrCode::classify(&e), code);
         }
+    }
+
+    #[test]
+    fn an_unknown_error_code_does_not_decode() {
+        let known = DrvMsg::Error {
+            code: DrvErrCode::Internal,
+            message: "m".into(),
+        };
+        let mut frame = known.encode().to_vec();
+        // Tag 3, then the code as a little-endian u16.
+        assert_eq!(frame[..3], [3, 5, 0]);
+        frame[1..3].copy_from_slice(&0x00ffu16.to_le_bytes());
+        assert!(DrvMsg::decode(Bytes::from(frame)).is_err());
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn key_id_of(secret: u64) -> u64 {
 
 impl VerifyingKey {
     /// Stable identifier of the key pair (safe to log and compare).
-    pub fn key_id(&self) -> u64 {
+    fn key_id(&self) -> u64 {
         key_id_of(self.inner)
     }
 

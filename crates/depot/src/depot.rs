@@ -145,11 +145,6 @@ impl DriverDepot {
         Self::with_params(ChunkingParams::default())
     }
 
-    /// Creates a memory-only depot with fixed-size chunking.
-    pub fn with_chunk_size(chunk_size: u32) -> Arc<Self> {
-        Self::with_params(ChunkingParams::fixed(chunk_size.max(1)))
-    }
-
     /// Creates a memory-only depot with explicit chunking params.
     ///
     /// # Panics
@@ -157,7 +152,7 @@ impl DriverDepot {
     /// Panics when `params` is structurally invalid.
     pub fn with_params(params: ChunkingParams) -> Arc<Self> {
         // A constructor argument, never decoded input (`decode_meta` drops
-        // an invalid line, `persistent_with` returns a typed error).
+        // an invalid line).
         params.validate().expect("invalid chunking params");
         Arc::new(DriverDepot {
             index: ContentIndex::new(),
@@ -182,30 +177,6 @@ impl DriverDepot {
             .ok()
             .and_then(|t| decode_meta(&t))
             .unwrap_or_default();
-        Self::open_persistent(dir, params)
-    }
-
-    /// Opens (or creates) a persistent depot rooted at `dir` with
-    /// explicit chunking params, overriding (and rewriting) any params
-    /// recorded in the depot's `meta` file. Cached images are recorded
-    /// under the new params on load and cut under them when a delta first
-    /// needs their chunks, so switching params costs a local re-chunk,
-    /// never a re-download.
-    ///
-    /// # Errors
-    ///
-    /// [`DrvError::Internal`] on filesystem failures or invalid params.
-    pub fn persistent_with(
-        dir: impl Into<PathBuf>,
-        params: ChunkingParams,
-    ) -> DrvResult<Arc<Self>> {
-        params
-            .validate()
-            .map_err(|e| DrvError::Internal(format!("depot chunking params: {e}")))?;
-        Self::open_persistent(dir.into(), params)
-    }
-
-    fn open_persistent(dir: PathBuf, params: ChunkingParams) -> DrvResult<Arc<Self>> {
         fs::create_dir_all(dir.join("images"))
             .map_err(|e| DrvError::Internal(format!("depot dir: {e}")))?;
         write_atomic(&dir.join("meta"), encode_meta(&params).as_bytes())
@@ -439,7 +410,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_and_have_summary() {
-        let depot = DriverDepot::with_chunk_size(1024);
+        let depot = DriverDepot::with_params(ChunkingParams::fixed(1024));
         let img = image(10_000, 1);
         let d = depot.insert("orders", img.clone());
         assert_eq!(depot.lookup(d), Some(img));
@@ -463,7 +434,7 @@ mod tests {
 
     #[test]
     fn delta_assembly_reuses_local_chunks() {
-        let depot = DriverDepot::with_chunk_size(1024);
+        let depot = DriverDepot::with_params(ChunkingParams::fixed(1024));
         let v1 = image(8192, 2);
         depot.insert("orders", v1.clone());
 
@@ -493,7 +464,7 @@ mod tests {
 
     #[test]
     fn assemble_rejects_wrong_chunk_bytes() {
-        let depot = DriverDepot::with_chunk_size(1024);
+        let depot = DriverDepot::with_params(ChunkingParams::fixed(1024));
         let v2 = image(4096, 3);
         let manifest = ChunkManifest::of(&v2, 1024);
         let mut fetched: HashMap<u64, Bytes> = manifest
@@ -511,7 +482,7 @@ mod tests {
     fn assemble_never_sizes_its_buffer_from_the_manifest() {
         // `total_size` is a number off the wire (any forged offer carries
         // one); u64::MAX used to panic with `capacity overflow`.
-        let depot = DriverDepot::with_chunk_size(1024);
+        let depot = DriverDepot::with_params(ChunkingParams::fixed(1024));
         let v2 = image(4096, 3);
         let honest = ChunkManifest::of(&v2, 1024);
         depot.insert("orders", v2);
@@ -533,7 +504,7 @@ mod tests {
         // One held 1 MiB chunk named once more than the cap allows: every
         // part is in hand and size and digest agree, yet nothing that big
         // may be built.
-        let depot = DriverDepot::with_chunk_size(1 << 20);
+        let depot = DriverDepot::with_params(ChunkingParams::fixed(1 << 20));
         let chunk = image(1 << 20, 9);
         depot.insert("orders", chunk.clone());
         let n = (MAX_IMAGE_BYTES >> 20) as usize + 1;
@@ -599,7 +570,7 @@ mod tests {
 
     #[test]
     fn the_base_leads_the_images_and_survives_the_cap() {
-        let depot = DriverDepot::with_chunk_size(64);
+        let depot = DriverDepot::with_params(ChunkingParams::fixed(64));
         let blob = |seed: u64| Bytes::from(drivolution_core::entropy_blob(64, seed));
         let mut others: Vec<u64> = (0..MAX_HAVE_IMAGES as u64)
             .map(|i| depot.insert("other", blob(i)))
@@ -666,14 +637,17 @@ mod tests {
         let dir = temp_dir("persist-params");
         let params = ChunkingParams::cdc(512, 2048, 8192);
         let img = image(64 * 1024, 5);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta"), encode_meta(&params)).unwrap();
         let (digest, chunks_before) = {
-            let depot = DriverDepot::persistent_with(&dir, params).unwrap();
+            let depot = DriverDepot::persistent(&dir).unwrap();
+            assert_eq!(depot.params(), params);
             let digest = depot.insert("orders", img.clone());
             (digest, depot.index.manifest(digest).unwrap().chunks)
         };
-        // Plain `persistent` reopen restores the params from `meta`, and
-        // the base's chunk digests are bit-identical, so the server keeps
-        // seeing a usable delta base.
+        // A reopen restores the params from `meta`, and the base's chunk
+        // digests are bit-identical, so the server keeps seeing a usable
+        // delta base.
         let depot = DriverDepot::persistent(&dir).unwrap();
         assert_eq!(depot.params(), params);
         let have = depot.have_summary("orders").unwrap();
@@ -681,29 +655,6 @@ mod tests {
         assert_eq!(have.base, Some(digest));
         assert_eq!(depot.index.manifest(digest).unwrap().chunks, chunks_before);
         assert_eq!(depot.lookup(digest), Some(img));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persistent_with_overrides_and_rewrites_meta() {
-        let dir = temp_dir("persist-override");
-        {
-            let depot = DriverDepot::persistent_with(&dir, ChunkingParams::fixed(2048)).unwrap();
-            depot.insert("orders", image(16 * 1024, 6));
-        }
-        {
-            let depot =
-                DriverDepot::persistent_with(&dir, ChunkingParams::cdc(256, 1024, 4096)).unwrap();
-            assert_eq!(depot.params(), ChunkingParams::cdc(256, 1024, 4096));
-            // Cached images were recorded under the new params.
-            assert_eq!(
-                depot.have_summary("orders").unwrap().params,
-                ChunkingParams::cdc(256, 1024, 4096)
-            );
-        }
-        // The override sticks for later plain opens.
-        let depot = DriverDepot::persistent(&dir).unwrap();
-        assert_eq!(depot.params(), ChunkingParams::cdc(256, 1024, 4096));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! Read-only depot replicas that take bulk chunk traffic off the
 //! primary Drivolution server.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -134,31 +134,25 @@ impl MirrorDepot {
     fn register_lifecycle(self: &Arc<Self>, announced: bool) {
         let sched = self.net.scheduler();
         let location = self.location();
-        let me = Arc::downgrade(self);
-        let heartbeat = sched.every(
-            HEARTBEAT_EVERY,
-            Duration::ZERO,
+        let heartbeat = sched.owned(
+            self,
+            Some(HEARTBEAT_EVERY),
             format!("mirror-heartbeat {location}"),
-            move || match Weak::upgrade(&me) {
-                Some(m) => m
-                    .heartbeat()
+            |m| {
+                m.heartbeat()
                     .map(|()| TaskControl::Continue)
-                    .map_err(|e| e.to_string()),
-                None => Ok(TaskControl::Done),
+                    .map_err(|e| e.to_string())
             },
         );
         let announce_retry = (!announced).then(|| {
-            let me = Arc::downgrade(self);
-            sched.every(
-                ANNOUNCE_RETRY,
-                Duration::ZERO,
-                format!("mirror-announce {}", self.location()),
-                move || match Weak::upgrade(&me) {
-                    Some(m) => match m.announce() {
-                        Ok(()) => Ok(TaskControl::Done),
-                        Err(e) => Err(e.to_string()),
-                    },
-                    None => Ok(TaskControl::Done),
+            sched.owned(
+                self,
+                Some(ANNOUNCE_RETRY),
+                format!("mirror-announce {location}"),
+                |m| {
+                    m.announce()
+                        .map(|()| TaskControl::Done)
+                        .map_err(|e| e.to_string())
                 },
             )
         });

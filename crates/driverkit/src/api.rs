@@ -42,12 +42,6 @@ impl ConnectProps {
         }
     }
 
-    /// Sets an option.
-    pub fn with_option(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.options.insert(key.into(), value.into());
-        self
-    }
-
     /// Sets the locale.
     pub fn with_locale(mut self, locale: impl Into<String>) -> Self {
         self.locale = Some(locale.into());
@@ -169,11 +163,8 @@ mod tests {
 
     #[test]
     fn props_builder() {
-        let p = ConnectProps::user("bob", "pw")
-            .with_option("fetch_size", "10")
-            .with_locale("fr_FR");
+        let p = ConnectProps::user("bob", "pw").with_locale("fr_FR");
         assert_eq!(p.user, "bob");
-        assert_eq!(p.options.get("fetch_size").map(String::as_str), Some("10"));
         assert_eq!(p.locale.as_deref(), Some("fr_FR"));
     }
 }

@@ -102,22 +102,6 @@ impl ConnectionPool {
         self.idle.lock().len()
     }
 
-    /// Number of live (idle + checked out) connections.
-    pub fn live_len(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
-    }
-
-    /// Closes every idle connection (checked-out ones are unaffected) —
-    /// what an operator does to drain a pool for an upgrade.
-    pub fn close_idle(&self) {
-        let mut idle = self.idle.lock();
-        let n = idle.len();
-        for mut c in idle.drain(..) {
-            let _ = c.close();
-        }
-        self.live.fetch_sub(n, Ordering::SeqCst);
-    }
-
     fn check_in(&self, conn: Box<dyn Connection>) {
         if conn.is_open() {
             self.idle.lock().push(conn);
@@ -250,7 +234,7 @@ mod tests {
         let _c2 = p.checkout().unwrap();
         // Served from the idle list: no second connection was opened.
         assert_eq!(p.idle_len(), 0);
-        assert_eq!(p.live_len(), 1);
+        assert_eq!(p.live.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -272,33 +256,17 @@ mod tests {
     }
 
     #[test]
-    fn close_idle_drains() {
-        let p = pool(3);
-        let a = p.checkout().unwrap();
-        let b = p.checkout().unwrap();
-        drop(a);
-        drop(b);
-        assert_eq!(p.idle_len(), 2);
-        p.close_idle();
-        assert_eq!(p.idle_len(), 0);
-        assert_eq!(p.live_len(), 0);
-        // The pool recovers by opening a fresh connection.
-        let _c = p.checkout().unwrap();
-        assert_eq!(p.live_len(), 1);
-    }
-
-    #[test]
     fn dead_idle_connections_are_discarded() {
         let p = pool(2);
         let mut a = p.checkout().unwrap();
         // Physically close the connection, then return it to the pool.
         a.inner().unwrap().close().unwrap();
         drop(a);
-        assert_eq!((p.idle_len(), p.live_len()), (0, 0));
+        assert_eq!((p.idle_len(), p.live.load(Ordering::SeqCst)), (0, 0));
         // The dead connection is skipped and a new one opened.
         let mut b = p.checkout().unwrap();
         b.execute("SELECT 1").unwrap();
-        assert_eq!(p.live_len(), 1);
+        assert_eq!(p.live.load(Ordering::SeqCst), 1);
     }
 
     #[test]

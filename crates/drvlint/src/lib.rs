@@ -124,7 +124,7 @@ pub fn collect_workspace(root: &Path) -> Result<Vec<ScannedFile>, String> {
 /// Every rule name any pass can emit (plus `panic-ratchet` and the
 /// allow-machinery rule), used to reject allow comments naming rules
 /// that do not exist.
-pub fn known_rules() -> Vec<&'static str> {
+fn known_rules() -> Vec<&'static str> {
     let mut rules = Vec::new();
     rules.extend_from_slice(determinism::RULES);
     rules.push("panic-ratchet");

@@ -109,15 +109,11 @@ impl RenewalAggregator {
                 }
             });
         }
-        let me = Arc::downgrade(&agg);
-        let handle = net.scheduler().every(
-            every,
-            Duration::ZERO,
+        let handle = net.scheduler().owned(
+            &agg,
+            Some(every),
             format!("renew-aggregator:{}", local.host()),
-            move || {
-                let Some(agg) = me.upgrade() else {
-                    return Ok(TaskControl::Done);
-                };
+            |agg| {
                 agg.tick();
                 Ok(TaskControl::Continue)
             },

@@ -7,7 +7,7 @@
 //! upgrading with zero impact shows a clean ledger; a fleet upgrading by
 //! closing connections does not.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -118,15 +118,11 @@ impl SteadyLoad {
         });
         let mut tasks = Vec::with_capacity(clients.len());
         for (i, c) in clients.iter().enumerate() {
-            let me: Weak<SteadyLoad> = Arc::downgrade(&load);
-            tasks.push(net.scheduler().every(
-                every,
-                Duration::ZERO,
+            tasks.push(net.scheduler().owned(
+                &load,
+                Some(every),
                 format!("steady-load {}", c.local_addr().host()),
-                move || {
-                    let Some(load) = me.upgrade() else {
-                        return Ok(TaskControl::Done);
-                    };
+                move |load| {
                     load.tick(i);
                     Ok(TaskControl::Continue)
                 },
@@ -159,12 +155,6 @@ impl SteadyLoad {
     /// Snapshot of the outcome ledger.
     pub fn stats(&self) -> LoadStats {
         self.state.lock().stats
-    }
-
-    /// Number of clients currently holding an open (multi-firing)
-    /// transaction.
-    pub fn held_open(&self) -> usize {
-        self.slots.iter().filter(|s| s.lock().held_open).count()
     }
 
     /// Cancels the load tasks (the driver stops firing; connections

@@ -76,7 +76,7 @@ impl OpStep {
     }
 
     /// Whether the application/console is unavailable during this step.
-    pub fn is_disruptive(self) -> bool {
+    fn is_disruptive(self) -> bool {
         matches!(
             self,
             OpStep::StopApp
@@ -91,7 +91,7 @@ impl OpStep {
     /// Probability (per execution) that this step fails and must be
     /// redone — the paper's "error prone" manual process (§2). Only
     /// manual steps carry risk.
-    pub fn error_prob(self) -> f64 {
+    fn error_prob(self) -> f64 {
         match self {
             OpStep::DownloadDriver => 0.10, // wrong version/platform
             OpStep::InstallDriver => 0.05,

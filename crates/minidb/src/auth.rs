@@ -18,7 +18,7 @@ use crate::error::{DbError, DbResult};
 pub use crate::wire::proto::AuthMethod;
 
 /// FNV-1a 64-bit hash — the workspace's stand-in for cryptographic hashes.
-pub fn weak_hash(data: &[u8]) -> u64 {
+fn weak_hash(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in data {
         h ^= u64::from(*b);
@@ -27,16 +27,11 @@ pub fn weak_hash(data: &[u8]) -> u64 {
     h
 }
 
-#[derive(Clone, Debug)]
-struct UserEntry {
-    password: String,
-    is_admin: bool,
-}
-
 /// User registry and the database's accepted auth methods.
 #[derive(Clone, Debug)]
 pub struct AuthStore {
-    users: HashMap<String, UserEntry>,
+    /// User name → password.
+    users: HashMap<String, String>,
     accepted: BTreeSet<AuthMethod>,
     realm_secret: String,
 }
@@ -44,14 +39,7 @@ pub struct AuthStore {
 impl AuthStore {
     /// Creates a store with one admin user and all auth methods accepted.
     pub fn new(admin_user: &str, admin_password: &str) -> Self {
-        let mut users = HashMap::new();
-        users.insert(
-            admin_user.to_string(),
-            UserEntry {
-                password: admin_password.to_string(),
-                is_admin: true,
-            },
-        );
+        let users = HashMap::from([(admin_user.to_string(), admin_password.to_string())]);
         AuthStore {
             users,
             accepted: [
@@ -90,24 +78,13 @@ impl AuthStore {
         if self.users.contains_key(name) {
             return Err(DbError::Constraint(format!("user {name} already exists")));
         }
-        self.users.insert(
-            name.to_string(),
-            UserEntry {
-                password: password.to_string(),
-                is_admin: false,
-            },
-        );
+        self.users.insert(name.to_string(), password.to_string());
         Ok(())
     }
 
     /// Whether `name` exists.
     pub fn has_user(&self, name: &str) -> bool {
         self.users.contains_key(name)
-    }
-
-    /// Whether `name` is an administrator.
-    pub fn is_admin(&self, name: &str) -> bool {
-        self.users.get(name).map(|u| u.is_admin).unwrap_or(false)
     }
 
     /// Verifies a cleartext password.
@@ -123,7 +100,7 @@ impl AuthStore {
             ));
         }
         match self.users.get(user) {
-            Some(u) if u.password == password => Ok(()),
+            Some(u) if u == password => Ok(()),
             Some(_) => Err(DbError::Auth(format!("bad password for {user}"))),
             None => Err(DbError::Auth(format!("unknown user {user}"))),
         }
@@ -134,12 +111,12 @@ impl AuthStore {
     /// # Errors
     ///
     /// [`DbError::Auth`] on unknown user.
-    pub fn challenge_response(&self, user: &str, nonce: u64) -> DbResult<u64> {
+    fn challenge_response(&self, user: &str, nonce: u64) -> DbResult<u64> {
         let u = self
             .users
             .get(user)
             .ok_or_else(|| DbError::Auth(format!("unknown user {user}")))?;
-        Ok(challenge_digest(&u.password, nonce))
+        Ok(challenge_digest(u, nonce))
     }
 
     /// Verifies a challenge response.

@@ -253,7 +253,7 @@ impl MiniDb {
     /// # Errors
     ///
     /// Any [`DbError`] from execution.
-    pub fn execute_stmt(
+    fn execute_stmt(
         &self,
         session: &mut Session,
         stmt: &Statement,

@@ -413,7 +413,7 @@ impl Table {
 
     /// Returns `true` if any row has `value` in column `col` (through
     /// the index when `col` is the primary key).
-    pub fn contains_value(&self, col: usize, value: &Value) -> bool {
+    fn contains_value(&self, col: usize, value: &Value) -> bool {
         let key = key_hash(value).filter(|_| self.schema.key() == [col]);
         self.candidates(key)
             .any(|(_, r)| r.get(col).and_then(|v| v.sql_eq(value)) == Some(true))

@@ -76,16 +76,6 @@ impl DbServer {
         &self.db
     }
 
-    /// Supported protocol versions.
-    pub fn versions(&self) -> &[u16] {
-        &self.versions
-    }
-
-    /// Number of live (authenticated) sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.lock().live.len()
-    }
-
     fn handle(&self, msg: ClientMsg) -> ServerMsg {
         match self.try_handle(msg) {
             Ok(m) => m,
@@ -308,12 +298,12 @@ mod tests {
             panic!("{r:?}")
         };
         assert_eq!(rs.rows[0][0], Value::Integer(7));
-        assert_eq!(srv.session_count(), 1);
+        assert_eq!(srv.sessions.lock().live.len(), 1);
         assert_eq!(
             srv.handle(ClientMsg::Close { session: sid }),
             ServerMsg::Closed
         );
-        assert_eq!(srv.session_count(), 0);
+        assert_eq!(srv.sessions.lock().live.len(), 0);
     }
 
     #[test]

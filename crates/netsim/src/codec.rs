@@ -722,8 +722,8 @@ pub const fn min_of(xs: &[usize]) -> usize {
 /// `code(self) -> R`, its `from_code(R) -> Option<Self>` and its [`Wire`]
 /// impl (the code as an `R`), all read off the one list of
 /// `Variant = code` lines, so they cannot drift apart. Derives stay at
-/// the call site, and `Copy` is one of them. `else Variant` after the
-/// repr decodes a code the list does not know as that variant.
+/// the call site, and `Copy` is one of them. A code the list does not
+/// know does not decode: `get` returns a typed error.
 ///
 /// ```
 /// netsim::codec::wire_enum! {
@@ -763,7 +763,7 @@ pub const fn min_of(xs: &[usize]) -> usize {
 macro_rules! wire_enum {
     (
         $(#[$meta:meta])*
-        $vis:vis enum $name:ident : $repr:ident $(else $fallback:ident)? {
+        $vis:vis enum $name:ident : $repr:ident {
             $($(#[$vmeta:meta])* $variant:ident = $code:literal),+ $(,)?
         }
     ) => {
@@ -805,7 +805,6 @@ macro_rules! wire_enum {
             ) -> Result<Self, $crate::codec::CodecError> {
                 let c = <$repr as $crate::codec::Wire>::get(buf, what)?;
                 Self::from_code(c)
-                    $(.or(Some($name::$fallback)))?
                     .ok_or_else(|| $crate::codec::CodecError::new(format!("unknown {what} {c}")))
             }
         }

@@ -207,15 +207,6 @@ impl Network {
         path.topology.zone_of(host).map(str::to_string)
     }
 
-    /// One-way link latency between two addresses under the current
-    /// topology (zero when either host is unplaced). Does not include
-    /// any active latency storm; delivery applies the fault plan's
-    /// multiplier on top of this base figure.
-    pub fn latency_between(&self, from: &Addr, to: &Addr) -> u64 {
-        let path = self.inner.path.lock();
-        path.topology.latency_ms(from.host(), to.host())
-    }
-
     /// Reseeds the RNG used for probabilistic message loss, for
     /// reproducible lossy-network tests.
     pub fn reseed(&self, seed: u64) {
@@ -612,7 +603,7 @@ mod tests {
             t.place("srv", "west");
         });
         assert_eq!(net.zone_of("srv").as_deref(), Some("west"));
-        assert_eq!(net.latency_between(&client(), &Addr::new("srv", 1)), 25);
+        assert_eq!(net.with_topology(|t| t.latency_ms("client", "srv")), 25);
         let t0 = net.clock().now_ms();
         net.request(&client(), &Addr::new("srv", 1), Bytes::new())
             .unwrap();

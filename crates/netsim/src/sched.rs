@@ -5,10 +5,11 @@
 //! heartbeats, lease auto-renewal, upgrade polling — is periodic work
 //! that used to be hand-cranked by whoever owned the component. The
 //! [`Scheduler`] removes that boilerplate: components register tasks
-//! once ([`Scheduler::every`] / [`Scheduler::once`]) and a single
-//! [`Scheduler::run_until`] pump fires them in deterministic virtual
-//! time, interleaved with the message latency their own network
-//! exchanges charge to the shared [`Clock`].
+//! once ([`Scheduler::every`] / [`Scheduler::once_at`], or
+//! [`Scheduler::owned`] for a task that lives only as long as its
+//! owner) and a single [`Scheduler::run_until`] pump fires them in
+//! deterministic virtual time, interleaved with the message latency
+//! their own network exchanges charge to the shared [`Clock`].
 //!
 //! Determinism: tasks fire in `(due_ms, registration order)` order, and
 //! per-task jitter comes from a splitmix generator seeded from the
@@ -44,7 +45,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -94,9 +95,6 @@ enum Cadence {
 
 type TaskFn = Arc<dyn Fn() -> TaskResult + Send + Sync>;
 
-/// "No such time": a paused one-shot that was dormant.
-const NEVER: u64 = u64::MAX;
-
 // The table holds each task boxed: a hash table keeps up to half its
 // buckets empty, and an empty bucket then costs a key and a pointer, not
 // a whole `Task`. Each live task still pays for every byte of its own:
@@ -108,9 +106,6 @@ struct Task {
     rng: StdRng,
     /// Its next turn (mid-run, the tick being run).
     due_ms: u64,
-    /// Delay left on a paused one-shot, restored on resume; [`NEVER`]
-    /// when the one-shot was dormant at pause time (it stays dormant).
-    paused_remaining: u64,
     /// In the firing queue, at `due_ms`.
     queued: bool,
     paused: bool,
@@ -266,7 +261,6 @@ impl Scheduler {
             f,
             rng,
             due_ms: 0,
-            paused_remaining: NEVER,
             queued: false,
             paused: false,
             rearmed: false,
@@ -309,20 +303,9 @@ impl Scheduler {
         )
     }
 
-    /// Registers a one-shot task firing `delay` from now. After firing
-    /// it goes dormant and can be re-armed with
-    /// [`TaskHandle::reschedule_at`].
-    pub fn once(
-        &self,
-        delay: Duration,
-        name: impl Into<String>,
-        f: impl Fn() -> TaskResult + Send + Sync + 'static,
-    ) -> TaskHandle {
-        self.once_at(self.inner.clock.now_ms() + ms(delay), name, f)
-    }
-
     /// Registers a one-shot task firing at absolute virtual time
-    /// `due_ms` (clamped to now if already past).
+    /// `due_ms` (clamped to now if already past). After firing it goes
+    /// dormant and can be re-armed with [`TaskHandle::reschedule_at`].
     pub fn once_at(
         &self,
         due_ms: u64,
@@ -336,12 +319,33 @@ impl Scheduler {
     /// Registers a dormant one-shot task that never fires until armed
     /// with [`TaskHandle::reschedule_at`] — the shape of a lease
     /// auto-renewal timer that tracks a moving expiry.
-    pub fn dormant(
+    fn dormant(
         &self,
         name: impl Into<String>,
         f: impl Fn() -> TaskResult + Send + Sync + 'static,
     ) -> TaskHandle {
         self.register(name.into(), Cadence::Once, None, Arc::new(f))
+    }
+
+    /// Registers a task that runs `run` against `owner` for as long as
+    /// the owner lives: it holds the owner by [`Weak`] and retires with
+    /// [`TaskControl::Done`] once the owner is dropped. With `every` it
+    /// fires on that fixed-rate grid, as [`every`](Self::every) does
+    /// with no jitter; with `None` it is dormant until
+    /// [`TaskHandle::reschedule_at`] arms it.
+    pub fn owned<T: Send + Sync + 'static>(
+        &self,
+        owner: &Arc<T>,
+        every: Option<Duration>,
+        name: impl Into<String>,
+        run: impl Fn(&Arc<T>) -> TaskResult + Send + Sync + 'static,
+    ) -> TaskHandle {
+        let me: Weak<T> = Arc::downgrade(owner);
+        let f = move || me.upgrade().map_or(Ok(TaskControl::Done), |o| run(&o));
+        match every {
+            Some(interval) => self.every(interval, Duration::ZERO, name, f),
+            None => self.dormant(name, f),
+        }
     }
 
     /// Number of live tasks (scheduled, dormant, or paused). Cancelled
@@ -495,34 +499,25 @@ impl TaskHandle {
         self.read(|_| ()).is_none()
     }
 
-    /// Takes the task off the schedule. A paused armed one-shot
-    /// remembers its remaining delay (a dormant one stays dormant); a
-    /// paused periodic task resumes a full interval after
-    /// [`resume`](Self::resume).
+    /// Takes the task off the schedule. A paused periodic task resumes
+    /// a full interval after [`resume`](Self::resume); a paused one-shot
+    /// stays off it until [`reschedule_at`](Self::reschedule_at) arms it.
     pub fn pause(&self) {
-        self.with_task(|tl, t, now| {
-            if !t.paused {
-                let left = t.queued.then(|| t.due_ms.saturating_sub(now));
-                (t.paused, t.paused_remaining) = (true, left.unwrap_or(NEVER));
-                tl.unqueue(self.id, t);
-            }
+        self.with_task(|tl, t, _| {
+            t.paused = true;
+            tl.unqueue(self.id, t);
         });
     }
 
-    /// Puts a paused task back on the schedule. A one-shot that was
-    /// dormant when paused stays dormant: resuming must not invent a
-    /// firing that was never armed.
+    /// Puts a paused periodic task back on the schedule. A one-shot stays
+    /// dormant: resuming must not invent a firing that was never armed.
     pub fn resume(&self) {
         self.with_task(|tl, t, now| {
             if !std::mem::replace(&mut t.paused, false) {
                 return;
             }
-            let remaining = std::mem::replace(&mut t.paused_remaining, NEVER);
-            let due = match t.cadence {
-                Cadence::Periodic { interval_ms, .. } => Some(now + interval_ms + t.jitter()),
-                Cadence::Once => (remaining != NEVER).then(|| now + remaining),
-            };
-            if let Some(due) = due {
+            if let Cadence::Periodic { interval_ms, .. } = t.cadence {
+                let due = now + interval_ms + t.jitter();
                 tl.arm(self.id, t, due);
             }
         });
@@ -616,7 +611,7 @@ mod tests {
     fn once_fires_once_and_goes_dormant() {
         let (sched, clock) = rig();
         let hits = Arc::new(AtomicU64::new(0));
-        let h = sched.once(Duration::from_millis(50), "boom", counter_task(&hits));
+        let h = sched.once_at(50, "boom", counter_task(&hits));
         sched.run_until(1_000);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert!(!h.is_scheduled());
@@ -642,7 +637,7 @@ mod tests {
             Ok(TaskControl::Continue)
         });
         let l3 = log.clone();
-        sched.once(Duration::from_millis(30), "c", move || {
+        sched.once_at(30, "c", move || {
             l3.lock().push("c");
             Ok(TaskControl::Continue)
         });
@@ -781,6 +776,37 @@ mod tests {
     }
 
     #[test]
+    fn an_owned_task_retires_once_its_owner_is_dropped() {
+        let (sched, _clock) = rig();
+        let owner = Arc::new(AtomicU64::new(0));
+        let periodic = sched.owned(&owner, Some(Duration::from_millis(10)), "p", |o| {
+            o.fetch_add(1, Ordering::SeqCst);
+            Ok(TaskControl::Continue)
+        });
+        let dormant = sched.owned(&owner, None, "d", |o| {
+            o.fetch_add(100, Ordering::SeqCst);
+            Ok(TaskControl::Continue)
+        });
+        assert_eq!(sched.task_names(), ["p", "d"]);
+        sched.run_until(30);
+        assert_eq!(owner.load(Ordering::SeqCst), 3);
+        assert!(!dormant.is_scheduled());
+        dormant.reschedule_at(35);
+        sched.run_until(35);
+        assert_eq!(owner.load(Ordering::SeqCst), 103);
+        drop(owner);
+        sched.run_until(100);
+        assert!(
+            periodic.is_cancelled(),
+            "retired on its first turn after the drop"
+        );
+        dormant.reschedule_at(110);
+        sched.run_until(110);
+        assert!(dormant.is_cancelled());
+        assert_eq!(sched.task_count(), 0);
+    }
+
+    #[test]
     fn resuming_a_paused_dormant_task_keeps_it_dormant() {
         let (sched, _clock) = rig();
         let hits = Arc::new(AtomicU64::new(0));
@@ -892,7 +918,7 @@ mod tests {
         let t = times.clone();
         let hh = handle.clone();
         let c = clock.clone();
-        let h = sched.once(Duration::from_millis(100), "lease", move || {
+        let h = sched.once_at(100, "lease", move || {
             let now = c.now_ms();
             t.lock().push(now);
             if now < 300 {

@@ -3,17 +3,17 @@
 //! The mirror tier reasons about *locality*: a client should fetch bulk
 //! chunk data from a replica in its own zone. To make that measurable
 //! rather than cosmetic, hosts can be placed in named zones and every
-//! delivered message is charged the zone-pair link latency against the
-//! shared simulated [`crate::Clock`]. Components then observe latency
+//! delivered message is charged a same-zone or cross-zone latency
+//! against the shared simulated [`crate::Clock`]. Components then observe latency
 //! the same way they observe time — through the clock — so fetch-latency
 //! percentiles fall out of ordinary clock reads.
 //!
-//! Unplaced hosts and unconfigured links cost zero, so existing
-//! single-zone tests and benchmarks are unaffected.
+//! Unplaced hosts cost zero, so existing single-zone tests and
+//! benchmarks are unaffected.
 
 use std::collections::HashMap;
 
-/// Host→zone placement plus per-zone-pair link latencies.
+/// Host→zone placement plus same-zone and cross-zone latencies.
 ///
 /// Latencies are one-way milliseconds; a request/response exchange
 /// traverses the link twice. Lookups between hosts where either side is
@@ -21,7 +21,6 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     zones: HashMap<String, String>,
-    links: HashMap<(String, String), u64>,
     same_zone_ms: u64,
     cross_zone_ms: u64,
 }
@@ -42,25 +41,11 @@ impl Topology {
         self.zones.get(host).map(String::as_str)
     }
 
-    /// Sets the default one-way latencies applied when no explicit
-    /// zone-pair link overrides them.
+    /// Sets the one-way latencies between two hosts in one zone and in
+    /// two different zones.
     pub fn set_default_latency(&mut self, same_zone_ms: u64, cross_zone_ms: u64) {
         self.same_zone_ms = same_zone_ms;
         self.cross_zone_ms = cross_zone_ms;
-    }
-
-    fn key(a: &str, b: &str) -> (String, String) {
-        if a <= b {
-            (a.to_string(), b.to_string())
-        } else {
-            (b.to_string(), a.to_string())
-        }
-    }
-
-    /// Sets the one-way latency between two zones (symmetric; `a == b`
-    /// sets that zone's intra-zone latency).
-    pub fn set_zone_link(&mut self, a: &str, b: &str, ms: u64) {
-        self.links.insert(Self::key(a, b), ms);
     }
 
     /// One-way latency between two hosts. Zero when either host is
@@ -69,14 +54,6 @@ impl Topology {
         let (Some(a), Some(b)) = (self.zones.get(from_host), self.zones.get(to_host)) else {
             return 0;
         };
-        // Only build the owned lookup key when overrides exist: this
-        // runs on every delivered message, and most topologies use the
-        // defaults alone.
-        if !self.links.is_empty() {
-            if let Some(ms) = self.links.get(&Self::key(a, b)) {
-                return *ms;
-            }
-        }
         if a == b {
             self.same_zone_ms
         } else {
@@ -108,20 +85,6 @@ mod tests {
         assert_eq!(t.latency_ms("a1", "a2"), 1);
         assert_eq!(t.latency_ms("a1", "b1"), 25);
         assert_eq!(t.latency_ms("b1", "a1"), 25);
-    }
-
-    #[test]
-    fn zone_links_override_defaults_symmetrically() {
-        let mut t = Topology::new();
-        t.set_default_latency(1, 25);
-        t.place("a1", "east");
-        t.place("b1", "west");
-        t.set_zone_link("west", "east", 80);
-        assert_eq!(t.latency_ms("a1", "b1"), 80);
-        assert_eq!(t.latency_ms("b1", "a1"), 80);
-        t.set_zone_link("east", "east", 2);
-        t.place("a2", "east");
-        assert_eq!(t.latency_ms("a1", "a2"), 2);
     }
 
     #[test]

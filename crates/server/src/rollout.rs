@@ -27,7 +27,7 @@
 //! back).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -299,24 +299,16 @@ impl RolloutOrchestrator {
             plan,
             config,
         ));
-        let weak: Weak<Self> = Arc::downgrade(&ro);
-        let handle =
-            net.scheduler().every(
-                every,
-                Duration::ZERO,
-                "rollout-evaluate",
-                move || match weak.upgrade() {
-                    Some(ro) => {
-                        ro.evaluate();
-                        if ro.is_settled() {
-                            Ok(TaskControl::Done)
-                        } else {
-                            Ok(TaskControl::Continue)
-                        }
-                    }
-                    None => Ok(TaskControl::Done),
-                },
-            );
+        let handle = net
+            .scheduler()
+            .owned(&ro, Some(every), "rollout-evaluate", |ro| {
+                ro.evaluate();
+                if ro.is_settled() {
+                    Ok(TaskControl::Done)
+                } else {
+                    Ok(TaskControl::Continue)
+                }
+            });
         ro.state.lock().task = Some(handle);
         ro
     }
@@ -405,7 +397,7 @@ impl RolloutOrchestrator {
     /// observation window has elapsed and the success gate passes.
     /// Normally driven by the scheduler task [`launch`](Self::launch)
     /// registers; exposed for direct-drive tests.
-    pub fn evaluate(&self) {
+    fn evaluate(&self) {
         let now = self.clock.now_ms();
         let mut st = self.state.lock();
         let RolloutPhase::Wave(open) = st.phase else {

@@ -393,15 +393,11 @@ impl DrivolutionServer {
     /// task holds only a weak reference and retires itself once the
     /// server is dropped.
     pub fn register_maintenance(self: &Arc<Self>, net: &Network) {
-        let me = Arc::downgrade(self);
-        net.scheduler().every(
-            MAINTENANCE_EVERY,
-            Duration::ZERO,
+        net.scheduler().owned(
+            self,
+            Some(MAINTENANCE_EVERY),
             format!("server-maintenance:{}", self.name),
-            move || {
-                let Some(srv) = me.upgrade() else {
-                    return Ok(TaskControl::Done);
-                };
+            |srv| {
                 srv.licenses.prune_expired(srv.clock.now_ms());
                 srv.detect_failures();
                 Ok(TaskControl::Continue)

@@ -496,7 +496,7 @@ impl DriverStore {
     /// # Errors
     ///
     /// Store failures as [`DrvError::Internal`].
-    pub fn has_rules(&self) -> DrvResult<bool> {
+    fn has_rules(&self) -> DrvResult<bool> {
         Ok(self.count("SELECT count(*) FROM information_schema.driver_permission")? > 0)
     }
 

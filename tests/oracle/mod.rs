@@ -85,8 +85,8 @@ pub(crate) struct FinishedRun {
     /// Every frame the primary received or answered, as it travelled.
     pub(crate) frames: Vec<Bytes>,
     /// One frame of the run under window mutation ([`for_each_mutant`]):
-    /// each mutant is a typed error or a value that survives its own
-    /// encoding.
+    /// each mutant is a typed error or a value that re-encodes to the
+    /// mutant's own bytes.
     pub(crate) mutated: Option<Bytes>,
     /// Renewals sent to the primary in full, and its `RESEND_IN_FULL`
     /// answers, when it refused no frame tag and kept every request.
@@ -260,10 +260,10 @@ fn frames(run: &FinishedRun) -> Result<(), String> {
     let mut broken = None;
     if let Some(frame) = &run.mutated {
         for_each_mutant(frame, |what, mutant| {
-            if let (None, Ok(value)) = (&broken, DrvMsg::decode(mutant)) {
-                if DrvMsg::decode(value.encode()).as_ref() != Ok(&value) {
+            if let (None, Ok(value)) = (&broken, DrvMsg::decode(mutant.clone())) {
+                if value.encode() != mutant {
                     broken = Some(format!(
-                        "tag {:?} {what} decodes to {value:?}, which does not survive its encoding",
+                        "tag {:?} {what} decodes to {value:?}, which re-encodes to other bytes",
                         frame.first()
                     ));
                 }

@@ -154,6 +154,14 @@ impl World {
         };
         let rollout = matches!(upgrade, Upgrade::Rollout { .. });
         let batched = d.one_in(3);
+        // A wave after the canary holds two hosts only in a fleet of three
+        // or more, and only then can its reports share one
+        // `ACTIVATION_BATCH`.
+        let clients = if rollout && batched {
+            clients.max(3)
+        } else {
+            clients
+        };
         let notify = !batched && !rollout && d.one_in(3);
         let mut refuse = Vec::new();
         for tag in [18, 20, 21] {
